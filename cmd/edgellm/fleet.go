@@ -12,7 +12,6 @@ import (
 
 	ag "edgellm/internal/autograd"
 	"edgellm/internal/fleet"
-	"edgellm/internal/obsv"
 	"edgellm/internal/tensor"
 )
 
@@ -22,7 +21,7 @@ import (
 // -fault/-steps/-epoch flags at any -parallel and any GOMAXPROCS; SIGTERM
 // drains the fleet gracefully and the command proves the shared tensor
 // arena released every pooled byte before exiting.
-func cmdFleet(args []string) error {
+func cmdFleet(args []string) (err error) {
 	fs := flag.NewFlagSet("fleet", flag.ExitOnError)
 	devices := fs.Int("devices", 64, "fleet size")
 	seed := fs.Int64("seed", 42, "fleet seed; derives every per-device stream (spec, training, faults, churn)")
@@ -44,18 +43,11 @@ func cmdFleet(args []string) error {
 	ag.SetPool(tensor.NewPool())
 	defer ag.SetPool(nil)
 
-	rec := obsv.New()
-	obsv.SetGlobal(rec)
-	defer obsv.SetGlobal(nil)
-	if *metricsPath != "" {
-		f, err := os.Create(*metricsPath)
-		if err != nil {
-			return fmt.Errorf("fleet: create metrics file: %w", err)
-		}
-		defer f.Close()
-		rec.SetEmitter(obsv.NewEmitter(f))
-		fmt.Fprintf(os.Stderr, "fleet: streaming telemetry events to %s\n", *metricsPath)
+	rec, finishObsv, err := setupObsv(obsvConfig{Tool: "fleet", MetricsPath: *metricsPath, Always: true})
+	if err != nil {
+		return err
 	}
+	defer closeObsv(finishObsv, &err)
 
 	cfg := fleet.Config{
 		Devices:      *devices,

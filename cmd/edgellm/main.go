@@ -113,64 +113,49 @@ func cmdExperiments(args []string) (err error) {
 	telemetryAddr := fs.String("telemetry-addr", "", "serve live telemetry on this host:port (/metrics Prometheus text, /debug/vars, /debug/pprof); use :0 for an ephemeral port")
 	faultSpec := fs.String("fault", "", `inject deterministic faults: comma-separated mode=ID pairs (panic=F5,flaky=T3,fail=A2) or "smoke"`)
 	retries := fs.Int("retries", 0, "retry budget per experiment for retryable failures (0 = default, negative disables)")
-	pool := fs.String("pool", "on", "tensor arena for the training hot path: on|off (results are byte-identical either way; off is for A/B timing)")
 	memBudget := fs.String("mem-budget", "", `hard per-experiment memory budget for the resource governor: bytes with optional KiB/MiB/GiB suffix, or "half-vanilla" for half the analytic vanilla-FT peak`)
 	stageTimeout := fs.Duration("stage-timeout", 0, "wall-clock deadline per experiment attempt; a stalled experiment is cancelled and reported as a failed row")
-	governMode := fs.String("govern", "on", "resource governor: on|off (off ignores -mem-budget and -stage-timeout)")
 	suiteTimeout := fs.Duration("timeout", 0, "whole-suite deadline: in-flight experiments drain, unrun rows are marked skipped, and the command exits non-zero")
 	fs.Parse(args)
 
-	switch *pool {
-	case "on":
-		ag.SetPool(tensor.NewPool())
-		defer ag.SetPool(nil)
-	case "off":
-	default:
-		return fmt.Errorf("edgellm: -pool must be on or off, got %q", *pool)
-	}
+	// The training hot path allocates its tapes from one arena.
+	ag.SetPool(tensor.NewPool())
+	defer ag.SetPool(nil)
 
-	var gov *govern.Governor
-	switch *governMode {
-	case "off":
-	case "on":
-		budget, err := parseMemBudget(*memBudget)
-		if err != nil {
-			return err
-		}
-		if budget > 0 || *stageTimeout > 0 {
-			gov = govern.New(govern.Budget{MemoryBytes: budget, StageTimeout: *stageTimeout})
-			fmt.Fprintf(os.Stderr, "edgellm: resource governor: mem budget %s, stage timeout %s\n",
-				fmtB(budget), *stageTimeout)
-		}
-	default:
-		return fmt.Errorf("edgellm: -govern must be on or off, got %q", *governMode)
-	}
+	cfg := core.DefaultConfig()
+	man := obsv.NewManifest("edgellm experiments", cfg.Seed, struct {
+		Config   core.Config
+		Quick    bool
+		Parallel int
+		Pool     string
+	}{cfg, *quick, *parallel, "on"})
+	man.Parallel, man.Pool = *parallel, "on"
 
-	oc := obsvConfig{
-		MetricsPath: *metrics, TracePath: *trace, SpanLog: *spanlog,
-		TelemetryAddr: *telemetryAddr, Parallel: *parallel, Quick: *quick,
-		Pool: *pool,
-	}
-	if gov != nil {
-		oc.Govern = "on"
-		oc.MemBudgetBytes = gov.Budget.MemoryBytes
-		oc.StageTimeoutMS = float64(gov.Budget.StageTimeout) / float64(time.Millisecond)
-	}
-	finish, err := setupObsv(oc)
+	budget, err := parseMemBudget(*memBudget)
 	if err != nil {
 		return err
 	}
-	// Telemetry failures (a full disk truncating the JSONL or trace file)
-	// must not be dropped: the run's own error wins, but a clean run still
-	// exits non-zero when its telemetry was lost.
-	defer func() {
-		if ferr := finish(); ferr != nil {
-			fmt.Fprintf(os.Stderr, "edgellm: telemetry error: %v\n", ferr)
-			if err == nil {
-				err = ferr
-			}
-		}
-	}()
+	var gov *govern.Governor
+	if budget > 0 || *stageTimeout > 0 {
+		gov = govern.New(govern.Budget{MemoryBytes: budget, StageTimeout: *stageTimeout})
+		fmt.Fprintf(os.Stderr, "edgellm: resource governor: mem budget %s, stage timeout %s\n",
+			fmtB(budget), *stageTimeout)
+		// Mirrored into the manifest so a metrics file is self-describing
+		// about whether its run was governed.
+		man.Govern = "on"
+		man.MemBudgetBytes = budget
+		man.StageTimeoutMS = float64(*stageTimeout) / float64(time.Millisecond)
+	}
+
+	rec, finish, err := setupObsv(obsvConfig{
+		Tool: "edgellm", MetricsPath: *metrics, TracePath: *trace, SpanLog: *spanlog,
+		TelemetryAddr: *telemetryAddr, Manifest: &man,
+	})
+	if err != nil {
+		return err
+	}
+	defer closeObsv(finish, &err)
+	defer rec.EmitSummary()
 
 	sizes := core.DefaultSizes()
 	if *quick {
@@ -221,9 +206,7 @@ func cmdExperiments(args []string) (err error) {
 		}
 	}
 	if gov != nil {
-		if rec := obsv.Global(); rec != nil {
-			rec.EmitGovern(gov.Record())
-		}
+		rec.EmitGovern(gov.Record())
 		printGovernSummary(gov)
 	}
 	if runErr != nil {
@@ -316,101 +299,39 @@ func firstErrLine(s string) string {
 	return s
 }
 
-// obsvConfig selects which telemetry sinks cmdExperiments turns on.
+// obsvConfig selects the telemetry sinks of one subcommand run.
 type obsvConfig struct {
+	Tool          string // stderr line prefix ("edgellm", "serve", "fleet")
 	MetricsPath   string // JSONL event stream
 	TracePath     string // Chrome trace-event JSON
 	SpanLog       bool   // human span lines on stderr
 	TelemetryAddr string // live /metrics + /debug/pprof endpoint
-	Parallel      int
-	Quick         bool
-	Pool          string // tensor arena state ("on"/"off"), recorded in the manifest
 
-	// Resource-governor settings mirrored into the manifest so a metrics
-	// file is self-describing about whether its run was governed.
-	Govern         string
-	MemBudgetBytes int64
-	StageTimeoutMS float64
+	// Always installs a recorder even when no sink is selected, for
+	// subcommands that read their own counters back (serve, fleet).
+	Always bool
+	// Manifest, when set, is emitted as the stream's first event.
+	Manifest *obsv.Manifest
 }
 
-func (c obsvConfig) enabled() bool {
-	return c.MetricsPath != "" || c.TracePath != "" || c.SpanLog || c.TelemetryAddr != ""
-}
-
-// setupObsv installs a global obsv recorder when any telemetry flag asks
-// for one and returns the teardown. The teardown emits the final summary,
-// uninstalls the recorder, closes every sink, and returns the first error
-// any sink retained (truncated JSONL, failed trace write, ...), so the
-// caller can exit non-zero instead of silently dropping telemetry. With no
-// telemetry flag set it returns a no-op teardown and observability stays
-// off.
-func setupObsv(c obsvConfig) (func() error, error) {
-	if !c.enabled() {
-		return func() error { return nil }, nil
+// setupObsv is the one flags → recorder / JSONL emitter / Chrome trace /
+// live endpoint wiring. It installs a global obsv recorder when a sink (or
+// Always) asks for one and returns it with the teardown; with nothing
+// selected the recorder is nil (every Recorder method is nil-safe) and
+// observability stays off. The teardown uninstalls the recorder, closes
+// every sink, and returns the first error any sink retained (truncated
+// JSONL, failed trace write, ...), so no subcommand can exit 0 having
+// silently dropped telemetry — run it through closeObsv.
+func setupObsv(c obsvConfig) (*obsv.Recorder, func() error, error) {
+	if !c.Always && c.MetricsPath == "" && c.TracePath == "" && !c.SpanLog && c.TelemetryAddr == "" {
+		return nil, func() error { return nil }, nil
 	}
 	rec := obsv.New()
-	var metricsFile, traceFile *os.File
+	var files []*os.File
 	var emitter *obsv.Emitter
 	var tw *obsv.TraceWriter
 	var server *obsv.Server
-	closeAll := func() {
-		if metricsFile != nil {
-			metricsFile.Close()
-		}
-		if traceFile != nil {
-			traceFile.Close()
-		}
-		if server != nil {
-			server.Close()
-		}
-	}
-	if c.MetricsPath != "" {
-		f, err := os.Create(c.MetricsPath)
-		if err != nil {
-			return nil, fmt.Errorf("create metrics file: %w", err)
-		}
-		metricsFile = f
-		emitter = obsv.NewEmitter(f)
-		rec.SetEmitter(emitter)
-	}
-	if c.TracePath != "" {
-		f, err := os.Create(c.TracePath)
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("create trace file: %w", err)
-		}
-		traceFile = f
-		tw = obsv.NewTraceWriter(f)
-		rec.SetTraceWriter(tw)
-	}
-	if c.SpanLog {
-		rec.SetTrace(os.Stderr)
-	}
-	if c.TelemetryAddr != "" {
-		srv, err := obsv.StartServer(c.TelemetryAddr, rec)
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("start telemetry server: %w", err)
-		}
-		server = srv
-		fmt.Fprintf(os.Stderr, "edgellm: telemetry listening on http://%s (/metrics, /debug/vars, /debug/pprof)\n", srv.Addr())
-	}
-	cfg := core.DefaultConfig()
-	man := obsv.NewManifest("edgellm experiments", cfg.Seed, struct {
-		Config   core.Config
-		Quick    bool
-		Parallel int
-		Pool     string
-	}{cfg, c.Quick, c.Parallel, c.Pool})
-	man.Parallel = c.Parallel
-	man.Pool = c.Pool
-	man.Govern = c.Govern
-	man.MemBudgetBytes = c.MemBudgetBytes
-	man.StageTimeoutMS = c.StageTimeoutMS
-	rec.EmitManifest(man)
-	obsv.SetGlobal(rec)
-	return func() error {
-		rec.EmitSummary()
+	finish := func() error {
 		obsv.SetGlobal(nil)
 		var errs []error
 		if tw != nil {
@@ -418,26 +339,72 @@ func setupObsv(c obsvConfig) (func() error, error) {
 				errs = append(errs, fmt.Errorf("trace writer: %w", err))
 			}
 		}
-		if emitter != nil {
-			if err := emitter.Err(); err != nil {
-				errs = append(errs, fmt.Errorf("metrics emitter: %w", err))
-			}
+		if err := emitter.Err(); err != nil {
+			errs = append(errs, fmt.Errorf("metrics emitter: %w", err))
 		}
-		if metricsFile != nil {
-			if err := metricsFile.Close(); err != nil {
-				errs = append(errs, fmt.Errorf("metrics file: %w", err))
-			}
-		}
-		if traceFile != nil {
-			if err := traceFile.Close(); err != nil {
-				errs = append(errs, fmt.Errorf("trace file: %w", err))
+		for _, f := range files {
+			if err := f.Close(); err != nil {
+				errs = append(errs, fmt.Errorf("close %s: %w", f.Name(), err))
 			}
 		}
 		if server != nil {
 			server.Close()
 		}
 		return errors.Join(errs...)
-	}, nil
+	}
+	// fail releases whatever was opened before a later sink failed.
+	fail := func(what string, err error) (*obsv.Recorder, func() error, error) {
+		_ = finish() // the setup error is the one worth reporting
+		return nil, nil, fmt.Errorf("%s: %w", what, err)
+	}
+	if c.MetricsPath != "" {
+		f, err := os.Create(c.MetricsPath)
+		if err != nil {
+			return fail("create metrics file", err)
+		}
+		files = append(files, f)
+		emitter = obsv.NewEmitter(f)
+		rec.SetEmitter(emitter)
+		fmt.Fprintf(os.Stderr, "%s: streaming telemetry events to %s\n", c.Tool, c.MetricsPath)
+	}
+	if c.TracePath != "" {
+		f, err := os.Create(c.TracePath)
+		if err != nil {
+			return fail("create trace file", err)
+		}
+		files = append(files, f)
+		tw = obsv.NewTraceWriter(f)
+		rec.SetTraceWriter(tw)
+		fmt.Fprintf(os.Stderr, "%s: writing span timelines to %s (Chrome trace format)\n", c.Tool, c.TracePath)
+	}
+	if c.SpanLog {
+		rec.SetTrace(os.Stderr)
+	}
+	if c.TelemetryAddr != "" {
+		srv, err := obsv.StartServer(c.TelemetryAddr, rec)
+		if err != nil {
+			return fail("start telemetry server", err)
+		}
+		server = srv
+		fmt.Fprintf(os.Stderr, "%s: telemetry listening on http://%s (/metrics, /debug/vars, /debug/pprof)\n", c.Tool, srv.Addr())
+	}
+	if c.Manifest != nil {
+		rec.EmitManifest(*c.Manifest)
+	}
+	obsv.SetGlobal(rec)
+	return rec, finish, nil
+}
+
+// closeObsv runs a setupObsv teardown on a subcommand's way out (defer it
+// with the named return error). The run's own error wins, but a clean run
+// still exits non-zero when its telemetry was lost.
+func closeObsv(finish func() error, err *error) {
+	if ferr := finish(); ferr != nil {
+		fmt.Fprintf(os.Stderr, "edgellm: telemetry error: %v\n", ferr)
+		if *err == nil {
+			*err = ferr
+		}
+	}
 }
 
 // oneExperiment regenerates a single report through the registry-backed
@@ -465,36 +432,21 @@ func cmdDemo(args []string) error {
 	task := core.NewTask(42, cfg.Model.Vocab)
 	fmt.Println("pretraining base model on the source domain...")
 	task.EnsureBase(context.Background(), cfg, 600)
-	p, err := core.New(cfg)
+	p, err := task.Adapt(cfg, task.Train, func(p *core.Pipeline) {
+		fmt.Printf("model: %d layers, dim %d, vocab %d\n", cfg.Model.Layers, cfg.Model.Dim, cfg.Model.Vocab)
+		fmt.Printf("held-out perplexity before adaptation: %.3f\n", p.EvalPerplexity(task.Eval, 8))
+	}, func(p *core.Pipeline) {
+		fmt.Printf("LUC policy (budget %.1f bits): %s\n", cfg.BudgetBits, p.Policy.Describe(p.Candidates()))
+		fmt.Printf("achieved average effective bits: %.2f\n", p.Info.AvgEffectiveBits)
+		start := time.Now()
+		losses := p.Tune(task.Train, *iters)
+		fmt.Printf("adaptive tuning: %d iterations in %s (loss %.3f → %.3f)\n",
+			*iters, time.Since(start).Round(time.Millisecond), losses[0], losses[len(losses)-1])
+	})
 	if err != nil {
 		return err
 	}
-	task.ApplyBase(p.Model)
-
-	fmt.Printf("model: %d layers, dim %d, vocab %d\n", cfg.Model.Layers, cfg.Model.Dim, cfg.Model.Vocab)
-	before := p.EvalPerplexity(task.Eval, 8)
-	fmt.Printf("held-out perplexity before adaptation: %.3f\n", before)
-
-	calib, _ := task.Train.SequentialBatches(cfg.Batch, cfg.Seq, 2)
-	var flat [][]int
-	for _, b := range calib {
-		flat = append(flat, b...)
-	}
-	if err := p.Compress(flat); err != nil {
-		return err
-	}
-	fmt.Printf("LUC policy (budget %.1f bits): %s\n", cfg.BudgetBits, p.Policy.Describe(p.Candidates()))
-	fmt.Printf("achieved average effective bits: %.2f\n", p.Info.AvgEffectiveBits)
-
-	start := time.Now()
-	losses := p.Tune(task.Train, *iters)
-	fmt.Printf("adaptive tuning: %d iterations in %s (loss %.3f → %.3f)\n",
-		*iters, time.Since(start).Round(time.Millisecond), losses[0], losses[len(losses)-1])
-
-	cb, ct := task.EvalTail(cfg.Batch, cfg.Seq, 4)
-	p.FinishTuning(cb, ct)
-	after := p.EvalPerplexity(task.Eval, 8)
-	fmt.Printf("held-out perplexity after adaptation (voted): %.3f\n", after)
+	fmt.Printf("held-out perplexity after adaptation (voted): %.3f\n", p.EvalPerplexity(task.Eval, 8))
 
 	mem := p.Memory()
 	fmt.Printf("per-iteration memory: weights %s, activations %s, grads %s, opt %s (total %s)\n",
@@ -556,24 +508,15 @@ func cmdTrain(args []string) error {
 	fmt.Printf("pretraining base (%d iters)...\n", *pretrain)
 	task.EnsureBase(context.Background(), cfg, *pretrain)
 
-	p, err := core.New(cfg)
+	// The probe is calibrated on the source domain the base knows.
+	p, err := task.Adapt(cfg, task.Pretrain, nil, func(p *core.Pipeline) {
+		fmt.Printf("compressed: %s\n", p.Policy.Describe(p.Candidates()))
+		losses := p.Tune(task.Train, *iters)
+		fmt.Printf("tuned %d iterations: loss %.3f → %.3f\n", *iters, losses[0], losses[len(losses)-1])
+	})
 	if err != nil {
 		return err
 	}
-	task.ApplyBase(p.Model)
-	calib, _ := task.Pretrain.SequentialBatches(cfg.Batch, cfg.Seq, 2)
-	var flat [][]int
-	for _, b := range calib {
-		flat = append(flat, b...)
-	}
-	if err := p.Compress(flat); err != nil {
-		return err
-	}
-	fmt.Printf("compressed: %s\n", p.Policy.Describe(p.Candidates()))
-	losses := p.Tune(task.Train, *iters)
-	fmt.Printf("tuned %d iterations: loss %.3f → %.3f\n", *iters, losses[0], losses[len(losses)-1])
-	cb, ct := task.EvalTail(cfg.Batch, cfg.Seq, 4)
-	p.FinishTuning(cb, ct)
 	fmt.Printf("target-domain perplexity: %.3f\n", p.EvalPerplexity(task.Eval, 8))
 
 	if err := p.Model.SaveFile(*out); err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -142,5 +143,21 @@ func TestCmdExperimentsSuiteTimeout(t *testing.T) {
 func TestCmdExperimentsGovernedAnalytic(t *testing.T) {
 	if err := cmdExperiments([]string{"-quick", "-t", "F4", "-mem-budget", "half-vanilla", "-stage-timeout", "60s"}); err != nil {
 		t.Fatalf("governed analytic run failed: %v", err)
+	}
+}
+
+// TestCmdFleetFailingMetricsSink: a telemetry sink that cannot be written
+// (a full disk) must fail the command even though the simulation itself
+// succeeded — every subcommand tears its sinks down through setupObsv.
+func TestCmdFleetFailingMetricsSink(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("/dev/full not available on this platform")
+	}
+	err := cmdFleet([]string{"-devices", "2", "-steps", "4", "-epoch", "2", "-metrics", "/dev/full"})
+	if err == nil {
+		t.Fatal("fleet exited 0 with a truncated -metrics file")
+	}
+	if !strings.Contains(err.Error(), "metrics emitter") {
+		t.Fatalf("error %q does not name the failed sink", err)
 	}
 }

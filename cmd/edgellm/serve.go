@@ -26,7 +26,7 @@ import (
 // adapter registry with CRC integrity checking, and graceful SIGTERM drain
 // that verifies the KV arena empties before exit. -fault threads
 // deterministic chaos through the serving path for the CI soak.
-func cmdServe(args []string) error {
+func cmdServe(args []string) (err error) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "HTTP listen address (use :0 for an ephemeral port)")
 	ckpt := fs.String("ckpt", "", "model checkpoint to serve (empty: fresh seeded model from the -dim/-layers/... flags)")
@@ -97,37 +97,14 @@ func cmdServe(args []string) error {
 			desc, fmtB(pm.ReleasedBytes()), fmtB(pm.StorageBytes()))
 	}
 
-	rec := obsv.New()
-	obsv.SetGlobal(rec)
-	defer obsv.SetGlobal(nil)
-	if *metricsPath != "" {
-		f, err := os.Create(*metricsPath)
-		if err != nil {
-			return fmt.Errorf("serve: create metrics file: %w", err)
-		}
-		defer f.Close()
-		rec.SetEmitter(obsv.NewEmitter(f))
-		fmt.Fprintf(os.Stderr, "serve: streaming telemetry events to %s\n", *metricsPath)
+	rec, finishObsv, err := setupObsv(obsvConfig{
+		Tool: "serve", MetricsPath: *metricsPath, TracePath: *tracePath,
+		TelemetryAddr: *telemetryAddr, Always: true,
+	})
+	if err != nil {
+		return err
 	}
-	var traceW *obsv.TraceWriter
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			return fmt.Errorf("serve: create trace file: %w", err)
-		}
-		defer f.Close()
-		traceW = obsv.NewTraceWriter(f)
-		rec.SetTraceWriter(traceW)
-		fmt.Fprintf(os.Stderr, "serve: writing request timelines to %s (Chrome trace format)\n", *tracePath)
-	}
-	if *telemetryAddr != "" {
-		srv, err := obsv.StartServer(*telemetryAddr, rec)
-		if err != nil {
-			return fmt.Errorf("serve: start telemetry server: %w", err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "serve: telemetry on http://%s\n", srv.Addr())
-	}
+	defer closeObsv(finishObsv, &err)
 
 	cfg := serve.ServerConfig{
 		MaxQueue:        *queue,
@@ -224,11 +201,6 @@ func cmdServe(args []string) error {
 	if accessLog != nil {
 		if err := accessLog.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "serve: access log error: %v\n", err)
-		}
-	}
-	if traceW != nil {
-		if err := traceW.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: trace writer error: %v\n", err)
 		}
 	}
 	if drainErr != nil {

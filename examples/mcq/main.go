@@ -27,21 +27,13 @@ func main() {
 	fmt.Println("pretraining the base model on the source LM stream...")
 	task.EnsureBase(context.Background(), cfg, 600)
 
-	p, err := core.New(cfg)
+	p, err := task.Adapt(cfg, task.Train, nil, func(p *core.Pipeline) {
+		fmt.Printf("compressed backbone to %.2f avg bits; tuning on the MCQ split...\n\n", p.Info.AvgEffectiveBits)
+		p.TuneMCQ(task.MCQ, 400)
+	})
 	if err != nil {
 		panic(err)
 	}
-	task.ApplyBase(p.Model)
-	calib, _ := task.Train.SequentialBatches(cfg.Batch, cfg.Seq, 2)
-	var flat [][]int
-	for _, b := range calib {
-		flat = append(flat, b...)
-	}
-	if err := p.Compress(flat); err != nil {
-		panic(err)
-	}
-	fmt.Printf("compressed backbone to %.2f avg bits; tuning on the MCQ split...\n\n", p.Info.AvgEffectiveBits)
-	p.TuneMCQ(task.MCQ, 400)
 
 	// Score the test split through each head individually...
 	for _, exit := range []int{0, cfg.Model.Layers / 2, cfg.Model.Layers - 1} {

@@ -26,36 +26,30 @@ func main() {
 	fmt.Println("pretraining base model on the source domain...")
 	task.EnsureBase(context.Background(), cfg, 600)
 
-	p, err := core.New(cfg)
+	// task.Adapt is the Edge-LLM recipe in one call; the two callbacks are
+	// the stages a caller customises.
+	p, err := task.Adapt(cfg, task.Train, func(p *core.Pipeline) {
+		// Still the uncompressed pretrained base.
+		fmt.Printf("target-domain perplexity before adaptation: %.2f\n", p.EvalPerplexity(task.Eval, 8))
+	}, func(p *core.Pipeline) {
+		// 2. Compressed: Adapt probed per-layer sensitivity on calibration
+		// sequences from task.Train, picked a layerwise (bits, sparsity)
+		// policy under the budget, and applied it to the backbone.
+		fmt.Printf("LUC policy: %s (avg %.2f bits)\n",
+			p.Policy.Describe(p.Candidates()), p.Info.AvgEffectiveBits)
+
+		// 3. Adapt: each iteration tunes one window of layers with the loss
+		// at that window's exit head, bounding backprop depth and memory.
+		losses := p.Tune(task.Train, 300)
+		fmt.Printf("tuning loss: %.3f → %.3f over %d iterations\n",
+			losses[0], losses[len(losses)-1], len(losses))
+	})
 	if err != nil {
 		panic(err)
 	}
-	task.ApplyBase(p.Model)
-	fmt.Printf("target-domain perplexity before adaptation: %.2f\n", p.EvalPerplexity(task.Eval, 8))
 
-	// 2. Compress the backbone: probe per-layer sensitivity, pick a
-	// layerwise (bits, sparsity) policy under the budget, apply it.
-	calib, _ := task.Train.SequentialBatches(cfg.Batch, cfg.Seq, 2)
-	var flat [][]int
-	for _, b := range calib {
-		flat = append(flat, b...)
-	}
-	if err := p.Compress(flat); err != nil {
-		panic(err)
-	}
-	fmt.Printf("LUC policy: %s (avg %.2f bits)\n",
-		p.Policy.Describe(p.Candidates()), p.Info.AvgEffectiveBits)
-
-	// 3. Adapt: each iteration tunes one window of layers with the loss
-	// at that window's exit head, bounding backprop depth and memory.
-	losses := p.Tune(task.Train, 300)
-	fmt.Printf("tuning loss: %.3f → %.3f over %d iterations\n",
-		losses[0], losses[len(losses)-1], len(losses))
-
-	// 4. Vote: combine the tuned exit heads (calibrated on held-out data)
-	// and evaluate.
-	cb, ct := task.EvalTail(cfg.Batch, cfg.Seq, 4)
-	p.FinishTuning(cb, ct)
+	// 4. Vote: Adapt combined the tuned exit heads, calibrated on held-out
+	// data; evaluate the voted inference path.
 	fmt.Printf("target-domain perplexity after adaptation (voted): %.2f\n", p.EvalPerplexity(task.Eval, 8))
 
 	// 5. Report the modeled edge-device cost of one tuning iteration.

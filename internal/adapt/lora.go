@@ -46,6 +46,15 @@ func InstallLoRA(m *nn.Model, g *tensor.RNG, rank int, alpha float32) *LoRASet {
 	return set
 }
 
+// LoRAElems counts the parameters InstallLoRA adds at the given rank
+// without building anything: an (in×r, r×out) factor pair on each of the
+// four dim×dim attention projections and three dim×hidden SwiGLU matrices
+// of every block.
+func LoRAElems(cfg nn.Config, rank int) int64 {
+	d, h := int64(cfg.Dim), int64(cfg.Hidden)
+	return int64(cfg.Layers) * int64(rank) * (4*(d+d) + 3*(d+h))
+}
+
 // attach installs one adapter on a linear layer.
 func (s *LoRASet) attach(name string, lin *nn.Linear, g *tensor.RNG) {
 	in, out := lin.In(), lin.Out()

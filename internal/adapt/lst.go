@@ -61,10 +61,7 @@ func NewLST(m *nn.Model, g *tensor.RNG, reduction int) *LST {
 		panic(fmt.Sprintf("adapt: LST reduction %d must be ≥ 1", reduction))
 	}
 	d := m.Cfg.Dim
-	side := d / reduction
-	if side < 1 {
-		side = 1
-	}
+	side := LSTSideDim(m.Cfg, reduction)
 	l := &LST{Backbone: m, Reduction: reduction, sideDim: side}
 	l.inProj = nn.NewLinear(g, d, side, false)
 	for range m.Blocks {
@@ -75,6 +72,22 @@ func NewLST(m *nn.Model, g *tensor.RNG, reduction int) *LST {
 	l.norm = nn.NewRMSNorm(side)
 	l.head = nn.NewLinear(g, side, m.Cfg.Vocab, false)
 	return l
+}
+
+// LSTSideDim is the side network's width at the given reduction.
+func LSTSideDim(cfg nn.Config, reduction int) int {
+	if side := cfg.Dim / reduction; side > 1 {
+		return side
+	}
+	return 1
+}
+
+// LSTElems counts the parameters NewLST creates without building anything:
+// the input projection, a down-projection, mixer and scalar gate per
+// ladder rung, and the side norm and head.
+func LSTElems(cfg nn.Config, reduction int) int64 {
+	d, v, sd := int64(cfg.Dim), int64(cfg.Vocab), int64(LSTSideDim(cfg, reduction))
+	return d*sd + int64(cfg.Layers)*(d*sd+sd*sd+1) + sd + sd*v
 }
 
 // Params implements nn.Module: only side-network parameters. The slice is

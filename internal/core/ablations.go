@@ -27,16 +27,12 @@ func AblationProbeMetric(ctx context.Context, pretrainIters, evalBatches int) *R
 	snap := task.Base
 
 	// Probe calibration comes from the source domain the base knows.
-	calib, _ := task.Pretrain.SequentialBatches(cfg.Batch, cfg.Seq, 2)
-	var flat [][]int
-	for _, b := range calib {
-		flat = append(flat, b...)
-	}
+	flat := calibSequences(task.Pretrain, cfg.Batch, cfg.Seq)
 	cands := luc.DefaultCandidates()
 	const budget = 1.0 // harsh enough for the probes to disagree
 	evalPPL := func(m *nn.Model) float64 {
 		batches, targets := task.SourceEvalTail(cfg.Batch, cfg.Seq, evalBatches)
-		return train.EvalPerplexityWith(func(b [][]int) *ag.Value { return m.Logits(b) }, batches, targets)
+		return train.EvalPerplexityWith(m.Logits, batches, targets)
 	}
 
 	r := &Report{
@@ -126,22 +122,7 @@ func AblationWindowStrategy(ctx context.Context, iters, evalBatches int) *Report
 		}
 		cfg := baseCfg
 		cfg.Strategy = strat
-		p, err := New(cfg)
-		if err != nil {
-			panic(err)
-		}
-		task.ApplyBase(p.Model)
-		calib, _ := task.Train.SequentialBatches(cfg.Batch, cfg.Seq, 2)
-		var flat [][]int
-		for _, b := range calib {
-			flat = append(flat, b...)
-		}
-		if err := p.Compress(flat); err != nil {
-			panic(err)
-		}
-		p.Tune(task.Train, iters)
-		cb, ct := task.EvalTail(cfg.Batch, cfg.Seq, 4)
-		p.FinishTuning(cb, ct)
+		p := task.mustAdapt(cfg, task.Train, nil, func(p *Pipeline) { p.Tune(task.Train, iters) })
 		ppl := p.EvalPerplexity(task.Eval, evalBatches)
 		r.AddRow(strat.String(), fmt.Sprintf("%.3f", ppl),
 			fmt.Sprintf("%d/%d", len(p.Tuner.TunedExits()), cfg.Model.Layers))
@@ -155,20 +136,7 @@ func AblationVotingMode(ctx context.Context, iters, evalBatches int) *Report {
 	cfg := DefaultConfig()
 	task := NewTask(700, cfg.Model.Vocab)
 	task.EnsureBase(ctx, cfg, 2*iters)
-	p, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	task.ApplyBase(p.Model)
-	calib, _ := task.Train.SequentialBatches(cfg.Batch, cfg.Seq, 2)
-	var flat [][]int
-	for _, b := range calib {
-		flat = append(flat, b...)
-	}
-	if err := p.Compress(flat); err != nil {
-		panic(err)
-	}
-	p.Tune(task.Train, iters)
+	p := task.mustAdapt(cfg, task.Train, nil, func(p *Pipeline) { p.Tune(task.Train, iters) })
 
 	batches, targets := task.EvalTail(cfg.Batch, cfg.Seq, evalBatches)
 	cb, ct := task.EvalTail(cfg.Batch, cfg.Seq, 4)
@@ -180,7 +148,7 @@ func AblationVotingMode(ctx context.Context, iters, evalBatches int) *Report {
 		Header: []string{"Inference", "PPL↓"},
 		Notes:  "calibrated voting is the paper's adaptive combination; final-head-only discards the tuned exits",
 	}
-	final := train.EvalPerplexityWith(func(b [][]int) *ag.Value { return p.Model.Logits(b) }, batches, targets)
+	final := train.EvalPerplexityWith(p.Model.Logits, batches, targets)
 	r.AddRow("final head only", fmt.Sprintf("%.3f", final))
 	for _, mode := range []adapt.VotingMode{adapt.VoteUniform, adapt.VoteConfidence, adapt.VoteCalibrated} {
 		v := adapt.NewVoter(exits, mode)
@@ -238,15 +206,11 @@ func AblationRefine(ctx context.Context, pretrainIters, evalBatches int) *Report
 	task := NewTask(800, cfg.Model.Vocab)
 	task.EnsureBase(ctx, cfg, 2*pretrainIters)
 
-	calib, _ := task.Pretrain.SequentialBatches(cfg.Batch, cfg.Seq, 2)
-	var flat [][]int
-	for _, b := range calib {
-		flat = append(flat, b...)
-	}
+	flat := calibSequences(task.Pretrain, cfg.Batch, cfg.Seq)
 	cands := luc.DefaultCandidates()
 	evalSource := func(m *nn.Model) float64 {
 		batches, targets := task.SourceEvalTail(cfg.Batch, cfg.Seq, evalBatches)
-		return train.EvalPerplexityWith(func(b [][]int) *ag.Value { return m.Logits(b) }, batches, targets)
+		return train.EvalPerplexityWith(m.Logits, batches, targets)
 	}
 
 	r := &Report{

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"edgellm/internal/adapt"
-	ag "edgellm/internal/autograd"
 	"edgellm/internal/hwsim"
 	"edgellm/internal/luc"
 	"edgellm/internal/nn"
@@ -91,11 +90,11 @@ func ExperimentT2(ctx context.Context, tuneIters, evalBatches int) *Report {
 
 	evalPPL := func(m *nn.Model) float64 {
 		batches, targets := task.EvalTail(cfg.Batch, cfg.Seq, evalBatches)
-		return train.EvalPerplexityWith(func(b [][]int) *ag.Value { return m.Logits(b) }, batches, targets)
+		return train.EvalPerplexityWith(m.Logits, batches, targets)
 	}
 	evalSourcePPL := func(m *nn.Model) float64 {
 		batches, targets := task.SourceEvalTail(cfg.Batch, cfg.Seq, evalBatches)
-		return train.EvalPerplexityWith(func(b [][]int) *ag.Value { return m.Logits(b) }, batches, targets)
+		return train.EvalPerplexityWith(m.Logits, batches, targets)
 	}
 
 	type policyCase struct {
@@ -118,11 +117,7 @@ func ExperimentT2(ctx context.Context, tuneIters, evalBatches int) *Report {
 
 	// Calibrate the probe on the source domain: the base model has not
 	// seen the target yet when compression is applied.
-	calib, _ := task.Pretrain.SequentialBatches(cfg.Batch, cfg.Seq, 2)
-	var calibFlat [][]int
-	for _, b := range calib {
-		calibFlat = append(calibFlat, b...)
-	}
+	calibFlat := calibSequences(task.Pretrain, cfg.Batch, cfg.Seq)
 
 	// Each (policy, budget) grid point compresses and re-tunes its own copy
 	// of the shared base with its own RNG, so points run independently on
@@ -282,25 +277,13 @@ func ExperimentF1(ctx context.Context) *Report {
 	edgeCfg := cfg
 	edgeCfg.TieExitHeads = true
 
-	bits32 := make([]int, cfg.Layers)
-	zeros := make([]float64, cfg.Layers)
-	for i := range bits32 {
-		bits32[i] = 32
-	}
-	blockElems := train.BlockWeightElems(cfg)
-	allParams := int64(cfg.Vocab+cfg.MaxSeq+1+cfg.Vocab)*int64(cfg.Dim) + int64(cfg.Layers)*(blockElems+2*int64(cfg.Dim))
-
-	vanilla := train.MemorySpec{
-		Cfg: baseCfg, Batch: batch, Seq: seq,
-		TapeBlocks: cfg.Layers, TrainableElems: allParams,
-		BlockWeightBits: bits32, BlockWeightSparsity: zeros, OptBytesPerElem: 8,
-	}
+	vanilla := train.VanillaSpec(baseCfg, batch, seq, adamWBytes)
 	lora := vanilla
 	lora.TrainableElems = int64(cfg.Layers) * 7 * int64(cfg.Dim+cfg.Hidden) * 8 // rank-8 adapters
 
 	freeze := vanilla
 	freeze.TapeBlocks = window
-	freeze.TrainableElems = window * (blockElems + 2*int64(cfg.Dim))
+	freeze.TrainableElems = window * train.BlockElems(cfg)
 
 	bits4 := make([]int, cfg.Layers)
 	half := make([]float64, cfg.Layers)
@@ -311,8 +294,8 @@ func ExperimentF1(ctx context.Context) *Report {
 	edge := train.MemorySpec{
 		Cfg: edgeCfg, Batch: batch, Seq: seq,
 		TapeBlocks:      window,
-		TrainableElems:  window*(blockElems+2*int64(cfg.Dim)) + int64(cfg.Dim)*(1+int64(cfg.Vocab)),
-		BlockWeightBits: bits4, BlockWeightSparsity: half, OptBytesPerElem: 8,
+		TrainableElems:  train.WindowTrainableElems(cfg, window),
+		BlockWeightBits: bits4, BlockWeightSparsity: half, OptBytesPerElem: adamWBytes,
 	}
 
 	r := &Report{
@@ -365,27 +348,11 @@ func ExperimentF2(ctx context.Context, iters, evalBatches int) *Report {
 		defer grid.End()
 		c := cfg
 		c.WindowSize = w
-		p, err := New(c)
-		if err != nil {
-			panic(err)
-		}
-		p.Trace = grid
-		task.ApplyBase(p.Model)
-		calib, _ := task.Train.SequentialBatches(c.Batch, c.Seq, 2)
-		var calibFlat [][]int
-		for _, b := range calib {
-			calibFlat = append(calibFlat, b...)
-		}
-		if err := p.Compress(calibFlat); err != nil {
-			panic(err)
-		}
-		p.Tune(task.Train, iters)
+		p := task.mustAdapt(c, task.Train, func(p *Pipeline) { p.Trace = grid },
+			func(p *Pipeline) { p.Tune(task.Train, iters) })
 
 		batches, targets := task.EvalTail(c.Batch, c.Seq, evalBatches)
-		final := train.EvalPerplexityWith(func(b [][]int) *ag.Value { return p.Model.Logits(b) }, batches, targets)
-
-		cb, ct := task.EvalTail(c.Batch, c.Seq, 4)
-		p.FinishTuning(cb, ct)
+		final := train.EvalPerplexityWith(p.Model.Logits, batches, targets)
 		voted := train.EvalPerplexityWith(p.Forward, batches, targets)
 
 		rows[wi] = []string{fmt.Sprintf("%d/%d", w, c.Model.Layers),
@@ -407,11 +374,7 @@ func ExperimentF3(ctx context.Context, pretrainIters int) *Report {
 	m := nn.NewModel(cfg.Model, tensor.NewRNG(cfg.Seed))
 	task.ApplyBase(m)
 
-	calib, _ := task.Train.SequentialBatches(cfg.Batch, cfg.Seq, 2)
-	var calibFlat [][]int
-	for _, b := range calib {
-		calibFlat = append(calibFlat, b...)
-	}
+	calibFlat := calibSequences(task.Train, cfg.Batch, cfg.Seq)
 	cands := []luc.Candidate{{Bits: 8}, {Bits: 4}, {Bits: 2}, {Bits: 4, Sparsity: 0.5}}
 	sens := luc.Probe(m, cands, luc.ProbeOptions{
 		Metric: luc.MetricOutputKL, Calib: calibFlat, Trace: obsv.SpanFromContext(ctx),

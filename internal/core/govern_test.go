@@ -73,11 +73,7 @@ func runGoverned(t *testing.T, budget int64, procs, iters int) ([]obsv.GovernDec
 		t.Fatal(err)
 	}
 	task := quickTask()
-	calib, _ := task.Train.SequentialBatches(p.Cfg.Batch, p.Cfg.Seq, 2)
-	var flat [][]int
-	for _, b := range calib {
-		flat = append(flat, b...)
-	}
+	flat := calibSequences(task.Train, p.Cfg.Batch, p.Cfg.Seq)
 	if err := p.Compress(flat); err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +173,7 @@ func TestGovernedReplayMatchesLiveRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	task := quickTask()
-	calib, _ := task.Train.SequentialBatches(p1.Cfg.Batch, p1.Cfg.Seq, 2)
-	var flat [][]int
-	for _, b := range calib {
-		flat = append(flat, b...)
-	}
+	flat := calibSequences(task.Train, p1.Cfg.Batch, p1.Cfg.Seq)
 	if err := p1.Compress(flat); err != nil {
 		t.Fatal(err)
 	}

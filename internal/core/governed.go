@@ -18,37 +18,9 @@ import (
 	ag "edgellm/internal/autograd"
 	"edgellm/internal/govern"
 	"edgellm/internal/luc"
-	"edgellm/internal/nn"
 	"edgellm/internal/obsv"
 	"edgellm/internal/train"
 )
-
-// totalParamElems counts every parameter element of a model built from cfg
-// (with exit heads forced on, as New does) without constructing it.
-func totalParamElems(cfg nn.Config) int64 {
-	d, v := int64(cfg.Dim), int64(cfg.Vocab)
-	n := v*d + int64(cfg.MaxSeq)*d + d + d*v // tok, pos, final norm, lm head
-	perExit := d                             // exit RMSNorm gain
-	if !cfg.TieExitHeads {
-		perExit += d * v // untied exits own a vocab projection
-	}
-	n += int64(cfg.Layers) * perExit
-	n += int64(cfg.Layers) * (train.BlockWeightElems(cfg) + 2*d)
-	return n
-}
-
-// exitHeadElems is the trainable footprint of one exit head in the
-// pipeline's accounting (norm gain + vocab projection), matching
-// Pipeline.MemorySpec.
-func exitHeadElems(cfg nn.Config) int64 {
-	return int64(cfg.Dim) + int64(cfg.Dim)*int64(cfg.Vocab)
-}
-
-// windowTrainableElems is the per-iteration trainable footprint of an
-// adaptive-tuning window of the given width.
-func windowTrainableElems(cfg nn.Config, window int) int64 {
-	return int64(window)*(train.BlockWeightElems(cfg)+2*int64(cfg.Dim)) + exitHeadElems(cfg)
-}
 
 // estimateTuning is the analytic peak footprint of one adaptive-tuning
 // step under a plan: weights at the plan's LUC bit budget, grads for the
@@ -56,24 +28,18 @@ func windowTrainableElems(cfg nn.Config, window int) int64 {
 // spanning the window (its upper half only under checkpointed recompute).
 func estimateTuning(cfg Config, pl govern.Plan, optElems int64) int64 {
 	m := cfg.Model
-	m.ExitHeads = true
+	m.ExitHeads = true // as New forces
 	d, v := int64(m.Dim), int64(m.Vocab)
 
 	// Weights: fp32 everywhere except block matrices, which store at the
 	// plan's average effective bits (the quantity LUC's search targets).
-	fp32 := v*d + int64(m.MaxSeq)*d + d + d*v
-	perExit := d
-	if !m.TieExitHeads {
-		perExit += d * v
-	}
-	fp32 += int64(m.Layers) * perExit
-	fp32 += int64(m.Layers) * 2 * d // block norms
-	weights := 4 * fp32
+	blockWeights := int64(m.Layers) * train.BlockWeightElems(m)
+	weights := 4 * (train.ModelParamElems(m) - blockWeights)
 	bits := pl.BudgetBits
 	if bits <= 0 {
 		bits = 32
 	}
-	weights += int64(float64(m.Layers) * float64(train.BlockWeightElems(m)) * bits / 8)
+	weights += int64(float64(blockWeights) * bits / 8)
 	if bits < 32 {
 		// Compressed blocks are priced in the executable packed format
 		// (quant.Packed / Packed.StorageBytes): payload bits plus one
@@ -81,9 +47,8 @@ func estimateTuning(cfg Config, pl govern.Plan, optElems int64) int64 {
 		weights += int64(m.Layers) * train.PackedBlockScaleBytes(m)
 	}
 
-	trainable := windowTrainableElems(m, pl.WindowSize)
-	grads := 4 * trainable
-	opt := int64(8) * optElems // AdamW
+	grads := 4 * train.WindowTrainableElems(m, pl.WindowSize)
+	opt := adamWBytes * optElems
 
 	tape := pl.WindowSize
 	if pl.Recompute {
@@ -102,7 +67,7 @@ func estimateTuning(cfg Config, pl govern.Plan, optElems int64) int64 {
 // re-admission accounts for accumulated state via projectedOptElems.
 func admissionEstimator(cfg Config) govern.Estimator {
 	return func(pl govern.Plan) int64 {
-		return estimateTuning(cfg, pl, windowTrainableElems(cfg.Model, pl.WindowSize))
+		return estimateTuning(cfg, pl, train.WindowTrainableElems(cfg.Model, pl.WindowSize))
 	}
 }
 
@@ -158,7 +123,6 @@ func governPipeline(cfg Config, cands []luc.Candidate) (Config, *governedState) 
 // schedule the optimizer follows.
 func (gs *governedState) projectedOptElems(p *Pipeline, pl govern.Plan, iter int) int64 {
 	m := p.Cfg.Model
-	d, v := int64(m.Dim), int64(m.Vocab)
 	blk := make([]bool, len(gs.steppedBlk))
 	copy(blk, gs.steppedBlk)
 	exit := make([]bool, len(gs.steppedExit))
@@ -177,26 +141,21 @@ func (gs *governedState) projectedOptElems(p *Pipeline, pl govern.Plan, iter int
 	}
 
 	var n int64
-	perBlock := train.BlockWeightElems(m) + 2*d
-	perExit := d
-	if !m.TieExitHeads {
-		perExit += d * v
-	}
 	anyExit := false
 	for i := range blk {
 		if blk[i] {
-			n += perBlock
+			n += train.BlockElems(m)
 		}
 		if exit[i] {
-			n += perExit
+			n += train.ExitOwnedElems(m)
 			anyExit = true
 		}
 	}
 	if anyExit && m.TieExitHeads {
-		n += d * v // shared exit projection, stated once
+		n += int64(m.Dim) * int64(m.Vocab) // shared exit projection, stated once
 	}
 	if final {
-		n += d + d*v // final norm + lm head
+		n += train.HeadElems(m) // final norm + lm head
 	}
 	return n
 }
@@ -279,90 +238,9 @@ func (p *Pipeline) GovernedPlan() govern.Plan {
 // Governed reports whether a governor admitted this pipeline.
 func (p *Pipeline) Governed() bool { return p.gstate != nil }
 
-// analyticVanillaSpec is VanillaSpec without needing a built model: full
-// fine-tuning of the uncompressed model at the given batch.
-func analyticVanillaSpec(cfg Config, batch int) train.MemorySpec {
-	m := cfg.Model
-	m.ExitHeads = true
-	bits := make([]int, m.Layers)
-	sp := make([]float64, m.Layers)
-	for i := range bits {
-		bits[i] = 32
-	}
-	return train.MemorySpec{
-		Cfg: m, Batch: batch, Seq: cfg.Seq,
-		TapeBlocks:          m.Layers,
-		TrainableElems:      totalParamElems(m),
-		BlockWeightBits:     bits,
-		BlockWeightSparsity: sp,
-		OptBytesPerElem:     8,
-	}
-}
-
 // VanillaPeakBytes is the analytic peak training footprint of vanilla full
 // fine-tuning under cfg — the reference point the CLI's
 // -mem-budget=half-vanilla divides in two.
 func VanillaPeakBytes(cfg Config) int64 {
-	return train.EstimateMemory(analyticVanillaSpec(cfg, cfg.Batch)).Total()
-}
-
-// fullFTEstimator prices full fine-tuning under a plan: vanilla accounting
-// with the plan's batch, and checkpointed-segment tape reduction when the
-// recompute rung is on.
-func fullFTEstimator(cfg Config) govern.Estimator {
-	return func(pl govern.Plan) int64 {
-		spec := analyticVanillaSpec(cfg, pl.Batch)
-		if pl.Recompute && pl.Segments > 1 {
-			spec = train.CheckpointedSpec(spec, pl.Segments)
-		}
-		return train.EstimateMemory(spec).Total()
-	}
-}
-
-// frozenBackboneEstimator prices PEFT-style methods (LoRA, LST): frozen
-// fp32 weights, grads/opt only for trainElems adapter elements, and a tape
-// of tapeBlocks backbone blocks (full depth for LoRA, none for LST).
-func frozenBackboneEstimator(cfg Config, trainElems int64, tapeBlocks int) govern.Estimator {
-	return func(pl govern.Plan) int64 {
-		spec := analyticVanillaSpec(cfg, pl.Batch)
-		spec.TrainableElems = trainElems
-		spec.TapeBlocks = tapeBlocks
-		return train.EstimateMemory(spec).Total()
-	}
-}
-
-// layerFreezeEstimator prices last-k tuning under a plan whose WindowSize
-// carries k: tape and trainables span the top k blocks plus head.
-func layerFreezeEstimator(cfg Config) govern.Estimator {
-	return func(pl govern.Plan) int64 {
-		m := cfg.Model
-		m.ExitHeads = true
-		spec := analyticVanillaSpec(cfg, pl.Batch)
-		spec.TapeBlocks = pl.WindowSize
-		spec.TrainableElems = int64(pl.WindowSize)*(train.BlockWeightElems(m)+2*int64(m.Dim)) +
-			int64(m.Dim) + int64(m.Dim)*int64(m.Vocab)
-		return train.EstimateMemory(spec).Total()
-	}
-}
-
-// loraElems counts LoRA adapter elements at rank r: two r-factor matrices
-// per block linear (four d×d attention projections, three d×h SwiGLU
-// matrices).
-func loraElems(cfg nn.Config, rank int) int64 {
-	d, h, r := int64(cfg.Dim), int64(cfg.Hidden), int64(rank)
-	per := 4*(r*d+r*d) + 3*(r*d+r*h)
-	return int64(cfg.Layers) * per
-}
-
-// lstElems counts LST side-network elements at the given reduction: a
-// down-projection into the side width plus a side block per layer, and a
-// side head.
-func lstElems(cfg nn.Config, reduction int) int64 {
-	d, v := int64(cfg.Dim), int64(cfg.Vocab)
-	sd := d / int64(reduction)
-	if sd < 1 {
-		sd = 1
-	}
-	perLayer := d*sd + sd*sd // ladder down-projection + side mixing
-	return int64(cfg.Layers)*perLayer + sd*v
+	return train.EstimateMemory(train.VanillaSpec(cfg.Model, cfg.Batch, cfg.Seq, adamWBytes)).Total()
 }

@@ -69,7 +69,10 @@ func (t *Task) EnsureBase(ctx context.Context, cfg Config, iters int) {
 	}
 	m := nn.NewModel(cfg.Model, tensor.NewRNG(cfg.Seed))
 	m.SetAllTrainable(true)
-	trainLM(ctx, m, m, t.Pretrain, cfg, iters, tensor.NewRNG(cfg.Seed+100))
+	rng := tensor.NewRNG(cfg.Seed + 100)
+	tuneLoop(ctx, cfg, govern.Plan{}, m, m, m.Logits, iters, func() ([][]int, []int) {
+		return t.Pretrain.Batch(rng, cfg.Batch, cfg.Seq)
+	})
 	t.Base = snapshotParams(m)
 }
 
@@ -127,224 +130,213 @@ func DefaultRunOpts() RunOpts {
 	return RunOpts{Iters: 300, MCQIters: 300, EvalBatches: 10, PretrainIters: 700}
 }
 
-// paramModule adapts a parameter list to nn.Module.
-type paramModule []nn.NamedParam
+// adamWBytes is AdamW's optimizer state per trainable element (two float32
+// moments); every method in the table tunes with AdamW.
+const adamWBytes = 8
 
-// Params implements nn.Module.
-func (p paramModule) Params() []nn.NamedParam { return p }
-
-// countElems sums parameter elements.
-func countElems(ps []nn.NamedParam) int64 {
-	var n int64
-	for _, p := range ps {
-		n += int64(p.Value.Data.Len())
-	}
-	return n
+// baseline describes one of Table T1's comparison methods once. runBaseline
+// is the only code that admits, trains, evaluates and prices one.
+type baseline struct {
+	// label is the telemetry span name and the governor's task label; name
+	// is the table row.
+	label, name string
+	// plan is the un-degraded resource plan; its non-zero knobs are the
+	// ladder rungs the governor may take for this method.
+	plan govern.Plan
+	// build freezes a fresh copy of the base model the way the method
+	// requires under the admitted plan, and returns the module the
+	// optimizer updates and the method's forward function.
+	build func(m *nn.Model, pl govern.Plan) (nn.Module, func([][]int) *ag.Value)
+	// spec turns the full-fine-tuning memory spec (every parameter
+	// trainable, full-depth tape) into this method's under a plan.
+	spec func(s train.MemorySpec, pl govern.Plan) train.MemorySpec
+	// sideActs, when non-nil, is activation memory held outside the
+	// backbone tape (LST's side network).
+	sideActs func(cfg Config, pl govern.Plan) int64
+	// cost is the modeled latency of one iteration; cfg.Batch is already
+	// the admitted batch.
+	cost func(cfg Config, pl govern.Plan) hwsim.Cost
 }
 
-// trainLM runs a plain (non-windowed) tuning loop: final-head CE over
-// corpus batches, updating exactly the given module's parameters. The loop
-// beats the stall watchdog once per step and stops at the iteration
-// boundary when ctx is cancelled.
-func trainLM(ctx context.Context, m *nn.Model, mod nn.Module, c *data.Corpus, cfg Config, iters int, rng *tensor.RNG) {
-	tr := train.NewTrainer(train.NewAdamW(cfg.WeightDecay), cfg.LR, cfg.ClipNorm)
-	tr.Heartbeat = govern.HeartbeatFunc(ctx)
-	for i := 0; i < iters; i++ {
-		if ctx.Err() != nil {
-			return
-		}
-		inputs, targets := c.Batch(rng, cfg.Batch, cfg.Seq)
-		loss := ag.CrossEntropy(m.Logits(inputs), targets, -1)
-		tr.Step(mod, loss)
-	}
+// memorySpec is the method's analytic accounting under a plan. It needs no
+// built model, so the governor prices a method before constructing it.
+func (b baseline) memorySpec(cfg Config, pl govern.Plan) train.MemorySpec {
+	return b.spec(train.VanillaSpec(cfg.Model, pl.Batch, cfg.Seq, adamWBytes), pl)
 }
 
-// trainMCQ is trainLM over MCQ training sequences.
-func trainMCQ(ctx context.Context, m *nn.Model, mod nn.Module, d *data.MCQDataset, cfg Config, iters int, rng *tensor.RNG) {
-	tr := train.NewTrainer(train.NewAdamW(cfg.WeightDecay), cfg.LR, cfg.ClipNorm)
-	tr.Heartbeat = govern.HeartbeatFunc(ctx)
-	for i := 0; i < iters; i++ {
-		if ctx.Err() != nil {
-			return
-		}
-		inputs, targets := d.MCQBatch(rng, cfg.Batch, -1)
-		loss := ag.CrossEntropy(m.Logits(inputs), targets, -1)
-		tr.Step(mod, loss)
+// memory is the method's one memory function: the governor admits against
+// its total and the table's memory column reports it, so the two cannot
+// disagree.
+func (b baseline) memory(cfg Config, pl govern.Plan) train.MemoryBreakdown {
+	mem := train.EstimateMemory(b.memorySpec(cfg, pl))
+	if b.sideActs != nil {
+		mem.Activations = b.sideActs(cfg, pl)
 	}
+	return mem
 }
 
-// fullFTTrain runs full fine-tuning under an admitted resource plan:
-// plain steps normally, checkpointed-recompute steps when the governor's
-// recompute rung fired (gradients are identical; only tape residency
-// changes). next supplies one batch per iteration.
-func fullFTTrain(ctx context.Context, m *nn.Model, next func() ([][]int, []int), cfg Config, iters int, pl govern.Plan) {
+// tuneLoop is the one baseline training loop: iters optimizer steps on mod
+// over batches drawn from next, with cross-entropy at forward's output —
+// or, when the plan is on checkpointed recompute, segment-recomputed
+// through m (identical gradients; only tape residency changes). It beats
+// the stall watchdog once per step and stops at the iteration boundary when
+// ctx is cancelled.
+func tuneLoop(ctx context.Context, cfg Config, pl govern.Plan, m *nn.Model, mod nn.Module,
+	forward func([][]int) *ag.Value, iters int, next func() ([][]int, []int)) {
 	tr := train.NewTrainer(train.NewAdamW(cfg.WeightDecay), cfg.LR, cfg.ClipNorm)
 	tr.Heartbeat = govern.HeartbeatFunc(ctx)
-	for i := 0; i < iters; i++ {
-		if ctx.Err() != nil {
-			return
-		}
+	for i := 0; i < iters && ctx.Err() == nil; i++ {
 		inputs, targets := next()
-		if pl.Recompute && pl.Segments > 1 {
+		if pl.Recompute {
 			train.CheckpointedStep(m, inputs, targets, pl.Segments)
-			tr.ApplyGrads(m)
+			tr.ApplyGrads(mod)
 		} else {
-			loss := ag.CrossEntropy(m.Logits(inputs), targets, -1)
-			tr.Step(m, loss)
+			tr.Step(mod, ag.CrossEntropy(forward(inputs), targets, -1))
 		}
 	}
 }
 
-// admitMethod runs a method's plan through the active governor (if any)
-// under a task label unique to the method and its configuration.
-func admitMethod(name string, cfg Config, pl govern.Plan, est govern.Estimator) govern.Plan {
-	gov := activeGovernor()
-	if !gov.Enabled() {
-		return pl
+// evalMethod fills a table row's quality columns. tune(false) adapts a
+// fresh copy of the base on the target LM stream, tune(true) another on the
+// MCQ training split; each returns the tuned copy's inference function.
+func evalMethod(name string, cfg Config, task Task, opts RunOpts, tune func(mcq bool) func([][]int) *ag.Value) MethodResult {
+	res := MethodResult{Name: name}
+	batches, targets := task.EvalTail(cfg.Batch, cfg.Seq, opts.EvalBatches)
+	res.PPL = train.EvalPerplexityWith(tune(false), batches, targets)
+	if opts.MCQIters > 0 {
+		res.MCQAcc = train.MCQAccuracy(tune(true), task.MCQ.Test)
 	}
-	return gov.Admit(name+"@"+obsv.HashConfig(cfg), "admission", pl, est)
+	return res
 }
 
-// evalLM measures held-out perplexity with a forward function.
-func evalLM(task Task, cfg Config, opts RunOpts, forward func([][]int) *ag.Value) float64 {
-	batches, targets := task.EvalTail(cfg.Batch, cfg.Seq, opts.EvalBatches)
-	return train.EvalPerplexityWith(forward, batches, targets)
+// runBaseline runs one baseline end to end: admission against the active
+// governor (if any), the LM run, the MCQ run, evaluation, and accounting.
+func runBaseline(ctx context.Context, b baseline, cfg Config, task Task, opts RunOpts) MethodResult {
+	defer methodSpan(ctx, b.label).End()
+	pl := b.plan
+	if gov := activeGovernor(); gov.Enabled() {
+		// The task label is unique to the method and its configuration.
+		pl = gov.Admit(b.label+"@"+obsv.HashConfig(cfg), "admission", pl,
+			func(q govern.Plan) int64 { return b.memory(cfg, q).Total() })
+	}
+	cfg.Batch = pl.Batch
+
+	res := evalMethod(b.name, cfg, task, opts, func(mcq bool) func([][]int) *ag.Value {
+		m := nn.NewModel(cfg.Model, tensor.NewRNG(cfg.Seed))
+		task.ApplyBase(m)
+		mod, forward := b.build(m, pl)
+		rng, iters := tensor.NewRNG(cfg.Seed+1), opts.Iters
+		next := func() ([][]int, []int) { return task.Train.Batch(rng, cfg.Batch, cfg.Seq) }
+		if mcq {
+			rng, iters = tensor.NewRNG(cfg.Seed+2), opts.MCQIters
+			next = func() ([][]int, []int) { return task.MCQ.MCQBatch(rng, cfg.Batch, -1) }
+		}
+		tuneLoop(ctx, cfg, pl, m, mod, forward, iters, next)
+		return forward
+	})
+	res.TrainableParams = b.memorySpec(cfg, pl).TrainableElems
+	res.Memory = b.memory(cfg, pl)
+	res.IterCost = b.cost(cfg, pl)
+	return res
+}
+
+// vanillaIterCost is the modeled latency of one full-depth iteration.
+func vanillaIterCost(cfg Config, _ govern.Plan) hwsim.Cost {
+	return hwsim.IterationCost(cfg.Device, hwsim.NewSearchedScheduler(),
+		hwsim.VanillaIteration(cfg.Model, cfg.Batch, cfg.Seq))
+}
+
+// addForwardStack adds one uncompressed forward pass over every block to c.
+func addForwardStack(c hwsim.Cost, cfg Config, sched hwsim.Scheduler) hwsim.Cost {
+	for i := 0; i < cfg.Model.Layers; i++ {
+		c = c.Add(hwsim.BlockForwardCost(cfg.Device, sched, cfg.Model, cfg.Batch, cfg.Seq, hwsim.Uncompressed()))
+	}
+	return c
+}
+
+// fullFT describes full fine-tuning: every parameter trainable, loss at
+// the final head, full-depth backprop — plain, or segment-recomputed when
+// the plan says so (a caller's choice for grad-ckpt, a governor rung for
+// vanilla).
+func fullFT(label, name string, plan govern.Plan, cost func(Config, govern.Plan) hwsim.Cost) baseline {
+	return baseline{
+		label: label, name: name, plan: plan, cost: cost,
+		build: func(m *nn.Model, _ govern.Plan) (nn.Module, func([][]int) *ag.Value) {
+			m.SetAllTrainable(true)
+			return m, m.Logits
+		},
+		spec: func(s train.MemorySpec, pl govern.Plan) train.MemorySpec {
+			if pl.Recompute {
+				return train.CheckpointedSpec(s, pl.Segments)
+			}
+			return s
+		},
+	}
 }
 
 // RunVanillaFT is the upper-bound baseline: full fine-tuning of the
-// uncompressed model, loss at the final head, full-depth backprop.
+// uncompressed model, loss at the final head, full-depth backprop. Under a
+// governor it can degrade by switching to checkpointed recompute (segment
+// doubling up to full depth) and then halving batch; its reported latency
+// stays the plain iteration's.
 func RunVanillaFT(ctx context.Context, cfg Config, task Task, opts RunOpts) MethodResult {
-	defer methodSpan(ctx, "vanilla-ft").End()
-	// Under a governor, vanilla FT can degrade by switching to checkpointed
-	// recompute (segment doubling up to full depth) and then halving batch.
-	pl := admitMethod("vanilla-ft", cfg, govern.Plan{MaxSegments: cfg.Model.Layers, Batch: cfg.Batch},
-		fullFTEstimator(cfg))
-	cfg.Batch = pl.Batch
-	m := nn.NewModel(cfg.Model, tensor.NewRNG(cfg.Seed))
-	task.ApplyBase(m)
-	m.SetAllTrainable(true)
-	rng := tensor.NewRNG(cfg.Seed + 1)
-	fullFTTrain(ctx, m, func() ([][]int, []int) {
-		return task.Train.Batch(rng, cfg.Batch, cfg.Seq)
-	}, cfg, opts.Iters, pl)
+	return runBaseline(ctx, vanillaFT(cfg), cfg, task, opts)
+}
 
-	res := MethodResult{Name: "Vanilla FT"}
-	res.PPL = evalLM(task, cfg, opts, func(b [][]int) *ag.Value { return m.Logits(b) })
-	if opts.MCQIters > 0 {
-		mq := nn.NewModel(cfg.Model, tensor.NewRNG(cfg.Seed))
-		task.ApplyBase(mq)
-		mq.SetAllTrainable(true)
-		rngQ := tensor.NewRNG(cfg.Seed + 2)
-		fullFTTrain(ctx, mq, func() ([][]int, []int) {
-			return task.MCQ.MCQBatch(rngQ, cfg.Batch, -1)
-		}, cfg, opts.MCQIters, pl)
-		res.MCQAcc = train.MCQAccuracy(func(b [][]int) *ag.Value { return mq.Logits(b) }, task.MCQ.Test)
-	}
-	res.TrainableParams = int64(nn.NumParams(m))
-	spec := train.VanillaSpec(cfg.Model, cfg.Batch, cfg.Seq, m, 8)
-	if pl.Recompute && pl.Segments > 1 {
-		spec = train.CheckpointedSpec(spec, pl.Segments)
-	}
-	res.Memory = train.EstimateMemory(spec)
-	res.IterCost = hwsim.IterationCost(cfg.Device, hwsim.NewSearchedScheduler(),
-		hwsim.VanillaIteration(cfg.Model, cfg.Batch, cfg.Seq))
-	return res
+func vanillaFT(cfg Config) baseline {
+	return fullFT("vanilla-ft", "Vanilla FT",
+		govern.Plan{MaxSegments: cfg.Model.Layers, Batch: cfg.Batch}, vanillaIterCost)
 }
 
 // RunGradCheckpoint is the activation-checkpointing baseline: full
 // fine-tuning with segment recompute, which cuts activation memory to one
 // segment's tape at the cost of a second forward pass per iteration.
+// Already on recompute, the governor can only double segments (toward one
+// block per segment) and then halve batch.
 func RunGradCheckpoint(ctx context.Context, cfg Config, task Task, opts RunOpts, segments int) MethodResult {
-	defer methodSpan(ctx, "grad-ckpt").End()
-	// Already on recompute: the governor can only double segments (toward
-	// one block per segment) and then halve batch.
-	pl := admitMethod("grad-ckpt", cfg,
+	return runBaseline(ctx, gradCheckpoint(cfg, segments), cfg, task, opts)
+}
+
+func gradCheckpoint(cfg Config, segments int) baseline {
+	return fullFT("grad-ckpt", "Grad-ckpt FT",
 		govern.Plan{Recompute: true, Segments: segments, MaxSegments: cfg.Model.Layers, Batch: cfg.Batch},
-		fullFTEstimator(cfg))
-	segments, cfg.Batch = pl.Segments, pl.Batch
-	m := nn.NewModel(cfg.Model, tensor.NewRNG(cfg.Seed))
-	task.ApplyBase(m)
-	m.SetAllTrainable(true)
-	rng := tensor.NewRNG(cfg.Seed + 1)
-	tr := train.NewTrainer(train.NewAdamW(cfg.WeightDecay), cfg.LR, cfg.ClipNorm)
-	tr.Heartbeat = govern.HeartbeatFunc(ctx)
-	for i := 0; i < opts.Iters && ctx.Err() == nil; i++ {
-		inputs, targets := task.Train.Batch(rng, cfg.Batch, cfg.Seq)
-		train.CheckpointedStep(m, inputs, targets, segments)
-		tr.ApplyGrads(m)
-	}
-
-	res := MethodResult{Name: "Grad-ckpt FT"}
-	res.PPL = evalLM(task, cfg, opts, func(b [][]int) *ag.Value { return m.Logits(b) })
-	if opts.MCQIters > 0 {
-		mq := nn.NewModel(cfg.Model, tensor.NewRNG(cfg.Seed))
-		task.ApplyBase(mq)
-		mq.SetAllTrainable(true)
-		trQ := train.NewTrainer(train.NewAdamW(cfg.WeightDecay), cfg.LR, cfg.ClipNorm)
-		trQ.Heartbeat = govern.HeartbeatFunc(ctx)
-		rngQ := tensor.NewRNG(cfg.Seed + 2)
-		for i := 0; i < opts.MCQIters && ctx.Err() == nil; i++ {
-			inputs, targets := task.MCQ.MCQBatch(rngQ, cfg.Batch, -1)
-			train.CheckpointedStep(mq, inputs, targets, segments)
-			trQ.ApplyGrads(mq)
-		}
-		res.MCQAcc = train.MCQAccuracy(func(b [][]int) *ag.Value { return mq.Logits(b) }, task.MCQ.Test)
-	}
-	res.TrainableParams = int64(nn.NumParams(m))
-	res.Memory = train.EstimateMemory(
-		train.CheckpointedSpec(train.VanillaSpec(cfg.Model, cfg.Batch, cfg.Seq, m, 8), segments))
-
-	// Latency: the vanilla iteration plus one extra full forward.
-	sched := hwsim.NewSearchedScheduler()
-	iter := hwsim.IterationCost(cfg.Device, sched, hwsim.VanillaIteration(cfg.Model, cfg.Batch, cfg.Seq))
-	for i := 0; i < cfg.Model.Layers; i++ {
-		iter = iter.Add(hwsim.BlockForwardCost(cfg.Device, sched, cfg.Model, cfg.Batch, cfg.Seq, hwsim.Uncompressed()))
-	}
-	res.IterCost = iter
-	return res
+		func(cfg Config, _ govern.Plan) hwsim.Cost {
+			// The vanilla iteration plus one extra full forward.
+			sched := hwsim.NewSearchedScheduler()
+			iter := hwsim.IterationCost(cfg.Device, sched, hwsim.VanillaIteration(cfg.Model, cfg.Batch, cfg.Seq))
+			return addForwardStack(iter, cfg, sched)
+		})
 }
 
 // RunLoRA is the PEFT baseline: frozen fp16 backbone with rank-r adapters
-// on every block linear, full-depth backprop through frozen weights.
+// on every block linear, full-depth backprop through frozen weights. Its
+// only degradable knob is batch: the tape must span full depth and the
+// adapters are already tiny.
 func RunLoRA(ctx context.Context, cfg Config, task Task, opts RunOpts, rank int) MethodResult {
-	defer methodSpan(ctx, "lora").End()
-	// LoRA's only degradable knob is batch: the tape must span full depth
-	// and the adapters are already tiny.
-	pl := admitMethod("lora", cfg, govern.Plan{Batch: cfg.Batch},
-		frozenBackboneEstimator(cfg, loraElems(cfg.Model, rank), cfg.Model.Layers))
-	cfg.Batch = pl.Batch
-	m := nn.NewModel(cfg.Model, tensor.NewRNG(cfg.Seed))
-	task.ApplyBase(m)
-	m.SetAllTrainable(false)
-	set := adapt.InstallLoRA(m, tensor.NewRNG(cfg.Seed+3), rank, 2*float32(rank))
-	rng := tensor.NewRNG(cfg.Seed + 1)
-	trainLM(ctx, m, set, task.Train, cfg, opts.Iters, rng)
+	return runBaseline(ctx, loraBaseline(cfg, rank), cfg, task, opts)
+}
 
-	res := MethodResult{Name: "LoRA"}
-	res.PPL = evalLM(task, cfg, opts, func(b [][]int) *ag.Value { return m.Logits(b) })
-	if opts.MCQIters > 0 {
-		mq := nn.NewModel(cfg.Model, tensor.NewRNG(cfg.Seed))
-		task.ApplyBase(mq)
-		mq.SetAllTrainable(false)
-		setQ := adapt.InstallLoRA(mq, tensor.NewRNG(cfg.Seed+3), rank, 2*float32(rank))
-		trainMCQ(ctx, mq, setQ, task.MCQ, cfg, opts.MCQIters, tensor.NewRNG(cfg.Seed+2))
-		res.MCQAcc = train.MCQAccuracy(func(b [][]int) *ag.Value { return mq.Logits(b) }, task.MCQ.Test)
+func loraBaseline(cfg Config, rank int) baseline {
+	return baseline{
+		label: "lora", name: "LoRA", plan: govern.Plan{Batch: cfg.Batch},
+		build: func(m *nn.Model, _ govern.Plan) (nn.Module, func([][]int) *ag.Value) {
+			m.SetAllTrainable(false)
+			return adapt.InstallLoRA(m, tensor.NewRNG(cfg.Seed+3), rank, 2*float32(rank)), m.Logits
+		},
+		// Grads and optimizer state only for the adapters; the full-depth
+		// tape is retained.
+		spec: func(s train.MemorySpec, _ govern.Plan) train.MemorySpec {
+			s.TrainableElems = adapt.LoRAElems(s.Cfg, rank)
+			return s
+		},
+		cost: loraIterationCost,
 	}
-	res.TrainableParams = countElems(set.Params())
-
-	spec := train.VanillaSpec(cfg.Model, cfg.Batch, cfg.Seq, m, 8)
-	spec.TrainableElems = res.TrainableParams // grads+opt only for adapters
-	res.Memory = train.EstimateMemory(spec)   // full-depth tape retained
-
-	// Latency: full forward plus the input-gradient half of the backward
-	// (adapter dW GEMMs are negligible at low rank).
-	res.IterCost = loraIterationCost(cfg)
-	return res
 }
 
 // loraIterationCost models a LoRA iteration: full forward, full-depth dX
-// backward, no block dW GEMMs.
-func loraIterationCost(cfg Config) hwsim.Cost {
+// backward, no block dW GEMMs (adapter dW GEMMs are negligible at low
+// rank).
+func loraIterationCost(cfg Config, _ govern.Plan) hwsim.Cost {
 	sched := hwsim.NewSearchedScheduler()
 	full := hwsim.IterationCost(cfg.Device, sched, hwsim.VanillaIteration(cfg.Model, cfg.Batch, cfg.Seq))
 	// The backward dW GEMMs are ~half the block backward work; subtract
@@ -366,109 +358,76 @@ func loraIterationCost(cfg Config) hwsim.Cost {
 // RunLST is the Ladder Side Tuning baseline: a frozen backbone with a
 // narrow trainable side network (see adapt.LST). Backprop never enters the
 // backbone, so activation memory is the side network's own tape plus the
-// (graph-free) backbone forward.
+// (graph-free) backbone forward; batch is the only governor knob.
 func RunLST(ctx context.Context, cfg Config, task Task, opts RunOpts, reduction int) MethodResult {
-	defer methodSpan(ctx, "lst").End()
-	// LST's backbone is frozen and tape-free; batch is the only knob.
-	pl := admitMethod("lst", cfg, govern.Plan{Batch: cfg.Batch},
-		frozenBackboneEstimator(cfg, lstElems(cfg.Model, reduction), 0))
-	cfg.Batch = pl.Batch
-	m := nn.NewModel(cfg.Model, tensor.NewRNG(cfg.Seed))
-	task.ApplyBase(m)
-	m.SetAllTrainable(false)
-	side := adapt.NewLST(m, tensor.NewRNG(cfg.Seed+4), reduction)
-	rng := tensor.NewRNG(cfg.Seed + 1)
+	return runBaseline(ctx, lstBaseline(cfg, reduction), cfg, task, opts)
+}
 
-	tr := train.NewTrainer(train.NewAdamW(cfg.WeightDecay), cfg.LR, cfg.ClipNorm)
-	tr.Heartbeat = govern.HeartbeatFunc(ctx)
-	for i := 0; i < opts.Iters && ctx.Err() == nil; i++ {
-		inputs, targets := task.Train.Batch(rng, cfg.Batch, cfg.Seq)
-		loss := ag.CrossEntropy(side.Logits(inputs), targets, -1)
-		tr.Step(side, loss)
+func lstBaseline(cfg Config, reduction int) baseline {
+	sideDim := adapt.LSTSideDim(cfg.Model, reduction)
+	return baseline{
+		label: "lst", name: "LST", plan: govern.Plan{Batch: cfg.Batch},
+		build: func(m *nn.Model, _ govern.Plan) (nn.Module, func([][]int) *ag.Value) {
+			m.SetAllTrainable(false)
+			side := adapt.NewLST(m, tensor.NewRNG(cfg.Seed+4), reduction)
+			return side, side.Logits
+		},
+		// Full fp32 weights, grads/opt for the side net only, no backbone
+		// tape: the tape covers side activations (~5 side-width tensors per
+		// rung).
+		spec: func(s train.MemorySpec, _ govern.Plan) train.MemorySpec {
+			s.TapeBlocks = 0
+			s.TrainableElems = adapt.LSTElems(s.Cfg, reduction)
+			return s
+		},
+		sideActs: func(cfg Config, pl govern.Plan) int64 {
+			return 4 * int64(pl.Batch) * int64(cfg.Seq) * int64(sideDim) * 5 * int64(cfg.Model.Layers)
+		},
+		// Full frozen forward, plus a side backward that is negligible next
+		// to the backbone: we charge the side head's forward + dX + dW (same
+		// shape class) at the reduced width.
+		cost: func(cfg Config, _ govern.Plan) hwsim.Cost {
+			sched := hwsim.NewSearchedScheduler()
+			iter := addForwardStack(hwsim.Cost{}, cfg, sched)
+			_, hc := sched.Schedule(cfg.Device, hwsim.GEMM{M: cfg.Batch * cfg.Seq, K: sideDim, N: cfg.Model.Vocab, WeightBits: 16})
+			return iter.Add(hc).Add(hc).Add(hc)
+		},
 	}
-
-	res := MethodResult{Name: "LST"}
-	res.PPL = evalLM(task, cfg, opts, side.Logits)
-	if opts.MCQIters > 0 {
-		mq := nn.NewModel(cfg.Model, tensor.NewRNG(cfg.Seed))
-		task.ApplyBase(mq)
-		mq.SetAllTrainable(false)
-		sideQ := adapt.NewLST(mq, tensor.NewRNG(cfg.Seed+4), reduction)
-		trQ := train.NewTrainer(train.NewAdamW(cfg.WeightDecay), cfg.LR, cfg.ClipNorm)
-		trQ.Heartbeat = govern.HeartbeatFunc(ctx)
-		rngQ := tensor.NewRNG(cfg.Seed + 2)
-		for i := 0; i < opts.MCQIters && ctx.Err() == nil; i++ {
-			inputs, targets := task.MCQ.MCQBatch(rngQ, cfg.Batch, -1)
-			loss := ag.CrossEntropy(sideQ.Logits(inputs), targets, -1)
-			trQ.Step(sideQ, loss)
-		}
-		res.MCQAcc = train.MCQAccuracy(sideQ.Logits, task.MCQ.Test)
-	}
-	res.TrainableParams = countElems(side.Params())
-
-	// Memory: full fp32 weights, grads/opt for the side net only, and a
-	// tape covering only side activations (~5 side-width tensors per rung).
-	spec := train.VanillaSpec(cfg.Model, cfg.Batch, cfg.Seq, m, 8)
-	spec.TapeBlocks = 0
-	spec.TrainableElems = res.TrainableParams
-	res.Memory = train.EstimateMemory(spec)
-	rows := int64(cfg.Batch) * int64(cfg.Seq)
-	sideDim := int64(cfg.Model.Dim / reduction)
-	res.Memory.Activations = 4 * rows * sideDim * 5 * int64(cfg.Model.Layers)
-
-	// Latency: full frozen forward + head, plus a side backward that is
-	// negligible next to the backbone (we charge the head's backward as a
-	// stand-in for the side head).
-	sched := hwsim.NewSearchedScheduler()
-	var iter hwsim.Cost
-	for i := 0; i < cfg.Model.Layers; i++ {
-		iter = iter.Add(hwsim.BlockForwardCost(cfg.Device, sched, cfg.Model, cfg.Batch, cfg.Seq, hwsim.Uncompressed()))
-	}
-	// Side head forward + backward at the reduced width.
-	hg := hwsim.GEMM{M: cfg.Batch * cfg.Seq, K: int(sideDim), N: cfg.Model.Vocab, WeightBits: 16}
-	_, hc := sched.Schedule(cfg.Device, hg)
-	iter = iter.Add(hc).Add(hc).Add(hc) // fwd + dX + dW, same shape class
-	res.IterCost = iter
-	return res
 }
 
 // RunLayerFreeze is the "last-k" baseline: only the top k blocks, final
 // norm, and head are tuned; backprop naturally stops at the frozen
-// boundary.
+// boundary. The tuned span carries k in the plan's window slot: the
+// governor can freeze more layers, then halve batch.
 func RunLayerFreeze(ctx context.Context, cfg Config, task Task, opts RunOpts, k int) MethodResult {
-	defer methodSpan(ctx, "layer-freeze").End()
-	// The tuned span carries k in the plan's window slot: the governor can
-	// freeze more layers, then halve batch.
-	pl := admitMethod("layer-freeze", cfg, govern.Plan{WindowSize: k, MinWindow: 1, Batch: cfg.Batch},
-		layerFreezeEstimator(cfg))
-	k, cfg.Batch = pl.WindowSize, pl.Batch
-	m := nn.NewModel(cfg.Model, tensor.NewRNG(cfg.Seed))
-	task.ApplyBase(m)
-	mod := freezeTopK(m, k)
-	rng := tensor.NewRNG(cfg.Seed + 1)
-	trainLM(ctx, m, mod, task.Train, cfg, opts.Iters, rng)
-
-	res := MethodResult{Name: "Layer-freeze"}
-	res.PPL = evalLM(task, cfg, opts, func(b [][]int) *ag.Value { return m.Logits(b) })
-	if opts.MCQIters > 0 {
-		mq := nn.NewModel(cfg.Model, tensor.NewRNG(cfg.Seed))
-		task.ApplyBase(mq)
-		modQ := freezeTopK(mq, k)
-		trainMCQ(ctx, mq, modQ, task.MCQ, cfg, opts.MCQIters, tensor.NewRNG(cfg.Seed+2))
-		res.MCQAcc = train.MCQAccuracy(func(b [][]int) *ag.Value { return mq.Logits(b) }, task.MCQ.Test)
-	}
-	res.TrainableParams = countElems(mod.Params())
-
-	spec := train.VanillaSpec(cfg.Model, cfg.Batch, cfg.Seq, m, 8)
-	spec.TapeBlocks = k
-	spec.TrainableElems = res.TrainableParams
-	res.Memory = train.EstimateMemory(spec)
-
-	iter := hwsim.VanillaIteration(cfg.Model, cfg.Batch, cfg.Seq)
-	iter.WindowLo = cfg.Model.Layers - k
-	res.IterCost = hwsim.IterationCost(cfg.Device, hwsim.NewSearchedScheduler(), iter)
-	return res
+	return runBaseline(ctx, layerFreeze(cfg, k), cfg, task, opts)
 }
+
+func layerFreeze(cfg Config, k int) baseline {
+	return baseline{
+		label: "layer-freeze", name: "Layer-freeze",
+		plan: govern.Plan{WindowSize: k, MinWindow: 1, Batch: cfg.Batch},
+		build: func(m *nn.Model, pl govern.Plan) (nn.Module, func([][]int) *ag.Value) {
+			return freezeTopK(m, pl.WindowSize), m.Logits
+		},
+		spec: func(s train.MemorySpec, pl govern.Plan) train.MemorySpec {
+			s.TapeBlocks = pl.WindowSize
+			s.TrainableElems = train.WindowTrainableElems(s.Cfg, pl.WindowSize)
+			return s
+		},
+		cost: func(cfg Config, pl govern.Plan) hwsim.Cost {
+			iter := hwsim.VanillaIteration(cfg.Model, cfg.Batch, cfg.Seq)
+			iter.WindowLo = cfg.Model.Layers - pl.WindowSize
+			return hwsim.IterationCost(cfg.Device, hwsim.NewSearchedScheduler(), iter)
+		},
+	}
+}
+
+// paramModule adapts a parameter list to nn.Module.
+type paramModule []nn.NamedParam
+
+// Params implements nn.Module.
+func (p paramModule) Params() []nn.NamedParam { return p }
 
 // freezeTopK freezes everything except the top k blocks, final norm, and
 // head, returning the trainable module.
@@ -486,52 +445,74 @@ func freezeTopK(m *nn.Model, k int) paramModule {
 	return ps
 }
 
+// calibSequences returns the LUC probe's calibration set: the first two
+// sequential batches of c, flattened into one list of sequences.
+func calibSequences(c *data.Corpus, batch, seq int) [][]int {
+	batches, _ := c.SequentialBatches(batch, seq, 2)
+	var flat [][]int
+	for _, b := range batches {
+		flat = append(flat, b...)
+	}
+	return flat
+}
+
+// Adapt runs the Edge-LLM recipe on the task and returns the adapted
+// pipeline: build it for cfg on the pretrained base, LUC-compress the
+// backbone with the probe calibrated on calib, run the caller's tuning
+// stage, and calibrate the voter on the held-out target tail. setup, when
+// non-nil, sees the pipeline while it is still the uncompressed base — the
+// place to attach a trace span or context, or to measure "before".
+func (t Task) Adapt(cfg Config, calib *data.Corpus, setup, tune func(*Pipeline)) (*Pipeline, error) {
+	p, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	t.ApplyBase(p.Model)
+	if setup != nil {
+		setup(p)
+	}
+	if err := p.Compress(calibSequences(calib, cfg.Batch, cfg.Seq)); err != nil {
+		return nil, err
+	}
+	tune(p)
+	p.FinishTuning(t.EvalTail(cfg.Batch, cfg.Seq, 4))
+	return p, nil
+}
+
+// mustAdapt is Adapt for the experiment drivers, whose configurations are
+// fixed: a recipe error is a bug and takes the experiment attempt down.
+func (t Task) mustAdapt(cfg Config, calib *data.Corpus, setup, tune func(*Pipeline)) *Pipeline {
+	p, err := t.Adapt(cfg, calib, setup, tune)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // RunEdgeLLM runs the full Edge-LLM pipeline: LUC compression, adaptive
 // layer tuning, calibrated voting inference.
 func RunEdgeLLM(ctx context.Context, cfg Config, task Task, opts RunOpts) MethodResult {
 	sp := methodSpan(ctx, "edge-llm")
 	defer sp.End()
-	p, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	p.Trace = sp
-	p.Ctx = ctx
-	p.Trainer.Heartbeat = govern.HeartbeatFunc(ctx)
-	task.ApplyBase(p.Model)
-	calib, _ := task.Train.SequentialBatches(cfg.Batch, cfg.Seq, 2)
-	var calibFlat [][]int
-	for _, b := range calib {
-		calibFlat = append(calibFlat, b...)
-	}
-	if err := p.Compress(calibFlat); err != nil {
-		panic(err)
-	}
-	p.Tune(task.Train, opts.Iters)
-	cb, ct := task.EvalTail(cfg.Batch, cfg.Seq, 4)
-	p.FinishTuning(cb, ct)
-
-	res := MethodResult{Name: "Edge-LLM"}
-	res.PPL = evalLM(task, cfg, opts, p.Forward)
-	if opts.MCQIters > 0 {
-		pq, err := New(cfg)
-		if err != nil {
-			panic(err)
+	var lm *Pipeline // the LM run's pipeline, which the accounting describes
+	res := evalMethod("Edge-LLM", cfg, task, opts, func(mcq bool) func([][]int) *ag.Value {
+		p := task.mustAdapt(cfg, task.Train, func(p *Pipeline) {
+			p.Trace, p.Ctx = sp, ctx
+			p.Trainer.Heartbeat = govern.HeartbeatFunc(ctx)
+		}, func(p *Pipeline) {
+			if mcq {
+				p.TuneMCQ(task.MCQ, opts.MCQIters)
+			} else {
+				p.Tune(task.Train, opts.Iters)
+			}
+		})
+		if !mcq {
+			lm = p
 		}
-		pq.Trace = sp
-		pq.Ctx = ctx
-		pq.Trainer.Heartbeat = govern.HeartbeatFunc(ctx)
-		task.ApplyBase(pq.Model)
-		if err := pq.Compress(calibFlat); err != nil {
-			panic(err)
-		}
-		pq.TuneMCQ(task.MCQ, opts.MCQIters)
-		pq.FinishTuning(cb, ct)
-		res.MCQAcc = pq.EvalMCQ(task.MCQ.Test)
-	}
-	spec := p.MemorySpec()
-	res.TrainableParams = spec.TrainableElems
-	res.Memory = p.Memory()
-	res.IterCost = p.IterationCost(hwsim.NewSearchedScheduler())
+		return p.Forward
+	})
+	res.TrainableParams = lm.MemorySpec().TrainableElems
+	res.Memory = lm.Memory()
+	res.IterCost = lm.IterationCost(hwsim.NewSearchedScheduler())
 	return res
 }

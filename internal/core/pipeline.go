@@ -212,52 +212,44 @@ func (p *Pipeline) StartTuning() error {
 }
 
 // TuneStep performs one adaptive tuning iteration on a corpus batch and
-// returns the loss at the window-top exit. Under a governor the step is
-// re-admitted first, so batch draws see any batch-halving rung.
-func (p *Pipeline) TuneStep(c *data.Corpus) float64 {
+// returns the loss at the window-top exit.
+func (p *Pipeline) TuneStep(c *data.Corpus) float64 { return p.step(c.Batch) }
+
+// step is one adaptive tuning iteration on a batch drawn from draw. Under a
+// governor the step is re-admitted first, so the draw sees any
+// batch-halving rung.
+func (p *Pipeline) step(draw func(g *tensor.RNG, batch, seq int) ([][]int, []int)) float64 {
 	p.preStepGovern()
-	inputs, targets := c.Batch(p.rng, p.Cfg.Batch, p.Cfg.Seq)
+	inputs, targets := draw(p.rng, p.Cfg.Batch, p.Cfg.Seq)
 	loss, _, _ := p.Tuner.Step(p.Trainer, inputs, targets)
 	return loss
-}
-
-// cancelled reports whether the pipeline's context (if any) has been
-// cancelled; tuning loops stop at the next iteration boundary.
-func (p *Pipeline) cancelled() bool {
-	return p.Ctx != nil && p.Ctx.Err() != nil
 }
 
 // Tune runs iters adaptive tuning iterations and returns the loss curve
 // (truncated at the cancellation point when Ctx is cancelled mid-loop).
 func (p *Pipeline) Tune(c *data.Corpus, iters int) []float64 {
-	if p.Tuner == nil {
-		if err := p.StartTuning(); err != nil {
-			panic(err)
-		}
-	}
-	sp := p.tuneSpan("pipeline.tune", iters)
-	losses := make([]float64, 0, iters)
-	for i := 0; i < iters && !p.cancelled(); i++ {
-		losses = append(losses, p.TuneStep(c))
-	}
-	sp.end()
-	return losses
+	return p.tune("pipeline.tune", iters, c.Batch)
 }
 
 // TuneMCQ runs iters adaptive tuning iterations on MCQ training sequences.
 func (p *Pipeline) TuneMCQ(d *data.MCQDataset, iters int) []float64 {
+	return p.tune("pipeline.tune_mcq", iters, func(g *tensor.RNG, batch, _ int) ([][]int, []int) {
+		return d.MCQBatch(g, batch, -1)
+	})
+}
+
+// tune is the pipeline's one tuning loop; it stops at the next iteration
+// boundary once Ctx (if any) is cancelled.
+func (p *Pipeline) tune(span string, iters int, draw func(g *tensor.RNG, batch, seq int) ([][]int, []int)) []float64 {
 	if p.Tuner == nil {
 		if err := p.StartTuning(); err != nil {
 			panic(err)
 		}
 	}
-	sp := p.tuneSpan("pipeline.tune_mcq", iters)
+	sp := p.tuneSpan(span, iters)
 	losses := make([]float64, 0, iters)
-	for i := 0; i < iters && !p.cancelled(); i++ {
-		p.preStepGovern()
-		inputs, targets := d.MCQBatch(p.rng, p.Cfg.Batch, -1)
-		loss, _, _ := p.Tuner.Step(p.Trainer, inputs, targets)
-		losses = append(losses, loss)
+	for i := 0; i < iters && (p.Ctx == nil || p.Ctx.Err() == nil); i++ {
+		losses = append(losses, p.step(draw))
 	}
 	sp.end()
 	return losses
@@ -351,16 +343,14 @@ func (p *Pipeline) MemorySpec() train.MemorySpec {
 		copy(bits, p.Info.BlockBits())
 		copy(sp, p.Info.BlockSparsity())
 	}
-	// Trainable set per iteration: WindowSize blocks + one exit head.
-	trainable := int64(p.Cfg.WindowSize) * (train.BlockWeightElems(cfg) + 2*int64(cfg.Dim))
-	trainable += int64(cfg.Dim) + int64(cfg.Dim)*int64(cfg.Vocab) // exit head
 	return train.MemorySpec{
 		Cfg: cfg, Batch: p.Cfg.Batch, Seq: p.Cfg.Seq,
-		TapeBlocks:          p.Cfg.WindowSize,
-		TrainableElems:      trainable,
+		TapeBlocks: p.Cfg.WindowSize,
+		// Trainable set per iteration: WindowSize blocks + one exit head.
+		TrainableElems:      train.WindowTrainableElems(cfg, p.Cfg.WindowSize),
 		BlockWeightBits:     bits,
 		BlockWeightSparsity: sp,
-		OptBytesPerElem:     8, // AdamW
+		OptBytesPerElem:     adamWBytes,
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 // Batched execution is bitwise-identical to single-sequence decoding: every
 // projection runs through the cache-blocked tensor.MatMulInto kernel, whose
 // per-row accumulation order (ascending k, zero-skip) is exactly the order
-// the scalar vecMat kernel uses, and the attention/normalisation loops are
-// per-slot scalar code. A sequence therefore produces the same logit bits
+// the scalar reference kernel (vecMat, in decoder_legacy_test.go) uses, and
+// the attention/normalisation loops are per-slot scalar code. A sequence therefore produces the same logit bits
 // whether it decodes alone, in a batch of any size, or at any GOMAXPROCS —
 // the guarantee the determinism tests pin down.
 //
@@ -337,7 +337,7 @@ func (d *Decoder) attendSlot(l, i, s, heads, hd int, scale float32, q, ctx []flo
 }
 
 // rmsnormRows applies RMSNorm row-by-row: h[i] = norm(x[i])·gain. Per-row
-// arithmetic is identical to the single-vector rmsnormVec.
+// arithmetic is identical to the reference rmsnormVec (decoder_legacy_test.go).
 func (d *Decoder) rmsnormRows(B int, h, gain []float32, eps float32) {
 	n := len(gain)
 	for i := 0; i < B; i++ {
@@ -453,40 +453,4 @@ func (d *Decoder) Generate(prompt []int, cfg SampleConfig) ([]int, error) {
 		}
 	}
 	return out, nil
-}
-
-// vecMat computes xᵀ·W for x of length in and W of shape (in, out): the
-// scalar reference kernel the batched MatMulInto path must match bitwise
-// (same ascending-k accumulation, same zero skip) — the legacy-equivalence
-// test relies on it.
-func vecMat(x []float32, w *tensor.Tensor) []float32 {
-	in, out := w.Rows(), w.Cols()
-	if len(x) != in {
-		panic(fmt.Sprintf("nn: vecMat length %d vs weight rows %d", len(x), in))
-	}
-	y := make([]float32, out)
-	for i, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		row := w.Row(i)
-		for j, wv := range row {
-			y[j] += xv * wv
-		}
-	}
-	return y
-}
-
-// rmsnormVec applies RMSNorm to one vector.
-func rmsnormVec(x, gain []float32, eps float32) []float32 {
-	var ss float64
-	for _, v := range x {
-		ss += float64(v) * float64(v)
-	}
-	inv := float32(1 / math.Sqrt(ss/float64(len(x))+float64(eps)))
-	y := make([]float32, len(x))
-	for i, v := range x {
-		y[i] = v * inv * gain[i]
-	}
-	return y
 }

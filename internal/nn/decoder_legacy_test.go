@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -338,5 +339,54 @@ func TestDecoderSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, step)
 	if allocs > decodeStepAllocPin {
 		t.Fatalf("steady-state StepBatch allocates %.1f per call, pin is %d", allocs, decodeStepAllocPin)
+	}
+}
+
+// vecMat computes xᵀ·W for x of length in and W of shape (in, out): the
+// scalar reference kernel the batched MatMulInto path must match bitwise
+// (same ascending-k accumulation, same zero skip) — the legacy-equivalence
+// test relies on it.
+func vecMat(x []float32, w *tensor.Tensor) []float32 {
+	in, out := w.Rows(), w.Cols()
+	if len(x) != in {
+		panic(fmt.Sprintf("nn: vecMat length %d vs weight rows %d", len(x), in))
+	}
+	y := make([]float32, out)
+	for i, xv := range x {
+		if xv == 0 {
+			continue
+		}
+		row := w.Row(i)
+		for j, wv := range row {
+			y[j] += xv * wv
+		}
+	}
+	return y
+}
+
+// rmsnormVec applies RMSNorm to one vector.
+func rmsnormVec(x, gain []float32, eps float32) []float32 {
+	var ss float64
+	for _, v := range x {
+		ss += float64(v) * float64(v)
+	}
+	inv := float32(1 / math.Sqrt(ss/float64(len(x))+float64(eps)))
+	y := make([]float32, len(x))
+	for i, v := range x {
+		y[i] = v * inv * gain[i]
+	}
+	return y
+}
+
+func TestVecMatAgainstMatMul(t *testing.T) {
+	g := tensor.NewRNG(76)
+	w := g.Normal(0, 1, 6, 9)
+	x := g.Normal(0, 1, 6)
+	got := vecMat(x.Data, w)
+	want := tensor.MatMul(x.Reshape(1, 6), w)
+	for j := range got {
+		if math.Abs(float64(got[j]-want.Data[j])) > 1e-5 {
+			t.Fatal("vecMat disagrees with MatMul")
+		}
 	}
 }

@@ -178,19 +178,6 @@ func TestStepBatchValidation(t *testing.T) {
 	}
 }
 
-func TestVecMatAgainstMatMul(t *testing.T) {
-	g := tensor.NewRNG(76)
-	w := g.Normal(0, 1, 6, 9)
-	x := g.Normal(0, 1, 6)
-	got := vecMat(x.Data, w)
-	want := tensor.MatMul(x.Reshape(1, 6), w)
-	for j := range got {
-		if math.Abs(float64(got[j]-want.Data[j])) > 1e-5 {
-			t.Fatal("vecMat disagrees with MatMul")
-		}
-	}
-}
-
 func BenchmarkDecoderStepVsFullForward(b *testing.B) {
 	cfg := Config{Vocab: 64, Dim: 64, Heads: 4, Layers: 4, Hidden: 128, MaxSeq: 128, ExitHeads: false}
 	m := NewModel(cfg, tensor.NewRNG(77))

@@ -44,6 +44,10 @@ type MemorySpec struct {
 	OptBytesPerElem int64
 }
 
+// The parameter-count formulas of the model, stated once. Every analytic
+// estimator (EstimateMemory, the governor's admission pricing, the method
+// table) is assembled from these, so a count can only be wrong in one place.
+
 // BlockWeightElems returns the weight-matrix element count of one block:
 // four dim×dim attention projections plus the three SwiGLU matrices.
 func BlockWeightElems(cfg nn.Config) int64 {
@@ -51,8 +55,40 @@ func BlockWeightElems(cfg nn.Config) int64 {
 	return 4*d*d + 3*d*h
 }
 
-// blockNormElems returns the per-block norm parameters (kept at float32).
-func blockNormElems(cfg nn.Config) int64 { return 2 * int64(cfg.Dim) }
+// BlockElems is one block's full parameter count: its weight matrices plus
+// the two RMSNorm gains (kept at float32 under compression).
+func BlockElems(cfg nn.Config) int64 { return BlockWeightElems(cfg) + 2*int64(cfg.Dim) }
+
+// HeadElems is a norm gain plus a vocab projection: the final head, and
+// what tuning through one exit head trains.
+func HeadElems(cfg nn.Config) int64 { return int64(cfg.Dim) * (1 + int64(cfg.Vocab)) }
+
+// ExitOwnedElems is what each exit head adds to the model: its norm gain,
+// plus its own vocab projection unless exits share the final one.
+func ExitOwnedElems(cfg nn.Config) int64 {
+	if cfg.TieExitHeads {
+		return int64(cfg.Dim)
+	}
+	return HeadElems(cfg)
+}
+
+// ModelParamElems counts every parameter element of a model built from
+// cfg without constructing it.
+func ModelParamElems(cfg nn.Config) int64 {
+	n := int64(cfg.Vocab+cfg.MaxSeq)*int64(cfg.Dim) + HeadElems(cfg) // tok, pos, final norm, lm head
+	n += int64(cfg.Layers) * BlockElems(cfg)
+	if cfg.ExitHeads {
+		n += int64(cfg.Layers) * ExitOwnedElems(cfg)
+	}
+	return n
+}
+
+// WindowTrainableElems is the trainable footprint of tuning `window`
+// blocks under one head: an adaptive-tuning window with its exit head, or
+// the top-k blocks with the final head.
+func WindowTrainableElems(cfg nn.Config, window int) int64 {
+	return int64(window)*BlockElems(cfg) + HeadElems(cfg)
+}
 
 // BlockActivationBytes returns the bytes of forward activations one
 // transformer block retains on the tape for its backward pass, matching the
@@ -91,22 +127,13 @@ func EstimateMemory(spec MemorySpec) MemoryBreakdown {
 	}
 	var b MemoryBreakdown
 
-	// Weights: embeddings + final norm + heads at float32.
-	d, v := int64(cfg.Dim), int64(cfg.Vocab)
-	fp32Elems := v*d + int64(cfg.MaxSeq)*d + d + d*v // tok, pos, norm, lm head
-	if cfg.ExitHeads {
-		perExit := d // each exit's RMSNorm gain
-		if !cfg.TieExitHeads {
-			perExit += d * v // untied exits own a vocab projection
-		}
-		fp32Elems += int64(cfg.Layers) * perExit
-	}
-	b.Weights = 4 * fp32Elems
+	// Weights: everything but the block matrices at float32; block matrices
+	// at their stored width, pruned elements not stored.
 	we := BlockWeightElems(cfg)
+	b.Weights = 4 * (ModelParamElems(cfg) - int64(cfg.Layers)*we)
 	for i := 0; i < cfg.Layers; i++ {
 		kept := float64(we) * (1 - spec.BlockWeightSparsity[i])
 		b.Weights += int64(kept * float64(spec.BlockWeightBits[i]) / 8)
-		b.Weights += 4 * blockNormElems(cfg)
 	}
 
 	// Grads + optimizer state: proportional to trainable elements.
@@ -115,6 +142,7 @@ func EstimateMemory(spec MemorySpec) MemoryBreakdown {
 
 	// Activations: tape blocks, plus the embedding sum and the logits /
 	// softmax retained by the loss (one row×vocab tensor each).
+	d, v := int64(cfg.Dim), int64(cfg.Vocab)
 	rows := int64(spec.Batch) * int64(spec.Seq)
 	if spec.TapeBlocks > 0 {
 		b.Activations = int64(spec.TapeBlocks) * BlockActivationBytes(cfg, spec.Batch, spec.Seq)
@@ -125,9 +153,10 @@ func EstimateMemory(spec MemorySpec) MemoryBreakdown {
 	return b
 }
 
-// VanillaSpec describes full fine-tuning of an uncompressed model: all
-// layers on tape, every parameter trainable.
-func VanillaSpec(cfg nn.Config, batch, seq int, m *nn.Model, optBytes int64) MemorySpec {
+// VanillaSpec describes full fine-tuning of an uncompressed model built
+// from cfg: all layers on tape, every parameter trainable. It needs no
+// built model, so the governor can price a method before constructing it.
+func VanillaSpec(cfg nn.Config, batch, seq int, optBytes int64) MemorySpec {
 	bits := make([]int, cfg.Layers)
 	sp := make([]float64, cfg.Layers)
 	for i := range bits {
@@ -136,7 +165,7 @@ func VanillaSpec(cfg nn.Config, batch, seq int, m *nn.Model, optBytes int64) Mem
 	return MemorySpec{
 		Cfg: cfg, Batch: batch, Seq: seq,
 		TapeBlocks:          cfg.Layers,
-		TrainableElems:      int64(nn.NumParams(m)),
+		TrainableElems:      ModelParamElems(cfg),
 		BlockWeightBits:     bits,
 		BlockWeightSparsity: sp,
 		OptBytesPerElem:     optBytes,

@@ -79,8 +79,7 @@ func TestCheckpointedStepValidation(t *testing.T) {
 
 func TestCheckpointedSpecBoundsTape(t *testing.T) {
 	cfg := nn.Config{Vocab: 16, Dim: 16, Heads: 2, Layers: 8, Hidden: 32, MaxSeq: 16}
-	m := nn.NewModel(cfg, tensor.NewRNG(83))
-	full := VanillaSpec(cfg, 2, 8, m, 8)
+	full := VanillaSpec(cfg, 2, 8, 8)
 	ck := CheckpointedSpec(full, 4)
 	if ck.TapeBlocks != 2 {
 		t.Fatalf("4 segments over 8 layers must tape 2 blocks, got %d", ck.TapeBlocks)

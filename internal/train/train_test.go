@@ -209,12 +209,11 @@ func TestMCQAccuracyOracleAndAdversary(t *testing.T) {
 
 func TestEstimateMemoryVanillaVsWindowed(t *testing.T) {
 	cfg := nn.Config{Vocab: 16, Dim: 16, Heads: 2, Layers: 4, Hidden: 32, MaxSeq: 16, ExitHeads: true}
-	m := nn.NewModel(cfg, tensor.NewRNG(7))
-	vanilla := EstimateMemory(VanillaSpec(cfg, 2, 8, m, 8))
+	vanilla := EstimateMemory(VanillaSpec(cfg, 2, 8, 8))
 
-	windowed := VanillaSpec(cfg, 2, 8, m, 8)
+	windowed := VanillaSpec(cfg, 2, 8, 8)
 	windowed.TapeBlocks = 1
-	windowed.TrainableElems = BlockWeightElems(cfg) + blockNormElems(cfg)
+	windowed.TrainableElems = BlockElems(cfg)
 	win := EstimateMemory(windowed)
 
 	if win.Activations >= vanilla.Activations {
@@ -228,10 +227,25 @@ func TestEstimateMemoryVanillaVsWindowed(t *testing.T) {
 	}
 }
 
+// TestModelParamElemsMatchesBuiltModel pins the analytic parameter count
+// every estimator is assembled from against real models, across the exit-
+// head variants.
+func TestModelParamElemsMatchesBuiltModel(t *testing.T) {
+	for _, cfg := range []nn.Config{
+		{Vocab: 16, Dim: 16, Heads: 2, Layers: 4, Hidden: 32, MaxSeq: 16},
+		{Vocab: 16, Dim: 16, Heads: 2, Layers: 4, Hidden: 32, MaxSeq: 16, ExitHeads: true},
+		{Vocab: 24, Dim: 8, Heads: 2, Layers: 3, Hidden: 20, MaxSeq: 12, ExitHeads: true, TieExitHeads: true},
+	} {
+		m := nn.NewModel(cfg, tensor.NewRNG(7))
+		if got, want := ModelParamElems(cfg), int64(nn.NumParams(m)); got != want {
+			t.Errorf("%+v: ModelParamElems = %d, built model has %d", cfg, got, want)
+		}
+	}
+}
+
 func TestEstimateMemoryCompressionShrinksWeights(t *testing.T) {
 	cfg := nn.Config{Vocab: 16, Dim: 16, Heads: 2, Layers: 4, Hidden: 32, MaxSeq: 16}
-	m := nn.NewModel(cfg, tensor.NewRNG(8))
-	spec := VanillaSpec(cfg, 1, 8, m, 0)
+	spec := VanillaSpec(cfg, 1, 8, 0)
 	base := EstimateMemory(spec)
 	for i := range spec.BlockWeightBits {
 		spec.BlockWeightBits[i] = 4
