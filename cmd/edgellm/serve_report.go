@@ -74,6 +74,7 @@ func cmdServeReport(args []string) error {
 	rec := obsv.New()
 	events := map[string]int64{}
 	codes := map[string]int64{}
+	var promptRows, fedRows int // over requests that finished
 	for _, r := range recs {
 		tenant := r.Tenant
 		if tenant == "" {
@@ -95,6 +96,12 @@ func cmdServeReport(args []string) error {
 			rec.Observe("serve.itl_ms", r.ITLMeanMS, lt)
 		}
 		rec.Add("serve.tokens", int64(r.Tokens), lt)
+		if r.Code == "ok" && r.Steps > 0 {
+			// A finished request fed its prompt and all but its last token.
+			fed := r.PromptTokens + r.Tokens - 1
+			promptRows, fedRows = promptRows+r.PromptTokens, fedRows+fed
+			rec.Observe("serve.rows_per_step", float64(fed)/float64(r.Steps), lt)
+		}
 		codes[r.Code]++
 		for _, ev := range r.Events {
 			events[ev]++
@@ -107,6 +114,10 @@ func cmdServeReport(args []string) error {
 		Header: []string{"Metric", "Count", "Mean", "p50", "p95", "p99"},
 		Notes: fmt.Sprintf("%d requests, %d unique ids, %d duplicate(s); quantiles from the same log-histogram the live /metrics endpoint serves",
 			len(recs), len(seen), dups),
+	}
+	if fedRows > 0 {
+		rep.Notes += fmt.Sprintf("; %.0f%% of the %d rows finished requests fed were prompt rows (serve.rows_per_step: a request's own rows per step it rode)",
+			100*float64(promptRows)/float64(fedRows), fedRows)
 	}
 	for _, code := range sortedKeys(codes) {
 		rep.AddRow("verdict "+code, fmt.Sprintf("%d", codes[code]), "", "", "", "")

@@ -117,3 +117,16 @@ func BenchmarkDecodeBatch8Packed4(b *testing.B) {
 	b.ReportMetric(float64(b.N*B8)/b.Elapsed().Seconds(), "tok/s")
 	b.ReportMetric(float64(pm.StorageBytes()), "wbytes")
 }
+
+// BenchmarkDecodePrefill64Packed4 is BenchmarkDecodePrefill64 under packed
+// execution: each weight tile is bit-extracted once per 16 prompt rows.
+func BenchmarkDecodePrefill64Packed4(b *testing.B) {
+	m, pm := packedBenchModel(b)
+	d := NewBatchDecoder(m, 1, tensor.NewPool())
+	defer d.Close()
+	if err := d.SetPacked(pm); err != nil {
+		b.Fatal(err)
+	}
+	benchPrefill64(b, d)
+	b.ReportMetric(float64(pm.StorageBytes()), "wbytes")
+}

@@ -130,3 +130,40 @@ func BenchmarkDecodeOneAtATime8(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.N*B8)/b.Elapsed().Seconds(), "tok/s")
 }
+
+// BenchmarkDecodePrefill64 feeds a 64-token prompt into a fresh slot, in
+// runs of PrefillRows: one op = one prompt = 64 tokens, tok/s counts prompt
+// tokens. Gated on 0 allocs/op and a tok/s floor.
+func BenchmarkDecodePrefill64(b *testing.B) {
+	d := NewBatchDecoder(decodeBenchModel(), 1, tensor.NewPool())
+	defer d.Close()
+	benchPrefill64(b, d)
+}
+
+func benchPrefill64(b *testing.B, d *Decoder) {
+	const prompt = 64
+	tokens := make([]int, prompt)
+	slots := make([]int, prompt) // slot 0: the only one, so always the one Acquire returns
+	feed := func(i int) {
+		d.Reset()
+		if _, err := d.Acquire(); err != nil {
+			b.Fatal(err)
+		}
+		for j := range tokens {
+			tokens[j] = (i*prompt + j*7) & 1023
+		}
+		for lo := 0; lo < prompt; lo += PrefillRows {
+			if _, err := d.StepBatch(tokens[lo:lo+PrefillRows], slots[lo:lo+PrefillRows]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	feed(0) // warm scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		feed(i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N*prompt)/b.Elapsed().Seconds(), "tok/s")
+}

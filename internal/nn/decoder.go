@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -9,44 +10,60 @@ import (
 	"edgellm/internal/tensor"
 )
 
+// PrefillRows is the prompt-row budget of one batched step: how many rows
+// beyond one per slot a decoder's scratch holds, and so the longest run of
+// prompt tokens the serve scheduler and Generate hand StepBatch at once. 16
+// is the knee of the per-row cost on the decode-bench model (EXPERIMENTS.md):
+// the weight stream (or packed tile decode) is shared by every row of a step,
+// and past 16 rows a longer step only delays the streams decoding beside it.
+const PrefillRows = 16
+
+// ErrBadBatch is wrapped by every error StepBatch returns for arguments it
+// rejects. A rejected batch has changed no state.
+var ErrBadBatch = errors.New("nn: invalid StepBatch arguments")
+
 // Decoder is an inference-only incremental decoder over a pooled contiguous
 // KV arena. It decodes up to Slots() concurrent sequences: each sequence
 // owns one arena slot (Acquire/Release) and StepBatch advances any subset of
-// the active slots by one token, returning the final-head logits per
-// sequence. Step is the single-sequence convenience wrapper (slot 0) that
-// replaces the old per-sequence decoder.
+// the active slots, each by a run of one or more tokens, returning the
+// final-head logits after each run's last token. Step is the single-sequence
+// convenience wrapper (slot 0) that replaces the old per-sequence decoder.
 //
 // Batched execution is bitwise-identical to single-sequence decoding: every
 // projection runs through the cache-blocked tensor.MatMulInto kernel, whose
 // per-row accumulation order (ascending k, zero-skip) is exactly the order
-// the scalar reference kernel (vecMat, in decoder_legacy_test.go) uses, and
-// the attention/normalisation loops are per-slot scalar code. A sequence therefore produces the same logit bits
-// whether it decodes alone, in a batch of any size, or at any GOMAXPROCS —
-// the guarantee the determinism tests pin down.
+// the scalar reference kernel (vecMat, in decoder_legacy_test.go) uses and
+// does not depend on how many rows the matrix has, and the
+// attention/normalisation loops are per-row scalar code. A sequence therefore
+// produces the same logit bits whether it decodes alone, in a batch of any
+// size, a token or a run of tokens at a time, or at any GOMAXPROCS — the
+// guarantee the determinism tests pin down.
 //
 // Steady-state decoding allocates nothing: KV rows are written in place into
 // the arena, activations live in pooled scratch sized once at construction,
 // and returned logit rows alias that scratch — they are valid only until the
 // next Step/StepBatch call (copy them to retain).
 type Decoder struct {
-	m     *Model
-	pool  *tensor.Pool
-	arena *KVArena
-	cap   int
+	m      *Model
+	pool   *tensor.Pool
+	arena  *KVArena
+	cap    int // slots
+	rowCap int // rows one step may carry: cap + PrefillRows
 
-	// Residual stream and attention score scratch, sized for cap rows.
-	x      []float32 // (cap, dim) residual
-	scores []float32 // (cap, maxSeq) per-slot attention scratch
+	// Residual stream and attention score scratch, sized for rowCap rows.
+	x      []float32 // (rowCap, dim) residual
+	scores []float32 // (rowCap, maxSeq) per-row attention scratch
 
-	// Pooled matmul operands/results, viewed down to the live batch size.
-	h, q, k, v, ctx, att batchBuf // (cap, dim)
-	gate, up             batchBuf // (cap, hidden)
-	mlp                  batchBuf // (cap, dim)
-	logits               batchBuf // (cap, vocab)
-	xBack                *tensor.Tensor
+	// Pooled matmul operands/results, viewed down to the live row count.
+	h, q, k, v, ctx, att batchBuf // (rowCap, dim)
+	gate, up             batchBuf // (rowCap, hidden)
+	mlp                  batchBuf // (rowCap, dim)
+	logits               batchBuf // (cap, vocab): one row per run
 
 	rows  [][]float32 // reused StepBatch return slice
-	seen  []bool      // duplicate-slot validation scratch
+	seen  []bool      // slot-already-in-a-run validation scratch
+	pos   []int       // cache position of each row of the step
+	last  []int       // index of each run's last row
 	tok1  [1]int      // Step's batch-of-1 arguments
 	slot1 [1]int
 
@@ -101,25 +118,29 @@ func NewBatchDecoder(m *Model, slots int, pool *tensor.Pool) *Decoder {
 		panic(fmt.Sprintf("nn: decoder slot capacity %d must be ≥ 1", slots))
 	}
 	cfg := m.Cfg
+	rows := slots + PrefillRows
 	d := &Decoder{
 		m:      m,
 		pool:   pool,
 		arena:  NewKVArena(pool, cfg.Layers, slots, cfg.MaxSeq, cfg.Dim),
 		cap:    slots,
-		x:      make([]float32, slots*cfg.Dim),
-		scores: make([]float32, slots*cfg.MaxSeq),
-		h:      newBatchBuf(pool, slots, cfg.Dim),
-		q:      newBatchBuf(pool, slots, cfg.Dim),
-		k:      newBatchBuf(pool, slots, cfg.Dim),
-		v:      newBatchBuf(pool, slots, cfg.Dim),
-		ctx:    newBatchBuf(pool, slots, cfg.Dim),
-		att:    newBatchBuf(pool, slots, cfg.Dim),
-		gate:   newBatchBuf(pool, slots, cfg.Hidden),
-		up:     newBatchBuf(pool, slots, cfg.Hidden),
-		mlp:    newBatchBuf(pool, slots, cfg.Dim),
+		rowCap: rows,
+		x:      make([]float32, rows*cfg.Dim),
+		scores: make([]float32, rows*cfg.MaxSeq),
+		h:      newBatchBuf(pool, rows, cfg.Dim),
+		q:      newBatchBuf(pool, rows, cfg.Dim),
+		k:      newBatchBuf(pool, rows, cfg.Dim),
+		v:      newBatchBuf(pool, rows, cfg.Dim),
+		ctx:    newBatchBuf(pool, rows, cfg.Dim),
+		att:    newBatchBuf(pool, rows, cfg.Dim),
+		gate:   newBatchBuf(pool, rows, cfg.Hidden),
+		up:     newBatchBuf(pool, rows, cfg.Hidden),
+		mlp:    newBatchBuf(pool, rows, cfg.Dim),
 		logits: newBatchBuf(pool, slots, cfg.Vocab),
 		rows:   make([][]float32, 0, slots),
 		seen:   make([]bool, slots),
+		pos:    make([]int, rows),
+		last:   make([]int, 0, slots),
 	}
 	return d
 }
@@ -174,9 +195,7 @@ func (d *Decoder) Close() {
 // on a MaxSeq or vocabulary violation.
 func (d *Decoder) Step(token int) ([]float32, error) {
 	if !d.arena.used[0] {
-		d.arena.used[0] = true
-		d.arena.lens[0] = 0
-		d.arena.inUse++
+		d.arena.claim(0)
 	}
 	d.tok1[0], d.slot1[0] = token, 0
 	rows, err := d.StepBatch(d.tok1[:], d.slot1[:])
@@ -186,53 +205,45 @@ func (d *Decoder) Step(token int) ([]float32, error) {
 	return rows[0], nil
 }
 
-// StepBatch feeds tokens[i] to slots[i] for every i and returns the
-// final-head logit row per sequence, in input order. All arguments are
-// validated before any state changes, so a rejected batch leaves every
-// cache intact: errors cover length mismatch, unacquired or duplicate
-// slots, out-of-range tokens, and slots at MaxSeq. Returned rows alias
-// internal scratch and are valid until the next Step/StepBatch.
+// StepBatch feeds tokens[i] to slots[i] for every row i and returns one
+// final-head logit row per run, in input order. A run is a maximal stretch of
+// adjacent rows naming the same slot: row j of a run sits at cache position
+// len+j and attends to the slot's cache plus the run's rows up to itself, so
+// a run of n tokens leaves the slot exactly where n single-token steps would,
+// and its logits row — computed for the run's last token only — is bitwise
+// the row the last of those steps would return. With every slot distinct
+// (every run of length 1) this is one token and one logits row per sequence.
+//
+// All arguments are validated before any state changes, so a rejected batch
+// leaves every cache intact. The errors wrap ErrBadBatch: length mismatch,
+// more rows than Slots()+PrefillRows, unacquired slots, a slot in two
+// non-adjacent runs, out-of-range tokens, and runs that would pass MaxSeq.
+// Returned rows alias internal scratch and are valid until the next
+// Step/StepBatch.
 func (d *Decoder) StepBatch(tokens, slots []int) ([][]float32, error) {
 	B := len(tokens)
 	if B == 0 || B != len(slots) {
-		return nil, fmt.Errorf("nn: StepBatch needs matching non-empty tokens/slots, got %d/%d", B, len(slots))
+		return nil, fmt.Errorf("%w: need matching non-empty tokens/slots, got %d/%d", ErrBadBatch, B, len(slots))
+	}
+	if B > d.rowCap {
+		return nil, fmt.Errorf("%w: %d rows exceed the %d a step holds (%d slots + %d)", ErrBadBatch, B, d.rowCap, d.cap, PrefillRows)
+	}
+	if err := d.planRuns(tokens, slots); err != nil {
+		return nil, err
 	}
 	m := d.m
-	for i, s := range slots {
-		if s < 0 || s >= d.cap {
-			d.clearSeen(slots[:i])
-			return nil, fmt.Errorf("nn: StepBatch slot %d out of range [0,%d)", s, d.cap)
-		}
-		if !d.arena.used[s] {
-			d.clearSeen(slots[:i])
-			return nil, fmt.Errorf("nn: StepBatch slot %d is not acquired", s)
-		}
-		if d.seen[s] {
-			d.clearSeen(slots[:i])
-			return nil, fmt.Errorf("nn: StepBatch slot %d appears twice", s)
-		}
-		d.seen[s] = true
-		if tok := tokens[i]; tok < 0 || tok >= m.Cfg.Vocab {
-			d.clearSeen(slots[:i+1])
-			return nil, fmt.Errorf("nn: StepBatch token %d out of range [0,%d)", tok, m.Cfg.Vocab)
-		}
-		if d.arena.lens[s] >= m.Cfg.MaxSeq {
-			d.clearSeen(slots[:i+1])
-			return nil, fmt.Errorf("nn: StepBatch slot %d position %d exceeds MaxSeq %d", s, d.arena.lens[s], m.Cfg.MaxSeq)
-		}
-	}
-	d.clearSeen(slots)
+	R := len(d.last)
 
 	dim := m.Cfg.Dim
 	heads := m.Cfg.Heads
 	hd := dim / heads
 	scale := float32(1 / math.Sqrt(float64(hd)))
 
-	// Embedding: x[i] = tokEmb[token] + posEmb[position of slot i].
+	// Embedding: x[i] = tokEmb[token] + posEmb[position of row i].
 	for i, tok := range tokens {
 		xRow := d.x[i*dim : (i+1)*dim]
 		copy(xRow, m.TokEmb.W.Data.Row(tok))
-		posRow := m.PosEmb.W.Data.Row(d.arena.lens[slots[i]])
+		posRow := m.PosEmb.W.Data.Row(d.pos[i])
 		for j := range xRow {
 			xRow[j] += posRow[j]
 		}
@@ -243,19 +254,18 @@ func (d *Decoder) StepBatch(tokens, slots []int) ([][]float32, error) {
 	ctxV, attV := d.ctx.rows(B), d.att.rows(B)
 	gateV, upV := d.gate.rows(B), d.up.rows(B)
 	mlpV := d.mlp.rows(B)
-	logitsV := d.logits.rows(B)
 
 	for l, blk := range m.Blocks {
-		// Attention sub-block: h = norm1(x); q,k,v = h·W; cache k,v;
-		// per-slot causal attention over the slot's arena region.
+		// Attention sub-block: h = norm1(x); q,k,v = h·W; cache k,v for
+		// every row, then per-row causal attention over the slot's arena
+		// region up to the row's own position.
 		d.rmsnormRows(B, hV.Data, blk.Norm1.Gain.Data.Data, blk.Norm1.Eps)
 		d.mm(qV, hV, blk.Attn.Wq.W.Data, l, wmWq)
 		d.mm(kV, hV, blk.Attn.Wk.W.Data, l, wmWk)
 		d.mm(vV, hV, blk.Attn.Wv.W.Data, l, wmWv)
 		for i, s := range slots {
-			p := d.arena.lens[s]
-			copy(d.arena.kRow(l, s, p), kV.Data[i*dim:(i+1)*dim])
-			copy(d.arena.vRow(l, s, p), vV.Data[i*dim:(i+1)*dim])
+			copy(d.arena.kRow(l, s, d.pos[i]), kV.Data[i*dim:(i+1)*dim])
+			copy(d.arena.vRow(l, s, d.pos[i]), vV.Data[i*dim:(i+1)*dim])
 		}
 		d.attendAll(l, B, slots, heads, hd, scale, qV.Data, ctxV.Data)
 		d.mm(attV, ctxV, blk.Attn.Wo.W.Data, l, wmWo)
@@ -270,24 +280,67 @@ func (d *Decoder) StepBatch(tokens, slots []int) ([][]float32, error) {
 		addRows(d.x, mlpV.Data)
 	}
 
-	d.rmsnormRows(B, hV.Data, m.Norm.Gain.Data.Data, m.Norm.Eps)
+	// Final norm and LM head over each run's last row only, gathered into
+	// the first R rows of h: interior prompt rows never reach the head.
+	hV, logitsV := d.h.rows(R), d.logits.rows(R)
+	for r, i := range d.last {
+		rmsnormRow(hV.Data[r*dim:(r+1)*dim], d.x[i*dim:(i+1)*dim], m.Norm.Gain.Data.Data, m.Norm.Eps)
+	}
 	tensor.MatMulInto(logitsV, hV, m.LMHead.W.Data)
 
-	for _, s := range slots {
-		d.arena.lens[s]++
-	}
 	d.rows = d.rows[:0]
 	vocab := m.Cfg.Vocab
-	for i := range tokens {
-		d.rows = append(d.rows, logitsV.Data[i*vocab:(i+1)*vocab])
+	prev := -1
+	for r, i := range d.last {
+		d.arena.advance(slots[i], i-prev)
+		prev = i
+		d.rows = append(d.rows, logitsV.Data[r*vocab:(r+1)*vocab])
 	}
 	return d.rows, nil
 }
 
-func (d *Decoder) clearSeen(slots []int) {
-	for _, s := range slots {
+// planRuns validates one step's rows and records each row's cache position
+// in d.pos and each run's last row in d.last. On error nothing but that
+// scratch has been written.
+func (d *Decoder) planRuns(tokens, slots []int) (err error) {
+	cfg := d.m.Cfg
+	d.last = d.last[:0]
+	marked := 0 // slots[:marked] are in range and may have seen set
+	for i, s := range slots {
+		switch {
+		case i > 0 && s == slots[i-1]:
+			d.pos[i] = d.pos[i-1] + 1
+		case s < 0 || s >= d.cap:
+			err = fmt.Errorf("%w: slot %d out of range [0,%d)", ErrBadBatch, s, d.cap)
+		case !d.arena.used[s]:
+			err = fmt.Errorf("%w: slot %d is not acquired", ErrBadBatch, s)
+		case d.seen[s]:
+			err = fmt.Errorf("%w: slot %d appears in two runs", ErrBadBatch, s)
+		default:
+			d.seen[s] = true
+			d.pos[i] = d.arena.lens[s]
+			if i > 0 {
+				d.last = append(d.last, i-1)
+			}
+		}
+		if err != nil {
+			break
+		}
+		marked = i + 1
+		if tok := tokens[i]; tok < 0 || tok >= cfg.Vocab {
+			err = fmt.Errorf("%w: token %d out of range [0,%d)", ErrBadBatch, tok, cfg.Vocab)
+		} else if d.pos[i] >= cfg.MaxSeq {
+			err = fmt.Errorf("%w: slot %d position %d exceeds MaxSeq %d", ErrBadBatch, s, d.pos[i], cfg.MaxSeq)
+		}
+		if err != nil {
+			break
+		}
+	}
+	d.last = append(d.last, len(slots)-1)
+	for _, s := range slots[:marked] {
 		d.seen[s] = false
 	}
+	return err
 }
 
 // attendSlot runs causal attention for batch row i / slot s of layer l: the
@@ -295,7 +348,7 @@ func (d *Decoder) clearSeen(slots []int) {
 // the slot's contiguous arena region and writing the context row in place.
 func (d *Decoder) attendSlot(l, i, s, heads, hd int, scale float32, q, ctx []float32) {
 	dim := heads * hd
-	T := d.arena.lens[s] + 1 // cached tokens plus the one just written
+	T := d.pos[i] + 1 // the slot's cache and its run, up to and including this row
 	scores := d.scores[i*d.m.Cfg.MaxSeq : i*d.m.Cfg.MaxSeq+T]
 	ctxRow := ctx[i*dim : (i+1)*dim]
 	for j := range ctxRow {
@@ -336,28 +389,31 @@ func (d *Decoder) attendSlot(l, i, s, heads, hd int, scale float32, q, ctx []flo
 	}
 }
 
-// rmsnormRows applies RMSNorm row-by-row: h[i] = norm(x[i])·gain. Per-row
-// arithmetic is identical to the reference rmsnormVec (decoder_legacy_test.go).
+// rmsnormRows applies RMSNorm row-by-row: h[i] = norm(x[i])·gain.
 func (d *Decoder) rmsnormRows(B int, h, gain []float32, eps float32) {
 	n := len(gain)
 	for i := 0; i < B; i++ {
-		xRow := d.x[i*n : (i+1)*n]
-		hRow := h[i*n : (i+1)*n]
-		var ss float64
-		for _, v := range xRow {
-			ss += float64(v) * float64(v)
-		}
-		inv := float32(1 / math.Sqrt(ss/float64(n)+float64(eps)))
-		for j, v := range xRow {
-			hRow[j] = v * inv * gain[j]
-		}
+		rmsnormRow(h[i*n:(i+1)*n], d.x[i*n:(i+1)*n], gain, eps)
+	}
+}
+
+// rmsnormRow is one row of RMSNorm, arithmetic identical to the reference
+// rmsnormVec (decoder_legacy_test.go).
+func rmsnormRow(hRow, xRow, gain []float32, eps float32) {
+	var ss float64
+	for _, v := range xRow {
+		ss += float64(v) * float64(v)
+	}
+	inv := float32(1 / math.Sqrt(ss/float64(len(gain))+float64(eps)))
+	for j, v := range xRow {
+		hRow[j] = v * inv * gain[j]
 	}
 }
 
 // slotParallelThreshold is the per-StepBatch attention MAC count above which
-// the per-slot loops fan out to worker goroutines. Slots are independent
-// (disjoint arena regions, disjoint scratch rows), so the fan-out cannot
-// change results at any GOMAXPROCS.
+// the per-row loops fan out to worker goroutines. Rows are independent (the
+// arena is only read here — every row's K/V was written before — and scratch
+// rows are disjoint), so the fan-out cannot change results at any GOMAXPROCS.
 const slotParallelThreshold = 1 << 15
 
 // attendAll runs attendSlot for every batch row of layer l, fanning out to
@@ -367,8 +423,8 @@ func (d *Decoder) attendAll(l, B int, slots []int, heads, hd int, scale float32,
 	workers := 1
 	if B > 1 {
 		var macs int
-		for _, s := range slots {
-			macs += 2 * (d.arena.lens[s] + 1) * d.m.Cfg.Dim
+		for _, p := range d.pos[:B] {
+			macs += 2 * (p + 1) * d.m.Cfg.Dim
 		}
 		if macs >= slotParallelThreshold {
 			workers = runtime.GOMAXPROCS(0)
@@ -416,8 +472,8 @@ func siluMul(gate, up []float32) {
 	}
 }
 
-// Generate feeds the prompt through the cache and then samples MaxTokens
-// continuations on slot 0, returning prompt+continuation. It mirrors
+// Generate feeds the prompt through the cache, PrefillRows tokens a step, and
+// then samples MaxTokens continuations on slot 0, returning prompt+continuation. It mirrors
 // nn.Generate's sampling semantics but runs in O(tokens · context) instead
 // of O(tokens · context²). It resets the decoder, so it must not be mixed
 // with concurrent batched use; the serve scheduler is the multi-stream path.
@@ -433,14 +489,19 @@ func (d *Decoder) Generate(prompt []int, cfg SampleConfig) ([]int, error) {
 			len(prompt), cfg.MaxTokens, d.m.Cfg.MaxSeq)
 	}
 	d.Reset()
+	d.arena.claim(0)
 	g := tensor.NewRNG(cfg.Seed)
 	var logits []float32
-	var err error
-	for _, tok := range prompt {
-		if logits, err = d.Step(tok); err != nil {
+	var slot0 [PrefillRows]int
+	for rest := prompt; len(rest) > 0; {
+		n := min(len(rest), PrefillRows)
+		rows, err := d.StepBatch(rest[:n], slot0[:n])
+		if err != nil {
 			return nil, err
 		}
+		logits, rest = rows[0], rest[n:]
 	}
+	var err error
 	out := append([]int(nil), prompt...)
 	for i := 0; i < cfg.MaxTokens; i++ {
 		next := sampleToken(logits, cfg, g)

@@ -150,7 +150,8 @@ func TestStepBatchValidation(t *testing.T) {
 	if _, err := d.Acquire(); err == nil {
 		t.Fatal("acquiring past capacity must error")
 	}
-	if _, err := d.StepBatch([]int{1, 2}, []int{0, 0}); err == nil {
+	// Adjacent rows on one slot are a run; a slot in two runs is a duplicate.
+	if _, err := d.StepBatch([]int{1, 2, 3}, []int{0, 1, 0}); err == nil {
 		t.Fatal("duplicate slot must error")
 	}
 	if _, err := d.StepBatch([]int{1, m.Cfg.Vocab}, []int{0, 1}); err == nil {

@@ -69,14 +69,26 @@ func (a *KVArena) Len(s int) int { return a.lens[s] }
 func (a *KVArena) Acquire() (int, error) {
 	for s := 0; s < a.slots; s++ {
 		if !a.used[s] {
-			a.used[s] = true
-			a.lens[s] = 0
-			a.inUse++
+			a.claim(s)
 			return s, nil
 		}
 	}
 	return -1, fmt.Errorf("nn: KV arena full: all %d slots in use", a.slots)
 }
+
+// claim marks free slot s owned, with an empty cache. With advance, Release
+// and ReleaseAll it is the arena's whole bookkeeping: nothing outside this
+// file writes used, lens or inUse.
+func (a *KVArena) claim(s int) {
+	a.used[s] = true
+	a.lens[s] = 0
+	a.inUse++
+}
+
+// advance records n more cached tokens in slot s. The decoder calls it once
+// per run, after the run's last K/V row is written, so a step that fails
+// midway leaves every length where it was.
+func (a *KVArena) advance(s, n int) { a.lens[s] += n }
 
 // Release returns slot s to the free set. The region is reused as-is by the
 // next Acquire (lengths gate every read, so stale rows are never visible).

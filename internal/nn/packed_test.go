@@ -20,8 +20,8 @@ func packedTestCfg() Config {
 // identical float32 weights everywhere except the packed layers, whose
 // block matrices hold exactly Unpack() of the packed codes. Packed
 // decoding must be bitwise identical to decoding this model.
-func packedRefModel(seed int64, pm *PackedModel) *Model {
-	ref := NewModel(packedTestCfg(), tensor.NewRNG(seed))
+func packedRefModel(cfg Config, seed int64, pm *PackedModel) *Model {
+	ref := NewModel(cfg, tensor.NewRNG(seed))
 	for l, blk := range ref.Blocks {
 		for wi, w := range blk.WeightMatrices() {
 			if mat := pm.Mat(l, wi); mat != nil {
@@ -83,7 +83,7 @@ func TestPackedDecodeBitwiseMatchesFakeQuant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := packedRefModel(seed, pm)
+			ref := packedRefModel(packedTestCfg(), seed, pm)
 			for _, procs := range []int{1, runtime.NumCPU()} {
 				old := runtime.GOMAXPROCS(procs)
 				pd := NewBatchDecoder(m, 8, nil)

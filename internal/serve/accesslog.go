@@ -35,7 +35,9 @@ type AccessRecord struct {
 	ITLMaxMS  float64 `json:"itl_max_ms,omitempty"`  // widest inter-token gap
 	DecodeMS  float64 `json:"decode_ms,omitempty"`   // summed batched-step time
 	TotalMS   float64 `json:"total_ms"`
-	// Token accounting.
+	// Token accounting. Steps counts batched steps, not tokens: the prompt
+	// enters up to nn.PrefillRows tokens a step, so a finished request has
+	// Steps < PromptTokens + Tokens unless its prompt is a single token.
 	PromptTokens int   `json:"prompt_tokens,omitempty"`
 	Tokens       int   `json:"tokens,omitempty"` // continuation tokens produced
 	Steps        int64 `json:"steps,omitempty"`  // batched steps participated in

@@ -2,15 +2,21 @@
 // arena-backed nn.Decoder, plus the hardened multi-tenant HTTP serving
 // front end built on top of it (see server.go).
 //
-// Requests are admitted FIFO into the lowest free KV slot, every active
-// stream advances one token per StepBatch, and streams join and leave
-// mid-step as prompts arrive and generations finish.
+// Requests are admitted FIFO into the lowest free KV slot, and streams join
+// and leave between steps as prompts arrive and generations finish. Every
+// StepBatch carries one row for each stream that is decoding — so a decoding
+// stream samples a token from every step, whatever else the step carries —
+// followed by prompt rows of the streams still prefilling, in admission
+// order, up to nn.PrefillRows of them: a prompt enters the decoder as runs
+// of up to 16 tokens, not one token a step, and only a run's last row
+// reaches the LM head.
 //
 // Batching never changes results: the decoder's batched step is
-// bitwise-identical to single-sequence decoding and each stream samples
-// from its own seeded RNG, so a stream's output equals what a solo
-// Decoder.Generate with the same prompt and config would produce, no matter
-// which other streams it happened to share batches with. Streams carrying
+// bitwise-identical to single-sequence, token-at-a-time decoding and each
+// stream samples from its own seeded RNG, so a stream's output equals what a
+// solo Decoder.Generate with the same prompt and config would produce, no
+// matter which other streams it shared steps with or how its prompt was cut
+// into runs. Streams carrying
 // different adapters never co-batch: the scheduler only admits streams whose
 // adapter matches the one currently applied to the decoder and swaps
 // adapters at batch boundaries, when no stream is active.
@@ -96,10 +102,9 @@ type Stream struct {
 	rng   *tensor.RNG
 	sched *Scheduler
 
-	slot      int // -1 while queued
-	fed       int // prompt tokens consumed
-	next      int // token to feed at the next step
-	sampled   []int
+	slot      int   // -1 while queued
+	fed       int   // tokens consumed; the stream is prefilling while fed < len(Prompt)
+	sampled   []int // once decoding, the last one is the token to feed next
 	submitted time.Time
 
 	// Latency decomposition, written only by the scheduler goroutine and
@@ -109,7 +114,7 @@ type Stream struct {
 	admitted   time.Time // slot acquired; zero if never admitted
 	firstToken time.Time // first sampled continuation token; zero if none
 	lastToken  time.Time // latest sampled continuation token
-	steps      int64     // batched steps this stream participated in
+	steps      int64     // batched steps this stream had rows in: one per prompt run, one per fed token after
 	decodeNS   int64     // total duration of those steps (includes co-batch work)
 	maxGapNS   int64     // widest gap between consecutive sampled tokens
 
@@ -164,7 +169,9 @@ func (s *Stream) Sampled() int { return len(s.sampled) }
 // StreamTiming is a stream's latency decomposition as attributed by the
 // scheduler step loop: when it was submitted and admitted, when its first
 // and latest continuation tokens were sampled, how many batched steps it
-// rode in and their summed duration, and the widest inter-token gap.
+// rode in and their summed duration, and the widest inter-token gap. Steps
+// counts steps, not tokens: a prompt is fed nn.PrefillRows tokens a step (or
+// fewer, when it shares the budget), so Steps is below prompt + output.
 type StreamTiming struct {
 	Submitted  time.Time
 	Admitted   time.Time // zero if the stream never reached a slot
@@ -253,7 +260,6 @@ func (s *Scheduler) Submit(req Request) (*Stream, error) {
 		rng:       tensor.NewRNG(req.Cfg.Seed),
 		sched:     s,
 		slot:      -1,
-		next:      req.Prompt[0],
 		sampled:   make([]int, 0, req.Cfg.MaxTokens),
 		submitted: time.Now(),
 		done:      make(chan struct{}),
@@ -279,8 +285,9 @@ func (s *Scheduler) QueueDepth() int {
 }
 
 // Run drains every submitted request: it admits queued streams into free
-// slots, advances all active streams one token per batched step, and
-// returns once the queue and the batch are both empty. Streams submitted
+// slots, advances every active stream each batched step (a decoding stream
+// by one token, prefilling streams by runs of prompt tokens), and returns
+// once the queue and the batch are both empty. Streams submitted
 // while Run is active join the current batch at the next step boundary.
 // On context cancellation every unfinished stream ends with ctx.Err().
 func (s *Scheduler) Run(ctx context.Context) error { return s.run(ctx, false) }
@@ -304,9 +311,15 @@ func (s *Scheduler) run(ctx context.Context, keepAlive bool) error {
 	active := make([]*Stream, s.dec.Slots())
 	nActive := 0
 	curAdapter := s.dec.Adapter()
-	tokens := make([]int, 0, s.dec.Slots())
-	slots := make([]int, 0, s.dec.Slots())
+	// One step's rows, and per run (streams[i] owns rows[i] of the result)
+	// its stream and length. prefill holds admitted streams in admission
+	// order until their prompt is fed.
+	maxRows := s.dec.Slots() + nn.PrefillRows
+	tokens := make([]int, 0, maxRows)
+	slots := make([]int, 0, maxRows)
 	streams := make([]*Stream, 0, s.dec.Slots())
+	runLens := make([]int, 0, s.dec.Slots())
+	prefill := make([]*Stream, 0, s.dec.Slots())
 
 	finish := func(st *Stream, res Result) {
 		if st.slot >= 0 {
@@ -340,6 +353,7 @@ func (s *Scheduler) run(ctx context.Context, keepAlive bool) error {
 					}
 					st.slot = slot
 					active[slot] = st
+					prefill = append(prefill, st)
 					nActive++
 					obsv.Add("decode.streams_admitted", 1)
 					st.admitted = time.Now()
@@ -396,8 +410,8 @@ func (s *Scheduler) run(ctx context.Context, keepAlive bool) error {
 
 	// step runs one batched decoder step with panic containment: a panic
 	// inside StepBatch fails only this batch's streams (the arena stays
-	// consistent — slot lengths advance after the last write) and decoding
-	// continues for future submissions.
+	// consistent — slot lengths advance, by whole runs, after the last
+	// write) and decoding continues for future submissions.
 	step := func(tokens, slots []int) (rows [][]float32, err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -416,7 +430,7 @@ func (s *Scheduler) run(ctx context.Context, keepAlive bool) error {
 	// advance applies one sampled step to one stream with per-stream panic
 	// containment: a poisoned request (hook or sampler panic) finishes with
 	// StreamPanicError while co-batched streams continue untouched.
-	advance := func(i int, st *Stream, row []float32) {
+	advance := func(st *Stream, fed int, row []float32) {
 		defer func() {
 			if r := recover(); r != nil {
 				obsv.Add("serve.stream_panics", 1)
@@ -425,10 +439,9 @@ func (s *Scheduler) run(ctx context.Context, keepAlive bool) error {
 		}()
 		st.steps++
 		st.decodeNS += stepNS
-		st.fed++
+		st.fed += fed
 		if st.fed < len(st.req.Prompt) {
-			st.next = st.req.Prompt[st.fed]
-			return
+			return // more prompt to feed: the run's logits are not sampled
 		}
 		tok := nn.SampleLogits(row, st.req.Cfg, st.rng)
 		if st.firstToken.IsZero() {
@@ -451,24 +464,28 @@ func (s *Scheduler) run(ctx context.Context, keepAlive bool) error {
 			finish(st, Result{ID: st.req.ID, Tokens: out})
 			return
 		}
-		st.next = tok
+	}
+
+	// abort ends the run: every queued and active stream finishes with err.
+	abort := func(err error) error {
+		s.mu.Lock()
+		queued := s.queue
+		s.queue = nil
+		s.mu.Unlock()
+		for _, st := range queued {
+			finish(st, Result{ID: st.req.ID, Err: err})
+		}
+		for _, st := range active {
+			if st != nil {
+				finish(st, Result{ID: st.req.ID, Err: err})
+			}
+		}
+		return err
 	}
 
 	for {
 		if err := ctx.Err(); err != nil {
-			s.mu.Lock()
-			queued := s.queue
-			s.queue = nil
-			s.mu.Unlock()
-			for _, st := range queued {
-				finish(st, Result{ID: st.req.ID, Err: err})
-			}
-			for _, st := range active {
-				if st != nil {
-					finish(st, Result{ID: st.req.ID, Err: err})
-				}
-			}
-			return err
+			return abort(err)
 		}
 
 		queueDepth := admit()
@@ -492,21 +509,47 @@ func (s *Scheduler) run(ctx context.Context, keepAlive bool) error {
 			continue
 		}
 
-		// Gather this step's batch in slot order (deterministic composition)
-		// and retire cancellations at the boundary.
-		tokens, slots, streams = tokens[:0], slots[:0], streams[:0]
-		for slot, st := range active {
+		// Gather this step's rows (deterministic composition) and retire
+		// cancellations at the boundary: first one row for every decoding
+		// stream, in slot order, so that none ever waits out a step; then
+		// runs of prompt tokens in admission order while the budget lasts.
+		tokens, slots, streams, runLens = tokens[:0], slots[:0], streams[:0], runLens[:0]
+		addRun := func(st *Stream, run []int) {
+			tokens = append(tokens, run...)
+			for range run {
+				slots = append(slots, st.slot)
+			}
+			streams = append(streams, st)
+			runLens = append(runLens, len(run))
+		}
+		for _, st := range active {
 			if st == nil {
 				continue
 			}
 			if st.cancelled.Load() {
 				finish(st, Result{ID: st.req.ID, Err: st.cancelCause()})
-				continue
+			} else if st.fed >= len(st.req.Prompt) {
+				addRun(st, st.sampled[len(st.sampled)-1:])
 			}
-			tokens = append(tokens, st.next)
-			slots = append(slots, slot)
-			streams = append(streams, st)
 		}
+		budget := nn.PrefillRows
+		waiting := prefill[:0]
+		for _, st := range prefill {
+			if st.slot < 0 {
+				continue // cancelled above
+			}
+			rest := st.req.Prompt[st.fed:]
+			n := min(len(rest), budget)
+			if n > 0 {
+				addRun(st, rest[:n])
+				budget -= n
+			}
+			if n < len(rest) {
+				waiting = append(waiting, st)
+			}
+		}
+		clear(prefill[len(waiting):])
+		prefill = waiting
 		if len(tokens) == 0 {
 			continue
 		}
@@ -516,14 +559,16 @@ func (s *Scheduler) run(ctx context.Context, keepAlive bool) error {
 		if err != nil {
 			// Submit validates everything StepBatch checks, so this is a
 			// programming error or a contained decoder panic; fail this
-			// batch's streams rather than guess, then keep serving.
+			// step's streams rather than guess, then keep serving. Run
+			// gives up instead, and a stream whose prompt was waiting for
+			// row budget was in no step: it must not be left unfinished.
 			for _, st := range streams {
 				finish(st, Result{ID: st.req.ID, Err: err})
 			}
 			if keepAlive {
 				continue
 			}
-			return err
+			return abort(err)
 		}
 		stepEnd = time.Now()
 		stepNS = int64(stepEnd.Sub(stepStart))
@@ -537,14 +582,17 @@ func (s *Scheduler) run(ctx context.Context, keepAlive bool) error {
 		}
 		stepCount++
 		obsv.Add("decode.tokens", int64(len(tokens)))
+		obsv.Add("decode.prefill_rows", int64(nn.PrefillRows-budget))
+		obsv.Observe("decode.step_rows", float64(len(tokens)))
 		s.rate.Add(int64(len(tokens)))
 		obsv.SetGauge("decode.tokens_per_sec", s.rate.PerSec())
 
 		// Advance each stream exactly as Decoder.Generate would: prompt
 		// tokens are fed without sampling, the continuation samples from
-		// each step's logits, and the final sampled token is not fed back.
+		// the logits after the prompt's last token and after every token
+		// fed since, and the final sampled token is not fed back.
 		for i, st := range streams {
-			advance(i, st, rows[i])
+			advance(st, runLens[i], rows[i])
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -225,6 +226,83 @@ func TestStreamPanicContainment(t *testing.T) {
 	tokensEqual(t, "healthy", res.Tokens, soloGenerate(t, m, healthy.Prompt, healthy.Cfg))
 	if dec.ArenaActiveBytes() != 0 {
 		t.Fatalf("arena holds %d bytes after contained panic", dec.ArenaActiveBytes())
+	}
+}
+
+// TestStreamPanicInSchedulerStep makes StepBatch itself panic — a mis-shaped
+// weight in layer 1, so layer 0 has already cached K/V for a decode row and a
+// whole 16-row prompt run — and requires the scheduler to contain it: the
+// step's streams fail with a typed error and the decoder is untouched, so the
+// arena drains and later output equals a token-at-a-time solo decode. Serve
+// keeps serving; Run gives up, and must then also finish the stream whose
+// prompt was still waiting for row budget, which was in no step.
+func TestStreamPanicInSchedulerStep(t *testing.T) {
+	for _, keepAlive := range []bool{true, false} {
+		m := testModel(16)
+		dec := nn.NewBatchDecoder(m, 3, nil)
+		sched := New(dec)
+		down := m.Blocks[1].MLP.Down.W.Data
+		shape := down.Shape
+
+		// The hook runs on the scheduler goroutine between two steps. The
+		// next step carries decoding's row and run16's 16 rows, which use up
+		// the row budget, so waiting's prompt stays out of it.
+		var stRun, stWaiting *Stream
+		decoding := greedyReq("decoding", []int{1}, 8)
+		decoding.OnToken = func(st *Stream, _ int) {
+			if st.Sampled() != 2 {
+				return
+			}
+			down.Shape = []int{shape[0] + 1, shape[1]}
+			var err error
+			if stRun, err = sched.Submit(greedyReq("run16", make([]int, nn.PrefillRows), 3)); err != nil {
+				t.Error(err)
+			}
+			if keepAlive {
+				return
+			}
+			if stWaiting, err = sched.Submit(greedyReq("waiting", []int{9, 8, 7}, 4)); err != nil {
+				t.Error(err)
+			}
+		}
+		stDecoding, err := sched.Submit(decoding)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		runDone := make(chan error, 1)
+		go func() { runDone <- sched.run(ctx, keepAlive) }()
+		<-stDecoding.Done()
+		<-stRun.Done()
+		for _, st := range []*Stream{stDecoding, stRun} {
+			if err := st.Result().Err; err == nil || !strings.Contains(err.Error(), "decoder step panicked") {
+				t.Fatalf("stream %s error = %v, want the contained step panic", st.ID(), err)
+			}
+		}
+		if keepAlive {
+			// Serve is idle now, and next reads the weight after this Submit.
+			down.Shape = shape
+			after, err := sched.Submit(greedyReq("after", []int{4, 5}, 5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-after.Done()
+			if after.Result().Err != nil {
+				t.Fatalf("stream after the contained panic failed: %v", after.Result().Err)
+			}
+			tokensEqual(t, "after", after.Result().Tokens, soloSteps(t, m, nil, after.req))
+			cancel()
+			<-runDone
+		} else {
+			if err := <-runDone; err == nil || err != stWaiting.Result().Err {
+				t.Fatalf("Run = %v, waiting stream = %v: want the step panic for both", err, stWaiting.Result().Err)
+			}
+			cancel()
+		}
+		if dec.ActiveSlots() != 0 || dec.ArenaActiveBytes() != 0 {
+			t.Fatalf("after a contained step panic: %d slots / %d bytes active", dec.ActiveSlots(), dec.ArenaActiveBytes())
+		}
+		dec.Close()
 	}
 }
 
