@@ -47,7 +47,7 @@ func cmdServe(args []string) (err error) {
 	memBudget := fs.String("mem-budget", "", "KV-memory admission budget: bytes with optional KiB/MiB/GiB suffix (empty = no memory admission)")
 	adapters := fs.String("adapters", "", "adapter registry directory (empty = base model only)")
 	maxAdapters := fs.Int("max-adapters", 8, "LRU bound on resident adapters")
-	bitsSpec := fs.String("bits", "", `pack block weights and serve through the fused kernels: "2".."8", "nf4", or "luc@<avg-bits>"; packed serving is base-model-only (incompatible with -adapters)`)
+	bitsSpec := fs.String("bits", "", `pack block weights and serve through the fused kernels: "2".."8", "nf4", or "luc@<avg-bits>"`)
 	faultSpec := fs.String("fault", "", `chaos seam: comma-separated mode=ID pairs over request ids, modes fail|panic|cancel|stall (e.g. "panic=R3,cancel=R7")`)
 	telemetryAddr := fs.String("telemetry-addr", "", "serve live telemetry on this host:port (/metrics, /debug/vars, /debug/pprof)")
 	accessLogPath := fs.String("access-log", "", "append one JSONL record per request to this file (analysable offline with `edgellm telemetry serve-report`)")
@@ -77,13 +77,8 @@ func cmdServe(args []string) (err error) {
 			*dim, *layers, *heads, *hidden, *vocab, *maxSeq, *seed)
 	}
 
-	// Packed serving: adapters patch float32 weights in place, which packed
-	// layers no longer have, so the two flags are mutually exclusive.
 	var pm *nn.PackedModel
 	if *bitsSpec != "" {
-		if *adapters != "" {
-			return fmt.Errorf("serve: -bits is incompatible with -adapters: packed serving is base-model-only")
-		}
 		specs, desc, err := resolvePackSpecs(m, *bitsSpec)
 		if err != nil {
 			return err

@@ -8,8 +8,8 @@ import (
 )
 
 // Export snapshots the LoRA set's trained factors as a named serving
-// artifact: an nn.Adapter whose dense deltas scale·A·B reproduce exactly
-// what the training-time Adapter hook adds to each host linear's output.
+// artifact: an nn.Adapter, which a decoder applies as the same side path
+// y + (alpha/rank)·(x·A)·B the training-time Adapter hook computes.
 // The tensors are cloned, so the artifact is immutable even if training
 // continues. Save it with Adapter.SaveFile for the serve registry to load.
 func (s *LoRASet) Export(name string) (*nn.Adapter, error) {

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -37,31 +38,30 @@ type adapterHeader struct {
 // AdapterPair is one low-rank factor pair targeting a named model linear.
 // Target names follow the adapt.LoRASet convention —
 // "block<N>.{wq,wk,wv,wo,gate,up,down}" — plus "lmhead" and "exit<N>" for
-// per-tenant output (exit) heads. A has shape (in, rank), B (rank, out).
+// per-tenant output (exit) heads; an exit pair is checked against its head
+// but decodes nothing, the decoder runs only the LM head. A has shape
+// (in, rank), B (rank, out).
 type AdapterPair struct {
 	Target string
 	A, B   *tensor.Tensor
 }
 
-// Adapter is an inference-time low-rank weight patch: a named set of dense
-// deltas scale·A·B, one per target linear, applied to model weights by
-// Decoder.SetAdapter and removed bitwise-exactly when the next adapter (or
-// nil) is set. Adapters are immutable after construction and safe to share
-// across decoders; the scheduler groups streams by adapter pointer identity.
+// Adapter is an inference-time set of low-rank factor pairs, one per target
+// linear. A decoder it is set on (Decoder.SetAdapter) computes
+// y = x·W + (alpha/rank)·(x·A)·B for every target — the arithmetic of the
+// training-time hook (adapt.LoRASet) — and never touches W. Adapters are
+// immutable after construction and safe to share across decoders; the
+// scheduler groups streams by adapter pointer identity.
 type Adapter struct {
 	name  string
 	alpha float32
 	rank  int
 	pairs []AdapterPair
-
-	// deltas[i] = alpha/rank · pairs[i].A · pairs[i].B, precomputed at
-	// construction so applying an adapter is a single AddInPlace per target.
-	deltas []*tensor.Tensor
 }
 
-// NewAdapter builds an adapter from low-rank pairs, precomputing the dense
-// per-target deltas. Every A must be (in, rank) and B (rank, out) with one
-// consistent rank; target names must be non-empty and unique.
+// NewAdapter builds an adapter from low-rank pairs. Every A must be
+// (in, rank) and B (rank, out) with one consistent rank; target names must
+// be non-empty and unique.
 func NewAdapter(name string, alpha float32, pairs []AdapterPair) (*Adapter, error) {
 	if name == "" {
 		return nil, fmt.Errorf("nn: adapter needs a name")
@@ -93,15 +93,7 @@ func NewAdapter(name string, alpha float32, pairs []AdapterPair) (*Adapter, erro
 			return nil, fmt.Errorf("nn: adapter %s target %s: rank %d differs from %d", name, p.Target, r, rank)
 		}
 	}
-	a := &Adapter{name: name, alpha: alpha, rank: rank, pairs: pairs}
-	scale := alpha / float32(rank)
-	for _, p := range pairs {
-		delta := tensor.New(p.A.Rows(), p.B.Cols())
-		tensor.MatMulInto(delta, p.A, p.B)
-		delta.ScaleInPlace(scale)
-		a.deltas = append(a.deltas, delta)
-	}
-	return a, nil
+	return &Adapter{name: name, alpha: alpha, rank: rank, pairs: pairs}, nil
 }
 
 // Name returns the adapter's name.
@@ -122,19 +114,7 @@ func (a *Adapter) Targets() []string {
 	return out
 }
 
-// SizeBytes returns the resident footprint of the adapter's tensors (the
-// low-rank factors plus the precomputed dense deltas), the quantity the
-// registry's LRU bound accounts in.
-func (a *Adapter) SizeBytes() int64 {
-	var n int64
-	for i, p := range a.pairs {
-		n += int64(p.A.Len()+p.B.Len()+a.deltas[i].Len()) * 4
-	}
-	return n
-}
-
-// Save serialises the adapter (low-rank factors only — deltas are rebuilt
-// at load) ending with the CRC32 footer.
+// Save serialises the adapter, ending with the CRC32 footer.
 func (a *Adapter) Save(w io.Writer) error {
 	hdr := adapterHeader{Name: a.name, Alpha: a.alpha, Rank: a.rank, Targets: a.Targets()}
 	hdrBytes, err := json.Marshal(hdr)
@@ -255,109 +235,113 @@ func LoadAdapterFile(path string) (*Adapter, error) {
 	return LoadAdapter(bufio.NewReader(f))
 }
 
-// linearByPath resolves an adapter target name to the model linear it
-// patches: "block<N>.{wq,wk,wv,wo,gate,up,down}", "lmhead", or "exit<N>"
-// (the per-layer early-exit projection; errors when untied exit heads are
-// absent).
-func (m *Model) linearByPath(target string) (*Linear, error) {
+// adapterSite resolves an adapter target name to the weight it adapts and
+// that weight's place in the decode step: (layer, Block.WeightMatrices index)
+// for "block<N>.{wq,wk,wv,wo,gate,up,down}", (len(m.Blocks), 0) for "lmhead",
+// and layer -1 for "exit<N>" — an untied per-layer early-exit projection,
+// which the decoder never runs. It reads shapes only, so it is safe while
+// another goroutine decodes over m.
+func (m *Model) adapterSite(target string) (w *tensor.Tensor, layer, wi int, err error) {
 	if target == "lmhead" {
-		return m.LMHead, nil
+		return m.LMHead.W.Data, len(m.Blocks), 0, nil
 	}
 	if idx, ok := strings.CutPrefix(target, "exit"); ok && !strings.Contains(idx, ".") {
 		n, err := strconv.Atoi(idx)
 		if err != nil || n < 0 || n >= len(m.Exits) {
-			return nil, fmt.Errorf("nn: adapter target %q: model has %d exit heads", target, len(m.Exits))
+			return nil, 0, 0, fmt.Errorf("nn: adapter target %q: model has %d exit heads", target, len(m.Exits))
 		}
 		if m.Exits[n].Tied {
-			return nil, fmt.Errorf("nn: adapter target %q: exit head %d is tied to lmhead; target lmhead instead", target, n)
+			return nil, 0, 0, fmt.Errorf("nn: adapter target %q: exit head %d is tied to lmhead; target lmhead instead", target, n)
 		}
-		return m.Exits[n].Proj, nil
+		return m.Exits[n].Proj.W.Data, -1, 0, nil
 	}
 	blockPart, linName, ok := strings.Cut(target, ".")
 	if !ok || !strings.HasPrefix(blockPart, "block") {
-		return nil, fmt.Errorf("nn: unknown adapter target %q", target)
+		return nil, 0, 0, fmt.Errorf("nn: unknown adapter target %q", target)
 	}
 	n, err := strconv.Atoi(strings.TrimPrefix(blockPart, "block"))
 	if err != nil || n < 0 || n >= len(m.Blocks) {
-		return nil, fmt.Errorf("nn: adapter target %q: model has %d blocks", target, len(m.Blocks))
+		return nil, 0, 0, fmt.Errorf("nn: adapter target %q: model has %d blocks", target, len(m.Blocks))
 	}
-	blk := m.Blocks[n]
-	switch linName {
-	case "wq":
-		return blk.Attn.Wq, nil
-	case "wk":
-		return blk.Attn.Wk, nil
-	case "wv":
-		return blk.Attn.Wv, nil
-	case "wo":
-		return blk.Attn.Wo, nil
-	case "gate":
-		return blk.MLP.Gate, nil
-	case "up":
-		return blk.MLP.Up, nil
-	case "down":
-		return blk.MLP.Down, nil
+	wi = slices.Index(blockWeightNames[:], linName)
+	if wi < 0 {
+		return nil, 0, 0, fmt.Errorf("nn: unknown adapter target %q", target)
 	}
-	return nil, fmt.Errorf("nn: unknown adapter target %q", target)
+	return m.Blocks[n].WeightMatrices()[wi], n, wi, nil
 }
 
-// Adapter returns the adapter currently applied to the decoder's model
-// weights (nil when decoding on the base model).
+// Adapter returns the adapter the decoder currently decodes under (nil on
+// the base model).
 func (d *Decoder) Adapter() *Adapter { return d.adapter }
 
-// SetAdapter swaps the low-rank patch merged into the decoder's model
-// weights: the previous adapter's targets are restored bitwise-exactly from
-// pristine copies saved at apply time, then a's dense deltas are added in
-// place. SetAdapter(nil) restores the base model. Every target is resolved
-// and shape-checked before any weight changes, so a failed call leaves the
-// model exactly as it was. Must be called from the goroutine driving the
-// decoder (the scheduler swaps only at batch boundaries).
+// CheckAdapter reports whether a fits the decoder's model: every target
+// names a linear the model has and the pair's (in, out) matches its shape,
+// packed or not. It reads nothing that decoding writes, so — unlike
+// SetAdapter — any goroutine may call it.
+func (d *Decoder) CheckAdapter(a *Adapter) error {
+	if a == nil {
+		return nil
+	}
+	for _, p := range a.pairs {
+		w, _, _, err := d.m.adapterSite(p.Target)
+		if err != nil {
+			return fmt.Errorf("nn: adapter %s: %w", a.name, err)
+		}
+		if p.A.Rows() != w.Shape[0] || p.B.Cols() != w.Shape[1] {
+			return fmt.Errorf("nn: adapter %s target %s: factors give (%d,%d), weight is %v",
+				a.name, p.Target, p.A.Rows(), p.B.Cols(), w.Shape)
+		}
+	}
+	return nil
+}
+
+// SetAdapter makes a the adapter every following step decodes under;
+// SetAdapter(nil) returns to the base model. It checks the fit
+// (CheckAdapter), rebuilds the (layer, weight) → pair table the step reads
+// and sizes the side path's scratch; it writes no model weight, so decoders
+// sharing a model never see each other's adapters, and it composes with
+// SetPacked in either order. A failed call changes nothing. Must be called
+// from the goroutine driving the decoder, between steps.
 func (d *Decoder) SetAdapter(a *Adapter) error {
 	if a == d.adapter {
 		return nil
 	}
-	if a != nil {
-		// Resolve and validate every target before touching any weight.
-		lins := make([]*Linear, len(a.pairs))
-		for i, p := range a.pairs {
-			lin, err := d.m.linearByPath(p.Target)
-			if err != nil {
-				return fmt.Errorf("nn: adapter %s: %w", a.name, err)
-			}
-			if len(lin.W.Data.Data) == 0 {
-				return fmt.Errorf("nn: adapter %s target %s: weight is packed (float32 data released); packed serving is base-model-only",
-					a.name, p.Target)
-			}
-			if !a.deltas[i].SameShape(lin.W.Data) {
-				return fmt.Errorf("nn: adapter %s target %s: delta shape %v does not match weight %v",
-					a.name, p.Target, a.deltas[i].Shape, lin.W.Data.Shape)
-			}
-			lins[i] = lin
-		}
-		d.restoreBase()
-		d.savedWeights = make([]savedWeight, len(lins))
-		for i, lin := range lins {
-			d.savedWeights[i] = savedWeight{w: lin.W.Data, pristine: lin.W.Data.Clone()}
-			lin.W.Data.AddInPlace(a.deltas[i])
-		}
-		d.adapter = a
+	if err := d.CheckAdapter(a); err != nil {
+		return err
+	}
+	clear(d.side)
+	d.adapter = a
+	if a == nil {
 		return nil
 	}
-	d.restoreBase()
+	out := 0
+	for i := range a.pairs {
+		p := &a.pairs[i]
+		if _, l, wi, _ := d.m.adapterSite(p.Target); l >= 0 {
+			d.side[l][wi] = p
+			out = max(out, p.B.Cols())
+		}
+	}
+	d.sideXA.grow(d.pool, d.rowCap, a.rank)
+	d.sideOut.grow(d.pool, d.rowCap, out)
 	return nil
 }
 
-// restoreBase undoes the current adapter by copying the saved pristine
-// weights back — bitwise-exact, unlike subtracting the delta in floats.
-func (d *Decoder) restoreBase() {
-	for _, sw := range d.savedWeights {
-		sw.w.CopyFrom(sw.pristine)
+// addSide adds the adapter's term for layer l's weight wi (the LM head is
+// row len(Blocks), column 0) to out = x·W, row by row:
+// out += (alpha/rank)·((x·A)·B), two MatMulInto calls into decoder scratch,
+// so a row's bits do not depend on which rows share the step.
+func (d *Decoder) addSide(out, x *tensor.Tensor, l, wi int) {
+	p := d.side[l][wi]
+	if p == nil {
+		return
 	}
-	d.savedWeights = nil
-	d.adapter = nil
-}
-
-// savedWeight pairs a live weight tensor with its pre-adapter contents.
-type savedWeight struct {
-	w, pristine *tensor.Tensor
+	xa := d.sideXA.shaped(x.Rows(), p.A.Cols())
+	tensor.MatMulInto(xa, x, p.A)
+	delta := d.sideOut.shaped(x.Rows(), p.B.Cols())
+	tensor.MatMulInto(delta, xa, p.B)
+	scale := d.adapter.alpha / float32(d.adapter.rank)
+	for j, v := range delta.Data {
+		out.Data[j] += float32(scale * v)
+	}
 }

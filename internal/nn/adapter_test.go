@@ -2,6 +2,10 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,7 +20,7 @@ func adapterTestModel(seed int64) *Model {
 	return NewModel(cfg, tensor.NewRNG(seed))
 }
 
-func buildAdapter(t *testing.T, name string, seed int64, cfg Config) *Adapter {
+func buildAdapter(t testing.TB, name string, seed int64, cfg Config) *Adapter {
 	t.Helper()
 	g := tensor.NewRNG(seed)
 	a, err := NewAdapter(name, 8, []AdapterPair{
@@ -24,6 +28,34 @@ func buildAdapter(t *testing.T, name string, seed int64, cfg Config) *Adapter {
 		{Target: "block1.gate", A: g.Normal(0, 0.1, cfg.Dim, 3), B: g.Normal(0, 0.1, 3, cfg.Hidden)},
 		{Target: "lmhead", A: g.Normal(0, 0.1, cfg.Dim, 3), B: g.Normal(0, 0.1, 3, cfg.Vocab)},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// fullAdapter builds a rank-r adapter on every block linear and the LM head
+// of a cfg-shaped model.
+func fullAdapter(t testing.TB, name string, seed int64, cfg Config, rank int) *Adapter {
+	t.Helper()
+	g := tensor.NewRNG(seed)
+	pair := func(target string, in, out int) AdapterPair {
+		return AdapterPair{Target: target, A: g.Normal(0, 0.1, in, rank), B: g.Normal(0, 0.1, rank, out)}
+	}
+	pairs := []AdapterPair{pair("lmhead", cfg.Dim, cfg.Vocab)}
+	for l := 0; l < cfg.Layers; l++ {
+		for wi, name := range blockWeightNames {
+			in, out := cfg.Dim, cfg.Dim
+			switch wi {
+			case wmGate, wmUp:
+				out = cfg.Hidden
+			case wmDown:
+				in = cfg.Hidden
+			}
+			pairs = append(pairs, pair(fmt.Sprintf("block%d.%s", l, name), in, out))
+		}
+	}
+	a, err := NewAdapter(name, 2*float32(rank), pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,40 +137,23 @@ func TestAdapterCorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestSetAdapterRestoreExact pins the apply/unapply contract: applying an
-// adapter changes the model weights, removing it restores every touched
-// weight bitwise, and swapping adapters never double-applies.
+// TestSetAdapterRestoreExact pins that the decoder never writes a model
+// weight: every targeted weight is bit-identical to its pristine copy after
+// an adapter is set, after a swap, after SetAdapter(nil) and after Close.
 func TestSetAdapterRestoreExact(t *testing.T) {
 	m := adapterTestModel(23)
 	a := buildAdapter(t, "a", 7, m.Cfg)
 	b := buildAdapter(t, "b", 8, m.Cfg)
 
-	pristine := map[string][]float32{
-		"wq":     append([]float32(nil), m.Blocks[0].Attn.Wq.W.Data.Data...),
-		"gate":   append([]float32(nil), m.Blocks[1].MLP.Gate.W.Data.Data...),
-		"lmhead": append([]float32(nil), m.LMHead.W.Data.Data...),
+	targets := []*tensor.Tensor{m.Blocks[0].Attn.Wq.W.Data, m.Blocks[1].MLP.Gate.W.Data, m.LMHead.W.Data}
+	pristine := make([]*tensor.Tensor, len(targets))
+	for i, w := range targets {
+		pristine[i] = w.Clone()
 	}
-	checkPristine := func(stage string, want bool) {
+	checkPristine := func(stage string) {
 		t.Helper()
-		same := true
-		for name, saved := range pristine {
-			var cur []float32
-			switch name {
-			case "wq":
-				cur = m.Blocks[0].Attn.Wq.W.Data.Data
-			case "gate":
-				cur = m.Blocks[1].MLP.Gate.W.Data.Data
-			case "lmhead":
-				cur = m.LMHead.W.Data.Data
-			}
-			for i := range saved {
-				if cur[i] != saved[i] {
-					same = false
-				}
-			}
-		}
-		if same != want {
-			t.Fatalf("%s: weights pristine = %v, want %v", stage, same, want)
+		for i, w := range targets {
+			rowsBitsEqual(t, stage, w.Data, pristine[i].Data)
 		}
 	}
 
@@ -147,26 +162,69 @@ func TestSetAdapterRestoreExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	if dec.Adapter() != a {
-		t.Fatal("Adapter() does not report the applied adapter")
+		t.Fatal("Adapter() does not report the adapter that was set")
 	}
-	checkPristine("after apply", false)
+	mustStep(t, dec, 1)
+	checkPristine("after apply")
 	if err := dec.SetAdapter(b); err != nil {
 		t.Fatal(err)
 	}
-	checkPristine("after swap", false)
+	mustStep(t, dec, 2)
+	checkPristine("after swap")
 	if err := dec.SetAdapter(nil); err != nil {
 		t.Fatal(err)
 	}
-	checkPristine("after restore", true)
+	checkPristine("after SetAdapter(nil)")
 	if dec.Adapter() != nil {
-		t.Fatal("Adapter() non-nil after restore")
+		t.Fatal("Adapter() non-nil after SetAdapter(nil)")
 	}
-	// Re-apply then Close must also restore (shared models stay clean).
 	if err := dec.SetAdapter(a); err != nil {
 		t.Fatal(err)
 	}
 	dec.Close()
-	checkPristine("after Close", true)
+	checkPristine("after Close")
+}
+
+// TestAdapterSidePathMatchesMergedWeights holds the side path to the merged
+// definition of the same adapter, x·(W + (alpha/rank)·A·B), built here: over
+// 24 steps the two decoders' logits agree within 1e-4. They are different
+// roundings of one function, so this is a tolerance, not an identity.
+func TestAdapterSidePathMatchesMergedWeights(t *testing.T) {
+	const seed = 29
+	m := adapterTestModel(seed)
+	a := fullAdapter(t, "merged", 11, m.Cfg, 3)
+	merged := adapterTestModel(seed)
+	for _, p := range a.pairs {
+		w, _, _, err := merged.adapterSite(p.Target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta := tensor.MatMul(p.A, p.B)
+		delta.ScaleInPlace(a.alpha / float32(a.rank))
+		w.AddInPlace(delta)
+	}
+	side, ref, base := NewDecoder(m), NewDecoder(merged), NewDecoder(m)
+	defer side.Close()
+	defer ref.Close()
+	defer base.Close()
+	if err := side.SetAdapter(a); err != nil {
+		t.Fatal(err)
+	}
+	var worst, effect float64
+	for pos := 0; pos < m.Cfg.MaxSeq; pos++ {
+		tok := (5*pos + 3) % m.Cfg.Vocab
+		got, want, plain := mustStep(t, side, tok), mustStep(t, ref, tok), mustStep(t, base, tok)
+		for j := range got {
+			worst = math.Max(worst, math.Abs(float64(got[j]-want[j])))
+			effect = math.Max(effect, math.Abs(float64(got[j]-plain[j])))
+		}
+	}
+	if worst > 1e-4 {
+		t.Fatalf("side path and merged weights differ by %g over %d steps, want ≤ 1e-4", worst, m.Cfg.MaxSeq)
+	}
+	if effect < 1e-2 {
+		t.Fatalf("adapter moves the logits by only %g: the comparison proves nothing", effect)
+	}
 }
 
 // TestSetAdapterValidatesBeforeMutating: a mismatched adapter must fail
@@ -284,4 +342,39 @@ func TestAdapterArtifactOnDiskCorruption(t *testing.T) {
 	if _, err := LoadAdapterFile(path); err == nil {
 		t.Fatal("corrupted on-disk artifact loaded")
 	}
+}
+
+// FuzzLoadAdapter feeds the adapter loader outside bytes: it must return an
+// error or an adapter that survives one use — SetAdapter on the model the
+// seeds were built for (a misfit is an error, not a panic) and a step under
+// it. Almost every mutation dies at the CRC, so each input is also tried
+// resealed, its body under a freshly computed footer.
+func FuzzLoadAdapter(f *testing.F) {
+	m := adapterTestModel(30)
+	for _, a := range []*Adapter{buildAdapter(f, "some", 12, m.Cfg), fullAdapter(f, "all", 13, m.Cfg, 2)} {
+		var buf bytes.Buffer
+		if err := a.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	load := func(t *testing.T, data []byte) {
+		a, err := LoadAdapter(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		d := NewDecoder(m)
+		defer d.Close()
+		if d.SetAdapter(a) == nil {
+			mustStep(t, d, 1)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		load(t, data)
+		if len(data) >= 8 {
+			body := data[:len(data)-8]
+			sealed := append(append([]byte(nil), body...), checkpointFooter[:]...)
+			load(t, binary.LittleEndian.AppendUint32(sealed, crc32.ChecksumIEEE(body)))
+		}
+	})
 }

@@ -67,10 +67,12 @@ type Decoder struct {
 	tok1  [1]int      // Step's batch-of-1 arguments
 	slot1 [1]int
 
-	// Adapter state: the low-rank patch currently merged into the model
-	// weights plus pristine copies for bitwise-exact restore (adapter.go).
-	adapter      *Adapter
-	savedWeights []savedWeight
+	// Adapter state (adapter.go): side[l][wi] is the adapter's pair for layer
+	// l's weight wi, nil where it has none; row len(Blocks), column 0 is the
+	// LM head. sideXA and sideOut hold x·A and (x·A)·B for one projection.
+	adapter         *Adapter
+	side            [][numBlockWeights]*AdapterPair
+	sideXA, sideOut batchBuf // (rowCap, rank), (rowCap, widest target)
 
 	// Packed execution state (packed.go): when packed is non-nil, block
 	// matmuls whose layer is packed run through tensor.MatMulPackedInto
@@ -93,11 +95,26 @@ func newBatchBuf(pool *tensor.Pool, rows, cols int) batchBuf {
 }
 
 // rows returns a (b, cols) tensor aliasing the first b backing rows.
-func (bb *batchBuf) rows(b int) *tensor.Tensor {
-	cols := bb.view.Shape[1]
+func (bb *batchBuf) rows(b int) *tensor.Tensor { return bb.shaped(b, bb.view.Shape[1]) }
+
+// shaped returns a (b, cols) tensor aliasing the front of the backing, for
+// scratch whose row width changes between uses.
+func (bb *batchBuf) shaped(b, cols int) *tensor.Tensor {
 	bb.view.Data = bb.back.Data[:b*cols]
-	bb.view.Shape[0] = b
+	bb.view.Shape[0], bb.view.Shape[1] = b, cols
 	return &bb.view
+}
+
+// grow makes the backing hold rows×cols floats, trading a smaller one in.
+func (bb *batchBuf) grow(pool *tensor.Pool, rows, cols int) {
+	have := 0
+	if bb.back != nil {
+		have = len(bb.back.Data)
+	}
+	if rows*cols > have {
+		pool.Put(bb.back)
+		*bb = newBatchBuf(pool, rows, cols)
+	}
 }
 
 func (bb *batchBuf) release(pool *tensor.Pool) {
@@ -141,6 +158,7 @@ func NewBatchDecoder(m *Model, slots int, pool *tensor.Pool) *Decoder {
 		seen:   make([]bool, slots),
 		pos:    make([]int, rows),
 		last:   make([]int, 0, slots),
+		side:   make([][numBlockWeights]*AdapterPair, len(m.Blocks)+1),
 	}
 	return d
 }
@@ -182,9 +200,8 @@ func (d *Decoder) PosAt(slot int) int { return d.arena.Len(slot) }
 // Close returns the arena and all scratch to the pool. The decoder must not
 // be used afterwards.
 func (d *Decoder) Close() {
-	d.restoreBase() // leave the (possibly shared) model weights pristine
 	d.arena.Close()
-	for _, bb := range []*batchBuf{&d.h, &d.q, &d.k, &d.v, &d.ctx, &d.att, &d.gate, &d.up, &d.mlp, &d.logits} {
+	for _, bb := range []*batchBuf{&d.h, &d.q, &d.k, &d.v, &d.ctx, &d.att, &d.gate, &d.up, &d.mlp, &d.logits, &d.sideXA, &d.sideOut} {
 		bb.release(d.pool)
 	}
 }
@@ -287,6 +304,7 @@ func (d *Decoder) StepBatch(tokens, slots []int) ([][]float32, error) {
 		rmsnormRow(hV.Data[r*dim:(r+1)*dim], d.x[i*dim:(i+1)*dim], m.Norm.Gain.Data.Data, m.Norm.Eps)
 	}
 	tensor.MatMulInto(logitsV, hV, m.LMHead.W.Data)
+	d.addSide(logitsV, hV, len(m.Blocks), 0)
 
 	d.rows = d.rows[:0]
 	vocab := m.Cfg.Vocab

@@ -9,22 +9,51 @@ import (
 	"edgellm/internal/tensor"
 )
 
-// legacyDecoder is a verbatim copy of the pre-arena single-sequence decoder
+// legacyDecoder is a copy of the pre-arena single-sequence decoder
 // (per-layer [][][]float32 caches, per-token appends, scalar vecMat
 // projections). The batched arena decoder must reproduce its logits bit for
 // bit — this file is the proof that the refactor changed the memory layout
-// and batching, not the arithmetic.
+// and batching, not the arithmetic. Its one addition is the scalar
+// definition of the adapter side path (proj), the reference the decoder's
+// batched side path is held to.
 type legacyDecoder struct {
 	m      *Model
 	pos    int
 	kCache [][][]float32
 	vCache [][][]float32
+
+	side  map[*tensor.Tensor]AdapterPair // adapted weight → its factor pair
+	scale float32                        // alpha/rank
 }
 
-func newLegacyDecoder(m *Model) *legacyDecoder {
+// newLegacyDecoder returns a legacy decoder over m under adapter a (nil: the
+// base model). a must fit m.
+func newLegacyDecoder(m *Model, a *Adapter) *legacyDecoder {
 	d := &legacyDecoder{m: m}
+	if a != nil {
+		d.side, d.scale = make(map[*tensor.Tensor]AdapterPair), a.alpha/float32(a.rank)
+		for _, p := range a.pairs {
+			w, _, _, err := m.adapterSite(p.Target)
+			if err != nil {
+				panic(err)
+			}
+			d.side[w] = p
+		}
+	}
 	d.reset()
 	return d
+}
+
+// proj is y = x·W + (alpha/rank)·((x·A)·B): the scalar side path.
+func (d *legacyDecoder) proj(x []float32, w *tensor.Tensor) []float32 {
+	y := vecMat(x, w)
+	if p, ok := d.side[w]; ok {
+		u := vecMat(vecMat(x, p.A), p.B)
+		for j := range y {
+			y[j] += float32(d.scale * u[j])
+		}
+	}
+	return y
 }
 
 func (d *legacyDecoder) reset() {
@@ -50,9 +79,9 @@ func (d *legacyDecoder) step(token int) []float32 {
 
 	for l, blk := range m.Blocks {
 		h := rmsnormVec(x, blk.Norm1.Gain.Data.Data, blk.Norm1.Eps)
-		q := vecMat(h, blk.Attn.Wq.W.Data)
-		k := vecMat(h, blk.Attn.Wk.W.Data)
-		v := vecMat(h, blk.Attn.Wv.W.Data)
+		q := d.proj(h, blk.Attn.Wq.W.Data)
+		k := d.proj(h, blk.Attn.Wk.W.Data)
+		v := d.proj(h, blk.Attn.Wv.W.Data)
 		d.kCache[l] = append(d.kCache[l], k)
 		d.vCache[l] = append(d.vCache[l], v)
 
@@ -91,26 +120,26 @@ func (d *legacyDecoder) step(token int) []float32 {
 				}
 			}
 		}
-		att := vecMat(ctx, blk.Attn.Wo.W.Data)
+		att := d.proj(ctx, blk.Attn.Wo.W.Data)
 		for i := range x {
 			x[i] += att[i]
 		}
 
 		h2 := rmsnormVec(x, blk.Norm2.Gain.Data.Data, blk.Norm2.Eps)
-		gate := vecMat(h2, blk.MLP.Gate.W.Data)
-		up := vecMat(h2, blk.MLP.Up.W.Data)
+		gate := d.proj(h2, blk.MLP.Gate.W.Data)
+		up := d.proj(h2, blk.MLP.Up.W.Data)
 		for i := range gate {
 			s := float32(1 / (1 + math.Exp(-float64(gate[i]))))
 			gate[i] = gate[i] * s * up[i]
 		}
-		down := vecMat(gate, blk.MLP.Down.W.Data)
+		down := d.proj(gate, blk.MLP.Down.W.Data)
 		for i := range x {
 			x[i] += down[i]
 		}
 	}
 
 	final := rmsnormVec(x, m.Norm.Gain.Data.Data, m.Norm.Eps)
-	logits := vecMat(final, m.LMHead.W.Data)
+	logits := d.proj(final, m.LMHead.W.Data)
 	d.pos++
 	return logits
 }
@@ -132,7 +161,7 @@ func rowsBitsEqual(t *testing.T, name string, got, want []float32) {
 // including across a Reset.
 func TestDecoderBitwiseMatchesLegacyStep(t *testing.T) {
 	m := tinyModel(80)
-	legacy := newLegacyDecoder(m)
+	legacy := newLegacyDecoder(m, nil)
 	d := NewDecoder(m)
 	seq := []int{3, 1, 4, 1, 5, 9, 2, 6}
 	for pos, tok := range seq {
@@ -169,7 +198,7 @@ func TestDecoderBatchMatchesIndependentDecoders(t *testing.T) {
 	// sequence i joins at global step i.
 	solo := make([]*legacyDecoder, len(seqs))
 	for i := range seqs {
-		solo[i] = newLegacyDecoder(m)
+		solo[i] = newLegacyDecoder(m, nil)
 	}
 	slotOf := make([]int, len(seqs))
 	fed := make([]int, len(seqs))
@@ -335,10 +364,15 @@ func TestDecoderSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	step() // warm
-	allocs := testing.AllocsPerRun(5, step)
-	if allocs > decodeStepAllocPin {
-		t.Fatalf("steady-state StepBatch allocates %.1f per call, pin is %d", allocs, decodeStepAllocPin)
+	for _, a := range []*Adapter{nil, fullAdapter(t, "allocs", 3, m.Cfg, 2)} {
+		if err := d.SetAdapter(a); err != nil {
+			t.Fatal(err)
+		}
+		step() // warm
+		allocs := testing.AllocsPerRun(5, step)
+		if allocs > decodeStepAllocPin {
+			t.Fatalf("adapter %v: steady-state StepBatch allocates %.1f per call, pin is %d", a != nil, allocs, decodeStepAllocPin)
+		}
 	}
 }
 

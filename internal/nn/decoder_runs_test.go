@@ -22,11 +22,13 @@ func runsTestCfg() Config {
 // joining and leaving between steps, sitting steps out, run lengths from 1 to
 // everything a step holds, 1 to 8 slots — must give, for every run's last row, the bits the legacy
 // scalar decoder gives after stepping the same tokens one at a time. Run on
-// float32 and packed-4 weights at GOMAXPROCS 1 and N; the arena must read 0
-// bytes after every schedule.
+// float32 and packed-4 weights, on the base model and with an adapter set (on
+// the decoder and, as its scalar side path, on the legacy reference), at
+// GOMAXPROCS 1 and N; the arena must read 0 bytes after every schedule.
 func TestDecoderRunsMatchLegacy(t *testing.T) {
 	const seed, schedules = 41, 2
 	cfg := runsTestCfg()
+	adapters := map[string]*Adapter{"": nil, "+adapter": fullAdapter(t, "runs", 43, cfg, 4)}
 	for _, packed := range []bool{false, true} {
 		m := NewModel(cfg, tensor.NewRNG(seed))
 		ref, name := m, "float32"
@@ -42,26 +44,31 @@ func TestDecoderRunsMatchLegacy(t *testing.T) {
 			}
 			ref, name = packedRefModel(cfg, seed, pm), "packed4"
 		}
-		for _, procs := range []int{1, max(8, runtime.NumCPU())} {
-			t.Run(fmt.Sprintf("%s/procs%d", name, procs), func(t *testing.T) {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				g := tensor.NewRNG(seed + int64(procs))
-				for i := 0; i < schedules; i++ {
-					d := NewBatchDecoder(m, 1+g.Intn(8), tensor.NewPool())
-					if err := d.SetPacked(pm); err != nil {
-						t.Fatal(err)
+		for suffix, adapter := range adapters {
+			for _, procs := range []int{1, max(8, runtime.NumCPU())} {
+				t.Run(fmt.Sprintf("%s%s/procs%d", name, suffix, procs), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					g := tensor.NewRNG(seed + int64(procs))
+					for i := 0; i < schedules; i++ {
+						d := NewBatchDecoder(m, 1+g.Intn(8), tensor.NewPool())
+						if err := d.SetPacked(pm); err != nil {
+							t.Fatal(err)
+						}
+						if err := d.SetAdapter(adapter); err != nil {
+							t.Fatal(err)
+						}
+						runRandomSchedule(t, d, ref, adapter, g)
+						d.Close()
 					}
-					runRandomSchedule(t, d, ref, g)
-					d.Close()
-				}
-			})
+				})
+			}
 		}
 	}
 }
 
 // runRandomSchedule drives d through one random schedule, checking every
-// returned row against a legacy decoder over ref.
-func runRandomSchedule(t *testing.T, d *Decoder, ref *Model, g *tensor.RNG) {
+// returned row against a legacy decoder over ref under the same adapter.
+func runRandomSchedule(t *testing.T, d *Decoder, ref *Model, adapter *Adapter, g *tensor.RNG) {
 	t.Helper()
 	cfg := ref.Cfg
 	type sequence struct {
@@ -72,7 +79,7 @@ func runRandomSchedule(t *testing.T, d *Decoder, ref *Model, g *tensor.RNG) {
 	}
 	pending := make([]*sequence, 2+2*d.Slots())
 	for i := range pending {
-		sq := &sequence{tokens: make([]int, 1+g.Intn(cfg.MaxSeq)), legacy: newLegacyDecoder(ref)}
+		sq := &sequence{tokens: make([]int, 1+g.Intn(cfg.MaxSeq)), legacy: newLegacyDecoder(ref, adapter)}
 		for j := range sq.tokens {
 			sq.tokens[j] = g.Intn(cfg.Vocab)
 		}

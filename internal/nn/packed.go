@@ -21,6 +21,10 @@ const (
 	numBlockWeights
 )
 
+// blockWeightNames are the adapter target suffixes ("block<N>.<name>") of the
+// block weights, in the same order.
+var blockWeightNames = [numBlockWeights]string{"wq", "wk", "wv", "wo", "gate", "up", "down"}
+
 // PackSpec selects the packed representation of one transformer block's
 // weight matrices. The zero value keeps the layer at float32.
 type PackSpec struct {
@@ -70,8 +74,9 @@ type PackedModel struct {
 //
 // Callers that want the release visible as a live-bytes drop should
 // Pool.Adopt the block weights (AdoptWeights) before packing; decode-bench
-// asserts exactly that drop. PackModel must run before any adapter is
-// applied, and packed layers cannot be adapter targets afterwards.
+// asserts exactly that drop. Adapters are unaffected: a packed weight keeps
+// its shape, which is all SetAdapter reads of it, and the side path runs
+// after the packed kernel as it does after the float32 one.
 func PackModel(m *Model, specs []PackSpec, pool *tensor.Pool) (*PackedModel, error) {
 	if len(specs) != len(m.Blocks) {
 		return nil, fmt.Errorf("nn: PackModel got %d specs for %d layers", len(specs), len(m.Blocks))
@@ -173,17 +178,13 @@ func (pm *PackedModel) Describe() string {
 }
 
 // SetPacked routes the decoder's block matmuls through pm's fused packed
-// kernels. It must be called before any adapter is applied; the packed
-// layers' weight tensors no longer hold float32 data, so adapters cannot
-// target them (SetAdapter enforces this). Safe to share one PackedModel
-// across decoders — the tile-decode scratch is per-decoder.
+// kernels (nil: back to float32). It is independent of SetAdapter and may
+// come before or after it. Safe to share one PackedModel across decoders —
+// the tile-decode scratch is per-decoder.
 func (d *Decoder) SetPacked(pm *PackedModel) error {
 	if pm == nil {
 		d.packed, d.pscratch = nil, nil
 		return nil
-	}
-	if d.adapter != nil {
-		return fmt.Errorf("nn: SetPacked with adapter %q applied; packed decoding is base-model-only", d.adapter.name)
 	}
 	if len(pm.mats) != len(d.m.Blocks) {
 		return fmt.Errorf("nn: packed model covers %d layers, model has %d", len(pm.mats), len(d.m.Blocks))
@@ -213,15 +214,15 @@ func (d *Decoder) SetPacked(pm *PackedModel) error {
 func (d *Decoder) Packed() *PackedModel { return d.packed }
 
 // mm runs one block projection, dispatching to the fused packed kernel
-// when layer l's weight wi is packed and to the float32 kernel otherwise.
-// Both kernels share the same accumulation order, so the dispatch can
-// never change logits for a float32 layer.
+// when layer l's weight wi is packed and to the float32 kernel otherwise,
+// then adds the adapter's side path for that weight if it has one. Both
+// kernels share the same accumulation order, so the dispatch can never
+// change logits for a float32 layer.
 func (d *Decoder) mm(out, x, w *tensor.Tensor, l, wi int) {
-	if d.packed != nil {
-		if mat := d.packed.mats[l][wi]; mat != nil {
-			tensor.MatMulPackedInto(out, x, mat, d.pscratch)
-			return
-		}
+	if d.packed != nil && d.packed.mats[l][wi] != nil {
+		tensor.MatMulPackedInto(out, x, d.packed.mats[l][wi], d.pscratch)
+	} else {
+		tensor.MatMulInto(out, x, w)
 	}
-	tensor.MatMulInto(out, x, w)
+	d.addSide(out, x, l, wi)
 }

@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 	"runtime"
-	"strings"
 	"testing"
 
 	"edgellm/internal/tensor"
@@ -69,6 +68,18 @@ func decodeLogits(t *testing.T, d *Decoder, slots int, steps int) [][]float32 {
 // grid's widths {8,4,3,2} mixed per layer, the NF codebook path, and
 // partially packed models — at GOMAXPROCS 1 and N.
 func TestPackedDecodeBitwiseMatchesFakeQuant(t *testing.T) {
+	packedMatchesUnpacked(t, nil)
+}
+
+// TestPackedAdapterMatchesUnpackedAdapter is the same contract with an
+// adapter set on both sides: a decoder over a packed backbone plus an adapter
+// gives the bits of a float32 decoder over the Unpack'ed weights plus the
+// same adapter.
+func TestPackedAdapterMatchesUnpackedAdapter(t *testing.T) {
+	packedMatchesUnpacked(t, fullAdapter(t, "packed", 37, packedTestCfg(), 4))
+}
+
+func packedMatchesUnpacked(t *testing.T, adapter *Adapter) {
 	const seed = 31
 	cases := map[string][]PackSpec{
 		"uniform4":  {{Bits: 4}, {Bits: 4}, {Bits: 4}, {Bits: 4}},
@@ -91,6 +102,11 @@ func TestPackedDecodeBitwiseMatchesFakeQuant(t *testing.T) {
 					t.Fatal(err)
 				}
 				rd := NewBatchDecoder(ref, 8, nil)
+				for _, d := range []*Decoder{pd, rd} {
+					if err := d.SetAdapter(adapter); err != nil {
+						t.Fatal(err)
+					}
+				}
 				got := decodeLogits(t, pd, 8, 4)
 				want := decodeLogits(t, rd, 8, 4)
 				pd.Close()
@@ -135,16 +151,21 @@ func TestPackedDecodeZeroAllocs(t *testing.T) {
 		}
 	}
 	tokens := []int{1, 2, 3, 4}
-	if _, err := d.StepBatch(tokens, slots); err != nil { // warm scratch
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := d.StepBatch(tokens, slots); err != nil {
+	for _, a := range []*Adapter{nil, fullAdapter(t, "allocs", 6, cfg, 4)} {
+		if err := d.SetAdapter(a); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("packed StepBatch allocates %.2f/op, want 0", allocs)
+		if _, err := d.StepBatch(tokens, slots); err != nil { // warm scratch
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := d.StepBatch(tokens, slots); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("adapter %v: packed StepBatch allocates %.2f/op, want 0", a != nil, allocs)
+		}
 	}
 }
 
@@ -184,9 +205,10 @@ func TestPackModelReleasesWeights(t *testing.T) {
 	}
 }
 
-// TestPackedAdapterInteraction pins the guard rails: packed layers cannot
-// be adapter targets, and SetPacked refuses a decoder with an adapter
-// applied.
+// TestPackedAdapterInteraction pins that packing and adapters compose in
+// either call order: an adapter may target a packed layer (SetAdapter reads
+// only the weight's shape), SetPacked accepts a decoder with an adapter set,
+// and both orders decode the same bits.
 func TestPackedAdapterInteraction(t *testing.T) {
 	m := NewModel(packedTestCfg(), tensor.NewRNG(12))
 	dim := packedTestCfg().Dim
@@ -195,33 +217,28 @@ func TestPackedAdapterInteraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	pm, err := PackModel(m, []PackSpec{{Bits: 0}, {Bits: 4}, {Bits: 0}, {Bits: 0}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewBatchDecoder(m, 1, nil)
-	defer d.Close()
-	if err := d.SetPacked(pm); err != nil {
-		t.Fatal(err)
-	}
-	err = d.SetAdapter(ad)
-	if err == nil || !strings.Contains(err.Error(), "packed") {
-		t.Fatalf("SetAdapter on a packed target returned %v, want packed-weight error", err)
-	}
 
-	// Fresh model: adapter applied first, SetPacked must refuse.
-	m2 := NewModel(packedTestCfg(), tensor.NewRNG(12))
-	pm2, err := PackModel(m2, []PackSpec{{Bits: 0}, {Bits: 0}, {Bits: 0}, {Bits: 4}}, nil)
-	if err != nil {
+	packedFirst := NewBatchDecoder(m, 1, nil)
+	defer packedFirst.Close()
+	if err := packedFirst.SetPacked(pm); err != nil {
 		t.Fatal(err)
 	}
-	d2 := NewBatchDecoder(m2, 1, nil)
-	defer d2.Close()
-	if err := d2.SetAdapter(ad); err != nil {
+	if err := packedFirst.SetAdapter(ad); err != nil {
+		t.Fatalf("SetAdapter on a packed target: %v", err)
+	}
+	adapterFirst := NewBatchDecoder(m, 1, nil)
+	defer adapterFirst.Close()
+	if err := adapterFirst.SetAdapter(ad); err != nil {
 		t.Fatal(err)
 	}
-	if err := d2.SetPacked(pm2); err == nil {
-		t.Fatal("SetPacked accepted a decoder with an adapter applied")
+	if err := adapterFirst.SetPacked(pm); err != nil {
+		t.Fatalf("SetPacked with an adapter set: %v", err)
+	}
+	for _, tok := range []int{3, 1, 4} {
+		rowsBitsEqual(t, "SetPacked→SetAdapter vs SetAdapter→SetPacked", mustStep(t, packedFirst, tok), mustStep(t, adapterFirst, tok))
 	}
 }

@@ -2,6 +2,9 @@ package quant
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"io"
 	"math"
 	"testing"
 
@@ -101,6 +104,41 @@ func FuzzPackRoundTrip(f *testing.F) {
 
 		if got, want := p.StorageBytes(), PackedStorageBytes(rows, cols, bits); got != want {
 			t.Fatalf("StorageBytes %d, analytic %d", got, want)
+		}
+	})
+}
+
+// FuzzReadPackedFrom feeds the packed-artifact loader outside bytes: it must
+// return an error or a matrix that survives one full decode, never panic.
+// Almost every mutation dies at the CRC, so each input is also tried resealed
+// — its body under a freshly computed footer — to reach the header and code
+// checks behind it.
+func FuzzReadPackedFrom(f *testing.F) {
+	w := tensor.NewRNG(11).Normal(0, 1, 9, 13)
+	for _, p := range []io.WriterTo{
+		Pack(w, 2), Pack(w, 5), Pack(w, 8),
+		PackNF(w, NFScheme{Bits: 4, BlockSize: 16}), PackNF(w, NFScheme{Bits: 3}),
+	} {
+		var buf bytes.Buffer
+		if _, err := p.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	load := func(data []byte) {
+		m, _, err := ReadPackedFrom(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		rows, cols := m.Dims()
+		m.DecodeRowsInto(make([]float32, rows*cols), 0, rows, 0, cols)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		load(data)
+		if len(data) >= 8 {
+			body := data[:len(data)-8]
+			sealed := append(append([]byte(nil), body...), packedFooter[:]...)
+			load(binary.LittleEndian.AppendUint32(sealed, crc32.ChecksumIEEE(body)))
 		}
 	})
 }

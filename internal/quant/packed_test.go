@@ -7,6 +7,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"edgellm/internal/tensor"
@@ -246,5 +248,50 @@ func TestWritePackedFileAtomic(t *testing.T) {
 	ents, _ := os.ReadDir(dir)
 	if len(ents) != 1 {
 		t.Fatalf("registry dir has %d entries, want 1", len(ents))
+	}
+}
+
+// TestReadPackedNFIsReadyToDecode: a deserialized NF artifact carries its
+// codebook, so the packed kernel's column-band workers, which decode tiles of
+// one matrix concurrently, only read it (run under -race: filling the
+// codebook on first decode was a write they raced on).
+func TestReadPackedNFIsReadyToDecode(t *testing.T) {
+	w := randWeights(256, 256, 8)
+	var buf bytes.Buffer
+	if _, err := PackNF(w, NFScheme{Bits: 4, BlockSize: 64}).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := ReadPackedFrom(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nf := m.(*PackedNF)
+	if nf.codebook == nil {
+		t.Fatal("loaded NF artifact has no codebook until its first decode")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.NumCPU())))
+	a := randWeights(32, 256, 9) // 32·256·256 MACs: the kernel fans out
+	got, want := tensor.New(32, 256), tensor.New(32, 256)
+	tensor.MatMulPackedInto(got, a, nf, nil)
+	tensor.MatMulInto(want, a, nf.Unpack())
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("element %d: %v through the loaded artifact, %v through its Unpack", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestReadPackedRejectsCodeOutsideCodebook: the symmetric NF codebook has
+// 2^bits − 1 entries, so a CRC-valid artifact holding the all-ones code must
+// fail at load, not index past the codebook on first decode.
+func TestReadPackedRejectsCodeOutsideCodebook(t *testing.T) {
+	p := PackNF(randWeights(8, 8, 10), NFScheme{Bits: 4, BlockSize: 16})
+	writeBits(p.Codes, 21*p.Bits, p.Bits, 1<<p.Bits-1)
+	var buf bytes.Buffer
+	if _, err := p.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadPackedFrom(&buf); err == nil || !strings.Contains(err.Error(), "codebook") {
+		t.Fatalf("artifact with code 15 of a 15-entry codebook: error %v, want a codebook rejection", err)
 	}
 }

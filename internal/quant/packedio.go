@@ -177,7 +177,13 @@ func ReadPackedFrom(r io.Reader) (tensor.PackedMat, int64, error) {
 	}
 	n := cr.n + 8
 	if kind == packedKindNF {
-		return &PackedNF{Bits: bits, Rows: rows, Cols: cols, BlockSize: block, Codes: codes, Scale: scale}, n, nil
+		cb := NFScheme{Bits: bits}.Codebook()
+		for i := 0; i < rows*cols; i++ {
+			if code := int(readBits(codes, i*bits, bits)); code >= len(cb) {
+				return nil, n, fmt.Errorf("quant: packed NF code %d at element %d is outside the %d-entry codebook", code, i, len(cb))
+			}
+		}
+		return &PackedNF{Bits: bits, Rows: rows, Cols: cols, BlockSize: block, Codes: codes, Scale: scale, codebook: cb}, n, nil
 	}
 	return &Packed{Bits: bits, Rows: rows, Cols: cols, Codes: codes, Scale: scale}, n, nil
 }

@@ -20,7 +20,10 @@ type PackedNF struct {
 	Codes     []byte    // ceil(Rows*Cols*Bits/8) bytes, row-major bit stream
 	Scale     []float32 // one absmax per block
 
-	codebook []float32 // 2^Bits − 1 entries, cached from NFScheme.Codebook
+	// codebook is NFScheme.Codebook: 2^Bits − 1 entries, so the all-ones
+	// code is not an index. PackNF and ReadPackedFrom both set it and the
+	// latter rejects that code: decoding only reads.
+	codebook []float32
 }
 
 // PackNF quantizes t (rank-2) with the NF codebook scheme and packs the
@@ -69,20 +72,11 @@ func PackNF(t *tensor.Tensor, s NFScheme) *PackedNF {
 // Dims implements tensor.PackedMat.
 func (p *PackedNF) Dims() (int, int) { return p.Rows, p.Cols }
 
-// Codebook returns the cached dequantization codebook, rebuilding it when
-// the struct was populated by deserialization.
-func (p *PackedNF) Codebook() []float32 {
-	if p.codebook == nil {
-		p.codebook = NFScheme{Bits: p.Bits, BlockSize: p.BlockSize}.Codebook()
-	}
-	return p.codebook
-}
-
 // DecodeRowsInto implements tensor.PackedMat: codebook lookup times the
 // element's block scale, bitwise identical to Unpack.
 func (p *PackedNF) DecodeRowsInto(dst []float32, rowLo, rowHi, colLo, colHi int) {
 	w := colHi - colLo
-	cb := p.Codebook()
+	cb := p.codebook
 	bits, block := p.Bits, p.BlockSize
 	for r := rowLo; r < rowHi; r++ {
 		base := r*p.Cols + colLo
@@ -107,7 +101,7 @@ func (p *PackedNF) Unpack() *tensor.Tensor {
 // StorageBytes returns the bytes held by the packed representation
 // (codes + block scales + the dequantization codebook).
 func (p *PackedNF) StorageBytes() int64 {
-	return int64(len(p.Codes)) + int64(len(p.Scale))*4 + int64(len(p.Codebook()))*4
+	return int64(len(p.Codes)) + int64(len(p.Scale))*4 + int64(len(p.codebook))*4
 }
 
 // nearestCodeIdx binary-searches the sorted codebook for the index of the

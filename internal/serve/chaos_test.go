@@ -26,8 +26,9 @@ import (
 // complete with tokens identical to a solo Decoder.Generate or fail with a
 // well-formed typed error, the overload must shed with 429 instead of
 // queueing unboundedly, and after every phase the server drains with
-// KVArena.ActiveBytes() == 0. Run it under -race: the CI serve-chaos job
-// does.
+// KVArena.ActiveBytes() == 0. The mixed-fault phase runs over the float32
+// model and again with the same adapters over a packed backbone. Run it
+// under -race: the CI serve-chaos job does.
 func TestChaosSoak(t *testing.T) {
 	m := testModel(500)
 	dir := t.TempDir()
@@ -44,7 +45,15 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	t.Run("mixed-faults", func(t *testing.T) { chaosMixedFaults(t, m, dir) })
+	t.Run("mixed-faults", func(t *testing.T) { chaosMixedFaults(t, m, nil, dir) })
+	t.Run("mixed-faults-packed", func(t *testing.T) {
+		pk := testModel(500)
+		pm, err := nn.PackModel(pk, []nn.PackSpec{{Bits: 4}, {Bits: 3}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chaosMixedFaults(t, pk, pm, dir)
+	})
 	t.Run("stall-watchdog", func(t *testing.T) { chaosStallWatchdog(t, m) })
 	t.Run("overload-shed", func(t *testing.T) { chaosOverloadShed(t, m) })
 }
@@ -58,12 +67,16 @@ type chaosJob struct {
 	solo       []int
 }
 
-func chaosMixedFaults(t *testing.T, m *nn.Model, dir string) {
+func chaosMixedFaults(t *testing.T, m *nn.Model, pm *nn.PackedModel, dir string) {
 	inj, err := fault.ParseSpec("fail=CH-FAIL,panic=CH-PANIC,cancel=CH-CANCEL")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, ts := newTestServer(t, m, 2, ServerConfig{
+	dec := nn.NewBatchDecoder(m, 2, nil)
+	if err := dec.SetPacked(pm); err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newTestServerOver(t, dec, ServerConfig{
 		MaxQueue: 16,
 		// Bound 3: tenant-a and tenant-b stay pinned by in-flight streams,
 		// and the corrupt artifact's load attempt still has a free slot —
@@ -90,10 +103,12 @@ func chaosMixedFaults(t *testing.T, m *nn.Model, dir string) {
 		{req: generateRequest{ID: "ghost", Adapter: "missing", Prompt: []int{1}, MaxTokens: 3}, wantStatus: 404, wantCode: "adapter_not_found"},
 	}
 
-	// Solo references before any server traffic, on a private decoder, so
-	// the shared model is never patched concurrently with the batch run.
+	// Solo references on a private decoder over the server's model.
 	{
 		solo := nn.NewDecoder(m)
+		if err := solo.SetPacked(pm); err != nil {
+			t.Fatal(err)
+		}
 		for _, j := range jobs {
 			if j.wantStatus != 200 {
 				continue

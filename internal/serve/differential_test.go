@@ -13,14 +13,18 @@ import (
 	"edgellm/internal/tensor"
 )
 
-// soloSteps decodes a request one token per Step on a single-slot decoder,
-// sampling as the scheduler does. It never feeds a run, so it is the
-// reference chunked prefill is held to (Decoder.Generate feeds runs itself).
+// soloSteps decodes a request one token per Step on a single-slot decoder
+// under the request's adapter, sampling as the scheduler does. It never feeds
+// a run, so it is the reference chunked prefill is held to (Decoder.Generate
+// feeds runs itself).
 func soloSteps(t *testing.T, m *nn.Model, pm *nn.PackedModel, req Request) []int {
 	t.Helper()
 	d := nn.NewBatchDecoder(m, 1, nil)
 	defer d.Close()
 	if err := d.SetPacked(pm); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SetAdapter(req.Adapter); err != nil {
 		t.Fatal(err)
 	}
 	var logits []float32
@@ -49,12 +53,18 @@ func soloSteps(t *testing.T, m *nn.Model, pm *nn.PackedModel, req Request) []int
 // a multiple of it, several sharing it), streams joining from the queue and
 // from mid-run submissions, leaving as they finish, and cancelled mid-prefill
 // and mid-decode — must give every surviving stream the tokens of a
-// token-at-a-time solo decode, on float32 and packed-4 weights at GOMAXPROCS
-// 1 and N, and leave the arena at 0 bytes.
+// token-at-a-time solo decode under the same adapter, on float32 and packed-4
+// weights, with every request on the base model and with requests drawing
+// from {base, adapter A, adapter B}, at GOMAXPROCS 1 and N, and leave the
+// arena at 0 bytes.
 func TestSchedulerRandomSchedulesMatchSoloSteps(t *testing.T) {
 	const seed, schedules = 97, 2
 	// Big enough that a 16-row step takes the kernels' parallel paths.
 	cfg := nn.Config{Vocab: 96, Dim: 128, Heads: 4, Layers: 2, Hidden: 512, MaxSeq: 40}
+	adapterSets := map[string][]*nn.Adapter{
+		"":          {nil},
+		"+adapters": {nil, makeTestAdapter(t, "A", 100, cfg), makeTestAdapter(t, "B", 200, cfg)},
+	}
 	for _, packed := range []bool{false, true} {
 		m, name := nn.NewModel(cfg, tensor.NewRNG(seed)), "float32"
 		var pm *nn.PackedModel
@@ -65,25 +75,28 @@ func TestSchedulerRandomSchedulesMatchSoloSteps(t *testing.T) {
 			}
 			name = "packed4"
 		}
-		for _, procs := range []int{1, max(8, runtime.NumCPU())} {
-			t.Run(fmt.Sprintf("%s/procs%d", name, procs), func(t *testing.T) {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				g := tensor.NewRNG(seed + int64(procs))
-				midPrefill := 0
-				for i := 0; i < schedules; i++ {
-					midPrefill += runRandomServeSchedule(t, m, pm, 1+g.Intn(8), g)
-				}
-				if midPrefill == 0 {
-					t.Fatal("no cancellation landed mid-prefill: the schedules do not cover it")
-				}
-			})
+		for suffix, adapters := range adapterSets {
+			for _, procs := range []int{1, max(8, runtime.NumCPU())} {
+				t.Run(fmt.Sprintf("%s%s/procs%d", name, suffix, procs), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					g := tensor.NewRNG(seed + int64(procs))
+					midPrefill := 0
+					for i := 0; i < schedules; i++ {
+						midPrefill += runRandomServeSchedule(t, m, pm, adapters, 1+g.Intn(8), g)
+					}
+					if midPrefill == 0 {
+						t.Fatal("no cancellation landed mid-prefill: the schedules do not cover it")
+					}
+				})
+			}
 		}
 	}
 }
 
-// runRandomServeSchedule runs one random schedule and returns how many
-// streams it cancelled with part of their prompt fed.
-func runRandomServeSchedule(t *testing.T, m *nn.Model, pm *nn.PackedModel, slots int, g *tensor.RNG) (midPrefill int) {
+// runRandomServeSchedule runs one random schedule, each request under a random
+// one of adapters, and returns how many streams it cancelled with part of
+// their prompt fed.
+func runRandomServeSchedule(t *testing.T, m *nn.Model, pm *nn.PackedModel, adapters []*nn.Adapter, slots int, g *tensor.RNG) (midPrefill int) {
 	t.Helper()
 	cfg := m.Cfg
 	dec := nn.NewBatchDecoder(m, slots, tensor.NewPool())
@@ -101,7 +114,7 @@ func runRandomServeSchedule(t *testing.T, m *nn.Model, pm *nn.PackedModel, slots
 		for j := range prompt {
 			prompt[j] = g.Intn(cfg.Vocab)
 		}
-		reqs[i] = Request{ID: fmt.Sprintf("r%d", i), Prompt: prompt,
+		reqs[i] = Request{ID: fmt.Sprintf("r%d", i), Prompt: prompt, Adapter: adapters[g.Intn(len(adapters))],
 			Cfg: nn.SampleConfig{Temperature: 0.8, TopK: 10, MaxTokens: out, Seed: int64(g.Intn(1 << 20))}}
 		if g.Intn(3) == 0 {
 			victim[reqs[i].ID] = g.Intn(out)

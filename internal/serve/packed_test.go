@@ -41,52 +41,60 @@ func TestPackedArtifactInRegistry422(t *testing.T) {
 }
 
 // TestSchedulerPackedDecodeMatchesFakeQuant pins the serving stack on top
-// of packed execution: greedy tokens scheduled through a packed decoder
-// must be identical to a solo decoder over the Unpack()-materialized
-// weights, and a request naming an adapter must be rejected cleanly (the
-// packed decoder is base-model-only).
+// of packed execution: tokens scheduled through a packed decoder — uniform,
+// LUC-mixed and NF backbones, on the base model and under an adapter — must
+// be identical to a solo float32 decoder over the Unpack()-materialized
+// weights under the same adapter.
 func TestSchedulerPackedDecodeMatchesFakeQuant(t *testing.T) {
 	const seed = 405
-	m := testModel(seed)
-	specs := []nn.PackSpec{{Bits: 4}, {Bits: 3}}
-	pm, err := nn.PackModel(m, specs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference: same seed, block weights overwritten with the packed
-	// decode targets.
-	ref := testModel(seed)
-	for l, blk := range ref.Blocks {
-		for wi, w := range blk.WeightMatrices() {
-			if mat := pm.Mat(l, wi); mat != nil {
-				w.CopyFrom(mat.(interface{ Unpack() *tensor.Tensor }).Unpack())
+	for name, specs := range map[string][]nn.PackSpec{
+		"uniform4":  {{Bits: 4}, {Bits: 4}},
+		"luc-mixed": {{Bits: 4}, {Bits: 3}},
+		"nf":        {{Bits: 4, NF: true, NFBlock: 64}, {Bits: 3, NF: true}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := testModel(seed)
+			pm, err := nn.PackModel(m, specs, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	prompt := []int{3, 4, 5}
-	scfg := nn.SampleConfig{MaxTokens: 6}
-	want := soloGenerate(t, ref, prompt, scfg)
+			// Reference: same seed, block weights overwritten with the packed
+			// decode targets.
+			ref := testModel(seed)
+			for l, blk := range ref.Blocks {
+				for wi, w := range blk.WeightMatrices() {
+					if mat := pm.Mat(l, wi); mat != nil {
+						w.CopyFrom(mat.(interface{ Unpack() *tensor.Tensor }).Unpack())
+					}
+				}
+			}
 
-	dec := nn.NewBatchDecoder(m, 2, nil)
-	defer dec.Close()
-	if err := dec.SetPacked(pm); err != nil {
-		t.Fatal(err)
+			dec := nn.NewBatchDecoder(m, 2, nil)
+			defer dec.Close()
+			if err := dec.SetPacked(pm); err != nil {
+				t.Fatal(err)
+			}
+			sched := New(dec)
+			reqs := []Request{
+				{ID: "base", Prompt: []int{3, 4, 5}, Cfg: nn.SampleConfig{MaxTokens: 6}},
+				{ID: "adapted", Prompt: []int{3, 4, 5}, Cfg: nn.SampleConfig{MaxTokens: 6, Temperature: 0.9, TopK: 8, Seed: 3},
+					Adapter: makeTestAdapter(t, "tenant", 100, m.Cfg)},
+			}
+			streams := make([]*Stream, len(reqs))
+			for i, req := range reqs {
+				if streams[i], err = sched.Submit(req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sched.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			for i, st := range streams {
+				if st.Result().Err != nil {
+					t.Fatal(st.Result().Err)
+				}
+				tokensEqual(t, st.ID()+": packed serve vs fake-quant solo", st.Result().Tokens, soloSteps(t, ref, nil, reqs[i]))
+			}
+		})
 	}
-	sched := New(dec)
-	ctx, cancel := context.WithCancel(context.Background())
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- sched.Serve(ctx) }()
-	defer func() { cancel(); <-serveDone }()
-
-	st, err := sched.Submit(Request{ID: "pk1", Prompt: prompt, Cfg: scfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-st.Done()
-	res := st.Result()
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	tokensEqual(t, "packed serve vs fake-quant solo", res.Tokens, want)
 }

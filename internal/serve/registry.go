@@ -22,9 +22,10 @@ var ErrAdapterNotFound = errors.New("serve: adapter not found")
 // condition (HTTP 429): retry after streams finish.
 var ErrRegistryBusy = errors.New("serve: all resident adapters are in use")
 
-// CorruptAdapterError is returned when an artifact exists but fails
-// integrity checks or cannot be applied to this model — a permanent,
-// client-visible condition (HTTP 422), never a panic.
+// CorruptAdapterError is returned when an artifact exists but fails its
+// integrity checks — a permanent, client-visible condition (HTTP 422), never
+// a panic. Whether a sound artifact fits the served model is Submit's check
+// (ErrAdapterMismatch).
 type CorruptAdapterError struct {
 	Name string
 	Err  error

@@ -16,10 +16,13 @@
 // stream samples from its own seeded RNG, so a stream's output equals what a
 // solo Decoder.Generate with the same prompt and config would produce, no
 // matter which other streams it shared steps with or how its prompt was cut
-// into runs. Streams carrying
-// different adapters never co-batch: the scheduler only admits streams whose
-// adapter matches the one currently applied to the decoder and swaps
-// adapters at batch boundaries, when no stream is active.
+// into runs.
+//
+// An adapter is a low-rank side path in the decode step (nn.Decoder.SetAdapter),
+// over float32 or packed weights alike; it patches no weight. A step runs
+// under one adapter: the scheduler admits only streams whose adapter is the
+// one set on the decoder and sets the next one when no stream is active.
+// Whether an adapter fits the model is checked once, in Submit.
 package serve
 
 import (
@@ -43,6 +46,11 @@ var ErrCancelled = errors.New("serve: stream cancelled")
 // a typed admission rejection, never a panic: submissions racing Close either
 // enqueue normally or fail with this error.
 var ErrClosed = errors.New("serve: scheduler closed")
+
+// ErrAdapterMismatch is wrapped by Submit's rejection of a request whose
+// adapter does not fit the served model: a target the model lacks, or factor
+// shapes that are not the target's (HTTP 422 at the front end).
+var ErrAdapterMismatch = errors.New("serve: adapter does not fit the served model")
 
 // ErrDraining is the cancellation cause of streams force-cancelled because
 // the server's drain deadline expired before they finished.
@@ -76,8 +84,8 @@ type Request struct {
 	Cfg nn.SampleConfig
 	// Adapter, when non-nil, is the LoRA artifact this stream must decode
 	// under. Streams only co-batch with streams carrying the same adapter
-	// (pointer identity); the scheduler swaps adapters on the decoder at
-	// batch boundaries. Nil decodes on the base model.
+	// (pointer identity); the scheduler sets the next adapter on the decoder
+	// when no stream is active. Nil decodes on the base model.
 	Adapter *nn.Adapter
 	// OnToken, when set, is invoked from the scheduler goroutine after each
 	// sampled continuation token of this stream (before it is fed back).
@@ -255,6 +263,9 @@ func (s *Scheduler) Submit(req Request) (*Stream, error) {
 		return nil, fmt.Errorf("serve: prompt %d + %d tokens exceeds MaxSeq %d",
 			len(req.Prompt), req.Cfg.MaxTokens, cfg.MaxSeq)
 	}
+	if err := s.dec.CheckAdapter(req.Adapter); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrAdapterMismatch, err)
+	}
 	st := &Stream{
 		req:       req,
 		rng:       tensor.NewRNG(req.Cfg.Seed),
@@ -334,12 +345,13 @@ func (s *Scheduler) run(ctx context.Context, keepAlive bool) error {
 	}
 
 	// admit retires cancelled queued streams and moves queued streams whose
-	// adapter matches the decoder's into free slots, swapping adapters at
-	// batch boundaries (only when no stream is active). It returns the
-	// remaining queue depth.
+	// adapter is the decoder's into free slots. When that leaves no stream
+	// active and a queue, the stream leading it needs another adapter: set
+	// it and go round again. It returns the remaining queue depth.
 	admit := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
 		for {
-			s.mu.Lock()
 			kept := s.queue[:0]
 			for _, st := range s.queue {
 				switch {
@@ -367,43 +379,16 @@ func (s *Scheduler) run(ctx context.Context, keepAlive bool) error {
 					kept = append(kept, st)
 				}
 			}
-			for i := len(kept); i < len(s.queue); i++ {
-				s.queue[i] = nil
-			}
+			clear(s.queue[len(kept):])
 			s.queue = kept
-			var swapTo *Stream
-			if nActive == 0 && len(s.queue) > 0 && s.queue[0].req.Adapter != curAdapter {
-				swapTo = s.queue[0]
+			if nActive > 0 || len(s.queue) == 0 {
+				return len(s.queue)
 			}
-			depth := len(s.queue)
-			s.mu.Unlock()
-			if swapTo == nil {
-				return depth
+			curAdapter = s.queue[0].req.Adapter
+			if err := s.dec.SetAdapter(curAdapter); err != nil {
+				// Submit checked the fit, which is all SetAdapter refuses.
+				panic(fmt.Sprintf("serve: adapter passed Submit but not SetAdapter: %v", err))
 			}
-			// Swap outside the lock: SetAdapter touches model weights, which
-			// only this goroutine may do, and must not block Submit.
-			want := swapTo.req.Adapter
-			if err := s.dec.SetAdapter(want); err != nil {
-				// The adapter cannot be applied: fail every queued stream
-				// that needs it (typed error, no slot held) and try again
-				// with whatever leads the queue now.
-				s.mu.Lock()
-				kept := s.queue[:0]
-				for _, st := range s.queue {
-					if st.req.Adapter == want {
-						finish(st, Result{ID: st.req.ID, Err: fmt.Errorf("serve: apply adapter: %w", err)})
-					} else {
-						kept = append(kept, st)
-					}
-				}
-				for i := len(kept); i < len(s.queue); i++ {
-					s.queue[i] = nil
-				}
-				s.queue = kept
-				s.mu.Unlock()
-				continue
-			}
-			curAdapter = want
 			obsv.Add("serve.adapter_swaps", 1)
 		}
 	}
@@ -496,11 +481,6 @@ func (s *Scheduler) run(ctx context.Context, keepAlive bool) error {
 		if nActive == 0 {
 			if !keepAlive {
 				return nil
-			}
-			if queueDepth > 0 {
-				// Queue non-empty but nothing admitted: every queued stream
-				// just failed an adapter swap or raced a cancel; loop again.
-				continue
 			}
 			select {
 			case <-ctx.Done():

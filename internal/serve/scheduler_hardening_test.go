@@ -347,8 +347,8 @@ func TestServeKeepAlive(t *testing.T) {
 }
 
 // TestSchedulerAdapterGrouping mixes base-model streams with streams on two
-// different adapters. Streams must never co-batch across adapters (the
-// decoder can carry only one), the scheduler must swap at batch boundaries,
+// different adapters. Streams must never co-batch across adapters (a step
+// runs under one), the scheduler must swap when no stream is active,
 // and every stream's tokens must equal the solo decode under its own
 // adapter.
 func TestSchedulerAdapterGrouping(t *testing.T) {
@@ -369,8 +369,7 @@ func TestSchedulerAdapterGrouping(t *testing.T) {
 		{greedyReq("b-2", []int{11, 12}, 5), adpB},
 	}
 
-	// Solo references, computed before the batch run so the shared model is
-	// never double-patched.
+	// Solo references on a private decoder over the same model.
 	want := make([][]int, len(jobs))
 	{
 		solo := nn.NewDecoder(m)
@@ -384,7 +383,7 @@ func TestSchedulerAdapterGrouping(t *testing.T) {
 			}
 			want[i] = out
 		}
-		solo.Close() // restores base weights
+		solo.Close()
 	}
 
 	dec := nn.NewBatchDecoder(m, 2, nil)

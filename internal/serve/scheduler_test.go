@@ -176,10 +176,16 @@ func TestSchedulerSubmitRejects(t *testing.T) {
 		{"negative token", Request{Prompt: []int{-1}, Cfg: nn.SampleConfig{MaxTokens: 1}}},
 		{"overflow", Request{Prompt: []int{1, 2, 3}, Cfg: nn.SampleConfig{MaxTokens: 30}}},
 		{"bad cfg", Request{Prompt: []int{1}, Cfg: nn.SampleConfig{MaxTokens: 0}}},
+		{"adapter for another model", Request{Prompt: []int{1}, Cfg: nn.SampleConfig{MaxTokens: 1},
+			Adapter: makeTestAdapter(t, "wide", 1, nn.Config{Vocab: 31, Dim: 20, Hidden: 24})}},
 	}
 	for _, tc := range cases {
-		if _, err := sched.Submit(tc.req); err == nil {
+		_, err := sched.Submit(tc.req)
+		if err == nil {
 			t.Errorf("%s: Submit accepted, want error", tc.name)
+		}
+		if mismatch := tc.req.Adapter != nil; errors.Is(err, ErrAdapterMismatch) != mismatch {
+			t.Errorf("%s: error %v, ErrAdapterMismatch wanted: %v", tc.name, err, mismatch)
 		}
 	}
 	if dec.ActiveSlots() != 0 {

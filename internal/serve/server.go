@@ -597,12 +597,15 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		ID: req.ID, Tenant: req.Tenant, Prompt: req.Prompt,
 		Cfg: sample, Adapter: adapter, OnToken: onToken,
 	})
-	if err != nil {
-		if errors.Is(err, ErrClosed) {
-			obsv.Add("serve.drained", 1)
-			o.fail(w, http.StatusServiceUnavailable, "draining", err)
-			return
-		}
+	switch {
+	case errors.Is(err, ErrClosed):
+		obsv.Add("serve.drained", 1)
+		o.fail(w, http.StatusServiceUnavailable, "draining", err)
+		return
+	case errors.Is(err, ErrAdapterMismatch):
+		o.fail(w, http.StatusUnprocessableEntity, "adapter_mismatch", err)
+		return
+	case err != nil:
 		o.fail(w, http.StatusBadRequest, "bad_request", err)
 		return
 	}

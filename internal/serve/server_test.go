@@ -26,10 +26,16 @@ import (
 // empties) before tearing the HTTP listener down.
 func newTestServer(t *testing.T, m *nn.Model, slots int, cfg ServerConfig) (*Server, *httptest.Server) {
 	t.Helper()
+	return newTestServerOver(t, nn.NewBatchDecoder(m, slots, nil), cfg)
+}
+
+// newTestServerOver is newTestServer over a decoder the caller prepared
+// (SetPacked); the cleanup closes it.
+func newTestServerOver(t *testing.T, dec *nn.Decoder, cfg ServerConfig) (*Server, *httptest.Server) {
+	t.Helper()
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 2 * time.Second
 	}
-	dec := nn.NewBatchDecoder(m, slots, nil)
 	srv := NewServer(dec, cfg)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
@@ -179,7 +185,9 @@ func TestServerStreamingNDJSON(t *testing.T) {
 
 func TestServerBadRequests(t *testing.T) {
 	m := testModel(402)
-	_, ts := newTestServer(t, m, 1, ServerConfig{MaxQueue: 2})
+	dir := t.TempDir()
+	writeAdapterArtifact(t, dir, "wide", 1, nn.Config{Vocab: 31, Dim: 20, Hidden: 24})
+	_, ts := newTestServer(t, m, 1, ServerConfig{MaxQueue: 2, Registry: NewRegistry(dir, 1)})
 
 	t.Run("method", func(t *testing.T) {
 		resp, err := ts.Client().Get(ts.URL + "/v1/generate")
@@ -202,21 +210,27 @@ func TestServerBadRequests(t *testing.T) {
 		wantError(t, resp, body.Bytes(), http.StatusBadRequest, "bad_request")
 	})
 	cases := []struct {
-		name string
-		req  generateRequest
-		hdr  map[string]string
+		name   string
+		req    generateRequest
+		hdr    map[string]string
+		status int
+		code   string
 	}{
-		{"empty-prompt", generateRequest{ID: "b1", MaxTokens: 4}, nil},
-		{"overlong", generateRequest{ID: "b2", Prompt: []int{1, 2}, MaxTokens: 1000}, nil},
-		{"bad-temperature", generateRequest{ID: "b3", Prompt: []int{1}, MaxTokens: 2, Temperature: -1}, nil},
-		{"zero-max-tokens", generateRequest{ID: "b4", Prompt: []int{1}}, nil},
+		{"empty-prompt", generateRequest{ID: "b1", MaxTokens: 4}, nil, 400, "bad_request"},
+		{"overlong", generateRequest{ID: "b2", Prompt: []int{1, 2}, MaxTokens: 1000}, nil, 400, "bad_request"},
+		{"bad-temperature", generateRequest{ID: "b3", Prompt: []int{1}, MaxTokens: 2, Temperature: -1}, nil, 400, "bad_request"},
+		{"zero-max-tokens", generateRequest{ID: "b4", Prompt: []int{1}}, nil, 400, "bad_request"},
 		{"bad-deadline", generateRequest{ID: "b5", Prompt: []int{1}, MaxTokens: 2},
-			map[string]string{"X-Edgellm-Deadline-Ms": "soon"}},
+			map[string]string{"X-Edgellm-Deadline-Ms": "soon"}, 400, "bad_request"},
+		// A sound artifact built for a wider model: refused at the door,
+		// streaming or not, before it waits for a slot.
+		{"adapter-mismatch", generateRequest{ID: "b6", Adapter: "wide", Prompt: []int{1}, MaxTokens: 2}, nil, 422, "adapter_mismatch"},
+		{"adapter-mismatch-stream", generateRequest{ID: "b7", Adapter: "wide", Prompt: []int{1}, MaxTokens: 2, Stream: true}, nil, 422, "adapter_mismatch"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, body := postGenerate(t, ts, tc.req, tc.hdr)
-			wantError(t, resp, body, http.StatusBadRequest, "bad_request")
+			wantError(t, resp, body, tc.status, tc.code)
 		})
 	}
 }
@@ -253,8 +267,8 @@ func TestServerAdapterFlow(t *testing.T) {
 		Registry: NewRegistry(dir, 2),
 	})
 
-	// Solo reference under the adapter, computed on a private decoder before
-	// any server traffic so the shared model is never double-patched.
+	// Solo reference under the adapter, on a private decoder over the same
+	// model.
 	prompt := []int{3, 4}
 	scfg := nn.SampleConfig{MaxTokens: 4}
 	adp := makeTestAdapter(t, "tenant-a", 100, m.Cfg)

@@ -87,18 +87,6 @@ func BenchmarkKernelTranspose1024(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelMatVec1024(b *testing.B) {
-	g := NewRNG(3)
-	a := g.Normal(0, 1, 1024, 1024)
-	x := g.Normal(0, 1, 1024)
-	b.SetBytes(4 * 1024 * 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = MatVec(a, x)
-	}
-}
-
 // BenchmarkKernelPoolGetPut measures the steady-state cost of one arena
 // round trip, including the zero-fill on Get. allocs/op must stay 0 —
 // benchguard gates it against the checked-in baseline.

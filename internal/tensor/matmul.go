@@ -250,26 +250,6 @@ func TransposeInto(out, t *Tensor) {
 	}
 }
 
-// MatVec returns a × x for a rank-2 a (m,k) and rank-1 x (k) → rank-1 (m).
-// Accumulation is float32, matching the matmul kernels, so replacing a
-// MatVec with an equivalent single-column matmul cannot change results.
-func MatVec(a, x *Tensor) *Tensor {
-	m, k := a.Rows(), a.Cols()
-	if x.Rank() != 1 || x.Shape[0] != k {
-		panic(fmt.Sprintf("tensor: MatVec shape mismatch %v × %v", a.Shape, x.Shape))
-	}
-	out := New(m)
-	for i := 0; i < m; i++ {
-		row := a.Row(i)
-		var s float32
-		for kk, v := range row {
-			s += v * x.Data[kk]
-		}
-		out.Data[i] = s
-	}
-	return out
-}
-
 // AddRowBroadcast adds a rank-1 bias (length c) to every row of a rank-2
 // tensor (r,c), in place.
 func (t *Tensor) AddRowBroadcast(bias *Tensor) {

@@ -149,70 +149,3 @@ func matmulPackedCols(out, a *Tensor, w PackedMat, buf []float32, jLo, jHi int) 
 		}
 	}
 }
-
-// MatMulTPackedInto computes out = a × wTᵀ for a packed wT, reusing out's
-// storage: (m,k)×(n,k) → (m,n). out is fully overwritten. Bitwise
-// identical to MatMulTInto(out, a, wT.Unpack()): each output element is a
-// single k-ascending float32 dot product, so it must be computed in one
-// pass — wT rows are therefore decoded full-width (blockSize rows × k),
-// not k-tiled, and the scratch grows with k. This is the layout gradient
-// computation uses (dX = dY × Wᵀ), enabling backward through frozen
-// packed weights.
-func MatMulTPackedInto(out, a *Tensor, wT PackedMat, scratch *PackedScratch) {
-	m, k := a.Rows(), a.Cols()
-	n, wc := wT.Dims()
-	if wc != k || out.Rows() != m || out.Cols() != n {
-		panic(fmt.Sprintf("tensor: MatMulTPackedInto shape mismatch out %v = %v × packed(%d,%d)ᵀ", out.Shape, a.Shape, n, wc))
-	}
-	if scratch == nil {
-		scratch = NewPackedScratch()
-	}
-	workers := packedColWorkers(n, m*n*k)
-	bufs := scratch.ensure(workers, blockSize*k)
-	if workers <= 1 {
-		matmulTPackedCols(out, a, wT, bufs[0], 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	band := (n + workers - 1) / workers
-	wi := 0
-	for lo := 0; lo < n; lo += band {
-		hi := min(lo+band, n)
-		wg.Add(1)
-		go func(buf []float32, lo, hi int) {
-			defer wg.Done()
-			matmulTPackedCols(out, a, wT, buf, lo, hi)
-		}(bufs[wi], lo, hi)
-		wi++
-	}
-	wg.Wait()
-}
-
-// matmulTPackedCols computes out columns [jLo, jHi) of a × wTᵀ (all rows).
-// Output column j is wT row j, so the column banding doubles as decode
-// ownership: each worker decodes only its own blockSize-row chunks of wT,
-// full-width in k because each output element is a single k-ascending
-// float32 dot product (matmulTRows' order) and must be computed in one
-// pass — k-tiling would reassociate the sum.
-func matmulTPackedCols(out, a *Tensor, wT PackedMat, buf []float32, jLo, jHi int) {
-	m, k, n := a.Rows(), a.Cols(), out.Cols()
-	for j0 := jLo; j0 < jHi; j0 += blockSize {
-		jMax := min(j0+blockSize, jHi)
-		wT.DecodeRowsInto(buf, j0, jMax, 0, k)
-		for i0 := 0; i0 < m; i0 += blockSize {
-			iMax := min(i0+blockSize, m)
-			for i := i0; i < iMax; i++ {
-				aRow := a.Data[i*k : (i+1)*k]
-				outRow := out.Data[i*n : (i+1)*n]
-				for j := j0; j < jMax; j++ {
-					bRow := buf[(j-j0)*k : (j-j0+1)*k]
-					var s float32
-					for kk, av := range aRow {
-						s += av * bRow[kk]
-					}
-					outRow[j] = s
-				}
-			}
-		}
-	}
-}

@@ -5,7 +5,7 @@
 // Tensors are row-major and of arbitrary rank, but the hot paths are rank-2
 // (matrices) because the transformer implementation flattens (batch, seq)
 // into the row dimension. The matmul-family kernels (MatMul, MatMulT,
-// TMatMul, MatVec) all accumulate in float32 so swapping one kernel for an
+// TMatMul) all accumulate in float32 so swapping one kernel for an
 // equivalent one cannot change results; whole-tensor reductions (Sum, Mean,
 // Dot, Norm2) accumulate in float64 where the extra precision is cheap and
 // keeps tiny-model training numerically stable without a float64 tensor

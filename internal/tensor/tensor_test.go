@@ -251,15 +251,6 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestMatVec(t *testing.T) {
-	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
-	x := FromSlice([]float32{1, 1}, 2)
-	y := MatVec(a, x)
-	if y.Data[0] != 3 || y.Data[1] != 7 {
-		t.Fatalf("MatVec got %v", y.Data)
-	}
-}
-
 func TestAddRowBroadcast(t *testing.T) {
 	a := New(2, 3)
 	a.AddRowBroadcast(FromSlice([]float32{1, 2, 3}, 3))
