@@ -279,7 +279,7 @@ func ExperimentF1(ctx context.Context) *Report {
 
 	vanilla := train.VanillaSpec(baseCfg, batch, seq, adamWBytes)
 	lora := vanilla
-	lora.TrainableElems = int64(cfg.Layers) * 7 * int64(cfg.Dim+cfg.Hidden) * 8 // rank-8 adapters
+	lora.TrainableElems = adapt.LoRAElems(baseCfg, 8)
 
 	freeze := vanilla
 	freeze.TapeBlocks = window

@@ -11,13 +11,17 @@
 package fault
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
+
+	"edgellm/internal/artifact"
 )
 
 // TransientError is an injected failure that models a recoverable
@@ -108,6 +112,31 @@ func (c *Corrupter) FlipRandomBit(buf []byte) int {
 // empty).
 func (c *Corrupter) Truncate(buf []byte) []byte {
 	return buf[:c.rng.Intn(len(buf))]
+}
+
+// Reseal returns an artifact's magic and body under a freshly computed
+// footer, so that bytes a fuzzer or a Corrupter has mutated get past the
+// checksum and reach the loader's checks behind it. Input too short to hold a
+// magic and a footer comes back unchanged.
+func Reseal(data []byte) []byte {
+	if len(data) < 16 {
+		return data
+	}
+	var buf bytes.Buffer
+	w := artifact.NewWriter(&buf, artifact.Magic(data[:8]))
+	w.Write(data[8 : len(data)-8])
+	w.Close()
+	return buf.Bytes()
+}
+
+// Allocated returns the bytes f allocates on the heap, live or not: what a
+// loader fed a lying length is allowed to cost.
+func Allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // --- experiment-suite injection ----------------------------------------------

@@ -1,31 +1,20 @@
 package nn
 
 import (
-	"bufio"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
 	"slices"
 	"strconv"
 	"strings"
 
+	"edgellm/internal/artifact"
 	"edgellm/internal/tensor"
 )
 
-// Adapter artifact container format (checkpoint-v2 style, crash-safe):
-//
-//	magic "ELLMADP1" | uint32 header length | JSON header
-//	{name, alpha, rank, targets[]} | per target: A then B tensor
-//	(tensor.WriteTo framing) | footer "ELCF" | uint32 CRC32-IEEE over
-//	every preceding byte
-//
-// The CRC footer turns any truncation or bit flip into a diagnostic load
-// error — a corrupt adapter can never be applied to a serving model, and
-// loading never panics on hostile bytes.
-var adapterMagic = [8]byte{'E', 'L', 'L', 'M', 'A', 'D', 'P', '1'}
+// An adapter is an artifact (DESIGN.md, "Artifacts") of kind "ELLMADP1": a
+// JSON header {name, alpha, rank, targets[]} and then, per target, the A and
+// the B tensor (tensor.WriteTo framing).
+var adapterMagic = artifact.Magic{'E', 'L', 'L', 'M', 'A', 'D', 'P', '1'}
 
 // adapterHeader is the JSON header preceding the low-rank tensor payload.
 type adapterHeader struct {
@@ -114,106 +103,63 @@ func (a *Adapter) Targets() []string {
 	return out
 }
 
-// Save serialises the adapter, ending with the CRC32 footer.
+// Save serialises the adapter as an adapter artifact.
 func (a *Adapter) Save(w io.Writer) error {
+	aw := artifact.NewWriter(w, adapterMagic)
 	hdr := adapterHeader{Name: a.name, Alpha: a.alpha, Rank: a.rank, Targets: a.Targets()}
-	hdrBytes, err := json.Marshal(hdr)
-	if err != nil {
-		return fmt.Errorf("nn: marshal adapter header: %w", err)
-	}
-	cw := &crcWriter{w: w, crc: crc32.NewIEEE()}
-	if _, err := cw.Write(adapterMagic[:]); err != nil {
-		return fmt.Errorf("nn: write adapter magic: %w", err)
-	}
-	if err := binary.Write(cw, binary.LittleEndian, uint32(len(hdrBytes))); err != nil {
-		return fmt.Errorf("nn: write adapter header length: %w", err)
-	}
-	if _, err := cw.Write(hdrBytes); err != nil {
+	if err := aw.Header(hdr); err != nil {
 		return fmt.Errorf("nn: write adapter header: %w", err)
 	}
 	for _, p := range a.pairs {
-		if _, err := p.A.WriteTo(cw); err != nil {
+		if _, err := p.A.WriteTo(aw); err != nil {
 			return fmt.Errorf("nn: write %s.lora_a: %w", p.Target, err)
 		}
-		if _, err := p.B.WriteTo(cw); err != nil {
+		if _, err := p.B.WriteTo(aw); err != nil {
 			return fmt.Errorf("nn: write %s.lora_b: %w", p.Target, err)
 		}
 	}
-	sum := cw.crc.Sum32()
-	if _, err := w.Write(checkpointFooter[:]); err != nil {
+	if err := aw.Close(); err != nil {
 		return fmt.Errorf("nn: write adapter footer: %w", err)
-	}
-	if err := binary.Write(w, binary.LittleEndian, sum); err != nil {
-		return fmt.Errorf("nn: write adapter checksum: %w", err)
 	}
 	return nil
 }
 
-// SaveFile writes the adapter artifact atomically (write-temp, fsync,
-// rename) so a crashed save never leaves a torn artifact in the registry
-// directory.
+// SaveFile writes the adapter artifact atomically, so a crashed save never
+// leaves a torn artifact in the registry directory.
 func (a *Adapter) SaveFile(path string) error {
-	return WriteFileAtomic(path, a.Save)
+	return artifact.WriteFile(path, a.Save)
 }
 
-// LoadAdapter reads an adapter artifact written by Save, verifying the CRC
-// footer before returning. Truncated, bit-flipped, or malformed artifacts
-// fail with a diagnostic error — never a panic — so a serving registry can
-// map corruption to a clean client error.
+// LoadAdapter reads an adapter artifact written by Save, verifying the
+// checksum before anything is built from it. Truncated, bit-flipped, or
+// malformed artifacts fail with a diagnostic error — never a panic — so a
+// serving registry can map corruption to a clean client error.
 func LoadAdapter(r io.Reader) (*Adapter, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("nn: read adapter magic: %w", err)
-	}
-	if magic != adapterMagic {
-		return nil, fmt.Errorf("nn: not an edgellm adapter artifact (magic %q)", magic)
-	}
-	cr := &crcReader{r: r, crc: crc32.NewIEEE()}
-	cr.crc.Write(magic[:])
-	var hdrLen uint32
-	if err := binary.Read(cr, binary.LittleEndian, &hdrLen); err != nil {
-		return nil, fmt.Errorf("nn: read adapter header length: %w", err)
-	}
-	if hdrLen > 1<<20 {
-		return nil, fmt.Errorf("nn: implausible adapter header length %d", hdrLen)
-	}
-	hdrBytes := make([]byte, hdrLen)
-	if _, err := io.ReadFull(cr, hdrBytes); err != nil {
-		return nil, fmt.Errorf("nn: read adapter header: %w", err)
+	ar, err := artifact.NewReader(r, adapterMagic)
+	if err != nil {
+		return nil, fmt.Errorf("nn: not an edgellm adapter artifact: %w", err)
 	}
 	var hdr adapterHeader
-	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
-		return nil, fmt.Errorf("nn: parse adapter header: %w", err)
+	if err := ar.Header(&hdr); err != nil {
+		return nil, fmt.Errorf("nn: adapter: %w", err)
 	}
 	if len(hdr.Targets) == 0 || len(hdr.Targets) > 1<<12 {
 		return nil, fmt.Errorf("nn: adapter %q has implausible target count %d", hdr.Name, len(hdr.Targets))
 	}
 	pairs := make([]AdapterPair, 0, len(hdr.Targets))
 	for _, target := range hdr.Targets {
-		A, err := tensor.ReadFrom(cr)
+		A, err := tensor.ReadFrom(ar)
 		if err != nil {
 			return nil, fmt.Errorf("nn: read %s.lora_a: %w", target, err)
 		}
-		B, err := tensor.ReadFrom(cr)
+		B, err := tensor.ReadFrom(ar)
 		if err != nil {
 			return nil, fmt.Errorf("nn: read %s.lora_b: %w", target, err)
 		}
 		pairs = append(pairs, AdapterPair{Target: target, A: A, B: B})
 	}
-	want := cr.crc.Sum32()
-	var footer [4]byte
-	if _, err := io.ReadFull(r, footer[:]); err != nil {
-		return nil, fmt.Errorf("nn: adapter truncated before footer: %w", err)
-	}
-	if footer != checkpointFooter {
-		return nil, fmt.Errorf("nn: bad adapter footer %q (truncated or corrupt)", footer)
-	}
-	var sum uint32
-	if err := binary.Read(r, binary.LittleEndian, &sum); err != nil {
-		return nil, fmt.Errorf("nn: adapter truncated inside checksum: %w", err)
-	}
-	if sum != want {
-		return nil, fmt.Errorf("nn: adapter checksum mismatch (stored %08x, computed %08x): artifact is corrupt", sum, want)
+	if err := ar.Verify(); err != nil {
+		return nil, fmt.Errorf("nn: adapter %q: %w", hdr.Name, err)
 	}
 	a, err := NewAdapter(hdr.Name, hdr.Alpha, pairs)
 	if err != nil {
@@ -227,12 +173,7 @@ func LoadAdapter(r io.Reader) (*Adapter, error) {
 
 // LoadAdapterFile reads an adapter artifact from a file path.
 func LoadAdapterFile(path string) (*Adapter, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadAdapter(bufio.NewReader(f))
+	return artifact.ReadFile(path, LoadAdapter)
 }
 
 // adapterSite resolves an adapter target name to the weight it adapts and

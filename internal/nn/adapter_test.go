@@ -2,9 +2,7 @@ package nn
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -371,10 +369,6 @@ func FuzzLoadAdapter(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		load(t, data)
-		if len(data) >= 8 {
-			body := data[:len(data)-8]
-			sealed := append(append([]byte(nil), body...), checkpointFooter[:]...)
-			load(t, binary.LittleEndian.AppendUint32(sealed, crc32.ChecksumIEEE(body)))
-		}
+		load(t, fault.Reseal(data))
 	})
 }

@@ -1,33 +1,20 @@
 package nn
 
 import (
-	"bufio"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 
+	"edgellm/internal/artifact"
 	"edgellm/internal/tensor"
 )
 
-// Checkpoint container format v2 (crash-safe):
-//
-//	magic "ELLMCKP2" | uint32 header length | JSON header |
-//	tensors in header order (tensor.WriteTo framing) |
-//	footer: "ELCF" | uint32 CRC32-IEEE over every preceding byte
-//
-// The checksummed footer turns any torn write, truncation, or bit flip —
-// in the header or the payload — into a diagnostic load error instead of a
-// silently corrupted model. Format v1 ("ELLMCKP1", no footer) remains
-// loadable for checkpoints written before the footer existed.
+// A model checkpoint is an artifact (DESIGN.md, "Artifacts") of kind
+// "ELLMCKP2": a JSON header {config, names} and then every named parameter
+// in header order, tensor.WriteTo framing. "ELLMCKP1", the same body written
+// before the footer existed, still loads, unverified.
 var (
-	checkpointMagicV2 = [8]byte{'E', 'L', 'L', 'M', 'C', 'K', 'P', '2'}
-	checkpointMagicV1 = [8]byte{'E', 'L', 'L', 'M', 'C', 'K', 'P', '1'}
-	checkpointFooter  = [4]byte{'E', 'L', 'C', 'F'}
+	checkpointMagicV2 = artifact.Magic{'E', 'L', 'L', 'M', 'C', 'K', 'P', '2'}
+	checkpointMagicV1 = artifact.Magic{'E', 'L', 'L', 'M', 'C', 'K', 'P', '1'}
 )
 
 // checkpointHeader is the JSON header preceding the tensor payload.
@@ -36,127 +23,42 @@ type checkpointHeader struct {
 	Names  []string `json:"names"`
 }
 
-// crcWriter forwards to w while folding every byte into a CRC32.
-type crcWriter struct {
-	w   io.Writer
-	crc hash.Hash32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.crc.Write(p[:n])
-	return n, err
-}
-
-// crcReader forwards reads from r while folding every byte into a CRC32.
-type crcReader struct {
-	r   io.Reader
-	crc hash.Hash32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc.Write(p[:n])
-	return n, err
-}
-
-// Save serialises the model (config + every named parameter) to w in
-// checkpoint format v2, ending with the CRC32 footer.
+// Save serialises the model (config + every named parameter) to w as a v2
+// checkpoint.
 func (m *Model) Save(w io.Writer) error {
 	params := m.Params()
 	hdr := checkpointHeader{Config: m.Cfg}
 	for _, p := range params {
 		hdr.Names = append(hdr.Names, p.Name)
 	}
-	hdrBytes, err := json.Marshal(hdr)
-	if err != nil {
-		return fmt.Errorf("nn: marshal checkpoint header: %w", err)
-	}
-	cw := &crcWriter{w: w, crc: crc32.NewIEEE()}
-	if _, err := cw.Write(checkpointMagicV2[:]); err != nil {
-		return fmt.Errorf("nn: write checkpoint magic: %w", err)
-	}
-	if err := binary.Write(cw, binary.LittleEndian, uint32(len(hdrBytes))); err != nil {
-		return fmt.Errorf("nn: write checkpoint header length: %w", err)
-	}
-	if _, err := cw.Write(hdrBytes); err != nil {
+	aw := artifact.NewWriter(w, checkpointMagicV2)
+	if err := aw.Header(hdr); err != nil {
 		return fmt.Errorf("nn: write checkpoint header: %w", err)
 	}
 	for _, p := range params {
-		if _, err := p.Value.Data.WriteTo(cw); err != nil {
+		if _, err := p.Value.Data.WriteTo(aw); err != nil {
 			return fmt.Errorf("nn: write %s: %w", p.Name, err)
 		}
 	}
-	// Footer goes to the raw writer: the CRC covers everything before it.
-	sum := cw.crc.Sum32()
-	if _, err := w.Write(checkpointFooter[:]); err != nil {
+	if err := aw.Close(); err != nil {
 		return fmt.Errorf("nn: write checkpoint footer: %w", err)
-	}
-	if err := binary.Write(w, binary.LittleEndian, sum); err != nil {
-		return fmt.Errorf("nn: write checkpoint checksum: %w", err)
 	}
 	return nil
 }
 
 // Load reads a checkpoint written by Save, rebuilding the model from the
 // stored config and filling in every parameter. Name order and shapes are
-// verified against the freshly built architecture, and for v2 checkpoints
-// the CRC32 footer is verified before the model is returned, so a
-// truncated or bit-flipped file can never load successfully.
+// verified against the freshly built architecture, and a v2 checkpoint's
+// checksum is verified before the model is returned, so a truncated or
+// bit-flipped file can never load successfully.
 func Load(r io.Reader) (*Model, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("nn: read checkpoint magic: %w", err)
-	}
-	switch magic {
-	case checkpointMagicV1:
-		// Legacy format: no footer, no integrity check.
-		return loadBody(r)
-	case checkpointMagicV2:
-	default:
-		return nil, fmt.Errorf("nn: not an edgellm checkpoint (magic %q)", magic)
-	}
-	cr := &crcReader{r: r, crc: crc32.NewIEEE()}
-	cr.crc.Write(magic[:])
-	m, err := loadBody(cr)
+	ar, err := artifact.NewReader(r, checkpointMagicV2, checkpointMagicV1)
 	if err != nil {
-		return nil, err
-	}
-	want := cr.crc.Sum32()
-	var footer [4]byte
-	if _, err := io.ReadFull(r, footer[:]); err != nil {
-		return nil, fmt.Errorf("nn: checkpoint truncated before footer: %w", err)
-	}
-	if footer != checkpointFooter {
-		return nil, fmt.Errorf("nn: bad checkpoint footer %q (truncated or corrupt)", footer)
-	}
-	var sum uint32
-	if err := binary.Read(r, binary.LittleEndian, &sum); err != nil {
-		return nil, fmt.Errorf("nn: checkpoint truncated inside checksum: %w", err)
-	}
-	if sum != want {
-		return nil, fmt.Errorf("nn: checkpoint checksum mismatch (stored %08x, computed %08x): file is corrupt", sum, want)
-	}
-	return m, nil
-}
-
-// loadBody reads the header and tensor payload (everything between the
-// magic and the footer) and reconstructs the model.
-func loadBody(r io.Reader) (*Model, error) {
-	var hdrLen uint32
-	if err := binary.Read(r, binary.LittleEndian, &hdrLen); err != nil {
-		return nil, fmt.Errorf("nn: read checkpoint header length: %w", err)
-	}
-	if hdrLen > 1<<20 {
-		return nil, fmt.Errorf("nn: implausible header length %d", hdrLen)
-	}
-	hdrBytes := make([]byte, hdrLen)
-	if _, err := io.ReadFull(r, hdrBytes); err != nil {
-		return nil, fmt.Errorf("nn: read checkpoint header: %w", err)
+		return nil, fmt.Errorf("nn: not an edgellm checkpoint: %w", err)
 	}
 	var hdr checkpointHeader
-	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
-		return nil, fmt.Errorf("nn: parse checkpoint header: %w", err)
+	if err := ar.Header(&hdr); err != nil {
+		return nil, fmt.Errorf("nn: checkpoint: %w", err)
 	}
 	if err := hdr.Config.Validate(); err != nil {
 		return nil, fmt.Errorf("nn: checkpoint config invalid: %w", err)
@@ -172,7 +74,7 @@ func loadBody(r io.Reader) (*Model, error) {
 			return nil, fmt.Errorf("nn: checkpoint tensor %d is %q, expected %q",
 				i, hdr.Names[i], p.Name)
 		}
-		t, err := tensor.ReadFrom(r)
+		t, err := tensor.ReadFrom(ar)
 		if err != nil {
 			return nil, fmt.Errorf("nn: read %s: %w", p.Name, err)
 		}
@@ -182,64 +84,23 @@ func loadBody(r io.Reader) (*Model, error) {
 		}
 		p.Value.Data.CopyFrom(t)
 	}
+	if ar.Magic() == checkpointMagicV1 {
+		return m, nil
+	}
+	if err := ar.Verify(); err != nil {
+		return nil, fmt.Errorf("nn: checkpoint: %w", err)
+	}
 	return m, nil
 }
 
-// WriteFileAtomic writes whatever `write` produces to path crash-safely:
-// the bytes go to a temp file in the same directory, are flushed and
-// fsynced, and only then renamed over path. A crash or failure at any
-// point leaves either the old file or no file — never a torn one. The
-// train package reuses it for loop snapshots.
-func WriteFileAtomic(path string, write func(w io.Writer) error) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("nn: create temp file: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	bw := bufio.NewWriter(tmp)
-	if err = write(bw); err != nil {
-		return err
-	}
-	if err = bw.Flush(); err != nil {
-		return fmt.Errorf("nn: flush %s: %w", tmp.Name(), err)
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("nn: fsync %s: %w", tmp.Name(), err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("nn: close %s: %w", tmp.Name(), err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("nn: rename into place: %w", err)
-	}
-	// Persist the rename itself; best-effort (some filesystems refuse
-	// directory fsync).
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-// SaveFile writes the model checkpoint to a file path atomically
-// (write-temp, fsync, rename): an interrupted save never clobbers an
-// existing good checkpoint with a partial one.
+// SaveFile writes the model checkpoint to a file path atomically: an
+// interrupted save never clobbers an existing good checkpoint with a partial
+// one.
 func (m *Model) SaveFile(path string) error {
-	return WriteFileAtomic(path, m.Save)
+	return artifact.WriteFile(path, m.Save)
 }
 
 // LoadFile reads a model checkpoint from a file path.
 func LoadFile(path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(bufio.NewReader(f))
+	return artifact.ReadFile(path, Load)
 }

@@ -491,10 +491,10 @@ func siluMul(gate, up []float32) {
 }
 
 // Generate feeds the prompt through the cache, PrefillRows tokens a step, and
-// then samples MaxTokens continuations on slot 0, returning prompt+continuation. It mirrors
-// nn.Generate's sampling semantics but runs in O(tokens · context) instead
-// of O(tokens · context²). It resets the decoder, so it must not be mixed
-// with concurrent batched use; the serve scheduler is the multi-stream path.
+// then samples MaxTokens continuations on slot 0 (SampleLogits per token),
+// returning prompt+continuation. It resets the decoder, so it must not be
+// mixed with concurrent batched use; the serve scheduler is the multi-stream
+// path.
 func (d *Decoder) Generate(prompt []int, cfg SampleConfig) ([]int, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

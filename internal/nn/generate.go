@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	ag "edgellm/internal/autograd"
 	"edgellm/internal/tensor"
 )
 
@@ -34,44 +33,9 @@ func (c SampleConfig) Validate() error {
 	return nil
 }
 
-// ForwardFn maps a batch of token sequences to (batch·seq, vocab) scores —
-// either Model.Logits or a voting ensemble's combined scores.
-type ForwardFn func([][]int) *ag.Value
-
-// Generate extends the prompt autoregressively using forward, which is
-// re-run on the growing sequence each step (models at this repository's
-// scale decode in microseconds; a KV cache would only obscure the code).
-// The context is truncated to maxSeq from the left when it overflows.
-func Generate(forward ForwardFn, prompt []int, maxSeq int, cfg SampleConfig) ([]int, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(prompt) == 0 {
-		return nil, fmt.Errorf("nn: empty prompt")
-	}
-	g := tensor.NewRNG(cfg.Seed)
-	seq := append([]int(nil), prompt...)
-	for step := 0; step < cfg.MaxTokens; step++ {
-		window := seq
-		if len(window) > maxSeq {
-			window = window[len(window)-maxSeq:]
-		}
-		scores := forward([][]int{window})
-		last := scores.Data.Row(scores.Data.Rows() - 1)
-		next := sampleToken(last, cfg, g)
-		seq = append(seq, next)
-	}
-	return seq, nil
-}
-
-// Generate extends the prompt using the model's final head.
-func (m *Model) Generate(prompt []int, cfg SampleConfig) ([]int, error) {
-	return Generate(m.Logits, prompt, m.Cfg.MaxSeq, cfg)
-}
-
 // SampleLogits draws one token from a logit row under the sampling config
-// using the caller's RNG. It is the sampling step Generate applies per
-// token, exported so the serve scheduler's per-stream samplers reproduce
+// using the caller's RNG. It is the sampling step Decoder.Generate applies
+// per token, exported so the serve scheduler's per-stream samplers reproduce
 // solo-generation token sequences exactly.
 func SampleLogits(logits []float32, cfg SampleConfig, g *tensor.RNG) int {
 	return sampleToken(logits, cfg, g)

@@ -22,9 +22,19 @@ func TestSampleConfigValidate(t *testing.T) {
 	}
 }
 
+// genDecoder is a decoder over a seeded model with room for the generations
+// below (tinyModel's MaxSeq is 8, and a KV cache does not slide).
+func genDecoder(t *testing.T, seed int64) *Decoder {
+	cfg := tinyConfig()
+	cfg.MaxSeq = 24
+	d := NewDecoder(NewModel(cfg, tensor.NewRNG(seed)))
+	t.Cleanup(d.Close)
+	return d
+}
+
 func TestGenerateLengthAndRange(t *testing.T) {
-	m := tinyModel(50)
-	out, err := m.Generate([]int{1, 2, 3}, SampleConfig{Temperature: 1, MaxTokens: 10, Seed: 1})
+	d := genDecoder(t, 50)
+	out, err := d.Generate([]int{1, 2, 3}, SampleConfig{Temperature: 1, MaxTokens: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +42,7 @@ func TestGenerateLengthAndRange(t *testing.T) {
 		t.Fatalf("generated %d tokens, want 13", len(out))
 	}
 	for i, tok := range out {
-		if tok < 0 || tok >= m.Cfg.Vocab {
+		if tok < 0 || tok >= d.Config().Vocab {
 			t.Fatalf("token %d at %d out of range", tok, i)
 		}
 	}
@@ -45,11 +55,11 @@ func TestGenerateLengthAndRange(t *testing.T) {
 }
 
 func TestGenerateGreedyDeterministic(t *testing.T) {
-	m := tinyModel(51)
+	d := genDecoder(t, 51)
 	cfg := SampleConfig{Temperature: 0, MaxTokens: 8, Seed: 1}
-	a, _ := m.Generate([]int{5}, cfg)
+	a, _ := d.Generate([]int{5}, cfg)
 	cfg.Seed = 999 // greedy must ignore the seed
-	b, _ := m.Generate([]int{5}, cfg)
+	b, _ := d.Generate([]int{5}, cfg)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("greedy decoding must be deterministic")
@@ -58,9 +68,9 @@ func TestGenerateGreedyDeterministic(t *testing.T) {
 }
 
 func TestGenerateSampledSeedsDiffer(t *testing.T) {
-	m := tinyModel(52)
-	a, _ := m.Generate([]int{5}, SampleConfig{Temperature: 1.5, MaxTokens: 12, Seed: 1})
-	b, _ := m.Generate([]int{5}, SampleConfig{Temperature: 1.5, MaxTokens: 12, Seed: 2})
+	d := genDecoder(t, 52)
+	a, _ := d.Generate([]int{5}, SampleConfig{Temperature: 1.5, MaxTokens: 12, Seed: 1})
+	b, _ := d.Generate([]int{5}, SampleConfig{Temperature: 1.5, MaxTokens: 12, Seed: 2})
 	same := true
 	for i := range a {
 		if a[i] != b[i] {
@@ -71,7 +81,7 @@ func TestGenerateSampledSeedsDiffer(t *testing.T) {
 	if same {
 		t.Fatal("different seeds should (overwhelmingly) give different samples")
 	}
-	c, _ := m.Generate([]int{5}, SampleConfig{Temperature: 1.5, MaxTokens: 12, Seed: 1})
+	c, _ := d.Generate([]int{5}, SampleConfig{Temperature: 1.5, MaxTokens: 12, Seed: 1})
 	for i := range a {
 		if a[i] != c[i] {
 			t.Fatal("same seed must reproduce the sample")
@@ -81,9 +91,9 @@ func TestGenerateSampledSeedsDiffer(t *testing.T) {
 
 func TestGenerateTopKRestricts(t *testing.T) {
 	// With TopK=1, sampling degenerates to greedy regardless of temperature.
-	m := tinyModel(53)
-	greedy, _ := m.Generate([]int{7}, SampleConfig{Temperature: 0, MaxTokens: 6, Seed: 1})
-	topk1, _ := m.Generate([]int{7}, SampleConfig{Temperature: 2, TopK: 1, MaxTokens: 6, Seed: 42})
+	d := genDecoder(t, 53)
+	greedy, _ := d.Generate([]int{7}, SampleConfig{Temperature: 0, MaxTokens: 6, Seed: 1})
+	topk1, _ := d.Generate([]int{7}, SampleConfig{Temperature: 2, TopK: 1, MaxTokens: 6, Seed: 42})
 	for i := range greedy {
 		if greedy[i] != topk1[i] {
 			t.Fatal("top-1 sampling must equal greedy")
@@ -91,26 +101,27 @@ func TestGenerateTopKRestricts(t *testing.T) {
 	}
 }
 
-func TestGenerateWindowTruncation(t *testing.T) {
-	// Prompt longer than MaxSeq must still work via left truncation.
-	m := tinyModel(54)
-	prompt := make([]int, m.Cfg.MaxSeq+4)
-	for i := range prompt {
-		prompt[i] = i % m.Cfg.Vocab
-	}
-	out, err := m.Generate(prompt, SampleConfig{Temperature: 0, MaxTokens: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(prompt)+3 {
-		t.Fatal("truncated generation wrong length")
+func TestGenerateEmptyPromptErrors(t *testing.T) {
+	d := genDecoder(t, 55)
+	if _, err := d.Generate(nil, SampleConfig{Temperature: 0, MaxTokens: 1}); err == nil {
+		t.Fatal("empty prompt must error")
 	}
 }
 
-func TestGenerateEmptyPromptErrors(t *testing.T) {
-	m := tinyModel(55)
-	if _, err := m.Generate(nil, SampleConfig{Temperature: 0, MaxTokens: 1}); err == nil {
-		t.Fatal("empty prompt must error")
+// TestSampleLogitsTemperatureZeroIsArgmax: temperature 0 picks the first
+// largest logit and never draws from the RNG, whatever TopK says.
+func TestSampleLogitsTemperatureZeroIsArgmax(t *testing.T) {
+	logits := []float32{-1, 3, 0.5, 3, -7}
+	g, untouched := tensor.NewSavableRNG(9), tensor.NewSavableRNG(9)
+	for _, topK := range []int{0, 1, 3} {
+		if got := SampleLogits(logits, SampleConfig{Temperature: 0, TopK: topK}, g); got != 1 {
+			t.Fatalf("TopK %d: temperature 0 chose %d, want the first argmax 1", topK, got)
+		}
+	}
+	a, _ := g.State()
+	b, _ := untouched.State()
+	if a != b {
+		t.Fatal("greedy sampling consumed randomness")
 	}
 }
 

@@ -2,12 +2,11 @@ package quant
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"io"
 	"math"
 	"testing"
 
+	"edgellm/internal/fault"
 	"edgellm/internal/tensor"
 )
 
@@ -91,7 +90,7 @@ func FuzzPackRoundTrip(f *testing.F) {
 		if _, err := p.WriteTo(&buf); err != nil {
 			t.Fatalf("WriteTo: %v", err)
 		}
-		m, _, err := ReadPackedFrom(bytes.NewReader(buf.Bytes()))
+		m, err := ReadPackedFrom(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("ReadPackedFrom: %v", err)
 		}
@@ -126,7 +125,7 @@ func FuzzReadPackedFrom(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	load := func(data []byte) {
-		m, _, err := ReadPackedFrom(bytes.NewReader(data))
+		m, err := ReadPackedFrom(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -135,10 +134,6 @@ func FuzzReadPackedFrom(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		load(data)
-		if len(data) >= 8 {
-			body := data[:len(data)-8]
-			sealed := append(append([]byte(nil), body...), packedFooter[:]...)
-			load(binary.LittleEndian.AppendUint32(sealed, crc32.ChecksumIEEE(body)))
-		}
+		load(fault.Reseal(data))
 	})
 }

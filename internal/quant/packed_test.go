@@ -2,6 +2,7 @@ package quant
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -11,6 +12,8 @@ import (
 	"strings"
 	"testing"
 
+	"edgellm/internal/artifact"
+	"edgellm/internal/fault"
 	"edgellm/internal/tensor"
 )
 
@@ -171,12 +174,12 @@ func TestPackedSerializationRoundTrip(t *testing.T) {
 		if wrote != int64(buf.Len()) {
 			t.Fatalf("%s: WriteTo reported %d bytes, wrote %d", name, wrote, buf.Len())
 		}
-		m, n, err := ReadPackedFrom(bytes.NewReader(buf.Bytes()))
+		m, err := ReadPackedFrom(&buf)
 		if err != nil {
 			t.Fatalf("%s: ReadPackedFrom: %v", name, err)
 		}
-		if n != wrote {
-			t.Fatalf("%s: read %d bytes, wrote %d", name, n, wrote)
+		if buf.Len() != 0 {
+			t.Fatalf("%s: ReadPackedFrom left %d of %d bytes unread", name, buf.Len(), wrote)
 		}
 		gotT := m.(interface{ Unpack() *tensor.Tensor }).Unpack()
 		wantT := p.Unpack()
@@ -185,20 +188,6 @@ func TestPackedSerializationRoundTrip(t *testing.T) {
 				t.Fatalf("%s: element %d differs after round trip", name, i)
 			}
 		}
-	}
-
-	// Typed ReadFrom dispatch.
-	var buf bytes.Buffer
-	if _, err := uni.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var p2 Packed
-	if _, err := p2.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("Packed.ReadFrom: %v", err)
-	}
-	var nf2 PackedNF
-	if _, err := nf2.ReadFrom(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("PackedNF.ReadFrom accepted a uniform artifact")
 	}
 }
 
@@ -219,14 +208,35 @@ func TestPackedSerializationRejectsCorruption(t *testing.T) {
 	for i := 0; i < len(art); i++ {
 		bad := append([]byte(nil), art...)
 		bad[i] ^= 0x40
-		if _, _, err := ReadPackedFrom(bytes.NewReader(bad)); err == nil {
+		if _, err := ReadPackedFrom(bytes.NewReader(bad)); err == nil {
 			t.Fatalf("bit flip at byte %d loaded cleanly", i)
 		}
 	}
 	for cut := 0; cut < len(art); cut += 7 {
-		if _, _, err := ReadPackedFrom(bytes.NewReader(art[:cut])); err == nil {
+		if _, err := ReadPackedFrom(bytes.NewReader(art[:cut])); err == nil {
 			t.Fatalf("truncation at %d loaded cleanly", cut)
 		}
+	}
+}
+
+// TestReadPackedLyingHeaderAllocatesLittle: a header whose counts agree with
+// its shape — (2^14, 2^14) at 8 bits, so 2^28 code bytes — over a file that
+// holds the 64 KiB of scales and nothing else is an error that costs about
+// one read chunk, not the 256 MiB it declares.
+func TestReadPackedLyingHeaderAllocatesLittle(t *testing.T) {
+	const dim = 1 << 14
+	art := []byte("ELLMPKD1")
+	for _, v := range []uint32{packedKindUniform<<8 | 8, dim, dim, 0, dim, dim * dim} {
+		art = binary.LittleEndian.AppendUint32(art, v)
+	}
+	art = append(art, make([]byte, 4*dim)...)
+	var err error
+	cost := fault.Allocated(func() { _, err = ReadPackedFrom(bytes.NewReader(art)) })
+	if err == nil || !strings.Contains(err.Error(), "codes") {
+		t.Fatalf("error %v, want the code read to fail", err)
+	}
+	if cost >= 4<<20 {
+		t.Fatalf("a %d-byte input made ReadPackedFrom allocate %d bytes, want < 4 MiB", len(art), cost)
 	}
 }
 
@@ -237,7 +247,7 @@ func TestWritePackedFileAtomic(t *testing.T) {
 	if err := WritePackedFile(path, p); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadPackedFile(path)
+	m, err := artifact.ReadFile(path, ReadPackedFrom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +271,7 @@ func TestReadPackedNFIsReadyToDecode(t *testing.T) {
 	if _, err := PackNF(w, NFScheme{Bits: 4, BlockSize: 64}).WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := ReadPackedFrom(&buf)
+	m, err := ReadPackedFrom(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +301,7 @@ func TestReadPackedRejectsCodeOutsideCodebook(t *testing.T) {
 	if _, err := p.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadPackedFrom(&buf); err == nil || !strings.Contains(err.Error(), "codebook") {
+	if _, err := ReadPackedFrom(&buf); err == nil || !strings.Contains(err.Error(), "codebook") {
 		t.Fatalf("artifact with code 15 of a 15-entry codebook: error %v, want a codebook rejection", err)
 	}
 }

@@ -416,7 +416,7 @@ func TestSchedulerAdapterGrouping(t *testing.T) {
 
 // makeTestAdapter builds a deterministic low-rank adapter touching an
 // attention projection, an MLP linear, and the output head.
-func makeTestAdapter(t *testing.T, name string, seed int64, cfg nn.Config) *nn.Adapter {
+func makeTestAdapter(t testing.TB, name string, seed int64, cfg nn.Config) *nn.Adapter {
 	t.Helper()
 	g := tensor.NewRNG(seed)
 	pairs := []nn.AdapterPair{

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"edgellm/internal/artifact"
 	"edgellm/internal/fault"
 	"edgellm/internal/govern"
 	"edgellm/internal/nn"
@@ -31,7 +34,7 @@ func newTestServer(t *testing.T, m *nn.Model, slots int, cfg ServerConfig) (*Ser
 
 // newTestServerOver is newTestServer over a decoder the caller prepared
 // (SetPacked); the cleanup closes it.
-func newTestServerOver(t *testing.T, dec *nn.Decoder, cfg ServerConfig) (*Server, *httptest.Server) {
+func newTestServerOver(t testing.TB, dec *nn.Decoder, cfg ServerConfig) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 2 * time.Second
@@ -236,7 +239,7 @@ func TestServerBadRequests(t *testing.T) {
 }
 
 // writeAdapterArtifact saves a deterministic test adapter under dir/name.
-func writeAdapterArtifact(t *testing.T, dir, name string, seed int64, cfg nn.Config) {
+func writeAdapterArtifact(t testing.TB, dir, name string, seed int64, cfg nn.Config) {
 	t.Helper()
 	a := makeTestAdapter(t, name, seed, cfg)
 	if err := a.SaveFile(filepath.Join(dir, name)); err != nil {
@@ -326,6 +329,41 @@ func TestServerAdapterFlow(t *testing.T) {
 			t.Fatalf("available = %v, want both artifacts", listing.Available)
 		}
 	})
+}
+
+// TestLyingDimAdapterIs422: an adapter artifact that is well framed — magic,
+// a header naming one target — but whose first tensor declares 2^14 × 2^14
+// over no payload is a corrupt adapter, through Registry.Acquire and through
+// the HTTP front end, and neither path allocates the gigabyte it declares.
+func TestLyingDimAdapterIs422(t *testing.T) {
+	dir := t.TempDir()
+	err := artifact.WriteFile(filepath.Join(dir, "huge"), func(w io.Writer) error {
+		aw := artifact.NewWriter(w, artifact.Magic{'E', 'L', 'L', 'M', 'A', 'D', 'P', '1'})
+		aw.Header(map[string]any{"name": "huge", "alpha": 4, "rank": 2, "targets": []string{"block0.wq"}})
+		aw.Write([]byte("ELT1"))
+		binary.Write(aw, binary.LittleEndian, []int32{2, 1 << 14, 1 << 14})
+		return aw.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, testModel(406), 1, ServerConfig{MaxQueue: 2, Registry: NewRegistry(dir, 1)})
+
+	cost := fault.Allocated(func() { _, err = NewRegistry(dir, 1).Acquire("huge") })
+	var corrupt *CorruptAdapterError
+	if !errors.As(err, &corrupt) {
+		t.Fatalf("Acquire returned %v, want *CorruptAdapterError", err)
+	}
+	if cost >= 4<<20 {
+		t.Fatalf("Acquire allocated %d bytes on a lying dimension, want < 4 MiB", cost)
+	}
+	cost = fault.Allocated(func() {
+		resp, body := postGenerate(t, ts, generateRequest{ID: "h1", Adapter: "huge", Prompt: []int{1}, MaxTokens: 2}, nil)
+		wantError(t, resp, body, http.StatusUnprocessableEntity, "adapter_corrupt")
+	})
+	if cost >= 4<<20 {
+		t.Fatalf("the request allocated %d bytes on a lying dimension, want < 4 MiB", cost)
+	}
 }
 
 func TestRegistryLRUAndBusy(t *testing.T) {
@@ -698,4 +736,45 @@ func TestServerStatusz(t *testing.T) {
 			t.Fatalf("statusz missing %q: %v", key, status)
 		}
 	}
+}
+
+// FuzzGenerateRequest feeds the /v1/generate body — the one parser of outside
+// bytes in the serving path — to a live server: whatever the bytes, the
+// answer is a 200 or a typed 4xx (one JSON object with error and code set),
+// the KV arena holds no bytes once the handler has returned, and nothing
+// panics.
+func FuzzGenerateRequest(f *testing.F) {
+	m := testModel(407)
+	dir := f.TempDir()
+	writeAdapterArtifact(f, dir, "tenant-a", 100, m.Cfg)
+	dec := nn.NewBatchDecoder(m, 2, nil)
+	srv, _ := newTestServerOver(f, dec, ServerConfig{MaxQueue: 2, Registry: NewRegistry(dir, 1)})
+	for _, seed := range []string{
+		`{"id":"a","prompt":[1,2,3],"max_tokens":4}`,
+		`{"id":"b","tenant":"t","adapter":"tenant-a","prompt":[4],"max_tokens":3,"temperature":0.8,"top_k":5,"seed":7,"stream":true}`,
+		`{"adapter":"ghost","prompt":[1],"max_tokens":1}`,
+		`{"prompt":[31],"max_tokens":1}`,
+		`{"prompt":[-1,1e9],"max_tokens":2,"top_k":-3}`,
+		`{"prompt":[],"max_tokens":99999999999999999999}`,
+		`{nope`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/generate", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			if rec.Code < 400 || rec.Code > 499 {
+				t.Fatalf("status %d for body %q (%s)", rec.Code, body, rec.Body)
+			}
+			var er errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == "" || er.Code == "" {
+				t.Fatalf("status %d for body %q is not a typed error: %s", rec.Code, body, rec.Body)
+			}
+		}
+		if n := dec.ArenaActiveBytes(); n != 0 {
+			t.Fatalf("arena holds %d bytes after body %q", n, body)
+		}
+	})
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"edgellm/internal/artifact"
 )
 
 // magic identifies the binary tensor serialisation format; bump the trailing
@@ -37,9 +39,9 @@ func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
 	return n + int64(w2), err
 }
 
-// maxReadElems bounds the element count ReadFrom will allocate for
-// (1 GiB of float32). A corrupted dimension in a damaged checkpoint must
-// fail with a diagnostic error, not an out-of-memory crash.
+// maxReadElems bounds the element count ReadFrom will accept (1 GiB of
+// float32). A corrupted dimension in a damaged checkpoint must fail with a
+// diagnostic error, not an out-of-memory crash.
 const maxReadElems = 1 << 28
 
 // ReadFrom deserialises a tensor previously written by WriteTo.
@@ -74,8 +76,10 @@ func ReadFrom(r io.Reader) (*Tensor, error) {
 			return nil, fmt.Errorf("tensor: implausible element count %d (corrupt shape?)", n)
 		}
 	}
-	buf := make([]byte, 4*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	// The tensor is built only once its bytes are in hand: the dims came
+	// from outside, and a flipped bit in one must not cost its allocation.
+	buf, err := artifact.ReadN(r, 4*n)
+	if err != nil {
 		return nil, err
 	}
 	t := New(shape...)

@@ -2,9 +2,12 @@ package tensor
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"edgellm/internal/fault"
 )
 
 func TestNewShapes(t *testing.T) {
@@ -278,6 +281,22 @@ func TestSerializationRoundtrip(t *testing.T) {
 func TestReadFromRejectsGarbage(t *testing.T) {
 	if _, err := ReadFrom(bytes.NewReader([]byte("not a tensor"))); err == nil {
 		t.Fatal("ReadFrom should reject bad magic")
+	}
+}
+
+// TestReadFromLyingDimsAllocatesLittle: a header declaring 2^14 × 2^14
+// (1 GiB of float32, the most ReadFrom accepts) with no payload behind it is
+// an error that costs about one read chunk, not the gigabyte.
+func TestReadFromLyingDimsAllocatesLittle(t *testing.T) {
+	hdr := binary.LittleEndian.AppendUint32([]byte("ELT1"), 2)
+	hdr = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(hdr, 1<<14), 1<<14)
+	var err error
+	cost := fault.Allocated(func() { _, err = ReadFrom(bytes.NewReader(hdr)) })
+	if err == nil {
+		t.Fatal("a tensor with no payload loaded")
+	}
+	if cost >= 4<<20 {
+		t.Fatalf("a 16-byte input made ReadFrom allocate %d bytes, want < 4 MiB", cost)
 	}
 }
 

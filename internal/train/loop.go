@@ -1,18 +1,14 @@
 package train
 
 import (
-	"bufio"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
 	"os"
 	"sort"
 	"time"
 
+	"edgellm/internal/artifact"
 	"edgellm/internal/nn"
 	"edgellm/internal/obsv"
 	"edgellm/internal/tensor"
@@ -26,20 +22,12 @@ import (
 // the resumed loss curve and final weights match an uninterrupted run of
 // the same seed byte for byte.
 //
-// Snapshot container format:
-//
-//	magic "ELLMSNP1" | uint32 header length | JSON header |
-//	embedded model checkpoint (nn format v2, self-checksummed) |
-//	optimizer slot tensors in header order (tensor.WriteTo framing) |
-//	footer: "ELCF" | uint32 CRC32-IEEE over every preceding byte
-//
-// Snapshots are written atomically (nn.WriteFileAtomic), so the file on
-// disk is always a complete snapshot: either the previous one or the new
-// one, never a torn mix.
-var (
-	snapshotMagic  = [8]byte{'E', 'L', 'L', 'M', 'S', 'N', 'P', '1'}
-	snapshotFooter = [4]byte{'E', 'L', 'C', 'F'}
-)
+// A snapshot is an artifact (DESIGN.md, "Artifacts") of kind "ELLMSNP1": a
+// JSON header, an embedded model checkpoint (itself a checksummed artifact)
+// and the optimizer slot tensors in header order (tensor.WriteTo framing).
+// It is written atomically, so the file on disk is always a complete
+// snapshot: the previous one or the new one.
+var snapshotMagic = artifact.Magic{'E', 'L', 'L', 'M', 'S', 'N', 'P', '1'}
 
 // snapshotHeader is the JSON header of the snapshot container.
 type snapshotHeader struct {
@@ -141,7 +129,7 @@ func (l *Loop) runStep(step StepFunc) (loss float64, err error) {
 // records the write latency under obsv ("train.snapshot_ms").
 func (l *Loop) Snapshot() error {
 	start := time.Now()
-	if err := nn.WriteFileAtomic(l.Cfg.SnapshotPath, l.WriteSnapshot); err != nil {
+	if err := artifact.WriteFile(l.Cfg.SnapshotPath, l.WriteSnapshot); err != nil {
 		return err
 	}
 	if obs := obsv.Global(); obs != nil {
@@ -173,60 +161,22 @@ func (l *Loop) WriteSnapshot(w io.Writer) error {
 		RNGState:    rngState,
 		SlotKeys:    keys,
 	}
-	hdrBytes, err := json.Marshal(hdr)
-	if err != nil {
-		return fmt.Errorf("train: marshal snapshot header: %w", err)
-	}
-	cw := &crcWriter{w: w, crc: crc32.NewIEEE()}
-	if _, err := cw.Write(snapshotMagic[:]); err != nil {
-		return fmt.Errorf("train: write snapshot magic: %w", err)
-	}
-	if err := binary.Write(cw, binary.LittleEndian, uint32(len(hdrBytes))); err != nil {
-		return fmt.Errorf("train: write snapshot header length: %w", err)
-	}
-	if _, err := cw.Write(hdrBytes); err != nil {
+	aw := artifact.NewWriter(w, snapshotMagic)
+	if err := aw.Header(hdr); err != nil {
 		return fmt.Errorf("train: write snapshot header: %w", err)
 	}
-	if err := l.Model.Save(cw); err != nil {
+	if err := l.Model.Save(aw); err != nil {
 		return fmt.Errorf("train: write snapshot model: %w", err)
 	}
 	for _, k := range keys {
-		if _, err := slots[k].WriteTo(cw); err != nil {
+		if _, err := slots[k].WriteTo(aw); err != nil {
 			return fmt.Errorf("train: write optimizer slot %s: %w", k, err)
 		}
 	}
-	sum := cw.crc.Sum32()
-	if _, err := w.Write(snapshotFooter[:]); err != nil {
+	if err := aw.Close(); err != nil {
 		return fmt.Errorf("train: write snapshot footer: %w", err)
 	}
-	if err := binary.Write(w, binary.LittleEndian, sum); err != nil {
-		return fmt.Errorf("train: write snapshot checksum: %w", err)
-	}
 	return nil
-}
-
-// crcWriter forwards to w while folding every byte into a CRC32.
-type crcWriter struct {
-	w   io.Writer
-	crc hash.Hash32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.crc.Write(p[:n])
-	return n, err
-}
-
-// crcReader forwards reads from r while folding every byte into a CRC32.
-type crcReader struct {
-	r   io.Reader
-	crc hash.Hash32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc.Write(p[:n])
-	return n, err
 }
 
 // ReadSnapshot reads a snapshot container from r and reconstructs a loop
@@ -236,28 +186,13 @@ func (c *crcReader) Read(p []byte) (int, error) {
 // model, and the RNG. The container's CRC footer is verified before any
 // state is installed, so a corrupt snapshot restores nothing.
 func ReadSnapshot(r io.Reader, tr *Trainer, cfg LoopConfig) (*Loop, error) {
-	cr := &crcReader{r: r, crc: crc32.NewIEEE()}
-	var magic [8]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil {
-		return nil, fmt.Errorf("train: read snapshot magic: %w", err)
-	}
-	if magic != snapshotMagic {
-		return nil, fmt.Errorf("train: not an edgellm snapshot (magic %q)", magic)
-	}
-	var hdrLen uint32
-	if err := binary.Read(cr, binary.LittleEndian, &hdrLen); err != nil {
-		return nil, fmt.Errorf("train: read snapshot header length: %w", err)
-	}
-	if hdrLen > 1<<20 {
-		return nil, fmt.Errorf("train: implausible snapshot header length %d", hdrLen)
-	}
-	hdrBytes := make([]byte, hdrLen)
-	if _, err := io.ReadFull(cr, hdrBytes); err != nil {
-		return nil, fmt.Errorf("train: read snapshot header: %w", err)
+	ar, err := artifact.NewReader(r, snapshotMagic)
+	if err != nil {
+		return nil, fmt.Errorf("train: not an edgellm snapshot: %w", err)
 	}
 	var hdr snapshotHeader
-	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
-		return nil, fmt.Errorf("train: parse snapshot header: %w", err)
+	if err := ar.Header(&hdr); err != nil {
+		return nil, fmt.Errorf("train: snapshot: %w", err)
 	}
 	if hdr.Version != 1 {
 		return nil, fmt.Errorf("train: unsupported snapshot version %d", hdr.Version)
@@ -266,32 +201,20 @@ func ReadSnapshot(r io.Reader, tr *Trainer, cfg LoopConfig) (*Loop, error) {
 		return nil, fmt.Errorf("train: snapshot was taken with optimizer %q, trainer has %q",
 			hdr.Optimizer, tr.Opt.Name())
 	}
-	m, err := nn.Load(cr)
+	m, err := nn.Load(ar)
 	if err != nil {
 		return nil, fmt.Errorf("train: read snapshot model: %w", err)
 	}
 	slots := make(map[string]*tensor.Tensor, len(hdr.SlotKeys))
 	for _, k := range hdr.SlotKeys {
-		t, err := tensor.ReadFrom(cr)
+		t, err := tensor.ReadFrom(ar)
 		if err != nil {
 			return nil, fmt.Errorf("train: read optimizer slot %s: %w", k, err)
 		}
 		slots[k] = t
 	}
-	want := cr.crc.Sum32()
-	var footer [4]byte
-	if _, err := io.ReadFull(r, footer[:]); err != nil {
-		return nil, fmt.Errorf("train: snapshot truncated before footer: %w", err)
-	}
-	if footer != snapshotFooter {
-		return nil, fmt.Errorf("train: bad snapshot footer %q (truncated or corrupt)", footer)
-	}
-	var sum uint32
-	if err := binary.Read(r, binary.LittleEndian, &sum); err != nil {
-		return nil, fmt.Errorf("train: snapshot truncated inside checksum: %w", err)
-	}
-	if sum != want {
-		return nil, fmt.Errorf("train: snapshot checksum mismatch (stored %08x, computed %08x): file is corrupt", sum, want)
+	if err := ar.Verify(); err != nil {
+		return nil, fmt.Errorf("train: snapshot: %w", err)
 	}
 	// Only now, with integrity proven, mutate the trainer.
 	tr.Opt.ImportState(hdr.OptStep, slots)
@@ -309,17 +232,11 @@ func ReadSnapshot(r io.Reader, tr *Trainer, cfg LoopConfig) (*Loop, error) {
 // is false (with a nil error) when no snapshot exists yet, letting callers
 // fall back to a fresh start.
 func Resume(tr *Trainer, cfg LoopConfig) (l *Loop, found bool, err error) {
-	f, err := os.Open(cfg.SnapshotPath)
+	l, err = artifact.ReadFile(cfg.SnapshotPath, func(r io.Reader) (*Loop, error) {
+		return ReadSnapshot(r, tr, cfg)
+	})
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, false, nil
 	}
-	if err != nil {
-		return nil, false, fmt.Errorf("train: open snapshot: %w", err)
-	}
-	defer f.Close()
-	l, err = ReadSnapshot(bufio.NewReader(f), tr, cfg)
-	if err != nil {
-		return nil, false, err
-	}
-	return l, true, nil
+	return l, err == nil, err
 }

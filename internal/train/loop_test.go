@@ -3,11 +3,13 @@ package train
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"edgellm/internal/artifact"
 	ag "edgellm/internal/autograd"
 	"edgellm/internal/data"
 	"edgellm/internal/fault"
@@ -369,4 +371,59 @@ func TestSnapshotOverwriteKeepsLatest(t *testing.T) {
 			t.Fatalf("snapshot after step %d resumes at %d", i, resumed.Step())
 		}
 	}
+}
+
+// FuzzReadSnapshot feeds the snapshot loader outside bytes, as written and
+// resealed under a fresh footer: a load either fails and has installed
+// nothing into the trainer it was given, or succeeds and yields a loop that
+// writes back. It never panics. The embedded checkpoint's header decides how
+// big a model nn.Load builds before it reads a tensor (ROADMAP item 4), so
+// inputs declaring one far larger than the seeds' are skipped.
+func FuzzReadSnapshot(f *testing.F) {
+	cfg := nn.Config{Vocab: 16, Dim: 4, Heads: 2, Layers: 1, Hidden: 4, MaxSeq: 8}
+	for _, steps := range []int{0, 2} {
+		m, tr := nn.NewModel(cfg, tensor.NewRNG(20)), loopTrainer()
+		loop := NewLoop(m, tr, LoopConfig{Seed: 5})
+		if _, err := loop.Run(steps, loopStep(m, tr, loopCorpus())); err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := loop.WriteSnapshot(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	fits := func(data []byte) bool {
+		outer, err := artifact.NewReader(bytes.NewReader(data), snapshotMagic)
+		if err != nil || outer.Header(new(snapshotHeader)) != nil {
+			return true
+		}
+		inner, err := artifact.NewReader(outer, artifact.Magic([]byte("ELLMCKP2")), artifact.Magic([]byte("ELLMCKP1")))
+		var hdr struct{ Config nn.Config }
+		if err != nil || inner.Header(&hdr) != nil {
+			return true
+		}
+		c := hdr.Config
+		return max(c.Vocab, c.Dim, c.Hidden, c.MaxSeq, c.Layers) <= 64
+	}
+	load := func(t *testing.T, data []byte) {
+		if !fits(data) {
+			return
+		}
+		tr := loopTrainer()
+		loop, err := ReadSnapshot(bytes.NewReader(data), tr, LoopConfig{})
+		if err != nil {
+			if _, slots := tr.Opt.ExportState(); tr.StepCount() != 0 || len(slots) != 0 {
+				t.Fatalf("failed load (%v) left step %d and %d optimizer slots in the trainer", err, tr.StepCount(), len(slots))
+			}
+			return
+		}
+		if err := loop.WriteSnapshot(io.Discard); err != nil {
+			t.Fatalf("loaded snapshot does not write back: %v", err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		load(t, data)
+		load(t, fault.Reseal(data))
+	})
 }

@@ -1,0 +1,19 @@
+#!/usr/bin/env bash
+# Fuzz every Fuzz* target in the module for 10 s each (about a minute and a
+# half in all). `go test ./...` already runs each target over its seed corpus;
+# this lets the engine mutate — the loaders of outside bytes (checkpoint,
+# snapshot, adapter, packed weights, the /v1/generate body) get inputs no seed
+# holds. A crasher is written to the package's testdata/fuzz/<target>/ and
+# fails the script: commit it with the fix, it becomes a seed.
+#
+# -fuzzminimizetime 1s: the engine's default spends up to a minute shrinking
+# each interesting input, which on a multi-KB artifact is the whole budget.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+grep -r --include='*_test.go' -o '^func Fuzz[A-Za-z0-9_]*' . | sort | while IFS=: read -r file fn; do
+  pkg=$(dirname "$file") target=${fn#func }
+  echo "== $pkg $target"
+  go test -run '^$' -fuzz "^$target\$" -fuzztime 10s -fuzzminimizetime 1s "$pkg"
+done
+echo "fuzz-smoke: ok"
