@@ -11,9 +11,11 @@
 //     on ≥4 cores;
 //   - benchmarks reporting the custom tok/s metric (the decode and serve
 //     suites) must stay above the baseline's tok_s floor minus the
-//     tolerance, and any extra speedup pairs the baseline declares (e.g.
-//     batch-8 decode vs one-at-a-time) must reach their min ratio on ≥4
-//     procs;
+//     tolerance, and any extra speedup pairs the baseline declares must
+//     reach their min ratio from the pair's min_procs up: 4 by default
+//     (batch-8 decode vs one-at-a-time needs the cores), 1 for
+//     kernel-vs-kernel pairs such as packed vs float32 decode, which
+//     compare two serial loops and hold on any machine;
 //   - benchmarks reporting the custom p99ms metric (the serve suite's
 //     queue-wait tail) must stay below the baseline's p99_ms ceiling plus
 //     the tolerance — a generous bound that catches queueing collapse (a
@@ -26,7 +28,11 @@
 // Wall-clock ns/op is recorded in the artifact but never gated: it is not
 // comparable across machines. The decode baseline's tok/s floors are set
 // far below any observed run for the same reason — they catch collapse
-// (an accidental O(n²) step, a lost cache), not drift.
+// (an accidental O(n²) step, a lost cache), not drift. When the input
+// holds a benchmark more than once (`-count N`, or several passes), the
+// fastest repetition is the one recorded and gated: a shared host's clock
+// moves by a quarter between repetitions, and the fastest is the one it
+// disturbed least.
 //
 // Usage:
 //
@@ -93,12 +99,14 @@ type gate struct {
 }
 
 // speedupSpec names a (parallel, serial) benchmark pair whose ns/op ratio
-// must reach Min (the baseline's min_speedup when 0). Pairs are gated only
-// when the run used ≥4 procs.
+// serial÷parallel must reach Min (the baseline's min_speedup when 0). A
+// pair is gated only when the run used at least MinProcs procs: 4 when 0,
+// for pairs that measure fan-out; 1 for pairs that compare two kernels.
 type speedupSpec struct {
 	Parallel string  `json:"parallel"`
 	Serial   string  `json:"serial"`
 	Min      float64 `json:"min,omitempty"`
+	MinProcs int     `json:"min_procs,omitempty"`
 }
 
 type baseline struct {
@@ -199,7 +207,8 @@ func main() {
 //	BenchmarkKernelMatMulT512-8  42  28405030 ns/op  28.34 MB/s  12 B/op  1 allocs/op
 //
 // with the -procs suffix omitted when GOMAXPROCS is 1 and the MB/s, B/op,
-// allocs/op columns present only when the benchmark reports them.
+// allocs/op columns present only when the benchmark reports them. Of a
+// benchmark's repeated lines the one with the lowest ns/op is kept, whole.
 func parseBench(r io.Reader, out map[string]benchResult) error {
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
@@ -244,7 +253,9 @@ func parseBench(r io.Reader, out map[string]benchResult) error {
 				res.AllocsOp = int64(v)
 			}
 		}
-		out[name] = res
+		if prev, seen := out[name]; !seen || res.NsOp < prev.NsOp {
+			out[name] = res // of a benchmark's repetitions, the fastest
+		}
 	}
 	return sc.Err()
 }
@@ -325,16 +336,20 @@ func check(rep report, base baseline) []error {
 		}
 	}
 	for name, spec := range speedupPairs(&base) {
+		minProcs := spec.MinProcs
+		if minProcs <= 0 {
+			minProcs = 4 // a fan-out speedup is defined on ≥4 cores
+		}
 		par, ok := rep.Benchmarks[spec.Parallel]
-		if !ok || par.Procs < 4 {
-			continue // speedup criterion is defined on ≥4 cores
+		if !ok || par.Procs < minProcs {
+			continue
 		}
 		min := spec.Min
 		if min <= 0 {
 			min = base.MinSpeedup
 		}
 		if s, ok := rep.Speedups[name]; ok && s < min {
-			errs = append(errs, fmt.Errorf("%s: speedup %.2f× below required %.1f× at %d procs",
+			errs = append(errs, fmt.Errorf("%s: speedup %.2f× below required %.2f× at %d procs",
 				name, s, min, par.Procs))
 		}
 	}

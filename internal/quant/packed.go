@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -85,17 +86,200 @@ func Pack(t *tensor.Tensor, bits int) *Packed {
 // Dims implements tensor.PackedMat.
 func (p *Packed) Dims() (int, int) { return p.Rows, p.Cols }
 
+// blockCols is the column-block width of the word path; see
+// tensor.PackedBlockCols.
+const blockCols = tensor.PackedBlockCols
+
+// wordAligned reports whether columns [colLo, colHi) of a cols-wide bit
+// stream are whole 8-column blocks whose every row starts on a byte: a
+// b-bit row of such a block is exactly b bytes, one word load.
+func wordAligned(cols, colLo, colHi int) bool {
+	return cols%blockCols == 0 && colLo%blockCols == 0 && (colHi-colLo)%blockCols == 0
+}
+
+// loadWord returns the code bytes at off as a little-endian word: eight of
+// them where the stream has eight left, else what remains, zero-extended.
+// A block row is at most 8 bytes, so the word always holds all of it.
+func loadWord(codes []byte, off int) uint64 {
+	tail := codes[off:]
+	if len(tail) >= 8 {
+		return binary.LittleEndian.Uint64(tail)
+	}
+	var w uint64
+	for i := len(tail) - 1; i >= 0; i-- {
+		w = w<<8 | uint64(tail[i])
+	}
+	return w
+}
+
+// width tags a word-path kernel with the code width it is compiled for:
+// the array length is the width. The kernels are generic over it for one
+// reason — each instantiation then extracts its eight codes with constant
+// shift counts. A variable count is three µops on amd64 below GOAMD64=v3,
+// which made the 4-bit kernel a third slower (455 against 336 µs at 768²).
+// Widths 5–7 (no LUC candidate) stay on the per-element decode.
+type width interface {
+	[2]struct{} | [3]struct{} | [4]struct{}
+}
+
+// blockTable is one column block's dequantization table: entry code·8+j is
+// float32(sext(code))·Scale[colLo+j], exactly the float32 the per-element
+// decode computes for that code in that column. 2^bits rows are in use;
+// the array is sized for 4 bits.
+type blockTable [16 * blockCols]float32
+
+func (p *Packed) fillBlockTable(d *blockTable, colLo int) {
+	scale := p.Scale[colLo : colLo+blockCols]
+	n := 1 << p.Bits
+	for code := 0; code < n; code++ {
+		q := int32(code)
+		if code >= n/2 { // sign-extend
+			q -= int32(n)
+		}
+		qf := float32(q)
+		row := d[code*blockCols : (code+1)*blockCols]
+		for j, s := range scale {
+			row[j] = qf * s
+		}
+	}
+}
+
+// decodeBlocks is DecodeRowsInto for a word-aligned tile at width W, one
+// column block at a time: a table per block, then per row one word load
+// and eight lookups. mask selects a code pre-multiplied by the table's row
+// width, from a word shifted left by 3 to match.
+func decodeBlocks[W width](p *Packed, dst []float32, rowLo, rowHi, colLo, colHi int) {
+	var z W
+	bits := uint(len(z))
+	mask := uint64(blockCols<<bits - blockCols)
+	var d blockTable
+	codes, stride := p.Codes, colHi-colLo
+	rowBytes := p.Cols / blockCols * int(bits)
+	for c := colLo; c < colHi; c += blockCols {
+		p.fillBlockTable(&d, c)
+		off := rowLo*rowBytes + c/blockCols*int(bits)
+		for i := c - colLo; i < (rowHi-rowLo)*stride; i += stride {
+			w := loadWord(codes, off) << 3
+			off += rowBytes
+			t := (*[blockCols]float32)(dst[i:])
+			t[0] = d[w&mask]
+			t[1] = d[w>>bits&mask+1]
+			t[2] = d[w>>(2*bits)&mask+2]
+			t[3] = d[w>>(3*bits)&mask+3]
+			t[4] = d[w>>(4*bits)&mask+4]
+			t[5] = d[w>>(5*bits)&mask+5]
+			t[6] = d[w>>(6*bits)&mask+6]
+			t[7] = d[w>>(7*bits)&mask+7]
+		}
+	}
+}
+
+// mulVecBlocks is MulVecInto at width W: decodeBlocks' lookups feed the
+// eight running sums directly, so a decoded weight never leaves a
+// register.
+func mulVecBlocks[W width](p *Packed, out, a []float32, colLo, colHi int) {
+	var z W
+	bits := uint(len(z))
+	mask := uint64(blockCols<<bits - blockCols)
+	var d blockTable
+	codes := p.Codes
+	rowBytes := p.Cols / blockCols * int(bits)
+	for c := colLo; c < colHi; c += blockCols {
+		p.fillBlockTable(&d, c)
+		off := c / blockCols * int(bits)
+		var s0, s1, s2, s3, s4, s5, s6, s7 float32
+		for _, av := range a {
+			w := loadWord(codes, off) << 3
+			off += rowBytes
+			if av == 0 {
+				continue
+			}
+			s0 += av * d[w&mask]
+			s1 += av * d[w>>bits&mask+1]
+			s2 += av * d[w>>(2*bits)&mask+2]
+			s3 += av * d[w>>(3*bits)&mask+3]
+			s4 += av * d[w>>(4*bits)&mask+4]
+			s5 += av * d[w>>(5*bits)&mask+5]
+			s6 += av * d[w>>(6*bits)&mask+6]
+			s7 += av * d[w>>(7*bits)&mask+7]
+		}
+		o := (*[blockCols]float32)(out[c-colLo:])
+		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
+	}
+}
+
+// mulVecBytes is MulVecInto at 8 bits: a block row is eight bytes, each
+// converted and scaled on the way into its sum. (A 256-row table would
+// cost more to build per block than it saves below k ≈ 400.)
+func (p *Packed) mulVecBytes(out, a []float32, colLo, colHi int) {
+	for c := colLo; c < colHi; c += blockCols {
+		sc := (*[blockCols]float32)(p.Scale[c:])
+		off := c
+		var s0, s1, s2, s3, s4, s5, s6, s7 float32
+		for _, av := range a {
+			q := (*[blockCols]byte)(p.Codes[off:])
+			off += p.Cols
+			if av == 0 {
+				continue
+			}
+			s0 += av * (float32(int8(q[0])) * sc[0])
+			s1 += av * (float32(int8(q[1])) * sc[1])
+			s2 += av * (float32(int8(q[2])) * sc[2])
+			s3 += av * (float32(int8(q[3])) * sc[3])
+			s4 += av * (float32(int8(q[4])) * sc[4])
+			s5 += av * (float32(int8(q[5])) * sc[5])
+			s6 += av * (float32(int8(q[6])) * sc[6])
+			s7 += av * (float32(int8(q[7])) * sc[7])
+		}
+		o := (*[blockCols]float32)(out[c-colLo:])
+		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
+	}
+}
+
+// MulVecInto implements tensor.PackedMat.
+func (p *Packed) MulVecInto(out, a []float32, colLo, colHi int) bool {
+	if !wordAligned(p.Cols, colLo, colHi) {
+		return false
+	}
+	switch p.Bits {
+	case 2:
+		mulVecBlocks[[2]struct{}](p, out, a, colLo, colHi)
+	case 3:
+		mulVecBlocks[[3]struct{}](p, out, a, colLo, colHi)
+	case 4:
+		mulVecBlocks[[4]struct{}](p, out, a, colLo, colHi)
+	case 8:
+		p.mulVecBytes(out, a, colLo, colHi)
+	default:
+		return false
+	}
+	return true
+}
+
 // DecodeRowsInto implements tensor.PackedMat: it dequantizes the tile
 // rows [rowLo,rowHi) × cols [colLo,colHi) into dst, row-major with stride
-// colHi-colLo, bitwise identical to the same elements of Unpack. bits=8
-// codes are bytes and bits=4 codes are nibbles, so those widths decode
-// without per-element bit arithmetic; other widths use the word-wise
-// extractor.
+// colHi-colLo, bitwise identical to the same elements of Unpack. A
+// word-aligned tile of 2–4-bit codes decodes through decodeBlocks; bits=8
+// codes are bytes and convert in place; anything else — widths 5–7, a
+// matrix whose width is not a multiple of 8, a tile cut inside a block —
+// decodes per element through the two-byte-window extractor.
 func (p *Packed) DecodeRowsInto(dst []float32, rowLo, rowHi, colLo, colHi int) {
+	if wordAligned(p.Cols, colLo, colHi) {
+		switch p.Bits {
+		case 2:
+			decodeBlocks[[2]struct{}](p, dst, rowLo, rowHi, colLo, colHi)
+			return
+		case 3:
+			decodeBlocks[[3]struct{}](p, dst, rowLo, rowHi, colLo, colHi)
+			return
+		case 4:
+			decodeBlocks[[4]struct{}](p, dst, rowLo, rowHi, colLo, colHi)
+			return
+		}
+	}
 	w := colHi - colLo
 	scale := p.Scale[colLo:colHi]
-	switch p.Bits {
-	case 8:
+	if p.Bits == 8 {
 		for r := rowLo; r < rowHi; r++ {
 			codes := p.Codes[r*p.Cols+colLo : r*p.Cols+colHi]
 			drow := dst[(r-rowLo)*w : (r-rowLo)*w+w]
@@ -103,53 +287,24 @@ func (p *Packed) DecodeRowsInto(dst []float32, rowLo, rowHi, colLo, colHi int) {
 				drow[c] = float32(int8(b)) * scale[c]
 			}
 		}
-	case 4:
-		for r := rowLo; r < rowHi; r++ {
-			idx := r*p.Cols + colLo
-			drow := dst[(r-rowLo)*w : (r-rowLo)*w+w]
-			c := 0
-			if idx&1 == 1 { // leading element sits in a high nibble
-				drow[0] = float32(sext4(p.Codes[idx>>1]>>4)) * scale[0]
-				idx++
-				c++
+		return
+	}
+	bits := p.Bits
+	signBit := byte(1 << (bits - 1))
+	off := int32(1) << bits
+	for r := rowLo; r < rowHi; r++ {
+		pos := (r*p.Cols + colLo) * bits
+		drow := dst[(r-rowLo)*w : (r-rowLo)*w+w]
+		for c := range drow {
+			code := readBits(p.Codes, pos, bits)
+			pos += bits
+			q := int32(code)
+			if code&signBit != 0 { // sign-extend
+				q -= off
 			}
-			for ; c+2 <= w; c += 2 {
-				b := p.Codes[idx>>1]
-				drow[c] = float32(sext4(b&0x0f)) * scale[c]
-				drow[c+1] = float32(sext4(b>>4)) * scale[c+1]
-				idx += 2
-			}
-			if c < w {
-				drow[c] = float32(sext4(p.Codes[idx>>1]&0x0f)) * scale[c]
-			}
-		}
-	default:
-		bits := p.Bits
-		signBit := byte(1 << (bits - 1))
-		off := int32(1) << bits
-		for r := rowLo; r < rowHi; r++ {
-			pos := (r*p.Cols + colLo) * bits
-			drow := dst[(r-rowLo)*w : (r-rowLo)*w+w]
-			for c := range drow {
-				code := readBits(p.Codes, pos, bits)
-				pos += bits
-				q := int32(code)
-				if code&signBit != 0 { // sign-extend
-					q -= off
-				}
-				drow[c] = float32(q) * scale[c]
-			}
+			drow[c] = float32(q) * scale[c]
 		}
 	}
-}
-
-// sext4 sign-extends a 4-bit two's-complement nibble.
-func sext4(code byte) int32 {
-	q := int32(code)
-	if code&0x8 != 0 {
-		q -= 16
-	}
-	return q
 }
 
 // Unpack reconstructs the dequantized tensor.

@@ -54,43 +54,76 @@ func TestWordWiseBitsMatchBitLoop(t *testing.T) {
 	}
 }
 
-// TestDecodeRowsIntoMatchesUnpack pins the tile decoder against Unpack,
-// bitwise, for every width and deliberately misaligned tiles (odd column
-// offsets hit the 4-bit high-nibble lead-in and the generic straddles).
+// refDecode is the decode oracle, independent of every production decode
+// path: the bit-loop extractor, then the format's defining expression.
+func refDecode(m tensor.PackedMat, r, c int) float32 {
+	switch p := m.(type) {
+	case *Packed:
+		q := int32(refReadBits(p.Codes, (r*p.Cols+c)*p.Bits, p.Bits))
+		if q >= 1<<(p.Bits-1) {
+			q -= 1 << p.Bits
+		}
+		return float32(q) * p.Scale[c]
+	case *PackedNF:
+		flat := r*p.Cols + c
+		return p.codebook[refReadBits(p.Codes, flat*p.Bits, p.Bits)] * p.Scale[flat/p.BlockSize]
+	}
+	panic("unknown packed format")
+}
+
+// TestDecodeRowsIntoMatchesUnpack pins the tile decoder, and Unpack with
+// it, against the bit-loop oracle, bitwise, for every width. The 53-wide
+// matrix has no word-aligned tile (odd column offsets hit the generic
+// straddles); the 56-wide one takes the word path on whole-block tiles —
+// one block, several, the last (whose final rows load a short word) — and
+// the per-element path on tiles cut inside a block.
 func TestDecodeRowsIntoMatchesUnpack(t *testing.T) {
-	w := randWeights(37, 53, 7)
 	type pm interface {
 		tensor.PackedMat
 		Unpack() *tensor.Tensor
 	}
-	variants := map[string]pm{}
-	for bits := 2; bits <= 8; bits++ {
-		variants[fmt.Sprintf("uniform%d", bits)] = Pack(w, bits)
-	}
-	variants["nf4"] = PackNF(w, NFScheme{Bits: 4, BlockSize: 16})
-	variants["nf2-whole"] = PackNF(w, NFScheme{Bits: 2})
-	tiles := [][4]int{
-		{0, 37, 0, 53}, // full matrix
-		{0, 1, 0, 1},
-		{3, 19, 5, 24}, // odd offsets both ways
-		{36, 37, 52, 53},
-		{10, 11, 1, 53}, // single row, odd start
-	}
-	for name, p := range variants {
-		full := p.Unpack()
-		for _, tile := range tiles {
-			rl, rh, cl, ch := tile[0], tile[1], tile[2], tile[3]
-			dst := make([]float32, (rh-rl)*(ch-cl))
-			for i := range dst {
-				dst[i] = float32(math.NaN()) // decode must overwrite every slot
+	for _, cols := range []int{53, 56} {
+		w := randWeights(37, cols, 7)
+		variants := map[string]pm{}
+		for bits := 2; bits <= 8; bits++ {
+			variants[fmt.Sprintf("uniform%d", bits)] = Pack(w, bits)
+		}
+		variants["nf4"] = PackNF(w, NFScheme{Bits: 4, BlockSize: 16})
+		variants["nf3-b40"] = PackNF(w, NFScheme{Bits: 3, BlockSize: 40}) // carries a remainder row to row
+		variants["nf4-b12"] = PackNF(w, NFScheme{Bits: 4, BlockSize: 12}) // a block row straddles two scales
+		variants["nf2-whole"] = PackNF(w, NFScheme{Bits: 2})
+		tiles := [][4]int{
+			{0, 37, 0, cols}, // full matrix
+			{0, 1, 0, 1},
+			{3, 19, 5, 24}, // odd offsets both ways
+			{36, 37, cols - 1, cols},
+			{10, 11, 1, cols}, // single row, odd start
+			{0, 37, 8, 16},    // one column block, full height: the kernels' tile
+			{5, 30, 16, 48},   // several blocks
+			{0, 37, 48, 56},   // the last block of the 56-wide matrix
+			{0, 37, 8, 20},    // starts on a block, ends inside one
+		}
+		for name, p := range variants {
+			full := p.Unpack()
+			for i, got := range full.Data {
+				if want := refDecode(p, i/cols, i%cols); math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("%s cols %d Unpack at (%d,%d): %v != %v", name, cols, i/cols, i%cols, got, want)
+				}
 			}
-			p.DecodeRowsInto(dst, rl, rh, cl, ch)
-			for r := rl; r < rh; r++ {
-				for c := cl; c < ch; c++ {
-					got := dst[(r-rl)*(ch-cl)+(c-cl)]
-					want := full.At(r, c)
-					if math.Float32bits(got) != math.Float32bits(want) {
-						t.Fatalf("%s tile %v at (%d,%d): %v != %v", name, tile, r, c, got, want)
+			for _, tile := range tiles {
+				rl, rh, cl, ch := tile[0], tile[1], tile[2], min(tile[3], cols)
+				dst := make([]float32, (rh-rl)*(ch-cl))
+				for i := range dst {
+					dst[i] = float32(math.NaN()) // decode must overwrite every slot
+				}
+				p.DecodeRowsInto(dst, rl, rh, cl, ch)
+				for r := rl; r < rh; r++ {
+					for c := cl; c < ch; c++ {
+						got := dst[(r-rl)*(ch-cl)+(c-cl)]
+						want := refDecode(p, r, c)
+						if math.Float32bits(got) != math.Float32bits(want) {
+							t.Fatalf("%s cols %d tile %v at (%d,%d): %v != %v", name, cols, tile, r, c, got, want)
+						}
 					}
 				}
 			}

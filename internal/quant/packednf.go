@@ -72,9 +72,141 @@ func PackNF(t *tensor.Tensor, s NFScheme) *PackedNF {
 // Dims implements tensor.PackedMat.
 func (p *PackedNF) Dims() (int, int) { return p.Rows, p.Cols }
 
+// wordAligned is the uniform format's test plus one condition of NF's own:
+// scale blocks must be whole multiples of 8 elements, so that the eight
+// columns of a block row — flat elements 8i … 8i+7 — share one scale. (An
+// empty matrix has BlockSize 0 and nothing to decode.)
+func (p *PackedNF) wordAligned(colLo, colHi int) bool {
+	return p.BlockSize >= blockCols && p.BlockSize%blockCols == 0 && wordAligned(p.Cols, colLo, colHi)
+}
+
+// scaleCursor walks the scale index of one column block down the rows:
+// the flat index grows by Cols a row, tracked as quotient and remainder
+// of BlockSize so the row loop never divides.
+type scaleCursor struct {
+	idx, rem          int
+	dIdx, dRem, block int
+}
+
+func (p *PackedNF) cursorAt(row, col int) scaleCursor {
+	flat := row*p.Cols + col
+	return scaleCursor{
+		idx: flat / p.BlockSize, rem: flat % p.BlockSize,
+		dIdx: p.Cols / p.BlockSize, dRem: p.Cols % p.BlockSize, block: p.BlockSize,
+	}
+}
+
+func (c *scaleCursor) nextRow() {
+	c.idx += c.dIdx
+	if c.rem += c.dRem; c.rem >= c.block {
+		c.rem -= c.block
+		c.idx++
+	}
+}
+
+// decodeBlocksNF is DecodeRowsInto for a word-aligned tile at width W. The
+// scale varies by row, not by column, so the table is the codebook itself
+// and each lookup is multiplied by the row's scale: the same product, in
+// the same order, as the per-element decode.
+func decodeBlocksNF[W width](p *PackedNF, dst []float32, rowLo, rowHi, colLo, colHi int) {
+	var z W
+	bits := uint(len(z))
+	mask := uint64(1<<bits - 1)
+	var cb [16]float32
+	copy(cb[:], p.codebook)
+	codes, stride := p.Codes, colHi-colLo
+	rowBytes := p.Cols / blockCols * int(bits)
+	for c := colLo; c < colHi; c += blockCols {
+		off := rowLo*rowBytes + c/blockCols*int(bits)
+		sc := p.cursorAt(rowLo, c)
+		for i := c - colLo; i < (rowHi-rowLo)*stride; i += stride {
+			w, s := loadWord(codes, off), p.Scale[sc.idx]
+			off += rowBytes
+			sc.nextRow()
+			t := (*[blockCols]float32)(dst[i:])
+			t[0] = cb[w&mask] * s
+			t[1] = cb[w>>bits&mask] * s
+			t[2] = cb[w>>(2*bits)&mask] * s
+			t[3] = cb[w>>(3*bits)&mask] * s
+			t[4] = cb[w>>(4*bits)&mask] * s
+			t[5] = cb[w>>(5*bits)&mask] * s
+			t[6] = cb[w>>(6*bits)&mask] * s
+			t[7] = cb[w>>(7*bits)&mask] * s
+		}
+	}
+}
+
+// mulVecBlocksNF is MulVecInto at width W: decodeBlocksNF's products feed
+// the eight running sums directly.
+func mulVecBlocksNF[W width](p *PackedNF, out, a []float32, colLo, colHi int) {
+	var z W
+	bits := uint(len(z))
+	mask := uint64(1<<bits - 1)
+	var cb [16]float32
+	copy(cb[:], p.codebook)
+	codes := p.Codes
+	rowBytes := p.Cols / blockCols * int(bits)
+	for c := colLo; c < colHi; c += blockCols {
+		off := c / blockCols * int(bits)
+		sc := p.cursorAt(0, c)
+		var s0, s1, s2, s3, s4, s5, s6, s7 float32
+		for _, av := range a {
+			w, s := loadWord(codes, off), p.Scale[sc.idx]
+			off += rowBytes
+			sc.nextRow()
+			if av == 0 {
+				continue
+			}
+			s0 += av * (cb[w&mask] * s)
+			s1 += av * (cb[w>>bits&mask] * s)
+			s2 += av * (cb[w>>(2*bits)&mask] * s)
+			s3 += av * (cb[w>>(3*bits)&mask] * s)
+			s4 += av * (cb[w>>(4*bits)&mask] * s)
+			s5 += av * (cb[w>>(5*bits)&mask] * s)
+			s6 += av * (cb[w>>(6*bits)&mask] * s)
+			s7 += av * (cb[w>>(7*bits)&mask] * s)
+		}
+		o := (*[blockCols]float32)(out[c-colLo:])
+		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
+	}
+}
+
+// MulVecInto implements tensor.PackedMat.
+func (p *PackedNF) MulVecInto(out, a []float32, colLo, colHi int) bool {
+	if !p.wordAligned(colLo, colHi) {
+		return false
+	}
+	switch p.Bits {
+	case 2:
+		mulVecBlocksNF[[2]struct{}](p, out, a, colLo, colHi)
+	case 3:
+		mulVecBlocksNF[[3]struct{}](p, out, a, colLo, colHi)
+	case 4:
+		mulVecBlocksNF[[4]struct{}](p, out, a, colLo, colHi)
+	default:
+		return false
+	}
+	return true
+}
+
 // DecodeRowsInto implements tensor.PackedMat: codebook lookup times the
-// element's block scale, bitwise identical to Unpack.
+// element's block scale, bitwise identical to Unpack. A word-aligned tile
+// of 2–4-bit codes decodes through decodeBlocksNF, anything else per
+// element.
 func (p *PackedNF) DecodeRowsInto(dst []float32, rowLo, rowHi, colLo, colHi int) {
+	if p.wordAligned(colLo, colHi) {
+		switch p.Bits {
+		case 2:
+			decodeBlocksNF[[2]struct{}](p, dst, rowLo, rowHi, colLo, colHi)
+			return
+		case 3:
+			decodeBlocksNF[[3]struct{}](p, dst, rowLo, rowHi, colLo, colHi)
+			return
+		case 4:
+			decodeBlocksNF[[4]struct{}](p, dst, rowLo, rowHi, colLo, colHi)
+			return
+		}
+	}
 	w := colHi - colLo
 	cb := p.codebook
 	bits, block := p.Bits, p.BlockSize

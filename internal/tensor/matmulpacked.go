@@ -6,13 +6,21 @@ import (
 	"sync"
 )
 
+// PackedBlockCols is the column-block width of the packed kernels. Eight
+// b-bit codes are exactly b bytes, so in a matrix whose column count is a
+// multiple of 8 every row of every 8-column block starts on a byte
+// boundary and loads as one word; and eight float32 accumulators (plus the
+// activation and a product) fit the 15 usable XMM registers, where sixteen
+// spill.
+const PackedBlockCols = 8
+
 // PackedMat is a bit-packed rank-2 weight matrix that can expand tiles of
 // itself into float32 scratch. It is the seam between the tensor kernels
 // and the quantized formats in internal/quant (which cannot be imported
 // here without a cycle): the packed kernels below never materialize the
-// whole matrix, only one blockSize-row band at a time, so a packed
-// weight's float32 footprint during a matmul is blockSize·cols·4 bytes of
-// reusable scratch instead of rows·cols·4.
+// whole matrix, only one rows × PackedBlockCols column block at a time, so
+// a packed weight's float32 footprint during a matmul is rows·8·4 bytes of
+// reusable scratch per worker instead of rows·cols·4.
 type PackedMat interface {
 	// Dims returns the logical (rows, cols) of the matrix.
 	Dims() (rows, cols int)
@@ -21,8 +29,19 @@ type PackedMat interface {
 	// have at least (rowHi-rowLo)·(colHi-colLo) elements. The decoded
 	// values must be bitwise identical to the corresponding elements of
 	// the format's full Unpack — the packed kernels' bitwise-equality
-	// contract rests on it.
+	// contract rests on it. The kernels ask for full-height tiles one
+	// column block wide; a format makes that the fast case when the block
+	// is word-aligned in its bit stream.
 	DecodeRowsInto(dst []float32, rowLo, rowHi, colLo, colHi int)
+	// MulVecInto is the one-activation-row kernel, fused with the decode:
+	// out[j-colLo] = Σ_k a[k]·w[k][j] for colLo ≤ j < colHi, each output
+	// one ascending-k float32 sum from +0 over exactly the values
+	// DecodeRowsInto produces, skipping every a[k] == 0 — what decoding
+	// the band and running matmulRows over it gives, bit for bit, without
+	// the float32 round trip through scratch. It reports false, having
+	// written nothing, when the band is not word-aligned in the format's
+	// bit stream; the caller then goes through tiles.
+	MulVecInto(out, a []float32, colLo, colHi int) bool
 }
 
 // PackedScratch holds the per-worker tile-decode buffers for the packed
@@ -57,30 +76,29 @@ func (s *PackedScratch) ensure(workers, elems int) [][]float32 {
 }
 
 // MatMulPackedInto computes out = a × w for a packed weight w, reusing
-// out's storage: (m,k)×(k,n) → (m,n). Results are bitwise identical to
-// MatMulInto(out, a, w.Unpack()) at any GOMAXPROCS: each output element
-// accumulates its k terms in ascending order with the same zero skip as
-// matmulRows, and column bands own disjoint output columns. Band decode through
-// scratch amortizes bit extraction across a whole (k-block × n) row band,
-// decoded row-contiguously — the packed format's fastest path — and keeps
-// the inner axpy full-width, matching the dense kernel's loop shape.
-// scratch may be nil (a temporary is allocated); pass a reused scratch on
-// hot paths.
+// out's storage: (m,k)×(k,n) → (m,n), every element overwritten. Results
+// are bitwise identical to MatMulInto(out, a, w.Unpack()) at any
+// GOMAXPROCS: each output element is one ascending-k float32 sum from +0
+// with the same zero skip as matmulRows, over the same decoded values, and
+// column bands own disjoint output columns. The loop is column-block-outer
+// (matmulPackedCols): a block of w is decoded once and every activation
+// row consumes it from registers. scratch may be nil (a temporary is
+// allocated); pass a reused scratch on hot paths.
 func MatMulPackedInto(out, a *Tensor, w PackedMat, scratch *PackedScratch) {
 	m, k := a.Rows(), a.Cols()
 	wr, n := w.Dims()
 	if wr != k || out.Rows() != m || out.Cols() != n {
 		panic(fmt.Sprintf("tensor: MatMulPackedInto shape mismatch out %v = %v × packed(%d,%d)", out.Shape, a.Shape, wr, n))
 	}
-	for i := range out.Data {
-		out.Data[i] = 0
-	}
 	if scratch == nil {
 		scratch = NewPackedScratch()
 	}
 	workers := packedColWorkers(n, m*n*k)
+	// Bands are whole column blocks, so a band boundary never splits a
+	// word-aligned block into two unaligned halves.
 	band := (n + workers - 1) / workers
-	bufs := scratch.ensure(workers, blockSize*band)
+	band = (band + PackedBlockCols - 1) / PackedBlockCols * PackedBlockCols
+	bufs := scratch.ensure(workers, k*PackedBlockCols)
 	if workers <= 1 {
 		matmulPackedCols(out, a, w, bufs[0], 0, n)
 		return
@@ -90,9 +108,9 @@ func MatMulPackedInto(out, a *Tensor, w PackedMat, scratch *PackedScratch) {
 	for lo := 0; lo < n; lo += band {
 		hi := min(lo+band, n)
 		wg.Add(1)
-		go func(buf []float32, lo, hi int) {
+		go func(tile []float32, lo, hi int) {
 			defer wg.Done()
-			matmulPackedCols(out, a, w, buf, lo, hi)
+			matmulPackedCols(out, a, w, tile, lo, hi)
 		}(bufs[wi], lo, hi)
 		wi++
 	}
@@ -103,8 +121,9 @@ func MatMulPackedInto(out, a *Tensor, w PackedMat, scratch *PackedScratch) {
 // kernels' row banding, the packed kernels band over *output columns* so
 // each worker decodes only its own column range of w — the whole weight is
 // bit-extracted exactly once per matmul at any worker count, where row
-// banding would decode it once per worker. Capped at the column block
-// count to keep each band's decode runs wide.
+// banding would decode it once per worker. Capped so that no band is
+// narrower than blockSize columns: below that a goroutine costs more than
+// it computes.
 func packedColWorkers(n, macs int) int {
 	if macs < parallelThreshold {
 		return 1
@@ -116,36 +135,67 @@ func packedColWorkers(n, macs int) int {
 	return workers
 }
 
-// matmulPackedCols computes out columns [jLo, jHi) of a × w (all rows). A
-// k-block × band-width slab of w is decoded once into buf and reused by
-// every activation row, so the inner loop is the same scaled row
-// accumulation matmulRows runs on a dense b, restricted to the band's
-// columns. Per output element the accumulation is one ascending-k sweep
-// through out's storage — exactly matmulRows' order, with the same zero
-// skip — so neither the k-blocking nor the column banding can change
-// results.
-func matmulPackedCols(out, a *Tensor, w PackedMat, buf []float32, jLo, jHi int) {
+// matmulPackedCols computes out columns [jLo, jHi) of a × w (all rows),
+// one column block at a time. A single activation row goes to the format's
+// fused MulVecInto. Otherwise the full-height k × 8 block is decoded once
+// into tile — 32 bytes a weight row, L1-resident for any k this repo runs —
+// and each activation row then sweeps it (mulTileRow): per weight that is
+// one multiply and one add and no store, where the dense axpy also loads
+// and stores the output.
+func matmulPackedCols(out, a *Tensor, w PackedMat, tile []float32, jLo, jHi int) {
 	m, k, n := a.Rows(), a.Cols(), out.Cols()
-	jw := jHi - jLo
-	for k0 := 0; k0 < k; k0 += blockSize {
-		kMax := min(k0+blockSize, k)
-		w.DecodeRowsInto(buf, k0, kMax, jLo, jHi)
-		for i0 := 0; i0 < m; i0 += blockSize {
-			iMax := min(i0+blockSize, m)
-			for i := i0; i < iMax; i++ {
-				aRow := a.Data[i*k : (i+1)*k]
-				outRow := out.Data[i*n+jLo : i*n+jHi]
-				for kk := k0; kk < kMax; kk++ {
-					av := aRow[kk]
-					if av == 0 {
-						continue
-					}
-					bRow := buf[(kk-k0)*jw : (kk-k0+1)*jw]
-					for j, bv := range bRow {
-						outRow[j] += av * bv
-					}
-				}
+	if m == 1 && w.MulVecInto(out.Data[jLo:jHi], a.Data, jLo, jHi) {
+		return
+	}
+	for j0 := jLo; j0 < jHi; j0 += PackedBlockCols {
+		jw := min(PackedBlockCols, jHi-j0)
+		w.DecodeRowsInto(tile, 0, k, j0, j0+jw)
+		for i := 0; i < m; i++ {
+			aRow := a.Data[i*k : (i+1)*k]
+			outRow := out.Data[i*n+j0 : i*n+j0+jw]
+			if jw == PackedBlockCols {
+				mulTileRow(outRow, aRow, tile)
+			} else {
+				mulRaggedRow(outRow, aRow, tile)
 			}
 		}
 	}
+}
+
+// mulRaggedRow is mulTileRow for the last block of a matrix whose width is
+// not a multiple of 8: len(out) < 8 columns, accumulated through out's
+// storage in the same ascending-k order with the same zero skip.
+func mulRaggedRow(out, a, tile []float32) {
+	jw := len(out)
+	clear(out)
+	for kk, av := range a {
+		if av == 0 {
+			continue
+		}
+		for j, bv := range tile[kk*jw : (kk+1)*jw] {
+			out[j] += av * bv
+		}
+	}
+}
+
+// mulTileRow writes out[j] = Σ_k a[k]·tile[k][j] for one full-width block:
+// the eight sums live in registers for the whole sweep.
+func mulTileRow(out, a, tile []float32) {
+	var s0, s1, s2, s3, s4, s5, s6, s7 float32
+	for kk, av := range a {
+		if av == 0 {
+			continue
+		}
+		t := (*[PackedBlockCols]float32)(tile[kk*PackedBlockCols:])
+		s0 += av * t[0]
+		s1 += av * t[1]
+		s2 += av * t[2]
+		s3 += av * t[3]
+		s4 += av * t[4]
+		s5 += av * t[5]
+		s6 += av * t[6]
+		s7 += av * t[7]
+	}
+	o := (*[PackedBlockCols]float32)(out)
+	o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
 }
