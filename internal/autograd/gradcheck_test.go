@@ -102,7 +102,6 @@ func TestGradActivations(t *testing.T) {
 	}{
 		{"relu", ReLU},
 		{"silu", SiLU},
-		{"gelu", GELU},
 		{"softmax", Softmax},
 	} {
 		xT := g.Normal(0, 1, 3, 4)

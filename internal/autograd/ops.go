@@ -188,39 +188,6 @@ func SiLU(x *Value) *Value {
 	return v
 }
 
-// GELU applies the tanh-approximated Gaussian error linear unit.
-func GELU(x *Value) *Value {
-	out, owned := outFor(x.RequiresGrad, x.Data.Shape...)
-	for i, v := range x.Data.Data {
-		out.Data[i] = geluFwd(v)
-	}
-	v := newOp(out, func(o *Value) {
-		g := scratch(x.Data.Shape...)
-		for i, xv := range x.Data.Data {
-			g.Data[i] = o.Grad.Data[i] * geluGrad(xv)
-		}
-		x.accumulate(g)
-		putScratch(g)
-	}, x)
-	v.dataOwned = owned
-	return v
-}
-
-const geluC = 0.7978845608028654 // sqrt(2/π)
-
-func geluFwd(v float32) float32 {
-	x := float64(v)
-	return float32(0.5 * x * (1 + math.Tanh(geluC*(x+0.044715*x*x*x))))
-}
-
-func geluGrad(v float32) float32 {
-	x := float64(v)
-	inner := geluC * (x + 0.044715*x*x*x)
-	t := math.Tanh(inner)
-	dInner := geluC * (1 + 3*0.044715*x*x)
-	return float32(0.5*(1+t) + 0.5*x*(1-t*t)*dInner)
-}
-
 func sigmoid(v float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(v))))
 }
@@ -316,13 +283,6 @@ func Softmax(x *Value) *Value {
 	}, x)
 	v.dataOwned = owned
 	return v
-}
-
-// softmaxRows computes a row-wise stable softmax into a new tensor.
-func softmaxRows(t *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(t.Rows(), t.Cols())
-	softmaxRowsInto(out, t)
-	return out
 }
 
 // softmaxRowsInto computes a row-wise stable softmax of t into out,

@@ -192,7 +192,7 @@ func TestMethodRunnersProduceSaneResults(t *testing.T) {
 		"LoRA|13.655|29.2%|1632|149504|0.47 ms",
 		"LST|15.952|27.1%|843|60164|0.24 ms",
 		"Layer-freeze|14.667|29.2%|2864|107456|0.40 ms",
-		"Edge-LLM|14.777|35.4%|5456|140096|0.42 ms",
+		"Edge-LLM|14.777|35.4%|5456|141824|0.42 ms",
 	}
 	for i, m := range []MethodResult{vanilla, ckpt, lora, lst, freeze, edge} {
 		got := fmt.Sprintf("%s|%.3f|%.1f%%|%d|%d|%s", m.Name, m.PPL, m.MCQAcc*100,
@@ -236,6 +236,27 @@ func TestBaselineAdmissionEqualsTable(t *testing.T) {
 		if built := int64(nn.NumParams(mod)); built != table.TrainableParams {
 			t.Errorf("%s: analytic trainable count %d, built module has %d", b.name, table.TrainableParams, built)
 		}
+	}
+
+	// Edge-LLM, the sixth row: the governor admits the pipeline's plan at
+	// what the compressed pipeline's table column reports (the LUC search
+	// spends this budget exactly, so the per-layer policy and the uniform
+	// budget price alike).
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Compress(calibSequences(task.Train, cfg.Batch, cfg.Seq)); err != nil {
+		t.Fatal(err)
+	}
+	gov, undo := installGovernor(1)
+	_, err = New(cfg)
+	undo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds := gov.Decisions(); len(ds) == 0 || ds[0].BeforeBytes != p.Memory().Total() {
+		t.Errorf("Edge-LLM: governor decisions %+v, table reports %d B", ds, p.Memory().Total())
 	}
 }
 

@@ -210,24 +210,9 @@ func ExperimentT3(ctx context.Context) *Report {
 			edge.Compression[i] = hwsim.LayerCompression{Bits: 3, Sparsity: 0.5}
 		}
 	}
-	// Average the windowed iteration over a sliding cycle.
+	// The windowed iteration, averaged over a sliding cycle.
 	edgeAvg := func(sched hwsim.Scheduler) hwsim.Cost {
-		var sum hwsim.Cost
-		for hi := 0; hi < cfg.Layers; hi++ {
-			spec := edge
-			spec.WindowHi = hi
-			spec.WindowLo = hi - 1
-			if spec.WindowLo < 0 {
-				spec.WindowLo = 0
-			}
-			sum = sum.Add(hwsim.IterationCost(dev, sched, spec))
-		}
-		n := float64(cfg.Layers)
-		return hwsim.Cost{
-			ComputeSec: sum.ComputeSec / n, MemorySec: sum.MemorySec / n,
-			TotalSec: sum.TotalSec / n, FLOPs: sum.FLOPs / n, TrafficBytes: sum.TrafficBytes / n,
-			IdealSec: sum.IdealSec / n,
-		}
+		return hwsim.CycleCost(dev, sched, edge, cfg.Layers, hwsim.SlidingWindow(2))
 	}
 
 	// Each configuration owns its scheduler (the searched one memoises per
@@ -285,18 +270,8 @@ func ExperimentF1(ctx context.Context) *Report {
 	freeze.TapeBlocks = window
 	freeze.TrainableElems = window * train.BlockElems(cfg)
 
-	bits4 := make([]int, cfg.Layers)
-	half := make([]float64, cfg.Layers)
-	for i := range bits4 {
-		bits4[i] = 4
-		half[i] = 0.5
-	}
-	edge := train.MemorySpec{
-		Cfg: edgeCfg, Batch: batch, Seq: seq,
-		TapeBlocks:      window,
-		TrainableElems:  train.WindowTrainableElems(cfg, window),
-		BlockWeightBits: bits4, BlockWeightSparsity: half, OptBytesPerElem: adamWBytes,
-	}
+	edge := train.WindowSpec(edgeCfg, batch, seq, window, false,
+		train.PerLayer(cfg.Layers, 4), train.PerLayer(cfg.Layers, 0.5), adamWBytes)
 
 	r := &Report{
 		ID:     "F1",
@@ -418,24 +393,8 @@ func ExperimentF4(ctx context.Context) *Report {
 	rows := make([][]string, len(windows))
 	parallelFor(len(windows), func(wi int) {
 		w := windows[wi]
-		wsched := hwsim.NewSearchedScheduler()
-		spec := hwsim.VanillaIteration(cfg, batch, seq)
-		for i := range spec.Compression {
-			spec.Compression[i] = hwsim.LayerCompression{Bits: 4, Sparsity: 0.5}
-		}
-		// Average over a sliding cycle of window tops.
-		var sum hwsim.Cost
-		for hi := 0; hi < cfg.Layers; hi++ {
-			s := spec
-			s.WindowHi = hi
-			s.WindowLo = hi - w + 1
-			if s.WindowLo < 0 {
-				s.WindowLo = 0
-			}
-			sum = sum.Add(hwsim.IterationCost(dev, wsched, s))
-		}
-		n := float64(cfg.Layers)
-		avg := hwsim.Cost{TotalSec: sum.TotalSec / n, FLOPs: sum.FLOPs / n}
+		spec := hwsim.VanillaIteration(cfg, batch, seq).WithCompression(hwsim.LayerCompression{Bits: 4, Sparsity: 0.5})
+		avg := hwsim.CycleCost(dev, hwsim.NewSearchedScheduler(), spec, cfg.Layers, hwsim.SlidingWindow(w))
 		rows[wi] = []string{fmt.Sprintf("%d/%d", w, cfg.Layers),
 			fmtMS(avg.TotalSec),
 			fmt.Sprintf("%.2fx", vanilla.TotalSec/avg.TotalSec),
@@ -513,26 +472,8 @@ func ExperimentF6(ctx context.Context) *Report {
 		sched := hwsim.NewSearchedScheduler()
 		vanilla := hwsim.IterationCost(dev, sched, hwsim.VanillaIteration(cfg, batch, seq))
 
-		spec := hwsim.VanillaIteration(cfg, batch, seq)
-		for i := range spec.Compression {
-			spec.Compression[i] = hwsim.LayerCompression{Bits: 4, Sparsity: 0.5}
-		}
-		var sum hwsim.Cost
-		for hi := 0; hi < cfg.Layers; hi++ {
-			s := spec
-			s.WindowHi = hi
-			s.WindowLo = hi - 1
-			if s.WindowLo < 0 {
-				s.WindowLo = 0
-			}
-			sum = sum.Add(hwsim.IterationCost(dev, sched, s))
-		}
-		n := float64(cfg.Layers)
-		edge := hwsim.Cost{
-			ComputeSec: sum.ComputeSec / n, MemorySec: sum.MemorySec / n,
-			TotalSec: sum.TotalSec / n, FLOPs: sum.FLOPs / n,
-			TrafficBytes: sum.TrafficBytes / n, IdealSec: sum.IdealSec / n,
-		}
+		spec := hwsim.VanillaIteration(cfg, batch, seq).WithCompression(hwsim.LayerCompression{Bits: 4, Sparsity: 0.5})
+		edge := hwsim.CycleCost(dev, sched, spec, cfg.Layers, hwsim.SlidingWindow(2))
 		vJ := vanilla.EnergyJoules(dev, espec)
 		eJ := edge.EnergyJoules(dev, espec)
 		rows[di] = []string{dev.Name,
@@ -572,24 +513,8 @@ func ExperimentF7(ctx context.Context) *Report {
 		seq := seqs[si]
 		sched := hwsim.NewSearchedScheduler()
 		vanilla := hwsim.IterationCost(dev, sched, hwsim.VanillaIteration(cfg, batch, seq))
-		spec := hwsim.VanillaIteration(cfg, batch, seq)
-		for i := range spec.Compression {
-			spec.Compression[i] = hwsim.LayerCompression{Bits: 4, Sparsity: 0.5}
-		}
-		var sum hwsim.Cost
-		for hi := 0; hi < cfg.Layers; hi++ {
-			s := spec
-			s.WindowHi = hi
-			s.WindowLo = hi - 1
-			if s.WindowLo < 0 {
-				s.WindowLo = 0
-			}
-			sum = sum.Add(hwsim.IterationCost(dev, sched, s))
-		}
-		n := float64(cfg.Layers)
-		edge := hwsim.Cost{
-			TotalSec: sum.TotalSec / n, IdealSec: sum.IdealSec / n,
-		}
+		spec := hwsim.VanillaIteration(cfg, batch, seq).WithCompression(hwsim.LayerCompression{Bits: 4, Sparsity: 0.5})
+		edge := hwsim.CycleCost(dev, sched, spec, cfg.Layers, hwsim.SlidingWindow(2))
 		rows[si] = []string{fmt.Sprintf("%d", batch*seq),
 			fmtMS(vanilla.TotalSec), fmtMS(edge.TotalSec),
 			fmt.Sprintf("%.2fx", vanilla.TotalSec/edge.TotalSec),
@@ -599,19 +524,4 @@ func ExperimentF7(ctx context.Context) *Report {
 		r.AddRow(row...)
 	}
 	return r
-}
-
-// AllExperiments regenerates every table and figure sequentially. quick
-// shrinks the trained experiments for smoke testing. It is the
-// single-worker special case of RunAll.
-func AllExperiments(quick bool) []*Report {
-	sizes := DefaultSizes()
-	if quick {
-		sizes = QuickSizes()
-	}
-	reports, err := RunAll(context.Background(), SuiteOpts{Sizes: sizes, Parallel: 1})
-	if err != nil {
-		panic(err) // unreachable: background context, no id filter
-	}
-	return reports
 }

@@ -22,44 +22,17 @@ import (
 	"edgellm/internal/train"
 )
 
-// estimateTuning is the analytic peak footprint of one adaptive-tuning
-// step under a plan: weights at the plan's LUC bit budget, grads for the
-// window, optimizer state for optElems accumulated elements, and a tape
-// spanning the window (its upper half only under checkpointed recompute).
-func estimateTuning(cfg Config, pl govern.Plan, optElems int64) int64 {
+// tuningSpec is the analytic model of one adaptive-tuning step under a
+// plan: train.WindowSpec with every block at the plan's LUC bit budget (the
+// average effective bits LUC's search targets).
+func tuningSpec(cfg Config, pl govern.Plan) train.MemorySpec {
 	m := cfg.Model
 	m.ExitHeads = true // as New forces
-	d, v := int64(m.Dim), int64(m.Vocab)
-
-	// Weights: fp32 everywhere except block matrices, which store at the
-	// plan's average effective bits (the quantity LUC's search targets).
-	blockWeights := int64(m.Layers) * train.BlockWeightElems(m)
-	weights := 4 * (train.ModelParamElems(m) - blockWeights)
-	bits := pl.BudgetBits
-	if bits <= 0 {
-		bits = 32
+	var bits []float64
+	if pl.BudgetBits > 0 {
+		bits = train.PerLayer(m.Layers, pl.BudgetBits)
 	}
-	weights += int64(float64(blockWeights) * bits / 8)
-	if bits < 32 {
-		// Compressed blocks are priced in the executable packed format
-		// (quant.Packed / Packed.StorageBytes): payload bits plus one
-		// float32 scale per output column of every block matrix.
-		weights += int64(m.Layers) * train.PackedBlockScaleBytes(m)
-	}
-
-	grads := 4 * train.WindowTrainableElems(m, pl.WindowSize)
-	opt := adamWBytes * optElems
-
-	tape := pl.WindowSize
-	if pl.Recompute {
-		tape = pl.WindowSize - pl.WindowSize/2 // upper segment only
-	}
-	rows := int64(pl.Batch) * int64(cfg.Seq)
-	acts := int64(tape) * train.BlockActivationBytes(m, pl.Batch, cfg.Seq)
-	acts += 4*rows*d + 4*rows*d // boundary activation + head norm output
-	acts += 2 * 4 * rows * v    // logits + softmax probs
-
-	return weights + grads + opt + acts
+	return train.WindowSpec(m, pl.Batch, cfg.Seq, pl.WindowSize, pl.Recompute, bits, nil, adamWBytes)
 }
 
 // admissionEstimator prices a pipeline plan at construction time: one
@@ -67,7 +40,7 @@ func estimateTuning(cfg Config, pl govern.Plan, optElems int64) int64 {
 // re-admission accounts for accumulated state via projectedOptElems.
 func admissionEstimator(cfg Config) govern.Estimator {
 	return func(pl govern.Plan) int64 {
-		return estimateTuning(cfg, pl, train.WindowTrainableElems(cfg.Model, pl.WindowSize))
+		return train.EstimateMemory(tuningSpec(cfg, pl)).Total()
 	}
 }
 
@@ -178,7 +151,9 @@ func (p *Pipeline) preStepGovern() {
 		pl.MinBits = 32
 	}
 	est := func(q govern.Plan) int64 {
-		return estimateTuning(p.Cfg, q, gs.projectedOptElems(p, q, iter))
+		spec := tuningSpec(p.Cfg, q)
+		spec.OptElems = gs.projectedOptElems(p, q, iter)
+		return train.EstimateMemory(spec).Total()
 	}
 	admitted := gs.gov.Admit(gs.task, fmt.Sprintf("step@%d", iter), pl, est)
 

@@ -345,14 +345,7 @@ func loraIterationCost(cfg Config, _ govern.Plan) hwsim.Cost {
 	for i := 0; i < cfg.Model.Layers; i++ {
 		blocksBwd = blocksBwd.Add(hwsim.BlockBackwardCost(cfg.Device, sched, cfg.Model, cfg.Batch, cfg.Seq, hwsim.Uncompressed()))
 	}
-	return hwsim.Cost{
-		ComputeSec:   full.ComputeSec - blocksBwd.ComputeSec*0.5,
-		MemorySec:    full.MemorySec - blocksBwd.MemorySec*0.5,
-		TotalSec:     full.TotalSec - blocksBwd.TotalSec*0.5,
-		FLOPs:        full.FLOPs - blocksBwd.FLOPs*0.5,
-		TrafficBytes: full.TrafficBytes - blocksBwd.TrafficBytes*0.5,
-		IdealSec:     full.IdealSec - blocksBwd.IdealSec*0.5,
-	}
+	return full.Add(blocksBwd.Scale(-0.5))
 }
 
 // RunLST is the Ladder Side Tuning baseline: a frozen backbone with a

@@ -190,18 +190,27 @@ func (p *Pipeline) importanceFromSens() []float64 {
 	return imp
 }
 
-// StartTuning prepares the adaptive tuner; call after Compress (tuning an
-// uncompressed model is allowed for ablations).
-func (p *Pipeline) StartTuning() error {
+// tunerConfig is the window schedule the pipeline tunes under.
+func (p *Pipeline) tunerConfig() (adapt.TunerConfig, error) {
 	cfg := adapt.TunerConfig{WindowSize: p.Cfg.WindowSize, Strategy: p.Cfg.Strategy}
 	if p.gstate != nil {
 		cfg.Recompute = p.gstate.plan.Recompute
 	}
 	if p.Cfg.Strategy == adapt.StrategySensitivity {
 		if p.Sens == nil {
-			return fmt.Errorf("core: sensitivity strategy requires Compress first")
+			return cfg, fmt.Errorf("core: sensitivity strategy requires Compress first")
 		}
 		cfg.Importance = p.importanceFromSens()
+	}
+	return cfg, nil
+}
+
+// StartTuning prepares the adaptive tuner; call after Compress (tuning an
+// uncompressed model is allowed for ablations).
+func (p *Pipeline) StartTuning() error {
+	cfg, err := p.tunerConfig()
+	if err != nil {
+		return err
 	}
 	t, err := adapt.NewTuner(p.Model, cfg)
 	if err != nil {
@@ -325,33 +334,14 @@ func (p *Pipeline) EvalPerplexity(c *data.Corpus, maxBatches int) float64 {
 	return train.EvalPerplexityWith(p.Forward, batches, targets)
 }
 
-// EvalMCQ measures multiple-choice accuracy of the inference path.
-func (p *Pipeline) EvalMCQ(examples []data.MCQExample) float64 {
-	return train.MCQAccuracy(p.Forward, examples)
-}
-
 // MemorySpec derives the analytic memory model of one tuning iteration of
-// this pipeline.
+// this pipeline: the window under its LUC policy once compressed.
 func (p *Pipeline) MemorySpec() train.MemorySpec {
-	cfg := p.Cfg.Model
-	bits := make([]int, cfg.Layers)
-	sp := make([]float64, cfg.Layers)
-	for i := range bits {
-		bits[i] = 32
-	}
+	var bits, sparsity []float64
 	if p.compressed {
-		copy(bits, p.Info.BlockBits())
-		copy(sp, p.Info.BlockSparsity())
+		bits, sparsity = p.Info.BlockBits(), p.Info.BlockSparsity()
 	}
-	return train.MemorySpec{
-		Cfg: cfg, Batch: p.Cfg.Batch, Seq: p.Cfg.Seq,
-		TapeBlocks: p.Cfg.WindowSize,
-		// Trainable set per iteration: WindowSize blocks + one exit head.
-		TrainableElems:      train.WindowTrainableElems(cfg, p.Cfg.WindowSize),
-		BlockWeightBits:     bits,
-		BlockWeightSparsity: sp,
-		OptBytesPerElem:     adamWBytes,
-	}
+	return train.WindowSpec(p.Cfg.Model, p.Cfg.Batch, p.Cfg.Seq, p.Cfg.WindowSize, false, bits, sparsity, adamWBytes)
 }
 
 // Memory returns the analytic per-iteration memory breakdown.
@@ -359,59 +349,26 @@ func (p *Pipeline) Memory() train.MemoryBreakdown {
 	return train.EstimateMemory(p.MemorySpec())
 }
 
-// IterationSpec returns the hardware workload of one adaptive tuning
-// iteration (the mean window position: forward depth averaged over the
-// strategy cycle is approximated by the worst case, the full stack, for a
-// conservative latency estimate is NOT used — we report the exact average
-// over one strategy cycle via IterationCost).
-func (p *Pipeline) iterationSpecs() []hwsim.IterationSpec {
+// IterationCost returns the mean modeled latency of one tuning iteration
+// over a full cycle of the pipeline's window schedule, under the given
+// scheduler.
+func (p *Pipeline) IterationCost(sched hwsim.Scheduler) hwsim.Cost {
 	cfg := p.Cfg.Model
-	comp := make([]hwsim.LayerCompression, cfg.Layers)
-	for i := range comp {
-		comp[i] = hwsim.Uncompressed()
-		if p.compressed {
-			comp[i] = hwsim.LayerCompression{
-				Bits:     p.Info.Layers[i].Candidate.Bits,
-				Sparsity: p.Info.Layers[i].Candidate.Sparsity,
-			}
+	spec := hwsim.VanillaIteration(cfg, p.Cfg.Batch, p.Cfg.Seq)
+	if p.compressed {
+		for i, l := range p.Info.Layers {
+			spec.Compression[i] = hwsim.LayerCompression{Bits: l.Candidate.Bits, Sparsity: l.Candidate.Sparsity}
 		}
 	}
-	tuner := p.Tuner
-	if tuner == nil {
-		t, err := adapt.NewTuner(p.Model, adapt.TunerConfig{WindowSize: p.Cfg.WindowSize, Strategy: p.Cfg.Strategy})
+	var window func(i int) (lo, hi int)
+	if p.Tuner != nil {
+		window = p.Tuner.Window
+	} else {
+		tc, err := p.tunerConfig()
 		if err != nil {
 			panic(err)
 		}
-		tuner = t
+		window = func(i int) (lo, hi int) { return tc.WindowAt(cfg.Layers, i) }
 	}
-	horizon := cfg.Layers
-	specs := make([]hwsim.IterationSpec, 0, horizon)
-	for i := 0; i < horizon; i++ {
-		lo, hi := tuner.Window(i)
-		specs = append(specs, hwsim.IterationSpec{
-			Cfg: cfg, Batch: p.Cfg.Batch, Seq: p.Cfg.Seq,
-			Compression: comp,
-			WindowLo:    lo, WindowHi: hi,
-		})
-	}
-	return specs
-}
-
-// IterationCost returns the mean modeled latency of one tuning iteration
-// over a full window-strategy cycle, under the given scheduler.
-func (p *Pipeline) IterationCost(sched hwsim.Scheduler) hwsim.Cost {
-	specs := p.iterationSpecs()
-	var total hwsim.Cost
-	for _, spec := range specs {
-		total = total.Add(hwsim.IterationCost(p.Cfg.Device, sched, spec))
-	}
-	n := float64(len(specs))
-	return hwsim.Cost{
-		ComputeSec:   total.ComputeSec / n,
-		MemorySec:    total.MemorySec / n,
-		TotalSec:     total.TotalSec / n,
-		FLOPs:        total.FLOPs / n,
-		TrafficBytes: total.TrafficBytes / n,
-		IdealSec:     total.IdealSec / n,
-	}
+	return hwsim.CycleCost(p.Cfg.Device, sched, spec, cfg.Layers, window)
 }

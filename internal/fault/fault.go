@@ -261,14 +261,3 @@ func Stall(ctx context.Context, id string) error {
 	<-ctx.Done()
 	return &PermanentError{Msg: fmt.Sprintf("injected stall in %s released by cancellation (%v)", id, ctx.Err())}
 }
-
-// StallNth blocks on the Nth activation (1-based) of the tripwire until
-// ctx is cancelled; other activations pass through. It lets tests plant a
-// deterministic hang in the middle of a training loop rather than at
-// attempt start.
-func (t *Tripwire) StallNth(ctx context.Context, id string) error {
-	if t.Hit() {
-		return Stall(ctx, id)
-	}
-	return nil
-}

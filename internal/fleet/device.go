@@ -39,8 +39,6 @@ const (
 	deviceMomentum  = 0.9
 	deviceLR        = 0.05
 	deviceClip      = 1.0
-	// sgdBytesPerElem is train.SGD's BytesPerElement (one momentum slot).
-	sgdBytesPerElem = 4
 	// recomputeCostFactor approximates the extra lower-half forward of
 	// windowed checkpointing in the virtual step price (hwsim models plain
 	// iterations only).
@@ -62,46 +60,32 @@ func basePlan() govern.Plan {
 	}
 }
 
-// clampBits rounds the plan's average-bits budget to the integer width the
-// memory and hardware models consume.
-func clampBits(b float64) int {
-	n := int(b + 0.5)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+// newSGD is the optimizer every device trains with.
+func newSGD() *train.SGD { return train.NewSGD(deviceMomentum, 0) }
 
 // planEstimator returns the admission estimator for a device: the analytic
-// footprint of one tuning iteration under a plan, via train.EstimateMemory.
-// extraOptBlocks is the number of previously visited blocks beyond the
-// current window whose optimizer state (SGD momentum) stays resident — the
-// deterministic accumulation the governor re-admits against at every epoch
-// boundary. It is pure in the plan, so the rung walk is byte-deterministic.
+// footprint of one tuning iteration under a plan, train.WindowSpec priced
+// by train.EstimateMemory. extraOptBlocks is the number of previously
+// visited blocks beyond the current window whose optimizer state (SGD
+// momentum) stays resident — the deterministic accumulation the governor
+// re-admits against at every epoch boundary. It is pure in the plan, so the
+// rung walk is byte-deterministic.
+//
+// Two simplifications the class budgets (classBudgetFrac × this estimate)
+// were calibrated with stay until a PR that re-pins the fleet report: only
+// the window's weight matrices count as trainable, and compressed blocks
+// are priced at the bare bit-width, without the packed format's scales.
 func planEstimator(extraOptBlocks int) govern.Estimator {
 	cfg := deviceModelConfig()
 	blockElems := train.BlockWeightElems(cfg)
+	optBytes := newSGD().BytesPerElement()
 	return func(p govern.Plan) int64 {
-		tape := p.WindowSize
-		if p.Recompute && tape >= 2 {
-			tape = (tape + 1) / 2
-		}
-		bits := make([]int, cfg.Layers)
-		sp := make([]float64, cfg.Layers)
-		for i := range bits {
-			bits[i] = clampBits(p.BudgetBits)
-		}
-		est := train.EstimateMemory(train.MemorySpec{
-			Cfg:                 cfg,
-			Batch:               p.Batch,
-			Seq:                 deviceSeq,
-			TapeBlocks:          tape,
-			TrainableElems:      int64(p.WindowSize) * blockElems,
-			BlockWeightBits:     bits,
-			BlockWeightSparsity: sp,
-			OptBytesPerElem:     sgdBytesPerElem,
-		}).Total()
-		return est + sgdBytesPerElem*int64(extraOptBlocks)*blockElems
+		spec := train.WindowSpec(cfg, p.Batch, deviceSeq, p.WindowSize, p.Recompute,
+			train.PerLayer(cfg.Layers, p.BudgetBits), nil, optBytes)
+		spec.TrainableElems = int64(p.WindowSize) * blockElems
+		spec.OptElems = int64(p.WindowSize+extraOptBlocks) * blockElems
+		spec.PackedScales = false
+		return train.EstimateMemory(spec).Total()
 	}
 }
 
@@ -366,7 +350,7 @@ func (d *devRun) epochBoundary() error {
 func (d *devRun) fresh() error {
 	g := tensor.NewRNG(d.spec.TrainSeed)
 	m := nn.NewModel(deviceModelConfig(), g)
-	d.tr = train.NewTrainer(train.NewSGD(deviceMomentum, 0), deviceLR, deviceClip)
+	d.tr = train.NewTrainer(newSGD(), deviceLR, deviceClip)
 	d.loop = train.NewLoop(m, d.tr, train.LoopConfig{Seed: d.spec.TrainSeed + 1})
 	return d.rebuildTuner()
 }
@@ -377,7 +361,7 @@ func (d *devRun) restore() error {
 	if d.snap == nil {
 		return d.fresh()
 	}
-	tr := train.NewTrainer(train.NewSGD(deviceMomentum, 0), deviceLR, deviceClip)
+	tr := train.NewTrainer(newSGD(), deviceLR, deviceClip)
 	loop, err := train.ReadSnapshot(bytes.NewReader(d.snap), tr, train.LoopConfig{Seed: d.spec.TrainSeed + 1})
 	if err != nil {
 		return fmt.Errorf("fleet: restore %s: %w", d.spec.ID, err)
@@ -428,20 +412,16 @@ func (d *devRun) nextStall(from, to int) (int, bool) {
 // via hwsim's analytic model, memoised per configuration.
 func (d *devRun) stepCost(lo, hi int) float64 {
 	rec := d.plan.Recompute && hi-lo+1 >= 2
-	key := costKey{lo: lo, hi: hi, batch: d.plan.Batch, bits: clampBits(d.plan.BudgetBits), recompute: rec}
+	// The bits rung moves in whole bits (basePlan's 6 down to 2).
+	key := costKey{lo: lo, hi: hi, batch: d.plan.Batch, bits: int(d.plan.BudgetBits), recompute: rec}
 	if c, ok := d.costCache[key]; ok {
 		return c
 	}
-	cfg := deviceModelConfig()
-	comp := make([]hwsim.LayerCompression, cfg.Layers)
-	for i := range comp {
-		comp[i] = hwsim.LayerCompression{Bits: key.bits}
-	}
-	c := hwsim.IterationCost(d.spec.Device, d.sched, hwsim.IterationSpec{
-		Cfg: cfg, Batch: key.batch, Seq: deviceSeq,
-		Compression: comp,
-		WindowLo:    lo, WindowHi: hi,
-	}).TotalSec
+	spec := hwsim.IterationSpec{
+		Cfg: deviceModelConfig(), Batch: key.batch, Seq: deviceSeq,
+		WindowLo: lo, WindowHi: hi,
+	}.WithCompression(hwsim.LayerCompression{Bits: key.bits})
+	c := hwsim.IterationCost(d.spec.Device, d.sched, spec).TotalSec
 	if rec {
 		c *= recomputeCostFactor
 	}

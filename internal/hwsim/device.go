@@ -131,6 +131,19 @@ func (c Cost) Add(o Cost) Cost {
 	}
 }
 
+// Scale multiplies every component by n: an instance count, or 1/n for the
+// mean of n summed costs.
+func (c Cost) Scale(n float64) Cost {
+	return Cost{
+		ComputeSec:   c.ComputeSec * n,
+		MemorySec:    c.MemorySec * n,
+		TotalSec:     c.TotalSec * n,
+		FLOPs:        c.FLOPs * n,
+		TrafficBytes: c.TrafficBytes * n,
+		IdealSec:     c.IdealSec * n,
+	}
+}
+
 // Utilization is the achieved fraction of the device's precision-adjusted
 // peak over the workload's total modeled time. It is ≤ 1 by construction:
 // IdealSec is a lower bound on ComputeSec, which is a lower bound on

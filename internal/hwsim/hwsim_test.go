@@ -191,6 +191,34 @@ func TestIterationCostWindowMonotone(t *testing.T) {
 	}
 }
 
+// TestCycleCostMatchesOpenCodedLoop: CycleCost is the loop T3, F4, F6, F7
+// and Pipeline.IterationCost each wrote out by hand — sum IterationCost over
+// a sliding cycle of window tops, divide every Cost field by the count.
+func TestCycleCostMatchesOpenCodedLoop(t *testing.T) {
+	d := dev()
+	cfg := tinyCfg(6)
+	spec := VanillaIteration(cfg, 2, 32).WithCompression(LayerCompression{Bits: 4, Sparsity: 0.5})
+	for _, w := range []int{1, 2, cfg.Layers} {
+		var sum Cost
+		for hi := 0; hi < cfg.Layers; hi++ {
+			s := spec
+			s.WindowLo, s.WindowHi = maxInt(0, hi-w+1), hi
+			sum = sum.Add(IterationCost(d, NaiveScheduler{}, s))
+		}
+		n := float64(cfg.Layers)
+		want := []float64{sum.ComputeSec / n, sum.MemorySec / n, sum.TotalSec / n,
+			sum.FLOPs / n, sum.TrafficBytes / n, sum.IdealSec / n}
+		c := CycleCost(d, NaiveScheduler{}, spec, cfg.Layers, SlidingWindow(w))
+		got := []float64{c.ComputeSec, c.MemorySec, c.TotalSec, c.FLOPs, c.TrafficBytes, c.IdealSec}
+		for i := range want {
+			// x·(1/n) and x/n may round apart in the last bit.
+			if math.Abs(got[i]-want[i]) > 1e-15*math.Abs(want[i]) {
+				t.Errorf("window %d field %d: CycleCost %v, open-coded mean %v", w, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestCompressedWindowedBeatsVanilla(t *testing.T) {
 	// The headline claim (T3/F4): LUC compression + windowed backprop +
 	// searched schedules beat vanilla full tuning by a healthy factor.

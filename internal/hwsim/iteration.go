@@ -89,25 +89,13 @@ func attentionCost(dev Device, sched Scheduler, cfg nn.Config, batch, seq int) C
 	_, cs := sched.Schedule(dev, score)
 	_, cv := sched.Schedule(dev, value)
 	heads := float64(batch * cfg.Heads)
-	total := scaleCost(cs, heads).Add(scaleCost(cv, heads))
+	total := cs.Scale(heads).Add(cv.Scale(heads))
 	// Softmax: read+write the score matrix once, negligible compute.
 	softmaxBytes := heads * float64(seq) * float64(seq) * 2 * bytesA
 	total.MemorySec += softmaxBytes / dev.DRAMBandwidth
 	total.TotalSec += softmaxBytes / dev.DRAMBandwidth
 	total.TrafficBytes += softmaxBytes
 	return total
-}
-
-// scaleCost multiplies a kernel cost by an instance count.
-func scaleCost(c Cost, n float64) Cost {
-	return Cost{
-		ComputeSec:   c.ComputeSec * n,
-		MemorySec:    c.MemorySec * n,
-		TotalSec:     c.TotalSec * n,
-		FLOPs:        c.FLOPs * n,
-		TrafficBytes: c.TrafficBytes * n,
-		IdealSec:     c.IdealSec * n,
-	}
 }
 
 // elementwiseBytes returns the DRAM traffic of one block's *unfused*
@@ -182,7 +170,7 @@ func BlockBackwardCostOpts(dev Device, sched Scheduler, cfg nn.Config, batch, se
 		total = total.Add(cx).Add(cw)
 	}
 	att := attentionCost(dev, sched, cfg, batch, seq)
-	total = total.Add(scaleCost(att, 2))
+	total = total.Add(att.Scale(2))
 	if !fuseElementwise {
 		total = addElementwise(dev, total, 2*elementwiseBytes(cfg, batch, seq))
 	}
@@ -221,15 +209,19 @@ type IterationSpec struct {
 // VanillaIteration returns the spec of a full fine-tuning iteration on the
 // uncompressed model: forward and backward over every block.
 func VanillaIteration(cfg nn.Config, batch, seq int) IterationSpec {
-	comp := make([]LayerCompression, cfg.Layers)
-	for i := range comp {
-		comp[i] = Uncompressed()
-	}
 	return IterationSpec{
 		Cfg: cfg, Batch: batch, Seq: seq,
-		Compression: comp,
-		WindowLo:    0, WindowHi: cfg.Layers - 1,
+		WindowLo: 0, WindowHi: cfg.Layers - 1,
+	}.WithCompression(Uncompressed())
+}
+
+// WithCompression returns spec with every block at comp.
+func (spec IterationSpec) WithCompression(comp LayerCompression) IterationSpec {
+	spec.Compression = make([]LayerCompression, spec.Cfg.Layers)
+	for i := range spec.Compression {
+		spec.Compression[i] = comp
 	}
+	return spec
 }
 
 // IterationCost models one tuning iteration: forward through blocks
@@ -251,6 +243,24 @@ func IterationCost(dev Device, sched Scheduler, spec IterationSpec) Cost {
 	}
 	total = total.Add(headCost(dev, sched, spec.Cfg, spec.Batch, spec.Seq, true))
 	return total
+}
+
+// SlidingWindow is the window schedule of width w whose top visits block i
+// at iteration i, clipped at the bottom of the stack.
+func SlidingWindow(w int) func(i int) (lo, hi int) {
+	return func(i int) (int, int) { return max(0, i-w+1), i }
+}
+
+// CycleCost is the mean IterationCost of spec over one cycle of a window
+// schedule: iterations 0..n-1, window(i) giving each one's block range
+// (spec's own WindowLo/WindowHi are ignored).
+func CycleCost(dev Device, sched Scheduler, spec IterationSpec, n int, window func(i int) (lo, hi int)) Cost {
+	var sum Cost
+	for i := 0; i < n; i++ {
+		spec.WindowLo, spec.WindowHi = window(i)
+		sum = sum.Add(IterationCost(dev, sched, spec))
+	}
+	return sum.Scale(1 / float64(n))
 }
 
 // Speedup returns a/b as a ratio of total seconds.

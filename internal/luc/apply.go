@@ -28,10 +28,10 @@ type CompressionInfo struct {
 
 // BlockBits returns, per layer, the quantization width (for the memory
 // accountant's BlockWeightBits).
-func (ci CompressionInfo) BlockBits() []int {
-	out := make([]int, len(ci.Layers))
+func (ci CompressionInfo) BlockBits() []float64 {
+	out := make([]float64, len(ci.Layers))
 	for i, l := range ci.Layers {
-		out[i] = l.Candidate.Bits
+		out[i] = float64(l.Candidate.Bits)
 	}
 	return out
 }

@@ -220,13 +220,3 @@ func (m *Model) SetAllTrainable(trainable bool) { SetTrainable(m, trainable) }
 
 // SetBlockTrainable flips RequiresGrad for one block's parameters.
 func (m *Model) SetBlockTrainable(i int, trainable bool) { SetTrainable(m.Blocks[i], trainable) }
-
-// BackboneModules returns the embedding and block modules, i.e. everything
-// the LUC compression pass may touch (heads and final norm excluded).
-func (m *Model) BackboneModules() []Module {
-	ms := []Module{m.TokEmb, m.PosEmb}
-	for _, b := range m.Blocks {
-		ms = append(ms, b)
-	}
-	return ms
-}

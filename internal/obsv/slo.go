@@ -207,11 +207,6 @@ func NewSLOTracker(r *Recorder, objs []SLOObjective, windows []time.Duration) *S
 	}
 }
 
-// Objectives returns the tracked objectives.
-func (t *SLOTracker) Objectives() []SLOObjective {
-	return append([]SLOObjective(nil), t.objs...)
-}
-
 // snapshotCounts reads the current cumulative (bad, total) for objective o.
 func (t *SLOTracker) snapshotCounts(o SLOObjective) (bad, total int64) {
 	switch o.Kind {

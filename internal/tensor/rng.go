@@ -98,10 +98,3 @@ func (g *RNG) Xavier(fanIn, fanOut int) *Tensor {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	return g.Uniform(-limit, limit, fanIn, fanOut)
 }
-
-// Kaiming returns a tensor initialised with He-normal scaling for a weight
-// of shape (fanIn, fanOut).
-func (g *RNG) Kaiming(fanIn, fanOut int) *Tensor {
-	std := math.Sqrt(2.0 / float64(fanIn))
-	return g.Normal(0, std, fanIn, fanOut)
-}

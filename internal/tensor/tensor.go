@@ -36,10 +36,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{Data: make([]float32, n), Shape: append([]int(nil), shape...)}
 }
 
-// Zeros is an alias for New, provided for readability at call sites that
-// contrast zero and non-zero initialisation.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // Full returns a tensor of the given shape with every element set to v.
 func Full(v float32, shape ...int) *Tensor {
 	t := New(shape...)
@@ -154,9 +150,6 @@ func (t *Tensor) Fill(v float32) {
 		t.Data[i] = v
 	}
 }
-
-// Zero sets every element of t to 0.
-func (t *Tensor) Zero() { t.Fill(0) }
 
 // String renders small tensors fully and large tensors as a summary.
 func (t *Tensor) String() string {
@@ -356,33 +349,6 @@ func (t *Tensor) CountNonZero() int {
 // Sparsity returns the fraction of elements in t that are exactly zero.
 func (t *Tensor) Sparsity() float64 {
 	return 1 - float64(t.CountNonZero())/float64(len(t.Data))
-}
-
-// ArgMaxRow returns, for a rank-2 tensor, the index of the maximum element
-// in row i.
-func (t *Tensor) ArgMaxRow(i int) int {
-	row := t.Row(i)
-	best, bestV := 0, row[0]
-	for j, v := range row[1:] {
-		if v > bestV {
-			best, bestV = j+1, v
-		}
-	}
-	return best
-}
-
-// SumRows returns a rank-1 tensor of length Cols() holding the column sums
-// of a rank-2 tensor (i.e. the reduction over rows).
-func (t *Tensor) SumRows() *Tensor {
-	r, c := t.Rows(), t.Cols()
-	out := New(c)
-	for i := 0; i < r; i++ {
-		row := t.Row(i)
-		for j, v := range row {
-			out.Data[j] += v
-		}
-	}
-	return out
 }
 
 // --- equality helpers ---------------------------------------------------------

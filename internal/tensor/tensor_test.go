@@ -145,20 +145,6 @@ func TestReductions(t *testing.T) {
 	}
 }
 
-func TestSumRowsAndArgMax(t *testing.T) {
-	a := FromSlice([]float32{1, 5, 2, 7, 0, 3}, 2, 3)
-	s := a.SumRows()
-	want := []float32{8, 5, 5}
-	for i, w := range want {
-		if s.Data[i] != w {
-			t.Fatalf("SumRows got %v want %v", s.Data, want)
-		}
-	}
-	if a.ArgMaxRow(0) != 1 || a.ArgMaxRow(1) != 0 {
-		t.Fatal("ArgMaxRow wrong")
-	}
-}
-
 func TestDotAndMSE(t *testing.T) {
 	a := FromSlice([]float32{1, 2}, 2)
 	b := FromSlice([]float32{3, 4}, 2)
@@ -318,12 +304,6 @@ func TestXavierKaimingScale(t *testing.T) {
 	limit := float32(math.Sqrt(6.0 / 512.0))
 	if x.Max() > limit || x.Min() < -limit {
 		t.Fatal("Xavier out of bounds")
-	}
-	k := g.Kaiming(512, 128)
-	std := k.Norm2() / math.Sqrt(float64(k.Len()))
-	want := math.Sqrt(2.0 / 512.0)
-	if std < want*0.8 || std > want*1.2 {
-		t.Fatalf("Kaiming std %v want ≈ %v", std, want)
 	}
 }
 

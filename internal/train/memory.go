@@ -1,6 +1,9 @@
 package train
 
-import "edgellm/internal/nn"
+import (
+	"edgellm/internal/nn"
+	"edgellm/internal/quant"
+)
 
 // MemoryBreakdown itemises the footprint of one tuning iteration, in bytes.
 // This is the quantity Figure F1 and Table T1 report: Edge-LLM's claim is
@@ -32,14 +35,22 @@ type MemorySpec struct {
 	// autograd tape (the backprop window size; Layers for vanilla tuning).
 	TapeBlocks int
 	// TrainableElems is the number of parameter elements receiving
-	// gradients.
+	// gradients this step.
 	TrainableElems int64
+	// OptElems is the number of elements holding optimizer state: under a
+	// moving window, everything stepped so far, which outgrows one step's
+	// trainables. 0 means TrainableElems.
+	OptElems int64
 	// BlockWeightBits[i] is the stored bit-width of block i's weight
-	// matrices after LUC (32 when uncompressed). Length must be Cfg.Layers.
-	BlockWeightBits []int
+	// matrices after LUC (32 when uncompressed; fractional for an average
+	// bit budget). Length must be Cfg.Layers.
+	BlockWeightBits []float64
 	// BlockWeightSparsity[i] is the pruned fraction of block i's weights;
 	// pruned elements are not stored (compressed-sparse accounting).
 	BlockWeightSparsity []float64
+	// PackedScales prices compressed blocks (bits < 32) in the executable
+	// packed format, quant.Packed: the payload plus packedBlockScaleBytes.
+	PackedScales bool
 	// OptBytesPerElem is Optimizer.BytesPerElement() of the optimizer used.
 	OptBytesPerElem int64
 }
@@ -108,15 +119,26 @@ func BlockActivationBytes(cfg nn.Config, batch, seq int) int64 {
 	return 4 * (rowDim + rowHidden + probs)
 }
 
-// PackedBlockScaleBytes is the per-block metadata overhead of the
-// executable packed weight format (quant.Packed): one float32 scale per
-// output column of each of the seven block matrices — wq/wk/wv/wo and
-// down project to Dim columns, gate and up to Hidden. Admission
-// estimators add it per compressed layer so the analytic weight bytes
-// match Packed.StorageBytes, the format governed runs actually hold
-// resident.
-func PackedBlockScaleBytes(cfg nn.Config) int64 {
-	return 4 * (5*int64(cfg.Dim) + 2*int64(cfg.Hidden))
+// packedBlockScaleBytes is the per-block metadata overhead of the
+// executable packed weight format: what quant.PackedStorageBytes adds to
+// the bit-packed payload (one float32 scale per output column) over the
+// seven block matrices — wq/wk/wv/wo and down project to Dim columns, gate
+// and up to Hidden.
+func packedBlockScaleBytes(cfg nn.Config) int64 {
+	// A zero-row packed matrix is exactly its scales.
+	scales := func(cols int) int64 { return quant.PackedStorageBytes(0, cols, 8) }
+	return 5*scales(cfg.Dim) + 2*scales(cfg.Hidden)
+}
+
+// blockWeightBytes is the storage of one block's weight matrices at the
+// given width with the given fraction pruned away.
+func blockWeightBytes(cfg nn.Config, bits, sparsity float64, packedScales bool) int64 {
+	kept := float64(BlockWeightElems(cfg)) * (1 - sparsity)
+	n := int64(kept * bits / 8)
+	if packedScales && bits < 32 {
+		n += packedBlockScaleBytes(cfg)
+	}
+	return n
 }
 
 // EstimateMemory computes the analytic per-iteration footprint for spec.
@@ -129,16 +151,19 @@ func EstimateMemory(spec MemorySpec) MemoryBreakdown {
 
 	// Weights: everything but the block matrices at float32; block matrices
 	// at their stored width, pruned elements not stored.
-	we := BlockWeightElems(cfg)
-	b.Weights = 4 * (ModelParamElems(cfg) - int64(cfg.Layers)*we)
+	b.Weights = 4 * (ModelParamElems(cfg) - int64(cfg.Layers)*BlockWeightElems(cfg))
 	for i := 0; i < cfg.Layers; i++ {
-		kept := float64(we) * (1 - spec.BlockWeightSparsity[i])
-		b.Weights += int64(kept * float64(spec.BlockWeightBits[i]) / 8)
+		b.Weights += blockWeightBytes(cfg, spec.BlockWeightBits[i], spec.BlockWeightSparsity[i], spec.PackedScales)
 	}
 
-	// Grads + optimizer state: proportional to trainable elements.
+	// Grads for this step's trainables; optimizer state for everything
+	// stepped so far.
 	b.Grads = 4 * spec.TrainableElems
-	b.OptState = spec.OptBytesPerElem * spec.TrainableElems
+	optElems := spec.OptElems
+	if optElems == 0 {
+		optElems = spec.TrainableElems
+	}
+	b.OptState = spec.OptBytesPerElem * optElems
 
 	// Activations: tape blocks, plus the embedding sum and the logits /
 	// softmax retained by the loss (one row×vocab tensor each).
@@ -153,21 +178,49 @@ func EstimateMemory(spec MemorySpec) MemoryBreakdown {
 	return b
 }
 
+// PerLayer is a per-layer bit-width or sparsity list with every block at v.
+func PerLayer(layers int, v float64) []float64 {
+	out := make([]float64, layers)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
 // VanillaSpec describes full fine-tuning of an uncompressed model built
 // from cfg: all layers on tape, every parameter trainable. It needs no
 // built model, so the governor can price a method before constructing it.
 func VanillaSpec(cfg nn.Config, batch, seq int, optBytes int64) MemorySpec {
-	bits := make([]int, cfg.Layers)
-	sp := make([]float64, cfg.Layers)
-	for i := range bits {
-		bits[i] = 32
-	}
 	return MemorySpec{
 		Cfg: cfg, Batch: batch, Seq: seq,
 		TapeBlocks:          cfg.Layers,
 		TrainableElems:      ModelParamElems(cfg),
-		BlockWeightBits:     bits,
-		BlockWeightSparsity: sp,
+		BlockWeightBits:     PerLayer(cfg.Layers, 32),
+		BlockWeightSparsity: make([]float64, cfg.Layers),
 		OptBytesPerElem:     optBytes,
 	}
+}
+
+// WindowSpec describes one windowed tuning iteration under a plan: the
+// window's blocks and one head trainable, the window on tape — its upper
+// half only under checkpointed recompute — and block i stored at bits[i]
+// with sparsity[i] of it pruned, in the packed format (nil: float32,
+// unpruned). The governor's admission and per-step re-admission, the fleet's
+// device admission and the tables' Edge-LLM memory columns all price this
+// spec; a caller whose optimizer state has accumulated over earlier windows
+// sets OptElems.
+func WindowSpec(cfg nn.Config, batch, seq, window int, recompute bool, bits, sparsity []float64, optBytes int64) MemorySpec {
+	spec := VanillaSpec(cfg, batch, seq, optBytes)
+	spec.TapeBlocks = window
+	if recompute {
+		spec.TapeBlocks = window - window/2
+	}
+	spec.TrainableElems = WindowTrainableElems(cfg, window)
+	if bits != nil {
+		spec.BlockWeightBits, spec.PackedScales = bits, true
+	}
+	if sparsity != nil {
+		spec.BlockWeightSparsity = sparsity
+	}
+	return spec
 }

@@ -98,26 +98,6 @@ func TestOptimizerStateLazyAllocation(t *testing.T) {
 	}
 }
 
-func TestCosineSchedule(t *testing.T) {
-	s := CosineSchedule(10, 100, 0.1)
-	if s(0) != 0.1 { // warmup step 1/10
-		t.Fatalf("warmup start %v", s(0))
-	}
-	if s(9) != 1 {
-		t.Fatalf("warmup end %v", s(9))
-	}
-	if s(10) <= s(99) {
-		t.Fatal("cosine must decay")
-	}
-	if got := s(200); got != 0.1 {
-		t.Fatalf("post-horizon LR %v, want floor", got)
-	}
-	mid := s(55)
-	if mid <= 0.1 || mid >= 1 {
-		t.Fatalf("mid-schedule LR %v out of (floor,1)", mid)
-	}
-}
-
 func TestTrainerClipsGradients(t *testing.T) {
 	w := ag.Param(tensor.Full(1000, 2))
 	q := &quad{w: w}
@@ -261,6 +241,27 @@ func TestEstimateMemoryCompressionShrinksWeights(t *testing.T) {
 	wantSaved := blockBytes * 15 / 16
 	if math.Abs(float64(saved-wantSaved)) > float64(blockBytes)/100 {
 		t.Fatalf("saved %d bytes, want ≈ %d", saved, wantSaved)
+	}
+}
+
+// TestBlockWeightBytesMatchesPackedModel ties the analytic weights to the
+// executable format: what the estimator charges for the blocks at a width
+// is what nn.PackModel holds resident at that width, scales included.
+func TestBlockWeightBytesMatchesPackedModel(t *testing.T) {
+	cfg := nn.Config{Vocab: 16, Dim: 16, Heads: 2, Layers: 3, Hidden: 40, MaxSeq: 16}
+	for _, bits := range []int{2, 3, 4, 8} {
+		specs := make([]nn.PackSpec, cfg.Layers)
+		for i := range specs {
+			specs[i].Bits = bits
+		}
+		pm, err := nn.PackModel(nn.NewModel(cfg, tensor.NewRNG(3)), specs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(cfg.Layers) * blockWeightBytes(cfg, float64(bits), 0, true)
+		if got := pm.StorageBytes(); got != want {
+			t.Errorf("%d-bit: packed model holds %d B, estimator charges %d B", bits, got, want)
+		}
 	}
 }
 

@@ -17,21 +17,6 @@ type Schedule func(step int) float64
 // ConstantSchedule keeps the multiplier at 1.
 func ConstantSchedule() Schedule { return func(int) float64 { return 1 } }
 
-// CosineSchedule decays from 1 to floor over totalSteps with optional
-// linear warmup.
-func CosineSchedule(warmup, totalSteps int, floor float64) Schedule {
-	return func(step int) float64 {
-		if warmup > 0 && step < warmup {
-			return float64(step+1) / float64(warmup)
-		}
-		if step >= totalSteps {
-			return floor
-		}
-		progress := float64(step-warmup) / float64(totalSteps-warmup)
-		return floor + (1-floor)*0.5*(1+math.Cos(math.Pi*progress))
-	}
-}
-
 // DefaultMaxBadSteps is the consecutive non-finite-step budget NewTrainer
 // installs before declaring divergence.
 const DefaultMaxBadSteps = 5
