@@ -13,9 +13,9 @@
 //     suites) must stay above the baseline's tok_s floor minus the
 //     tolerance, and any extra speedup pairs the baseline declares must
 //     reach their min ratio from the pair's min_procs up: 4 by default
-//     (batch-8 decode vs one-at-a-time needs the cores), 1 for
-//     kernel-vs-kernel pairs such as packed vs float32 decode, which
-//     compare two serial loops and hold on any machine;
+//     (a pair that measures fan-out needs the cores), 1 for pairs that
+//     compare two serial loops and hold on any machine, such as packed
+//     vs float32 decode and batch-8 vs one-at-a-time;
 //   - benchmarks reporting the custom p99ms metric (the serve suite's
 //     queue-wait tail) must stay below the baseline's p99_ms ceiling plus
 //     the tolerance — a generous bound that catches queueing collapse (a

@@ -162,6 +162,7 @@ func cmdDecodeBench(args []string) error {
 			"tok_per_sec":     tokPerSec,
 			"arena_cap_bytes": run.arenaCap, "arena_active_after": run.arenaActiveAfter,
 			"cancelled": run.cancelled, "verified": verified,
+			"kernel": tensor.KernelPath(),
 		}
 		if speedup > 0 {
 			out["batch_speedup"] = speedup

@@ -129,7 +129,7 @@ func cmdExperiments(args []string) (err error) {
 		Parallel int
 		Pool     string
 	}{cfg, *quick, *parallel, "on"})
-	man.Parallel, man.Pool = *parallel, "on"
+	man.Parallel, man.Pool, man.Kernel = *parallel, "on", tensor.KernelPath()
 
 	budget, err := parseMemBudget(*memBudget)
 	if err != nil {

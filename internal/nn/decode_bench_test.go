@@ -102,8 +102,8 @@ func BenchmarkDecodeBatch8(b *testing.B) {
 // BenchmarkDecodeOneAtATime8 is the serial counterpart of DecodeBatch8:
 // eight independent single-slot decoders each stepped once per op, so one
 // op is again eight tokens. The ns/op ratio of the pair is the batch
-// speedup benchguard gates (≥2× on ≥4 cores): batching reads each weight
-// matrix once per step instead of eight times.
+// speedup benchguard gates (≥1.7× at any core count): batching reads each
+// weight matrix once per step instead of eight times.
 func BenchmarkDecodeOneAtATime8(b *testing.B) {
 	const B8 = 8
 	m := decodeBenchModel()

@@ -432,7 +432,12 @@ func rmsnormRow(hRow, xRow, gain []float32, eps float32) {
 // the per-row loops fan out to worker goroutines. Rows are independent (the
 // arena is only read here — every row's K/V was written before — and scratch
 // rows are disjoint), so the fan-out cannot change results at any GOMAXPROCS.
-const slotParallelThreshold = 1 << 15
+// About a millisecond of this scalar loop (EXPERIMENTS.md, fan-out
+// thresholds): back to back two chunks win from 2^17, but inside a step the
+// second P has parked between fan-outs, and a batch-8 step — whose largest
+// attention call, eight rows at position 127, is 2^19 — measured faster with
+// all of them left serial.
+const slotParallelThreshold = 1 << 20
 
 // attendAll runs attendSlot for every batch row of layer l, fanning out to
 // worker goroutines over contiguous row chunks when the attention work is

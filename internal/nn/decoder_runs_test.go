@@ -3,6 +3,7 @@ package nn
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -10,9 +11,12 @@ import (
 	"edgellm/internal/tensor"
 )
 
-// runsTestCfg is big enough that a 16-row step takes the parallel paths at
-// GOMAXPROCS > 1: the MLP projections cross the matmul threshold
-// (16·128·512 = 2^20 MACs) and attention crosses slotParallelThreshold.
+// runsTestCfg was sized so that a 16-row step took the parallel paths at
+// GOMAXPROCS > 1. Since the thresholds went to half a millisecond of work
+// (2^23 MACs a matmul, 2^20 an attention step) no model a test can afford
+// does — 16·128·512 is 2^20 — and the fan-outs are pinned where they live:
+// banded matmuls in internal/tensor, the attention fan-out in
+// TestAttendAllFanOutMatchesSerial.
 func runsTestCfg() Config {
 	return Config{Vocab: 96, Dim: 128, Heads: 4, Layers: 2, Hidden: 512, MaxSeq: 40}
 }
@@ -236,4 +240,48 @@ func TestDecoderRunValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rowsBitsEqual(t, "run after rejections", rows[0], want)
+}
+
+// TestAttendAllFanOutMatchesSerial drives one attention call big enough to
+// cross slotParallelThreshold — 16 rows at position 127 of a 256-wide model,
+// 2^20 MACs — serially and fanned out over 4 procs: rows are independent, so
+// the context rows must agree bit for bit.
+func TestAttendAllFanOutMatchesSerial(t *testing.T) {
+	cfg := Config{Vocab: 32, Dim: 256, Heads: 8, Layers: 1, Hidden: 64, MaxSeq: 128}
+	const B = 16
+	if macs := B * 2 * cfg.MaxSeq * cfg.Dim; macs < slotParallelThreshold {
+		t.Fatalf("attention work %d is below slotParallelThreshold %d: nothing here would fan out", macs, slotParallelThreshold)
+	}
+	d := NewBatchDecoder(NewModel(cfg, tensor.NewRNG(5)), B, nil)
+	defer d.Close()
+	tokens, slots := make([]int, B), make([]int, B)
+	for i := range slots {
+		s, err := d.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots[i] = s
+	}
+	for p := 0; p < cfg.MaxSeq; p++ { // fill every slot's cache; leaves d.pos at MaxSeq-1
+		for i := range tokens {
+			tokens[i] = (p*7 + i*3) % cfg.Vocab
+		}
+		if _, err := d.StepBatch(tokens, slots); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := tensor.NewRNG(6).Normal(0, 1, B, cfg.Dim).Data
+	hd := cfg.Dim / cfg.Heads
+	attend := func(procs int) []float32 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		ctx := make([]float32, B*cfg.Dim)
+		d.attendAll(0, B, slots, cfg.Heads, hd, 0.25, q, ctx)
+		return ctx
+	}
+	serial, fanned := attend(1), attend(4)
+	for i := range serial {
+		if math.Float32bits(serial[i]) != math.Float32bits(fanned[i]) {
+			t.Fatalf("context element %d: serial %v, fanned out %v", i, serial[i], fanned[i])
+		}
+	}
 }

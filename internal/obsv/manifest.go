@@ -28,6 +28,10 @@ type Manifest struct {
 	// Pool records whether the tensor arena was enabled ("on"/"off"),
 	// empty for tools that predate or don't expose the knob.
 	Pool string `json:"pool,omitempty"`
+	// Kernel records the code path under the matmul kernels
+	// (tensor.KernelPath: "avx2" or "go"), so a timing in the stream is
+	// attributable to it. Set by the tool: tensor imports this package.
+	Kernel string `json:"kernel,omitempty"`
 	// Govern records whether the resource governor was active
 	// ("on"/"off"), empty for runs that predate the knob.
 	Govern string `json:"govern,omitempty"`

@@ -35,7 +35,7 @@ func Pack(t *tensor.Tensor, bits int) *Packed {
 	rows, cols := t.Rows(), t.Cols()
 	p := &Packed{
 		Bits: bits, Rows: rows, Cols: cols,
-		Codes: make([]byte, (rows*cols*bits+7)/8),
+		Codes: make([]byte, codeBytes(rows, cols, bits)),
 		Scale: make([]float32, cols),
 	}
 	qmax := float64(int(1)<<(bits-1)) - 1
@@ -121,6 +121,11 @@ func loadWord(codes []byte, off int) uint64 {
 type width interface {
 	[2]struct{} | [3]struct{} | [4]struct{}
 }
+
+// simdWidth reports whether the AVX2 twins of the word-path kernels take
+// this code width: a block row has to fit one 32-bit lane (2–4 bits) or be
+// whole bytes (8).
+func simdWidth(bits int) bool { return bits <= 4 || bits == 8 }
 
 // blockTable is one column block's dequantization table: entry code·8+j is
 // float32(sext(code))·Scale[colLo+j], exactly the float32 the per-element
@@ -241,6 +246,16 @@ func (p *Packed) MulVecInto(out, a []float32, colLo, colHi int) bool {
 	if !wordAligned(p.Cols, colLo, colHi) {
 		return false
 	}
+	if useAVX2 && simdWidth(p.Bits) {
+		p.mulVecSIMD(out, a, colLo, colHi)
+		return true
+	}
+	return p.mulVecGo(out, a, colLo, colHi)
+}
+
+// mulVecGo is MulVecInto's reference for a word-aligned band, and the
+// kernel wherever the AVX2 one is not.
+func (p *Packed) mulVecGo(out, a []float32, colLo, colHi int) bool {
 	switch p.Bits {
 	case 2:
 		mulVecBlocks[[2]struct{}](p, out, a, colLo, colHi)
@@ -264,6 +279,16 @@ func (p *Packed) MulVecInto(out, a []float32, colLo, colHi int) bool {
 // matrix whose width is not a multiple of 8, a tile cut inside a block —
 // decodes per element through the two-byte-window extractor.
 func (p *Packed) DecodeRowsInto(dst []float32, rowLo, rowHi, colLo, colHi int) {
+	if useAVX2 && simdWidth(p.Bits) && wordAligned(p.Cols, colLo, colHi) {
+		p.decodeSIMD(dst, rowLo, rowHi, colLo, colHi)
+		return
+	}
+	p.decodeGo(dst, rowLo, rowHi, colLo, colHi)
+}
+
+// decodeGo is DecodeRowsInto's reference, and the decoder wherever the AVX2
+// one is not.
+func (p *Packed) decodeGo(dst []float32, rowLo, rowHi, colLo, colHi int) {
 	if wordAligned(p.Cols, colLo, colHi) {
 		switch p.Bits {
 		case 2:
@@ -289,6 +314,14 @@ func (p *Packed) DecodeRowsInto(dst []float32, rowLo, rowHi, colLo, colHi int) {
 		}
 		return
 	}
+	p.decodeElems(dst, rowLo, rowHi, colLo, colHi)
+}
+
+// decodeElems decodes a tile one element at a time through the two-byte
+// window extractor: any width, any alignment.
+func (p *Packed) decodeElems(dst []float32, rowLo, rowHi, colLo, colHi int) {
+	w := colHi - colLo
+	scale := p.Scale[colLo:colHi]
 	bits := p.Bits
 	signBit := byte(1 << (bits - 1))
 	off := int32(1) << bits
@@ -326,7 +359,25 @@ func (p *Packed) StorageBytes() int64 {
 // Packed.StorageBytes exactly, which is what lets govern's admission
 // estimators price a bit budget in the executable format's real bytes.
 func PackedStorageBytes(rows, cols, bits int) int64 {
-	return int64((rows*cols*bits+7)/8) + int64(cols)*4
+	return packedCodeBytes(int64(rows), int64(cols), bits) + int64(cols)*4
+}
+
+// packedCodeBytes is the length of a rows × cols bit stream at the given
+// width, in int64: the bit count of a shape that is only a header's claim,
+// or only being priced, need not fit a 32-bit int.
+func packedCodeBytes(rows, cols int64, bits int) int64 {
+	return (rows*cols*int64(bits) + 7) / 8
+}
+
+// codeBytes is packedCodeBytes for a matrix about to be packed. Bit offsets
+// into the stream are ints, so a matrix whose bit count is not one (2^28
+// elements at 8 bits on a 32-bit platform) cannot be packed there.
+func codeBytes(rows, cols, bits int) int {
+	n := packedCodeBytes(int64(rows), int64(cols), bits)
+	if n > math.MaxInt/8 {
+		panic(fmt.Sprintf("quant: a (%d,%d) matrix at %d bits is too large to address on this platform", rows, cols, bits))
+	}
+	return int(n)
 }
 
 // writeBits stores the low `width` bits of code at bit offset `pos`

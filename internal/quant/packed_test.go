@@ -273,6 +273,19 @@ func TestReadPackedLyingHeaderAllocatesLittle(t *testing.T) {
 	}
 }
 
+// TestReadPackedShapeProductOverflow: rows·cols = 2^32 is 0 in a 32-bit int,
+// which would pass the shape bound; the header arithmetic is int64, so it is
+// an implausible shape on every GOARCH.
+func TestReadPackedShapeProductOverflow(t *testing.T) {
+	art := []byte("ELLMPKD1")
+	for _, v := range []uint32{packedKindUniform<<8 | 8, 1 << 16, 1 << 16, 0, 1 << 16, 0} {
+		art = binary.LittleEndian.AppendUint32(art, v)
+	}
+	if _, err := ReadPackedFrom(bytes.NewReader(art)); err == nil || !strings.Contains(err.Error(), "implausible packed shape") {
+		t.Fatalf("ReadPackedFrom of a (2^16, 2^16) header: %v, want an implausible-shape error", err)
+	}
+}
+
 func TestWritePackedFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "w.packed")

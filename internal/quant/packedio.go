@@ -24,9 +24,11 @@ const (
 	packedKindUniform = 0
 	packedKindNF      = 1
 
-	// maxPackedDim bounds header-declared dimensions: the size arithmetic
-	// below cannot overflow, and no artifact holds more than 256 MiB of
-	// codes.
+	// maxPackedDim bounds header-declared dimensions and their product, so
+	// no artifact holds more than 256 MiB of codes. The header arithmetic
+	// below is done in int64 — a uint32 field or a product of two does not
+	// fit a 32-bit int — and everything that passes the bound does fit one:
+	// at most 2^28 elements, 2^31 − 8 as a bit offset, 2^30 scale bytes.
 	maxPackedDim = 1 << 28
 )
 
@@ -75,8 +77,8 @@ func ReadPackedFrom(r io.Reader) (tensor.PackedMat, error) {
 		return nil, fmt.Errorf("quant: read packed header: %w", err)
 	}
 	kind, bits := int(hdr[0]>>8), int(hdr[0]&0xff)
-	rows, cols, block := int(hdr[1]), int(hdr[2]), int(hdr[3])
-	nScale, nCodes := int(hdr[4]), int(hdr[5])
+	rows, cols, block := int64(hdr[1]), int64(hdr[2]), int64(hdr[3])
+	nScale, nCodes := int64(hdr[4]), int64(hdr[5])
 	if kind != packedKindUniform && kind != packedKindNF {
 		return nil, fmt.Errorf("quant: unknown packed kind %d", kind)
 	}
@@ -86,10 +88,10 @@ func ReadPackedFrom(r io.Reader) (tensor.PackedMat, error) {
 	if rows < 1 || cols < 1 || rows > maxPackedDim || cols > maxPackedDim || rows*cols > maxPackedDim {
 		return nil, fmt.Errorf("quant: implausible packed shape (%d,%d)", rows, cols)
 	}
-	if want := (rows*cols*bits + 7) / 8; nCodes != want {
+	if want := packedCodeBytes(rows, cols, bits); nCodes != want {
 		return nil, fmt.Errorf("quant: packed code bytes %d, want %d for (%d,%d)@%db", nCodes, want, rows, cols, bits)
 	}
-	var wantScale int
+	var wantScale int64
 	switch kind {
 	case packedKindUniform:
 		if block != 0 {
@@ -105,11 +107,11 @@ func ReadPackedFrom(r io.Reader) (tensor.PackedMat, error) {
 	if nScale != wantScale {
 		return nil, fmt.Errorf("quant: packed scale count %d, want %d", nScale, wantScale)
 	}
-	raw, err := artifact.ReadN(ar, 4*nScale)
+	raw, err := artifact.ReadN(ar, int(4*nScale))
 	if err != nil {
 		return nil, fmt.Errorf("quant: read packed scales: %w", err)
 	}
-	codes, err := artifact.ReadN(ar, nCodes)
+	codes, err := artifact.ReadN(ar, int(nCodes))
 	if err != nil {
 		return nil, fmt.Errorf("quant: read packed codes: %w", err)
 	}
@@ -122,14 +124,14 @@ func ReadPackedFrom(r io.Reader) (tensor.PackedMat, error) {
 	}
 	if kind == packedKindNF {
 		cb := NFScheme{Bits: bits}.Codebook()
-		for i := 0; i < rows*cols; i++ {
+		for i := 0; i < int(rows*cols); i++ {
 			if code := int(readBits(codes, i*bits, bits)); code >= len(cb) {
 				return nil, fmt.Errorf("quant: packed NF code %d at element %d is outside the %d-entry codebook", code, i, len(cb))
 			}
 		}
-		return &PackedNF{Bits: bits, Rows: rows, Cols: cols, BlockSize: block, Codes: codes, Scale: scale, codebook: cb}, nil
+		return &PackedNF{Bits: bits, Rows: int(rows), Cols: int(cols), BlockSize: int(block), Codes: codes, Scale: scale, codebook: cb}, nil
 	}
-	return &Packed{Bits: bits, Rows: rows, Cols: cols, Codes: codes, Scale: scale}, nil
+	return &Packed{Bits: bits, Rows: int(rows), Cols: int(cols), Codes: codes, Scale: scale}, nil
 }
 
 // WritePackedFile writes a packed artifact atomically, so a crashed save

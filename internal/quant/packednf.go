@@ -42,7 +42,7 @@ func PackNF(t *tensor.Tensor, s NFScheme) *PackedNF {
 	zeroIdx := len(codes) / 2 // the codebook's exact-zero entry
 	p := &PackedNF{
 		Bits: s.Bits, Rows: rows, Cols: cols, BlockSize: block,
-		Codes:    make([]byte, (n*s.Bits+7)/8),
+		Codes:    make([]byte, codeBytes(rows, cols, s.Bits)),
 		Scale:    make([]float32, (n+block-1)/block),
 		codebook: codes,
 	}

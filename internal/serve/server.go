@@ -15,6 +15,7 @@ import (
 	"edgellm/internal/govern"
 	"edgellm/internal/nn"
 	"edgellm/internal/obsv"
+	"edgellm/internal/tensor"
 )
 
 // ServerConfig tunes the hardened serving front end. The zero value serves
@@ -129,7 +130,7 @@ func (s *Server) Scheduler() *Scheduler { return s.sched }
 //	POST /v1/generate  — submit a generation request (JSON; ?stream for NDJSON)
 //	GET  /v1/adapters  — resident and on-disk adapter names
 //	GET  /healthz      — 200 serving / 503 draining
-//	GET  /statusz      — live queue/slot/arena/tenant stats (JSON)
+//	GET  /statusz      — live queue/slot/arena/tenant stats and the kernel path (JSON)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/generate", s.handleGenerate)
@@ -837,6 +838,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		"slots":             s.dec.Slots(),
 		"reserved_kv_bytes": s.adm.ReservedBytes(),
 		"tenants":           tenants,
+		"kernel":            tensor.KernelPath(),
 	}
 	if s.cfg.SLO != nil {
 		status["slo"] = s.cfg.SLO.Status()

@@ -22,6 +22,7 @@ import (
 	"edgellm/internal/fault"
 	"edgellm/internal/govern"
 	"edgellm/internal/nn"
+	"edgellm/internal/tensor"
 )
 
 // newTestServer stands up a Server over a fresh batch decoder plus an
@@ -735,6 +736,9 @@ func TestServerStatusz(t *testing.T) {
 		if _, ok := status[key]; !ok {
 			t.Fatalf("statusz missing %q: %v", key, status)
 		}
+	}
+	if got := status["kernel"]; got != tensor.KernelPath() {
+		t.Fatalf("statusz kernel = %v, want %q", got, tensor.KernelPath())
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // detSize is chosen so m·n·k is exactly parallelThreshold, forcing the
 // banded parallel path even on the smallest matrices the tests can afford.
-const detRows, detCols, detInner = 128, 128, 64
+const detRows, detCols, detInner = 128, 128, 512
 
 func bitsEqual(t *testing.T, name string, a, b *Tensor) {
 	t.Helper()
@@ -44,6 +44,9 @@ func runBoth(outShape [2]int, kernel func(out *Tensor)) (serial, parallel *Tenso
 }
 
 func TestDeterminismMatMulIntoAcrossGOMAXPROCS(t *testing.T) {
+	if detRows*detCols*detInner < parallelThreshold {
+		t.Fatalf("det size %d·%d·%d is below parallelThreshold %d: these tests would compare the serial path with itself", detRows, detCols, detInner, parallelThreshold)
+	}
 	g := NewRNG(11)
 	a := g.Normal(0, 1, detRows, detInner)
 	b := g.Normal(0, 1, detInner, detCols)

@@ -61,7 +61,7 @@ func ReadFrom(r io.Reader) (*Tensor, error) {
 		return nil, fmt.Errorf("tensor: implausible rank %d", rank)
 	}
 	shape := make([]int, rank)
-	n := 1
+	n := int64(1) // a product of two dims does not fit a 32-bit int
 	for i := range shape {
 		var d int32
 		if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
@@ -71,14 +71,14 @@ func ReadFrom(r io.Reader) (*Tensor, error) {
 			return nil, fmt.Errorf("tensor: non-positive dim %d", d)
 		}
 		shape[i] = int(d)
-		n *= int(d)
+		n *= int64(d)
 		if n > maxReadElems {
 			return nil, fmt.Errorf("tensor: implausible element count %d (corrupt shape?)", n)
 		}
 	}
 	// The tensor is built only once its bytes are in hand: the dims came
 	// from outside, and a flipped bit in one must not cost its allocation.
-	buf, err := artifact.ReadN(r, 4*n)
+	buf, err := artifact.ReadN(r, int(4*n))
 	if err != nil {
 		return nil, err
 	}

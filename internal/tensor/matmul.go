@@ -6,13 +6,23 @@ import (
 	"sync"
 )
 
-// blockSize is the cache-blocking tile edge used by the matmul family. 64
-// keeps three float32 tiles (~48KB) inside a typical L1+L2 working set.
+// blockSize is the tile edge of the matmul family: MatMulTInto and
+// TransposeInto walk blockSize × blockSize tiles of their output, and the
+// column-lane kernels (matmulRows, tmatmulRows) take b a blockSize-column
+// block at a time, so the k × 64 floats every row of a band sweeps stay
+// cache-resident from one row to the next. 64 columns are also exactly the
+// eight 8-lane accumulators sumCols keeps in registers.
 const blockSize = 64
 
-// parallelThreshold is the MAC count above which the Into kernels fan out
-// row bands to worker goroutines. Below it the goroutine overhead dominates.
-const parallelThreshold = 1 << 20
+// parallelThreshold is the MAC count from which the Into kernels fan out
+// bands to worker goroutines: about half a millisecond of AVX2 kernel.
+// Measured at GOMAXPROCS 2 (EXPERIMENTS.md "Packed execution", fan-out
+// thresholds): back to back, two bands draw with one around 2^21 MACs and
+// win from 3M; inside a decode step, where the second P has parked by the
+// time the next matmul arrives, fanning out the 2^22-MAC LM head of a
+// batch-8 step and the 3M-MAC projections of a 16-row prefill step still
+// cost more than it saved.
+const parallelThreshold = 1 << 23
 
 // bandRows splits the output-row range [0, m) into contiguous bands and
 // runs fn(lo, hi) for each, in parallel when the kernel is large enough.
@@ -56,9 +66,10 @@ func bandWorkers(m, macs int) int {
 
 // MatMul returns a × b for rank-2 tensors, (m,k)×(k,n) → (m,n).
 //
-// The kernel is a blocked i-k-j loop: the k-major inner ordering turns the
-// innermost loop into a scaled row accumulation, which the compiler
-// vectorises well and which touches b row-contiguously.
+// The kernel is column-block-outer (matmulRows): each output element is one
+// ascending-k sum held in a register and stored once. The Go compiler does
+// not vectorise; on amd64 the sweep is the AVX2 sumCols kernel, eight
+// columns to a register.
 func MatMul(a, b *Tensor) *Tensor {
 	m, k := a.Rows(), a.Cols()
 	k2, n := b.Rows(), b.Cols()
@@ -78,9 +89,6 @@ func MatMulInto(out, a, b *Tensor) {
 	if b.Rows() != k || out.Rows() != m || out.Cols() != n {
 		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch out %v = %v × %v", out.Shape, a.Shape, b.Shape))
 	}
-	for i := range out.Data {
-		out.Data[i] = 0
-	}
 	if bandWorkers(m, m*n*k) <= 1 {
 		matmulRows(out, a, b, 0, m)
 		return
@@ -88,27 +96,24 @@ func MatMulInto(out, a, b *Tensor) {
 	bandRows(m, m*n*k, func(lo, hi int) { matmulRows(out, a, b, lo, hi) })
 }
 
-// matmulRows computes out rows [rowLo, rowHi) of a × b with cache blocking.
+// matmulRows computes out rows [rowLo, rowHi) of a × b, every element
+// overwritten: out[i][j] = Σ_k a[i][k]·b[k][j], ascending k from +0,
+// skipping a == 0.
 func matmulRows(out, a, b *Tensor, rowLo, rowHi int) {
-	k, n := a.Cols(), b.Cols()
-	for i0 := rowLo; i0 < rowHi; i0 += blockSize {
-		iMax := min(i0+blockSize, rowHi)
-		for k0 := 0; k0 < k; k0 += blockSize {
-			kMax := min(k0+blockSize, k)
-			for i := i0; i < iMax; i++ {
-				aRow := a.Data[i*k : (i+1)*k]
-				outRow := out.Data[i*n : (i+1)*n]
-				for kk := k0; kk < kMax; kk++ {
-					av := aRow[kk]
-					if av == 0 {
-						continue
-					}
-					bRow := b.Data[kk*n : (kk+1)*n]
-					for j, bv := range bRow {
-						outRow[j] += av * bv
-					}
-				}
-			}
+	k := a.Cols()
+	sweepCols(out, a.Data, k, 1, b, k, rowLo, rowHi)
+}
+
+// sweepCols is the loop both column-lane kernels share: out row i is the
+// sum over kk of a[i·aRow + kk·aStride] times b's row kk, through sumCols a
+// blockSize-wide block of columns at a time, block-outer so that the band's
+// rows reuse the block while it is cached.
+func sweepCols(out *Tensor, a []float32, aRow, aStride int, b *Tensor, k, rowLo, rowHi int) {
+	n := b.Cols()
+	for j0 := 0; j0 < n; j0 += blockSize {
+		jw := min(blockSize, n-j0)
+		for i := rowLo; i < rowHi; i++ {
+			sumCols(out.Data[i*n+j0:i*n+j0+jw], a[i*aRow:], aStride, b.Data[j0:], n, k)
 		}
 	}
 }
@@ -182,9 +187,6 @@ func TMatMulInto(out, aT, b *Tensor) {
 	if k != k2 || out.Rows() != m || out.Cols() != n {
 		panic(fmt.Sprintf("tensor: TMatMulInto shape mismatch out %v = %vᵀ × %v", out.Shape, aT.Shape, b.Shape))
 	}
-	for i := range out.Data {
-		out.Data[i] = 0
-	}
 	if bandWorkers(m, m*n*k) <= 1 {
 		tmatmulRows(out, aT, b, 0, m)
 		return
@@ -192,32 +194,11 @@ func TMatMulInto(out, aT, b *Tensor) {
 	bandRows(m, m*n*k, func(lo, hi int) { tmatmulRows(out, aT, b, lo, hi) })
 }
 
-// tmatmulRows computes out rows [rowLo, rowHi) of aᵀ × b. The k loop is
-// blocked so the band's output rows are revisited while the touched b rows
-// are still cache-resident; within a block the kk-major inner ordering is a
-// skip-zero scaled row accumulation, like matmulRows.
+// tmatmulRows computes out rows [rowLo, rowHi) of aᵀ × b, every element
+// overwritten: matmulRows with a read down a column of aT (stride m)
+// instead of along a row.
 func tmatmulRows(out, aT, b *Tensor, rowLo, rowHi int) {
-	k, m, n := aT.Rows(), aT.Cols(), b.Cols()
-	for i0 := rowLo; i0 < rowHi; i0 += blockSize {
-		iMax := min(i0+blockSize, rowHi)
-		for k0 := 0; k0 < k; k0 += blockSize {
-			kMax := min(k0+blockSize, k)
-			for kk := k0; kk < kMax; kk++ {
-				aRow := aT.Data[kk*m : (kk+1)*m]
-				bRow := b.Data[kk*n : (kk+1)*n]
-				for i := i0; i < iMax; i++ {
-					av := aRow[i]
-					if av == 0 {
-						continue
-					}
-					outRow := out.Data[i*n : (i+1)*n]
-					for j, bv := range bRow {
-						outRow[j] += av * bv
-					}
-				}
-			}
-		}
-	}
+	sweepCols(out, aT.Data, 1, aT.Cols(), b, aT.Rows(), rowLo, rowHi)
 }
 
 // Transpose returns the transpose of a rank-2 tensor.

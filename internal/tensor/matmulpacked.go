@@ -6,21 +6,25 @@ import (
 	"sync"
 )
 
-// PackedBlockCols is the column-block width of the packed kernels. Eight
-// b-bit codes are exactly b bytes, so in a matrix whose column count is a
-// multiple of 8 every row of every 8-column block starts on a byte
-// boundary and loads as one word; and eight float32 accumulators (plus the
-// activation and a product) fit the 15 usable XMM registers, where sixteen
-// spill.
+// PackedBlockCols is the column granule of the packed kernels. Eight b-bit
+// codes are exactly b bytes, so in a matrix whose column count is a
+// multiple of 8 every row of every 8-column block starts on a byte boundary
+// and loads as one word — and eight float32 are one AVX2 register.
 const PackedBlockCols = 8
+
+// packedTileCols is the width of the tile the multi-row packed kernel
+// decodes and sweeps: four blocks, so sumCols runs four accumulators deep
+// (one would wait out the add latency on every k) and the tile a worker
+// holds is k·32 floats — 96 KB at k = 768.
+const packedTileCols = 4 * PackedBlockCols
 
 // PackedMat is a bit-packed rank-2 weight matrix that can expand tiles of
 // itself into float32 scratch. It is the seam between the tensor kernels
 // and the quantized formats in internal/quant (which cannot be imported
 // here without a cycle): the packed kernels below never materialize the
-// whole matrix, only one rows × PackedBlockCols column block at a time, so
-// a packed weight's float32 footprint during a matmul is rows·8·4 bytes of
-// reusable scratch per worker instead of rows·cols·4.
+// whole matrix, only one rows × packedTileCols tile at a time, so a packed
+// weight's float32 footprint during a matmul is rows·32·4 bytes of reusable
+// scratch per worker instead of rows·cols·4.
 type PackedMat interface {
 	// Dims returns the logical (rows, cols) of the matrix.
 	Dims() (rows, cols int)
@@ -80,9 +84,9 @@ func (s *PackedScratch) ensure(workers, elems int) [][]float32 {
 // are bitwise identical to MatMulInto(out, a, w.Unpack()) at any
 // GOMAXPROCS: each output element is one ascending-k float32 sum from +0
 // with the same zero skip as matmulRows, over the same decoded values, and
-// column bands own disjoint output columns. The loop is column-block-outer
-// (matmulPackedCols): a block of w is decoded once and every activation
-// row consumes it from registers. scratch may be nil (a temporary is
+// column bands own disjoint output columns. The loop is column-tile-outer
+// (matmulPackedCols): a tile of w is decoded once and every activation row
+// sweeps it with sumCols. scratch may be nil (a temporary is
 // allocated); pass a reused scratch on hot paths.
 func MatMulPackedInto(out, a *Tensor, w PackedMat, scratch *PackedScratch) {
 	m, k := a.Rows(), a.Cols()
@@ -94,11 +98,12 @@ func MatMulPackedInto(out, a *Tensor, w PackedMat, scratch *PackedScratch) {
 		scratch = NewPackedScratch()
 	}
 	workers := packedColWorkers(n, m*n*k)
-	// Bands are whole column blocks, so a band boundary never splits a
-	// word-aligned block into two unaligned halves.
+	// Bands are whole tiles, so a band boundary never splits a word-aligned
+	// block into two unaligned halves and only the last band has a narrow
+	// tile.
 	band := (n + workers - 1) / workers
-	band = (band + PackedBlockCols - 1) / PackedBlockCols * PackedBlockCols
-	bufs := scratch.ensure(workers, k*PackedBlockCols)
+	band = (band + packedTileCols - 1) / packedTileCols * packedTileCols
+	bufs := scratch.ensure(workers, k*packedTileCols)
 	if workers <= 1 {
 		matmulPackedCols(out, a, w, bufs[0], 0, n)
 		return
@@ -136,66 +141,21 @@ func packedColWorkers(n, macs int) int {
 }
 
 // matmulPackedCols computes out columns [jLo, jHi) of a × w (all rows),
-// one column block at a time. A single activation row goes to the format's
-// fused MulVecInto. Otherwise the full-height k × 8 block is decoded once
-// into tile — 32 bytes a weight row, L1-resident for any k this repo runs —
-// and each activation row then sweeps it (mulTileRow): per weight that is
-// one multiply and one add and no store, where the dense axpy also loads
-// and stores the output.
+// one tile at a time. A single activation row goes to the format's fused
+// MulVecInto. Otherwise the full-height k × 32 tile is decoded once into
+// scratch and each activation row then sweeps it with sumCols — the dense
+// kernel's primitive, over a contiguous tile instead of a strided block of
+// b.
 func matmulPackedCols(out, a *Tensor, w PackedMat, tile []float32, jLo, jHi int) {
 	m, k, n := a.Rows(), a.Cols(), out.Cols()
 	if m == 1 && w.MulVecInto(out.Data[jLo:jHi], a.Data, jLo, jHi) {
 		return
 	}
-	for j0 := jLo; j0 < jHi; j0 += PackedBlockCols {
-		jw := min(PackedBlockCols, jHi-j0)
+	for j0 := jLo; j0 < jHi; j0 += packedTileCols {
+		jw := min(packedTileCols, jHi-j0)
 		w.DecodeRowsInto(tile, 0, k, j0, j0+jw)
 		for i := 0; i < m; i++ {
-			aRow := a.Data[i*k : (i+1)*k]
-			outRow := out.Data[i*n+j0 : i*n+j0+jw]
-			if jw == PackedBlockCols {
-				mulTileRow(outRow, aRow, tile)
-			} else {
-				mulRaggedRow(outRow, aRow, tile)
-			}
+			sumCols(out.Data[i*n+j0:i*n+j0+jw], a.Data[i*k:(i+1)*k], 1, tile, jw, k)
 		}
 	}
-}
-
-// mulRaggedRow is mulTileRow for the last block of a matrix whose width is
-// not a multiple of 8: len(out) < 8 columns, accumulated through out's
-// storage in the same ascending-k order with the same zero skip.
-func mulRaggedRow(out, a, tile []float32) {
-	jw := len(out)
-	clear(out)
-	for kk, av := range a {
-		if av == 0 {
-			continue
-		}
-		for j, bv := range tile[kk*jw : (kk+1)*jw] {
-			out[j] += av * bv
-		}
-	}
-}
-
-// mulTileRow writes out[j] = Σ_k a[k]·tile[k][j] for one full-width block:
-// the eight sums live in registers for the whole sweep.
-func mulTileRow(out, a, tile []float32) {
-	var s0, s1, s2, s3, s4, s5, s6, s7 float32
-	for kk, av := range a {
-		if av == 0 {
-			continue
-		}
-		t := (*[PackedBlockCols]float32)(tile[kk*PackedBlockCols:])
-		s0 += av * t[0]
-		s1 += av * t[1]
-		s2 += av * t[2]
-		s3 += av * t[3]
-		s4 += av * t[4]
-		s5 += av * t[5]
-		s6 += av * t[6]
-		s7 += av * t[7]
-	}
-	o := (*[PackedBlockCols]float32)(out)
-	o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // The packed-kernel benchmarks use the single-token decode shape — one
-// activation row against a 768×768 weight (m·k·n < 2^20 MACs, below the
-// parallel threshold) — so the serial kernels are measured, allocs/op is a
+// activation row against a 768×768 weight (m·k·n far below the parallel
+// threshold) — so the serial kernels are measured, allocs/op is a
 // hard 0 gate, and the 2.25MB unpacked weight exceeds L2 where the packed
 // codes (150–590KB) do not. MB/s counts the bytes a call streams: the
 // weight in the form the kernel reads it plus the activations in and out,
@@ -120,10 +120,11 @@ func BenchmarkPackedMatMulDequant4(b *testing.B) {
 }
 
 // BenchmarkPackedMatMulFloat32 is the ungated reference: the dense kernel
-// over already-resident float32 weights. Both it and the fused kernels run
-// about one scalar multiply-add a cycle; the fused ones add the code
-// extraction on top at one row (0.7–0.8× of this) and amortize it from
-// eight rows up (level with it) — EXPERIMENTS.md "Packed execution".
+// over already-resident float32 weights. With the AVX2 kernels it streams
+// its 2.25 MB at memory speed, and the fused ones, bound by the vector µops
+// of their code extraction, are still 1.2–1.5× faster at one row on an
+// eighth of the bytes; from eight rows up one tile decode serves every row
+// and the two are level — EXPERIMENTS.md "Packed execution".
 func BenchmarkPackedMatMulFloat32(b *testing.B) {
 	a, w := packedBenchOperands(b)
 	out := tensor.New(pbM, pbN)

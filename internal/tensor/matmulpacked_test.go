@@ -141,7 +141,7 @@ func TestMatMulPackedSpecialActivations(t *testing.T) {
 // block width.
 func TestMatMulPackedDeterministicAcrossProcs(t *testing.T) {
 	for _, n := range []int{250, 264} {
-		m, k := 256, 96 // m·k·n ≥ parallelThreshold; n spans 4 column bands
+		m, k := 512, 96 // m·k·n ≥ parallelThreshold; n spans 4 column bands
 		a := randTensor(m, k, 42)
 		w := randTensor(k, n, 43)
 		p := quant.Pack(w, 3)
@@ -169,6 +169,50 @@ func TestMatMulPackedDeterministicAcrossProcs(t *testing.T) {
 		bitwiseEqual(t, fmt.Sprintf("n=%d uniform3 vs unpacked reference", n), u1, want)
 		tensor.MatMulInto(want, a, pn.Unpack())
 		bitwiseEqual(t, fmt.Sprintf("n=%d nf4 vs unpacked reference", n), un1, want)
+	}
+}
+
+// TestMatMulPackedGridIdentity is BenchmarkMatMulPackedGrid's shape as a
+// test: 768 × 768 at every width plus NF4, one row (the fused MulVecInto),
+// the smallest tile sweeps, a decode batch, a prefill run and one past it,
+// at GOMAXPROCS 1 and 2 (from 16 rows up the call is over the fan-out
+// threshold and bands its columns). The oracle is the obvious triple loop
+// over Unpack — one ascending-k sum per element from +0, zero activations
+// skipped — so it holds whichever kernel, Go or assembly, runs beneath.
+func TestMatMulPackedGridIdentity(t *testing.T) {
+	const k, n = 768, 768
+	w := randTensor(k, n, 21)
+	weights := map[string]packedVariant{"nf4": quant.PackNF(w, quant.NFScheme{Bits: 4, BlockSize: 64})}
+	for bits := 2; bits <= 8; bits++ {
+		weights[fmt.Sprintf("%db", bits)] = quant.Pack(w, bits)
+	}
+	for name, p := range weights {
+		u := p.Unpack()
+		for _, m := range []int{1, 2, 3, 8, 16, 24} {
+			a := randTensor(m, k, int64(22+m))
+			for i := 0; i < len(a.Data); i += 11 {
+				a.Data[i] = 0
+			}
+			want := tensor.New(m, n)
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					var s float32
+					for kk := 0; kk < k; kk++ {
+						if av := a.Data[i*k+kk]; av != 0 {
+							s += av * u.Data[kk*n+j]
+						}
+					}
+					want.Data[i*n+j] = s
+				}
+			}
+			for _, procs := range []int{1, 2} {
+				old := runtime.GOMAXPROCS(procs)
+				got := tensor.New(m, n)
+				tensor.MatMulPackedInto(got, a, p, nil)
+				runtime.GOMAXPROCS(old)
+				bitwiseEqual(t, fmt.Sprintf("%s m=%d procs=%d", name, m, procs), got, want)
+			}
+		}
 	}
 }
 

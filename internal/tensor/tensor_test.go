@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -190,8 +191,11 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	// Large enough to cross the parallel threshold; result must be
 	// bit-identical to the naive reference since bands own disjoint rows.
 	g := NewRNG(12)
-	a := g.Normal(0, 1, 257, 129)
-	b := g.Normal(0, 1, 129, 67)
+	a := g.Normal(0, 1, 513, 257)
+	b := g.Normal(0, 1, 257, 67)
+	if 513*257*67 < parallelThreshold {
+		t.Fatal("shape is below parallelThreshold: nothing here would fan out")
+	}
 	got := MatMul(a, b)
 	want := matmulNaive(a, b)
 	if !AllClose(got, want, 1e-3, 1e-3) {
@@ -283,6 +287,19 @@ func TestReadFromLyingDimsAllocatesLittle(t *testing.T) {
 	}
 	if cost >= 4<<20 {
 		t.Fatalf("a 16-byte input made ReadFrom allocate %d bytes, want < 4 MiB", cost)
+	}
+}
+
+// TestReadFromDimsProductOverflow: two dims whose product is 2^32 — 0 in a
+// 32-bit int, which would pass the element-count bound — are an error on
+// every GOARCH.
+func TestReadFromDimsProductOverflow(t *testing.T) {
+	hdr := []byte("ELT1")
+	for _, v := range []uint32{2, 1 << 16, 1 << 16} {
+		hdr = binary.LittleEndian.AppendUint32(hdr, v)
+	}
+	if _, err := ReadFrom(bytes.NewReader(hdr)); err == nil || !strings.Contains(err.Error(), "implausible element count") {
+		t.Fatalf("ReadFrom of a (2^16, 2^16) header: %v, want an implausible-element-count error", err)
 	}
 }
 

@@ -8,7 +8,7 @@
 # Decoder/Scheduler/Adapter test of internal/nn and internal/serve (the
 # random-schedule differential harnesses included), with the process at
 # GOMAXPROCS=1 and then at the machine's default; the harnesses also switch to
-# 1 and to 8 procs themselves. About six minutes on two cores.
+# 1 and to 8 procs themselves. About two minutes on two cores.
 #
 #   scripts/decode-identity.sh [log-file]    tee the test output to log-file
 set -euo pipefail

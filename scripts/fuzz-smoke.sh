@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Fuzz every Fuzz* target in the module for 10 s each (about two minutes in
-# all). `go test ./...` already runs each target over its seed corpus; this
+# Fuzz every Fuzz* target in the module for 10 s each (about two and a half
+# minutes in all). `go test ./...` already runs each target over its seed corpus; this
 # lets the engine mutate — the loaders of outside bytes (checkpoint, snapshot,
 # adapter, packed weights, the /v1/generate body) get inputs no seed holds,
 # and the packed matmul kernel gets shapes, widths and data no table test
-# lists, each held to the dense kernel over Unpack bit for bit. A crasher is
+# lists, each held to the dense kernel over Unpack bit for bit; the two
+# assembly kernels (FuzzSumCols, FuzzPackedSIMD) get shapes, strides, base
+# alignments and special values, each held to its Go twin. A crasher is
 # written to the package's testdata/fuzz/<target>/ and fails the script:
 # commit it with the fix, it becomes a seed.
 #

@@ -8,14 +8,14 @@
 #     bit-loop oracle, the serialization round trip, the registry's 422 on a
 #     packed artifact — at GOMAXPROCS default and 1;
 #  2. the packed kernel benchmarks against BENCH_packed.json (0 allocs, exact
-#     wbytes ceilings, fused ≥ dequantize-then-matmul, fewer bits never
-#     slower) and the decode benchmarks against BENCH_decode.json's
-#     packed-vs-float32 pairs, at GOMAXPROCS=1 and default, each benchmark
-#     the fastest of three passes (benchguard keeps the fastest repetition;
-#     this class of host moves its clock by a quarter between them). At
-#     GOMAXPROCS=1 BENCH_decode.json is applied whole; at default only its
-#     speedup pairs are, because its 0-alloc gates hold on one proc only (the
-#     band fan-out allocates: ROADMAP item 3);
+#     wbytes ceilings, fused ≥ dequantize-then-matmul, 2-bit level with
+#     4-bit, 4-bit within reach of 8-bit) and the decode benchmarks against
+#     BENCH_decode.json (0 allocs, tok/s floors, packed 4-bit ≥ float32 at
+#     one row, batch-8 ≥ 1.7× one-at-a-time), whole, at GOMAXPROCS=1 and
+#     default, each benchmark the fastest of three passes (benchguard keeps
+#     the fastest repetition; this class of host moves its clock by a quarter
+#     between them). No step of the benchmark model reaches the fan-out
+#     thresholds, so the 0-alloc gates hold at any GOMAXPROCS;
 #  3. two governed packed decodes through the race-built CLI — uniform 4-bit
 #     and a LUC mixed budget — asserting that packing released every float32
 #     block-weight byte, the resident ratio, every stream verified against a
@@ -33,14 +33,6 @@ go test -race -count=1 -run 'Pack|WordWise|DecodeRowsInto' \
 GOMAXPROCS=1 go test -race -count=1 -run 'Pack|WordWise|DecodeRowsInto' \
   ./internal/tensor ./internal/nn 2>&1 | tee -a "$out/packed-tests.txt"
 
-# BENCH_decode.json without its per-benchmark gates: the pairs alone.
-python3 - BENCH_decode.json "$out/BENCH_decode_pairs.json" <<'EOF'
-import json, sys
-base = json.load(open(sys.argv[1]))
-base["gates"] = {}
-json.dump(base, open(sys.argv[2], "w"), indent=2)
-EOF
-
 # Three passes over the benchmarks, not -count 3: that would run one
 # benchmark's three repetitions back to back and a pair's two sides half a
 # minute apart, and when the host's clock steps in between, the fastest of
@@ -49,17 +41,17 @@ EOF
 bench3() { # bench3 <pattern> <package>...
   for _ in 1 2 3; do go test -bench "$1" -benchmem -run '^$' "${@:2}"; done
 }
-gate() { # gate <suffix> <decode baseline>, under the caller's GOMAXPROCS
+gate() { # gate <suffix>, under the caller's GOMAXPROCS
   echo "== 2. benchmarks, GOMAXPROCS=${GOMAXPROCS:-default}"
   bench3 'BenchmarkPack' ./internal/tensor ./internal/quant | tee "$out/bench-packed$1.txt"
   go run ./cmd/benchguard -in "$out/bench-packed$1.txt" \
     -out "$out/BENCH_packed_run$1.json" -baseline BENCH_packed.json
   bench3 'BenchmarkDecode(Step|Batch8|OneAtATime8|Prefill64)' ./internal/nn | tee "$out/bench-decode$1.txt"
   go run ./cmd/benchguard -in "$out/bench-decode$1.txt" \
-    -out "$out/BENCH_decode_run$1.json" -baseline "$2"
+    -out "$out/BENCH_decode_run$1.json" -baseline BENCH_decode.json
 }
-GOMAXPROCS=1 gate -p1 BENCH_decode.json
-(unset GOMAXPROCS; gate "" "$out/BENCH_decode_pairs.json")
+GOMAXPROCS=1 gate -p1
+(unset GOMAXPROCS; gate "")
 
 echo "== 3. governed packed decodes (race-built CLI)"
 go build -race -o "$out/edgellm-race" ./cmd/edgellm
