@@ -281,8 +281,9 @@ func (d *Decoder) StepBatch(tokens, slots []int) ([][]float32, error) {
 		d.mm(kV, hV, blk.Attn.Wk.W.Data, l, wmWk)
 		d.mm(vV, hV, blk.Attn.Wv.W.Data, l, wmWv)
 		for i, s := range slots {
-			copy(d.arena.kRow(l, s, d.pos[i]), kV.Data[i*dim:(i+1)*dim])
-			copy(d.arena.vRow(l, s, d.pos[i]), vV.Data[i*dim:(i+1)*dim])
+			p := d.pos[i]
+			d.arena.putKey(l, s, p, kV.Data[i*dim:(i+1)*dim])
+			copy(d.arena.values(l, s)[p*dim:(p+1)*dim], vV.Data[i*dim:(i+1)*dim])
 		}
 		d.attendAll(l, B, slots, heads, hd, scale, qV.Data, ctxV.Data)
 		d.mm(attV, ctxV, blk.Attn.Wo.W.Data, l, wmWo)
@@ -361,49 +362,51 @@ func (d *Decoder) planRuns(tokens, slots []int) (err error) {
 	return err
 }
 
-// attendSlot runs causal attention for batch row i / slot s of layer l: the
-// exact scalar loop of the single-sequence decoder, reading keys/values from
-// the slot's contiguous arena region and writing the context row in place.
+// attendSlot runs causal attention for batch row i / slot s of layer l over
+// the slot's arena region, writing the context row in place. Per head it is
+// two tensor.SumCols calls: the scores with positions as lanes over the
+// transposed key tiles, then the context with head dimensions as lanes over
+// the value rows. Each score and context element is the legacy scalar
+// loop's ascending sum from +0, product and add each rounded; SumCols' zero
+// skip makes a difference only where a key or value element is ±Inf or NaN.
 func (d *Decoder) attendSlot(l, i, s, heads, hd int, scale float32, q, ctx []float32) {
 	dim := heads * hd
 	T := d.pos[i] + 1 // the slot's cache and its run, up to and including this row
-	scores := d.scores[i*d.m.Cfg.MaxSeq : i*d.m.Cfg.MaxSeq+T]
+	maxSeq := d.m.Cfg.MaxSeq
+	scratch := d.scores[i*maxSeq : (i+1)*maxSeq]
+	scores := scratch[:T]
 	ctxRow := ctx[i*dim : (i+1)*dim]
-	for j := range ctxRow {
-		ctxRow[j] = 0
-	}
 	qRow := q[i*dim : (i+1)*dim]
-	for hI := 0; hI < heads; hI++ {
-		lo := hI * hd
+	values := d.arena.values(l, s)
+	for lo := 0; lo < dim; lo += hd {
+		for p0 := 0; p0 < T; {
+			keys, _, w := d.arena.keyTile(l, s, p0)
+			// Whole groups of 8 lanes: the positions the rounding adds
+			// past T hold stale or unwritten keys, and their scores are
+			// never read.
+			n := min((T-p0+7)&^7, w)
+			tensor.SumCols(scratch[p0:p0+n], qRow[lo:lo+hd], 1, keys[lo*w:], w, hd)
+			p0 += w
+		}
 		maxS := float32(math.Inf(-1))
-		for t := 0; t < T; t++ {
-			var dot float32
-			kt := d.arena.kRow(l, s, t)[lo : lo+hd]
-			qh := qRow[lo : lo+hd]
-			for j := 0; j < hd; j++ {
-				dot += qh[j] * kt[j]
-			}
-			dot *= scale
-			scores[t] = dot
-			if dot > maxS {
-				maxS = dot
+		for t, sc := range scores {
+			sc *= scale
+			scores[t] = sc
+			if sc > maxS {
+				maxS = sc
 			}
 		}
 		var sum float64
-		for t := 0; t < T; t++ {
-			e := math.Exp(float64(scores[t] - maxS))
+		for t, sc := range scores {
+			e := math.Exp(float64(sc - maxS))
 			scores[t] = float32(e)
 			sum += e
 		}
 		inv := float32(1 / sum)
-		for t := 0; t < T; t++ {
-			w := scores[t] * inv
-			vt := d.arena.vRow(l, s, t)[lo : lo+hd]
-			out := ctxRow[lo : lo+hd]
-			for j := 0; j < hd; j++ {
-				out[j] += w * vt[j]
-			}
+		for t := range scores {
+			scores[t] *= inv
 		}
+		tensor.SumCols(ctxRow[lo:lo+hd], scores, 1, values[lo:], dim, T)
 	}
 }
 
@@ -432,12 +435,12 @@ func rmsnormRow(hRow, xRow, gain []float32, eps float32) {
 // the per-row loops fan out to worker goroutines. Rows are independent (the
 // arena is only read here — every row's K/V was written before — and scratch
 // rows are disjoint), so the fan-out cannot change results at any GOMAXPROCS.
-// About a millisecond of this scalar loop (EXPERIMENTS.md, fan-out
+// About a millisecond of the column-lane loop (EXPERIMENTS.md, fan-out
 // thresholds): back to back two chunks win from 2^17, but inside a step the
-// second P has parked between fan-outs, and a batch-8 step — whose largest
-// attention call, eight rows at position 127, is 2^19 — measured faster with
-// all of them left serial.
-const slotParallelThreshold = 1 << 20
+// second P has parked between fan-outs, and batch-8 and 16-row prefill steps
+// whose attention calls reach 2^22 measured no faster fanned out than left
+// serial.
+const slotParallelThreshold = 1 << 22
 
 // attendAll runs attendSlot for every batch row of layer l, fanning out to
 // worker goroutines over contiguous row chunks when the attention work is

@@ -13,8 +13,8 @@ import (
 
 // runsTestCfg was sized so that a 16-row step took the parallel paths at
 // GOMAXPROCS > 1. Since the thresholds went to half a millisecond of work
-// (2^23 MACs a matmul, 2^20 an attention step) no model a test can afford
-// does — 16·128·512 is 2^20 — and the fan-outs are pinned where they live:
+// or more (2^23 MACs a matmul, 2^22 an attention step) no model a test can
+// afford does, and the fan-outs are pinned where they live:
 // banded matmuls in internal/tensor, the attention fan-out in
 // TestAttendAllFanOutMatchesSerial.
 func runsTestCfg() Config {
@@ -29,42 +29,53 @@ func runsTestCfg() Config {
 // float32 and packed-4 weights, on the base model and with an adapter set (on
 // the decoder and, as its scalar side path, on the legacy reference), at
 // GOMAXPROCS 1 and N; the arena must read 0 bytes after every schedule.
+// The hd12 model's head dimension is not a multiple of 8, so every head's
+// context sums run an AVX2 lane group and the Go tail; its MaxSeq, 44, ends
+// in a key tile 12 positions wide.
 func TestDecoderRunsMatchLegacy(t *testing.T) {
 	const seed, schedules = 41, 2
-	cfg := runsTestCfg()
-	adapters := map[string]*Adapter{"": nil, "+adapter": fullAdapter(t, "runs", 43, cfg, 4)}
-	for _, packed := range []bool{false, true} {
-		m := NewModel(cfg, tensor.NewRNG(seed))
-		ref, name := m, "float32"
-		var pm *PackedModel
-		if packed {
-			specs := make([]PackSpec, cfg.Layers)
-			for i := range specs {
-				specs[i] = PackSpec{Bits: 4}
+	for _, model := range []struct {
+		prefix string
+		cfg    Config
+	}{
+		{"", runsTestCfg()},
+		{"hd12/", Config{Vocab: 96, Dim: 96, Heads: 8, Layers: 2, Hidden: 192, MaxSeq: 44}},
+	} {
+		cfg := model.cfg
+		adapters := map[string]*Adapter{"": nil, "+adapter": fullAdapter(t, "runs", 43, cfg, 4)}
+		for _, packed := range []bool{false, true} {
+			m := NewModel(cfg, tensor.NewRNG(seed))
+			ref, name := m, model.prefix+"float32"
+			var pm *PackedModel
+			if packed {
+				specs := make([]PackSpec, cfg.Layers)
+				for i := range specs {
+					specs[i] = PackSpec{Bits: 4}
+				}
+				var err error
+				if pm, err = PackModel(m, specs, nil); err != nil {
+					t.Fatal(err)
+				}
+				ref, name = packedRefModel(cfg, seed, pm), model.prefix+"packed4"
 			}
-			var err error
-			if pm, err = PackModel(m, specs, nil); err != nil {
-				t.Fatal(err)
-			}
-			ref, name = packedRefModel(cfg, seed, pm), "packed4"
-		}
-		for suffix, adapter := range adapters {
-			for _, procs := range []int{1, max(8, runtime.NumCPU())} {
-				t.Run(fmt.Sprintf("%s%s/procs%d", name, suffix, procs), func(t *testing.T) {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					g := tensor.NewRNG(seed + int64(procs))
-					for i := 0; i < schedules; i++ {
-						d := NewBatchDecoder(m, 1+g.Intn(8), tensor.NewPool())
-						if err := d.SetPacked(pm); err != nil {
-							t.Fatal(err)
+			for suffix, adapter := range adapters {
+				for _, procs := range []int{1, max(8, runtime.NumCPU())} {
+					t.Run(fmt.Sprintf("%s%s/procs%d", name, suffix, procs), func(t *testing.T) {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+						g := tensor.NewRNG(seed + int64(procs))
+						for i := 0; i < schedules; i++ {
+							d := NewBatchDecoder(m, 1+g.Intn(8), tensor.NewPool())
+							if err := d.SetPacked(pm); err != nil {
+								t.Fatal(err)
+							}
+							if err := d.SetAdapter(adapter); err != nil {
+								t.Fatal(err)
+							}
+							runRandomSchedule(t, d, ref, adapter, g)
+							d.Close()
 						}
-						if err := d.SetAdapter(adapter); err != nil {
-							t.Fatal(err)
-						}
-						runRandomSchedule(t, d, ref, adapter, g)
-						d.Close()
-					}
-				})
+					})
+				}
 			}
 		}
 	}
@@ -243,34 +254,30 @@ func TestDecoderRunValidation(t *testing.T) {
 }
 
 // TestAttendAllFanOutMatchesSerial drives one attention call big enough to
-// cross slotParallelThreshold — 16 rows at position 127 of a 256-wide model,
-// 2^20 MACs — serially and fanned out over 4 procs: rows are independent, so
+// cross slotParallelThreshold — 16 rows at position 511 of a 256-wide model,
+// 2^22 MACs — serially and fanned out over 4 procs: rows are independent, so
 // the context rows must agree bit for bit.
 func TestAttendAllFanOutMatchesSerial(t *testing.T) {
-	cfg := Config{Vocab: 32, Dim: 256, Heads: 8, Layers: 1, Hidden: 64, MaxSeq: 128}
+	cfg := Config{Vocab: 32, Dim: 256, Heads: 8, Layers: 1, Hidden: 64, MaxSeq: 512}
 	const B = 16
 	if macs := B * 2 * cfg.MaxSeq * cfg.Dim; macs < slotParallelThreshold {
 		t.Fatalf("attention work %d is below slotParallelThreshold %d: nothing here would fan out", macs, slotParallelThreshold)
 	}
 	d := NewBatchDecoder(NewModel(cfg, tensor.NewRNG(5)), B, nil)
 	defer d.Close()
-	tokens, slots := make([]int, B), make([]int, B)
+	slots := make([]int, B)
 	for i := range slots {
 		s, err := d.Acquire()
 		if err != nil {
 			t.Fatal(err)
 		}
 		slots[i] = s
+		d.pos[i] = cfg.MaxSeq - 1 // every row attends over a full cache
 	}
-	for p := 0; p < cfg.MaxSeq; p++ { // fill every slot's cache; leaves d.pos at MaxSeq-1
-		for i := range tokens {
-			tokens[i] = (p*7 + i*3) % cfg.Vocab
-		}
-		if _, err := d.StepBatch(tokens, slots); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := tensor.NewRNG(6).Normal(0, 1, B, cfg.Dim).Data
+	g := tensor.NewRNG(6)
+	copy(d.arena.k.Data, g.Normal(0, 1, len(d.arena.k.Data)).Data)
+	copy(d.arena.v.Data, g.Normal(0, 1, len(d.arena.v.Data)).Data)
+	q := g.Normal(0, 1, B, cfg.Dim).Data
 	hd := cfg.Dim / cfg.Heads
 	attend := func(procs int) []float32 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))

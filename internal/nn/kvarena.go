@@ -7,13 +7,18 @@ import (
 )
 
 // KVArena is the contiguous, preallocated key/value cache behind the batched
-// decoder: one pooled (layers·slots·maxSeq, dim) tensor for keys and one for
-// values, carved into fixed per-slot regions. A generation stream owns one
-// slot from Acquire to Release; its cached vectors for layer l live in rows
-// [(l·slots+slot)·maxSeq, …+len) — per-slot, per-layer contiguous, so decode
-// attention walks the cache sequentially. Nothing is allocated per token:
-// appending is a row copy, releasing a slot just resets its length, and the
-// two backing blocks go back to the pool on Close.
+// decoder: one pooled block of layers·slots·maxSeq·dim floats for keys and
+// one for values, carved into fixed per-slot regions. A generation stream
+// owns one slot from Acquire to Release; its region for layer l is the
+// maxSeq·dim floats from (l·slots+slot)·maxSeq·dim. Values are rows there,
+// one per position. Keys are transposed, a tile of keyTilePositions
+// positions at a time: within a tile the keys of one head dimension are
+// contiguous, so decode attention's scores are column lanes over positions
+// (tensor.SumCols) with no gather, and a tile's pages are first touched when
+// a sequence reaches it rather than at its first token. Nothing is allocated
+// per token: appending writes a value row and a key column, releasing a slot
+// just resets its length, and the two backing blocks go back to the pool on
+// Close.
 //
 // Slot assignment is deterministic: Acquire always returns the lowest free
 // index, which (with FIFO admission in the serve scheduler) makes batched
@@ -31,6 +36,9 @@ type KVArena struct {
 	used  []bool // slot currently owned by a stream
 	inUse int
 }
+
+// keyTilePositions is how many positions one transposed key tile holds.
+const keyTilePositions = 32
 
 // NewKVArena allocates the two cache blocks from pool (plain allocation when
 // pool is nil). All dimensions must be positive.
@@ -111,16 +119,31 @@ func (a *KVArena) ReleaseAll() {
 	a.inUse = 0
 }
 
-// kRow returns the key row of (layer l, slot s, position p).
-func (a *KVArena) kRow(l, s, p int) []float32 {
-	r := (l*a.slots+s)*a.maxSeq + p
-	return a.k.Data[r*a.dim : (r+1)*a.dim]
+// keyTile returns the transposed key tile of (layer l, slot s) that holds
+// position p: dim rows of w consecutive positions from p0, so element
+// (j, t) is tile[j·w + t - p0]. Every tile is keyTilePositions wide but a
+// last one that MaxSeq cuts short.
+func (a *KVArena) keyTile(l, s, p int) (tile []float32, p0, w int) {
+	p0 = p - p%keyTilePositions
+	w = min(keyTilePositions, a.maxSeq-p0)
+	base := ((l*a.slots+s)*a.maxSeq + p0) * a.dim
+	return a.k.Data[base : base+a.dim*w], p0, w
 }
 
-// vRow returns the value row of (layer l, slot s, position p).
-func (a *KVArena) vRow(l, s, p int) []float32 {
-	r := (l*a.slots+s)*a.maxSeq + p
-	return a.v.Data[r*a.dim : (r+1)*a.dim]
+// putKey writes the key row of (layer l, slot s, position p) into its
+// tile's column.
+func (a *KVArena) putKey(l, s, p int, row []float32) {
+	tile, p0, w := a.keyTile(l, s, p)
+	for j, v := range row {
+		tile[j*w+p-p0] = v
+	}
+}
+
+// values returns the value rows of (layer l, slot s), (maxSeq, dim)
+// row-major.
+func (a *KVArena) values(l, s int) []float32 {
+	base := (l*a.slots + s) * a.maxSeq * a.dim
+	return a.v.Data[base : base+a.maxSeq*a.dim]
 }
 
 // CapBytes returns the fixed backing size of both blocks in bytes.

@@ -19,7 +19,7 @@ func BenchmarkServeSchedulerTokenPacked4(b *testing.B) {
 	obsv.SetGlobal(rec)
 	defer obsv.SetGlobal(nil)
 
-	m := testModel(600)
+	m := benchModel()
 	specs := make([]nn.PackSpec, m.Cfg.Layers)
 	for i := range specs {
 		specs[i] = nn.PackSpec{Bits: 4}
@@ -48,7 +48,7 @@ func BenchmarkServeSchedulerTokenPacked4(b *testing.B) {
 		if rest := b.N - produced; rest < n {
 			n = rest
 		}
-		st, err := sched.Submit(Request{ID: "bench", Prompt: prompt, Cfg: nn.SampleConfig{MaxTokens: n}})
+		st, err := sched.Submit(Request{ID: "bench", Prompt: prompt, Cfg: benchSample(n)})
 		if err != nil {
 			b.Fatal(err)
 		}

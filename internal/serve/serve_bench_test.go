@@ -11,10 +11,25 @@ import (
 
 	"edgellm/internal/nn"
 	"edgellm/internal/obsv"
+	"edgellm/internal/tensor"
 )
 
+// benchModel is testModel with the served vocabulary, 2048 (the bench and
+// decode-bench models'), so a sampled token takes its top-k from a
+// full-size logit row.
+func benchModel() *nn.Model {
+	cfg := nn.Config{Vocab: 2048, Dim: 16, Heads: 4, Layers: 2, Hidden: 24, MaxSeq: 32}
+	return nn.NewModel(cfg, tensor.NewRNG(600))
+}
+
+// benchSample is decode-bench's sampling, temperature 0.8 and top-k 40, for
+// n tokens: the gates below cover the sampled path, not only greedy decode.
+func benchSample(n int) nn.SampleConfig {
+	return nn.SampleConfig{Temperature: 0.8, TopK: 40, MaxTokens: n}
+}
+
 // BenchmarkServeSchedulerToken measures the serving path's per-token cost
-// through the scheduler at batch 1 (greedy decode, one op per token) with a
+// through the scheduler at batch 1 (sampled decode, one op per token) with a
 // live recorder installed, so the per-stream timing attribution and the
 // sampled decode.step spans are in the measured path. The BENCH_serve.json
 // gate pins allocs/op at 0: steady-state decode allocates nothing per
@@ -25,8 +40,7 @@ func BenchmarkServeSchedulerToken(b *testing.B) {
 	obsv.SetGlobal(rec)
 	defer obsv.SetGlobal(nil)
 
-	m := testModel(600)
-	dec := nn.NewBatchDecoder(m, 1, nil)
+	dec := nn.NewBatchDecoder(benchModel(), 1, nil)
 	defer dec.Close()
 	sched := New(dec)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -43,7 +57,7 @@ func BenchmarkServeSchedulerToken(b *testing.B) {
 		if rest := b.N - produced; rest < n {
 			n = rest
 		}
-		st, err := sched.Submit(Request{ID: "bench", Prompt: prompt, Cfg: nn.SampleConfig{MaxTokens: n}})
+		st, err := sched.Submit(Request{ID: "bench", Prompt: prompt, Cfg: benchSample(n)})
 		if err != nil {
 			b.Fatal(err)
 		}

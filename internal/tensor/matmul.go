@@ -11,7 +11,7 @@ import (
 // column-lane kernels (matmulRows, tmatmulRows) take b a blockSize-column
 // block at a time, so the k × 64 floats every row of a band sweeps stay
 // cache-resident from one row to the next. 64 columns are also exactly the
-// eight 8-lane accumulators sumCols keeps in registers.
+// eight 8-lane accumulators SumCols keeps in registers.
 const blockSize = 64
 
 // parallelThreshold is the MAC count from which the Into kernels fan out
@@ -68,7 +68,7 @@ func bandWorkers(m, macs int) int {
 //
 // The kernel is column-block-outer (matmulRows): each output element is one
 // ascending-k sum held in a register and stored once. The Go compiler does
-// not vectorise; on amd64 the sweep is the AVX2 sumCols kernel, eight
+// not vectorise; on amd64 the sweep is the AVX2 SumCols kernel, eight
 // columns to a register.
 func MatMul(a, b *Tensor) *Tensor {
 	m, k := a.Rows(), a.Cols()
@@ -105,7 +105,7 @@ func matmulRows(out, a, b *Tensor, rowLo, rowHi int) {
 }
 
 // sweepCols is the loop both column-lane kernels share: out row i is the
-// sum over kk of a[i·aRow + kk·aStride] times b's row kk, through sumCols a
+// sum over kk of a[i·aRow + kk·aStride] times b's row kk, through SumCols a
 // blockSize-wide block of columns at a time, block-outer so that the band's
 // rows reuse the block while it is cached.
 func sweepCols(out *Tensor, a []float32, aRow, aStride int, b *Tensor, k, rowLo, rowHi int) {
@@ -113,7 +113,7 @@ func sweepCols(out *Tensor, a []float32, aRow, aStride int, b *Tensor, k, rowLo,
 	for j0 := 0; j0 < n; j0 += blockSize {
 		jw := min(blockSize, n-j0)
 		for i := rowLo; i < rowHi; i++ {
-			sumCols(out.Data[i*n+j0:i*n+j0+jw], a[i*aRow:], aStride, b.Data[j0:], n, k)
+			SumCols(out.Data[i*n+j0:i*n+j0+jw], a[i*aRow:], aStride, b.Data[j0:], n, k)
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 const PackedBlockCols = 8
 
 // packedTileCols is the width of the tile the multi-row packed kernel
-// decodes and sweeps: four blocks, so sumCols runs four accumulators deep
+// decodes and sweeps: four blocks, so SumCols runs four accumulators deep
 // (one would wait out the add latency on every k) and the tile a worker
 // holds is k·32 floats — 96 KB at k = 768.
 const packedTileCols = 4 * PackedBlockCols
@@ -86,7 +86,7 @@ func (s *PackedScratch) ensure(workers, elems int) [][]float32 {
 // with the same zero skip as matmulRows, over the same decoded values, and
 // column bands own disjoint output columns. The loop is column-tile-outer
 // (matmulPackedCols): a tile of w is decoded once and every activation row
-// sweeps it with sumCols. scratch may be nil (a temporary is
+// sweeps it with SumCols. scratch may be nil (a temporary is
 // allocated); pass a reused scratch on hot paths.
 func MatMulPackedInto(out, a *Tensor, w PackedMat, scratch *PackedScratch) {
 	m, k := a.Rows(), a.Cols()
@@ -143,7 +143,7 @@ func packedColWorkers(n, macs int) int {
 // matmulPackedCols computes out columns [jLo, jHi) of a × w (all rows),
 // one tile at a time. A single activation row goes to the format's fused
 // MulVecInto. Otherwise the full-height k × 32 tile is decoded once into
-// scratch and each activation row then sweeps it with sumCols — the dense
+// scratch and each activation row then sweeps it with SumCols — the dense
 // kernel's primitive, over a contiguous tile instead of a strided block of
 // b.
 func matmulPackedCols(out, a *Tensor, w PackedMat, tile []float32, jLo, jHi int) {
@@ -155,7 +155,7 @@ func matmulPackedCols(out, a *Tensor, w PackedMat, tile []float32, jLo, jHi int)
 		jw := min(packedTileCols, jHi-j0)
 		w.DecodeRowsInto(tile, 0, k, j0, j0+jw)
 		for i := 0; i < m; i++ {
-			sumCols(out.Data[i*n+j0:i*n+j0+jw], a.Data[i*k:(i+1)*k], 1, tile, jw, k)
+			SumCols(out.Data[i*n+j0:i*n+j0+jw], a.Data[i*k:(i+1)*k], 1, tile, jw, k)
 		}
 	}
 }

@@ -1,19 +1,23 @@
 package tensor
 
-// sumCols is the one inner loop under the dense matmuls and the packed tile
-// sweep:
+// SumCols is the one inner loop under the dense matmuls, the packed tile
+// sweep and decode attention (nn.Decoder: scores over transposed keys, the
+// context over value rows):
 //
 //	out[j] = Σ_k a[k·aStride] · b[k·bStride + j]    0 ≤ j < len(out)
 //
 // Every output element is one ascending-k float32 sum from +0 (the product
 // rounded, then the add rounded — never fused) that skips each a == 0, -0
 // included, so a zero activation against an Inf weight contributes nothing
-// while a NaN activation is multiplied through. sumColsGo is that
+// while a NaN activation is multiplied through. Against a loop that does not
+// skip, that is the only difference: a sum from +0 never becomes -0, so
+// adding a finite ±0 product changes no bit. It panics, like an index, when
+// a or b is too short for k and len(out). sumColsGo is that
 // definition in Go and the only kernel on every GOARCH but amd64; on amd64
 // with AVX2, whole groups of 8 columns go to sumColsAVX2, which computes the
 // same sums eight columns to a register (DESIGN.md §6), and only what
 // len(out)%8 leaves over goes to sumColsGo.
-func sumCols(out, a []float32, aStride int, b []float32, bStride, k int) {
+func SumCols(out, a []float32, aStride int, b []float32, bStride, k int) {
 	n := len(out)
 	if n == 0 {
 		return
@@ -36,7 +40,7 @@ func sumCols(out, a []float32, aStride int, b []float32, bStride, k int) {
 	}
 }
 
-// sumColsGo is sumCols' reference: eight columns at a time, the eight sums
+// sumColsGo is SumCols' reference: eight columns at a time, the eight sums
 // in locals for the whole k sweep and one store per element; the fewer than
 // eight columns a width that is not a multiple of 8 leaves over accumulate
 // through out's storage instead.

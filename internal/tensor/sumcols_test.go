@@ -33,7 +33,7 @@ func sameFloats(t *testing.T, name string, got, want []float32) {
 	}
 }
 
-// sumColsCase runs one sumCols call through the dispatcher (the assembly,
+// sumColsCase runs one SumCols call through the dispatcher (the assembly,
 // where this process has it) and through sumColsGo over the same operands
 // and compares. The operands start off elements into their backing arrays,
 // so the base pointers are not 32-byte aligned unless off happens to make
@@ -64,9 +64,9 @@ func sumColsCase(t *testing.T, seed int64, n, k, aStride, bPad, off int, special
 	for i := range got {
 		got[i] = float32(math.NaN()) // every element must be overwritten
 	}
-	sumCols(got, a, aStride, b, bStride, k)
+	SumCols(got, a, aStride, b, bStride, k)
 	sumColsGo(want, a, aStride, b, bStride, k)
-	sameFloats(t, fmt.Sprintf("sumCols n=%d k=%d aStride=%d bStride=%d off=%d special=%d", n, k, aStride, bStride, off, special), got, want)
+	sameFloats(t, fmt.Sprintf("SumCols n=%d k=%d aStride=%d bStride=%d off=%d special=%d", n, k, aStride, bStride, off, special), got, want)
 }
 
 // TestSumColsMatchesGo pins the assembly against its Go twin on every column

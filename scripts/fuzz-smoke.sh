@@ -6,7 +6,10 @@
 # and the packed matmul kernel gets shapes, widths and data no table test
 # lists, each held to the dense kernel over Unpack bit for bit; the two
 # assembly kernels (FuzzSumCols, FuzzPackedSIMD) get shapes, strides, base
-# alignments and special values, each held to its Go twin. A crasher is
+# alignments and special values, each held to its Go twin; and the one-pass
+# sampler (FuzzSampleLogits) gets rows full of ties, NaN, ±Inf, extreme
+# temperatures and every K, held to the selection-sort reference on the token
+# and on the RNG state it leaves. A crasher is
 # written to the package's testdata/fuzz/<target>/ and fails the script:
 # commit it with the fix, it becomes a seed.
 #
