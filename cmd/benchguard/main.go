@@ -36,7 +36,7 @@
 //
 // Usage:
 //
-//	go test -bench 'BenchmarkKernel|BenchmarkStep' -benchmem -run '^$' \
+//	go test -bench 'BenchmarkKernel|BenchmarkStep|BenchmarkAdamW' -benchmem -run '^$' \
 //	    ./internal/tensor ./internal/train | \
 //	  go run ./cmd/benchguard -out BENCH_kernels.json -baseline BENCH_baseline.json
 package main

@@ -14,6 +14,12 @@ import (
 // per-head softmax probabilities for the backward pass — the dominant
 // activation-memory term of attention, which the memory accountant in
 // internal/train models explicitly.
+//
+// Every dot product and weighted sum runs on tensor.SumCols, as decode
+// attention does (DESIGN.md §6): a query's scores over one (batch, head)'s
+// keys held transposed in scratch, its context over value rows. Each is the
+// ascending sum from +0 the scalar loop computed; the max, the float64 exp
+// and sum, and the softmax-backward dot stay scalar.
 func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 	rows, c := q.Data.Rows(), q.Data.Cols()
 	if rows != batch*seqLen {
@@ -27,6 +33,7 @@ func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 	}
 	hd := c / nHeads
 	scale := float32(1 / math.Sqrt(float64(hd)))
+	T := seqLen
 
 	tape := anyGrad(q, k, v)
 	out, owned := outFor(tape, rows, c)
@@ -37,49 +44,42 @@ func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 	probs := make([]*tensor.Tensor, batch*nHeads)
 	var pooledProbs []*tensor.Tensor
 
+	kT := scratch(hd, T)
 	for b := 0; b < batch; b++ {
 		for h := 0; h < nHeads; h++ {
-			p, pOwned := outFor(tape, seqLen, seqLen)
+			p, pOwned := outFor(tape, T, T)
 			probs[b*nHeads+h] = p
 			if pOwned {
 				pooledProbs = append(pooledProbs, p)
 			}
-			for t := 0; t < seqLen; t++ {
-				qRow := q.Data.Row(b*seqLen + t)[h*hd : (h+1)*hd]
+			base := b*T*c + h*hd // element (b·T, h·hd): the head's first row
+			transposeHead(kT.Data, k.Data.Data[base:], T, hd, c)
+			for t := 0; t < T; t++ {
 				// scores over keys 0..t (causal mask)
+				scores := p.Data[t*T : t*T+t+1]
+				tensor.SumCols(scores, q.Data.Data[base+t*c:], 1, kT.Data, T, hd)
 				maxS := float32(math.Inf(-1))
-				scores := p.Row(t)[:t+1]
-				for s := 0; s <= t; s++ {
-					kRow := k.Data.Row(b*seqLen + s)[h*hd : (h+1)*hd]
-					var dot float32
-					for d := 0; d < hd; d++ {
-						dot += qRow[d] * kRow[d]
-					}
-					dot *= scale
-					scores[s] = dot
-					if dot > maxS {
-						maxS = dot
+				for s := range scores {
+					scores[s] *= scale
+					if scores[s] > maxS {
+						maxS = scores[s]
 					}
 				}
 				var sum float64
-				for s := 0; s <= t; s++ {
-					e := math.Exp(float64(scores[s] - maxS))
+				for s, x := range scores {
+					e := math.Exp(float64(x - maxS))
 					scores[s] = float32(e)
 					sum += e
 				}
 				inv := float32(1 / sum)
-				outRow := out.Row(b*seqLen + t)[h*hd : (h+1)*hd]
-				for s := 0; s <= t; s++ {
+				for s := range scores {
 					scores[s] *= inv
-					vRow := v.Data.Row(b*seqLen + s)[h*hd : (h+1)*hd]
-					w := scores[s]
-					for d := 0; d < hd; d++ {
-						outRow[d] += w * vRow[d]
-					}
 				}
+				tensor.SumCols(out.Data[base+t*c:base+t*c+hd], scores, 1, v.Data.Data[base:], c, t+1)
 			}
 		}
 	}
+	putScratch(kT)
 
 	node := newOp(out, func(o *Value) {
 		var dQ, dK, dV *tensor.Tensor
@@ -92,54 +92,51 @@ func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 		if v.RequiresGrad {
 			dV = scratch(rows, c)
 		}
-		dP := make([]float32, seqLen)
+		vT := scratch(hd, T)
+		// dS holds one head's score gradients, row t over keys 0..t; the
+		// rows are rewritten for every head and nothing reads above the
+		// diagonal.
+		dS := scratch(T, T)
+		g := o.Grad.Data
 		for b := 0; b < batch; b++ {
 			for h := 0; h < nHeads; h++ {
-				p := probs[b*nHeads+h]
-				for t := 0; t < seqLen; t++ {
-					pRow := p.Row(t)[:t+1]
-					gRow := o.Grad.Row(b*seqLen + t)[h*hd : (h+1)*hd]
-					// dV_s += P_ts · dO_t ;  dP_ts = dO_t · V_s
-					for s := 0; s <= t; s++ {
-						vRow := v.Data.Row(b*seqLen + s)[h*hd : (h+1)*hd]
-						var dot float32
-						for d := 0; d < hd; d++ {
-							dot += gRow[d] * vRow[d]
-						}
-						dP[s] = dot
-						if dV != nil {
-							dvRow := dV.Row(b*seqLen + s)[h*hd : (h+1)*hd]
-							w := pRow[s]
-							for d := 0; d < hd; d++ {
-								dvRow[d] += w * gRow[d]
-							}
-						}
-					}
-					// softmax backward: dS = P ⊙ (dP − Σ P·dP)
+				p := probs[b*nHeads+h].Data
+				base := b*T*c + h*hd
+				transposeHead(vT.Data, v.Data.Data[base:], T, hd, c)
+				for t := 0; t < T; t++ {
+					pRow := p[t*T : t*T+t+1]
+					// dP_ts = dO_t · V_s, then in place the softmax
+					// backward dS = P ⊙ (dP − Σ P·dP)
+					dRow := dS.Data[t*T : t*T+t+1]
+					tensor.SumCols(dRow, g[base+t*c:], 1, vT.Data, T, hd)
 					var dot float64
-					for s := 0; s <= t; s++ {
-						dot += float64(pRow[s]) * float64(dP[s])
+					for s, pv := range pRow {
+						dot += float64(pv) * float64(dRow[s])
 					}
-					for s := 0; s <= t; s++ {
-						dS := pRow[s] * (dP[s] - float32(dot)) * scale
-						kRow := k.Data.Row(b*seqLen + s)[h*hd : (h+1)*hd]
-						qRow := q.Data.Row(b*seqLen + t)[h*hd : (h+1)*hd]
-						if dQ != nil {
-							dqRow := dQ.Row(b*seqLen + t)[h*hd : (h+1)*hd]
-							for d := 0; d < hd; d++ {
-								dqRow[d] += dS * kRow[d]
-							}
-						}
-						if dK != nil {
-							dkRow := dK.Row(b*seqLen + s)[h*hd : (h+1)*hd]
-							for d := 0; d < hd; d++ {
-								dkRow[d] += dS * qRow[d]
-							}
-						}
+					for s, pv := range pRow {
+						dRow[s] = pv * (dRow[s] - float32(dot)) * scale
+					}
+					if dQ != nil {
+						// dQ_t = Σ_{s≤t} dS_ts · K_s
+						row := base + t*c
+						tensor.SumCols(dQ.Data[row:row+hd], dRow, 1, k.Data.Data[base:], c, t+1)
+					}
+				}
+				for s := 0; s < T; s++ {
+					// dK_s = Σ_{t≥s} dS_ts · Q_t and dV_s = Σ_{t≥s} P_ts · dO_t,
+					// down column s of dS and of P.
+					row := base + s*c
+					if dK != nil {
+						tensor.SumCols(dK.Data[row:row+hd], dS.Data[s*T+s:], T, q.Data.Data[row:], c, T-s)
+					}
+					if dV != nil {
+						tensor.SumCols(dV.Data[row:row+hd], p[s*T+s:], T, g[row:], c, T-s)
 					}
 				}
 			}
 		}
+		putScratch(dS)
+		putScratch(vT)
 		if dQ != nil {
 			q.accumulate(dQ)
 			putScratch(dQ)
@@ -158,4 +155,16 @@ func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 	node.dataOwned = owned
 	node.aux = pooledProbs
 	return node
+}
+
+// transposeHead writes one (batch, head)'s T × hd block of a (B·T, C)
+// activation — src from its first element, rows c apart — transposed into
+// dst, hd × T: dst[d·T + s] = src[s·c + d].
+func transposeHead(dst, src []float32, T, hd, c int) {
+	for s := 0; s < T; s++ {
+		row := src[s*c : s*c+hd]
+		for d, x := range row {
+			dst[d*T+s] = x
+		}
+	}
 }

@@ -95,9 +95,13 @@ func MatMul(a, b *Value) *Value {
 	tensor.MatMulInto(out, a.Data, b.Data)
 	v := newOp(out, func(o *Value) {
 		if a.RequiresGrad {
-			// dA = dY × Bᵀ (MatMulTInto takes B as stored and transposes it)
+			// dA = dY × Bᵀ: tensor.MatMulTInto's two calls, on arena
+			// scratch for the transposed operand.
+			bT := scratch(n, k)
+			tensor.TransposeInto(bT, b.Data)
 			g := scratch(m, k)
-			tensor.MatMulTInto(g, o.Grad, b.Data)
+			tensor.MatMulInto(g, o.Grad, bT)
+			putScratch(bT)
 			a.accumulate(g)
 			putScratch(g)
 		}

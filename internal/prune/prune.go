@@ -8,6 +8,7 @@ package prune
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"edgellm/internal/tensor"
@@ -59,7 +60,12 @@ func (m *Mask) Sparsity() float64 {
 
 // MagnitudeMask builds a mask that drops the `ratio` fraction of t's
 // elements with the smallest absolute value. ratio is clamped to [0,1].
-// Ties at the threshold are broken by index for determinism.
+// Ties at the threshold are broken by index for determinism: the lower
+// index goes first. The order is one sort of integer keys — |v|'s bits
+// above the element's index — so a NaN sorts above +Inf and is kept, the
+// same on every run, where a float comparator would be inconsistent. It
+// panics on a tensor of more than 2³² elements, whose indices the keys
+// cannot hold.
 func MagnitudeMask(t *tensor.Tensor, ratio float64) *Mask {
 	if ratio < 0 {
 		ratio = 0
@@ -68,25 +74,21 @@ func MagnitudeMask(t *tensor.Tensor, ratio float64) *Mask {
 		ratio = 1
 	}
 	n := t.Len()
+	if uint64(n) > 1<<32 {
+		panic(fmt.Sprintf("prune: MagnitudeMask over %d elements, more than 2³²", n))
+	}
 	drop := int(math.Round(ratio * float64(n)))
 	m := NewMask(t.Shape...)
 	if drop == 0 {
 		return m
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	keys := make([]uint64, n)
+	for i, v := range t.Data {
+		keys[i] = uint64(math.Float32bits(v)&^(1<<31))<<32 | uint64(i)
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		va := math.Abs(float64(t.Data[idx[a]]))
-		vb := math.Abs(float64(t.Data[idx[b]]))
-		if va != vb {
-			return va < vb
-		}
-		return idx[a] < idx[b]
-	})
-	for _, i := range idx[:drop] {
-		m.Keep[i] = false
+	slices.Sort(keys)
+	for _, key := range keys[:drop] {
+		m.Keep[uint32(key)] = false
 	}
 	return m
 }

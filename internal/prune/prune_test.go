@@ -2,6 +2,7 @@ package prune
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -30,6 +31,66 @@ func TestMagnitudeMaskDropsSmallest(t *testing.T) {
 		if pruned.Data[i] != v {
 			t.Fatalf("pruned %v, want %v", pruned.Data, want)
 		}
+	}
+}
+
+// magnitudeMaskRef is MagnitudeMask as a comparator sort: |v| ascending in
+// float64, ties to the lower index. It is the order the keys must give on
+// every NaN-free tensor.
+func magnitudeMaskRef(t *tensor.Tensor, drop int) []bool {
+	idx := make([]int, t.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		va, vb := math.Abs(float64(t.Data[idx[a]])), math.Abs(float64(t.Data[idx[b]]))
+		if va != vb {
+			return va < vb
+		}
+		return idx[a] < idx[b]
+	})
+	keep := make([]bool, t.Len())
+	for i := range keep {
+		keep[i] = true
+	}
+	for _, i := range idx[:drop] {
+		keep[i] = false
+	}
+	return keep
+}
+
+// TestMagnitudeMaskMatchesComparatorSort: on values drawn from a few
+// magnitudes of both signs (ties everywhere, ±0 and ±Inf among them), the
+// key sort drops exactly what the comparator sort drops, at every ratio.
+func TestMagnitudeMaskMatchesComparatorSort(t *testing.T) {
+	levels := []float32{0, 1e-40, 0.5, 0.5000001, 2, float32(math.Inf(1))}
+	g := tensor.NewRNG(5)
+	w := tensor.New(13, 11)
+	for i := range w.Data {
+		w.Data[i] = levels[g.Intn(len(levels))]
+		if g.Intn(2) == 0 {
+			w.Data[i] = -w.Data[i]
+		}
+	}
+	for drop := 0; drop <= w.Len(); drop += 7 {
+		ratio := float64(drop) / float64(w.Len())
+		want := magnitudeMaskRef(w, drop)
+		got := MagnitudeMask(w, ratio).Keep
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("drop %d: element %d (%v) keep=%v, comparator sort %v", drop, i, w.Data[i], got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestMagnitudeMaskKeepsNaN: a NaN weight sorts above +Inf, so it is the
+// last element dropped and survives any ratio below 1.
+func TestMagnitudeMaskKeepsNaN(t *testing.T) {
+	w := tensor.FromSlice([]float32{float32(math.NaN()), float32(math.Inf(-1)), 3, -1}, 2, 2)
+	keep := MagnitudeMask(w, 0.75).Keep
+	if !keep[0] || keep[1] || keep[2] || keep[3] {
+		t.Fatalf("keep %v, want only the NaN kept", keep)
 	}
 }
 

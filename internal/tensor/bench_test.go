@@ -41,13 +41,18 @@ func BenchmarkKernelMatMulT512(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelMatMulTSerial512 is MatMulTInto's two calls with the
+// matmul run as one band: the transpose into a fresh temporary, then
+// matmulRows over the whole row range.
 func BenchmarkKernelMatMulTSerial512(b *testing.B) {
 	x, y := benchOperands(b, benchSize, benchSize)
 	out := New(benchSize, benchSize)
 	b.SetBytes(4 * benchSize * benchSize * 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matmulTRows(out, x, y, 0, benchSize)
+		yT := New(benchSize, benchSize)
+		TransposeInto(yT, y)
+		matmulRows(out, x, yT, 0, benchSize)
 	}
 }
 
@@ -86,6 +91,31 @@ func BenchmarkKernelTranspose1024(b *testing.B) {
 		TransposeInto(out, x)
 	}
 }
+
+// adamWBenchElems is the parameter count of a two-block tuning window of
+// bench's tune_window model (dim 128, hidden 384): per block four dim²
+// attention projections, three dim × hidden MLP matrices and two norm gains.
+const adamWBenchElems = 2 * (4*128*128 + 3*128*384 + 2*128)
+
+// benchAdamW times one AdamW update of a window's worth of parameters, at
+// step 10 with weight decay, through update. BenchmarkAdamWStep over
+// BenchmarkAdamWStepGo is the assembly's speedup over its Go twin, which
+// benchguard gates.
+func benchAdamW(b *testing.B, update func(w, g, m, v []float32, c AdamWStep)) {
+	g := NewRNG(3)
+	w, grad := g.Normal(0, 1, 1, adamWBenchElems).Data, g.Normal(0, 0.1, 1, adamWBenchElems).Data
+	m, v := make([]float32, adamWBenchElems), make([]float32, adamWBenchElems)
+	c := adamWConsts(10, 0.01, 0.01)
+	b.SetBytes(4 * 4 * adamWBenchElems)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		update(w, grad, m, v, c)
+	}
+}
+
+func BenchmarkAdamWStep(b *testing.B)   { benchAdamW(b, AdamW) }
+func BenchmarkAdamWStepGo(b *testing.B) { benchAdamW(b, adamWGo) }
 
 // BenchmarkKernelPoolGetPut measures the steady-state cost of one arena
 // round trip, including the zero-fill on Get. allocs/op must stay 0 —

@@ -61,11 +61,11 @@ func TestDeterminismMatMulTIntoAcrossGOMAXPROCS(t *testing.T) {
 	serial, parallel := runBoth([2]int{detRows, detCols}, func(out *Tensor) { MatMulTInto(out, a, bT) })
 	bitsEqual(t, "MatMulTInto", serial, parallel)
 
-	// The banded kernel must also agree bitwise with the unbanded band
-	// function run over the whole row range (the pre-banding semantics).
+	// The banded kernel must also agree bitwise with the scalar loop it
+	// replaced, run over the whole row range.
 	ref := New(detRows, detCols)
-	matmulTRows(ref, a, bT, 0, detRows)
-	bitsEqual(t, "MatMulTInto vs single band", serial, ref)
+	matmulTScalarRef(ref, a, bT)
+	bitsEqual(t, "MatMulTInto vs scalar reference", serial, ref)
 }
 
 func TestDeterminismTMatMulIntoAcrossGOMAXPROCS(t *testing.T) {

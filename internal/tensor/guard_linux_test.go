@@ -41,15 +41,36 @@ func guardedFloats(t *testing.T, src []float32) []float32 {
 }
 
 // TestKernelsStayInsideTheirOperands runs the dense and the packed kernels,
-// at every uniform width, with every operand — a, b, out, Codes, Scale —
-// ending exactly at an unmapped page, and checks the results against the
-// same calls over ordinary memory. A kernel that loads 4 bytes of a 3-byte
-// block row, or 32 where 8 columns are left, dies here with SIGSEGV. k and
-// n cover one block, a ragged quad, quad + one, and many; m = 1 is the fused
-// MulVecInto, m = 3 the tile decode and sweep.
+// at every uniform width, and the AdamW update, with every operand — a, b,
+// out, Codes, Scale; w, g, m, v — ending exactly at an unmapped page, and
+// checks the results against the same calls over ordinary memory. A kernel
+// that loads 4 bytes of a 3-byte block row, or 32 where 8 columns are left,
+// dies here with SIGSEGV. k and n cover one block, a ragged quad, quad +
+// one, and many; m = 1 is the fused MulVecInto, m = 3 the tile decode and
+// sweep.
 func TestKernelsStayInsideTheirOperands(t *testing.T) {
 	t.Logf("kernel path: %s", tensor.KernelPath())
 	dims := []int{8, 24, 40, 264}
+	for _, n := range append(dims, 13) {
+		c := tensor.NewAdamWStep(1, 0.9, 0.999, 1e-8, 0.01, 0.1)
+		want := [4][]float32{}
+		got := [4][]float32{}
+		for i := range want {
+			want[i] = randTensor(1, n, int64(n+i)).Data
+			if i == 3 {
+				for j, x := range want[i] {
+					want[i][j] = x * x // v ≥ 0
+				}
+			}
+			got[i] = guardedFloats(t, want[i])
+		}
+		tensor.AdamW(want[0], want[1], want[2], want[3], c)
+		tensor.AdamW(got[0], got[1], got[2], got[3], c)
+		for i, name := range []string{"w", "g", "m", "v"} {
+			bitwiseEqual(t, fmt.Sprintf("guarded AdamW n=%d %s", n, name),
+				tensor.FromSlice(got[i], 1, n), tensor.FromSlice(want[i], 1, n))
+		}
+	}
 	for _, k := range dims {
 		for _, n := range dims {
 			for _, m := range []int{1, 3} {

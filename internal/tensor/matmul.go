@@ -6,11 +6,11 @@ import (
 	"sync"
 )
 
-// blockSize is the tile edge of the matmul family: MatMulTInto and
-// TransposeInto walk blockSize × blockSize tiles of their output, and the
-// column-lane kernels (matmulRows, tmatmulRows) take b a blockSize-column
-// block at a time, so the k × 64 floats every row of a band sweeps stay
-// cache-resident from one row to the next. 64 columns are also exactly the
+// blockSize is the tile edge of the matmul family: TransposeInto walks
+// blockSize × blockSize tiles of its output, and the column-lane kernels
+// (matmulRows, tmatmulRows) take b a blockSize-column block at a time, so
+// the k × 64 floats every row of a band sweeps stay cache-resident from one
+// row to the next. 64 columns are also exactly the
 // eight 8-lane accumulators SumCols keeps in registers.
 const blockSize = 64
 
@@ -28,8 +28,8 @@ const parallelThreshold = 1 << 23
 // runs fn(lo, hi) for each, in parallel when the kernel is large enough.
 // Each band owns a disjoint set of output rows and every per-row
 // accumulation order is independent of the banding, so results are
-// byte-identical at any GOMAXPROCS — the determinism guarantee all three
-// matmul kernels share.
+// byte-identical at any GOMAXPROCS — the determinism guarantee the dense
+// matmul kernels share (MatMulTInto through MatMulInto).
 func bandRows(m, macs int, fn func(lo, hi int)) {
 	workers := bandWorkers(m, macs)
 	if workers <= 1 {
@@ -129,44 +129,20 @@ func MatMulT(a, bT *Tensor) *Tensor {
 
 // MatMulTInto computes out = a × bᵀ, reusing out's storage. out must have
 // shape (a.Rows(), bT.Rows()) and is fully overwritten (no need to zero it
-// first). Each output element is a single k-ascending float32 dot product,
-// so the result is independent of blocking and banding.
+// first). It transposes bT into a temporary and runs MatMulInto over it — the
+// k·n moves of the transpose against m·k·n MACs — so each output element is
+// the one ascending-k sum from +0 every column-lane kernel computes, zero
+// activations skipped. Callers with an arena (autograd's MatMul backward)
+// make the same two calls on pooled scratch.
 func MatMulTInto(out, a, bT *Tensor) {
 	m, k := a.Rows(), a.Cols()
 	n, k2 := bT.Rows(), bT.Cols()
 	if k != k2 || out.Rows() != m || out.Cols() != n {
 		panic(fmt.Sprintf("tensor: MatMulTInto shape mismatch out %v = %v × %vᵀ", out.Shape, a.Shape, bT.Shape))
 	}
-	if bandWorkers(m, m*n*k) <= 1 {
-		matmulTRows(out, a, bT, 0, m)
-		return
-	}
-	bandRows(m, m*n*k, func(lo, hi int) { matmulTRows(out, a, bT, lo, hi) })
-}
-
-// matmulTRows computes out rows [rowLo, rowHi) of a × bᵀ. Both operands are
-// read row-contiguously; i/j tiles keep the active a rows and bT rows warm
-// while k runs full-length so the accumulation order never changes.
-func matmulTRows(out, a, bT *Tensor, rowLo, rowHi int) {
-	k, n := a.Cols(), bT.Rows()
-	for i0 := rowLo; i0 < rowHi; i0 += blockSize {
-		iMax := min(i0+blockSize, rowHi)
-		for j0 := 0; j0 < n; j0 += blockSize {
-			jMax := min(j0+blockSize, n)
-			for i := i0; i < iMax; i++ {
-				aRow := a.Data[i*k : (i+1)*k]
-				outRow := out.Data[i*n : (i+1)*n]
-				for j := j0; j < jMax; j++ {
-					bRow := bT.Data[j*k : (j+1)*k]
-					var s float32
-					for kk, av := range aRow {
-						s += av * bRow[kk]
-					}
-					outRow[j] = s
-				}
-			}
-		}
-	}
+	b := New(k, n)
+	TransposeInto(b, bT)
+	MatMulInto(out, a, b)
 }
 
 // TMatMul returns aᵀ × b, (k,m)×(k,n) → (m,n). This is the natural layout

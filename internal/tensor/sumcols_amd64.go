@@ -7,3 +7,6 @@ func cpuHasAVX2() bool
 
 //go:noescape
 func sumColsAVX2(out *float32, n int, a *float32, aStride int, b *float32, bStride int, k int)
+
+//go:noescape
+func adamWAVX2(w, grad, m, v *float32, n int, c AdamWStep)

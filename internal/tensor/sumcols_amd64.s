@@ -4,6 +4,8 @@
 // Lanes are output columns: every output element is still one ascending-k
 // float32 sum from +0, multiply rounded and then add rounded (VMULPS then
 // VADDPS, never FMA), with the same a == 0 skip as the Go twin sumColsGo.
+// After it, the AdamW update, lanes the parameter's elements, the twin of
+// adamWGo.
 
 // func cpuHasAVX2() bool
 //
@@ -160,5 +162,74 @@ cols8:
 	JMP  cols8
 
 finish:
+	VZEROUPPER
+	RET
+
+// ADAMHALF(mlo, vlo, t, tx): the float64 half of four AdamW lanes. mlo and
+// vlo hold four float32 moments; tx (the low half of t) ends holding the
+// four float32 updates (m/bc1) / (√(v/bc2) + ε), each divide and the root
+// correctly rounded, as Go's float64 operators are. Y6 is clobbered.
+#define ADAMHALF(mlo, vlo, t, tx) \
+	VCVTPS2PD  mlo, t; \
+	VCVTPS2PD  vlo, Y6; \
+	VDIVPD     Y9, t, t; \
+	VDIVPD     Y8, Y6, Y6; \
+	VSQRTPD    Y6, Y6; \
+	VADDPD     Y7, Y6, Y6; \
+	VDIVPD     Y6, t, t; \
+	VCVTPD2PSY t, tx
+
+// func adamWAVX2(w, grad, m, v *float32, n int, c AdamWStep)
+//
+// AdamW's update over n elements, n a multiple of 8: the float32 moments and
+// the decay and lr multiplies eight lanes to a register, the float64 divides
+// and root four to a register — the same operations in the same order as the
+// Go twin adamWGo, VMULPS then VADDPS, never FMA.
+TEXT ·adamWAVX2(SB), NOSPLIT, $0-88
+	MOVQ w+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ m+16(FP), DX
+	MOVQ v+24(FP), R8
+	MOVQ n+32(FP), CX
+	VBROADCASTSS c_decay+40(FP), Y15
+	VBROADCASTSS c_beta1+44(FP), Y14
+	VBROADCASTSS c_oneMinusBeta1+48(FP), Y13
+	VBROADCASTSS c_beta2+52(FP), Y12
+	VBROADCASTSS c_oneMinusBeta2+56(FP), Y11
+	VBROADCASTSS c_lr+60(FP), Y10
+	VBROADCASTSD c_bc1+64(FP), Y9
+	VBROADCASTSD c_bc2+72(FP), Y8
+	VBROADCASTSD c_eps+80(FP), Y7
+	TESTQ CX, CX
+	JZ    adamdone
+
+adamloop:
+	VMOVUPS (SI), Y0
+	VMULPS  (DX), Y14, Y1 // β1·m
+	VMULPS  Y0, Y13, Y2   // (1−β1)·g
+	VADDPS  Y2, Y1, Y1
+	VMOVUPS Y1, (DX)
+	VMULPS  (R8), Y12, Y2 // β2·v
+	VMULPS  Y0, Y11, Y3   // (1−β2)·g
+	VMULPS  Y0, Y3, Y3    // ((1−β2)·g)·g
+	VADDPS  Y3, Y2, Y2
+	VMOVUPS Y2, (R8)
+	ADAMHALF(X1, X2, Y3, X3)
+	VEXTRACTF128 $1, Y1, X1
+	VEXTRACTF128 $1, Y2, X2
+	ADAMHALF(X1, X2, Y4, X4)
+	VINSERTF128 $1, X4, Y3, Y3
+	VMULPS  Y10, Y3, Y3   // lr·u
+	VMULPS  (DI), Y15, Y4 // w·decay
+	VSUBPS  Y3, Y4, Y4
+	VMOVUPS Y4, (DI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, R8
+	SUBQ $8, CX
+	JNZ  adamloop
+
+adamdone:
 	VZEROUPPER
 	RET

@@ -208,12 +208,8 @@ func TestMatMulTAndTMatMulConsistency(t *testing.T) {
 	a := g.Normal(0, 1, 9, 6)
 	b := g.Normal(0, 1, 6, 11)
 	want := MatMul(a, b)
-	if got := MatMulT(a, Transpose(b)); !AllClose(got, want, 1e-4, 1e-4) {
-		t.Fatal("MatMulT(a, bᵀ) != a×b")
-	}
-	if got := TMatMul(Transpose(a), b); !AllClose(got, want, 1e-4, 1e-4) {
-		t.Fatal("TMatMul(aᵀ, b) != a×b")
-	}
+	bitsEqual(t, "MatMulT(a, bᵀ) vs a×b", MatMulT(a, Transpose(b)), want)
+	bitsEqual(t, "TMatMul(aᵀ, b) vs a×b", TMatMul(Transpose(a), b), want)
 }
 
 func TestMatMulIntoReuse(t *testing.T) {

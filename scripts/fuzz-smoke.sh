@@ -4,9 +4,10 @@
 # lets the engine mutate — the loaders of outside bytes (checkpoint, snapshot,
 # adapter, packed weights, the /v1/generate body) get inputs no seed holds,
 # and the packed matmul kernel gets shapes, widths and data no table test
-# lists, each held to the dense kernel over Unpack bit for bit; the two
-# assembly kernels (FuzzSumCols, FuzzPackedSIMD) get shapes, strides, base
-# alignments and special values, each held to its Go twin; and the one-pass
+# lists, each held to the dense kernel over Unpack bit for bit; the three
+# assembly kernels (FuzzSumCols, FuzzPackedSIMD, FuzzAdamW) get shapes,
+# strides, base alignments, optimizer steps and special values, each held to
+# its Go twin; and the one-pass
 # sampler (FuzzSampleLogits) gets rows full of ties, NaN, ±Inf, extreme
 # temperatures and every K, held to the selection-sort reference on the token
 # and on the RNG state it leaves. A crasher is

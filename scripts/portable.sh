@@ -5,14 +5,17 @@
 # takes assembly"). An amd64 box runs 386 binaries natively, so GOARCH=386 is
 # the one place the Go fallback executes the whole decoder identity suite
 # (chunked == token-at-a-time == legacy, batched == solo, packed ==
-# fake-quant), and the one place the loaders' size arithmetic meets a 32-bit
-# int. arm64 is built and vetted, not run. go vet on the host checks the
-# assembly's frames against their Go declarations (asmdecl). A few minutes.
+# fake-quant) and the training tests on the Go AdamW twin and on the Go
+# SumCols under attention and the backward matmuls, and the one place the
+# loaders' size arithmetic meets a 32-bit int. arm64 is built and vetted,
+# not run. go vet on the host checks the assembly's frames against their Go
+# declarations (asmdecl). A few minutes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== GOARCH=386 go test: tensor, quant, nn on the pure-Go kernels"
-GOARCH=386 go test -count=1 ./internal/tensor ./internal/quant ./internal/nn
+echo "== GOARCH=386 go test: tensor, quant, nn, autograd, train, adapt on the pure-Go kernels"
+GOARCH=386 go test -count=1 ./internal/tensor ./internal/quant ./internal/nn \
+  ./internal/autograd ./internal/train ./internal/adapt
 
 echo "== GOARCH=arm64 go build + go vet"
 GOARCH=arm64 go build ./...
