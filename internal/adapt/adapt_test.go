@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	ag "edgellm/internal/autograd"
@@ -328,18 +329,21 @@ func TestLoRATuningReducesLossWithFrozenBase(t *testing.T) {
 	}
 }
 
-// runTunerSteps trains a fresh tiny model for n adaptive iterations and
-// returns the model plus the per-step losses. The recompute and pool knobs
-// are the two axes the bitwise-equivalence tests sweep.
-func runTunerSteps(t *testing.T, recompute, pool bool, n int) (*nn.Model, []float64) {
+// runTunerSteps trains a fresh 4-layer model, its exit heads tied or not,
+// for n sliding window-3 iterations with each window split into the given
+// number of segments, and returns the model plus the per-step losses. The
+// schedule visits windows at lo = 0 ([0,0], [0,1], [0,2]) and at lo > 0
+// ([1,3], where the final head trains too).
+func runTunerSteps(t *testing.T, tied bool, segments int, pool bool, n int) (*nn.Model, []float64) {
 	t.Helper()
 	if pool {
 		ag.SetPool(tensor.NewPool())
 	} else {
 		ag.SetPool(nil)
 	}
-	m := tinyModel(21, 4)
-	tuner, err := NewTuner(m, TunerConfig{WindowSize: 3, Strategy: StrategySliding, Recompute: recompute})
+	cfg := nn.Config{Vocab: 16, Dim: 16, Heads: 2, Layers: 4, Hidden: 32, MaxSeq: 16, ExitHeads: true, TieExitHeads: tied}
+	m := nn.NewModel(cfg, tensor.NewRNG(21))
+	tuner, err := NewTuner(m, TunerConfig{WindowSize: 3, Strategy: StrategySliding, Segments: segments})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,30 +360,81 @@ func runTunerSteps(t *testing.T, recompute, pool bool, n int) (*nn.Model, []floa
 }
 
 // TestRecomputeStepMatchesPlainBitwise asserts the governor's recompute
-// rung is numerically free: windowed checkpointing must produce the exact
-// same losses and final weights as the plain window step, with the arena
-// on or off.
+// rung is numerically free: a window in any number of segments, 1 to its
+// width, produces the exact losses and final weights of the plain window
+// step, with tied or untied exit heads and the arena on or off.
 func TestRecomputeStepMatchesPlainBitwise(t *testing.T) {
 	defer ag.SetPool(nil)
 	const steps = 8
-	base, baseLosses := runTunerSteps(t, false, false, steps)
-	for _, pool := range []bool{false, true} {
-		got, gotLosses := runTunerSteps(t, true, pool, steps)
-		for i := range baseLosses {
-			if baseLosses[i] != gotLosses[i] {
-				t.Fatalf("pool=%v step %d: loss %v != plain %v", pool, i, gotLosses[i], baseLosses[i])
-			}
-		}
-		bp, gp := base.Params(), got.Params()
-		if len(bp) != len(gp) {
-			t.Fatalf("param count %d != %d", len(gp), len(bp))
-		}
-		for i := range bp {
-			if !tensor.AllClose(bp[i].Value.Data, gp[i].Value.Data, 0, 0) {
-				t.Fatalf("pool=%v: param %s diverged under recompute", pool, bp[i].Name)
+	for _, tied := range []bool{false, true} {
+		base, baseLosses := runTunerSteps(t, tied, 1, false, steps)
+		for segments := 1; segments <= 3; segments++ {
+			for _, pool := range []bool{false, true} {
+				got, gotLosses := runTunerSteps(t, tied, segments, pool, steps)
+				for i := range baseLosses {
+					if baseLosses[i] != gotLosses[i] {
+						t.Fatalf("tied=%v segments=%d pool=%v step %d: loss %v != plain %v",
+							tied, segments, pool, i, gotLosses[i], baseLosses[i])
+					}
+				}
+				bp, gp := base.Params(), got.Params()
+				if len(bp) != len(gp) {
+					t.Fatalf("param count %d != %d", len(gp), len(bp))
+				}
+				for i := range bp {
+					if !tensor.AllClose(bp[i].Value.Data, gp[i].Value.Data, 0, 0) {
+						t.Fatalf("tied=%v segments=%d pool=%v: param %s diverged", tied, segments, pool, bp[i].Name)
+					}
+				}
 			}
 		}
 	}
+}
+
+// TestRecomputeStepSkipsNonFiniteLoss: with clipping off and no recorder
+// only the loss value can tell a poisoned batch. On the recompute rung a NaN
+// loss must leave every weight and the step counter alone, and the streak
+// must count up to the divergence abort.
+func TestRecomputeStepSkipsNonFiniteLoss(t *testing.T) {
+	m := tinyModel(21, 4)
+	const poison = 15 // a token whose embedding row is NaN
+	m.TokEmb.W.Data.Row(poison)[0] = float32(math.NaN())
+	before := snapshotBits(m)
+	tuner, err := NewTuner(m, TunerConfig{WindowSize: 2, Strategy: StrategySliding, Segments: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := train.NewTrainer(train.NewSGD(0, 0), 0.1, 0)
+	tr.MaxBadSteps = 2
+	inputs, targets := [][]int{{1, 2, poison, 4}}, []int{2, 3, 4, 5}
+	tuner.SetIteration(1) // window [0,1]: two blocks, two segments
+	if loss, _, _ := tuner.Step(tr, inputs, targets); !math.IsNaN(loss) {
+		t.Fatalf("poisoned batch gave loss %v", loss)
+	}
+	if tr.StepCount() != 0 {
+		t.Fatalf("poisoned step advanced the counter to %d", tr.StepCount())
+	}
+	if !slices.Equal(before, snapshotBits(m)) {
+		t.Fatal("poisoned step mutated the weights")
+	}
+	defer func() {
+		de, ok := recover().(*train.DivergenceError)
+		if !ok || de.Consecutive != 2 {
+			t.Fatalf("second poisoned step: recover() = %v, want a 2-step *train.DivergenceError", de)
+		}
+	}()
+	tuner.Step(tr, inputs, targets)
+}
+
+// snapshotBits flattens every parameter of m to its float32 bits.
+func snapshotBits(m *nn.Model) []uint32 {
+	var out []uint32
+	for _, p := range m.Params() {
+		for _, v := range p.Value.Data.Data {
+			out = append(out, math.Float32bits(v))
+		}
+	}
+	return out
 }
 
 // TestRecomputeStepPoolBalanced asserts the recompute path releases every
@@ -390,7 +445,7 @@ func TestRecomputeStepPoolBalanced(t *testing.T) {
 	ag.SetPool(p)
 	defer ag.SetPool(nil)
 	m := tinyModel(21, 4)
-	tuner, err := NewTuner(m, TunerConfig{WindowSize: 4, Strategy: StrategySliding, Recompute: true})
+	tuner, err := NewTuner(m, TunerConfig{WindowSize: 4, Strategy: StrategySliding, Segments: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

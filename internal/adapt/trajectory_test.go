@@ -27,13 +27,13 @@ const trajectorySHA = "f48a846d398e1e6832d345b8dedf77efc5d306134d68e3a2a101370c6
 // hashes the loss bits of every step and then every parameter's name and
 // bytes. Head dim 12, 11 positions and a 37-token vocabulary put ragged
 // widths under every kernel.
-func tuneTrajectory(t *testing.T, recompute bool) string {
+func tuneTrajectory(t *testing.T, segments int) string {
 	t.Helper()
 	ag.SetPool(tensor.NewPool())
 	defer ag.SetPool(nil)
 	cfg := nn.Config{Vocab: 37, Dim: 24, Heads: 2, Layers: 4, Hidden: 40, MaxSeq: 16, ExitHeads: true}
 	m := nn.NewModel(cfg, tensor.NewRNG(31))
-	tuner, err := NewTuner(m, TunerConfig{WindowSize: 2, Strategy: StrategySliding, Recompute: recompute})
+	tuner, err := NewTuner(m, TunerConfig{WindowSize: 2, Strategy: StrategySliding, Segments: segments})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func tuneTrajectory(t *testing.T, recompute bool) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestTuneTrajectoryPinned holds the plain and the recompute path to one
+// TestTuneTrajectoryPinned holds the plain and the two-segment window to one
 // pinned trajectory. It runs on amd64 only, as scripts/regen-results.sh
 // --check does: elsewhere the Go compiler may fuse a multiply-add and math.Exp
 // is a different implementation, so the bits are the platform's own.
@@ -66,9 +66,9 @@ func TestTuneTrajectoryPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("trajectory pinned on amd64; this is %s", runtime.GOARCH)
 	}
-	for _, recompute := range []bool{false, true} {
-		if got := tuneTrajectory(t, recompute); got != trajectorySHA {
-			t.Errorf("recompute=%v: trajectory sha256 %s, want %s", recompute, got, trajectorySHA)
+	for _, segments := range []int{1, 2} {
+		if got := tuneTrajectory(t, segments); got != trajectorySHA {
+			t.Errorf("segments=%d: trajectory sha256 %s, want %s", segments, got, trajectorySHA)
 		}
 	}
 }

@@ -69,14 +69,15 @@ type TunerConfig struct {
 	// Importance drives StrategySensitivity: one non-negative weight per
 	// layer. Ignored by other strategies.
 	Importance []float64
-	// Recompute, when true and the window spans ≥ 2 blocks, splits the
-	// window into two checkpointed segments: the forward pass through the
-	// lower half runs tape-free (only the boundary activation is kept) and
-	// is re-run with a tape during backward. Peak tape memory drops to
-	// ⌈W/2⌉ blocks at the cost of one extra lower-half forward. Gradients
-	// are bitwise-identical to the plain path — the resource governor
-	// flips this knob as a degradation rung without perturbing results.
-	Recompute bool
+	// Segments splits each window into that many checkpointed segments
+	// (train.SegmentedBackward); ≤ 1 is the plain window, and a window
+	// narrower than Segments takes one block a segment. Every segment but
+	// the top one runs tape-free first and is re-run with a tape during
+	// backward, so peak tape memory drops to ⌈W/Segments⌉ blocks at the cost
+	// of that extra forward. Gradients are bitwise-identical at any count —
+	// the resource governor's recompute rung sets it without perturbing
+	// results.
+	Segments int
 }
 
 // Validate reports the first invalid field given a model depth.
@@ -267,23 +268,26 @@ func (t *Tuner) windowParams(lo, hi int, withFinal bool) []nn.NamedParam {
 }
 
 // Step performs one adaptive tuning iteration: selects the window for the
-// current iteration, freezes everything else, computes the loss at the
-// window-top exit head (plus the final head when the window reaches the
-// top of the stack), and applies the optimizer. Returns the loss and the
-// window used.
+// current iteration, runs train.SegmentedBackward over it with the window's
+// parameters as the only trainable ones and the loss at the window-top exit
+// head (plus the final head when the window reaches the top of the stack),
+// and applies the optimizer. The model is frozen again when Step returns.
+// Returns the loss and the window used.
 //
 // With observability enabled, each iteration emits an adapt.step span
-// with adapt.forward / adapt.update children, the backprop depth and
-// estimated peak activation bytes of the window (the paper's two memory
-// levers), and per-block gradient norms (labeled layer=<i>) captured via
-// the trainer's GradHook while gradients are live.
+// with adapt.forward (forward and backward) / adapt.update (the optimizer)
+// children, the backprop depth and estimated peak activation bytes of the
+// window (the paper's two memory levers), and per-block gradient norms
+// (labeled layer=<i>) captured via the trainer's GradHook while gradients
+// are live.
 func (t *Tuner) Step(tr *train.Trainer, inputs [][]int, targets []int) (loss float64, lo, hi int) {
 	lo, hi = t.Window(t.iter)
 	t.iter++
 
 	m := t.Model
 	last := hi == len(m.Blocks)-1
-	recompute := t.Cfg.Recompute && hi-lo+1 >= 2
+	depth := hi - lo + 1
+	segments := min(max(t.Cfg.Segments, 1), depth)
 	if tr.Heartbeat != nil {
 		tr.Heartbeat() // progress signal before the (possibly long) forward
 	}
@@ -296,125 +300,38 @@ func (t *Tuner) Step(tr *train.Trainer, inputs [][]int, targets []int) (loss flo
 		defer func() { tr.GradHook = nil }()
 	}
 
-	if recompute {
-		fwd := step.Child("adapt.forward")
-		loss = t.recomputeBackward(inputs, targets, lo, hi, last)
-		fwd.End()
-		upd := step.Child("adapt.update")
-		tr.ApplyGrads(windowModule{ps: t.windowParams(lo, hi, last)})
-		upd.End()
-	} else {
-		m.SetAllTrainable(false)
-		for i := lo; i <= hi; i++ {
-			m.SetBlockTrainable(i, true)
-		}
-		nn.SetTrainable(m.Exits[hi], true)
-		if last {
-			nn.SetTrainable(m.Norm, true)
-			nn.SetTrainable(m.LMHead, true)
-		}
-		fwd := step.Child("adapt.forward")
-		hidden := m.HiddenAt(inputs, hi+1)
+	head := func(hidden *ag.Value) *ag.Value {
 		ce := ag.CrossEntropy(m.Exits[hi].Forward(hidden), targets, -1)
 		if last {
 			ceFinal := ag.CrossEntropy(m.LMHead.Forward(m.Norm.Forward(hidden)), targets, -1)
 			ce = ag.Scale(ag.Add(ce, ceFinal), 0.5)
 		}
-		fwd.End()
-		upd := step.Child("adapt.update")
-		loss = tr.Step(windowModule{ps: t.windowParams(lo, hi, last)}, ce)
-		upd.End()
+		return ce
 	}
+	mod := windowModule{ps: t.windowParams(lo, hi, last)}
+	fwd := step.Child("adapt.forward")
+	loss = train.SegmentedBackward(m, inputs, lo, hi, segments, head, mod)
+	fwd.End()
+	upd := step.Child("adapt.update")
+	tr.ApplyGrads(mod, loss)
+	upd.End()
 
 	if obs != nil {
-		depth := hi - lo + 1
-		tapeDepth := depth
-		if recompute {
-			tapeDepth = depth - depth/2 // one segment's tape at a time
-		}
+		tapeDepth := (depth + segments - 1) / segments // one segment's tape at a time
 		obs.Add("adapt.tune_steps", 1)
 		obs.SetGauge("adapt.window_lo", float64(lo))
 		obs.SetGauge("adapt.window_hi", float64(hi))
 		obs.Observe("adapt.backprop_depth", float64(depth))
 		if len(inputs) > 0 && len(inputs[0]) > 0 {
 			// Peak activation memory ≈ live tape depth × one block's
-			// activations: layers below the window (and, with recompute on,
-			// the currently-inactive window segment) run tape-free.
+			// activations: layers below the window (and the window's other
+			// segments) run tape-free.
 			perBlock := train.BlockActivationBytes(m.Cfg, len(inputs), len(inputs[0]))
 			obs.SetGauge("adapt.peak_activation_bytes", float64(int64(tapeDepth)*perBlock))
 		}
 		step.EndWith(map[string]float64{"loss": loss, "lo": float64(lo), "hi": float64(hi)})
 	}
 	return loss, lo, hi
-}
-
-// recomputeBackward runs one checkpointed window iteration: the window
-// [lo, hi] is split at mid = lo + (hi-lo+1)/2 into a lower and an upper
-// segment. The forward pass up to mid runs fully frozen (no tape); the
-// upper segment plus the loss head run taped and are backpropagated first,
-// yielding the boundary gradient; the lower segment is then re-run with a
-// tape and backpropagated from that seed. Parameter gradient accumulation
-// order within each segment matches the plain path and the segments'
-// parameter sets are disjoint, so the accumulated gradients are
-// bitwise-identical — the caller applies them with Trainer.ApplyGrads.
-func (t *Tuner) recomputeBackward(inputs [][]int, targets []int, lo, hi int, last bool) float64 {
-	m := t.Model
-	b, tk := len(inputs), len(inputs[0])
-	mid := lo + (hi-lo+1)/2
-
-	// Tape-free forward to the segment boundary: everything frozen, so the
-	// graph constant-folds and only the activations we keep survive.
-	m.SetAllTrainable(false)
-	lowIn := m.HiddenAt(inputs, lo)
-	x := lowIn
-	for i := lo; i < mid; i++ {
-		x = m.Blocks[i].Forward(x, b, tk)
-	}
-
-	// Upper segment + loss head, taped; the boundary Param collects the
-	// gradient the lower segment needs.
-	for i := mid; i <= hi; i++ {
-		m.SetBlockTrainable(i, true)
-	}
-	nn.SetTrainable(m.Exits[hi], true)
-	if last {
-		nn.SetTrainable(m.Norm, true)
-		nn.SetTrainable(m.LMHead, true)
-	}
-	boundary := ag.Param(x.Data)
-	hidden := boundary
-	for i := mid; i <= hi; i++ {
-		hidden = m.Blocks[i].Forward(hidden, b, tk)
-	}
-	ce := ag.CrossEntropy(m.Exits[hi].Forward(hidden), targets, -1)
-	if last {
-		ceFinal := ag.CrossEntropy(m.LMHead.Forward(m.Norm.Forward(hidden)), targets, -1)
-		ce = ag.Scale(ag.Add(ce, ceFinal), 0.5)
-	}
-	loss := float64(ce.Data.Data[0])
-	ce.Backward()
-	upstream := boundary.Grad
-	if ag.ActivePool() != nil {
-		ag.ReleaseTape(ce) // boundary is a leaf: its data and grad survive
-	}
-
-	// Lower segment recompute, taped, seeded with the boundary gradient.
-	// A non-finite loss poisons the gradients; ApplyGrads' non-finite-norm
-	// guard then skips the update and counts the bad step, exactly as the
-	// plain path's Trainer.Step would.
-	for i := lo; i < mid; i++ {
-		m.SetBlockTrainable(i, true)
-	}
-	y := ag.Const(lowIn.Data)
-	for i := lo; i < mid; i++ {
-		y = m.Blocks[i].Forward(y, b, tk)
-	}
-	y.BackwardWithGrad(upstream)
-	boundary.ZeroGrad()
-	if ag.ActivePool() != nil {
-		ag.ReleaseTape(y)
-	}
-	return loss
 }
 
 // SetWindowSize reconfigures the tuner's window width mid-run — the
@@ -437,11 +354,6 @@ func (t *Tuner) SetWindowSize(w int) error {
 	}
 	return nil
 }
-
-// SetRecompute flips the windowed-checkpointing knob mid-run — the
-// governor's recompute rung. Gradients are unaffected (see
-// recomputeBackward), so this is always numerically safe.
-func (t *Tuner) SetRecompute(on bool) { t.Cfg.Recompute = on }
 
 // SetIteration overrides the iteration counter; snapshot resume uses it so
 // the window schedule continues from the interrupted position.

@@ -3,9 +3,10 @@
 // pooled by InitGrad, backward closures take their scratch from the arena
 // and return it as soon as accumulate has consumed it, and ReleaseTape
 // hands a fully-consumed graph's buffers back at the end of a training
-// step. Constant-folded computation — frozen layers, eval forwards — never
-// touches the pool: nothing ever releases those buffers, so pooling them
-// would only drain the free lists.
+// step. Constant-folded computation — frozen layers, and eval forwards,
+// since parameters are trainable only inside a training step (DESIGN.md,
+// "One training step") — never touches the pool: nothing ever releases those
+// buffers, so pooling them would only drain the free lists.
 //
 // The pool is an optimisation only: Pool.Get returns zero-filled buffers,
 // byte-for-byte equivalent to fresh allocation, so results are identical

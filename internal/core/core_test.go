@@ -93,6 +93,40 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPipelineInferenceLeavesPoolBalanced: parameters are trainable only
+// inside a tuning step, so the compression probe, the vote's calibration,
+// perplexity evaluation and the voted forward record no tape and leave the
+// arena's bytes-in-use where they found it — as do the tuning steps, which
+// release their own.
+func TestPipelineInferenceLeavesPoolBalanced(t *testing.T) {
+	pool := tensor.NewPool()
+	ag.SetPool(pool)
+	defer ag.SetPool(nil)
+	cfg := quickCfg()
+	task := quickTask()
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	balanced := func(stage string, fn func()) {
+		before := pool.Stats().BytesInUse
+		fn()
+		if after := pool.Stats().BytesInUse; after != before {
+			t.Errorf("%s: %d pooled bytes in use after, %d before", stage, after, before)
+		}
+	}
+	balanced("Compress", func() {
+		if err := p.Compress(calibSequences(task.Train, cfg.Batch, cfg.Seq)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	balanced("Tune", func() { p.Tune(task.Train, 4) })
+	balanced("FinishTuning", func() { p.FinishTuning(task.EvalTail(cfg.Batch, cfg.Seq, 2)) })
+	balanced("EvalPerplexity", func() { p.EvalPerplexity(task.Eval, 2) })
+	batches, _ := task.EvalTail(cfg.Batch, cfg.Seq, 1)
+	balanced("Forward", func() { p.Forward(batches[0]) })
+}
+
 func TestPipelineMemoryBelowVanilla(t *testing.T) {
 	cfg := quickCfg()
 	p, err := New(cfg)

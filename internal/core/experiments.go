@@ -270,7 +270,7 @@ func ExperimentF1(ctx context.Context) *Report {
 	freeze.TapeBlocks = window
 	freeze.TrainableElems = window * train.BlockElems(cfg)
 
-	edge := train.WindowSpec(edgeCfg, batch, seq, window, false,
+	edge := train.WindowSpec(edgeCfg, batch, seq, window, 1,
 		train.PerLayer(cfg.Layers, 4), train.PerLayer(cfg.Layers, 0.5), adamWBytes)
 
 	r := &Report{

@@ -120,8 +120,13 @@ func TestGovernedAdmissionDegradesPlan(t *testing.T) {
 	if err != nil {
 		t.Fatalf("floor admission must not abort construction: %v", err)
 	}
-	if pl := p.GovernedPlan(); pl.Batch != 1 || !pl.Recompute {
+	pl = p.GovernedPlan()
+	if pl.Batch != 1 || !pl.Recompute {
 		t.Fatalf("1-byte budget did not reach the ladder floor: %+v", pl)
+	}
+	// The table prices the tape the governor admitted: one segment.
+	if got, want := p.MemorySpec().TapeBlocks, tuningSpec(p.Cfg, pl).TapeBlocks; got != want {
+		t.Fatalf("table tapes %d blocks on the recompute rung, admission %d", got, want)
 	}
 	if rec := gov.Record(); len(rec.UnmetTasks) != 1 {
 		t.Fatalf("unmet floor not recorded: %+v", rec.UnmetTasks)

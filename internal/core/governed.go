@@ -32,7 +32,7 @@ func tuningSpec(cfg Config, pl govern.Plan) train.MemorySpec {
 	if pl.BudgetBits > 0 {
 		bits = train.PerLayer(m.Layers, pl.BudgetBits)
 	}
-	return train.WindowSpec(m, pl.Batch, cfg.Seq, pl.WindowSize, pl.Recompute, bits, nil, adamWBytes)
+	return train.WindowSpec(m, pl.Batch, cfg.Seq, pl.WindowSize, pl.Segments, bits, nil, adamWBytes)
 }
 
 // admissionEstimator prices a pipeline plan at construction time: one
@@ -162,12 +162,8 @@ func (p *Pipeline) preStepGovern() {
 			panic(err) // ladder only shrinks, so this cannot go out of range
 		}
 	}
-	if admitted.Recompute != pl.Recompute {
-		p.Tuner.SetRecompute(admitted.Recompute)
-	}
-	if admitted.Batch != pl.Batch {
-		p.Cfg.Batch = admitted.Batch
-	}
+	p.Tuner.Cfg.Segments = admitted.Segments
+	p.Cfg.Batch = admitted.Batch
 	admitted.MinBits = gs.plan.MinBits
 	gs.plan = admitted
 

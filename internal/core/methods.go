@@ -68,7 +68,6 @@ func (t *Task) EnsureBase(ctx context.Context, cfg Config, iters int) {
 		return
 	}
 	m := nn.NewModel(cfg.Model, tensor.NewRNG(cfg.Seed))
-	m.SetAllTrainable(true)
 	rng := tensor.NewRNG(cfg.Seed + 100)
 	tuneLoop(ctx, cfg, govern.Plan{}, m, m, m.Logits, iters, func() ([][]int, []int) {
 		return t.Pretrain.Batch(rng, cfg.Batch, cfg.Seq)
@@ -143,9 +142,9 @@ type baseline struct {
 	// plan is the un-degraded resource plan; its non-zero knobs are the
 	// ladder rungs the governor may take for this method.
 	plan govern.Plan
-	// build freezes a fresh copy of the base model the way the method
-	// requires under the admitted plan, and returns the module the
-	// optimizer updates and the method's forward function.
+	// build returns the module the optimizer updates on a fresh copy of the
+	// base model under the admitted plan, and the method's forward function.
+	// tuneLoop makes the module trainable for each step and nothing else.
 	build func(m *nn.Model, pl govern.Plan) (nn.Module, func([][]int) *ag.Value)
 	// spec turns the full-fine-tuning memory spec (every parameter
 	// trainable, full-depth tape) into this method's under a plan.
@@ -177,22 +176,30 @@ func (b baseline) memory(cfg Config, pl govern.Plan) train.MemoryBreakdown {
 
 // tuneLoop is the one baseline training loop: iters optimizer steps on mod
 // over batches drawn from next, with cross-entropy at forward's output —
-// or, when the plan is on checkpointed recompute, segment-recomputed
-// through m (identical gradients; only tape residency changes). It beats
-// the stall watchdog once per step and stops at the iteration boundary when
-// ctx is cancelled.
+// or, when the plan is on checkpointed recompute, at m's final head through
+// train.SegmentedBackward over the whole stack (identical gradients; only
+// tape residency changes). mod is trainable only inside a step, so m and
+// mod leave frozen and forward records no tape afterwards. It beats the
+// stall watchdog once per step and stops at the iteration boundary when ctx
+// is cancelled.
 func tuneLoop(ctx context.Context, cfg Config, pl govern.Plan, m *nn.Model, mod nn.Module,
 	forward func([][]int) *ag.Value, iters int, next func() ([][]int, []int)) {
 	tr := train.NewTrainer(train.NewAdamW(cfg.WeightDecay), cfg.LR, cfg.ClipNorm)
 	tr.Heartbeat = govern.HeartbeatFunc(ctx)
+	m.SetAllTrainable(false)
+	nn.SetTrainable(mod, false)
 	for i := 0; i < iters && ctx.Err() == nil; i++ {
 		inputs, targets := next()
 		if pl.Recompute {
-			train.CheckpointedStep(m, inputs, targets, pl.Segments)
-			tr.ApplyGrads(mod)
-		} else {
-			tr.Step(mod, ag.CrossEntropy(forward(inputs), targets, -1))
+			head := func(h *ag.Value) *ag.Value {
+				return ag.CrossEntropy(m.LMHead.Forward(m.Norm.Forward(h)), targets, -1)
+			}
+			tr.ApplyGrads(mod, train.SegmentedBackward(m, inputs, 0, len(m.Blocks)-1, pl.Segments, head, mod))
+			continue
 		}
+		nn.SetTrainable(mod, true)
+		tr.Step(mod, ag.CrossEntropy(forward(inputs), targets, -1))
+		nn.SetTrainable(mod, false)
 	}
 }
 
@@ -240,12 +247,6 @@ func runBaseline(ctx context.Context, b baseline, cfg Config, task Task, opts Ru
 	return res
 }
 
-// vanillaIterCost is the modeled latency of one full-depth iteration.
-func vanillaIterCost(cfg Config, _ govern.Plan) hwsim.Cost {
-	return hwsim.IterationCost(cfg.Device, hwsim.NewSearchedScheduler(),
-		hwsim.VanillaIteration(cfg.Model, cfg.Batch, cfg.Seq))
-}
-
 // addForwardStack adds one uncompressed forward pass over every block to c.
 func addForwardStack(c hwsim.Cost, cfg Config, sched hwsim.Scheduler) hwsim.Cost {
 	for i := 0; i < cfg.Model.Layers; i++ {
@@ -257,19 +258,24 @@ func addForwardStack(c hwsim.Cost, cfg Config, sched hwsim.Scheduler) hwsim.Cost
 // fullFT describes full fine-tuning: every parameter trainable, loss at
 // the final head, full-depth backprop — plain, or segment-recomputed when
 // the plan says so (a caller's choice for grad-ckpt, a governor rung for
-// vanilla).
-func fullFT(label, name string, plan govern.Plan, cost func(Config, govern.Plan) hwsim.Cost) baseline {
+// vanilla). Its memory and latency read the same plan: recompute tapes one
+// segment and pays one extra forward over the stack.
+func fullFT(label, name string, plan govern.Plan) baseline {
 	return baseline{
-		label: label, name: name, plan: plan, cost: cost,
+		label: label, name: name, plan: plan,
 		build: func(m *nn.Model, _ govern.Plan) (nn.Module, func([][]int) *ag.Value) {
-			m.SetAllTrainable(true)
 			return m, m.Logits
 		},
 		spec: func(s train.MemorySpec, pl govern.Plan) train.MemorySpec {
+			return train.CheckpointedSpec(s, pl.Segments)
+		},
+		cost: func(cfg Config, pl govern.Plan) hwsim.Cost {
+			sched := hwsim.NewSearchedScheduler()
+			iter := hwsim.IterationCost(cfg.Device, sched, hwsim.VanillaIteration(cfg.Model, cfg.Batch, cfg.Seq))
 			if pl.Recompute {
-				return train.CheckpointedSpec(s, pl.Segments)
+				iter = addForwardStack(iter, cfg, sched)
 			}
-			return s
+			return iter
 		},
 	}
 }
@@ -277,15 +283,14 @@ func fullFT(label, name string, plan govern.Plan, cost func(Config, govern.Plan)
 // RunVanillaFT is the upper-bound baseline: full fine-tuning of the
 // uncompressed model, loss at the final head, full-depth backprop. Under a
 // governor it can degrade by switching to checkpointed recompute (segment
-// doubling up to full depth) and then halving batch; its reported latency
-// stays the plain iteration's.
+// doubling up to full depth), priced as grad-ckpt is, and then halving
+// batch.
 func RunVanillaFT(ctx context.Context, cfg Config, task Task, opts RunOpts) MethodResult {
 	return runBaseline(ctx, vanillaFT(cfg), cfg, task, opts)
 }
 
 func vanillaFT(cfg Config) baseline {
-	return fullFT("vanilla-ft", "Vanilla FT",
-		govern.Plan{MaxSegments: cfg.Model.Layers, Batch: cfg.Batch}, vanillaIterCost)
+	return fullFT("vanilla-ft", "Vanilla FT", govern.Plan{MaxSegments: cfg.Model.Layers, Batch: cfg.Batch})
 }
 
 // RunGradCheckpoint is the activation-checkpointing baseline: full
@@ -299,13 +304,7 @@ func RunGradCheckpoint(ctx context.Context, cfg Config, task Task, opts RunOpts,
 
 func gradCheckpoint(cfg Config, segments int) baseline {
 	return fullFT("grad-ckpt", "Grad-ckpt FT",
-		govern.Plan{Recompute: true, Segments: segments, MaxSegments: cfg.Model.Layers, Batch: cfg.Batch},
-		func(cfg Config, _ govern.Plan) hwsim.Cost {
-			// The vanilla iteration plus one extra full forward.
-			sched := hwsim.NewSearchedScheduler()
-			iter := hwsim.IterationCost(cfg.Device, sched, hwsim.VanillaIteration(cfg.Model, cfg.Batch, cfg.Seq))
-			return addForwardStack(iter, cfg, sched)
-		})
+		govern.Plan{Recompute: true, Segments: segments, MaxSegments: cfg.Model.Layers, Batch: cfg.Batch})
 }
 
 // RunLoRA is the PEFT baseline: frozen fp16 backbone with rank-r adapters
@@ -320,7 +319,6 @@ func loraBaseline(cfg Config, rank int) baseline {
 	return baseline{
 		label: "lora", name: "LoRA", plan: govern.Plan{Batch: cfg.Batch},
 		build: func(m *nn.Model, _ govern.Plan) (nn.Module, func([][]int) *ag.Value) {
-			m.SetAllTrainable(false)
 			return adapt.InstallLoRA(m, tensor.NewRNG(cfg.Seed+3), rank, 2*float32(rank)), m.Logits
 		},
 		// Grads and optimizer state only for the adapters; the full-depth
@@ -361,7 +359,6 @@ func lstBaseline(cfg Config, reduction int) baseline {
 	return baseline{
 		label: "lst", name: "LST", plan: govern.Plan{Batch: cfg.Batch},
 		build: func(m *nn.Model, _ govern.Plan) (nn.Module, func([][]int) *ag.Value) {
-			m.SetAllTrainable(false)
 			side := adapt.NewLST(m, tensor.NewRNG(cfg.Seed+4), reduction)
 			return side, side.Logits
 		},
@@ -401,7 +398,7 @@ func layerFreeze(cfg Config, k int) baseline {
 		label: "layer-freeze", name: "Layer-freeze",
 		plan: govern.Plan{WindowSize: k, MinWindow: 1, Batch: cfg.Batch},
 		build: func(m *nn.Model, pl govern.Plan) (nn.Module, func([][]int) *ag.Value) {
-			return freezeTopK(m, pl.WindowSize), m.Logits
+			return topK(m, pl.WindowSize), m.Logits
 		},
 		spec: func(s train.MemorySpec, pl govern.Plan) train.MemorySpec {
 			s.TapeBlocks = pl.WindowSize
@@ -422,17 +419,12 @@ type paramModule []nn.NamedParam
 // Params implements nn.Module.
 func (p paramModule) Params() []nn.NamedParam { return p }
 
-// freezeTopK freezes everything except the top k blocks, final norm, and
-// head, returning the trainable module.
-func freezeTopK(m *nn.Model, k int) paramModule {
-	m.SetAllTrainable(false)
+// topK is the layer-freeze module: the top k blocks, final norm, and head.
+func topK(m *nn.Model, k int) paramModule {
 	var ps []nn.NamedParam
 	for i := len(m.Blocks) - k; i < len(m.Blocks); i++ {
-		m.SetBlockTrainable(i, true)
 		ps = append(ps, m.Blocks[i].Params()...)
 	}
-	nn.SetTrainable(m.Norm, true)
-	nn.SetTrainable(m.LMHead, true)
 	ps = append(ps, m.Norm.Params()...)
 	ps = append(ps, m.LMHead.Params()...)
 	return ps

@@ -146,6 +146,9 @@ func New(cfg Config) (*Pipeline, error) {
 		candidates: cands,
 		gstate:     gstate,
 	}
+	// Parameters are trainable only inside a tuning step, so the probe, the
+	// vote's calibration and every inference forward record no tape.
+	p.Model.SetAllTrainable(false)
 	p.Trainer = train.NewTrainer(train.NewAdamW(cfg.WeightDecay), cfg.LR, cfg.ClipNorm)
 	return p, nil
 }
@@ -192,10 +195,8 @@ func (p *Pipeline) importanceFromSens() []float64 {
 
 // tunerConfig is the window schedule the pipeline tunes under.
 func (p *Pipeline) tunerConfig() (adapt.TunerConfig, error) {
-	cfg := adapt.TunerConfig{WindowSize: p.Cfg.WindowSize, Strategy: p.Cfg.Strategy}
-	if p.gstate != nil {
-		cfg.Recompute = p.gstate.plan.Recompute
-	}
+	cfg := adapt.TunerConfig{WindowSize: p.Cfg.WindowSize, Strategy: p.Cfg.Strategy,
+		Segments: p.GovernedPlan().Segments}
 	if p.Cfg.Strategy == adapt.StrategySensitivity {
 		if p.Sens == nil {
 			return cfg, fmt.Errorf("core: sensitivity strategy requires Compress first")
@@ -335,13 +336,15 @@ func (p *Pipeline) EvalPerplexity(c *data.Corpus, maxBatches int) float64 {
 }
 
 // MemorySpec derives the analytic memory model of one tuning iteration of
-// this pipeline: the window under its LUC policy once compressed.
+// this pipeline: the window in the admitted plan's segments, under its LUC
+// policy once compressed.
 func (p *Pipeline) MemorySpec() train.MemorySpec {
 	var bits, sparsity []float64
 	if p.compressed {
 		bits, sparsity = p.Info.BlockBits(), p.Info.BlockSparsity()
 	}
-	return train.WindowSpec(p.Cfg.Model, p.Cfg.Batch, p.Cfg.Seq, p.Cfg.WindowSize, false, bits, sparsity, adamWBytes)
+	return train.WindowSpec(p.Cfg.Model, p.Cfg.Batch, p.Cfg.Seq, p.Cfg.WindowSize, p.GovernedPlan().Segments,
+		bits, sparsity, adamWBytes)
 }
 
 // Memory returns the analytic per-iteration memory breakdown.

@@ -80,7 +80,7 @@ func planEstimator(extraOptBlocks int) govern.Estimator {
 	blockElems := train.BlockWeightElems(cfg)
 	optBytes := newSGD().BytesPerElement()
 	return func(p govern.Plan) int64 {
-		spec := train.WindowSpec(cfg, p.Batch, deviceSeq, p.WindowSize, p.Recompute,
+		spec := train.WindowSpec(cfg, p.Batch, deviceSeq, p.WindowSize, p.Segments,
 			train.PerLayer(cfg.Layers, p.BudgetBits), nil, optBytes)
 		spec.TrainableElems = int64(p.WindowSize) * blockElems
 		spec.OptElems = int64(p.WindowSize+extraOptBlocks) * blockElems
@@ -376,7 +376,7 @@ func (d *devRun) rebuildTuner() error {
 	t, err := adapt.NewTuner(d.loop.Model, adapt.TunerConfig{
 		WindowSize: d.plan.WindowSize,
 		Strategy:   adapt.StrategySliding,
-		Recompute:  d.plan.Recompute,
+		Segments:   d.plan.Segments,
 	})
 	if err != nil {
 		return fmt.Errorf("fleet: tuner for %s: %w", d.spec.ID, err)
@@ -393,7 +393,7 @@ func (d *devRun) applyPlan(p govern.Plan) error {
 			return fmt.Errorf("fleet: apply plan for %s: %w", d.spec.ID, err)
 		}
 	}
-	d.tuner.SetRecompute(p.Recompute)
+	d.tuner.Cfg.Segments = p.Segments
 	d.plan = p
 	return nil
 }

@@ -108,7 +108,8 @@ type Plan struct {
 	MinBits float64
 	// Recompute marks checkpointed recompute as already active.
 	Recompute bool
-	// Segments is the recompute segment count (when Recompute).
+	// Segments is the recompute segment count: 0 until Recompute turns on
+	// (with at least 2), so a trainer reads it as-is (≤ 1: one segment).
 	Segments int
 	// MaxSegments bounds segment doubling; 0 marks the recompute rung
 	// unavailable. Windowed plans use 2 (split the window in half).

@@ -202,19 +202,17 @@ func VanillaSpec(cfg nn.Config, batch, seq int, optBytes int64) MemorySpec {
 }
 
 // WindowSpec describes one windowed tuning iteration under a plan: the
-// window's blocks and one head trainable, the window on tape — its upper
-// half only under checkpointed recompute — and block i stored at bits[i]
-// with sparsity[i] of it pruned, in the packed format (nil: float32,
-// unpruned). The governor's admission and per-step re-admission, the fleet's
-// device admission and the tables' Edge-LLM memory columns all price this
-// spec; a caller whose optimizer state has accumulated over earlier windows
-// sets OptElems.
-func WindowSpec(cfg nn.Config, batch, seq, window int, recompute bool, bits, sparsity []float64, optBytes int64) MemorySpec {
+// window's blocks and one head trainable, one of the window's segments on
+// tape (segments ≤ 1: the whole window; see CheckpointedSpec) and block i
+// stored at bits[i] with sparsity[i] of it pruned, in the packed format (nil:
+// float32, unpruned). The governor's admission and per-step re-admission, the
+// fleet's device admission and the tables' Edge-LLM memory columns all price
+// this spec; a caller whose optimizer state has accumulated over earlier
+// windows sets OptElems.
+func WindowSpec(cfg nn.Config, batch, seq, window, segments int, bits, sparsity []float64, optBytes int64) MemorySpec {
 	spec := VanillaSpec(cfg, batch, seq, optBytes)
 	spec.TapeBlocks = window
-	if recompute {
-		spec.TapeBlocks = window - window/2
-	}
+	spec = CheckpointedSpec(spec, segments)
 	spec.TrainableElems = WindowTrainableElems(cfg, window)
 	if bits != nil {
 		spec.BlockWeightBits, spec.PackedScales = bits, true

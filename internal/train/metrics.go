@@ -12,10 +12,10 @@ import (
 func Perplexity(meanCE float64) float64 { return math.Exp(meanCE) }
 
 // EvalPerplexity measures the model's perplexity over deterministic
-// sequential batches of the corpus. The model is evaluated frozen (no tape
-// is recorded regardless of RequiresGrad flags, because CrossEntropy's
-// value is read directly and Backward is never called — but we detach
-// anyway to keep eval allocation-free).
+// sequential batches of the corpus. A forward records a tape only over
+// trainable parameters, and the tuning loops leave their models frozen
+// outside a step (DESIGN.md, "One training step"), so evaluation runs
+// tape-free.
 func EvalPerplexity(m *nn.Model, c *data.Corpus, batchSize, seqLen, maxBatches int) float64 {
 	batches, targets := c.SequentialBatches(batchSize, seqLen, maxBatches)
 	return EvalPerplexityWith(func(b [][]int) *ag.Value { return m.Logits(b) }, batches, targets)

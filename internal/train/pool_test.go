@@ -80,13 +80,13 @@ func TestDeterminismCheckpointedStepPool(t *testing.T) {
 	}
 
 	m1 := tinyModel(9)
-	lossOff := CheckpointedStep(m1, poolInputs, poolTargets, 2)
+	lossOff := checkpointedStep(m1, poolInputs, poolTargets, 2)
 	off := gradBits(m1)
 
 	ag.SetPool(tensor.NewPool())
 	defer ag.SetPool(nil)
 	m2 := tinyModel(9)
-	lossOn := CheckpointedStep(m2, poolInputs, poolTargets, 2)
+	lossOn := checkpointedStep(m2, poolInputs, poolTargets, 2)
 	on := gradBits(m2)
 
 	if math.Float64bits(lossOff) != math.Float64bits(lossOn) {

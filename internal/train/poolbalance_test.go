@@ -69,7 +69,7 @@ func TestApplyGradsPanicClearsGrads(t *testing.T) {
 
 	m := tinyModel(8)
 	tr := NewTrainer(&panicOpt{n: 1}, 0.01, 1.0)
-	CheckpointedStep(m, poolInputs, poolTargets, 2)
+	loss := checkpointedStep(m, poolInputs, poolTargets, 2)
 
 	func() {
 		defer func() {
@@ -77,7 +77,7 @@ func TestApplyGradsPanicClearsGrads(t *testing.T) {
 				t.Fatal("optimizer panic did not propagate")
 			}
 		}()
-		tr.ApplyGrads(m)
+		tr.ApplyGrads(m, loss)
 	}()
 
 	for _, p := range m.Params() {
@@ -88,8 +88,8 @@ func TestApplyGradsPanicClearsGrads(t *testing.T) {
 }
 
 // TestCheckpointedStepPoolBalanced: every segment tape a checkpointed step
-// allocates must be returned to the arena by the time the step (plus its
-// ApplyGrads) completes — the regression that motivated the tape-aux
+// allocates must be returned to the arena by the time SegmentedBackward
+// (plus ApplyGrads) completes — the regression that motivated the tape-aux
 // release path leaked ~2 KiB per step.
 func TestCheckpointedStepPoolBalanced(t *testing.T) {
 	pool := tensor.NewPool()
@@ -99,8 +99,7 @@ func TestCheckpointedStepPoolBalanced(t *testing.T) {
 	m := tinyModel(11)
 	tr := NewTrainer(NewAdamW(0.01), 0.01, 1.0)
 	for i := 0; i < 4; i++ {
-		CheckpointedStep(m, poolInputs, poolTargets, 2)
-		tr.ApplyGrads(m)
+		tr.ApplyGrads(m, checkpointedStep(m, poolInputs, poolTargets, 2))
 		if got := pool.Stats().BytesInUse; got != 0 {
 			t.Fatalf("step %d: %d pooled bytes still in use after ApplyGrads", i, got)
 		}

@@ -22,10 +22,10 @@ func ConstantSchedule() Schedule { return func(int) float64 { return 1 } }
 const DefaultMaxBadSteps = 5
 
 // DivergenceError reports a run that produced MaxBadSteps consecutive
-// non-finite losses or gradients. Trainer.Step throws it as a panic value
-// so existing call sites keep their signatures; the experiment runner's
-// per-task recovery and Loop.Run both convert it into an ordinary error.
-// It is deterministic, so the runner classifies it as non-retryable.
+// non-finite losses or gradients. Trainer.ApplyGrads throws it as a panic
+// value so existing call sites keep their signatures; the experiment
+// runner's per-task recovery and Loop.Run both convert it into an ordinary
+// error. It is deterministic, so the runner classifies it as non-retryable.
 type DivergenceError struct {
 	// Consecutive is the length of the bad-step streak.
 	Consecutive int
@@ -62,9 +62,10 @@ type Trainer struct {
 	// never called on skipped steps or when the global recorder is off.
 	GradHook func(params []nn.NamedParam)
 
-	// Heartbeat, when set, is invoked at the start of every Step and
-	// ApplyGrads call — the progress signal the resource governor's stall
-	// watchdog listens to. It must be cheap and must not panic.
+	// Heartbeat, when set, is invoked at the start of every update
+	// (ApplyGrads, which Step runs after its backward) — the progress signal
+	// the resource governor's stall watchdog listens to. It must be cheap
+	// and must not panic.
 	Heartbeat func()
 
 	step int
@@ -102,30 +103,14 @@ func (t *Trainer) skipBadStep(lossVal float64) {
 // finite reports whether v is neither NaN nor ±Inf.
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// Step runs backward from loss, clips, updates m's parameters, clears the
-// gradients, and returns the loss value.
-//
-// Divergence guard: a non-finite loss skips the whole step (no backward,
-// no update), and a non-finite gradient norm — checked whenever the norm
-// is computed anyway, i.e. with clipping or observability on — skips the
-// update and clears the gradients. Either event counts toward the
-// consecutive bad-step streak that aborts the run at MaxBadSteps; any
-// finite step resets the streak.
-//
-// When the global obsv recorder is enabled, Step records its wall-clock
-// latency, the pre-clip global gradient norm, clip events, skipped
-// non-finite steps, and the effective learning rate. Disabled, the
-// instrumentation costs a single nil check.
+// Step runs backward from loss unless its value is non-finite, releases the
+// loss graph, applies the update (ApplyGrads) and returns the loss value.
 func (t *Trainer) Step(m nn.Module, loss *ag.Value) float64 {
-	if t.Heartbeat != nil {
-		t.Heartbeat()
-	}
-	// A panic mid-step (a crashing optimizer, an injected fault in a hook,
-	// a kernel bug) would otherwise strand the live tape's pooled buffers:
-	// nothing downstream ever releases a graph the step did not finish.
-	// Release on the way out — ReleaseTape and ZeroGrad are idempotent, so
-	// paths that already released stay correct — then re-panic for the
-	// runner's per-task recovery.
+	// A panic mid-backward (a kernel bug, an injected fault) would otherwise
+	// strand the live tape's pooled buffers: nothing downstream ever releases
+	// a graph the step did not finish. Release on the way out — ReleaseTape
+	// and ZeroGrad are idempotent — then re-panic for the runner's per-task
+	// recovery.
 	defer func() {
 		if r := recover(); r != nil {
 			releaseLoss(loss)
@@ -133,45 +118,12 @@ func (t *Trainer) Step(m nn.Module, loss *ag.Value) float64 {
 			panic(r)
 		}
 	}()
-	obs := obsv.Global()
-	var start time.Time
-	var allocs0 uint64
-	if obs != nil {
-		start = time.Now()
-		allocs0 = t.heapAllocObjects()
-	}
 	lossVal := float64(loss.Data.Data[0])
-	if !finite(lossVal) {
-		releaseLoss(loss)
-		t.skipBadStep(lossVal)
-		return lossVal
+	if finite(lossVal) {
+		loss.Backward()
 	}
-	loss.Backward()
-	params := m.Params()
-	var gradNorm float64
-	clipped := false
-	if t.ClipNorm > 0 || obs != nil {
-		gradNorm = globalNorm(params)
-		if !finite(gradNorm) {
-			nn.ZeroGrads(m)
-			releaseLoss(loss)
-			t.skipBadStep(lossVal)
-			return lossVal
-		}
-		clipped = clipToNorm(params, gradNorm, t.ClipNorm)
-	}
-	t.badStreak = 0
-	if t.GradHook != nil && obs != nil {
-		t.GradHook(params)
-	}
-	lr := t.BaseLR * float32(t.Sched(t.step))
-	t.Opt.Step(params, lr)
-	nn.ZeroGrads(m)
 	releaseLoss(loss)
-	t.step++
-	if obs != nil {
-		t.record(obs, start, gradNorm, clipped, lr, allocs0)
-	}
+	t.ApplyGrads(m, lossVal)
 	return lossVal
 }
 
@@ -193,15 +145,25 @@ func (t *Trainer) heapAllocObjects() uint64 {
 	return t.allocSample[0].Value.Uint64()
 }
 
-// ApplyGrads clips and applies already-accumulated gradients (e.g. from
-// CheckpointedStep, which runs its own backward pass) and clears them. The
-// same non-finite-gradient guard as Step applies.
-func (t *Trainer) ApplyGrads(m nn.Module) {
+// ApplyGrads is the one update body: it clips the gradients accumulated on
+// m's parameters (by Step's backward or by SegmentedBackward), applies the
+// optimizer and clears them. loss is the step's loss value.
+//
+// Divergence guard: a non-finite loss, or a non-finite gradient norm —
+// checked whenever the norm is computed anyway, i.e. with clipping or
+// observability on — skips the update and clears the gradients. Either
+// event counts toward the consecutive bad-step streak that aborts the run at
+// MaxBadSteps; any applied step resets the streak.
+//
+// When the global obsv recorder is enabled, ApplyGrads records its wall-clock
+// latency, the pre-clip global gradient norm, clip events, skipped
+// non-finite steps, and the effective learning rate. Disabled, the
+// instrumentation costs a single nil check.
+func (t *Trainer) ApplyGrads(m nn.Module, loss float64) {
 	if t.Heartbeat != nil {
 		t.Heartbeat()
 	}
-	// Same panic hygiene as Step: a crash mid-update must not strand the
-	// accumulated (pooled) gradients.
+	// A crash mid-update must not strand the accumulated (pooled) gradients.
 	defer func() {
 		if r := recover(); r != nil {
 			nn.ZeroGrads(m)
@@ -217,16 +179,15 @@ func (t *Trainer) ApplyGrads(m nn.Module) {
 	}
 	params := m.Params()
 	var gradNorm float64
-	clipped := false
-	if t.ClipNorm > 0 || obs != nil {
+	if finite(loss) && (t.ClipNorm > 0 || obs != nil) {
 		gradNorm = globalNorm(params)
-		if !finite(gradNorm) {
-			nn.ZeroGrads(m)
-			t.skipBadStep(gradNorm)
-			return
-		}
-		clipped = clipToNorm(params, gradNorm, t.ClipNorm)
 	}
+	if !finite(loss) || !finite(gradNorm) {
+		nn.ZeroGrads(m)
+		t.skipBadStep(loss)
+		return
+	}
+	clipped := clipToNorm(params, gradNorm, t.ClipNorm)
 	t.badStreak = 0
 	if t.GradHook != nil && obs != nil {
 		t.GradHook(params)

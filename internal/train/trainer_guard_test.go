@@ -2,6 +2,7 @@ package train
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	ag "edgellm/internal/autograd"
@@ -93,7 +94,7 @@ func TestApplyGradsSkipsNonFiniteGradients(t *testing.T) {
 	g := q.w.InitGrad()
 	g.Data[1] = float32(math.NaN())
 	tr := NewTrainer(NewSGD(0, 0), 0.1, 1.0)
-	tr.ApplyGrads(q)
+	tr.ApplyGrads(q, 1)
 	for i := range before.Data {
 		if q.w.Data.Data[i] != before.Data[i] {
 			t.Fatal("non-finite gradient mutated the weights")
@@ -104,6 +105,46 @@ func TestApplyGradsSkipsNonFiniteGradients(t *testing.T) {
 	}
 	if tr.StepCount() != 0 {
 		t.Fatal("skipped step advanced the counter")
+	}
+}
+
+// weightBits flattens every parameter of m to its float32 bits.
+func weightBits(m nn.Module) []uint32 {
+	var out []uint32
+	for _, p := range m.Params() {
+		for _, v := range p.Value.Data.Data {
+			out = append(out, math.Float32bits(v))
+		}
+	}
+	return out
+}
+
+// TestCheckpointedStepSkipsNonFiniteLoss: with clipping off and no recorder
+// the gradient norm is never computed, so the loss value is the only sign of
+// a poisoned batch. A NaN loss through grad-ckpt (SegmentedBackward, then
+// ApplyGrads) must leave every weight and the step counter alone and count
+// toward the bad-step streak, as Step does.
+func TestCheckpointedStepSkipsNonFiniteLoss(t *testing.T) {
+	m := recomputeModel(83)
+	const poison = 15 // a token whose embedding row is NaN
+	m.TokEmb.W.Data.Row(poison)[0] = float32(math.NaN())
+	before := weightBits(m)
+	tr := NewTrainer(NewSGD(0, 0), 0.1, 0)
+	for i := 1; i <= 2; i++ {
+		loss := checkpointedStep(m, [][]int{{1, 2, poison, 4}}, []int{2, 3, 4, 5}, 2)
+		if finite(loss) {
+			t.Fatalf("poisoned batch gave finite loss %v", loss)
+		}
+		tr.ApplyGrads(m, loss)
+		if tr.badStreak != i {
+			t.Fatalf("bad streak %d after %d poisoned steps", tr.badStreak, i)
+		}
+	}
+	if !slices.Equal(before, weightBits(m)) {
+		t.Fatal("poisoned steps mutated the weights")
+	}
+	if tr.StepCount() != 0 {
+		t.Fatalf("poisoned steps advanced the counter to %d", tr.StepCount())
 	}
 }
 
