@@ -215,12 +215,8 @@ func logSoftmaxRows(t *tensor.Tensor) *tensor.Tensor {
 				m = v
 			}
 		}
-		var sum float64
-		for _, v := range row {
-			sum += math.Exp(float64(v - m))
-		}
-		lse := float32(math.Log(sum)) + m
-		o := out.Row(i)
+		o := out.Row(i) // holds the row's exps until the log-softmax overwrites them
+		lse := float32(math.Log(tensor.ExpShift(o, row, m))) + m
 		for j, v := range row {
 			o[j] = v - lse
 		}

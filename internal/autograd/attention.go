@@ -18,8 +18,11 @@ import (
 // Every dot product and weighted sum runs on tensor.SumCols, as decode
 // attention does (DESIGN.md §6): a query's scores over one (batch, head)'s
 // keys held transposed in scratch, its context over value rows. Each is the
-// ascending sum from +0 the scalar loop computed; the max, the float64 exp
-// and sum, and the softmax-backward dot stay scalar.
+// ascending sum from +0 the scalar loop computed. The transposed keys and
+// values are padded with zero columns to whole groups of 8, so every score
+// row, and every score-gradient row, sweeps whole groups on the assembly;
+// the lanes past position t are never read. The exp and its float64 sum are
+// tensor.ExpShift's; the max and the softmax-backward dot stay scalar.
 func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 	rows, c := q.Data.Rows(), q.Data.Cols()
 	if rows != batch*seqLen {
@@ -44,7 +47,9 @@ func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 	probs := make([]*tensor.Tensor, batch*nHeads)
 	var pooledProbs []*tensor.Tensor
 
-	kT := scratch(hd, T)
+	Tp := (T + 7) &^ 7
+	kT := scratch(hd, Tp)
+	sc := scratch(Tp) // one query's scores, as wide as the keys it sweeps
 	for b := 0; b < batch; b++ {
 		for h := 0; h < nHeads; h++ {
 			p, pOwned := outFor(tape, T, T)
@@ -53,11 +58,12 @@ func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 				pooledProbs = append(pooledProbs, p)
 			}
 			base := b*T*c + h*hd // element (b·T, h·hd): the head's first row
-			transposeHead(kT.Data, k.Data.Data[base:], T, hd, c)
+			transposeHead(kT.Data, Tp, k.Data.Data[base:], T, hd, c)
 			for t := 0; t < T; t++ {
 				// scores over keys 0..t (causal mask)
-				scores := p.Data[t*T : t*T+t+1]
-				tensor.SumCols(scores, q.Data.Data[base+t*c:], 1, kT.Data, T, hd)
+				n := t + 1
+				tensor.SumCols(sc.Data[:(n+7)&^7], q.Data.Data[base+t*c:], 1, kT.Data, Tp, hd)
+				scores := sc.Data[:n]
 				maxS := float32(math.Inf(-1))
 				for s := range scores {
 					scores[s] *= scale
@@ -65,20 +71,16 @@ func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 						maxS = scores[s]
 					}
 				}
-				var sum float64
-				for s, x := range scores {
-					e := math.Exp(float64(x - maxS))
-					scores[s] = float32(e)
-					sum += e
+				pRow := p.Data[t*T : t*T+n]
+				inv := float32(1 / tensor.ExpShift(pRow, scores, maxS))
+				for s := range pRow {
+					pRow[s] *= inv
 				}
-				inv := float32(1 / sum)
-				for s := range scores {
-					scores[s] *= inv
-				}
-				tensor.SumCols(out.Data[base+t*c:base+t*c+hd], scores, 1, v.Data.Data[base:], c, t+1)
+				tensor.SumCols(out.Data[base+t*c:base+t*c+hd], pRow, 1, v.Data.Data[base:], c, n)
 			}
 		}
 	}
+	putScratch(sc)
 	putScratch(kT)
 
 	node := newOp(out, func(o *Value) {
@@ -92,23 +94,24 @@ func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 		if v.RequiresGrad {
 			dV = scratch(rows, c)
 		}
-		vT := scratch(hd, T)
-		// dS holds one head's score gradients, row t over keys 0..t; the
-		// rows are rewritten for every head and nothing reads above the
-		// diagonal.
-		dS := scratch(T, T)
+		vT := scratch(hd, Tp)
+		// dS holds one head's score gradients, row t over keys 0..t, rows Tp
+		// apart; the rows are rewritten for every head and nothing reads
+		// above the diagonal.
+		dS := scratch(T, Tp)
 		g := o.Grad.Data
 		for b := 0; b < batch; b++ {
 			for h := 0; h < nHeads; h++ {
 				p := probs[b*nHeads+h].Data
 				base := b*T*c + h*hd
-				transposeHead(vT.Data, v.Data.Data[base:], T, hd, c)
+				transposeHead(vT.Data, Tp, v.Data.Data[base:], T, hd, c)
 				for t := 0; t < T; t++ {
-					pRow := p[t*T : t*T+t+1]
+					n := t + 1
+					pRow := p[t*T : t*T+n]
 					// dP_ts = dO_t · V_s, then in place the softmax
 					// backward dS = P ⊙ (dP − Σ P·dP)
-					dRow := dS.Data[t*T : t*T+t+1]
-					tensor.SumCols(dRow, g[base+t*c:], 1, vT.Data, T, hd)
+					tensor.SumCols(dS.Data[t*Tp:t*Tp+(n+7)&^7], g[base+t*c:], 1, vT.Data, Tp, hd)
+					dRow := dS.Data[t*Tp : t*Tp+n]
 					var dot float64
 					for s, pv := range pRow {
 						dot += float64(pv) * float64(dRow[s])
@@ -119,7 +122,7 @@ func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 					if dQ != nil {
 						// dQ_t = Σ_{s≤t} dS_ts · K_s
 						row := base + t*c
-						tensor.SumCols(dQ.Data[row:row+hd], dRow, 1, k.Data.Data[base:], c, t+1)
+						tensor.SumCols(dQ.Data[row:row+hd], dRow, 1, k.Data.Data[base:], c, n)
 					}
 				}
 				for s := 0; s < T; s++ {
@@ -127,7 +130,7 @@ func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 					// down column s of dS and of P.
 					row := base + s*c
 					if dK != nil {
-						tensor.SumCols(dK.Data[row:row+hd], dS.Data[s*T+s:], T, q.Data.Data[row:], c, T-s)
+						tensor.SumCols(dK.Data[row:row+hd], dS.Data[s*Tp+s:], Tp, q.Data.Data[row:], c, T-s)
 					}
 					if dV != nil {
 						tensor.SumCols(dV.Data[row:row+hd], p[s*T+s:], T, g[row:], c, T-s)
@@ -159,12 +162,13 @@ func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 
 // transposeHead writes one (batch, head)'s T × hd block of a (B·T, C)
 // activation — src from its first element, rows c apart — transposed into
-// dst, hd × T: dst[d·T + s] = src[s·c + d].
-func transposeHead(dst, src []float32, T, hd, c int) {
+// dst, hd rows ld apart: dst[d·ld + s] = src[s·c + d]. Columns T..ld−1 of
+// dst are left as they are.
+func transposeHead(dst []float32, ld int, src []float32, T, hd, c int) {
 	for s := 0; s < T; s++ {
 		row := src[s*c : s*c+hd]
 		for d, x := range row {
-			dst[d*T+s] = x
+			dst[d*ld+s] = x
 		}
 	}
 }

@@ -173,27 +173,20 @@ func ReLU(x *Value) *Value {
 	return v
 }
 
-// SiLU applies x·σ(x) elementwise (the activation used by LLaMA-style MLPs).
+// SiLU applies x·σ(x) elementwise (the activation used by LLaMA-style MLPs),
+// forward and backward on tensor's sigmoid kernel: σ in float64 through
+// math.Exp's bits, the products in float32 (tensor.SiLU, tensor.SiLUGrad).
 func SiLU(x *Value) *Value {
 	out, owned := outFor(x.RequiresGrad, x.Data.Shape...)
-	for i, v := range x.Data.Data {
-		out.Data[i] = v * sigmoid(v)
-	}
+	tensor.SiLU(out.Data, x.Data.Data)
 	v := newOp(out, func(o *Value) {
 		g := scratch(x.Data.Shape...)
-		for i, xv := range x.Data.Data {
-			s := sigmoid(xv)
-			g.Data[i] = o.Grad.Data[i] * (s + xv*s*(1-s))
-		}
+		tensor.SiLUGrad(g.Data, x.Data.Data, o.Grad.Data)
 		x.accumulate(g)
 		putScratch(g)
 	}, x)
 	v.dataOwned = owned
 	return v
-}
-
-func sigmoid(v float32) float32 {
-	return float32(1 / (1 + math.Exp(-float64(v))))
 }
 
 // RMSNorm applies row-wise root-mean-square normalisation with a learned
@@ -301,14 +294,8 @@ func softmaxRowsInto(out, t *tensor.Tensor) {
 				m = v
 			}
 		}
-		var sum float64
 		outRow := out.Row(i)
-		for j, v := range row {
-			e := math.Exp(float64(v - m))
-			outRow[j] = float32(e)
-			sum += e
-		}
-		inv := float32(1 / sum)
+		inv := float32(1 / tensor.ExpShift(outRow, row, m))
 		for j := range outRow {
 			outRow[j] *= inv
 		}

@@ -278,14 +278,8 @@ func softmaxLogits(logits *tensor.Tensor) *tensor.Tensor {
 				m = v
 			}
 		}
-		var sum float64
 		o := out.Row(i)
-		for j, v := range row {
-			e := math.Exp(float64(v - m))
-			o[j] = float32(e)
-			sum += e
-		}
-		inv := float32(1 / sum)
+		inv := float32(1 / tensor.ExpShift(o, row, m))
 		for j := range o {
 			o[j] *= inv
 		}

@@ -293,7 +293,7 @@ func (d *Decoder) StepBatch(tokens, slots []int) ([][]float32, error) {
 		d.rmsnormRows(B, hV.Data, blk.Norm2.Gain.Data.Data, blk.Norm2.Eps)
 		d.mm(gateV, hV, blk.MLP.Gate.W.Data, l, wmGate)
 		d.mm(upV, hV, blk.MLP.Up.W.Data, l, wmUp)
-		siluMul(gateV.Data, upV.Data)
+		tensor.SiLUMul(gateV.Data, upV.Data)
 		d.mm(mlpV, gateV, blk.MLP.Down.W.Data, l, wmDown)
 		addRows(d.x, mlpV.Data)
 	}
@@ -396,13 +396,7 @@ func (d *Decoder) attendSlot(l, i, s, heads, hd int, scale float32, q, ctx []flo
 				maxS = sc
 			}
 		}
-		var sum float64
-		for t, sc := range scores {
-			e := math.Exp(float64(sc - maxS))
-			scores[t] = float32(e)
-			sum += e
-		}
-		inv := float32(1 / sum)
+		inv := float32(1 / tensor.ExpShift(scores, scores, maxS))
 		for t := range scores {
 			scores[t] *= inv
 		}
@@ -487,14 +481,6 @@ func (d *Decoder) attendAll(l, B int, slots []int, heads, hd int, scale float32,
 func addRows(x, src []float32) {
 	for j, v := range src {
 		x[j] += v
-	}
-}
-
-// siluMul fuses the SwiGLU gate in place: gate[j] = SiLU(gate[j])·up[j].
-func siluMul(gate, up []float32) {
-	for j := range gate {
-		s := float32(1 / (1 + math.Exp(-float64(gate[j]))))
-		gate[j] = gate[j] * s * up[j]
 	}
 }
 

@@ -41,16 +41,44 @@ func guardedFloats(t *testing.T, src []float32) []float32 {
 }
 
 // TestKernelsStayInsideTheirOperands runs the dense and the packed kernels,
-// at every uniform width, and the AdamW update, with every operand — a, b,
-// out, Codes, Scale; w, g, m, v — ending exactly at an unmapped page, and
-// checks the results against the same calls over ordinary memory. A kernel
-// that loads 4 bytes of a 3-byte block row, or 32 where 8 columns are left,
-// dies here with SIGSEGV. k and n cover one block, a ragged quad, quad +
-// one, and many; m = 1 is the fused MulVecInto, m = 3 the tile decode and
-// sweep.
+// at every uniform width, the AdamW update, the gradient accumulation and
+// the kernels over the vector exp (SiLU, SiLUMul, SiLUGrad, ExpShift), with
+// every operand — a, b, out, Codes, Scale; w, g, m, v; dst, x, y — ending
+// exactly at an unmapped page, and checks the results against the same calls
+// over ordinary memory. A kernel that loads 4 bytes of a 3-byte block row,
+// or 32 where 8 columns are left, dies here with SIGSEGV. k and n cover one
+// block, a ragged quad, quad + one, and many; m = 1 is the fused MulVecInto,
+// m = 3 the tile decode and sweep.
 func TestKernelsStayInsideTheirOperands(t *testing.T) {
 	t.Logf("kernel path: %s", tensor.KernelPath())
 	dims := []int{8, 24, 40, 264}
+	for _, n := range []int{3, 4, 8, 13, 24, 37, 264} {
+		x, y := randTensor(1, n, int64(n)).Data, randTensor(1, n, int64(n+1)).Data
+		gx, gy := guardedFloats(t, x), guardedFloats(t, y)
+		want, got := make([]float32, n), guardedFloats(t, make([]float32, n))
+		check := func(name string) {
+			t.Helper()
+			bitwiseEqual(t, fmt.Sprintf("guarded %s n=%d", name, n), tensor.FromSlice(got, 1, n), tensor.FromSlice(want, 1, n))
+		}
+		tensor.SiLU(want, x)
+		tensor.SiLU(got, gx)
+		check("SiLU")
+		tensor.SiLUGrad(want, x, y)
+		tensor.SiLUGrad(got, gx, gy)
+		check("SiLUGrad")
+		if s, gs := tensor.ExpShift(want, x, 0.25), tensor.ExpShift(got, gx, 0.25); s != gs {
+			t.Fatalf("guarded ExpShift n=%d: sum %v, want %v", n, gs, s)
+		}
+		check("ExpShift")
+		tensor.FromSlice(want, 1, n).AddInPlace(tensor.FromSlice(y, 1, n))
+		tensor.FromSlice(got, 1, n).AddInPlace(tensor.FromSlice(gy, 1, n))
+		check("AddInPlace")
+		tensor.SiLUMul(x, y)
+		tensor.SiLUMul(gx, gy)
+		copy(want, x)
+		copy(got, gx)
+		check("SiLUMul")
+	}
 	for _, n := range append(dims, 13) {
 		c := tensor.NewAdamWStep(1, 0.9, 0.999, 1e-8, 0.01, 0.1)
 		want := [4][]float32{}

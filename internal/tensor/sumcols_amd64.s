@@ -5,7 +5,9 @@
 // float32 sum from +0, multiply rounded and then add rounded (VMULPS then
 // VADDPS, never FMA), with the same a == 0 skip as the Go twin sumColsGo.
 // After it, the AdamW update, lanes the parameter's elements, the twin of
-// adamWGo.
+// adamWGo; the gradient accumulation, the twin of AddInPlace's loop; and the
+// exact vector exp under the sigmoid and shifted-exp kernels, the twin of
+// math.Exp.
 
 // func cpuHasAVX2() bool
 //
@@ -36,6 +38,19 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	ANDL $1, BX
 	MOVB BX, ret+0(FP)
 done:
+	RET
+
+// func cpuHasFMA() bool
+//
+// CPUID.1:ECX bit 12. Asked only once cpuHasAVX2 has said the OS saves YMM
+// state, which is what FMA's VEX encoding needs besides the bit.
+TEXT ·cpuHasFMA(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	SHRL $12, CX
+	ANDL $1, CX
+	MOVB CX, ret+0(FP)
 	RET
 
 // MAC(off, acc, tmp): acc += a[k] (broadcast in Y8) × eight columns of the
@@ -231,5 +246,265 @@ adamloop:
 	JNZ  adamloop
 
 adamdone:
+	VZEROUPPER
+	RET
+
+// func addAVX2(dst, src *float32, n int)
+//
+// dst[0:n] += src[0:n], n a multiple of 8: one correctly rounded float32 add
+// an element, as AddInPlace's Go loop, 32 elements an iteration and then 8.
+TEXT ·addAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+
+add32:
+	CMPQ CX, $32
+	JLT  add8
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	VADDPS  (SI), Y0, Y0
+	VADDPS  32(SI), Y1, Y1
+	VADDPS  64(SI), Y2, Y2
+	VADDPS  96(SI), Y3, Y3
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, SI
+	SUBQ $32, CX
+	JMP  add32
+
+add8:
+	CMPQ CX, $8
+	JLT  adddone
+	VMOVUPS (DI), Y0
+	VADDPS  (SI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	SUBQ $8, CX
+	JMP  add8
+
+adddone:
+	VZEROUPPER
+	RET
+
+// The exact vector exp. math.Exp on amd64 (exp_amd64.s) is Shibata's
+// SIMD-suitable method run one lane at a time. Where math takes its FMA
+// path, EXP4 is that path's instruction sequence four float64 lanes wide,
+// with its constants spelled as math spells them, so every lane rounds
+// exactly as math.Exp rounds that input:
+//
+//	k  = nearest-even int32 of x·LOG2E                 MULSD, CVTSD2SL
+//	r  = (x − k·LN2U) − k·LN2L, each step one rounding  VFNMADD231SD ×2
+//	r ×= 0.0625
+//	p  = the VFMADD213SD chain, 1/8! … 1/3!, 1/2, 1
+//	y  = r·p, then y ← y·(y+2) three times, then y ← (y+2)·y + 1 fused
+//	exp = y · 2^k, 2^k built as (k + 0x3ff) << 52
+//
+// EXP4 holds only for |x| ≤ 708: no special value, and k in [-1021, 1021],
+// so 2^k is a normal float64 — the only way math's own path goes for those
+// inputs. EXPCHECK sends a group holding any other lane, NaN included, away
+// before EXP4 sees it, and the Go caller computes that group through
+// math.Exp itself.
+//
+// expconst holds each constant four times over, one ymm operand each.
+#define EXPCONST(off, val) \
+	DATA expconst<>+(off)(SB)/8, val; \
+	DATA expconst<>+(off+8)(SB)/8, val; \
+	DATA expconst<>+(off+16)(SB)/8, val; \
+	DATA expconst<>+(off+24)(SB)/8, val
+
+EXPCONST(0, $1.4426950408889634073599246810018920)                     // LOG2E
+EXPCONST(32, $0.69314718055966295651160180568695068359375)             // LN2U, ln 2's upper half
+EXPCONST(64, $0.28235290563031577122588448175013436025525412068e-12)   // LN2L, its lower half
+EXPCONST(96, $0.0625)
+EXPCONST(128, $2.4801587301587301587e-5) // 1/8!
+EXPCONST(160, $1.9841269841269841270e-4) // 1/7!
+EXPCONST(192, $1.3888888888888888889e-3) // 1/6!
+EXPCONST(224, $8.3333333333333333333e-3) // 1/5!
+EXPCONST(256, $4.1666666666666666667e-2) // 1/4!
+EXPCONST(288, $1.6666666666666666667e-1) // 1/3!
+EXPCONST(320, $0.5)
+EXPCONST(352, $1.0)
+EXPCONST(384, $2.0)
+EXPCONST(416, $0x3ff)              // the exponent bias, int64 lanes
+EXPCONST(448, $708.0)              // the bound of EXP4's inputs
+EXPCONST(480, $0x7fffffffffffffff) // |x|
+EXPCONST(512, $0x8000000000000000) // −x
+DATA expconst<>+544(SB)/4, $0x3f800000 // float32 1
+GLOBL expconst<>(SB), RODATA|NOPTR, $548
+
+// EXPCHECK(x, t, away): jump to away unless every lane of x has |x| ≤ 708
+// (a NaN compares unordered, so it jumps). t and AX are clobbered.
+#define EXPCHECK(x, t, away) \
+	VANDPD    expconst<>+480(SB), x, t; \
+	VCMPPD    $0x16, expconst<>+448(SB), t, t; \
+	VMOVMSKPD t, AX; \
+	TESTL     AX, AX; \
+	JNZ       away
+
+// EXP4(x, t, k, kx): x = exp(x) in four float64 lanes, each |x| ≤ 708, in
+// the steps listed above; t and k are clobbered, kx is k's low half.
+#define EXP4(x, t, k, kx) \
+	VMULPD       expconst<>+0(SB), x, t; \
+	VCVTPD2DQY   t, kx; \
+	VCVTDQ2PD    kx, t; \
+	VFNMADD231PD expconst<>+32(SB), t, x; \
+	VFNMADD231PD expconst<>+64(SB), t, x; \
+	VMULPD       expconst<>+96(SB), x, x; \
+	VMOVUPD      expconst<>+128(SB), t; \
+	VFMADD213PD  expconst<>+160(SB), x, t; \
+	VFMADD213PD  expconst<>+192(SB), x, t; \
+	VFMADD213PD  expconst<>+224(SB), x, t; \
+	VFMADD213PD  expconst<>+256(SB), x, t; \
+	VFMADD213PD  expconst<>+288(SB), x, t; \
+	VFMADD213PD  expconst<>+320(SB), x, t; \
+	VFMADD213PD  expconst<>+352(SB), x, t; \
+	VMULPD       t, x, x; \
+	VADDPD       expconst<>+384(SB), x, t; \
+	VMULPD       t, x, x; \
+	VADDPD       expconst<>+384(SB), x, t; \
+	VMULPD       t, x, x; \
+	VADDPD       expconst<>+384(SB), x, t; \
+	VMULPD       t, x, x; \
+	VADDPD       expconst<>+384(SB), x, t; \
+	VFMADD213PD  expconst<>+352(SB), t, x; \
+	VPMOVSXDQ    kx, k; \
+	VPADDQ       expconst<>+416(SB), k, k; \
+	VPSLLQ       $52, k, k; \
+	VMULPD       k, x, x
+
+// func expAVX2(dst, x *float64, n int) int
+//
+// dst[i] = exp(x[i]) over float64s, four an iteration, n a multiple of 4. It
+// returns n or the start of the first group EXPCHECK turned away. It is EXP4
+// with nothing around it: the gate's probe of math.Exp and the tests' sweep
+// over every float32 read it.
+TEXT ·expAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	XORQ BX, BX
+
+exp64loop:
+	CMPQ BX, CX
+	JGE  exp64done
+	VMOVUPD (SI)(BX*8), Y0
+	EXPCHECK(Y0, Y1, exp64done)
+	EXP4(Y0, Y1, Y2, X2)
+	VMOVUPD Y0, (DI)(BX*8)
+	ADDQ $4, BX
+	JMP  exp64loop
+
+exp64done:
+	MOVQ BX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func sigmoidAVX2(dst, x, y *float32, n, op int) int
+//
+// Four elements an iteration: s = float32(1 / (1 + exp(−float64(x)))), the
+// exp by EXP4 and the add and divide correctly rounded in float64, as Go's
+// operators are; then op's float32 products in sigmoidGo's order:
+//
+//	opSiLU      dst = x·s
+//	opSiLUMul   dst = (x·s)·y
+//	opSiLUGrad  dst = y·(s + (x·s)·(1 − s))
+//
+// n is a multiple of 4. It returns how many elements it wrote: n, or the
+// start of the first group EXPCHECK turned away.
+TEXT ·sigmoidAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DX
+	MOVQ n+24(FP), CX
+	MOVQ op+32(FP), R8
+	VMOVUPD      expconst<>+352(SB), Y15 // float64 1
+	VBROADCASTSS expconst<>+544(SB), X14 // float32 1
+	XORQ BX, BX
+
+sigloop:
+	CMPQ BX, CX
+	JGE  sigdone
+	VMOVUPS   (SI)(BX*4), X3
+	VCVTPS2PD X3, Y0
+	VXORPD    expconst<>+512(SB), Y0, Y0
+	EXPCHECK(Y0, Y1, sigdone)
+	EXP4(Y0, Y1, Y2, X2)
+	VADDPD     Y15, Y0, Y0
+	VDIVPD     Y0, Y15, Y0
+	VCVTPD2PSY Y0, X0
+	VMULPS     X0, X3, X1
+	CMPQ R8, $1
+	JEQ  sigmul
+	CMPQ R8, $2
+	JEQ  siggrad
+	VMOVUPS X1, (DI)(BX*4)
+	ADDQ $4, BX
+	JMP  sigloop
+
+sigmul:
+	VMULPS  (DX)(BX*4), X1, X1
+	VMOVUPS X1, (DI)(BX*4)
+	ADDQ $4, BX
+	JMP  sigloop
+
+siggrad:
+	VSUBPS  X0, X14, X4
+	VMULPS  X4, X1, X1
+	VADDPS  X1, X0, X1
+	VMULPS  (DX)(BX*4), X1, X1
+	VMOVUPS X1, (DI)(BX*4)
+	ADDQ $4, BX
+	JMP  sigloop
+
+sigdone:
+	MOVQ BX, ret+40(FP)
+	VZEROUPPER
+	RET
+
+// func expShiftAVX2(dst, x *float32, n int, m float32, sum float64) (done int, total float64)
+//
+// Four elements an iteration: e = exp(float64(x − m)), the difference a
+// float32 subtraction and the exp by EXP4; dst = float32(e), and sum += e
+// lane by lane in ascending order, as expShiftGo adds. n is a multiple of 4;
+// done is n or the start of the first group EXPCHECK turned away, total the
+// sum over dst[0:done].
+TEXT ·expShiftAVX2(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSS m+24(FP), X14
+	VMOVSD sum+32(FP), X15
+	XORQ BX, BX
+
+exploop:
+	CMPQ BX, CX
+	JGE  expdone
+	VMOVUPS   (SI)(BX*4), X0
+	VSUBPS    X14, X0, X0
+	VCVTPS2PD X0, Y0
+	EXPCHECK(Y0, Y1, expdone)
+	EXP4(Y0, Y1, Y2, X2)
+	VCVTPD2PSY   Y0, X1
+	VMOVUPS      X1, (DI)(BX*4)
+	VADDSD       X0, X15, X15
+	VPERMILPD    $1, X0, X1
+	VADDSD       X1, X15, X15
+	VEXTRACTF128 $1, Y0, X0
+	VADDSD       X0, X15, X15
+	VPERMILPD    $1, X0, X1
+	VADDSD       X1, X15, X15
+	ADDQ $4, BX
+	JMP  exploop
+
+expdone:
+	MOVQ   BX, done+40(FP)
+	VMOVSD X15, total+48(FP)
 	VZEROUPPER
 	RET

@@ -171,11 +171,25 @@ func (t *Tensor) mustSameShape(o *Tensor, op string) {
 	}
 }
 
-// AddInPlace adds o into t elementwise.
+// AddInPlace adds o into t elementwise; o may be t itself, but no other
+// overlap of the two. Each element is one float32 add, so on amd64 with AVX2
+// whole groups of 8 go to addAVX2 and only what len%8 leaves over to addGo,
+// its reference.
 func (t *Tensor) AddInPlace(o *Tensor) {
 	t.mustSameShape(o, "AddInPlace")
-	for i, v := range o.Data {
-		t.Data[i] += v
+	n8 := 0
+	if useAVX2 {
+		if n8 = len(o.Data) &^ 7; n8 > 0 {
+			_ = t.Data[n8-1]
+			addAVX2(&t.Data[0], &o.Data[0], n8)
+		}
+	}
+	addGo(t.Data[n8:], o.Data[n8:])
+}
+
+func addGo(dst, src []float32) {
+	for i, v := range src {
+		dst[i] += v
 	}
 }
 

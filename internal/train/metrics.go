@@ -6,6 +6,7 @@ import (
 	ag "edgellm/internal/autograd"
 	"edgellm/internal/data"
 	"edgellm/internal/nn"
+	"edgellm/internal/tensor"
 )
 
 // Perplexity converts a mean cross-entropy (nats/token) to perplexity.
@@ -44,6 +45,7 @@ func EvalPerplexityWith(forward func([][]int) *ag.Value, batches [][][]int, targ
 // option scoring.
 func SequenceLogProb(logits *ag.Value, targets []int, ignoreIndex int) float64 {
 	n, vocab := logits.Data.Rows(), logits.Data.Cols()
+	e := make([]float32, vocab) // the row's exps; only their float64 sum is read
 	var sum float64
 	for i := 0; i < n; i++ {
 		t := targets[i]
@@ -58,11 +60,7 @@ func SequenceLogProb(logits *ag.Value, targets []int, ignoreIndex int) float64 {
 				maxV = v
 			}
 		}
-		var denom float64
-		for j := 0; j < vocab; j++ {
-			denom += math.Exp(float64(row[j] - maxV))
-		}
-		sum += float64(row[t]-maxV) - math.Log(denom)
+		sum += float64(row[t]-maxV) - math.Log(tensor.ExpShift(e, row, maxV))
 	}
 	return sum
 }

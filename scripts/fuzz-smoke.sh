@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
-# Fuzz every Fuzz* target in the module for 10 s each (about two and a half
-# minutes in all). `go test ./...` already runs each target over its seed corpus; this
+# Fuzz every Fuzz* target in the module for 10 s each (about three minutes in
+# all). `go test ./...` already runs each target over its seed corpus; this
 # lets the engine mutate — the loaders of outside bytes (checkpoint, snapshot,
 # adapter, packed weights, the /v1/generate body) get inputs no seed holds,
 # and the packed matmul kernel gets shapes, widths and data no table test
 # lists, each held to the dense kernel over Unpack bit for bit; the three
 # assembly kernels (FuzzSumCols, FuzzPackedSIMD, FuzzAdamW) get shapes,
 # strides, base alignments, optimizer steps and special values, each held to
-# its Go twin; and the one-pass
+# its Go twin; the two kernels over the vector exp (FuzzSigmoid: SiLU,
+# SiLUMul, SiLUGrad; FuzzExpShift: dst and the in-order sum, in place too)
+# get lengths, alignments, input scales, m and special values, each held to
+# its math.Exp loop; and the one-pass
 # sampler (FuzzSampleLogits) gets rows full of ties, NaN, ±Inf, extreme
 # temperatures and every K, held to the selection-sort reference on the token
 # and on the RNG state it leaves. A crasher is

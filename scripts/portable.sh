@@ -5,8 +5,10 @@
 # takes assembly"). An amd64 box runs 386 binaries natively, so GOARCH=386 is
 # the one place the Go fallback executes the whole decoder identity suite
 # (chunked == token-at-a-time == legacy, batched == solo, packed ==
-# fake-quant) and the training tests on the Go AdamW twin and on the Go
-# SumCols under attention and the backward matmuls, and the one place the
+# fake-quant) and the training tests on the Go AdamW twin, on the Go
+# SumCols under attention and the backward matmuls and on the math.Exp loops
+# under SiLU and softmax (sumcols_other.go stubs every assembly routine), and
+# the one place the
 # loaders' size arithmetic meets a 32-bit int. arm64 is built and vetted,
 # not run. go vet on the host checks the assembly's frames against their Go
 # declarations (asmdecl). A few minutes.
