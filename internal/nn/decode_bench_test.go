@@ -167,3 +167,21 @@ func benchPrefill64(b *testing.B, d *Decoder) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.N*prompt)/b.Elapsed().Seconds(), "tok/s")
 }
+
+// BenchmarkAttendStep512 is one decode step of 32 rows at position 511 of
+// fullCacheDecoder's model: attention at the fan-out threshold, small
+// weights. CI's bench-kernels job reports it at 1 and 4 procs, report-only.
+func BenchmarkAttendStep512(b *testing.B) {
+	d, slots := fullCacheDecoder(32)
+	defer d.Close()
+	tokens := make([]int, len(slots))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range slots {
+			d.arena.lens[s] = d.m.Cfg.MaxSeq - 1
+		}
+		if _, err := d.StepBatch(tokens, slots); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

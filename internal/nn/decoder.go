@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"edgellm/internal/tensor"
 )
@@ -425,56 +423,27 @@ func rmsnormRow(hRow, xRow, gain []float32, eps float32) {
 	}
 }
 
-// slotParallelThreshold is the per-StepBatch attention MAC count above which
-// the per-row loops fan out to worker goroutines. Rows are independent (the
-// arena is only read here — every row's K/V was written before — and scratch
-// rows are disjoint), so the fan-out cannot change results at any GOMAXPROCS.
-// About a millisecond of the column-lane loop (EXPERIMENTS.md, fan-out
-// thresholds): back to back two chunks win from 2^17, but inside a step the
-// second P has parked between fan-outs, and batch-8 and 16-row prefill steps
-// whose attention calls reach 2^22 measured no faster fanned out than left
-// serial.
-const slotParallelThreshold = 1 << 22
-
-// attendAll runs attendSlot for every batch row of layer l, fanning out to
-// worker goroutines over contiguous row chunks when the attention work is
-// large enough. The serial path allocates nothing.
+// attendAll runs attendSlot for every batch row of layer l, fanned out over
+// bands of rows by tensor.Bands when the attention work reaches its
+// threshold. Rows are independent (the arena is only read here — every row's
+// K/V was written before — and scratch rows are disjoint), so the fan-out
+// cannot change results at any GOMAXPROCS. The serial path allocates nothing.
 func (d *Decoder) attendAll(l, B int, slots []int, heads, hd int, scale float32, q, ctx []float32) {
-	workers := 1
-	if B > 1 {
-		var macs int
-		for _, p := range d.pos[:B] {
-			macs += 2 * (p + 1) * d.m.Cfg.Dim
-		}
-		if macs >= slotParallelThreshold {
-			workers = runtime.GOMAXPROCS(0)
-			if workers > B {
-				workers = B
-			}
-		}
+	var macs int
+	for _, p := range d.pos[:B] {
+		macs += 2 * (p + 1) * d.m.Cfg.Dim
 	}
-	if workers <= 1 {
+	if workers := tensor.BandWorkers(B, 1, macs); workers <= 1 {
 		for i, s := range slots {
 			d.attendSlot(l, i, s, heads, hd, scale, q, ctx)
 		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (B + workers - 1) / workers
-	for lo := 0; lo < B; lo += chunk {
-		hi := lo + chunk
-		if hi > B {
-			hi = B
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
+	} else {
+		tensor.Bands(B, 1, workers, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				d.attendSlot(l, i, slots[i], heads, hd, scale, q, ctx)
 			}
-		}(lo, hi)
+		})
 	}
-	wg.Wait()
 }
 
 // addRows adds src's first len(src) elements into x element-wise.

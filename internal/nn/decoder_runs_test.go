@@ -3,7 +3,6 @@ package nn
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -11,12 +10,8 @@ import (
 	"edgellm/internal/tensor"
 )
 
-// runsTestCfg was sized so that a 16-row step took the parallel paths at
-// GOMAXPROCS > 1. Since the thresholds went to half a millisecond of work
-// or more (2^23 MACs a matmul, 2^22 an attention step) no model a test can
-// afford does, and the fan-outs are pinned where they live:
-// banded matmuls in internal/tensor, the attention fan-out in
-// TestAttendAllFanOutMatchesSerial.
+// runsTestCfg reaches no fan-out (2^23 MACs a call); the fan-outs are pinned
+// in internal/tensor and in TestAttendAllFanOutMatchesSerial.
 func runsTestCfg() Config {
 	return Config{Vocab: 96, Dim: 128, Heads: 4, Layers: 2, Hidden: 512, MaxSeq: 40}
 }
@@ -253,42 +248,44 @@ func TestDecoderRunValidation(t *testing.T) {
 	rowsBitsEqual(t, "run after rejections", rows[0], want)
 }
 
-// TestAttendAllFanOutMatchesSerial drives one attention call big enough to
-// cross slotParallelThreshold — 16 rows at position 511 of a 256-wide model,
-// 2^22 MACs — serially and fanned out over 4 procs: rows are independent, so
-// the context rows must agree bit for bit.
-func TestAttendAllFanOutMatchesSerial(t *testing.T) {
+// fullCacheDecoder returns a decoder with all B slots acquired over a
+// MaxSeq-512 model with small weights, where attention is the work: 32 rows
+// at position 511 of its 256-wide model are 2^23 attention MACs a layer.
+func fullCacheDecoder(B int) (*Decoder, []int) {
 	cfg := Config{Vocab: 32, Dim: 256, Heads: 8, Layers: 1, Hidden: 64, MaxSeq: 512}
-	const B = 16
-	if macs := B * 2 * cfg.MaxSeq * cfg.Dim; macs < slotParallelThreshold {
-		t.Fatalf("attention work %d is below slotParallelThreshold %d: nothing here would fan out", macs, slotParallelThreshold)
-	}
 	d := NewBatchDecoder(NewModel(cfg, tensor.NewRNG(5)), B, nil)
-	defer d.Close()
 	slots := make([]int, B)
 	for i := range slots {
-		s, err := d.Acquire()
-		if err != nil {
-			t.Fatal(err)
-		}
-		slots[i] = s
+		slots[i], _ = d.Acquire() // B slots of a B-slot decoder: cannot fail
+	}
+	return d, slots
+}
+
+// TestAttendAllFanOutMatchesSerial drives one attention call big enough to
+// cross the fan-out threshold — 32 rows at position 511 of
+// fullCacheDecoder's model — serially and fanned out over 4 procs: rows are
+// independent, so the context rows must agree bit for bit.
+func TestAttendAllFanOutMatchesSerial(t *testing.T) {
+	const B = 32
+	d, slots := fullCacheDecoder(B)
+	defer d.Close()
+	cfg := d.m.Cfg
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	if macs := B * 2 * cfg.MaxSeq * cfg.Dim; tensor.BandWorkers(B, 1, macs) < 2 {
+		t.Fatalf("attention work %d is below the fan-out threshold: nothing here would fan out", macs)
+	}
+	for i := range slots {
 		d.pos[i] = cfg.MaxSeq - 1 // every row attends over a full cache
 	}
 	g := tensor.NewRNG(6)
 	copy(d.arena.k.Data, g.Normal(0, 1, len(d.arena.k.Data)).Data)
 	copy(d.arena.v.Data, g.Normal(0, 1, len(d.arena.v.Data)).Data)
 	q := g.Normal(0, 1, B, cfg.Dim).Data
-	hd := cfg.Dim / cfg.Heads
 	attend := func(procs int) []float32 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		ctx := make([]float32, B*cfg.Dim)
-		d.attendAll(0, B, slots, cfg.Heads, hd, 0.25, q, ctx)
+		d.attendAll(0, B, slots, cfg.Heads, cfg.Dim/cfg.Heads, 0.25, q, ctx)
 		return ctx
 	}
-	serial, fanned := attend(1), attend(4)
-	for i := range serial {
-		if math.Float32bits(serial[i]) != math.Float32bits(fanned[i]) {
-			t.Fatalf("context element %d: serial %v, fanned out %v", i, serial[i], fanned[i])
-		}
-	}
+	rowsBitsEqual(t, "fanned out vs serial context", attend(4), attend(1))
 }

@@ -1,14 +1,12 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 )
-
-// detSize is chosen so m·n·k is exactly parallelThreshold, forcing the
-// banded parallel path even on the smallest matrices the tests can afford.
-const detRows, detCols, detInner = 128, 128, 512
 
 func bitsEqual(t *testing.T, name string, a, b *Tensor) {
 	t.Helper()
@@ -22,62 +20,85 @@ func bitsEqual(t *testing.T, name string, a, b *Tensor) {
 	}
 }
 
-// withGOMAXPROCS runs fn at the given parallelism and restores the old one.
-func withGOMAXPROCS(n int, fn func()) {
-	old := runtime.GOMAXPROCS(n)
-	defer runtime.GOMAXPROCS(old)
-	fn()
-}
+// detRows·detCols·detInner is exactly parallelThreshold, so the kernels
+// below band even on the smallest matrices the tests can afford.
+const detRows, detCols, detInner = 128, 128, 512
 
-// runBoth evaluates kernel at GOMAXPROCS(1) and GOMAXPROCS(≥8) into two
-// fresh outputs and returns them for bitwise comparison.
-func runBoth(outShape [2]int, kernel func(out *Tensor)) (serial, parallel *Tensor) {
-	serial = New(outShape[0], outShape[1])
-	parallel = New(outShape[0], outShape[1])
-	withGOMAXPROCS(1, func() { kernel(serial) })
-	workers := runtime.NumCPU()
-	if workers < 8 {
-		workers = 8 // force multiple bands even on small CI machines
+// checkAcrossGOMAXPROCS runs kernel at GOMAXPROCS 1 and at ≥ 8 (so it bands
+// even on a small machine) and requires both bitwise equal to ref, the
+// kernel's single-band reference.
+func checkAcrossGOMAXPROCS(t *testing.T, name string, kernel, ref func(out *Tensor)) {
+	t.Helper()
+	if detRows*detCols*detInner < parallelThreshold {
+		t.Fatalf("%d·%d·%d is below parallelThreshold %d: nothing here would fan out", detRows, detCols, detInner, parallelThreshold)
 	}
-	withGOMAXPROCS(workers, func() { kernel(parallel) })
-	return serial, parallel
+	want := New(detRows, detCols)
+	ref(want)
+	for _, procs := range []int{1, max(8, runtime.NumCPU())} {
+		old := runtime.GOMAXPROCS(procs)
+		got := New(detRows, detCols)
+		kernel(got)
+		runtime.GOMAXPROCS(old)
+		bitsEqual(t, fmt.Sprintf("%s procs=%d vs single band", name, procs), got, want)
+	}
 }
 
 func TestDeterminismMatMulIntoAcrossGOMAXPROCS(t *testing.T) {
-	if detRows*detCols*detInner < parallelThreshold {
-		t.Fatalf("det size %d·%d·%d is below parallelThreshold %d: these tests would compare the serial path with itself", detRows, detCols, detInner, parallelThreshold)
-	}
 	g := NewRNG(11)
-	a := g.Normal(0, 1, detRows, detInner)
-	b := g.Normal(0, 1, detInner, detCols)
-	serial, parallel := runBoth([2]int{detRows, detCols}, func(out *Tensor) { MatMulInto(out, a, b) })
-	bitsEqual(t, "MatMulInto", serial, parallel)
+	a, b := g.Normal(0, 1, detRows, detInner), g.Normal(0, 1, detInner, detCols)
+	checkAcrossGOMAXPROCS(t, "MatMulInto",
+		func(out *Tensor) { MatMulInto(out, a, b) },
+		func(out *Tensor) { matmulRows(out, a, b, 0, detRows) })
 }
 
 func TestDeterminismMatMulTIntoAcrossGOMAXPROCS(t *testing.T) {
 	g := NewRNG(12)
-	a := g.Normal(0, 1, detRows, detInner)
-	bT := g.Normal(0, 1, detCols, detInner)
-	serial, parallel := runBoth([2]int{detRows, detCols}, func(out *Tensor) { MatMulTInto(out, a, bT) })
-	bitsEqual(t, "MatMulTInto", serial, parallel)
-
-	// The banded kernel must also agree bitwise with the scalar loop it
-	// replaced, run over the whole row range.
-	ref := New(detRows, detCols)
-	matmulTScalarRef(ref, a, bT)
-	bitsEqual(t, "MatMulTInto vs scalar reference", serial, ref)
+	a, bT := g.Normal(0, 1, detRows, detInner), g.Normal(0, 1, detCols, detInner)
+	checkAcrossGOMAXPROCS(t, "MatMulTInto",
+		func(out *Tensor) { MatMulTInto(out, a, bT) },
+		func(out *Tensor) { matmulTScalarRef(out, a, bT) })
 }
 
 func TestDeterminismTMatMulIntoAcrossGOMAXPROCS(t *testing.T) {
 	g := NewRNG(13)
-	aT := g.Normal(0, 1, detInner, detRows)
-	b := g.Normal(0, 1, detInner, detCols)
-	serial, parallel := runBoth([2]int{detRows, detCols}, func(out *Tensor) { TMatMulInto(out, aT, b) })
-	bitsEqual(t, "TMatMulInto", serial, parallel)
+	aT, b := g.Normal(0, 1, detInner, detRows), g.Normal(0, 1, detInner, detCols)
+	checkAcrossGOMAXPROCS(t, "TMatMulInto",
+		func(out *Tensor) { TMatMulInto(out, aT, b) },
+		func(out *Tensor) { tmatmulRows(out, aT, b, 0, detRows) })
+}
 
-	ref := New(detRows, detCols)
-	tmatmulRows(ref, aT, b, 0, detRows)
-	bitsEqual(t, "TMatMulInto vs single band", serial, ref)
+// TestBandsPartition checks BandWorkers' two cases and Bands' split over a
+// grid of range lengths, grains and worker counts: the bands run, in worker
+// order, tile [0, n) exactly, every one but the last a whole number of
+// grains — so there are at most ceil(n/grain) of them, and a band index past
+// workers panics — and the same inputs give the same bands.
+func TestBandsPartition(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	if w, w1 := BandWorkers(250, 64, parallelThreshold), BandWorkers(250, 64, parallelThreshold-1); w != 4 || w1 != 1 {
+		t.Fatalf("BandWorkers at 8 procs: %d at the threshold (want ceil(250/64) = 4), %d below it (want 1)", w, w1)
+	}
+	split := func(n, grain, workers int) [][2]int {
+		bands := make([][2]int, workers) // a band never run stays [0,0)
+		Bands(n, grain, workers, func(w, lo, hi int) { bands[w] = [2]int{lo, hi} })
+		return bands
+	}
+	for _, n := range []int{1, 2, 7, 8, 63, 64, 65, 250, 264, 513} {
+		for _, grain := range []int{1, 8, 32, 64} {
+			for _, workers := range []int{1, 2, 3, 4, 8, 64} {
+				bands, next := split(n, grain, workers), 0
+				for _, b := range bands {
+					if next < n && b[0] == next && b[1] > next && (b[1] == n || (b[1]-next)%grain == 0) {
+						next = b[1]
+					} else if b != [2]int{} {
+						next = -1 // a band out of place, overlapping or past n
+					}
+				}
+				if next != n || !slices.Equal(split(n, grain, workers), bands) {
+					t.Fatalf("n=%d grain=%d workers=%d: bands %v", n, grain, workers, bands)
+				}
+			}
+		}
+	}
 }
 
 // TestDeterminismIntoKernelsPoolBuffers asserts the Into kernels produce

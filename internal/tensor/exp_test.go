@@ -7,8 +7,6 @@ import (
 	"os/exec"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -111,41 +109,39 @@ func expCheck(v []float32, all bool) string {
 }
 
 // expSweep runs expCheck over the float32 bit patterns 0, stride, 2·stride,
-// … below 2^32 in chunks of 4096 (every product on every 16th chunk),
-// spread over GOMAXPROCS workers, and returns how many inputs it checked,
-// how many chunks failed and the first failure. Every input a kernel hands
-// the vector exp is float64 of a float32 (−x for the sigmoid, x − m for
-// ExpShift), so at stride 1 the float64 check covers all of them.
+// … below 2^32 in chunks of 4096 (every product on every 16th chunk), chunk c
+// on worker c mod GOMAXPROCS, and returns how many inputs it checked, how
+// many chunks failed and the lowest worker's first failure. Every input a
+// kernel hands the vector exp is float64 of a float32 (−x for the sigmoid,
+// x − m for ExpShift), so at stride 1 the float64 check covers all of them.
 func expSweep(stride uint64) (checked, failed int64, first string) {
 	const chunk = 4096
 	total := (1<<32 + stride - 1) / stride
 	chunks := int64((total + chunk - 1) / chunk)
-	var next, done atomic.Int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v := make([]float32, 0, chunk)
-			for c := next.Add(1) - 1; c < chunks; c = next.Add(1) - 1 {
-				v = v[:0]
-				for i := uint64(c) * chunk; i < min(uint64(c+1)*chunk, total); i++ {
-					v = append(v, math.Float32frombits(uint32(i*stride)))
-				}
-				done.Add(int64(len(v)))
-				if msg := expCheck(v, c%16 == 0); msg != "" {
-					mu.Lock()
-					if failed++; first == "" {
-						first = msg
-					}
-					mu.Unlock()
+	workers := runtime.GOMAXPROCS(0)
+	done, fails, firsts := make([]int64, workers), make([]int64, workers), make([]string, workers)
+	Bands(workers, 1, workers, func(w, _, _ int) {
+		v := make([]float32, 0, chunk)
+		for c := int64(w); c < chunks; c += int64(workers) {
+			v = v[:0]
+			for i := uint64(c) * chunk; i < min(uint64(c+1)*chunk, total); i++ {
+				v = append(v, math.Float32frombits(uint32(i*stride)))
+			}
+			done[w] += int64(len(v))
+			if msg := expCheck(v, c%16 == 0); msg != "" {
+				if fails[w]++; firsts[w] == "" {
+					firsts[w] = msg
 				}
 			}
-		}()
+		}
+	})
+	for w := range done {
+		checked, failed = checked+done[w], failed+fails[w]
+		if first == "" {
+			first = firsts[w]
+		}
 	}
-	wg.Wait()
-	return done.Load(), failed, first
+	return checked, failed, first
 }
 
 // TestExpKernelsMatchMath holds the vector exp and both kernels over it to

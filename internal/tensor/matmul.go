@@ -14,54 +14,51 @@ import (
 // eight 8-lane accumulators SumCols keeps in registers.
 const blockSize = 64
 
-// parallelThreshold is the MAC count from which the Into kernels fan out
-// bands to worker goroutines: about half a millisecond of AVX2 kernel.
-// Measured at GOMAXPROCS 2 (EXPERIMENTS.md "Packed execution", fan-out
-// thresholds): back to back, two bands draw with one around 2^21 MACs and
-// win from 3M; inside a decode step, where the second P has parked by the
-// time the next matmul arrives, fanning out the 2^22-MAC LM head of a
-// batch-8 step and the 3M-MAC projections of a 16-row prefill step still
+// parallelThreshold is the MAC count from which a kernel fans out bands to
+// worker goroutines: about half a millisecond of AVX2 kernel. Measured at
+// GOMAXPROCS 2 (EXPERIMENTS.md "Packed execution", fan-out thresholds): back
+// to back, two bands draw with one around 2^21 MACs and win from 3M; inside a
+// decode step, where the second P has parked by the time the next call
+// arrives, fanning out the 2^22-MAC LM head of a batch-8 step, the 3M-MAC
+// projections of a 16-row prefill step and 2^22-MAC attention calls still
 // cost more than it saved.
 const parallelThreshold = 1 << 23
 
-// bandRows splits the output-row range [0, m) into contiguous bands and
-// runs fn(lo, hi) for each, in parallel when the kernel is large enough.
-// Each band owns a disjoint set of output rows and every per-row
-// accumulation order is independent of the banding, so results are
-// byte-identical at any GOMAXPROCS — the determinism guarantee the dense
-// matmul kernels share (MatMulTInto through MatMulInto).
-func bandRows(m, macs int, fn func(lo, hi int)) {
-	workers := bandWorkers(m, macs)
-	if workers <= 1 {
-		fn(0, m)
-		return
-	}
-	var wg sync.WaitGroup
-	band := (m + workers - 1) / workers
-	for lo := 0; lo < m; lo += band {
-		hi := min(lo+band, m)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// bandWorkers returns the band count bandRows would fan out to: 1 below the
-// parallel threshold, else GOMAXPROCS capped at the row count. Kernels call
-// it to take an allocation-free serial path without constructing the band
-// closure — the decode hot loop's zero-allocs-per-token pin relies on this.
-func bandWorkers(m, macs int) int {
+// BandWorkers returns how many workers Bands spreads an index range of n
+// over, for a call of macs multiply-adds split in grains of grain indices: 1
+// below parallelThreshold, else GOMAXPROCS capped at ceil(n/grain). Callers
+// check it for 1 before they build the band closure, which keeps the serial
+// path allocation-free — the decode hot loop's zero-allocs-per-token pin
+// relies on this.
+func BandWorkers(n, grain, macs int) int {
 	if macs < parallelThreshold {
 		return 1
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
+	return min(runtime.GOMAXPROCS(0), (n+grain-1)/grain)
+}
+
+// Bands splits the index range [0, n) into at most workers contiguous bands,
+// each a whole number of grains but the last, and runs fn(w, lo, hi) for
+// band w, each on its own goroutine when there are two or more. The split is
+// a pure function of (n, grain, workers). Every caller's bands own disjoint
+// outputs and no element's accumulation order depends on the split, so
+// results are byte-identical at any GOMAXPROCS.
+func Bands(n, grain, workers int, fn func(w, lo, hi int)) {
+	if workers <= 1 {
+		fn(0, 0, n)
+		return
 	}
-	return workers
+	grains := (n + grain - 1) / grain
+	band := (grains + workers - 1) / workers * grain
+	var wg sync.WaitGroup
+	for w, lo := 0, 0; lo < n; w, lo = w+1, lo+band {
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			fn(w, lo, hi)
+		}(w, lo, min(lo+band, n))
+	}
+	wg.Wait()
 }
 
 // MatMul returns a × b for rank-2 tensors, (m,k)×(k,n) → (m,n).
@@ -89,11 +86,11 @@ func MatMulInto(out, a, b *Tensor) {
 	if b.Rows() != k || out.Rows() != m || out.Cols() != n {
 		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch out %v = %v × %v", out.Shape, a.Shape, b.Shape))
 	}
-	if bandWorkers(m, m*n*k) <= 1 {
+	if workers := BandWorkers(m, 1, m*n*k); workers <= 1 {
 		matmulRows(out, a, b, 0, m)
-		return
+	} else {
+		Bands(m, 1, workers, func(_, lo, hi int) { matmulRows(out, a, b, lo, hi) })
 	}
-	bandRows(m, m*n*k, func(lo, hi int) { matmulRows(out, a, b, lo, hi) })
 }
 
 // matmulRows computes out rows [rowLo, rowHi) of a × b, every element
@@ -163,11 +160,11 @@ func TMatMulInto(out, aT, b *Tensor) {
 	if k != k2 || out.Rows() != m || out.Cols() != n {
 		panic(fmt.Sprintf("tensor: TMatMulInto shape mismatch out %v = %vᵀ × %v", out.Shape, aT.Shape, b.Shape))
 	}
-	if bandWorkers(m, m*n*k) <= 1 {
+	if workers := BandWorkers(m, 1, m*n*k); workers <= 1 {
 		tmatmulRows(out, aT, b, 0, m)
-		return
+	} else {
+		Bands(m, 1, workers, func(_, lo, hi int) { tmatmulRows(out, aT, b, lo, hi) })
 	}
-	bandRows(m, m*n*k, func(lo, hi int) { tmatmulRows(out, aT, b, lo, hi) })
 }
 
 // tmatmulRows computes out rows [rowLo, rowHi) of aᵀ × b, every element

@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // PackedBlockCols is the column granule of the packed kernels. Eight b-bit
 // codes are exactly b bytes, so in a matrix whose column count is a
@@ -97,47 +93,18 @@ func MatMulPackedInto(out, a *Tensor, w PackedMat, scratch *PackedScratch) {
 	if scratch == nil {
 		scratch = NewPackedScratch()
 	}
-	workers := packedColWorkers(n, m*n*k)
-	// Bands are whole tiles, so a band boundary never splits a word-aligned
-	// block into two unaligned halves and only the last band has a narrow
-	// tile.
-	band := (n + workers - 1) / workers
-	band = (band + packedTileCols - 1) / packedTileCols * packedTileCols
+	// Bands are whole blockSize-column blocks (a multiple of packedTileCols),
+	// so a band boundary never splits a word-aligned block into two unaligned
+	// halves and only the last band has a narrow tile. Column bands, unlike
+	// the dense kernels' row bands, decode each column of w once at any
+	// worker count.
+	workers := BandWorkers(n, blockSize, m*n*k)
 	bufs := scratch.ensure(workers, k*packedTileCols)
 	if workers <= 1 {
 		matmulPackedCols(out, a, w, bufs[0], 0, n)
-		return
+	} else {
+		Bands(n, blockSize, workers, func(wi, lo, hi int) { matmulPackedCols(out, a, w, bufs[wi], lo, hi) })
 	}
-	var wg sync.WaitGroup
-	wi := 0
-	for lo := 0; lo < n; lo += band {
-		hi := min(lo+band, n)
-		wg.Add(1)
-		go func(tile []float32, lo, hi int) {
-			defer wg.Done()
-			matmulPackedCols(out, a, w, tile, lo, hi)
-		}(bufs[wi], lo, hi)
-		wi++
-	}
-	wg.Wait()
-}
-
-// packedColWorkers is the packed kernels' fan-out: unlike the dense
-// kernels' row banding, the packed kernels band over *output columns* so
-// each worker decodes only its own column range of w — the whole weight is
-// bit-extracted exactly once per matmul at any worker count, where row
-// banding would decode it once per worker. Capped so that no band is
-// narrower than blockSize columns: below that a goroutine costs more than
-// it computes.
-func packedColWorkers(n, macs int) int {
-	if macs < parallelThreshold {
-		return 1
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if blocks := (n + blockSize - 1) / blockSize; workers > blocks {
-		workers = blocks
-	}
-	return workers
 }
 
 // matmulPackedCols computes out columns [jLo, jHi) of a × w (all rows),

@@ -135,10 +135,10 @@ func TestMatMulPackedSpecialActivations(t *testing.T) {
 
 // TestMatMulPackedDeterministicAcrossProcs pins banding determinism: a
 // kernel big enough to fan out must produce byte-identical output at
-// GOMAXPROCS 1 and N, with shared scratch reuse across calls. n = 250 is
-// ragged; n = 264 is a multiple of 8 whose even 2- and 4-way band splits
-// (132, 66) are not, so it fails if a band boundary is not rounded to the
-// block width.
+// GOMAXPROCS 1 and N, with shared scratch reuse across calls. Bands are
+// whole 64-column blocks: n = 250 is ragged, and n = 264 is a multiple of 8
+// whose even 2- and 4-way splits (132, 66) are not, so it fails if a band
+// boundary is not rounded to a block.
 func TestMatMulPackedDeterministicAcrossProcs(t *testing.T) {
 	for _, n := range []int{250, 264} {
 		m, k := 512, 96 // m·k·n ≥ parallelThreshold; n spans 4 column bands
@@ -148,8 +148,7 @@ func TestMatMulPackedDeterministicAcrossProcs(t *testing.T) {
 		pn := quant.PackNF(w, quant.NFScheme{Bits: 4, BlockSize: 32})
 
 		run := func(procs int) (*tensor.Tensor, *tensor.Tensor) {
-			old := runtime.GOMAXPROCS(procs)
-			defer runtime.GOMAXPROCS(old)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			scratch := tensor.NewPackedScratch()
 			u, un := tensor.New(m, n), tensor.New(m, n)
 			tensor.MatMulPackedInto(u, a, p, scratch)

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"sync"
 	"testing"
 
 	"edgellm/internal/obsv"
@@ -79,22 +78,16 @@ func TestPoolPutNilIsNoOp(t *testing.T) {
 // -race it doubles as the pool's data-race check.
 func TestPoolConcurrent(t *testing.T) {
 	p := NewPool()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				a := p.Get(8, 8)
-				b := p.Get(4, 4)
-				a.Data[0] = float32(w)
-				b.Data[0] = float32(i)
-				p.Put(a)
-				p.Put(b)
-			}
-		}(w)
-	}
-	wg.Wait()
+	Bands(8, 1, 8, func(w, _, _ int) {
+		for i := 0; i < 200; i++ {
+			a := p.Get(8, 8)
+			b := p.Get(4, 4)
+			a.Data[0] = float32(w)
+			b.Data[0] = float32(i)
+			p.Put(a)
+			p.Put(b)
+		}
+	})
 	if got := p.Stats().BytesInUse; got != 0 {
 		t.Fatalf("bytes in use after balanced Get/Put %d, want 0", got)
 	}
