@@ -35,8 +35,10 @@ func resolvePackSpecs(m *nn.Model, spec string) ([]nn.PackSpec, string, error) {
 		cands := luc.DefaultCandidates()
 		sens := luc.Probe(m, cands, luc.ProbeOptions{Metric: luc.MetricWeightError})
 		policy := luc.SearchDP(sens, cands, budget)
-		// Apply prunes and fake-quantizes in place so the packed codes are
-		// exactly the policy's surviving quantized weights.
+		// Apply prunes and fake-quantizes in place (group-16 scales); packing
+		// then re-quantizes each layer per column at the policy's width. The
+		// pruned zeros survive, but the packed codes are not LUC's quantized
+		// weights: most of them decode to a different value.
 		info := luc.Apply(m, policy, cands)
 		desc := fmt.Sprintf("luc@%.2f achieved %.2f eff. bits: %s",
 			budget, info.AvgEffectiveBits, policy.Describe(cands))

@@ -18,18 +18,30 @@ func mustStep(t *testing.T, d *Decoder, tok int) []float32 {
 	return row
 }
 
+// TestDecoderMatchesFullForward: stepping a full-MaxSeq sequence through the
+// KV cache gives, at every position, the bits of the autograd forward over
+// the whole sequence — on the tiny model, the runs harness's model, and the
+// hd12 model whose head dimension is not a multiple of 8.
 func TestDecoderMatchesFullForward(t *testing.T) {
-	m := tinyModel(70)
-	seq := []int{3, 1, 4, 1, 5, 9, 2, 6}
-	logitsFull := m.Logits([][]int{seq}).Data
-
-	d := NewDecoder(m)
-	for pos, tok := range seq {
-		row := mustStep(t, d, tok)
-		want := logitsFull.Row(pos)
-		for j := range row {
-			if math.Abs(float64(row[j]-want[j])) > 1e-4 {
-				t.Fatalf("pos %d vocab %d: cached %v vs full %v", pos, j, row[j], want[j])
+	for name, cfg := range map[string]Config{
+		"tiny": tinyConfig(),
+		"runs": runsTestCfg(),
+		"hd12": {Vocab: 96, Dim: 96, Heads: 8, Layers: 2, Hidden: 192, MaxSeq: 44},
+	} {
+		m := NewModel(cfg, tensor.NewRNG(70))
+		seq := make([]int, cfg.MaxSeq)
+		for i := range seq {
+			seq[i] = (7*i + 3) % cfg.Vocab
+		}
+		logitsFull := m.Logits([][]int{seq}).Data
+		d := NewDecoder(m)
+		for pos, tok := range seq {
+			row := mustStep(t, d, tok)
+			want := logitsFull.Row(pos)
+			for j := range row {
+				if math.Float32bits(row[j]) != math.Float32bits(want[j]) {
+					t.Fatalf("%s pos %d vocab %d: cached %v vs full %v", name, pos, j, row[j], want[j])
+				}
 			}
 		}
 	}

@@ -103,17 +103,14 @@ func PackModel(m *Model, specs []PackSpec, pool *tensor.Pool) (*PackedModel, err
 			if len(w.Data) == 0 {
 				return nil, fmt.Errorf("nn: PackModel layer %d weight %d already released", l, wi)
 			}
-			var mat tensor.PackedMat
+			var p *quant.Packed
 			if s.NF {
-				p := quant.PackNF(w, quant.NFScheme{Bits: s.Bits, BlockSize: s.NFBlock})
-				pm.packedBytes += p.StorageBytes()
-				mat = p
+				p = quant.PackNF(w, quant.NFScheme{Bits: s.Bits, BlockSize: s.NFBlock})
 			} else {
-				p := quant.Pack(w, s.Bits)
-				pm.packedBytes += p.StorageBytes()
-				mat = p
+				p = quant.Pack(w, s.Bits)
 			}
-			pm.mats[l][wi] = mat
+			pm.packedBytes += p.StorageBytes()
+			pm.mats[l][wi] = p
 			pm.releasedBytes += int64(len(w.Data)) * 4
 			// Hand the float32 backing to the pool under a detached
 			// header: the live tensor keeps its shape (In/Out and shape

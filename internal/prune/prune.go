@@ -143,24 +143,3 @@ func PruneNMInPlace(t *tensor.Tensor, n, m int) *Mask {
 	mask.Apply(t)
 	return mask
 }
-
-// Error returns the MSE that pruning t at ratio would introduce.
-func Error(t *tensor.Tensor, ratio float64) float64 {
-	pruned := t.Clone()
-	PruneInPlace(pruned, ratio)
-	return tensor.MSE(pruned, t)
-}
-
-// RelativeError normalises Error by the tensor's mean square, matching
-// quant.Scheme.RelativeError so the LUC probe can combine the two.
-func RelativeError(t *tensor.Tensor, ratio float64) float64 {
-	var ms float64
-	for _, v := range t.Data {
-		ms += float64(v) * float64(v)
-	}
-	ms /= float64(t.Len())
-	if ms == 0 {
-		return 0
-	}
-	return Error(t, ratio) / ms
-}

@@ -183,29 +183,21 @@ func TestNMMaskValidation(t *testing.T) {
 func TestErrorMonotoneInRatio(t *testing.T) {
 	g := tensor.NewRNG(5)
 	w := g.Normal(0, 1, 32, 32)
+	pruneErr := func(ratio float64) float64 {
+		p := w.Clone()
+		PruneInPlace(p, ratio)
+		return tensor.MSE(p, w)
+	}
 	prev := -1.0
 	for _, ratio := range []float64{0, 0.2, 0.4, 0.6, 0.8, 1} {
-		e := Error(w, ratio)
+		e := pruneErr(ratio)
 		if e < prev {
 			t.Fatalf("pruning error must grow with ratio: %v < %v at %v", e, prev, ratio)
 		}
 		prev = e
 	}
-	if Error(w, 0) != 0 {
+	if pruneErr(0) != 0 {
 		t.Fatal("zero-ratio pruning must be lossless")
-	}
-}
-
-func TestRelativeErrorNormalised(t *testing.T) {
-	g := tensor.NewRNG(6)
-	w := g.Normal(0, 1, 16, 16)
-	scaled := tensor.Scale(w, 100)
-	a, b := RelativeError(w, 0.5), RelativeError(scaled, 0.5)
-	if math.Abs(a-b) > 1e-6 {
-		t.Fatalf("relative error must be scale-invariant: %v vs %v", a, b)
-	}
-	if RelativeError(tensor.New(4, 4), 0.5) != 0 {
-		t.Fatal("all-zero tensor has zero relative error")
 	}
 }
 

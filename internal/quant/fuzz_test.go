@@ -10,13 +10,15 @@ import (
 	"edgellm/internal/tensor"
 )
 
-// FuzzPackRoundTrip fuzzes Pack/Unpack over bits ∈ [2,8], odd shapes, and
-// degenerate (zero / denormal / huge) columns, checking the invariants the
-// fused kernels and the serving registry rely on:
+// FuzzPackRoundTrip fuzzes Pack/Unpack and, with flag bit 8, PackNF over
+// bits ∈ [2,8], odd shapes, and degenerate (zero / denormal / huge) columns,
+// checking the invariants the fused kernels and the serving registry rely
+// on:
 //
 //  1. DecodeRowsInto tiles are bitwise identical to Unpack.
-//  2. Reconstruction error is bounded by half a quantization step per
-//     element (plus underflow slack for denormal columns).
+//  2. Uniform reconstruction error is bounded by half a quantization step
+//     per element (plus underflow slack for denormal columns); NF decodes
+//     to NFScheme.FakeQuant.
 //  3. Serialization round-trips bitwise through WriteTo/ReadPackedFrom.
 //  4. StorageBytes matches the analytic accounting.
 func FuzzPackRoundTrip(f *testing.F) {
@@ -26,6 +28,8 @@ func FuzzPackRoundTrip(f *testing.F) {
 	f.Add(uint8(8), uint8(64), uint8(3), int64(4), uint8(2))
 	f.Add(uint8(5), uint8(7), uint8(65), int64(5), uint8(3))
 	f.Add(uint8(6), uint8(33), uint8(31), int64(6), uint8(4))
+	f.Add(uint8(2), uint8(24), uint8(16), int64(64), uint8(8)) // NF4, 64-element blocks: the word path
+	f.Add(uint8(1), uint8(9), uint8(13), int64(20), uint8(9))  // NF3, a zero column, ragged blocks
 	f.Fuzz(func(t *testing.T, bitsRaw, rowsRaw, colsRaw uint8, seed int64, flags uint8) {
 		bits := 2 + int(bitsRaw)%7
 		rows := 1 + int(rowsRaw)%64
@@ -48,25 +52,38 @@ func FuzzPackRoundTrip(f *testing.F) {
 			}
 		}
 
-		p := Pack(w, bits)
-		u := p.Unpack()
-		qmax := float64(int(1)<<(bits-1)) - 1
-
-		// Error bound: half a step + float32 rounding slack, or pure
-		// underflow loss when the column's scale collapsed to zero.
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				diff := math.Abs(float64(u.At(r, c)) - float64(w.At(r, c)))
-				s := float64(p.Scale[c])
-				var bound float64
-				if s == 0 {
-					bound = qmax * 1.5e-45 // absMax small enough to underflow
-				} else {
-					bound = 0.51*s + 1e-38
+		var p *Packed
+		var u *tensor.Tensor
+		if flags&8 != 0 { // NF codes, seed-derived scale blocks (0: the whole tensor)
+			s := NFScheme{Bits: bits, BlockSize: int(uint64(seed) % uint64(rows*cols+1))}
+			p = PackNF(w, s)
+			u = p.Unpack()
+			// Unpack == FakeQuant, bitwise, wherever the block is nonzero (a
+			// zero block keeps FakeQuant's ±0 but decodes to +0).
+			want := s.FakeQuant(w)
+			for i, v := range u.Data {
+				if p.Scale[i/p.BlockSize] != 0 && math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("%v (%d,%d) element %d: unpack %v, fake-quant %v", s, rows, cols, i, v, want.Data[i])
 				}
-				if math.IsNaN(diff) || diff > bound {
-					t.Fatalf("bits %d (%d,%d): |%v - %v| = %v exceeds bound %v (scale %v)",
-						bits, r, c, u.At(r, c), w.At(r, c), diff, bound, s)
+			}
+		} else {
+			p = Pack(w, bits)
+			u = p.Unpack()
+			qmax := float64(int(1)<<(bits-1)) - 1
+			// Error bound: half a step + float32 rounding slack, or pure
+			// underflow loss when the column's scale collapsed to zero.
+			for r := 0; r < rows; r++ {
+				for c := 0; c < cols; c++ {
+					diff := math.Abs(float64(u.At(r, c)) - float64(w.At(r, c)))
+					s := float64(p.Scale[c])
+					bound := 0.51*s + 1e-38
+					if s == 0 {
+						bound = qmax * 1.5e-45 // absMax small enough to underflow
+					}
+					if math.IsNaN(diff) || diff > bound {
+						t.Fatalf("bits %d (%d,%d): |%v - %v| = %v exceeds bound %v (scale %v)",
+							bits, r, c, u.At(r, c), w.At(r, c), diff, bound, s)
+					}
 				}
 			}
 		}
@@ -94,14 +111,18 @@ func FuzzPackRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ReadPackedFrom: %v", err)
 		}
-		u2 := m.(*Packed).Unpack()
+		u2 := m.Unpack()
 		for i := range u.Data {
 			if math.Float32bits(u.Data[i]) != math.Float32bits(u2.Data[i]) {
 				t.Fatalf("element %d differs after serialization round trip", i)
 			}
 		}
 
-		if got, want := p.StorageBytes(), PackedStorageBytes(rows, cols, bits); got != want {
+		want := PackedStorageBytes(rows, cols, bits)
+		if p.levels != nil { // block scales in place of column scales, plus the codebook
+			want += 4 * int64((rows*cols+p.BlockSize-1)/p.BlockSize-cols+len(NFScheme{Bits: bits}.Codebook()))
+		}
+		if got := p.StorageBytes(); got != want {
 			t.Fatalf("StorageBytes %d, analytic %d", got, want)
 		}
 	})

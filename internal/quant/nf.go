@@ -3,6 +3,7 @@ package quant
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"edgellm/internal/tensor"
 )
@@ -85,51 +86,81 @@ func (s NFScheme) FakeQuant(t *tensor.Tensor) *tensor.Tensor {
 		block = t.Len()
 	}
 	for start := 0; start < t.Len(); start += block {
-		end := start + block
-		if end > t.Len() {
-			end = t.Len()
-		}
-		var absMax float32
-		for _, v := range t.Data[start:end] {
-			a := v
-			if a < 0 {
-				a = -a
-			}
-			if a > absMax {
-				absMax = a
-			}
-		}
+		end := min(start+block, t.Len())
+		absMax := maxAbs(t.Data[start:end])
 		if absMax == 0 {
 			continue
 		}
 		for i := start; i < end; i++ {
-			out.Data[i] = nearestCode(t.Data[i]/absMax, codes) * absMax
+			out.Data[i] = codes[nearestCodeIdx(t.Data[i]/absMax, codes)] * absMax
 		}
 	}
 	return out
 }
 
-// nearestCode binary-searches the sorted codebook for the closest entry.
-func nearestCode(v float32, codes []float32) float32 {
-	return codes[nearestCodeIdx(v, codes)]
-}
-
-// Error returns the MSE introduced by NF fake-quantization.
-func (s NFScheme) Error(t *tensor.Tensor) float64 {
-	return tensor.MSE(s.FakeQuant(t), t)
-}
-
-// StorageBits returns the stored bits: payload plus one float16 scale per
-// block.
-func (s NFScheme) StorageBits(shape []int) int64 {
-	n := int64(1)
-	for _, d := range shape {
-		n *= int64(d)
+// maxAbs is the largest |v| in xs (NaNs ignored), or 0.
+func maxAbs(xs []float32) float32 {
+	var m float32
+	for _, v := range xs {
+		if v < 0 {
+			v = -v
+		}
+		if v > m {
+			m = v
+		}
 	}
-	block := int64(s.BlockSize)
-	if block <= 0 {
+	return m
+}
+
+// nearestCodeIdx binary-searches the sorted codebook for the index of the
+// closest entry (ties toward the lower code).
+func nearestCodeIdx(v float32, codes []float32) int {
+	i := sort.Search(len(codes), func(i int) bool { return codes[i] >= v })
+	if i == 0 {
+		return 0
+	}
+	if i == len(codes) {
+		return len(codes) - 1
+	}
+	if v-codes[i-1] <= codes[i]-v {
+		return i - 1
+	}
+	return i
+}
+
+// PackNF quantizes t (rank-2) with the NF codebook scheme and packs the
+// code indices into a bit stream, one absmax scale per block of flat
+// row-major elements, exactly as FakeQuant scans them: Unpack equals
+// FakeQuant's output (an all-zero block decodes to +0).
+func PackNF(t *tensor.Tensor, s NFScheme) *Packed {
+	if err := s.Validate(); err != nil {
+		panic(err)
+	}
+	rows, cols := t.Rows(), t.Cols()
+	n := rows * cols
+	block := s.BlockSize
+	if block <= 0 || block > n {
 		block = n
 	}
-	blocks := (n + block - 1) / block
-	return n*int64(s.Bits) + blocks*16
+	codes := s.Codebook()
+	zeroIdx := len(codes) / 2 // the codebook's exact-zero entry
+	p := &Packed{
+		Bits: s.Bits, Rows: rows, Cols: cols, BlockSize: block,
+		Codes:  make([]byte, codeBytes(rows, cols, s.Bits)),
+		Scale:  make([]float32, (n+block-1)/block),
+		levels: codes,
+	}
+	for start := 0; start < n; start += block {
+		end := min(start+block, n)
+		absMax := maxAbs(t.Data[start:end])
+		p.Scale[start/block] = absMax
+		for i := start; i < end; i++ {
+			ci := zeroIdx
+			if absMax != 0 {
+				ci = nearestCodeIdx(t.Data[i]/absMax, codes)
+			}
+			writeBits(p.Codes, i*s.Bits, s.Bits, byte(ci))
+		}
+	}
+	return p
 }

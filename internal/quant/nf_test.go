@@ -89,8 +89,8 @@ func TestNFBeatsUniformOnGaussianWeights(t *testing.T) {
 	g := tensor.NewRNG(2)
 	w := g.Normal(0, 1, 128, 128)
 	for _, bits := range []int{3, 4} {
-		nf := NFScheme{Bits: bits}.Error(w)
-		uni := Scheme{Bits: bits, Symmetric: true}.Error(w)
+		nf := tensor.MSE(NFScheme{Bits: bits}.FakeQuant(w), w)
+		uni := tensor.MSE(Scheme{Bits: bits, Symmetric: true}.FakeQuant(w), w)
 		if nf >= uni {
 			t.Fatalf("nf%d error %.6g not better than uniform %.6g on Gaussian weights", bits, nf, uni)
 		}
@@ -102,8 +102,8 @@ func TestNFUniformWinsOnUniformData(t *testing.T) {
 	// the better match.
 	g := tensor.NewRNG(3)
 	w := g.Uniform(-1, 1, 128, 128)
-	nf := NFScheme{Bits: 4}.Error(w)
-	uni := Scheme{Bits: 4, Symmetric: true}.Error(w)
+	nf := tensor.MSE(NFScheme{Bits: 4}.FakeQuant(w), w)
+	uni := tensor.MSE(Scheme{Bits: 4, Symmetric: true}.FakeQuant(w), w)
 	if uni >= nf {
 		t.Fatalf("uniform grid (%.6g) should beat NF (%.6g) on uniform data", uni, nf)
 	}
@@ -113,17 +113,10 @@ func TestNFBlockingHandlesOutliers(t *testing.T) {
 	g := tensor.NewRNG(4)
 	w := g.Normal(0, 0.1, 64, 8)
 	w.Data[0] = 100 // one outlier poisons a global scale
-	global := NFScheme{Bits: 4}.Error(w)
-	blocked := NFScheme{Bits: 4, BlockSize: 64}.Error(w)
+	global := tensor.MSE(NFScheme{Bits: 4}.FakeQuant(w), w)
+	blocked := tensor.MSE(NFScheme{Bits: 4, BlockSize: 64}.FakeQuant(w), w)
 	if blocked >= global {
 		t.Fatalf("blocked NF (%.6g) must beat global NF (%.6g) with outliers", blocked, global)
-	}
-}
-
-func TestNFStorageBits(t *testing.T) {
-	s := NFScheme{Bits: 4, BlockSize: 64}
-	if got, want := s.StorageBits([]int{128, 64}), int64(128*64*4+128*16); got != want {
-		t.Fatalf("storage %d want %d", got, want)
 	}
 }
 

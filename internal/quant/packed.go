@@ -8,19 +8,29 @@ import (
 	"edgellm/internal/tensor"
 )
 
-// Packed is a real integer-packed representation of a symmetrically
-// quantized rank-2 tensor: sub-byte codes are bit-packed contiguously, with
-// one float32 scale per output channel. It began as proof that the storage
-// accounting used by the experiments corresponds to an actual executable
-// format; since the fused kernels (tensor.MatMulPackedInto) it is also the
-// execution format — Packed implements tensor.PackedMat, so a matmul can
+// Packed is a real integer-packed representation of a quantized rank-2
+// tensor: sub-byte codes are bit-packed contiguously, and element (r, c)
+// decodes to level(code)·scale(r, c). It is both formats LUC can emit —
+// uniform codes (Pack) with one scale per column, and NF codebook indices
+// (PackNF) with one absmax per block of flat elements — and their one
+// execution format: Packed implements tensor.PackedMat, so a matmul can
 // consume the bit stream directly with no float32 weight materialization.
 type Packed struct {
-	Bits  int
-	Rows  int
-	Cols  int
-	Codes []byte    // ceil(Rows*Cols*Bits/8) bytes, row-major bit stream
-	Scale []float32 // one per column
+	Bits int
+	Rows int
+	Cols int
+	// BlockSize is the scale layout: 0 for one scale per column, else one
+	// per BlockSize consecutive row-major elements (1..Rows*Cols).
+	BlockSize int
+	Codes     []byte    // ceil(Rows*Cols*Bits/8) bytes, row-major bit stream
+	Scale     []float32 // per column, or per block
+
+	// levels is a code's unscaled value: nil for uniform codes, whose
+	// level is float32(sext(code)), and NFScheme.Codebook for NF codes —
+	// 2^Bits − 1 entries, so the all-ones code is not an index. PackNF and
+	// ReadPackedFrom both set it and the latter rejects that code: decoding
+	// only reads.
+	levels []float32
 }
 
 // Pack quantizes t (rank-2) symmetrically per channel at the given width
@@ -86,15 +96,43 @@ func Pack(t *tensor.Tensor, bits int) *Packed {
 // Dims implements tensor.PackedMat.
 func (p *Packed) Dims() (int, int) { return p.Rows, p.Cols }
 
+// level is the unscaled value of a code.
+func (p *Packed) level(code int) float32 {
+	if p.levels != nil {
+		return p.levels[code]
+	}
+	if code >= 1<<(p.Bits-1) { // sign-extend
+		code -= 1 << p.Bits
+	}
+	return float32(code)
+}
+
+// scaleAt is the scale of flat element i, which sits in column c.
+func (p *Packed) scaleAt(i, c int) float32 {
+	if p.BlockSize == 0 {
+		return p.Scale[c]
+	}
+	return p.Scale[i/p.BlockSize]
+}
+
 // blockCols is the column-block width of the word path; see
 // tensor.PackedBlockCols.
 const blockCols = tensor.PackedBlockCols
 
-// wordAligned reports whether columns [colLo, colHi) of a cols-wide bit
-// stream are whole 8-column blocks whose every row starts on a byte: a
-// b-bit row of such a block is exactly b bytes, one word load.
-func wordAligned(cols, colLo, colHi int) bool {
-	return cols%blockCols == 0 && colLo%blockCols == 0 && (colHi-colLo)%blockCols == 0
+// wordAligned reports whether columns [colLo, colHi) are whole 8-column
+// blocks whose every row starts on a byte — a b-bit row of such a block is
+// exactly b bytes, one word load — and whose eight columns, flat elements
+// 8i … 8i+7, share one row scale: scale blocks are whole multiples of 8
+// elements.
+func (p *Packed) wordAligned(colLo, colHi int) bool {
+	return p.BlockSize%blockCols == 0 && p.Cols%blockCols == 0 && colLo%blockCols == 0 && (colHi-colLo)%blockCols == 0
+}
+
+// simd reports whether the AVX2 twins of the word-path kernels take p: they
+// decode uniform codes against per-column scales, and a block row has to
+// fit one 32-bit lane (2–4 bits) or be whole bytes (8).
+func (p *Packed) simd() bool {
+	return useAVX2 && p.levels == nil && p.BlockSize == 0 && (p.Bits <= 4 || p.Bits == 8)
 }
 
 // loadWord returns the code bytes at off as a little-endian word: eight of
@@ -122,37 +160,70 @@ type width interface {
 	[2]struct{} | [3]struct{} | [4]struct{}
 }
 
-// simdWidth reports whether the AVX2 twins of the word-path kernels take
-// this code width: a block row has to fit one 32-bit lane (2–4 bits) or be
-// whole bytes (8).
-func simdWidth(bits int) bool { return bits <= 4 || bits == 8 }
+// unitScales stands in for the scales a layout does not vary by: the
+// column scales of a block layout, the row scale of a column layout.
+var unitScales = [blockCols]float32{1, 1, 1, 1, 1, 1, 1, 1}
 
 // blockTable is one column block's dequantization table: entry code·8+j is
-// float32(sext(code))·Scale[colLo+j], exactly the float32 the per-element
-// decode computes for that code in that column. 2^bits rows are in use;
-// the array is sized for 4 bits.
+// level(code)·colScale[j], where colScale is the block's column scales (1
+// for a block layout). 2^bits rows are in use; the array is sized for 4
+// bits. A word-path lookup is then multiplied by the row's scale (1 for a
+// column layout): x·1 == x for every float32, so each decoded weight is
+// exactly level(code)·scale(r, c), the per-element decode's product.
 type blockTable [16 * blockCols]float32
 
 func (p *Packed) fillBlockTable(d *blockTable, colLo int) {
-	scale := p.Scale[colLo : colLo+blockCols]
+	colScale := unitScales[:]
+	if p.BlockSize == 0 {
+		colScale = p.Scale[colLo : colLo+blockCols]
+	}
 	n := 1 << p.Bits
+	if p.levels != nil {
+		n = len(p.levels)
+	}
 	for code := 0; code < n; code++ {
-		q := int32(code)
-		if code >= n/2 { // sign-extend
-			q -= int32(n)
-		}
-		qf := float32(q)
+		lv := p.level(code)
 		row := d[code*blockCols : (code+1)*blockCols]
-		for j, s := range scale {
-			row[j] = qf * s
+		for j, s := range colScale {
+			row[j] = lv * s
 		}
+	}
+}
+
+// scaleCursor walks the row scale of one column block down the rows: the
+// flat index grows by Cols a row, tracked as quotient and remainder of the
+// block size so the row loop never divides. A column layout walks
+// unitScales[0] with no step.
+type scaleCursor struct {
+	idx, rem          int
+	dIdx, dRem, block int
+}
+
+// rowScales returns the slice a cursor indexes and the cursor at (row, col).
+func (p *Packed) rowScales(row, col int) ([]float32, scaleCursor) {
+	if p.BlockSize == 0 {
+		return unitScales[:1], scaleCursor{block: 1}
+	}
+	flat := row*p.Cols + col
+	return p.Scale, scaleCursor{
+		idx: flat / p.BlockSize, rem: flat % p.BlockSize,
+		dIdx: p.Cols / p.BlockSize, dRem: p.Cols % p.BlockSize, block: p.BlockSize,
+	}
+}
+
+func (c *scaleCursor) nextRow() {
+	c.idx += c.dIdx
+	if c.rem += c.dRem; c.rem >= c.block {
+		c.rem -= c.block
+		c.idx++
 	}
 }
 
 // decodeBlocks is DecodeRowsInto for a word-aligned tile at width W, one
 // column block at a time: a table per block, then per row one word load
-// and eight lookups. mask selects a code pre-multiplied by the table's row
-// width, from a word shifted left by 3 to match.
+// and eight lookups times the row scale. mask selects a code
+// pre-multiplied by the table's row width, from a word shifted left by 3
+// to match.
 func decodeBlocks[W width](p *Packed, dst []float32, rowLo, rowHi, colLo, colHi int) {
 	var z W
 	bits := uint(len(z))
@@ -163,23 +234,25 @@ func decodeBlocks[W width](p *Packed, dst []float32, rowLo, rowHi, colLo, colHi 
 	for c := colLo; c < colHi; c += blockCols {
 		p.fillBlockTable(&d, c)
 		off := rowLo*rowBytes + c/blockCols*int(bits)
+		rs, sc := p.rowScales(rowLo, c)
 		for i := c - colLo; i < (rowHi-rowLo)*stride; i += stride {
-			w := loadWord(codes, off) << 3
+			w, s := loadWord(codes, off)<<3, rs[sc.idx]
 			off += rowBytes
+			sc.nextRow()
 			t := (*[blockCols]float32)(dst[i:])
-			t[0] = d[w&mask]
-			t[1] = d[w>>bits&mask+1]
-			t[2] = d[w>>(2*bits)&mask+2]
-			t[3] = d[w>>(3*bits)&mask+3]
-			t[4] = d[w>>(4*bits)&mask+4]
-			t[5] = d[w>>(5*bits)&mask+5]
-			t[6] = d[w>>(6*bits)&mask+6]
-			t[7] = d[w>>(7*bits)&mask+7]
+			t[0] = d[w&mask] * s
+			t[1] = d[w>>bits&mask+1] * s
+			t[2] = d[w>>(2*bits)&mask+2] * s
+			t[3] = d[w>>(3*bits)&mask+3] * s
+			t[4] = d[w>>(4*bits)&mask+4] * s
+			t[5] = d[w>>(5*bits)&mask+5] * s
+			t[6] = d[w>>(6*bits)&mask+6] * s
+			t[7] = d[w>>(7*bits)&mask+7] * s
 		}
 	}
 }
 
-// mulVecBlocks is MulVecInto at width W: decodeBlocks' lookups feed the
+// mulVecBlocks is MulVecInto at width W: decodeBlocks' products feed the
 // eight running sums directly, so a decoded weight never leaves a
 // register.
 func mulVecBlocks[W width](p *Packed, out, a []float32, colLo, colHi int) {
@@ -192,30 +265,32 @@ func mulVecBlocks[W width](p *Packed, out, a []float32, colLo, colHi int) {
 	for c := colLo; c < colHi; c += blockCols {
 		p.fillBlockTable(&d, c)
 		off := c / blockCols * int(bits)
+		rs, sc := p.rowScales(0, c)
 		var s0, s1, s2, s3, s4, s5, s6, s7 float32
 		for _, av := range a {
-			w := loadWord(codes, off) << 3
+			w, s := loadWord(codes, off)<<3, rs[sc.idx]
 			off += rowBytes
+			sc.nextRow()
 			if av == 0 {
 				continue
 			}
-			s0 += av * d[w&mask]
-			s1 += av * d[w>>bits&mask+1]
-			s2 += av * d[w>>(2*bits)&mask+2]
-			s3 += av * d[w>>(3*bits)&mask+3]
-			s4 += av * d[w>>(4*bits)&mask+4]
-			s5 += av * d[w>>(5*bits)&mask+5]
-			s6 += av * d[w>>(6*bits)&mask+6]
-			s7 += av * d[w>>(7*bits)&mask+7]
+			s0 += av * (d[w&mask] * s)
+			s1 += av * (d[w>>bits&mask+1] * s)
+			s2 += av * (d[w>>(2*bits)&mask+2] * s)
+			s3 += av * (d[w>>(3*bits)&mask+3] * s)
+			s4 += av * (d[w>>(4*bits)&mask+4] * s)
+			s5 += av * (d[w>>(5*bits)&mask+5] * s)
+			s6 += av * (d[w>>(6*bits)&mask+6] * s)
+			s7 += av * (d[w>>(7*bits)&mask+7] * s)
 		}
 		o := (*[blockCols]float32)(out[c-colLo:])
 		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
 	}
 }
 
-// mulVecBytes is MulVecInto at 8 bits: a block row is eight bytes, each
-// converted and scaled on the way into its sum. (A 256-row table would
-// cost more to build per block than it saves below k ≈ 400.)
+// mulVecBytes is MulVecInto for 8-bit uniform codes: a block row is eight
+// bytes, each converted and scaled on the way into its sum. (A 256-row
+// table would cost more to build per block than it saves below k ≈ 400.)
 func (p *Packed) mulVecBytes(out, a []float32, colLo, colHi int) {
 	for c := colLo; c < colHi; c += blockCols {
 		sc := (*[blockCols]float32)(p.Scale[c:])
@@ -243,10 +318,10 @@ func (p *Packed) mulVecBytes(out, a []float32, colLo, colHi int) {
 
 // MulVecInto implements tensor.PackedMat.
 func (p *Packed) MulVecInto(out, a []float32, colLo, colHi int) bool {
-	if !wordAligned(p.Cols, colLo, colHi) {
+	if !p.wordAligned(colLo, colHi) {
 		return false
 	}
-	if useAVX2 && simdWidth(p.Bits) {
+	if p.simd() {
 		p.mulVecSIMD(out, a, colLo, colHi)
 		return true
 	}
@@ -256,14 +331,14 @@ func (p *Packed) MulVecInto(out, a []float32, colLo, colHi int) bool {
 // mulVecGo is MulVecInto's reference for a word-aligned band, and the
 // kernel wherever the AVX2 one is not.
 func (p *Packed) mulVecGo(out, a []float32, colLo, colHi int) bool {
-	switch p.Bits {
-	case 2:
+	switch {
+	case p.Bits == 2:
 		mulVecBlocks[[2]struct{}](p, out, a, colLo, colHi)
-	case 3:
+	case p.Bits == 3:
 		mulVecBlocks[[3]struct{}](p, out, a, colLo, colHi)
-	case 4:
+	case p.Bits == 4:
 		mulVecBlocks[[4]struct{}](p, out, a, colLo, colHi)
-	case 8:
+	case p.Bits == 8 && p.levels == nil && p.BlockSize == 0:
 		p.mulVecBytes(out, a, colLo, colHi)
 	default:
 		return false
@@ -274,12 +349,12 @@ func (p *Packed) mulVecGo(out, a []float32, colLo, colHi int) bool {
 // DecodeRowsInto implements tensor.PackedMat: it dequantizes the tile
 // rows [rowLo,rowHi) × cols [colLo,colHi) into dst, row-major with stride
 // colHi-colLo, bitwise identical to the same elements of Unpack. A
-// word-aligned tile of 2–4-bit codes decodes through decodeBlocks; bits=8
-// codes are bytes and convert in place; anything else — widths 5–7, a
-// matrix whose width is not a multiple of 8, a tile cut inside a block —
-// decodes per element through the two-byte-window extractor.
+// word-aligned tile of 2–4-bit codes decodes through decodeBlocks; anything
+// else — widths 5–8, a matrix whose width is not a multiple of 8, a tile
+// cut inside a block, a scale block that is not a multiple of 8 — decodes
+// per element through the two-byte-window extractor.
 func (p *Packed) DecodeRowsInto(dst []float32, rowLo, rowHi, colLo, colHi int) {
-	if useAVX2 && simdWidth(p.Bits) && wordAligned(p.Cols, colLo, colHi) {
+	if p.simd() && p.wordAligned(colLo, colHi) {
 		p.decodeSIMD(dst, rowLo, rowHi, colLo, colHi)
 		return
 	}
@@ -289,7 +364,7 @@ func (p *Packed) DecodeRowsInto(dst []float32, rowLo, rowHi, colLo, colHi int) {
 // decodeGo is DecodeRowsInto's reference, and the decoder wherever the AVX2
 // one is not.
 func (p *Packed) decodeGo(dst []float32, rowLo, rowHi, colLo, colHi int) {
-	if wordAligned(p.Cols, colLo, colHi) {
+	if p.wordAligned(colLo, colHi) {
 		switch p.Bits {
 		case 2:
 			decodeBlocks[[2]struct{}](p, dst, rowLo, rowHi, colLo, colHi)
@@ -302,40 +377,20 @@ func (p *Packed) decodeGo(dst []float32, rowLo, rowHi, colLo, colHi int) {
 			return
 		}
 	}
-	w := colHi - colLo
-	scale := p.Scale[colLo:colHi]
-	if p.Bits == 8 {
-		for r := rowLo; r < rowHi; r++ {
-			codes := p.Codes[r*p.Cols+colLo : r*p.Cols+colHi]
-			drow := dst[(r-rowLo)*w : (r-rowLo)*w+w]
-			for c, b := range codes {
-				drow[c] = float32(int8(b)) * scale[c]
-			}
-		}
-		return
-	}
 	p.decodeElems(dst, rowLo, rowHi, colLo, colHi)
 }
 
-// decodeElems decodes a tile one element at a time through the two-byte
-// window extractor: any width, any alignment.
+// decodeElems decodes a tile one element at a time, level(code)·scale(r, c)
+// through the two-byte-window extractor: any width, any alignment, the
+// reference every other decode matches.
 func (p *Packed) decodeElems(dst []float32, rowLo, rowHi, colLo, colHi int) {
 	w := colHi - colLo
-	scale := p.Scale[colLo:colHi]
-	bits := p.Bits
-	signBit := byte(1 << (bits - 1))
-	off := int32(1) << bits
 	for r := rowLo; r < rowHi; r++ {
-		pos := (r*p.Cols + colLo) * bits
+		base := r*p.Cols + colLo
 		drow := dst[(r-rowLo)*w : (r-rowLo)*w+w]
 		for c := range drow {
-			code := readBits(p.Codes, pos, bits)
-			pos += bits
-			q := int32(code)
-			if code&signBit != 0 { // sign-extend
-				q -= off
-			}
-			drow[c] = float32(q) * scale[c]
+			code := readBits(p.Codes, (base+c)*p.Bits, p.Bits)
+			drow[c] = p.level(int(code)) * p.scaleAt(base+c, colLo+c)
 		}
 	}
 }
@@ -348,9 +403,9 @@ func (p *Packed) Unpack() *tensor.Tensor {
 }
 
 // StorageBytes returns the bytes held by the packed representation
-// (codes + scales).
+// (codes + scales + an NF codebook).
 func (p *Packed) StorageBytes() int64 {
-	return int64(len(p.Codes)) + int64(len(p.Scale))*4
+	return int64(len(p.Codes)) + int64(len(p.Scale))*4 + int64(len(p.levels))*4
 }
 
 // PackedStorageBytes is the analytic size of a Packed artifact for a

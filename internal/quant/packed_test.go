@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -55,20 +54,18 @@ func TestWordWiseBitsMatchBitLoop(t *testing.T) {
 }
 
 // refDecode is the decode oracle, independent of every production decode
-// path: the bit-loop extractor, then the format's defining expression.
-func refDecode(m tensor.PackedMat, r, c int) float32 {
-	switch p := m.(type) {
-	case *Packed:
-		q := int32(refReadBits(p.Codes, (r*p.Cols+c)*p.Bits, p.Bits))
-		if q >= 1<<(p.Bits-1) {
-			q -= 1 << p.Bits
-		}
-		return float32(q) * p.Scale[c]
-	case *PackedNF:
-		flat := r*p.Cols + c
-		return p.codebook[refReadBits(p.Codes, flat*p.Bits, p.Bits)] * p.Scale[flat/p.BlockSize]
+// path: the bit-loop extractor, then each kind's defining expression.
+func refDecode(p *Packed, r, c int) float32 {
+	flat := r*p.Cols + c
+	code := refReadBits(p.Codes, flat*p.Bits, p.Bits)
+	if p.levels != nil {
+		return p.levels[code] * p.Scale[flat/p.BlockSize]
 	}
-	panic("unknown packed format")
+	q := int32(code)
+	if q >= 1<<(p.Bits-1) {
+		q -= 1 << p.Bits
+	}
+	return float32(q) * p.Scale[c]
 }
 
 // TestDecodeRowsIntoMatchesUnpack pins the tile decoder, and Unpack with
@@ -78,13 +75,9 @@ func refDecode(m tensor.PackedMat, r, c int) float32 {
 // one block, several, the last (whose final rows load a short word) — and
 // the per-element path on tiles cut inside a block.
 func TestDecodeRowsIntoMatchesUnpack(t *testing.T) {
-	type pm interface {
-		tensor.PackedMat
-		Unpack() *tensor.Tensor
-	}
 	for _, cols := range []int{53, 56} {
 		w := randWeights(37, cols, 7)
-		variants := map[string]pm{}
+		variants := map[string]*Packed{}
 		for bits := 2; bits <= 8; bits++ {
 			variants[fmt.Sprintf("uniform%d", bits)] = Pack(w, bits)
 		}
@@ -198,7 +191,7 @@ func TestPackedSerializationRoundTrip(t *testing.T) {
 	uni := Pack(w, 3)
 	nf := PackNF(w, NFScheme{Bits: 4, BlockSize: 16})
 
-	for name, p := range map[string]packedArtifact{"uniform": uni, "nf": nf} {
+	for name, p := range map[string]*Packed{"uniform": uni, "nf": nf} {
 		var buf bytes.Buffer
 		wrote, err := p.WriteTo(&buf)
 		if err != nil {
@@ -214,7 +207,7 @@ func TestPackedSerializationRoundTrip(t *testing.T) {
 		if buf.Len() != 0 {
 			t.Fatalf("%s: ReadPackedFrom left %d of %d bytes unread", name, buf.Len(), wrote)
 		}
-		gotT := m.(interface{ Unpack() *tensor.Tensor }).Unpack()
+		gotT := m.Unpack()
 		wantT := p.Unpack()
 		for i := range wantT.Data {
 			if math.Float32bits(gotT.Data[i]) != math.Float32bits(wantT.Data[i]) {
@@ -222,11 +215,6 @@ func TestPackedSerializationRoundTrip(t *testing.T) {
 			}
 		}
 	}
-}
-
-type packedArtifact interface {
-	io.WriterTo
-	Unpack() *tensor.Tensor
 }
 
 func TestPackedSerializationRejectsCorruption(t *testing.T) {
@@ -317,12 +305,11 @@ func TestReadPackedNFIsReadyToDecode(t *testing.T) {
 	if _, err := PackNF(w, NFScheme{Bits: 4, BlockSize: 64}).WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadPackedFrom(&buf)
+	nf, err := ReadPackedFrom(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nf := m.(*PackedNF)
-	if nf.codebook == nil {
+	if nf.levels == nil {
 		t.Fatal("loaded NF artifact has no codebook until its first decode")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.NumCPU())))

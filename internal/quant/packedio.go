@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"edgellm/internal/artifact"
-	"edgellm/internal/tensor"
 )
 
 // A packed weight matrix is an artifact (DESIGN.md, "Artifacts") of kind
@@ -33,27 +32,21 @@ const (
 )
 
 // WriteTo serialises the packed matrix as a packed artifact, implementing
-// io.WriterTo.
+// io.WriterTo. The kind is NF when p carries a codebook, else uniform.
 func (p *Packed) WriteTo(w io.Writer) (int64, error) {
-	return writePacked(w, packedKindUniform, p.Bits, p.Rows, p.Cols, 0, p.Scale, p.Codes)
-}
-
-// WriteTo serialises the packed matrix as a packed artifact, implementing
-// io.WriterTo.
-func (p *PackedNF) WriteTo(w io.Writer) (int64, error) {
-	return writePacked(w, packedKindNF, p.Bits, p.Rows, p.Cols, p.BlockSize, p.Scale, p.Codes)
-}
-
-func writePacked(w io.Writer, kind, bits, rows, cols, block int, scale []float32, codes []byte) (int64, error) {
+	kind := packedKindUniform
+	if p.levels != nil {
+		kind = packedKindNF
+	}
 	aw := artifact.NewWriter(w, packedMagic)
-	hdr := []uint32{uint32(kind)<<8 | uint32(bits), uint32(rows), uint32(cols), uint32(block), uint32(len(scale)), uint32(len(codes))}
+	hdr := []uint32{uint32(kind)<<8 | uint32(p.Bits), uint32(p.Rows), uint32(p.Cols), uint32(p.BlockSize), uint32(len(p.Scale)), uint32(len(p.Codes))}
 	if err := binary.Write(aw, binary.LittleEndian, hdr); err != nil {
 		return aw.Size(), fmt.Errorf("quant: write packed header: %w", err)
 	}
-	if err := binary.Write(aw, binary.LittleEndian, scale); err != nil {
+	if err := binary.Write(aw, binary.LittleEndian, p.Scale); err != nil {
 		return aw.Size(), fmt.Errorf("quant: write packed scales: %w", err)
 	}
-	if _, err := aw.Write(codes); err != nil {
+	if _, err := aw.Write(p.Codes); err != nil {
 		return aw.Size(), fmt.Errorf("quant: write packed codes: %w", err)
 	}
 	if err := aw.Close(); err != nil {
@@ -63,11 +56,11 @@ func writePacked(w io.Writer, kind, bits, rows, cols, block int, scale []float32
 }
 
 // ReadPackedFrom reads one packed artifact written by WriteTo, verifying
-// the checksum before returning. The result is a *Packed or *PackedNF (both
-// tensor.PackedMat). Truncated, bit-flipped, or malformed artifacts fail
-// with a diagnostic error — never a panic — and the header's counts are
-// cross-checked against its shape before a byte of payload is read.
-func ReadPackedFrom(r io.Reader) (tensor.PackedMat, error) {
+// the checksum before returning; either kind loads as a *Packed.
+// Truncated, bit-flipped, or malformed artifacts fail with a diagnostic
+// error — never a panic — and the header's counts are cross-checked
+// against its shape before a byte of payload is read.
+func ReadPackedFrom(r io.Reader) (*Packed, error) {
 	ar, err := artifact.NewReader(r, packedMagic)
 	if err != nil {
 		return nil, fmt.Errorf("quant: not an edgellm packed-weight artifact: %w", err)
@@ -122,16 +115,16 @@ func ReadPackedFrom(r io.Reader) (tensor.PackedMat, error) {
 	for i := range scale {
 		scale[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
+	p := &Packed{Bits: bits, Rows: int(rows), Cols: int(cols), BlockSize: int(block), Codes: codes, Scale: scale}
 	if kind == packedKindNF {
-		cb := NFScheme{Bits: bits}.Codebook()
+		p.levels = NFScheme{Bits: bits}.Codebook()
 		for i := 0; i < int(rows*cols); i++ {
-			if code := int(readBits(codes, i*bits, bits)); code >= len(cb) {
-				return nil, fmt.Errorf("quant: packed NF code %d at element %d is outside the %d-entry codebook", code, i, len(cb))
+			if code := int(readBits(codes, i*bits, bits)); code >= len(p.levels) {
+				return nil, fmt.Errorf("quant: packed NF code %d at element %d is outside the %d-entry codebook", code, i, len(p.levels))
 			}
 		}
-		return &PackedNF{Bits: bits, Rows: int(rows), Cols: int(cols), BlockSize: int(block), Codes: codes, Scale: scale, codebook: cb}, nil
 	}
-	return &Packed{Bits: bits, Rows: int(rows), Cols: int(cols), Codes: codes, Scale: scale}, nil
+	return p, nil
 }
 
 // WritePackedFile writes a packed artifact atomically, so a crashed save

@@ -1,9 +1,9 @@
-// Package quant implements the uniform quantizers used by Edge-LLM's
-// layerwise unified compression (LUC): symmetric and asymmetric affine
-// quantization at 2–8 bits, with per-tensor, per-channel, or grouped scale
-// granularity, plus the fake-quant (quantize→dequantize) transform the
-// compression pass applies to frozen backbone weights and the error metrics
-// the sensitivity probe is built on.
+// Package quant implements the quantizers used by Edge-LLM's layerwise
+// unified compression (LUC): symmetric and asymmetric affine quantization at
+// 2–8 bits, with per-tensor, per-channel, or grouped scale granularity, and
+// the NF codebook quantizer; the fake-quant (quantize→dequantize) transform
+// the compression pass applies to frozen backbone weights; and Packed, the
+// one bit-packed format both kinds of code execute in.
 package quant
 
 import (
@@ -155,54 +155,4 @@ func (s Scheme) FakeQuant(t *tensor.Tensor) *tensor.Tensor {
 // FakeQuantInPlace overwrites t with its fake-quantized version.
 func (s Scheme) FakeQuantInPlace(t *tensor.Tensor) {
 	t.CopyFrom(s.FakeQuant(t))
-}
-
-// Error returns the mean squared error introduced by fake-quantizing t.
-func (s Scheme) Error(t *tensor.Tensor) float64 {
-	return tensor.MSE(s.FakeQuant(t), t)
-}
-
-// RelativeError returns the quantization MSE normalised by the tensor's
-// mean square value, making errors comparable across layers of different
-// magnitude — the form LUC's sensitivity probe uses.
-func (s Scheme) RelativeError(t *tensor.Tensor) float64 {
-	var ms float64
-	for _, v := range t.Data {
-		ms += float64(v) * float64(v)
-	}
-	ms /= float64(t.Len())
-	if ms == 0 {
-		return 0
-	}
-	return s.Error(t) / ms
-}
-
-// numScales returns how many scale parameters the scheme stores for shape.
-func (s Scheme) numScales(shape []int) int64 {
-	if !s.PerChannel || len(shape) != 2 {
-		return 1
-	}
-	rows, cols := int64(shape[0]), int64(shape[1])
-	group := int64(s.GroupSize)
-	if group <= 0 || group > rows {
-		group = rows
-	}
-	groups := (rows + group - 1) / group
-	return cols * groups
-}
-
-// StorageBits returns the total stored bits for a tensor of the given shape
-// under the scheme: payload bits plus float16 scales (and zero-points for
-// asymmetric schemes).
-func (s Scheme) StorageBits(shape []int) int64 {
-	n := int64(1)
-	for _, d := range shape {
-		n *= int64(d)
-	}
-	bits := n * int64(s.Bits)
-	overheadPerScale := int64(16)
-	if !s.Symmetric {
-		overheadPerScale += 16 // zero-point
-	}
-	return bits + s.numScales(shape)*overheadPerScale
 }

@@ -100,7 +100,7 @@ func TestMoreBitsLessError(t *testing.T) {
 	w := g.Normal(0, 1, 64, 64)
 	prev := math.Inf(1)
 	for _, bits := range []int{2, 3, 4, 6, 8} {
-		e := Scheme{Bits: bits, Symmetric: true}.Error(w)
+		e := tensor.MSE(Scheme{Bits: bits, Symmetric: true}.FakeQuant(w), w)
 		if e >= prev {
 			t.Fatalf("error must fall with bits: int%d %.6g ≥ %.6g", bits, e, prev)
 		}
@@ -119,8 +119,8 @@ func TestPerChannelBeatsPerTensorOnScaledChannels(t *testing.T) {
 			w.Set(r, c, w.At(r, c)*scale)
 		}
 	}
-	pt := Scheme{Bits: 4, Symmetric: true}.RelativeError(w)
-	pc := Scheme{Bits: 4, Symmetric: true, PerChannel: true}.RelativeError(w)
+	pt := tensor.MSE(Scheme{Bits: 4, Symmetric: true}.FakeQuant(w), w)
+	pc := tensor.MSE(Scheme{Bits: 4, Symmetric: true, PerChannel: true}.FakeQuant(w), w)
 	if pc >= pt {
 		t.Fatalf("per-channel (%.4g) must beat per-tensor (%.4g) here", pc, pt)
 	}
@@ -133,8 +133,8 @@ func TestGroupedBeatsPerChannelOnOutliers(t *testing.T) {
 	for c := 0; c < 4; c++ {
 		w.Set(0, c, 50)
 	}
-	pc := Scheme{Bits: 4, Symmetric: true, PerChannel: true}.Error(w)
-	gr := Scheme{Bits: 4, Symmetric: true, PerChannel: true, GroupSize: 8}.Error(w)
+	pc := tensor.MSE(Scheme{Bits: 4, Symmetric: true, PerChannel: true}.FakeQuant(w), w)
+	gr := tensor.MSE(Scheme{Bits: 4, Symmetric: true, PerChannel: true, GroupSize: 8}.FakeQuant(w), w)
 	if gr >= pc {
 		t.Fatalf("grouped (%.4g) must beat per-channel (%.4g) with outliers", gr, pc)
 	}
@@ -143,8 +143,8 @@ func TestGroupedBeatsPerChannelOnOutliers(t *testing.T) {
 func TestAsymmetricBeatsSymmetricOnShiftedData(t *testing.T) {
 	g := tensor.NewRNG(7)
 	w := g.Uniform(3, 5, 32, 32) // all-positive, far from zero
-	sym := Scheme{Bits: 4, Symmetric: true}.Error(w)
-	asym := Scheme{Bits: 4}.Error(w)
+	sym := tensor.MSE(Scheme{Bits: 4, Symmetric: true}.FakeQuant(w), w)
+	asym := tensor.MSE(Scheme{Bits: 4}.FakeQuant(w), w)
 	if asym >= sym {
 		t.Fatalf("asymmetric (%.4g) must beat symmetric (%.4g) on shifted data", asym, sym)
 	}
@@ -160,25 +160,6 @@ func TestConstantTensorQuantizesExactly(t *testing.T) {
 	qz := Scheme{Bits: 2, Symmetric: true}.FakeQuant(z)
 	if qz.AbsMax() != 0 {
 		t.Fatal("all-zero tensor must stay zero")
-	}
-}
-
-func TestStorageBits(t *testing.T) {
-	shape := []int{64, 32}
-	// per-tensor symmetric: payload + one fp16 scale
-	s := Scheme{Bits: 4, Symmetric: true}
-	if got, want := s.StorageBits(shape), int64(64*32*4+16); got != want {
-		t.Fatalf("per-tensor bits %d want %d", got, want)
-	}
-	// per-channel grouped: one scale per (column × group)
-	s = Scheme{Bits: 4, Symmetric: true, PerChannel: true, GroupSize: 16}
-	if got, want := s.StorageBits(shape), int64(64*32*4+32*4*16); got != want {
-		t.Fatalf("grouped bits %d want %d", got, want)
-	}
-	// asymmetric adds zero-points
-	s = Scheme{Bits: 8, PerChannel: true}
-	if got, want := s.StorageBits(shape), int64(64*32*8+32*(16+16)); got != want {
-		t.Fatalf("asym bits %d want %d", got, want)
 	}
 }
 
@@ -213,7 +194,7 @@ func TestPropQuantErrorNonNegativeAndBounded(t *testing.T) {
 		g := tensor.NewRNG(seed)
 		w := g.Normal(0, 1, 8, 8)
 		s := Scheme{Bits: bits, Symmetric: sym}
-		e := s.Error(w)
+		e := tensor.MSE(s.FakeQuant(w), w)
 		// error is non-negative and below the tensor's mean square (weak
 		// but universal bound for ≥2-bit quantization of a full-range
 		// signal)

@@ -1,5 +1,5 @@
 // Packed-kernel tests live in an external test package so they can build
-// real quant.Packed/PackedNF matrices; the quant package imports tensor,
+// real quant.Packed matrices of both kinds; the quant package imports tensor,
 // so the internal package cannot.
 package tensor_test
 
