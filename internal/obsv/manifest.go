@@ -29,8 +29,9 @@ type Manifest struct {
 	// empty for tools that predate or don't expose the knob.
 	Pool string `json:"pool,omitempty"`
 	// Kernel records the code path under the matmul kernels
-	// (tensor.KernelPath: "avx2" or "go"), so a timing in the stream is
-	// attributable to it. Set by the tool: tensor imports this package.
+	// (tensor.KernelPath: "avx512", "avx2" or "go"), so a timing in the
+	// stream is attributable to it. Set by the tool: tensor imports this
+	// package.
 	Kernel string `json:"kernel,omitempty"`
 	// Govern records whether the resource governor was active
 	// ("on"/"off"), empty for runs that predate the knob.

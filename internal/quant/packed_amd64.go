@@ -4,7 +4,7 @@ import "edgellm/internal/tensor"
 
 // useAVX2 follows the tensor kernels: one CPUID read, in tensor, decides for
 // both packages.
-var useAVX2 = tensor.KernelPath() == "avx2"
+var useAVX2 = tensor.HasAVX2()
 
 //go:noescape
 func mulVecAVX2(out *float32, nBlocks int, a *float32, k int, codes *byte, rowBytes int, scale *float32, bits int)

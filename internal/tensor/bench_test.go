@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // benchSize is the square matmul edge used by the kernel benchmarks. 512³
 // MACs (128M) is far above parallelThreshold, so the banded parallel path
@@ -77,6 +80,26 @@ func BenchmarkKernelTMatMulSerial512(b *testing.B) {
 			out.Data[j] = 0
 		}
 		tmatmulRows(out, x, y, 0, benchSize)
+	}
+}
+
+// BenchmarkKernelMatMulRows times MatMulInto at the two row counts the tile
+// kernel serves: a 16-row prefill chunk through a 256 × 768 projection, and
+// a 128-row training matmul through tune_window's 128 × 384 MLP matrix.
+// Both stay below parallelThreshold, so this is one band's kernel speed,
+// reported as GMAC/s; the 0 allocs/op is gated, the speed is report-only.
+func BenchmarkKernelMatMulRows(b *testing.B) {
+	for _, sh := range [][3]int{{16, 256, 768}, {128, 128, 384}} {
+		m, k, n := sh[0], sh[1], sh[2]
+		b.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(b *testing.B) {
+			g := NewRNG(4)
+			x, y, out := g.Normal(0, 1, m, k), g.Normal(0, 1, k, n), New(m, n)
+			b.ReportAllocs()
+			for b.Loop() {
+				MatMulInto(out, x, y)
+			}
+			b.ReportMetric(float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+		})
 	}
 }
 

@@ -26,21 +26,23 @@ const detRows, detCols, detInner = 128, 128, 512
 
 // checkAcrossGOMAXPROCS runs kernel at GOMAXPROCS 1 and at ≥ 8 (so it bands
 // even on a small machine) and requires both bitwise equal to ref, the
-// kernel's single-band reference.
+// kernel's single-band reference, under every kernel of this host.
 func checkAcrossGOMAXPROCS(t *testing.T, name string, kernel, ref func(out *Tensor)) {
 	t.Helper()
 	if detRows*detCols*detInner < parallelThreshold {
 		t.Fatalf("%d·%d·%d is below parallelThreshold %d: nothing here would fan out", detRows, detCols, detInner, parallelThreshold)
 	}
-	want := New(detRows, detCols)
-	ref(want)
-	for _, procs := range []int{1, max(8, runtime.NumCPU())} {
-		old := runtime.GOMAXPROCS(procs)
-		got := New(detRows, detCols)
-		kernel(got)
-		runtime.GOMAXPROCS(old)
-		bitsEqual(t, fmt.Sprintf("%s procs=%d vs single band", name, procs), got, want)
-	}
+	eachTileMode(func(path string) {
+		want := New(detRows, detCols)
+		ref(want)
+		for _, procs := range []int{1, max(8, runtime.NumCPU())} {
+			old := runtime.GOMAXPROCS(procs)
+			got := New(detRows, detCols)
+			kernel(got)
+			runtime.GOMAXPROCS(old)
+			bitsEqual(t, fmt.Sprintf("%s %s procs=%d vs single band", path, name, procs), got, want)
+		}
+	})
 }
 
 func TestDeterminismMatMulIntoAcrossGOMAXPROCS(t *testing.T) {

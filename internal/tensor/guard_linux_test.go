@@ -47,8 +47,10 @@ func guardedFloats(t *testing.T, src []float32) []float32 {
 // exactly at an unmapped page, and checks the results against the same calls
 // over ordinary memory. A kernel that loads 4 bytes of a 3-byte block row,
 // or 32 where 8 columns are left, dies here with SIGSEGV. k and n cover one
-// block, a ragged quad, quad + one, and many; m = 1 is the fused MulVecInto,
-// m = 3 the tile decode and sweep.
+// block, a ragged quad, quad + one, and many, and n one and eight whole
+// 32-column tiles as well; m = 1 is the fused MulVecInto, m = 3 the tile
+// decode and sweep, m ∈ {16, 17, 19} the AVX-512 tile kernel's calls with 0,
+// 1 and 3 rows left over — each matmul under every kernel of this host.
 func TestKernelsStayInsideTheirOperands(t *testing.T) {
 	t.Logf("kernel path: %s", tensor.KernelPath())
 	dims := []int{8, 24, 40, 264}
@@ -99,34 +101,37 @@ func TestKernelsStayInsideTheirOperands(t *testing.T) {
 				tensor.FromSlice(got[i], 1, n), tensor.FromSlice(want[i], 1, n))
 		}
 	}
-	for _, k := range dims {
-		for _, n := range dims {
-			for _, m := range []int{1, 3} {
-				a, w := randTensor(m, k, int64(k+n)), randTensor(k, n, int64(k*n))
-				want := tensor.New(m, n)
-				ga := tensor.FromSlice(guardedFloats(t, a.Data), m, k)
-				gw := tensor.FromSlice(guardedFloats(t, w.Data), k, n)
-				got := tensor.FromSlice(guardedFloats(t, want.Data), m, n)
+	tensor.EachTileMode(func(path string) {
+		for _, k := range dims {
+			for _, n := range append(dims, 32, 256) {
+				for _, m := range []int{1, 3, 16, 17, 19} {
+					a, w := randTensor(m, k, int64(k+n)), randTensor(k, n, int64(k*n))
+					want := tensor.New(m, n)
+					ga := tensor.FromSlice(guardedFloats(t, a.Data), m, k)
+					gw := tensor.FromSlice(guardedFloats(t, w.Data), k, n)
+					got := tensor.FromSlice(guardedFloats(t, want.Data), m, n)
+					name := fmt.Sprintf("%s (%d,%d,%d)", path, m, k, n)
 
-				tensor.MatMulInto(want, a, w)
-				tensor.MatMulInto(got, ga, gw)
-				bitwiseEqual(t, fmt.Sprintf("guarded MatMulInto (%d,%d,%d)", m, k, n), got, want)
+					tensor.MatMulInto(want, a, w)
+					tensor.MatMulInto(got, ga, gw)
+					bitwiseEqual(t, "guarded MatMulInto "+name, got, want)
 
-				aT := tensor.Transpose(a)
-				gaT := tensor.FromSlice(guardedFloats(t, aT.Data), k, m)
-				tensor.TMatMulInto(got, gaT, gw)
-				bitwiseEqual(t, fmt.Sprintf("guarded TMatMulInto (%d,%d,%d)", m, k, n), got, want)
+					aT := tensor.Transpose(a)
+					gaT := tensor.FromSlice(guardedFloats(t, aT.Data), k, m)
+					tensor.TMatMulInto(got, gaT, gw)
+					bitwiseEqual(t, "guarded TMatMulInto "+name, got, want)
 
-				for _, bits := range []int{2, 3, 4, 8} {
-					p := quant.Pack(w, bits)
-					gp := &quant.Packed{Bits: bits, Rows: k, Cols: n, Scale: guardedFloats(t, p.Scale)}
-					gp.Codes = guarded(t, len(p.Codes))
-					copy(gp.Codes, p.Codes)
-					tensor.MatMulPackedInto(want, a, p, nil)
-					tensor.MatMulPackedInto(got, ga, gp, nil)
-					bitwiseEqual(t, fmt.Sprintf("guarded MatMulPackedInto (%d,%d,%d)@%db", m, k, n, bits), got, want)
+					for _, bits := range []int{2, 3, 4, 8} {
+						p := quant.Pack(w, bits)
+						gp := &quant.Packed{Bits: bits, Rows: k, Cols: n, Scale: guardedFloats(t, p.Scale)}
+						gp.Codes = guarded(t, len(p.Codes))
+						copy(gp.Codes, p.Codes)
+						tensor.MatMulPackedInto(want, a, p, nil)
+						tensor.MatMulPackedInto(got, ga, gp, nil)
+						bitwiseEqual(t, fmt.Sprintf("guarded MatMulPackedInto %s@%db", name, bits), got, want)
+					}
 				}
 			}
 		}
-	}
+	})
 }

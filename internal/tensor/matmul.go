@@ -102,17 +102,11 @@ func matmulRows(out, a, b *Tensor, rowLo, rowHi int) {
 }
 
 // sweepCols is the loop both column-lane kernels share: out row i is the
-// sum over kk of a[i·aRow + kk·aStride] times b's row kk, through SumCols a
-// blockSize-wide block of columns at a time, block-outer so that the band's
-// rows reuse the block while it is cached.
+// sum over kk of a[i·aRow + kk·aStride] times b's row kk, for the band's
+// rows [rowLo, rowHi) of the out.Rows()-row call, through sumColsRows.
 func sweepCols(out *Tensor, a []float32, aRow, aStride int, b *Tensor, k, rowLo, rowHi int) {
 	n := b.Cols()
-	for j0 := 0; j0 < n; j0 += blockSize {
-		jw := min(blockSize, n-j0)
-		for i := rowLo; i < rowHi; i++ {
-			SumCols(out.Data[i*n+j0:i*n+j0+jw], a[i*aRow:], aStride, b.Data[j0:], n, k)
-		}
-	}
+	sumColsRows(out.Data[rowLo*n:], n, n, a[rowLo*aRow:], aRow, aStride, b.Data, n, k, rowHi-rowLo, out.Rows())
 }
 
 // MatMulT returns a × bᵀ, (m,k)×(n,k) → (m,n). This layout is the natural

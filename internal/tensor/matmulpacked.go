@@ -110,9 +110,9 @@ func MatMulPackedInto(out, a *Tensor, w PackedMat, scratch *PackedScratch) {
 // matmulPackedCols computes out columns [jLo, jHi) of a × w (all rows),
 // one tile at a time. A single activation row goes to the format's fused
 // MulVecInto. Otherwise the full-height k × 32 tile is decoded once into
-// scratch and each activation row then sweeps it with SumCols — the dense
-// kernel's primitive, over a contiguous tile instead of a strided block of
-// b.
+// scratch and the activation rows then sweep it with sumColsRows — the
+// dense kernel's primitive, over a contiguous tile instead of a strided
+// block of b. A full tile is exactly as wide as one sumTileAVX512 tile.
 func matmulPackedCols(out, a *Tensor, w PackedMat, tile []float32, jLo, jHi int) {
 	m, k, n := a.Rows(), a.Cols(), out.Cols()
 	if m == 1 && w.MulVecInto(out.Data[jLo:jHi], a.Data, jLo, jHi) {
@@ -121,8 +121,6 @@ func matmulPackedCols(out, a *Tensor, w PackedMat, tile []float32, jLo, jHi int)
 	for j0 := jLo; j0 < jHi; j0 += packedTileCols {
 		jw := min(packedTileCols, jHi-j0)
 		w.DecodeRowsInto(tile, 0, k, j0, j0+jw)
-		for i := 0; i < m; i++ {
-			SumCols(out.Data[i*n+j0:i*n+j0+jw], a.Data[i*k:(i+1)*k], 1, tile, jw, k)
-		}
+		sumColsRows(out.Data[j0:], n, jw, a.Data, k, 1, tile, jw, k, m, m)
 	}
 }

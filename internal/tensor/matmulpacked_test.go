@@ -109,28 +109,32 @@ func TestMatMulPackedBitwiseMatchesUnpack(t *testing.T) {
 // TestMatMulPackedSpecialActivations pins the zero skip against the
 // reference's: -0 is skipped like +0 (so a ±Inf or NaN weight product
 // never appears), while NaN and ±Inf activations are multiplied through —
-// Inf·0-code is NaN in both kernels or in neither.
+// Inf·0-code is NaN in both kernels or in neither. From 16 rows up the
+// tiles go through the AVX-512 tile kernel; every shape runs under every
+// kernel of this host.
 func TestMatMulPackedSpecialActivations(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	inf := float32(math.Inf(1))
 	specials := []float32{negZero, float32(math.NaN()), inf, -inf, 0}
-	for _, sh := range [][3]int{{1, 64, 64}, {3, 64, 64}, {1, 37, 21}, {2, 37, 21}} {
-		m, k, n := sh[0], sh[1], sh[2]
-		w := randTensor(k, n, 77)
-		for col := 0; col < n; col += 5 {
-			w.Set(k/2, col, 0) // a zero code under a non-finite activation
-		}
-		for si, sp := range specials {
-			a := randTensor(m, k, int64(100+si))
-			for i := si; i < len(a.Data); i += 9 {
-				a.Data[i] = sp
+	tensor.EachTileMode(func(path string) {
+		for _, sh := range [][3]int{{1, 64, 64}, {3, 64, 64}, {1, 37, 21}, {2, 37, 21}, {16, 64, 64}, {19, 37, 72}, {128, 40, 40}} {
+			m, k, n := sh[0], sh[1], sh[2]
+			w := randTensor(k, n, 77)
+			for col := 0; col < n; col += 5 {
+				w.Set(k/2, col, 0) // a zero code under a non-finite activation
 			}
-			a.Data[(m-1)*k+k/2] = sp
-			for name, p := range packVariants(w) {
-				checkPackedMatMul(t, fmt.Sprintf("%v a∋%v %s", sh, sp, name), a, p, nil)
+			for si, sp := range specials {
+				a := randTensor(m, k, int64(100+si))
+				for i := si; i < len(a.Data); i += 9 {
+					a.Data[i] = sp
+				}
+				a.Data[(m-1)*k+k/2] = sp
+				for name, p := range packVariants(w) {
+					checkPackedMatMul(t, fmt.Sprintf("%s %v a∋%v %s", path, sh, sp, name), a, p, nil)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestMatMulPackedDeterministicAcrossProcs pins banding determinism: a
@@ -221,16 +225,18 @@ func TestMatMulPackedGridIdentity(t *testing.T) {
 // threshold (TestMatMulPackedDeterministicAcrossProcs owns banding). The
 // seeds are one per path: fused and tiled word path, ragged width, 8-bit
 // bytes, a width with no word path, NF with a scale block that is not a
-// multiple of 8.
+// multiple of 8, and the AVX-512 tile kernel with rows left over. Each
+// input runs under every kernel of this host.
 func FuzzMatMulPackedMatchesUnpack(f *testing.F) {
-	f.Add(uint8(0), uint8(63), uint8(63), uint8(2), false, int64(1)) // m=1, 64×64, 4-bit: fused
-	f.Add(uint8(4), uint8(39), uint8(23), uint8(0), false, int64(2)) // m=5, 2-bit: tiles
-	f.Add(uint8(1), uint8(36), uint8(20), uint8(1), false, int64(3)) // 3-bit, n=21: ragged
-	f.Add(uint8(0), uint8(15), uint8(31), uint8(6), false, int64(4)) // 8-bit, m=1
-	f.Add(uint8(2), uint8(16), uint8(15), uint8(3), false, int64(5)) // 5-bit: per element
-	f.Add(uint8(0), uint8(31), uint8(47), uint8(2), true, int64(6))  // nf4, block 12
+	f.Add(uint8(0), uint8(63), uint8(63), uint8(2), false, int64(1))  // m=1, 64×64, 4-bit: fused
+	f.Add(uint8(4), uint8(39), uint8(23), uint8(0), false, int64(2))  // m=5, 2-bit: tiles
+	f.Add(uint8(1), uint8(36), uint8(20), uint8(1), false, int64(3))  // 3-bit, n=21: ragged
+	f.Add(uint8(0), uint8(15), uint8(31), uint8(6), false, int64(4))  // 8-bit, m=1
+	f.Add(uint8(2), uint8(16), uint8(15), uint8(3), false, int64(5))  // 5-bit: per element
+	f.Add(uint8(0), uint8(31), uint8(47), uint8(2), true, int64(6))   // nf4, block 12
+	f.Add(uint8(18), uint8(63), uint8(95), uint8(2), false, int64(7)) // m=19, 4-bit: tile kernel, 3 rows left
 	f.Fuzz(func(t *testing.T, mRaw, kRaw, nRaw, bitsRaw uint8, nf bool, seed int64) {
-		m, k, n := 1+int(mRaw)%16, 1+int(kRaw)%96, 1+int(nRaw)%96
+		m, k, n := 1+int(mRaw)%24, 1+int(kRaw)%96, 1+int(nRaw)%96
 		bits := 2 + int(bitsRaw)%7
 		g := tensor.NewRNG(seed)
 		a, w := g.Normal(0, 1, m, k), g.Normal(0, 0.5, k, n)
@@ -241,7 +247,9 @@ func FuzzMatMulPackedMatchesUnpack(f *testing.F) {
 		if nf {
 			p = quant.PackNF(w, quant.NFScheme{Bits: bits, BlockSize: 4 * int(uint64(seed)%32)})
 		}
-		checkPackedMatMul(t, fmt.Sprintf("(%d,%d,%d) bits %d nf %v", m, k, n, bits, nf), a, p, nil)
+		tensor.EachTileMode(func(path string) {
+			checkPackedMatMul(t, fmt.Sprintf("%s (%d,%d,%d) bits %d nf %v", path, m, k, n, bits, nf), a, p, nil)
+		})
 	})
 }
 

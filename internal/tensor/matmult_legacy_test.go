@@ -38,25 +38,28 @@ var finiteSpecials = []float32{
 // loop bit for bit on shapes whose k and n are multiples of neither 8 nor 64
 // (so every column path of SumCols and its Go tail run), with zeros and
 // denormals sprinkled over both operands. Only ±Inf and NaN operands may
-// tell the two apart (DESIGN.md §6, the zero-skip contract).
+// tell the two apart (DESIGN.md §6, the zero-skip contract). It runs under
+// every kernel of this host; m = 128 is the tile kernel's.
 func TestMatMulTIntoMatchesScalarRef(t *testing.T) {
-	for _, m := range []int{1, 3, 128} {
-		for _, k := range []int{5, 67, 131} {
-			for _, n := range []int{13, 75, 203} {
-				g := NewRNG(int64(m*1000 + k*10 + n))
-				a, bT := g.Normal(0, 1, m, k), g.Normal(0, 1, n, k)
-				for i := g.Intn(3); i < len(a.Data); i += 3 {
-					a.Data[i] = finiteSpecials[i%len(finiteSpecials)]
+	eachTileMode(func(path string) {
+		for _, m := range []int{1, 3, 128} {
+			for _, k := range []int{5, 67, 131} {
+				for _, n := range []int{13, 75, 203} {
+					g := NewRNG(int64(m*1000 + k*10 + n))
+					a, bT := g.Normal(0, 1, m, k), g.Normal(0, 1, n, k)
+					for i := g.Intn(3); i < len(a.Data); i += 3 {
+						a.Data[i] = finiteSpecials[i%len(finiteSpecials)]
+					}
+					for i := g.Intn(5); i < len(bT.Data); i += 5 {
+						bT.Data[i] = finiteSpecials[i%len(finiteSpecials)]
+					}
+					want := New(m, n)
+					matmulTScalarRef(want, a, bT)
+					got := Full(float32(math.NaN()), m, n)
+					MatMulTInto(got, a, bT)
+					bitsEqual(t, fmt.Sprintf("%s MatMulTInto (%d,%d,%d)", path, m, k, n), got, want)
 				}
-				for i := g.Intn(5); i < len(bT.Data); i += 5 {
-					bT.Data[i] = finiteSpecials[i%len(finiteSpecials)]
-				}
-				want := New(m, n)
-				matmulTScalarRef(want, a, bT)
-				got := Full(float32(math.NaN()), m, n)
-				MatMulTInto(got, a, bT)
-				bitsEqual(t, fmt.Sprintf("MatMulTInto (%d,%d,%d)", m, k, n), got, want)
 			}
 		}
-	}
+	})
 }

@@ -12,6 +12,11 @@ func cpuHasAVX2() bool
 
 func cpuHasFMA() bool
 
+func cpuHasAVX512F() bool
+
+//go:noescape
+func sumTileAVX512(out *float32, outStride, n int, a *float32, aRow, aStride int, b *float32, bStride, k int)
+
 //go:noescape
 func sumColsAVX2(out *float32, n int, a *float32, aStride int, b *float32, bStride int, k int)
 

@@ -4,7 +4,8 @@
 // Lanes are output columns: every output element is still one ascending-k
 // float32 sum from +0, multiply rounded and then add rounded (VMULPS then
 // VADDPS, never FMA), with the same a == 0 skip as the Go twin sumColsGo.
-// After it, the AdamW update, lanes the parameter's elements, the twin of
+// After it, its AVX-512 four-row tile, the same sums four rows at a time;
+// the AdamW update, lanes the parameter's elements, the twin of
 // adamWGo; the gradient accumulation, the twin of AddInPlace's loop; and the
 // exact vector exp under the sigmoid and shifted-exp kernels, the twin of
 // math.Exp.
@@ -177,6 +178,101 @@ cols8:
 	JMP  cols8
 
 finish:
+	VZEROUPPER
+	RET
+
+// func cpuHasAVX512F() bool
+//
+// AVX-512F is usable when XCR0 says the OS also saves the opmask registers
+// and all 32 ZMM registers in full, and CPUID.7.0:EBX reports AVX512F. Asked
+// only once cpuHasAVX2 has seen OSXSAVE, which XGETBV needs.
+TEXT ·cpuHasAVX512F(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	XORL CX, CX
+	XGETBV
+	ANDL $0xe6, AX // XMM | YMM | opmask | ZMM0-15 upper halves | ZMM16-31
+	CMPL AX, $0xe6
+	JNE  nozmm
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	SHRL $16, BX
+	ANDL $1, BX
+	MOVB BX, ret+0(FP)
+nozmm:
+	RET
+
+// TROW(row, lo, hi, skip): lo:hi += a[k] of one row (at row) × the 32
+// columns of b row k in Z8:Z9, unless a[k] is ±0 — the integer test of
+// SWEEP, taken per row, so each row skips exactly its own zeros.
+#define TROW(row, lo, hi, skip) \
+	MOVL row, AX; \
+	ADDL AX, AX; \
+	JZ   skip; \
+	VBROADCASTSS row, Z10; \
+	VMULPS Z8, Z10, Z11; \
+	VADDPS Z11, lo, lo; \
+	VMULPS Z9, Z10, Z12; \
+	VADDPS Z12, hi, hi; \
+skip:
+
+// func sumTileAVX512(out *float32, outStride, n int, a *float32, aRow, aStride int, b *float32, bStride, k int)
+//
+// Four rows of SumCols at once: out[r·outStride + 0:n] = Σ_k a[r·aRow +
+// k·aStride] · b[k·bStride + 0:n] for r in 0..3, n a positive multiple of
+// 32, k ≥ 1, strides in bytes. A tile is 4 rows × 32 columns in eight zmm
+// accumulators (Z0:Z1 row 0 … Z6:Z7 row 3) live across the whole k sweep;
+// per k the two zmm of b are loaded once and serve all four rows. Every
+// element is still one ascending-k sum from +0, VMULPS then VADDPS, with
+// its own row's zero skip: the same bits as sumColsGo. Only Z0-Z12 and no
+// BP are written.
+TEXT ·sumTileAVX512(SB), NOSPLIT, $0-72
+	MOVQ out+0(FP), DI
+	MOVQ outStride+8(FP), DX
+	MOVQ n+16(FP), CX
+	MOVQ aRow+32(FP), R14
+	LEAQ (R14)(R14*2), SI // 3·aRow
+	MOVQ aStride+40(FP), R8
+	MOVQ b+48(FP), BX
+	MOVQ bStride+56(FP), R9
+
+tile:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	MOVQ a+24(FP), R11
+	MOVQ BX, R12
+	MOVQ k+64(FP), R13
+
+tileloop:
+	VMOVUPS (R12), Z8
+	VMOVUPS 64(R12), Z9
+	TROW((R11), Z0, Z1, row0)
+	TROW((R11)(R14*1), Z2, Z3, row1)
+	TROW((R11)(R14*2), Z4, Z5, row2)
+	TROW((R11)(SI*1), Z6, Z7, row3)
+	ADDQ R8, R11
+	ADDQ R9, R12
+	DECQ R13
+	JNZ  tileloop
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, (DI)(DX*1)
+	VMOVUPS Z3, 64(DI)(DX*1)
+	LEAQ    (DI)(DX*2), AX
+	VMOVUPS Z4, (AX)
+	VMOVUPS Z5, 64(AX)
+	VMOVUPS Z6, (AX)(DX*1)
+	VMOVUPS Z7, 64(AX)(DX*1)
+	ADDQ $128, DI
+	ADDQ $128, BX
+	SUBQ $32, CX
+	JNZ  tile
 	VZEROUPPER
 	RET
 

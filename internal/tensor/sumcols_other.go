@@ -5,8 +5,14 @@ package tensor
 const useAVX2, useExp = false, false
 
 // The assembly kernels exist on amd64 only; useAVX2 and useExp are constant
-// false here, so their calls are dead code that still has to type-check.
+// false here and useAVX512 is false (it needs useAVX2), so their calls never
+// run but still have to type-check.
 func cpuHasFMA() bool { return false }
+
+func cpuHasAVX512F() bool { return false }
+
+func sumTileAVX512(out *float32, outStride, n int, a *float32, aRow, aStride int, b *float32, bStride, k int) {
+}
 
 func sumColsAVX2(out *float32, n int, a *float32, aStride int, b *float32, bStride int, k int) {}
 

@@ -42,9 +42,23 @@ func sumColsCase(t *testing.T, seed int64, n, k, aStride, bPad, off int, special
 	t.Helper()
 	g := NewRNG(seed)
 	bStride := n + bPad
-	aBack := g.Normal(0, 1, 1, off+k*aStride+1).Data
-	bBack := g.Normal(0, 1, 1, off+k*bStride+n+1).Data
-	a, b := aBack[off:], bBack[off:]
+	a, b := kernelOperands(g, off, k*aStride+1, k*bStride+n+1, special)
+	got := make([]float32, off+n)[off:]
+	want := make([]float32, n)
+	for i := range got {
+		got[i] = float32(math.NaN()) // every element must be overwritten
+	}
+	SumCols(got, a, aStride, b, bStride, k)
+	sumColsGo(want, a, aStride, b, bStride, k)
+	sameFloats(t, fmt.Sprintf("SumCols n=%d k=%d aStride=%d bStride=%d off=%d special=%d", n, k, aStride, bStride, off, special), got, want)
+}
+
+// kernelOperands returns a and b of aLen and bLen normal floats, each off
+// elements into its backing array, with zeros on about a third of a and,
+// when special is non-zero, specialValues sprinkled over both.
+func kernelOperands(g *RNG, off, aLen, bLen int, special uint8) (a, b []float32) {
+	a = g.Normal(0, 1, 1, off+aLen).Data[off:]
+	b = g.Normal(0, 1, 1, off+bLen).Data[off:]
 	for i := range a {
 		if g.Intn(3) == 0 {
 			a[i] = 0 // the zero skip, on about a third of the rows
@@ -59,14 +73,7 @@ func sumColsCase(t *testing.T, seed int64, n, k, aStride, bPad, off int, special
 			b[i] = specialValues[(i/2+int(special))%len(specialValues)]
 		}
 	}
-	got := make([]float32, off+n)[off:]
-	want := make([]float32, n)
-	for i := range got {
-		got[i] = float32(math.NaN()) // every element must be overwritten
-	}
-	SumCols(got, a, aStride, b, bStride, k)
-	sumColsGo(want, a, aStride, b, bStride, k)
-	sameFloats(t, fmt.Sprintf("SumCols n=%d k=%d aStride=%d bStride=%d off=%d special=%d", n, k, aStride, bStride, off, special), got, want)
+	return a, b
 }
 
 // TestSumColsMatchesGo pins the assembly against its Go twin on every column
@@ -100,34 +107,124 @@ func FuzzSumCols(f *testing.F) {
 	})
 }
 
+// eachTileMode runs fn under every kernel this host can put beneath the
+// multi-row matmuls: as detected, and once more with the AVX-512 tile kernel
+// off where it was on — so one AVX-512 host checks both the tile kernel and
+// the AVX2 sweep it sits on. path is KernelPath() during the run.
+func eachTileMode(fn func(path string)) {
+	detected := useAVX512
+	defer func() { useAVX512 = detected }()
+	fn(KernelPath())
+	if detected {
+		useAVX512 = false
+		fn(KernelPath())
+	}
+}
+
+// matmulRowsCase runs sumColsRows over rows output rows of a call of that
+// many rows — the tile kernel's row groups from tileMinRows up, with 0-3
+// rows and the columns past a multiple of 32 left to SumCols — and holds
+// every row to sumColsGo over the same operands. a's rows start aRow
+// elements apart and step aStride per k, so both the row-major a of
+// MatMulInto and the strided aᵀ of TMatMulInto are instances; out's rows are
+// n+pad apart, and the padding between them must stay untouched.
+func matmulRowsCase(t *testing.T, path string, seed int64, rows, n, k, aRow, aStride, pad, off int, special uint8) {
+	t.Helper()
+	g := NewRNG(seed)
+	stride := n + pad
+	a, b := kernelOperands(g, off, (rows-1)*aRow+k*aStride+1, k*stride+n+1, special)
+	got := make([]float32, off+(rows-1)*stride+n)[off:]
+	for i := range got {
+		got[i] = float32(math.NaN())
+	}
+	want := append([]float32(nil), got...)
+	sumColsRows(got, stride, n, a, aRow, aStride, b, stride, k, rows, rows)
+	for i := 0; i < rows; i++ {
+		sumColsGo(want[i*stride:i*stride+n], a[i*aRow:], aStride, b, stride, k)
+	}
+	sameFloats(t, fmt.Sprintf("%s sumColsRows rows=%d n=%d k=%d aRow=%d aStride=%d stride=%d off=%d special=%d",
+		path, rows, n, k, aRow, aStride, stride, off, special), got, want)
+}
+
+// FuzzMatMulRows lets the engine pick the row count (below and above
+// tileMinRows), the width, k, a's row and k strides, the padding, the base
+// alignment and where the special values fall, under every kernel of this
+// host: each row equals sumColsGo bit for bit, NaN payloads aside.
+func FuzzMatMulRows(f *testing.F) {
+	f.Add(int64(1), uint8(15), uint8(63), uint8(33), uint8(32), uint8(0), uint8(0), uint8(0), uint8(0))   // 16 × 64, row-major: tiles only
+	f.Add(int64(2), uint8(18), uint8(107), uint8(17), uint8(0), uint8(4), uint8(3), uint8(1), uint8(9))   // 19 rows, 64+32+12 columns, interleaved rows, specials
+	f.Add(int64(3), uint8(16), uint8(31), uint8(0), uint8(5), uint8(0), uint8(0), uint8(5), uint8(0))     // k = 0
+	f.Add(int64(4), uint8(127), uint8(31), uint8(200), uint8(9), uint8(1), uint8(8), uint8(7), uint8(77)) // 128 rows × 32 columns
+	f.Add(int64(5), uint8(2), uint8(40), uint8(9), uint8(12), uint8(2), uint8(2), uint8(3), uint8(5))     // 3 rows: below the rule
+	f.Fuzz(func(t *testing.T, seed int64, rowsRaw, nRaw, kRaw, aRowRaw, aStrideRaw, pad, off, special uint8) {
+		rows, n, k := 1+int(rowsRaw)%130, 1+int(nRaw)%140, int(kRaw)%80
+		aRow, aStride := 1+int(aRowRaw)%200, 1+int(aStrideRaw)%5
+		eachTileMode(func(path string) {
+			matmulRowsCase(t, path, seed, rows, n, k, aRow, aStride, int(pad)%9, int(off)%8, special)
+		})
+	})
+}
+
 // TestMatMulKernelsMatchNaive pins the three dense kernels' contract where
 // it is visible from outside: each output element is one ascending-k float32
 // sum from +0 that skips zero activations — what the obvious triple loop
-// computes — on shapes that mix the wide, narrow and ragged column paths.
+// computes — on shapes that mix the wide, narrow and ragged column paths,
+// under every kernel of this host. The calls of 16, 19 and 128 rows (the
+// tile kernel's, 0 and 3 rows left over) add the special values: ±0, NaN and
+// ±Inf activations; and ±Inf and NaN weights in one row of b under a zero
+// activation in every other row of a, the one case where the skip decides
+// the bits, and each row of a 4-row group must skip its own.
 func TestMatMulKernelsMatchNaive(t *testing.T) {
-	for _, sh := range [][3]int{{1, 5, 7}, {3, 17, 8}, {2, 64, 75}, {5, 33, 136}, {4, 9, 203}} {
-		m, k, n := sh[0], sh[1], sh[2]
-		g := NewRNG(int64(m + k + n))
-		a, b := g.Normal(0, 1, m, k), g.Normal(0, 1, k, n)
-		for i := 0; i < len(a.Data); i += 4 {
-			a.Data[i] = 0
-		}
-		want := New(m, n)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				var s float32
-				for kk := 0; kk < k; kk++ {
-					if av := a.Data[i*k+kk]; av != 0 {
-						s += av * b.Data[kk*n+j]
-					}
-				}
-				want.Data[i*n+j] = s
+	negZero, inf, nan := float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.NaN())
+	eachTileMode(func(path string) {
+		for _, sh := range [][3]int{{1, 5, 7}, {3, 17, 8}, {2, 64, 75}, {5, 33, 136}, {4, 9, 203}, {16, 40, 96}, {19, 33, 136}, {128, 17, 75}} {
+			m, k, n := sh[0], sh[1], sh[2]
+			g := NewRNG(int64(m + k + n))
+			a, b := g.Normal(0, 1, m, k), g.Normal(0, 1, k, n)
+			for i := 0; i < len(a.Data); i += 4 {
+				a.Data[i] = 0
 			}
+			matchNaive(t, fmt.Sprintf("%s %v", path, sh), a, b)
+			if m < tileMinRows {
+				continue
+			}
+			sa := a.Clone()
+			for i, sp := 1, 0; i < len(sa.Data); i, sp = i+7, sp+1 {
+				sa.Data[i] = []float32{negZero, nan, inf, -inf, 0}[sp%5]
+			}
+			matchNaive(t, fmt.Sprintf("%s %v special activations", path, sh), sa, b)
+			za, sb, kk := a.Clone(), b.Clone(), k/2
+			for j := 0; j < n; j++ {
+				sb.Data[kk*n+j] = []float32{inf, -inf, nan}[j%3]
+			}
+			for i := 0; i < m; i++ {
+				za.Data[i*k+kk] = []float32{0, 1.5, negZero, -2}[i%4]
+			}
+			matchNaive(t, fmt.Sprintf("%s %v special weights", path, sh), za, sb)
 		}
-		got := New(m, n)
-		MatMulInto(got, a, b)
-		bitsEqual(t, fmt.Sprintf("MatMulInto %v", sh), got, want)
-		TMatMulInto(got, Transpose(a), b)
-		bitsEqual(t, fmt.Sprintf("TMatMulInto %v", sh), got, want)
+	})
+}
+
+// matchNaive holds MatMulInto(a, b) and TMatMulInto(aᵀ, b) to the triple
+// loop that skips zero activations, NaN payloads aside.
+func matchNaive(t *testing.T, name string, a, b *Tensor) {
+	t.Helper()
+	m, k, n := a.Rows(), a.Cols(), b.Cols()
+	want := New(m, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s float32
+			for kk := 0; kk < k; kk++ {
+				if av := a.Data[i*k+kk]; av != 0 {
+					s += av * b.Data[kk*n+j]
+				}
+			}
+			want.Data[i*n+j] = s
+		}
 	}
+	got := New(m, n)
+	MatMulInto(got, a, b)
+	sameFloats(t, "MatMulInto "+name, got.Data, want.Data)
+	TMatMulInto(got, Transpose(a), b)
+	sameFloats(t, "TMatMulInto "+name, got.Data, want.Data)
 }

@@ -7,8 +7,11 @@
 # lists, each held to the dense kernel over Unpack bit for bit; the three
 # assembly kernels (FuzzSumCols, FuzzPackedSIMD, FuzzAdamW) get shapes,
 # strides, base alignments, optimizer steps and special values, each held to
-# its Go twin; the two kernels over the vector exp (FuzzSigmoid: SiLU,
-# SiLUMul, SiLUGrad; FuzzExpShift: dst and the in-order sum, in place too)
+# its Go twin; the AVX-512 tile kernel (FuzzMatMulRows) gets row counts
+# either side of the 16-row rule, widths, k, a's row and k strides, padding,
+# alignments and special values, each row held to sumColsGo, under both the
+# tile kernel and the AVX2 sweep; the two kernels over the vector exp
+# (FuzzSigmoid: SiLU, SiLUMul, SiLUGrad; FuzzExpShift: dst and the in-order sum, in place too)
 # get lengths, alignments, input scales, m and special values, each held to
 # its math.Exp loop; and the one-pass
 # sampler (FuzzSampleLogits) gets rows full of ties, NaN, ±Inf, extreme

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# The kernels off their fast path. On amd64 with AVX2 the dense and packed
-# matmuls run through two assembly files; everywhere else — and here — the
-# pure-Go kernels they sit beside are the only path (DESIGN.md §6, "The repo
-# takes assembly"). An amd64 box runs 386 binaries natively, so GOARCH=386 is
+# The kernels off their fast path. There are three kernel paths
+# (tensor.KernelPath): "avx512" (amd64 with AVX-512F: the AVX2 assembly plus
+# the 4 × 32 tile kernel under matmuls of at least 16 rows), "avx2" (amd64
+# with AVX2: the dense and packed matmuls through two assembly files) and
+# "go"; everywhere else — and here — the pure-Go kernels they sit beside are
+# the only path (DESIGN.md §6, "The repo takes assembly" and "The tile"). An amd64 box runs 386 binaries natively, so GOARCH=386 is
 # the one place the Go fallback executes the whole decoder identity suite
 # (chunked == token-at-a-time == legacy, batched == solo, packed ==
 # fake-quant) and the training tests on the Go AdamW twin, on the Go
