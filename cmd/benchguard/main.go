@@ -36,8 +36,8 @@
 //
 // Usage:
 //
-//	go test -bench 'BenchmarkKernel|BenchmarkStep|BenchmarkAdamW' -benchmem -run '^$' \
-//	    ./internal/tensor ./internal/train | \
+//	go test -bench 'BenchmarkKernel|BenchmarkStep|BenchmarkAdamW|BenchmarkProbeOutputKL' -benchmem -run '^$' \
+//	    ./internal/tensor ./internal/train ./internal/luc | \
 //	  go run ./cmd/benchguard -out BENCH_kernels.json -baseline BENCH_baseline.json
 package main
 

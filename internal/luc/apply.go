@@ -56,6 +56,12 @@ func (ci CompressionInfo) BlockSparsity() []float64 {
 // together with the achieved luc.avg_effective_bits, so the policy that
 // LUC actually applied is visible in /metrics and the trace viewer.
 func Apply(m *nn.Model, p Policy, cands []Candidate) CompressionInfo {
+	return applyRanked(m, p, cands, nil)
+}
+
+// applyRanked is Apply with ranks[layer][i] the ranking (prune.Rank) of
+// block layer's weight i at its current values; nil ranks each weight here.
+func applyRanked(m *nn.Model, p Policy, cands []Candidate, ranks [][]prune.Ranking) CompressionInfo {
 	if len(p.Choice) != len(m.Blocks) {
 		panic(fmt.Sprintf("luc: policy covers %d layers, model has %d", len(p.Choice), len(m.Blocks)))
 	}
@@ -64,8 +70,12 @@ func Apply(m *nn.Model, p Policy, cands []Candidate) CompressionInfo {
 	for i, block := range m.Blocks {
 		c := cands[p.Choice[i]]
 		li := LayerInfo{Candidate: c}
-		for _, w := range block.WeightMatrices() {
-			li.Masks = append(li.Masks, compressTensor(w, c))
+		for wi, w := range block.WeightMatrices() {
+			var r *prune.Ranking
+			if ranks != nil {
+				r = &ranks[i][wi]
+			}
+			li.Masks = append(li.Masks, compressTensor(w, c, r))
 		}
 		info.Layers = append(info.Layers, li)
 		if obs != nil {

@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strconv"
 
+	ag "edgellm/internal/autograd"
 	"edgellm/internal/nn"
 	"edgellm/internal/obsv"
 	"edgellm/internal/prune"
@@ -157,11 +158,17 @@ func schemeFor(c Candidate) quant.Scheme {
 }
 
 // compressTensor applies a candidate to one weight matrix in place and
-// returns the pruning mask (nil when sparsity is zero).
-func compressTensor(t *tensor.Tensor, c Candidate) *prune.Mask {
+// returns the pruning mask (nil when sparsity is zero). r, when non-nil, is
+// t's ranking (prune.Rank) taken from t's current values; nil ranks t here.
+func compressTensor(t *tensor.Tensor, c Candidate, r *prune.Ranking) *prune.Mask {
 	var mask *prune.Mask
 	if c.Sparsity > 0 {
-		mask = prune.PruneInPlace(t, c.Sparsity)
+		if r == nil {
+			mask = prune.MagnitudeMask(t, c.Sparsity)
+		} else {
+			mask = r.Mask(c.Sparsity)
+		}
+		mask.Apply(t)
 	}
 	schemeFor(c).FakeQuantInPlace(t)
 	return mask
@@ -177,7 +184,8 @@ const (
 	// MetricOutputKL scores a candidate by the KL divergence between the
 	// full-precision model's output distribution and the model with just
 	// that one layer compressed, averaged over a calibration batch. More
-	// faithful; costs one forward pass per (layer, candidate).
+	// faithful; costs one forward pass from the probed layer up per
+	// (layer, candidate), plus one full forward per probe.
 	MetricOutputKL
 )
 
@@ -192,7 +200,17 @@ type ProbeOptions struct {
 	Trace obsv.Span
 }
 
-// Probe measures the sensitivity matrix of m's blocks over cands.
+// Probe measures the sensitivity matrix of m's blocks over cands. Each
+// candidate compresses one block's live weights, is scored, and the block
+// is restored bit for bit from a snapshot taken once per layer.
+//
+// Work that no candidate changes is done once. Each weight is ranked
+// (prune.Rank) once per layer, from the snapshot, and every candidate's
+// pruning mask is a prefix of that ranking. The output-KL metric runs the
+// full forward once and keeps each block's input: block L's input does not
+// depend on block L's weights, so a candidate at layer L runs only blocks
+// L… and the final head from it (nn.Model.LogitsFrom). Every cell equals a
+// full forward of the compressed model, bit for bit.
 //
 // With observability enabled, each layer's probe is a luc.probe_layer
 // span (labeled layer=<i>), every (layer, candidate) evaluation counts
@@ -202,11 +220,19 @@ func Probe(m *nn.Model, cands []Candidate, opt ProbeOptions) Sensitivity {
 	obs := obsv.Global()
 	sens := make(Sensitivity, len(m.Blocks))
 	var baseProbs *tensor.Tensor
+	var batch, seq int
+	inputs := make([]*ag.Value, len(m.Blocks)) // block i's input on the calibration batch
 	if opt.Metric == MetricOutputKL {
 		if len(opt.Calib) == 0 {
 			panic("luc: MetricOutputKL requires calibration data")
 		}
-		baseProbs = softmaxLogits(m.Logits(opt.Calib).Data)
+		batch, seq = len(opt.Calib), len(opt.Calib[0])
+		x := m.Embed(opt.Calib)
+		for layer, block := range m.Blocks {
+			inputs[layer] = x
+			x = block.Forward(x, batch, seq)
+		}
+		baseProbs = softmaxLogits(m.LogitsFrom(x, len(m.Blocks), batch, seq).Data)
 	}
 	for layer, block := range m.Blocks {
 		var layerSpan obsv.Span
@@ -215,29 +241,26 @@ func Probe(m *nn.Model, cands []Candidate, opt ProbeOptions) Sensitivity {
 		}
 		sens[layer] = make([]float64, len(cands))
 		weights := block.WeightMatrices()
+		saved, ranks := snapshot(weights)
 		for ci, c := range cands {
+			for i, w := range weights {
+				w.CopyFrom(saved[i])
+				compressTensor(w, c, &ranks[i])
+			}
 			switch opt.Metric {
 			case MetricWeightError:
 				var sum float64
-				for _, w := range weights {
-					trial := w.Clone()
-					compressTensor(trial, c)
-					sum += relativeMSE(trial, w)
+				for i, w := range weights {
+					sum += relativeMSE(w, saved[i])
 				}
 				sens[layer][ci] = sum / float64(len(weights))
 			case MetricOutputKL:
-				// Compress just this block, measure, restore.
-				saved := make([]*tensor.Tensor, len(weights))
-				for i, w := range weights {
-					saved[i] = w.Clone()
-					compressTensor(w, c)
-				}
-				probs := softmaxLogits(m.Logits(opt.Calib).Data)
-				sens[layer][ci] = meanKL(baseProbs, probs)
-				for i, w := range weights {
-					w.CopyFrom(saved[i])
-				}
+				logits := m.LogitsFrom(inputs[layer], layer, batch, seq)
+				sens[layer][ci] = meanKL(baseProbs, softmaxLogits(logits.Data))
 			}
+		}
+		for i, w := range weights {
+			w.CopyFrom(saved[i])
 		}
 		if obs != nil {
 			obs.Add("luc.probe_evals", int64(len(cands)))
@@ -251,6 +274,18 @@ func Probe(m *nn.Model, cands []Candidate, opt ProbeOptions) Sensitivity {
 		}
 	}
 	return sens
+}
+
+// snapshot copies weights and ranks each copy, so a candidate can start
+// from the original values and prune by ranking without a sort.
+func snapshot(weights []*tensor.Tensor) ([]*tensor.Tensor, []prune.Ranking) {
+	saved := make([]*tensor.Tensor, len(weights))
+	ranks := make([]prune.Ranking, len(weights))
+	for i, w := range weights {
+		saved[i] = w.Clone()
+		ranks[i] = prune.Rank(saved[i])
+	}
+	return saved, ranks
 }
 
 // relativeMSE is MSE(a,b) normalised by b's mean square.

@@ -75,6 +75,71 @@ func TestProbeRestoresWeights(t *testing.T) {
 	}
 }
 
+// probeRef is the probe as one full forward per candidate: clone the
+// layer's weights, compress them with compressTensor sorting each matrix
+// afresh, run m.Logits from the embedding up, restore. Probe must equal it
+// bit for bit.
+func probeRef(m *nn.Model, cands []Candidate, opt ProbeOptions) Sensitivity {
+	sens := make(Sensitivity, len(m.Blocks))
+	var baseProbs *tensor.Tensor
+	if opt.Metric == MetricOutputKL {
+		baseProbs = softmaxLogits(m.Logits(opt.Calib).Data)
+	}
+	for layer, block := range m.Blocks {
+		sens[layer] = make([]float64, len(cands))
+		weights := block.WeightMatrices()
+		for ci, c := range cands {
+			saved := make([]*tensor.Tensor, len(weights))
+			var sum float64
+			for i, w := range weights {
+				saved[i] = w.Clone()
+				compressTensor(w, c, nil)
+				sum += relativeMSE(w, saved[i])
+			}
+			sens[layer][ci] = sum / float64(len(weights))
+			if opt.Metric == MetricOutputKL {
+				sens[layer][ci] = meanKL(baseProbs, softmaxLogits(m.Logits(opt.Calib).Data))
+			}
+			for i, w := range weights {
+				w.CopyFrom(saved[i])
+			}
+		}
+	}
+	return sens
+}
+
+// TestProbeMatchesPerCandidateForward: the probe's reuse — one snapshot and
+// one ranking per layer, and the output-KL forward started at the probed
+// layer from the base forward's block input — moves no bit of any cell, for
+// both metrics, on a model with exit heads and on the full candidate grid
+// (every sparsity the masks nest over).
+func TestProbeMatchesPerCandidateForward(t *testing.T) {
+	cfg := nn.Config{Vocab: 32, Dim: 16, Heads: 2, Layers: 3, Hidden: 32, MaxSeq: 8, ExitHeads: true}
+	cands := DefaultCandidates()
+	for _, metric := range []Metric{MetricWeightError, MetricOutputKL} {
+		opt := ProbeOptions{Metric: metric, Calib: calibBatch()}
+		want := probeRef(nn.NewModel(cfg, tensor.NewRNG(11)), cands, opt)
+		m := nn.NewModel(cfg, tensor.NewRNG(11))
+		got := Probe(m, cands, opt)
+		for layer := range want {
+			for ci := range want[layer] {
+				if math.Float64bits(got[layer][ci]) != math.Float64bits(want[layer][ci]) {
+					t.Fatalf("metric %d layer %d %v: probe %v, per-candidate forward %v",
+						metric, layer, cands[ci], got[layer][ci], want[layer][ci])
+				}
+			}
+		}
+		fresh := nn.NewModel(cfg, tensor.NewRNG(11))
+		for li, b := range m.Blocks {
+			for wi, w := range b.WeightMatrices() {
+				if !tensor.AllClose(w, fresh.Blocks[li].WeightMatrices()[wi], 0, 0) {
+					t.Fatalf("metric %d: probe left block %d weight %d changed", metric, li, wi)
+				}
+			}
+		}
+	}
+}
+
 // syntheticSens builds a sensitivity matrix where layer cost is
 // heterogeneous: sensitive layers pay 10× per lost bit.
 func syntheticSens(layers int, cands []Candidate, sensitive map[int]bool) Sensitivity {
@@ -297,5 +362,28 @@ func TestPropSearchAlwaysWithinBudget(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkProbeOutputKL probes the benchmark's tuning model (six blocks,
+// d128, hidden 384, vocab 256, exit heads) on four 32-token calibration
+// sequences over the default grid: 96 evaluations. BENCH_baseline.json
+// gates its bytes and allocations, which grow by ~0.6 GB a probe if the
+// probe goes back to sorting per candidate or to full forwards.
+func BenchmarkProbeOutputKL(b *testing.B) {
+	cfg := nn.Config{Vocab: 256, Dim: 128, Heads: 4, Layers: 6, Hidden: 384, MaxSeq: 32, ExitHeads: true}
+	m := nn.NewModel(cfg, tensor.NewRNG(1))
+	g := tensor.NewRNG(2)
+	calib := make([][]int, 4)
+	for i := range calib {
+		calib[i] = make([]int, 32)
+		for j := range calib[i] {
+			calib[i][j] = g.Intn(cfg.Vocab)
+		}
+	}
+	cands := DefaultCandidates()
+	b.ReportAllocs()
+	for b.Loop() {
+		Probe(m, cands, ProbeOptions{Metric: MetricOutputKL, Calib: calib})
 	}
 }

@@ -2,6 +2,7 @@ package luc
 
 import (
 	"edgellm/internal/nn"
+	"edgellm/internal/prune"
 	"edgellm/internal/tensor"
 )
 
@@ -21,14 +22,12 @@ func RefinePolicy(m *nn.Model, p Policy, cands []Candidate, budgetBits float64, 
 		panic("luc: RefinePolicy requires calibration data")
 	}
 	layers := len(m.Blocks)
-	// Snapshot all block weights once.
-	var saved [][]*tensor.Tensor
-	for _, b := range m.Blocks {
-		var ws []*tensor.Tensor
-		for _, w := range b.WeightMatrices() {
-			ws = append(ws, w.Clone())
-		}
-		saved = append(saved, ws)
+	// Snapshot and rank all block weights once: every trial policy starts
+	// from the snapshot, so its masks are prefixes of these rankings.
+	saved := make([][]*tensor.Tensor, layers)
+	ranks := make([][]prune.Ranking, layers)
+	for li, b := range m.Blocks {
+		saved[li], ranks[li] = snapshot(b.WeightMatrices())
 	}
 	restore := func() {
 		for li, b := range m.Blocks {
@@ -39,7 +38,7 @@ func RefinePolicy(m *nn.Model, p Policy, cands []Candidate, budgetBits float64, 
 	}
 	baseProbs := softmaxLogits(m.Logits(calib).Data)
 	jointKL := func(policy Policy) float64 {
-		Apply(m, policy, cands)
+		applyRanked(m, policy, cands, ranks)
 		probs := softmaxLogits(m.Logits(calib).Data)
 		restore()
 		return meanKL(baseProbs, probs)

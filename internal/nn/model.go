@@ -179,8 +179,21 @@ func (m *Model) HiddenAt(batch [][]int, upTo int) *ag.Value {
 
 // Logits runs the full model and returns final-head logits (batch·seq, vocab).
 func (m *Model) Logits(batch [][]int) *ag.Value {
-	h := m.HiddenAt(batch, len(m.Blocks))
-	return m.LMHead.Forward(m.Norm.Forward(h))
+	_, _, b, t := flatten(batch)
+	return m.LogitsFrom(m.Embed(batch), 0, b, t)
+}
+
+// LogitsFrom runs blocks [from, Layers) and the final head on x, block
+// from's input of shape (batch·seq, dim), and returns the final-head
+// logits. from == Layers applies the head alone.
+func (m *Model) LogitsFrom(x *ag.Value, from, batch, seq int) *ag.Value {
+	if from < 0 || from > len(m.Blocks) {
+		panic(fmt.Sprintf("nn: LogitsFrom from %d out of range [0,%d]", from, len(m.Blocks)))
+	}
+	for _, blk := range m.Blocks[from:] {
+		x = blk.Forward(x, batch, seq)
+	}
+	return m.LMHead.Forward(m.Norm.Forward(x))
 }
 
 // LogitsAtExit runs blocks [0, exitLayer] and applies exit head exitLayer.

@@ -58,39 +58,57 @@ func (m *Mask) Sparsity() float64 {
 	return float64(dropped) / float64(len(m.Keep))
 }
 
-// MagnitudeMask builds a mask that drops the `ratio` fraction of t's
-// elements with the smallest absolute value. ratio is clamped to [0,1].
-// Ties at the threshold are broken by index for determinism: the lower
-// index goes first. The order is one sort of integer keys — |v|'s bits
-// above the element's index — so a NaN sorts above +Inf and is kept, the
-// same on every run, where a float comparator would be inconsistent. It
-// panics on a tensor of more than 2³² elements, whose indices the keys
-// cannot hold.
-func MagnitudeMask(t *tensor.Tensor, ratio float64) *Mask {
-	if ratio < 0 {
-		ratio = 0
-	}
-	if ratio > 1 {
-		ratio = 1
-	}
+// Ranking is a tensor's elements in magnitude order: the order
+// MagnitudeMask drops them in. One Ranking serves every ratio, since a
+// ratio's drop set is a prefix of it.
+type Ranking struct {
+	keys  []uint64 // ascending; each key's low 32 bits are its element's index
+	shape []int
+}
+
+// Rank orders t's elements by ascending magnitude, ties broken by index for
+// determinism: the lower index goes first. The order is one sort of integer
+// keys — |v|'s bits above the element's index — so a NaN sorts above +Inf,
+// the same on every run, where a float comparator would be inconsistent.
+// The keys are unique, so the order is total. It panics on a tensor of more
+// than 2³² elements, whose indices the keys cannot hold.
+func Rank(t *tensor.Tensor) Ranking {
 	n := t.Len()
 	if uint64(n) > 1<<32 {
-		panic(fmt.Sprintf("prune: MagnitudeMask over %d elements, more than 2³²", n))
-	}
-	drop := int(math.Round(ratio * float64(n)))
-	m := NewMask(t.Shape...)
-	if drop == 0 {
-		return m
+		panic(fmt.Sprintf("prune: Rank over %d elements, more than 2³²", n))
 	}
 	keys := make([]uint64, n)
 	for i, v := range t.Data {
 		keys[i] = uint64(math.Float32bits(v)&^(1<<31))<<32 | uint64(i)
 	}
 	slices.Sort(keys)
-	for _, key := range keys[:drop] {
+	return Ranking{keys: keys, shape: append([]int(nil), t.Shape...)}
+}
+
+// Mask drops the first round(ratio·n) ranked elements — the `ratio`
+// fraction with the smallest magnitude. ratio is clamped to [0,1]. A lower
+// ratio's mask drops a subset of what a higher one drops.
+func (r Ranking) Mask(ratio float64) *Mask {
+	m := NewMask(r.shape...)
+	for _, key := range r.keys[:dropCount(len(r.keys), ratio)] {
 		m.Keep[uint32(key)] = false
 	}
 	return m
+}
+
+// dropCount is round(ratio·n) with ratio clamped to [0,1].
+func dropCount(n int, ratio float64) int {
+	return int(math.Round(math.Min(math.Max(ratio, 0), 1) * float64(n)))
+}
+
+// MagnitudeMask builds a mask that drops the `ratio` fraction of t's
+// elements with the smallest absolute value, in Rank's order (a NaN sorts
+// above +Inf, so it goes last). ratio is clamped to [0,1].
+func MagnitudeMask(t *tensor.Tensor, ratio float64) *Mask {
+	if dropCount(t.Len(), ratio) == 0 {
+		return NewMask(t.Shape...)
+	}
+	return Rank(t).Mask(ratio)
 }
 
 // NMMask builds an N:M semi-structured mask over a rank-2 tensor: within

@@ -35,8 +35,8 @@ func TestMagnitudeMaskDropsSmallest(t *testing.T) {
 }
 
 // magnitudeMaskRef is MagnitudeMask as a comparator sort: |v| ascending in
-// float64, ties to the lower index. It is the order the keys must give on
-// every NaN-free tensor.
+// float64, NaN above +Inf, ties to the lower index. It is the order the keys
+// must give on every tensor whose NaNs share one payload.
 func magnitudeMaskRef(t *tensor.Tensor, drop int) []bool {
 	idx := make([]int, t.Len())
 	for i := range idx {
@@ -44,7 +44,10 @@ func magnitudeMaskRef(t *tensor.Tensor, drop int) []bool {
 	}
 	sort.Slice(idx, func(a, b int) bool {
 		va, vb := math.Abs(float64(t.Data[idx[a]])), math.Abs(float64(t.Data[idx[b]]))
-		if va != vb {
+		if na, nb := math.IsNaN(va), math.IsNaN(vb); na != nb {
+			return nb
+		}
+		if va != vb && !math.IsNaN(va) {
 			return va < vb
 		}
 		return idx[a] < idx[b]
@@ -81,6 +84,40 @@ func TestMagnitudeMaskMatchesComparatorSort(t *testing.T) {
 				t.Fatalf("drop %d: element %d (%v) keep=%v, comparator sort %v", drop, i, w.Data[i], got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestRankPrefixMatchesMagnitudeMask: one Rank serves every ratio. Its
+// prefix mask equals MagnitudeMask and the comparator sort at each ratio,
+// clamped ones included, on values with NaN, ±0, ±Inf and ties everywhere;
+// and a lower ratio's mask drops a subset of what a higher one drops.
+func TestRankPrefixMatchesMagnitudeMask(t *testing.T) {
+	nan := float32(math.NaN())
+	levels := []float32{0, 1e-40, 0.5, 0.5000001, 2, float32(math.Inf(1)), nan}
+	g := tensor.NewRNG(9)
+	w := tensor.New(13, 11)
+	for i := range w.Data {
+		w.Data[i] = levels[g.Intn(len(levels))]
+		if g.Intn(2) == 0 {
+			w.Data[i] = -w.Data[i]
+		}
+	}
+	r := Rank(w)
+	var prev *Mask
+	for _, ratio := range []float64{-0.1, 0, 1e-9, 0.25, 0.5, 0.75, 1, 1.1} {
+		got := r.Mask(ratio)
+		viaMask := MagnitudeMask(w, ratio).Keep
+		want := magnitudeMaskRef(w, int(math.Round(math.Min(math.Max(ratio, 0), 1)*float64(w.Len()))))
+		for i := range want {
+			if got.Keep[i] != viaMask[i] || got.Keep[i] != want[i] {
+				t.Fatalf("ratio %v: element %d (%v) rank keep=%v, MagnitudeMask %v, comparator sort %v",
+					ratio, i, w.Data[i], got.Keep[i], viaMask[i], want[i])
+			}
+			if prev != nil && !prev.Keep[i] && got.Keep[i] {
+				t.Fatalf("ratio %v keeps element %d that a lower ratio drops", ratio, i)
+			}
+		}
+		prev = got
 	}
 }
 

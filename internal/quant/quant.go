@@ -122,14 +122,26 @@ func minMaxStrided(src []float32, stride int) (lo, hi float32) {
 // quantize→dequantize under the scheme. Rank-2 tensors support per-channel
 // and grouped granularity; other ranks are quantized per-tensor.
 func (s Scheme) FakeQuant(t *tensor.Tensor) *tensor.Tensor {
+	out := t.Clone()
+	s.fakeQuantInto(out, t)
+	return out
+}
+
+// FakeQuantInPlace overwrites t with its fake-quantized version, FakeQuant's
+// bits without a copy of t.
+func (s Scheme) FakeQuantInPlace(t *tensor.Tensor) { s.fakeQuantInto(t, t) }
+
+// fakeQuantInto writes t's fake-quantized values into out, which has t's
+// shape. out may be t: each group reads its min/max before it writes, and
+// writes only its own elements.
+func (s Scheme) fakeQuantInto(out, t *tensor.Tensor) {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
-	out := t.Clone()
 	if !s.PerChannel || t.Rank() != 2 {
 		lo, hi := minMaxStrided(t.Data, 1)
 		s.quantizeSlice(out.Data, t.Data, 1, lo, hi)
-		return out
+		return
 	}
 	rows, cols := t.Rows(), t.Cols()
 	group := s.GroupSize
@@ -149,10 +161,4 @@ func (s Scheme) FakeQuant(t *tensor.Tensor) *tensor.Tensor {
 			s.quantizeSlice(dst, src, cols, lo, hi)
 		}
 	}
-	return out
-}
-
-// FakeQuantInPlace overwrites t with its fake-quantized version.
-func (s Scheme) FakeQuantInPlace(t *tensor.Tensor) {
-	t.CopyFrom(s.FakeQuant(t))
 }

@@ -56,6 +56,46 @@ func TestFakeQuantIdempotent(t *testing.T) {
 	}
 }
 
+// TestFakeQuantInPlaceMatchesFakeQuant: quantizing a tensor over itself
+// gives FakeQuant's bits, at every width and granularity, on values with
+// ±0, NaN and ±Inf, an all-zero group, a constant group and a partial
+// group at the bottom of each column.
+func TestFakeQuantInPlaceMatchesFakeQuant(t *testing.T) {
+	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.NaN()),
+		float32(math.Inf(1)), float32(math.Inf(-1))}
+	g := tensor.NewRNG(7)
+	w := g.Normal(0, 1, 22, 7)
+	for i := 0; i < len(w.Data); i += 5 {
+		w.Data[i] = specials[g.Intn(len(specials))]
+	}
+	for r := 0; r < 16; r++ {
+		w.Data[r*7+1] = 0    // column 1, rows 0..15: an all-zero group
+		w.Data[r*7+2] = 0.25 // column 2, rows 0..15: a constant group
+	}
+	flat := tensor.FromSlice(append([]float32(nil), w.Data...), len(w.Data))
+	for bits := 2; bits <= 8; bits++ {
+		for _, s := range []Scheme{
+			{Bits: bits},
+			{Bits: bits, Symmetric: true},
+			{Bits: bits, PerChannel: true},
+			{Bits: bits, Symmetric: true, PerChannel: true, GroupSize: 16},
+			{Bits: bits, PerChannel: true, GroupSize: 16},
+		} {
+			for _, in := range []*tensor.Tensor{w, flat} {
+				want := s.FakeQuant(in)
+				got := in.Clone()
+				s.FakeQuantInPlace(got)
+				for i := range want.Data {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+						t.Fatalf("%v shape %v: element %d (%v) in place %v, FakeQuant %v",
+							s, in.Shape, i, in.Data[i], got.Data[i], want.Data[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestFakeQuantPreservesZeros(t *testing.T) {
 	// Symmetric quantization maps 0 → 0 exactly — required so pruning
 	// masks survive subsequent quantization (the LUC unified-compression
