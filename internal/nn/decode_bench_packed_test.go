@@ -77,45 +77,15 @@ func BenchmarkDecodeStepPacked4(b *testing.B) {
 // BenchmarkDecodeBatch8Packed4 is BenchmarkDecodeBatch8 under packed
 // execution: eight sequences per step, one StepBatch per op.
 func BenchmarkDecodeBatch8Packed4(b *testing.B) {
-	const B8 = 8
 	m, pm := packedBenchModel(b)
-	d := NewBatchDecoder(m, B8, tensor.NewPool())
-	defer d.Close()
-	if err := d.SetPacked(pm); err != nil {
-		b.Fatal(err)
-	}
-	tokens := make([]int, B8)
-	slots := make([]int, B8)
-	acquireAll := func() {
-		for i := 0; i < B8; i++ {
-			s, err := d.Acquire()
-			if err != nil {
-				b.Fatal(err)
-			}
-			slots[i] = s
-		}
-	}
-	acquireAll()
-	if _, err := d.StepBatch(tokens, slots); err != nil { // warm scratch
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if d.PosAt(slots[0]) >= m.Cfg.MaxSeq {
-			d.Reset()
-			acquireAll()
-		}
-		for j := range tokens {
-			tokens[j] = (i*B8 + j*7) & 1023
-		}
-		if _, err := d.StepBatch(tokens, slots); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N*B8)/b.Elapsed().Seconds(), "tok/s")
-	b.ReportMetric(float64(pm.StorageBytes()), "wbytes")
+	benchDecodeBatch(b, m, pm, 8)
+}
+
+// BenchmarkDecodeBatch2Packed4 is BenchmarkDecodeBatch2 under packed
+// execution: two sequences per step, each code word decoded once for both.
+func BenchmarkDecodeBatch2Packed4(b *testing.B) {
+	m, pm := packedBenchModel(b)
+	benchDecodeBatch(b, m, pm, 2)
 }
 
 // BenchmarkDecodePrefill64Packed4 is BenchmarkDecodePrefill64 under packed

@@ -61,15 +61,28 @@ func BenchmarkDecodeStep(b *testing.B) {
 
 // BenchmarkDecodeBatch8 advances eight sequences per step through one
 // batched decoder: one op = one StepBatch = eight tokens.
-func BenchmarkDecodeBatch8(b *testing.B) {
-	const B8 = 8
-	m := decodeBenchModel()
-	d := NewBatchDecoder(m, B8, tensor.NewPool())
+func BenchmarkDecodeBatch8(b *testing.B) { benchDecodeBatch(b, decodeBenchModel(), nil, 8) }
+
+// BenchmarkDecodeBatch2 is BenchmarkDecodeBatch8 at two sequences, the
+// slot count of the HTTP workloads: one op = one StepBatch = two tokens.
+func BenchmarkDecodeBatch2(b *testing.B) { benchDecodeBatch(b, decodeBenchModel(), nil, 2) }
+
+// benchDecodeBatch advances batch sequences per step through one batched
+// decoder, under pm's packed weights when pm is not nil: one op = one
+// StepBatch = batch tokens. It reports tok/s, and wbytes, the packed
+// resident bytes, under pm.
+func benchDecodeBatch(b *testing.B, m *Model, pm *PackedModel, batch int) {
+	d := NewBatchDecoder(m, batch, tensor.NewPool())
 	defer d.Close()
-	tokens := make([]int, B8)
-	slots := make([]int, B8)
+	if pm != nil {
+		if err := d.SetPacked(pm); err != nil {
+			b.Fatal(err)
+		}
+	}
+	tokens := make([]int, batch)
+	slots := make([]int, batch)
 	acquireAll := func() {
-		for i := 0; i < B8; i++ {
+		for i := 0; i < batch; i++ {
 			s, err := d.Acquire()
 			if err != nil {
 				b.Fatal(err)
@@ -89,14 +102,17 @@ func BenchmarkDecodeBatch8(b *testing.B) {
 			acquireAll()
 		}
 		for j := range tokens {
-			tokens[j] = (i*B8 + j*7) & 1023
+			tokens[j] = (i*batch + j*7) & 1023
 		}
 		if _, err := d.StepBatch(tokens, slots); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(b.N*B8)/b.Elapsed().Seconds(), "tok/s")
+	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "tok/s")
+	if pm != nil {
+		b.ReportMetric(float64(pm.StorageBytes()), "wbytes")
+	}
 }
 
 // BenchmarkDecodeOneAtATime8 is the serial counterpart of DecodeBatch8:

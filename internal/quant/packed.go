@@ -316,16 +316,22 @@ func (p *Packed) mulVecBytes(out, a []float32, colLo, colHi int) {
 	}
 }
 
-// MulVecInto implements tensor.PackedMat.
-func (p *Packed) MulVecInto(out, a []float32, colLo, colHi int) bool {
-	if !p.wordAligned(colLo, colHi) {
+// MulVecInto implements tensor.PackedMat. Two rows take the AVX2 kernel,
+// which decodes each code word once for both. Where only the Go kernels
+// could serve them, one row at a time, decoding a tile once and sweeping it
+// is faster (DESIGN.md §6, "Two rows, one decode"), so two rows report
+// false there and go through tiles.
+func (p *Packed) MulVecInto(out []float32, outStride int, a []float32, rows, colLo, colHi int) bool {
+	switch {
+	case !p.wordAligned(colLo, colHi):
 		return false
-	}
-	if p.simd() {
-		p.mulVecSIMD(out, a, colLo, colHi)
+	case p.simd():
+		p.mulVecSIMD(out, outStride, a, rows, colLo, colHi)
 		return true
+	case rows == 1:
+		return p.mulVecGo(out, a[:p.Rows], colLo, colHi)
 	}
-	return p.mulVecGo(out, a, colLo, colHi)
+	return false
 }
 
 // mulVecGo is MulVecInto's reference for a word-aligned band, and the

@@ -7,7 +7,7 @@ import "edgellm/internal/tensor"
 var useAVX2 = tensor.HasAVX2()
 
 //go:noescape
-func mulVecAVX2(out *float32, nBlocks int, a *float32, k int, codes *byte, rowBytes int, scale *float32, bits int)
+func mulVecAVX2(out *float32, outStride, nBlocks int, a *float32, aRow, k, rows int, codes *byte, rowBytes int, scale *float32, bits int)
 
 //go:noescape
 func decodeAVX2(dst *float32, dstStride int, nBlocks int, rows int, codes *byte, rowBytes int, scale *float32, bits int)
@@ -43,30 +43,36 @@ func (p *Packed) simdBand(rowHi, colLo, colHi int) simdBand {
 // mulVecSIMD is MulVecInto through mulVecAVX2: the sums accumulate in out,
 // so the one block row the assembly may not load joins them in Go, in the
 // same ascending-k position — the last.
-func (p *Packed) mulVecSIMD(out, a []float32, colLo, colHi int) {
-	k := p.Rows
-	out = out[:colHi-colLo]
-	clear(out)
-	if k == 0 || len(out) == 0 {
+func (p *Packed) mulVecSIMD(out []float32, outStride int, a []float32, rows, colLo, colHi int) {
+	k, n := p.Rows, colHi-colLo
+	for r := 0; r < rows; r++ {
+		clear(out[r*outStride : r*outStride+n])
+	}
+	if k == 0 || n == 0 {
 		return
 	}
-	a = a[:k]
+	// The assembly checks no bounds: the last element each operand is read
+	// or written at must exist.
+	_, _ = a[rows*k-1], out[(rows-1)*outStride+n-1]
 	b := p.simdBand(k, colLo, colHi)
 	if !b.short {
-		mulVecAVX2(&out[0], b.nb, &a[0], k, &b.codes[0], b.rowBytes, &b.scale[0], p.Bits)
+		mulVecAVX2(&out[0], outStride*4, b.nb, &a[0], k*4, k, rows, &b.codes[0], b.rowBytes, &b.scale[0], p.Bits)
 		return
 	}
 	if k > 1 {
-		mulVecAVX2(&out[0], b.nb, &a[0], k-1, &b.codes[0], b.rowBytes, &b.scale[0], p.Bits)
+		mulVecAVX2(&out[0], outStride*4, b.nb, &a[0], k*4, k-1, rows, &b.codes[0], b.rowBytes, &b.scale[0], p.Bits)
 	}
 	if b.nb > 1 {
-		mulVecAVX2(&out[0], b.nb-1, &a[k-1], 1, &b.codes[(k-1)*b.rowBytes], b.rowBytes, &b.scale[0], p.Bits)
+		mulVecAVX2(&out[0], outStride*4, b.nb-1, &a[k-1], k*4, 1, rows, &b.codes[(k-1)*b.rowBytes], b.rowBytes, &b.scale[0], p.Bits)
 	}
-	if av := a[k-1]; av != 0 {
-		var w [blockCols]float32
-		p.decodeElems(w[:], k-1, k, colHi-blockCols, colHi)
-		for j, wv := range w {
-			out[len(out)-blockCols+j] += av * wv
+	var w [blockCols]float32
+	p.decodeElems(w[:], k-1, k, colHi-blockCols, colHi)
+	for r := 0; r < rows; r++ {
+		if av := a[r*k+k-1]; av != 0 {
+			o := out[r*outStride+n-blockCols : r*outStride+n]
+			for j, wv := range w {
+				o[j] += av * wv
+			}
 		}
 	}
 }

@@ -47,10 +47,19 @@ GLOBL lanes<>(SB), RODATA|NOPTR, $32
 	VCVTDQ2PS w, w; \
 	VMULPS    scale, w, w
 
-// MAC(w, acc): acc += a[k] (broadcast in Y9) × w.
-#define MAC(w, acc) \
-	VMULPS w, Y9, w; \
+// MAC(w, x, acc): acc += x (a broadcast a[k]) × w; w is clobbered.
+#define MAC(w, x, acc) \
+	VMULPS w, x, w; \
 	VADDPS w, acc, acc
+
+// MAC2(w, t, acc0, acc1): acc0 += a0[k] (in Y9) × w and acc1 += a1[k] (in
+// Y15) × w: one decoded block row, two activation rows. w and t are
+// clobbered.
+#define MAC2(w, t, acc0, acc1) \
+	VMULPS w, Y9, t; \
+	VADDPS t, acc0, acc0; \
+	VMULPS w, Y15, w; \
+	VADDPS w, acc1, acc1
 
 // ROWS … ROWSEND bracket what one code row contributes to the sums of the
 // blocks in hand: it runs for every k with a[k] != ±0 (an integer test, so
@@ -77,22 +86,79 @@ next: \
 	DECQ R13; \
 	JNZ  loop
 
-// func mulVecAVX2(out *float32, nBlocks int, a *float32, k int, codes *byte, rowBytes int, scale *float32, bits int)
+// PAIR(loop, only0, zero0, next) opens the code-row loop of the two-row
+// kernel: R11 walks a0 and a1 sits SI bytes past it. Each row keeps its own
+// zero skip, with the integer test of ROWS: the code row is decoded once
+// for both rows (the code after PAIR, a0 in Y9 and a1 in Y15), for a0
+// alone (at only0, a0 in Y9) or for a1 alone (at zero0's end, a1 in Y15),
+// and not at all when both are ±0.
+#define PAIR(loop, only0, zero0, next) \
+	MOVQ a+24(FP), R11; \
+	MOVQ BX, R12; \
+	MOVQ R10, R13; \
+loop: \
+	MOVL (R11), AX; \
+	ADDL AX, AX; \
+	JZ   zero0; \
+	MOVL (R11)(SI*1), AX; \
+	ADDL AX, AX; \
+	JZ   only0; \
+	PREFETCHT0 (R12)(R8*1); \
+	VBROADCASTSS (R11), Y9; \
+	VBROADCASTSS (R11)(SI*1), Y15
+
+// ONLY0 and ZERO0 open the one-row bodies PAIR jumps to.
+#define ONLY0(only0) \
+only0: \
+	PREFETCHT0 (R12)(R8*1); \
+	VBROADCASTSS (R11), Y9
+
+#define ZERO0(zero0, next) \
+zero0: \
+	MOVL (R11)(SI*1), AX; \
+	ADDL AX, AX; \
+	JZ   next; \
+	PREFETCHT0 (R12)(R8*1); \
+	VBROADCASTSS (R11)(SI*1), Y15
+
+// LOAD4 and STORE4 move four blocks of sums of one row between memory at
+// base and acc0 … acc3.
+#define LOAD4(base, acc0, acc1, acc2, acc3) \
+	VMOVUPS (base), acc0; \
+	VMOVUPS 32(base), acc1; \
+	VMOVUPS 64(base), acc2; \
+	VMOVUPS 96(base), acc3
+
+#define STORE4(base, acc0, acc1, acc2, acc3) \
+	VMOVUPS acc0, (base); \
+	VMOVUPS acc1, 32(base); \
+	VMOVUPS acc2, 64(base); \
+	VMOVUPS acc3, 96(base)
+
+// func mulVecAVX2(out *float32, outStride, nBlocks int, a *float32, aRow, k, rows int, codes *byte, rowBytes int, scale *float32, bits int)
 //
-// out[8b+j] += Σ_k a[k] · w[k][8b+j] for the nBlocks blocks whose row-0
-// codes start at codes, k ≥ 1 rows rowBytes apart, ascending k, skipping
-// a[k] == ±0. Blocks go four at a time so four add chains overlap.
-TEXT ·mulVecAVX2(SB), NOSPLIT, $0-64
+// out[r·outStride + 8b+j] += Σ_k a[r·aRow + k] · w[k][8b+j] for the rows
+// (1 or 2) activation rows and the nBlocks blocks whose row-0 codes start at
+// codes, k ≥ 1 code rows rowBytes apart, ascending k, skipping a == ±0 row
+// by row; outStride and aRow in bytes. One row takes its blocks four at a
+// time, scales in Y4-Y7, so four add chains overlap. Two rows take them
+// four at a time as well, eight accumulators (Y0, Y2, Y4, Y6 row 0; Y1, Y3,
+// Y5, Y7 row 1), each code word decoded once into Y10 or Y12 and multiplied
+// into both rows; with a0 and a1 in Y9 and Y15 and the shift counts in Y8
+// and Y14 that is all sixteen registers, so the scales are memory operands.
+TEXT ·mulVecAVX2(SB), NOSPLIT, $0-88
 	MOVQ out+0(FP), DI
-	MOVQ nBlocks+8(FP), CX
-	MOVQ a+16(FP), SI
-	MOVQ k+24(FP), R10
-	MOVQ codes+32(FP), BX
-	MOVQ rowBytes+40(FP), R9
-	MOVQ scale+48(FP), DX
-	MOVQ bits+56(FP), R14
+	MOVQ nBlocks+16(FP), CX
+	MOVQ k+40(FP), R10
+	MOVQ codes+56(FP), BX
+	MOVQ rowBytes+64(FP), R9
+	MOVQ scale+72(FP), DX
+	MOVQ bits+80(FP), R14
 	MOVQ R9, R8
 	SHLQ $6, R8 // prefetch distance: 64 rows
+	CMPQ rows+48(FP), $2
+	JEQ  pair
+	MOVQ a+24(FP), SI
 	CMPQ R14, $8
 	JEQ  b4
 	SHIFTS
@@ -100,28 +166,19 @@ TEXT ·mulVecAVX2(SB), NOSPLIT, $0-64
 w4:
 	CMPQ CX, $4
 	JLT  w1
-	VMOVUPS (DI), Y0
-	VMOVUPS 32(DI), Y1
-	VMOVUPS 64(DI), Y2
-	VMOVUPS 96(DI), Y3
-	VMOVUPS (DX), Y4
-	VMOVUPS 32(DX), Y5
-	VMOVUPS 64(DX), Y6
-	VMOVUPS 96(DX), Y7
+	LOAD4(DI, Y0, Y1, Y2, Y3)
+	LOAD4(DX, Y4, Y5, Y6, Y7)
 	ROWS(w4loop, w4next)
 	WORD((R12), Y10, Y4)
 	WORD((R12)(R14*1), Y11, Y5)
 	WORD((R12)(R14*2), Y12, Y6)
 	WORD((R12)(R15*1), Y13, Y7)
-	MAC(Y10, Y0)
-	MAC(Y11, Y1)
-	MAC(Y12, Y2)
-	MAC(Y13, Y3)
+	MAC(Y10, Y9, Y0)
+	MAC(Y11, Y9, Y1)
+	MAC(Y12, Y9, Y2)
+	MAC(Y13, Y9, Y3)
 	ROWSEND(w4loop, w4next)
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
+	STORE4(DI, Y0, Y1, Y2, Y3)
 	ADDQ $128, DI
 	ADDQ $128, DX
 	LEAQ (BX)(R14*4), BX
@@ -135,7 +192,7 @@ w1:
 	VMOVUPS (DX), Y4
 	ROWS(w1loop, w1next)
 	WORD((R12), Y10, Y4)
-	MAC(Y10, Y0)
+	MAC(Y10, Y9, Y0)
 	ROWSEND(w1loop, w1next)
 	VMOVUPS Y0, (DI)
 	ADDQ $32, DI
@@ -147,28 +204,19 @@ w1:
 b4:
 	CMPQ CX, $4
 	JLT  b1
-	VMOVUPS (DI), Y0
-	VMOVUPS 32(DI), Y1
-	VMOVUPS 64(DI), Y2
-	VMOVUPS 96(DI), Y3
-	VMOVUPS (DX), Y4
-	VMOVUPS 32(DX), Y5
-	VMOVUPS 64(DX), Y6
-	VMOVUPS 96(DX), Y7
+	LOAD4(DI, Y0, Y1, Y2, Y3)
+	LOAD4(DX, Y4, Y5, Y6, Y7)
 	ROWS(b4loop, b4next)
 	BYTES((R12), Y10, Y4)
 	BYTES(8(R12), Y11, Y5)
 	BYTES(16(R12), Y12, Y6)
 	BYTES(24(R12), Y13, Y7)
-	MAC(Y10, Y0)
-	MAC(Y11, Y1)
-	MAC(Y12, Y2)
-	MAC(Y13, Y3)
+	MAC(Y10, Y9, Y0)
+	MAC(Y11, Y9, Y1)
+	MAC(Y12, Y9, Y2)
+	MAC(Y13, Y9, Y3)
 	ROWSEND(b4loop, b4next)
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
+	STORE4(DI, Y0, Y1, Y2, Y3)
 	ADDQ $128, DI
 	ADDQ $128, DX
 	ADDQ $32, BX
@@ -182,7 +230,7 @@ b1:
 	VMOVUPS (DX), Y4
 	ROWS(b1loop, b1next)
 	BYTES((R12), Y10, Y4)
-	MAC(Y10, Y0)
+	MAC(Y10, Y9, Y0)
 	ROWSEND(b1loop, b1next)
 	VMOVUPS Y0, (DI)
 	ADDQ $32, DI
@@ -190,6 +238,162 @@ b1:
 	ADDQ $8, BX
 	DECQ CX
 	JMP  b1
+
+// Two rows: SI is a1's offset from a0, and out row 1 sits outStride bytes
+// past DI, read into AX around each group of blocks.
+pair:
+	MOVQ aRow+32(FP), SI
+	CMPQ R14, $8
+	JEQ  pb4
+	SHIFTS
+
+pw4:
+	CMPQ CX, $4
+	JLT  pw1
+	MOVQ outStride+8(FP), AX
+	LEAQ (DI)(AX*1), AX
+	LOAD4(DI, Y0, Y2, Y4, Y6)
+	LOAD4(AX, Y1, Y3, Y5, Y7)
+	PAIR(pw4loop, pw4only0, pw4zero0, pw4next)
+	WORD((R12), Y10, (DX))
+	WORD((R12)(R14*1), Y12, 32(DX))
+	MAC2(Y10, Y11, Y0, Y1)
+	MAC2(Y12, Y13, Y2, Y3)
+	WORD((R12)(R14*2), Y10, 64(DX))
+	WORD((R12)(R15*1), Y12, 96(DX))
+	MAC2(Y10, Y11, Y4, Y5)
+	MAC2(Y12, Y13, Y6, Y7)
+	JMP pw4next
+	ONLY0(pw4only0)
+	WORD((R12), Y10, (DX))
+	WORD((R12)(R14*1), Y11, 32(DX))
+	WORD((R12)(R14*2), Y12, 64(DX))
+	WORD((R12)(R15*1), Y13, 96(DX))
+	MAC(Y10, Y9, Y0)
+	MAC(Y11, Y9, Y2)
+	MAC(Y12, Y9, Y4)
+	MAC(Y13, Y9, Y6)
+	JMP pw4next
+	ZERO0(pw4zero0, pw4next)
+	WORD((R12), Y10, (DX))
+	WORD((R12)(R14*1), Y11, 32(DX))
+	WORD((R12)(R14*2), Y12, 64(DX))
+	WORD((R12)(R15*1), Y13, 96(DX))
+	MAC(Y10, Y15, Y1)
+	MAC(Y11, Y15, Y3)
+	MAC(Y12, Y15, Y5)
+	MAC(Y13, Y15, Y7)
+	ROWSEND(pw4loop, pw4next)
+	MOVQ outStride+8(FP), AX
+	LEAQ (DI)(AX*1), AX
+	STORE4(DI, Y0, Y2, Y4, Y6)
+	STORE4(AX, Y1, Y3, Y5, Y7)
+	ADDQ $128, DI
+	ADDQ $128, DX
+	LEAQ (BX)(R14*4), BX
+	SUBQ $4, CX
+	JMP  pw4
+
+pw1:
+	TESTQ CX, CX
+	JZ    finish
+	MOVQ outStride+8(FP), AX
+	VMOVUPS (DI), Y0
+	VMOVUPS (DI)(AX*1), Y1
+	PAIR(pw1loop, pw1only0, pw1zero0, pw1next)
+	WORD((R12), Y10, (DX))
+	MAC2(Y10, Y11, Y0, Y1)
+	JMP pw1next
+	ONLY0(pw1only0)
+	WORD((R12), Y10, (DX))
+	MAC(Y10, Y9, Y0)
+	JMP pw1next
+	ZERO0(pw1zero0, pw1next)
+	WORD((R12), Y10, (DX))
+	MAC(Y10, Y15, Y1)
+	ROWSEND(pw1loop, pw1next)
+	MOVQ outStride+8(FP), AX
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, (DI)(AX*1)
+	ADDQ $32, DI
+	ADDQ $32, DX
+	ADDQ R14, BX
+	DECQ CX
+	JMP  pw1
+
+pb4:
+	CMPQ CX, $4
+	JLT  pb1
+	MOVQ outStride+8(FP), AX
+	LEAQ (DI)(AX*1), AX
+	LOAD4(DI, Y0, Y2, Y4, Y6)
+	LOAD4(AX, Y1, Y3, Y5, Y7)
+	PAIR(pb4loop, pb4only0, pb4zero0, pb4next)
+	BYTES((R12), Y10, (DX))
+	BYTES(8(R12), Y12, 32(DX))
+	MAC2(Y10, Y11, Y0, Y1)
+	MAC2(Y12, Y13, Y2, Y3)
+	BYTES(16(R12), Y10, 64(DX))
+	BYTES(24(R12), Y12, 96(DX))
+	MAC2(Y10, Y11, Y4, Y5)
+	MAC2(Y12, Y13, Y6, Y7)
+	JMP pb4next
+	ONLY0(pb4only0)
+	BYTES((R12), Y10, (DX))
+	BYTES(8(R12), Y11, 32(DX))
+	BYTES(16(R12), Y12, 64(DX))
+	BYTES(24(R12), Y13, 96(DX))
+	MAC(Y10, Y9, Y0)
+	MAC(Y11, Y9, Y2)
+	MAC(Y12, Y9, Y4)
+	MAC(Y13, Y9, Y6)
+	JMP pb4next
+	ZERO0(pb4zero0, pb4next)
+	BYTES((R12), Y10, (DX))
+	BYTES(8(R12), Y11, 32(DX))
+	BYTES(16(R12), Y12, 64(DX))
+	BYTES(24(R12), Y13, 96(DX))
+	MAC(Y10, Y15, Y1)
+	MAC(Y11, Y15, Y3)
+	MAC(Y12, Y15, Y5)
+	MAC(Y13, Y15, Y7)
+	ROWSEND(pb4loop, pb4next)
+	MOVQ outStride+8(FP), AX
+	LEAQ (DI)(AX*1), AX
+	STORE4(DI, Y0, Y2, Y4, Y6)
+	STORE4(AX, Y1, Y3, Y5, Y7)
+	ADDQ $128, DI
+	ADDQ $128, DX
+	ADDQ $32, BX
+	SUBQ $4, CX
+	JMP  pb4
+
+pb1:
+	TESTQ CX, CX
+	JZ    finish
+	MOVQ outStride+8(FP), AX
+	VMOVUPS (DI), Y0
+	VMOVUPS (DI)(AX*1), Y1
+	PAIR(pb1loop, pb1only0, pb1zero0, pb1next)
+	BYTES((R12), Y10, (DX))
+	MAC2(Y10, Y11, Y0, Y1)
+	JMP pb1next
+	ONLY0(pb1only0)
+	BYTES((R12), Y10, (DX))
+	MAC(Y10, Y9, Y0)
+	JMP pb1next
+	ZERO0(pb1zero0, pb1next)
+	BYTES((R12), Y10, (DX))
+	MAC(Y10, Y15, Y1)
+	ROWSEND(pb1loop, pb1next)
+	MOVQ outStride+8(FP), AX
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, (DI)(AX*1)
+	ADDQ $32, DI
+	ADDQ $32, DX
+	ADDQ $8, BX
+	DECQ CX
+	JMP  pb1
 
 finish:
 	VZEROUPPER

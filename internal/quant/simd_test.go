@@ -34,8 +34,10 @@ func sameFloats(t *testing.T, name string, got, want []float32) {
 // simdCase builds a uniform packed matrix out of random code bytes (every
 // bit pattern is a code) whose Codes, Scale, activations and outputs all
 // start off bytes/elements into their backing arrays and end exactly at
-// their length, then compares the AVX2 MulVecInto and DecodeRowsInto with
-// their Go twins on the band of blocks [bLo, bHi) and the rows [rLo, rows).
+// their length, then compares the AVX2 MulVecInto, at one activation row and
+// at two, and DecodeRowsInto with their Go twins on the band of blocks
+// [bLo, bHi) and the rows [rLo, rows). Of the two activation rows, one has
+// zeros where the other does not, so each row's own skip is exercised.
 func simdCase(t *testing.T, seed int64, bits, rows, blocks, bLo, bHi, rLo, off int, special uint8) {
 	t.Helper()
 	if !useAVX2 {
@@ -49,7 +51,7 @@ func simdCase(t *testing.T, seed int64, bits, rows, blocks, bLo, bHi, rLo, off i
 		codes[i] = byte(g.Intn(256))
 	}
 	p := &Packed{Bits: bits, Rows: rows, Cols: cols, Codes: codes, Scale: g.Normal(0, 0.1, 1, off+cols).Data[off:]}
-	a := g.Normal(0, 1, 1, off+rows).Data[off:]
+	a := g.Normal(0, 1, 1, off+2*rows).Data[off:]
 	for i := range a {
 		if g.Intn(3) == 0 {
 			a[i] = 0
@@ -67,16 +69,24 @@ func simdCase(t *testing.T, seed int64, bits, rows, blocks, bLo, bHi, rLo, off i
 	colLo, colHi := bLo*blockCols, bHi*blockCols
 	name := fmt.Sprintf("%d-bit (%d,%d) cols [%d,%d) rows [%d,%d) off %d special %d", bits, rows, cols, colLo, colHi, rLo, rows, off, special)
 
-	got := make([]float32, off+colHi-colLo)[off:]
-	want := make([]float32, colHi-colLo)
-	for i := range got {
-		got[i] = float32(math.NaN()) // every element must be overwritten
+	// Row r of out sits outStride = n+3 elements after row r-1; the NaNs in
+	// the gap must stay.
+	n := colHi - colLo
+	outStride := n + 3
+	for _, aRows := range []int{1, 2} {
+		got := make([]float32, off+(aRows-1)*outStride+n)[off:]
+		for i := range got {
+			got[i] = float32(math.NaN()) // every element must be overwritten
+		}
+		want := append([]float32(nil), got...)
+		p.mulVecSIMD(got, outStride, a, aRows, colLo, colHi)
+		for r := 0; r < aRows; r++ {
+			if !p.mulVecGo(want[r*outStride:], a[r*rows:(r+1)*rows], colLo, colHi) {
+				t.Fatalf("%s: no Go kernel for a word-aligned band", name)
+			}
+		}
+		sameFloats(t, fmt.Sprintf("MulVecInto %d rows %s", aRows, name), got, want)
 	}
-	p.mulVecSIMD(got, a, colLo, colHi)
-	if !p.mulVecGo(want, a, colLo, colHi) {
-		t.Fatalf("%s: no Go kernel for a word-aligned band", name)
-	}
-	sameFloats(t, "MulVecInto "+name, got, want)
 
 	tile := (rows - rLo) * (colHi - colLo)
 	gotTile := make([]float32, off+tile)[off:]

@@ -83,13 +83,14 @@ func BenchmarkKernelTMatMulSerial512(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelMatMulRows times MatMulInto at the two row counts the tile
-// kernel serves: a 16-row prefill chunk through a 256 × 768 projection, and
-// a 128-row training matmul through tune_window's 128 × 384 MLP matrix.
+// BenchmarkKernelMatMulRows times MatMulInto at three row counts the tile
+// kernel serves: a batch-8 decode step and a 16-row prefill chunk through a
+// 256 × 768 projection, and a 128-row training matmul through
+// tune_window's 128 × 384 MLP matrix.
 // Both stay below parallelThreshold, so this is one band's kernel speed,
 // reported as GMAC/s; the 0 allocs/op is gated, the speed is report-only.
 func BenchmarkKernelMatMulRows(b *testing.B) {
-	for _, sh := range [][3]int{{16, 256, 768}, {128, 128, 384}} {
+	for _, sh := range [][3]int{{8, 256, 768}, {16, 256, 768}, {128, 128, 384}} {
 		m, k, n := sh[0], sh[1], sh[2]
 		b.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(b *testing.B) {
 			g := NewRNG(4)

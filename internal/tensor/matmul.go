@@ -103,10 +103,10 @@ func matmulRows(out, a, b *Tensor, rowLo, rowHi int) {
 
 // sweepCols is the loop both column-lane kernels share: out row i is the
 // sum over kk of a[i·aRow + kk·aStride] times b's row kk, for the band's
-// rows [rowLo, rowHi) of the out.Rows()-row call, through sumColsRows.
+// rows [rowLo, rowHi), through sumColsRows.
 func sweepCols(out *Tensor, a []float32, aRow, aStride int, b *Tensor, k, rowLo, rowHi int) {
 	n := b.Cols()
-	sumColsRows(out.Data[rowLo*n:], n, n, a[rowLo*aRow:], aRow, aStride, b.Data, n, k, rowHi-rowLo, out.Rows())
+	sumColsRows(out.Data[rowLo*n:], n, n, a[rowLo*aRow:], aRow, aStride, b.Data, n, k, rowHi-rowLo)
 }
 
 // MatMulT returns a × bᵀ, (m,k)×(n,k) → (m,n). This layout is the natural

@@ -33,15 +33,19 @@ type PackedMat interface {
 	// column block wide; a format makes that the fast case when the block
 	// is word-aligned in its bit stream.
 	DecodeRowsInto(dst []float32, rowLo, rowHi, colLo, colHi int)
-	// MulVecInto is the one-activation-row kernel, fused with the decode:
-	// out[j-colLo] = Σ_k a[k]·w[k][j] for colLo ≤ j < colHi, each output
-	// one ascending-k float32 sum from +0 over exactly the values
-	// DecodeRowsInto produces, skipping every a[k] == 0 — what decoding
-	// the band and running matmulRows over it gives, bit for bit, without
-	// the float32 round trip through scratch. It reports false, having
-	// written nothing, when the band is not word-aligned in the format's
-	// bit stream; the caller then goes through tiles.
-	MulVecInto(out, a []float32, colLo, colHi int) bool
+	// MulVecInto is the kernel for one or two activation rows, fused
+	// with the decode: for each r < rows (1 or 2),
+	// out[r·outStride + j-colLo] = Σ_k a[r·K + k]·w[k][j] for
+	// colLo ≤ j < colHi, with K the matrix's row count — each output one
+	// ascending-k float32 sum from +0 over exactly the values
+	// DecodeRowsInto produces, skipping every a == 0 of its own row. That
+	// is what decoding the band and running matmulRows over it gives, bit
+	// for bit, without the float32 round trip through scratch; two rows
+	// share each decoded code word. It reports false, having written
+	// nothing, when the band is not word-aligned in the format's bit
+	// stream or the format has no fused kernel for that many rows; the
+	// caller then goes through tiles.
+	MulVecInto(out []float32, outStride int, a []float32, rows, colLo, colHi int) bool
 }
 
 // PackedScratch holds the per-worker tile-decode buffers for the packed
@@ -108,19 +112,23 @@ func MatMulPackedInto(out, a *Tensor, w PackedMat, scratch *PackedScratch) {
 }
 
 // matmulPackedCols computes out columns [jLo, jHi) of a × w (all rows),
-// one tile at a time. A single activation row goes to the format's fused
-// MulVecInto. Otherwise the full-height k × 32 tile is decoded once into
-// scratch and the activation rows then sweep it with sumColsRows — the
-// dense kernel's primitive, over a contiguous tile instead of a strided
-// block of b. A full tile is exactly as wide as one sumTileAVX512 tile.
+// one tile at a time. Fewer rows than one group of four go to the format's
+// fused MulVecInto, two at a time. Otherwise the full-height k × 32 tile is
+// decoded once into scratch and the activation rows then sweep it with
+// sumColsRows — the dense kernel's primitive, over a contiguous tile
+// instead of a strided block of b. A full tile is exactly as wide as one
+// sumTileAVX512 tile.
 func matmulPackedCols(out, a *Tensor, w PackedMat, tile []float32, jLo, jHi int) {
 	m, k, n := a.Rows(), a.Cols(), out.Cols()
-	if m == 1 && w.MulVecInto(out.Data[jLo:jHi], a.Data, jLo, jHi) {
+	if m < 4 && w.MulVecInto(out.Data[jLo:], n, a.Data, min(m, 2), jLo, jHi) {
+		if m == 3 {
+			w.MulVecInto(out.Data[2*n+jLo:], n, a.Data[2*k:], 1, jLo, jHi)
+		}
 		return
 	}
 	for j0 := jLo; j0 < jHi; j0 += packedTileCols {
 		jw := min(packedTileCols, jHi-j0)
 		w.DecodeRowsInto(tile, 0, k, j0, j0+jw)
-		sumColsRows(out.Data[j0:], n, jw, a.Data, k, 1, tile, jw, k, m, m)
+		sumColsRows(out.Data[j0:], n, jw, a.Data, k, 1, tile, jw, k, m)
 	}
 }

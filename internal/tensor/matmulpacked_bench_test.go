@@ -75,8 +75,9 @@ func BenchmarkPackedMatMulFusedNF4(b *testing.B) {
 }
 
 // BenchmarkMatMulPackedGrid is EXPERIMENTS.md's kernel table: every width
-// LUC emits plus NF4, at one row (the fused MulVecInto), two (the smallest
-// tile sweep), a decode batch and a prefill run. Ungated, and named so the
+// LUC emits plus NF4, at one row and two (the fused MulVecInto, one pass),
+// three (two passes), a decode batch (the tile decode and sweep) and a
+// prefill run. Ungated, and named so the
 // gate jobs' 'BenchmarkPack' pattern leaves it out.
 func BenchmarkMatMulPackedGrid(b *testing.B) {
 	_, w := packedBenchOperands(b)
@@ -87,7 +88,7 @@ func BenchmarkMatMulPackedGrid(b *testing.B) {
 		{"2b", quant.Pack(w, 2)}, {"3b", quant.Pack(w, 3)}, {"4b", quant.Pack(w, 4)}, {"8b", quant.Pack(w, 8)},
 		{"nf4", quant.PackNF(w, quant.NFScheme{Bits: 4, BlockSize: 64})},
 	}
-	for _, m := range []int{1, 2, 8, 16} {
+	for _, m := range []int{1, 2, 3, 8, 16} {
 		a := tensor.NewRNG(22).Normal(0, 1, m, pbK)
 		for _, wt := range weights {
 			b.Run(fmt.Sprintf("m%d/%s", m, wt.name), func(b *testing.B) { benchFused(b, wt.p, a) })

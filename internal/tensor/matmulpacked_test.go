@@ -76,8 +76,9 @@ func checkPackedMatMul(t *testing.T, name string, a *tensor.Tensor, p packedVari
 // MatMulInto(a, p.Unpack()) for every bit width, on shapes that take the
 // word path (n a multiple of 8), shapes that cannot (ragged n: every tile
 // per element, the last one narrow), and one and two activation rows —
-// the fused MulVecInto and the smallest tile sweep — at each. Zero
-// activations exercise the shared zero-skip.
+// the fused MulVecInto at one row and at two (tiles where a format has no
+// two-row kernel) — at each. Zero activations exercise the shared
+// zero-skip.
 func TestMatMulPackedBitwiseMatchesUnpack(t *testing.T) {
 	shapes := [][3]int{ // m, k, n
 		{1, 16, 16},
@@ -109,15 +110,21 @@ func TestMatMulPackedBitwiseMatchesUnpack(t *testing.T) {
 // TestMatMulPackedSpecialActivations pins the zero skip against the
 // reference's: -0 is skipped like +0 (so a ±Inf or NaN weight product
 // never appears), while NaN and ±Inf activations are multiplied through —
-// Inf·0-code is NaN in both kernels or in neither. From 16 rows up the
-// tiles go through the AVX-512 tile kernel; every shape runs under every
-// kernel of this host.
+// Inf·0-code is NaN in both kernels or in neither. Two and three rows go
+// through the fused two-row kernel; from four rows up the tiles go through
+// the AVX-512 tile kernel; every shape runs under every kernel of this
+// host. Then the two-row kernel's own skip: at 2, 3, 4 and 8 bits, against
+// a column whose Inf scale makes every weight in it ±Inf or NaN, one row is
+// all ±0 where the other row is nonzero, in both directions, so that column
+// of the zero row is +0 only if every one of its products is skipped; its
+// last code row, which at 2 and 3 bits the band that ends the stream
+// decodes in Go, holds each special value in turn.
 func TestMatMulPackedSpecialActivations(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	inf := float32(math.Inf(1))
 	specials := []float32{negZero, float32(math.NaN()), inf, -inf, 0}
 	tensor.EachTileMode(func(path string) {
-		for _, sh := range [][3]int{{1, 64, 64}, {3, 64, 64}, {1, 37, 21}, {2, 37, 21}, {16, 64, 64}, {19, 37, 72}, {128, 40, 40}} {
+		for _, sh := range [][3]int{{1, 64, 64}, {2, 64, 64}, {3, 64, 64}, {1, 37, 21}, {2, 37, 21}, {2, 37, 72}, {3, 37, 72}, {16, 64, 64}, {19, 37, 72}, {128, 40, 40}} {
 			m, k, n := sh[0], sh[1], sh[2]
 			w := randTensor(k, n, 77)
 			for col := 0; col < n; col += 5 {
@@ -135,6 +142,24 @@ func TestMatMulPackedSpecialActivations(t *testing.T) {
 			}
 		}
 	})
+	for _, sh := range [][3]int{{2, 64, 64}, {3, 64, 64}, {2, 37, 72}, {3, 37, 72}} {
+		m, k, n := sh[0], sh[1], sh[2]
+		w := randTensor(k, n, 78)
+		w.Set(k/3, 5, inf)
+		for _, bits := range []int{2, 3, 4, 8} {
+			p := quant.Pack(w, bits)
+			for si, sp := range specials {
+				for row := 0; row < 2; row++ {
+					a := randTensor(m, k, int64(200+si))
+					for kk := 0; kk < k; kk++ {
+						a.Set(row, kk, []float32{0, negZero}[kk%2])
+					}
+					a.Set(row, k-1, sp)
+					checkPackedMatMul(t, fmt.Sprintf("%v %d-bit row %d a∋%v", sh, bits, row, sp), a, p, nil)
+				}
+			}
+		}
+	}
 }
 
 // TestMatMulPackedDeterministicAcrossProcs pins banding determinism: a
@@ -176,8 +201,9 @@ func TestMatMulPackedDeterministicAcrossProcs(t *testing.T) {
 }
 
 // TestMatMulPackedGridIdentity is BenchmarkMatMulPackedGrid's shape as a
-// test: 768 × 768 at every width plus NF4, one row (the fused MulVecInto),
-// the smallest tile sweeps, a decode batch, a prefill run and one past it,
+// test: 768 × 768 at every width plus NF4, one row and two (the fused
+// MulVecInto), three (two rows and one), a decode batch, a prefill run and
+// one past it,
 // at GOMAXPROCS 1 and 2 (from 16 rows up the call is over the fan-out
 // threshold and bands its columns). The oracle is the obvious triple loop
 // over Unpack — one ascending-k sum per element from +0, zero activations
@@ -225,8 +251,9 @@ func TestMatMulPackedGridIdentity(t *testing.T) {
 // threshold (TestMatMulPackedDeterministicAcrossProcs owns banding). The
 // seeds are one per path: fused and tiled word path, ragged width, 8-bit
 // bytes, a width with no word path, NF with a scale block that is not a
-// multiple of 8, and the AVX-512 tile kernel with rows left over. Each
-// input runs under every kernel of this host.
+// multiple of 8, the AVX-512 tile kernel with rows left over, and the
+// fused two-row kernel alone (m = 2) and beside a one-row pass (m = 3).
+// Each input runs under every kernel of this host.
 func FuzzMatMulPackedMatchesUnpack(f *testing.F) {
 	f.Add(uint8(0), uint8(63), uint8(63), uint8(2), false, int64(1))  // m=1, 64×64, 4-bit: fused
 	f.Add(uint8(4), uint8(39), uint8(23), uint8(0), false, int64(2))  // m=5, 2-bit: tiles
@@ -235,6 +262,8 @@ func FuzzMatMulPackedMatchesUnpack(f *testing.F) {
 	f.Add(uint8(2), uint8(16), uint8(15), uint8(3), false, int64(5))  // 5-bit: per element
 	f.Add(uint8(0), uint8(31), uint8(47), uint8(2), true, int64(6))   // nf4, block 12
 	f.Add(uint8(18), uint8(63), uint8(95), uint8(2), false, int64(7)) // m=19, 4-bit: tile kernel, 3 rows left
+	f.Add(uint8(1), uint8(39), uint8(71), uint8(1), false, int64(8))  // m=2, 3-bit, 9 blocks: two-row kernel, short last block
+	f.Add(uint8(2), uint8(63), uint8(39), uint8(6), false, int64(9))  // m=3, 8-bit: two-row kernel and one row
 	f.Fuzz(func(t *testing.T, mRaw, kRaw, nRaw, bitsRaw uint8, nf bool, seed int64) {
 		m, k, n := 1+int(mRaw)%24, 1+int(kRaw)%96, 1+int(nRaw)%96
 		bits := 2 + int(bitsRaw)%7

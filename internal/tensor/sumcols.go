@@ -79,31 +79,23 @@ func sumColsGo(out, a []float32, aStride int, b []float32, bStride, k int) {
 	}
 }
 
-// tileMinRows is the fewest rows a matmul call must have for its row
-// groups to go to the AVX-512 tile kernel: nn.PrefillRows, one full prefill
-// chunk. Measured, not tuned: with the tile under calls from 4 rows up,
-// decode steps and short prompts ran it too, and the tuning loop read
-// slower end to end (DESIGN.md §6, "The tile").
-const tileMinRows = 16
-
-// useAVX512 sends the row groups of every matmul call of at least
-// tileMinRows rows to sumTileAVX512: amd64 with AVX-512F, read once at init.
-// There is no switch; only tests turn it off, to run both kernels in one
-// process.
+// useAVX512 sends every whole group of four rows of a matmul call to
+// sumTileAVX512: amd64 with AVX-512F, read once at init. There is no switch;
+// only tests turn it off, to run both kernels in one process.
 var useAVX512 = useAVX2 && cpuHasAVX512F()
 
-// sumColsRows is SumCols over rows output rows of one matmul call of m rows:
+// sumColsRows is SumCols over rows output rows of one matmul call:
 //
 //	out[i·outStride : i·outStride+n] = SumCols(…, a[i·aRow:], aStride, b, bStride, k)
 //
 // for 0 ≤ i < rows, a blockSize-wide block of columns at a time, block-outer
 // so that the rows reuse the block while it is cached. With the tile kernel
-// on and m ≥ tileMinRows, whole groups of four rows × 32 columns go to
-// sumTileAVX512, which computes the same sums four rows at a time; the
-// columns a block leaves past a multiple of 32 and the rows past a multiple
-// of 4 go through SumCols, row by row.
-func sumColsRows(out []float32, outStride, n int, a []float32, aRow, aStride int, b []float32, bStride, k, rows, m int) {
-	tile := useAVX512 && m >= tileMinRows && k > 0
+// on, whole groups of four rows × 32 columns go to sumTileAVX512, which
+// computes the same sums four rows at a time; the columns a block leaves past
+// a multiple of 32 and the rows past a multiple of 4 go through SumCols, row
+// by row.
+func sumColsRows(out []float32, outStride, n int, a []float32, aRow, aStride int, b []float32, bStride, k, rows int) {
+	tile := useAVX512 && k > 0
 	rows4 := rows &^ 3
 	for j0 := 0; j0 < n; j0 += blockSize {
 		jw := min(blockSize, n-j0)
@@ -133,9 +125,9 @@ func sumColsRows(out []float32, outStride, n int, a []float32, aRow, aStride int
 func HasAVX2() bool { return useAVX2 }
 
 // KernelPath names the code path under the matmul kernels of this process:
-// "avx512" (the AVX2 assembly with the AVX-512 tile kernel under matmuls of
-// at least tileMinRows rows), "avx2" (the amd64 assembly alone) or "go" (the
-// pure-Go reference, on any other GOARCH and on amd64 without AVX2). All
+// "avx512" (the AVX2 assembly with the AVX-512 tile kernel under every whole
+// group of four rows of a matmul), "avx2" (the amd64 assembly alone) or "go"
+// (the pure-Go reference, on any other GOARCH and on amd64 without AVX2). All
 // three produce the same bits; benchmark manifests record the path so a
 // timing is attributable to it.
 func KernelPath() string {

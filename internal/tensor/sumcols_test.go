@@ -121,9 +121,9 @@ func eachTileMode(fn func(path string)) {
 	}
 }
 
-// matmulRowsCase runs sumColsRows over rows output rows of a call of that
-// many rows — the tile kernel's row groups from tileMinRows up, with 0-3
-// rows and the columns past a multiple of 32 left to SumCols — and holds
+// matmulRowsCase runs sumColsRows over rows output rows — the tile kernel's
+// whole groups of four rows, with 0-3 rows and the columns past a multiple
+// of 32 left to SumCols — and holds
 // every row to sumColsGo over the same operands. a's rows start aRow
 // elements apart and step aStride per k, so both the row-major a of
 // MatMulInto and the strided aᵀ of TMatMulInto are instances; out's rows are
@@ -138,7 +138,7 @@ func matmulRowsCase(t *testing.T, path string, seed int64, rows, n, k, aRow, aSt
 		got[i] = float32(math.NaN())
 	}
 	want := append([]float32(nil), got...)
-	sumColsRows(got, stride, n, a, aRow, aStride, b, stride, k, rows, rows)
+	sumColsRows(got, stride, n, a, aRow, aStride, b, stride, k, rows)
 	for i := 0; i < rows; i++ {
 		sumColsGo(want[i*stride:i*stride+n], a[i*aRow:], aStride, b, stride, k)
 	}
@@ -146,8 +146,8 @@ func matmulRowsCase(t *testing.T, path string, seed int64, rows, n, k, aRow, aSt
 		path, rows, n, k, aRow, aStride, stride, off, special), got, want)
 }
 
-// FuzzMatMulRows lets the engine pick the row count (below and above
-// tileMinRows), the width, k, a's row and k strides, the padding, the base
+// FuzzMatMulRows lets the engine pick the row count (whole groups of four
+// rows and the 0-3 left over), the width, k, a's row and k strides, the padding, the base
 // alignment and where the special values fall, under every kernel of this
 // host: each row equals sumColsGo bit for bit, NaN payloads aside.
 func FuzzMatMulRows(f *testing.F) {
@@ -155,7 +155,9 @@ func FuzzMatMulRows(f *testing.F) {
 	f.Add(int64(2), uint8(18), uint8(107), uint8(17), uint8(0), uint8(4), uint8(3), uint8(1), uint8(9))   // 19 rows, 64+32+12 columns, interleaved rows, specials
 	f.Add(int64(3), uint8(16), uint8(31), uint8(0), uint8(5), uint8(0), uint8(0), uint8(5), uint8(0))     // k = 0
 	f.Add(int64(4), uint8(127), uint8(31), uint8(200), uint8(9), uint8(1), uint8(8), uint8(7), uint8(77)) // 128 rows × 32 columns
-	f.Add(int64(5), uint8(2), uint8(40), uint8(9), uint8(12), uint8(2), uint8(2), uint8(3), uint8(5))     // 3 rows: below the rule
+	f.Add(int64(5), uint8(2), uint8(40), uint8(9), uint8(12), uint8(2), uint8(2), uint8(3), uint8(5))     // 3 rows: no whole group
+	f.Add(int64(6), uint8(3), uint8(95), uint8(63), uint8(64), uint8(0), uint8(0), uint8(0), uint8(0))    // 4 rows × 96, row-major: one group
+	f.Add(int64(7), uint8(7), uint8(75), uint8(40), uint8(3), uint8(3), uint8(5), uint8(2), uint8(33))    // 8 rows, 64+12 columns, strided, specials
 	f.Fuzz(func(t *testing.T, seed int64, rowsRaw, nRaw, kRaw, aRowRaw, aStrideRaw, pad, off, special uint8) {
 		rows, n, k := 1+int(rowsRaw)%130, 1+int(nRaw)%140, int(kRaw)%80
 		aRow, aStride := 1+int(aRowRaw)%200, 1+int(aStrideRaw)%5
@@ -169,15 +171,15 @@ func FuzzMatMulRows(f *testing.F) {
 // it is visible from outside: each output element is one ascending-k float32
 // sum from +0 that skips zero activations — what the obvious triple loop
 // computes — on shapes that mix the wide, narrow and ragged column paths,
-// under every kernel of this host. The calls of 16, 19 and 128 rows (the
-// tile kernel's, 0 and 3 rows left over) add the special values: ±0, NaN and
-// ±Inf activations; and ±Inf and NaN weights in one row of b under a zero
+// under every kernel of this host. Every shape adds the special values — at
+// 4, 8, 12, 16 and 128 rows all in the tile kernel's groups of four, at 5
+// and 19 with 1 and 3 rows left over: ±0, NaN and ±Inf activations; and ±Inf and NaN weights in one row of b under a zero
 // activation in every other row of a, the one case where the skip decides
 // the bits, and each row of a 4-row group must skip its own.
 func TestMatMulKernelsMatchNaive(t *testing.T) {
 	negZero, inf, nan := float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.NaN())
 	eachTileMode(func(path string) {
-		for _, sh := range [][3]int{{1, 5, 7}, {3, 17, 8}, {2, 64, 75}, {5, 33, 136}, {4, 9, 203}, {16, 40, 96}, {19, 33, 136}, {128, 17, 75}} {
+		for _, sh := range [][3]int{{1, 5, 7}, {3, 17, 8}, {2, 64, 75}, {5, 33, 136}, {4, 9, 203}, {4, 128, 384}, {8, 256, 768}, {12, 33, 136}, {16, 40, 96}, {19, 33, 136}, {128, 17, 75}} {
 			m, k, n := sh[0], sh[1], sh[2]
 			g := NewRNG(int64(m + k + n))
 			a, b := g.Normal(0, 1, m, k), g.Normal(0, 1, k, n)
@@ -185,9 +187,6 @@ func TestMatMulKernelsMatchNaive(t *testing.T) {
 				a.Data[i] = 0
 			}
 			matchNaive(t, fmt.Sprintf("%s %v", path, sh), a, b)
-			if m < tileMinRows {
-				continue
-			}
 			sa := a.Clone()
 			for i, sp := 1, 0; i < len(sa.Data); i, sp = i+7, sp+1 {
 				sa.Data[i] = []float32{negZero, nan, inf, -inf, 0}[sp%5]

@@ -7,8 +7,9 @@
 # lists, each held to the dense kernel over Unpack bit for bit; the three
 # assembly kernels (FuzzSumCols, FuzzPackedSIMD, FuzzAdamW) get shapes,
 # strides, base alignments, optimizer steps and special values, each held to
-# its Go twin; the AVX-512 tile kernel (FuzzMatMulRows) gets row counts
-# either side of the 16-row rule, widths, k, a's row and k strides, padding,
+# its Go twin (FuzzPackedSIMD at one activation row and two); the AVX-512
+# tile kernel (FuzzMatMulRows), which takes every whole group of four rows,
+# gets row counts with 0-3 rows left over, widths, k, a's row and k strides, padding,
 # alignments and special values, each row held to sumColsGo, under both the
 # tile kernel and the AVX2 sweep; the two kernels over the vector exp
 # (FuzzSigmoid: SiLU, SiLUMul, SiLUGrad; FuzzExpShift: dst and the in-order sum, in place too)

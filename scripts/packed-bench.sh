@@ -11,7 +11,7 @@
 #     wbytes ceilings, fused ≥ dequantize-then-matmul, 2-bit level with
 #     4-bit, 4-bit within reach of 8-bit) and the decode benchmarks against
 #     BENCH_decode.json (0 allocs, tok/s floors, packed 4-bit ≥ float32 at
-#     one row, batch-8 ≥ 1.7× one-at-a-time), whole, at GOMAXPROCS=1 and
+#     one and two rows, batch-8 ≥ 1.7× one-at-a-time), whole, at GOMAXPROCS=1 and
 #     default, each benchmark the fastest of three passes (benchguard keeps
 #     the fastest repetition; this class of host moves its clock by a quarter
 #     between them). No step of the benchmark model reaches the fan-out
@@ -46,7 +46,7 @@ gate() { # gate <suffix>, under the caller's GOMAXPROCS
   bench3 'BenchmarkPack' ./internal/tensor ./internal/quant | tee "$out/bench-packed$1.txt"
   go run ./cmd/benchguard -in "$out/bench-packed$1.txt" \
     -out "$out/BENCH_packed_run$1.json" -baseline BENCH_packed.json
-  bench3 'BenchmarkDecode(Step|Batch8|OneAtATime8|Prefill64)' ./internal/nn | tee "$out/bench-decode$1.txt"
+  bench3 'BenchmarkDecode(Step|Batch8|Batch2|OneAtATime8|Prefill64)' ./internal/nn | tee "$out/bench-decode$1.txt"
   go run ./cmd/benchguard -in "$out/bench-decode$1.txt" \
     -out "$out/BENCH_decode_run$1.json" -baseline BENCH_decode.json
 }
