@@ -16,8 +16,8 @@ func exportTestModel(seed int64) *nn.Model {
 
 // TestExportDeltaMatchesTrainingHook pins the serving-artifact semantics:
 // a decoder under the exported adapter computes what was trained — its
-// logits agree with the full forward through the live training-time hooks,
-// under the tolerance the base decoder is held to against the base forward.
+// logits equal the full forward's through the live training-time hooks bit
+// for bit, as the base decoder's equal the base forward's.
 func TestExportDeltaMatchesTrainingHook(t *testing.T) {
 	m := exportTestModel(31)
 	g := tensor.NewRNG(7)
@@ -60,7 +60,7 @@ func TestExportDeltaMatchesTrainingHook(t *testing.T) {
 		}
 		want := hooked.Row(pos)
 		for j := range row {
-			if math.Abs(float64(row[j]-want[j])) > 1e-4 {
+			if math.Float32bits(row[j]) != math.Float32bits(want[j]) {
 				t.Fatalf("pos %d vocab %d: served %v vs training-hook forward %v", pos, j, row[j], want[j])
 			}
 			effect = math.Max(effect, math.Abs(float64(want[j]-base.Row(pos)[j])))

@@ -209,14 +209,9 @@ func logSoftmaxRows(t *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(r, c)
 	for i := 0; i < r; i++ {
 		row := t.Row(i)
-		m := row[0]
-		for _, v := range row[1:] {
-			if v > m {
-				m = v
-			}
-		}
 		o := out.Row(i) // holds the row's exps until the log-softmax overwrites them
-		lse := float32(math.Log(tensor.ExpShift(o, row, m))) + m
+		m, logSum := tensor.LogSumExpRow(o, row)
+		lse := float32(logSum) + m
 		for j, v := range row {
 			o[j] = v - lse
 		}

@@ -21,8 +21,8 @@ import (
 // ascending sum from +0 the scalar loop computed. The transposed keys and
 // values are padded with zero columns to whole groups of 8, so every score
 // row, and every score-gradient row, sweeps whole groups on the assembly;
-// the lanes past position t are never read. The exp and its float64 sum are
-// tensor.ExpShift's; the max and the softmax-backward dot stay scalar.
+// the lanes past position t are never read. Each score row's softmax is
+// tensor.SoftmaxRow; the softmax-backward dot stays scalar.
 func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 	rows, c := q.Data.Rows(), q.Data.Cols()
 	if rows != batch*seqLen {
@@ -63,19 +63,8 @@ func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 				// scores over keys 0..t (causal mask)
 				n := t + 1
 				tensor.SumCols(sc.Data[:(n+7)&^7], q.Data.Data[base+t*c:], 1, kT.Data, Tp, hd)
-				scores := sc.Data[:n]
-				maxS := float32(math.Inf(-1))
-				for s := range scores {
-					scores[s] *= scale
-					if scores[s] > maxS {
-						maxS = scores[s]
-					}
-				}
 				pRow := p.Data[t*T : t*T+n]
-				inv := float32(1 / tensor.ExpShift(pRow, scores, maxS))
-				for s := range pRow {
-					pRow[s] *= inv
-				}
+				tensor.SoftmaxRow(pRow, sc.Data[:n], scale)
 				tensor.SumCols(out.Data[base+t*c:base+t*c+hd], pRow, 1, v.Data.Data[base:], c, n)
 			}
 		}

@@ -33,7 +33,7 @@ func TestFrozenPrefixBoundsTape(t *testing.T) {
 
 	h := x
 	for _, w := range frozenW {
-		h = ReLU(MatMul(h, w))
+		h = SiLU(MatMul(h, w))
 	}
 	frozenTape := GraphSize(h)
 	if frozenTape != 0 {
@@ -125,24 +125,6 @@ func TestEmbeddingOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	Embedding(Param(tensor.Ones(3, 2)), []int{3})
-}
-
-func TestSoftmaxRowsSumToOne(t *testing.T) {
-	g := tensor.NewRNG(3)
-	x := Const(g.Normal(0, 5, 6, 9))
-	p := Softmax(x)
-	for i := 0; i < 6; i++ {
-		var s float64
-		for _, v := range p.Data.Row(i) {
-			if v < 0 {
-				t.Fatal("softmax produced negative probability")
-			}
-			s += float64(v)
-		}
-		if s < 0.999 || s > 1.001 {
-			t.Fatalf("softmax row %d sums to %v", i, s)
-		}
-	}
 }
 
 func TestCausalAttentionIsCausal(t *testing.T) {

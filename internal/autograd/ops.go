@@ -151,28 +151,6 @@ func Reshape(x *Value, shape ...int) *Value {
 	}, x)
 }
 
-// ReLU applies max(0, x) elementwise.
-func ReLU(x *Value) *Value {
-	out, owned := outFor(x.RequiresGrad, x.Data.Shape...)
-	for i, v := range x.Data.Data {
-		if v > 0 {
-			out.Data[i] = v
-		}
-	}
-	v := newOp(out, func(o *Value) {
-		g := scratch(x.Data.Shape...)
-		for i, xv := range x.Data.Data {
-			if xv > 0 {
-				g.Data[i] = o.Grad.Data[i]
-			}
-		}
-		x.accumulate(g)
-		putScratch(g)
-	}, x)
-	v.dataOwned = owned
-	return v
-}
-
 // SiLU applies x·σ(x) elementwise (the activation used by LLaMA-style MLPs),
 // forward and backward on tensor's sigmoid kernel: σ in float64 through
 // math.Exp's bits, the products in float32 (tensor.SiLU, tensor.SiLUGrad).
@@ -198,18 +176,8 @@ func RMSNorm(x, gain *Value, eps float32) *Value {
 	}
 	out, owned := outFor(anyGrad(x, gain), r, c)
 	invRMS := make([]float32, r)
-	for i := 0; i < r; i++ {
-		row := x.Data.Row(i)
-		var ss float64
-		for _, v := range row {
-			ss += float64(v) * float64(v)
-		}
-		inv := float32(1 / math.Sqrt(ss/float64(c)+float64(eps)))
-		invRMS[i] = inv
-		outRow := out.Row(i)
-		for j, v := range row {
-			outRow[j] = v * inv * gain.Data.Data[j]
-		}
+	for i := range invRMS {
+		invRMS[i] = tensor.RMSNormRow(out.Row(i), x.Data.Row(i), gain.Data.Data, eps)
 	}
 	v := newOp(out, func(o *Value) {
 		var dGain *tensor.Tensor
@@ -256,52 +224,6 @@ func RMSNorm(x, gain *Value, eps float32) *Value {
 	return v
 }
 
-// Softmax applies a numerically stable row-wise softmax to rank-2 x.
-func Softmax(x *Value) *Value {
-	out, owned := outFor(x.RequiresGrad, x.Data.Rows(), x.Data.Cols())
-	softmaxRowsInto(out, x.Data)
-	v := newOp(out, func(o *Value) {
-		r, c := out.Rows(), out.Cols()
-		dX := scratch(r, c)
-		for i := 0; i < r; i++ {
-			p := out.Row(i)
-			g := o.Grad.Row(i)
-			var dot float64
-			for j := range p {
-				dot += float64(p[j]) * float64(g[j])
-			}
-			dRow := dX.Row(i)
-			for j := range p {
-				dRow[j] = p[j] * (g[j] - float32(dot))
-			}
-		}
-		x.accumulate(dX)
-		putScratch(dX)
-	}, x)
-	v.dataOwned = owned
-	return v
-}
-
-// softmaxRowsInto computes a row-wise stable softmax of t into out,
-// overwriting every element.
-func softmaxRowsInto(out, t *tensor.Tensor) {
-	r := t.Rows()
-	for i := 0; i < r; i++ {
-		row := t.Row(i)
-		m := row[0]
-		for _, v := range row[1:] {
-			if v > m {
-				m = v
-			}
-		}
-		outRow := out.Row(i)
-		inv := float32(1 / tensor.ExpShift(outRow, row, m))
-		for j := range outRow {
-			outRow[j] *= inv
-		}
-	}
-}
-
 // Embedding gathers rows of weight (vocab, dim) by ids, producing
 // (len(ids), dim). The backward pass scatter-adds into the weight gradient.
 func Embedding(weight *Value, ids []int) *Value {
@@ -341,7 +263,9 @@ func CrossEntropy(logits *Value, targets []int, ignoreIndex int) *Value {
 	// probs is retained for the backward pass; pooled when tape-recorded
 	// (the closure releases it after producing the logit gradient).
 	probs, _ := outFor(logits.RequiresGrad, n, vocab)
-	softmaxRowsInto(probs, logits.Data)
+	for i := 0; i < n; i++ {
+		tensor.SoftmaxRow(probs.Row(i), logits.Data.Row(i), 1)
+	}
 	var loss float64
 	count := 0
 	for i, t := range targets {

@@ -306,18 +306,7 @@ func softmaxLogits(logits *tensor.Tensor) *tensor.Tensor {
 	r, c := logits.Rows(), logits.Cols()
 	out := tensor.New(r, c)
 	for i := 0; i < r; i++ {
-		row := logits.Row(i)
-		m := row[0]
-		for _, v := range row[1:] {
-			if v > m {
-				m = v
-			}
-		}
-		o := out.Row(i)
-		inv := float32(1 / tensor.ExpShift(o, row, m))
-		for j := range o {
-			o[j] *= inv
-		}
+		tensor.SoftmaxRow(out.Row(i), logits.Row(i), 1)
 	}
 	return out
 }

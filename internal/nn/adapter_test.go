@@ -185,8 +185,10 @@ func TestSetAdapterRestoreExact(t *testing.T) {
 
 // TestAdapterSidePathMatchesMergedWeights holds the side path to the merged
 // definition of the same adapter, x·(W + (alpha/rank)·A·B), built here: over
-// 24 steps the two decoders' logits agree within 1e-4. They are different
-// roundings of one function, so this is a tolerance, not an identity.
+// 24 steps the two decoders' logits agree within 1e-4. In float32 the merged
+// weight is a different function from the side path x·W + (alpha/rank)·((x·A)·B),
+// so this is a tolerance, not an identity; the side path's bitwise reference
+// is Model.Logits under LoRA hooks (TestDecoderMatchesFullForward).
 func TestAdapterSidePathMatchesMergedWeights(t *testing.T) {
 	const seed = 29
 	m := adapterTestModel(seed)

@@ -21,15 +21,7 @@ func packedBenchModel(b *testing.B) (*Model, *PackedModel) {
 	packedBenchOnce.Do(func() {
 		cfg := Config{Vocab: 2048, Dim: 256, Heads: 8, Layers: 4, Hidden: 768, MaxSeq: 128}
 		packedBenchCache = NewModel(cfg, tensor.NewRNG(7))
-		specs := make([]PackSpec, cfg.Layers)
-		for i := range specs {
-			specs[i] = PackSpec{Bits: 4}
-		}
-		pm, err := PackModel(packedBenchCache, specs, nil)
-		if err != nil {
-			panic(err)
-		}
-		packedBenchPM = pm
+		packedBenchPM = pack4(b, packedBenchCache)
 	})
 	return packedBenchCache, packedBenchPM
 }

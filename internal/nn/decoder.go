@@ -274,7 +274,9 @@ func (d *Decoder) StepBatch(tokens, slots []int) ([][]float32, error) {
 		// Attention sub-block: h = norm1(x); q,k,v = h·W; cache k,v for
 		// every row, then per-row causal attention over the slot's arena
 		// region up to the row's own position.
-		d.rmsnormRows(B, hV.Data, blk.Norm1.Gain.Data.Data, blk.Norm1.Eps)
+		for i := 0; i < B; i++ {
+			tensor.RMSNormRow(hV.Row(i), d.x[i*dim:(i+1)*dim], blk.Norm1.Gain.Data.Data, blk.Norm1.Eps)
+		}
 		d.mm(qV, hV, blk.Attn.Wq.W.Data, l, wmWq)
 		d.mm(kV, hV, blk.Attn.Wk.W.Data, l, wmWk)
 		d.mm(vV, hV, blk.Attn.Wv.W.Data, l, wmWv)
@@ -288,7 +290,9 @@ func (d *Decoder) StepBatch(tokens, slots []int) ([][]float32, error) {
 		addRows(d.x, attV.Data)
 
 		// MLP sub-block: x += down( SiLU(h2·gate) ⊙ (h2·up) ).
-		d.rmsnormRows(B, hV.Data, blk.Norm2.Gain.Data.Data, blk.Norm2.Eps)
+		for i := 0; i < B; i++ {
+			tensor.RMSNormRow(hV.Row(i), d.x[i*dim:(i+1)*dim], blk.Norm2.Gain.Data.Data, blk.Norm2.Eps)
+		}
 		d.mm(gateV, hV, blk.MLP.Gate.W.Data, l, wmGate)
 		d.mm(upV, hV, blk.MLP.Up.W.Data, l, wmUp)
 		tensor.SiLUMul(gateV.Data, upV.Data)
@@ -300,7 +304,7 @@ func (d *Decoder) StepBatch(tokens, slots []int) ([][]float32, error) {
 	// the first R rows of h: interior prompt rows never reach the head.
 	hV, logitsV := d.h.rows(R), d.logits.rows(R)
 	for r, i := range d.last {
-		rmsnormRow(hV.Data[r*dim:(r+1)*dim], d.x[i*dim:(i+1)*dim], m.Norm.Gain.Data.Data, m.Norm.Eps)
+		tensor.RMSNormRow(hV.Row(r), d.x[i*dim:(i+1)*dim], m.Norm.Gain.Data.Data, m.Norm.Eps)
 	}
 	tensor.MatMulInto(logitsV, hV, m.LMHead.W.Data)
 	d.addSide(logitsV, hV, len(m.Blocks), 0)
@@ -364,9 +368,9 @@ func (d *Decoder) planRuns(tokens, slots []int) (err error) {
 // the slot's arena region, writing the context row in place. Per head it is
 // two tensor.SumCols calls: the scores with positions as lanes over the
 // transposed key tiles, then the context with head dimensions as lanes over
-// the value rows. Each score and context element is the legacy scalar
-// loop's ascending sum from +0, product and add each rounded; SumCols' zero
-// skip makes a difference only where a key or value element is ±Inf or NaN.
+// the value rows, with tensor.SoftmaxRow between them: the calls
+// ag.CausalAttention makes under Model.Logits, so each score and context
+// element is the same ascending sum from +0.
 func (d *Decoder) attendSlot(l, i, s, heads, hd int, scale float32, q, ctx []float32) {
 	dim := heads * hd
 	T := d.pos[i] + 1 // the slot's cache and its run, up to and including this row
@@ -386,40 +390,8 @@ func (d *Decoder) attendSlot(l, i, s, heads, hd int, scale float32, q, ctx []flo
 			tensor.SumCols(scratch[p0:p0+n], qRow[lo:lo+hd], 1, keys[lo*w:], w, hd)
 			p0 += w
 		}
-		maxS := float32(math.Inf(-1))
-		for t, sc := range scores {
-			sc *= scale
-			scores[t] = sc
-			if sc > maxS {
-				maxS = sc
-			}
-		}
-		inv := float32(1 / tensor.ExpShift(scores, scores, maxS))
-		for t := range scores {
-			scores[t] *= inv
-		}
+		tensor.SoftmaxRow(scores, scores, scale)
 		tensor.SumCols(ctxRow[lo:lo+hd], scores, 1, values[lo:], dim, T)
-	}
-}
-
-// rmsnormRows applies RMSNorm row-by-row: h[i] = norm(x[i])·gain.
-func (d *Decoder) rmsnormRows(B int, h, gain []float32, eps float32) {
-	n := len(gain)
-	for i := 0; i < B; i++ {
-		rmsnormRow(h[i*n:(i+1)*n], d.x[i*n:(i+1)*n], gain, eps)
-	}
-}
-
-// rmsnormRow is one row of RMSNorm, arithmetic identical to the reference
-// rmsnormVec (decoder_legacy_test.go).
-func rmsnormRow(hRow, xRow, gain []float32, eps float32) {
-	var ss float64
-	for _, v := range xRow {
-		ss += float64(v) * float64(v)
-	}
-	inv := float32(1 / math.Sqrt(ss/float64(len(gain))+float64(eps)))
-	for j, v := range xRow {
-		hRow[j] = v * inv * gain[j]
 	}
 }
 

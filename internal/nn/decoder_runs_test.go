@@ -19,11 +19,13 @@ func runsTestCfg() Config {
 // TestDecoderRunsMatchLegacy is the decode path's differential harness:
 // random schedules of multi-row runs — sequences of 1 to MaxSeq tokens
 // joining and leaving between steps, sitting steps out, run lengths from 1 to
-// everything a step holds, 1 to 8 slots — must give, for every run's last row, the bits the legacy
-// scalar decoder gives after stepping the same tokens one at a time. Run on
-// float32 and packed-4 weights, on the base model and with an adapter set (on
-// the decoder and, as its scalar side path, on the legacy reference), at
-// GOMAXPROCS 1 and N; the arena must read 0 bytes after every schedule.
+// everything a step holds, 1 to 8 slots — must give, for every run's last
+// row, the bits of that position's row of referenceLogits: one Model.Logits
+// over the whole sequence. (The name predates that reference and is kept so
+// the test's IDs stay stable.) Run on float32 and packed-4 weights, on the
+// base model and with an adapter set (on the decoder and, as LoRA hooks, on
+// the reference), at GOMAXPROCS 1 and N; the arena must read 0 bytes after
+// every schedule.
 // The hd12 model's head dimension is not a multiple of 8, so every head's
 // context sums run an AVX2 lane group and the Go tail; its MaxSeq, 44, ends
 // in a key tile 12 positions wide.
@@ -43,14 +45,7 @@ func TestDecoderRunsMatchLegacy(t *testing.T) {
 			ref, name := m, model.prefix+"float32"
 			var pm *PackedModel
 			if packed {
-				specs := make([]PackSpec, cfg.Layers)
-				for i := range specs {
-					specs[i] = PackSpec{Bits: 4}
-				}
-				var err error
-				if pm, err = PackModel(m, specs, nil); err != nil {
-					t.Fatal(err)
-				}
+				pm = pack4(t, m)
 				ref, name = packedRefModel(cfg, seed, pm), model.prefix+"packed4"
 			}
 			for suffix, adapter := range adapters {
@@ -77,7 +72,7 @@ func TestDecoderRunsMatchLegacy(t *testing.T) {
 }
 
 // runRandomSchedule drives d through one random schedule, checking every
-// returned row against a legacy decoder over ref under the same adapter.
+// returned row against referenceLogits over ref under the same adapter.
 func runRandomSchedule(t *testing.T, d *Decoder, ref *Model, adapter *Adapter, g *tensor.RNG) {
 	t.Helper()
 	cfg := ref.Cfg
@@ -85,14 +80,15 @@ func runRandomSchedule(t *testing.T, d *Decoder, ref *Model, adapter *Adapter, g
 		slot   int
 		tokens []int
 		fed    int
-		legacy *legacyDecoder
+		want   *tensor.Tensor // referenceLogits over tokens
 	}
 	pending := make([]*sequence, 2+2*d.Slots())
 	for i := range pending {
-		sq := &sequence{tokens: make([]int, 1+g.Intn(cfg.MaxSeq)), legacy: newLegacyDecoder(ref, adapter)}
+		sq := &sequence{tokens: make([]int, 1+g.Intn(cfg.MaxSeq))}
 		for j := range sq.tokens {
 			sq.tokens[j] = g.Intn(cfg.Vocab)
 		}
+		sq.want = referenceLogits(ref, adapter, sq.tokens)
 		pending[i] = sq
 	}
 	var active []*sequence
@@ -135,12 +131,8 @@ func runRandomSchedule(t *testing.T, d *Decoder, ref *Model, adapter *Adapter, g
 			t.Fatalf("%d runs returned %d rows", len(riders), len(rows))
 		}
 		for r, sq := range riders {
-			var want []float32
-			for _, tok := range sq.tokens[sq.fed : sq.fed+runLens[r]] {
-				want = sq.legacy.step(tok)
-			}
-			rowsBitsEqual(t, fmt.Sprintf("run of %d ending at position %d", runLens[r], sq.fed+runLens[r]-1), rows[r], want)
 			sq.fed += runLens[r]
+			rowsBitsEqual(t, fmt.Sprintf("run of %d ending at position %d", runLens[r], sq.fed-1), rows[r], sq.want.Row(sq.fed-1))
 			if d.PosAt(sq.slot) != sq.fed {
 				t.Fatalf("slot %d at %d after %d tokens", sq.slot, d.PosAt(sq.slot), sq.fed)
 			}

@@ -1,10 +1,13 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
+	ag "edgellm/internal/autograd"
 	"edgellm/internal/tensor"
 )
 
@@ -18,30 +21,90 @@ func mustStep(t *testing.T, d *Decoder, tok int) []float32 {
 	return row
 }
 
+func rowsBitsEqual(t *testing.T, name string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d vs %d", name, len(got), len(want))
+	}
+	for j := range got {
+		if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+			t.Fatalf("%s: element %d differs bitwise: %v vs %v", name, j, got[j], want[j])
+		}
+	}
+}
+
+// tuneWindowCfg is the model the tune_window benchmark workload tunes.
+func tuneWindowCfg() Config {
+	return Config{Vocab: 256, Dim: 128, Heads: 4, Layers: 6, Hidden: 384, MaxSeq: 32, ExitHeads: true}
+}
+
+// referenceLogits is the decode oracle: Model.Logits over the whole of
+// tokens, on ref under adapter a (nil: the base model) installed for the
+// call as Linear.Adapter hooks, y + (alpha/rank)·((x·A)·B) — the LoRA
+// formula adapt.InstallLoRA trains.
+func referenceLogits(ref *Model, a *Adapter, tokens []int) *tensor.Tensor {
+	if a != nil {
+		scale := a.alpha / float32(a.rank)
+		for _, p := range a.pairs {
+			_, l, wi, err := ref.adapterSite(p.Target)
+			if err != nil {
+				panic(err)
+			}
+			lin := ref.LMHead
+			if l < len(ref.Blocks) {
+				b := ref.Blocks[l]
+				lin = []*Linear{b.Attn.Wq, b.Attn.Wk, b.Attn.Wv, b.Attn.Wo, b.MLP.Gate, b.MLP.Up, b.MLP.Down}[wi]
+			}
+			A, B := ag.Const(p.A), ag.Const(p.B)
+			lin.Adapter = func(x, y *ag.Value) *ag.Value {
+				return ag.Add(y, ag.Scale(ag.MatMul(ag.MatMul(x, A), B), scale))
+			}
+			defer func() { lin.Adapter = nil }()
+		}
+	}
+	return ref.Logits([][]int{tokens}).Data
+}
+
 // TestDecoderMatchesFullForward: stepping a full-MaxSeq sequence through the
-// KV cache gives, at every position, the bits of the autograd forward over
-// the whole sequence — on the tiny model, the runs harness's model, and the
-// hd12 model whose head dimension is not a multiple of 8.
+// KV cache gives, at every position, the bits of referenceLogits over the
+// whole sequence — on float32 and packed-4 weights, each with no adapter and
+// with a full adapter, over the tiny model, the runs harness's model, the
+// hd12 model whose head dimension is not a multiple of 8, and the
+// tune_window model.
 func TestDecoderMatchesFullForward(t *testing.T) {
+	const seed = 70
 	for name, cfg := range map[string]Config{
-		"tiny": tinyConfig(),
-		"runs": runsTestCfg(),
-		"hd12": {Vocab: 96, Dim: 96, Heads: 8, Layers: 2, Hidden: 192, MaxSeq: 44},
+		"tiny":        tinyConfig(),
+		"runs":        runsTestCfg(),
+		"hd12":        {Vocab: 96, Dim: 96, Heads: 8, Layers: 2, Hidden: 192, MaxSeq: 44},
+		"tune_window": tuneWindowCfg(),
 	} {
-		m := NewModel(cfg, tensor.NewRNG(70))
 		seq := make([]int, cfg.MaxSeq)
 		for i := range seq {
 			seq[i] = (7*i + 3) % cfg.Vocab
 		}
-		logitsFull := m.Logits([][]int{seq}).Data
-		d := NewDecoder(m)
-		for pos, tok := range seq {
-			row := mustStep(t, d, tok)
-			want := logitsFull.Row(pos)
-			for j := range row {
-				if math.Float32bits(row[j]) != math.Float32bits(want[j]) {
-					t.Fatalf("%s pos %d vocab %d: cached %v vs full %v", name, pos, j, row[j], want[j])
+		adapter := fullAdapter(t, "oracle", 71, cfg, 4)
+		for _, packed := range []bool{false, true} {
+			m := NewModel(cfg, tensor.NewRNG(seed))
+			ref, weights := m, "float32"
+			var pm *PackedModel
+			if packed {
+				pm = pack4(t, m)
+				ref, weights = packedRefModel(cfg, seed, pm), "packed4"
+			}
+			for _, a := range []*Adapter{nil, adapter} {
+				want := referenceLogits(ref, a, seq)
+				d := NewDecoder(m)
+				if err := d.SetPacked(pm); err != nil {
+					t.Fatal(err)
 				}
+				if err := d.SetAdapter(a); err != nil {
+					t.Fatal(err)
+				}
+				for pos, tok := range seq {
+					rowsBitsEqual(t, fmt.Sprintf("%s %s adapter %v pos %d", name, weights, a != nil, pos), mustStep(t, d, tok), want.Row(pos))
+				}
+				d.Close()
 			}
 		}
 	}
@@ -189,6 +252,205 @@ func TestStepBatchValidation(t *testing.T) {
 	}
 	if d.PosAt(1) != 1 {
 		t.Fatalf("rejected batch advanced slot 1 to %d", d.PosAt(1))
+	}
+}
+
+// TestDecoderBatchMatchesIndependentDecoders decodes four sequences through
+// one batched decoder — with streams joining and leaving mid-run — and
+// asserts every logit row is bitwise identical to four independent
+// single-sequence decoders.
+func TestDecoderBatchMatchesIndependentDecoders(t *testing.T) {
+	m := tinyModel(81)
+	pool := tensor.NewPool()
+	batch := NewBatchDecoder(m, 4, pool)
+	defer batch.Close()
+
+	seqs := [][]int{
+		{1, 2, 3, 4, 5, 6},
+		{9, 8, 7, 6, 5},
+		{2, 4, 6, 8},
+		{11, 12, 13, 14, 15, 16, 1},
+	}
+	// joinAt staggers admissions so batch membership churns mid-run;
+	// sequence i joins at global step i.
+	solo := make([]*Decoder, len(seqs))
+	for i := range seqs {
+		solo[i] = NewDecoder(m)
+		defer solo[i].Close()
+	}
+	slotOf := make([]int, len(seqs))
+	fed := make([]int, len(seqs))
+	for i := range slotOf {
+		slotOf[i] = -1
+	}
+	for step := 0; ; step++ {
+		var tokens, slots []int
+		var streams []int
+		for i, seq := range seqs {
+			if step >= i && fed[i] < len(seq) {
+				if slotOf[i] == -1 {
+					s, err := batch.Acquire()
+					if err != nil {
+						t.Fatal(err)
+					}
+					slotOf[i] = s
+				}
+				tokens = append(tokens, seq[fed[i]])
+				slots = append(slots, slotOf[i])
+				streams = append(streams, i)
+			}
+		}
+		if len(tokens) == 0 {
+			break
+		}
+		rows, err := batch.StepBatch(tokens, slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bi, i := range streams {
+			want := mustStep(t, solo[i], seqs[i][fed[i]])
+			rowsBitsEqual(t, "batched stream", rows[bi], want)
+			fed[i]++
+			if fed[i] == len(seqs[i]) {
+				batch.Release(slotOf[i]) // leave mid-run; slot is reusable
+				slotOf[i] = -1
+			}
+		}
+	}
+	if batch.ActiveSlots() != 0 || batch.ArenaActiveBytes() != 0 {
+		t.Fatalf("all streams left but %d slots / %d bytes active",
+			batch.ActiveSlots(), batch.ArenaActiveBytes())
+	}
+}
+
+// TestDecoderDeterminismAcrossGOMAXPROCS runs a batched decode serially and
+// at high parallelism and requires bitwise-identical logits. The model is
+// sized so both the slot fan-out and the banded matmul kernels cross their
+// parallel thresholds.
+func TestDecoderDeterminismAcrossGOMAXPROCS(t *testing.T) {
+	cfg := Config{Vocab: 128, Dim: 64, Heads: 4, Layers: 2, Hidden: 96, MaxSeq: 64}
+	m := NewModel(cfg, tensor.NewRNG(82))
+	const B, steps = 8, 24
+
+	decode := func() []float32 {
+		pool := tensor.NewPool()
+		d := NewBatchDecoder(m, B, pool)
+		defer d.Close()
+		tokens := make([]int, B)
+		slots := make([]int, B)
+		for i := 0; i < B; i++ {
+			s, err := d.Acquire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			slots[i] = s
+		}
+		var out []float32
+		for st := 0; st < steps; st++ {
+			for i := range tokens {
+				tokens[i] = (st*B + i*7) % cfg.Vocab
+			}
+			rows, err := d.StepBatch(tokens, slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range rows {
+				out = append(out, row...)
+			}
+		}
+		return out
+	}
+
+	old := runtime.GOMAXPROCS(1)
+	serial := decode()
+	workers := runtime.NumCPU()
+	if workers < 8 {
+		workers = 8 // force multiple chunks even on small CI machines
+	}
+	runtime.GOMAXPROCS(workers)
+	parallel := decode()
+	runtime.GOMAXPROCS(old)
+
+	rowsBitsEqual(t, "GOMAXPROCS 1 vs N", parallel, serial)
+}
+
+// TestDecoderPoolBalance verifies every pooled byte comes back: arena plus
+// scratch released on Close after join/leave churn and Reset, and a second
+// decoder construction is served from the recycled buffers.
+func TestDecoderPoolBalance(t *testing.T) {
+	m := tinyModel(83)
+	pool := tensor.NewPool()
+
+	run := func() {
+		d := NewBatchDecoder(m, 3, pool)
+		for round := 0; round < 3; round++ {
+			s, err := d.Acquire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				if _, err := d.StepBatch([]int{i}, []int{s}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d.Release(s)
+		}
+		d.Reset()
+		d.Close()
+	}
+
+	run()
+	if st := pool.Stats(); st.BytesInUse != 0 {
+		t.Fatalf("pool bytes in use after Close = %d, want 0", st.BytesInUse)
+	}
+	missesAfterFirst := pool.Stats().Misses
+	run()
+	st := pool.Stats()
+	if st.BytesInUse != 0 {
+		t.Fatalf("pool bytes in use after second Close = %d, want 0", st.BytesInUse)
+	}
+	if st.Misses != missesAfterFirst {
+		t.Fatalf("second decoder allocated fresh buffers: misses %d → %d",
+			missesAfterFirst, st.Misses)
+	}
+	if st.Hits == 0 {
+		t.Fatal("second decoder never hit the pool")
+	}
+}
+
+// decodeStepAllocPin bounds steady-state allocations per StepBatch call on
+// the serial path. The decode hot loop reuses arena rows, pooled scratch,
+// and the returned row slice, so it allocates nothing once warm.
+const decodeStepAllocPin = 0
+
+func TestDecoderSteadyStateAllocs(t *testing.T) {
+	m := tinyModel(84)
+	pool := tensor.NewPool()
+	d := NewBatchDecoder(m, 2, pool)
+	defer d.Close()
+	s0, _ := d.Acquire()
+	s1, _ := d.Acquire()
+	tokens := []int{1, 2}
+	slots := []int{s0, s1}
+	step := func() {
+		if d.PosAt(s0) >= m.Cfg.MaxSeq {
+			d.Reset()
+			d.arena.Acquire()
+			d.arena.Acquire()
+		}
+		if _, err := d.StepBatch(tokens, slots); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, a := range []*Adapter{nil, fullAdapter(t, "allocs", 3, m.Cfg, 2)} {
+		if err := d.SetAdapter(a); err != nil {
+			t.Fatal(err)
+		}
+		step() // warm
+		allocs := testing.AllocsPerRun(5, step)
+		if allocs > decodeStepAllocPin {
+			t.Fatalf("adapter %v: steady-state StepBatch allocates %.1f per call, pin is %d", a != nil, allocs, decodeStepAllocPin)
+		}
 	}
 }
 

@@ -34,6 +34,20 @@ func packedRefModel(cfg Config, seed int64, pm *PackedModel) *Model {
 	return ref
 }
 
+// pack4 packs every block of m at 4 bits.
+func pack4(tb testing.TB, m *Model) *PackedModel {
+	tb.Helper()
+	specs := make([]PackSpec, m.Cfg.Layers)
+	for i := range specs {
+		specs[i] = PackSpec{Bits: 4}
+	}
+	pm, err := PackModel(m, specs, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pm
+}
+
 // decodeLogits batch-decodes a fixed token schedule and returns a copy of
 // every logit row produced.
 func decodeLogits(t *testing.T, d *Decoder, slots int, steps int) [][]float32 {

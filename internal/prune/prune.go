@@ -154,10 +154,3 @@ func PruneInPlace(t *tensor.Tensor, ratio float64) *Mask {
 	m.Apply(t)
 	return m
 }
-
-// PruneNMInPlace applies N:M pruning in place and returns the mask.
-func PruneNMInPlace(t *tensor.Tensor, n, m int) *Mask {
-	mask := NMMask(t, n, m)
-	mask.Apply(t)
-	return mask
-}

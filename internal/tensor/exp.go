@@ -111,6 +111,66 @@ func expShiftGo(dst, x []float32, m float32, sum float64) float64 {
 	return sum
 }
 
+// The three row kernels below are the only definitions of a softmax, a
+// log-sum-exp and an RMSNorm row (DESIGN.md §6, "One row arithmetic"):
+// training, decode, the LUC probe and the vote all call them. None
+// allocates.
+
+// SoftmaxRow writes the softmax of scale·x to dst (equal lengths; dst may
+// be x): each x[i]·scale rounded to float32 into dst, their max m (NaNs
+// skipped; −Inf for an empty row), ExpShift(dst, dst, m) and its sum s,
+// then every exp times float32(1/s).
+func SoftmaxRow(dst, x []float32, scale float32) {
+	if len(dst) != len(x) {
+		panic(fmt.Sprintf("tensor: SoftmaxRow lengths dst %d x %d", len(dst), len(x)))
+	}
+	m := float32(math.Inf(-1))
+	for i, v := range x {
+		v *= scale
+		dst[i] = v
+		if v > m {
+			m = v
+		}
+	}
+	inv := float32(1 / ExpShift(dst, dst, m))
+	for i := range dst {
+		dst[i] *= inv
+	}
+}
+
+// LogSumExpRow returns x's max m (NaNs skipped; −Inf for an empty row) and
+// logSum = math.Log of ExpShift(scratch, x, m)'s sum, so that
+// log Σ exp(x[i]) = m + logSum in whichever precision the caller adds them.
+// scratch (len(x)) is left holding the shifted exps.
+func LogSumExpRow(scratch, x []float32) (m float32, logSum float64) {
+	m = float32(math.Inf(-1))
+	for _, v := range x {
+		if v > m {
+			m = v
+		}
+	}
+	return m, math.Log(ExpShift(scratch, x, m))
+}
+
+// RMSNormRow writes x[j]·inv·gain[j], rounded left to right, to dst (equal
+// lengths; dst may be x) and returns inv = float32(1/√(Σx²/n + eps)), the
+// sum of squares in float64 from 0 in ascending j.
+func RMSNormRow(dst, x, gain []float32, eps float32) float32 {
+	n := len(x)
+	if len(dst) != n || len(gain) != n {
+		panic(fmt.Sprintf("tensor: RMSNormRow lengths dst %d x %d gain %d", len(dst), n, len(gain)))
+	}
+	var ss float64
+	for _, v := range x {
+		ss += float64(v) * float64(v)
+	}
+	inv := float32(1 / math.Sqrt(ss/float64(n)+float64(eps)))
+	for j, v := range x {
+		dst[j] = v * inv * gain[j]
+	}
+	return inv
+}
+
 // expProbe holds float32s on which math.Exp's FMA and non-FMA paths round
 // one float64 ulp apart.
 var expProbe = [4]float32{1.6908053e-06, 8.881741e-06, 1.7567369e-05, 2.9830968e-05}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -302,6 +303,128 @@ func TestAddInPlaceMatchesGo(t *testing.T) {
 			addGo(want, src)
 			FromSlice(src, 1, n).AddInPlace(FromSlice(src, 1, n))
 			sameFloats(t, fmt.Sprintf("AddInPlace aliased n=%d off=%d", n, off), src, want)
+		}
+	}
+}
+
+// rowCases are the rows the row kernels are held to their float64
+// definitions on: both zeros, ±Inf among finite values, all −Inf, a NaN at
+// either end, and normals at lengths on and off a group of 4.
+func rowCases() map[string][]float32 {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	negZero := float32(math.Copysign(0, -1))
+	g := NewRNG(9)
+	return map[string][]float32{
+		"zeros":         {0, negZero, 0, negZero, 0},
+		"negative zero": {negZero, negZero, 0},
+		"+Inf":          {1, inf, -2, 3},
+		"-Inf":          {1, -inf, -2, 3, 0.5},
+		"all -Inf":      {-inf, -inf, -inf},
+		"NaN first":     {nan, 1, 2, 3},
+		"NaN last":      {1, 2, 3, 4, nan},
+		"normal 37":     g.Normal(0, 3, 37).Data,
+		"normal 64":     g.Normal(0, 3, 64).Data,
+	}
+}
+
+// nearRef reports whether got is ref within rel relative error, with NaN
+// only where ref is NaN and ref's exact value (zero sign included) where ref
+// is zero or infinite.
+func nearRef(got float32, ref, rel float64) bool {
+	switch {
+	case math.IsNaN(ref):
+		return got != got
+	case ref == 0 || math.IsInf(ref, 0):
+		return same32(got, float32(ref))
+	}
+	return math.Abs(float64(got)-ref) <= rel*math.Abs(ref)
+}
+
+// TestSoftmaxRowMatchesFloat64 holds SoftmaxRow to softmax(scale·x) in
+// float64 — exp(y_i − max y) / Σ exp(y_j − max y) — on every row case at two
+// scales, in place too; every finite row sums to 1 with no negative entry.
+func TestSoftmaxRowMatchesFloat64(t *testing.T) {
+	for name, x := range rowCases() {
+		for _, scale := range []float32{1, 0.125} {
+			y := make([]float64, len(x))
+			m := math.Inf(-1)
+			for i, v := range x {
+				if y[i] = float64(v) * float64(scale); y[i] > m {
+					m = y[i]
+				}
+			}
+			var s float64
+			for i := range y {
+				y[i] = math.Exp(y[i] - m)
+				s += y[i]
+			}
+			got := make([]float32, len(x))
+			SoftmaxRow(got, x, scale)
+			var sum float64
+			for i, p := range got {
+				if !nearRef(p, y[i]/s, 1e-5) {
+					t.Fatalf("%s scale %v: p[%d] = %v, float64 %v", name, scale, i, p, y[i]/s)
+				}
+				sum += float64(p)
+			}
+			if !math.IsNaN(s) && (math.Abs(sum-1) > 1e-5 || slices.Min(got) < 0) {
+				t.Fatalf("%s scale %v: row %v sums to %v", name, scale, got, sum)
+			}
+			inPlace := append([]float32(nil), x...)
+			SoftmaxRow(inPlace, inPlace, scale)
+			sameFloats(t, name+" in place", inPlace, got)
+		}
+	}
+}
+
+// TestLogSumExpRowMatchesFloat64 holds LogSumExpRow to max x and
+// log Σ exp(x_i − max x) in float64 on every row case.
+func TestLogSumExpRowMatchesFloat64(t *testing.T) {
+	for name, x := range rowCases() {
+		wantM := float32(math.Inf(-1))
+		for _, v := range x {
+			if v > wantM {
+				wantM = v
+			}
+		}
+		var s float64
+		for _, v := range x {
+			s += math.Exp(float64(v) - float64(wantM))
+		}
+		want := math.Log(s)
+		m, logSum := LogSumExpRow(make([]float32, len(x)), x)
+		if !same32(m, wantM) {
+			t.Fatalf("%s: max %v, want %v", name, m, wantM)
+		}
+		if !same64(logSum, want) && !(math.Abs(logSum-want) <= 1e-6*max(1, math.Abs(want))) {
+			t.Fatalf("%s: log-sum %v, float64 %v", name, logSum, want)
+		}
+	}
+}
+
+// TestRMSNormRowMatchesFloat64 holds RMSNormRow to x_j·g_j/√(Σx²/n + eps)
+// in float64 on every row case, with eps 0 and 1e-5, in place too.
+func TestRMSNormRowMatchesFloat64(t *testing.T) {
+	for name, x := range rowCases() {
+		gain := NewRNG(int64(len(x))).Uniform(0.5, 1.5, len(x)).Data
+		for _, eps := range []float32{0, 1e-5} {
+			var ss float64
+			for _, v := range x {
+				ss += float64(v) * float64(v)
+			}
+			wantInv := 1 / math.Sqrt(ss/float64(len(x))+float64(eps))
+			got := make([]float32, len(x))
+			if inv := RMSNormRow(got, x, gain, eps); !nearRef(inv, wantInv, 1e-6) {
+				t.Fatalf("%s eps %v: inv %v, float64 %v", name, eps, inv, wantInv)
+			}
+			for j, v := range x {
+				if want := float64(v) * wantInv * float64(gain[j]); !nearRef(got[j], want, 1e-6) {
+					t.Fatalf("%s eps %v: y[%d] = %v, float64 %v", name, eps, j, got[j], want)
+				}
+			}
+			inPlace := append([]float32(nil), x...)
+			RMSNormRow(inPlace, inPlace, gain, eps)
+			sameFloats(t, name+" in place", inPlace, got)
 		}
 	}
 }

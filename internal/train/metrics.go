@@ -53,14 +53,8 @@ func SequenceLogProb(logits *ag.Value, targets []int, ignoreIndex int) float64 {
 			continue
 		}
 		row := logits.Data.Row(i)
-		// log softmax at index t
-		maxV := row[0]
-		for _, v := range row[1:] {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		sum += float64(row[t]-maxV) - math.Log(tensor.ExpShift(e, row, maxV))
+		m, logSum := tensor.LogSumExpRow(e, row) // log softmax at index t
+		sum += float64(row[t]-m) - logSum
 	}
 	return sum
 }

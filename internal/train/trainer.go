@@ -11,12 +11,6 @@ import (
 	"edgellm/internal/obsv"
 )
 
-// Schedule maps a 0-based step index to a learning-rate multiplier.
-type Schedule func(step int) float64
-
-// ConstantSchedule keeps the multiplier at 1.
-func ConstantSchedule() Schedule { return func(int) float64 { return 1 } }
-
 // DefaultMaxBadSteps is the consecutive non-finite-step budget NewTrainer
 // installs before declaring divergence.
 const DefaultMaxBadSteps = 5
@@ -43,12 +37,10 @@ func (e *DivergenceError) Error() string {
 // optimizer update, gradient reset.
 type Trainer struct {
 	Opt Optimizer
-	// BaseLR is multiplied by the Schedule each step.
+	// BaseLR is every step's learning rate.
 	BaseLR float32
 	// ClipNorm bounds the global gradient L2 norm; 0 disables clipping.
 	ClipNorm float64
-	// Sched defaults to a constant schedule.
-	Sched Schedule
 	// MaxBadSteps aborts the run (panic with *DivergenceError) after this
 	// many consecutive steps with a non-finite loss or gradient norm.
 	// Non-finite steps always skip the parameter update; 0 disables only
@@ -79,8 +71,7 @@ type Trainer struct {
 // NewTrainer wraps opt with base learning rate lr and clipping at clip.
 // The divergence guard is on by default (DefaultMaxBadSteps).
 func NewTrainer(opt Optimizer, lr float32, clip float64) *Trainer {
-	return &Trainer{Opt: opt, BaseLR: lr, ClipNorm: clip, Sched: ConstantSchedule(),
-		MaxBadSteps: DefaultMaxBadSteps}
+	return &Trainer{Opt: opt, BaseLR: lr, ClipNorm: clip, MaxBadSteps: DefaultMaxBadSteps}
 }
 
 // skipBadStep accounts one non-finite step: the update is skipped, the
@@ -192,7 +183,7 @@ func (t *Trainer) ApplyGrads(m nn.Module, loss float64) {
 	if t.GradHook != nil && obs != nil {
 		t.GradHook(params)
 	}
-	lr := t.BaseLR * float32(t.Sched(t.step))
+	lr := t.BaseLR
 	t.Opt.Step(params, lr)
 	nn.ZeroGrads(m)
 	t.step++

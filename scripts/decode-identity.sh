@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # The decode path's identity guarantees under the race detector: a prompt fed
-# in runs == token-at-a-time decode == the legacy scalar decoder, bit for bit;
-# batched == solo; scheduler output == a solo decode, whatever joins, leaves
-# or is cancelled beside it; all of it with an adapter set too (the legacy
-# decoder carries the scalar side path), and a packed backbone + adapter ==
-# the Unpack'ed float32 weights + the same adapter. Runs every
+# in runs == token-at-a-time decode == Model.Logits over the whole sequence,
+# bit for bit; batched == solo; scheduler output == a solo decode, whatever
+# joins, leaves or is cancelled beside it; all of it with an adapter set too
+# (on Model.Logits as LoRA hooks on its linears), and a packed backbone +
+# adapter == the Unpack'ed float32 weights + the same adapter. Runs every
 # Decoder/Scheduler/Adapter test of internal/nn and internal/serve (the
 # random-schedule differential harnesses included) once, at the machine's
 # default GOMAXPROCS. A result can depend on procs only where a kernel fans

@@ -6,7 +6,7 @@
 # "go"; everywhere else — and here — the pure-Go kernels they sit beside are
 # the only path (DESIGN.md §6, "The repo takes assembly" and "The tile"). An amd64 box runs 386 binaries natively, so GOARCH=386 is
 # the one place the Go fallback executes the whole decoder identity suite
-# (chunked == token-at-a-time == legacy, batched == solo, packed ==
+# (chunked == token-at-a-time == Model.Logits, batched == solo, packed ==
 # fake-quant) and the training tests on the Go AdamW twin, on the Go
 # SumCols under attention and the backward matmuls and on the math.Exp loops
 # under SiLU and softmax (sumcols_other.go stubs every assembly routine), and
