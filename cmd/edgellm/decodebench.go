@@ -39,7 +39,7 @@ func cmdDecodeBench(args []string) error {
 	vocab := fs.Int("vocab", 2048, "vocabulary size")
 	temp := fs.Float64("temp", 0.8, "sampling temperature (0 = greedy)")
 	seed := fs.Int64("seed", 42, "model and sampling seed")
-	bitsSpec := fs.String("bits", "", `pack block weights and decode through the fused kernels: "2".."8" (uniform width), "nf4" (normal-float codebook), or "luc@<avg-bits>" (per-layer LUC assignment under an average-bit budget, e.g. luc@3.5); empty decodes float32`)
+	bitsSpec := fs.String("bits", "", bitsUsage)
 	faultSpec := fs.String("fault", "", `cancel streams mid-generation: comma-separated mode=ID pairs over stream ids S0..S<n-1>, e.g. "fail=S3,fail=S7" (use mode fail)`)
 	verify := fs.Bool("verify", true, "check surviving streams token-for-token against solo decodes and require the arena to drain")
 	compare := fs.Bool("compare", false, "also run the workload one stream at a time and report the batch speedup")

@@ -9,24 +9,19 @@ import (
 	"edgellm/internal/nn"
 )
 
+// bitsUsage is the -bits flag's help text, shared by serve and decode-bench.
+const bitsUsage = `pack block weights and decode through the fused kernels: "2".."8" (one width for every layer) or "luc@<avg-bits>" (per-layer LUC assignment under an average-bit budget, e.g. luc@3.5); empty runs float32`
+
 // resolvePackSpecs turns a -bits flag value into per-layer pack specs:
 //
 //	"2".."8"        uniform width for every layer
-//	"nf4"           4-bit normal-float codebook, 64-element blocks
 //	"luc@<avg>"     LUC sensitivity probe + DP search under an average-bit
 //	                budget, then prune + fake-quantize per the policy so
 //	                the packed codes carry the pruned zeros
 //
 // The returned description names the layer assignment for reports.
 func resolvePackSpecs(m *nn.Model, spec string) ([]nn.PackSpec, string, error) {
-	layers := len(m.Blocks)
 	switch {
-	case spec == "nf4":
-		out := make([]nn.PackSpec, layers)
-		for i := range out {
-			out[i] = nn.PackSpec{Bits: 4, NF: true, NFBlock: 64}
-		}
-		return out, "nf4 uniform", nil
 	case strings.HasPrefix(spec, "luc@"):
 		budget, err := strconv.ParseFloat(strings.TrimPrefix(spec, "luc@"), 64)
 		if err != nil || budget <= 0 {
@@ -46,9 +41,9 @@ func resolvePackSpecs(m *nn.Model, spec string) ([]nn.PackSpec, string, error) {
 	default:
 		bits, err := strconv.Atoi(spec)
 		if err != nil || bits < 2 || bits > 8 {
-			return nil, "", fmt.Errorf("bad -bits %q: want 2..8, nf4, or luc@<avg-bits>", spec)
+			return nil, "", fmt.Errorf("bad -bits %q: want 2..8 or luc@<avg-bits>", spec)
 		}
-		out := make([]nn.PackSpec, layers)
+		out := make([]nn.PackSpec, len(m.Blocks))
 		for i := range out {
 			out[i] = nn.PackSpec{Bits: bits}
 		}

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +15,19 @@ import (
 	"edgellm/internal/serve"
 	"edgellm/internal/tensor"
 )
+
+// TestResolvePackSpecsRejectsBadBits: a -bits value outside 2..8 and
+// luc@<avg-bits>, "nf4" included, is the one bad -bits error that names
+// both accepted forms.
+func TestResolvePackSpecsRejectsBadBits(t *testing.T) {
+	m := nn.NewModel(nn.Config{Vocab: 16, Dim: 8, Heads: 2, Layers: 1, Hidden: 16, MaxSeq: 4}, tensor.NewRNG(1))
+	for _, spec := range []string{"nf4", "1", "9", "4b"} {
+		_, _, err := resolvePackSpecs(m, spec)
+		if err == nil || !strings.Contains(err.Error(), "bad -bits") || !strings.Contains(err.Error(), "want 2..8 or luc@<avg-bits>") {
+			t.Fatalf("-bits %q: error %v, want the bad -bits error", spec, err)
+		}
+	}
+}
 
 // TestServeBitsWithAdapters is `serve -bits SPEC -adapters DIR` below the
 // flag parsing: a backbone packed the way -bits packs it, behind a server

@@ -39,7 +39,6 @@ var kinds = []struct {
 	}, "985de7271e654618c04ce266b67a411598246872e5c49194cb3a8a064a558203"},
 	{"snapshot", snapshotBytes, loadSnapshot, "9691b979ffa736f9a691ec63481436d354d9a5a48b21068f2adcb5ab589cd0c6"},
 	{"packed-uniform4", uniform4Bytes, loadPacked, "52c3ff5dfec5c9c7f6ba34d51102d6bd7ef6e564b81da556eb99a8803830ba4a"},
-	{"packed-nf4", nf4Bytes, loadPacked, "a44c82bb23733fd8f5807f9eacadf2c78ff180539daceb3f0b099b107bce08d5"},
 }
 
 // loadSnapshot also holds ReadSnapshot to its trust rule: a load that fails

@@ -87,7 +87,3 @@ func packedBytes(t testing.TB, p io.WriterTo) []byte {
 func uniform4Bytes(t testing.TB) []byte {
 	return packedBytes(t, quant.Pack(fill(tensor.New(9, 13), 61), 4))
 }
-
-func nf4Bytes(t testing.TB) []byte {
-	return packedBytes(t, quant.PackNF(fill(tensor.New(9, 13), 62), quant.NFScheme{Bits: 4, BlockSize: 16}))
-}

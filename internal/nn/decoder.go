@@ -25,17 +25,17 @@ var ErrBadBatch = errors.New("nn: invalid StepBatch arguments")
 // owns one arena slot (Acquire/Release) and StepBatch advances any subset of
 // the active slots, each by a run of one or more tokens, returning the
 // final-head logits after each run's last token. Step is the single-sequence
-// convenience wrapper (slot 0) that replaces the old per-sequence decoder.
+// convenience wrapper (slot 0).
 //
 // Batched execution is bitwise-identical to single-sequence decoding: every
 // projection runs through the cache-blocked tensor.MatMulInto kernel, whose
-// per-row accumulation order (ascending k, zero-skip) is exactly the order
-// the scalar reference kernel (vecMat, in decoder_legacy_test.go) uses and
-// does not depend on how many rows the matrix has, and the
-// attention/normalisation loops are per-row scalar code. A sequence therefore
-// produces the same logit bits whether it decodes alone, in a batch of any
-// size, a token or a run of tokens at a time, or at any GOMAXPROCS — the
-// guarantee the determinism tests pin down.
+// per-row accumulation order (ascending k, zero-skip) does not depend on how
+// many rows the matrix has, and the attention/normalisation rows are
+// tensor's row kernels. A sequence therefore produces the same logit bits
+// whether it decodes alone, in a batch of any size, a token or a run of
+// tokens at a time, or at any GOMAXPROCS, and they are the bits of one
+// Model.Logits forward over the whole sequence — the reference
+// TestDecoderMatchesFullForward and the determinism tests pin.
 //
 // Steady-state decoding allocates nothing: KV rows are written in place into
 // the arena, activations live in pooled scratch sized once at construction,

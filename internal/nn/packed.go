@@ -26,25 +26,17 @@ const (
 var blockWeightNames = [numBlockWeights]string{"wq", "wk", "wv", "wo", "gate", "up", "down"}
 
 // PackSpec selects the packed representation of one transformer block's
-// weight matrices. The zero value keeps the layer at float32.
+// weight matrices: quant.Pack's symmetric codes with one scale per column.
+// The zero value keeps the layer at float32.
 type PackSpec struct {
 	// Bits is the code width, 0 (keep float32) or 2..8.
 	Bits int
-	// NF selects the NF codebook path instead of uniform symmetric
-	// per-column quantization.
-	NF bool
-	// NFBlock is the NF scale-block size (0 = whole tensor). Ignored for
-	// uniform packing.
-	NFBlock int
 }
 
-// String renders the spec, e.g. "f32", "4b", "nf4".
+// String renders the spec, e.g. "f32", "4b".
 func (s PackSpec) String() string {
 	if s.Bits == 0 {
 		return "f32"
-	}
-	if s.NF {
-		return fmt.Sprintf("nf%d", s.Bits)
 	}
 	return fmt.Sprintf("%db", s.Bits)
 }
@@ -103,12 +95,7 @@ func PackModel(m *Model, specs []PackSpec, pool *tensor.Pool) (*PackedModel, err
 			if len(w.Data) == 0 {
 				return nil, fmt.Errorf("nn: PackModel layer %d weight %d already released", l, wi)
 			}
-			var p *quant.Packed
-			if s.NF {
-				p = quant.PackNF(w, quant.NFScheme{Bits: s.Bits, BlockSize: s.NFBlock})
-			} else {
-				p = quant.Pack(w, s.Bits)
-			}
+			p := quant.Pack(w, s.Bits)
 			pm.packedBytes += p.StorageBytes()
 			pm.mats[l][wi] = p
 			pm.releasedBytes += int64(len(w.Data)) * 4
@@ -155,7 +142,7 @@ func (pm *PackedModel) StorageBytes() int64 { return pm.packedBytes }
 func (pm *PackedModel) ReleasedBytes() int64 { return pm.releasedBytes }
 
 // Describe renders the per-layer specs compactly, e.g. "8b,4b,4b,2b" or
-// "nf4×12".
+// "4b×12".
 func (pm *PackedModel) Describe() string {
 	uniform := true
 	for _, s := range pm.spec[1:] {

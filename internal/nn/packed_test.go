@@ -18,7 +18,7 @@ func packedTestCfg() Config {
 	return Config{Vocab: 96, Dim: 384, Heads: 8, Layers: 4, Hidden: 512, MaxSeq: 12}
 }
 
-// packedRefModel builds the fake-quant reference for pm: a model with
+// packedRefModel builds the unpacked reference for pm: a model with
 // identical float32 weights everywhere except the packed layers, whose
 // block matrices hold exactly Unpack() of the packed codes. Packed
 // decoding must be bitwise identical to decoding this model.
@@ -82,8 +82,9 @@ func decodeLogits(t *testing.T, d *Decoder, slots int, steps int) [][]float32 {
 
 // TestPackedDecodeBitwiseMatchesFakeQuant pins the end-to-end contract
 // over every bit assignment a governed LUC run can emit — the candidate
-// grid's widths {8,4,3,2} mixed per layer, the NF codebook path, and
-// partially packed models — at GOMAXPROCS 1 and N.
+// grid's widths {8,4,3,2} mixed per layer, and partially packed models — at
+// GOMAXPROCS 1 and N. The reference is a float32 model over the Unpack'ed
+// codes (packedRefModel); the name predates that wording.
 func TestPackedDecodeBitwiseMatchesFakeQuant(t *testing.T) {
 	packedMatchesUnpacked(t, nil)
 }
@@ -101,7 +102,6 @@ func packedMatchesUnpacked(t *testing.T, adapter *Adapter) {
 	cases := map[string][]PackSpec{
 		"uniform4":  {{Bits: 4}, {Bits: 4}, {Bits: 4}, {Bits: 4}},
 		"luc-mixed": {{Bits: 8}, {Bits: 4}, {Bits: 3}, {Bits: 2}},
-		"nf-mixed":  {{Bits: 4, NF: true, NFBlock: 64}, {Bits: 8}, {Bits: 3, NF: true}, {Bits: 2}},
 		"partial":   {{Bits: 0}, {Bits: 4}, {Bits: 0}, {Bits: 2}},
 	}
 	for name, specs := range cases {
@@ -135,7 +135,7 @@ func packedMatchesUnpacked(t *testing.T, adapter *Adapter) {
 				for r := range got {
 					for j := range got[r] {
 						if math.Float32bits(got[r][j]) != math.Float32bits(want[r][j]) {
-							t.Fatalf("procs %d row %d logit %d: packed %v != fake-quant %v",
+							t.Fatalf("procs %d row %d logit %d: packed %v != unpacked %v",
 								procs, r, j, got[r][j], want[r][j])
 						}
 					}
@@ -152,7 +152,7 @@ func TestPackedDecodeZeroAllocs(t *testing.T) {
 	cfg := packedTestCfg()
 	cfg.MaxSeq = 64 // room for the warmup step plus AllocsPerRun's iterations
 	m := NewModel(cfg, tensor.NewRNG(5))
-	pm, err := PackModel(m, []PackSpec{{Bits: 8}, {Bits: 4}, {Bits: 3, NF: true, NFBlock: 64}, {Bits: 2}}, pool)
+	pm, err := PackModel(m, []PackSpec{{Bits: 8}, {Bits: 4}, {Bits: 3}, {Bits: 2}}, pool)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,28 +9,17 @@ import (
 )
 
 // Packed is a real integer-packed representation of a quantized rank-2
-// tensor: sub-byte codes are bit-packed contiguously, and element (r, c)
-// decodes to level(code)·scale(r, c). It is both formats LUC can emit —
-// uniform codes (Pack) with one scale per column, and NF codebook indices
-// (PackNF) with one absmax per block of flat elements — and their one
-// execution format: Packed implements tensor.PackedMat, so a matmul can
-// consume the bit stream directly with no float32 weight materialization.
+// tensor: sub-byte signed codes are bit-packed contiguously, one scale per
+// column, and element (r, c) decodes to float32(code)·Scale[c]. It is the
+// one format LUC's uniform widths execute in: Packed implements
+// tensor.PackedMat, so a matmul can consume the bit stream directly with no
+// float32 weight materialization.
 type Packed struct {
-	Bits int
-	Rows int
-	Cols int
-	// BlockSize is the scale layout: 0 for one scale per column, else one
-	// per BlockSize consecutive row-major elements (1..Rows*Cols).
-	BlockSize int
-	Codes     []byte    // ceil(Rows*Cols*Bits/8) bytes, row-major bit stream
-	Scale     []float32 // per column, or per block
-
-	// levels is a code's unscaled value: nil for uniform codes, whose
-	// level is float32(sext(code)), and NFScheme.Codebook for NF codes —
-	// 2^Bits − 1 entries, so the all-ones code is not an index. PackNF and
-	// ReadPackedFrom both set it and the latter rejects that code: decoding
-	// only reads.
-	levels []float32
+	Bits  int
+	Rows  int
+	Cols  int
+	Codes []byte    // ceil(Rows*Cols*Bits/8) bytes, row-major bit stream
+	Scale []float32 // one per column
 }
 
 // Pack quantizes t (rank-2) symmetrically per channel at the given width
@@ -96,23 +85,12 @@ func Pack(t *tensor.Tensor, bits int) *Packed {
 // Dims implements tensor.PackedMat.
 func (p *Packed) Dims() (int, int) { return p.Rows, p.Cols }
 
-// level is the unscaled value of a code.
+// level is the unscaled value of a code: the code sign-extended.
 func (p *Packed) level(code int) float32 {
-	if p.levels != nil {
-		return p.levels[code]
-	}
-	if code >= 1<<(p.Bits-1) { // sign-extend
+	if code >= 1<<(p.Bits-1) {
 		code -= 1 << p.Bits
 	}
 	return float32(code)
-}
-
-// scaleAt is the scale of flat element i, which sits in column c.
-func (p *Packed) scaleAt(i, c int) float32 {
-	if p.BlockSize == 0 {
-		return p.Scale[c]
-	}
-	return p.Scale[i/p.BlockSize]
 }
 
 // blockCols is the column-block width of the word path; see
@@ -120,19 +98,16 @@ func (p *Packed) scaleAt(i, c int) float32 {
 const blockCols = tensor.PackedBlockCols
 
 // wordAligned reports whether columns [colLo, colHi) are whole 8-column
-// blocks whose every row starts on a byte — a b-bit row of such a block is
-// exactly b bytes, one word load — and whose eight columns, flat elements
-// 8i … 8i+7, share one row scale: scale blocks are whole multiples of 8
-// elements.
+// blocks whose every row starts on a byte: a b-bit row of such a block is
+// exactly b bytes, one word load.
 func (p *Packed) wordAligned(colLo, colHi int) bool {
-	return p.BlockSize%blockCols == 0 && p.Cols%blockCols == 0 && colLo%blockCols == 0 && (colHi-colLo)%blockCols == 0
+	return p.Cols%blockCols == 0 && colLo%blockCols == 0 && (colHi-colLo)%blockCols == 0
 }
 
-// simd reports whether the AVX2 twins of the word-path kernels take p: they
-// decode uniform codes against per-column scales, and a block row has to
-// fit one 32-bit lane (2–4 bits) or be whole bytes (8).
+// simd reports whether the AVX2 twins of the word-path kernels take p: a
+// block row has to fit one 32-bit lane (2–4 bits) or be whole bytes (8).
 func (p *Packed) simd() bool {
-	return useAVX2 && p.levels == nil && p.BlockSize == 0 && (p.Bits <= 4 || p.Bits == 8)
+	return useAVX2 && (p.Bits <= 4 || p.Bits == 8)
 }
 
 // loadWord returns the code bytes at off as a little-endian word: eight of
@@ -160,28 +135,14 @@ type width interface {
 	[2]struct{} | [3]struct{} | [4]struct{}
 }
 
-// unitScales stands in for the scales a layout does not vary by: the
-// column scales of a block layout, the row scale of a column layout.
-var unitScales = [blockCols]float32{1, 1, 1, 1, 1, 1, 1, 1}
-
 // blockTable is one column block's dequantization table: entry code·8+j is
-// level(code)·colScale[j], where colScale is the block's column scales (1
-// for a block layout). 2^bits rows are in use; the array is sized for 4
-// bits. A word-path lookup is then multiplied by the row's scale (1 for a
-// column layout): x·1 == x for every float32, so each decoded weight is
-// exactly level(code)·scale(r, c), the per-element decode's product.
+// level(code)·Scale[colLo+j], exactly the per-element decode's product.
+// 2^bits rows are in use; the array is sized for 4 bits.
 type blockTable [16 * blockCols]float32
 
 func (p *Packed) fillBlockTable(d *blockTable, colLo int) {
-	colScale := unitScales[:]
-	if p.BlockSize == 0 {
-		colScale = p.Scale[colLo : colLo+blockCols]
-	}
-	n := 1 << p.Bits
-	if p.levels != nil {
-		n = len(p.levels)
-	}
-	for code := 0; code < n; code++ {
+	colScale := p.Scale[colLo : colLo+blockCols]
+	for code := 0; code < 1<<p.Bits; code++ {
 		lv := p.level(code)
 		row := d[code*blockCols : (code+1)*blockCols]
 		for j, s := range colScale {
@@ -190,40 +151,10 @@ func (p *Packed) fillBlockTable(d *blockTable, colLo int) {
 	}
 }
 
-// scaleCursor walks the row scale of one column block down the rows: the
-// flat index grows by Cols a row, tracked as quotient and remainder of the
-// block size so the row loop never divides. A column layout walks
-// unitScales[0] with no step.
-type scaleCursor struct {
-	idx, rem          int
-	dIdx, dRem, block int
-}
-
-// rowScales returns the slice a cursor indexes and the cursor at (row, col).
-func (p *Packed) rowScales(row, col int) ([]float32, scaleCursor) {
-	if p.BlockSize == 0 {
-		return unitScales[:1], scaleCursor{block: 1}
-	}
-	flat := row*p.Cols + col
-	return p.Scale, scaleCursor{
-		idx: flat / p.BlockSize, rem: flat % p.BlockSize,
-		dIdx: p.Cols / p.BlockSize, dRem: p.Cols % p.BlockSize, block: p.BlockSize,
-	}
-}
-
-func (c *scaleCursor) nextRow() {
-	c.idx += c.dIdx
-	if c.rem += c.dRem; c.rem >= c.block {
-		c.rem -= c.block
-		c.idx++
-	}
-}
-
 // decodeBlocks is DecodeRowsInto for a word-aligned tile at width W, one
 // column block at a time: a table per block, then per row one word load
-// and eight lookups times the row scale. mask selects a code
-// pre-multiplied by the table's row width, from a word shifted left by 3
-// to match.
+// and eight lookups. mask selects a code pre-multiplied by the table's row
+// width, from a word shifted left by 3 to match.
 func decodeBlocks[W width](p *Packed, dst []float32, rowLo, rowHi, colLo, colHi int) {
 	var z W
 	bits := uint(len(z))
@@ -234,20 +165,18 @@ func decodeBlocks[W width](p *Packed, dst []float32, rowLo, rowHi, colLo, colHi 
 	for c := colLo; c < colHi; c += blockCols {
 		p.fillBlockTable(&d, c)
 		off := rowLo*rowBytes + c/blockCols*int(bits)
-		rs, sc := p.rowScales(rowLo, c)
 		for i := c - colLo; i < (rowHi-rowLo)*stride; i += stride {
-			w, s := loadWord(codes, off)<<3, rs[sc.idx]
+			w := loadWord(codes, off) << 3
 			off += rowBytes
-			sc.nextRow()
 			t := (*[blockCols]float32)(dst[i:])
-			t[0] = d[w&mask] * s
-			t[1] = d[w>>bits&mask+1] * s
-			t[2] = d[w>>(2*bits)&mask+2] * s
-			t[3] = d[w>>(3*bits)&mask+3] * s
-			t[4] = d[w>>(4*bits)&mask+4] * s
-			t[5] = d[w>>(5*bits)&mask+5] * s
-			t[6] = d[w>>(6*bits)&mask+6] * s
-			t[7] = d[w>>(7*bits)&mask+7] * s
+			t[0] = d[w&mask]
+			t[1] = d[w>>bits&mask+1]
+			t[2] = d[w>>(2*bits)&mask+2]
+			t[3] = d[w>>(3*bits)&mask+3]
+			t[4] = d[w>>(4*bits)&mask+4]
+			t[5] = d[w>>(5*bits)&mask+5]
+			t[6] = d[w>>(6*bits)&mask+6]
+			t[7] = d[w>>(7*bits)&mask+7]
 		}
 	}
 }
@@ -265,30 +194,28 @@ func mulVecBlocks[W width](p *Packed, out, a []float32, colLo, colHi int) {
 	for c := colLo; c < colHi; c += blockCols {
 		p.fillBlockTable(&d, c)
 		off := c / blockCols * int(bits)
-		rs, sc := p.rowScales(0, c)
 		var s0, s1, s2, s3, s4, s5, s6, s7 float32
 		for _, av := range a {
-			w, s := loadWord(codes, off)<<3, rs[sc.idx]
+			w := loadWord(codes, off) << 3
 			off += rowBytes
-			sc.nextRow()
 			if av == 0 {
 				continue
 			}
-			s0 += av * (d[w&mask] * s)
-			s1 += av * (d[w>>bits&mask+1] * s)
-			s2 += av * (d[w>>(2*bits)&mask+2] * s)
-			s3 += av * (d[w>>(3*bits)&mask+3] * s)
-			s4 += av * (d[w>>(4*bits)&mask+4] * s)
-			s5 += av * (d[w>>(5*bits)&mask+5] * s)
-			s6 += av * (d[w>>(6*bits)&mask+6] * s)
-			s7 += av * (d[w>>(7*bits)&mask+7] * s)
+			s0 += av * d[w&mask]
+			s1 += av * d[w>>bits&mask+1]
+			s2 += av * d[w>>(2*bits)&mask+2]
+			s3 += av * d[w>>(3*bits)&mask+3]
+			s4 += av * d[w>>(4*bits)&mask+4]
+			s5 += av * d[w>>(5*bits)&mask+5]
+			s6 += av * d[w>>(6*bits)&mask+6]
+			s7 += av * d[w>>(7*bits)&mask+7]
 		}
 		o := (*[blockCols]float32)(out[c-colLo:])
 		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
 	}
 }
 
-// mulVecBytes is MulVecInto for 8-bit uniform codes: a block row is eight
+// mulVecBytes is MulVecInto for 8-bit codes: a block row is eight
 // bytes, each converted and scaled on the way into its sum. (A 256-row
 // table would cost more to build per block than it saves below k ≈ 400.)
 func (p *Packed) mulVecBytes(out, a []float32, colLo, colHi int) {
@@ -337,14 +264,14 @@ func (p *Packed) MulVecInto(out []float32, outStride int, a []float32, rows, col
 // mulVecGo is MulVecInto's reference for a word-aligned band, and the
 // kernel wherever the AVX2 one is not.
 func (p *Packed) mulVecGo(out, a []float32, colLo, colHi int) bool {
-	switch {
-	case p.Bits == 2:
+	switch p.Bits {
+	case 2:
 		mulVecBlocks[[2]struct{}](p, out, a, colLo, colHi)
-	case p.Bits == 3:
+	case 3:
 		mulVecBlocks[[3]struct{}](p, out, a, colLo, colHi)
-	case p.Bits == 4:
+	case 4:
 		mulVecBlocks[[4]struct{}](p, out, a, colLo, colHi)
-	case p.Bits == 8 && p.levels == nil && p.BlockSize == 0:
+	case 8:
 		p.mulVecBytes(out, a, colLo, colHi)
 	default:
 		return false
@@ -357,8 +284,8 @@ func (p *Packed) mulVecGo(out, a []float32, colLo, colHi int) bool {
 // colHi-colLo, bitwise identical to the same elements of Unpack. A
 // word-aligned tile of 2–4-bit codes decodes through decodeBlocks; anything
 // else — widths 5–8, a matrix whose width is not a multiple of 8, a tile
-// cut inside a block, a scale block that is not a multiple of 8 — decodes
-// per element through the two-byte-window extractor.
+// cut inside a block — decodes per element through the two-byte-window
+// extractor.
 func (p *Packed) DecodeRowsInto(dst []float32, rowLo, rowHi, colLo, colHi int) {
 	if p.simd() && p.wordAligned(colLo, colHi) {
 		p.decodeSIMD(dst, rowLo, rowHi, colLo, colHi)
@@ -386,7 +313,7 @@ func (p *Packed) decodeGo(dst []float32, rowLo, rowHi, colLo, colHi int) {
 	p.decodeElems(dst, rowLo, rowHi, colLo, colHi)
 }
 
-// decodeElems decodes a tile one element at a time, level(code)·scale(r, c)
+// decodeElems decodes a tile one element at a time, level(code)·Scale[c]
 // through the two-byte-window extractor: any width, any alignment, the
 // reference every other decode matches.
 func (p *Packed) decodeElems(dst []float32, rowLo, rowHi, colLo, colHi int) {
@@ -396,7 +323,7 @@ func (p *Packed) decodeElems(dst []float32, rowLo, rowHi, colLo, colHi int) {
 		drow := dst[(r-rowLo)*w : (r-rowLo)*w+w]
 		for c := range drow {
 			code := readBits(p.Codes, (base+c)*p.Bits, p.Bits)
-			drow[c] = p.level(int(code)) * p.scaleAt(base+c, colLo+c)
+			drow[c] = p.level(int(code)) * p.Scale[colLo+c]
 		}
 	}
 }
@@ -409,9 +336,9 @@ func (p *Packed) Unpack() *tensor.Tensor {
 }
 
 // StorageBytes returns the bytes held by the packed representation
-// (codes + scales + an NF codebook).
+// (codes + scales).
 func (p *Packed) StorageBytes() int64 {
-	return int64(len(p.Codes)) + int64(len(p.Scale))*4 + int64(len(p.levels))*4
+	return int64(len(p.Codes)) + int64(len(p.Scale))*4
 }
 
 // PackedStorageBytes is the analytic size of a Packed artifact for a

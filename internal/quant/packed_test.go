@@ -3,11 +3,11 @@ package quant
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -54,13 +54,9 @@ func TestWordWiseBitsMatchBitLoop(t *testing.T) {
 }
 
 // refDecode is the decode oracle, independent of every production decode
-// path: the bit-loop extractor, then each kind's defining expression.
+// path: the bit-loop extractor, then the format's defining expression.
 func refDecode(p *Packed, r, c int) float32 {
-	flat := r*p.Cols + c
-	code := refReadBits(p.Codes, flat*p.Bits, p.Bits)
-	if p.levels != nil {
-		return p.levels[code] * p.Scale[flat/p.BlockSize]
-	}
+	code := refReadBits(p.Codes, (r*p.Cols+c)*p.Bits, p.Bits)
 	q := int32(code)
 	if q >= 1<<(p.Bits-1) {
 		q -= 1 << p.Bits
@@ -81,10 +77,6 @@ func TestDecodeRowsIntoMatchesUnpack(t *testing.T) {
 		for bits := 2; bits <= 8; bits++ {
 			variants[fmt.Sprintf("uniform%d", bits)] = Pack(w, bits)
 		}
-		variants["nf4"] = PackNF(w, NFScheme{Bits: 4, BlockSize: 16})
-		variants["nf3-b40"] = PackNF(w, NFScheme{Bits: 3, BlockSize: 40}) // carries a remainder row to row
-		variants["nf4-b12"] = PackNF(w, NFScheme{Bits: 4, BlockSize: 12}) // a block row straddles two scales
-		variants["nf2-whole"] = PackNF(w, NFScheme{Bits: 2})
 		tiles := [][4]int{
 			{0, 37, 0, cols}, // full matrix
 			{0, 1, 0, 1},
@@ -154,26 +146,6 @@ func TestPackDenormalColumn(t *testing.T) {
 	}
 }
 
-// TestPackedNFMatchesFakeQuant pins the NF packed path against the
-// fake-quant reference value-wise (not bitwise: an all-zero block keeps
-// FakeQuant's original ±0 signs but decodes to +0).
-func TestPackedNFMatchesFakeQuant(t *testing.T) {
-	w := randWeights(24, 33, 11)
-	// One all-zero block to hit the zero-scale path.
-	for i := 0; i < 16; i++ {
-		w.Data[i] = 0
-	}
-	for _, s := range []NFScheme{{Bits: 4, BlockSize: 16}, {Bits: 3, BlockSize: 64}, {Bits: 2}} {
-		want := s.FakeQuant(w)
-		got := PackNF(w, s).Unpack()
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("%v element %d: packed %v, fake-quant %v", s, i, got.Data[i], want.Data[i])
-			}
-		}
-	}
-}
-
 func TestPackedStorageBytesAnalytic(t *testing.T) {
 	for _, sh := range [][2]int{{64, 32}, {37, 53}, {1, 1}} {
 		w := randWeights(sh[0], sh[1], 3)
@@ -188,31 +160,27 @@ func TestPackedStorageBytesAnalytic(t *testing.T) {
 
 func TestPackedSerializationRoundTrip(t *testing.T) {
 	w := randWeights(19, 31, 5)
-	uni := Pack(w, 3)
-	nf := PackNF(w, NFScheme{Bits: 4, BlockSize: 16})
-
-	for name, p := range map[string]*Packed{"uniform": uni, "nf": nf} {
-		var buf bytes.Buffer
-		wrote, err := p.WriteTo(&buf)
-		if err != nil {
-			t.Fatalf("%s: WriteTo: %v", name, err)
-		}
-		if wrote != int64(buf.Len()) {
-			t.Fatalf("%s: WriteTo reported %d bytes, wrote %d", name, wrote, buf.Len())
-		}
-		m, err := ReadPackedFrom(&buf)
-		if err != nil {
-			t.Fatalf("%s: ReadPackedFrom: %v", name, err)
-		}
-		if buf.Len() != 0 {
-			t.Fatalf("%s: ReadPackedFrom left %d of %d bytes unread", name, buf.Len(), wrote)
-		}
-		gotT := m.Unpack()
-		wantT := p.Unpack()
-		for i := range wantT.Data {
-			if math.Float32bits(gotT.Data[i]) != math.Float32bits(wantT.Data[i]) {
-				t.Fatalf("%s: element %d differs after round trip", name, i)
-			}
+	p := Pack(w, 3)
+	var buf bytes.Buffer
+	wrote, err := p.WriteTo(&buf)
+	if err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	if wrote != int64(buf.Len()) {
+		t.Fatalf("WriteTo reported %d bytes, wrote %d", wrote, buf.Len())
+	}
+	m, err := ReadPackedFrom(&buf)
+	if err != nil {
+		t.Fatalf("ReadPackedFrom: %v", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("ReadPackedFrom left %d of %d bytes unread", buf.Len(), wrote)
+	}
+	gotT := m.Unpack()
+	wantT := p.Unpack()
+	for i := range wantT.Data {
+		if math.Float32bits(gotT.Data[i]) != math.Float32bits(wantT.Data[i]) {
+			t.Fatalf("element %d differs after round trip", i)
 		}
 	}
 }
@@ -295,46 +263,29 @@ func TestWritePackedFileAtomic(t *testing.T) {
 	}
 }
 
-// TestReadPackedNFIsReadyToDecode: a deserialized NF artifact carries its
-// codebook, so the packed kernel's column-band workers, which decode tiles of
-// one matrix concurrently, only read it (run under -race: filling the
-// codebook on first decode was a write they raced on).
-func TestReadPackedNFIsReadyToDecode(t *testing.T) {
-	w := randWeights(256, 256, 8)
-	var buf bytes.Buffer
-	if _, err := PackNF(w, NFScheme{Bits: 4, BlockSize: 64}).WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	nf, err := ReadPackedFrom(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nf.levels == nil {
-		t.Fatal("loaded NF artifact has no codebook until its first decode")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.NumCPU())))
-	a := randWeights(32, 256, 9) // 32·256·256 MACs: the kernel fans out
-	got, want := tensor.New(32, 256), tensor.New(32, 256)
-	tensor.MatMulPackedInto(got, a, nf, nil)
-	tensor.MatMulInto(want, a, nf.Unpack())
-	for i := range want.Data {
-		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-			t.Fatalf("element %d: %v through the loaded artifact, %v through its Unpack", i, got.Data[i], want.Data[i])
-		}
-	}
+// withHeaderWord returns a copy of a packed artifact with header word i
+// (0: kind<<8|bits … 5: nCodes) set to v, resealed under a fresh checksum.
+func withHeaderWord(art []byte, i int, v uint32) []byte {
+	out := append([]byte(nil), art...)
+	binary.LittleEndian.PutUint32(out[len(packedMagic)+4*i:], v)
+	return fault.Reseal(out)
 }
 
-// TestReadPackedRejectsCodeOutsideCodebook: the symmetric NF codebook has
-// 2^bits − 1 entries, so a CRC-valid artifact holding the all-ones code must
-// fail at load, not index past the codebook on first decode.
-func TestReadPackedRejectsCodeOutsideCodebook(t *testing.T) {
-	p := PackNF(randWeights(8, 8, 10), NFScheme{Bits: 4, BlockSize: 16})
-	writeBits(p.Codes, 21*p.Bits, p.Bits, 1<<p.Bits-1)
+// TestReadPackedRejectsOtherFormats: a CRC-valid artifact that declares
+// kind 1 (the deleted codebook format) or a kind-0 artifact with a block
+// size fails to load with ErrPackedFormat — an error, never a panic or a
+// matrix decoded under the wrong layout.
+func TestReadPackedRejectsOtherFormats(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := p.WriteTo(&buf); err != nil {
+	if _, err := Pack(randWeights(9, 13, 10), 4).WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadPackedFrom(&buf); err == nil || !strings.Contains(err.Error(), "codebook") {
-		t.Fatalf("artifact with code 15 of a 15-entry codebook: error %v, want a codebook rejection", err)
+	for name, art := range map[string][]byte{
+		"kind 1":        withHeaderWord(buf.Bytes(), 0, 1<<8|4),
+		"block size 16": withHeaderWord(buf.Bytes(), 3, 16),
+	} {
+		if _, err := ReadPackedFrom(bytes.NewReader(art)); !errors.Is(err, ErrPackedFormat) {
+			t.Fatalf("%s: error %v, want ErrPackedFormat", name, err)
+		}
 	}
 }

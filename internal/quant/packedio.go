@@ -2,6 +2,7 @@ package quant
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -12,16 +13,24 @@ import (
 // A packed weight matrix is an artifact (DESIGN.md, "Artifacts") of kind
 // "ELLMPKD1" with a fixed binary header in place of the JSON one:
 //
-//	kind<<8|bits, rows, cols, blockSize (0 for uniform), nScale, nCodes
+//	kind<<8|bits, rows, cols, blockSize, nScale, nCodes
 //	(six uint32) | scales float32-LE | codes
+//
+// The one format is kind 0 with blockSize 0 and one scale per column. Both
+// words stay in the header so that uniform artifacts keep their bytes, and
+// an artifact of any other kind (1 held codebook codes under block scales)
+// fails to load instead of being misread.
 //
 // The magic differs from the adapter kind's, so a packed artifact requested
 // *as an adapter* fails at the magic check (HTTP 422 at the front end).
 var packedMagic = artifact.Magic{'E', 'L', 'L', 'M', 'P', 'K', 'D', '1'}
 
+// ErrPackedFormat is the error ReadPackedFrom wraps when a well-formed
+// artifact declares a kind or scale layout this package does not decode.
+var ErrPackedFormat = errors.New("quant: unsupported packed format")
+
 const (
 	packedKindUniform = 0
-	packedKindNF      = 1
 
 	// maxPackedDim bounds header-declared dimensions and their product, so
 	// no artifact holds more than 256 MiB of codes. The header arithmetic
@@ -32,14 +41,10 @@ const (
 )
 
 // WriteTo serialises the packed matrix as a packed artifact, implementing
-// io.WriterTo. The kind is NF when p carries a codebook, else uniform.
+// io.WriterTo.
 func (p *Packed) WriteTo(w io.Writer) (int64, error) {
-	kind := packedKindUniform
-	if p.levels != nil {
-		kind = packedKindNF
-	}
 	aw := artifact.NewWriter(w, packedMagic)
-	hdr := []uint32{uint32(kind)<<8 | uint32(p.Bits), uint32(p.Rows), uint32(p.Cols), uint32(p.BlockSize), uint32(len(p.Scale)), uint32(len(p.Codes))}
+	hdr := []uint32{packedKindUniform<<8 | uint32(p.Bits), uint32(p.Rows), uint32(p.Cols), 0, uint32(len(p.Scale)), uint32(len(p.Codes))}
 	if err := binary.Write(aw, binary.LittleEndian, hdr); err != nil {
 		return aw.Size(), fmt.Errorf("quant: write packed header: %w", err)
 	}
@@ -56,10 +61,10 @@ func (p *Packed) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadPackedFrom reads one packed artifact written by WriteTo, verifying
-// the checksum before returning; either kind loads as a *Packed.
-// Truncated, bit-flipped, or malformed artifacts fail with a diagnostic
-// error — never a panic — and the header's counts are cross-checked
-// against its shape before a byte of payload is read.
+// the checksum before returning. Truncated, bit-flipped, or malformed
+// artifacts fail with a diagnostic error — never a panic — and the header's
+// counts are cross-checked against its shape before a byte of payload is
+// read. Any kind but 0, or a nonzero block size, is ErrPackedFormat.
 func ReadPackedFrom(r io.Reader) (*Packed, error) {
 	ar, err := artifact.NewReader(r, packedMagic)
 	if err != nil {
@@ -72,8 +77,8 @@ func ReadPackedFrom(r io.Reader) (*Packed, error) {
 	kind, bits := int(hdr[0]>>8), int(hdr[0]&0xff)
 	rows, cols, block := int64(hdr[1]), int64(hdr[2]), int64(hdr[3])
 	nScale, nCodes := int64(hdr[4]), int64(hdr[5])
-	if kind != packedKindUniform && kind != packedKindNF {
-		return nil, fmt.Errorf("quant: unknown packed kind %d", kind)
+	if kind != packedKindUniform || block != 0 {
+		return nil, fmt.Errorf("%w: kind %d, block size %d", ErrPackedFormat, kind, block)
 	}
 	if bits < 2 || bits > 8 {
 		return nil, fmt.Errorf("quant: packed bits %d out of [2,8]", bits)
@@ -84,21 +89,8 @@ func ReadPackedFrom(r io.Reader) (*Packed, error) {
 	if want := packedCodeBytes(rows, cols, bits); nCodes != want {
 		return nil, fmt.Errorf("quant: packed code bytes %d, want %d for (%d,%d)@%db", nCodes, want, rows, cols, bits)
 	}
-	var wantScale int64
-	switch kind {
-	case packedKindUniform:
-		if block != 0 {
-			return nil, fmt.Errorf("quant: uniform packed artifact declares block size %d", block)
-		}
-		wantScale = cols
-	case packedKindNF:
-		if block < 1 || block > rows*cols {
-			return nil, fmt.Errorf("quant: packed NF block size %d out of [1,%d]", block, rows*cols)
-		}
-		wantScale = (rows*cols + block - 1) / block
-	}
-	if nScale != wantScale {
-		return nil, fmt.Errorf("quant: packed scale count %d, want %d", nScale, wantScale)
+	if nScale != cols {
+		return nil, fmt.Errorf("quant: packed scale count %d, want %d", nScale, cols)
 	}
 	raw, err := artifact.ReadN(ar, int(4*nScale))
 	if err != nil {
@@ -115,16 +107,7 @@ func ReadPackedFrom(r io.Reader) (*Packed, error) {
 	for i := range scale {
 		scale[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
-	p := &Packed{Bits: bits, Rows: int(rows), Cols: int(cols), BlockSize: int(block), Codes: codes, Scale: scale}
-	if kind == packedKindNF {
-		p.levels = NFScheme{Bits: bits}.Codebook()
-		for i := 0; i < int(rows*cols); i++ {
-			if code := int(readBits(codes, i*bits, bits)); code >= len(p.levels) {
-				return nil, fmt.Errorf("quant: packed NF code %d at element %d is outside the %d-entry codebook", code, i, len(p.levels))
-			}
-		}
-	}
-	return p, nil
+	return &Packed{Bits: bits, Rows: int(rows), Cols: int(cols), Codes: codes, Scale: scale}, nil
 }
 
 // WritePackedFile writes a packed artifact atomically, so a crashed save

@@ -1,9 +1,9 @@
 // Package quant implements the quantizers used by Edge-LLM's layerwise
 // unified compression (LUC): symmetric and asymmetric affine quantization at
-// 2–8 bits, with per-tensor, per-channel, or grouped scale granularity, and
-// the NF codebook quantizer; the fake-quant (quantize→dequantize) transform
-// the compression pass applies to frozen backbone weights; and Packed, the
-// one bit-packed format both kinds of code execute in.
+// 2–8 bits, with per-tensor, per-channel, or grouped scale granularity; the
+// fake-quant (quantize→dequantize) transform the compression pass applies to
+// frozen backbone weights; and Packed, the one bit-packed format packed
+// weights execute in: symmetric codes with one scale per column.
 package quant
 
 import (

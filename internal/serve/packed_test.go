@@ -41,8 +41,8 @@ func TestPackedArtifactInRegistry422(t *testing.T) {
 }
 
 // TestSchedulerPackedDecodeMatchesFakeQuant pins the serving stack on top
-// of packed execution: tokens scheduled through a packed decoder — uniform,
-// LUC-mixed and NF backbones, on the base model and under an adapter — must
+// of packed execution: tokens scheduled through a packed decoder — uniform
+// and LUC-mixed backbones, on the base model and under an adapter — must
 // be identical to a solo float32 decoder over the Unpack()-materialized
 // weights under the same adapter.
 func TestSchedulerPackedDecodeMatchesFakeQuant(t *testing.T) {
@@ -50,7 +50,6 @@ func TestSchedulerPackedDecodeMatchesFakeQuant(t *testing.T) {
 	for name, specs := range map[string][]nn.PackSpec{
 		"uniform4":  {{Bits: 4}, {Bits: 4}},
 		"luc-mixed": {{Bits: 4}, {Bits: 3}},
-		"nf":        {{Bits: 4, NF: true, NFBlock: 64}, {Bits: 3, NF: true}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			m := testModel(seed)

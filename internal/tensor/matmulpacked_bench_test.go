@@ -69,13 +69,8 @@ func BenchmarkPackedMatMulFused8(b *testing.B) {
 	benchFused(b, quant.Pack(w, 8), a)
 }
 
-func BenchmarkPackedMatMulFusedNF4(b *testing.B) {
-	a, w := packedBenchOperands(b)
-	benchFused(b, quant.PackNF(w, quant.NFScheme{Bits: 4, BlockSize: 64}), a)
-}
-
 // BenchmarkMatMulPackedGrid is EXPERIMENTS.md's kernel table: every width
-// LUC emits plus NF4, at one row and two (the fused MulVecInto, one pass),
+// LUC emits, at one row and two (the fused MulVecInto, one pass),
 // three (two passes), a decode batch (the tile decode and sweep) and a
 // prefill run. Ungated, and named so the
 // gate jobs' 'BenchmarkPack' pattern leaves it out.
@@ -86,7 +81,6 @@ func BenchmarkMatMulPackedGrid(b *testing.B) {
 		p    packedWeight
 	}{
 		{"2b", quant.Pack(w, 2)}, {"3b", quant.Pack(w, 3)}, {"4b", quant.Pack(w, 4)}, {"8b", quant.Pack(w, 8)},
-		{"nf4", quant.PackNF(w, quant.NFScheme{Bits: 4, BlockSize: 64})},
 	}
 	for _, m := range []int{1, 2, 3, 8, 16} {
 		a := tensor.NewRNG(22).Normal(0, 1, m, pbK)

@@ -1,6 +1,6 @@
 // Packed-kernel tests live in an external test package so they can build
-// real quant.Packed matrices of both kinds; the quant package imports tensor,
-// so the internal package cannot.
+// real quant.Packed matrices; the quant package imports tensor, so the
+// internal package cannot.
 package tensor_test
 
 import (
@@ -23,22 +23,13 @@ type packedVariant interface {
 	Unpack() *tensor.Tensor
 }
 
-// packVariants returns every packed representation under test for one
-// weight matrix, keyed by name. The NF block sizes cover the word path's
-// cases: 64 divides a row or not depending on the shape, 40 is a multiple
-// of 8 that divides none of the shapes' rows (the scale index carries a
-// remainder from row to row), 20 is not a multiple of 8 (a block row
-// straddles two scales: per-element decode), and 0 is the whole tensor.
+// packVariants returns every packed width under test for one weight
+// matrix, keyed by name.
 func packVariants(w *tensor.Tensor) map[string]packedVariant {
 	out := map[string]packedVariant{}
 	for bits := 2; bits <= 8; bits++ {
 		out[fmt.Sprintf("uniform%d", bits)] = quant.Pack(w, bits)
 	}
-	out["nf4"] = quant.PackNF(w, quant.NFScheme{Bits: 4, BlockSize: 64})
-	out["nf4-b40"] = quant.PackNF(w, quant.NFScheme{Bits: 4, BlockSize: 40})
-	out["nf2-b20"] = quant.PackNF(w, quant.NFScheme{Bits: 2, BlockSize: 20})
-	out["nf3-whole"] = quant.PackNF(w, quant.NFScheme{Bits: 3})
-	out["nf5"] = quant.PackNF(w, quant.NFScheme{Bits: 5, BlockSize: 64})
 	return out
 }
 
@@ -174,34 +165,27 @@ func TestMatMulPackedDeterministicAcrossProcs(t *testing.T) {
 		a := randTensor(m, k, 42)
 		w := randTensor(k, n, 43)
 		p := quant.Pack(w, 3)
-		pn := quant.PackNF(w, quant.NFScheme{Bits: 4, BlockSize: 32})
 
-		run := func(procs int) (*tensor.Tensor, *tensor.Tensor) {
+		run := func(procs int) *tensor.Tensor {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			scratch := tensor.NewPackedScratch()
-			u, un := tensor.New(m, n), tensor.New(m, n)
-			tensor.MatMulPackedInto(u, a, p, scratch)
-			tensor.MatMulPackedInto(un, a, pn, scratch)
-			return u, un
+			u := tensor.New(m, n)
+			tensor.MatMulPackedInto(u, a, p, tensor.NewPackedScratch())
+			return u
 		}
-		u1, un1 := run(1)
+		u1 := run(1)
 		for _, procs := range []int{2, 4, 8} {
-			uN, unN := run(procs)
-			bitwiseEqual(t, fmt.Sprintf("n=%d uniform3 procs 1 vs %d", n, procs), uN, u1)
-			bitwiseEqual(t, fmt.Sprintf("n=%d nf4 procs 1 vs %d", n, procs), unN, un1)
+			bitwiseEqual(t, fmt.Sprintf("n=%d uniform3 procs 1 vs %d", n, procs), run(procs), u1)
 		}
 
 		// And the parallel result must equal the serial float32 reference.
 		want := tensor.New(m, n)
 		tensor.MatMulInto(want, a, p.Unpack())
 		bitwiseEqual(t, fmt.Sprintf("n=%d uniform3 vs unpacked reference", n), u1, want)
-		tensor.MatMulInto(want, a, pn.Unpack())
-		bitwiseEqual(t, fmt.Sprintf("n=%d nf4 vs unpacked reference", n), un1, want)
 	}
 }
 
 // TestMatMulPackedGridIdentity is BenchmarkMatMulPackedGrid's shape as a
-// test: 768 × 768 at every width plus NF4, one row and two (the fused
+// test: 768 × 768 at every width, one row and two (the fused
 // MulVecInto), three (two rows and one), a decode batch, a prefill run and
 // one past it,
 // at GOMAXPROCS 1 and 2 (from 16 rows up the call is over the fan-out
@@ -211,11 +195,7 @@ func TestMatMulPackedDeterministicAcrossProcs(t *testing.T) {
 func TestMatMulPackedGridIdentity(t *testing.T) {
 	const k, n = 768, 768
 	w := randTensor(k, n, 21)
-	weights := map[string]packedVariant{"nf4": quant.PackNF(w, quant.NFScheme{Bits: 4, BlockSize: 64})}
-	for bits := 2; bits <= 8; bits++ {
-		weights[fmt.Sprintf("%db", bits)] = quant.Pack(w, bits)
-	}
-	for name, p := range weights {
+	for name, p := range packVariants(w) {
 		u := p.Unpack()
 		for _, m := range []int{1, 2, 3, 8, 16, 24} {
 			a := randTensor(m, k, int64(22+m))
@@ -245,26 +225,26 @@ func TestMatMulPackedGridIdentity(t *testing.T) {
 	}
 }
 
-// FuzzMatMulPackedMatchesUnpack lets the engine pick the shape, the width,
-// the format and the data: whatever it finds, the packed kernel equals the
-// dense kernel over Unpack bit for bit. Shapes stay below the fan-out
-// threshold (TestMatMulPackedDeterministicAcrossProcs owns banding). The
-// seeds are one per path: fused and tiled word path, ragged width, 8-bit
-// bytes, a width with no word path, NF with a scale block that is not a
-// multiple of 8, the AVX-512 tile kernel with rows left over, and the
-// fused two-row kernel alone (m = 2) and beside a one-row pass (m = 3).
+// FuzzMatMulPackedMatchesUnpack lets the engine pick the shape, the width
+// and the data: whatever it finds, the packed kernel equals the dense
+// kernel over Unpack bit for bit. Shapes stay below the fan-out threshold
+// (TestMatMulPackedDeterministicAcrossProcs owns banding). The seeds are
+// one per path: fused and tiled word path, ragged width, 8-bit bytes, a
+// width with no word path, 2-bit fused over an odd number of blocks, the
+// AVX-512 tile kernel with rows left over, and the fused two-row kernel
+// alone (m = 2) and beside a one-row pass (m = 3).
 // Each input runs under every kernel of this host.
 func FuzzMatMulPackedMatchesUnpack(f *testing.F) {
-	f.Add(uint8(0), uint8(63), uint8(63), uint8(2), false, int64(1))  // m=1, 64×64, 4-bit: fused
-	f.Add(uint8(4), uint8(39), uint8(23), uint8(0), false, int64(2))  // m=5, 2-bit: tiles
-	f.Add(uint8(1), uint8(36), uint8(20), uint8(1), false, int64(3))  // 3-bit, n=21: ragged
-	f.Add(uint8(0), uint8(15), uint8(31), uint8(6), false, int64(4))  // 8-bit, m=1
-	f.Add(uint8(2), uint8(16), uint8(15), uint8(3), false, int64(5))  // 5-bit: per element
-	f.Add(uint8(0), uint8(31), uint8(47), uint8(2), true, int64(6))   // nf4, block 12
-	f.Add(uint8(18), uint8(63), uint8(95), uint8(2), false, int64(7)) // m=19, 4-bit: tile kernel, 3 rows left
-	f.Add(uint8(1), uint8(39), uint8(71), uint8(1), false, int64(8))  // m=2, 3-bit, 9 blocks: two-row kernel, short last block
-	f.Add(uint8(2), uint8(63), uint8(39), uint8(6), false, int64(9))  // m=3, 8-bit: two-row kernel and one row
-	f.Fuzz(func(t *testing.T, mRaw, kRaw, nRaw, bitsRaw uint8, nf bool, seed int64) {
+	f.Add(uint8(0), uint8(63), uint8(63), uint8(2), int64(1))  // m=1, 64×64, 4-bit: fused
+	f.Add(uint8(4), uint8(39), uint8(23), uint8(0), int64(2))  // m=5, 2-bit: tiles
+	f.Add(uint8(1), uint8(36), uint8(20), uint8(1), int64(3))  // 3-bit, n=21: ragged
+	f.Add(uint8(0), uint8(15), uint8(31), uint8(6), int64(4))  // 8-bit, m=1
+	f.Add(uint8(2), uint8(16), uint8(15), uint8(3), int64(5))  // 5-bit: per element
+	f.Add(uint8(0), uint8(31), uint8(39), uint8(0), int64(6))  // m=1, 2-bit, 5 blocks: fused, odd band
+	f.Add(uint8(18), uint8(63), uint8(95), uint8(2), int64(7)) // m=19, 4-bit: tile kernel, 3 rows left
+	f.Add(uint8(1), uint8(39), uint8(71), uint8(1), int64(8))  // m=2, 3-bit, 9 blocks: two-row kernel, short last block
+	f.Add(uint8(2), uint8(63), uint8(39), uint8(6), int64(9))  // m=3, 8-bit: two-row kernel and one row
+	f.Fuzz(func(t *testing.T, mRaw, kRaw, nRaw, bitsRaw uint8, seed int64) {
 		m, k, n := 1+int(mRaw)%24, 1+int(kRaw)%96, 1+int(nRaw)%96
 		bits := 2 + int(bitsRaw)%7
 		g := tensor.NewRNG(seed)
@@ -272,12 +252,9 @@ func FuzzMatMulPackedMatchesUnpack(f *testing.F) {
 		for i := int(uint64(seed) % 5); i < len(a.Data); i += 5 {
 			a.Data[i] = 0
 		}
-		var p packedVariant = quant.Pack(w, bits)
-		if nf {
-			p = quant.PackNF(w, quant.NFScheme{Bits: bits, BlockSize: 4 * int(uint64(seed)%32)})
-		}
+		p := quant.Pack(w, bits)
 		tensor.EachTileMode(func(path string) {
-			checkPackedMatMul(t, fmt.Sprintf("%s (%d,%d,%d) bits %d nf %v", path, m, k, n, bits, nf), a, p, nil)
+			checkPackedMatMul(t, fmt.Sprintf("%s (%d,%d,%d) bits %d", path, m, k, n, bits), a, p, nil)
 		})
 	})
 }

@@ -3,8 +3,8 @@
 # minutes on two cores):
 #
 #  1. the bitwise-identity suite under the race detector — fused ==
-#     Unpack + MatMulInto, packed decode logits == the fake-quantized float32
-#     model for every LUC bit assignment, the word-wise extractors against the
+#     Unpack + MatMulInto, packed decode logits == the float32 model over
+#     the Unpack'ed codes for every LUC bit assignment, the word-wise extractors against the
 #     bit-loop oracle, the serialization round trip, the registry's 422 on a
 #     packed artifact — at GOMAXPROCS default and 1;
 #  2. the packed kernel benchmarks against BENCH_packed.json (0 allocs, exact
