@@ -7,7 +7,6 @@
 //	sensitivity  print the per-layer sensitivity profile of a fresh model
 //	train        adapt a model with the Edge-LLM pipeline, save a checkpoint
 //	generate     sample from a saved checkpoint with KV-cached decoding
-//	decode-bench continuous-batching decode throughput and verification
 //	serve        multi-tenant HTTP inference server with admission control,
 //	             deadlines, graceful drain, request tracing, SLO burn-rate
 //	             tracking, a JSONL access log, and a chaos fault seam
@@ -61,8 +60,6 @@ func main() {
 		err = cmdTrain(os.Args[2:])
 	case "generate":
 		err = cmdGenerate(os.Args[2:])
-	case "decode-bench":
-		err = cmdDecodeBench(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
 	case "fleet":
@@ -92,7 +89,6 @@ subcommands:
   sensitivity   per-layer compression sensitivity profile
   train         adapt a model with the Edge-LLM pipeline and save a checkpoint
   generate      sample tokens from a saved checkpoint (KV-cached decoding)
-  decode-bench  continuous-batching decode throughput + verification (-streams -slots -fault)
   serve         multi-tenant HTTP inference server (admission control, deadlines, drain,
                 -fault chaos, -trace timelines, -slo burn rates, -access-log JSONL)
   fleet         deterministic fleet simulation of churning, faulty edge devices
@@ -131,7 +127,7 @@ func cmdExperiments(args []string) (err error) {
 	}{cfg, *quick, *parallel, "on"})
 	man.Parallel, man.Pool, man.Kernel = *parallel, "on", tensor.KernelPath()
 
-	budget, err := parseMemBudget(*memBudget)
+	budget, err := parseMemBudget(*memBudget, true)
 	if err != nil {
 		return err
 	}
@@ -228,33 +224,35 @@ func cmdExperiments(args []string) (err error) {
 	return nil
 }
 
-// parseMemBudget parses the -mem-budget flag: plain bytes, a KiB/MiB/GiB
-// suffix, or the keyword "half-vanilla" (half the analytic vanilla
-// full-fine-tuning peak of the default configuration — the paper's
-// reference point for a constrained edge device).
-func parseMemBudget(s string) (int64, error) {
+// parseMemBudget parses a -mem-budget value: bytes, or a KiB/MiB/GiB value,
+// below 2^63 bytes; empty is no budget. With halfVanilla it also takes the
+// keyword "half-vanilla": half the analytic vanilla full-fine-tuning peak of
+// the default configuration, the paper's reference point for a constrained
+// edge device.
+func parseMemBudget(s string, halfVanilla bool) (int64, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return 0, nil
 	}
-	if s == "half-vanilla" {
+	if halfVanilla && s == "half-vanilla" {
 		return core.VanillaPeakBytes(core.DefaultConfig()) / 2, nil
 	}
-	mult := int64(1)
+	num, mult := s, 1.0
 	for _, suf := range []struct {
 		name string
-		mult int64
+		mult float64
 	}{{"GiB", 1 << 30}, {"MiB", 1 << 20}, {"KiB", 1 << 10}} {
 		if strings.HasSuffix(s, suf.name) {
-			s, mult = strings.TrimSuffix(s, suf.name), suf.mult
+			num, mult = strings.TrimSuffix(s, suf.name), suf.mult
 			break
 		}
 	}
-	val, err := strconv.ParseFloat(s, 64)
-	if err != nil || val < 0 {
-		return 0, fmt.Errorf(`edgellm: bad -mem-budget %q (want bytes, a KiB/MiB/GiB value, or "half-vanilla")`, s)
+	val, err := strconv.ParseFloat(num, 64)
+	// Written so that NaN fails too; 2^63 is the first count int64 cannot hold.
+	if err != nil || !(val >= 0 && val*mult < 1<<63) {
+		return 0, fmt.Errorf(`edgellm: bad -mem-budget %q (want bytes or a KiB/MiB/GiB value below 2^63 bytes; experiments also takes "half-vanilla")`, s)
 	}
-	return int64(val * float64(mult)), nil
+	return int64(val * mult), nil
 }
 
 // printGovernSummary reports what the governor did on stderr: every ladder

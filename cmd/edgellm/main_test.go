@@ -100,15 +100,25 @@ func TestParseMemBudget(t *testing.T) {
 		{"nonsense", 0, false},
 		{"-5", 0, false},
 		{"12XiB", 0, false},
+		{"NaN", 0, false},
+		{"Inf", 0, false},
+		{"9223372036854775807", 0, false}, // rounds to 2^63 as a float64
+		{"1e19", 0, false},
+		{"1e30GiB", 0, false},
+		{"8589934591GiB", 8589934591 << 30, true}, // 2^63 - 1 GiB
+		{"8589934592GiB", 0, false},               // 2^63
 	}
 	for _, c := range cases {
-		got, err := parseMemBudget(c.in)
+		got, err := parseMemBudget(c.in, true)
 		if c.ok && (err != nil || got != c.want) {
 			t.Errorf("parseMemBudget(%q) = %d, %v; want %d", c.in, got, err, c.want)
 		}
-		if !c.ok && err == nil {
-			t.Errorf("parseMemBudget(%q) accepted, want error", c.in)
+		if !c.ok && (err == nil || !strings.Contains(err.Error(), "bad -mem-budget")) {
+			t.Errorf("parseMemBudget(%q) = %d, %v; want the bad -mem-budget error", c.in, got, err)
 		}
+	}
+	if _, err := parseMemBudget("half-vanilla", false); err == nil {
+		t.Error(`parseMemBudget("half-vanilla") accepted where the keyword is not allowed`)
 	}
 }
 

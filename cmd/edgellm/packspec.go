@@ -9,9 +9,6 @@ import (
 	"edgellm/internal/nn"
 )
 
-// bitsUsage is the -bits flag's help text, shared by serve and decode-bench.
-const bitsUsage = `pack block weights and decode through the fused kernels: "2".."8" (one width for every layer) or "luc@<avg-bits>" (per-layer LUC assignment under an average-bit budget, e.g. luc@3.5); empty runs float32`
-
 // resolvePackSpecs turns a -bits flag value into per-layer pack specs:
 //
 //	"2".."8"        uniform width for every layer

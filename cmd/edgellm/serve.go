@@ -47,7 +47,7 @@ func cmdServe(args []string) (err error) {
 	memBudget := fs.String("mem-budget", "", "KV-memory admission budget: bytes with optional KiB/MiB/GiB suffix (empty = no memory admission)")
 	adapters := fs.String("adapters", "", "adapter registry directory (empty = base model only)")
 	maxAdapters := fs.Int("max-adapters", 8, "LRU bound on resident adapters")
-	bitsSpec := fs.String("bits", "", bitsUsage)
+	bitsSpec := fs.String("bits", "", `pack block weights and decode through the fused kernels: "2".."8" (one width for every layer) or "luc@<avg-bits>" (per-layer LUC assignment under an average-bit budget, e.g. luc@3.5); empty runs float32`)
 	faultSpec := fs.String("fault", "", `chaos seam: comma-separated mode=ID pairs over request ids, modes fail|panic|cancel|stall (e.g. "panic=R3,cancel=R7")`)
 	telemetryAddr := fs.String("telemetry-addr", "", "serve live telemetry on this host:port (/metrics, /debug/vars, /debug/pprof)")
 	accessLogPath := fs.String("access-log", "", "append one JSONL record per request to this file (analysable offline with `edgellm telemetry serve-report`)")
@@ -56,6 +56,10 @@ func cmdServe(args []string) (err error) {
 	tracePath := fs.String("trace", "", "write request span timelines as Chrome trace-event JSON to this file (open in chrome://tracing or Perfetto)")
 	metricsPath := fs.String("metrics", "", "stream telemetry events as JSONL to this file")
 	fs.Parse(args)
+	kvBudget, err := parseMemBudget(*memBudget, false)
+	if err != nil {
+		return err
+	}
 
 	var m *nn.Model
 	if *ckpt != "" {
@@ -109,13 +113,9 @@ func cmdServe(args []string) (err error) {
 		DrainTimeout:    *drainTimeout,
 		RetryAfter:      *retryAfter,
 	}
-	if *memBudget != "" {
-		bytes, err := parseMemBudget(*memBudget)
-		if err != nil {
-			return err
-		}
-		cfg.Budget = govern.Budget{MemoryBytes: bytes}
-		fmt.Fprintf(os.Stderr, "serve: KV admission budget %s\n", fmtB(bytes))
+	if kvBudget > 0 {
+		cfg.Budget = govern.Budget{MemoryBytes: kvBudget}
+		fmt.Fprintf(os.Stderr, "serve: KV admission budget %s\n", fmtB(kvBudget))
 	}
 	if *adapters != "" {
 		cfg.Registry = serve.NewRegistry(*adapters, *maxAdapters)

@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,28 +31,62 @@ func TestResolvePackSpecsRejectsBadBits(t *testing.T) {
 	}
 }
 
+// TestServeRejectsBadMemBudget: serve's KV budget is bytes only. A value it
+// cannot hold, which would wrap negative and read as "no budget", and the
+// experiments' "half-vanilla" keyword both fail with the bad -mem-budget
+// error before a model is built. (The address cannot be listened on, so a
+// budget wrongly accepted fails the listen instead of serving.)
+func TestServeRejectsBadMemBudget(t *testing.T) {
+	for _, v := range []string{"1e19", "1e30GiB", "half-vanilla"} {
+		err := cmdServe([]string{"-addr", "no-port", "-mem-budget", v})
+		if err == nil || !strings.Contains(err.Error(), "bad -mem-budget") {
+			t.Errorf("serve -mem-budget %s: error %v, want the bad -mem-budget error", v, err)
+		}
+	}
+}
+
 // TestServeBitsWithAdapters is `serve -bits SPEC -adapters DIR` below the
-// flag parsing: a backbone packed the way -bits packs it, behind a server
-// with an adapter registry, serves an adapter request whose tokens equal a
-// solo Decoder.Generate over the same packed weights under the same adapter,
-// and drains to an empty arena.
+// flag parsing. A backbone packed the way -bits packs it releases exactly
+// PackModel's ReleasedBytes from the weight pool and keeps the resident
+// ratio its width promises. Behind a server with an adapter registry it
+// serves eight concurrent streams, half under an adapter, each equal to a
+// solo Decoder.Generate over the same packed weights under the same
+// adapter, and drains to an empty arena.
 func TestServeBitsWithAdapters(t *testing.T) {
-	for _, bits := range []string{"4", "luc@3.5"} {
-		t.Run(bits, func(t *testing.T) {
-			cfg := nn.Config{Vocab: 64, Dim: 32, Heads: 4, Layers: 3, Hidden: 64, MaxSeq: 32}
+	for _, tc := range []struct {
+		bits   string
+		lo, hi float64 // resident packed bytes over float32 bytes
+	}{
+		{"4", 0.125, 0.16}, // 4/32, plus one float32 scale per column
+		{"luc@3.5", 0, 0.2},
+	} {
+		t.Run(tc.bits, func(t *testing.T) {
+			cfg := nn.Config{Vocab: 256, Dim: 64, Heads: 4, Layers: 2, Hidden: 128, MaxSeq: 32}
 			m := nn.NewModel(cfg, tensor.NewRNG(42))
-			specs, _, err := resolvePackSpecs(m, bits)
+			specs, desc, err := resolvePackSpecs(m, tc.bits)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pm, err := nn.PackModel(m, specs, nil)
+			if strings.HasPrefix(tc.bits, "luc@") && !strings.Contains(desc, "luc@3.50") {
+				t.Fatalf("description %q does not name the budget", desc)
+			}
+			wpool := tensor.NewPool()
+			nn.AdoptWeights(m, wpool)
+			before := wpool.Stats().BytesInUse
+			pm, err := nn.PackModel(m, specs, wpool)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if drop := before - wpool.Stats().BytesInUse; drop != pm.ReleasedBytes() {
+				t.Fatalf("weight pool dropped %d bytes, PackModel released %d", drop, pm.ReleasedBytes())
+			}
+			if r := float64(pm.StorageBytes()) / float64(pm.ReleasedBytes()); r < tc.lo || r > tc.hi {
+				t.Fatalf("resident ratio %.4f, want in [%g, %g]", r, tc.lo, tc.hi)
 			}
 			g := tensor.NewRNG(7)
 			tuned, err := nn.NewAdapter("tuned", 8, []nn.AdapterPair{
 				{Target: "block0.wq", A: g.Normal(0, 0.2, cfg.Dim, 4), B: g.Normal(0, 0.2, 4, cfg.Dim)},
-				{Target: "block2.down", A: g.Normal(0, 0.2, cfg.Hidden, 4), B: g.Normal(0, 0.2, 4, cfg.Dim)},
+				{Target: "block1.down", A: g.Normal(0, 0.2, cfg.Hidden, 4), B: g.Normal(0, 0.2, 4, cfg.Dim)},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -66,7 +102,7 @@ func TestServeBitsWithAdapters(t *testing.T) {
 				t.Fatal(err)
 			}
 			srv := serve.NewServer(dec, serve.ServerConfig{
-				MaxQueue: 2, DrainTimeout: 2 * time.Second, Registry: serve.NewRegistry(dir, 2),
+				MaxQueue: 8, DrainTimeout: 2 * time.Second, Registry: serve.NewRegistry(dir, 2),
 			})
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
@@ -76,15 +112,19 @@ func TestServeBitsWithAdapters(t *testing.T) {
 			if err := solo.SetPacked(pm); err != nil {
 				t.Fatal(err)
 			}
+			const streams = 8
 			prompt := []int{5, 6, 7}
-			sample := nn.SampleConfig{MaxTokens: 8, Temperature: 0.8, TopK: 12, Seed: 9}
-			var served [2][]int
-			for i, a := range []*nn.Adapter{nil, tuned} {
+			want := make([][]int, streams)
+			served := make([][]int, streams)
+			errs := make([]error, streams)
+			var wg sync.WaitGroup
+			for i := range streams {
+				a := []*nn.Adapter{nil, tuned}[i%2]
+				sample := nn.SampleConfig{MaxTokens: 8, Temperature: 0.8, TopK: 12, Seed: 9 + int64(i/2)}
 				if err := solo.SetAdapter(a); err != nil {
 					t.Fatal(err)
 				}
-				want, err := solo.Generate(prompt, sample)
-				if err != nil {
+				if want[i], err = solo.Generate(prompt, sample); err != nil {
 					t.Fatal(err)
 				}
 				req := map[string]any{"prompt": prompt, "max_tokens": sample.MaxTokens,
@@ -93,29 +133,43 @@ func TestServeBitsWithAdapters(t *testing.T) {
 					req["adapter"] = a.Name()
 				}
 				blob, _ := json.Marshal(req)
-				resp, err := http.Post(ts.URL+"/v1/generate", "application/json", bytes.NewReader(blob))
-				if err != nil {
-					t.Fatal(err)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					served[i], errs[i] = postTokens(ts.URL, blob)
+				}()
+			}
+			wg.Wait()
+			for i := range streams {
+				if errs[i] != nil {
+					t.Fatalf("stream %d: %v", i, errs[i])
 				}
-				var got struct {
-					Tokens []int `json:"tokens"`
+				if !slices.Equal(served[i], want[i]) {
+					t.Fatalf("stream %d (adapter %v): served %v, solo packed decode %v", i, i%2 == 1, served[i], want[i])
 				}
-				err = json.NewDecoder(resp.Body).Decode(&got)
-				resp.Body.Close()
-				if err != nil || resp.StatusCode != http.StatusOK {
-					t.Fatalf("adapter %v: status %d, decode error %v", a != nil, resp.StatusCode, err)
-				}
-				if !slices.Equal(got.Tokens, want) {
-					t.Fatalf("adapter %v: served %v, solo packed decode %v", a != nil, got.Tokens, want)
-				}
-				served[i] = got.Tokens
 			}
 			if slices.Equal(served[0], served[1]) {
 				t.Fatal("the adapter request decoded the base model's tokens")
 			}
-			if err := srv.Drain(); err != nil {
+			if err := srv.Drain(); err != nil { // fails unless the arena drained
 				t.Fatalf("drain: %v", err)
 			}
 		})
 	}
+}
+
+// postTokens posts one /v1/generate body and returns the tokens of a 200.
+func postTokens(url string, body []byte) ([]int, error) {
+	resp, err := http.Post(url+"/v1/generate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	var got struct {
+		Tokens []int `json:"tokens"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("status %d, decode error %v", resp.StatusCode, err)
+	}
+	return got.Tokens, nil
 }

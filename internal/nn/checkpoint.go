@@ -47,10 +47,14 @@ func (m *Model) Save(w io.Writer) error {
 }
 
 // Load reads a checkpoint written by Save, rebuilding the model from the
-// stored config and filling in every parameter. Name order and shapes are
-// verified against the freshly built architecture, and a v2 checkpoint's
-// checksum is verified before the model is returned, so a truncated or
-// bit-flipped file can never load successfully.
+// stored config and filling in every parameter. Every tensor is read before
+// the model is built, and the model is built only when their element total
+// is the config's parameter count: each read is bounded by the bytes
+// present, so a header that declares a model larger than its file costs no
+// more than the file. Name order and shapes are verified against the built
+// architecture, and a v2 checkpoint's checksum is verified before the model
+// is returned, so a truncated or bit-flipped file can never load
+// successfully.
 func Load(r io.Reader) (*Model, error) {
 	ar, err := artifact.NewReader(r, checkpointMagicV2, checkpointMagicV1)
 	if err != nil {
@@ -63,6 +67,17 @@ func Load(r io.Reader) (*Model, error) {
 	if err := hdr.Config.Validate(); err != nil {
 		return nil, fmt.Errorf("nn: checkpoint config invalid: %w", err)
 	}
+	stored := make([]*tensor.Tensor, len(hdr.Names))
+	var elems int64
+	for i, name := range hdr.Names {
+		if stored[i], err = tensor.ReadFrom(ar); err != nil {
+			return nil, fmt.Errorf("nn: read %s: %w", name, err)
+		}
+		elems += int64(stored[i].Len())
+	}
+	if want := paramElems(hdr.Config); float64(elems) != want {
+		return nil, fmt.Errorf("nn: checkpoint holds %d parameters, its config declares %.0f", elems, want)
+	}
 	m := NewModel(hdr.Config, tensor.NewRNG(0))
 	params := m.Params()
 	if len(params) != len(hdr.Names) {
@@ -74,10 +89,7 @@ func Load(r io.Reader) (*Model, error) {
 			return nil, fmt.Errorf("nn: checkpoint tensor %d is %q, expected %q",
 				i, hdr.Names[i], p.Name)
 		}
-		t, err := tensor.ReadFrom(ar)
-		if err != nil {
-			return nil, fmt.Errorf("nn: read %s: %w", p.Name, err)
-		}
+		t := stored[i]
 		if !t.SameShape(p.Value.Data) {
 			return nil, fmt.Errorf("nn: %s has shape %v, expected %v",
 				p.Name, t.Shape, p.Value.Data.Shape)
@@ -91,6 +103,23 @@ func Load(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("nn: checkpoint: %w", err)
 	}
 	return m, nil
+}
+
+// paramElems is the parameter count of the model NewModel builds from c,
+// the sum train.ModelParamElems states, in float64 so that no header's
+// dimensions can wrap it into agreement with a file: every term is a whole
+// number, so the sum is exact below 2^53 and at least 2^53 above it.
+func paramElems(c Config) float64 {
+	d, v, l := float64(c.Dim), float64(c.Vocab), float64(c.Layers)
+	head := d * (1 + v) // a norm gain and a vocab projection
+	n := (v+float64(c.MaxSeq))*d + head + l*(4*d*d+3*d*float64(c.Hidden)+2*d)
+	switch {
+	case c.ExitHeads && c.TieExitHeads:
+		n += l * d
+	case c.ExitHeads:
+		n += l * head
+	}
+	return n
 }
 
 // SaveFile writes the model checkpoint to a file path atomically: an

@@ -235,12 +235,56 @@ func TestSaveFileAtomicPreservesOldCheckpoint(t *testing.T) {
 	}
 }
 
+// TestLoadLyingHeaderAllocatesLittle: a checkpoint whose header declares a
+// 2^16 × 2^8 vocabulary — 64 MiB for each embedding table — over the
+// tensors of a tiny model, under a valid checksum, is an error
+// that costs about what the file holds, not the model it declares.
+func TestLoadLyingHeaderAllocatesLittle(t *testing.T) {
+	m := tinyModel(70)
+	hdr := checkpointHeader{Config: m.Cfg}
+	hdr.Config.Vocab, hdr.Config.Dim = 1<<16, 1<<8
+	var buf bytes.Buffer
+	aw := artifact.NewWriter(&buf, checkpointMagicV2)
+	for _, p := range m.Params() {
+		hdr.Names = append(hdr.Names, p.Name)
+	}
+	if err := aw.Header(hdr); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range m.Params() {
+		if _, err := p.Value.Data.WriteTo(aw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := aw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	cost := fault.Allocated(func() { _, err = Load(bytes.NewReader(buf.Bytes())) })
+	if err == nil || !strings.Contains(err.Error(), "its config declares") {
+		t.Fatalf("error %v, want the parameter count mismatch", err)
+	}
+	if cost >= 4<<20 {
+		t.Fatalf("a %d-byte checkpoint made Load allocate %d bytes, want < 4 MiB", buf.Len(), cost)
+	}
+}
+
+// TestParamElemsMatchesBuiltModel pins Load's parameter count to the models
+// NewModel builds: without exits, with untied and with tied exit heads.
+func TestParamElemsMatchesBuiltModel(t *testing.T) {
+	for _, exits := range []struct{ on, tied bool }{{false, false}, {true, false}, {true, true}} {
+		cfg := Config{Vocab: 13, Dim: 8, Heads: 2, Layers: 3, Hidden: 12, MaxSeq: 5, ExitHeads: exits.on, TieExitHeads: exits.tied}
+		if got, want := paramElems(cfg), float64(NumParams(NewModel(cfg, tensor.NewRNG(1)))); got != want {
+			t.Errorf("%+v: paramElems = %.0f, built model has %.0f", cfg, got, want)
+		}
+	}
+}
+
 // FuzzLoad feeds the checkpoint loader outside bytes: it must return an
 // error or a model that survives a forward, never panic. Each input is also
 // tried resealed (its body under a fresh footer) to get mutations past the
-// checksum. Load builds the architecture its header declares before it reads
-// a tensor (ROADMAP item 4), so a header declaring a model far larger than
-// the seeds' is skipped, not loaded.
+// checksum. Load builds a model only once the file has held its every
+// parameter, so no header can make it allocate more than the input's size.
 func FuzzLoad(f *testing.F) {
 	// Small seeds: the engine minimises every interesting input, and a Load
 	// builds a model.
@@ -257,13 +301,6 @@ func FuzzLoad(f *testing.F) {
 		f.Add(append([]byte("ELLMCKP1"), v2[8:len(v2)-8]...))
 	}
 	load := func(data []byte) {
-		if ar, err := artifact.NewReader(bytes.NewReader(data), checkpointMagicV2, checkpointMagicV1); err == nil {
-			var hdr checkpointHeader
-			c := &hdr.Config
-			if ar.Header(&hdr) == nil && max(c.Vocab, c.Dim, c.Hidden, c.MaxSeq, c.Layers) > 64 {
-				return
-			}
-		}
 		m, err := Load(bytes.NewReader(data))
 		if err != nil {
 			return

@@ -11,7 +11,8 @@ import (
 // PrefillRows is the prompt-row budget of one batched step: how many rows
 // beyond one per slot a decoder's scratch holds, and so the longest run of
 // prompt tokens the serve scheduler and Generate hand StepBatch at once. 16
-// is the knee of the per-row cost on the decode-bench model (EXPERIMENTS.md):
+// is the knee of the per-row cost on the served d256/4L model, the decode
+// benchmarks' and bench's (EXPERIMENTS.md):
 // the weight stream (or packed tile decode) is shared by every row of a step,
 // and past 16 rows a longer step only delays the streams decoding beside it.
 const PrefillRows = 16

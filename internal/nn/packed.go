@@ -65,8 +65,8 @@ type PackedModel struct {
 // blocks only.
 //
 // Callers that want the release visible as a live-bytes drop should
-// Pool.Adopt the block weights (AdoptWeights) before packing; decode-bench
-// asserts exactly that drop. Adapters are unaffected: a packed weight keeps
+// Pool.Adopt the block weights (AdoptWeights) before packing;
+// TestServeBitsWithAdapters (cmd/edgellm) asserts exactly that drop. Adapters are unaffected: a packed weight keeps
 // its shape, which is all SetAdapter reads of it, and the side path runs
 // after the packed kernel as it does after the float32 one.
 func PackModel(m *Model, specs []PackSpec, pool *tensor.Pool) (*PackedModel, error) {

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"edgellm/internal/nn"
@@ -120,20 +122,26 @@ func runRandomServeSchedule(t *testing.T, m *nn.Model, pm *nn.PackedModel, adapt
 			victim[reqs[i].ID] = g.Intn(out)
 		}
 	}
+	// The token hooks run on the scheduler goroutine, between steps, so they
+	// may read stream state; a stream cancelled there is retired before the
+	// next step. mu guards streams, which the hooks and this goroutine grow.
+	var mu sync.Mutex
 	var streams []*Stream
-	submit := func() {
+	submit := func() error { // under mu
 		st, err := sched.Submit(reqs[len(streams)])
-		if err != nil {
-			t.Fatal(err)
+		if err == nil {
+			streams = append(streams, st)
 		}
-		streams = append(streams, st)
+		return err
 	}
-	// Hooks run on the scheduler goroutine, between steps, so they may read
-	// stream state; a stream cancelled here is retired before the next step.
 	samples := 0
-	sched.OnSample = func(*Stream, int) {
+	hook := func(*Stream, int) {
+		mu.Lock()
+		defer mu.Unlock()
 		if samples++; samples%3 == 0 && len(streams) < len(reqs) {
-			submit() // joins mid-run
+			if err := submit(); err != nil { // joins mid-run
+				t.Error(err)
+			}
 		}
 		for _, st := range streams {
 			at, ok := victim[st.ID()]
@@ -148,18 +156,41 @@ func runRandomServeSchedule(t *testing.T, m *nn.Model, pm *nn.PackedModel, adapt
 			}
 		}
 	}
-	for len(streams) < len(reqs)/2 {
-		submit()
+	for i := range reqs {
+		reqs[i].OnToken = hook
 	}
-	for {
-		if err := sched.Run(context.Background()); err != nil {
+	for len(streams) < len(reqs)/2 {
+		if err := submit(); err != nil {
 			t.Fatal(err)
 		}
-		if len(streams) == len(reqs) {
-			break
-		}
-		submit() // the run drained before the hook had submitted everything
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- sched.Serve(ctx) }()
+	for {
+		mu.Lock()
+		waitFor := slices.Clone(streams)
+		mu.Unlock()
+		for _, st := range waitFor {
+			<-st.Done()
+		}
+		mu.Lock()
+		if len(streams) == len(waitFor) {
+			if len(streams) == len(reqs) {
+				mu.Unlock()
+				break
+			}
+			// The schedule drained before the hooks had submitted everything.
+			if err := submit(); err != nil {
+				mu.Unlock()
+				t.Fatal(err)
+			}
+		}
+		mu.Unlock()
+	}
+	cancel()
+	<-served
 
 	for i, st := range streams {
 		res := st.Result()
@@ -200,7 +231,7 @@ func TestSchedulerDecodingStreamRidesEveryStep(t *testing.T) {
 	}
 	var order strings.Builder // one letter per sampled token, in order
 	var stB *Stream
-	sched.OnSample = func(st *Stream, _ int) {
+	record := func(st *Stream, _ int) {
 		order.WriteString(st.ID())
 		if st.ID() == "A" && st.Sampled() == 2 {
 			var err error
@@ -209,13 +240,16 @@ func TestSchedulerDecodingStreamRidesEveryStep(t *testing.T) {
 			}
 		}
 	}
-	stA, err := sched.Submit(Request{ID: "A", Prompt: []int{7}, Cfg: nn.SampleConfig{MaxTokens: outA}})
+	long.OnToken = record
+	stA, err := sched.Submit(Request{ID: "A", Prompt: []int{7}, Cfg: nn.SampleConfig{MaxTokens: outA}, OnToken: record})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sched.Run(context.Background()); err != nil {
-		t.Fatal(err)
+	serveUntilDone(t, sched, stA)
+	if stB == nil {
+		t.Fatal("B was never submitted")
 	}
+	<-stB.Done()
 
 	// Steps 1-2: A alone. Steps 3-6: A beside B's four 16-row runs, the last
 	// of which samples B's first token. Steps 7-10: both decode. Then A alone.

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"net/http"
 	"path/filepath"
@@ -79,15 +78,8 @@ func TestSchedulerPackedDecodeMatchesFakeQuant(t *testing.T) {
 				{ID: "adapted", Prompt: []int{3, 4, 5}, Cfg: nn.SampleConfig{MaxTokens: 6, Temperature: 0.9, TopK: 8, Seed: 3},
 					Adapter: makeTestAdapter(t, "tenant", 100, m.Cfg)},
 			}
-			streams := make([]*Stream, len(reqs))
-			for i, req := range reqs {
-				if streams[i], err = sched.Submit(req); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := sched.Run(context.Background()); err != nil {
-				t.Fatal(err)
-			}
+			streams := submitAll(t, sched, reqs...)
+			serveUntilDone(t, sched, streams...)
 			for i, st := range streams {
 				if st.Result().Err != nil {
 					t.Fatal(st.Result().Err)

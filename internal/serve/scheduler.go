@@ -171,7 +171,7 @@ func (s *Stream) Done() <-chan struct{} { return s.done }
 func (s *Stream) Result() Result { return s.result }
 
 // Sampled returns how many continuation tokens have been produced so far.
-// It is safe to call from an OnSample/OnToken hook.
+// It is safe to call from an OnToken hook.
 func (s *Stream) Sampled() int { return len(s.sampled) }
 
 // StreamTiming is a stream's latency decomposition as attributed by the
@@ -205,17 +205,11 @@ func (s *Stream) Timing() StreamTiming {
 }
 
 // Scheduler drives one nn.Decoder with continuous batching. Submit and
-// Stream.Cancel are safe from any goroutine; Run/Serve must be the only
+// Stream.Cancel are safe from any goroutine; Serve must be the only
 // goroutine touching the decoder.
 type Scheduler struct {
 	dec  *nn.Decoder
 	rate *obsv.Rate
-
-	// OnSample, when set, is invoked from the Run goroutine after every
-	// sampled token, before the token is fed back. It is the seam fault
-	// injection uses to cancel streams mid-generation. A panic inside the
-	// hook poisons only the stream it fired for.
-	OnSample func(st *Stream, token int)
 
 	mu     sync.Mutex
 	queue  []*Stream
@@ -295,25 +289,19 @@ func (s *Scheduler) QueueDepth() int {
 	return len(s.queue)
 }
 
-// Run drains every submitted request: it admits queued streams into free
-// slots, advances every active stream each batched step (a decoding stream
-// by one token, prefilling streams by runs of prompt tokens), and returns
-// once the queue and the batch are both empty. Streams submitted
-// while Run is active join the current batch at the next step boundary.
-// On context cancellation every unfinished stream ends with ctx.Err().
-func (s *Scheduler) Run(ctx context.Context) error { return s.run(ctx, false) }
-
-// Serve is Run in keep-alive mode: instead of returning when idle it blocks
-// waiting for new submissions, so a server can keep one long-lived decode
-// goroutine. It returns only when ctx is cancelled, finishing every
-// unfinished stream with ctx.Err().
-func (s *Scheduler) Serve(ctx context.Context) error { return s.run(ctx, true) }
-
 // stepSpanSample is the batched-step span sampling stride: one decode.step
 // span is recorded per this many StepBatch calls.
 const stepSpanSample = 64
 
-func (s *Scheduler) run(ctx context.Context, keepAlive bool) error {
+// Serve is the scheduler's one decode loop. It admits queued streams into
+// free slots and advances every active stream each batched step: a decoding
+// stream by one token, prefilling streams by runs of prompt tokens. Streams
+// submitted while it runs join at the next step boundary, and when no stream
+// is active it blocks until a submission arrives. A step that fails ends
+// that step's streams with its error and serving goes on. Serve returns
+// only when ctx is cancelled, finishing every unfinished stream with
+// ctx.Err().
+func (s *Scheduler) Serve(ctx context.Context) error {
 	span := obsv.StartSpan("decode.run")
 	defer span.End()
 	var stepCount uint64
@@ -436,9 +424,6 @@ func (s *Scheduler) run(ctx context.Context, keepAlive bool) error {
 		}
 		st.lastToken = stepEnd
 		st.sampled = append(st.sampled, tok)
-		if s.OnSample != nil {
-			s.OnSample(st, tok)
-		}
 		if st.req.OnToken != nil {
 			st.req.OnToken(st, tok)
 		}
@@ -451,26 +436,22 @@ func (s *Scheduler) run(ctx context.Context, keepAlive bool) error {
 		}
 	}
 
-	// abort ends the run: every queued and active stream finishes with err.
-	abort := func(err error) error {
-		s.mu.Lock()
-		queued := s.queue
-		s.queue = nil
-		s.mu.Unlock()
-		for _, st := range queued {
-			finish(st, Result{ID: st.req.ID, Err: err})
-		}
-		for _, st := range active {
-			if st != nil {
-				finish(st, Result{ID: st.req.ID, Err: err})
-			}
-		}
-		return err
-	}
-
 	for {
 		if err := ctx.Err(); err != nil {
-			return abort(err)
+			// Every queued and active stream finishes with the context's error.
+			s.mu.Lock()
+			queued := s.queue
+			s.queue = nil
+			s.mu.Unlock()
+			for _, st := range queued {
+				finish(st, Result{ID: st.req.ID, Err: err})
+			}
+			for _, st := range active {
+				if st != nil {
+					finish(st, Result{ID: st.req.ID, Err: err})
+				}
+			}
+			return err
 		}
 
 		queueDepth := admit()
@@ -479,9 +460,6 @@ func (s *Scheduler) run(ctx context.Context, keepAlive bool) error {
 		obsv.SetGauge("decode.arena_active_bytes", float64(s.dec.ArenaActiveBytes()))
 
 		if nActive == 0 {
-			if !keepAlive {
-				return nil
-			}
 			select {
 			case <-ctx.Done():
 			case <-s.wake:
@@ -539,16 +517,11 @@ func (s *Scheduler) run(ctx context.Context, keepAlive bool) error {
 		if err != nil {
 			// Submit validates everything StepBatch checks, so this is a
 			// programming error or a contained decoder panic; fail this
-			// step's streams rather than guess, then keep serving. Run
-			// gives up instead, and a stream whose prompt was waiting for
-			// row budget was in no step: it must not be left unfinished.
+			// step's streams rather than guess, then keep serving.
 			for _, st := range streams {
 				finish(st, Result{ID: st.req.ID, Err: err})
 			}
-			if keepAlive {
-				continue
-			}
-			return abort(err)
+			continue
 		}
 		stepEnd = time.Now()
 		stepNS = int64(stepEnd.Sub(stepStart))
@@ -578,7 +551,7 @@ func (s *Scheduler) run(ctx context.Context, keepAlive bool) error {
 }
 
 // Close marks the scheduler closed: subsequent Submit calls fail with
-// ErrClosed. It does not interrupt a running Run/Serve; cancel its context
+// ErrClosed. It does not interrupt a running Serve; cancel its context
 // for that (which also finishes any still-queued streams).
 func (s *Scheduler) Close() {
 	s.mu.Lock()

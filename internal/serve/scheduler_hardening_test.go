@@ -103,9 +103,7 @@ func TestCancelIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sched.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	serveUntilDone(t, sched, st)
 	res := st.Result()
 	if res.Err != nil {
 		t.Fatalf("stream failed: %v", res.Err)
@@ -129,9 +127,7 @@ func TestCancelIdempotent(t *testing.T) {
 	st2.CancelCause(first)
 	st2.Cancel()
 	st2.CancelCause(errors.New("second cause"))
-	if err := sched.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	serveUntilDone(t, sched, st2)
 	if got := st2.Result().Err; !errors.Is(got, first) {
 		t.Fatalf("cancelled stream error = %v, want first cause", got)
 	}
@@ -167,10 +163,8 @@ func TestCancelRace(t *testing.T) {
 			}(st, g)
 		}
 	}
-	wg.Wait() // all cancels land before the run: every stream must be retired
-	if err := sched.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	wg.Wait() // all cancels land before Serve starts: every stream must be retired
+	serveUntilDone(t, sched, streams...)
 	for _, st := range streams {
 		if err := st.Result().Err; !errors.Is(err, ErrCancelled) {
 			t.Fatalf("stream %s error = %v, want an ErrCancelled cause", st.ID(), err)
@@ -209,9 +203,7 @@ func TestStreamPanicContainment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sched.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	serveUntilDone(t, sched, stP, stH)
 
 	var pe *StreamPanicError
 	if err := stP.Result().Err; !errors.As(err, &pe) {
@@ -234,81 +226,64 @@ func TestStreamPanicContainment(t *testing.T) {
 // whole 16-row prompt run — and requires the scheduler to contain it: the
 // step's streams fail with a typed error and the decoder is untouched, so the
 // arena drains and later output equals a token-at-a-time solo decode. Serve
-// keeps serving; Run gives up, and must then also finish the stream whose
-// prompt was still waiting for row budget, which was in no step.
+// keeps serving.
 func TestStreamPanicInSchedulerStep(t *testing.T) {
-	for _, keepAlive := range []bool{true, false} {
-		m := testModel(16)
-		dec := nn.NewBatchDecoder(m, 3, nil)
-		sched := New(dec)
-		down := m.Blocks[1].MLP.Down.W.Data
-		shape := down.Shape
+	m := testModel(16)
+	dec := nn.NewBatchDecoder(m, 3, nil)
+	defer dec.Close()
+	sched := New(dec)
+	down := m.Blocks[1].MLP.Down.W.Data
+	shape := down.Shape
 
-		// The hook runs on the scheduler goroutine between two steps. The
-		// next step carries decoding's row and run16's 16 rows, which use up
-		// the row budget, so waiting's prompt stays out of it.
-		var stRun, stWaiting *Stream
-		decoding := greedyReq("decoding", []int{1}, 8)
-		decoding.OnToken = func(st *Stream, _ int) {
-			if st.Sampled() != 2 {
-				return
-			}
-			down.Shape = []int{shape[0] + 1, shape[1]}
-			var err error
-			if stRun, err = sched.Submit(greedyReq("run16", make([]int, nn.PrefillRows), 3)); err != nil {
-				t.Error(err)
-			}
-			if keepAlive {
-				return
-			}
-			if stWaiting, err = sched.Submit(greedyReq("waiting", []int{9, 8, 7}, 4)); err != nil {
-				t.Error(err)
-			}
+	// The hook runs on the scheduler goroutine between two steps. The next
+	// step carries decoding's row and run16's 16 rows.
+	var stRun *Stream
+	decoding := greedyReq("decoding", []int{1}, 8)
+	decoding.OnToken = func(st *Stream, _ int) {
+		if st.Sampled() != 2 {
+			return
 		}
-		stDecoding, err := sched.Submit(decoding)
-		if err != nil {
-			t.Fatal(err)
+		down.Shape = []int{shape[0] + 1, shape[1]}
+		var err error
+		if stRun, err = sched.Submit(greedyReq("run16", make([]int, nn.PrefillRows), 3)); err != nil {
+			t.Error(err)
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		runDone := make(chan error, 1)
-		go func() { runDone <- sched.run(ctx, keepAlive) }()
-		<-stDecoding.Done()
-		<-stRun.Done()
-		for _, st := range []*Stream{stDecoding, stRun} {
-			if err := st.Result().Err; err == nil || !strings.Contains(err.Error(), "decoder step panicked") {
-				t.Fatalf("stream %s error = %v, want the contained step panic", st.ID(), err)
-			}
+	}
+	stDecoding, err := sched.Submit(decoding)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- sched.Serve(ctx) }()
+	<-stDecoding.Done()
+	<-stRun.Done()
+	for _, st := range []*Stream{stDecoding, stRun} {
+		if err := st.Result().Err; err == nil || !strings.Contains(err.Error(), "decoder step panicked") {
+			t.Fatalf("stream %s error = %v, want the contained step panic", st.ID(), err)
 		}
-		if keepAlive {
-			// Serve is idle now, and next reads the weight after this Submit.
-			down.Shape = shape
-			after, err := sched.Submit(greedyReq("after", []int{4, 5}, 5))
-			if err != nil {
-				t.Fatal(err)
-			}
-			<-after.Done()
-			if after.Result().Err != nil {
-				t.Fatalf("stream after the contained panic failed: %v", after.Result().Err)
-			}
-			tokensEqual(t, "after", after.Result().Tokens, soloSteps(t, m, nil, after.req))
-			cancel()
-			<-runDone
-		} else {
-			if err := <-runDone; err == nil || err != stWaiting.Result().Err {
-				t.Fatalf("Run = %v, waiting stream = %v: want the step panic for both", err, stWaiting.Result().Err)
-			}
-			cancel()
-		}
-		if dec.ActiveSlots() != 0 || dec.ArenaActiveBytes() != 0 {
-			t.Fatalf("after a contained step panic: %d slots / %d bytes active", dec.ActiveSlots(), dec.ArenaActiveBytes())
-		}
-		dec.Close()
+	}
+	// Serve is idle now, and next reads the weight after this Submit.
+	down.Shape = shape
+	after, err := sched.Submit(greedyReq("after", []int{4, 5}, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-after.Done()
+	if after.Result().Err != nil {
+		t.Fatalf("stream after the contained panic failed: %v", after.Result().Err)
+	}
+	tokensEqual(t, "after", after.Result().Tokens, soloSteps(t, m, nil, after.req))
+	cancel()
+	<-served
+	if dec.ActiveSlots() != 0 || dec.ArenaActiveBytes() != 0 {
+		t.Fatalf("after a contained step panic: %d slots / %d bytes active", dec.ActiveSlots(), dec.ArenaActiveBytes())
 	}
 }
 
-// TestServeKeepAlive pins the keep-alive contract: Serve idles across
-// bursts instead of returning, picks up late submissions, and exits only on
-// context cancellation.
+// TestServeKeepAlive pins that Serve idles across bursts instead of
+// returning, picks up late submissions, and exits only on context
+// cancellation.
 func TestServeKeepAlive(t *testing.T) {
 	m := testModel(16)
 	dec := nn.NewBatchDecoder(m, 2, nil)
@@ -399,9 +374,7 @@ func TestSchedulerAdapterGrouping(t *testing.T) {
 		}
 		streams[i] = st
 	}
-	if err := sched.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	serveUntilDone(t, sched, streams...)
 	for i, st := range streams {
 		res := st.Result()
 		if res.Err != nil {

@@ -25,6 +25,36 @@ func soloGenerate(t *testing.T, m *nn.Model, prompt []int, cfg nn.SampleConfig) 
 	return out
 }
 
+// submitAll submits reqs in order and returns their streams.
+func submitAll(t testing.TB, sched *Scheduler, reqs ...Request) []*Stream {
+	t.Helper()
+	streams := make([]*Stream, len(reqs))
+	for i, req := range reqs {
+		st, err := sched.Submit(req)
+		if err != nil {
+			t.Fatalf("submit %s: %v", req.ID, err)
+		}
+		streams[i] = st
+	}
+	return streams
+}
+
+// serveUntilDone runs Serve until every one of streams has finished, then
+// cancels it and requires that cancellation to be what Serve returns.
+func serveUntilDone(t testing.TB, sched *Scheduler, streams ...*Stream) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- sched.Serve(ctx) }()
+	for _, st := range streams {
+		<-st.Done()
+	}
+	cancel()
+	if err := <-served; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Serve = %v, want context.Canceled", err)
+	}
+}
+
 func tokensEqual(t *testing.T, name string, got, want []int) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -56,17 +86,8 @@ func TestSchedulerMatchesSoloGenerate(t *testing.T) {
 	}
 
 	sched := New(dec)
-	streams := make([]*Stream, len(reqs))
-	for i, req := range reqs {
-		st, err := sched.Submit(req)
-		if err != nil {
-			t.Fatalf("submit %s: %v", req.ID, err)
-		}
-		streams[i] = st
-	}
-	if err := sched.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	streams := submitAll(t, sched, reqs...)
+	serveUntilDone(t, sched, streams...)
 	for i, st := range streams {
 		res := st.Result()
 		if res.Err != nil {
@@ -74,62 +95,61 @@ func TestSchedulerMatchesSoloGenerate(t *testing.T) {
 		}
 		want := soloGenerate(t, m, reqs[i].Prompt, reqs[i].Cfg)
 		tokensEqual(t, res.ID, res.Tokens, want)
-		select {
-		case <-st.Done():
-		default:
-			t.Fatalf("stream %s not done after Run", res.ID)
-		}
 	}
 	if dec.ActiveSlots() != 0 || dec.ArenaActiveBytes() != 0 {
 		t.Fatalf("slots/bytes leaked: %d active, %d bytes", dec.ActiveSlots(), dec.ArenaActiveBytes())
 	}
 }
 
-// TestSchedulerCancellationReleasesSlot cancels one stream mid-generation
-// from the OnSample hook and requires: the victim ends with ErrCancelled,
-// its slot is reclaimed (arena drains to zero after the run), and the
-// surviving streams' tokens are untouched by the churn.
+// TestSchedulerCancellationReleasesSlot runs twelve streams sampled at
+// temperature 0.8 and top-k 40 over four slots, on a 64-wide model with a
+// 256-token vocabulary, and cancels S3 and S7 from their token hook at
+// their halfway token. It requires: exactly those two end with
+// ErrCancelled, their slots are reclaimed (the arena drains to zero bytes),
+// and the ten survivors, queued ones included, equal their solo decodes.
 func TestSchedulerCancellationReleasesSlot(t *testing.T) {
-	m := testModel(91)
-	dec := nn.NewBatchDecoder(m, 3, tensor.NewPool())
+	const streams, tokens, promptLen = 12, 24, 4
+	cfg := nn.Config{Vocab: 256, Dim: 64, Heads: 4, Layers: 2, Hidden: 128, MaxSeq: promptLen + tokens}
+	m := nn.NewModel(cfg, tensor.NewRNG(42))
+	dec := nn.NewBatchDecoder(m, 4, tensor.NewPool())
 	defer dec.Close()
 
-	reqs := []Request{
-		{ID: "victim", Prompt: []int{1, 2}, Cfg: nn.SampleConfig{MaxTokens: 10}},
-		{ID: "survivor-1", Prompt: []int{3, 4, 5}, Cfg: nn.SampleConfig{Temperature: 0.9, MaxTokens: 7, Seed: 11}},
-		{ID: "survivor-2", Prompt: []int{6}, Cfg: nn.SampleConfig{MaxTokens: 6}},
-		{ID: "queued", Prompt: []int{7, 8}, Cfg: nn.SampleConfig{MaxTokens: 4}},
-	}
-	sched := New(dec)
-	sched.OnSample = func(st *Stream, tok int) {
-		if st.ID() == "victim" && st.Sampled() == 3 {
+	cancelAtHalf := func(st *Stream, _ int) {
+		if st.Sampled() == tokens/2 {
 			st.Cancel()
 		}
 	}
-	streams := make([]*Stream, len(reqs))
-	for i, req := range reqs {
-		st, err := sched.Submit(req)
-		if err != nil {
-			t.Fatal(err)
+	reqs := make([]Request, streams)
+	for i := range reqs {
+		prompt := make([]int, promptLen)
+		for j := range prompt {
+			prompt[j] = (i*7 + j*13 + 1) % cfg.Vocab
 		}
-		streams[i] = st
+		reqs[i] = Request{ID: fmt.Sprintf("S%d", i), Prompt: prompt,
+			Cfg: nn.SampleConfig{Temperature: 0.8, TopK: 40, MaxTokens: tokens, Seed: 42 + int64(i)}}
+		if i == 3 || i == 7 {
+			reqs[i].OnToken = cancelAtHalf
+		}
 	}
-	if err := sched.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	sched := New(dec)
+	sts := submitAll(t, sched, reqs...)
+	serveUntilDone(t, sched, sts...)
 
-	if err := streams[0].Result().Err; !errors.Is(err, ErrCancelled) {
-		t.Fatalf("victim error = %v, want ErrCancelled", err)
-	}
-	for i, st := range streams[1:] {
+	for i, st := range sts {
 		res := st.Result()
+		if reqs[i].OnToken != nil {
+			if !errors.Is(res.Err, ErrCancelled) {
+				t.Fatalf("%s error = %v, want ErrCancelled", res.ID, res.Err)
+			}
+			continue
+		}
 		if res.Err != nil {
 			t.Fatalf("stream %s failed: %v", res.ID, res.Err)
 		}
-		tokensEqual(t, res.ID, res.Tokens, soloGenerate(t, m, reqs[i+1].Prompt, reqs[i+1].Cfg))
+		tokensEqual(t, res.ID, res.Tokens, soloGenerate(t, m, reqs[i].Prompt, reqs[i].Cfg))
 	}
 	if dec.ActiveSlots() != 0 || dec.ArenaActiveBytes() != 0 {
-		t.Fatalf("cancelled slot not reclaimed: %d active, %d bytes", dec.ActiveSlots(), dec.ArenaActiveBytes())
+		t.Fatalf("cancelled slots not reclaimed: %d active, %d bytes", dec.ActiveSlots(), dec.ArenaActiveBytes())
 	}
 }
 
@@ -148,9 +168,7 @@ func TestSchedulerCancelWhileQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	queued.Cancel()
-	if err := sched.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	serveUntilDone(t, sched, first, queued)
 	if first.Result().Err != nil {
 		t.Fatalf("first stream failed: %v", first.Result().Err)
 	}
@@ -206,28 +224,29 @@ func TestSchedulerContextCancel(t *testing.T) {
 	defer dec.Close()
 	sched := New(dec)
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	var streams []*Stream
 	for i := 0; i < 3; i++ {
 		st, err := sched.Submit(Request{
 			ID:     fmt.Sprintf("s%d", i),
 			Prompt: []int{i + 1},
 			Cfg:    nn.SampleConfig{MaxTokens: 20},
+			// Cancel after the first sampled token so the loop is genuinely mid-flight.
+			OnToken: func(*Stream, int) { cancel() },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		streams = append(streams, st)
 	}
-	// Cancel after the first sampled token so the run is genuinely mid-flight.
-	sched.OnSample = func(st *Stream, tok int) { cancel() }
-	if err := sched.Run(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run = %v, want context.Canceled", err)
+	if err := sched.Serve(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Serve = %v, want context.Canceled", err)
 	}
 	for _, st := range streams {
 		select {
 		case <-st.Done():
 		default:
-			t.Fatalf("stream %s not finished after cancelled Run", st.ID())
+			t.Fatalf("stream %s not finished after Serve returned", st.ID())
 		}
 		if err := st.Result().Err; !errors.Is(err, context.Canceled) {
 			t.Fatalf("stream %s error = %v, want context.Canceled", st.ID(), err)

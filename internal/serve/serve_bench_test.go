@@ -14,15 +14,15 @@ import (
 	"edgellm/internal/tensor"
 )
 
-// benchModel is testModel with the served vocabulary, 2048 (the bench and
-// decode-bench models'), so a sampled token takes its top-k from a
-// full-size logit row.
+// benchModel is testModel with the served vocabulary, 2048 (the bench
+// workloads' and the nn decode benchmarks' models'), so a sampled token takes
+// its top-k from a full-size logit row.
 func benchModel() *nn.Model {
 	cfg := nn.Config{Vocab: 2048, Dim: 16, Heads: 4, Layers: 2, Hidden: 24, MaxSeq: 32}
 	return nn.NewModel(cfg, tensor.NewRNG(600))
 }
 
-// benchSample is decode-bench's sampling, temperature 0.8 and top-k 40, for
+// benchSample is the bench workloads' sampling, temperature 0.8 and top-k 40, for
 // n tokens: the gates below cover the sampled path, not only greedy decode.
 func benchSample(n int) nn.SampleConfig {
 	return nn.SampleConfig{Temperature: 0.8, TopK: 40, MaxTokens: n}

@@ -1,0 +1,38 @@
+#!/usr/bin/env bash
+# The kernel gates, as CI's bench-kernels job runs them:
+#
+#  1. the parallel kernels' determinism under the race detector:
+#     byte-identical results at any GOMAXPROCS and with the arena on or off;
+#  2. the kernel and training-step benchmarks against BENCH_baseline.json.
+#     benchguard fails on a >20% regression in allocs/op or B/op of a gated
+#     benchmark (ProbeOutputKL among them: a probe that sorts per candidate
+#     or runs full forwards again allocates ~2x its bytes), on the parallel
+#     backward kernels falling below 2x their serial variants (with >= 4
+#     cores), on MatMulT taking more than 1.5x TMatMul, or on the AdamW
+#     assembly falling below 1.5x its Go twin (at any core count);
+#  3. the serving fan-out pairs at 1 and 4 procs, report only: whether the
+#     decode step's matmuls and attention, through tensor.Bands, ever beat
+#     serial on real cores. AttendStep512 is a MaxSeq-512 step whose
+#     attention reaches the fan-out threshold. A failure here is printed,
+#     not fatal.
+#
+#   scripts/bench-kernels.sh [out-dir]    default ./bench-kernels-out
+set -euo pipefail
+cd "$(dirname "$0")/.."
+out=${1:-bench-kernels-out}
+mkdir -p "$out"
+
+echo "== 1. determinism under -race"
+go test -race -run 'Determinism' -count=1 ./internal/tensor ./internal/autograd ./internal/train
+
+echo "== 2. kernel benchmarks against BENCH_baseline.json"
+go test -bench 'BenchmarkKernel|BenchmarkStep|BenchmarkAdamW|BenchmarkProbeOutputKL' -benchmem -run '^$' \
+  ./internal/tensor ./internal/train ./internal/luc | tee "$out/bench-kernels.txt"
+go run ./cmd/benchguard -in "$out/bench-kernels.txt" \
+  -out "$out/BENCH_kernels.json" -baseline BENCH_baseline.json
+
+echo "== 3. serving fan-out pairs at 1 and 4 procs (report only)"
+go test -bench 'BenchmarkDecodeBatch8$|BenchmarkDecodePrefill64$|BenchmarkAttendStep512$' \
+  -cpu 1,4 -benchmem -run '^$' -benchtime 100x -count 3 ./internal/nn | tee "$out/bench-fanout.txt" ||
+  echo "bench-kernels: the fan-out pairs failed (report only)"
+echo "bench-kernels: ok"

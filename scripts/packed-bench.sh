@@ -15,11 +15,12 @@
 #     default, each benchmark the fastest of three passes (benchguard keeps
 #     the fastest repetition; this class of host moves its clock by a quarter
 #     between them). No step of the benchmark model reaches the fan-out
-#     thresholds, so the 0-alloc gates hold at any GOMAXPROCS;
-#  3. two governed packed decodes through the race-built CLI — uniform 4-bit
-#     and a LUC mixed budget — asserting that packing released every float32
-#     block-weight byte, the resident ratio, every stream verified against a
-#     solo decode, and a drained KV arena.
+#     thresholds, so the 0-alloc gates hold at any GOMAXPROCS.
+#
+# Step 1 also runs TestServeBitsWithAdapters (cmd/edgellm): packing releases
+# exactly its float32 bytes from the weight pool, the resident ratio of
+# uniform 4-bit and of luc@3.5, and concurrent packed streams, with and
+# without an adapter, equal to solo decodes over a drained arena.
 #
 #   scripts/packed-bench.sh [out-dir]     default ./packed-bench-out
 set -euo pipefail
@@ -28,8 +29,8 @@ out=${1:-packed-bench-out}
 mkdir -p "$out"
 
 echo "== 1. identity under -race"
-go test -race -count=1 -run 'Pack|WordWise|DecodeRowsInto' \
-  ./internal/tensor ./internal/quant ./internal/nn ./internal/serve 2>&1 | tee "$out/packed-tests.txt"
+go test -race -count=1 -run 'Pack|WordWise|DecodeRowsInto|ServeBits' \
+  ./internal/tensor ./internal/quant ./internal/nn ./internal/serve ./cmd/edgellm 2>&1 | tee "$out/packed-tests.txt"
 GOMAXPROCS=1 go test -race -count=1 -run 'Pack|WordWise|DecodeRowsInto' \
   ./internal/tensor ./internal/nn 2>&1 | tee -a "$out/packed-tests.txt"
 
@@ -53,43 +54,4 @@ gate() { # gate <suffix>, under the caller's GOMAXPROCS
 GOMAXPROCS=1 gate -p1
 (unset GOMAXPROCS; gate "")
 
-echo "== 3. governed packed decodes (race-built CLI)"
-go build -race -o "$out/edgellm-race" ./cmd/edgellm
-decode() { # decode <name> <bits>
-  "$out/edgellm-race" decode-bench -streams 8 -slots 4 -tokens 24 \
-    -dim 64 -hidden 128 -vocab 256 -layers 2 -heads 4 \
-    -bits "$2" -json 2>"$out/$1-err.txt" | tee "$out/$1.json"
-}
-
-# Packing must release every float32 block-weight byte back to the pool
-# (drop == adopted), resident packed bytes must land at the analytic 4-bit
-# ratio (4/32 plus per-column scales), every stream must verify bitwise
-# against a solo decode, and the KV arena must drain to zero.
-decode packed4 4
-python3 - "$out/packed4.json" <<'EOF'
-import json, sys
-r = json.load(open(sys.argv[1]))
-assert r['weight_pool_drop_bytes'] == r['weight_bytes_f32'], r
-assert 0.125 <= r['weight_bytes_ratio'] <= 0.16, r
-assert r['verified'] == r['streams'], r
-assert r['arena_active_after'] == 0, r
-print('packed4 OK: %d -> %d bytes (ratio %.4f), %d/%d verified'
-      % (r['weight_bytes_f32'], r['weight_bytes_packed'],
-         r['weight_bytes_ratio'], r['verified'], r['streams']))
-EOF
-
-# The LUC flow end to end: sensitivity probe, DP search under a 3.5-avg-bit
-# budget, prune + fake-quantize, pack per policy. The packed footprint must
-# stay under a fifth of float32 and the pool accounting must balance exactly.
-decode packedluc luc@3.5
-python3 - "$out/packedluc.json" <<'EOF'
-import json, sys
-r = json.load(open(sys.argv[1]))
-assert r['weight_pool_drop_bytes'] == r['weight_bytes_f32'], r
-assert r['weight_bytes_ratio'] < 0.2, r
-assert r['verified'] == r['streams'], r
-assert r['arena_active_after'] == 0, r
-assert 'luc@3.50' in r['packed_spec'], r
-print('packed luc OK:', r['packed_spec'])
-EOF
 echo "packed-bench: ok"
