@@ -36,21 +36,35 @@ type AdapterPair struct {
 }
 
 // Adapter is an inference-time set of low-rank factor pairs, one per target
-// linear. A decoder it is set on (Decoder.SetAdapter) computes
-// y = x·W + (alpha/rank)·(x·A)·B for every target — the arithmetic of the
-// training-time hook (adapt.LoRASet) — and never touches W. Adapters are
-// immutable after construction and safe to share across decoders; the
-// scheduler groups streams by adapter pointer identity.
+// linear. A decoder slot it is bound to (Decoder.SetAdapterAt, or every slot
+// through Decoder.SetAdapter) computes y = x·W + (alpha/rank)·(x·A)·B for
+// every target — the arithmetic of the training-time hook (adapt.LoRASet) —
+// and never touches W. Adapters are immutable after construction and safe to
+// share across decoders and slots.
 type Adapter struct {
 	name  string
 	alpha float32
 	rank  int
 	pairs []AdapterPair
+	// sites maps siteKey(layer, weight) to the pair the decode step adds
+	// there, resolved from the target names once, at construction; out is
+	// the widest such pair's output width.
+	sites map[int]*AdapterPair
+	out   int
 }
+
+// siteKey names a weight of the decode step: layer l's weight wi
+// (Block.WeightMatrices order), or the LM head at layer headLayer.
+func siteKey(l, wi int) int { return l*numBlockWeights + wi }
+
+// headLayer and exitLayer are parseTarget's layers for "lmhead" and
+// "exit<N>".
+const headLayer, exitLayer = -1, -2
 
 // NewAdapter builds an adapter from low-rank pairs. Every A must be
 // (in, rank) and B (rank, out) with one consistent rank; target names must
-// be non-empty and unique.
+// be non-empty and unique. Whether a target exists is a question about a
+// model, which CheckAdapter answers.
 func NewAdapter(name string, alpha float32, pairs []AdapterPair) (*Adapter, error) {
 	if name == "" {
 		return nil, fmt.Errorf("nn: adapter needs a name")
@@ -82,7 +96,17 @@ func NewAdapter(name string, alpha float32, pairs []AdapterPair) (*Adapter, erro
 			return nil, fmt.Errorf("nn: adapter %s target %s: rank %d differs from %d", name, p.Target, r, rank)
 		}
 	}
-	return &Adapter{name: name, alpha: alpha, rank: rank, pairs: pairs}, nil
+	a := &Adapter{name: name, alpha: alpha, rank: rank, pairs: pairs, sites: make(map[int]*AdapterPair, len(pairs))}
+	for i := range pairs {
+		p := &pairs[i]
+		// Exit heads decode nothing; a name no model has never reaches a
+		// step, since binding checks the fit.
+		if l, wi, ok := parseTarget(p.Target); ok && l != exitLayer {
+			a.sites[siteKey(l, wi)] = p
+			a.out = max(a.out, p.B.Cols())
+		}
+	}
+	return a, nil
 }
 
 // Name returns the adapter's name.
@@ -176,6 +200,28 @@ func LoadAdapterFile(path string) (*Adapter, error) {
 	return artifact.ReadFile(path, LoadAdapter)
 }
 
+// parseTarget resolves an adapter target name to its place in the decode
+// step, reading no model: (N, Block.WeightMatrices index) for
+// "block<N>.{wq,wk,wv,wo,gate,up,down}", (headLayer, 0) for "lmhead" and
+// (exitLayer, N) for "exit<N>". ok is false for any other name.
+func parseTarget(target string) (layer, idx int, ok bool) {
+	if target == "lmhead" {
+		return headLayer, 0, true
+	}
+	if n, isExit := strings.CutPrefix(target, "exit"); isExit && !strings.Contains(n, ".") {
+		i, err := strconv.Atoi(n)
+		return exitLayer, i, err == nil && i >= 0
+	}
+	blockPart, linName, found := strings.Cut(target, ".")
+	n, isBlock := strings.CutPrefix(blockPart, "block")
+	if !found || !isBlock {
+		return 0, 0, false
+	}
+	l, err := strconv.Atoi(n)
+	wi := slices.Index(blockWeightNames[:], linName)
+	return l, wi, err == nil && l >= 0 && wi >= 0
+}
+
 // adapterSite resolves an adapter target name to the weight it adapts and
 // that weight's place in the decode step: (layer, Block.WeightMatrices index)
 // for "block<N>.{wq,wk,wv,wo,gate,up,down}", (len(m.Blocks), 0) for "lmhead",
@@ -183,42 +229,33 @@ func LoadAdapterFile(path string) (*Adapter, error) {
 // which the decoder never runs. It reads shapes only, so it is safe while
 // another goroutine decodes over m.
 func (m *Model) adapterSite(target string) (w *tensor.Tensor, layer, wi int, err error) {
-	if target == "lmhead" {
+	layer, wi, ok := parseTarget(target)
+	switch {
+	case !ok:
+		return nil, 0, 0, fmt.Errorf("nn: unknown adapter target %q", target)
+	case layer == headLayer:
 		return m.LMHead.W.Data, len(m.Blocks), 0, nil
-	}
-	if idx, ok := strings.CutPrefix(target, "exit"); ok && !strings.Contains(idx, ".") {
-		n, err := strconv.Atoi(idx)
-		if err != nil || n < 0 || n >= len(m.Exits) {
+	case layer == exitLayer:
+		if wi >= len(m.Exits) {
 			return nil, 0, 0, fmt.Errorf("nn: adapter target %q: model has %d exit heads", target, len(m.Exits))
 		}
-		if m.Exits[n].Tied {
-			return nil, 0, 0, fmt.Errorf("nn: adapter target %q: exit head %d is tied to lmhead; target lmhead instead", target, n)
+		if m.Exits[wi].Tied {
+			return nil, 0, 0, fmt.Errorf("nn: adapter target %q: exit head %d is tied to lmhead; target lmhead instead", target, wi)
 		}
-		return m.Exits[n].Proj.W.Data, -1, 0, nil
-	}
-	blockPart, linName, ok := strings.Cut(target, ".")
-	if !ok || !strings.HasPrefix(blockPart, "block") {
-		return nil, 0, 0, fmt.Errorf("nn: unknown adapter target %q", target)
-	}
-	n, err := strconv.Atoi(strings.TrimPrefix(blockPart, "block"))
-	if err != nil || n < 0 || n >= len(m.Blocks) {
+		return m.Exits[wi].Proj.W.Data, -1, 0, nil
+	case layer >= len(m.Blocks):
 		return nil, 0, 0, fmt.Errorf("nn: adapter target %q: model has %d blocks", target, len(m.Blocks))
 	}
-	wi = slices.Index(blockWeightNames[:], linName)
-	if wi < 0 {
-		return nil, 0, 0, fmt.Errorf("nn: unknown adapter target %q", target)
-	}
-	return m.Blocks[n].WeightMatrices()[wi], n, wi, nil
+	return m.Blocks[layer].WeightMatrices()[wi], layer, wi, nil
 }
 
-// Adapter returns the adapter the decoder currently decodes under (nil on
-// the base model).
-func (d *Decoder) Adapter() *Adapter { return d.adapter }
+// AdapterAt returns the adapter slot decodes under (nil on the base model).
+func (d *Decoder) AdapterAt(slot int) *Adapter { return d.slotAdapter[slot] }
 
 // CheckAdapter reports whether a fits the decoder's model: every target
 // names a linear the model has and the pair's (in, out) matches its shape,
 // packed or not. It reads nothing that decoding writes, so — unlike
-// SetAdapter — any goroutine may call it.
+// SetAdapter and SetAdapterAt — any goroutine may call it.
 func (d *Decoder) CheckAdapter(a *Adapter) error {
 	if a == nil {
 		return nil
@@ -236,53 +273,96 @@ func (d *Decoder) CheckAdapter(a *Adapter) error {
 	return nil
 }
 
-// SetAdapter makes a the adapter every following step decodes under;
-// SetAdapter(nil) returns to the base model. It checks the fit
-// (CheckAdapter), rebuilds the (layer, weight) → pair table the step reads
-// and sizes the side path's scratch; it writes no model weight, so decoders
-// sharing a model never see each other's adapters, and it composes with
-// SetPacked in either order. A failed call changes nothing. Must be called
-// from the goroutine driving the decoder, between steps.
+// SetAdapter binds a to every slot (SetAdapterAt on each); SetAdapter(nil)
+// returns them all to the base model. A failed call changes nothing.
 func (d *Decoder) SetAdapter(a *Adapter) error {
-	if a == d.adapter {
+	if err := d.bindScratch(a); err != nil {
+		return err
+	}
+	for s := range d.slotAdapter {
+		d.slotAdapter[s] = a
+	}
+	return nil
+}
+
+// SetAdapterAt makes a the adapter slot decodes under from its next step
+// on; nil returns it to the base model. The binding outlives Release, so
+// whoever acquires the slot binds it before stepping it. It checks the fit
+// (CheckAdapter) and sizes the side path's scratch; it writes no model
+// weight, so decoders sharing a model never see each other's adapters, and
+// it composes with SetPacked in either order. A failed call changes
+// nothing. Must be called from the goroutine driving the decoder, between
+// steps.
+func (d *Decoder) SetAdapterAt(slot int, a *Adapter) error {
+	if slot < 0 || slot >= d.cap {
+		return fmt.Errorf("nn: slot %d out of range [0,%d)", slot, d.cap)
+	}
+	if err := d.bindScratch(a); err != nil {
+		return err
+	}
+	d.slotAdapter[slot] = a
+	return nil
+}
+
+// bindScratch checks that a fits and grows the side path's scratch to hold
+// its widest target over a full step's rows.
+func (d *Decoder) bindScratch(a *Adapter) error {
+	if a == nil {
 		return nil
 	}
 	if err := d.CheckAdapter(a); err != nil {
 		return err
 	}
-	clear(d.side)
-	d.adapter = a
-	if a == nil {
-		return nil
-	}
-	out := 0
-	for i := range a.pairs {
-		p := &a.pairs[i]
-		if _, l, wi, _ := d.m.adapterSite(p.Target); l >= 0 {
-			d.side[l][wi] = p
-			out = max(out, p.B.Cols())
-		}
-	}
 	d.sideXA.grow(d.pool, d.rowCap, a.rank)
-	d.sideOut.grow(d.pool, d.rowCap, out)
+	d.sideOut.grow(d.pool, d.rowCap, a.out)
 	return nil
 }
 
-// addSide adds the adapter's term for layer l's weight wi (the LM head is
-// row len(Blocks), column 0) to out = x·W, row by row:
-// out += (alpha/rank)·((x·A)·B), two MatMulInto calls into decoder scratch,
-// so a row's bits do not depend on which rows share the step.
-func (d *Decoder) addSide(out, x *tensor.Tensor, l, wi int) {
-	p := d.side[l][wi]
-	if p == nil {
-		return
+// sideRun is a stretch [lo, hi) of a step's rows whose slots are bound to
+// one adapter.
+type sideRun struct {
+	lo, hi int
+	a      *Adapter
+}
+
+// extendSide adds row i, decoded under a, to runs: it grows the last stretch
+// when that is a's and ends at i, and starts a new one otherwise. Rows on
+// the base model join no stretch.
+func extendSide(runs []sideRun, i int, a *Adapter) []sideRun {
+	if a == nil {
+		return runs
 	}
-	xa := d.sideXA.shaped(x.Rows(), p.A.Cols())
-	tensor.MatMulInto(xa, x, p.A)
-	delta := d.sideOut.shaped(x.Rows(), p.B.Cols())
-	tensor.MatMulInto(delta, xa, p.B)
-	scale := d.adapter.alpha / float32(d.adapter.rank)
-	for j, v := range delta.Data {
-		out.Data[j] += float32(scale * v)
+	if n := len(runs); n > 0 && runs[n-1].a == a && runs[n-1].hi == i {
+		runs[n-1].hi++
+		return runs
+	}
+	return append(runs, sideRun{lo: i, hi: i + 1, a: a})
+}
+
+// addSide adds, for each stretch of runs, its adapter's term for layer l's
+// weight wi (the LM head is layer headLayer) to out = x·W:
+// out += (alpha/rank)·((x·A)·B) over the stretch's rows, two MatMulInto
+// calls into decoder scratch. MatMulInto's per-row sums do not depend on how
+// many rows share the call, so a row's bits do not depend on which rows, or
+// which adapters, share the step.
+func (d *Decoder) addSide(out, x *tensor.Tensor, runs []sideRun, l, wi int) {
+	in, width := x.Cols(), out.Cols()
+	for _, r := range runs {
+		p := r.a.sites[siteKey(l, wi)]
+		if p == nil {
+			continue
+		}
+		n := r.hi - r.lo
+		d.sideX.Data = x.Data[r.lo*in : r.hi*in]
+		d.sideX.Shape[0], d.sideX.Shape[1] = n, in
+		xa := d.sideXA.shaped(n, p.A.Cols())
+		tensor.MatMulInto(xa, &d.sideX, p.A)
+		delta := d.sideOut.shaped(n, width)
+		tensor.MatMulInto(delta, xa, p.B)
+		scale := r.a.alpha / float32(r.a.rank)
+		o := out.Data[r.lo*width : r.hi*width]
+		for j, v := range delta.Data {
+			o[j] += float32(scale * v)
+		}
 	}
 }

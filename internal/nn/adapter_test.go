@@ -159,8 +159,8 @@ func TestSetAdapterRestoreExact(t *testing.T) {
 	if err := dec.SetAdapter(a); err != nil {
 		t.Fatal(err)
 	}
-	if dec.Adapter() != a {
-		t.Fatal("Adapter() does not report the adapter that was set")
+	if dec.AdapterAt(0) != a {
+		t.Fatal("AdapterAt(0) does not report the adapter that was set")
 	}
 	mustStep(t, dec, 1)
 	checkPristine("after apply")
@@ -173,8 +173,8 @@ func TestSetAdapterRestoreExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPristine("after SetAdapter(nil)")
-	if dec.Adapter() != nil {
-		t.Fatal("Adapter() non-nil after SetAdapter(nil)")
+	if dec.AdapterAt(0) != nil {
+		t.Fatal("AdapterAt(0) non-nil after SetAdapter(nil)")
 	}
 	if err := dec.SetAdapter(a); err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestSetAdapterValidatesBeforeMutating(t *testing.T) {
 		if err := dec.SetAdapter(a); err == nil {
 			t.Fatalf("adapter %s applied despite invalid target", a.Name())
 		}
-		if dec.Adapter() != nil {
+		if dec.AdapterAt(0) != nil {
 			t.Fatal("failed SetAdapter left an adapter installed")
 		}
 	}

@@ -26,7 +26,8 @@ var ErrBadBatch = errors.New("nn: invalid StepBatch arguments")
 // owns one arena slot (Acquire/Release) and StepBatch advances any subset of
 // the active slots, each by a run of one or more tokens, returning the
 // final-head logits after each run's last token. Step is the single-sequence
-// convenience wrapper (slot 0).
+// convenience wrapper (slot 0). Each slot decodes under its own adapter
+// (SetAdapterAt), and one step carries slots under any mix of adapters.
 //
 // Batched execution is bitwise-identical to single-sequence decoding: every
 // projection runs through the cache-blocked tensor.MatMulInto kernel, whose
@@ -66,12 +67,15 @@ type Decoder struct {
 	tok1  [1]int      // Step's batch-of-1 arguments
 	slot1 [1]int
 
-	// Adapter state (adapter.go): side[l][wi] is the adapter's pair for layer
-	// l's weight wi, nil where it has none; row len(Blocks), column 0 is the
-	// LM head. sideXA and sideOut hold x·A and (x·A)·B for one projection.
-	adapter         *Adapter
-	side            [][numBlockWeights]*AdapterPair
-	sideXA, sideOut batchBuf // (rowCap, rank), (rowCap, widest target)
+	// Adapter state (adapter.go): slotAdapter[s] is the adapter slot s
+	// decodes under, nil for the base model. rowSides and headSides are a
+	// step's stretches of rows under one adapter, over the block rows and
+	// over the LM head's run rows. sideX views one stretch's input rows;
+	// sideXA and sideOut hold its x·A and (x·A)·B.
+	slotAdapter         []*Adapter
+	rowSides, headSides []sideRun
+	sideX               tensor.Tensor
+	sideXA, sideOut     batchBuf // (rowCap, rank), (rowCap, widest target)
 
 	// Packed execution state (packed.go): when packed is non-nil, block
 	// matmuls whose layer is packed run through tensor.MatMulPackedInto
@@ -157,7 +161,11 @@ func NewBatchDecoder(m *Model, slots int, pool *tensor.Pool) *Decoder {
 		seen:   make([]bool, slots),
 		pos:    make([]int, rows),
 		last:   make([]int, 0, slots),
-		side:   make([][numBlockWeights]*AdapterPair, len(m.Blocks)+1),
+
+		slotAdapter: make([]*Adapter, slots),
+		rowSides:    make([]sideRun, 0, rows),
+		headSides:   make([]sideRun, 0, slots),
+		sideX:       tensor.Tensor{Shape: []int{0, 0}},
 	}
 	return d
 }
@@ -249,6 +257,13 @@ func (d *Decoder) StepBatch(tokens, slots []int) ([][]float32, error) {
 	}
 	m := d.m
 	R := len(d.last)
+	d.rowSides, d.headSides = d.rowSides[:0], d.headSides[:0]
+	for i, s := range slots {
+		d.rowSides = extendSide(d.rowSides, i, d.slotAdapter[s])
+	}
+	for r, i := range d.last {
+		d.headSides = extendSide(d.headSides, r, d.slotAdapter[slots[i]])
+	}
 
 	dim := m.Cfg.Dim
 	heads := m.Cfg.Heads
@@ -308,7 +323,7 @@ func (d *Decoder) StepBatch(tokens, slots []int) ([][]float32, error) {
 		tensor.RMSNormRow(hV.Row(r), d.x[i*dim:(i+1)*dim], m.Norm.Gain.Data.Data, m.Norm.Eps)
 	}
 	tensor.MatMulInto(logitsV, hV, m.LMHead.W.Data)
-	d.addSide(logitsV, hV, len(m.Blocks), 0)
+	d.addSide(logitsV, hV, d.headSides, headLayer, 0)
 
 	d.rows = d.rows[:0]
 	vocab := m.Cfg.Vocab

@@ -323,6 +323,98 @@ func TestDecoderBatchMatchesIndependentDecoders(t *testing.T) {
 	}
 }
 
+// TestDecoderMixedAdapterSlotsMatchSolo: one StepBatch carries slots bound to
+// the base model, to adapter A (every block linear and the LM head) and to
+// adapter B (two block linears, no LM head), with A in two stretches that do
+// not sit together, and opens with prompt runs of different lengths. Every
+// run's logits equal its stream's token-at-a-time solo decode under the same
+// adapter bit for bit, in float32 and packed-4. The slots are released and
+// re-acquired twice, each time under another binding, nil included, and
+// still decode exactly as a fresh solo decoder: no old binding leaks.
+func TestDecoderMixedAdapterSlotsMatchSolo(t *testing.T) {
+	cfg := Config{Vocab: 96, Dim: 64, Heads: 4, Layers: 2, Hidden: 128, MaxSeq: 24}
+	adA := fullAdapter(t, "A", 91, cfg, 3)
+	g := tensor.NewRNG(92)
+	adB, err := NewAdapter("B", 4, []AdapterPair{
+		{Target: "block0.wv", A: g.Normal(0, 0.1, cfg.Dim, 2), B: g.Normal(0, 0.1, 2, cfg.Dim)},
+		{Target: "block1.down", A: g.Normal(0, 0.1, cfg.Hidden, 2), B: g.Normal(0, 0.1, 2, cfg.Dim)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := [][]*Adapter{{nil, adA, adB, adA}, {adA, adB, nil, adB}, {adB, nil, adA, nil}}
+	for _, packed := range []bool{false, true} {
+		m := NewModel(cfg, tensor.NewRNG(93))
+		var pm *PackedModel
+		if packed {
+			pm = pack4(t, m)
+		}
+		d := NewBatchDecoder(m, len(rounds[0]), tensor.NewPool())
+		if err := d.SetPacked(pm); err != nil {
+			t.Fatal(err)
+		}
+		for ri, round := range rounds {
+			slots, solos, seqs, fed := make([]int, len(round)), make([]*Decoder, len(round)), make([][]int, len(round)), make([]int, len(round))
+			for i, a := range round {
+				if slots[i], err = d.Acquire(); err != nil {
+					t.Fatal(err)
+				}
+				if err := d.SetAdapterAt(slots[i], a); err != nil {
+					t.Fatal(err)
+				}
+				solos[i] = NewDecoder(m)
+				defer solos[i].Close()
+				if err := solos[i].SetPacked(pm); err != nil {
+					t.Fatal(err)
+				}
+				if err := solos[i].SetAdapter(a); err != nil {
+					t.Fatal(err)
+				}
+				seqs[i] = make([]int, 6+2*i)
+				for j := range seqs[i] {
+					seqs[i][j] = (11*j + 5*i + 7*ri) % cfg.Vocab
+				}
+			}
+			for step := 0; ; step++ {
+				var tokens, stepSlots, streams, runs []int
+				for i, seq := range seqs {
+					run := 1
+					if step == 0 {
+						run = 1 + i // prompt runs of 1 to 4 tokens
+					}
+					if run = min(run, len(seq)-fed[i]); run == 0 {
+						continue
+					}
+					tokens = append(tokens, seq[fed[i]:fed[i]+run]...)
+					for range run {
+						stepSlots = append(stepSlots, slots[i])
+					}
+					streams, runs = append(streams, i), append(runs, run)
+				}
+				if len(tokens) == 0 {
+					break
+				}
+				rows, err := d.StepBatch(tokens, stepSlots)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r, i := range streams {
+					var want []float32
+					for range runs[r] {
+						want = mustStep(t, solos[i], seqs[i][fed[i]])
+						fed[i]++
+					}
+					rowsBitsEqual(t, fmt.Sprintf("packed %v round %d stream %d step %d", packed, ri, i, step), rows[r], want)
+				}
+			}
+			for _, s := range slots {
+				d.Release(s)
+			}
+		}
+		d.Close()
+	}
+}
+
 // TestDecoderDeterminismAcrossGOMAXPROCS runs a batched decode serially and
 // at high parallelism and requires bitwise-identical logits. The model is
 // sized so both the slot fan-out and the banded matmul kernels cross their

@@ -208,5 +208,5 @@ func (d *Decoder) mm(out, x, w *tensor.Tensor, l, wi int) {
 	} else {
 		tensor.MatMulInto(out, x, w)
 	}
-	d.addSide(out, x, l, wi)
+	d.addSide(out, x, d.rowSides, l, wi)
 }

@@ -6,6 +6,29 @@ import "edgellm/internal/tensor"
 // both packages.
 var useAVX2 = tensor.HasAVX2()
 
+// useAVX512 follows tensor's AVX-512 kernels: two activation rows of 2- to
+// 4-bit codes take mulVec2AVX512 for whole groups of eight blocks. There is
+// no switch; only tests turn it off, to run both kernels in one process.
+var useAVX512 = tensor.HasAVX512()
+
+// zLevels[b] and zShifts[b] are mulVec2AVX512's level table and lane shift
+// counts at b bits: entry i of the table is the level of code i mod 2^b, so
+// the bits above a code that a lane keeps select nothing, and lane j shifts
+// by b·(j mod 8), the place of its code in its block's word.
+var zLevels, zShifts = func() (levels [5][16]float32, shifts [5][16]uint32) {
+	for b := 2; b <= 4; b++ {
+		p := Packed{Bits: b}
+		for i := range levels[b] {
+			levels[b][i] = p.level(i & (1<<b - 1))
+			shifts[b][i] = uint32(b * (i % blockCols))
+		}
+	}
+	return levels, shifts
+}()
+
+//go:noescape
+func mulVec2AVX512(out *float32, outStride, nBlocks int, a *float32, aRow, k int, codes *byte, rowBytes int, scale *float32, bits int, levels *float32, shifts *uint32)
+
 //go:noescape
 func mulVecAVX2(out *float32, outStride, nBlocks int, a *float32, aRow, k, rows int, codes *byte, rowBytes int, scale *float32, bits int)
 
@@ -40,9 +63,9 @@ func (p *Packed) simdBand(rowHi, colLo, colHi int) simdBand {
 	}
 }
 
-// mulVecSIMD is MulVecInto through mulVecAVX2: the sums accumulate in out,
-// so the one block row the assembly may not load joins them in Go, in the
-// same ascending-k position — the last.
+// mulVecSIMD is MulVecInto through the assembly (mulVecAsm): the sums
+// accumulate in out, so the one block row the assembly may not load joins
+// them in Go, in the same ascending-k position — the last.
 func (p *Packed) mulVecSIMD(out []float32, outStride int, a []float32, rows, colLo, colHi int) {
 	k, n := p.Rows, colHi-colLo
 	for r := 0; r < rows; r++ {
@@ -56,14 +79,14 @@ func (p *Packed) mulVecSIMD(out []float32, outStride int, a []float32, rows, col
 	_, _ = a[rows*k-1], out[(rows-1)*outStride+n-1]
 	b := p.simdBand(k, colLo, colHi)
 	if !b.short {
-		mulVecAVX2(&out[0], outStride*4, b.nb, &a[0], k*4, k, rows, &b.codes[0], b.rowBytes, &b.scale[0], p.Bits)
+		p.mulVecAsm(out, outStride, b.nb, a, k, rows, b.codes, b.rowBytes, b.scale)
 		return
 	}
 	if k > 1 {
-		mulVecAVX2(&out[0], outStride*4, b.nb, &a[0], k*4, k-1, rows, &b.codes[0], b.rowBytes, &b.scale[0], p.Bits)
+		p.mulVecAsm(out, outStride, b.nb, a, k-1, rows, b.codes, b.rowBytes, b.scale)
 	}
 	if b.nb > 1 {
-		mulVecAVX2(&out[0], outStride*4, b.nb-1, &a[k-1], k*4, 1, rows, &b.codes[(k-1)*b.rowBytes], b.rowBytes, &b.scale[0], p.Bits)
+		p.mulVecAsm(out, outStride, b.nb-1, a[k-1:], 1, rows, b.codes[(k-1)*b.rowBytes:], b.rowBytes, b.scale)
 	}
 	var w [blockCols]float32
 	p.decodeElems(w[:], k-1, k, colHi-blockCols, colHi)
@@ -75,6 +98,21 @@ func (p *Packed) mulVecSIMD(out []float32, outStride int, a []float32, rows, col
 			}
 		}
 	}
+}
+
+// mulVecAsm adds k code rows of nb blocks into out: two activation rows of
+// 2- to 4-bit codes take whole groups of eight blocks through mulVec2AVX512,
+// and everything else goes through mulVecAVX2. Columns are independent sums,
+// so where the blocks split changes no bit.
+func (p *Packed) mulVecAsm(out []float32, outStride, nb int, a []float32, k, rows int, codes []byte, rowBytes int, scale []float32) {
+	if nb8 := nb &^ 7; useAVX512 && rows == 2 && p.Bits <= 4 && nb8 > 0 {
+		mulVec2AVX512(&out[0], outStride*4, nb8, &a[0], p.Rows*4, k, &codes[0], rowBytes, &scale[0], p.Bits, &zLevels[p.Bits][0], &zShifts[p.Bits][0])
+		if nb8 == nb {
+			return
+		}
+		out, nb, codes, scale = out[nb8*blockCols:], nb-nb8, codes[nb8*p.Bits:], scale[nb8*blockCols:]
+	}
+	mulVecAVX2(&out[0], outStride*4, nb, &a[0], p.Rows*4, k, rows, &codes[0], rowBytes, &scale[0], p.Bits)
 }
 
 // decodeSIMD is DecodeRowsInto through decodeAVX2 for a word-aligned tile.

@@ -1,7 +1,8 @@
 #include "textflag.h"
 
 // The AVX2 twins of the uniform word-path kernels in packed.go (DESIGN.md
-// §6, "The repo takes assembly"). A block row is eight b-bit codes in b
+// §6, "The repo takes assembly"), and an AVX-512 two-row mat-vec beside
+// them. A block row is eight b-bit codes in b
 // bytes. Lanes are the block's eight columns: code j is moved to the top of
 // lane j by a per-lane left shift, sign-extended by an arithmetic right
 // shift, converted, and multiplied by the column's scale — float32(q)·scale,
@@ -396,6 +397,117 @@ pb1:
 	JMP  pb1
 
 finish:
+	VZEROUPPER
+	RET
+
+// ZDEC(y, z, m0, m1, scale, t): z = the dequantized rows of two blocks, 16
+// columns, whose code words are at m0 and m1: each lane shifts its code to
+// the bottom (counts in Z8), the table in Z9 maps the low four bits to the
+// level, float32 of the code sign-extended, and the level is multiplied by
+// the column's scale — WORD's float32(q)·scale. y is z's low half; t, a ymm,
+// is clobbered.
+#define ZDEC(y, z, m0, m1, scale, t) \
+	VPBROADCASTD m0, y; \
+	VPBROADCASTD m1, t; \
+	VINSERTI64X4 $1, t, z, z; \
+	VPSRLVD      Z8, z, z; \
+	VPERMPS      Z9, z, z; \
+	VMULPS       scale, z, z
+
+// ZMAC2(w, t, acc0, acc1): acc0 += a0[k] (in Z14) × w in the lanes of K1
+// and acc1 += a1[k] (in Z15) × w in the lanes of K2. w and t are clobbered.
+#define ZMAC2(w, t, acc0, acc1) \
+	VMULPS w, Z14, t; \
+	VADDPS t, acc0, K1, acc0; \
+	VMULPS w, Z15, w; \
+	VADDPS w, acc1, K2, acc1
+
+// ZSKIP(mem, k): k = all lanes when the float32 at mem is not ±0, else none
+// — the integer test of ROWS, as a write mask.
+#define ZSKIP(mem, k) \
+	MOVL  mem, AX; \
+	SHLL  $1, AX; \
+	NEGL  AX; \
+	SBBL  AX, AX; \
+	KMOVW AX, k
+
+// func mulVec2AVX512(out *float32, outStride, nBlocks int, a *float32, aRow, k int, codes *byte, rowBytes int, scale *float32, bits int, levels *float32, shifts *uint32)
+//
+// mulVecAVX2 at two activation rows of 2-, 3- or 4-bit codes, nBlocks a
+// positive multiple of 8: out[r·outStride + 8b+j] += Σ_k a[r·aRow + k] ·
+// w[k][8b+j] for r in 0..1, ascending k, skipping a == ±0 row by row;
+// outStride and aRow in bytes. Blocks go eight at a time, 64 columns in
+// eight zmm accumulators (Z0-Z3 row 0, Z4-Z7 row 1); each pair of code words
+// is decoded once, 16 lanes wide, and multiplied into both rows. A row's
+// zero skip is a write mask on its adds (K1, K2), so the adds of a skipped
+// activation leave its sums as they were. levels holds the 16-entry level
+// table of this width (entry i the level of code i mod 2^bits) and shifts
+// the lane shift counts bits·(j mod 8). Only Z0-Z15 and no BP are written.
+TEXT ·mulVec2AVX512(SB), NOSPLIT, $0-96
+	MOVQ out+0(FP), DI
+	MOVQ nBlocks+16(FP), CX
+	MOVQ aRow+32(FP), SI
+	MOVQ codes+48(FP), BX
+	MOVQ rowBytes+56(FP), R9
+	MOVQ scale+64(FP), DX
+	MOVQ bits+72(FP), R14
+	MOVQ levels+80(FP), AX
+	VMOVUPS (AX), Z9
+	MOVQ shifts+88(FP), AX
+	VMOVDQU32 (AX), Z8
+	LEAQ (R14)(R14*2), R15
+	MOVQ R9, R8
+	SHLQ $6, R8 // prefetch distance: 64 rows
+
+z8:
+	MOVQ    outStride+8(FP), AX
+	LEAQ    (DI)(AX*1), AX
+	VMOVUPS (DI), Z0
+	VMOVUPS 64(DI), Z1
+	VMOVUPS 128(DI), Z2
+	VMOVUPS 192(DI), Z3
+	VMOVUPS (AX), Z4
+	VMOVUPS 64(AX), Z5
+	VMOVUPS 128(AX), Z6
+	VMOVUPS 192(AX), Z7
+	MOVQ    a+24(FP), R11
+	MOVQ    BX, R12
+	MOVQ    k+40(FP), R13
+
+z8loop:
+	ZSKIP((R11), K1)
+	ZSKIP((R11)(SI*1), K2)
+	PREFETCHT0   (R12)(R8*1)
+	VBROADCASTSS (R11), Z14
+	VBROADCASTSS (R11)(SI*1), Z15
+	LEAQ         (R12)(R14*4), R10
+	ZDEC(Y10, Z10, (R12), (R12)(R14*1), (DX), Y11)
+	ZDEC(Y12, Z12, (R12)(R14*2), (R12)(R15*1), 64(DX), Y13)
+	ZMAC2(Z10, Z11, Z0, Z4)
+	ZMAC2(Z12, Z13, Z1, Z5)
+	ZDEC(Y10, Z10, (R10), (R10)(R14*1), 128(DX), Y11)
+	ZDEC(Y12, Z12, (R10)(R14*2), (R10)(R15*1), 192(DX), Y13)
+	ZMAC2(Z10, Z11, Z2, Z6)
+	ZMAC2(Z12, Z13, Z3, Z7)
+	ADDQ $4, R11
+	ADDQ R9, R12
+	DECQ R13
+	JNZ  z8loop
+	MOVQ    outStride+8(FP), AX
+	LEAQ    (DI)(AX*1), AX
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	VMOVUPS Z4, (AX)
+	VMOVUPS Z5, 64(AX)
+	VMOVUPS Z6, 128(AX)
+	VMOVUPS Z7, 192(AX)
+	ADDQ $256, DI
+	ADDQ $256, DX
+	LEAQ (BX)(R14*8), BX
+	SUBQ $8, CX
+	JNZ  z8
 	VZEROUPPER
 	RET
 

@@ -4,6 +4,9 @@ package quant
 
 const useAVX2 = false
 
+// useAVX512 is a variable only so that tests can switch it as on amd64.
+var useAVX512 = false
+
 // The AVX2 kernels exist on amd64 only; useAVX2 is constant false here, so
 // these calls are dead code that still has to type-check.
 func (p *Packed) mulVecSIMD(out []float32, outStride int, a []float32, rows, colLo, colHi int) {}

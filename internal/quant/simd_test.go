@@ -31,6 +31,19 @@ func sameFloats(t *testing.T, name string, got, want []float32) {
 	}
 }
 
+// eachPairMode runs fn with the AVX-512 two-row kernel as detected, and once
+// more with it off where it was on, so one AVX-512 host checks both it and
+// the AVX2 two-row loop. path names the kernel under two rows.
+func eachPairMode(fn func(path string)) {
+	detected := useAVX512
+	defer func() { useAVX512 = detected }()
+	if detected {
+		fn("avx512")
+		useAVX512 = false
+	}
+	fn("avx2")
+}
+
 // simdCase builds a uniform packed matrix out of random code bytes (every
 // bit pattern is a code) whose Codes, Scale, activations and outputs all
 // start off bytes/elements into their backing arrays and end exactly at
@@ -73,20 +86,22 @@ func simdCase(t *testing.T, seed int64, bits, rows, blocks, bLo, bHi, rLo, off i
 	// the gap must stay.
 	n := colHi - colLo
 	outStride := n + 3
-	for _, aRows := range []int{1, 2} {
-		got := make([]float32, off+(aRows-1)*outStride+n)[off:]
-		for i := range got {
-			got[i] = float32(math.NaN()) // every element must be overwritten
-		}
-		want := append([]float32(nil), got...)
-		p.mulVecSIMD(got, outStride, a, aRows, colLo, colHi)
-		for r := 0; r < aRows; r++ {
-			if !p.mulVecGo(want[r*outStride:], a[r*rows:(r+1)*rows], colLo, colHi) {
-				t.Fatalf("%s: no Go kernel for a word-aligned band", name)
+	eachPairMode(func(path string) {
+		for _, aRows := range []int{1, 2} {
+			got := make([]float32, off+(aRows-1)*outStride+n)[off:]
+			for i := range got {
+				got[i] = float32(math.NaN()) // every element must be overwritten
 			}
+			want := append([]float32(nil), got...)
+			p.mulVecSIMD(got, outStride, a, aRows, colLo, colHi)
+			for r := 0; r < aRows; r++ {
+				if !p.mulVecGo(want[r*outStride:], a[r*rows:(r+1)*rows], colLo, colHi) {
+					t.Fatalf("%s: no Go kernel for a word-aligned band", name)
+				}
+			}
+			sameFloats(t, fmt.Sprintf("%s MulVecInto %d rows %s", path, aRows, name), got, want)
 		}
-		sameFloats(t, fmt.Sprintf("MulVecInto %d rows %s", aRows, name), got, want)
-	}
+	})
 
 	tile := (rows - rLo) * (colHi - colLo)
 	gotTile := make([]float32, off+tile)[off:]
@@ -99,11 +114,13 @@ func simdCase(t *testing.T, seed int64, bits, rows, blocks, bLo, bHi, rLo, off i
 // TestPackedSIMDMatchesGo pins the assembly against its Go twins at every
 // width it takes, on bands that do and do not end at the stream's last block
 // (where a 2- or 3-bit row is shorter than the 4 bytes the kernel loads),
-// quads of blocks and single ones, one row and many.
+// quads of blocks and single ones, one row and many; at two activation rows,
+// whole groups of eight blocks for the AVX-512 kernel, alone and with blocks
+// left over for the AVX2 loop.
 func TestPackedSIMDMatchesGo(t *testing.T) {
 	for _, bits := range []int{2, 3, 4, 8} {
 		for _, rows := range []int{1, 2, 37} {
-			for _, blocks := range []int{1, 3, 4, 5, 9, 33} {
+			for _, blocks := range []int{1, 3, 4, 5, 8, 9, 16, 33} {
 				seed := int64(bits*1000 + rows*10 + blocks)
 				simdCase(t, seed, bits, rows, blocks, 0, blocks, 0, 0, 0)
 				simdCase(t, seed, bits, rows, blocks, 0, blocks, rows-1, 1, uint8(seed))

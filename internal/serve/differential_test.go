@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"edgellm/internal/nn"
 	"edgellm/internal/obsv"
@@ -58,7 +59,8 @@ func soloSteps(t *testing.T, m *nn.Model, pm *nn.PackedModel, req Request) []int
 // token-at-a-time solo decode under the same adapter, on float32 and packed-4
 // weights, with every request on the base model and with requests drawing
 // from {base, adapter A, adapter B}, at GOMAXPROCS 1 and N, and leave the
-// arena at 0 bytes.
+// arena at 0 bytes. With adapters, some step must sample streams under two
+// different adapters: mixed tenants share steps rather than take turns.
 func TestSchedulerRandomSchedulesMatchSoloSteps(t *testing.T) {
 	const seed, schedules = 97, 2
 	// Big enough that a 16-row step takes the kernels' parallel paths.
@@ -82,12 +84,16 @@ func TestSchedulerRandomSchedulesMatchSoloSteps(t *testing.T) {
 				t.Run(fmt.Sprintf("%s%s/procs%d", name, suffix, procs), func(t *testing.T) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 					g := tensor.NewRNG(seed + int64(procs))
-					midPrefill := 0
+					midPrefill, mixed := 0, 0
 					for i := 0; i < schedules; i++ {
-						midPrefill += runRandomServeSchedule(t, m, pm, adapters, 1+g.Intn(8), g)
+						p, x := runRandomServeSchedule(t, m, pm, adapters, 1+g.Intn(8), g)
+						midPrefill, mixed = midPrefill+p, mixed+x
 					}
 					if midPrefill == 0 {
 						t.Fatal("no cancellation landed mid-prefill: the schedules do not cover it")
+					}
+					if len(adapters) > 1 && mixed == 0 {
+						t.Fatal("no step sampled streams under two adapters: tenants were not co-batched")
 					}
 				})
 			}
@@ -97,8 +103,9 @@ func TestSchedulerRandomSchedulesMatchSoloSteps(t *testing.T) {
 
 // runRandomServeSchedule runs one random schedule, each request under a random
 // one of adapters, and returns how many streams it cancelled with part of
-// their prompt fed.
-func runRandomServeSchedule(t *testing.T, m *nn.Model, pm *nn.PackedModel, adapters []*nn.Adapter, slots int, g *tensor.RNG) (midPrefill int) {
+// their prompt fed and how many steps sampled streams under two or more
+// adapters.
+func runRandomServeSchedule(t *testing.T, m *nn.Model, pm *nn.PackedModel, adapters []*nn.Adapter, slots int, g *tensor.RNG) (midPrefill, mixed int) {
 	t.Helper()
 	cfg := m.Cfg
 	dec := nn.NewBatchDecoder(m, slots, tensor.NewPool())
@@ -135,9 +142,21 @@ func runRandomServeSchedule(t *testing.T, m *nn.Model, pm *nn.PackedModel, adapt
 		return err
 	}
 	samples := 0
-	hook := func(*Stream, int) {
+	// Streams sampled in one step share its end time, lastToken: first holds
+	// the adapter of the first stream sampled in each step, mixedAt the steps
+	// that also sampled one under another adapter.
+	first := make(map[time.Time]*nn.Adapter)
+	mixedAt := make(map[time.Time]bool)
+	hook := func(sampled *Stream, _ int) {
 		mu.Lock()
 		defer mu.Unlock()
+		at := sampled.lastToken
+		if a, ok := first[at]; !ok {
+			first[at] = sampled.req.Adapter
+		} else if a != sampled.req.Adapter && !mixedAt[at] {
+			mixedAt[at] = true
+			mixed++
+		}
 		if samples++; samples%3 == 0 && len(streams) < len(reqs) {
 			if err := submit(); err != nil { // joins mid-run
 				t.Error(err)
@@ -206,7 +225,7 @@ func runRandomServeSchedule(t *testing.T, m *nn.Model, pm *nn.PackedModel, adapt
 	if dec.ActiveSlots() != 0 || dec.ArenaActiveBytes() != 0 {
 		t.Fatalf("schedule over but %d slots / %d bytes active", dec.ActiveSlots(), dec.ArenaActiveBytes())
 	}
-	return midPrefill
+	return midPrefill, mixed
 }
 
 // TestSchedulerDecodingStreamRidesEveryStep pins the inter-token bound: while

@@ -18,11 +18,11 @@
 // matter which other streams it shared steps with or how its prompt was cut
 // into runs.
 //
-// An adapter is a low-rank side path in the decode step (nn.Decoder.SetAdapter),
-// over float32 or packed weights alike; it patches no weight. A step runs
-// under one adapter: the scheduler admits only streams whose adapter is the
-// one set on the decoder and sets the next one when no stream is active.
-// Whether an adapter fits the model is checked once, in Submit.
+// An adapter is a low-rank side path in the decode step, over float32 or
+// packed weights alike; it patches no weight. It is bound per slot
+// (nn.Decoder.SetAdapterAt) when a stream is admitted, so streams under
+// different adapters, and on the base model, share every step. Whether an
+// adapter fits the model is checked in Submit.
 package serve
 
 import (
@@ -82,10 +82,9 @@ type Request struct {
 	Prompt []int
 	// Cfg controls sampling; Cfg.MaxTokens continuation tokens are produced.
 	Cfg nn.SampleConfig
-	// Adapter, when non-nil, is the LoRA artifact this stream must decode
-	// under. Streams only co-batch with streams carrying the same adapter
-	// (pointer identity); the scheduler sets the next adapter on the decoder
-	// when no stream is active. Nil decodes on the base model.
+	// Adapter, when non-nil, is the LoRA artifact this stream decodes
+	// under, bound to the stream's slot; it co-batches with streams under
+	// any other adapter. Nil decodes on the base model.
 	Adapter *nn.Adapter
 	// OnToken, when set, is invoked from the scheduler goroutine after each
 	// sampled continuation token of this stream (before it is fed back).
@@ -309,7 +308,6 @@ func (s *Scheduler) Serve(ctx context.Context) error {
 	// active is indexed by slot; nil entries are free slots.
 	active := make([]*Stream, s.dec.Slots())
 	nActive := 0
-	curAdapter := s.dec.Adapter()
 	// One step's rows, and per run (streams[i] owns rows[i] of the result)
 	// its stream and length. prefill holds admitted streams in admission
 	// order until their prompt is fed.
@@ -332,53 +330,51 @@ func (s *Scheduler) Serve(ctx context.Context) error {
 		obsv.Add("decode.streams_finished", 1)
 	}
 
-	// admit retires cancelled queued streams and moves queued streams whose
-	// adapter is the decoder's into free slots. When that leaves no stream
-	// active and a queue, the stream leading it needs another adapter: set
-	// it and go round again. It returns the remaining queue depth.
+	// admit retires cancelled queued streams and moves queued streams, in
+	// queue order, into free slots, binding each slot to its stream's
+	// adapter. It returns the remaining queue depth.
 	admit := func() int {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		for {
-			kept := s.queue[:0]
-			for _, st := range s.queue {
-				switch {
-				case st.cancelled.Load():
-					finish(st, Result{ID: st.req.ID, Err: st.cancelCause()})
-				case nActive < len(active) && st.req.Adapter == curAdapter:
-					slot, err := s.dec.Acquire()
-					if err != nil {
-						finish(st, Result{ID: st.req.ID, Err: err})
-						continue
-					}
-					st.slot = slot
-					active[slot] = st
-					prefill = append(prefill, st)
-					nActive++
-					obsv.Add("decode.streams_admitted", 1)
-					st.admitted = time.Now()
-					wait := float64(st.admitted.Sub(st.submitted)) / float64(time.Millisecond)
-					if st.req.Tenant != "" {
-						obsv.Observe("serve.queue_wait_ms", wait, obsv.L("tenant", st.req.Tenant))
-					} else {
-						obsv.Observe("serve.queue_wait_ms", wait)
-					}
-				default:
-					kept = append(kept, st)
-				}
+		kept := s.queue[:0]
+		for _, st := range s.queue {
+			if st.cancelled.Load() {
+				finish(st, Result{ID: st.req.ID, Err: st.cancelCause()})
+				continue
 			}
-			clear(s.queue[len(kept):])
-			s.queue = kept
-			if nActive > 0 || len(s.queue) == 0 {
-				return len(s.queue)
+			if nActive == len(active) {
+				kept = append(kept, st)
+				continue
 			}
-			curAdapter = s.queue[0].req.Adapter
-			if err := s.dec.SetAdapter(curAdapter); err != nil {
-				// Submit checked the fit, which is all SetAdapter refuses.
-				panic(fmt.Sprintf("serve: adapter passed Submit but not SetAdapter: %v", err))
+			slot, err := s.dec.Acquire()
+			if err != nil {
+				finish(st, Result{ID: st.req.ID, Err: err})
+				continue
 			}
-			obsv.Add("serve.adapter_swaps", 1)
+			st.slot = slot
+			active[slot] = st
+			nActive++
+			prev := s.dec.AdapterAt(slot)
+			if err := s.dec.SetAdapterAt(slot, st.req.Adapter); err != nil {
+				finish(st, Result{ID: st.req.ID, Err: err})
+				continue
+			}
+			if prev != st.req.Adapter {
+				obsv.Add("serve.adapter_swaps", 1)
+			}
+			prefill = append(prefill, st)
+			obsv.Add("decode.streams_admitted", 1)
+			st.admitted = time.Now()
+			wait := float64(st.admitted.Sub(st.submitted)) / float64(time.Millisecond)
+			if st.req.Tenant != "" {
+				obsv.Observe("serve.queue_wait_ms", wait, obsv.L("tenant", st.req.Tenant))
+			} else {
+				obsv.Observe("serve.queue_wait_ms", wait)
+			}
 		}
+		clear(s.queue[len(kept):])
+		s.queue = kept
+		return len(s.queue)
 	}
 
 	// step runs one batched decoder step with panic containment: a panic

@@ -75,6 +75,58 @@ func BenchmarkServeSchedulerToken(b *testing.B) {
 	<-serveDone
 }
 
+// BenchmarkServeSchedulerTokenMixed is BenchmarkServeSchedulerToken with two
+// tenants on different adapters decoding side by side: two slots, each pair
+// of requests under adapters A and B, submitted in alternating order so that
+// the slots change adapter from one pair to the next. One op is one token of
+// either stream. The BENCH_serve.json gate pins allocs/op at 0 here too:
+// binding a slot and the side path's per-adapter stretches allocate nothing
+// per token.
+func BenchmarkServeSchedulerTokenMixed(b *testing.B) {
+	rec := obsv.New()
+	obsv.SetGlobal(rec)
+	defer obsv.SetGlobal(nil)
+
+	m := benchModel()
+	adapters := [2]*nn.Adapter{makeTestAdapter(b, "A", 610, m.Cfg), makeTestAdapter(b, "B", 611, m.Cfg)}
+	dec := nn.NewBatchDecoder(m, 2, nil)
+	defer dec.Close()
+	sched := New(dec)
+	ctx, cancel := context.WithCancel(context.Background())
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- sched.Serve(ctx) }()
+
+	prompt := []int{1, 2}
+	const perReq = 24 // prompt+tokens ≤ the test model's MaxSeq of 32
+	b.ReportAllocs()
+	b.ResetTimer()
+	produced := 0
+	var streams [2]*Stream
+	for pair := 0; produced < b.N; pair++ {
+		n := min(perReq, (b.N-produced+1)/2)
+		for i := range streams {
+			st, err := sched.Submit(Request{ID: "bench", Prompt: prompt, Cfg: benchSample(n), Adapter: adapters[(pair+i)%2]})
+			if err != nil {
+				b.Fatal(err)
+			}
+			streams[i] = st
+		}
+		for _, st := range streams {
+			<-st.Done()
+			if res := st.Result(); res.Err != nil {
+				b.Fatal(res.Err)
+			}
+		}
+		produced += 2 * n
+	}
+	b.StopTimer()
+	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(float64(produced)/sec, "tok/s")
+	}
+	cancel()
+	<-serveDone
+}
+
 // BenchmarkServeHTTPBatch1 measures one full request through the HTTP front
 // end at batch 1 (one op per request, 24 greedy tokens each) with the access
 // log writing to a discard sink, and reports throughput plus the p99 of

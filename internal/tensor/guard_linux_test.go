@@ -48,10 +48,13 @@ func guardedFloats(t *testing.T, src []float32) []float32 {
 // over ordinary memory. A kernel that loads 4 bytes of a 3-byte block row,
 // or 32 where 8 columns are left, dies here with SIGSEGV. k and n cover one
 // block, a ragged quad, quad + one, and many, and n one and eight whole
-// 32-column tiles as well; m = 1 is the fused MulVecInto at one row, m = 2
-// at two, m = 3 at two and then one; m ∈ {4, 8, 16} the tile decode under
-// the AVX-512 tile kernel's whole groups of four rows, m ∈ {5, 17, 19} with
-// 1 and 3 rows left over — each matmul under every kernel of this host.
+// 32-column tiles and one, two and four whole 64-column blocks as well; m = 1
+// is the fused MulVecInto at one row, m = 2 at two, m = 3 at two and then
+// one; m ∈ {4, 8, 16} the tile decode under the AVX-512 tile kernel's whole
+// groups of four rows, m ∈ {5, 17, 19} with 1 and 3 rows left over, and
+// m ∈ {2, 6} put the dense two-row pass on the last two rows, so at n a
+// multiple of 64 its last column is flush against the guard page — each
+// matmul under every kernel of this host.
 func TestKernelsStayInsideTheirOperands(t *testing.T) {
 	t.Logf("kernel path: %s", tensor.KernelPath())
 	dims := []int{8, 24, 40, 264}
@@ -104,8 +107,8 @@ func TestKernelsStayInsideTheirOperands(t *testing.T) {
 	}
 	tensor.EachTileMode(func(path string) {
 		for _, k := range dims {
-			for _, n := range append(dims, 32, 256) {
-				for _, m := range []int{1, 2, 3, 4, 5, 8, 16, 17, 19} {
+			for _, n := range append(dims, 32, 64, 128, 256) {
+				for _, m := range []int{1, 2, 3, 4, 5, 6, 8, 16, 17, 19} {
 					a, w := randTensor(m, k, int64(k+n)), randTensor(k, n, int64(k*n))
 					want := tensor.New(m, n)
 					ga := tensor.FromSlice(guardedFloats(t, a.Data), m, k)

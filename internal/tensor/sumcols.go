@@ -80,8 +80,9 @@ func sumColsGo(out, a []float32, aStride int, b []float32, bStride, k int) {
 }
 
 // useAVX512 sends every whole group of four rows of a matmul call to
-// sumTileAVX512: amd64 with AVX-512F, read once at init. There is no switch;
-// only tests turn it off, to run both kernels in one process.
+// sumTileAVX512 and a pair of rows left over to sumPairAVX512: amd64 with
+// AVX-512F, read once at init. There is no switch; only tests turn it off,
+// to run both kernels in one process.
 var useAVX512 = useAVX2 && cpuHasAVX512F()
 
 // sumColsRows is SumCols over rows output rows of one matmul call:
@@ -89,18 +90,20 @@ var useAVX512 = useAVX2 && cpuHasAVX512F()
 //	out[i·outStride : i·outStride+n] = SumCols(…, a[i·aRow:], aStride, b, bStride, k)
 //
 // for 0 ≤ i < rows, a blockSize-wide block of columns at a time, block-outer
-// so that the rows reuse the block while it is cached. With the tile kernel
-// on, whole groups of four rows × 32 columns go to sumTileAVX512, which
-// computes the same sums four rows at a time; the columns a block leaves past
-// a multiple of 32 and the rows past a multiple of 4 go through SumCols, row
-// by row.
+// so that the rows reuse the block while it is cached. With the AVX-512
+// kernels on, whole groups of four rows × 32 columns go to sumTileAVX512,
+// which computes the same sums four rows at a time, and two of the rows past
+// a multiple of 4 go to sumPairAVX512 when the block is a full 64 columns,
+// so that a two-row decode step streams each weight once; the columns a
+// block leaves past a multiple of 32 and the rows neither kernel took go
+// through SumCols, row by row.
 func sumColsRows(out []float32, outStride, n int, a []float32, aRow, aStride int, b []float32, bStride, k, rows int) {
-	tile := useAVX512 && k > 0
+	wide := useAVX512 && k > 0
 	rows4 := rows &^ 3
 	for j0 := 0; j0 < n; j0 += blockSize {
 		jw := min(blockSize, n-j0)
 		i := 0
-		if n32 := jw &^ 31; tile && n32 > 0 && rows4 > 0 {
+		if n32 := jw &^ 31; wide && n32 > 0 && rows4 > 0 {
 			// The assembly checks no bounds: the last element each operand
 			// is read or written at must exist.
 			_, _, _ = out[(rows4-1)*outStride+j0+n32-1], a[(rows4-1)*aRow+(k-1)*aStride], b[(k-1)*bStride+j0+n32-1]
@@ -113,6 +116,11 @@ func sumColsRows(out []float32, outStride, n int, a []float32, aRow, aStride int
 				}
 			}
 		}
+		if wide && jw == blockSize && rows-i >= 2 {
+			_, _, _ = out[(i+1)*outStride+j0+jw-1], a[(i+1)*aRow+(k-1)*aStride], b[(k-1)*bStride+j0+jw-1]
+			sumPairAVX512(&out[i*outStride+j0], outStride*4, jw, &a[i*aRow], aRow*4, aStride*4, &b[j0], bStride*4, k)
+			i += 2
+		}
 		for ; i < rows; i++ {
 			SumCols(out[i*outStride+j0:i*outStride+j0+jw], a[i*aRow:], aStride, b[j0:], bStride, k)
 		}
@@ -124,12 +132,17 @@ func sumColsRows(out []float32, outStride, n int, a []float32, aRow, aStride int
 // so one CPUID read decides for all of them.
 func HasAVX2() bool { return useAVX2 }
 
+// HasAVX512 reports whether this process runs the AVX-512 kernels, read by
+// packages with assembly of their own as HasAVX2 is.
+func HasAVX512() bool { return useAVX512 }
+
 // KernelPath names the code path under the matmul kernels of this process:
 // "avx512" (the AVX2 assembly with the AVX-512 tile kernel under every whole
-// group of four rows of a matmul), "avx2" (the amd64 assembly alone) or "go"
-// (the pure-Go reference, on any other GOARCH and on amd64 without AVX2). All
-// three produce the same bits; benchmark manifests record the path so a
-// timing is attributable to it.
+// group of four rows of a matmul and the two-row pass under a pair of rows
+// left over), "avx2" (the amd64 assembly alone) or "go" (the pure-Go
+// reference, on any other GOARCH and on amd64 without AVX2). All three
+// produce the same bits; benchmark manifests record the path so a timing is
+// attributable to it.
 func KernelPath() string {
 	switch {
 	case useAVX512:

@@ -4,11 +4,11 @@
 // Lanes are output columns: every output element is still one ascending-k
 // float32 sum from +0, multiply rounded and then add rounded (VMULPS then
 // VADDPS, never FMA), with the same a == 0 skip as the Go twin sumColsGo.
-// After it, its AVX-512 four-row tile, the same sums four rows at a time;
-// the AdamW update, lanes the parameter's elements, the twin of
-// adamWGo; the gradient accumulation, the twin of AddInPlace's loop; and the
-// exact vector exp under the sigmoid and shifted-exp kernels, the twin of
-// math.Exp.
+// After it, its AVX-512 four-row tile and two-row pass, the same sums four
+// and two rows at a time; the AdamW update, lanes the parameter's elements,
+// the twin of adamWGo; the gradient accumulation, the twin of AddInPlace's
+// loop; and the exact vector exp under the sigmoid and shifted-exp kernels,
+// the twin of math.Exp.
 
 // func cpuHasAVX2() bool
 //
@@ -273,6 +273,89 @@ tileloop:
 	ADDQ $128, BX
 	SUBQ $32, CX
 	JNZ  tile
+	VZEROUPPER
+	RET
+
+// PROW(row, c0, c1, c2, c3, skip): c0:c3 += a[k] of one row (at row) × the
+// 64 columns of b row k in Z8:Z11, unless a[k] is ±0 — TROW's per-row zero
+// test, so each row skips exactly its own zeros.
+#define PROW(row, c0, c1, c2, c3, skip) \
+	MOVL row, AX; \
+	ADDL AX, AX; \
+	JZ   skip; \
+	VBROADCASTSS row, Z12; \
+	VMULPS Z8, Z12, Z13; \
+	VADDPS Z13, c0, c0; \
+	VMULPS Z9, Z12, Z14; \
+	VADDPS Z14, c1, c1; \
+	VMULPS Z10, Z12, Z15; \
+	VADDPS Z15, c2, c2; \
+	VMULPS Z11, Z12, Z13; \
+	VADDPS Z13, c3, c3; \
+skip:
+
+// func sumPairAVX512(out *float32, outStride, n int, a *float32, aRow, aStride int, b *float32, bStride, k int)
+//
+// Two rows of SumCols at once: out[r·outStride + 0:n] = Σ_k a[r·aRow +
+// k·aStride] · b[k·bStride + 0:n] for r in 0..1, n a positive multiple of
+// 64, k ≥ 1, strides in bytes. A pass is 2 rows × 64 columns in eight zmm
+// accumulators (Z0:Z3 row 0, Z4:Z7 row 1) live across the whole k sweep;
+// per k the four zmm of b are loaded once and serve both rows, and the lines
+// 8 rows of b ahead are prefetched as in sumColsAVX2's wide loop. Every
+// element is still one ascending-k sum from +0, VMULPS then VADDPS, with its
+// own row's zero skip: the same bits as sumColsGo. Only Z0-Z15 and no BP are
+// written.
+TEXT ·sumPairAVX512(SB), NOSPLIT, $0-72
+	MOVQ out+0(FP), DI
+	MOVQ outStride+8(FP), DX
+	MOVQ n+16(FP), CX
+	MOVQ aRow+32(FP), R14
+	MOVQ aStride+40(FP), R8
+	MOVQ b+48(FP), BX
+	MOVQ bStride+56(FP), R9
+	MOVQ R9, R10
+	SHLQ $3, R10 // prefetch distance: 8 rows of b
+
+pair:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	MOVQ a+24(FP), R11
+	MOVQ BX, R12
+	MOVQ k+64(FP), R13
+
+pairloop:
+	PREFETCHT0 (R12)(R10*1)
+	PREFETCHT0 64(R12)(R10*1)
+	PREFETCHT0 128(R12)(R10*1)
+	PREFETCHT0 192(R12)(R10*1)
+	VMOVUPS (R12), Z8
+	VMOVUPS 64(R12), Z9
+	VMOVUPS 128(R12), Z10
+	VMOVUPS 192(R12), Z11
+	PROW((R11), Z0, Z1, Z2, Z3, prow0)
+	PROW((R11)(R14*1), Z4, Z5, Z6, Z7, prow1)
+	ADDQ R8, R11
+	ADDQ R9, R12
+	DECQ R13
+	JNZ  pairloop
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	VMOVUPS Z4, (DI)(DX*1)
+	VMOVUPS Z5, 64(DI)(DX*1)
+	VMOVUPS Z6, 128(DI)(DX*1)
+	VMOVUPS Z7, 192(DI)(DX*1)
+	ADDQ $256, DI
+	ADDQ $256, BX
+	SUBQ $64, CX
+	JNZ  pair
 	VZEROUPPER
 	RET
 

@@ -14,6 +14,9 @@ func cpuHasAVX512F() bool { return false }
 func sumTileAVX512(out *float32, outStride, n int, a *float32, aRow, aStride int, b *float32, bStride, k int) {
 }
 
+func sumPairAVX512(out *float32, outStride, n int, a *float32, aRow, aStride int, b *float32, bStride, k int) {
+}
+
 func sumColsAVX2(out *float32, n int, a *float32, aStride int, b *float32, bStride int, k int) {}
 
 func adamWAVX2(w, grad, m, v *float32, n int, c AdamWStep) {}

@@ -167,6 +167,52 @@ func FuzzMatMulRows(f *testing.F) {
 	})
 }
 
+// TestSumPairMatchesGo pins the two-row pass to sumColsGo: at 2, 3, 6 and 7
+// rows the pair sits after no, no, one and one group of four rows, with a
+// row left to SumCols at 3 and 7; at widths 64, 65, 96 and 130 it takes the
+// full 64-column blocks and leaves the narrower last block to the row-by-row
+// path. Both strides vary, and the special values fall on a and b. Then each
+// row of the pair gets its own ±0 and NaN activations over a b row of ±Inf
+// and NaN, where a row that skipped the other's zeros, or not its own, would
+// read NaN or lose one.
+func TestSumPairMatchesGo(t *testing.T) {
+	for _, rows := range []int{2, 3, 6, 7} {
+		for _, n := range []int{64, 65, 96, 130} {
+			for _, k := range []int{1, 7, 33} {
+				eachTileMode(func(path string) {
+					matmulRowsCase(t, path, int64(rows*1000+n*10+k), rows, n, k, k, 1, 0, 0, 0)
+					matmulRowsCase(t, path, int64(rows*1000+n*10+k), rows, n, k, 2*k+3, 2, 3, 1, uint8(rows+n+k))
+				})
+			}
+		}
+	}
+	negZero, inf, nan := float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.NaN())
+	const n, k = 128, 8
+	b := NewRNG(5).Normal(0, 1, k, n).Data
+	for j := 0; j < n; j++ {
+		b[3*n+j] = []float32{inf, -inf, nan}[j%3]
+	}
+	a := []float32{
+		1, 0, 2, negZero, 3, nan, -1, 0.5, // row 0: zeros at k = 1 and 3, NaN at 5
+		negZero, 2, nan, 4, 0, 1, 0, -2, // row 1: zeros at k = 0, 4 and 6, NaN at 2
+	}
+	a[3], a[k+3] = 0, 0 // both rows skip the ±Inf and NaN row
+	for _, zero := range []bool{true, false} {
+		if !zero {
+			a[k+3] = 1.5 // row 1 alone multiplies it through
+		}
+		eachTileMode(func(path string) {
+			got := make([]float32, 2*n)
+			sumColsRows(got, n, n, a, k, 1, b, n, k, 2)
+			want := make([]float32, 2*n)
+			for r := 0; r < 2; r++ {
+				sumColsGo(want[r*n:(r+1)*n], a[r*k:], 1, b, n, k)
+			}
+			sameFloats(t, fmt.Sprintf("%s pair, special activations, row 1 zero at the special row %v", path, zero), got, want)
+		})
+	}
+}
+
 // TestMatMulKernelsMatchNaive pins the three dense kernels' contract where
 // it is visible from outside: each output element is one ascending-k float32
 // sum from +0 that skips zero activations — what the obvious triple loop

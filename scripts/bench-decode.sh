@@ -9,8 +9,9 @@
 #  2. the decode benchmarks against BENCH_decode.json. benchguard fails on
 #     a >20% regression in decode tok/s, allocs/token or B/token of a gated
 #     benchmark, on batch-8 decoding falling below 1.7x one-at-a-time
-#     throughput, or on packed 4-bit falling behind float32 at one or two
-#     rows (fastest of the three repetitions, any core count). Refresh
+#     throughput, on packed 4-bit falling behind float32 at one or two
+#     rows, or on a two-row step costing more than 1.25x a one-row step
+#     (fastest of the three repetitions, any core count). Refresh
 #     BENCH_decode.json per EXPERIMENTS.md.
 #
 #   scripts/bench-decode.sh [out-dir]    default ./bench-decode-out
