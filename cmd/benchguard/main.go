@@ -5,15 +5,13 @@
 //   - allocs/op and B/op for the baseline's gated benchmarks must stay
 //     within the baseline's tolerance (these are machine-independent for
 //     benchmarks whose kernels stay below the tensor parallel threshold);
-//   - the parallel backward kernels must beat their single-band serial
-//     variants by the baseline's min_speedup — checked only when the
-//     benchmarks ran at ≥4 procs, since the speedup criterion is defined
-//     on ≥4 cores;
 //   - benchmarks reporting the custom tok/s metric (the decode and serve
 //     suites) must stay above the baseline's tok_s floor minus the
-//     tolerance, and any extra speedup pairs the baseline declares must
-//     reach their min ratio from the pair's min_procs up: 4 by default
-//     (a pair that measures fan-out needs the cores), 1 for pairs that
+//     tolerance;
+//   - every speedup pair the baseline declares must reach its min ratio
+//     from the pair's min_procs up: 4 by default (a pair that measures
+//     fan-out, such as the parallel backward kernels against their
+//     single-band serial variants, needs the cores), 1 for pairs that
 //     compare two serial loops and hold on any machine, such as packed
 //     vs float32 decode and batch-8 vs one-at-a-time;
 //   - benchmarks reporting the custom p99ms metric (the serve suite's
@@ -99,9 +97,9 @@ type gate struct {
 }
 
 // speedupSpec names a (parallel, serial) benchmark pair whose ns/op ratio
-// serial÷parallel must reach Min (the baseline's min_speedup when 0). A
-// pair is gated only when the run used at least MinProcs procs: 4 when 0,
-// for pairs that measure fan-out; 1 for pairs that compare two kernels.
+// serial÷parallel must reach Min. A pair is gated only when the run used
+// at least MinProcs procs: 4 when 0, for pairs that measure fan-out; 1 for
+// pairs that compare two kernels.
 type speedupSpec struct {
 	Parallel string  `json:"parallel"`
 	Serial   string  `json:"serial"`
@@ -112,35 +110,11 @@ type speedupSpec struct {
 type baseline struct {
 	// Tolerance is the allowed fractional regression over the gated
 	// values, e.g. 0.20 fails anything more than 20% worse.
-	Tolerance float64 `json:"tolerance"`
-	// MinSpeedup is the required parallel-vs-serial ratio for the backward
-	// kernels, enforced only when the run used ≥4 procs.
-	MinSpeedup float64         `json:"min_speedup"`
-	Gates      map[string]gate `json:"gates"`
-	// Speedups adds baseline-specific pairs (e.g. the decode baseline's
-	// batch-vs-serial throughput ratio) to the built-in kernel pairs.
+	Tolerance float64         `json:"tolerance"`
+	Gates     map[string]gate `json:"gates"`
+	// Speedups are the ratio pairs the run derives and gates (e.g. the
+	// decode baseline's batch-vs-serial throughput ratio).
 	Speedups map[string]speedupSpec `json:"speedups,omitempty"`
-}
-
-// builtinSpeedups are the kernel pairs every run derives. MatMulT and
-// TMatMul are the backward-pass kernels.
-var builtinSpeedups = map[string]speedupSpec{
-	"matmult_parallel_vs_serial": {Parallel: "KernelMatMulT512", Serial: "KernelMatMulTSerial512"},
-	"tmatmul_parallel_vs_serial": {Parallel: "KernelTMatMul512", Serial: "KernelTMatMulSerial512"},
-}
-
-// speedupPairs merges the built-in kernel pairs with a baseline's own.
-func speedupPairs(base *baseline) map[string]speedupSpec {
-	pairs := map[string]speedupSpec{}
-	for name, spec := range builtinSpeedups {
-		pairs[name] = spec
-	}
-	if base != nil {
-		for name, spec := range base.Speedups {
-			pairs[name] = spec
-		}
-	}
-	return pairs
 }
 
 func main() {
@@ -159,13 +133,12 @@ func main() {
 		r = f
 	}
 
-	var base *baseline
+	var base baseline
 	if *basePath != "" {
-		b, err := loadBaseline(*basePath)
-		if err != nil {
+		var err error
+		if base, err = loadBaseline(*basePath); err != nil {
 			fatal(err)
 		}
-		base = &b
 	}
 
 	rep := report{
@@ -179,7 +152,7 @@ func main() {
 	if len(rep.Benchmarks) == 0 {
 		fatal(fmt.Errorf("no benchmark lines found in input"))
 	}
-	rep.Speedups = deriveSpeedups(rep.Benchmarks, speedupPairs(base))
+	rep.Speedups = deriveSpeedups(rep.Benchmarks, base.Speedups)
 
 	blob, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -190,10 +163,10 @@ func main() {
 	}
 	fmt.Printf("benchguard: wrote %s (%d benchmarks)\n", *out, len(rep.Benchmarks))
 
-	if base == nil {
+	if *basePath == "" {
 		return
 	}
-	if errs := check(rep, *base); len(errs) > 0 {
+	if errs := check(rep, base); len(errs) > 0 {
 		for _, e := range errs {
 			fmt.Fprintf(os.Stderr, "benchguard: FAIL: %v\n", e)
 		}
@@ -287,8 +260,10 @@ func loadBaseline(path string) (baseline, error) {
 	if b.Tolerance <= 0 {
 		b.Tolerance = 0.20
 	}
-	if b.MinSpeedup <= 0 {
-		b.MinSpeedup = 2.0
+	for name, spec := range b.Speedups {
+		if spec.Min <= 0 {
+			return b, fmt.Errorf("%s: speedup %s has no min", path, name)
+		}
 	}
 	return b, nil
 }
@@ -335,7 +310,7 @@ func check(rep report, base baseline) []error {
 				name, got.WBytes, g.WBytes))
 		}
 	}
-	for name, spec := range speedupPairs(&base) {
+	for name, spec := range base.Speedups {
 		minProcs := spec.MinProcs
 		if minProcs <= 0 {
 			minProcs = 4 // a fan-out speedup is defined on ≥4 cores
@@ -344,13 +319,9 @@ func check(rep report, base baseline) []error {
 		if !ok || par.Procs < minProcs {
 			continue
 		}
-		min := spec.Min
-		if min <= 0 {
-			min = base.MinSpeedup
-		}
-		if s, ok := rep.Speedups[name]; ok && s < min {
+		if s, ok := rep.Speedups[name]; ok && s < spec.Min {
 			errs = append(errs, fmt.Errorf("%s: speedup %.2f× below required %.2f× at %d procs",
-				name, s, min, par.Procs))
+				name, s, spec.Min, par.Procs))
 		}
 	}
 	return errs

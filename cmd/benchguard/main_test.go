@@ -1,6 +1,7 @@
 package main
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -36,8 +37,28 @@ func TestSpeedupMinProcs(t *testing.T) {
 		"kernel": {Parallel: "Packed", Serial: "Dense", Min: 0.6, MinProcs: 1},
 	}
 	rep.Speedups = deriveSpeedups(rep.Benchmarks, pairs)
-	errs := check(rep, baseline{Tolerance: 0.2, MinSpeedup: 2, Speedups: pairs})
+	errs := check(rep, baseline{Tolerance: 0.2, Speedups: pairs})
 	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "kernel: speedup 0.33×") {
 		t.Fatalf("errors %v, want exactly the min_procs-1 pair to fail at 0.33×", errs)
+	}
+}
+
+// TestCommittedBaselinesLoad: every committed baseline loads (each speedup
+// pair names its own min), and the parallel backward kernels are gated at
+// 2× from 4 procs by BENCH_baseline.json.
+func TestCommittedBaselinesLoad(t *testing.T) {
+	for _, f := range []string{"BENCH_baseline.json", "BENCH_decode.json", "BENCH_packed.json", "BENCH_serve.json"} {
+		if _, err := loadBaseline(filepath.Join("..", "..", f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err := loadBaseline(filepath.Join("..", "..", "BENCH_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"matmult_parallel_vs_serial", "tmatmul_parallel_vs_serial"} {
+		if p := b.Speedups[name]; p.Min != 2 || p.MinProcs != 4 {
+			t.Fatalf("%s = %+v, want min 2 from 4 procs", name, p)
+		}
 	}
 }

@@ -129,14 +129,21 @@ func cmdServe(args []string) (err error) {
 		cfg.Injector = inj
 		fmt.Fprintf(os.Stderr, "serve: injecting faults: %s\n", inj.Describe())
 	}
-	var accessLog *serve.AccessLog
 	if *accessLogPath != "" {
-		f, err := os.OpenFile(*accessLogPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("serve: open access log: %w", err)
+		f, ferr := os.OpenFile(*accessLogPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if ferr != nil {
+			return fmt.Errorf("serve: open access log: %w", ferr)
 		}
-		accessLog = serve.NewAccessLog(f)
-		cfg.AccessLog = accessLog
+		al := serve.NewAccessLog(f)
+		cfg.AccessLog = al
+		// Closed after the drain like every other sink: a record lost on
+		// the way to the file fails the run.
+		defer closeObsv(func() error {
+			if err := al.Close(); err != nil {
+				return fmt.Errorf("access log: %w", err)
+			}
+			return nil
+		}, &err)
 		fmt.Fprintf(os.Stderr, "serve: access log %s\n", *accessLogPath)
 	}
 	var slo *obsv.SLOTracker
@@ -193,11 +200,6 @@ func cmdServe(args []string) (err error) {
 	defer cancel()
 	httpSrv.Shutdown(shutCtx)
 	slo.Stop() // final burn-rate sample; nil-safe
-	if accessLog != nil {
-		if err := accessLog.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: access log error: %v\n", err)
-		}
-	}
 	if drainErr != nil {
 		return fmt.Errorf("serve: drain: %w", drainErr)
 	}

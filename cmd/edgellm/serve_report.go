@@ -146,16 +146,10 @@ func cmdServeReport(args []string) error {
 		}
 		violated := 0
 		for _, o := range objs {
-			var bad, total int64
-			var target float64
-			switch o.Kind {
-			case obsv.SLOLatency:
-				bad, total = rec.DistCountsAbove(o.Dist, o.Threshold)
+			bad, total := o.Counts(rec)
+			target := o.Target
+			if o.Kind == obsv.SLOLatency {
 				target = o.Quantile
-			case obsv.SLOAvailability:
-				bad = rec.CounterTotal(o.BadCounter)
-				total = rec.CounterTotal(o.TotalCounter)
-				target = o.Target
 			}
 			attained, used := 1.0, 0.0
 			if total > 0 {

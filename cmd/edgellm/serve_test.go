@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/signal"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -172,4 +177,69 @@ func postTokens(url string, body []byte) ([]int, error) {
 		return nil, fmt.Errorf("status %d, decode error %v", resp.StatusCode, err)
 	}
 	return got.Tokens, nil
+}
+
+// TestServeLostAccessLogFailsTheRun: serve with an access log that cannot
+// be written (-access-log /dev/full) exits non-zero after its SIGTERM
+// drain, as for every other telemetry sink: a run that dropped records
+// never exits 0.
+func TestServeLostAccessLogFailsTheRun(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("needs /dev/full")
+	}
+	// The test holds SIGTERM itself, so the signals sent below never kill
+	// the test binary, whether or not serve is listening for them yet.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	done := make(chan error, 1)
+	go func() {
+		done <- cmdServe([]string{"-addr", addr, "-access-log", "/dev/full", "-drain-timeout", "1s"})
+	}()
+	url := "http://" + addr
+	for start := time.Now(); ; time.Sleep(10 * time.Millisecond) {
+		if resp, err := http.Get(url + "/healthz"); err == nil {
+			resp.Body.Close()
+			break
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("serve exited before serving: %v", err)
+		default:
+		}
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("serve never came up")
+		}
+	}
+	// One request: its record waits in the log's buffer until the close.
+	if _, err := postTokens(url, []byte(`{"prompt":[1,2],"max_tokens":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	self, err := os.FindProcess(os.Getpid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		if err := self.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "access log") {
+				t.Fatalf("serve returned %v, want the access log's write error", err)
+			}
+			return
+		case <-time.After(200 * time.Millisecond):
+		}
+		if i == 100 {
+			t.Fatal("serve did not exit on SIGTERM")
+		}
+	}
 }

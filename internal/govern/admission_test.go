@@ -4,6 +4,9 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"edgellm/internal/nn"
+	"edgellm/internal/tensor"
 )
 
 func TestAdmissionLedger(t *testing.T) {
@@ -120,5 +123,42 @@ func TestServeKVBytes(t *testing.T) {
 	}
 	if ServeKVBytes(0, 64, 128) != 0 {
 		t.Fatal("zero layers should cost zero")
+	}
+}
+
+// TestServeKVBytesMatchesArena: the admission estimate is what the KV arena
+// pins. After n fed tokens, whether they came as one prompt run or one a
+// step, a slot holds ServeKVBytes(L, D, n) active bytes, and the arena's
+// backing is Slots × ServeKVBytes(L, D, MaxSeq).
+func TestServeKVBytesMatchesArena(t *testing.T) {
+	cfg := nn.Config{Vocab: 31, Dim: 16, Heads: 4, Layers: 3, Hidden: 24, MaxSeq: 12}
+	const slots = 3
+	dec := nn.NewBatchDecoder(nn.NewModel(cfg, tensor.NewRNG(1)), slots, nil)
+	defer dec.Close()
+	if got, want := dec.ArenaCapBytes(), slots*ServeKVBytes(cfg.Layers, cfg.Dim, cfg.MaxSeq); got != want {
+		t.Fatalf("ArenaCapBytes = %d, want %d", got, want)
+	}
+	slot, err := dec.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := []int{1, 2, 3, 4, 5}
+	if _, err := dec.StepBatch(run, []int{slot, slot, slot, slot, slot}); err != nil {
+		t.Fatal(err)
+	}
+	for n := len(run); ; n++ {
+		if got, want := dec.ArenaActiveBytes(), ServeKVBytes(cfg.Layers, cfg.Dim, n); got != want {
+			t.Fatalf("after %d fed tokens: ArenaActiveBytes = %d, want ServeKVBytes = %d", n, got, want)
+		}
+		if n == cfg.MaxSeq {
+			break
+		}
+		if _, err := dec.StepBatch([]int{n % cfg.Vocab}, []int{slot}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dec.Release(slot)
+	if n := dec.ArenaActiveBytes(); n != 0 {
+		t.Fatalf("released arena holds %d active bytes", n)
 	}
 }

@@ -31,16 +31,17 @@ func (e *StallError) Error() string {
 func (e *StallError) Retryable() bool { return false }
 
 // Watchdog enforces a stage deadline and a progress-heartbeat bound on one
-// experiment attempt. When either fires it cancels the attempt's context;
-// cancellation is cooperative — the experiment (or an injected stall)
-// observes ctx.Done() and unwinds. A nil *Watchdog is inert.
+// experiment attempt. When either fires it cancels the attempt's context
+// with the *StallError as its cause (context.Cause); cancellation is
+// cooperative — the experiment (or an injected stall) observes ctx.Done()
+// and unwinds. A nil *Watchdog is inert.
 type Watchdog struct {
 	stage      string
 	start      time.Time
 	stageLimit time.Duration
 	idleLimit  time.Duration
 
-	cancel   context.CancelFunc
+	cancel   context.CancelCauseFunc
 	lastBeat atomic.Int64 // UnixNano of the latest Beat; 0 = none yet
 	fired    atomic.Pointer[StallError]
 	firedAt  atomic.Int64 // UnixNano of the moment the stall fired; 0 = none
@@ -65,7 +66,7 @@ func (b Budget) Watch(ctx context.Context, stage string) (context.Context, *Watc
 	if idle <= 0 {
 		idle = b.StageTimeout / 2
 	}
-	cctx, cancel := context.WithCancel(ctx)
+	cctx, cancel := context.WithCancelCause(ctx)
 	w := &Watchdog{
 		stage:      stage,
 		start:      time.Now(),
@@ -121,7 +122,7 @@ func (w *Watchdog) Stop() {
 	}
 	w.stopOnce.Do(func() { close(w.stop) })
 	<-w.done
-	w.cancel()
+	w.cancel(nil)
 }
 
 // loop wakes at the earliest pending deadline, re-checks (beats may have
@@ -139,7 +140,7 @@ func (w *Watchdog) loop() {
 			if e := w.expired(now); e != nil {
 				w.firedAt.Store(now.UnixNano())
 				w.fired.Store(e)
-				w.cancel()
+				w.cancel(e)
 				return
 			}
 			timer.Reset(w.nextWake(time.Now()))

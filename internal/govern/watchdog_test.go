@@ -39,6 +39,28 @@ func TestWatchdogStageDeadline(t *testing.T) {
 	}
 }
 
+// TestWatchdogCauseIsStall: a stall cancels the watched context with the
+// *StallError as its cause, so code holding only the context can tell a
+// stall from any other cancellation; ctx.Err() stays context.Canceled. A
+// clean Stop leaves the plain cancellation cause.
+func TestWatchdogCauseIsStall(t *testing.T) {
+	ctx, wd := Budget{StageTimeout: 20 * time.Millisecond}.Watch(context.Background(), "E1")
+	defer wd.Stop()
+	waitDone(t, ctx)
+	if cause := context.Cause(ctx); cause != wd.Err() {
+		t.Fatalf("context.Cause = %v, want the StallError %v", cause, wd.Err())
+	}
+	if !errors.Is(ctx.Err(), context.Canceled) {
+		t.Fatalf("ctx.Err() = %v, want context.Canceled", ctx.Err())
+	}
+
+	healthy, hwd := Budget{StageTimeout: time.Hour}.Watch(context.Background(), "E2")
+	hwd.Stop()
+	if cause := context.Cause(healthy); !errors.Is(cause, context.Canceled) {
+		t.Fatalf("context.Cause after a clean Stop = %v, want context.Canceled", cause)
+	}
+}
+
 func TestWatchdogFiredAtZeroWhenHealthy(t *testing.T) {
 	ctx, wd := Budget{StageTimeout: time.Hour}.Watch(context.Background(), "E1")
 	_ = ctx

@@ -54,6 +54,20 @@ type SLOObjective struct {
 	Budget float64
 }
 
+// Counts reads o's cumulative (bad, total) from r: requests over the
+// latency bound out of the dist's count, or the bad counter out of the
+// total counter. The live tracker and the offline serve-report both count
+// through it.
+func (o SLOObjective) Counts(r *Recorder) (bad, total int64) {
+	switch o.Kind {
+	case SLOLatency:
+		return r.DistCountsAbove(o.Dist, o.Threshold)
+	case SLOAvailability:
+		return r.CounterTotal(o.BadCounter), r.CounterTotal(o.TotalCounter)
+	}
+	return 0, 0
+}
+
 // ParseSLOSpec parses a comma-separated objective spec, e.g.
 //
 //	p99_ttft_ms=200,p95_request_ms=1500,availability=0.999
@@ -207,17 +221,6 @@ func NewSLOTracker(r *Recorder, objs []SLOObjective, windows []time.Duration) *S
 	}
 }
 
-// snapshotCounts reads the current cumulative (bad, total) for objective o.
-func (t *SLOTracker) snapshotCounts(o SLOObjective) (bad, total int64) {
-	switch o.Kind {
-	case SLOLatency:
-		return t.r.DistCountsAbove(o.Dist, o.Threshold)
-	case SLOAvailability:
-		return t.r.CounterTotal(o.BadCounter), t.r.CounterTotal(o.TotalCounter)
-	}
-	return 0, 0
-}
-
 // Sample takes one snapshot and recomputes every burn-rate gauge. It is
 // deterministic given the registry state and the injected clock, which is
 // how the tests drive it.
@@ -228,7 +231,7 @@ func (t *SLOTracker) Sample() {
 	now := t.now()
 	s := sloSample{t: now, bad: make([]int64, len(t.objs)), total: make([]int64, len(t.objs))}
 	for i, o := range t.objs {
-		s.bad[i], s.total[i] = t.snapshotCounts(o)
+		s.bad[i], s.total[i] = o.Counts(t.r)
 	}
 
 	t.mu.Lock()

@@ -52,8 +52,9 @@ var ErrClosed = errors.New("serve: scheduler closed")
 // shapes that are not the target's (HTTP 422 at the front end).
 var ErrAdapterMismatch = errors.New("serve: adapter does not fit the served model")
 
-// ErrDraining is the cancellation cause of streams force-cancelled because
-// the server's drain deadline expired before they finished.
+// ErrDraining is the cause the server's Drain cancels Serve with once its
+// grace period has passed: every stream still unfinished, and not
+// cancelled before, ends with it.
 var ErrDraining = errors.New("serve: cancelled by drain deadline")
 
 // StreamPanicError is the terminal error of a stream whose per-token
@@ -234,27 +235,38 @@ func (s *Scheduler) wakeUp() {
 	}
 }
 
-// Submit validates and enqueues a request, returning its stream handle.
-// Validation failures are admission rejections: the request never occupies
-// a slot and never reaches the decoder. After Close, Submit fails with
-// ErrClosed — submissions racing Close either enqueue or get ErrClosed,
-// never a panic and never a leaked slot.
-func (s *Scheduler) Submit(req Request) (*Stream, error) {
+// Check applies Submit's rules to req, all but the adapter fit: valid
+// sampling, a non-empty prompt of in-vocabulary tokens, and prompt plus
+// continuation within MaxSeq. A front end calls it before it reserves
+// anything for the request.
+func (s *Scheduler) Check(req Request) error {
 	cfg := s.dec.Config()
 	if err := req.Cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if len(req.Prompt) == 0 {
-		return nil, fmt.Errorf("serve: empty prompt")
+		return fmt.Errorf("serve: empty prompt")
 	}
 	for i, tok := range req.Prompt {
 		if tok < 0 || tok >= cfg.Vocab {
-			return nil, fmt.Errorf("serve: prompt token %d at position %d out of range [0,%d)", tok, i, cfg.Vocab)
+			return fmt.Errorf("serve: prompt token %d at position %d out of range [0,%d)", tok, i, cfg.Vocab)
 		}
 	}
-	if len(req.Prompt)+req.Cfg.MaxTokens > cfg.MaxSeq {
-		return nil, fmt.Errorf("serve: prompt %d + %d tokens exceeds MaxSeq %d",
+	if req.Cfg.MaxTokens > cfg.MaxSeq-len(req.Prompt) {
+		return fmt.Errorf("serve: prompt %d + %d tokens exceeds MaxSeq %d",
 			len(req.Prompt), req.Cfg.MaxTokens, cfg.MaxSeq)
+	}
+	return nil
+}
+
+// Submit checks (Check, then the adapter fit) and enqueues a request,
+// returning its stream handle. A failed check is an admission rejection:
+// the request never occupies a slot and never reaches the decoder. After
+// Close, Submit fails with ErrClosed — submissions racing Close either
+// enqueue or get ErrClosed, never a panic and never a leaked slot.
+func (s *Scheduler) Submit(req Request) (*Stream, error) {
+	if err := s.Check(req); err != nil {
+		return nil, err
 	}
 	if err := s.dec.CheckAdapter(req.Adapter); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrAdapterMismatch, err)
@@ -298,8 +310,9 @@ const stepSpanSample = 64
 // submitted while it runs join at the next step boundary, and when no stream
 // is active it blocks until a submission arrives. A step that fails ends
 // that step's streams with its error and serving goes on. Serve returns
-// only when ctx is cancelled, finishing every unfinished stream with
-// ctx.Err().
+// ctx.Err() only when ctx is cancelled, finishing every unfinished stream
+// with context.Cause(ctx) (the server's Drain cancels with ErrDraining),
+// or with its own cause if it was cancelled first.
 func (s *Scheduler) Serve(ctx context.Context) error {
 	span := obsv.StartSpan("decode.run")
 	defer span.End()
@@ -434,17 +447,16 @@ func (s *Scheduler) Serve(ctx context.Context) error {
 
 	for {
 		if err := ctx.Err(); err != nil {
-			// Every queued and active stream finishes with the context's error.
+			// Every queued and active stream finishes with the context's
+			// cause, or with its own if it was cancelled first.
 			s.mu.Lock()
 			queued := s.queue
 			s.queue = nil
 			s.mu.Unlock()
-			for _, st := range queued {
-				finish(st, Result{ID: st.req.ID, Err: err})
-			}
-			for _, st := range active {
+			for _, st := range append(queued, active...) {
 				if st != nil {
-					finish(st, Result{ID: st.req.ID, Err: err})
+					st.CancelCause(context.Cause(ctx))
+					finish(st, Result{ID: st.req.ID, Err: st.cancelCause()})
 				}
 			}
 			return err

@@ -37,7 +37,7 @@ type ServerConfig struct {
 	// token production goes silent for this long (504); 0 disables it.
 	StallTimeout time.Duration
 	// DrainTimeout is how long Drain lets in-flight streams finish before
-	// cancelling the survivors.
+	// cancelling the survivors with ErrDraining.
 	DrainTimeout time.Duration
 	// RetryAfter is the hint sent with 429/503 responses (default 1s).
 	RetryAfter time.Duration
@@ -68,9 +68,20 @@ type ServerConfig struct {
 var errInjectedCancel = errors.New("serve: injected mid-stream cancel")
 
 // errDisconnected is the terminal cause of a stream cancelled because the
-// client went away; it wraps ErrCancelled so status mapping is unchanged
+// client went away; it wraps ErrCancelled so it shares the cancelled status
 // while the access log can tell disconnects from other cancellations.
 var errDisconnected = fmt.Errorf("serve: client disconnected: %w", ErrCancelled)
+
+// cancelCause is why a request context ended, as its stream's terminal
+// error: a stall (*govern.StallError) or a deadline passes through, and a
+// plain cancellation, which is the client going away, reads as
+// errDisconnected.
+func cancelCause(ctx context.Context) error {
+	if cause := context.Cause(ctx); !errors.Is(cause, context.Canceled) {
+		return cause
+	}
+	return errDisconnected
+}
 
 // Server is the multi-tenant HTTP inference front end: admission control
 // and load shedding ahead of the scheduler, per-request deadlines and stall
@@ -89,11 +100,11 @@ type Server struct {
 
 	mu        sync.Mutex
 	tenants   map[string]int
-	streams   map[*Stream]struct{}
+	active    int           // requests holding a submitted stream
 	inflightN int           // handlers between beginRequest and endRequest
 	idle      chan struct{} // set by Drain, closed when inflightN hits 0
 
-	serveCancel context.CancelFunc
+	serveCancel context.CancelCauseFunc
 	serveDone   chan error
 }
 
@@ -113,10 +124,9 @@ func NewServer(dec *nn.Decoder, cfg ServerConfig) *Server {
 		adm:       govern.NewAdmission(cfg.Budget),
 		sem:       make(chan struct{}, dec.Slots()+cfg.MaxQueue),
 		tenants:   make(map[string]int),
-		streams:   make(map[*Stream]struct{}),
 		serveDone: make(chan error, 1),
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancelCause(context.Background())
 	s.serveCancel = cancel
 	go func() { s.serveDone <- s.sched.Serve(ctx) }()
 	return s
@@ -186,9 +196,9 @@ func retryAfterSeconds(d time.Duration) int {
 	return int((d + time.Second - 1) / time.Second)
 }
 
-// writeError emits the uniform JSON error shape, echoing the request ID and
-// attaching Retry-After on the shed/drain statuses where a retry can help.
-func (s *Server) writeError(w http.ResponseWriter, status int, id, code string, err error) {
+// writeJSON emits one JSON body, echoing the request ID and attaching
+// Retry-After on the shed/drain statuses where a retry can help.
+func (s *Server) writeJSON(w http.ResponseWriter, status int, id string, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	if id != "" {
 		w.Header().Set(requestIDHeader, id)
@@ -197,27 +207,41 @@ func (s *Server) writeError(w http.ResponseWriter, status int, id, code string, 
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
 	}
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(errorResponse{ID: id, Error: err.Error(), Code: code})
+	json.NewEncoder(w).Encode(body)
 }
 
-// statusFor maps a stream's terminal error to an HTTP status and stable
-// error code.
-func statusFor(err error) (int, string) {
+// outcome is what one way of ending means to every observer of a request.
+type outcome struct {
+	status  int    // HTTP status of a unary response
+	code    string // stable error code ("ok" on success)
+	event   string // access-log degradation event, if any
+	counter string // serve.* counter bumped once per request, if any
+}
+
+// outcomeOf is the one table from a stream's terminal error (nil on
+// success) to its outcome. Wrapped errors classify as what they wrap.
+func outcomeOf(err error) outcome {
 	var stall *govern.StallError
 	var panicErr *StreamPanicError
 	switch {
+	case err == nil:
+		return outcome{http.StatusOK, "ok", "", ""}
 	case errors.As(err, &stall):
-		return http.StatusGatewayTimeout, "stalled"
+		return outcome{http.StatusGatewayTimeout, "stalled", "stall_killed", "serve.stalled"}
 	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, "deadline_exceeded"
+		return outcome{http.StatusGatewayTimeout, "deadline_exceeded", "deadline", "serve.deadline_exceeded"}
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrClosed):
-		return http.StatusServiceUnavailable, "draining"
+		return outcome{http.StatusServiceUnavailable, "draining", "drain_cancelled", "serve.drain_cancelled"}
 	case errors.As(err, &panicErr):
-		return http.StatusInternalServerError, "stream_panic"
-	case errors.Is(err, errInjectedCancel), errors.Is(err, ErrCancelled):
-		return http.StatusInternalServerError, "cancelled"
+		return outcome{http.StatusInternalServerError, "stream_panic", "stream_panic", ""}
+	case errors.Is(err, errInjectedCancel):
+		return outcome{http.StatusInternalServerError, "cancelled", "injected_cancel", ""}
+	case errors.Is(err, errDisconnected):
+		return outcome{http.StatusInternalServerError, "cancelled", "disconnect", "serve.disconnects"}
+	case errors.Is(err, ErrCancelled):
+		return outcome{http.StatusInternalServerError, "cancelled", "", ""}
 	default:
-		return http.StatusInternalServerError, "internal"
+		return outcome{http.StatusInternalServerError, "internal", "", ""}
 	}
 }
 
@@ -235,7 +259,6 @@ type requestObs struct {
 	wd     *govern.Watchdog
 	fields map[string]float64
 	admEnd bool // serve.admission child recorded
-	logged bool
 }
 
 func (s *Server) newRequestObs(headerID string) *requestObs {
@@ -279,16 +302,20 @@ func (o *requestObs) endAdmission() {
 // fail writes the typed error response and finishes the request's
 // observability in one step.
 func (o *requestObs) fail(w http.ResponseWriter, status int, code string, err error) {
-	o.s.writeError(w, status, o.rec.ID, code, err)
+	o.s.writeJSON(w, status, o.rec.ID, errorResponse{ID: o.rec.ID, Error: err.Error(), Code: code})
 	o.finish(status, code, err)
 }
 
-// finish ends the root span and writes the access-log record (idempotent).
+// shed is fail for a load-shedding rejection, counted in serve.shed under
+// its reason.
+func (o *requestObs) shed(w http.ResponseWriter, reason string, status int, code string, err error) {
+	obsv.Add("serve.shed", 1, obsv.L("reason", reason))
+	o.fail(w, status, code, err)
+}
+
+// finish ends the root span and writes the access-log record. Every path
+// through the handler calls it exactly once.
 func (o *requestObs) finish(status int, code string, err error) {
-	if o.logged {
-		return
-	}
-	o.logged = true
 	o.endAdmission()
 	o.rec.Status = status
 	o.rec.Code = code
@@ -300,11 +327,15 @@ func (o *requestObs) finish(status int, code string, err error) {
 	o.s.cfg.AccessLog.Write(&o.rec)
 }
 
-// observeStream folds the scheduler's per-stream timing into the request's
-// metrics (per-tenant TTFT/ITL/request dists), the span timeline (queue and
-// decode children reconstructed from the timestamps the step loop stamped),
-// and the access-log record.
-func (o *requestObs) observeStream(st *Stream, req *generateRequest, res Result) {
+// end waits for st to finish and observes it: the per-tenant metrics
+// (TTFT/ITL/request dists), the span timeline (queue and decode children
+// reconstructed from the timestamps the step loop stamped), and the
+// access-log record, with the outcome's event and counter. It returns the
+// outcome, the last body (a generateResponse on success, an errorResponse
+// otherwise) and the stream's terminal error.
+func (o *requestObs) end(st *Stream, req *generateRequest) (outcome, any, error) {
+	<-st.Done()
+	res := st.Result()
 	tenant := obsv.L("tenant", req.Tenant)
 	obsv.Add("serve.requests", 1, tenant)
 	obsv.Observe("serve.request_ms", float64(time.Since(o.start))/float64(time.Millisecond), tenant)
@@ -337,37 +368,27 @@ func (o *requestObs) observeStream(st *Stream, req *generateRequest, res Result)
 		// Admitted and fed, but killed before the first sampled token.
 		o.root.ObserveChild("serve.decode", tm.Admitted, time.Duration(tm.DecodeNS), nil)
 	}
+	oc := outcomeOf(res.Err)
 	if res.Err == nil {
 		obsv.Add("serve.tokens", int64(len(res.Tokens)-len(req.Prompt)), tenant)
-	} else {
-		obsv.Add("serve.errors", 1, tenant)
-		o.annotateError(res.Err)
+		return oc, generateResponse{
+			ID: req.ID, Tenant: req.Tenant, Adapter: req.Adapter, Tokens: res.Tokens,
+			QueueWaitMS: o.rec.QueueMS,
+			TotalMS:     float64(time.Since(o.start)) / float64(time.Millisecond), Done: true,
+		}, nil
 	}
-}
-
-// annotateError translates a stream's terminal error into access-log
-// degradation events, including where in the request timeline a stall
-// watchdog fired.
-func (o *requestObs) annotateError(err error) {
-	var stall *govern.StallError
-	var panicErr *StreamPanicError
-	switch {
-	case errors.As(err, &stall):
-		o.event("stall_killed")
-		if t := o.wd.FiredAt(); !t.IsZero() {
-			o.field("stall_fired_ms", float64(t.Sub(o.start))/float64(time.Millisecond))
-		}
-	case errors.Is(err, context.DeadlineExceeded):
-		o.event("deadline")
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrClosed):
-		o.event("drain_cancelled")
-	case errors.As(err, &panicErr):
-		o.event("stream_panic")
-	case errors.Is(err, errInjectedCancel):
-		o.event("injected_cancel")
-	case errors.Is(err, errDisconnected):
-		o.event("disconnect")
+	obsv.Add("serve.errors", 1, tenant)
+	if oc.event != "" {
+		o.event(oc.event)
 	}
+	if oc.counter != "" {
+		obsv.Add(oc.counter, 1)
+	}
+	if t := o.wd.FiredAt(); oc.code == "stalled" && !t.IsZero() {
+		// Where in the request timeline the watchdog fired.
+		o.field("stall_fired_ms", float64(t.Sub(o.start))/float64(time.Millisecond))
+	}
+	return oc, errorResponse{ID: req.ID, Error: res.Err.Error(), Code: oc.code}, res.Err
 }
 
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
@@ -411,32 +432,29 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		mode = s.cfg.Injector.ModeFor(req.ID)
 	}
 	if mode == fault.ModeFail {
-		obsv.Add("serve.shed", 1, obsv.L("reason", "injected"))
 		o.event("injected_fault")
-		o.fail(w, http.StatusServiceUnavailable, "injected_fault",
+		o.shed(w, "injected", http.StatusServiceUnavailable, "injected_fault",
 			&fault.PermanentError{Msg: "injected admission failure in " + req.ID})
 		return
 	}
 
-	cfg := s.dec.Config()
-	sample := nn.SampleConfig{
-		Temperature: req.Temperature, TopK: req.TopK,
-		MaxTokens: req.MaxTokens, Seed: req.Seed,
+	// Submit's own check, before the request takes a tenant slot, a queue
+	// place or a KV reservation.
+	sreq := Request{
+		ID: req.ID, Tenant: req.Tenant, Prompt: req.Prompt,
+		Cfg: nn.SampleConfig{
+			Temperature: req.Temperature, TopK: req.TopK,
+			MaxTokens: req.MaxTokens, Seed: req.Seed,
+		},
 	}
-	if err := sample.Validate(); err != nil {
+	if err := s.sched.Check(sreq); err != nil {
 		o.fail(w, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	if len(req.Prompt) == 0 || len(req.Prompt)+req.MaxTokens > cfg.MaxSeq {
-		o.fail(w, http.StatusBadRequest, "bad_request",
-			fmt.Errorf("serve: need a non-empty prompt with prompt+max_tokens ≤ %d", cfg.MaxSeq))
 		return
 	}
 
 	// Per-tenant concurrency cap.
 	if !s.tenantAcquire(req.Tenant) {
-		obsv.Add("serve.shed", 1, obsv.L("reason", "tenant"))
-		o.fail(w, http.StatusTooManyRequests, "tenant_limit",
+		o.shed(w, "tenant", http.StatusTooManyRequests, "tenant_limit",
 			fmt.Errorf("serve: tenant %s is at its %d-request limit", req.Tenant, s.cfg.TenantSlots))
 		return
 	}
@@ -448,24 +466,22 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	case s.sem <- struct{}{}:
 		defer func() { <-s.sem }()
 	default:
-		obsv.Add("serve.shed", 1, obsv.L("reason", "queue"))
-		o.fail(w, http.StatusTooManyRequests, "overloaded",
+		o.shed(w, "queue", http.StatusTooManyRequests, "overloaded",
 			fmt.Errorf("serve: queue full (%d waiting + %d active)", s.cfg.MaxQueue, s.dec.Slots()))
 		return
 	}
 
 	// Analytic KV admission: reject requests that cannot fit in the memory
 	// budget before they pin anything.
+	cfg := s.dec.Config()
 	kvNeed := govern.ServeKVBytes(cfg.Layers, cfg.Dim, len(req.Prompt)+req.MaxTokens)
 	if err := s.adm.TryReserve(kvNeed); err != nil {
 		var over *govern.OverBudgetError
 		if errors.As(err, &over) && over.Permanent {
-			obsv.Add("serve.shed", 1, obsv.L("reason", "unfittable"))
-			o.fail(w, http.StatusRequestEntityTooLarge, "unfittable", err)
-			return
+			o.shed(w, "unfittable", http.StatusRequestEntityTooLarge, "unfittable", err)
+		} else {
+			o.shed(w, "memory", http.StatusTooManyRequests, "memory", err)
 		}
-		obsv.Add("serve.shed", 1, obsv.L("reason", "memory"))
-		o.fail(w, http.StatusTooManyRequests, "memory", err)
 		return
 	}
 	defer s.adm.Release(kvNeed)
@@ -473,7 +489,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 
 	// Resolve the tenant's adapter through the registry (pinned until the
 	// stream finishes). Corruption is a clean 4xx, never a panic.
-	var adapter *nn.Adapter
 	if req.Adapter != "" {
 		load := o.root.Child("serve.adapter_load")
 		if s.cfg.Registry == nil {
@@ -490,19 +505,19 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			case errors.As(err, &corrupt):
 				o.fail(w, http.StatusUnprocessableEntity, "adapter_corrupt", err)
 			case errors.Is(err, ErrRegistryBusy):
-				obsv.Add("serve.shed", 1, obsv.L("reason", "adapters"))
-				o.fail(w, http.StatusTooManyRequests, "adapters_busy", err)
+				o.shed(w, "adapters", http.StatusTooManyRequests, "adapters_busy", err)
 			default:
 				o.fail(w, http.StatusNotFound, "adapter_not_found", err)
 			}
 			return
 		}
-		adapter = a
+		sreq.Adapter = a
 		defer s.cfg.Registry.Release(req.Adapter)
 	}
 
-	// Deadline: header beats server default; both flow through the request
-	// context so client disconnects and deadlines share one cancel path.
+	// Deadline: header beats server default. Deadline, client disconnect and
+	// stall watchdog all end the request context, each with its own cause,
+	// and share one cancel path.
 	reqCtx := r.Context()
 	deadline := s.cfg.DefaultDeadline
 	if h := r.Header.Get("X-Edgellm-Deadline-Ms"); h != "" {
@@ -521,7 +536,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Per-stream stall watchdog: token production beats it; silence for
-	// StallTimeout kills the stream with a typed StallError.
+	// StallTimeout cancels the context with a typed StallError as cause.
 	wctx := reqCtx
 	var wd *govern.Watchdog
 	if s.cfg.StallTimeout > 0 {
@@ -531,30 +546,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		o.wd = wd
 	}
 
-	// cancelForCtx maps the request context's demise to a typed cancellation
-	// cause (stall beats deadline beats disconnect) exactly once, shared by
-	// the watcher goroutine and the injected-stall seam so the cause is
-	// recorded before the decode loop can observe the unblocked context.
-	var cancelOnce sync.Once
-	cancelForCtx := func(st *Stream) {
-		cancelOnce.Do(func() {
-			cause := wctx.Err()
-			if wd != nil {
-				if se := wd.Err(); se != nil {
-					cause = se
-					obsv.Add("serve.stalled", 1)
-				}
-			}
-			if errors.Is(cause, context.DeadlineExceeded) {
-				obsv.Add("serve.deadline_exceeded", 1)
-			} else if errors.Is(cause, context.Canceled) {
-				cause = errDisconnected
-				obsv.Add("serve.disconnects", 1)
-			}
-			st.CancelCause(cause)
-		})
-	}
-
 	half := req.MaxTokens / 2
 	var tokCh chan int
 	if req.Stream {
@@ -562,7 +553,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		// stream without waiting on a slow client.
 		tokCh = make(chan int, req.MaxTokens)
 	}
-	onToken := func(st *Stream, tok int) {
+	sreq.OnToken = func(st *Stream, tok int) {
 		switch mode {
 		case fault.ModePanic:
 			if st.Sampled() == half {
@@ -579,7 +570,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 				// synchronously on unblock — the cause must be recorded
 				// before the decode loop reaches its next step boundary.
 				<-wctx.Done()
-				cancelForCtx(st)
+				st.CancelCause(cancelCause(wctx))
 				return
 			}
 		}
@@ -594,10 +585,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	st, err := s.sched.Submit(Request{
-		ID: req.ID, Tenant: req.Tenant, Prompt: req.Prompt,
-		Cfg: sample, Adapter: adapter, OnToken: onToken,
-	})
+	st, err := s.sched.Submit(sreq)
 	switch {
 	case errors.Is(err, ErrClosed):
 		obsv.Add("serve.drained", 1)
@@ -610,46 +598,30 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		o.fail(w, http.StatusBadRequest, "bad_request", err)
 		return
 	}
-	s.trackStream(st, true)
-	defer s.trackStream(st, false)
+	s.addActive(1)
+	defer s.addActive(-1)
 
-	// Cancellation watcher: deadline, client disconnect, and watchdog all
-	// funnel into CancelCause so the KV slot is reclaimed at the next step
-	// boundary no matter how the request dies.
+	// Cancellation watcher: the request context's cause becomes the
+	// stream's, so the KV slot is reclaimed at the next step boundary no
+	// matter how the request dies. (A goroutine, not context.AfterFunc:
+	// fewer allocations per request.)
 	go func() {
 		select {
 		case <-st.Done():
 		case <-wctx.Done():
-			cancelForCtx(st)
+			st.CancelCause(cancelCause(wctx))
 		}
 	}()
 
 	if req.Stream {
 		s.streamResponse(w, st, &req, tokCh, o)
-	} else {
-		s.unaryResponse(w, st, &req, o)
-	}
-}
-
-func (s *Server) unaryResponse(w http.ResponseWriter, st *Stream, req *generateRequest, o *requestObs) {
-	<-st.Done()
-	res := st.Result()
-	o.observeStream(st, req, res)
-	if res.Err != nil {
-		status, code := statusFor(res.Err)
-		o.fail(w, status, code, res.Err)
 		return
 	}
+	oc, body, err := o.end(st, &req)
 	flush := o.root.Child("serve.flush")
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(requestIDHeader, req.ID)
-	json.NewEncoder(w).Encode(generateResponse{
-		ID: req.ID, Tenant: req.Tenant, Adapter: req.Adapter, Tokens: res.Tokens,
-		QueueWaitMS: o.rec.QueueMS,
-		TotalMS:     float64(time.Since(o.start)) / float64(time.Millisecond), Done: true,
-	})
+	s.writeJSON(w, oc.status, req.ID, body)
 	flush.End()
-	o.finish(http.StatusOK, "ok", nil)
+	o.finish(oc.status, oc.code, err)
 }
 
 // streamChunk is one NDJSON line of a streaming response.
@@ -678,56 +650,36 @@ func (s *Server) streamResponse(w http.ResponseWriter, st *Stream, req *generate
 		}
 		return true
 	}
-	alive := true
-	for alive {
+	alive, done := true, false
+	for alive && !done {
 		select {
 		case tok := <-tokCh:
 			alive = writeChunk(tok)
 		case <-st.Done():
-			// Drain tokens that raced the close, then emit the terminal line.
-			for alive {
-				select {
-				case tok := <-tokCh:
-					alive = writeChunk(tok)
-				default:
-					res := st.Result()
-					o.observeStream(st, req, res)
-					flush := o.root.Child("serve.flush")
-					// The HTTP status is already 200; the access-log Code
-					// carries the stream's real verdict.
-					if res.Err != nil {
-						_, code := statusFor(res.Err)
-						enc.Encode(errorResponse{ID: req.ID, Error: res.Err.Error(), Code: code})
-						flush.End()
-						o.finish(http.StatusOK, code, res.Err)
-					} else {
-						enc.Encode(generateResponse{
-							ID: req.ID, Tenant: req.Tenant, Adapter: req.Adapter, Tokens: res.Tokens,
-							QueueWaitMS: o.rec.QueueMS,
-							TotalMS:     float64(time.Since(o.start)) / float64(time.Millisecond), Done: true,
-						})
-						flush.End()
-						o.finish(http.StatusOK, "ok", nil)
-					}
-					if flusher != nil {
-						flusher.Flush()
-					}
-					return
-				}
-			}
+			done = true
 		}
 	}
-	// Client is gone; wait for the scheduler to retire the stream so the
-	// slot is provably reclaimed before the handler exits.
-	<-st.Done()
-	res := st.Result()
-	o.observeStream(st, req, res)
-	o.event("client_write_failed")
-	code := "ok"
-	if res.Err != nil {
-		_, code = statusFor(res.Err)
+	// Every token was sent before Done closed, and none was dropped: what
+	// is left in the channel raced the close.
+	for alive && len(tokCh) > 0 {
+		alive = writeChunk(<-tokCh)
 	}
-	o.finish(http.StatusOK, code, res.Err)
+	// end waits for the scheduler to retire the stream, so even when the
+	// client is gone the slot is provably reclaimed before the handler exits.
+	oc, body, err := o.end(st, req)
+	if alive {
+		flush := o.root.Child("serve.flush")
+		enc.Encode(body)
+		flush.End()
+	} else {
+		o.event("client_write_failed")
+	}
+	// The HTTP status is already 200; the access-log Code carries the
+	// stream's real verdict.
+	o.finish(http.StatusOK, oc.code, err)
+	if flusher != nil {
+		flusher.Flush()
+	}
 }
 
 func (s *Server) tenantAcquire(tenant string) bool {
@@ -757,14 +709,12 @@ func (s *Server) tenantRelease(tenant string) {
 	s.mu.Unlock()
 }
 
-func (s *Server) trackStream(st *Stream, add bool) {
+// addActive moves the count of requests that hold a submitted stream
+// (/statusz active_requests, the serve.active gauge).
+func (s *Server) addActive(d int) {
 	s.mu.Lock()
-	if add {
-		s.streams[st] = struct{}{}
-	} else {
-		delete(s.streams, st)
-	}
-	obsv.SetGauge("serve.active", float64(len(s.streams)))
+	s.active += d
+	obsv.SetGauge("serve.active", float64(s.active))
 	s.mu.Unlock()
 }
 
@@ -824,7 +774,7 @@ func (s *Server) handleAdapters(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	active := len(s.streams)
+	active := s.active
 	tenants := make(map[string]int, len(s.tenants))
 	for t, n := range s.tenants {
 		tenants[t] = n
@@ -848,10 +798,10 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 
 // Drain gracefully stops the server: admission is closed immediately (new
 // requests get 503 + Retry-After), in-flight streams get up to DrainTimeout
-// to finish, survivors are then cancelled with ErrDraining, and the decode
-// goroutine is stopped. It returns an error if the KV arena does not drain
-// back to zero bytes — the invariant the chaos CI job pins. Call exactly
-// once; later calls return immediately.
+// to finish, and then the decode goroutine is stopped with cause
+// ErrDraining, which ends every survivor 503 draining. It returns an error
+// if the KV arena does not drain back to zero bytes — the invariant the
+// chaos CI job pins. Call exactly once; later calls return immediately.
 func (s *Server) Drain() error {
 	if !s.draining.CompareAndSwap(false, true) {
 		return nil
@@ -868,22 +818,9 @@ func (s *Server) Drain() error {
 	select {
 	case <-done:
 	case <-time.After(s.cfg.DrainTimeout):
-		s.mu.Lock()
-		for st := range s.streams {
-			st.CancelCause(ErrDraining)
-			obsv.Add("serve.drain_cancelled", 1)
-		}
-		s.mu.Unlock()
-		// Cancelled streams retire at the next step boundary; give their
-		// handlers one more grace period, then stop regardless — the
-		// scheduler (not the handlers) owns slot reclamation.
-		select {
-		case <-done:
-		case <-time.After(s.cfg.DrainTimeout):
-		}
 	}
-	s.serveCancel()
-	<-s.serveDone // Serve returns ctx.Err() after finishing every stream
+	s.serveCancel(ErrDraining)
+	<-s.serveDone // Serve returns after finishing every stream with ErrDraining
 	if n := s.dec.ArenaActiveBytes(); n != 0 {
 		return fmt.Errorf("serve: arena did not drain: %d bytes still active", n)
 	}
