@@ -10,9 +10,6 @@
 //	serve        multi-tenant HTTP inference server with admission control,
 //	             deadlines, graceful drain, request tracing, SLO burn-rate
 //	             tracking, a JSONL access log, and a chaos fault seam
-//	fleet        deterministic fleet-scale simulation: heterogeneous virtual
-//	             devices adapting under churn, crashes, stalls, and budget
-//	             pressure (-devices -churn -fault -seed -json -verify)
 //	telemetry    summarise or diff JSONL metric files from -metrics runs;
 //	             serve-report analyses a serving access log
 //
@@ -62,8 +59,6 @@ func main() {
 		err = cmdGenerate(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
-	case "fleet":
-		err = cmdFleet(os.Args[2:])
 	case "telemetry":
 		err = cmdTelemetry(os.Args[2:])
 	case "-h", "--help", "help":
@@ -91,8 +86,6 @@ subcommands:
   generate      sample tokens from a saved checkpoint (KV-cached decoding)
   serve         multi-tenant HTTP inference server (admission control, deadlines, drain,
                 -fault chaos, -trace timelines, -slo burn rates, -access-log JSONL)
-  fleet         deterministic fleet simulation of churning, faulty edge devices
-                (-devices -seed -churn -fault -parallel -json -events -verify)
   telemetry     summarise one JSONL metrics file, diff two (A-vs-B regression delta),
                 or analyse a serving access log (serve-report [-slo] [-strict])`)
 }
@@ -299,14 +292,14 @@ func firstErrLine(s string) string {
 
 // obsvConfig selects the telemetry sinks of one subcommand run.
 type obsvConfig struct {
-	Tool          string // stderr line prefix ("edgellm", "serve", "fleet")
+	Tool          string // stderr line prefix ("edgellm", "serve")
 	MetricsPath   string // JSONL event stream
 	TracePath     string // Chrome trace-event JSON
 	SpanLog       bool   // human span lines on stderr
 	TelemetryAddr string // live /metrics + /debug/pprof endpoint
 
-	// Always installs a recorder even when no sink is selected, for
-	// subcommands that read their own counters back (serve, fleet).
+	// Always installs a recorder even when no sink is selected, for a
+	// subcommand that reads its own counters back (serve).
 	Always bool
 	// Manifest, when set, is emitted as the stream's first event.
 	Manifest *obsv.Manifest
@@ -425,6 +418,9 @@ func cmdDemo(args []string) error {
 	fs := flag.NewFlagSet("demo", flag.ExitOnError)
 	iters := fs.Int("iters", 300, "tuning iterations")
 	fs.Parse(args)
+	if *iters < 1 {
+		return fmt.Errorf("demo: -iters must be at least 1, got %d", *iters)
+	}
 
 	cfg := core.DefaultConfig()
 	task := core.NewTask(42, cfg.Model.Vocab)
@@ -499,6 +495,9 @@ func cmdTrain(args []string) error {
 	out := fs.String("o", "model.ckpt", "checkpoint output path")
 	seed := fs.Int64("seed", 42, "experiment seed")
 	fs.Parse(args)
+	if *iters < 1 {
+		return fmt.Errorf("train: -iters must be at least 1, got %d", *iters)
+	}
 
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed

@@ -156,18 +156,40 @@ func TestCmdExperimentsGovernedAnalytic(t *testing.T) {
 	}
 }
 
-// TestCmdFleetFailingMetricsSink: a telemetry sink that cannot be written
-// (a full disk) must fail the command even though the simulation itself
-// succeeded — every subcommand tears its sinks down through setupObsv.
-func TestCmdFleetFailingMetricsSink(t *testing.T) {
+// TestCmdExperimentsFailingMetricsSink: a telemetry sink that cannot be
+// written (a full disk) must fail the command even though the experiment
+// itself succeeded — every subcommand tears its sinks down through setupObsv.
+func TestCmdExperimentsFailingMetricsSink(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("/dev/full not available on this platform")
 	}
-	err := cmdFleet([]string{"-devices", "2", "-steps", "4", "-epoch", "2", "-metrics", "/dev/full"})
+	err := cmdExperiments([]string{"-t", "F1", "-metrics", "/dev/full"})
 	if err == nil {
-		t.Fatal("fleet exited 0 with a truncated -metrics file")
+		t.Fatal("experiments exited 0 with a truncated -metrics file")
 	}
 	if !strings.Contains(err.Error(), "metrics emitter") {
 		t.Fatalf("error %q does not name the failed sink", err)
+	}
+}
+
+// TestCmdDemoRejectsZeroIters: -iters 0 is a flag error before any
+// pretraining, not a panic on an empty loss curve.
+func TestCmdDemoRejectsZeroIters(t *testing.T) {
+	err := cmdDemo([]string{"-iters", "0"})
+	if err == nil || !strings.Contains(err.Error(), "-iters") {
+		t.Fatalf("demo -iters 0: err = %v, want a -iters flag error", err)
+	}
+}
+
+// TestCmdTrainRejectsZeroIters: the same for train, which would otherwise
+// pretrain, tune zero steps and panic before writing its checkpoint.
+func TestCmdTrainRejectsZeroIters(t *testing.T) {
+	out := t.TempDir() + "/m.ckpt"
+	err := cmdTrain([]string{"-iters", "0", "-o", out})
+	if err == nil || !strings.Contains(err.Error(), "-iters") {
+		t.Fatalf("train -iters 0: err = %v, want a -iters flag error", err)
+	}
+	if _, statErr := os.Stat(out); statErr == nil {
+		t.Fatal("train -iters 0 wrote a checkpoint")
 	}
 }

@@ -140,21 +140,6 @@ func (o SuiteOpts) retryBackoff() time.Duration {
 	return o.RetryBackoff
 }
 
-// Backoff returns the deterministic delay before retry attempt k (1-based):
-// base << (k-1), with base 0 meaning DefaultRetryBackoff. It is the single
-// definition of the runner's exponential backoff schedule; the fleet
-// simulator reuses it to price virtual retry delays so simulated devices
-// back off exactly like real suite tasks.
-func Backoff(base time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		base = DefaultRetryBackoff
-	}
-	if attempt < 1 {
-		attempt = 1
-	}
-	return base << (attempt - 1)
-}
-
 // RunAll regenerates the selected experiments, fanning independent
 // experiments — and, inside them, independent grid points (LUC budgets,
 // window sizes, device catalog entries) — across a bounded worker pool.
@@ -239,7 +224,7 @@ func runTask(ctx context.Context, e Experiment, sizes Sizes, opts SuiteOpts) *Re
 			select {
 			case <-ctx.Done():
 				return failedReport(e.ID, ctx.Err())
-			case <-time.After(Backoff(opts.retryBackoff(), attempt)):
+			case <-time.After(opts.retryBackoff() << (attempt - 1)):
 			}
 		}
 		rep, err := runAttempt(ctx, e, sizes, opts, attempt)

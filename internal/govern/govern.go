@@ -325,39 +325,6 @@ func (g *Governor) Decisions() []obsv.GovernDecision {
 	return out
 }
 
-// RungCounts aggregates the recorded decisions into a per-rung histogram
-// keyed by Rung.String(). The fleet simulator folds each device governor's
-// histogram into its degradation-rung report; an empty map means no
-// degradation was needed. Nil-safe.
-func (g *Governor) RungCounts() map[string]int {
-	if g == nil {
-		return map[string]int{}
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	counts := make(map[string]int, 4)
-	for _, d := range g.decisions {
-		counts[d.Rung]++
-	}
-	return counts
-}
-
-// Unmet returns the tasks whose ladder floor still exceeded the budget,
-// sorted. Nil-safe.
-func (g *Governor) Unmet() []string {
-	if g == nil {
-		return nil
-	}
-	g.mu.Lock()
-	tasks := make([]string, 0, len(g.unmet))
-	for task := range g.unmet {
-		tasks = append(tasks, task)
-	}
-	g.mu.Unlock()
-	sort.Strings(tasks)
-	return tasks
-}
-
 // Record assembles the manifest-ready summary of everything the governor
 // did this run.
 func (g *Governor) Record() obsv.GovernRecord {

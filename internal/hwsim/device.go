@@ -61,22 +61,6 @@ func EdgeGPU() Device {
 	}
 }
 
-// Scaled returns a copy of d with PeakFLOPS and DRAMBandwidth multiplied
-// by the given factors — the fleet simulator's model of per-unit variation
-// within a device class (silicon lottery, thermal throttling, DVFS caps).
-// Factors ≤ 0 leave the corresponding field unchanged. The IntSpeedup map
-// is shared with the original; callers must treat it as read-only.
-func (d Device) Scaled(compute, bandwidth float64) Device {
-	out := d
-	if compute > 0 {
-		out.PeakFLOPS = d.PeakFLOPS * compute
-	}
-	if bandwidth > 0 {
-		out.DRAMBandwidth = d.DRAMBandwidth * bandwidth
-	}
-	return out
-}
-
 // Validate reports the first implausible field.
 func (d Device) Validate() error {
 	switch {

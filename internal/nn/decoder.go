@@ -453,7 +453,7 @@ func (d *Decoder) Generate(prompt []int, cfg SampleConfig) ([]int, error) {
 	if len(prompt) == 0 {
 		return nil, fmt.Errorf("nn: empty prompt")
 	}
-	if len(prompt)+cfg.MaxTokens > d.m.Cfg.MaxSeq {
+	if cfg.MaxTokens > d.m.Cfg.MaxSeq-len(prompt) {
 		return nil, fmt.Errorf("nn: prompt %d + %d tokens exceeds MaxSeq %d (KV cache cannot slide)",
 			len(prompt), cfg.MaxTokens, d.m.Cfg.MaxSeq)
 	}

@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"edgellm/internal/tensor"
@@ -106,6 +108,24 @@ func TestGenerateEmptyPromptErrors(t *testing.T) {
 	d := genDecoder(t, 55)
 	if _, err := d.Generate(nil, SampleConfig{Temperature: 0, MaxTokens: 1}); err == nil {
 		t.Fatal("empty prompt must error")
+	}
+}
+
+// TestGenerateHugeMaxTokensRejectedUpFront: a MaxTokens so large that
+// prompt + MaxTokens wraps around int is the same up-front MaxSeq error as
+// any other overlong request, before the decoder takes a step.
+func TestGenerateHugeMaxTokensRejectedUpFront(t *testing.T) {
+	d := genDecoder(t, 56)
+	if _, err := d.Generate([]int{1, 2}, SampleConfig{MaxTokens: 4}); err != nil {
+		t.Fatal(err)
+	}
+	pos := d.Pos()
+	_, err := d.Generate([]int{1, 2, 3}, SampleConfig{MaxTokens: math.MaxInt})
+	if err == nil || errors.Is(err, ErrBadBatch) || !strings.Contains(err.Error(), "exceeds MaxSeq") {
+		t.Fatalf("MaxTokens = MaxInt: err = %v, want the up-front MaxSeq error", err)
+	}
+	if d.Pos() != pos {
+		t.Fatalf("rejected request stepped the decoder: position %d → %d", pos, d.Pos())
 	}
 }
 

@@ -34,7 +34,6 @@ type Event struct {
 	Manifest     *Manifest          `json:"manifest,omitempty"`
 	Summary      *Summary           `json:"summary,omitempty"`
 	Govern       *GovernRecord      `json:"govern,omitempty"`
-	Fleet        *FleetRecord       `json:"fleet,omitempty"`
 
 	// SpanID/ParentID link span events into the run's span tree; 0 means
 	// "none" (root span, or a pre-hierarchy stream).

@@ -48,9 +48,6 @@ type MemorySpec struct {
 	// BlockWeightSparsity[i] is the pruned fraction of block i's weights;
 	// pruned elements are not stored (compressed-sparse accounting).
 	BlockWeightSparsity []float64
-	// PackedScales prices compressed blocks (bits < 32) in the executable
-	// packed format, quant.Packed: the payload plus packedBlockScaleBytes.
-	PackedScales bool
 	// OptBytesPerElem is Optimizer.BytesPerElement() of the optimizer used.
 	OptBytesPerElem int64
 }
@@ -131,11 +128,13 @@ func packedBlockScaleBytes(cfg nn.Config) int64 {
 }
 
 // blockWeightBytes is the storage of one block's weight matrices at the
-// given width with the given fraction pruned away.
-func blockWeightBytes(cfg nn.Config, bits, sparsity float64, packedScales bool) int64 {
+// given width with the given fraction pruned away. Below 32 bits the block
+// is priced in the executable packed format, quant.Packed: the payload plus
+// packedBlockScaleBytes.
+func blockWeightBytes(cfg nn.Config, bits, sparsity float64) int64 {
 	kept := float64(BlockWeightElems(cfg)) * (1 - sparsity)
 	n := int64(kept * bits / 8)
-	if packedScales && bits < 32 {
+	if bits < 32 {
 		n += packedBlockScaleBytes(cfg)
 	}
 	return n
@@ -153,7 +152,7 @@ func EstimateMemory(spec MemorySpec) MemoryBreakdown {
 	// at their stored width, pruned elements not stored.
 	b.Weights = 4 * (ModelParamElems(cfg) - int64(cfg.Layers)*BlockWeightElems(cfg))
 	for i := 0; i < cfg.Layers; i++ {
-		b.Weights += blockWeightBytes(cfg, spec.BlockWeightBits[i], spec.BlockWeightSparsity[i], spec.PackedScales)
+		b.Weights += blockWeightBytes(cfg, spec.BlockWeightBits[i], spec.BlockWeightSparsity[i])
 	}
 
 	// Grads for this step's trainables; optimizer state for everything
@@ -205,17 +204,16 @@ func VanillaSpec(cfg nn.Config, batch, seq int, optBytes int64) MemorySpec {
 // window's blocks and one head trainable, one of the window's segments on
 // tape (segments ≤ 1: the whole window; see CheckpointedSpec) and block i
 // stored at bits[i] with sparsity[i] of it pruned, in the packed format (nil:
-// float32, unpruned). The governor's admission and per-step re-admission, the
-// fleet's device admission and the tables' Edge-LLM memory columns all price
-// this spec; a caller whose optimizer state has accumulated over earlier
-// windows sets OptElems.
+// float32, unpruned). The governor's admission and per-step re-admission and
+// the tables' Edge-LLM memory columns all price this spec; a caller whose
+// optimizer state has accumulated over earlier windows sets OptElems.
 func WindowSpec(cfg nn.Config, batch, seq, window, segments int, bits, sparsity []float64, optBytes int64) MemorySpec {
 	spec := VanillaSpec(cfg, batch, seq, optBytes)
 	spec.TapeBlocks = window
 	spec = CheckpointedSpec(spec, segments)
 	spec.TrainableElems = WindowTrainableElems(cfg, window)
 	if bits != nil {
-		spec.BlockWeightBits, spec.PackedScales = bits, true
+		spec.BlockWeightBits = bits
 	}
 	if sparsity != nil {
 		spec.BlockWeightSparsity = sparsity

@@ -235,10 +235,11 @@ func TestEstimateMemoryCompressionShrinksWeights(t *testing.T) {
 	if comp.Weights >= base.Weights {
 		t.Fatal("compression must shrink weight bytes")
 	}
-	// 4-bit × 50% sparsity keeps 1/16 of block-weight bytes.
+	// 4-bit × 50% sparsity keeps 1/16 of block-weight bytes, plus each
+	// packed block's per-column scales.
 	blockBytes := int64(4) * BlockWeightElems(cfg) * int64(cfg.Layers)
 	saved := base.Weights - comp.Weights
-	wantSaved := blockBytes * 15 / 16
+	wantSaved := blockBytes*15/16 - int64(cfg.Layers)*packedBlockScaleBytes(cfg)
 	if math.Abs(float64(saved-wantSaved)) > float64(blockBytes)/100 {
 		t.Fatalf("saved %d bytes, want ≈ %d", saved, wantSaved)
 	}
@@ -258,7 +259,7 @@ func TestBlockWeightBytesMatchesPackedModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := int64(cfg.Layers) * blockWeightBytes(cfg, float64(bits), 0, true)
+		want := int64(cfg.Layers) * blockWeightBytes(cfg, float64(bits), 0)
 		if got := pm.StorageBytes(); got != want {
 			t.Errorf("%d-bit: packed model holds %d B, estimator charges %d B", bits, got, want)
 		}
