@@ -471,6 +471,20 @@ func cmdSchedule(args []string) error {
 	bits := fs.Int("bits", 4, "weight bit-width")
 	sparsity := fs.Float64("sparsity", 0.5, "weight sparsity")
 	fs.Parse(args)
+	for _, d := range []struct {
+		flag string
+		v    int
+	}{{"-m", *m}, {"-n", *n}, {"-k", *k}} {
+		if d.v < 1 {
+			return fmt.Errorf("schedule: %s must be at least 1, got %d", d.flag, d.v)
+		}
+	}
+	if *bits < 2 || *bits > 8 {
+		return fmt.Errorf("schedule: -bits must be in [2, 8], got %d", *bits)
+	}
+	if !(*sparsity >= 0 && *sparsity < 1) {
+		return fmt.Errorf("schedule: -sparsity must be in [0, 1), got %v", *sparsity)
+	}
 
 	dev := hwsim.EdgeGPU()
 	g := hwsim.GEMM{M: *m, N: *n, K: *k, WeightBits: *bits, WeightSparsity: *sparsity}

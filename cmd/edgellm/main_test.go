@@ -193,3 +193,20 @@ func TestCmdTrainRejectsZeroIters(t *testing.T) {
 		t.Fatal("train -iters 0 wrote a checkpoint")
 	}
 }
+
+// TestCmdScheduleRejectsBadShapes: a GEMM dimension below 1, a width outside
+// the packed format's 2–8 bits or a sparsity outside [0, 1) is a flag error
+// before anything is priced, not a NaN cost or a 0-bit weight priced as
+// valid.
+func TestCmdScheduleRejectsBadShapes(t *testing.T) {
+	for _, args := range [][]string{
+		{"-m", "0"}, {"-n", "0"}, {"-k", "-3"},
+		{"-bits", "0"}, {"-bits", "1"}, {"-bits", "9"},
+		{"-sparsity", "-0.1"}, {"-sparsity", "1"}, {"-sparsity", "NaN"},
+	} {
+		err := cmdSchedule(args)
+		if err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("schedule %v: err = %v, want a %s flag error", args, err, args[0])
+		}
+	}
+}

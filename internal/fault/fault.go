@@ -78,14 +78,6 @@ type Tripwire struct {
 // Hit records one activation and reports whether this was the Nth.
 func (t *Tripwire) Hit() bool { return t.calls.Add(1) == t.N }
 
-// MustNotPanic is a step hook that panics on the Nth activation; tests use
-// it to prove the runner isolates a crashing task.
-func (t *Tripwire) PanicOnNth(msg string) {
-	if t.Hit() {
-		panic(fmt.Sprintf("fault: injected panic: %s (activation %d)", msg, t.N))
-	}
-}
-
 // FlipBit flips bit i (0 ≤ i < 8·len(buf)) of buf in place.
 func FlipBit(buf []byte, i int) {
 	buf[i/8] ^= 1 << (i % 8)

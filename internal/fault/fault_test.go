@@ -54,21 +54,6 @@ func TestTripwireFiresExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestPanicOnNth(t *testing.T) {
-	tw := &Tripwire{N: 2}
-	tw.PanicOnNth("no") // first activation: no panic
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("second activation must panic")
-		}
-		if !strings.Contains(r.(string), "injected panic") {
-			t.Fatalf("panic value %v lacks marker", r)
-		}
-	}()
-	tw.PanicOnNth("yes")
-}
-
 func TestFlipBitInvolution(t *testing.T) {
 	buf := []byte{0x00, 0xff, 0x5a}
 	orig := append([]byte(nil), buf...)

@@ -13,8 +13,10 @@ import (
 // prompt tokens the serve scheduler and Generate hand StepBatch at once. 16
 // is the knee of the per-row cost on the served d256/4L model, the decode
 // benchmarks' and bench's (EXPERIMENTS.md):
-// the weight stream (or packed tile decode) is shared by every row of a step,
-// and past 16 rows a longer step only delays the streams decoding beside it.
+// the weight stream (or the packed code-word decode, once per tile or, on an
+// AVX-512 host, once per group of eight rows) is shared by the rows of a
+// step, and past 16 rows a longer step only delays the streams decoding
+// beside it.
 const PrefillRows = 16
 
 // ErrBadBatch is wrapped by every error StepBatch returns for arguments it

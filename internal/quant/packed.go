@@ -243,16 +243,21 @@ func (p *Packed) mulVecBytes(out, a []float32, colLo, colHi int) {
 	}
 }
 
-// MulVecInto implements tensor.PackedMat. Two rows take the AVX2 kernel,
-// which decodes each code word once for both. Where only the Go kernels
-// could serve them, one row at a time, decoding a tile once and sweeping it
-// is faster (DESIGN.md §6, "Two rows, one decode"), so two rows report
-// false there and go through tiles.
+// MulVecInto implements tensor.PackedMat. One and two rows take the AVX2
+// kernel, which decodes each code word once for both rows, and eight rows
+// of 2- to 4-bit codes the AVX-512 one, which decodes it once for all eight
+// (DESIGN.md §6, "Eight rows, one decode"). Where only the Go kernels could
+// serve them, one row at a time, decoding a tile once and sweeping it is
+// faster (DESIGN.md §6, "Two rows, one decode"), so two rows report false
+// there and go through tiles, as eight do wherever the AVX-512 kernel is
+// not.
 func (p *Packed) MulVecInto(out []float32, outStride int, a []float32, rows, colLo, colHi int) bool {
 	switch {
 	case !p.wordAligned(colLo, colHi):
 		return false
-	case p.simd():
+	case rows == 8 && !(useAVX512 && p.Bits <= 4):
+		return false
+	case p.simd() && (rows <= 2 || rows == 8):
 		p.mulVecSIMD(out, outStride, a, rows, colLo, colHi)
 		return true
 	case rows == 1:

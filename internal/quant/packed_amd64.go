@@ -6,15 +6,16 @@ import "edgellm/internal/tensor"
 // both packages.
 var useAVX2 = tensor.HasAVX2()
 
-// useAVX512 follows tensor's AVX-512 kernels: two activation rows of 2- to
-// 4-bit codes take mulVec2AVX512 for whole groups of eight blocks. There is
-// no switch; only tests turn it off, to run both kernels in one process.
+// useAVX512 follows tensor's AVX-512 kernels: eight activation rows of 2-
+// to 4-bit codes take mulVec8AVX512 for whole groups of four blocks, and
+// two rows mulVec2AVX512 for whole groups of eight. There is no switch; only
+// tests turn it off, to run both kernels in one process.
 var useAVX512 = tensor.HasAVX512()
 
-// zLevels[b] and zShifts[b] are mulVec2AVX512's level table and lane shift
-// counts at b bits: entry i of the table is the level of code i mod 2^b, so
-// the bits above a code that a lane keeps select nothing, and lane j shifts
-// by b·(j mod 8), the place of its code in its block's word.
+// zLevels[b] and zShifts[b] are the AVX-512 kernels' level table and lane
+// shift counts at b bits: entry i of the table is the level of code i mod
+// 2^b, so the bits above a code that a lane keeps select nothing, and lane j
+// shifts by b·(j mod 8), the place of its code in its block's word.
 var zLevels, zShifts = func() (levels [5][16]float32, shifts [5][16]uint32) {
 	for b := 2; b <= 4; b++ {
 		p := Packed{Bits: b}
@@ -28,6 +29,9 @@ var zLevels, zShifts = func() (levels [5][16]float32, shifts [5][16]uint32) {
 
 //go:noescape
 func mulVec2AVX512(out *float32, outStride, nBlocks int, a *float32, aRow, k int, codes *byte, rowBytes int, scale *float32, bits int, levels *float32, shifts *uint32)
+
+//go:noescape
+func mulVec8AVX512(out *float32, outStride, nBlocks int, a *float32, aRow, k int, codes *byte, rowBytes int, scale *float32, bits int, levels *float32, shifts *uint32)
 
 //go:noescape
 func mulVecAVX2(out *float32, outStride, nBlocks int, a *float32, aRow, k, rows int, codes *byte, rowBytes int, scale *float32, bits int)
@@ -100,19 +104,30 @@ func (p *Packed) mulVecSIMD(out []float32, outStride int, a []float32, rows, col
 	}
 }
 
-// mulVecAsm adds k code rows of nb blocks into out: two activation rows of
-// 2- to 4-bit codes take whole groups of eight blocks through mulVec2AVX512,
-// and everything else goes through mulVecAVX2. Columns are independent sums,
-// so where the blocks split changes no bit.
+// mulVecAsm adds k code rows of nb blocks into out. Of 2- to 4-bit codes,
+// eight activation rows take whole groups of four blocks through
+// mulVec8AVX512 and two rows whole groups of eight through mulVec2AVX512;
+// everything else goes through mulVecAVX2, two rows at a time. Columns are
+// independent sums, so where the blocks split changes no bit.
 func (p *Packed) mulVecAsm(out []float32, outStride, nb int, a []float32, k, rows int, codes []byte, rowBytes int, scale []float32) {
-	if nb8 := nb &^ 7; useAVX512 && rows == 2 && p.Bits <= 4 && nb8 > 0 {
-		mulVec2AVX512(&out[0], outStride*4, nb8, &a[0], p.Rows*4, k, &codes[0], rowBytes, &scale[0], p.Bits, &zLevels[p.Bits][0], &zShifts[p.Bits][0])
-		if nb8 == nb {
+	if useAVX512 && p.Bits <= 4 {
+		var done int
+		switch {
+		case rows == 8 && nb >= 4:
+			done = nb &^ 3
+			mulVec8AVX512(&out[0], outStride*4, done, &a[0], p.Rows*4, k, &codes[0], rowBytes, &scale[0], p.Bits, &zLevels[p.Bits][0], &zShifts[p.Bits][0])
+		case rows == 2 && nb >= 8:
+			done = nb &^ 7
+			mulVec2AVX512(&out[0], outStride*4, done, &a[0], p.Rows*4, k, &codes[0], rowBytes, &scale[0], p.Bits, &zLevels[p.Bits][0], &zShifts[p.Bits][0])
+		}
+		if done == nb {
 			return
 		}
-		out, nb, codes, scale = out[nb8*blockCols:], nb-nb8, codes[nb8*p.Bits:], scale[nb8*blockCols:]
+		out, nb, codes, scale = out[done*blockCols:], nb-done, codes[done*p.Bits:], scale[done*blockCols:]
 	}
-	mulVecAVX2(&out[0], outStride*4, nb, &a[0], p.Rows*4, k, rows, &codes[0], rowBytes, &scale[0], p.Bits)
+	for r := 0; r < rows; r += 2 {
+		mulVecAVX2(&out[r*outStride], outStride*4, nb, &a[r*p.Rows], p.Rows*4, k, min(rows-r, 2), &codes[0], rowBytes, &scale[0], p.Bits)
+	}
 }
 
 // decodeSIMD is DecodeRowsInto through decodeAVX2 for a word-aligned tile.

@@ -1,8 +1,8 @@
 #include "textflag.h"
 
 // The AVX2 twins of the uniform word-path kernels in packed.go (DESIGN.md
-// §6, "The repo takes assembly"), and an AVX-512 two-row mat-vec beside
-// them. A block row is eight b-bit codes in b
+// §6, "The repo takes assembly"), and AVX-512 two- and eight-row mat-vecs
+// beside them. A block row is eight b-bit codes in b
 // bytes. Lanes are the block's eight columns: code j is moved to the top of
 // lane j by a per-lane left shift, sign-extended by an arithmetic right
 // shift, converted, and multiplied by the column's scale — float32(q)·scale,
@@ -508,6 +508,147 @@ z8loop:
 	LEAQ (BX)(R14*8), BX
 	SUBQ $8, CX
 	JNZ  z8
+	VZEROUPPER
+	RET
+
+// ZDEC8(w, m0, m1, scale): w = the dequantized rows of two blocks, 16
+// columns, whose code words are at m0 and m1 — ZDEC with the level table in
+// Z16, the shift counts in Z17 and the scales in a register. Z25 is
+// clobbered.
+#define ZDEC8(w, m0, m1, scale) \
+	VPBROADCASTD m0, w; \
+	VPBROADCASTD m1, Z25; \
+	VINSERTI64X4 $1, Y25, w, w; \
+	VPSRLVD      Z17, w, w; \
+	VPERMPS      Z16, w, w; \
+	VMULPS       scale, w, w
+
+// ROW8(row, lo, hi, skip): lo:hi += a[k] of one row (at row) × the 32
+// decoded columns in Z20:Z21, unless a[k] is ±0 — the integer test of ROWS,
+// taken per row, so each row skips exactly its own zeros and a row of
+// padding costs a load and a branch.
+#define ROW8(row, lo, hi, skip) \
+	MOVL row, AX; \
+	ADDL AX, AX; \
+	JZ   skip; \
+	VBROADCASTSS row, Z22; \
+	VMULPS Z20, Z22, Z23; \
+	VADDPS Z23, lo, lo; \
+	VMULPS Z21, Z22, Z24; \
+	VADDPS Z24, hi, hi; \
+skip:
+
+// OUT8LOAD and OUT8STORE move the eight rows of 32 sums at base, stride
+// bytes apart, into and out of the accumulators Z0-Z15 (row r in
+// Z2r:Z2r+1). R10, R12 and R13 are clobbered.
+#define OUT8LOAD(base, stride) \
+	LEAQ    (base)(stride*2), R12; \
+	LEAQ    (base)(stride*4), R10; \
+	LEAQ    (R10)(stride*2), R13; \
+	VMOVUPS (base), Z0; \
+	VMOVUPS 64(base), Z1; \
+	VMOVUPS (base)(stride*1), Z2; \
+	VMOVUPS 64(base)(stride*1), Z3; \
+	VMOVUPS (R12), Z4; \
+	VMOVUPS 64(R12), Z5; \
+	VMOVUPS (R12)(stride*1), Z6; \
+	VMOVUPS 64(R12)(stride*1), Z7; \
+	VMOVUPS (R10), Z8; \
+	VMOVUPS 64(R10), Z9; \
+	VMOVUPS (R10)(stride*1), Z10; \
+	VMOVUPS 64(R10)(stride*1), Z11; \
+	VMOVUPS (R13), Z12; \
+	VMOVUPS 64(R13), Z13; \
+	VMOVUPS (R13)(stride*1), Z14; \
+	VMOVUPS 64(R13)(stride*1), Z15
+
+#define OUT8STORE(base, stride) \
+	LEAQ    (base)(stride*2), R12; \
+	LEAQ    (base)(stride*4), R10; \
+	LEAQ    (R10)(stride*2), R13; \
+	VMOVUPS Z0, (base); \
+	VMOVUPS Z1, 64(base); \
+	VMOVUPS Z2, (base)(stride*1); \
+	VMOVUPS Z3, 64(base)(stride*1); \
+	VMOVUPS Z4, (R12); \
+	VMOVUPS Z5, 64(R12); \
+	VMOVUPS Z6, (R12)(stride*1); \
+	VMOVUPS Z7, 64(R12)(stride*1); \
+	VMOVUPS Z8, (R10); \
+	VMOVUPS Z9, 64(R10); \
+	VMOVUPS Z10, (R10)(stride*1); \
+	VMOVUPS Z11, 64(R10)(stride*1); \
+	VMOVUPS Z12, (R13); \
+	VMOVUPS Z13, 64(R13); \
+	VMOVUPS Z14, (R13)(stride*1); \
+	VMOVUPS Z15, 64(R13)(stride*1)
+
+// func mulVec8AVX512(out *float32, outStride, nBlocks int, a *float32, aRow, k int, codes *byte, rowBytes int, scale *float32, bits int, levels *float32, shifts *uint32)
+//
+// mulVecAVX2 at eight activation rows of 2-, 3- or 4-bit codes, nBlocks a
+// positive multiple of 4: out[r·outStride + 8b+j] += Σ_k a[r·aRow + k] ·
+// w[k][8b+j] for r in 0..7, ascending k, skipping a == ±0 row by row;
+// outStride and aRow in bytes. Blocks go four at a time, 32 columns of eight
+// rows in sixteen zmm accumulators (Z0:Z1 row 0 … Z14:Z15 row 7) live across
+// the whole k sweep; per k the four code words are decoded once, in
+// registers (Z20:Z21), and multiplied into all eight rows, VMULPS then
+// VADDPS. The scales of the 32 columns stay in Z18:Z19 for the sweep. levels
+// and shifts are mulVec2AVX512's. Rows 0-3 are read at R11 plus 0-3 row
+// strides, rows 4-7 at R10 plus the same (SI = aRow, DX = 3·aRow). No BP is
+// written.
+TEXT ·mulVec8AVX512(SB), NOSPLIT, $0-96
+	MOVQ out+0(FP), DI
+	MOVQ nBlocks+16(FP), CX
+	MOVQ aRow+32(FP), SI
+	LEAQ (SI)(SI*2), DX
+	MOVQ codes+48(FP), BX
+	MOVQ rowBytes+56(FP), R9
+	MOVQ bits+72(FP), R14
+	MOVQ levels+80(FP), AX
+	VMOVUPS (AX), Z16
+	MOVQ shifts+88(FP), AX
+	VMOVDQU32 (AX), Z17
+	LEAQ (R14)(R14*2), R15
+	MOVQ R9, R8
+	SHLQ $6, R8 // prefetch distance: 64 rows
+
+z32:
+	// This group's scales sit as far past scale as its sums past out.
+	MOVQ    DI, AX
+	SUBQ    out+0(FP), AX
+	ADDQ    scale+64(FP), AX
+	VMOVUPS (AX), Z18
+	VMOVUPS 64(AX), Z19
+	MOVQ    outStride+8(FP), AX
+	OUT8LOAD(DI, AX)
+	MOVQ    a+24(FP), R11
+	LEAQ    (R11)(SI*4), R10
+	MOVQ    BX, R12
+	MOVQ    k+40(FP), R13
+
+z32loop:
+	PREFETCHT0 (R12)(R8*1)
+	ZDEC8(Z20, (R12), (R12)(R14*1), Z18)
+	ZDEC8(Z21, (R12)(R14*2), (R12)(R15*1), Z19)
+	ROW8((R11), Z0, Z1, z32row0)
+	ROW8((R11)(SI*1), Z2, Z3, z32row1)
+	ROW8((R11)(SI*2), Z4, Z5, z32row2)
+	ROW8((R11)(DX*1), Z6, Z7, z32row3)
+	ROW8((R10), Z8, Z9, z32row4)
+	ROW8((R10)(SI*1), Z10, Z11, z32row5)
+	ROW8((R10)(SI*2), Z12, Z13, z32row6)
+	ROW8((R10)(DX*1), Z14, Z15, z32row7)
+	ADDQ $4, R11
+	ADDQ $4, R10
+	ADDQ R9, R12
+	DECQ R13
+	JNZ  z32loop
+	MOVQ outStride+8(FP), AX
+	OUT8STORE(DI, AX)
+	ADDQ $128, DI
+	LEAQ (BX)(R14*4), BX
+	SUBQ $4, CX
+	JNZ  z32
 	VZEROUPPER
 	RET
 

@@ -31,10 +31,11 @@ func sameFloats(t *testing.T, name string, got, want []float32) {
 	}
 }
 
-// eachPairMode runs fn with the AVX-512 two-row kernel as detected, and once
-// more with it off where it was on, so one AVX-512 host checks both it and
-// the AVX2 two-row loop. path names the kernel under two rows.
-func eachPairMode(fn func(path string)) {
+// eachAVX512Mode runs fn with the AVX-512 two- and eight-row kernels as
+// detected, and once more with them off where they were on, so one AVX-512
+// host checks both them and the AVX2 loop. path names the kernel under two
+// and eight rows.
+func eachAVX512Mode(fn func(path string)) {
 	detected := useAVX512
 	defer func() { useAVX512 = detected }()
 	if detected {
@@ -47,10 +48,12 @@ func eachPairMode(fn func(path string)) {
 // simdCase builds a uniform packed matrix out of random code bytes (every
 // bit pattern is a code) whose Codes, Scale, activations and outputs all
 // start off bytes/elements into their backing arrays and end exactly at
-// their length, then compares the AVX2 MulVecInto, at one activation row and
-// at two, and DecodeRowsInto with their Go twins on the band of blocks
-// [bLo, bHi) and the rows [rLo, rows). Of the two activation rows, one has
-// zeros where the other does not, so each row's own skip is exercised.
+// their length, then compares the AVX2 MulVecInto, at one activation row,
+// two, and 3–8, 13 and 24 in groups of eight (the rows past the last
+// multiple of 8 padded with zero rows, as tensor pads them), and
+// DecodeRowsInto with their Go twins on the band of blocks [bLo, bHi) and
+// the rows [rLo, rows). The activation rows have zeros in different places,
+// so each row's own skip is exercised.
 func simdCase(t *testing.T, seed int64, bits, rows, blocks, bLo, bHi, rLo, off int, special uint8) {
 	t.Helper()
 	if !useAVX2 {
@@ -64,7 +67,7 @@ func simdCase(t *testing.T, seed int64, bits, rows, blocks, bLo, bHi, rLo, off i
 		codes[i] = byte(g.Intn(256))
 	}
 	p := &Packed{Bits: bits, Rows: rows, Cols: cols, Codes: codes, Scale: g.Normal(0, 0.1, 1, off+cols).Data[off:]}
-	a := g.Normal(0, 1, 1, off+2*rows).Data[off:]
+	a := g.Normal(0, 1, 1, off+24*rows).Data[off:]
 	for i := range a {
 		if g.Intn(3) == 0 {
 			a[i] = 0
@@ -86,16 +89,25 @@ func simdCase(t *testing.T, seed int64, bits, rows, blocks, bLo, bHi, rLo, off i
 	// the gap must stay.
 	n := colHi - colLo
 	outStride := n + 3
-	eachPairMode(func(path string) {
-		for _, aRows := range []int{1, 2} {
-			got := make([]float32, off+(aRows-1)*outStride+n)[off:]
+	eachAVX512Mode(func(path string) {
+		for _, aRows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 13, 24} {
+			group := aRows
+			if aRows > 2 {
+				group = 8
+			}
+			padded := (aRows + group - 1) / group * group
+			ap := make([]float32, off+padded*rows)[off:]
+			copy(ap, a[:aRows*rows])
+			got := make([]float32, off+(padded-1)*outStride+n)[off:]
 			for i := range got {
 				got[i] = float32(math.NaN()) // every element must be overwritten
 			}
 			want := append([]float32(nil), got...)
-			p.mulVecSIMD(got, outStride, a, aRows, colLo, colHi)
-			for r := 0; r < aRows; r++ {
-				if !p.mulVecGo(want[r*outStride:], a[r*rows:(r+1)*rows], colLo, colHi) {
+			for r := 0; r < padded; r += group {
+				p.mulVecSIMD(got[r*outStride:], outStride, ap[r*rows:], group, colLo, colHi)
+			}
+			for r := 0; r < padded; r++ {
+				if !p.mulVecGo(want[r*outStride:], ap[r*rows:(r+1)*rows], colLo, colHi) {
 					t.Fatalf("%s: no Go kernel for a word-aligned band", name)
 				}
 			}
@@ -116,7 +128,8 @@ func simdCase(t *testing.T, seed int64, bits, rows, blocks, bLo, bHi, rLo, off i
 // (where a 2- or 3-bit row is shorter than the 4 bytes the kernel loads),
 // quads of blocks and single ones, one row and many; at two activation rows,
 // whole groups of eight blocks for the AVX-512 kernel, alone and with blocks
-// left over for the AVX2 loop.
+// left over for the AVX2 loop, and at eight, whole groups of four blocks for
+// the other AVX-512 kernel, alone and with blocks left over.
 func TestPackedSIMDMatchesGo(t *testing.T) {
 	for _, bits := range []int{2, 3, 4, 8} {
 		for _, rows := range []int{1, 2, 37} {

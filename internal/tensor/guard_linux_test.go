@@ -49,12 +49,16 @@ func guardedFloats(t *testing.T, src []float32) []float32 {
 // or 32 where 8 columns are left, dies here with SIGSEGV. k and n cover one
 // block, a ragged quad, quad + one, and many, and n one and eight whole
 // 32-column tiles and one, two and four whole 64-column blocks as well; m = 1
-// is the fused MulVecInto at one row, m = 2 at two, m = 3 at two and then
-// one; m ∈ {4, 8, 16} the tile decode under the AVX-512 tile kernel's whole
-// groups of four rows, m ∈ {5, 17, 19} with 1 and 3 rows left over, and
-// m ∈ {2, 6} put the dense two-row pass on the last two rows, so at n a
-// multiple of 64 its last column is flush against the guard page — each
-// matmul under every kernel of this host.
+// is the fused MulVecInto at one row, m = 2 at two. With the AVX-512 kernels
+// on, 2- to 4-bit codes run the fused eight-row kernel over the guarded codes
+// and activations and into the guarded output at m = 8 and 16, over a padded
+// group at m ∈ {3, 4, 5, 6}, and over whole groups and then one row or a
+// padded three at m ∈ {17, 19}; with them off, m = 3 is two rows and then
+// one. The rest run the tile decode, under the AVX-512 tile kernel's whole
+// groups of four rows where it is on, and m ∈ {2, 6} put the dense two-row
+// pass on the last two rows, so at n a multiple of 64 its last column is
+// flush against the guard page — each matmul under every kernel of this
+// host.
 func TestKernelsStayInsideTheirOperands(t *testing.T) {
 	t.Logf("kernel path: %s", tensor.KernelPath())
 	dims := []int{8, 24, 40, 264}

@@ -9,10 +9,15 @@ import "fmt"
 const PackedBlockCols = 8
 
 // packedTileCols is the width of the tile the multi-row packed kernel
-// decodes and sweeps: four blocks, so SumCols runs four accumulators deep
-// (one would wait out the add latency on every k) and the tile a worker
-// holds is k·32 floats — 96 KB at k = 768.
+// decodes and sweeps where no fused kernel takes the rows: four blocks, so
+// SumCols runs four accumulators deep (one would wait out the add latency on
+// every k) and the tile a worker holds is k·32 floats — 96 KB at k = 768.
 const packedTileCols = 4 * PackedBlockCols
+
+// packedGroup is the row count of the widest fused packed kernel: on an
+// AVX-512 host the rows of a call go to MulVecInto eight at a time, and a
+// last group of three to seven rows is padded to eight with zero rows.
+const packedGroup = 8
 
 // PackedMat is a bit-packed rank-2 weight matrix that can expand tiles of
 // itself into float32 scratch. It is the seam between the tensor kernels
@@ -33,23 +38,24 @@ type PackedMat interface {
 	// column block wide; a format makes that the fast case when the block
 	// is word-aligned in its bit stream.
 	DecodeRowsInto(dst []float32, rowLo, rowHi, colLo, colHi int)
-	// MulVecInto is the kernel for one or two activation rows, fused
-	// with the decode: for each r < rows (1 or 2),
+	// MulVecInto is the kernel for one, two or eight activation rows,
+	// fused with the decode: for each r < rows,
 	// out[r·outStride + j-colLo] = Σ_k a[r·K + k]·w[k][j] for
 	// colLo ≤ j < colHi, with K the matrix's row count — each output one
 	// ascending-k float32 sum from +0 over exactly the values
 	// DecodeRowsInto produces, skipping every a == 0 of its own row. That
 	// is what decoding the band and running matmulRows over it gives, bit
-	// for bit, without the float32 round trip through scratch; two rows
+	// for bit, without the float32 round trip through scratch; the rows
 	// share each decoded code word. It reports false, having written
 	// nothing, when the band is not word-aligned in the format's bit
-	// stream or the format has no fused kernel for that many rows; the
-	// caller then goes through tiles.
+	// stream or the format has no fused kernel for that many rows on this
+	// host; the caller then goes through tiles.
 	MulVecInto(out []float32, outStride int, a []float32, rows, colLo, colHi int) bool
 }
 
-// PackedScratch holds the per-worker tile-decode buffers for the packed
-// matmul kernels. One scratch may be reused across any number of
+// PackedScratch holds the per-worker buffers of the packed matmul kernels:
+// the tile a worker decodes, or the zero-padded group of rows it hands the
+// eight-row kernel. One scratch may be reused across any number of
 // sequential kernel calls (buffers grow to the largest request and stay),
 // which is what keeps the decode hot loop at zero allocations per token.
 // A scratch must not be shared by two kernel calls running concurrently;
@@ -84,10 +90,11 @@ func (s *PackedScratch) ensure(workers, elems int) [][]float32 {
 // are bitwise identical to MatMulInto(out, a, w.Unpack()) at any
 // GOMAXPROCS: each output element is one ascending-k float32 sum from +0
 // with the same zero skip as matmulRows, over the same decoded values, and
-// column bands own disjoint output columns. The loop is column-tile-outer
-// (matmulPackedCols): a tile of w is decoded once and every activation row
-// sweeps it with SumCols. scratch may be nil (a temporary is
-// allocated); pass a reused scratch on hot paths.
+// column bands own disjoint output columns. The loop is column-band-outer
+// (matmulPackedCols): each code word of the band is decoded once per group
+// of rows the format's fused kernel takes, or once into a tile that every
+// remaining activation row sweeps with SumCols. scratch may be nil (a
+// temporary is allocated); pass a reused scratch on hot paths.
 func MatMulPackedInto(out, a *Tensor, w PackedMat, scratch *PackedScratch) {
 	m, k := a.Rows(), a.Cols()
 	wr, n := w.Dims()
@@ -101,9 +108,14 @@ func MatMulPackedInto(out, a *Tensor, w PackedMat, scratch *PackedScratch) {
 	// so a band boundary never splits a word-aligned block into two unaligned
 	// halves and only the last band has a narrow tile. Column bands, unlike
 	// the dense kernels' row bands, decode each column of w once at any
-	// worker count.
+	// worker count. A worker's buffer holds a tile or, where the last group
+	// of rows is padded (mulVecGroup), that group's rows and sums.
 	workers := BandWorkers(n, blockSize, m*n*k)
-	bufs := scratch.ensure(workers, k*packedTileCols)
+	elems := k * packedTileCols
+	if useAVX512 && m%packedGroup >= 3 {
+		elems = max(elems, packedGroup*(k+n))
+	}
+	bufs := scratch.ensure(workers, elems)
 	if workers <= 1 {
 		matmulPackedCols(out, a, w, bufs[0], 0, n)
 	} else {
@@ -111,24 +123,75 @@ func MatMulPackedInto(out, a *Tensor, w PackedMat, scratch *PackedScratch) {
 	}
 }
 
-// matmulPackedCols computes out columns [jLo, jHi) of a × w (all rows),
-// one tile at a time. Fewer rows than one group of four go to the format's
-// fused MulVecInto, two at a time. Otherwise the full-height k × 32 tile is
-// decoded once into scratch and the activation rows then sweep it with
-// sumColsRows — the dense kernel's primitive, over a contiguous tile
-// instead of a strided block of b. A full tile is exactly as wide as one
-// sumTileAVX512 tile.
-func matmulPackedCols(out, a *Tensor, w PackedMat, tile []float32, jLo, jHi int) {
+// matmulPackedCols computes out columns [jLo, jHi) of a × w (all rows).
+// The rows the format's fused MulVecInto takes (mulVecRows) decode each code
+// word once per group of rows, in registers; any it leaves go through tiles:
+// the full-height k × 32 tile is decoded once into buf and those activation
+// rows then sweep it with sumColsRows — the dense kernel's primitive, over a
+// contiguous tile instead of a strided block of b. A full tile is exactly as
+// wide as one sumTileAVX512 tile.
+func matmulPackedCols(out, a *Tensor, w PackedMat, buf []float32, jLo, jHi int) {
 	m, k, n := a.Rows(), a.Cols(), out.Cols()
-	if m < 4 && w.MulVecInto(out.Data[jLo:], n, a.Data, min(m, 2), jLo, jHi) {
-		if m == 3 {
-			w.MulVecInto(out.Data[2*n+jLo:], n, a.Data[2*k:], 1, jLo, jHi)
-		}
+	r := mulVecRows(out, a, w, buf, jLo, jHi)
+	if r == m {
 		return
 	}
+	tile := buf[:k*packedTileCols]
 	for j0 := jLo; j0 < jHi; j0 += packedTileCols {
 		jw := min(packedTileCols, jHi-j0)
 		w.DecodeRowsInto(tile, 0, k, j0, j0+jw)
-		sumColsRows(out.Data[j0:], n, jw, a.Data, k, 1, tile, jw, k, m)
+		sumColsRows(out.Data[r*n+j0:], n, jw, a.Data[r*k:], k, 1, tile, jw, k, m-r)
 	}
+}
+
+// mulVecRows runs the leading rows of a × w over columns [jLo, jHi) through
+// w.MulVecInto and returns how many it ran. On an AVX-512 host, from three
+// rows up the rows go in groups of packedGroup (mulVecGroup). The one or two
+// rows left, or a call of fewer than four rows where the format declines
+// eight, go one pair at a time: four rows and up share one tile decode
+// instead.
+func mulVecRows(out, a *Tensor, w PackedMat, buf []float32, jLo, jHi int) int {
+	m, k, n := a.Rows(), a.Cols(), out.Cols()
+	r := 0
+	for useAVX512 && m-r >= 3 {
+		g := min(m-r, packedGroup)
+		if !mulVecGroup(out, a, w, buf, r, g, jLo, jHi) {
+			break
+		}
+		r += g
+	}
+	if m-r >= 4 {
+		return r
+	}
+	for r < m {
+		g := min(m-r, 2)
+		if !w.MulVecInto(out.Data[r*n+jLo:], n, a.Data[r*k:], g, jLo, jHi) {
+			break
+		}
+		r += g
+	}
+	return r
+}
+
+// mulVecGroup runs rows [r, r+g) of a × w through the eight-row MulVecInto,
+// reporting false, having written nothing, where the format declines it. A
+// group of fewer than eight rows is copied into buf beside zero rows, whose
+// products the kernel's zero skip drops at the cost of a branch each, and
+// its sums are copied back out (DESIGN.md §6, "Eight rows, one decode").
+func mulVecGroup(out, a *Tensor, w PackedMat, buf []float32, r, g, jLo, jHi int) bool {
+	k, n := a.Cols(), out.Cols()
+	if g == packedGroup {
+		return w.MulVecInto(out.Data[r*n+jLo:], n, a.Data[r*k:], g, jLo, jHi)
+	}
+	bw := jHi - jLo
+	pa, po := buf[:packedGroup*k], buf[packedGroup*k:packedGroup*(k+bw)]
+	copy(pa, a.Data[r*k:(r+g)*k])
+	clear(pa[g*k:])
+	if !w.MulVecInto(po, bw, pa, packedGroup, jLo, jHi) {
+		return false
+	}
+	for i := range g {
+		copy(out.Data[(r+i)*n+jLo:(r+i)*n+jHi], po[i*bw:(i+1)*bw])
+	}
+	return true
 }

@@ -69,10 +69,12 @@ func BenchmarkPackedMatMulFused8(b *testing.B) {
 	benchFused(b, quant.Pack(w, 8), a)
 }
 
-// BenchmarkMatMulPackedGrid is EXPERIMENTS.md's kernel table: every width
-// LUC emits, at one row and two (the fused MulVecInto, one pass),
-// three (two passes), a decode batch (the tile decode and sweep) and a
-// prefill run. Ungated, and named so the
+// BenchmarkMatMulPackedGrid is EXPERIMENTS.md's kernel table and DESIGN.md
+// §6's row-count table: every width LUC emits, at one row and two (the
+// fused one- and two-row MulVecInto), three and four (on an AVX-512 host
+// the eight-row kernel over a padded group), a decode batch and its
+// multiples (groups of eight; elsewhere, and at 8 bits, the tile decode and
+// sweep) and a prefill run, each also as GMAC/s. Ungated, and named so the
 // gate jobs' 'BenchmarkPack' pattern leaves it out.
 func BenchmarkMatMulPackedGrid(b *testing.B) {
 	_, w := packedBenchOperands(b)
@@ -82,10 +84,16 @@ func BenchmarkMatMulPackedGrid(b *testing.B) {
 	}{
 		{"2b", quant.Pack(w, 2)}, {"3b", quant.Pack(w, 3)}, {"4b", quant.Pack(w, 4)}, {"8b", quant.Pack(w, 8)},
 	}
-	for _, m := range []int{1, 2, 3, 8, 16} {
+	gmacs := func(b *testing.B, m int) {
+		b.ReportMetric(float64(m*pbK*pbN)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GMAC/s")
+	}
+	for _, m := range []int{1, 2, 3, 4, 8, 16, 24} {
 		a := tensor.NewRNG(22).Normal(0, 1, m, pbK)
 		for _, wt := range weights {
-			b.Run(fmt.Sprintf("m%d/%s", m, wt.name), func(b *testing.B) { benchFused(b, wt.p, a) })
+			b.Run(fmt.Sprintf("m%d/%s", m, wt.name), func(b *testing.B) {
+				benchFused(b, wt.p, a)
+				gmacs(b, m)
+			})
 		}
 		b.Run(fmt.Sprintf("m%d/f32", m), func(b *testing.B) {
 			out := tensor.New(m, pbN)
@@ -93,6 +101,7 @@ func BenchmarkMatMulPackedGrid(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tensor.MatMulInto(out, a, w)
 			}
+			gmacs(b, m)
 		})
 	}
 }

@@ -68,7 +68,9 @@ func checkPackedMatMul(t *testing.T, name string, a *tensor.Tensor, p packedVari
 // word path (n a multiple of 8), shapes that cannot (ragged n: every tile
 // per element, the last one narrow), and one and two activation rows —
 // the fused MulVecInto at one row and at two (tiles where a format has no
-// two-row kernel) — at each. Zero activations exercise the shared
+// two-row kernel) — at each; then the row counts the eight-row kernel
+// splits: a padded group alone (3, 4, 5), whole groups (8, 16, 24) and
+// groups with one row left (9, 17). Zero activations exercise the shared
 // zero-skip.
 func TestMatMulPackedBitwiseMatchesUnpack(t *testing.T) {
 	shapes := [][3]int{ // m, k, n
@@ -82,6 +84,11 @@ func TestMatMulPackedBitwiseMatchesUnpack(t *testing.T) {
 			for _, n := range []int{7, 8, 67, 256} {
 				shapes = append(shapes, [3]int{m, k, n})
 			}
+		}
+	}
+	for _, m := range []int{3, 4, 5, 8, 9, 16, 17, 24} {
+		for _, n := range []int{40, 96, 264} {
+			shapes = append(shapes, [3]int{m, 65, n})
 		}
 	}
 	for _, sh := range shapes {
@@ -101,21 +108,25 @@ func TestMatMulPackedBitwiseMatchesUnpack(t *testing.T) {
 // TestMatMulPackedSpecialActivations pins the zero skip against the
 // reference's: -0 is skipped like +0 (so a ±Inf or NaN weight product
 // never appears), while NaN and ±Inf activations are multiplied through —
-// Inf·0-code is NaN in both kernels or in neither. Two and three rows go
-// through the fused two-row kernel; from four rows up the tiles go through
-// the AVX-512 tile kernel; every shape runs under every kernel of this
-// host. Then the two-row kernel's own skip: at 2, 3, 4 and 8 bits, against
-// a column whose Inf scale makes every weight in it ±Inf or NaN, one row is
-// all ±0 where the other row is nonzero, in both directions, so that column
-// of the zero row is +0 only if every one of its products is skipped; its
-// last code row, which at 2 and 3 bits the band that ends the stream
-// decodes in Go, holds each special value in turn.
+// Inf·0-code is NaN in both kernels or in neither. One and two rows go
+// through the fused one- and two-row kernels; with the AVX-512 kernels on,
+// from three rows up 2- to 4-bit codes go through the fused eight-row
+// kernel, a last group of 3–7 rows padded with zero rows, and 8-bit codes
+// through the tile kernel; every shape runs under every kernel of this host.
+// Then the fused kernels' own skip: at 2, 3, 4 and 8 bits, against a column
+// whose Inf scale makes every weight in it ±Inf or NaN, one row is all ±0
+// where the other rows are nonzero, so that column of the zero row is +0
+// only if every one of its products is skipped; its last code row, which at
+// 2 and 3 bits the band that ends the stream decodes in Go, holds each
+// special value in turn. At 3, 5 and 13 rows the zero row sits inside a
+// padded group, beside the padding.
 func TestMatMulPackedSpecialActivations(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	inf := float32(math.Inf(1))
 	specials := []float32{negZero, float32(math.NaN()), inf, -inf, 0}
 	tensor.EachTileMode(func(path string) {
-		for _, sh := range [][3]int{{1, 64, 64}, {2, 64, 64}, {3, 64, 64}, {1, 37, 21}, {2, 37, 21}, {2, 37, 72}, {3, 37, 72}, {16, 64, 64}, {19, 37, 72}, {128, 40, 40}} {
+		for _, sh := range [][3]int{{1, 64, 64}, {2, 64, 64}, {3, 64, 64}, {1, 37, 21}, {2, 37, 21}, {2, 37, 72}, {3, 37, 72}, {16, 64, 64}, {19, 37, 72}, {128, 40, 40},
+			{4, 64, 96}, {5, 37, 72}, {8, 37, 72}, {9, 64, 96}, {17, 37, 72}, {24, 64, 96}} {
 			m, k, n := sh[0], sh[1], sh[2]
 			w := randTensor(k, n, 77)
 			for col := 0; col < n; col += 5 {
@@ -133,14 +144,18 @@ func TestMatMulPackedSpecialActivations(t *testing.T) {
 			}
 		}
 	})
-	for _, sh := range [][3]int{{2, 64, 64}, {3, 64, 64}, {2, 37, 72}, {3, 37, 72}} {
+	for _, sh := range [][3]int{{2, 64, 64}, {3, 64, 64}, {2, 37, 72}, {3, 37, 72}, {5, 37, 72}, {8, 64, 96}, {13, 37, 72}} {
 		m, k, n := sh[0], sh[1], sh[2]
 		w := randTensor(k, n, 78)
 		w.Set(k/3, 5, inf)
+		zeroRows := []int{0, 1}
+		if m > 2 {
+			zeroRows = append(zeroRows, m-1)
+		}
 		for _, bits := range []int{2, 3, 4, 8} {
 			p := quant.Pack(w, bits)
 			for si, sp := range specials {
-				for row := 0; row < 2; row++ {
+				for _, row := range zeroRows {
 					a := randTensor(m, k, int64(200+si))
 					for kk := 0; kk < k; kk++ {
 						a.Set(row, kk, []float32{0, negZero}[kk%2])
