@@ -512,6 +512,9 @@ func cmdTrain(args []string) error {
 	if *iters < 1 {
 		return fmt.Errorf("train: -iters must be at least 1, got %d", *iters)
 	}
+	if *pretrain < 0 {
+		return fmt.Errorf("train: -pretrain must be at least 0, got %d", *pretrain)
+	}
 
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
@@ -575,6 +578,9 @@ func cmdSensitivity(args []string) error {
 	fs := flag.NewFlagSet("sensitivity", flag.ExitOnError)
 	iters := fs.Int("pretrain", 200, "pretraining iterations before probing")
 	fs.Parse(args)
+	if *iters < 0 {
+		return fmt.Errorf("sensitivity: -pretrain must be at least 0, got %d", *iters)
+	}
 	fmt.Println(core.ExperimentF3(context.Background(), *iters).String())
 	return nil
 }

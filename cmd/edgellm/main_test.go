@@ -194,6 +194,27 @@ func TestCmdTrainRejectsZeroIters(t *testing.T) {
 	}
 }
 
+// TestCmdTrainRejectsNegativePretrain: -pretrain below 0 is a flag error
+// before any pretraining, not a run that silently pretrains 0 steps.
+func TestCmdTrainRejectsNegativePretrain(t *testing.T) {
+	out := t.TempDir() + "/m.ckpt"
+	err := cmdTrain([]string{"-pretrain", "-5", "-o", out})
+	if err == nil || !strings.Contains(err.Error(), "-pretrain") {
+		t.Fatalf("train -pretrain -5: err = %v, want a -pretrain flag error", err)
+	}
+	if _, statErr := os.Stat(out); statErr == nil {
+		t.Fatal("train -pretrain -5 wrote a checkpoint")
+	}
+}
+
+// TestCmdSensitivityRejectsNegativePretrain: the same for sensitivity.
+func TestCmdSensitivityRejectsNegativePretrain(t *testing.T) {
+	err := cmdSensitivity([]string{"-pretrain", "-1"})
+	if err == nil || !strings.Contains(err.Error(), "-pretrain") {
+		t.Fatalf("sensitivity -pretrain -1: err = %v, want a -pretrain flag error", err)
+	}
+}
+
 // TestCmdScheduleRejectsBadShapes: a GEMM dimension below 1, a width outside
 // the packed format's 2–8 bits or a sparsity outside [0, 1) is a flag error
 // before anything is priced, not a NaN cost or a 0-bit weight priced as

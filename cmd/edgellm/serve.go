@@ -56,6 +56,9 @@ func cmdServe(args []string) (err error) {
 	tracePath := fs.String("trace", "", "write request span timelines as Chrome trace-event JSON to this file (open in chrome://tracing or Perfetto)")
 	metricsPath := fs.String("metrics", "", "stream telemetry events as JSONL to this file")
 	fs.Parse(args)
+	if *slots < 1 {
+		return fmt.Errorf("serve: -slots must be at least 1, got %d", *slots)
+	}
 	kvBudget, err := parseMemBudget(*memBudget, false)
 	if err != nil {
 		return err

@@ -50,6 +50,19 @@ func TestServeRejectsBadMemBudget(t *testing.T) {
 	}
 }
 
+// TestServeRejectsNonPositiveSlots: -slots below 1 is a flag error before
+// a model, telemetry or the SLO tracker is built, not a panic in the batch
+// decoder. (The address cannot be listened on, so a wrongly accepted value
+// cannot leave the test serving.)
+func TestServeRejectsNonPositiveSlots(t *testing.T) {
+	for _, v := range []string{"0", "-2"} {
+		err := cmdServe([]string{"-addr", "no-port", "-slots", v})
+		if err == nil || !strings.Contains(err.Error(), "-slots") {
+			t.Errorf("serve -slots %s: error %v, want a -slots flag error", v, err)
+		}
+	}
+}
+
 // TestServeBitsWithAdapters is `serve -bits SPEC -adapters DIR` below the
 // flag parsing. A backbone packed the way -bits packs it releases exactly
 // PackModel's ReleasedBytes from the weight pool and keeps the resident

@@ -355,8 +355,8 @@ func (t *Tuner) SetWindowSize(w int) error {
 	return nil
 }
 
-// SetIteration overrides the iteration counter; snapshot resume uses it so
-// the window schedule continues from the interrupted position.
+// SetIteration overrides the iteration counter, placing the window schedule
+// at iteration n; tests use it to pick the window a step tunes.
 func (t *Tuner) SetIteration(n int) { t.iter = n }
 
 // recordBlockGrads publishes the L2 gradient norm of every block in the

@@ -1,6 +1,6 @@
 // Package artifact is the one implementation of the container every edgellm
-// file is written in — model checkpoints, training snapshots, adapters and
-// packed weights (DESIGN.md, "Artifacts"):
+// file is written in — model checkpoints, adapters and packed weights
+// (DESIGN.md, "Artifacts"):
 //
 //	magic [8] | body | "ELCF" | uint32 CRC32-IEEE over magic and body
 //
@@ -94,8 +94,8 @@ type Reader struct {
 }
 
 // NewReader reads the magic from r and fails unless it is one of accept. r
-// must not read ahead of what is asked of it when artifacts are nested or
-// followed by other data (a bufio.Reader around the outermost one is fine).
+// must not read ahead of what is asked of it when the artifact is followed
+// by other data (a bufio.Reader around the whole stream is fine).
 func NewReader(r io.Reader, accept ...Magic) (*Reader, error) {
 	ar := &Reader{r: r, crc: crc32.NewIEEE()}
 	if _, err := io.ReadFull(ar, ar.magic[:]); err != nil {

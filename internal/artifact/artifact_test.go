@@ -15,7 +15,6 @@ import (
 	"edgellm/internal/fault"
 	"edgellm/internal/nn"
 	"edgellm/internal/quant"
-	"edgellm/internal/train"
 )
 
 // kinds is every artifact format built on the container: a seeded small
@@ -37,19 +36,7 @@ var kinds = []struct {
 		_, err := nn.LoadAdapter(bytes.NewReader(data))
 		return err
 	}, "985de7271e654618c04ce266b67a411598246872e5c49194cb3a8a064a558203"},
-	{"snapshot", snapshotBytes, loadSnapshot, "9691b979ffa736f9a691ec63481436d354d9a5a48b21068f2adcb5ab589cd0c6"},
 	{"packed-uniform4", uniform4Bytes, loadPacked, "52c3ff5dfec5c9c7f6ba34d51102d6bd7ef6e564b81da556eb99a8803830ba4a"},
-}
-
-// loadSnapshot also holds ReadSnapshot to its trust rule: a load that fails
-// has installed nothing into the trainer it was given.
-func loadSnapshot(t *testing.T, data []byte) error {
-	tr := fixtureTrainer()
-	_, err := train.ReadSnapshot(bytes.NewReader(data), tr, train.LoopConfig{})
-	if _, slots := tr.Opt.ExportState(); err != nil && (tr.StepCount() != 0 || len(slots) != 0) {
-		t.Fatalf("failed snapshot load (%v) left step %d and %d optimizer slots in the trainer", err, tr.StepCount(), len(slots))
-	}
-	return err
 }
 
 func loadPacked(_ *testing.T, data []byte) error {

@@ -8,11 +8,9 @@ import (
 	"edgellm/internal/nn"
 	"edgellm/internal/quant"
 	"edgellm/internal/tensor"
-	"edgellm/internal/train"
 )
 
-// Seeded small instances of the four artifact kinds (packed weights in both
-// encodings). Every float is an integer over 1024, exact in float32 on any
+// Seeded small instances of the three artifact kinds. Every float is an integer over 1024, exact in float32 on any
 // architecture, so the bytes — and the sha256 pinned in kinds — do not depend
 // on libm or on whether the compiler fuses multiply-adds.
 
@@ -55,29 +53,6 @@ func adapterBytes(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	return saved(t, a.Save)
-}
-
-// fixtureTrainer is the trainer a snapshot fixture is written from and read
-// back into: AdamW, as the tuning loops use.
-func fixtureTrainer() *train.Trainer { return train.NewTrainer(train.NewAdamW(0.01), 0.01, 1.0) }
-
-func snapshotBytes(t testing.TB) []byte {
-	m, tr := fixtureModel(), fixtureTrainer()
-	slots := map[string]*tensor.Tensor{}
-	for i, p := range m.Params()[:3] {
-		slots["m/"+p.Name] = fill(tensor.New(p.Value.Data.Shape...), 41+i)
-		slots["v/"+p.Name] = fill(tensor.New(p.Value.Data.Shape...), 51+i)
-	}
-	tr.Opt.ImportState(3, slots)
-	tr.SetStepCount(3)
-	loop := train.NewLoop(m, tr, train.LoopConfig{Seed: 5})
-	if _, err := loop.Run(3, func(_ int, rng *tensor.RNG) (float64, error) {
-		rng.Intn(10)
-		return 0, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return saved(t, loop.WriteSnapshot)
 }
 
 func packedBytes(t testing.TB, p io.WriterTo) []byte {

@@ -8,7 +8,7 @@
 // and the deterministic window schedule, in the train.EstimateMemory
 // accounting system. Live pool readings never enter them (see the package
 // comment in internal/govern), so the rung sequence is byte-identical at
-// any GOMAXPROCS and replays exactly on snapshot resume.
+// any GOMAXPROCS and on every run of the same configuration.
 
 package core
 
@@ -179,22 +179,6 @@ func (p *Pipeline) preStepGovern() {
 	if pool := ag.ActivePool(); pool != nil {
 		gs.gov.ObserveLive(pool.Stats().BytesInUse)
 	}
-}
-
-// ReplayGovernance re-derives the governed state after a snapshot resume:
-// it replays the pre-step admissions for iterations [0, upTo) so the plan,
-// the stepped-parameter tracking, and the recorded rung sequence match
-// what the interrupted run had at that point — degradation composes with
-// resume because both are deterministic in the iteration number.
-func (p *Pipeline) ReplayGovernance(upTo int) {
-	if p.gstate == nil || p.Tuner == nil {
-		return
-	}
-	for i := 0; i < upTo; i++ {
-		p.Tuner.SetIteration(i)
-		p.preStepGovern()
-	}
-	p.Tuner.SetIteration(upTo)
 }
 
 // GovernedPlan returns the currently admitted plan, or the zero Plan when

@@ -26,8 +26,8 @@
 // allocator state. The live tensor.Pool numbers — which depend on how many
 // experiments happen to share the arena at that instant — feed only
 // telemetry (ObserveLive) and the stall watchdog, so the rung sequence and
-// the resulting model bytes are identical at any GOMAXPROCS and compose
-// with snapshot resume: replaying the estimates replays the rungs.
+// the resulting model bytes are identical at any GOMAXPROCS and on every
+// run of the same configuration.
 //
 // Every decision is recorded with its trigger and before/after bytes,
 // exported in the run manifest (obsv.GovernRecord) and emitted as

@@ -126,9 +126,6 @@ func AdoptWeights(m *Model, pool *tensor.Pool) int64 {
 	return n
 }
 
-// Specs returns the per-layer pack specs (f32 layers included).
-func (pm *PackedModel) Specs() []PackSpec { return pm.spec }
-
 // Mat returns the packed matrix of one block weight (nil when the layer
 // stayed float32). wi indexes Block.WeightMatrices order.
 func (pm *PackedModel) Mat(l, wi int) tensor.PackedMat { return pm.mats[l][wi] }

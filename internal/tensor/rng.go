@@ -11,7 +11,7 @@ import (
 type RNG struct {
 	r *rand.Rand
 	// src is non-nil only for savable RNGs (NewSavableRNG), whose entire
-	// generator state is one uint64 and can be checkpointed exactly.
+	// generator state is one uint64 that State exposes.
 	src *splitmix64
 }
 
@@ -20,9 +20,8 @@ func NewRNG(seed int64) *RNG { return &RNG{r: rand.New(rand.NewSource(seed))} }
 
 // splitmix64 is SplitMix64 (Steele, Lea & Flood) exposed as a
 // rand.Source64. Unlike math/rand's default source its complete state is a
-// single uint64, which is what makes savable RNGs checkpointable: a
-// resumable training loop stores the word, restores it, and every
-// subsequent draw is bit-identical to the uninterrupted stream.
+// single uint64, so two savable RNGs can be compared by one word: tests use
+// it to check that two code paths consumed exactly the same draws.
 type splitmix64 struct{ state uint64 }
 
 func (s *splitmix64) Uint64() uint64 {
@@ -37,10 +36,9 @@ func (s *splitmix64) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 func (s *splitmix64) Seed(seed int64) { s.state = uint64(seed) }
 
-// NewSavableRNG returns a deterministic RNG whose full state can be
-// captured with State and reconstructed with RestoreRNG. math/rand's Rand
-// keeps no buffered state for the draw methods RNG exposes, so the source
-// word alone determines the remainder of the stream.
+// NewSavableRNG returns a deterministic RNG whose full state State reads.
+// math/rand's Rand buffers nothing for the draw methods RNG exposes, so two
+// savable RNGs with equal State draw the same values from there on.
 func NewSavableRNG(seed int64) *RNG {
 	src := &splitmix64{state: uint64(seed)}
 	return &RNG{r: rand.New(src), src: src}
@@ -53,13 +51,6 @@ func (g *RNG) State() (state uint64, ok bool) {
 		return 0, false
 	}
 	return g.src.state, true
-}
-
-// RestoreRNG reconstructs a savable RNG at the exact state previously
-// returned by State.
-func RestoreRNG(state uint64) *RNG {
-	src := &splitmix64{state: state}
-	return &RNG{r: rand.New(src), src: src}
 }
 
 // Float64 returns a uniform sample in [0,1).

@@ -5,8 +5,6 @@
 package train
 
 import (
-	"strings"
-
 	"edgellm/internal/nn"
 	"edgellm/internal/tensor"
 )
@@ -24,16 +22,6 @@ type Optimizer interface {
 	// BytesPerElement is the analytic per-element state cost, used by the
 	// memory accountant to predict footprints before training.
 	BytesPerElement() int64
-	// Name identifies the optimizer in reports.
-	Name() string
-	// ExportState returns the optimizer's step counter and a deep copy of
-	// every per-parameter state tensor under stable slot keys, for
-	// crash-safe loop snapshots.
-	ExportState() (step int, slots map[string]*tensor.Tensor)
-	// ImportState replaces the optimizer's state with a previously
-	// exported snapshot (tensors are cloned, so the caller keeps
-	// ownership of the map it passes).
-	ImportState(step int, slots map[string]*tensor.Tensor)
 }
 
 // SGD is stochastic gradient descent with classical momentum and decoupled
@@ -89,28 +77,6 @@ func (s *SGD) BytesPerElement() int64 {
 		return 0
 	}
 	return 4
-}
-
-// Name implements Optimizer.
-func (s *SGD) Name() string { return "sgd" }
-
-// ExportState implements Optimizer: one velocity slot per parameter.
-func (s *SGD) ExportState() (int, map[string]*tensor.Tensor) {
-	slots := make(map[string]*tensor.Tensor, len(s.vel))
-	for name, v := range s.vel {
-		slots["vel/"+name] = v.Clone()
-	}
-	return 0, slots
-}
-
-// ImportState implements Optimizer.
-func (s *SGD) ImportState(_ int, slots map[string]*tensor.Tensor) {
-	s.vel = make(map[string]*tensor.Tensor, len(slots))
-	for key, t := range slots {
-		if name, ok := strings.CutPrefix(key, "vel/"); ok {
-			s.vel[name] = t.Clone()
-		}
-	}
 }
 
 // AdamW is Adam with decoupled weight decay (Loshchilov & Hutter).
@@ -170,33 +136,3 @@ func (a *AdamW) StateBytes() int64 {
 
 // BytesPerElement implements Optimizer.
 func (a *AdamW) BytesPerElement() int64 { return 8 }
-
-// Name implements Optimizer.
-func (a *AdamW) Name() string { return "adamw" }
-
-// ExportState implements Optimizer: first- and second-moment slots per
-// parameter plus the bias-correction step counter.
-func (a *AdamW) ExportState() (int, map[string]*tensor.Tensor) {
-	slots := make(map[string]*tensor.Tensor, 2*len(a.m))
-	for name, t := range a.m {
-		slots["m/"+name] = t.Clone()
-	}
-	for name, t := range a.v {
-		slots["v/"+name] = t.Clone()
-	}
-	return a.step, slots
-}
-
-// ImportState implements Optimizer.
-func (a *AdamW) ImportState(step int, slots map[string]*tensor.Tensor) {
-	a.step = step
-	a.m = map[string]*tensor.Tensor{}
-	a.v = map[string]*tensor.Tensor{}
-	for key, t := range slots {
-		if name, ok := strings.CutPrefix(key, "m/"); ok {
-			a.m[name] = t.Clone()
-		} else if name, ok := strings.CutPrefix(key, "v/"); ok {
-			a.v[name] = t.Clone()
-		}
-	}
-}

@@ -18,8 +18,8 @@ const DefaultMaxBadSteps = 5
 // DivergenceError reports a run that produced MaxBadSteps consecutive
 // non-finite losses or gradients. Trainer.ApplyGrads throws it as a panic
 // value so existing call sites keep their signatures; the experiment
-// runner's per-task recovery and Loop.Run both convert it into an ordinary
-// error. It is deterministic, so the runner classifies it as non-retryable.
+// runner's per-task recovery converts it into an ordinary error. It is
+// deterministic, so the runner classifies it as non-retryable.
 type DivergenceError struct {
 	// Consecutive is the length of the bad-step streak.
 	Consecutive int
@@ -77,7 +77,7 @@ func NewTrainer(opt Optimizer, lr float32, clip float64) *Trainer {
 // skipBadStep accounts one non-finite step: the update is skipped, the
 // event is counted via obsv, and once the streak reaches MaxBadSteps the
 // run is aborted with a *DivergenceError panic (recovered into an error by
-// the runner and by Loop.Run).
+// the experiment runner).
 func (t *Trainer) skipBadStep(lossVal float64) {
 	t.badStreak++
 	if obs := obsv.Global(); obs != nil {
@@ -214,10 +214,6 @@ func (t *Trainer) record(obs *obsv.Recorder, start time.Time, gradNorm float64, 
 
 // StepCount returns how many updates have been applied.
 func (t *Trainer) StepCount() int { return t.step }
-
-// SetStepCount overrides the applied-update counter; snapshot resume uses
-// it so learning-rate schedules continue from the interrupted position.
-func (t *Trainer) SetStepCount(n int) { t.step = n }
 
 // clipToNorm rescales all gradients so their joint L2 norm is ≤ maxNorm
 // (no-op when maxNorm ≤ 0) and reports whether clipping fired. norm is the

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Fuzz every Fuzz* target in the module for 10 s each (about three minutes in
 # all). `go test ./...` already runs each target over its seed corpus; this
-# lets the engine mutate — the loaders of outside bytes (checkpoint, snapshot,
-# adapter, packed weights, the /v1/generate body) get inputs no seed holds,
+# lets the engine mutate — the loaders of outside bytes (checkpoint, adapter,
+# packed weights, the /v1/generate body) get inputs no seed holds,
 # and the packed matmul kernel gets shapes, widths and data no table test
 # lists, each held to the dense kernel over Unpack bit for bit; the three
 # assembly kernels (FuzzSumCols, FuzzPackedSIMD, FuzzAdamW) get shapes,
