@@ -549,18 +549,18 @@ func cmdGenerate(args []string) error {
 	topK := fs.Int("topk", 0, "top-k filter (0 = off)")
 	seed := fs.Int64("seed", 1, "sampling seed")
 	fs.Parse(args)
+	var prompt []int
+	for _, part := range strings.Split(*promptStr, ",") {
+		tok, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
+			return fmt.Errorf("generate: -prompt token %q is not an integer", part)
+		}
+		prompt = append(prompt, tok)
+	}
 
 	m, err := nn.LoadFile(*ckpt)
 	if err != nil {
 		return err
-	}
-	var prompt []int
-	for _, part := range strings.Split(*promptStr, ",") {
-		var tok int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &tok); err != nil {
-			return fmt.Errorf("bad prompt token %q", part)
-		}
-		prompt = append(prompt, tok)
 	}
 	dec := nn.NewDecoder(m)
 	out, err := dec.Generate(prompt, nn.SampleConfig{

@@ -215,6 +215,19 @@ func TestCmdSensitivityRejectsNegativePretrain(t *testing.T) {
 	}
 }
 
+// TestCmdGenerateRejectsBadPrompt: a -prompt token that is not a whole
+// integer is a flag error before the checkpoint loads (the path here does
+// not exist), not a prefix parsed as a token or a token dropped.
+func TestCmdGenerateRejectsBadPrompt(t *testing.T) {
+	ckpt := t.TempDir() + "/absent.ckpt"
+	for _, prompt := range []string{"1,2x,3", "3.7", "", "1,,2"} {
+		err := cmdGenerate([]string{"-ckpt", ckpt, "-prompt", prompt})
+		if err == nil || !strings.Contains(err.Error(), "-prompt") {
+			t.Errorf("generate -prompt %q: err = %v, want a -prompt flag error", prompt, err)
+		}
+	}
+}
+
 // TestCmdScheduleRejectsBadShapes: a GEMM dimension below 1, a width outside
 // the packed format's 2–8 bits or a sparsity outside [0, 1) is a flag error
 // before anything is priced, not a NaN cost or a 0-bit weight priced as

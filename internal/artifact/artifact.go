@@ -1,6 +1,6 @@
 // Package artifact is the one implementation of the container every edgellm
-// file is written in — model checkpoints, adapters and packed weights
-// (DESIGN.md, "Artifacts"):
+// file is written in — model checkpoints and adapters (DESIGN.md,
+// "Artifacts"):
 //
 //	magic [8] | body | "ELCF" | uint32 CRC32-IEEE over magic and body
 //

@@ -14,7 +14,6 @@ import (
 	"edgellm/internal/artifact"
 	"edgellm/internal/fault"
 	"edgellm/internal/nn"
-	"edgellm/internal/quant"
 )
 
 // kinds is every artifact format built on the container: a seeded small
@@ -36,12 +35,6 @@ var kinds = []struct {
 		_, err := nn.LoadAdapter(bytes.NewReader(data))
 		return err
 	}, "985de7271e654618c04ce266b67a411598246872e5c49194cb3a8a064a558203"},
-	{"packed-uniform4", uniform4Bytes, loadPacked, "52c3ff5dfec5c9c7f6ba34d51102d6bd7ef6e564b81da556eb99a8803830ba4a"},
-}
-
-func loadPacked(_ *testing.T, data []byte) error {
-	_, err := quant.ReadPackedFrom(bytes.NewReader(data))
-	return err
 }
 
 func TestGoldenBytes(t *testing.T) {

@@ -6,13 +6,13 @@ import (
 	"testing"
 
 	"edgellm/internal/nn"
-	"edgellm/internal/quant"
 	"edgellm/internal/tensor"
 )
 
-// Seeded small instances of the three artifact kinds. Every float is an integer over 1024, exact in float32 on any
-// architecture, so the bytes — and the sha256 pinned in kinds — do not depend
-// on libm or on whether the compiler fuses multiply-adds.
+// Seeded small instances of the two artifact kinds. Every float is an
+// integer over 1024, exact in float32 on any architecture, so the bytes — and
+// the sha256 pinned in kinds — do not depend on libm or on whether the
+// compiler fuses multiply-adds.
 
 var fixtureCfg = nn.Config{Vocab: 7, Dim: 4, Heads: 2, Layers: 2, Hidden: 6, MaxSeq: 4, ExitHeads: true}
 
@@ -53,12 +53,4 @@ func adapterBytes(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	return saved(t, a.Save)
-}
-
-func packedBytes(t testing.TB, p io.WriterTo) []byte {
-	return saved(t, func(w io.Writer) error { _, err := p.WriteTo(w); return err })
-}
-
-func uniform4Bytes(t testing.TB) []byte {
-	return packedBytes(t, quant.Pack(fill(tensor.New(9, 13), 61), 4))
 }

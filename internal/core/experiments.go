@@ -262,7 +262,7 @@ func ExperimentF1(ctx context.Context) *Report {
 	edgeCfg := cfg
 	edgeCfg.TieExitHeads = true
 
-	vanilla := train.VanillaSpec(baseCfg, batch, seq, adamWBytes)
+	vanilla := train.VanillaSpec(baseCfg, batch, seq)
 	lora := vanilla
 	lora.TrainableElems = adapt.LoRAElems(baseCfg, 8)
 
@@ -271,7 +271,7 @@ func ExperimentF1(ctx context.Context) *Report {
 	freeze.TrainableElems = window * train.BlockElems(cfg)
 
 	edge := train.WindowSpec(edgeCfg, batch, seq, window, 1,
-		train.PerLayer(cfg.Layers, 4), train.PerLayer(cfg.Layers, 0.5), adamWBytes)
+		train.PerLayer(cfg.Layers, 4), train.PerLayer(cfg.Layers, 0.5))
 
 	r := &Report{
 		ID:     "F1",

@@ -325,8 +325,6 @@ func TestRunAllSuiteTimeoutPartialReport(t *testing.T) {
 type crashOpt struct{}
 
 func (crashOpt) Step([]nn.NamedParam, float32) { panic("injected optimizer crash") }
-func (crashOpt) StateBytes() int64             { return 0 }
-func (crashOpt) BytesPerElement() int64        { return 0 }
 
 // TestRunAllPanicLeavesPoolBalanced: a panic thrown while a training
 // step's pooled tape is live must not strand arena bytes — the trainer's

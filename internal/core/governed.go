@@ -32,7 +32,7 @@ func tuningSpec(cfg Config, pl govern.Plan) train.MemorySpec {
 	if pl.BudgetBits > 0 {
 		bits = train.PerLayer(m.Layers, pl.BudgetBits)
 	}
-	return train.WindowSpec(m, pl.Batch, cfg.Seq, pl.WindowSize, pl.Segments, bits, nil, adamWBytes)
+	return train.WindowSpec(m, pl.Batch, cfg.Seq, pl.WindowSize, pl.Segments, bits, nil)
 }
 
 // admissionEstimator prices a pipeline plan at construction time: one
@@ -197,5 +197,5 @@ func (p *Pipeline) Governed() bool { return p.gstate != nil }
 // fine-tuning under cfg — the reference point the CLI's
 // -mem-budget=half-vanilla divides in two.
 func VanillaPeakBytes(cfg Config) int64 {
-	return train.EstimateMemory(train.VanillaSpec(cfg.Model, cfg.Batch, cfg.Seq, adamWBytes)).Total()
+	return train.EstimateMemory(train.VanillaSpec(cfg.Model, cfg.Batch, cfg.Seq)).Total()
 }

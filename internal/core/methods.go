@@ -129,10 +129,6 @@ func DefaultRunOpts() RunOpts {
 	return RunOpts{Iters: 300, MCQIters: 300, EvalBatches: 10, PretrainIters: 700}
 }
 
-// adamWBytes is AdamW's optimizer state per trainable element (two float32
-// moments); every method in the table tunes with AdamW.
-const adamWBytes = 8
-
 // baseline describes one of Table T1's comparison methods once. runBaseline
 // is the only code that admits, trains, evaluates and prices one.
 type baseline struct {
@@ -160,7 +156,7 @@ type baseline struct {
 // memorySpec is the method's analytic accounting under a plan. It needs no
 // built model, so the governor prices a method before constructing it.
 func (b baseline) memorySpec(cfg Config, pl govern.Plan) train.MemorySpec {
-	return b.spec(train.VanillaSpec(cfg.Model, pl.Batch, cfg.Seq, adamWBytes), pl)
+	return b.spec(train.VanillaSpec(cfg.Model, pl.Batch, cfg.Seq), pl)
 }
 
 // memory is the method's one memory function: the governor admits against

@@ -344,7 +344,7 @@ func (p *Pipeline) MemorySpec() train.MemorySpec {
 		bits, sparsity = p.Info.BlockBits(), p.Info.BlockSparsity()
 	}
 	return train.WindowSpec(p.Cfg.Model, p.Cfg.Batch, p.Cfg.Seq, p.Cfg.WindowSize, p.GovernedPlan().Segments,
-		bits, sparsity, adamWBytes)
+		bits, sparsity)
 }
 
 // Memory returns the analytic per-iteration memory breakdown.

@@ -21,8 +21,8 @@ type SampleConfig struct {
 
 // Validate reports the first invalid field.
 func (c SampleConfig) Validate() error {
-	if c.Temperature < 0 {
-		return fmt.Errorf("nn: negative temperature %v", c.Temperature)
+	if !(c.Temperature >= 0) { // NaN too
+		return fmt.Errorf("nn: temperature %v is not ≥ 0", c.Temperature)
 	}
 	if c.TopK < 0 {
 		return fmt.Errorf("nn: negative TopK %d", c.TopK)

@@ -16,6 +16,7 @@ func TestSampleConfigValidate(t *testing.T) {
 	}
 	for _, bad := range []SampleConfig{
 		{Temperature: -1, MaxTokens: 1},
+		{Temperature: math.NaN(), MaxTokens: 1},
 		{TopK: -1, MaxTokens: 1},
 		{MaxTokens: 0},
 	} {

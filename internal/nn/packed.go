@@ -190,10 +190,6 @@ func (d *Decoder) SetPacked(pm *PackedModel) error {
 	return nil
 }
 
-// Packed returns the packed model routed through this decoder (nil when
-// decoding float32 weights).
-func (d *Decoder) Packed() *PackedModel { return d.packed }
-
 // mm runs one block projection, dispatching to the fused packed kernel
 // when layer l's weight wi is packed and to the float32 kernel otherwise,
 // then adds the adapter's side path for that weight if it has one. Both

@@ -346,7 +346,7 @@ func (p *Packed) StorageBytes() int64 {
 	return int64(len(p.Codes)) + int64(len(p.Scale))*4
 }
 
-// PackedStorageBytes is the analytic size of a Packed artifact for a
+// PackedStorageBytes is the analytic size of a Packed matrix for a
 // (rows × cols) matrix at the given width, without materializing it:
 // bit-packed codes plus one float32 scale per column. It matches
 // Packed.StorageBytes exactly, which is what lets govern's admission
@@ -356,8 +356,8 @@ func PackedStorageBytes(rows, cols, bits int) int64 {
 }
 
 // packedCodeBytes is the length of a rows × cols bit stream at the given
-// width, in int64: the bit count of a shape that is only a header's claim,
-// or only being priced, need not fit a 32-bit int.
+// width, in int64: the bit count of a shape that is only being priced need
+// not fit a 32-bit int.
 func packedCodeBytes(rows, cols int64, bits int) int64 {
 	return (rows*cols*int64(bits) + 7) / 8
 }

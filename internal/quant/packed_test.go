@@ -1,18 +1,10 @@
 package quant
 
 import (
-	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
-	"edgellm/internal/artifact"
-	"edgellm/internal/fault"
 	"edgellm/internal/tensor"
 )
 
@@ -154,138 +146,6 @@ func TestPackedStorageBytesAnalytic(t *testing.T) {
 			if got, want := p.StorageBytes(), PackedStorageBytes(sh[0], sh[1], bits); got != want {
 				t.Fatalf("(%d,%d)@%db: StorageBytes %d, analytic %d", sh[0], sh[1], bits, got, want)
 			}
-		}
-	}
-}
-
-func TestPackedSerializationRoundTrip(t *testing.T) {
-	w := randWeights(19, 31, 5)
-	p := Pack(w, 3)
-	var buf bytes.Buffer
-	wrote, err := p.WriteTo(&buf)
-	if err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	if wrote != int64(buf.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, wrote %d", wrote, buf.Len())
-	}
-	m, err := ReadPackedFrom(&buf)
-	if err != nil {
-		t.Fatalf("ReadPackedFrom: %v", err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("ReadPackedFrom left %d of %d bytes unread", buf.Len(), wrote)
-	}
-	gotT := m.Unpack()
-	wantT := p.Unpack()
-	for i := range wantT.Data {
-		if math.Float32bits(gotT.Data[i]) != math.Float32bits(wantT.Data[i]) {
-			t.Fatalf("element %d differs after round trip", i)
-		}
-	}
-}
-
-func TestPackedSerializationRejectsCorruption(t *testing.T) {
-	w := randWeights(9, 17, 6)
-	var buf bytes.Buffer
-	if _, err := Pack(w, 5).WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	art := buf.Bytes()
-
-	// Every single-byte flip and every truncation must fail loudly.
-	for i := 0; i < len(art); i++ {
-		bad := append([]byte(nil), art...)
-		bad[i] ^= 0x40
-		if _, err := ReadPackedFrom(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("bit flip at byte %d loaded cleanly", i)
-		}
-	}
-	for cut := 0; cut < len(art); cut += 7 {
-		if _, err := ReadPackedFrom(bytes.NewReader(art[:cut])); err == nil {
-			t.Fatalf("truncation at %d loaded cleanly", cut)
-		}
-	}
-}
-
-// TestReadPackedLyingHeaderAllocatesLittle: a header whose counts agree with
-// its shape — (2^14, 2^14) at 8 bits, so 2^28 code bytes — over a file that
-// holds the 64 KiB of scales and nothing else is an error that costs about
-// one read chunk, not the 256 MiB it declares.
-func TestReadPackedLyingHeaderAllocatesLittle(t *testing.T) {
-	const dim = 1 << 14
-	art := []byte("ELLMPKD1")
-	for _, v := range []uint32{packedKindUniform<<8 | 8, dim, dim, 0, dim, dim * dim} {
-		art = binary.LittleEndian.AppendUint32(art, v)
-	}
-	art = append(art, make([]byte, 4*dim)...)
-	var err error
-	cost := fault.Allocated(func() { _, err = ReadPackedFrom(bytes.NewReader(art)) })
-	if err == nil || !strings.Contains(err.Error(), "codes") {
-		t.Fatalf("error %v, want the code read to fail", err)
-	}
-	if cost >= 4<<20 {
-		t.Fatalf("a %d-byte input made ReadPackedFrom allocate %d bytes, want < 4 MiB", len(art), cost)
-	}
-}
-
-// TestReadPackedShapeProductOverflow: rows·cols = 2^32 is 0 in a 32-bit int,
-// which would pass the shape bound; the header arithmetic is int64, so it is
-// an implausible shape on every GOARCH.
-func TestReadPackedShapeProductOverflow(t *testing.T) {
-	art := []byte("ELLMPKD1")
-	for _, v := range []uint32{packedKindUniform<<8 | 8, 1 << 16, 1 << 16, 0, 1 << 16, 0} {
-		art = binary.LittleEndian.AppendUint32(art, v)
-	}
-	if _, err := ReadPackedFrom(bytes.NewReader(art)); err == nil || !strings.Contains(err.Error(), "implausible packed shape") {
-		t.Fatalf("ReadPackedFrom of a (2^16, 2^16) header: %v, want an implausible-shape error", err)
-	}
-}
-
-func TestWritePackedFileAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "w.packed")
-	p := Pack(randWeights(8, 8, 1), 4)
-	if err := WritePackedFile(path, p); err != nil {
-		t.Fatal(err)
-	}
-	m, err := artifact.ReadFile(path, ReadPackedFrom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r, c := m.Dims(); r != 8 || c != 8 {
-		t.Fatalf("read dims (%d,%d)", r, c)
-	}
-	// No temp litter after a successful write.
-	ents, _ := os.ReadDir(dir)
-	if len(ents) != 1 {
-		t.Fatalf("registry dir has %d entries, want 1", len(ents))
-	}
-}
-
-// withHeaderWord returns a copy of a packed artifact with header word i
-// (0: kind<<8|bits … 5: nCodes) set to v, resealed under a fresh checksum.
-func withHeaderWord(art []byte, i int, v uint32) []byte {
-	out := append([]byte(nil), art...)
-	binary.LittleEndian.PutUint32(out[len(packedMagic)+4*i:], v)
-	return fault.Reseal(out)
-}
-
-// TestReadPackedRejectsOtherFormats: a CRC-valid artifact that declares
-// kind 1 (the deleted codebook format) or a kind-0 artifact with a block
-// size fails to load with ErrPackedFormat — an error, never a panic or a
-// matrix decoded under the wrong layout.
-func TestReadPackedRejectsOtherFormats(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := Pack(randWeights(9, 13, 10), 4).WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for name, art := range map[string][]byte{
-		"kind 1":        withHeaderWord(buf.Bytes(), 0, 1<<8|4),
-		"block size 16": withHeaderWord(buf.Bytes(), 3, 16),
-	} {
-		if _, err := ReadPackedFrom(bytes.NewReader(art)); !errors.Is(err, ErrPackedFormat) {
-			t.Fatalf("%s: error %v, want ErrPackedFormat", name, err)
 		}
 	}
 }

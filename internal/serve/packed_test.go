@@ -7,21 +7,19 @@ import (
 	"testing"
 
 	"edgellm/internal/nn"
-	"edgellm/internal/quant"
 	"edgellm/internal/tensor"
 )
 
-// TestPackedArtifactInRegistry422 pins what happens when a packed-weight
-// artifact (quant's ELLMPKD1 format) lands in the adapter registry
-// directory — an easy operator mistake, since both artifact families live
-// in flat per-tenant files. The registry must surface it as a corrupt
+// TestPackedArtifactInRegistry422 pins what happens when an artifact of
+// another kind — a model checkpoint, the file `edgellm train -o` writes —
+// lands in the adapter registry directory, an easy operator mistake since
+// both live in flat files. The registry must surface it as a corrupt
 // adapter: a typed *CorruptAdapterError from Acquire and a clean 422 from
 // the HTTP front end, never a panic or a 500.
 func TestPackedArtifactInRegistry422(t *testing.T) {
 	m := testModel(404)
 	dir := t.TempDir()
-	p := quant.Pack(tensor.NewRNG(3).Normal(0, 1, 16, 16), 4)
-	if err := quant.WritePackedFile(filepath.Join(dir, "tenant-pkd"), p); err != nil {
+	if err := m.SaveFile(filepath.Join(dir, "tenant-pkd")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -29,7 +27,7 @@ func TestPackedArtifactInRegistry422(t *testing.T) {
 	_, err := reg.Acquire("tenant-pkd")
 	var corrupt *CorruptAdapterError
 	if !errors.As(err, &corrupt) {
-		t.Fatalf("Acquire on a packed artifact returned %v, want *CorruptAdapterError", err)
+		t.Fatalf("Acquire on a checkpoint returned %v, want *CorruptAdapterError", err)
 	}
 
 	_, ts := newTestServer(t, m, 1, ServerConfig{MaxQueue: 4, Registry: NewRegistry(dir, 2)})

@@ -3,8 +3,6 @@ package tensor
 import (
 	"sync"
 	"sync/atomic"
-
-	"edgellm/internal/obsv"
 )
 
 // Pool is a size-keyed arena of tensor buffers. Training allocates the same
@@ -23,11 +21,9 @@ type Pool struct {
 	mu   sync.Mutex
 	free map[int][]*Tensor
 
-	hits         atomic.Int64
-	misses       atomic.Int64
-	bytesInUse   atomic.Int64
-	trims        atomic.Int64
-	trimmedBytes atomic.Int64
+	hits       atomic.Int64
+	misses     atomic.Int64
+	bytesInUse atomic.Int64
 }
 
 // PoolStats is a snapshot of a pool's counters.
@@ -40,11 +36,6 @@ type PoolStats struct {
 	// returned. Buffers the caller drops on the floor (letting the GC
 	// reclaim them instead of calling Put) stay counted here.
 	BytesInUse int64
-	// Trims counts Trim calls; TrimmedBytes is the cumulative data bytes
-	// those calls released to the garbage collector.
-	Trims int64
-	// TrimmedBytes is the total bytes freed across all Trim calls.
-	TrimmedBytes int64
 }
 
 // NewPool returns an empty pool.
@@ -109,41 +100,14 @@ func (p *Pool) Put(t *Tensor) {
 	p.mu.Unlock()
 }
 
-// Trim discards every parked buffer and returns the number of data bytes
-// released to the garbage collector. Long-lived processes call it after a
-// burst of large-buffer work — e.g. a decode run whose KV arena blocks were
-// Put back on Close — so arena-sized buffers don't stay pinned for the life
-// of the process. Buffers currently handed out are unaffected.
-func (p *Pool) Trim() int64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	var freed int64
-	for n, list := range p.free {
-		freed += int64(n) * 4 * int64(len(list))
-		delete(p.free, n)
-	}
-	p.mu.Unlock()
-	p.trims.Add(1)
-	p.trimmedBytes.Add(freed)
-	obsv.Add("tensor.pool_trims", 1)
-	if freed > 0 {
-		obsv.Observe("tensor.pool_trimmed_bytes", float64(freed))
-	}
-	return freed
-}
-
 // Stats returns a snapshot of the pool's hit/miss/occupancy counters.
 func (p *Pool) Stats() PoolStats {
 	if p == nil {
 		return PoolStats{}
 	}
 	return PoolStats{
-		Hits:         p.hits.Load(),
-		Misses:       p.misses.Load(),
-		BytesInUse:   p.bytesInUse.Load(),
-		Trims:        p.trims.Load(),
-		TrimmedBytes: p.trimmedBytes.Load(),
+		Hits:       p.hits.Load(),
+		Misses:     p.misses.Load(),
+		BytesInUse: p.bytesInUse.Load(),
 	}
 }

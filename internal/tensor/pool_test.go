@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"testing"
-
-	"edgellm/internal/obsv"
-)
+import "testing"
 
 func TestPoolGetReturnsZeroedReusedBuffer(t *testing.T) {
 	p := NewPool()
@@ -90,56 +86,5 @@ func TestPoolConcurrent(t *testing.T) {
 	})
 	if got := p.Stats().BytesInUse; got != 0 {
 		t.Fatalf("bytes in use after balanced Get/Put %d, want 0", got)
-	}
-}
-
-// TestPoolTrim verifies Trim releases exactly the parked bytes, leaves
-// handed-out buffers alone, and is safe on a nil pool.
-func TestPoolTrim(t *testing.T) {
-	p := NewPool()
-	a := p.Get(16, 16) // 1024 bytes, stays out
-	b := p.Get(8, 8)   // 256 bytes, parked below
-	p.Put(b)
-	if freed := p.Trim(); freed != 256 {
-		t.Fatalf("Trim freed %d bytes, want 256", freed)
-	}
-	if freed := p.Trim(); freed != 0 {
-		t.Fatalf("second Trim freed %d bytes, want 0", freed)
-	}
-	// The trimmed size class must miss again.
-	misses := p.Stats().Misses
-	p.Get(8, 8)
-	if p.Stats().Misses != misses+1 {
-		t.Fatal("Get after Trim should allocate fresh")
-	}
-	p.Put(a)
-	var nilPool *Pool
-	if nilPool.Trim() != 0 {
-		t.Fatal("nil pool Trim must be a no-op")
-	}
-}
-
-// TestPoolTrimStats verifies Trim maintains its counters and mirrors them
-// to tensor.pool_trims telemetry when a recorder is installed.
-func TestPoolTrimStats(t *testing.T) {
-	rec := obsv.New()
-	obsv.SetGlobal(rec)
-	defer obsv.SetGlobal(nil)
-
-	p := NewPool()
-	b := p.Get(8, 8) // 256 bytes
-	p.Put(b)
-	p.Trim()
-	p.Trim() // nothing parked: still counted as a trim, frees 0
-
-	st := p.Stats()
-	if st.Trims != 2 {
-		t.Fatalf("Trims = %d, want 2", st.Trims)
-	}
-	if st.TrimmedBytes != 256 {
-		t.Fatalf("TrimmedBytes = %d, want 256", st.TrimmedBytes)
-	}
-	if got := rec.CounterTotal("tensor.pool_trims"); got != 2 {
-		t.Fatalf("tensor.pool_trims counter = %d, want 2", got)
 	}
 }

@@ -48,9 +48,11 @@ type MemorySpec struct {
 	// BlockWeightSparsity[i] is the pruned fraction of block i's weights;
 	// pruned elements are not stored (compressed-sparse accounting).
 	BlockWeightSparsity []float64
-	// OptBytesPerElem is Optimizer.BytesPerElement() of the optimizer used.
-	OptBytesPerElem int64
 }
+
+// adamWStateBytes is AdamW's optimizer state per element: two float32
+// moments. Every tuning method here steps AdamW, so it is the one price.
+const adamWStateBytes = 8
 
 // The parameter-count formulas of the model, stated once. Every analytic
 // estimator (EstimateMemory, the governor's admission pricing, the method
@@ -162,7 +164,7 @@ func EstimateMemory(spec MemorySpec) MemoryBreakdown {
 	if optElems == 0 {
 		optElems = spec.TrainableElems
 	}
-	b.OptState = spec.OptBytesPerElem * optElems
+	b.OptState = adamWStateBytes * optElems
 
 	// Activations: tape blocks, plus the embedding sum and the logits /
 	// softmax retained by the loss (one row×vocab tensor each).
@@ -189,14 +191,13 @@ func PerLayer(layers int, v float64) []float64 {
 // VanillaSpec describes full fine-tuning of an uncompressed model built
 // from cfg: all layers on tape, every parameter trainable. It needs no
 // built model, so the governor can price a method before constructing it.
-func VanillaSpec(cfg nn.Config, batch, seq int, optBytes int64) MemorySpec {
+func VanillaSpec(cfg nn.Config, batch, seq int) MemorySpec {
 	return MemorySpec{
 		Cfg: cfg, Batch: batch, Seq: seq,
 		TapeBlocks:          cfg.Layers,
 		TrainableElems:      ModelParamElems(cfg),
 		BlockWeightBits:     PerLayer(cfg.Layers, 32),
 		BlockWeightSparsity: make([]float64, cfg.Layers),
-		OptBytesPerElem:     optBytes,
 	}
 }
 
@@ -207,8 +208,8 @@ func VanillaSpec(cfg nn.Config, batch, seq int, optBytes int64) MemorySpec {
 // float32, unpruned). The governor's admission and per-step re-admission and
 // the tables' Edge-LLM memory columns all price this spec; a caller whose
 // optimizer state has accumulated over earlier windows sets OptElems.
-func WindowSpec(cfg nn.Config, batch, seq, window, segments int, bits, sparsity []float64, optBytes int64) MemorySpec {
-	spec := VanillaSpec(cfg, batch, seq, optBytes)
+func WindowSpec(cfg nn.Config, batch, seq, window, segments int, bits, sparsity []float64) MemorySpec {
+	spec := VanillaSpec(cfg, batch, seq)
 	spec.TapeBlocks = window
 	spec = CheckpointedSpec(spec, segments)
 	spec.TrainableElems = WindowTrainableElems(cfg, window)

@@ -17,11 +17,6 @@ type Optimizer interface {
 	// Step applies one update to every parameter carrying a gradient and
 	// leaves gradients untouched (the Trainer clears them).
 	Step(params []nn.NamedParam, lr float32)
-	// StateBytes reports the optimizer-state footprint in bytes.
-	StateBytes() int64
-	// BytesPerElement is the analytic per-element state cost, used by the
-	// memory accountant to predict footprints before training.
-	BytesPerElement() int64
 }
 
 // SGD is stochastic gradient descent with classical momentum and decoupled
@@ -62,21 +57,13 @@ func (s *SGD) Step(params []nn.NamedParam, lr float32) {
 	}
 }
 
-// StateBytes implements Optimizer.
+// StateBytes reports the velocity state allocated so far, in bytes.
 func (s *SGD) StateBytes() int64 {
 	var n int64
 	for _, v := range s.vel {
 		n += int64(v.Len()) * 4
 	}
 	return n
-}
-
-// BytesPerElement implements Optimizer.
-func (s *SGD) BytesPerElement() int64 {
-	if s.Momentum == 0 {
-		return 0
-	}
-	return 4
 }
 
 // AdamW is Adam with decoupled weight decay (Loshchilov & Hutter).
@@ -122,7 +109,7 @@ func (a *AdamW) Step(params []nn.NamedParam, lr float32) {
 	}
 }
 
-// StateBytes implements Optimizer.
+// StateBytes reports the moment state allocated so far, in bytes.
 func (a *AdamW) StateBytes() int64 {
 	var n int64
 	for _, t := range a.m {
@@ -133,6 +120,3 @@ func (a *AdamW) StateBytes() int64 {
 	}
 	return n
 }
-
-// BytesPerElement implements Optimizer.
-func (a *AdamW) BytesPerElement() int64 { return 8 }

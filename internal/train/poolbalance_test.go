@@ -18,8 +18,6 @@ func (o *panicOpt) Step(params []nn.NamedParam, lr float32) {
 		panic("panicOpt: injected optimizer crash")
 	}
 }
-func (o *panicOpt) StateBytes() int64      { return 0 }
-func (o *panicOpt) BytesPerElement() int64 { return 0 }
 
 // TestStepPanicReleasesPool: a panic mid-step (here from the optimizer,
 // while the loss tape's pooled buffers are still live) must not strand

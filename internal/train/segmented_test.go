@@ -107,7 +107,7 @@ func TestCheckpointedStepValidation(t *testing.T) {
 
 func TestCheckpointedSpecBoundsTape(t *testing.T) {
 	cfg := nn.Config{Vocab: 16, Dim: 16, Heads: 2, Layers: 8, Hidden: 32, MaxSeq: 16}
-	full := VanillaSpec(cfg, 2, 8, 8)
+	full := VanillaSpec(cfg, 2, 8)
 	ck := CheckpointedSpec(full, 4)
 	if ck.TapeBlocks != 2 {
 		t.Fatalf("4 segments over 8 layers must tape 2 blocks, got %d", ck.TapeBlocks)
@@ -117,7 +117,7 @@ func TestCheckpointedSpecBoundsTape(t *testing.T) {
 	}
 	// A window's recompute tape is the same formula: ⌈W/S⌉ blocks.
 	for _, c := range []struct{ window, segments, tape int }{{3, 1, 3}, {3, 2, 2}, {4, 2, 2}, {5, 4, 2}, {2, 0, 2}} {
-		if got := WindowSpec(cfg, 2, 8, c.window, c.segments, nil, nil, 8).TapeBlocks; got != c.tape {
+		if got := WindowSpec(cfg, 2, 8, c.window, c.segments, nil, nil).TapeBlocks; got != c.tape {
 			t.Errorf("window %d in %d segments tapes %d blocks, want %d", c.window, c.segments, got, c.tape)
 		}
 	}

@@ -189,9 +189,9 @@ func TestMCQAccuracyOracleAndAdversary(t *testing.T) {
 
 func TestEstimateMemoryVanillaVsWindowed(t *testing.T) {
 	cfg := nn.Config{Vocab: 16, Dim: 16, Heads: 2, Layers: 4, Hidden: 32, MaxSeq: 16, ExitHeads: true}
-	vanilla := EstimateMemory(VanillaSpec(cfg, 2, 8, 8))
+	vanilla := EstimateMemory(VanillaSpec(cfg, 2, 8))
 
-	windowed := VanillaSpec(cfg, 2, 8, 8)
+	windowed := VanillaSpec(cfg, 2, 8)
 	windowed.TapeBlocks = 1
 	windowed.TrainableElems = BlockElems(cfg)
 	win := EstimateMemory(windowed)
@@ -225,7 +225,7 @@ func TestModelParamElemsMatchesBuiltModel(t *testing.T) {
 
 func TestEstimateMemoryCompressionShrinksWeights(t *testing.T) {
 	cfg := nn.Config{Vocab: 16, Dim: 16, Heads: 2, Layers: 4, Hidden: 32, MaxSeq: 16}
-	spec := VanillaSpec(cfg, 1, 8, 0)
+	spec := VanillaSpec(cfg, 1, 8)
 	base := EstimateMemory(spec)
 	for i := range spec.BlockWeightBits {
 		spec.BlockWeightBits[i] = 4

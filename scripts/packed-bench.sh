@@ -5,8 +5,8 @@
 #  1. the bitwise-identity suite under the race detector — fused ==
 #     Unpack + MatMulInto, packed decode logits == the float32 model over
 #     the Unpack'ed codes for every LUC bit assignment, the word-wise extractors against the
-#     bit-loop oracle, the serialization round trip, the registry's 422 on a
-#     packed artifact — at GOMAXPROCS default and 1;
+#     bit-loop oracle, the registry's 422 on an artifact of the wrong kind —
+#     at GOMAXPROCS default and 1;
 #  2. the packed kernel benchmarks against BENCH_packed.json (0 allocs, exact
 #     wbytes ceilings, fused ≥ dequantize-then-matmul, 2-bit level with
 #     4-bit, 4-bit within reach of 8-bit) and the decode benchmarks against
