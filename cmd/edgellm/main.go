@@ -2,9 +2,7 @@
 //
 //	experiments  regenerate the paper's tables/figures and ablations
 //	             (-t T1..T3,F1..F7,A1..A7; -quick; -markdown)
-//	demo         run the full pipeline end to end on the synthetic task
 //	schedule     search hardware schedules for one GEMM shape
-//	sensitivity  print the per-layer sensitivity profile of a fresh model
 //	train        adapt a model with the Edge-LLM pipeline, save a checkpoint
 //	generate     sample from a saved checkpoint with KV-cached decoding
 //	serve        multi-tenant HTTP inference server with admission control,
@@ -47,12 +45,8 @@ func main() {
 	switch os.Args[1] {
 	case "experiments":
 		err = cmdExperiments(os.Args[2:])
-	case "demo":
-		err = cmdDemo(os.Args[2:])
 	case "schedule":
 		err = cmdSchedule(os.Args[2:])
-	case "sensitivity":
-		err = cmdSensitivity(os.Args[2:])
 	case "train":
 		err = cmdTrain(os.Args[2:])
 	case "generate":
@@ -79,9 +73,7 @@ func usage() {
 
 subcommands:
   experiments   regenerate paper tables/figures (-t <id>, -quick, -markdown)
-  demo          end-to-end pipeline demo on the synthetic task
   schedule      hardware schedule search for one GEMM (-m -n -k -bits -sparsity)
-  sensitivity   per-layer compression sensitivity profile
   train         adapt a model with the Edge-LLM pipeline and save a checkpoint
   generate      sample tokens from a saved checkpoint (KV-cached decoding)
   serve         multi-tenant HTTP inference server (admission control, deadlines, drain,
@@ -414,44 +406,6 @@ func oneExperiment(id string, quick bool) (*core.Report, error) {
 	return reports[0], nil
 }
 
-func cmdDemo(args []string) error {
-	fs := flag.NewFlagSet("demo", flag.ExitOnError)
-	iters := fs.Int("iters", 300, "tuning iterations")
-	fs.Parse(args)
-	if *iters < 1 {
-		return fmt.Errorf("demo: -iters must be at least 1, got %d", *iters)
-	}
-
-	cfg := core.DefaultConfig()
-	task := core.NewTask(42, cfg.Model.Vocab)
-	fmt.Println("pretraining base model on the source domain...")
-	task.EnsureBase(context.Background(), cfg, 600)
-	p, err := task.Adapt(cfg, task.Train, func(p *core.Pipeline) {
-		fmt.Printf("model: %d layers, dim %d, vocab %d\n", cfg.Model.Layers, cfg.Model.Dim, cfg.Model.Vocab)
-		fmt.Printf("held-out perplexity before adaptation: %.3f\n", p.EvalPerplexity(task.Eval, 8))
-	}, func(p *core.Pipeline) {
-		fmt.Printf("LUC policy (budget %.1f bits): %s\n", cfg.BudgetBits, p.Policy.Describe(p.Candidates()))
-		fmt.Printf("achieved average effective bits: %.2f\n", p.Info.AvgEffectiveBits)
-		start := time.Now()
-		losses := p.Tune(task.Train, *iters)
-		fmt.Printf("adaptive tuning: %d iterations in %s (loss %.3f → %.3f)\n",
-			*iters, time.Since(start).Round(time.Millisecond), losses[0], losses[len(losses)-1])
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("held-out perplexity after adaptation (voted): %.3f\n", p.EvalPerplexity(task.Eval, 8))
-
-	mem := p.Memory()
-	fmt.Printf("per-iteration memory: weights %s, activations %s, grads %s, opt %s (total %s)\n",
-		fmtB(mem.Weights), fmtB(mem.Activations), fmtB(mem.Grads), fmtB(mem.OptState), fmtB(mem.Total()))
-
-	iter := p.IterationCost(hwsim.NewSearchedScheduler())
-	fmt.Printf("simulated edge-GPU iteration latency: %.2f ms (%.1f%% util)\n",
-		iter.TotalSec*1e3, iter.Utilization(cfg.Device)*100)
-	return nil
-}
-
 func fmtB(n int64) string {
 	switch {
 	case n >= 1<<20:
@@ -571,16 +525,5 @@ func cmdGenerate(args []string) error {
 	}
 	fmt.Printf("prompt:      %v\n", prompt)
 	fmt.Printf("continuation: %v\n", out[len(prompt):])
-	return nil
-}
-
-func cmdSensitivity(args []string) error {
-	fs := flag.NewFlagSet("sensitivity", flag.ExitOnError)
-	iters := fs.Int("pretrain", 200, "pretraining iterations before probing")
-	fs.Parse(args)
-	if *iters < 0 {
-		return fmt.Errorf("sensitivity: -pretrain must be at least 0, got %d", *iters)
-	}
-	fmt.Println(core.ExperimentF3(context.Background(), *iters).String())
 	return nil
 }

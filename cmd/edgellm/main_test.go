@@ -172,17 +172,9 @@ func TestCmdExperimentsFailingMetricsSink(t *testing.T) {
 	}
 }
 
-// TestCmdDemoRejectsZeroIters: -iters 0 is a flag error before any
-// pretraining, not a panic on an empty loss curve.
-func TestCmdDemoRejectsZeroIters(t *testing.T) {
-	err := cmdDemo([]string{"-iters", "0"})
-	if err == nil || !strings.Contains(err.Error(), "-iters") {
-		t.Fatalf("demo -iters 0: err = %v, want a -iters flag error", err)
-	}
-}
-
-// TestCmdTrainRejectsZeroIters: the same for train, which would otherwise
-// pretrain, tune zero steps and panic before writing its checkpoint.
+// TestCmdTrainRejectsZeroIters: -iters 0 is a flag error before any
+// pretraining, not a run that tunes zero steps and panics on an empty loss
+// curve before writing its checkpoint.
 func TestCmdTrainRejectsZeroIters(t *testing.T) {
 	out := t.TempDir() + "/m.ckpt"
 	err := cmdTrain([]string{"-iters", "0", "-o", out})
@@ -204,14 +196,6 @@ func TestCmdTrainRejectsNegativePretrain(t *testing.T) {
 	}
 	if _, statErr := os.Stat(out); statErr == nil {
 		t.Fatal("train -pretrain -5 wrote a checkpoint")
-	}
-}
-
-// TestCmdSensitivityRejectsNegativePretrain: the same for sensitivity.
-func TestCmdSensitivityRejectsNegativePretrain(t *testing.T) {
-	err := cmdSensitivity([]string{"-pretrain", "-1"})
-	if err == nil || !strings.Contains(err.Error(), "-pretrain") {
-		t.Fatalf("sensitivity -pretrain -1: err = %v, want a -pretrain flag error", err)
 	}
 }
 

@@ -31,17 +31,8 @@ type Config struct {
 
 	// BudgetBits is LUC's average effective-bits target for block weights.
 	BudgetBits float64
-	// Candidates is the LUC search grid; nil selects DefaultCandidates.
-	Candidates []luc.Candidate
 	// ProbeMetric selects the sensitivity measure.
 	ProbeMetric luc.Metric
-	// UseDP selects the DP policy search instead of greedy.
-	UseDP bool
-	// RefineRounds, when > 0, post-processes the searched policy with
-	// joint-KL coordinate descent (luc.RefinePolicy), correcting the
-	// probe's per-layer additivity blind spot at the cost of extra
-	// calibration forwards.
-	RefineRounds int
 
 	// WindowSize bounds backpropagation depth during adaptive tuning.
 	WindowSize int
@@ -74,7 +65,6 @@ func DefaultConfig() Config {
 		Seed:        1,
 		BudgetBits:  4,
 		ProbeMetric: luc.MetricOutputKL,
-		UseDP:       true,
 		WindowSize:  2,
 		Strategy:    adapt.StrategySliding,
 		VoteMode:    adapt.VoteCalibrated,
@@ -131,10 +121,7 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.WindowSize < 1 || cfg.WindowSize > cfg.Model.Layers {
 		return nil, fmt.Errorf("core: window size %d out of [1,%d]", cfg.WindowSize, cfg.Model.Layers)
 	}
-	cands := cfg.Candidates
-	if cands == nil {
-		cands = luc.DefaultCandidates()
-	}
+	cands := luc.DefaultCandidates()
 	// Under an active resource governor the config is admitted against the
 	// memory budget first; any degradation (smaller window, tighter bits,
 	// recompute, smaller batch) lands in cfg before anything is built.
@@ -156,8 +143,9 @@ func New(cfg Config) (*Pipeline, error) {
 // Candidates returns the LUC candidate grid in use.
 func (p *Pipeline) Candidates() []luc.Candidate { return p.candidates }
 
-// Compress runs the LUC stage: probe per-layer sensitivity, search a
-// policy under the bit budget, and apply it to the backbone in place.
+// Compress runs the LUC stage: probe per-layer sensitivity, search a policy
+// under the bit budget (luc.SearchDP over luc.DefaultCandidates), and apply
+// it to the backbone in place.
 // calib supplies calibration sequences for the output-KL probe metric.
 func (p *Pipeline) Compress(calib [][]int) error {
 	if p.compressed {
@@ -167,17 +155,7 @@ func (p *Pipeline) Compress(calib [][]int) error {
 	defer func() { sp.EndWith(map[string]float64{"avg_bits": p.Info.AvgEffectiveBits}) }()
 	opts := luc.ProbeOptions{Metric: p.Cfg.ProbeMetric, Calib: calib, Trace: sp}
 	p.Sens = luc.Probe(p.Model, p.candidates, opts)
-	if p.Cfg.UseDP {
-		p.Policy = luc.SearchDP(p.Sens, p.candidates, p.Cfg.BudgetBits)
-	} else {
-		p.Policy = luc.SearchGreedy(p.Sens, p.candidates, p.Cfg.BudgetBits)
-	}
-	if p.Cfg.RefineRounds > 0 {
-		if len(calib) == 0 {
-			return fmt.Errorf("core: RefineRounds requires calibration data")
-		}
-		p.Policy = luc.RefinePolicy(p.Model, p.Policy, p.candidates, p.Cfg.BudgetBits, calib, p.Cfg.RefineRounds)
-	}
+	p.Policy = luc.SearchDP(p.Sens, p.candidates, p.Cfg.BudgetBits)
 	p.Info = luc.Apply(p.Model, p.Policy, p.candidates)
 	p.compressed = true
 	return nil

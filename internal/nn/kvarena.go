@@ -63,9 +63,6 @@ func NewKVArena(pool *tensor.Pool, layers, slots, maxSeq, dim int) *KVArena {
 	}
 }
 
-// Slots returns the slot capacity.
-func (a *KVArena) Slots() int { return a.slots }
-
 // InUse returns the number of acquired slots.
 func (a *KVArena) InUse() int { return a.inUse }
 

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"strings"
 
 	"edgellm/internal/quant"
 	"edgellm/internal/tensor"
@@ -33,14 +32,6 @@ type PackSpec struct {
 	Bits int
 }
 
-// String renders the spec, e.g. "f32", "4b".
-func (s PackSpec) String() string {
-	if s.Bits == 0 {
-		return "f32"
-	}
-	return fmt.Sprintf("%db", s.Bits)
-}
-
 // PackedModel holds the bit-packed block weights of a model whose float32
 // block matrices have been released: after PackModel, the packed codes are
 // the only resident copy of each packed layer, and StepBatch executes them
@@ -49,7 +40,6 @@ func (s PackSpec) String() string {
 // decoder owns its scratch).
 type PackedModel struct {
 	mats [][]tensor.PackedMat
-	spec []PackSpec
 
 	packedBytes   int64
 	releasedBytes int64
@@ -83,7 +73,6 @@ func PackModel(m *Model, specs []PackSpec, pool *tensor.Pool) (*PackedModel, err
 	}
 	pm := &PackedModel{
 		mats: make([][]tensor.PackedMat, len(m.Blocks)),
-		spec: append([]PackSpec(nil), specs...),
 	}
 	for l, blk := range m.Blocks {
 		pm.mats[l] = make([]tensor.PackedMat, numBlockWeights)
@@ -137,26 +126,6 @@ func (pm *PackedModel) StorageBytes() int64 { return pm.packedBytes }
 // ReleasedBytes returns the float32 bytes PackModel handed back to the
 // pool.
 func (pm *PackedModel) ReleasedBytes() int64 { return pm.releasedBytes }
-
-// Describe renders the per-layer specs compactly, e.g. "8b,4b,4b,2b" or
-// "4b×12".
-func (pm *PackedModel) Describe() string {
-	uniform := true
-	for _, s := range pm.spec[1:] {
-		if s != pm.spec[0] {
-			uniform = false
-			break
-		}
-	}
-	if uniform && len(pm.spec) > 0 {
-		return fmt.Sprintf("%s×%d", pm.spec[0], len(pm.spec))
-	}
-	parts := make([]string, len(pm.spec))
-	for i, s := range pm.spec {
-		parts[i] = s.String()
-	}
-	return strings.Join(parts, ",")
-}
 
 // SetPacked routes the decoder's block matmuls through pm's fused packed
 // kernels (nil: back to float32). It is independent of SetAdapter and may

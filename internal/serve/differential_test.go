@@ -142,7 +142,7 @@ func runRandomServeSchedule(t *testing.T, m *nn.Model, pm *nn.PackedModel, adapt
 		return err
 	}
 	samples := 0
-	// Streams sampled in one step share its end time, lastToken: first holds
+	// Streams sampled in one step share its end time, LastToken: first holds
 	// the adapter of the first stream sampled in each step, mixedAt the steps
 	// that also sampled one under another adapter.
 	first := make(map[time.Time]*nn.Adapter)
@@ -150,7 +150,7 @@ func runRandomServeSchedule(t *testing.T, m *nn.Model, pm *nn.PackedModel, adapt
 	hook := func(sampled *Stream, _ int) {
 		mu.Lock()
 		defer mu.Unlock()
-		at := sampled.lastToken
+		at := sampled.timing.LastToken
 		if a, ok := first[at]; !ok {
 			first[at] = sampled.req.Adapter
 		} else if a != sampled.req.Adapter && !mixedAt[at] {
@@ -164,7 +164,7 @@ func runRandomServeSchedule(t *testing.T, m *nn.Model, pm *nn.PackedModel, adapt
 		}
 		for _, st := range streams {
 			at, ok := victim[st.ID()]
-			if !ok || st.slot < 0 || st.cancelled.Load() {
+			if !ok || st.slot < 0 || st.cancelled() != nil {
 				continue
 			}
 			if prefilling := st.fed > 0 && st.fed < len(st.req.Prompt); at == 0 && prefilling {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"slices"
@@ -15,9 +16,9 @@ import (
 	"edgellm/internal/obsv"
 )
 
-// TestOutcomeOf: every way a stream ends maps to one status, code,
-// access-log event and counter, and a wrapped error classifies as what it
-// wraps.
+// TestOutcomeOf: every way a request ends, admission reject or stream end,
+// maps to one status, code, access-log event, counter and shed reason, and a
+// wrapped error classifies as what it wraps.
 func TestOutcomeOf(t *testing.T) {
 	stall := &govern.StallError{Stage: "serve:r1", Phase: "heartbeat"}
 	wrap := func(err error) error { return fmt.Errorf("outer: %w", err) }
@@ -26,15 +27,34 @@ func TestOutcomeOf(t *testing.T) {
 		err  error
 		want outcome
 	}{
-		{"stall", stall, outcome{http.StatusGatewayTimeout, "stalled", "stall_killed", "serve.stalled"}},
-		{"deadline", context.DeadlineExceeded, outcome{http.StatusGatewayTimeout, "deadline_exceeded", "deadline", "serve.deadline_exceeded"}},
-		{"draining", ErrDraining, outcome{http.StatusServiceUnavailable, "draining", "drain_cancelled", "serve.drain_cancelled"}},
-		{"closed", ErrClosed, outcome{http.StatusServiceUnavailable, "draining", "drain_cancelled", "serve.drain_cancelled"}},
-		{"panic", &StreamPanicError{ID: "r1", Value: "boom"}, outcome{http.StatusInternalServerError, "stream_panic", "stream_panic", ""}},
-		{"injected-cancel", errInjectedCancel, outcome{http.StatusInternalServerError, "cancelled", "injected_cancel", ""}},
-		{"disconnect", errDisconnected, outcome{http.StatusInternalServerError, "cancelled", "disconnect", "serve.disconnects"}},
-		{"cancelled", ErrCancelled, outcome{http.StatusInternalServerError, "cancelled", "", ""}},
-		{"other", errors.New("decoder step failed"), outcome{http.StatusInternalServerError, "internal", "", ""}},
+		// Admission rejects, built the way handleGenerate builds them.
+		{"method", reject(errMethod, errors.New("serve: GET not allowed")), outcome{http.StatusMethodNotAllowed, "method_not_allowed", "", "", ""}},
+		{"refused-draining", errRefused, outcome{http.StatusServiceUnavailable, "draining", "", "serve.drained", ""}},
+		{"parse", reject(errInvalid, fmt.Errorf("serve: parse request: %w", io.ErrUnexpectedEOF)), outcome{http.StatusBadRequest, "bad_request", "", "", ""}},
+		{"injected-fail", &fault.PermanentError{Msg: "injected admission failure in r1"}, outcome{http.StatusServiceUnavailable, "injected_fault", "injected_fault", "", "injected"}},
+		{"check", reject(errInvalid, errors.New("serve: empty prompt")), outcome{http.StatusBadRequest, "bad_request", "", "", ""}},
+		{"tenant", reject(errTenantLimit, errors.New("serve: tenant t is at its 1-request limit")), outcome{http.StatusTooManyRequests, "tenant_limit", "", "", "tenant"}},
+		{"queue", reject(errQueueFull, errors.New("serve: queue full (0 waiting + 1 active)")), outcome{http.StatusTooManyRequests, "overloaded", "", "", "queue"}},
+		{"unfittable", &govern.OverBudgetError{Need: 9, Budget: 8, Permanent: true}, outcome{http.StatusRequestEntityTooLarge, "unfittable", "", "", "unfittable"}},
+		{"memory", &govern.OverBudgetError{Need: 4, Reserved: 8, Budget: 8}, outcome{http.StatusTooManyRequests, "memory", "", "", "memory"}},
+		{"no-registry", fmt.Errorf("%w: no adapter registry configured", ErrAdapterNotFound), outcome{http.StatusNotFound, "adapter_not_found", "", "", ""}},
+		{"adapter-not-found", fmt.Errorf("%w: ghost", ErrAdapterNotFound), outcome{http.StatusNotFound, "adapter_not_found", "", "", ""}},
+		{"adapter-corrupt", &CorruptAdapterError{Name: "a", Err: errors.New("checksum mismatch")}, outcome{http.StatusUnprocessableEntity, "adapter_corrupt", "", "", ""}},
+		{"registry-busy", ErrRegistryBusy, outcome{http.StatusTooManyRequests, "adapters_busy", "", "", "adapters"}},
+		{"bad-deadline", reject(errInvalid, errors.New(`serve: bad X-Edgellm-Deadline-Ms "soon"`)), outcome{http.StatusBadRequest, "bad_request", "", "", ""}},
+		{"submit-closed", reject(errRefused, ErrClosed), outcome{http.StatusServiceUnavailable, "draining", "", "serve.drained", ""}},
+		{"submit-mismatch", fmt.Errorf("%w: nn: adapter a: no target", ErrAdapterMismatch), outcome{http.StatusUnprocessableEntity, "adapter_mismatch", "", "", ""}},
+		{"submit-check", reject(errInvalid, errors.New("serve: empty prompt")), outcome{http.StatusBadRequest, "bad_request", "", "", ""}},
+		// A stream's terminal error.
+		{"stall", stall, outcome{http.StatusGatewayTimeout, "stalled", "stall_killed", "serve.stalled", ""}},
+		{"deadline", context.DeadlineExceeded, outcome{http.StatusGatewayTimeout, "deadline_exceeded", "deadline", "serve.deadline_exceeded", ""}},
+		{"draining", ErrDraining, outcome{http.StatusServiceUnavailable, "draining", "drain_cancelled", "serve.drain_cancelled", ""}},
+		{"closed", ErrClosed, outcome{http.StatusServiceUnavailable, "draining", "drain_cancelled", "serve.drain_cancelled", ""}},
+		{"panic", &StreamPanicError{ID: "r1", Value: "boom"}, outcome{http.StatusInternalServerError, "stream_panic", "stream_panic", "", ""}},
+		{"injected-cancel", errInjectedCancel, outcome{http.StatusInternalServerError, "cancelled", "injected_cancel", "", ""}},
+		{"disconnect", errDisconnected, outcome{http.StatusInternalServerError, "cancelled", "disconnect", "serve.disconnects", ""}},
+		{"cancelled", ErrCancelled, outcome{http.StatusInternalServerError, "cancelled", "", "", ""}},
+		{"other", errors.New("decoder step failed"), outcome{http.StatusInternalServerError, "internal", "", "", ""}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -46,7 +66,7 @@ func TestOutcomeOf(t *testing.T) {
 			}
 		})
 	}
-	if got := outcomeOf(nil); got.status != http.StatusOK || got.code != "ok" || got.event != "" || got.counter != "" {
+	if got := outcomeOf(nil); got != (outcome{http.StatusOK, "ok", "", "", ""}) {
 		t.Fatalf("outcomeOf(nil) = %+v, want a plain 200 ok", got)
 	}
 }

@@ -110,26 +110,19 @@ type Stream struct {
 	rng   *tensor.RNG
 	sched *Scheduler
 
-	slot      int   // -1 while queued
-	fed       int   // tokens consumed; the stream is prefilling while fed < len(Prompt)
-	sampled   []int // once decoding, the last one is the token to feed next
-	submitted time.Time
+	slot    int   // -1 while queued
+	fed     int   // tokens consumed; the stream is prefilling while fed < len(Prompt)
+	sampled []int // once decoding, the last one is the token to feed next
 
-	// Latency decomposition, written only by the scheduler goroutine and
-	// published by the close of done (read via Timing after Done). Plain
-	// fields — not spans — so per-token attribution costs zero allocations;
-	// the server reconstructs queue/decode spans from them at request end.
-	admitted   time.Time // slot acquired; zero if never admitted
-	firstToken time.Time // first sampled continuation token; zero if none
-	lastToken  time.Time // latest sampled continuation token
-	steps      int64     // batched steps this stream had rows in: one per prompt run, one per fed token after
-	decodeNS   int64     // total duration of those steps (includes co-batch work)
-	maxGapNS   int64     // widest gap between consecutive sampled tokens
+	// Written only by the scheduler goroutine (Submitted by Submit) and
+	// published by the close of done. Plain fields, not spans, so per-token
+	// attribution costs zero allocations; the server reconstructs queue and
+	// decode spans from them at request end.
+	timing StreamTiming
 
-	cancelled atomic.Bool
-	cause     atomic.Pointer[error] // first CancelCause wins
-	done      chan struct{}
-	result    Result
+	cause  atomic.Pointer[error] // first CancelCause wins; nil while uncancelled
+	done   chan struct{}
+	result Result
 }
 
 // ID returns the request ID.
@@ -148,19 +141,18 @@ func (s *Stream) CancelCause(err error) {
 		err = ErrCancelled
 	}
 	s.cause.CompareAndSwap(nil, &err)
-	s.cancelled.Store(true)
 	if s.sched != nil {
 		s.sched.wakeUp()
 	}
 }
 
-// cancelCause returns the recorded cancellation cause (ErrCancelled when
-// Cancel never supplied one).
-func (s *Stream) cancelCause() error {
+// cancelled returns the stream's cancellation cause, nil if it was never
+// cancelled.
+func (s *Stream) cancelled() error {
 	if p := s.cause.Load(); p != nil {
 		return *p
 	}
-	return ErrCancelled
+	return nil
 }
 
 // Done is closed when the stream has finished (normally, by cancellation, or
@@ -192,17 +184,7 @@ type StreamTiming struct {
 
 // Timing returns the stream's latency decomposition. Valid only after Done
 // is closed (the channel close publishes the scheduler's writes).
-func (s *Stream) Timing() StreamTiming {
-	return StreamTiming{
-		Submitted:  s.submitted,
-		Admitted:   s.admitted,
-		FirstToken: s.firstToken,
-		LastToken:  s.lastToken,
-		Steps:      s.steps,
-		DecodeNS:   s.decodeNS,
-		MaxGapNS:   s.maxGapNS,
-	}
-}
+func (s *Stream) Timing() StreamTiming { return s.timing }
 
 // Scheduler drives one nn.Decoder with continuous batching. Submit and
 // Stream.Cancel are safe from any goroutine; Serve must be the only
@@ -238,23 +220,23 @@ func (s *Scheduler) wakeUp() {
 // Check applies Submit's rules to req, all but the adapter fit: valid
 // sampling, a non-empty prompt of in-vocabulary tokens, and prompt plus
 // continuation within MaxSeq. A front end calls it before it reserves
-// anything for the request.
+// anything for the request. Its errors are errInvalid rejects.
 func (s *Scheduler) Check(req Request) error {
 	cfg := s.dec.Config()
 	if err := req.Cfg.Validate(); err != nil {
-		return err
+		return reject(errInvalid, err)
 	}
 	if len(req.Prompt) == 0 {
-		return fmt.Errorf("serve: empty prompt")
+		return reject(errInvalid, errors.New("serve: empty prompt"))
 	}
 	for i, tok := range req.Prompt {
 		if tok < 0 || tok >= cfg.Vocab {
-			return fmt.Errorf("serve: prompt token %d at position %d out of range [0,%d)", tok, i, cfg.Vocab)
+			return reject(errInvalid, fmt.Errorf("serve: prompt token %d at position %d out of range [0,%d)", tok, i, cfg.Vocab))
 		}
 	}
 	if req.Cfg.MaxTokens > cfg.MaxSeq-len(req.Prompt) {
-		return fmt.Errorf("serve: prompt %d + %d tokens exceeds MaxSeq %d",
-			len(req.Prompt), req.Cfg.MaxTokens, cfg.MaxSeq)
+		return reject(errInvalid, fmt.Errorf("serve: prompt %d + %d tokens exceeds MaxSeq %d",
+			len(req.Prompt), req.Cfg.MaxTokens, cfg.MaxSeq))
 	}
 	return nil
 }
@@ -272,13 +254,13 @@ func (s *Scheduler) Submit(req Request) (*Stream, error) {
 		return nil, fmt.Errorf("%w: %v", ErrAdapterMismatch, err)
 	}
 	st := &Stream{
-		req:       req,
-		rng:       tensor.NewRNG(req.Cfg.Seed),
-		sched:     s,
-		slot:      -1,
-		sampled:   make([]int, 0, req.Cfg.MaxTokens),
-		submitted: time.Now(),
-		done:      make(chan struct{}),
+		req:     req,
+		rng:     tensor.NewRNG(req.Cfg.Seed),
+		sched:   s,
+		slot:    -1,
+		sampled: make([]int, 0, req.Cfg.MaxTokens),
+		timing:  StreamTiming{Submitted: time.Now()},
+		done:    make(chan struct{}),
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -351,8 +333,8 @@ func (s *Scheduler) Serve(ctx context.Context) error {
 		defer s.mu.Unlock()
 		kept := s.queue[:0]
 		for _, st := range s.queue {
-			if st.cancelled.Load() {
-				finish(st, Result{ID: st.req.ID, Err: st.cancelCause()})
+			if err := st.cancelled(); err != nil {
+				finish(st, Result{ID: st.req.ID, Err: err})
 				continue
 			}
 			if nActive == len(active) {
@@ -377,8 +359,8 @@ func (s *Scheduler) Serve(ctx context.Context) error {
 			}
 			prefill = append(prefill, st)
 			obsv.Add("decode.streams_admitted", 1)
-			st.admitted = time.Now()
-			wait := float64(st.admitted.Sub(st.submitted)) / float64(time.Millisecond)
+			st.timing.Admitted = time.Now()
+			wait := float64(st.timing.Admitted.Sub(st.timing.Submitted)) / float64(time.Millisecond)
 			if st.req.Tenant != "" {
 				obsv.Observe("serve.queue_wait_ms", wait, obsv.L("tenant", st.req.Tenant))
 			} else {
@@ -419,19 +401,20 @@ func (s *Scheduler) Serve(ctx context.Context) error {
 				finish(st, Result{ID: st.req.ID, Err: &StreamPanicError{ID: st.req.ID, Value: r}})
 			}
 		}()
-		st.steps++
-		st.decodeNS += stepNS
+		tm := &st.timing
+		tm.Steps++
+		tm.DecodeNS += stepNS
 		st.fed += fed
 		if st.fed < len(st.req.Prompt) {
 			return // more prompt to feed: the run's logits are not sampled
 		}
 		tok := nn.SampleLogits(row, st.req.Cfg, st.rng)
-		if st.firstToken.IsZero() {
-			st.firstToken = stepEnd
-		} else if gap := int64(stepEnd.Sub(st.lastToken)); gap > st.maxGapNS {
-			st.maxGapNS = gap
+		if tm.FirstToken.IsZero() {
+			tm.FirstToken = stepEnd
+		} else if gap := int64(stepEnd.Sub(tm.LastToken)); gap > tm.MaxGapNS {
+			tm.MaxGapNS = gap
 		}
-		st.lastToken = stepEnd
+		tm.LastToken = stepEnd
 		st.sampled = append(st.sampled, tok)
 		if st.req.OnToken != nil {
 			st.req.OnToken(st, tok)
@@ -456,7 +439,7 @@ func (s *Scheduler) Serve(ctx context.Context) error {
 			for _, st := range append(queued, active...) {
 				if st != nil {
 					st.CancelCause(context.Cause(ctx))
-					finish(st, Result{ID: st.req.ID, Err: st.cancelCause()})
+					finish(st, Result{ID: st.req.ID, Err: st.cancelled()})
 				}
 			}
 			return err
@@ -492,8 +475,8 @@ func (s *Scheduler) Serve(ctx context.Context) error {
 			if st == nil {
 				continue
 			}
-			if st.cancelled.Load() {
-				finish(st, Result{ID: st.req.ID, Err: st.cancelCause()})
+			if err := st.cancelled(); err != nil {
+				finish(st, Result{ID: st.req.ID, Err: err})
 			} else if st.fed >= len(st.req.Prompt) {
 				addRun(st, st.sampled[len(st.sampled)-1:])
 			}

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"strconv"
 	"sync"
@@ -132,9 +134,6 @@ func NewServer(dec *nn.Decoder, cfg ServerConfig) *Server {
 	return s
 }
 
-// Scheduler exposes the underlying scheduler (benchmarks and tests).
-func (s *Server) Scheduler() *Scheduler { return s.sched }
-
 // Handler returns the HTTP API:
 //
 //	POST /v1/generate  — submit a generation request (JSON; ?stream for NDJSON)
@@ -210,75 +209,139 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, id string, body an
 	json.NewEncoder(w).Encode(body)
 }
 
+// Admission reject kinds. A reject wraps its cause with the kind of refusal
+// it is, which outcomeOf classifies; its message stays the cause's.
+var (
+	errMethod      = errors.New("method not allowed")
+	errInvalid     = errors.New("invalid request") // the body, Check, the deadline header
+	errRefused     = errors.New("serve: server is draining")
+	errTenantLimit = errors.New("tenant at its limit")
+	errQueueFull   = errors.New("queue full")
+)
+
+// rejectError is an admission reject: kind is which, err is why.
+type rejectError struct{ kind, err error }
+
+func (e *rejectError) Error() string   { return e.err.Error() }
+func (e *rejectError) Unwrap() []error { return []error{e.kind, e.err} }
+
+func reject(kind, err error) error { return &rejectError{kind, err} }
+
 // outcome is what one way of ending means to every observer of a request.
 type outcome struct {
 	status  int    // HTTP status of a unary response
 	code    string // stable error code ("ok" on success)
 	event   string // access-log degradation event, if any
 	counter string // serve.* counter bumped once per request, if any
+	shed    string // serve.shed reason of a load-shedding reject, if any
 }
 
-// outcomeOf is the one table from a stream's terminal error (nil on
-// success) to its outcome. Wrapped errors classify as what they wrap.
+// outcomeOf is the one table from how a /v1/generate request ends to its
+// outcome: nil on success, an admission reject, or a stream's terminal
+// error. Wrapped errors classify as what they wrap.
 func outcomeOf(err error) outcome {
+	if err == nil {
+		return outcome{http.StatusOK, "ok", "", "", ""}
+	}
+	// Declared past the success return: errors.As moves its targets to the
+	// heap, and a request that succeeds allocates none of them.
 	var stall *govern.StallError
 	var panicErr *StreamPanicError
+	var injected *fault.PermanentError
+	var over *govern.OverBudgetError
+	var corrupt *CorruptAdapterError
 	switch {
-	case err == nil:
-		return outcome{http.StatusOK, "ok", "", ""}
+	case errors.Is(err, errMethod):
+		return outcome{http.StatusMethodNotAllowed, "method_not_allowed", "", "", ""}
+	case errors.Is(err, errRefused):
+		return outcome{http.StatusServiceUnavailable, "draining", "", "serve.drained", ""}
+	case errors.Is(err, errInvalid):
+		return outcome{http.StatusBadRequest, "bad_request", "", "", ""}
+	case errors.As(err, &injected):
+		return outcome{http.StatusServiceUnavailable, "injected_fault", "injected_fault", "", "injected"}
+	case errors.Is(err, errTenantLimit):
+		return outcome{http.StatusTooManyRequests, "tenant_limit", "", "", "tenant"}
+	case errors.Is(err, errQueueFull):
+		return outcome{http.StatusTooManyRequests, "overloaded", "", "", "queue"}
+	case errors.As(err, &over) && over.Permanent:
+		return outcome{http.StatusRequestEntityTooLarge, "unfittable", "", "", "unfittable"}
+	case errors.As(err, &over):
+		return outcome{http.StatusTooManyRequests, "memory", "", "", "memory"}
+	case errors.Is(err, ErrAdapterNotFound):
+		return outcome{http.StatusNotFound, "adapter_not_found", "", "", ""}
+	case errors.As(err, &corrupt):
+		return outcome{http.StatusUnprocessableEntity, "adapter_corrupt", "", "", ""}
+	case errors.Is(err, ErrRegistryBusy):
+		return outcome{http.StatusTooManyRequests, "adapters_busy", "", "", "adapters"}
+	case errors.Is(err, ErrAdapterMismatch):
+		return outcome{http.StatusUnprocessableEntity, "adapter_mismatch", "", "", ""}
 	case errors.As(err, &stall):
-		return outcome{http.StatusGatewayTimeout, "stalled", "stall_killed", "serve.stalled"}
+		return outcome{http.StatusGatewayTimeout, "stalled", "stall_killed", "serve.stalled", ""}
 	case errors.Is(err, context.DeadlineExceeded):
-		return outcome{http.StatusGatewayTimeout, "deadline_exceeded", "deadline", "serve.deadline_exceeded"}
+		return outcome{http.StatusGatewayTimeout, "deadline_exceeded", "deadline", "serve.deadline_exceeded", ""}
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrClosed):
-		return outcome{http.StatusServiceUnavailable, "draining", "drain_cancelled", "serve.drain_cancelled"}
+		return outcome{http.StatusServiceUnavailable, "draining", "drain_cancelled", "serve.drain_cancelled", ""}
 	case errors.As(err, &panicErr):
-		return outcome{http.StatusInternalServerError, "stream_panic", "stream_panic", ""}
+		return outcome{http.StatusInternalServerError, "stream_panic", "stream_panic", "", ""}
 	case errors.Is(err, errInjectedCancel):
-		return outcome{http.StatusInternalServerError, "cancelled", "injected_cancel", ""}
+		return outcome{http.StatusInternalServerError, "cancelled", "injected_cancel", "", ""}
 	case errors.Is(err, errDisconnected):
-		return outcome{http.StatusInternalServerError, "cancelled", "disconnect", "serve.disconnects"}
+		return outcome{http.StatusInternalServerError, "cancelled", "disconnect", "serve.disconnects", ""}
 	case errors.Is(err, ErrCancelled):
-		return outcome{http.StatusInternalServerError, "cancelled", "", ""}
+		return outcome{http.StatusInternalServerError, "cancelled", "", "", ""}
 	default:
-		return outcome{http.StatusInternalServerError, "internal", "", ""}
+		return outcome{http.StatusInternalServerError, "internal", "", "", ""}
 	}
 }
 
-// requestObs carries one request's observability state through the handler:
-// the root serve.request span (tagged with the request ID so the Perfetto
-// timeline is greppable per request), the access-log record, and the span
-// fields accumulated along the way. Every exit path funnels through fail or
-// finish, so each request ends its span and writes exactly one log line no
-// matter how it dies. All cost here is per-request, never per-token.
+// requestObs carries one request through the handler: the parsed request,
+// what admission granted it, and its observability state — the root
+// serve.request span (tagged with the request ID so the Perfetto timeline is
+// greppable per request), the access-log record, and the span fields
+// accumulated along the way. Every exit path funnels through fail or finish,
+// so each request ends its span and writes exactly one log line no matter
+// how it dies, and release gives back what it holds. All cost here is
+// per-request, never per-token.
 type requestObs struct {
 	s      *Server
+	req    generateRequest
 	start  time.Time
 	rec    AccessRecord
 	root   obsv.Span
-	wd     *govern.Watchdog
 	fields map[string]float64
 	admEnd bool // serve.admission child recorded
+
+	tokCh    chan int        // streamed tokens, when req.Stream
+	wctx     context.Context // ended by deadline, disconnect or stall
+	wd       *govern.Watchdog
+	cancel   context.CancelFunc // the deadline's
+	inflight bool               // counted by Drain's wait
+	tenant   bool               // holds one of req.Tenant's TenantSlots
+	queued   bool               // holds a place in the bounded queue
+	kv       int64              // reserved KV-cache bytes
+	pinned   bool               // req.Adapter pinned in the registry
 }
 
-func (s *Server) newRequestObs(headerID string) *requestObs {
-	o := &requestObs{s: s, start: time.Now()}
-	o.rec.TimeUnixNano = o.start.UnixNano()
-	o.rec.ID = headerID
-	return o
+// release gives back what admission granted, in the reverse order of taking.
+func (o *requestObs) release() {
+	o.wd.Stop()
+	if o.cancel != nil {
+		o.cancel()
+	}
+	if o.pinned {
+		o.s.cfg.Registry.Release(o.req.Adapter)
+	}
+	o.s.adm.Release(o.kv)
+	if o.queued {
+		<-o.s.sem
+	}
+	if o.tenant {
+		o.s.tenantRelease(o.req.Tenant)
+	}
+	if o.inflight {
+		o.s.endRequest()
+	}
 }
-
-// begin opens the root span once the request's identity is resolved.
-func (o *requestObs) begin(req *generateRequest) {
-	o.rec.ID = req.ID
-	o.rec.Tenant = req.Tenant
-	o.rec.Adapter = req.Adapter
-	o.rec.PromptTokens = len(req.Prompt)
-	o.root = obsv.StartSpan("serve.request", obsv.L("tenant", req.Tenant)).Tag("req", req.ID)
-}
-
-// event appends a degradation annotation to the access-log record.
-func (o *requestObs) event(ev string) { o.rec.Events = append(o.rec.Events, ev) }
 
 // field attaches a numeric field to the root span's emitted event.
 func (o *requestObs) field(k string, v float64) {
@@ -299,18 +362,26 @@ func (o *requestObs) endAdmission() {
 	o.root.ObserveChild("serve.admission", o.start, time.Since(o.start), nil)
 }
 
-// fail writes the typed error response and finishes the request's
-// observability in one step.
-func (o *requestObs) fail(w http.ResponseWriter, status int, code string, err error) {
-	o.s.writeJSON(w, status, o.rec.ID, errorResponse{ID: o.rec.ID, Error: err.Error(), Code: code})
-	o.finish(status, code, err)
+// note records oc's access-log event and bumps its counters.
+func (o *requestObs) note(oc outcome) {
+	if oc.event != "" {
+		o.rec.Events = append(o.rec.Events, oc.event)
+	}
+	if oc.counter != "" {
+		obsv.Add(oc.counter, 1)
+	}
+	if oc.shed != "" {
+		obsv.Add("serve.shed", 1, obsv.L("reason", oc.shed))
+	}
 }
 
-// shed is fail for a load-shedding rejection, counted in serve.shed under
-// its reason.
-func (o *requestObs) shed(w http.ResponseWriter, reason string, status int, code string, err error) {
-	obsv.Add("serve.shed", 1, obsv.L("reason", reason))
-	o.fail(w, status, code, err)
+// fail answers an admission reject with its typed error response and
+// finishes the request's observability in one step.
+func (o *requestObs) fail(w http.ResponseWriter, err error) {
+	oc := outcomeOf(err)
+	o.note(oc)
+	o.s.writeJSON(w, oc.status, o.rec.ID, errorResponse{ID: o.rec.ID, Error: err.Error(), Code: oc.code})
+	o.finish(oc.status, oc.code, err)
 }
 
 // finish ends the root span and writes the access-log record. Every path
@@ -333,10 +404,10 @@ func (o *requestObs) finish(status int, code string, err error) {
 // access-log record, with the outcome's event and counter. It returns the
 // outcome, the last body (a generateResponse on success, an errorResponse
 // otherwise) and the stream's terminal error.
-func (o *requestObs) end(st *Stream, req *generateRequest) (outcome, any, error) {
+func (o *requestObs) end(st *Stream) (outcome, any, error) {
 	<-st.Done()
 	res := st.Result()
-	tenant := obsv.L("tenant", req.Tenant)
+	tenant := obsv.L("tenant", o.req.Tenant)
 	obsv.Add("serve.requests", 1, tenant)
 	obsv.Observe("serve.request_ms", float64(time.Since(o.start))/float64(time.Millisecond), tenant)
 	tm := st.Timing()
@@ -370,72 +441,85 @@ func (o *requestObs) end(st *Stream, req *generateRequest) (outcome, any, error)
 	}
 	oc := outcomeOf(res.Err)
 	if res.Err == nil {
-		obsv.Add("serve.tokens", int64(len(res.Tokens)-len(req.Prompt)), tenant)
+		obsv.Add("serve.tokens", int64(len(res.Tokens)-len(o.req.Prompt)), tenant)
 		return oc, generateResponse{
-			ID: req.ID, Tenant: req.Tenant, Adapter: req.Adapter, Tokens: res.Tokens,
+			ID: o.req.ID, Tenant: o.req.Tenant, Adapter: o.req.Adapter, Tokens: res.Tokens,
 			QueueWaitMS: o.rec.QueueMS,
 			TotalMS:     float64(time.Since(o.start)) / float64(time.Millisecond), Done: true,
 		}, nil
 	}
 	obsv.Add("serve.errors", 1, tenant)
-	if oc.event != "" {
-		o.event(oc.event)
-	}
-	if oc.counter != "" {
-		obsv.Add(oc.counter, 1)
-	}
+	o.note(oc)
 	if t := o.wd.FiredAt(); oc.code == "stalled" && !t.IsZero() {
 		// Where in the request timeline the watchdog fired.
 		o.field("stall_fired_ms", float64(t.Sub(o.start))/float64(time.Millisecond))
 	}
-	return oc, errorResponse{ID: req.ID, Error: res.Err.Error(), Code: oc.code}, res.Err
+	return oc, errorResponse{ID: o.req.ID, Error: res.Err.Error(), Code: oc.code}, res.Err
 }
 
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	o := s.newRequestObs(r.Header.Get(requestIDHeader))
+	o := &requestObs{s: s, start: time.Now(), rec: AccessRecord{ID: r.Header.Get(requestIDHeader)}}
+	o.rec.TimeUnixNano = o.start.UnixNano()
+	defer o.release()
+	st, err := s.admit(o, w, r)
+	if err != nil {
+		o.fail(w, err)
+		return
+	}
+	s.addActive(1)
+	defer s.addActive(-1)
+
+	// Cancellation watcher: the request context's cause becomes the
+	// stream's, so the KV slot is reclaimed at the next step boundary no
+	// matter how the request dies. (A goroutine, not context.AfterFunc:
+	// fewer allocations per request.)
+	go func() {
+		select {
+		case <-st.Done():
+		case <-o.wctx.Done():
+			st.CancelCause(cancelCause(o.wctx))
+		}
+	}()
+
+	if o.req.Stream {
+		s.streamResponse(w, st, o)
+		return
+	}
+	oc, body, err := o.end(st)
+	flush := o.root.Child("serve.flush")
+	s.writeJSON(w, oc.status, o.req.ID, body)
+	flush.End()
+	o.finish(oc.status, oc.code, err)
+}
+
+// admit runs a request through every admission check, in order, taking what
+// each grants into o, and submits it. An error is the reject that refused it.
+func (s *Server) admit(o *requestObs, w http.ResponseWriter, r *http.Request) (*Stream, error) {
 	if r.Method != http.MethodPost {
-		o.fail(w, http.StatusMethodNotAllowed, "method_not_allowed",
-			fmt.Errorf("serve: %s not allowed", r.Method))
-		return
+		return nil, reject(errMethod, fmt.Errorf("serve: %s not allowed", r.Method))
 	}
-	if !s.beginRequest() {
-		obsv.Add("serve.drained", 1)
-		o.fail(w, http.StatusServiceUnavailable, "draining",
-			errors.New("serve: server is draining"))
-		return
+	if o.inflight = s.beginRequest(); !o.inflight {
+		return nil, errRefused
 	}
-	defer s.endRequest()
-	var req generateRequest
+	req := &o.req
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		o.fail(w, http.StatusBadRequest, "bad_request",
-			fmt.Errorf("serve: parse request: %w", err))
-		return
+	if err := dec.Decode(req); err != nil {
+		return nil, reject(errInvalid, fmt.Errorf("serve: parse request: %w", err))
 	}
 	// Request identity: body id beats the X-Edgellm-Request-Id header beats
 	// a server-generated id. Whichever wins is echoed on the response and
 	// tags the trace spans and the access-log line.
-	if req.ID == "" {
-		req.ID = o.rec.ID
-	}
-	if req.ID == "" {
+	if req.ID = cmp.Or(req.ID, o.rec.ID); req.ID == "" {
 		req.ID = fmt.Sprintf("r%d", s.nextID.Add(1))
 	}
-	if req.Tenant == "" {
-		req.Tenant = "default"
-	}
-	o.begin(&req)
+	req.Tenant = cmp.Or(req.Tenant, "default")
+	o.rec.ID, o.rec.Tenant, o.rec.Adapter, o.rec.PromptTokens = req.ID, req.Tenant, req.Adapter, len(req.Prompt)
+	o.root = obsv.StartSpan("serve.request", obsv.L("tenant", req.Tenant)).Tag("req", req.ID)
 
 	// Admission-stage fault seam: deterministic injected rejections.
-	mode := fault.Mode("")
-	if s.cfg.Injector != nil {
-		mode = s.cfg.Injector.ModeFor(req.ID)
-	}
+	mode := s.cfg.Injector.ModeFor(req.ID)
 	if mode == fault.ModeFail {
-		o.event("injected_fault")
-		o.shed(w, "injected", http.StatusServiceUnavailable, "injected_fault",
-			&fault.PermanentError{Msg: "injected admission failure in " + req.ID})
-		return
+		return nil, &fault.PermanentError{Msg: "injected admission failure in " + req.ID}
 	}
 
 	// Submit's own check, before the request takes a tenant slot, a queue
@@ -448,27 +532,23 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 	if err := s.sched.Check(sreq); err != nil {
-		o.fail(w, http.StatusBadRequest, "bad_request", err)
-		return
+		return nil, err
 	}
 
 	// Per-tenant concurrency cap.
-	if !s.tenantAcquire(req.Tenant) {
-		o.shed(w, "tenant", http.StatusTooManyRequests, "tenant_limit",
+	if o.tenant = s.tenantAcquire(req.Tenant); !o.tenant {
+		return nil, reject(errTenantLimit,
 			fmt.Errorf("serve: tenant %s is at its %d-request limit", req.Tenant, s.cfg.TenantSlots))
-		return
 	}
-	defer s.tenantRelease(req.Tenant)
 
 	// Bounded wait queue: slots + MaxQueue requests in the building, the
 	// rest shed immediately.
 	select {
 	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
+		o.queued = true
 	default:
-		o.shed(w, "queue", http.StatusTooManyRequests, "overloaded",
+		return nil, reject(errQueueFull,
 			fmt.Errorf("serve: queue full (%d waiting + %d active)", s.cfg.MaxQueue, s.dec.Slots()))
-		return
 	}
 
 	// Analytic KV admission: reject requests that cannot fit in the memory
@@ -476,15 +556,9 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	cfg := s.dec.Config()
 	kvNeed := govern.ServeKVBytes(cfg.Layers, cfg.Dim, len(req.Prompt)+req.MaxTokens)
 	if err := s.adm.TryReserve(kvNeed); err != nil {
-		var over *govern.OverBudgetError
-		if errors.As(err, &over) && over.Permanent {
-			o.shed(w, "unfittable", http.StatusRequestEntityTooLarge, "unfittable", err)
-		} else {
-			o.shed(w, "memory", http.StatusTooManyRequests, "memory", err)
-		}
-		return
+		return nil, err
 	}
-	defer s.adm.Release(kvNeed)
+	o.kv = kvNeed
 	o.endAdmission()
 
 	// Resolve the tenant's adapter through the registry (pinned until the
@@ -493,65 +567,44 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		load := o.root.Child("serve.adapter_load")
 		if s.cfg.Registry == nil {
 			load.End()
-			o.fail(w, http.StatusNotFound, "adapter_not_found",
-				fmt.Errorf("%w: no adapter registry configured", ErrAdapterNotFound))
-			return
+			return nil, fmt.Errorf("%w: no adapter registry configured", ErrAdapterNotFound)
 		}
-		a, err := s.cfg.Registry.Acquire(req.Adapter)
+		adp, err := s.cfg.Registry.Acquire(req.Adapter)
 		load.End()
 		if err != nil {
-			var corrupt *CorruptAdapterError
-			switch {
-			case errors.As(err, &corrupt):
-				o.fail(w, http.StatusUnprocessableEntity, "adapter_corrupt", err)
-			case errors.Is(err, ErrRegistryBusy):
-				o.shed(w, "adapters", http.StatusTooManyRequests, "adapters_busy", err)
-			default:
-				o.fail(w, http.StatusNotFound, "adapter_not_found", err)
-			}
-			return
+			return nil, err
 		}
-		sreq.Adapter = a
-		defer s.cfg.Registry.Release(req.Adapter)
+		sreq.Adapter, o.pinned = adp, true
 	}
 
 	// Deadline: header beats server default. Deadline, client disconnect and
 	// stall watchdog all end the request context, each with its own cause,
 	// and share one cancel path.
-	reqCtx := r.Context()
+	o.wctx = r.Context()
 	deadline := s.cfg.DefaultDeadline
 	if h := r.Header.Get("X-Edgellm-Deadline-Ms"); h != "" {
 		ms, err := strconv.Atoi(h)
 		if err != nil || ms <= 0 {
-			o.fail(w, http.StatusBadRequest, "bad_request",
-				fmt.Errorf("serve: bad X-Edgellm-Deadline-Ms %q", h))
-			return
+			return nil, reject(errInvalid, fmt.Errorf("serve: bad X-Edgellm-Deadline-Ms %q", h))
 		}
 		deadline = time.Duration(ms) * time.Millisecond
 	}
 	if deadline > 0 {
-		var cancel context.CancelFunc
-		reqCtx, cancel = context.WithTimeout(reqCtx, deadline)
-		defer cancel()
+		o.wctx, o.cancel = context.WithTimeout(o.wctx, deadline)
 	}
 
 	// Per-stream stall watchdog: token production beats it; silence for
 	// StallTimeout cancels the context with a typed StallError as cause.
-	wctx := reqCtx
-	var wd *govern.Watchdog
 	if s.cfg.StallTimeout > 0 {
-		wctx, wd = govern.Budget{HeartbeatTimeout: s.cfg.StallTimeout}.Watch(reqCtx, "serve:"+req.ID)
-		wd.Beat() // arm: queue wait counts as production time
-		defer wd.Stop()
-		o.wd = wd
+		o.wctx, o.wd = govern.Budget{HeartbeatTimeout: s.cfg.StallTimeout}.Watch(o.wctx, "serve:"+req.ID)
+		o.wd.Beat() // arm: queue wait counts as production time
 	}
 
 	half := req.MaxTokens / 2
-	var tokCh chan int
 	if req.Stream {
 		// Buffered to MaxTokens: the decode goroutine can always complete a
 		// stream without waiting on a slow client.
-		tokCh = make(chan int, req.MaxTokens)
+		o.tokCh = make(chan int, req.MaxTokens)
 	}
 	sreq.OnToken = func(st *Stream, tok int) {
 		switch mode {
@@ -569,59 +622,27 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 				// the stall watchdog (or deadline) kills this stream. Cancel
 				// synchronously on unblock — the cause must be recorded
 				// before the decode loop reaches its next step boundary.
-				<-wctx.Done()
-				st.CancelCause(cancelCause(wctx))
+				<-o.wctx.Done()
+				st.CancelCause(cancelCause(o.wctx))
 				return
 			}
 		}
-		if wd != nil {
-			wd.Beat()
-		}
-		if tokCh != nil {
+		o.wd.Beat()
+		if o.tokCh != nil {
 			select {
-			case tokCh <- tok:
+			case o.tokCh <- tok:
 			default:
 			}
 		}
 	}
 
 	st, err := s.sched.Submit(sreq)
-	switch {
-	case errors.Is(err, ErrClosed):
-		obsv.Add("serve.drained", 1)
-		o.fail(w, http.StatusServiceUnavailable, "draining", err)
-		return
-	case errors.Is(err, ErrAdapterMismatch):
-		o.fail(w, http.StatusUnprocessableEntity, "adapter_mismatch", err)
-		return
-	case err != nil:
-		o.fail(w, http.StatusBadRequest, "bad_request", err)
-		return
+	if errors.Is(err, ErrClosed) {
+		// Drain closed the scheduler after this request got in: refused
+		// at the door, like a request that arrives draining.
+		err = reject(errRefused, err)
 	}
-	s.addActive(1)
-	defer s.addActive(-1)
-
-	// Cancellation watcher: the request context's cause becomes the
-	// stream's, so the KV slot is reclaimed at the next step boundary no
-	// matter how the request dies. (A goroutine, not context.AfterFunc:
-	// fewer allocations per request.)
-	go func() {
-		select {
-		case <-st.Done():
-		case <-wctx.Done():
-			st.CancelCause(cancelCause(wctx))
-		}
-	}()
-
-	if req.Stream {
-		s.streamResponse(w, st, &req, tokCh, o)
-		return
-	}
-	oc, body, err := o.end(st, &req)
-	flush := o.root.Child("serve.flush")
-	s.writeJSON(w, oc.status, req.ID, body)
-	flush.End()
-	o.finish(oc.status, oc.code, err)
+	return st, err
 }
 
 // streamChunk is one NDJSON line of a streaming response.
@@ -634,9 +655,9 @@ type streamChunk struct {
 // blocks on this path: tokens flow through a channel buffered to MaxTokens,
 // so a slow client costs only its own latency. A failed write cancels the
 // stream, reclaiming the KV slot immediately.
-func (s *Server) streamResponse(w http.ResponseWriter, st *Stream, req *generateRequest, tokCh chan int, o *requestObs) {
+func (s *Server) streamResponse(w http.ResponseWriter, st *Stream, o *requestObs) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set(requestIDHeader, req.ID)
+	w.Header().Set(requestIDHeader, o.req.ID)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
@@ -653,7 +674,7 @@ func (s *Server) streamResponse(w http.ResponseWriter, st *Stream, req *generate
 	alive, done := true, false
 	for alive && !done {
 		select {
-		case tok := <-tokCh:
+		case tok := <-o.tokCh:
 			alive = writeChunk(tok)
 		case <-st.Done():
 			done = true
@@ -661,18 +682,18 @@ func (s *Server) streamResponse(w http.ResponseWriter, st *Stream, req *generate
 	}
 	// Every token was sent before Done closed, and none was dropped: what
 	// is left in the channel raced the close.
-	for alive && len(tokCh) > 0 {
-		alive = writeChunk(<-tokCh)
+	for alive && len(o.tokCh) > 0 {
+		alive = writeChunk(<-o.tokCh)
 	}
 	// end waits for the scheduler to retire the stream, so even when the
 	// client is gone the slot is provably reclaimed before the handler exits.
-	oc, body, err := o.end(st, req)
+	oc, body, err := o.end(st)
 	if alive {
 		flush := o.root.Child("serve.flush")
 		enc.Encode(body)
 		flush.End()
 	} else {
-		o.event("client_write_failed")
+		o.rec.Events = append(o.rec.Events, "client_write_failed")
 	}
 	// The HTTP status is already 200; the access-log Code carries the
 	// stream's real verdict.
@@ -775,10 +796,7 @@ func (s *Server) handleAdapters(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	active := s.active
-	tenants := make(map[string]int, len(s.tenants))
-	for t, n := range s.tenants {
-		tenants[t] = n
-	}
+	tenants := maps.Clone(s.tenants)
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	status := map[string]any{
