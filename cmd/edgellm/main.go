@@ -88,10 +88,7 @@ func cmdExperiments(args []string) (err error) {
 	quick := fs.Bool("quick", false, "shrink trained experiments for a fast smoke run")
 	markdown := fs.Bool("markdown", false, "emit markdown tables")
 	parallel := fs.Int("parallel", 1, "max concurrent tasks in the experiment runner (1 = sequential; results are identical at any value)")
-	metrics := fs.String("metrics", "", "write JSONL observability events (manifest, spans, metrics, summary) to this file")
-	trace := fs.String("trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing or Perfetto) to this path")
-	spanlog := fs.Bool("spanlog", false, "print one line per completed timing span to stderr")
-	telemetryAddr := fs.String("telemetry-addr", "", "serve live telemetry on this host:port (/metrics Prometheus text, /debug/vars, /debug/pprof); use :0 for an ephemeral port")
+	sinks := obsvFlags(fs, "edgellm")
 	faultSpec := fs.String("fault", "", `inject deterministic faults: comma-separated mode=ID pairs (panic=F5,flaky=T3,fail=A2) or "smoke"`)
 	retries := fs.Int("retries", 0, "retry budget per experiment for retryable failures (0 = default, negative disables)")
 	memBudget := fs.String("mem-budget", "", `hard per-experiment memory budget for the resource governor: bytes with optional KiB/MiB/GiB suffix, or "half-vanilla" for half the analytic vanilla-FT peak`)
@@ -128,10 +125,8 @@ func cmdExperiments(args []string) (err error) {
 		man.StageTimeoutMS = float64(*stageTimeout) / float64(time.Millisecond)
 	}
 
-	rec, finish, err := setupObsv(obsvConfig{
-		Tool: "edgellm", MetricsPath: *metrics, TracePath: *trace, SpanLog: *spanlog,
-		TelemetryAddr: *telemetryAddr, Manifest: &man,
-	})
+	sinks.Manifest = &man
+	rec, finish, err := setupObsv(*sinks)
 	if err != nil {
 		return err
 	}
@@ -287,7 +282,6 @@ type obsvConfig struct {
 	Tool          string // stderr line prefix ("edgellm", "serve")
 	MetricsPath   string // JSONL event stream
 	TracePath     string // Chrome trace-event JSON
-	SpanLog       bool   // human span lines on stderr
 	TelemetryAddr string // live /metrics + /debug/pprof endpoint
 
 	// Always installs a recorder even when no sink is selected, for a
@@ -295,6 +289,16 @@ type obsvConfig struct {
 	Always bool
 	// Manifest, when set, is emitted as the stream's first event.
 	Manifest *obsv.Manifest
+}
+
+// obsvFlags declares the sink flags -metrics, -trace and -telemetry-addr on
+// fs and returns the config they fill in when fs is parsed.
+func obsvFlags(fs *flag.FlagSet, tool string) *obsvConfig {
+	c := &obsvConfig{Tool: tool}
+	fs.StringVar(&c.MetricsPath, "metrics", "", "write JSONL observability events (manifest, spans, metrics, summary) to this file")
+	fs.StringVar(&c.TracePath, "trace", "", "write span timelines as Chrome trace-event JSON to this file (open in chrome://tracing or Perfetto)")
+	fs.StringVar(&c.TelemetryAddr, "telemetry-addr", "", "serve live telemetry on this host:port (/metrics Prometheus text, /debug/vars, /debug/pprof); use :0 for an ephemeral port")
+	return c
 }
 
 // setupObsv is the one flags → recorder / JSONL emitter / Chrome trace /
@@ -306,7 +310,7 @@ type obsvConfig struct {
 // JSONL, failed trace write, ...), so no subcommand can exit 0 having
 // silently dropped telemetry — run it through closeObsv.
 func setupObsv(c obsvConfig) (*obsv.Recorder, func() error, error) {
-	if !c.Always && c.MetricsPath == "" && c.TracePath == "" && !c.SpanLog && c.TelemetryAddr == "" {
+	if !c.Always && c.MetricsPath == "" && c.TracePath == "" && c.TelemetryAddr == "" {
 		return nil, func() error { return nil }, nil
 	}
 	rec := obsv.New()
@@ -359,9 +363,6 @@ func setupObsv(c obsvConfig) (*obsv.Recorder, func() error, error) {
 		tw = obsv.NewTraceWriter(f)
 		rec.SetTraceWriter(tw)
 		fmt.Fprintf(os.Stderr, "%s: writing span timelines to %s (Chrome trace format)\n", c.Tool, c.TracePath)
-	}
-	if c.SpanLog {
-		rec.SetTrace(os.Stderr)
 	}
 	if c.TelemetryAddr != "" {
 		srv, err := obsv.StartServer(c.TelemetryAddr, rec)

@@ -49,12 +49,10 @@ func cmdServe(args []string) (err error) {
 	maxAdapters := fs.Int("max-adapters", 8, "LRU bound on resident adapters")
 	bitsSpec := fs.String("bits", "", `pack block weights and decode through the fused kernels: "2".."8" (one width for every layer) or "luc@<avg-bits>" (per-layer LUC assignment under an average-bit budget, e.g. luc@3.5); empty runs float32`)
 	faultSpec := fs.String("fault", "", `chaos seam: comma-separated mode=ID pairs over request ids, modes fail|panic|cancel|stall (e.g. "panic=R3,cancel=R7")`)
-	telemetryAddr := fs.String("telemetry-addr", "", "serve live telemetry on this host:port (/metrics, /debug/vars, /debug/pprof)")
 	accessLogPath := fs.String("access-log", "", "append one JSONL record per request to this file (analysable offline with `edgellm telemetry serve-report`)")
 	sloSpec := fs.String("slo", "", `SLO objectives, comma-separated (e.g. "p99_ttft_ms=500,availability=0.999"); burn rates surface on /statusz, /metrics, and serve.slo_* — reported, never enforced`)
 	sloInterval := fs.Duration("slo-interval", 5*time.Second, "SLO burn-rate sampling interval")
-	tracePath := fs.String("trace", "", "write request span timelines as Chrome trace-event JSON to this file (open in chrome://tracing or Perfetto)")
-	metricsPath := fs.String("metrics", "", "stream telemetry events as JSONL to this file")
+	sinks := obsvFlags(fs, "serve")
 	fs.Parse(args)
 	if *slots < 1 {
 		return fmt.Errorf("serve: -slots must be at least 1, got %d", *slots)
@@ -99,10 +97,8 @@ func cmdServe(args []string) (err error) {
 			desc, fmtB(pm.ReleasedBytes()), fmtB(pm.StorageBytes()))
 	}
 
-	rec, finishObsv, err := setupObsv(obsvConfig{
-		Tool: "serve", MetricsPath: *metricsPath, TracePath: *tracePath,
-		TelemetryAddr: *telemetryAddr, Always: true,
-	})
+	sinks.Always = true
+	rec, finishObsv, err := setupObsv(*sinks)
 	if err != nil {
 		return err
 	}

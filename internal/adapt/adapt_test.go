@@ -324,7 +324,7 @@ func TestLoRATuningReducesLossWithFrozenBase(t *testing.T) {
 	}
 	// At this toy width (dim 16, rank 4) LoRA is ~rank/dim = 25% of the
 	// block weights; assert it is at least smaller than the full model.
-	if set.NumParams() >= nn.NumParams(m)/2 {
+	if nn.NumParams(set) >= nn.NumParams(m)/2 {
 		t.Fatal("LoRA must be parameter-efficient relative to the base model")
 	}
 }

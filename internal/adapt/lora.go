@@ -82,12 +82,3 @@ func (s *LoRASet) Remove() {
 	s.hosts = nil
 	s.params = nil
 }
-
-// NumParams returns the adapter parameter count.
-func (s *LoRASet) NumParams() int {
-	n := 0
-	for _, p := range s.params {
-		n += p.Value.Data.Len()
-	}
-	return n
-}

@@ -109,15 +109,6 @@ func (l *LST) Params() []nn.NamedParam {
 	return ps
 }
 
-// NumParams returns the side-network parameter count.
-func (l *LST) NumParams() int {
-	n := 0
-	for _, p := range l.Params() {
-		n += p.Value.Data.Len()
-	}
-	return n
-}
-
 // Logits runs the frozen backbone once, feeds each block output into the
 // ladder, and returns the side network's vocab logits. Backbone
 // activations are detached, so the recorded tape covers only side ops.

@@ -24,9 +24,9 @@ func TestLSTLogitsShape(t *testing.T) {
 func TestLSTSideNetworkIsSmall(t *testing.T) {
 	m := tinyModel(32, 3)
 	l := NewLST(m, tensor.NewRNG(33), 4)
-	if l.NumParams() >= nn.NumParams(m)/2 {
+	if nn.NumParams(l) >= nn.NumParams(m)/2 {
 		t.Fatalf("side network %d params vs backbone %d — not parameter-efficient",
-			l.NumParams(), nn.NumParams(m))
+			nn.NumParams(l), nn.NumParams(m))
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 )
 
 const (
@@ -88,27 +87,24 @@ func (w *Writer) Size() int64 { return w.n }
 // Reader reads one artifact, folding every body byte into the checksum that
 // Verify compares with the footer.
 type Reader struct {
-	r     io.Reader
-	crc   hash.Hash32
-	magic Magic
+	r   io.Reader
+	crc hash.Hash32
 }
 
-// NewReader reads the magic from r and fails unless it is one of accept. r
-// must not read ahead of what is asked of it when the artifact is followed
-// by other data (a bufio.Reader around the whole stream is fine).
-func NewReader(r io.Reader, accept ...Magic) (*Reader, error) {
+// NewReader reads the magic from r and fails unless it is want. r must not
+// read ahead of what is asked of it when the artifact is followed by other
+// data (a bufio.Reader around the whole stream is fine).
+func NewReader(r io.Reader, want Magic) (*Reader, error) {
 	ar := &Reader{r: r, crc: crc32.NewIEEE()}
-	if _, err := io.ReadFull(ar, ar.magic[:]); err != nil {
+	var magic Magic
+	if _, err := io.ReadFull(ar, magic[:]); err != nil {
 		return nil, fmt.Errorf("artifact: read magic: %w", err)
 	}
-	if !slices.Contains(accept, ar.magic) {
-		return nil, fmt.Errorf("artifact: magic %q, want one of %q", ar.magic, accept)
+	if magic != want {
+		return nil, fmt.Errorf("artifact: magic %q, want %q", magic, want)
 	}
 	return ar, nil
 }
-
-// Magic is the magic NewReader found.
-func (r *Reader) Magic() Magic { return r.magic }
 
 // Read reads body bytes.
 func (r *Reader) Read(p []byte) (int, error) {

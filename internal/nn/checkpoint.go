@@ -10,12 +10,9 @@ import (
 
 // A model checkpoint is an artifact (DESIGN.md, "Artifacts") of kind
 // "ELLMCKP2": a JSON header {config, names} and then every named parameter
-// in header order, tensor.WriteTo framing. "ELLMCKP1", the same body written
-// before the footer existed, still loads, unverified.
-var (
-	checkpointMagicV2 = artifact.Magic{'E', 'L', 'L', 'M', 'C', 'K', 'P', '2'}
-	checkpointMagicV1 = artifact.Magic{'E', 'L', 'L', 'M', 'C', 'K', 'P', '1'}
-)
+// in header order, tensor.WriteTo framing. The footerless "ELLMCKP1" form is
+// rejected, so every checkpoint that loads has passed its checksum.
+var checkpointMagic = artifact.Magic{'E', 'L', 'L', 'M', 'C', 'K', 'P', '2'}
 
 // checkpointHeader is the JSON header preceding the tensor payload.
 type checkpointHeader struct {
@@ -23,15 +20,14 @@ type checkpointHeader struct {
 	Names  []string `json:"names"`
 }
 
-// Save serialises the model (config + every named parameter) to w as a v2
-// checkpoint.
+// Save serialises the model (config + every named parameter) to w.
 func (m *Model) Save(w io.Writer) error {
 	params := m.Params()
 	hdr := checkpointHeader{Config: m.Cfg}
 	for _, p := range params {
 		hdr.Names = append(hdr.Names, p.Name)
 	}
-	aw := artifact.NewWriter(w, checkpointMagicV2)
+	aw := artifact.NewWriter(w, checkpointMagic)
 	if err := aw.Header(hdr); err != nil {
 		return fmt.Errorf("nn: write checkpoint header: %w", err)
 	}
@@ -52,11 +48,10 @@ func (m *Model) Save(w io.Writer) error {
 // is the config's parameter count: each read is bounded by the bytes
 // present, so a header that declares a model larger than its file costs no
 // more than the file. Name order and shapes are verified against the built
-// architecture, and a v2 checkpoint's checksum is verified before the model
-// is returned, so a truncated or bit-flipped file can never load
-// successfully.
+// architecture, and the checksum is verified before the model is returned,
+// so a truncated or bit-flipped file can never load successfully.
 func Load(r io.Reader) (*Model, error) {
-	ar, err := artifact.NewReader(r, checkpointMagicV2, checkpointMagicV1)
+	ar, err := artifact.NewReader(r, checkpointMagic)
 	if err != nil {
 		return nil, fmt.Errorf("nn: not an edgellm checkpoint: %w", err)
 	}
@@ -95,9 +90,6 @@ func Load(r io.Reader) (*Model, error) {
 				p.Name, t.Shape, p.Value.Data.Shape)
 		}
 		p.Value.Data.CopyFrom(t)
-	}
-	if ar.Magic() == checkpointMagicV1 {
-		return m, nil
 	}
 	if err := ar.Verify(); err != nil {
 		return nil, fmt.Errorf("nn: checkpoint: %w", err)

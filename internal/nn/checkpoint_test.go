@@ -244,7 +244,7 @@ func TestLoadLyingHeaderAllocatesLittle(t *testing.T) {
 	hdr := checkpointHeader{Config: m.Cfg}
 	hdr.Config.Vocab, hdr.Config.Dim = 1<<16, 1<<8
 	var buf bytes.Buffer
-	aw := artifact.NewWriter(&buf, checkpointMagicV2)
+	aw := artifact.NewWriter(&buf, checkpointMagic)
 	for _, p := range m.Params() {
 		hdr.Names = append(hdr.Names, p.Name)
 	}

@@ -2,7 +2,6 @@ package obsv
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 )
@@ -78,6 +77,3 @@ func (e *Emitter) Err() error {
 	defer e.mu.Unlock()
 	return e.err
 }
-
-// formatMS renders a millisecond duration for trace lines.
-func formatMS(ms float64) string { return fmt.Sprintf("%.3fms", ms) }

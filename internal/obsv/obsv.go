@@ -20,7 +20,6 @@
 package obsv
 
 import (
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -149,7 +148,7 @@ type distEntry struct {
 }
 
 // Recorder is the central registry: it owns the metric maps and the
-// optional JSONL emitter, span logger, and Chrome trace writer. The zero
+// optional JSONL emitter and Chrome trace writer. The zero
 // value is not usable; construct with New. A nil *Recorder is a valid
 // no-op receiver for every method, which is what makes the disabled path
 // free.
@@ -161,14 +160,7 @@ type Recorder struct {
 	spans    map[string]*distEntry
 
 	emitter atomic.Pointer[Emitter]
-	spanlog atomic.Pointer[spanLogger]
 	chrome  atomic.Pointer[TraceWriter]
-}
-
-// spanLogger writes one human-readable line per completed span.
-type spanLogger struct {
-	mu sync.Mutex
-	w  io.Writer
 }
 
 // New returns an empty Recorder.
@@ -188,19 +180,6 @@ func (r *Recorder) SetEmitter(e *Emitter) {
 		return
 	}
 	r.emitter.Store(e)
-}
-
-// SetTrace attaches a writer that receives one human-readable line per
-// completed span (the -spanlog flag); nil detaches.
-func (r *Recorder) SetTrace(w io.Writer) {
-	if r == nil {
-		return
-	}
-	if w == nil {
-		r.spanlog.Store(nil)
-		return
-	}
-	r.spanlog.Store(&spanLogger{w: w})
 }
 
 // SetTraceWriter attaches a Chrome trace-event exporter that receives
@@ -469,8 +448,8 @@ func (s Span) EndWith(fields map[string]float64) {
 }
 
 // endAt completes the span with an externally supplied duration. Registry
-// aggregation keys on labels only; tags join labels in the emitted event,
-// the Chrome trace args, and the span log line.
+// aggregation keys on labels only; tags join labels in the emitted event
+// and the Chrome trace args.
 func (s Span) endAt(dur time.Duration, fields map[string]float64) {
 	ms := float64(dur) / float64(time.Millisecond)
 	s.r.dist(s.r.spans, s.name, s.labels).observe(ms)
@@ -493,11 +472,6 @@ func (s Span) endAt(dur time.Duration, fields map[string]float64) {
 	}
 	if tw := s.r.chrome.Load(); tw != nil {
 		tw.Span(s.name, s.start, ms, s.tid, s.id, s.parent, annotated, fields)
-	}
-	if sl := s.r.spanlog.Load(); sl != nil {
-		sl.mu.Lock()
-		io.WriteString(sl.w, "[trace] "+s.name+labelSuffix(annotated)+" "+formatMS(ms)+"\n")
-		sl.mu.Unlock()
 	}
 }
 
@@ -670,23 +644,4 @@ func labelMap(labels []Label) map[string]string {
 		m[l.Key] = l.Value
 	}
 	return m
-}
-
-func labelSuffix(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(labels))
-	for _, l := range labels {
-		keys = append(keys, l.Key+"="+l.Value)
-	}
-	sort.Strings(keys)
-	out := "{"
-	for i, k := range keys {
-		if i > 0 {
-			out += ","
-		}
-		out += k
-	}
-	return out + "}"
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +15,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 	r.SetGauge("g", 2)
 	r.Observe("d", 3)
 	r.SetEmitter(nil)
-	r.SetTrace(nil)
 	r.EmitSummary()
 	r.EmitManifest(Manifest{})
 	sp := r.StartSpan("s")
@@ -167,17 +165,6 @@ func TestJSONLStream(t *testing.T) {
 	if events[3].Kind != KindSummary || events[3].Summary == nil ||
 		events[3].Summary.Spans["pipeline.tune{experiment=T1}"].Count != 1 {
 		t.Fatalf("bad summary event: %+v", events[3])
-	}
-}
-
-func TestTraceOutput(t *testing.T) {
-	r := New()
-	var buf bytes.Buffer
-	r.SetTrace(&buf)
-	r.StartSpan("compress", L("experiment", "T2")).End()
-	line := buf.String()
-	if !strings.Contains(line, "[trace] compress{experiment=T2}") || !strings.Contains(line, "ms") {
-		t.Fatalf("unexpected trace line %q", line)
 	}
 }
 

@@ -1,9 +1,9 @@
-// Package quant implements the quantizers used by Edge-LLM's layerwise
-// unified compression (LUC): symmetric and asymmetric affine quantization at
-// 2–8 bits, with per-tensor, per-channel, or grouped scale granularity; the
-// fake-quant (quantize→dequantize) transform the compression pass applies to
-// frozen backbone weights; and Packed, the one bit-packed format packed
-// weights execute in: symmetric codes with one scale per column.
+// Package quant implements the quantizer used by Edge-LLM's layerwise
+// unified compression (LUC): symmetric quantization at 2–8 bits with one
+// scale per channel, or per group of rows within a channel; the fake-quant
+// (quantize→dequantize) transform the compression pass applies to frozen
+// backbone weights; and Packed, the one bit-packed format packed weights
+// execute in: symmetric codes with one scale per column.
 package quant
 
 import (
@@ -13,19 +13,19 @@ import (
 	"edgellm/internal/tensor"
 )
 
-// Scheme describes one quantization configuration.
+// Scheme describes one quantization configuration. The one shape in use is
+// symmetric and per-channel; Validate rejects any other.
 type Scheme struct {
 	// Bits is the integer width, 2..8.
 	Bits int
-	// Symmetric selects signed symmetric quantization (zero-point 0);
-	// otherwise asymmetric affine quantization is used.
+	// Symmetric must be true: signed symmetric quantization (zero-point 0),
+	// so zeros, and with them pruning masks, survive quantization.
 	Symmetric bool
-	// PerChannel computes one scale per output channel (column of a
-	// (in,out) weight matrix) instead of one per tensor.
+	// PerChannel must be true: one scale per output channel (column of a
+	// (in,out) weight matrix).
 	PerChannel bool
 	// GroupSize, when > 0, splits each channel's input dimension into
 	// groups of this many rows with independent scales (GPTQ-style).
-	// Requires PerChannel.
 	GroupSize int
 }
 
@@ -34,11 +34,11 @@ func (s Scheme) Validate() error {
 	if s.Bits < 2 || s.Bits > 8 {
 		return fmt.Errorf("quant: bits must be in [2,8], got %d", s.Bits)
 	}
+	if !s.Symmetric || !s.PerChannel {
+		return fmt.Errorf("quant: only symmetric per-channel schemes are supported")
+	}
 	if s.GroupSize < 0 {
 		return fmt.Errorf("quant: negative group size %d", s.GroupSize)
-	}
-	if s.GroupSize > 0 && !s.PerChannel {
-		return fmt.Errorf("quant: grouped quantization requires PerChannel")
 	}
 	return nil
 }
@@ -48,8 +48,6 @@ func (s Scheme) String() string {
 	out := fmt.Sprintf("int%d", s.Bits)
 	if s.Symmetric {
 		out += "-sym"
-	} else {
-		out += "-asym"
 	}
 	if s.PerChannel {
 		out += "-pc"
@@ -60,47 +58,29 @@ func (s Scheme) String() string {
 	return out
 }
 
-// qRange returns the integer range of the scheme.
-func (s Scheme) qRange() (qmin, qmax float64) {
-	if s.Symmetric {
-		m := float64(int(1)<<(s.Bits-1)) - 1 // e.g. 7 for 4-bit
-		return -m, m
-	}
-	return 0, float64(int(1)<<s.Bits) - 1
-}
-
-// quantizeSlice fake-quantizes src into dst given its min/max statistics.
+// quantizeSlice fake-quantizes every stride-th element of src into dst on
+// the symmetric grid that spans [lo, hi].
 func (s Scheme) quantizeSlice(dst, src []float32, stride int, lo, hi float32) {
-	qmin, qmax := s.qRange()
-	var scale, zp float64
-	if s.Symmetric {
-		absMax := math.Max(math.Abs(float64(lo)), math.Abs(float64(hi)))
-		if absMax == 0 {
-			for i := 0; i < len(src); i += stride {
-				dst[i] = 0
-			}
-			return
+	qmax := float64(int(1)<<(s.Bits-1)) - 1 // e.g. 7 for 4-bit
+	absMax := math.Max(math.Abs(float64(lo)), math.Abs(float64(hi)))
+	if absMax == 0 {
+		for i := 0; i < len(src); i += stride {
+			dst[i] = 0
 		}
-		scale = absMax / qmax
-	} else {
-		if hi == lo {
-			for i := 0; i < len(src); i += stride {
-				dst[i] = lo
-			}
-			return
-		}
-		scale = (float64(hi) - float64(lo)) / qmax
-		zp = math.Round(-float64(lo) / scale)
+		return
 	}
+	scale := absMax / qmax
 	for i := 0; i < len(src); i += stride {
-		q := math.Round(float64(src[i])/scale + zp)
-		if q < qmin {
-			q = qmin
+		// + 0 turns a -0 input into +0, so a zero weight of either sign
+		// dequantizes to +0.
+		q := math.Round(float64(src[i])/scale + 0)
+		if q < -qmax {
+			q = -qmax
 		}
 		if q > qmax {
 			q = qmax
 		}
-		dst[i] = float32((q - zp) * scale)
+		dst[i] = float32(q * scale)
 	}
 }
 
@@ -119,8 +99,7 @@ func minMaxStrided(src []float32, stride int) (lo, hi float32) {
 }
 
 // FakeQuant returns a new tensor equal to t passed through
-// quantize→dequantize under the scheme. Rank-2 tensors support per-channel
-// and grouped granularity; other ranks are quantized per-tensor.
+// quantize→dequantize under the scheme. t must be rank 2.
 func (s Scheme) FakeQuant(t *tensor.Tensor) *tensor.Tensor {
 	out := t.Clone()
 	s.fakeQuantInto(out, t)
@@ -138,10 +117,8 @@ func (s Scheme) fakeQuantInto(out, t *tensor.Tensor) {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
-	if !s.PerChannel || t.Rank() != 2 {
-		lo, hi := minMaxStrided(t.Data, 1)
-		s.quantizeSlice(out.Data, t.Data, 1, lo, hi)
-		return
+	if t.Rank() != 2 {
+		panic(fmt.Sprintf("quant: fake-quant needs a rank-2 tensor, got shape %v", t.Shape))
 	}
 	rows, cols := t.Rows(), t.Cols()
 	group := s.GroupSize

@@ -72,8 +72,8 @@ func NewAccessLog(w io.Writer) *AccessLog {
 	return al
 }
 
-// Write appends one record (nil-safe). Write failures are retained, not
-// propagated: the request was already served.
+// Write appends one record (nil-safe). Write failures are retained for
+// Close to return, not propagated: the request was already served.
 func (al *AccessLog) Write(rec *AccessRecord) {
 	if al == nil {
 		return
@@ -83,16 +83,6 @@ func (al *AccessLog) Write(rec *AccessRecord) {
 		al.err = err
 	}
 	al.mu.Unlock()
-}
-
-// Err returns the first write error, if any (nil-safe).
-func (al *AccessLog) Err() error {
-	if al == nil {
-		return nil
-	}
-	al.mu.Lock()
-	defer al.mu.Unlock()
-	return al.err
 }
 
 // Close flushes buffered records and closes the underlying writer when it

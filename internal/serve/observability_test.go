@@ -234,7 +234,7 @@ func TestReadAccessLogMalformed(t *testing.T) {
 	// Nil-safety of the writer.
 	var nilLog *AccessLog
 	nilLog.Write(&AccessRecord{})
-	if nilLog.Err() != nil || nilLog.Close() != nil {
+	if nilLog.Close() != nil {
 		t.Fatal("nil AccessLog must be inert")
 	}
 }

@@ -250,6 +250,12 @@ func (s *Scheduler) Submit(req Request) (*Stream, error) {
 	if err := s.Check(req); err != nil {
 		return nil, err
 	}
+	return s.submit(req)
+}
+
+// submit is Submit for a request that has passed Check: the adapter fit,
+// then the enqueue.
+func (s *Scheduler) submit(req Request) (*Stream, error) {
 	if err := s.dec.CheckAdapter(req.Adapter); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrAdapterMismatch, err)
 	}

@@ -522,8 +522,8 @@ func (s *Server) admit(o *requestObs, w http.ResponseWriter, r *http.Request) (*
 		return nil, &fault.PermanentError{Msg: "injected admission failure in " + req.ID}
 	}
 
-	// Submit's own check, before the request takes a tenant slot, a queue
-	// place or a KV reservation.
+	// The scheduler's Check, run once: before the request takes a tenant
+	// slot, a queue place or a KV reservation, and not again at submit.
 	sreq := Request{
 		ID: req.ID, Tenant: req.Tenant, Prompt: req.Prompt,
 		Cfg: nn.SampleConfig{
@@ -636,7 +636,7 @@ func (s *Server) admit(o *requestObs, w http.ResponseWriter, r *http.Request) (*
 		}
 	}
 
-	st, err := s.sched.Submit(sreq)
+	st, err := s.sched.submit(sreq)
 	if errors.Is(err, ErrClosed) {
 		// Drain closed the scheduler after this request got in: refused
 		// at the door, like a request that arrives draining.

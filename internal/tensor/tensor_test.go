@@ -309,6 +309,12 @@ func TestRNGDeterminism(t *testing.T) {
 	if AllClose(a, c, 0, 0) {
 		t.Fatal("different seeds should differ")
 	}
+	if state, ok := NewRNG(1).State(); ok || state != 0 {
+		t.Fatalf("NewRNG state = (%d, %v), want (0, false): only NewSavableRNG has a state word", state, ok)
+	}
+	if _, ok := NewSavableRNG(1).State(); !ok {
+		t.Fatal("NewSavableRNG must report its state word")
+	}
 }
 
 func TestXavierKaimingScale(t *testing.T) {
