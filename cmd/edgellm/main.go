@@ -89,10 +89,9 @@ func cmdExperiments(args []string) (err error) {
 	markdown := fs.Bool("markdown", false, "emit markdown tables")
 	parallel := fs.Int("parallel", 1, "max concurrent tasks in the experiment runner (1 = sequential; results are identical at any value)")
 	sinks := obsvFlags(fs, "edgellm")
-	faultSpec := fs.String("fault", "", `inject deterministic faults: comma-separated mode=ID pairs (panic=F5,flaky=T3,fail=A2) or "smoke"`)
-	retries := fs.Int("retries", 0, "retry budget per experiment for retryable failures (0 = default, negative disables)")
+	faultSpec := fs.String("fault", "", `inject deterministic faults: comma-separated mode=ID pairs (panic=F5,fail=A2,stall=F6) or "smoke"`)
 	memBudget := fs.String("mem-budget", "", `hard per-experiment memory budget for the resource governor: bytes with optional KiB/MiB/GiB suffix, or "half-vanilla" for half the analytic vanilla-FT peak`)
-	stageTimeout := fs.Duration("stage-timeout", 0, "wall-clock deadline per experiment attempt; a stalled experiment is cancelled and reported as a failed row")
+	stageTimeout := fs.Duration("stage-timeout", 0, "wall-clock deadline per experiment; a stalled experiment is cancelled and reported as a failed row")
 	suiteTimeout := fs.Duration("timeout", 0, "whole-suite deadline: in-flight experiments drain, unrun rows are marked skipped, and the command exits non-zero")
 	fs.Parse(args)
 
@@ -146,7 +145,7 @@ func cmdExperiments(args []string) (err error) {
 	}
 
 	opts := core.SuiteOpts{
-		Sizes: sizes, Parallel: *parallel, Only: only, MaxRetries: *retries,
+		Sizes: sizes, Parallel: *parallel, Only: only,
 	}
 	if *faultSpec != "" {
 		inj, err := fault.ParseSpec(*faultSpec)
@@ -389,22 +388,6 @@ func closeObsv(finish func() error, err *error) {
 			*err = ferr
 		}
 	}
-}
-
-// oneExperiment regenerates a single report through the registry-backed
-// runner (sequentially); unknown ids surface as an error.
-func oneExperiment(id string, quick bool) (*core.Report, error) {
-	sizes := core.DefaultSizes()
-	if quick {
-		sizes = core.QuickSizes()
-	}
-	reports, err := core.RunAll(context.Background(), core.SuiteOpts{
-		Sizes: sizes, Parallel: 1, Only: []string{id},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return reports[0], nil
 }
 
 func fmtB(n int64) string {

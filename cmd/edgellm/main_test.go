@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"strings"
 	"testing"
@@ -24,12 +25,6 @@ func TestFmtB(t *testing.T) {
 	}
 }
 
-func TestOneExperimentUnknownID(t *testing.T) {
-	if _, err := oneExperiment("T9", true); err == nil {
-		t.Fatal("unknown experiment id must error")
-	}
-}
-
 // TestCmdExperimentsFaultSmoke drives the real CLI path with injected
 // faults: a panicking experiment must degrade to an error-annotated row and
 // make the command return a failure-summary error, while healthy
@@ -44,17 +39,11 @@ func TestCmdExperimentsFaultSmoke(t *testing.T) {
 	}
 }
 
-// TestCmdExperimentsFaultRecovers: a flaky (first-attempt-only) fault is
-// retried and the command succeeds.
-func TestCmdExperimentsFaultRecovers(t *testing.T) {
-	if err := cmdExperiments([]string{"-quick", "-t", "F1", "-fault", "flaky=F1"}); err != nil {
-		t.Fatalf("retry did not recover the flaky experiment: %v", err)
-	}
-}
-
 func TestCmdExperimentsBadFaultSpec(t *testing.T) {
-	if err := cmdExperiments([]string{"-quick", "-t", "F1", "-fault", "nonsense"}); err == nil {
-		t.Fatal("bad -fault spec must error")
+	for _, spec := range []string{"nonsense", "flaky=F1"} {
+		if err := cmdExperiments([]string{"-quick", "-t", "F1", "-fault", spec}); err == nil {
+			t.Fatalf("bad -fault spec %q must error", spec)
+		}
 	}
 }
 
@@ -70,11 +59,15 @@ func TestFirstErrLine(t *testing.T) {
 func TestOneExperimentAnalyticIDs(t *testing.T) {
 	// The purely analytic experiments are cheap enough to run in a test;
 	// each must produce a non-empty report with the right id.
-	for _, id := range []string{"T3", "F1", "F4", "F5", "F6", "F7", "A2", "A5", "A6"} {
-		r, err := oneExperiment(id, true)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
+	ids := []string{"T3", "F1", "F4", "F5", "F6", "F7", "A2", "A5", "A6"}
+	reports, err := core.RunAll(context.Background(), core.SuiteOpts{
+		Sizes: core.QuickSizes(), Parallel: 1, Only: ids,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		r := reports[i]
 		if r.ID != id || len(r.Rows) == 0 {
 			t.Fatalf("%s: bad report (id %q, %d rows)", id, r.ID, len(r.Rows))
 		}

@@ -63,14 +63,14 @@ func NewLST(m *nn.Model, g *tensor.RNG, reduction int) *LST {
 	d := m.Cfg.Dim
 	side := LSTSideDim(m.Cfg, reduction)
 	l := &LST{Backbone: m, Reduction: reduction, sideDim: side}
-	l.inProj = nn.NewLinear(g, d, side, false)
+	l.inProj = nn.NewLinear(g, d, side)
 	for range m.Blocks {
-		l.downs = append(l.downs, nn.NewLinear(g, d, side, false))
-		l.mixers = append(l.mixers, nn.NewLinear(g, side, side, false))
+		l.downs = append(l.downs, nn.NewLinear(g, d, side))
+		l.mixers = append(l.mixers, nn.NewLinear(g, side, side))
 		l.gates = append(l.gates, ag.Param(tensor.Scalar(0.5)))
 	}
 	l.norm = nn.NewRMSNorm(side)
-	l.head = nn.NewLinear(g, side, m.Cfg.Vocab, false)
+	l.head = nn.NewLinear(g, side, m.Cfg.Vocab)
 	return l
 }
 

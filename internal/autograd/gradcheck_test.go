@@ -78,22 +78,6 @@ func TestGradSubScale(t *testing.T) {
 	checkGrad(t, "sub:b", b.Grad, numericGrad(t, bT, f))
 }
 
-func TestGradAddBias(t *testing.T) {
-	g := tensor.NewRNG(3)
-	xT := g.Normal(0, 1, 4, 3)
-	bT := g.Normal(0, 1, 3)
-	build := func() (*Value, *Value, *Value) {
-		x, b := Param(xT), Param(bT)
-		y := AddBias(x, b)
-		return Mean(Mul(y, y)), x, b
-	}
-	out, x, b := build()
-	out.Backward()
-	f := func() float64 { v, _, _ := build(); return lossValue(v) }
-	checkGrad(t, "bias:x", x.Grad, numericGrad(t, xT, f))
-	checkGrad(t, "bias:b", b.Grad, numericGrad(t, bT, f))
-}
-
 func TestGradActivations(t *testing.T) {
 	xT := tensor.NewRNG(4).Normal(0, 1, 3, 4)
 	build := func() (*Value, *Value) {

@@ -117,30 +117,6 @@ func MatMul(a, b *Value) *Value {
 	return v
 }
 
-// AddBias adds a rank-1 bias to every row of rank-2 x.
-func AddBias(x, bias *Value) *Value {
-	out, owned := outFor(anyGrad(x, bias), x.Data.Shape...)
-	out.CopyFrom(x.Data)
-	out.AddRowBroadcast(bias.Data)
-	v := newOp(out, func(o *Value) {
-		x.accumulate(o.Grad)
-		if bias.RequiresGrad {
-			r, c := o.Grad.Rows(), o.Grad.Cols()
-			g := scratch(c)
-			for i := 0; i < r; i++ {
-				row := o.Grad.Row(i)
-				for j, gv := range row {
-					g.Data[j] += gv
-				}
-			}
-			bias.accumulate(g)
-			putScratch(g)
-		}
-	}, x, bias)
-	v.dataOwned = owned
-	return v
-}
-
 // Reshape returns a view of x with a new shape; gradients pass through
 // unchanged (reshaped back). The output aliases x's storage, so it is
 // never arena-owned — the node that allocated the buffer releases it.

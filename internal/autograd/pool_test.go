@@ -8,25 +8,24 @@ import (
 )
 
 // poolNet builds a small net touching most pooled ops (embedding, matmul,
-// bias, SiLU, RMSNorm, attention, cross-entropy) and returns its loss and
+// SiLU, RMSNorm, attention, cross-entropy) and returns its loss and
 // parameters. Deterministic given the seed.
 func poolNet(seed int64) (loss *Value, params []*Value) {
 	g := tensor.NewRNG(seed)
 	emb := Param(g.Normal(0, 0.5, 12, 8))
 	w1 := Param(g.Normal(0, 0.5, 8, 16))
-	b1 := Param(g.Normal(0, 0.5, 16))
 	gain := Param(tensor.Ones(16))
 	w2 := Param(g.Normal(0, 0.5, 16, 12))
 
 	ids := []int{1, 5, 9, 3}
 	h := Embedding(emb, ids)
-	h = AddBias(MatMul(h, w1), b1)
+	h = MatMul(h, w1)
 	h = SiLU(h)
 	h = RMSNorm(h, gain, 1e-5)
 	h = CausalAttention(h, h, h, 2, 2, 2)
 	logits := MatMul(h, w2)
 	loss = CrossEntropy(logits, []int{2, 7, 0, 4}, -1)
-	return loss, []*Value{emb, w1, b1, gain, w2}
+	return loss, []*Value{emb, w1, gain, w2}
 }
 
 // runPoolNetStep runs one forward+backward (+release, trainer-style) and

@@ -258,7 +258,7 @@ func TestRunAllStallWatchdogKillsHungRow(t *testing.T) {
 	start := time.Now()
 	reports, err := RunAll(context.Background(), SuiteOpts{
 		Sizes: tinySizes(), Parallel: 2, Only: analyticOnly,
-		Inject: inj.Hook, RetryBackoff: fastRetry, Govern: gov,
+		Inject: inj.Hook, Govern: gov,
 	})
 	if err != nil {
 		t.Fatalf("a killed stage must not fail the suite: %v", err)
@@ -282,9 +282,6 @@ func TestRunAllStallWatchdogKillsHungRow(t *testing.T) {
 	if snap.Counters["suite.stalls_killed"] != 1 {
 		t.Fatalf("suite.stalls_killed = %d, want 1", snap.Counters["suite.stalls_killed"])
 	}
-	if snap.Counters["suite.retries"] != 0 {
-		t.Fatalf("stall was retried %d times; StallError must not be retryable", snap.Counters["suite.retries"])
-	}
 }
 
 // TestRunAllSuiteTimeoutPartialReport: when the whole-suite deadline fires,
@@ -300,7 +297,7 @@ func TestRunAllSuiteTimeoutPartialReport(t *testing.T) {
 	defer cancel()
 	reports, err := RunAll(ctx, SuiteOpts{
 		Sizes: tinySizes(), Parallel: 1, Only: analyticOnly,
-		Inject: inj.Hook, RetryBackoff: fastRetry,
+		Inject: inj.Hook,
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -339,9 +336,9 @@ func TestRunAllPanicLeavesPoolBalanced(t *testing.T) {
 	inputs := [][]int{{1, 2, 3, 4, 5, 6}}
 	targets := []int{2, 3, 4, 5, 6, 7}
 	reports, err := RunAll(context.Background(), SuiteOpts{
-		Sizes: tinySizes(), Parallel: 1, Only: []string{"T3"}, RetryBackoff: fastRetry,
-		Inject: func(context.Context, string, int) error {
-			// Recreate the failure shape inside the attempt: a training
+		Sizes: tinySizes(), Parallel: 1, Only: []string{"T3"},
+		Inject: func(context.Context, string) error {
+			// Recreate the failure shape inside the experiment: a training
 			// step that panics mid-update with its pooled tape still live.
 			m := nn.NewModel(quickCfg().Model, tensor.NewRNG(5))
 			tr := train.NewTrainer(crashOpt{}, 0.01, 1.0)

@@ -48,13 +48,29 @@ func admissionEstimator(cfg Config) govern.Estimator {
 // parameter groups have entered the optimizer (and therefore hold state)
 // so the pre-step estimate can project the post-step footprint.
 type governedState struct {
-	gov  *govern.Governor
-	task string
-	plan govern.Plan
+	gov     *govern.Governor
+	task    string
+	plan    govern.Plan
+	stepped stepped
+}
 
-	steppedBlk   []bool
-	steppedExit  []bool
-	steppedFinal bool
+// stepped records the parameter groups a tuning run has stepped: blocks,
+// exit heads, and the final norm + LM head.
+type stepped struct {
+	blk, exit []bool
+	final     bool
+}
+
+// mark records the window [lo, hi]: its blocks, the exit at hi, and the
+// final head when hi is the top layer.
+func (s *stepped) mark(lo, hi int) {
+	for i := lo; i <= hi; i++ {
+		s.blk[i] = true
+	}
+	s.exit[hi] = true
+	if hi == len(s.blk)-1 {
+		s.final = true
+	}
 }
 
 // governPipeline admits cfg against the active governor's budget and
@@ -84,8 +100,10 @@ func governPipeline(cfg Config, cands []luc.Candidate) (Config, *governedState) 
 	cfg.WindowSize, cfg.BudgetBits, cfg.Batch = pl.WindowSize, pl.BudgetBits, pl.Batch
 	return cfg, &governedState{
 		gov: gov, task: task, plan: pl,
-		steppedBlk:  make([]bool, cfg.Model.Layers),
-		steppedExit: make([]bool, cfg.Model.Layers),
+		stepped: stepped{
+			blk:  make([]bool, cfg.Model.Layers),
+			exit: make([]bool, cfg.Model.Layers),
+		},
 	}
 }
 
@@ -96,30 +114,22 @@ func governPipeline(cfg Config, cands []luc.Candidate) (Config, *governedState) 
 // schedule the optimizer follows.
 func (gs *governedState) projectedOptElems(p *Pipeline, pl govern.Plan, iter int) int64 {
 	m := p.Cfg.Model
-	blk := make([]bool, len(gs.steppedBlk))
-	copy(blk, gs.steppedBlk)
-	exit := make([]bool, len(gs.steppedExit))
-	copy(exit, gs.steppedExit)
-	final := gs.steppedFinal
-
+	s := stepped{
+		blk:   append([]bool(nil), gs.stepped.blk...),
+		exit:  append([]bool(nil), gs.stepped.exit...),
+		final: gs.stepped.final,
+	}
 	tc := p.Tuner.Cfg
 	tc.WindowSize = pl.WindowSize
-	lo, hi := tc.WindowAt(m.Layers, iter)
-	for i := lo; i <= hi; i++ {
-		blk[i] = true
-	}
-	exit[hi] = true
-	if hi == m.Layers-1 {
-		final = true
-	}
+	s.mark(tc.WindowAt(m.Layers, iter))
 
 	var n int64
 	anyExit := false
-	for i := range blk {
-		if blk[i] {
+	for i := range s.blk {
+		if s.blk[i] {
 			n += train.BlockElems(m)
 		}
-		if exit[i] {
+		if s.exit[i] {
 			n += train.ExitOwnedElems(m)
 			anyExit = true
 		}
@@ -127,7 +137,7 @@ func (gs *governedState) projectedOptElems(p *Pipeline, pl govern.Plan, iter int
 	if anyExit && m.TieExitHeads {
 		n += int64(m.Dim) * int64(m.Vocab) // shared exit projection, stated once
 	}
-	if final {
+	if s.final {
 		n += train.HeadElems(m) // final norm + lm head
 	}
 	return n
@@ -167,15 +177,7 @@ func (p *Pipeline) preStepGovern() {
 	admitted.MinBits = gs.plan.MinBits
 	gs.plan = admitted
 
-	m := p.Cfg.Model
-	lo, hi := p.Tuner.Window(iter)
-	for i := lo; i <= hi; i++ {
-		gs.steppedBlk[i] = true
-	}
-	gs.steppedExit[hi] = true
-	if hi == m.Layers-1 {
-		gs.steppedFinal = true
-	}
+	gs.stepped.mark(p.Tuner.Window(iter))
 	if pool := ag.ActivePool(); pool != nil {
 		gs.gov.ObserveLive(pool.Stats().BytesInUse)
 	}

@@ -17,9 +17,8 @@ type Report struct {
 	// Notes records the expected shape from the paper for side-by-side
 	// comparison in EXPERIMENTS.md.
 	Notes string
-	// Err is non-empty for a degraded report: the experiment failed (after
-	// exhausting any retries) and Rows describe the failure instead of
-	// results.
+	// Err is non-empty for a degraded report: the experiment failed and
+	// Rows describe the failure instead of results.
 	Err string
 }
 

@@ -2,12 +2,10 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"edgellm/internal/govern"
 	"edgellm/internal/obsv"
@@ -41,8 +39,6 @@ func QuickSizes() Sizes {
 type Experiment struct {
 	// ID matches the experiment index in DESIGN.md (T1..T3, F1..F7, A1..A7).
 	ID string
-	// Analytic marks experiments that train nothing (pure cost modeling).
-	Analytic bool
 	// Run regenerates the report at the given sizes. Implementations should
 	// treat ctx as a stop request: returning early (with a partial report)
 	// is fine, since RunAll discards results once the context is cancelled.
@@ -56,37 +52,29 @@ func Experiments() []Experiment {
 	return []Experiment{
 		{ID: "T1", Run: func(ctx context.Context, s Sizes) *Report { return ExperimentT1(ctx, s.Run) }},
 		{ID: "T2", Run: func(ctx context.Context, s Sizes) *Report { return ExperimentT2(ctx, s.T2Iters, s.Run.EvalBatches) }},
-		{ID: "T3", Analytic: true, Run: func(ctx context.Context, _ Sizes) *Report { return ExperimentT3(ctx) }},
-		{ID: "F1", Analytic: true, Run: func(ctx context.Context, _ Sizes) *Report { return ExperimentF1(ctx) }},
+		{ID: "T3", Run: func(ctx context.Context, _ Sizes) *Report { return ExperimentT3(ctx) }},
+		{ID: "F1", Run: func(ctx context.Context, _ Sizes) *Report { return ExperimentF1(ctx) }},
 		{ID: "F2", Run: func(ctx context.Context, s Sizes) *Report { return ExperimentF2(ctx, s.F2Iters, s.Run.EvalBatches) }},
 		{ID: "F3", Run: func(ctx context.Context, s Sizes) *Report { return ExperimentF3(ctx, s.F3Iters) }},
-		{ID: "F4", Analytic: true, Run: func(ctx context.Context, _ Sizes) *Report { return ExperimentF4(ctx) }},
-		{ID: "F5", Analytic: true, Run: func(ctx context.Context, _ Sizes) *Report { return ExperimentF5(ctx) }},
-		{ID: "F6", Analytic: true, Run: func(ctx context.Context, _ Sizes) *Report { return ExperimentF6(ctx) }},
-		{ID: "F7", Analytic: true, Run: func(ctx context.Context, _ Sizes) *Report { return ExperimentF7(ctx) }},
+		{ID: "F4", Run: func(ctx context.Context, _ Sizes) *Report { return ExperimentF4(ctx) }},
+		{ID: "F5", Run: func(ctx context.Context, _ Sizes) *Report { return ExperimentF5(ctx) }},
+		{ID: "F6", Run: func(ctx context.Context, _ Sizes) *Report { return ExperimentF6(ctx) }},
+		{ID: "F7", Run: func(ctx context.Context, _ Sizes) *Report { return ExperimentF7(ctx) }},
 		{ID: "A1", Run: func(ctx context.Context, s Sizes) *Report {
 			return AblationProbeMetric(ctx, s.F3Iters, s.Run.EvalBatches)
 		}},
-		{ID: "A2", Analytic: true, Run: func(ctx context.Context, _ Sizes) *Report { return AblationPolicySearch(ctx) }},
+		{ID: "A2", Run: func(ctx context.Context, _ Sizes) *Report { return AblationPolicySearch(ctx) }},
 		{ID: "A3", Run: func(ctx context.Context, s Sizes) *Report {
 			return AblationWindowStrategy(ctx, s.F2Iters, s.Run.EvalBatches)
 		}},
 		{ID: "A4", Run: func(ctx context.Context, s Sizes) *Report {
 			return AblationVotingMode(ctx, s.F2Iters, s.Run.EvalBatches)
 		}},
-		{ID: "A5", Analytic: true, Run: func(ctx context.Context, _ Sizes) *Report { return AblationScheduleSearch(ctx) }},
-		{ID: "A6", Analytic: true, Run: func(ctx context.Context, _ Sizes) *Report { return AblationFusion(ctx) }},
+		{ID: "A5", Run: func(ctx context.Context, _ Sizes) *Report { return AblationScheduleSearch(ctx) }},
+		{ID: "A6", Run: func(ctx context.Context, _ Sizes) *Report { return AblationFusion(ctx) }},
 		{ID: "A7", Run: func(ctx context.Context, s Sizes) *Report { return AblationRefine(ctx, s.F3Iters, s.Run.EvalBatches) }},
 	}
 }
-
-// DefaultMaxRetries is the per-experiment retry budget RunAll uses when
-// SuiteOpts.MaxRetries is zero.
-const DefaultMaxRetries = 2
-
-// DefaultRetryBackoff is the base retry delay when SuiteOpts.RetryBackoff
-// is zero; attempt k (1-based) waits DefaultRetryBackoff << (k-1).
-const DefaultRetryBackoff = 100 * time.Millisecond
 
 // SuiteOpts configures one RunAll invocation.
 type SuiteOpts struct {
@@ -100,44 +88,17 @@ type SuiteOpts struct {
 	// Only optionally restricts the run to these experiment IDs (in
 	// registry order); nil runs everything.
 	Only []string
-	// MaxRetries bounds additional attempts after a retryable failure
-	// (an error chain containing a Retryable()=true link). 0 means
-	// DefaultMaxRetries; negative disables retries entirely. Panics and
-	// permanent errors are never retried.
-	MaxRetries int
-	// RetryBackoff is the base delay before the first retry; attempt k
-	// waits RetryBackoff << (k-1), so backoff is deterministic. 0 means
-	// DefaultRetryBackoff.
-	RetryBackoff time.Duration
-	// Inject, when non-nil, is called at the start of every task attempt
-	// with the attempt's context, the experiment id, and the 0-based
-	// attempt number. A returned error or a panic becomes that attempt's
-	// outcome — the fault-injection seam used by the tests and the CLI's
-	// -fault mode. The context is the watchdog-derived attempt context, so
-	// a stall-mode injection blocks until the watchdog cancels it.
-	Inject func(ctx context.Context, id string, attempt int) error
+	// Inject, when non-nil, is called at the start of every experiment
+	// with its context and id. A returned error or a panic becomes the
+	// experiment's outcome — the fault-injection seam used by the tests and
+	// the CLI's -fault mode. The context is the watchdog-derived one, so a
+	// stall-mode injection blocks until the watchdog cancels it.
+	Inject func(ctx context.Context, id string) error
 	// Govern, when non-nil, enforces resource budgets over the suite: each
-	// attempt runs under the governor's stage watchdog, and experiments
+	// experiment runs under the governor's stage watchdog, and experiments
 	// consult the governor (via the installed run state) to admit their
 	// training plans against the memory budget. Nil runs ungoverned.
 	Govern *govern.Governor
-}
-
-func (o SuiteOpts) maxRetries() int {
-	if o.MaxRetries == 0 {
-		return DefaultMaxRetries
-	}
-	if o.MaxRetries < 0 {
-		return 0
-	}
-	return o.MaxRetries
-}
-
-func (o SuiteOpts) retryBackoff() time.Duration {
-	if o.RetryBackoff <= 0 {
-		return DefaultRetryBackoff
-	}
-	return o.RetryBackoff
 }
 
 // RunAll regenerates the selected experiments, fanning independent
@@ -153,9 +114,10 @@ func (o SuiteOpts) retryBackoff() time.Duration {
 // RunAll is fault-isolated: a panic inside one experiment (anywhere in its
 // grid fan-out included) is recovered and converted into a degraded,
 // error-annotated report for that experiment while every other experiment
-// completes normally. Failures whose error chain is marked retryable are
-// retried with deterministic exponential backoff before degrading. RunAll
-// returns a non-nil error only for invalid options or a cancelled context.
+// completes normally. Each experiment runs once: its output depends only
+// on its config and seed, so a second attempt would repeat the failure.
+// RunAll returns a non-nil error only for invalid options or a cancelled
+// context.
 func RunAll(ctx context.Context, opts SuiteOpts) ([]*Report, error) {
 	sizes := opts.Sizes
 	if sizes == (Sizes{}) {
@@ -211,45 +173,24 @@ func RunAll(ctx context.Context, opts SuiteOpts) ([]*Report, error) {
 	return reports, nil
 }
 
-// runTask drives one experiment through its attempt/retry loop and always
-// produces a report: the experiment's own on success, a degraded
-// error-annotated one once the retry budget is exhausted or the failure is
-// not retryable.
+// runTask runs one experiment and always produces a report: the
+// experiment's own on success, a degraded error-annotated one on failure.
 func runTask(ctx context.Context, e Experiment, sizes Sizes, opts SuiteOpts) *Report {
-	maxRetries := opts.maxRetries()
-	var lastErr error
-	for attempt := 0; attempt <= maxRetries; attempt++ {
-		if attempt > 0 {
-			obsv.Add("suite.retries", 1)
-			select {
-			case <-ctx.Done():
-				return failedReport(e.ID, ctx.Err())
-			case <-time.After(opts.retryBackoff() << (attempt - 1)):
-			}
-		}
-		rep, err := runAttempt(ctx, e, sizes, opts, attempt)
-		if err == nil {
-			if attempt > 0 {
-				obsv.Add("suite.retry_recoveries", 1)
-			}
-			return rep
-		}
-		lastErr = err
-		if ctx.Err() != nil || !IsRetryable(err) {
-			break
-		}
+	rep, err := runAttempt(ctx, e, sizes, opts)
+	if err != nil {
+		obsv.Add("suite.task_failures", 1)
+		return failedReport(e.ID, err)
 	}
-	obsv.Add("suite.task_failures", 1)
-	return failedReport(e.ID, lastErr)
+	return rep
 }
 
-// runAttempt executes a single attempt of an experiment, converting any
-// panic — from the experiment body or re-propagated out of its grid-level
-// parallelFor — into an error. With a governor installed, the attempt runs
-// under a stage watchdog: its context is cancelled when the stage deadline
-// or the progress-heartbeat bound fires, and the resulting *StallError
-// (non-retryable) becomes the attempt's outcome.
-func runAttempt(ctx context.Context, e Experiment, sizes Sizes, opts SuiteOpts, attempt int) (rep *Report, err error) {
+// runAttempt executes an experiment, converting any panic — from the
+// experiment body or re-propagated out of its grid-level parallelFor — into
+// an error. With a governor installed, the experiment runs under a stage
+// watchdog: its context is cancelled when the stage deadline or the
+// progress-heartbeat bound fires, and the resulting *StallError becomes
+// the outcome.
+func runAttempt(ctx context.Context, e Experiment, sizes Sizes, opts SuiteOpts) (rep *Report, err error) {
 	var wd *govern.Watchdog
 	if opts.Govern != nil {
 		ctx, wd = opts.Govern.Budget.Watch(ctx, e.ID)
@@ -266,8 +207,7 @@ func runAttempt(ctx context.Context, e Experiment, sizes Sizes, opts SuiteOpts, 
 			}
 		}
 		// A fired watchdog outranks whatever error the unwinding produced:
-		// the stall is the root cause, and StallError's non-retryable
-		// marking stops the retry loop from burning more deadlines.
+		// the stall is the root cause.
 		if serr := wd.Err(); serr != nil {
 			obsv.Add("suite.stalls_killed", 1)
 			rep, err = nil, serr
@@ -275,11 +215,10 @@ func runAttempt(ctx context.Context, e Experiment, sizes Sizes, opts SuiteOpts, 
 	}()
 	// Experiments run concurrently, so each gets its own trace track
 	// (complete events on one track must not overlap in time).
-	sp := obsv.SpanFromContext(ctx).ChildTrack("experiment",
-		obsv.L("id", e.ID), obsv.L("attempt", fmt.Sprint(attempt)))
+	sp := obsv.SpanFromContext(ctx).ChildTrack("experiment", obsv.L("id", e.ID))
 	defer sp.End()
 	if opts.Inject != nil {
-		if err := opts.Inject(ctx, e.ID, attempt); err != nil {
+		if err := opts.Inject(ctx, e.ID); err != nil {
 			return nil, err
 		}
 	}
@@ -307,8 +246,7 @@ func (e *PanicError) Error() string {
 }
 
 // Unwrap exposes a panic value that was itself an error (e.g. a
-// *train.DivergenceError), so IsRetryable and errors.As see through the
-// recovery.
+// *train.DivergenceError), so errors.As sees through the recovery.
 func (e *PanicError) Unwrap() error {
 	if err, ok := e.Value.(error); ok {
 		return err
@@ -316,22 +254,9 @@ func (e *PanicError) Unwrap() error {
 	return nil
 }
 
-// IsRetryable walks err's Unwrap chain looking for a Retryable() bool
-// marker (e.g. fault.TransientError). Unmarked errors — including panics,
-// whose repeat is near-certain — are not retryable.
-func IsRetryable(err error) bool {
-	for err != nil {
-		if r, ok := err.(interface{ Retryable() bool }); ok {
-			return r.Retryable()
-		}
-		err = errors.Unwrap(err)
-	}
-	return false
-}
-
 // failedReport is the degraded row RunAll emits for an experiment that
-// exhausted its attempts: the suite's output stays complete and ordered,
-// with the failure visible instead of silently missing.
+// failed: the suite's output stays complete and ordered, with the failure
+// visible instead of silently missing.
 func failedReport(id string, err error) *Report {
 	r := &Report{
 		ID:     id,
@@ -425,7 +350,7 @@ type taskPanic struct {
 // A panic in any task (pooled or inline) is captured, the remaining tasks
 // are skipped, all in-flight workers are drained, and the first panic is
 // re-thrown on the caller as a *taskPanic — so a crashing grid point takes
-// down its experiment attempt, never the process or an unrelated worker.
+// down its experiment, never the process or an unrelated worker.
 //
 // Callers must make fn(i) touch only per-i state (or read-only shared
 // state); results land in slot i of a pre-sized slice, so output order
@@ -457,7 +382,7 @@ func parallelFor(n int, fn func(i int)) {
 
 	if run == nil || run.pool == nil || n <= 1 {
 		// Sequential: fn runs on the caller's stack, so a panic propagates
-		// naturally to the per-attempt recovery without capture machinery.
+		// naturally to the per-experiment recovery without capture machinery.
 		for i := 0; i < n; i++ {
 			if run.cancelled() {
 				return

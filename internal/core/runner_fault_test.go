@@ -7,14 +7,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"edgellm/internal/fault"
-	"edgellm/internal/obsv"
 )
-
-// fastRetry keeps retry backoff out of test wall-clock.
-const fastRetry = time.Millisecond
 
 // analyticOnly is a cheap all-analytic selection for fault tests: nothing
 // trains, so injected failures dominate the runtime.
@@ -32,7 +27,7 @@ func TestRunAllIsolatesPanic(t *testing.T) {
 	for _, parallel := range []int{1, 3} {
 		reports, err := RunAll(context.Background(), SuiteOpts{
 			Sizes: tinySizes(), Parallel: parallel, Only: analyticOnly,
-			Inject: inj.Hook, RetryBackoff: fastRetry,
+			Inject: inj.Hook,
 		})
 		if err != nil {
 			t.Fatalf("parallel=%d: RunAll failed outright: %v", parallel, err)
@@ -58,104 +53,32 @@ func TestRunAllIsolatesPanic(t *testing.T) {
 	}
 }
 
-// TestRunAllRetryRecoversTransient: a first-attempt transient failure must
-// be retried and recovered, leaving a healthy report and visible retry
-// metrics.
-func TestRunAllRetryRecoversTransient(t *testing.T) {
-	rec := obsv.New()
-	obsv.SetGlobal(rec)
-	defer obsv.SetGlobal(nil)
+// retryableErr reports itself retryable; RunAll still runs its
+// experiment once.
+type retryableErr struct{}
 
-	inj, err := fault.ParseSpec("flaky=F1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports, err := RunAll(context.Background(), SuiteOpts{
-		Sizes: tinySizes(), Parallel: 1, Only: []string{"F1"},
-		Inject: inj.Hook, RetryBackoff: fastRetry,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reports[0].Failed() {
-		t.Fatalf("flaky experiment not recovered by retry: %s", reports[0].Err)
-	}
-	snap := rec.Snapshot()
-	if snap.Counters["suite.retries"] != 1 {
-		t.Fatalf("suite.retries = %d, want 1", snap.Counters["suite.retries"])
-	}
-	if snap.Counters["suite.retry_recoveries"] != 1 {
-		t.Fatalf("suite.retry_recoveries = %d, want 1", snap.Counters["suite.retry_recoveries"])
-	}
-	if snap.Counters["suite.task_failures"] != 0 {
-		t.Fatalf("suite.task_failures = %d, want 0", snap.Counters["suite.task_failures"])
-	}
-}
+func (retryableErr) Error() string   { return "claims to be retryable" }
+func (retryableErr) Retryable() bool { return true }
 
-// TestRunAllPermanentErrorNotRetried: a non-retryable failure must degrade
-// after exactly one attempt.
+// TestRunAllPermanentErrorNotRetried: each experiment runs once, so even
+// an error that calls itself retryable degrades after exactly one attempt.
 func TestRunAllPermanentErrorNotRetried(t *testing.T) {
 	var attempts atomic.Int64
 	reports, err := RunAll(context.Background(), SuiteOpts{
 		Sizes: tinySizes(), Parallel: 1, Only: []string{"F1"},
-		RetryBackoff: fastRetry,
-		Inject: func(_ context.Context, id string, attempt int) error {
+		Inject: func(context.Context, string) error {
 			attempts.Add(1)
-			return &fault.PermanentError{Msg: "broken for good"}
+			return retryableErr{}
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reports[0].Failed() || !strings.Contains(reports[0].Err, "permanent") {
-		t.Fatalf("permanent failure not reported: %+v", reports[0])
+	if !reports[0].Failed() || !strings.Contains(reports[0].Err, "retryable") {
+		t.Fatalf("failure not reported: %+v", reports[0])
 	}
 	if attempts.Load() != 1 {
-		t.Fatalf("permanent error attempted %d times, want 1", attempts.Load())
-	}
-}
-
-// TestRunAllRetryBudgetExhausted: an always-transient failure is retried up
-// to MaxRetries and then degrades.
-func TestRunAllRetryBudgetExhausted(t *testing.T) {
-	var attempts atomic.Int64
-	reports, err := RunAll(context.Background(), SuiteOpts{
-		Sizes: tinySizes(), Parallel: 1, Only: []string{"F1"},
-		MaxRetries: 2, RetryBackoff: fastRetry,
-		Inject: func(_ context.Context, id string, attempt int) error {
-			attempts.Add(1)
-			return &fault.TransientError{Msg: fmt.Sprintf("attempt %d", attempt)}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reports[0].Failed() {
-		t.Fatal("exhausted retries must degrade the report")
-	}
-	if attempts.Load() != 3 { // initial + 2 retries
-		t.Fatalf("attempts = %d, want 3", attempts.Load())
-	}
-}
-
-// TestRunAllNegativeMaxRetriesDisables: MaxRetries < 0 means one attempt,
-// even for retryable failures.
-func TestRunAllNegativeMaxRetriesDisables(t *testing.T) {
-	var attempts atomic.Int64
-	reports, err := RunAll(context.Background(), SuiteOpts{
-		Sizes: tinySizes(), Parallel: 1, Only: []string{"F1"},
-		MaxRetries: -1, RetryBackoff: fastRetry,
-		Inject: func(context.Context, string, int) error {
-			attempts.Add(1)
-			return &fault.TransientError{Msg: "transient"}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reports[0].Failed() || attempts.Load() != 1 {
-		t.Fatalf("failed=%v attempts=%d, want degraded after exactly 1 attempt",
-			reports[0].Failed(), attempts.Load())
+		t.Fatalf("experiment attempted %d times, want 1", attempts.Load())
 	}
 }
 
@@ -166,33 +89,13 @@ func TestRunAllCancelledMidRun(t *testing.T) {
 	defer cancel()
 	_, err := RunAll(ctx, SuiteOpts{
 		Sizes: tinySizes(), Parallel: 2, Only: analyticOnly,
-		Inject: func(context.Context, string, int) error {
+		Inject: func(context.Context, string) error {
 			cancel()
 			return nil
 		},
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestIsRetryable(t *testing.T) {
-	cases := []struct {
-		err  error
-		want bool
-	}{
-		{nil, false},
-		{errors.New("plain"), false},
-		{&fault.TransientError{Msg: "x"}, true},
-		{fmt.Errorf("wrapped: %w", &fault.TransientError{Msg: "x"}), true},
-		{&fault.PermanentError{Msg: "x"}, false},
-		{&PanicError{ID: "F1", Value: "string panic"}, false},
-		{&PanicError{ID: "F1", Value: &fault.TransientError{Msg: "x"}}, true},
-	}
-	for i, tc := range cases {
-		if got := IsRetryable(tc.err); got != tc.want {
-			t.Fatalf("case %d (%v): IsRetryable = %v, want %v", i, tc.err, got, tc.want)
-		}
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package fault provides deterministic failure-injection primitives for
 // the fault-tolerance test suite and the CLI's -fault smoke mode: writers
-// that fail on a chosen call, tripwires that fire on a chosen activation,
-// seeded bit-flip corrupters for durability tests, and an experiment-suite
-// injector that maps experiment ids to failure modes.
+// that fail on a chosen call, seeded bit-flip corrupters for durability
+// tests, and an experiment-suite injector that maps experiment ids to
+// failure modes.
 //
 // Everything in this package is deterministic. Corrupters derive their
-// choices from an explicit seed, tripwires and writers count calls, and the
-// injector keys strictly off (experiment id, attempt). A test that injects
-// a fault therefore fails the same way on every run.
+// choices from an explicit seed, writers count calls, and the injector
+// keys strictly off the experiment id. A test that injects a fault
+// therefore fails the same way on every run.
 package fault
 
 import (
@@ -19,31 +19,20 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"edgellm/internal/artifact"
 )
 
-// TransientError is an injected failure that models a recoverable
-// condition (I/O hiccup, preempted worker). The experiment runner treats
-// any error chain containing a Retryable()=true link as retryable.
-type TransientError struct{ Msg string }
-
-// Error implements error.
-func (e *TransientError) Error() string { return "fault: transient: " + e.Msg }
-
-// Retryable marks the error as clearable by a retry.
-func (e *TransientError) Retryable() bool { return true }
-
-// PermanentError is an injected failure that a retry must not clear.
+// PermanentError is an injected failure.
 type PermanentError struct{ Msg string }
 
 // Error implements error.
 func (e *PermanentError) Error() string { return "fault: permanent: " + e.Msg }
 
 // FailNthWriter passes writes through to W until the Nth Write call
-// (1-based), which fails with Err without writing anything. Later calls
-// keep failing, modelling a dead disk rather than a one-off glitch.
+// (1-based), which fails with Err (a PermanentError when nil) without
+// writing anything. Later calls keep failing, modelling a dead disk rather
+// than a one-off glitch.
 type FailNthWriter struct {
 	W   io.Writer
 	N   int
@@ -58,7 +47,7 @@ func (w *FailNthWriter) Write(p []byte) (int, error) {
 	if w.calls >= w.N {
 		err := w.Err
 		if err == nil {
-			err = &TransientError{Msg: fmt.Sprintf("injected write failure (call %d)", w.calls)}
+			err = &PermanentError{Msg: fmt.Sprintf("injected write failure (call %d)", w.calls)}
 		}
 		return 0, err
 	}
@@ -67,16 +56,6 @@ func (w *FailNthWriter) Write(p []byte) (int, error) {
 
 // Calls reports how many Write calls have been made.
 func (w *FailNthWriter) Calls() int { return w.calls }
-
-// Tripwire fires on its Nth activation (1-based). It is safe for
-// concurrent use, so a tripwire can be shared across parallel grid points.
-type Tripwire struct {
-	N     int64
-	calls atomic.Int64
-}
-
-// Hit records one activation and reports whether this was the Nth.
-func (t *Tripwire) Hit() bool { return t.calls.Add(1) == t.N }
 
 // FlipBit flips bit i (0 ≤ i < 8·len(buf)) of buf in place.
 func FlipBit(buf []byte, i int) {
@@ -137,15 +116,11 @@ func Allocated(f func()) uint64 {
 type Mode string
 
 const (
-	// ModePanic panics on every attempt: the task degrades to an
-	// error-annotated row no matter how often it is retried.
+	// ModePanic panics: the task degrades to an error-annotated row.
 	ModePanic Mode = "panic"
-	// ModeFlaky fails the first attempt with a retryable error and lets
-	// every later attempt through: bounded retry recovers the task.
-	ModeFlaky Mode = "flaky"
-	// ModeFail returns a permanent, non-retryable error on every attempt.
+	// ModeFail returns a PermanentError.
 	ModeFail Mode = "fail"
-	// ModeStall blocks until the attempt's context is cancelled — the
+	// ModeStall blocks until the task's context is cancelled — the
 	// deterministic hung-experiment model the resource governor's stall
 	// watchdog is tested against. Without a watchdog (or other cancel),
 	// the task blocks until the whole suite is cancelled.
@@ -162,12 +137,11 @@ const (
 type Injector struct{ modes map[string]Mode }
 
 // ParseSpec builds an Injector from a comma-separated list of mode=ID
-// pairs, e.g. "panic=F5,flaky=T3,fail=A2". The shorthand "smoke" expands
-// to a built-in spec exercising one permanent panic and one retried
-// transient failure on cheap analytic experiments.
+// pairs, e.g. "panic=F5,fail=A2". The shorthand "smoke" expands to a
+// built-in spec that panics one cheap analytic experiment.
 func ParseSpec(spec string) (*Injector, error) {
 	if spec == "smoke" {
-		spec = "panic=F5,flaky=T3"
+		spec = "panic=F5"
 	}
 	in := &Injector{modes: map[string]Mode{}}
 	for _, part := range strings.Split(spec, ",") {
@@ -180,10 +154,10 @@ func ParseSpec(spec string) (*Injector, error) {
 			return nil, fmt.Errorf("fault: bad injection %q (want mode=ID)", part)
 		}
 		switch Mode(mode) {
-		case ModePanic, ModeFlaky, ModeFail, ModeStall, ModeCancel:
+		case ModePanic, ModeFail, ModeStall, ModeCancel:
 			in.modes[strings.ToUpper(strings.TrimSpace(id))] = Mode(mode)
 		default:
-			return nil, fmt.Errorf("fault: unknown injection mode %q (want panic, flaky, fail, stall, or cancel)", mode)
+			return nil, fmt.Errorf("fault: unknown injection mode %q (want panic, fail, stall, or cancel)", mode)
 		}
 	}
 	if len(in.modes) == 0 {
@@ -226,16 +200,12 @@ func (in *Injector) ModeFor(id string) Mode {
 }
 
 // Hook is the runner injection seam: it is called at the start of every
-// task attempt and fails (or panics, or hangs) according to the configured
-// mode. ctx is the attempt's context; ModeStall blocks on it.
-func (in *Injector) Hook(ctx context.Context, id string, attempt int) error {
+// task and fails (or panics, or hangs) according to the configured mode.
+// ctx is the task's context; ModeStall blocks on it.
+func (in *Injector) Hook(ctx context.Context, id string) error {
 	switch in.modes[id] {
 	case ModePanic:
-		panic(fmt.Sprintf("fault: injected panic in %s (attempt %d)", id, attempt))
-	case ModeFlaky:
-		if attempt == 0 {
-			return &TransientError{Msg: fmt.Sprintf("injected first-attempt failure in %s", id)}
-		}
+		panic(fmt.Sprintf("fault: injected panic in %s", id))
 	case ModeFail:
 		return &PermanentError{Msg: fmt.Sprintf("injected permanent failure in %s", id)}
 	case ModeStall:

@@ -38,22 +38,6 @@ func TestFailNthWriterCustomError(t *testing.T) {
 	}
 }
 
-func TestTripwireFiresExactlyOnce(t *testing.T) {
-	tw := &Tripwire{N: 3}
-	fired := 0
-	for i := 0; i < 6; i++ {
-		if tw.Hit() {
-			fired++
-			if i != 2 {
-				t.Fatalf("fired on activation %d, want 3", i+1)
-			}
-		}
-	}
-	if fired != 1 {
-		t.Fatalf("fired %d times, want 1", fired)
-	}
-}
-
 func TestFlipBitInvolution(t *testing.T) {
 	buf := []byte{0x00, 0xff, 0x5a}
 	orig := append([]byte(nil), buf...)
@@ -84,17 +68,17 @@ func TestCorrupterDeterministic(t *testing.T) {
 }
 
 func TestParseSpec(t *testing.T) {
-	in, err := ParseSpec("panic=F5, flaky=t3,fail=A2")
+	in, err := ParseSpec("panic=F5, stall=t3,fail=A2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := in.Targets(); len(got) != 3 || got[0] != "A2" || got[1] != "F5" || got[2] != "T3" {
 		t.Fatalf("targets = %v", got)
 	}
-	if d := in.Describe(); !strings.Contains(d, "panic=F5") || !strings.Contains(d, "flaky=T3") {
+	if d := in.Describe(); !strings.Contains(d, "panic=F5") || !strings.Contains(d, "stall=T3") {
 		t.Fatalf("describe = %q", d)
 	}
-	for _, bad := range []string{"", "explode=T1", "T1"} {
+	for _, bad := range []string{"", "explode=T1", "T1", "flaky=T3"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("spec %q must be rejected", bad)
 		}
@@ -106,33 +90,17 @@ func TestInjectorModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Untargeted id: no effect on any attempt.
-	if err := in.Hook(context.Background(), "T1", 0); err != nil {
+	// Untargeted id: no effect.
+	if err := in.Hook(context.Background(), "T1"); err != nil {
 		t.Fatalf("untargeted id errored: %v", err)
 	}
-	// Flaky: first attempt fails retryably, second passes.
-	err = in.Hook(context.Background(), "T3", 0)
-	if err == nil {
-		t.Fatal("flaky target must fail attempt 0")
-	}
-	var te *TransientError
-	if !errors.As(err, &te) {
-		t.Fatalf("flaky failure %T is not transient", err)
-	}
-	if err := in.Hook(context.Background(), "T3", 1); err != nil {
-		t.Fatalf("flaky target must pass attempt 1: %v", err)
-	}
-	// Panic: every attempt panics.
-	for attempt := 0; attempt < 2; attempt++ {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("panic target must panic on attempt %d", attempt)
-				}
-			}()
-			in.Hook(context.Background(), "F5", attempt)
-		}()
-	}
+	// Panic: the smoke target panics.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("panic target must panic")
+		}
+	}()
+	in.Hook(context.Background(), "F5")
 }
 
 func TestInjectorFailMode(t *testing.T) {
@@ -140,15 +108,10 @@ func TestInjectorFailMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for attempt := 0; attempt < 3; attempt++ {
-		err := in.Hook(context.Background(), "A2", attempt)
-		if err == nil {
-			t.Fatalf("fail target must error on attempt %d", attempt)
-		}
-		var pe *PermanentError
-		if !errors.As(err, &pe) {
-			t.Fatalf("fail mode produced %T, want permanent", err)
-		}
+	err = in.Hook(context.Background(), "A2")
+	var pe *PermanentError
+	if !errors.As(err, &pe) {
+		t.Fatalf("fail mode produced %T, want permanent", err)
 	}
 }
 
@@ -167,8 +130,8 @@ func TestCancelModeParsesAndReports(t *testing.T) {
 		t.Fatalf("ModeFor(nope) = %q, want empty", got)
 	}
 	// The generic Hook treats cancel as a no-op: the serving front end owns
-	// the cancellation, the retry harness must not see an error.
-	if err := in.Hook(context.Background(), "r1", 0); err != nil {
+	// the cancellation, the suite runner must not see an error.
+	if err := in.Hook(context.Background(), "r1"); err != nil {
 		t.Fatalf("Hook on a cancel target errored: %v", err)
 	}
 }

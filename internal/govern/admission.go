@@ -22,9 +22,6 @@ func (e *OverBudgetError) Error() string {
 	return fmt.Sprintf("govern: request needs %d bytes but only %d of %d are free", e.Need, e.Budget-e.Reserved, e.Budget)
 }
 
-// Retryable reports whether waiting and resubmitting can ever succeed.
-func (e *OverBudgetError) Retryable() bool { return !e.Permanent }
-
 // Admission is a concurrency-safe reservation ledger over a Budget's
 // MemoryBytes: the serving front end reserves each request's analytic
 // KV-cache need at the door and releases it when the stream finishes, so a

@@ -30,7 +30,7 @@ func TestAdmissionLedger(t *testing.T) {
 	if !errors.As(err, &obe) {
 		t.Fatalf("over-budget reserve = %v, want *OverBudgetError", err)
 	}
-	if obe.Permanent || !obe.Retryable() {
+	if obe.Permanent {
 		t.Fatalf("transient rejection marked permanent: %+v", obe)
 	}
 	a.Release(600)
@@ -42,7 +42,7 @@ func TestAdmissionLedger(t *testing.T) {
 	if !errors.As(err, &obe) {
 		t.Fatalf("unfittable reserve = %v, want *OverBudgetError", err)
 	}
-	if !obe.Permanent || obe.Retryable() {
+	if !obe.Permanent {
 		t.Fatalf("unfittable rejection not marked permanent: %+v", obe)
 	}
 }

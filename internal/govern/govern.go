@@ -49,7 +49,7 @@ type Budget struct {
 	// MemoryBytes is the hard memory budget for one experiment's training
 	// footprint (analytic accounting); 0 disables memory governance.
 	MemoryBytes int64
-	// StageTimeout is the wall-clock deadline for one experiment attempt;
+	// StageTimeout is the wall-clock deadline for one experiment;
 	// 0 disables the deadline.
 	StageTimeout time.Duration
 	// HeartbeatTimeout bounds the silence between progress heartbeats

@@ -8,10 +8,8 @@ import (
 	"time"
 )
 
-// StallError reports an experiment attempt killed by the watchdog: either
-// it outran its stage deadline or it stopped sending progress heartbeats.
-// It is deterministic from the run's perspective (the same hang stalls the
-// same way), so the runner classifies it as non-retryable.
+// StallError reports an experiment killed by the watchdog: either it
+// outran its stage deadline or it stopped sending progress heartbeats.
 type StallError struct {
 	// Stage is the watched stage (the experiment id).
 	Stage string
@@ -26,12 +24,8 @@ func (e *StallError) Error() string {
 	return fmt.Sprintf("govern: stage %s stalled: %s exceeded %s", e.Stage, e.Phase, e.Limit)
 }
 
-// Retryable marks the stall as non-retryable: a hung stage hangs the same
-// way on every attempt, and each retry would burn a full deadline.
-func (e *StallError) Retryable() bool { return false }
-
 // Watchdog enforces a stage deadline and a progress-heartbeat bound on one
-// experiment attempt. When either fires it cancels the attempt's context
+// experiment. When either fires it cancels the experiment's context
 // with the *StallError as its cause (context.Cause); cancellation is
 // cooperative — the experiment (or an injected stall) observes ctx.Done()
 // and unwinds. A nil *Watchdog is inert.
@@ -51,7 +45,7 @@ type Watchdog struct {
 	done     chan struct{}
 }
 
-// Watch derives a cancellable context for one stage attempt and starts its
+// Watch derives a cancellable context for one stage and starts its
 // watchdog. The returned context carries the watchdog, so HeartbeatFunc
 // recovers it anywhere below. With no deadline configured the context is
 // returned unchanged and the watchdog is nil (inert).

@@ -18,10 +18,10 @@ func NewAttention(g *tensor.RNG, dim, heads int) *Attention {
 	mustDiv(dim, heads, "attention dim/heads")
 	return &Attention{
 		Heads: heads,
-		Wq:    NewLinear(g, dim, dim, false),
-		Wk:    NewLinear(g, dim, dim, false),
-		Wv:    NewLinear(g, dim, dim, false),
-		Wo:    NewLinear(g, dim, dim, false),
+		Wq:    NewLinear(g, dim, dim),
+		Wk:    NewLinear(g, dim, dim),
+		Wv:    NewLinear(g, dim, dim),
+		Wo:    NewLinear(g, dim, dim),
 	}
 }
 
@@ -52,9 +52,9 @@ type MLP struct {
 // NewMLP builds a SwiGLU MLP with the given hidden width.
 func NewMLP(g *tensor.RNG, dim, hidden int) *MLP {
 	return &MLP{
-		Gate: NewLinear(g, dim, hidden, false),
-		Up:   NewLinear(g, dim, hidden, false),
-		Down: NewLinear(g, hidden, dim, false),
+		Gate: NewLinear(g, dim, hidden),
+		Up:   NewLinear(g, dim, hidden),
+		Down: NewLinear(g, hidden, dim),
 	}
 }
 

@@ -98,7 +98,7 @@ func NewModel(cfg Config, g *tensor.RNG) *Model {
 		TokEmb: NewEmbedding(g, cfg.Vocab, cfg.Dim),
 		PosEmb: NewEmbedding(g, cfg.MaxSeq, cfg.Dim),
 		Norm:   NewRMSNorm(cfg.Dim),
-		LMHead: NewLinear(g, cfg.Dim, cfg.Vocab, false),
+		LMHead: NewLinear(g, cfg.Dim, cfg.Vocab),
 	}
 	for i := 0; i < cfg.Layers; i++ {
 		m.Blocks = append(m.Blocks, NewBlock(g, cfg.Dim, cfg.Heads, cfg.Hidden))
@@ -107,7 +107,7 @@ func NewModel(cfg Config, g *tensor.RNG) *Model {
 			if cfg.TieExitHeads {
 				exit.Proj = m.LMHead
 			} else {
-				exit.Proj = NewLinear(g, cfg.Dim, cfg.Vocab, false)
+				exit.Proj = NewLinear(g, cfg.Dim, cfg.Vocab)
 			}
 			m.Exits = append(m.Exits, exit)
 		}

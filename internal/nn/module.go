@@ -62,10 +62,9 @@ func prefix(name string, ps []NamedParam) []NamedParam {
 	return out
 }
 
-// Linear is a dense layer y = x·W (+ b). W is stored (in, out).
+// Linear is a bias-free dense layer y = x·W. W is stored (in, out).
 type Linear struct {
 	W *ag.Value
-	B *ag.Value // nil when the layer is bias-free
 	// Adapter, when non-nil, post-processes the layer output given the
 	// original input — the hook parameter-efficient tuners (LoRA) attach
 	// to. Adapter parameters are owned by whoever installed the hook and
@@ -74,20 +73,13 @@ type Linear struct {
 }
 
 // NewLinear returns a Xavier-initialised dense layer.
-func NewLinear(g *tensor.RNG, in, out int, bias bool) *Linear {
-	l := &Linear{W: ag.Param(g.Xavier(in, out))}
-	if bias {
-		l.B = ag.Param(tensor.New(out))
-	}
-	return l
+func NewLinear(g *tensor.RNG, in, out int) *Linear {
+	return &Linear{W: ag.Param(g.Xavier(in, out))}
 }
 
 // Forward applies the layer to x of shape (rows, in).
 func (l *Linear) Forward(x *ag.Value) *ag.Value {
 	y := ag.MatMul(x, l.W)
-	if l.B != nil {
-		y = ag.AddBias(y, l.B)
-	}
 	if l.Adapter != nil {
 		y = l.Adapter(x, y)
 	}
@@ -96,11 +88,7 @@ func (l *Linear) Forward(x *ag.Value) *ag.Value {
 
 // Params implements Module.
 func (l *Linear) Params() []NamedParam {
-	ps := []NamedParam{{Name: "w", Value: l.W}}
-	if l.B != nil {
-		ps = append(ps, NamedParam{Name: "b", Value: l.B})
-	}
-	return ps
+	return []NamedParam{{Name: "w", Value: l.W}}
 }
 
 // In returns the input width.

@@ -39,7 +39,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestLinearShapes(t *testing.T) {
 	g := tensor.NewRNG(1)
-	l := NewLinear(g, 4, 6, true)
+	l := NewLinear(g, 4, 6)
 	x := ag.Const(g.Normal(0, 1, 3, 4))
 	y := l.Forward(x)
 	if y.Data.Rows() != 3 || y.Data.Cols() != 6 {
@@ -48,11 +48,8 @@ func TestLinearShapes(t *testing.T) {
 	if l.In() != 4 || l.Out() != 6 {
 		t.Fatal("In/Out wrong")
 	}
-	if len(l.Params()) != 2 {
-		t.Fatal("biased Linear must expose 2 params")
-	}
-	if len(NewLinear(g, 4, 6, false).Params()) != 1 {
-		t.Fatal("bias-free Linear must expose 1 param")
+	if len(l.Params()) != 1 {
+		t.Fatal("Linear must expose 1 param")
 	}
 }
 

@@ -197,19 +197,3 @@ func TransposeInto(out, t *Tensor) {
 		}
 	}
 }
-
-// AddRowBroadcast adds a rank-1 bias (length c) to every row of a rank-2
-// tensor (r,c), in place.
-func (t *Tensor) AddRowBroadcast(bias *Tensor) {
-	c := t.Cols()
-	if bias.Rank() != 1 || bias.Shape[0] != c {
-		panic(fmt.Sprintf("tensor: AddRowBroadcast bias %v incompatible with %v", bias.Shape, t.Shape))
-	}
-	r := t.Rows()
-	for i := 0; i < r; i++ {
-		row := t.Row(i)
-		for j, v := range bias.Data {
-			row[j] += v
-		}
-	}
-}

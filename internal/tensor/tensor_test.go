@@ -240,14 +240,6 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestAddRowBroadcast(t *testing.T) {
-	a := New(2, 3)
-	a.AddRowBroadcast(FromSlice([]float32{1, 2, 3}, 3))
-	if a.At(0, 2) != 3 || a.At(1, 0) != 1 {
-		t.Fatalf("AddRowBroadcast got %v", a.Data)
-	}
-}
-
 func TestSerializationRoundtrip(t *testing.T) {
 	g := NewRNG(4)
 	orig := g.Normal(0, 2, 3, 5)

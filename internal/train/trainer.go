@@ -18,8 +18,7 @@ const DefaultMaxBadSteps = 5
 // DivergenceError reports a run that produced MaxBadSteps consecutive
 // non-finite losses or gradients. Trainer.ApplyGrads throws it as a panic
 // value so existing call sites keep their signatures; the experiment
-// runner's per-task recovery converts it into an ordinary error. It is
-// deterministic, so the runner classifies it as non-retryable.
+// runner's per-task recovery converts it into an ordinary error.
 type DivergenceError struct {
 	// Consecutive is the length of the bad-step streak.
 	Consecutive int
