@@ -145,7 +145,7 @@ func cmdExperiments(args []string) (err error) {
 	}
 
 	opts := core.SuiteOpts{
-		Sizes: sizes, Parallel: *parallel, Only: only,
+		Sizes: sizes, Parallel: *parallel, Only: only, Govern: gov,
 	}
 	if *faultSpec != "" {
 		inj, err := fault.ParseSpec(*faultSpec)
@@ -155,8 +155,6 @@ func cmdExperiments(args []string) (err error) {
 		fmt.Fprintf(os.Stderr, "edgellm: injecting faults: %s\n", inj.Describe())
 		opts.Inject = inj.Hook
 	}
-
-	opts.Govern = gov
 
 	// Ctrl-C / SIGTERM cancels the suite; in-flight grid points finish, no
 	// new ones start, and RunAll returns context.Canceled.
