@@ -43,7 +43,6 @@ func cmdServe(args []string) (err error) {
 	deadline := fs.Duration("deadline", 30*time.Second, "default per-request deadline (header X-Edgellm-Deadline-Ms overrides; 0 = none)")
 	stallTimeout := fs.Duration("stall-timeout", 10*time.Second, "kill streams whose token production stops for this long (0 = off)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "grace for in-flight streams on SIGTERM before cancellation")
-	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint on 429/503 responses")
 	memBudget := fs.String("mem-budget", "", "KV-memory admission budget: bytes with optional KiB/MiB/GiB suffix (empty = no memory admission)")
 	adapters := fs.String("adapters", "", "adapter registry directory (empty = base model only)")
 	maxAdapters := fs.Int("max-adapters", 8, "LRU bound on resident adapters")
@@ -110,7 +109,6 @@ func cmdServe(args []string) (err error) {
 		DefaultDeadline: *deadline,
 		StallTimeout:    *stallTimeout,
 		DrainTimeout:    *drainTimeout,
-		RetryAfter:      *retryAfter,
 	}
 	if kvBudget > 0 {
 		cfg.Budget = govern.Budget{MemoryBytes: kvBudget}

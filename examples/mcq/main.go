@@ -38,7 +38,7 @@ func main() {
 	// Score the test split through each head individually...
 	for _, exit := range []int{0, cfg.Model.Layers / 2, cfg.Model.Layers - 1} {
 		acc := train.MCQAccuracy(func(b [][]int) *ag.Value {
-			return p.Model.LogitsAtExit(b, exit)
+			return p.Model.Exits[exit].Forward(p.Model.HiddenAt(b, exit+1))
 		}, task.MCQ.Test)
 		fmt.Printf("exit at layer %d alone:        %.1f%%\n", exit, acc*100)
 	}

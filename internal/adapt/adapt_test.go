@@ -111,7 +111,7 @@ func TestSensitivityStrategyVisitsHotLayersMore(t *testing.T) {
 func TestStepFreezesOutsideWindowAndBoundsTape(t *testing.T) {
 	m := tinyModel(7, 4)
 	tuner, _ := NewTuner(m, TunerConfig{WindowSize: 1, Strategy: StrategySliding})
-	tr := train.NewTrainer(train.NewSGD(0, 0), 0.01, 0)
+	tr := train.NewTrainer(train.NewAdamW(0), 0.01, 0)
 	corpus := data.MarkovCorpus(8, 16, 500, 2)
 	g := tensor.NewRNG(9)
 
@@ -123,9 +123,9 @@ func TestStepFreezesOutsideWindowAndBoundsTape(t *testing.T) {
 	// After the step, verify tape size at the next window is bounded:
 	// build the loss for window [1,1] manually and compare to full tuning.
 	m.SetAllTrainable(false)
-	m.SetBlockTrainable(1, true)
+	nn.SetTrainable(m.Blocks[1], true)
 	nn.SetTrainable(m.Exits[1], true)
-	partial := ag.GraphSize(m.LogitsAtExit(inputs, 1))
+	partial := ag.GraphSize(m.Exits[1].Forward(m.HiddenAt(inputs, 2)))
 
 	m.SetAllTrainable(true)
 	full := ag.GraphSize(m.Logits(inputs))
@@ -211,7 +211,7 @@ func TestVoterCalibrationPrefersBetterHead(t *testing.T) {
 		inputs, targets := corpus.Batch(g, 4, 9)
 		m.SetAllTrainable(false)
 		nn.SetTrainable(m.Exits[2], true)
-		loss := ag.CrossEntropy(m.LogitsAtExit(inputs, 2), targets, -1)
+		loss := ag.CrossEntropy(m.Exits[2].Forward(m.HiddenAt(inputs, 3)), targets, -1)
 		tr.Step(m.Exits[2], loss)
 	}
 
@@ -241,7 +241,7 @@ func TestVotingBeatsWorstHead(t *testing.T) {
 	worst := 0.0
 	for _, e := range []int{0, 1, 2} {
 		ppl := train.EvalPerplexityWith(func(b [][]int) *ag.Value {
-			return m.LogitsAtExit(b, e)
+			return m.Exits[e].Forward(m.HiddenAt(b, e+1))
 		}, batches, targets)
 		if ppl > worst {
 			worst = ppl
@@ -404,10 +404,10 @@ func TestRecomputeStepSkipsNonFiniteLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := train.NewTrainer(train.NewSGD(0, 0), 0.1, 0)
+	tr := train.NewTrainer(train.NewAdamW(0), 0.1, 0)
 	tr.MaxBadSteps = 2
 	inputs, targets := [][]int{{1, 2, poison, 4}}, []int{2, 3, 4, 5}
-	tuner.SetIteration(1) // window [0,1]: two blocks, two segments
+	tuner.iter = 1 // window [0,1]: two blocks, two segments
 	if loss, _, _ := tuner.Step(tr, inputs, targets); !math.IsNaN(loss) {
 		t.Fatalf("poisoned batch gave loss %v", loss)
 	}
@@ -488,10 +488,10 @@ func TestSetWindowSizeMidRun(t *testing.T) {
 			t.Fatalf("window [%d,%d] after SetWindowSize(1)", lo, hi)
 		}
 	}
-	// SetIteration replays the schedule from a chosen position.
-	tuner.SetIteration(0)
+	// Resetting the iteration counter replays the schedule from the start.
+	tuner.iter = 0
 	_, _, hi := tuner.Step(tr, inputs, targets)
 	if hi != 0 {
-		t.Fatalf("window top %d after SetIteration(0), want 0", hi)
+		t.Fatalf("window top %d after iteration reset to 0, want 0", hi)
 	}
 }

@@ -355,10 +355,6 @@ func (t *Tuner) SetWindowSize(w int) error {
 	return nil
 }
 
-// SetIteration overrides the iteration counter, placing the window schedule
-// at iteration n; tests use it to pick the window a step tunes.
-func (t *Tuner) SetIteration(n int) { t.iter = n }
-
 // recordBlockGrads publishes the L2 gradient norm of every block in the
 // active window as a layer-labeled gauge. It runs inside the trainer's
 // GradHook — after clipping, before the optimizer consumes the gradients.

@@ -27,8 +27,11 @@ var kinds = []struct {
 	load   func(t *testing.T, data []byte) error
 	sha256 string
 }{
-	{"checkpoint", checkpointBytes, func(_ *testing.T, data []byte) error {
-		_, err := nn.Load(bytes.NewReader(data))
+	{"checkpoint", checkpointBytes, func(t *testing.T, data []byte) error {
+		m, err := nn.Load(bytes.NewReader(data))
+		if err != nil && m != nil {
+			t.Fatalf("a model returned alongside the load error %v", err)
+		}
 		return err
 	}, "9d549847dc601bf18670a55e3a90d659bb36797b1ae08e0b99ffe2cec4e6bbc9"},
 	{"adapter", adapterBytes, func(_ *testing.T, data []byte) error {

@@ -95,7 +95,7 @@ func TestGovernedAdmissionDegradesPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Governed() {
+	if p.gstate == nil {
 		t.Fatal("pipeline not governed under an installed governor")
 	}
 	ds := gov.Decisions()

@@ -192,9 +192,6 @@ func (p *Pipeline) GovernedPlan() govern.Plan {
 	return p.gstate.plan
 }
 
-// Governed reports whether a governor admitted this pipeline.
-func (p *Pipeline) Governed() bool { return p.gstate != nil }
-
 // VanillaPeakBytes is the analytic peak training footprint of vanilla full
 // fine-tuning under cfg — the reference point the CLI's
 // -mem-budget=half-vanilla divides in two.

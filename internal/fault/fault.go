@@ -79,12 +79,6 @@ func (c *Corrupter) FlipRandomBit(buf []byte) int {
 	return i
 }
 
-// Truncate returns buf cut to a uniformly chosen proper prefix (possibly
-// empty).
-func (c *Corrupter) Truncate(buf []byte) []byte {
-	return buf[:c.rng.Intn(len(buf))]
-}
-
 // Reseal returns an artifact's magic and body under a freshly computed
 // footer, so that bytes a fuzzer or a Corrupter has mutated get past the
 // checksum and reach the loader's checks behind it. Input too short to hold a

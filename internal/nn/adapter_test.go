@@ -103,33 +103,11 @@ func TestAdapterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAdapterCorruptionDetected flips one random bit (and separately
-// truncates) a saved artifact: load must fail with a diagnostic error and
-// never panic.
+// TestAdapterCorruptionDetected: a hostile header claiming an enormous
+// target count is a load error, never a panic or a giant allocation. Bit
+// flips and truncations of a saved adapter are internal/artifact's
+// TestEveryFlipAndTruncationIsALoadError.
 func TestAdapterCorruptionDetected(t *testing.T) {
-	m := adapterTestModel(22)
-	a := buildAdapter(t, "corrupt", 6, m.Cfg)
-	var buf bytes.Buffer
-	if err := a.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	c := fault.NewCorrupter(99)
-	for trial := 0; trial < 16; trial++ {
-		bad := append([]byte(nil), good...)
-		c.FlipRandomBit(bad)
-		if _, err := LoadAdapter(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("trial %d: bit-flipped artifact loaded successfully", trial)
-		}
-	}
-	for trial := 0; trial < 16; trial++ {
-		bad := c.Truncate(append([]byte(nil), good...))
-		if _, err := LoadAdapter(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("trial %d: truncated artifact loaded successfully", trial)
-		}
-	}
-	// Hostile header: claims an enormous target count.
 	if _, err := LoadAdapter(strings.NewReader("ELLMADP1\xff\xff\xff\xff")); err == nil {
 		t.Fatal("hostile header length loaded")
 	}
@@ -199,7 +177,8 @@ func TestAdapterSidePathMatchesMergedWeights(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		delta := tensor.MatMul(p.A, p.B)
+		delta := tensor.New(p.A.Rows(), p.B.Cols())
+		tensor.MatMulInto(delta, p.A, p.B)
 		delta.ScaleInPlace(a.alpha / float32(a.rank))
 		w.AddInPlace(delta)
 	}

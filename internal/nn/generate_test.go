@@ -134,15 +134,13 @@ func TestGenerateHugeMaxTokensRejectedUpFront(t *testing.T) {
 // largest logit and never draws from the RNG, whatever TopK says.
 func TestSampleLogitsTemperatureZeroIsArgmax(t *testing.T) {
 	logits := []float32{-1, 3, 0.5, 3, -7}
-	g, untouched := tensor.NewSavableRNG(9), tensor.NewSavableRNG(9)
+	g, untouched := tensor.NewRNG(9), tensor.NewRNG(9)
 	for _, topK := range []int{0, 1, 3} {
 		if got := SampleLogits(logits, SampleConfig{Temperature: 0, TopK: topK}, g); got != 1 {
 			t.Fatalf("TopK %d: temperature 0 chose %d, want the first argmax 1", topK, got)
 		}
 	}
-	a, _ := g.State()
-	b, _ := untouched.State()
-	if a != b {
+	if g.Float64() != untouched.Float64() {
 		t.Fatal("greedy sampling consumed randomness")
 	}
 }
@@ -173,16 +171,15 @@ func sampleRow(row []byte, n int, seed int64) []float32 {
 }
 
 // sameAsRef requires sampleToken to draw sampleTokenRef's token and leave
-// the RNG in the same state.
+// the RNG at the same position: both RNGs' next draws must agree.
 func sameAsRef(t *testing.T, logits []float32, cfg SampleConfig) {
 	t.Helper()
-	g, gRef := tensor.NewSavableRNG(cfg.Seed), tensor.NewSavableRNG(cfg.Seed)
+	g, gRef := tensor.NewRNG(cfg.Seed), tensor.NewRNG(cfg.Seed)
 	got, want := sampleToken(logits, cfg, g), sampleTokenRef(logits, cfg, gRef)
-	s, _ := g.State()
-	sRef, _ := gRef.State()
-	if got != want || s != sRef {
-		t.Fatalf("V=%d TopK=%d T=%v: token %d, RNG state %x; the reference draws %d, leaves %x",
-			len(logits), cfg.TopK, cfg.Temperature, got, s, want, sRef)
+	next, nextRef := g.Float64(), gRef.Float64()
+	if got != want || next != nextRef {
+		t.Fatalf("V=%d TopK=%d T=%v: token %d, next draw %v; the reference draws %d, then %v",
+			len(logits), cfg.TopK, cfg.Temperature, got, next, want, nextRef)
 	}
 }
 

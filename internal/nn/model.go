@@ -196,21 +196,6 @@ func (m *Model) LogitsFrom(x *ag.Value, from, batch, seq int) *ag.Value {
 	return m.LMHead.Forward(m.Norm.Forward(x))
 }
 
-// LogitsAtExit runs blocks [0, exitLayer] and applies exit head exitLayer.
-// This is the forward pass adaptive layer tuning uses: computation stops at
-// the window top, so neither compute nor activations are spent above it.
-// exitLayer == Layers-1 with the final head is available via Logits.
-func (m *Model) LogitsAtExit(batch [][]int, exitLayer int) *ag.Value {
-	if len(m.Exits) == 0 {
-		panic("nn: model built without exit heads")
-	}
-	if exitLayer < 0 || exitLayer >= len(m.Blocks) {
-		panic(fmt.Sprintf("nn: exit layer %d out of range [0,%d)", exitLayer, len(m.Blocks)))
-	}
-	h := m.HiddenAt(batch, exitLayer+1)
-	return m.Exits[exitLayer].Forward(h)
-}
-
 // AllExitLogits runs the full stack once and returns the logits of every
 // exit head plus the final head (last element). Used by voting inference.
 func (m *Model) AllExitLogits(batch [][]int) []*ag.Value {
@@ -230,6 +215,3 @@ func (m *Model) AllExitLogits(batch [][]int) []*ag.Value {
 
 // SetAllTrainable flips RequiresGrad on every parameter.
 func (m *Model) SetAllTrainable(trainable bool) { SetTrainable(m, trainable) }
-
-// SetBlockTrainable flips RequiresGrad for one block's parameters.
-func (m *Model) SetBlockTrainable(i int, trainable bool) { SetTrainable(m.Blocks[i], trainable) }

@@ -69,10 +69,15 @@ func TestModelDeterminism(t *testing.T) {
 	}
 }
 
+// exitLogits runs blocks [0, e] and applies exit head e.
+func exitLogits(m *Model, batch [][]int, e int) *ag.Value {
+	return m.Exits[e].Forward(m.HiddenAt(batch, e+1))
+}
+
 func TestExitLogits(t *testing.T) {
 	m := tinyModel(2)
 	for layer := 0; layer < 3; layer++ {
-		l := m.LogitsAtExit(batch2x4(), layer)
+		l := exitLogits(m, batch2x4(), layer)
 		if l.Data.Rows() != 8 || l.Data.Cols() != 17 {
 			t.Fatalf("exit %d logits shape %v", layer, l.Data.Shape)
 		}
@@ -82,9 +87,9 @@ func TestExitLogits(t *testing.T) {
 		t.Fatalf("AllExitLogits returned %d heads, want 4", len(all))
 	}
 	// The per-exit forward must agree with the full pass at the same depth.
-	single := m.LogitsAtExit(batch2x4(), 1)
+	single := exitLogits(m, batch2x4(), 1)
 	if !tensor.AllClose(single.Data, all[1].Data, 1e-5, 1e-6) {
-		t.Fatal("LogitsAtExit disagrees with AllExitLogits at same layer")
+		t.Fatal("exit forward disagrees with AllExitLogits at same layer")
 	}
 }
 
@@ -97,10 +102,10 @@ func TestExitHeadsOptional(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("LogitsAtExit without exits must panic")
+			t.Fatal("AllExitLogits without exits must panic")
 		}
 	}()
-	m.LogitsAtExit(batch2x4(), 0)
+	m.AllExitLogits(batch2x4())
 }
 
 func TestParamsNamedAndUnique(t *testing.T) {
@@ -133,7 +138,7 @@ func TestSetTrainableBoundsTape(t *testing.T) {
 	}
 
 	// Train only the last block + final head: tape must stay small.
-	m.SetBlockTrainable(2, true)
+	SetTrainable(m.Blocks[2], true)
 	SetTrainable(m.Norm, true)
 	SetTrainable(m.LMHead, true)
 	small := ag.GraphSize(m.Logits(batch2x4()))
@@ -148,10 +153,10 @@ func TestSetTrainableBoundsTape(t *testing.T) {
 func TestGradientsFlowOnlyToTrainable(t *testing.T) {
 	m := tinyModel(5)
 	m.SetAllTrainable(false)
-	m.SetBlockTrainable(1, true)
+	SetTrainable(m.Blocks[1], true)
 	SetTrainable(m.Exits[1], true)
 
-	loss := ag.CrossEntropy(m.LogitsAtExit(batch2x4(), 1), []int{2, 3, 4, 5, 6, 7, 8, 9}, -1)
+	loss := ag.CrossEntropy(exitLogits(m, batch2x4(), 1), []int{2, 3, 4, 5, 6, 7, 8, 9}, -1)
 	loss.Backward()
 
 	for _, p := range m.Blocks[1].Params() {
@@ -235,7 +240,7 @@ func TestTiedExitHeadsShareProjection(t *testing.T) {
 		t.Fatalf("tied saves %d params, want %d", got, wantDiff)
 	}
 	// Exit forward still works and produces vocab logits.
-	l := m.LogitsAtExit(batch2x4(), 1)
+	l := exitLogits(m, batch2x4(), 1)
 	if l.Data.Cols() != cfg.Vocab {
 		t.Fatal("tied exit logits wrong shape")
 	}
@@ -243,7 +248,7 @@ func TestTiedExitHeadsShareProjection(t *testing.T) {
 	m.SetAllTrainable(false)
 	SetTrainable(m.Exits[0], true)
 	SetTrainable(m.LMHead, true)
-	loss := ag.CrossEntropy(m.LogitsAtExit(batch2x4(), 0), []int{1, 2, 3, 4, 5, 6, 7, 8}, -1)
+	loss := ag.CrossEntropy(exitLogits(m, batch2x4(), 0), []int{1, 2, 3, 4, 5, 6, 7, 8}, -1)
 	loss.Backward()
 	if m.LMHead.W.Grad == nil {
 		t.Fatal("shared head got no gradient from exit loss")

@@ -92,6 +92,12 @@ func TestCounterTotalSumsLabelVariants(t *testing.T) {
 	}
 }
 
+// fakeClock drives an SLOTracker deterministically.
+type fakeClock struct{ t time.Time }
+
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+
 // newTestTracker wires a tracker to a fake clock.
 func newTestTracker(r *Recorder, objs []SLOObjective, windows []time.Duration) (*SLOTracker, *fakeClock) {
 	clk := &fakeClock{t: time.Unix(5000, 0)}

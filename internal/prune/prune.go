@@ -146,11 +146,3 @@ func NMMask(t *tensor.Tensor, n, m int) *Mask {
 	}
 	return mask
 }
-
-// PruneInPlace applies unstructured magnitude pruning at the given ratio
-// and returns the mask used.
-func PruneInPlace(t *tensor.Tensor, ratio float64) *Mask {
-	m := MagnitudeMask(t, ratio)
-	m.Apply(t)
-	return m
-}

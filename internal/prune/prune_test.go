@@ -144,7 +144,7 @@ func TestMagnitudeMaskClampsRatio(t *testing.T) {
 func TestPruneInPlaceSetsSparsity(t *testing.T) {
 	g := tensor.NewRNG(2)
 	w := g.Normal(0, 1, 8, 8)
-	PruneInPlace(w, 0.75)
+	MagnitudeMask(w, 0.75).Apply(w)
 	if got := w.Sparsity(); math.Abs(got-0.75) > 1e-9 {
 		t.Fatalf("tensor sparsity %v after 75%% prune", got)
 	}
@@ -153,9 +153,12 @@ func TestPruneInPlaceSetsSparsity(t *testing.T) {
 func TestMaskReapplicable(t *testing.T) {
 	g := tensor.NewRNG(3)
 	w := g.Normal(0, 1, 6, 6)
-	m := PruneInPlace(w, 0.5)
+	m := MagnitudeMask(w, 0.5)
+	m.Apply(w)
 	// simulate a dense gradient update that repopulates pruned slots
-	w.ApplyInPlace(func(v float32) float32 { return v + 0.3 })
+	for i := range w.Data {
+		w.Data[i] += 0.3
+	}
 	m.Apply(w)
 	if got := w.Sparsity(); got < 0.5-1e-9 {
 		t.Fatalf("re-applied mask left sparsity %v", got)
@@ -222,7 +225,7 @@ func TestErrorMonotoneInRatio(t *testing.T) {
 	w := g.Normal(0, 1, 32, 32)
 	pruneErr := func(ratio float64) float64 {
 		p := w.Clone()
-		PruneInPlace(p, ratio)
+		MagnitudeMask(p, ratio).Apply(p)
 		return tensor.MSE(p, w)
 	}
 	prev := -1.0
@@ -243,7 +246,8 @@ func TestPropMaskSparsityMatchesTensor(t *testing.T) {
 		ratio := float64(r8) / 255
 		g := tensor.NewRNG(seed)
 		w := g.Normal(0, 1, 9, 7)
-		m := PruneInPlace(w, ratio)
+		m := MagnitudeMask(w, ratio)
+		m.Apply(w)
 		// Normal() never produces exact zeros, so tensor sparsity must
 		// equal mask sparsity exactly.
 		return math.Abs(w.Sparsity()-m.Sparsity()) < 1e-12
@@ -258,7 +262,7 @@ func TestPropPrunedValuesAreSmallest(t *testing.T) {
 		g := tensor.NewRNG(seed)
 		w := g.Normal(0, 1, 8, 8)
 		pruned := w.Clone()
-		PruneInPlace(pruned, 0.5)
+		MagnitudeMask(pruned, 0.5).Apply(pruned)
 		// max |dropped| must be ≤ min |kept|
 		var maxDropped, minKept float64 = 0, math.Inf(1)
 		for i := range w.Data {

@@ -188,7 +188,7 @@ func TestConstantTensorQuantizesExactly(t *testing.T) {
 	}
 	z := tensor.New(4, 4)
 	qz := s.FakeQuant(z)
-	if qz.AbsMax() != 0 {
+	if !tensor.AllClose(qz, z, 0, 0) {
 		t.Fatal("all-zero tensor must stay zero")
 	}
 }

@@ -190,8 +190,7 @@ func (s *Stream) Timing() StreamTiming { return s.timing }
 // Stream.Cancel are safe from any goroutine; Serve must be the only
 // goroutine touching the decoder.
 type Scheduler struct {
-	dec  *nn.Decoder
-	rate *obsv.Rate
+	dec *nn.Decoder
 
 	mu     sync.Mutex
 	queue  []*Stream
@@ -204,7 +203,6 @@ type Scheduler struct {
 func New(dec *nn.Decoder) *Scheduler {
 	return &Scheduler{
 		dec:  dec,
-		rate: obsv.NewRate(10 * time.Second),
 		wake: make(chan struct{}, 1),
 	}
 }
@@ -534,8 +532,6 @@ func (s *Scheduler) Serve(ctx context.Context) error {
 		obsv.Add("decode.tokens", int64(len(tokens)))
 		obsv.Add("decode.prefill_rows", int64(nn.PrefillRows-budget))
 		obsv.Observe("decode.step_rows", float64(len(tokens)))
-		s.rate.Add(int64(len(tokens)))
-		obsv.SetGauge("decode.tokens_per_sec", s.rate.PerSec())
 
 		// Advance each stream exactly as Decoder.Generate would: prompt
 		// tokens are fed without sampling, the continuation samples from

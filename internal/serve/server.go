@@ -41,8 +41,6 @@ type ServerConfig struct {
 	// DrainTimeout is how long Drain lets in-flight streams finish before
 	// cancelling the survivors with ErrDraining.
 	DrainTimeout time.Duration
-	// RetryAfter is the hint sent with 429/503 responses (default 1s).
-	RetryAfter time.Duration
 	// Budget supplies the analytic memory envelope: each request's KV-cache
 	// need (govern.ServeKVBytes for prompt+max_tokens) is reserved at the
 	// door and a request that cannot fit is rejected instead of OOM-killing
@@ -113,9 +111,6 @@ type Server struct {
 // NewServer wraps dec in a serving front end and starts its decode
 // goroutine. The caller must call Drain exactly once to stop it.
 func NewServer(dec *nn.Decoder, cfg ServerConfig) *Server {
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	if cfg.MaxQueue < 0 {
 		cfg.MaxQueue = 0
 	}
@@ -188,12 +183,10 @@ type errorResponse struct {
 // access-log line.
 const requestIDHeader = "X-Edgellm-Request-Id"
 
-// retryAfterSeconds rounds a Retry-After duration up to whole seconds, so
-// sub-second configurations still tell clients to wait at least one second
-// rather than hammering the server with an immediate retry.
-func retryAfterSeconds(d time.Duration) int {
-	return int((d + time.Second - 1) / time.Second)
-}
+// retryAfter is the Retry-After hint, in seconds, on every 429 and 503: a
+// shed client waits a second rather than hammering the server with an
+// immediate retry.
+const retryAfter = "1"
 
 // writeJSON emits one JSON body, echoing the request ID and attaching
 // Retry-After on the shed/drain statuses where a retry can help.
@@ -203,7 +196,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, id string, body an
 		w.Header().Set(requestIDHeader, id)
 	}
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+		w.Header().Set("Retry-After", retryAfter)
 	}
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(body)
@@ -771,7 +764,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// Distinct body from the overload 503s: black-box probes tell a
 		// deliberate drain ({"status":"draining"}) from shedding (an
 		// errorResponse with code "overloaded"/"draining") at a glance.
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+		w.Header().Set("Retry-After", retryAfter)
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, `{"status":"draining"}`)
 		return

@@ -95,8 +95,8 @@ func wantError(t *testing.T, resp *http.Response, body []byte, status int, code 
 		t.Fatalf("error message empty in %s", body)
 	}
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		if resp.Header.Get("Retry-After") == "" {
-			t.Fatalf("%d response missing Retry-After", status)
+		if got := resp.Header.Get("Retry-After"); got != "1" {
+			t.Fatalf("%d response Retry-After = %q, want \"1\"", status, got)
 		}
 	}
 	return er
@@ -670,8 +670,8 @@ func TestServerDrainShedsAndEmptiesArena(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining healthz status = %d, want 503", resp.StatusCode)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("draining healthz missing Retry-After")
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("draining healthz Retry-After = %q, want \"1\"", got)
 	}
 	var health struct {
 		Status string `json:"status"`

@@ -29,7 +29,7 @@ func BenchmarkKernelMatMul512(b *testing.B) {
 	}
 }
 
-// MatMulT and TMatMul are the two backward-pass kernels (dX = dY × Wᵀ and
+// MatMulTInto and TMatMulInto are the two backward-pass kernels (dX = dY × Wᵀ and
 // dW = Xᵀ × dY), so their parallel-vs-serial ratio is the training hot
 // path's speedup.
 

@@ -159,10 +159,10 @@ func TestTransposeEdgeShapes(t *testing.T) {
 	}
 	for _, s := range shapes {
 		x := g.Normal(0, 1, s[0], s[1])
-		got := Transpose(x)
-		bitsEqual(t, "Transpose", naiveTranspose(x), got)
-		back := Transpose(got)
-		bitsEqual(t, "Transpose involution", x, back)
+		got := transposed(x)
+		bitsEqual(t, "TransposeInto", naiveTranspose(x), got)
+		back := transposed(got)
+		bitsEqual(t, "TransposeInto involution", x, back)
 	}
 }
 

@@ -124,7 +124,8 @@ func TestKernelsStayInsideTheirOperands(t *testing.T) {
 					tensor.MatMulInto(got, ga, gw)
 					bitwiseEqual(t, "guarded MatMulInto "+name, got, want)
 
-					aT := tensor.Transpose(a)
+					aT := tensor.New(k, m)
+					tensor.TransposeInto(aT, a)
 					gaT := tensor.FromSlice(guardedFloats(t, aT.Data), k, m)
 					tensor.TMatMulInto(got, gaT, gw)
 					bitwiseEqual(t, "guarded TMatMulInto "+name, got, want)

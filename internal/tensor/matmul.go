@@ -61,25 +61,14 @@ func Bands(n, grain, workers int, fn func(w, lo, hi int)) {
 	wg.Wait()
 }
 
-// MatMul returns a × b for rank-2 tensors, (m,k)×(k,n) → (m,n).
+// MatMulInto computes out = a × b for rank-2 tensors, (m,k)×(k,n) → (m,n),
+// reusing out's storage. out must have shape (a.Rows(), b.Cols()) and is
+// overwritten.
 //
 // The kernel is column-block-outer (matmulRows): each output element is one
 // ascending-k sum held in a register and stored once. The Go compiler does
 // not vectorise; on amd64 the sweep is the AVX2 SumCols kernel, eight
 // columns to a register.
-func MatMul(a, b *Tensor) *Tensor {
-	m, k := a.Rows(), a.Cols()
-	k2, n := b.Rows(), b.Cols()
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v × %v", a.Shape, b.Shape))
-	}
-	out := New(m, n)
-	MatMulInto(out, a, b)
-	return out
-}
-
-// MatMulInto computes out = a × b, reusing out's storage. out must have
-// shape (a.Rows(), b.Cols()) and is overwritten.
 func MatMulInto(out, a, b *Tensor) {
 	m, k := a.Rows(), a.Cols()
 	n := b.Cols()
@@ -109,16 +98,9 @@ func sweepCols(out *Tensor, a []float32, aRow, aStride int, b *Tensor, k, rowLo,
 	sumColsRows(out.Data[rowLo*n:], n, n, a[rowLo*aRow:], aRow, aStride, b.Data, n, k, rowHi-rowLo)
 }
 
-// MatMulT returns a × bᵀ, (m,k)×(n,k) → (m,n). This layout is the natural
-// one for gradient computation (dX = dY × Wᵀ) and for weight matrices
-// stored output-major.
-func MatMulT(a, bT *Tensor) *Tensor {
-	out := New(a.Rows(), bT.Rows())
-	MatMulTInto(out, a, bT)
-	return out
-}
-
-// MatMulTInto computes out = a × bᵀ, reusing out's storage. out must have
+// MatMulTInto computes out = a × bᵀ, (m,k)×(n,k) → (m,n), reusing out's
+// storage. This layout is the natural one for gradient computation
+// (dX = dY × Wᵀ) and for weight matrices stored output-major. out must have
 // shape (a.Rows(), bT.Rows()) and is fully overwritten (no need to zero it
 // first). It transposes bT into a temporary and runs MatMulInto over it — the
 // k·n moves of the transpose against m·k·n MACs — so each output element is
@@ -136,18 +118,11 @@ func MatMulTInto(out, a, bT *Tensor) {
 	MatMulInto(out, a, b)
 }
 
-// TMatMul returns aᵀ × b, (k,m)×(k,n) → (m,n). This is the natural layout
-// for weight gradients (dW = Xᵀ × dY).
-func TMatMul(aT, b *Tensor) *Tensor {
-	out := New(aT.Cols(), b.Cols())
-	TMatMulInto(out, aT, b)
-	return out
-}
-
-// TMatMulInto computes out = aᵀ × b, reusing out's storage. out must have
-// shape (aT.Cols(), b.Cols()) and is overwritten. Every output element
-// accumulates its k terms in ascending-k order regardless of blocking or
-// banding, so results are byte-identical at any GOMAXPROCS.
+// TMatMulInto computes out = aᵀ × b, (k,m)×(k,n) → (m,n), reusing out's
+// storage: the natural layout for weight gradients (dW = Xᵀ × dY). out
+// must have shape (aT.Cols(), b.Cols()) and is overwritten. Every output
+// element accumulates its k terms in ascending-k order regardless of
+// blocking or banding, so results are byte-identical at any GOMAXPROCS.
 func TMatMulInto(out, aT, b *Tensor) {
 	k, m := aT.Rows(), aT.Cols()
 	k2, n := b.Rows(), b.Cols()
@@ -166,13 +141,6 @@ func TMatMulInto(out, aT, b *Tensor) {
 // instead of along a row.
 func tmatmulRows(out, aT, b *Tensor, rowLo, rowHi int) {
 	sweepCols(out, aT.Data, 1, aT.Cols(), b, aT.Rows(), rowLo, rowHi)
-}
-
-// Transpose returns the transpose of a rank-2 tensor.
-func Transpose(t *Tensor) *Tensor {
-	out := New(t.Cols(), t.Rows())
-	TransposeInto(out, t)
-	return out
 }
 
 // TransposeInto computes out = tᵀ, reusing out's storage. out must have

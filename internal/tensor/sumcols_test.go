@@ -270,6 +270,6 @@ func matchNaive(t *testing.T, name string, a, b *Tensor) {
 	got := New(m, n)
 	MatMulInto(got, a, b)
 	sameFloats(t, "MatMulInto "+name, got.Data, want.Data)
-	TMatMulInto(got, Transpose(a), b)
+	TMatMulInto(got, transposed(a), b)
 	sameFloats(t, "TMatMulInto "+name, got.Data, want.Data)
 }

@@ -4,8 +4,8 @@
 //
 // Tensors are row-major and of arbitrary rank, but the hot paths are rank-2
 // (matrices) because the transformer implementation flattens (batch, seq)
-// into the row dimension. The matmul-family kernels (MatMul, MatMulT,
-// TMatMul) all accumulate in float32 so swapping one kernel for an
+// into the row dimension. The matmul-family kernels (MatMulInto,
+// MatMulTInto, TMatMulInto) all accumulate in float32 so swapping one kernel for an
 // equivalent one cannot change results; whole-tensor reductions (Sum, Mean,
 // Dot, Norm2) accumulate in float64 where the extra precision is cheap and
 // keeps tiny-model training numerically stable without a float64 tensor
@@ -261,13 +261,6 @@ func Apply(t *Tensor, f func(float32) float32) *Tensor {
 	return r
 }
 
-// ApplyInPlace replaces each element of t with f(element).
-func (t *Tensor) ApplyInPlace(f func(float32) float32) {
-	for i, v := range t.Data {
-		t.Data[i] = f(v)
-	}
-}
-
 // --- reductions --------------------------------------------------------------
 
 // Sum returns the sum of all elements, accumulated in float64.
@@ -281,43 +274,6 @@ func (t *Tensor) Sum() float64 {
 
 // Mean returns the arithmetic mean of all elements.
 func (t *Tensor) Mean() float64 { return t.Sum() / float64(len(t.Data)) }
-
-// Max returns the maximum element.
-func (t *Tensor) Max() float32 {
-	m := t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element.
-func (t *Tensor) Min() float32 {
-	m := t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// AbsMax returns the maximum absolute element value.
-func (t *Tensor) AbsMax() float32 {
-	var m float32
-	for _, v := range t.Data {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > m {
-			m = a
-		}
-	}
-	return m
-}
 
 // Norm2 returns the Euclidean (Frobenius) norm of t.
 func (t *Tensor) Norm2() float64 {

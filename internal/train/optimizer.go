@@ -1,7 +1,7 @@
-// Package train provides the adaptation substrate: optimizers (SGD with
-// momentum, AdamW), learning-rate schedules, a training-step driver with
-// gradient clipping, perplexity evaluation, and the analytic memory
-// accountant that the Edge-LLM experiments use to report tuning memory.
+// Package train provides the adaptation substrate: the AdamW optimizer, a
+// training-step driver with gradient clipping, perplexity evaluation, and the
+// analytic memory accountant that the Edge-LLM experiments use to report
+// tuning memory.
 package train
 
 import (
@@ -17,53 +17,6 @@ type Optimizer interface {
 	// Step applies one update to every parameter carrying a gradient and
 	// leaves gradients untouched (the Trainer clears them).
 	Step(params []nn.NamedParam, lr float32)
-}
-
-// SGD is stochastic gradient descent with classical momentum and decoupled
-// weight decay.
-type SGD struct {
-	Momentum    float32
-	WeightDecay float32
-
-	vel map[string]*tensor.Tensor
-}
-
-// NewSGD returns an SGD optimizer. momentum 0 disables velocity state.
-func NewSGD(momentum, weightDecay float32) *SGD {
-	return &SGD{Momentum: momentum, WeightDecay: weightDecay, vel: map[string]*tensor.Tensor{}}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []nn.NamedParam, lr float32) {
-	for _, p := range params {
-		if p.Value.Grad == nil {
-			continue
-		}
-		if s.WeightDecay != 0 {
-			p.Value.Data.ScaleInPlace(1 - lr*s.WeightDecay)
-		}
-		if s.Momentum == 0 {
-			p.Value.Data.AxpyInPlace(-lr, p.Value.Grad)
-			continue
-		}
-		v := s.vel[p.Name]
-		if v == nil {
-			v = tensor.New(p.Value.Data.Shape...)
-			s.vel[p.Name] = v
-		}
-		v.ScaleInPlace(s.Momentum)
-		v.AxpyInPlace(1, p.Value.Grad)
-		p.Value.Data.AxpyInPlace(-lr, v)
-	}
-}
-
-// StateBytes reports the velocity state allocated so far, in bytes.
-func (s *SGD) StateBytes() int64 {
-	var n int64
-	for _, v := range s.vel {
-		n += int64(v.Len()) * 4
-	}
-	return n
 }
 
 // AdamW is Adam with decoupled weight decay (Loshchilov & Hutter).

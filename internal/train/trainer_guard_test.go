@@ -20,7 +20,7 @@ func TestStepSkipsNonFiniteLoss(t *testing.T) {
 	for _, loss := range []*ag.Value{nanLoss(), infLoss()} {
 		q := &quad{w: ag.Param(tensor.Full(3, 4))}
 		before := q.w.Data.Clone()
-		tr := NewTrainer(NewSGD(0, 0), 0.1, 1.0)
+		tr := NewTrainer(NewAdamW(0), 0.1, 1.0)
 		got := tr.Step(q, loss)
 		if finite(got) {
 			t.Fatalf("Step returned finite loss %v for a non-finite input", got)
@@ -40,7 +40,7 @@ func TestStepSkipsNonFiniteLoss(t *testing.T) {
 // must abort with a *DivergenceError panic carrying the streak length.
 func TestStepAbortsAfterMaxBadSteps(t *testing.T) {
 	q := &quad{w: ag.Param(tensor.Full(3, 4))}
-	tr := NewTrainer(NewSGD(0, 0), 0.1, 1.0)
+	tr := NewTrainer(NewAdamW(0), 0.1, 1.0)
 	tr.MaxBadSteps = 3
 	tr.Step(q, nanLoss())
 	tr.Step(q, nanLoss())
@@ -61,7 +61,7 @@ func TestStepAbortsAfterMaxBadSteps(t *testing.T) {
 // streak below the abort threshold forever.
 func TestFiniteStepResetsBadStreak(t *testing.T) {
 	q := &quad{w: ag.Param(tensor.Full(3, 4))}
-	tr := NewTrainer(NewSGD(0, 0), 0.1, 1.0)
+	tr := NewTrainer(NewAdamW(0), 0.1, 1.0)
 	tr.MaxBadSteps = 3
 	for i := 0; i < 10; i++ {
 		tr.Step(q, nanLoss())
@@ -76,7 +76,7 @@ func TestFiniteStepResetsBadStreak(t *testing.T) {
 // TestZeroMaxBadStepsDisablesAbort: the skip still happens, the abort never.
 func TestZeroMaxBadStepsDisablesAbort(t *testing.T) {
 	q := &quad{w: ag.Param(tensor.Full(3, 4))}
-	tr := NewTrainer(NewSGD(0, 0), 0.1, 1.0)
+	tr := NewTrainer(NewAdamW(0), 0.1, 1.0)
 	tr.MaxBadSteps = 0
 	for i := 0; i < 50; i++ {
 		tr.Step(q, nanLoss())
@@ -93,7 +93,7 @@ func TestApplyGradsSkipsNonFiniteGradients(t *testing.T) {
 	before := q.w.Data.Clone()
 	g := q.w.InitGrad()
 	g.Data[1] = float32(math.NaN())
-	tr := NewTrainer(NewSGD(0, 0), 0.1, 1.0)
+	tr := NewTrainer(NewAdamW(0), 0.1, 1.0)
 	tr.ApplyGrads(q, 1)
 	for i := range before.Data {
 		if q.w.Data.Data[i] != before.Data[i] {
@@ -129,7 +129,7 @@ func TestCheckpointedStepSkipsNonFiniteLoss(t *testing.T) {
 	const poison = 15 // a token whose embedding row is NaN
 	m.TokEmb.W.Data.Row(poison)[0] = float32(math.NaN())
 	before := weightBits(m)
-	tr := NewTrainer(NewSGD(0, 0), 0.1, 0)
+	tr := NewTrainer(NewAdamW(0), 0.1, 0)
 	for i := 1; i <= 2; i++ {
 		loss := checkpointedStep(m, [][]int{{1, 2, poison, 4}}, []int{2, 3, 4, 5}, 2)
 		if finite(loss) {
@@ -156,7 +156,7 @@ func TestDivergenceGuardMetrics(t *testing.T) {
 	defer obsv.SetGlobal(nil)
 
 	q := &quad{w: ag.Param(tensor.Full(3, 4))}
-	tr := NewTrainer(NewSGD(0, 0), 0.1, 1.0)
+	tr := NewTrainer(NewAdamW(0), 0.1, 1.0)
 	tr.MaxBadSteps = 2
 	tr.Step(q, nanLoss())
 	func() {
