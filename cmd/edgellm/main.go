@@ -249,9 +249,6 @@ func printGovernSummary(gov *govern.Governor) {
 	for _, t := range rec.UnmetTasks {
 		fmt.Fprintf(os.Stderr, "  %s: ladder floor still exceeds budget (proceeded at floor)\n", t)
 	}
-	if rec.LivePeakBytes > 0 {
-		fmt.Fprintf(os.Stderr, "  live pool peak: %s (%d overshoots)\n", fmtB(rec.LivePeakBytes), rec.LiveOvershoots)
-	}
 }
 
 // failedReports selects the degraded reports of a suite run.

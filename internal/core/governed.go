@@ -15,7 +15,6 @@ package core
 import (
 	"fmt"
 
-	ag "edgellm/internal/autograd"
 	"edgellm/internal/govern"
 	"edgellm/internal/luc"
 	"edgellm/internal/obsv"
@@ -178,9 +177,6 @@ func (p *Pipeline) preStepGovern() {
 	gs.plan = admitted
 
 	gs.stepped.mark(p.Tuner.Window(iter))
-	if pool := ag.ActivePool(); pool != nil {
-		gs.gov.ObserveLive(pool.Stats().BytesInUse)
-	}
 }
 
 // GovernedPlan returns the currently admitted plan, or the zero Plan when

@@ -23,11 +23,9 @@
 // Determinism: every rung decision is a pure function of the analytic
 // admission estimate (train.EstimateMemory-style accounting plus the
 // deterministic optimizer-state accumulation schedule), never of live
-// allocator state. The live tensor.Pool numbers — which depend on how many
-// experiments happen to share the arena at that instant — feed only
-// telemetry (ObserveLive) and the stall watchdog, so the rung sequence and
-// the resulting model bytes are identical at any GOMAXPROCS and on every
-// run of the same configuration.
+// allocator state (the tensor.Pool is shared by every experiment running at
+// that instant), so the rung sequence and the resulting model bytes are
+// identical at any GOMAXPROCS and on every run of the same configuration.
 //
 // Every decision is recorded with its trigger and before/after bytes,
 // exported in the run manifest (obsv.GovernRecord) and emitted as
@@ -38,7 +36,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"edgellm/internal/obsv"
@@ -187,9 +184,6 @@ type Governor struct {
 	seq       map[string]int
 	seen      map[string]bool
 	unmet     map[string]bool
-
-	livePeak       atomic.Int64
-	liveOvershoots atomic.Int64
 }
 
 // New returns a Governor enforcing b.
@@ -278,33 +272,6 @@ func (g *Governor) recordUnmet(task string, floorBytes int64) {
 	}
 }
 
-// ObserveLive feeds a live allocator reading (e.g. tensor.Pool
-// bytes-in-use) into the governor's telemetry: peak tracking and
-// budget-overshoot counting. Live readings never influence rung decisions
-// — the pool is shared across parallel experiments, so they would break
-// determinism — they exist to cross-check the analytic model.
-func (g *Governor) ObserveLive(bytes int64) {
-	if g == nil {
-		return
-	}
-	for {
-		peak := g.livePeak.Load()
-		if bytes <= peak || g.livePeak.CompareAndSwap(peak, bytes) {
-			break
-		}
-	}
-	over := g.Budget.MemoryBytes > 0 && bytes > g.Budget.MemoryBytes
-	if over {
-		g.liveOvershoots.Add(1)
-	}
-	if obs := obsv.Global(); obs != nil {
-		obs.SetGauge("govern.live_bytes", float64(bytes))
-		if over {
-			obs.Add("govern.live_overshoots", 1)
-		}
-	}
-}
-
 // Decisions returns every recorded decision sorted by (Task, Seq) — a
 // deterministic order regardless of how parallel tasks interleaved their
 // appends.
@@ -335,8 +302,6 @@ func (g *Governor) Record() obsv.GovernRecord {
 		BudgetBytes:    g.Budget.MemoryBytes,
 		StageTimeoutMS: float64(g.Budget.StageTimeout) / float64(time.Millisecond),
 		Decisions:      g.Decisions(),
-		LivePeakBytes:  g.livePeak.Load(),
-		LiveOvershoots: g.liveOvershoots.Load(),
 	}
 	g.mu.Lock()
 	for task := range g.unmet {

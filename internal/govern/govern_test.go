@@ -135,6 +135,9 @@ func TestAdmitDisabled(t *testing.T) {
 	if g.Enabled() || nilGov.Enabled() {
 		t.Fatal("disabled governors report Enabled")
 	}
+	if nilGov.Decisions() != nil {
+		t.Fatal("nil governor returned decisions")
+	}
 }
 
 // TestAdmitDedupesIdenticalWalks: re-admitting the same task/plan (the
@@ -186,28 +189,6 @@ func TestDecisionsSortedAcrossTasks(t *testing.T) {
 			(ds[i-1].Task == ds[i].Task && ds[i-1].Seq >= ds[i].Seq) {
 			t.Fatalf("decisions out of order at %d: %+v then %+v", i, ds[i-1], ds[i])
 		}
-	}
-}
-
-// TestObserveLiveTelemetryOnly: live readings update peak/overshoot
-// telemetry but never appear in decisions.
-func TestObserveLiveTelemetryOnly(t *testing.T) {
-	g := New(Budget{MemoryBytes: 100})
-	g.ObserveLive(50)
-	g.ObserveLive(150)
-	g.ObserveLive(120)
-	rec := g.Record()
-	if rec.LivePeakBytes != 150 || rec.LiveOvershoots != 2 {
-		t.Fatalf("live peak %d overshoots %d, want 150 / 2", rec.LivePeakBytes, rec.LiveOvershoots)
-	}
-	if len(g.Decisions()) != 0 {
-		t.Fatal("live readings produced decisions")
-	}
-	// Nil-safety.
-	var nilGov *Governor
-	nilGov.ObserveLive(1)
-	if nilGov.Decisions() != nil {
-		t.Fatal("nil governor returned decisions")
 	}
 }
 

@@ -12,9 +12,6 @@ import (
 // LayerInfo records what was applied to one block.
 type LayerInfo struct {
 	Candidate Candidate
-	// Masks holds the pruning masks of the block's weight matrices (in
-	// Block.WeightMatrices order); nil entries mean no pruning.
-	Masks []*prune.Mask
 }
 
 // CompressionInfo is the result of Apply: per-layer settings plus aggregate
@@ -69,15 +66,14 @@ func applyRanked(m *nn.Model, p Policy, cands []Candidate, ranks [][]prune.Ranki
 	info := CompressionInfo{AvgEffectiveBits: p.AvgEffectiveBits(cands)}
 	for i, block := range m.Blocks {
 		c := cands[p.Choice[i]]
-		li := LayerInfo{Candidate: c}
 		for wi, w := range block.WeightMatrices() {
 			var r *prune.Ranking
 			if ranks != nil {
 				r = &ranks[i][wi]
 			}
-			li.Masks = append(li.Masks, compressTensor(w, c, r))
+			compressTensor(w, c, r)
 		}
-		info.Layers = append(info.Layers, li)
+		info.Layers = append(info.Layers, LayerInfo{Candidate: c})
 		if obs != nil {
 			layer := obsv.L("layer", strconv.Itoa(i))
 			obs.SetGauge("luc.layer_bits", float64(c.Bits), layer)

@@ -157,21 +157,19 @@ func schemeFor(c Candidate) quant.Scheme {
 	return quant.Scheme{Bits: c.Bits, Symmetric: true, PerChannel: true, GroupSize: 16}
 }
 
-// compressTensor applies a candidate to one weight matrix in place and
-// returns the pruning mask (nil when sparsity is zero). r, when non-nil, is
-// t's ranking (prune.Rank) taken from t's current values; nil ranks t here.
-func compressTensor(t *tensor.Tensor, c Candidate, r *prune.Ranking) *prune.Mask {
-	var mask *prune.Mask
+// compressTensor applies a candidate to one weight matrix in place: its
+// ranking's drop prefix is zeroed, then the matrix is fake-quantized. r, when
+// non-nil, is t's ranking (prune.Rank) taken from t's current values; nil
+// ranks t here.
+func compressTensor(t *tensor.Tensor, c Candidate, r *prune.Ranking) {
 	if c.Sparsity > 0 {
 		if r == nil {
-			mask = prune.MagnitudeMask(t, c.Sparsity)
-		} else {
-			mask = r.Mask(c.Sparsity)
+			rank := prune.Rank(t)
+			r = &rank
 		}
-		mask.Apply(t)
+		r.Prune(t, c.Sparsity)
 	}
 	schemeFor(c).FakeQuantInPlace(t)
-	return mask
 }
 
 // Metric selects the sensitivity measure used by the probe.
@@ -204,13 +202,16 @@ type ProbeOptions struct {
 // candidate compresses one block's live weights, is scored, and the block
 // is restored bit for bit from a snapshot taken once per layer.
 //
-// Work that no candidate changes is done once. Each weight is ranked
-// (prune.Rank) once per layer, from the snapshot, and every candidate's
-// pruning mask is a prefix of that ranking. The output-KL metric runs the
-// full forward once and keeps each block's input: block L's input does not
-// depend on block L's weights, so a candidate at layer L runs only blocks
-// L… and the final head from it (nn.Model.LogitsFrom). Every cell equals a
-// full forward of the compressed model, bit for bit.
+// Work that no candidate changes is done once, so a probe costs little more
+// than its forwards. Each weight is ranked (prune.Rank, one radix sort) once
+// per layer, from the snapshot; a candidate's pruning zeroes that ranking's
+// drop prefix in the weight directly, with no mask, and its fake-quant is one
+// row-major pass per group of rows (quant's AVX2 kernel where the CPU has
+// it). The output-KL metric runs the full forward once and keeps each
+// block's input: block L's input does not depend on block L's weights, so a
+// candidate at layer L runs only blocks L… and the final head from it
+// (nn.Model.LogitsFrom). Every cell equals a full forward of the compressed
+// model, bit for bit.
 //
 // With observability enabled, each layer's probe is a luc.probe_layer
 // span (labeled layer=<i>), every (layer, candidate) evaluation counts

@@ -1,7 +1,11 @@
 package luc
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -246,13 +250,10 @@ func TestApplyCompressesInPlace(t *testing.T) {
 	if info.AvgEffectiveBits != 2 {
 		t.Fatalf("avg effective bits %v, want 2", info.AvgEffectiveBits)
 	}
-	for li, l := range info.Layers {
+	for li := range info.Layers {
 		for wi, w := range m.Blocks[li].WeightMatrices() {
 			if got := w.Sparsity(); math.Abs(got-0.5) > 0.02 {
 				t.Fatalf("layer %d weight %d sparsity %v, want ≈0.5", li, wi, got)
-			}
-			if l.Masks[wi] == nil {
-				t.Fatal("pruned layer must record a mask")
 			}
 		}
 	}
@@ -365,12 +366,11 @@ func TestPropSearchAlwaysWithinBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkProbeOutputKL probes the benchmark's tuning model (six blocks,
-// d128, hidden 384, vocab 256, exit heads) on four 32-token calibration
-// sequences over the default grid: 96 evaluations. BENCH_baseline.json
-// gates its bytes and allocations, which grow by ~0.6 GB a probe if the
-// probe goes back to sorting per candidate or to full forwards.
-func BenchmarkProbeOutputKL(b *testing.B) {
+// probeBenchModel is the benchmark's tuning model (six blocks, d128,
+// hidden 384, vocab 256, exit heads) and four 32-token calibration
+// sequences: the probe BenchmarkProbeOutputKL times and
+// TestProbeSensitivityPinned pins.
+func probeBenchModel() (*nn.Model, [][]int) {
 	cfg := nn.Config{Vocab: 256, Dim: 128, Heads: 4, Layers: 6, Hidden: 384, MaxSeq: 32, ExitHeads: true}
 	m := nn.NewModel(cfg, tensor.NewRNG(1))
 	g := tensor.NewRNG(2)
@@ -381,6 +381,44 @@ func BenchmarkProbeOutputKL(b *testing.B) {
 			calib[i][j] = g.Intn(cfg.Vocab)
 		}
 	}
+	return m, calib
+}
+
+// probeSensitivitySHA is the sha256 of every cell's float64 bits, layer by
+// layer, of the output-KL probe of probeBenchModel over the default grid,
+// taken from the column-major fake-quant and the comparison-sorted ranking
+// the current kernels replaced.
+const probeSensitivitySHA = "e58287d1d33a07b96ecfce31bda46c8f3787e553eb77a02ba876a112c8bb82df"
+
+// TestProbeSensitivityPinned holds the probe's 96 cells to their pinned
+// bits: a change to the ranking, the pruning, the fake-quant or the forward
+// that moves any cell fails it. amd64 only, as TestTuneTrajectoryPinned:
+// elsewhere the forward's bits are the platform's own.
+func TestProbeSensitivityPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("sensitivity pinned on amd64; this is %s", runtime.GOARCH)
+	}
+	m, calib := probeBenchModel()
+	sens := Probe(m, DefaultCandidates(), ProbeOptions{Metric: MetricOutputKL, Calib: calib})
+	h := sha256.New()
+	var word [8]byte
+	for _, row := range sens {
+		for _, v := range row {
+			binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+			h.Write(word[:])
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != probeSensitivitySHA {
+		t.Fatalf("sensitivity sha256 %s, want %s", got, probeSensitivitySHA)
+	}
+}
+
+// BenchmarkProbeOutputKL probes probeBenchModel over the default grid: 96
+// evaluations. BENCH_baseline.json gates its bytes and allocations, which
+// grow by ~0.6 GB a probe if the probe goes back to sorting per candidate
+// or to full forwards.
+func BenchmarkProbeOutputKL(b *testing.B) {
+	m, calib := probeBenchModel()
 	cands := DefaultCandidates()
 	b.ReportAllocs()
 	for b.Loop() {

@@ -33,17 +33,12 @@ type GovernDecision struct {
 
 // GovernRecord summarises a governed run for the manifest/metrics stream:
 // the budget, every decision taken, tasks whose ladder floor still
-// exceeded the budget, and the live-allocator cross-check.
+// exceeded the budget.
 type GovernRecord struct {
 	BudgetBytes    int64            `json:"budget_bytes"`
 	StageTimeoutMS float64          `json:"stage_timeout_ms,omitempty"`
 	Decisions      []GovernDecision `json:"decisions"`
 	UnmetTasks     []string         `json:"unmet_tasks,omitempty"`
-	// LivePeakBytes is the highest live pool reading observed;
-	// LiveOvershoots counts readings above the budget. Telemetry only —
-	// live numbers never drive decisions.
-	LivePeakBytes  int64 `json:"live_peak_bytes,omitempty"`
-	LiveOvershoots int64 `json:"live_overshoots,omitempty"`
 }
 
 // EmitGovern writes the governor record as one JSONL line if an emitter

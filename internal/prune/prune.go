@@ -67,27 +67,64 @@ type Ranking struct {
 }
 
 // Rank orders t's elements by ascending magnitude, ties broken by index for
-// determinism: the lower index goes first. The order is one sort of integer
-// keys — |v|'s bits above the element's index — so a NaN sorts above +Inf,
-// the same on every run, where a float comparator would be inconsistent.
-// The keys are unique, so the order is total. It panics on a tensor of more
-// than 2³² elements, whose indices the keys cannot hold.
+// determinism: the lower index goes first. Each element's key is |v|'s bits
+// above its index, so a NaN sorts above +Inf, the same on every run, where a
+// float comparator would be inconsistent. The keys are unique, so the order
+// is total: the one slices.Sort gives them, here by a stable LSD radix sort
+// over the 31 magnitude bits from index order (sortedKeys). It panics on a
+// tensor of more than 2³² elements, whose indices the keys cannot hold.
 func Rank(t *tensor.Tensor) Ranking {
-	n := t.Len()
-	if uint64(n) > 1<<32 {
+	if n := t.Len(); uint64(n) > 1<<32 {
 		panic(fmt.Sprintf("prune: Rank over %d elements, more than 2³²", n))
 	}
-	keys := make([]uint64, n)
-	for i, v := range t.Data {
-		keys[i] = uint64(math.Float32bits(v)&^(1<<31))<<32 | uint64(i)
+	return Ranking{keys: sortedKeys(t.Data), shape: append([]int(nil), t.Shape...)}
+}
+
+// sortedKeys returns data's keys, |v|'s bits above v's index, in ascending
+// order: three stable counting-sort passes over the magnitude's 11-, 11- and
+// 9-bit digits, least significant first, from the keys in index order, so
+// equal magnitudes keep their index order. The digits are counted as the
+// keys are built; a pass whose digit every key shares is skipped.
+func sortedKeys(data []float32) []uint64 {
+	const bits, mask = 11, 1<<11 - 1
+	keys := make([]uint64, len(data))
+	var counts [3][1 << bits]int
+	for i, v := range data {
+		mag := math.Float32bits(v) &^ (1 << 31)
+		keys[i] = uint64(mag)<<32 | uint64(i)
+		counts[0][mag&mask]++
+		counts[1][mag>>bits&mask]++
+		counts[2][mag>>(2*bits)&mask]++
 	}
-	slices.Sort(keys)
-	return Ranking{keys: keys, shape: append([]int(nil), t.Shape...)}
+	var buf []uint64
+	for d := range counts {
+		count := &counts[d]
+		if slices.Contains(count[:], len(keys)) {
+			continue
+		}
+		if buf == nil {
+			buf = make([]uint64, len(keys))
+		}
+		sum := 0
+		for i, c := range count {
+			count[i] = sum
+			sum += c
+		}
+		shift := uint(32 + d*bits)
+		for _, k := range keys {
+			digit := k >> shift & mask
+			buf[count[digit]] = k
+			count[digit]++
+		}
+		keys, buf = buf, keys
+	}
+	return keys
 }
 
 // Mask drops the first round(ratio·n) ranked elements — the `ratio`
-// fraction with the smallest magnitude. ratio is clamped to [0,1]. A lower
-// ratio's mask drops a subset of what a higher one drops.
+// fraction with the smallest magnitude. ratio is clamped to [0,1]; a NaN
+// ratio panics. A lower ratio's mask drops a subset of what a higher one
+// drops.
 func (r Ranking) Mask(ratio float64) *Mask {
 	m := NewMask(r.shape...)
 	for _, key := range r.keys[:dropCount(len(r.keys), ratio)] {
@@ -96,14 +133,30 @@ func (r Ranking) Mask(ratio float64) *Mask {
 	return m
 }
 
-// dropCount is round(ratio·n) with ratio clamped to [0,1].
+// Prune zeroes in t the elements Mask(ratio) drops, without building the
+// mask. t must have the ranked tensor's element count.
+func (r Ranking) Prune(t *tensor.Tensor, ratio float64) {
+	if t.Len() != len(r.keys) {
+		panic(fmt.Sprintf("prune: ranking of %d elements applied to tensor of %d", len(r.keys), t.Len()))
+	}
+	for _, key := range r.keys[:dropCount(len(r.keys), ratio)] {
+		t.Data[uint32(key)] = 0
+	}
+}
+
+// dropCount is round(ratio·n) with ratio clamped to [0,1]. A NaN ratio has
+// no count and panics.
 func dropCount(n int, ratio float64) int {
+	if math.IsNaN(ratio) {
+		panic(fmt.Sprintf("prune: pruning ratio %v is not a number", ratio))
+	}
 	return int(math.Round(math.Min(math.Max(ratio, 0), 1) * float64(n)))
 }
 
 // MagnitudeMask builds a mask that drops the `ratio` fraction of t's
 // elements with the smallest absolute value, in Rank's order (a NaN sorts
-// above +Inf, so it goes last). ratio is clamped to [0,1].
+// above +Inf, so it goes last). ratio is clamped to [0,1]; a NaN ratio
+// panics.
 func MagnitudeMask(t *tensor.Tensor, ratio float64) *Mask {
 	if dropCount(t.Len(), ratio) == 0 {
 		return NewMask(t.Shape...)

@@ -2,7 +2,9 @@ package prune
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -138,6 +140,69 @@ func TestMagnitudeMaskClampsRatio(t *testing.T) {
 	}
 	if MagnitudeMask(w, 1.5).Sparsity() != 1 {
 		t.Fatal("ratio > 1 must clamp to 1")
+	}
+	// A NaN ratio has no clamped value: it panics naming the ratio, through
+	// MagnitudeMask and a ranking's Prune alike.
+	for name, prune := range map[string]func(){
+		"MagnitudeMask": func() { MagnitudeMask(w, math.NaN()) },
+		"Prune":         func() { Rank(w).Prune(w, math.NaN()) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "ratio NaN") {
+					t.Fatalf("%s with a NaN ratio: panic %q, want one naming the ratio", name, msg)
+				}
+			}()
+			prune()
+		}()
+	}
+}
+
+// TestRankMatchesSort: the radix order is the order slices.Sort gives the
+// same keys, on values with ±0, denormals, NaNs of several payloads and both
+// signs, ±Inf, the largest float32, ties everywhere, and magnitudes spread
+// over every digit; on a constant tensor, whose every digit pass is skipped;
+// and on one element. A ranking's Prune zeroes exactly what its Mask drops.
+func TestRankMatchesSort(t *testing.T) {
+	specials := []float32{0, float32(math.Copysign(0, -1)), math.Float32frombits(1),
+		math.Float32frombits(0x007fffff), float32(math.NaN()), math.Float32frombits(0xffc00001),
+		math.Float32frombits(0x7f800001), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.MaxFloat32, 1, -1, 0.5}
+	g := tensor.NewRNG(13)
+	spread := g.Normal(0, 1, 97, 61)
+	for i := range spread.Data {
+		switch {
+		case i%5 == 0:
+			spread.Data[i] = specials[g.Intn(len(specials))]
+		case i%5 == 1:
+			spread.Data[i] = math.Float32frombits(uint32(g.Float64() * (1 << 32)))
+		}
+	}
+	for name, w := range map[string]*tensor.Tensor{
+		"spread":   spread,
+		"constant": tensor.Ones(9, 7),
+		"specials": tensor.FromSlice(append([]float32(nil), specials...), 1, len(specials)),
+		"single":   tensor.FromSlice([]float32{-2}, 1, 1),
+	} {
+		want := make([]uint64, w.Len())
+		for i, v := range w.Data {
+			want[i] = uint64(math.Float32bits(v)&^(1<<31))<<32 | uint64(i)
+		}
+		slices.Sort(want)
+		r := Rank(w)
+		if !slices.Equal(r.keys, want) {
+			t.Fatalf("%s: radix order differs from slices.Sort", name)
+		}
+		for _, ratio := range []float64{0, 0.3, 0.5, 1} {
+			viaMask, pruned := w.Clone(), w.Clone()
+			r.Mask(ratio).Apply(viaMask)
+			r.Prune(pruned, ratio)
+			for i := range viaMask.Data {
+				if math.Float32bits(pruned.Data[i]) != math.Float32bits(viaMask.Data[i]) {
+					t.Fatalf("%s ratio %v: element %d Prune %v, Mask %v", name, ratio, i, pruned.Data[i], viaMask.Data[i])
+				}
+			}
+		}
 	}
 }
 

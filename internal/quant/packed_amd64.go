@@ -39,6 +39,9 @@ func mulVecAVX2(out *float32, outStride, nBlocks int, a *float32, aRow, k, rows 
 //go:noescape
 func decodeAVX2(dst *float32, dstStride int, nBlocks int, rows int, codes *byte, rowBytes int, scale *float32, bits int)
 
+//go:noescape
+func fakeQuantAVX2(dst, src *float32, rows, n, stride int, qmax float64)
+
 // simdBand is what both AVX2 entry points need to know about the
 // word-aligned band [colLo, colHi) over rows [0, rowHi): its blocks, where
 // its codes and scales start, and whether the last block of row rowHi-1

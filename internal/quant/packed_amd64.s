@@ -8,7 +8,9 @@
 // shift, converted, and multiplied by the column's scale — float32(q)·scale,
 // the float32 Unpack computes. Eight-bit codes are bytes and sign-extend on
 // load. Nothing here checks bounds; the callers in packed_amd64.go do, and
-// keep the 4-byte broadcast of a 2- or 3-bit row inside the stream.
+// keep the 4-byte broadcast of a 2- or 3-bit row inside the stream. At the
+// end, the AVX2 twin of the fake-quant strip kernel in quant.go, whose
+// caller, fakeQuantInto, passes it whole rows of whole groups of 8 columns.
 
 DATA lanes<>+0(SB)/4, $1
 DATA lanes<>+4(SB)/4, $2
@@ -753,5 +755,90 @@ dbnext:
 	ADDQ R9, BX
 	DECQ R10
 	JNZ  dbrow
+	VZEROUPPER
+	RET
+
+// FQ(x, s, t, r): x, four float64 values of a row, becomes their dequantized
+// values at the four columns' scales in s: x/s + 0, rounded half away from
+// zero as trunc(x) + trunc(2·(x − trunc(x))) — the remainder is exact, so
+// that is math.Round's value, a −0 included — then clamped with x the second
+// operand (VMAXPD/VMINPD return it when it is NaN, as the Go compares leave a
+// NaN), then × s. t and r are clobbered; Y11 holds 0, Y14 −qmax, Y15 qmax.
+#define FQ(x, s, t, r) \
+	VDIVPD   s, x, x; \
+	VADDPD   Y11, x, x; \
+	VROUNDPD $3, x, t; \
+	VSUBPD   t, x, r; \
+	VADDPD   r, r, r; \
+	VROUNDPD $3, r, r; \
+	VADDPD   r, t, x; \
+	VMAXPD   x, Y14, x; \
+	VMINPD   x, Y15, x; \
+	VMULPD   s, x, x
+
+// func fakeQuantAVX2(dst, src *float32, rows, n, stride int, qmax float64)
+//
+// The twin of fakeQuantGo (quant.go) over n columns, n a multiple of 8, of
+// rows rows stride elements apart; dst may be src. Eight columns at a time:
+// their |max| down the rows — VMAXPS with |v| first, so a NaN keeps the
+// running max as the Go compare does — then |max| (an all-NaN column's −Inf
+// becomes +Inf) widened and divided by qmax into two ymm of float64 scales,
+// then every row through FQ and VCVTPD2PS, the float32 conversion Go makes.
+// A column whose |max| is 0 stores +0. The same operations in the same
+// order as the Go loop, so the same bits.
+TEXT ·fakeQuantAVX2(SB), NOSPLIT, $0-48
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         rows+16(FP), DX
+	MOVQ         n+24(FP), CX
+	MOVQ         stride+32(FP), R8
+	SHLQ         $2, R8
+	VBROADCASTSD qmax+40(FP), Y15
+	VXORPS       Y11, Y11, Y11
+	VSUBPD       Y15, Y11, Y14 // −qmax
+	VPCMPEQD     Y13, Y13, Y13
+	VPSLLD       $23, Y13, Y12 // −Inf
+	VPSRLD       $1, Y13, Y13  // the |·| mask
+
+fqcol:
+	VMOVAPS Y12, Y0
+	MOVQ    SI, R9
+	MOVQ    DX, R10
+
+fqmax:
+	VANDPS (R9), Y13, Y1
+	VMAXPS Y0, Y1, Y0
+	ADDQ   R8, R9
+	DECQ   R10
+	JNZ    fqmax
+	VANDPS       Y13, Y0, Y0
+	VCMPPS       $0, Y11, Y0, Y10 // |max| == 0
+	VCVTPS2PD    X0, Y2
+	VEXTRACTF128 $1, Y0, X3
+	VCVTPS2PD    X3, Y3
+	VDIVPD       Y15, Y2, Y2 // columns 0-3's scales
+	VDIVPD       Y15, Y3, Y3 // columns 4-7's
+	MOVQ         SI, R9
+	MOVQ         DI, R11
+	MOVQ         DX, R10
+
+fqrow:
+	VCVTPS2PD   (R9), Y4
+	VCVTPS2PD   16(R9), Y5
+	FQ(Y4, Y2, Y6, Y7)
+	FQ(Y5, Y3, Y8, Y9)
+	VCVTPD2PSY  Y4, X4
+	VCVTPD2PSY  Y5, X5
+	VINSERTF128 $1, X5, Y4, Y4
+	VANDNPS     Y4, Y10, Y4
+	VMOVUPS     Y4, (R11)
+	ADDQ        R8, R9
+	ADDQ        R8, R11
+	DECQ        R10
+	JNZ         fqrow
+	ADDQ        $32, SI
+	ADDQ        $32, DI
+	SUBQ        $8, CX
+	JNZ         fqcol
 	VZEROUPPER
 	RET

@@ -11,3 +11,4 @@ var useAVX512 = false
 // these calls are dead code that still has to type-check.
 func (p *Packed) mulVecSIMD(out []float32, outStride int, a []float32, rows, colLo, colHi int) {}
 func (p *Packed) decodeSIMD(dst []float32, rowLo, rowHi, colLo, colHi int)                     {}
+func fakeQuantAVX2(dst, src *float32, rows, n, stride int, qmax float64)                       {}

@@ -58,62 +58,25 @@ func (s Scheme) String() string {
 	return out
 }
 
-// quantizeSlice fake-quantizes every stride-th element of src into dst on
-// the symmetric grid that spans [lo, hi].
-func (s Scheme) quantizeSlice(dst, src []float32, stride int, lo, hi float32) {
-	qmax := float64(int(1)<<(s.Bits-1)) - 1 // e.g. 7 for 4-bit
-	absMax := math.Max(math.Abs(float64(lo)), math.Abs(float64(hi)))
-	if absMax == 0 {
-		for i := 0; i < len(src); i += stride {
-			dst[i] = 0
-		}
-		return
-	}
-	scale := absMax / qmax
-	for i := 0; i < len(src); i += stride {
-		// + 0 turns a -0 input into +0, so a zero weight of either sign
-		// dequantizes to +0.
-		q := math.Round(float64(src[i])/scale + 0)
-		if q < -qmax {
-			q = -qmax
-		}
-		if q > qmax {
-			q = qmax
-		}
-		dst[i] = float32(q * scale)
-	}
-}
-
-func minMaxStrided(src []float32, stride int) (lo, hi float32) {
-	lo, hi = float32(math.Inf(1)), float32(math.Inf(-1))
-	for i := 0; i < len(src); i += stride {
-		v := src[i]
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
-}
-
 // FakeQuant returns a new tensor equal to t passed through
 // quantize→dequantize under the scheme. t must be rank 2.
 func (s Scheme) FakeQuant(t *tensor.Tensor) *tensor.Tensor {
 	out := t.Clone()
-	s.fakeQuantInto(out, t)
+	s.fakeQuantInto(out, t, useAVX2)
 	return out
 }
 
 // FakeQuantInPlace overwrites t with its fake-quantized version, FakeQuant's
 // bits without a copy of t.
-func (s Scheme) FakeQuantInPlace(t *tensor.Tensor) { s.fakeQuantInto(t, t) }
+func (s Scheme) FakeQuantInPlace(t *tensor.Tensor) { s.fakeQuantInto(t, t, useAVX2) }
 
 // fakeQuantInto writes t's fake-quantized values into out, which has t's
-// shape. out may be t: each group reads its min/max before it writes, and
-// writes only its own elements.
-func (s Scheme) fakeQuantInto(out, t *tensor.Tensor) {
+// shape. out may be t: each strip of columns reads its group's |max| before
+// it writes, and writes only its own elements. Each group of rows is one
+// row-major strip: with simd, whole groups of 8 columns go to fakeQuantAVX2
+// (DESIGN.md §6) and only what cols%8 leaves over to fakeQuantGo, the
+// definition; without, fakeQuantGo takes every column.
+func (s Scheme) fakeQuantInto(out, t *tensor.Tensor, simd bool) {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
@@ -125,17 +88,71 @@ func (s Scheme) fakeQuantInto(out, t *tensor.Tensor) {
 	if group <= 0 || group > rows {
 		group = rows
 	}
-	for c := 0; c < cols; c++ {
-		for r0 := 0; r0 < rows; r0 += group {
-			r1 := r0 + group
-			if r1 > rows {
-				r1 = rows
+	qmax := float64(int(1)<<(s.Bits-1)) - 1 // e.g. 7 for 4-bit
+	for r0 := 0; r0 < rows; r0 += group {
+		n := min(group, rows-r0)
+		src, dst := t.Data[r0*cols:(r0+n)*cols], out.Data[r0*cols:(r0+n)*cols]
+		n8 := 0
+		if simd {
+			if n8 = cols &^ 7; n8 > 0 {
+				fakeQuantAVX2(&dst[0], &src[0], n, n8, cols, qmax)
 			}
-			// strided view of column c, rows [r0, r1)
-			src := t.Data[r0*cols+c : (r1-1)*cols+c+1]
-			dst := out.Data[r0*cols+c : (r1-1)*cols+c+1]
-			lo, hi := minMaxStrided(src, cols)
-			s.quantizeSlice(dst, src, cols, lo, hi)
+		}
+		if n8 < cols {
+			fakeQuantGo(dst[n8:], src[n8:], n, cols-n8, cols, qmax)
+		}
+	}
+}
+
+// fakeQuantGo fake-quantizes columns [0, n) of rows rows, stride elements
+// apart, from src into dst (which may be src) on the symmetric grid
+// ±qmax·scale, one scale per column. It is the definition fakeQuantAVX2
+// follows bit for bit. A strip of up to 64 columns at a time:
+//
+//	m     = max |v| over the column's non-NaN values, −Inf if it has none
+//	scale = |m| / qmax                         float64; an all-NaN column's is +Inf
+//	out   = float32(clamp(round(v/scale + 0), ±qmax) · scale)
+//
+// round is math.Round, half away from zero; + 0 turns −0 into +0, so a zero
+// weight of either sign dequantizes to +0. A column whose |max| is 0 writes
+// +0 everywhere, NaNs included.
+func fakeQuantGo(dst, src []float32, rows, n, stride int, qmax float64) {
+	var colMax [64]float32
+	var scale [64]float64
+	for c0 := 0; c0 < n; c0 += len(colMax) {
+		w := min(n-c0, len(colMax))
+		m := colMax[:w]
+		for c := range m {
+			m[c] = float32(math.Inf(-1))
+		}
+		for r := 0; r < rows; r++ {
+			for c, v := range src[r*stride+c0 : r*stride+c0+w] {
+				// |v| by its bits; a NaN compares false and is skipped.
+				if a := math.Float32frombits(math.Float32bits(v) &^ (1 << 31)); a > m[c] {
+					m[c] = a
+				}
+			}
+		}
+		for c, mc := range m {
+			scale[c] = math.Abs(float64(mc)) / qmax
+		}
+		for r := 0; r < rows; r++ {
+			out := dst[r*stride+c0 : r*stride+c0+w]
+			for c, v := range src[r*stride+c0 : r*stride+c0+w] {
+				sc := scale[c]
+				if sc == 0 {
+					out[c] = 0
+					continue
+				}
+				q := math.Round(float64(v)/sc + 0)
+				if q < -qmax {
+					q = -qmax
+				}
+				if q > qmax {
+					q = qmax
+				}
+				out[c] = float32(q * sc)
+			}
 		}
 	}
 }

@@ -41,9 +41,10 @@ func guardedFloats(t *testing.T, src []float32) []float32 {
 }
 
 // TestKernelsStayInsideTheirOperands runs the dense and the packed kernels,
-// at every uniform width, the AdamW update, the gradient accumulation and
-// the kernels over the vector exp (SiLU, SiLUMul, SiLUGrad, ExpShift), with
-// every operand — a, b, out, Codes, Scale; w, g, m, v; dst, x, y — ending
+// at every uniform width, the AdamW update, the gradient accumulation, the
+// kernels over the vector exp (SiLU, SiLUMul, SiLUGrad, ExpShift) and
+// quant's fake-quant in place, with every operand — a, b, out, Codes,
+// Scale; w, g, m, v; dst, x, y — ending
 // exactly at an unmapped page, and checks the results against the same calls
 // over ordinary memory. A kernel that loads 4 bytes of a 3-byte block row,
 // or 32 where 8 columns are left, dies here with SIGSEGV. k and n cover one
@@ -107,6 +108,16 @@ func TestKernelsStayInsideTheirOperands(t *testing.T) {
 		for i, name := range []string{"w", "g", "m", "v"} {
 			bitwiseEqual(t, fmt.Sprintf("guarded AdamW n=%d %s", n, name),
 				tensor.FromSlice(got[i], 1, n), tensor.FromSlice(want[i], 1, n))
+		}
+	}
+	for _, rows := range []int{1, 17} {
+		for _, cols := range []int{8, 13, 24, 264} {
+			s := quant.Scheme{Bits: 4, Symmetric: true, PerChannel: true, GroupSize: 16}
+			w := randTensor(rows, cols, int64(rows*cols))
+			want := s.FakeQuant(w)
+			got := tensor.FromSlice(guardedFloats(t, w.Data), rows, cols)
+			s.FakeQuantInPlace(got)
+			bitwiseEqual(t, fmt.Sprintf("guarded FakeQuantInPlace %d×%d", rows, cols), got, want)
 		}
 	}
 	tensor.EachTileMode(func(path string) {

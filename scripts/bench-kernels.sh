@@ -8,8 +8,9 @@
 #     benchmark (ProbeOutputKL among them: a probe that sorts per candidate
 #     or runs full forwards again allocates ~2x its bytes), on the parallel
 #     backward kernels falling below 2x their serial variants (with >= 4
-#     cores), on MatMulT taking more than 1.5x TMatMul, or on the AdamW
-#     assembly falling below 1.5x its Go twin (at any core count);
+#     cores), on MatMulT taking more than 1.5x TMatMul, on the AdamW
+#     assembly falling below 1.5x its Go twin, or on the fake-quant
+#     assembly falling below 3x its Go definition (both at any core count);
 #  3. the serving fan-out pairs at 1 and 4 procs, report only: whether the
 #     decode step's matmuls and attention, through tensor.Bands, ever beat
 #     serial on real cores. AttendStep512 is a MaxSeq-512 step whose
@@ -26,8 +27,8 @@ echo "== 1. determinism under -race"
 go test -race -run 'Determinism' -count=1 ./internal/tensor ./internal/autograd ./internal/train
 
 echo "== 2. kernel benchmarks against BENCH_baseline.json"
-go test -bench 'BenchmarkKernel|BenchmarkStep|BenchmarkAdamW|BenchmarkProbeOutputKL' -benchmem -run '^$' \
-  ./internal/tensor ./internal/train ./internal/luc | tee "$out/bench-kernels.txt"
+go test -bench 'BenchmarkKernel|BenchmarkStep|BenchmarkAdamW|BenchmarkFakeQuant|BenchmarkProbeOutputKL' -benchmem -run '^$' \
+  ./internal/tensor ./internal/train ./internal/quant ./internal/luc | tee "$out/bench-kernels.txt"
 go run ./cmd/benchguard -in "$out/bench-kernels.txt" \
   -out "$out/BENCH_kernels.json" -baseline BENCH_baseline.json
 

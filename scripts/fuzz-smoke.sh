@@ -4,10 +4,13 @@
 # lets the engine mutate — the loaders of outside bytes (checkpoint, adapter,
 # the /v1/generate body) get inputs no seed holds,
 # and the packed matmul kernel gets shapes, widths and data no table test
-# lists, each held to the dense kernel over Unpack bit for bit; the three
-# assembly kernels (FuzzSumCols, FuzzPackedSIMD, FuzzAdamW) get shapes,
-# strides, base alignments, optimizer steps and special values, each held to
-# its Go twin (FuzzPackedSIMD at one activation row and two); the AVX-512
+# lists, each held to the dense kernel over Unpack bit for bit; the four
+# assembly kernels (FuzzSumCols, FuzzPackedSIMD, FuzzAdamW, FuzzFakeQuant)
+# get shapes, strides, base alignments, optimizer steps, group sizes and
+# special values, each held to its Go twin (FuzzPackedSIMD at one activation
+# row and two; FuzzFakeQuant holds the fake-quant assembly and its Go
+# definition, in place and out of place, to the column-major oracle
+# fakeQuantColumnRef, all-NaN and zero-plus-NaN columns included); the AVX-512
 # tile kernel (FuzzMatMulRows), which takes every whole group of four rows,
 # gets row counts with 0-3 rows left over, widths, k, a's row and k strides, padding,
 # alignments and special values, each row held to sumColsGo, under both the
