@@ -34,8 +34,8 @@
 //
 // Usage:
 //
-//	go test -bench 'BenchmarkKernel|BenchmarkStep|BenchmarkAdamW|BenchmarkFakeQuant|BenchmarkProbeOutputKL' -benchmem -run '^$' \
-//	    ./internal/tensor ./internal/train ./internal/quant ./internal/luc | \
+//	go test -bench 'BenchmarkKernel|BenchmarkStep|BenchmarkAdamW|BenchmarkFakeQuant|BenchmarkProbeOutputKL|BenchmarkWindowStep$|BenchmarkForward$' \
+//	    -benchmem -run '^$' ./internal/tensor ./internal/train ./internal/quant ./internal/luc ./internal/adapt ./internal/nn | \
 //	  go run ./cmd/benchguard -out BENCH_kernels.json -baseline BENCH_baseline.json
 package main
 

@@ -233,7 +233,7 @@ func parseMemBudget(s string, halfVanilla bool) (int64, error) {
 }
 
 // printGovernSummary reports what the governor did on stderr: every ladder
-// decision, unmet budgets, and the live-pool cross-check.
+// decision and every task whose ladder floor still exceeded the budget.
 func printGovernSummary(gov *govern.Governor) {
 	rec := gov.Record()
 	if len(rec.Decisions) == 0 && len(rec.UnmetTasks) == 0 {

@@ -13,6 +13,7 @@ import (
 	"edgellm/internal/adapt"
 	ag "edgellm/internal/autograd"
 	"edgellm/internal/core"
+	"edgellm/internal/nn"
 	"edgellm/internal/train"
 )
 
@@ -36,9 +37,12 @@ func main() {
 	}
 
 	// Score the test split through each head individually...
+	f := nn.NewForward(p.Model)
 	for _, exit := range []int{0, cfg.Model.Layers / 2, cfg.Model.Layers - 1} {
 		acc := train.MCQAccuracy(func(b [][]int) *ag.Value {
-			return p.Model.Exits[exit].Forward(p.Model.HiddenAt(b, exit+1))
+			f.Embed(b)
+			f.RunTo(exit + 1)
+			return ag.Const(f.Head(exit))
 		}, task.MCQ.Test)
 		fmt.Printf("exit at layer %d alone:        %.1f%%\n", exit, acc*100)
 	}

@@ -17,6 +17,16 @@ func tinyModel(seed int64, layers int) *nn.Model {
 	return nn.NewModel(cfg, tensor.NewRNG(seed))
 }
 
+// exitForward is exit e's logits on the autograd forward: the embedding,
+// blocks 0..e, then exit e's head, taped over whatever is trainable.
+func exitForward(m *nn.Model, batch [][]int, e int) *ag.Value {
+	x := m.Embed(batch)
+	for _, blk := range m.Blocks[:e+1] {
+		x = blk.Forward(x, len(batch), len(batch[0]))
+	}
+	return m.Exits[e].Forward(x)
+}
+
 func TestTunerConfigValidate(t *testing.T) {
 	m := tinyModel(1, 4)
 	if _, err := NewTuner(m, TunerConfig{WindowSize: 0}); err == nil {
@@ -125,10 +135,10 @@ func TestStepFreezesOutsideWindowAndBoundsTape(t *testing.T) {
 	m.SetAllTrainable(false)
 	nn.SetTrainable(m.Blocks[1], true)
 	nn.SetTrainable(m.Exits[1], true)
-	partial := ag.GraphSize(m.Exits[1].Forward(m.HiddenAt(inputs, 2)))
+	partial := ag.TapeBytes(exitForward(m, inputs, 1))
 
 	m.SetAllTrainable(true)
-	full := ag.GraphSize(m.Logits(inputs))
+	full := ag.TapeBytes(m.Logits(inputs))
 	if partial >= full/2 {
 		t.Fatalf("window tape %d not much smaller than full %d", partial, full)
 	}
@@ -211,7 +221,7 @@ func TestVoterCalibrationPrefersBetterHead(t *testing.T) {
 		inputs, targets := corpus.Batch(g, 4, 9)
 		m.SetAllTrainable(false)
 		nn.SetTrainable(m.Exits[2], true)
-		loss := ag.CrossEntropy(m.Exits[2].Forward(m.HiddenAt(inputs, 3)), targets, -1)
+		loss := ag.CrossEntropy(exitForward(m, inputs, 2), targets, -1)
 		tr.Step(m.Exits[2], loss)
 	}
 
@@ -240,9 +250,7 @@ func TestVotingBeatsWorstHead(t *testing.T) {
 
 	worst := 0.0
 	for _, e := range []int{0, 1, 2} {
-		ppl := train.EvalPerplexityWith(func(b [][]int) *ag.Value {
-			return m.Exits[e].Forward(m.HiddenAt(b, e+1))
-		}, batches, targets)
+		ppl := train.EvalPerplexityWith(func(b [][]int) *ag.Value { return exitForward(m, b, e) }, batches, targets)
 		if ppl > worst {
 			worst = ppl
 		}

@@ -36,10 +36,10 @@ func TestLSTTapeExcludesBackbone(t *testing.T) {
 	l := NewLST(m, tensor.NewRNG(35), 4)
 	batch := [][]int{{1, 2, 3, 4}}
 
-	sideTape := ag.GraphSize(l.Logits(batch))
+	sideTape := ag.TapeBytes(l.Logits(batch))
 
 	m.SetAllTrainable(true)
-	fullTape := ag.GraphSize(m.Logits(batch))
+	fullTape := ag.TapeBytes(m.Logits(batch))
 	m.SetAllTrainable(false)
 
 	if sideTape == 0 {

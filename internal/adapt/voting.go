@@ -42,7 +42,9 @@ func (v VotingMode) String() string {
 }
 
 // Voter combines the logits of a set of exit heads (plus, optionally, the
-// final head) into one prediction.
+// final head) into one prediction. Its heads run on a no-grad forward
+// (nn.Forward) the voter keeps between calls, so a Voter is not safe for
+// concurrent use.
 type Voter struct {
 	// Exits lists participating heads as layer indices; the value
 	// len(Blocks) denotes the final head.
@@ -50,6 +52,8 @@ type Voter struct {
 	Mode  VotingMode
 	// Weights holds one calibrated weight per entry of Exits (VoteCalibrated).
 	Weights []float64
+
+	fwd *nn.Forward // the heads' forward, over the last model voted on
 }
 
 // FinalHead is the sentinel exit index denoting the model's final head.
@@ -65,16 +69,27 @@ func NewVoter(exits []int, mode VotingMode) *Voter {
 	return &Voter{Exits: append([]int(nil), exits...), Mode: mode, Weights: w}
 }
 
-// headLogits returns the logits of every participating head for one batch
-// with a single full forward pass.
+// headLogits returns the logits of every participating head for one batch:
+// one no-grad pass, up to the deepest head, computing only those heads.
 func (v *Voter) headLogits(m *nn.Model, batch [][]int) []*tensor.Tensor {
-	all := m.AllExitLogits(batch)
-	out := make([]*tensor.Tensor, len(v.Exits))
-	for i, e := range v.Exits {
-		if e < 0 || e >= len(all) {
-			panic(fmt.Sprintf("adapt: exit %d out of range [0,%d]", e, len(all)-1))
+	L := len(m.Blocks)
+	for _, e := range v.Exits {
+		if e < 0 || e > L {
+			panic(fmt.Sprintf("adapt: exit %d out of range [0,%d]", e, L))
 		}
-		out[i] = all[e].Data
+	}
+	if v.fwd == nil || v.fwd.Model() != m {
+		v.fwd = nn.NewForward(m)
+	}
+	v.fwd.Embed(batch)
+	out := make([]*tensor.Tensor, len(v.Exits))
+	for d, left := 1, len(out); left > 0; d++ {
+		v.fwd.RunTo(d)
+		for i, e := range v.Exits {
+			if min(e+1, L) == d { // exit e reads block e's output, the final head the last block's
+				out[i], left = v.fwd.Head(e).Clone(), left-1
+			}
+		}
 	}
 	return out
 }
@@ -144,8 +159,8 @@ func (v *Voter) Logits(m *nn.Model, batch [][]int) *ag.Value {
 	case VoteConfidence:
 		// Per-row weights ∝ exp(max logprob / τ) with τ = 0.2.
 		const tau = 0.2
+		ws := make([]float64, len(logps))
 		for r := 0; r < rows; r++ {
-			ws := make([]float64, len(logps))
 			var sum float64
 			for i, lp := range logps {
 				maxLP := lp.Row(r)[0]

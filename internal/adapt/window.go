@@ -112,6 +112,8 @@ type Tuner struct {
 	// window top (lo and the with-final flag are functions of hi), so Step
 	// does not rebuild it every iteration.
 	winParams map[int][]nn.NamedParam
+	// fwd is the no-grad forward that runs each window's frozen prefix.
+	fwd *nn.Forward
 }
 
 // NewTuner validates the configuration and returns a tuner.
@@ -122,7 +124,7 @@ func NewTuner(m *nn.Model, cfg TunerConfig) (*Tuner, error) {
 	if err := cfg.Validate(len(m.Blocks)); err != nil {
 		return nil, err
 	}
-	t := &Tuner{Model: m, Cfg: cfg}
+	t := &Tuner{Model: m, Cfg: cfg, fwd: nn.NewForward(m)}
 	if cfg.Strategy == StrategySensitivity {
 		t.visitPlan = sensitivityPlan(cfg.Importance, cfg.WindowSize)
 	}
@@ -310,7 +312,7 @@ func (t *Tuner) Step(tr *train.Trainer, inputs [][]int, targets []int) (loss flo
 	}
 	mod := windowModule{ps: t.windowParams(lo, hi, last)}
 	fwd := step.Child("adapt.forward")
-	loss = train.SegmentedBackward(m, inputs, lo, hi, segments, head, mod)
+	loss = train.SegmentedBackward(t.fwd, inputs, lo, hi, segments, head, mod)
 	fwd.End()
 	upd := step.Child("adapt.update")
 	tr.ApplyGrads(mod, loss)

@@ -39,7 +39,6 @@ type Magic [8]byte
 type Writer struct {
 	w   io.Writer
 	crc hash.Hash32
-	n   int64
 	err error
 }
 
@@ -57,7 +56,6 @@ func (w *Writer) Write(p []byte) (int, error) {
 	}
 	n, err := w.w.Write(p)
 	w.crc.Write(p[:n])
-	w.n += int64(n)
 	w.err = err
 	return n, err
 }
@@ -80,9 +78,6 @@ func (w *Writer) Close() error {
 	_, err := w.Write(binary.LittleEndian.AppendUint32([]byte(footer), sum))
 	return err
 }
-
-// Size is the number of bytes written to the underlying writer so far.
-func (w *Writer) Size() int64 { return w.n }
 
 // Reader reads one artifact, folding every body byte into the checksum that
 // Verify compares with the footer.

@@ -162,9 +162,6 @@ func TestWriterErrorSticks(t *testing.T) {
 	if err := w.Close(); err == nil || sink.Len() != at {
 		t.Fatalf("Close after a failed write: err %v, %d bytes written past the failure", err, sink.Len()-at)
 	}
-	if w.Size() != int64(sink.Len()) {
-		t.Fatalf("Size %d, sink holds %d", w.Size(), sink.Len())
-	}
 }
 
 func ExampleWriter() {

@@ -15,14 +15,12 @@ import (
 // activation-memory term of attention, which the memory accountant in
 // internal/train models explicitly.
 //
-// Every dot product and weighted sum runs on tensor.SumCols, as decode
-// attention does (DESIGN.md §6): a query's scores over one (batch, head)'s
-// keys held transposed in scratch, its context over value rows. Each is the
-// ascending sum from +0 the scalar loop computed. The transposed keys and
-// values are padded with zero columns to whole groups of 8, so every score
-// row, and every score-gradient row, sweeps whole groups on the assembly;
-// the lanes past position t are never read. Each score row's softmax is
-// tensor.SoftmaxRow; the softmax-backward dot stays scalar.
+// The forward is tensor.AttendHead per (batch, head), the arithmetic the
+// no-grad forward (nn.Forward) runs too. The backward runs on tensor.SumCols
+// the same way: the transposed values are padded to whole groups of 8, so
+// every score-gradient row sweeps whole groups on the assembly, and the
+// lanes past position t are never read. The softmax-backward dot stays
+// scalar.
 func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 	rows, c := q.Data.Rows(), q.Data.Cols()
 	if rows != batch*seqLen {
@@ -58,15 +56,8 @@ func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 				pooledProbs = append(pooledProbs, p)
 			}
 			base := b*T*c + h*hd // element (b·T, h·hd): the head's first row
-			transposeHead(kT.Data, Tp, k.Data.Data[base:], T, hd, c)
-			for t := 0; t < T; t++ {
-				// scores over keys 0..t (causal mask)
-				n := t + 1
-				tensor.SumCols(sc.Data[:(n+7)&^7], q.Data.Data[base+t*c:], 1, kT.Data, Tp, hd)
-				pRow := p.Data[t*T : t*T+n]
-				tensor.SoftmaxRow(pRow, sc.Data[:n], scale)
-				tensor.SumCols(out.Data[base+t*c:base+t*c+hd], pRow, 1, v.Data.Data[base:], c, n)
-			}
+			tensor.AttendHead(out.Data[base:], q.Data.Data[base:], k.Data.Data[base:], v.Data.Data[base:],
+				c, T, hd, scale, kT.Data, sc.Data, p.Data)
 		}
 	}
 	putScratch(sc)
@@ -93,7 +84,7 @@ func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 			for h := 0; h < nHeads; h++ {
 				p := probs[b*nHeads+h].Data
 				base := b*T*c + h*hd
-				transposeHead(vT.Data, Tp, v.Data.Data[base:], T, hd, c)
+				tensor.TransposeHead(vT.Data, Tp, v.Data.Data[base:], T, hd, c)
 				for t := 0; t < T; t++ {
 					n := t + 1
 					pRow := p[t*T : t*T+n]
@@ -130,16 +121,13 @@ func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 		putScratch(dS)
 		putScratch(vT)
 		if dQ != nil {
-			q.accumulate(dQ)
-			putScratch(dQ)
+			q.accumulateScratch(dQ)
 		}
 		if dK != nil {
-			k.accumulate(dK)
-			putScratch(dK)
+			k.accumulateScratch(dK)
 		}
 		if dV != nil {
-			v.accumulate(dV)
-			putScratch(dV)
+			v.accumulateScratch(dV)
 		}
 		// The attention matrices are dead once the input gradients exist.
 		o.releaseAux()
@@ -147,17 +135,4 @@ func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 	node.dataOwned = owned
 	node.aux = pooledProbs
 	return node
-}
-
-// transposeHead writes one (batch, head)'s T × hd block of a (B·T, C)
-// activation — src from its first element, rows c apart — transposed into
-// dst, hd rows ld apart: dst[d·ld + s] = src[s·c + d]. Columns T..ld−1 of
-// dst are left as they are.
-func transposeHead(dst []float32, ld int, src []float32, T, hd, c int) {
-	for s := 0; s < T; s++ {
-		row := src[s*c : s*c+hd]
-		for d, x := range row {
-			dst[d*ld+s] = x
-		}
-	}
 }

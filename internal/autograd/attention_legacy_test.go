@@ -29,6 +29,7 @@ func causalAttentionScalarRef(q, k, v *Value, batch, seqLen, nHeads int) *Value 
 
 	tape := anyGrad(q, k, v)
 	out, owned := outFor(tape, rows, c)
+	clear(out.Data) // the context rows below accumulate into it
 	// probs[b*nHeads+h] is the (T, T) attention matrix for that batch/head,
 	// retained for the backward pass. Pooled ones are registered as the
 	// node's aux buffers so both the backward closure and ReleaseTape
@@ -83,13 +84,13 @@ func causalAttentionScalarRef(q, k, v *Value, batch, seqLen, nHeads int) *Value 
 	node := newOp(out, func(o *Value) {
 		var dQ, dK, dV *tensor.Tensor
 		if q.RequiresGrad {
-			dQ = scratch(rows, c)
+			dQ = zeroScratch(rows, c)
 		}
 		if k.RequiresGrad {
-			dK = scratch(rows, c)
+			dK = zeroScratch(rows, c)
 		}
 		if v.RequiresGrad {
-			dV = scratch(rows, c)
+			dV = zeroScratch(rows, c)
 		}
 		dP := make([]float32, seqLen)
 		for b := 0; b < batch; b++ {

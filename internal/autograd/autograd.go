@@ -110,6 +110,21 @@ func (v *Value) accumulate(g *tensor.Tensor) {
 	v.InitGrad().AddInPlace(g)
 }
 
+// accumulateScratch accumulates g, a scratch buffer of v's shape holding a
+// SumCols result (a matmul or attention gradient: every element a sum from
+// +0, never −0), and disposes of it. The first gradient to reach v becomes
+// v.Grad outright: 0 + g would be g bit for bit, so the zero-filled buffer
+// and the add are skipped.
+func (v *Value) accumulateScratch(g *tensor.Tensor) {
+	if v.RequiresGrad && v.Grad == nil {
+		v.Grad = g
+		v.gradOwned = activePool.Load() != nil
+		return
+	}
+	v.accumulate(g)
+	putScratch(g)
+}
+
 // newOp constructs an interior node. If none of the parents require a
 // gradient the node is emitted as a constant and back is discarded, which
 // prevents any tape (and thus any retained activation) below frozen layers.
@@ -190,16 +205,6 @@ func topoSort(root *Value) []*Value {
 		stack = stack[:len(stack)-1]
 	}
 	return order
-}
-
-// GraphSize returns the number of tape nodes reachable from v. It is used
-// by tests and by the memory accountant to verify that frozen layers record
-// no tape.
-func GraphSize(v *Value) int {
-	if !v.RequiresGrad {
-		return 0
-	}
-	return len(topoSort(v))
 }
 
 // TapeBytes returns the bytes of forward activations retained by the tape

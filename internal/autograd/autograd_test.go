@@ -14,7 +14,7 @@ func TestConstantFoldingRecordsNoTape(t *testing.T) {
 	if out.RequiresGrad {
 		t.Fatal("op over constants must not require grad")
 	}
-	if GraphSize(out) != 0 {
+	if graphSize(out) != 0 {
 		t.Fatal("op over constants must record no tape")
 	}
 }
@@ -35,13 +35,13 @@ func TestFrozenPrefixBoundsTape(t *testing.T) {
 	for _, w := range frozenW {
 		h = SiLU(MatMul(h, w))
 	}
-	frozenTape := GraphSize(h)
+	frozenTape := graphSize(h)
 	if frozenTape != 0 {
 		t.Fatalf("frozen prefix recorded %d tape nodes", frozenTape)
 	}
 	out := Mean(MatMul(h, tunedW))
 	// Tape: tunedW leaf + matmul + mean (+ root). Must be small & constant.
-	if n := GraphSize(out); n > 4 {
+	if n := graphSize(out); n > 4 {
 		t.Fatalf("tuned suffix tape %d nodes, want ≤ 4", n)
 	}
 	out.Backward()
@@ -175,4 +175,12 @@ func TestCausalAttentionBatchIndependence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// graphSize returns the number of tape nodes reachable from v.
+func graphSize(v *Value) int {
+	if !v.RequiresGrad {
+		return 0
+	}
+	return len(topoSort(v))
 }

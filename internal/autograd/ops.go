@@ -48,17 +48,13 @@ func Mul(a, b *Value) *Value {
 	v := newOp(out, func(o *Value) {
 		if a.RequiresGrad {
 			g := scratch(o.Grad.Shape...)
-			for i, gv := range o.Grad.Data {
-				g.Data[i] = gv * b.Data.Data[i]
-			}
+			tensor.MulInto(g.Data, o.Grad.Data, b.Data.Data)
 			a.accumulate(g)
 			putScratch(g)
 		}
 		if b.RequiresGrad {
 			g := scratch(o.Grad.Shape...)
-			for i, gv := range o.Grad.Data {
-				g.Data[i] = gv * a.Data.Data[i]
-			}
+			tensor.MulInto(g.Data, o.Grad.Data, a.Data.Data)
 			b.accumulate(g)
 			putScratch(g)
 		}
@@ -102,15 +98,13 @@ func MatMul(a, b *Value) *Value {
 			g := scratch(m, k)
 			tensor.MatMulInto(g, o.Grad, bT)
 			putScratch(bT)
-			a.accumulate(g)
-			putScratch(g)
+			a.accumulateScratch(g)
 		}
 		if b.RequiresGrad {
 			// dB = Aᵀ × dY
 			g := scratch(k, n)
 			tensor.TMatMulInto(g, a.Data, o.Grad)
-			b.accumulate(g)
-			putScratch(g)
+			b.accumulateScratch(g)
 		}
 	}, a, b)
 	v.dataOwned = owned
@@ -152,19 +146,22 @@ func RMSNorm(x, gain *Value, eps float32) *Value {
 	}
 	out, owned := outFor(anyGrad(x, gain), r, c)
 	invRMS := make([]float32, r)
-	for i := range invRMS {
-		invRMS[i] = tensor.RMSNormRow(out.Row(i), x.Data.Row(i), gain.Data.Data, eps)
-	}
+	tensor.RMSNormRows(out.Data, x.Data.Data, gain.Data.Data, eps, invRMS)
 	v := newOp(out, func(o *Value) {
 		var dGain *tensor.Tensor
 		if gain.RequiresGrad {
-			dGain = scratch(c)
+			dGain = zeroScratch(c)
 		}
 		var dX *tensor.Tensor
 		if x.RequiresGrad {
 			dX = scratch(r, c)
 		}
+		var dots [4]float64 // rows i&^3 … of dX's Σ_k go_k g_k x_k
 		for i := 0; i < r; i++ {
+			if dX != nil && i%4 == 0 {
+				n := min(4, r-i)
+				rmsDots(dots[:n], x.Data.Data[i*c:(i+n)*c], o.Grad.Data[i*c:(i+n)*c], gain.Data.Data)
+			}
 			row := x.Data.Row(i)
 			gRow := o.Grad.Row(i)
 			inv := invRMS[i]
@@ -176,11 +173,7 @@ func RMSNorm(x, gain *Value, eps float32) *Value {
 			if dX != nil {
 				// y_j = x_j * inv * g_j with inv = (mean(x²)+eps)^{-1/2}
 				// dx_j = inv*g_j*go_j - x_j * inv³/c * Σ_k go_k g_k x_k
-				var dot float64
-				for k, v := range row {
-					dot += float64(gRow[k]) * float64(gain.Data.Data[k]) * float64(v)
-				}
-				coef := float32(dot) * inv * inv * inv / float32(c)
+				coef := float32(dots[i%4]) * inv * inv * inv / float32(c)
 				dRow := dX.Row(i)
 				for j, v := range row {
 					dRow[j] = gRow[j]*gain.Data.Data[j]*inv - v*coef
@@ -200,6 +193,37 @@ func RMSNorm(x, gain *Value, eps float32) *Value {
 	return v
 }
 
+// rmsDots sets dots[i] to Σ_k float64(g_ik)·float64(gain_k)·float64(x_ik)
+// for every row i of x and g (rows of len(gain)), each sum from 0 in
+// ascending k. Four rows' sums run side by side, so their float64 adds
+// overlap; each row's sum is the one a loop over that row alone adds.
+func rmsDots(dots []float64, x, g, gain []float32) {
+	c := len(gain)
+	row := func(t []float32, i int) []float32 { return t[i*c : (i+1)*c] }
+	i := 0
+	for ; i+4 <= len(dots); i += 4 {
+		x0, x1, x2, x3 := row(x, i), row(x, i+1), row(x, i+2), row(x, i+3)
+		g0, g1, g2, g3 := row(g, i), row(g, i+1), row(g, i+2), row(g, i+3)
+		var d0, d1, d2, d3 float64
+		for k, w := range gain {
+			gw := float64(w)
+			d0 += float64(g0[k]) * gw * float64(x0[k])
+			d1 += float64(g1[k]) * gw * float64(x1[k])
+			d2 += float64(g2[k]) * gw * float64(x2[k])
+			d3 += float64(g3[k]) * gw * float64(x3[k])
+		}
+		dots[i], dots[i+1], dots[i+2], dots[i+3] = d0, d1, d2, d3
+	}
+	for ; i < len(dots); i++ {
+		xi, gi := row(x, i), row(g, i)
+		var d float64
+		for k, w := range gain {
+			d += float64(gi[k]) * float64(w) * float64(xi[k])
+		}
+		dots[i] = d
+	}
+}
+
 // Embedding gathers rows of weight (vocab, dim) by ids, producing
 // (len(ids), dim). The backward pass scatter-adds into the weight gradient.
 func Embedding(weight *Value, ids []int) *Value {
@@ -212,7 +236,7 @@ func Embedding(weight *Value, ids []int) *Value {
 		copy(out.Row(i), weight.Data.Row(id))
 	}
 	v := newOp(out, func(o *Value) {
-		dW := scratch(vocab, dim)
+		dW := zeroScratch(vocab, dim)
 		for i, id := range ids {
 			row := dW.Row(id)
 			g := o.Grad.Row(i)
@@ -264,7 +288,7 @@ func CrossEntropy(logits *Value, targets []int, ignoreIndex int) *Value {
 	out := tensor.Scalar(float32(loss / float64(count)))
 	return newOp(out, func(o *Value) {
 		scale := o.Grad.Data[0] / float32(count)
-		dL := scratch(n, vocab)
+		dL := zeroScratch(n, vocab)
 		for i, t := range targets {
 			if t == ignoreIndex {
 				continue

@@ -3,14 +3,20 @@
 // pooled by InitGrad, backward closures take their scratch from the arena
 // and return it as soon as accumulate has consumed it, and ReleaseTape
 // hands a fully-consumed graph's buffers back at the end of a training
-// step. Constant-folded computation — frozen layers, and eval forwards,
-// since parameters are trainable only inside a training step (DESIGN.md,
-// "One training step") — never touches the pool: nothing ever releases those
-// buffers, so pooling them would only drain the free lists.
+// step. Constant-folded computation — an op none of whose inputs is
+// trainable — allocates its output with tensor.New, since nothing would
+// ever release it; the passes that take no gradient at all (the frozen
+// prefix of a window, the LUC probe, evaluation, the vote) run on
+// nn.Forward's caller-owned scratch instead and build no Values.
 //
-// The pool is an optimisation only: Pool.Get returns zero-filled buffers,
-// byte-for-byte equivalent to fresh allocation, so results are identical
-// with the pool on or off.
+// Buffers follow tensor.Pool's contract: an op output, and backward scratch,
+// that its kernel overwrites in full comes from GetUncleared; only the
+// accumulators — InitGrad's gradient, the Embedding and RMSNorm-gain
+// scatters and CrossEntropy's logit gradient, whose ignored rows stay zero —
+// come zero-filled from Get. A gradient that is a matmul or attention
+// result (a SumCols sum from +0, never −0, so 0 + g == g bit for bit)
+// becomes its node's Grad outright when it is the first to arrive. Results
+// are identical with the pool on or off.
 
 package autograd
 
@@ -41,23 +47,28 @@ func anyGrad(vs ...*Value) bool {
 	return false
 }
 
-// outFor returns a zero-filled output buffer for an op, plus whether the
-// arena owns it. Tape-recorded outputs draw from the pool (ReleaseTape
-// returns them after the step); constant-folded outputs use the plain
-// allocator since nothing would ever release them.
+// outFor returns an output buffer for an op, plus whether the arena owns
+// it. Tape-recorded outputs draw from the pool uncleared (every op writes
+// its whole output; ReleaseTape returns them after the step);
+// constant-folded outputs use the plain allocator since nothing would ever
+// release them.
 func outFor(tape bool, shape ...int) (*tensor.Tensor, bool) {
 	if tape {
 		if p := activePool.Load(); p != nil {
-			return p.Get(shape...), true
+			return p.GetUncleared(shape...), true
 		}
 	}
 	return tensor.New(shape...), false
 }
 
-// scratch returns a zero-filled pooled temporary for backward closures
-// (which only exist on tape-recorded nodes). Pair with putScratch once the
-// contents have been consumed. Falls back to plain allocation with no pool.
-func scratch(shape ...int) *tensor.Tensor { return activePool.Load().Get(shape...) }
+// scratch returns a pooled temporary for backward closures (which only
+// exist on tape-recorded nodes) that the caller overwrites in full before
+// reading. Pair with putScratch once the contents have been consumed.
+// Falls back to plain allocation with no pool.
+func scratch(shape ...int) *tensor.Tensor { return activePool.Load().GetUncleared(shape...) }
+
+// zeroScratch is scratch for an accumulator: zero-filled.
+func zeroScratch(shape ...int) *tensor.Tensor { return activePool.Load().Get(shape...) }
 
 // putScratch returns a backward temporary to the arena. The caller must
 // hold the only reference (accumulate copies, so grad temps qualify).

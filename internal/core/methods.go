@@ -184,13 +184,14 @@ func tuneLoop(ctx context.Context, cfg Config, pl govern.Plan, m *nn.Model, mod 
 	tr.Heartbeat = govern.HeartbeatFunc(ctx)
 	m.SetAllTrainable(false)
 	nn.SetTrainable(mod, false)
+	f := nn.NewForward(m) // the recompute path's no-grad forward
 	for i := 0; i < iters && ctx.Err() == nil; i++ {
 		inputs, targets := next()
 		if pl.Recompute {
 			head := func(h *ag.Value) *ag.Value {
 				return ag.CrossEntropy(m.LMHead.Forward(m.Norm.Forward(h)), targets, -1)
 			}
-			tr.ApplyGrads(mod, train.SegmentedBackward(m, inputs, 0, len(m.Blocks)-1, pl.Segments, head, mod))
+			tr.ApplyGrads(mod, train.SegmentedBackward(f, inputs, 0, len(m.Blocks)-1, pl.Segments, head, mod))
 			continue
 		}
 		nn.SetTrainable(mod, true)

@@ -18,7 +18,6 @@ import (
 	"sort"
 	"strconv"
 
-	ag "edgellm/internal/autograd"
 	"edgellm/internal/nn"
 	"edgellm/internal/obsv"
 	"edgellm/internal/prune"
@@ -209,9 +208,9 @@ type ProbeOptions struct {
 // row-major pass per group of rows (quant's AVX2 kernel where the CPU has
 // it). The output-KL metric runs the full forward once and keeps each
 // block's input: block L's input does not depend on block L's weights, so a
-// candidate at layer L runs only blocks L… and the final head from it
-// (nn.Model.LogitsFrom). Every cell equals a full forward of the compressed
-// model, bit for bit.
+// candidate at layer L runs only blocks L… and the final head from it. Every
+// forward is the no-grad nn.Forward, built once per probe, and every cell
+// equals a full forward of the compressed model, bit for bit.
 //
 // With observability enabled, each layer's probe is a luc.probe_layer
 // span (labeled layer=<i>), every (layer, candidate) evaluation counts
@@ -220,20 +219,24 @@ type ProbeOptions struct {
 func Probe(m *nn.Model, cands []Candidate, opt ProbeOptions) Sensitivity {
 	obs := obsv.Global()
 	sens := make(Sensitivity, len(m.Blocks))
-	var baseProbs *tensor.Tensor
+	L := len(m.Blocks)
+	var f *nn.Forward
+	var baseProbs, probs *tensor.Tensor
 	var batch, seq int
-	inputs := make([]*ag.Value, len(m.Blocks)) // block i's input on the calibration batch
+	inputs := make([]*tensor.Tensor, L) // block i's input on the calibration batch
 	if opt.Metric == MetricOutputKL {
 		if len(opt.Calib) == 0 {
 			panic("luc: MetricOutputKL requires calibration data")
 		}
 		batch, seq = len(opt.Calib), len(opt.Calib[0])
-		x := m.Embed(opt.Calib)
-		for layer, block := range m.Blocks {
-			inputs[layer] = x
-			x = block.Forward(x, batch, seq)
+		f = nn.NewForward(m)
+		f.Embed(opt.Calib)
+		for layer := range m.Blocks {
+			inputs[layer] = f.RunTo(layer).Clone()
 		}
-		baseProbs = softmaxLogits(m.LogitsFrom(x, len(m.Blocks), batch, seq).Data)
+		f.RunTo(L)
+		baseProbs, probs = tensor.New(batch*seq, m.Cfg.Vocab), tensor.New(batch*seq, m.Cfg.Vocab)
+		softmaxInto(baseProbs, f.Head(L))
 	}
 	for layer, block := range m.Blocks {
 		var layerSpan obsv.Span
@@ -256,8 +259,10 @@ func Probe(m *nn.Model, cands []Candidate, opt ProbeOptions) Sensitivity {
 				}
 				sens[layer][ci] = sum / float64(len(weights))
 			case MetricOutputKL:
-				logits := m.LogitsFrom(inputs[layer], layer, batch, seq)
-				sens[layer][ci] = meanKL(baseProbs, softmaxLogits(logits.Data))
+				f.Load(inputs[layer], layer, batch, seq)
+				f.RunTo(L)
+				softmaxInto(probs, f.Head(L))
+				sens[layer][ci] = meanKL(baseProbs, probs)
 			}
 		}
 		for i, w := range weights {
@@ -302,14 +307,11 @@ func relativeMSE(a, b *tensor.Tensor) float64 {
 	return tensor.MSE(a, b) / ms
 }
 
-// softmaxLogits converts rank-2 logits to row-wise probabilities.
-func softmaxLogits(logits *tensor.Tensor) *tensor.Tensor {
-	r, c := logits.Rows(), logits.Cols()
-	out := tensor.New(r, c)
-	for i := 0; i < r; i++ {
+// softmaxInto writes logits' row-wise probabilities into out (same shape).
+func softmaxInto(out, logits *tensor.Tensor) {
+	for i := 0; i < logits.Rows(); i++ {
 		tensor.SoftmaxRow(out.Row(i), logits.Row(i), 1)
 	}
-	return out
 }
 
 // meanKL returns the mean row-wise KL(p‖q), with q floored for stability.

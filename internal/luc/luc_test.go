@@ -425,3 +425,11 @@ func BenchmarkProbeOutputKL(b *testing.B) {
 		Probe(m, cands, ProbeOptions{Metric: MetricOutputKL, Calib: calib})
 	}
 }
+
+// softmaxLogits converts rank-2 logits to row-wise probabilities in a new
+// tensor.
+func softmaxLogits(logits *tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(logits.Shape...)
+	softmaxInto(out, logits)
+	return out
+}

@@ -36,10 +36,13 @@ func RefinePolicy(m *nn.Model, p Policy, cands []Candidate, budgetBits float64, 
 			}
 		}
 	}
-	baseProbs := softmaxLogits(m.Logits(calib).Data)
+	f := nn.NewForward(m)
+	rows := len(calib) * len(calib[0])
+	baseProbs, probs := tensor.New(rows, m.Cfg.Vocab), tensor.New(rows, m.Cfg.Vocab)
+	softmaxInto(baseProbs, f.Logits(calib))
 	jointKL := func(policy Policy) float64 {
 		applyRanked(m, policy, cands, ranks)
-		probs := softmaxLogits(m.Logits(calib).Data)
+		softmaxInto(probs, f.Logits(calib))
 		restore()
 		return meanKL(baseProbs, probs)
 	}

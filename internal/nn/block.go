@@ -107,6 +107,11 @@ func (b *Block) Params() []NamedParam {
 	return ps
 }
 
+// linears returns the block's seven dense layers in WeightMatrices order.
+func (b *Block) linears() [7]*Linear {
+	return [7]*Linear{b.Attn.Wq, b.Attn.Wk, b.Attn.Wv, b.Attn.Wo, b.MLP.Gate, b.MLP.Up, b.MLP.Down}
+}
+
 // WeightMatrices returns the block's seven 2-D weight tensors in a stable
 // order. These are the tensors the LUC pass prunes and quantises; norms and
 // biases are deliberately excluded (they are tiny and precision-critical).

@@ -49,7 +49,7 @@ func BenchmarkDecodeStepPacked4(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if d.PosAt(s) >= m.Cfg.MaxSeq {
+		if d.arena.Len(s) >= m.Cfg.MaxSeq {
 			d.Reset()
 			if s, err = d.Acquire(); err != nil {
 				b.Fatal(err)

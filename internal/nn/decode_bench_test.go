@@ -43,7 +43,7 @@ func BenchmarkDecodeStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if d.PosAt(s) >= m.Cfg.MaxSeq {
+		if d.arena.Len(s) >= m.Cfg.MaxSeq {
 			d.Reset()
 			if s, err = d.Acquire(); err != nil {
 				b.Fatal(err)
@@ -97,7 +97,7 @@ func benchDecodeBatch(b *testing.B, m *Model, pm *PackedModel, batch int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if d.PosAt(slots[0]) >= m.Cfg.MaxSeq {
+		if d.arena.Len(slots[0]) >= m.Cfg.MaxSeq {
 			d.Reset()
 			acquireAll()
 		}
@@ -135,7 +135,7 @@ func BenchmarkDecodeOneAtATime8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, d := range decs {
-			if d.Pos() >= m.Cfg.MaxSeq {
+			if d.arena.Len(0) >= m.Cfg.MaxSeq {
 				d.Reset()
 			}
 			if _, err := d.Step((i*B8 + j*7) & 1023); err != nil {

@@ -128,7 +128,7 @@ func (bb *batchBuf) release(pool *tensor.Pool) {
 }
 
 // NewDecoder returns a single-sequence decoder over m (slot capacity 1, no
-// pool), matching the pre-batching API: Reset, Step, Pos, Generate.
+// pool), matching the pre-batching API: Reset, Step, Generate.
 func NewDecoder(m *Model) *Decoder { return NewBatchDecoder(m, 1, nil) }
 
 // NewBatchDecoder returns a decoder with the given slot capacity. All cache
@@ -178,9 +178,6 @@ func (d *Decoder) Config() Config { return d.m.Cfg }
 // Slots returns the decoder's slot capacity.
 func (d *Decoder) Slots() int { return d.cap }
 
-// ActiveSlots returns the number of currently acquired slots.
-func (d *Decoder) ActiveSlots() int { return d.arena.InUse() }
-
 // Acquire claims the lowest free KV slot for a new sequence; it errors when
 // the arena is full (the admission signal — reject, don't crash).
 func (d *Decoder) Acquire() (int, error) { return d.arena.Acquire() }
@@ -199,12 +196,6 @@ func (d *Decoder) ArenaActiveBytes() int64 { return d.arena.ActiveBytes() }
 // Reset frees every slot for a fresh start (single-sequence compatibility:
 // Step after Reset begins a new sequence in slot 0).
 func (d *Decoder) Reset() { d.arena.ReleaseAll() }
-
-// Pos returns slot 0's decoded-token count — the single-sequence position.
-func (d *Decoder) Pos() int { return d.arena.Len(0) }
-
-// PosAt returns the decoded-token count of one slot.
-func (d *Decoder) PosAt(slot int) int { return d.arena.Len(slot) }
 
 // Close returns the arena and all scratch to the pool. The decoder must not
 // be used afterwards.

@@ -93,7 +93,7 @@ func runRandomSchedule(t *testing.T, d *Decoder, ref *Model, adapter *Adapter, g
 	}
 	var active []*sequence
 	for len(pending)+len(active) > 0 {
-		for len(pending) > 0 && d.ActiveSlots() < d.Slots() && (len(active) == 0 || g.Intn(2) == 0) {
+		for len(pending) > 0 && d.arena.InUse() < d.Slots() && (len(active) == 0 || g.Intn(2) == 0) {
 			s, err := d.Acquire()
 			if err != nil {
 				t.Fatal(err)
@@ -133,8 +133,8 @@ func runRandomSchedule(t *testing.T, d *Decoder, ref *Model, adapter *Adapter, g
 		for r, sq := range riders {
 			sq.fed += runLens[r]
 			rowsBitsEqual(t, fmt.Sprintf("run of %d ending at position %d", runLens[r], sq.fed-1), rows[r], sq.want.Row(sq.fed-1))
-			if d.PosAt(sq.slot) != sq.fed {
-				t.Fatalf("slot %d at %d after %d tokens", sq.slot, d.PosAt(sq.slot), sq.fed)
+			if d.arena.Len(sq.slot) != sq.fed {
+				t.Fatalf("slot %d at %d after %d tokens", sq.slot, d.arena.Len(sq.slot), sq.fed)
 			}
 		}
 		kept := active[:0]
@@ -147,8 +147,8 @@ func runRandomSchedule(t *testing.T, d *Decoder, ref *Model, adapter *Adapter, g
 		}
 		active = kept
 	}
-	if d.ActiveSlots() != 0 || d.ArenaActiveBytes() != 0 {
-		t.Fatalf("schedule over but %d slots / %d bytes active", d.ActiveSlots(), d.ArenaActiveBytes())
+	if d.arena.InUse() != 0 || d.ArenaActiveBytes() != 0 {
+		t.Fatalf("schedule over but %d slots / %d bytes active", d.arena.InUse(), d.ArenaActiveBytes())
 	}
 }
 
@@ -179,8 +179,8 @@ func TestDecoderRunValidation(t *testing.T) {
 	}
 	unchanged := func(name string) {
 		t.Helper()
-		if d.PosAt(0) != 2 || d.PosAt(1) != 1 {
-			t.Fatalf("%s moved lengths to %d,%d", name, d.PosAt(0), d.PosAt(1))
+		if d.arena.Len(0) != 2 || d.arena.Len(1) != 1 {
+			t.Fatalf("%s moved lengths to %d,%d", name, d.arena.Len(0), d.arena.Len(1))
 		}
 		for s, seen := range d.seen {
 			if seen {

@@ -123,7 +123,7 @@ func TestDecoderResetIndependence(t *testing.T) {
 			t.Fatal("Reset must clear all cached state")
 		}
 	}
-	if d.Pos() != 1 {
+	if d.arena.Len(0) != 1 {
 		t.Fatal("Pos must track steps since Reset")
 	}
 }
@@ -163,8 +163,8 @@ func TestDecoderOverflowErrors(t *testing.T) {
 		t.Fatalf("stepping past MaxSeq must error, got %v", err)
 	}
 	// The rejected step must not have advanced the position.
-	if d.Pos() != m.Cfg.MaxSeq {
-		t.Fatalf("rejected step moved Pos to %d", d.Pos())
+	if d.arena.Len(0) != m.Cfg.MaxSeq {
+		t.Fatalf("rejected step moved Pos to %d", d.arena.Len(0))
 	}
 }
 
@@ -188,8 +188,8 @@ func TestDecoderBadTokenErrors(t *testing.T) {
 	// Rejection must leave the cache untouched: the next valid step is
 	// position 0.
 	mustStep(t, d, 1)
-	if d.Pos() != 1 {
-		t.Fatalf("Pos after rejected steps = %d, want 1", d.Pos())
+	if d.arena.Len(0) != 1 {
+		t.Fatalf("Pos after rejected steps = %d, want 1", d.arena.Len(0))
 	}
 }
 
@@ -238,8 +238,8 @@ func TestStepBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || d.PosAt(0) != 1 || d.PosAt(1) != 1 {
-		t.Fatalf("valid batch after rejections: rows=%d pos=%d,%d", len(rows), d.PosAt(0), d.PosAt(1))
+	if len(rows) != 2 || d.arena.Len(0) != 1 || d.arena.Len(1) != 1 {
+		t.Fatalf("valid batch after rejections: rows=%d pos=%d,%d", len(rows), d.arena.Len(0), d.arena.Len(1))
 	}
 	// A slot at MaxSeq rejects the whole batch without advancing the other.
 	for i := 1; i < m.Cfg.MaxSeq; i++ {
@@ -250,8 +250,8 @@ func TestStepBatchValidation(t *testing.T) {
 	if _, err := d.StepBatch([]int{1, 2}, []int{0, 1}); err == nil {
 		t.Fatal("slot at MaxSeq must reject the batch")
 	}
-	if d.PosAt(1) != 1 {
-		t.Fatalf("rejected batch advanced slot 1 to %d", d.PosAt(1))
+	if d.arena.Len(1) != 1 {
+		t.Fatalf("rejected batch advanced slot 1 to %d", d.arena.Len(1))
 	}
 }
 
@@ -317,9 +317,9 @@ func TestDecoderBatchMatchesIndependentDecoders(t *testing.T) {
 			}
 		}
 	}
-	if batch.ActiveSlots() != 0 || batch.ArenaActiveBytes() != 0 {
+	if batch.arena.InUse() != 0 || batch.ArenaActiveBytes() != 0 {
 		t.Fatalf("all streams left but %d slots / %d bytes active",
-			batch.ActiveSlots(), batch.ArenaActiveBytes())
+			batch.arena.InUse(), batch.ArenaActiveBytes())
 	}
 }
 
@@ -525,7 +525,7 @@ func TestDecoderSteadyStateAllocs(t *testing.T) {
 	tokens := []int{1, 2}
 	slots := []int{s0, s1}
 	step := func() {
-		if d.PosAt(s0) >= m.Cfg.MaxSeq {
+		if d.arena.Len(s0) >= m.Cfg.MaxSeq {
 			d.Reset()
 			d.arena.Acquire()
 			d.arena.Acquire()

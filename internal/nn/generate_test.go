@@ -120,13 +120,13 @@ func TestGenerateHugeMaxTokensRejectedUpFront(t *testing.T) {
 	if _, err := d.Generate([]int{1, 2}, SampleConfig{MaxTokens: 4}); err != nil {
 		t.Fatal(err)
 	}
-	pos := d.Pos()
+	pos := d.arena.Len(0)
 	_, err := d.Generate([]int{1, 2, 3}, SampleConfig{MaxTokens: math.MaxInt})
 	if err == nil || errors.Is(err, ErrBadBatch) || !strings.Contains(err.Error(), "exceeds MaxSeq") {
 		t.Fatalf("MaxTokens = MaxInt: err = %v, want the up-front MaxSeq error", err)
 	}
-	if d.Pos() != pos {
-		t.Fatalf("rejected request stepped the decoder: position %d → %d", pos, d.Pos())
+	if d.arena.Len(0) != pos {
+		t.Fatalf("rejected request stepped the decoder: position %d → %d", pos, d.arena.Len(0))
 	}
 }
 

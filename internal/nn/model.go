@@ -163,55 +163,34 @@ func (m *Model) Embed(batch [][]int) *ag.Value {
 	return ag.Add(m.TokEmb.Forward(ids), m.PosEmb.Forward(pos))
 }
 
-// HiddenAt runs the model from the embedding through blocks [0, upTo)
-// and returns the hidden states. upTo == Layers gives the full stack.
-func (m *Model) HiddenAt(batch [][]int, upTo int) *ag.Value {
-	if upTo < 0 || upTo > len(m.Blocks) {
-		panic(fmt.Sprintf("nn: HiddenAt upTo %d out of range [0,%d]", upTo, len(m.Blocks)))
-	}
-	_, _, b, t := flatten(batch)
-	x := m.Embed(batch)
-	for i := 0; i < upTo; i++ {
-		x = m.Blocks[i].Forward(x, b, t)
-	}
-	return x
-}
-
-// Logits runs the full model and returns final-head logits (batch·seq, vocab).
+// Logits runs the full model on the autograd forward and returns the
+// final-head logits (batch·seq, vocab), recording a tape over whatever
+// parameters are trainable: the forward of full fine-tuning and of LoRA,
+// whose Linear.Adapter hooks it runs. A pass that takes no gradient runs on
+// Forward instead, which computes the same bits.
 func (m *Model) Logits(batch [][]int) *ag.Value {
 	_, _, b, t := flatten(batch)
-	return m.LogitsFrom(m.Embed(batch), 0, b, t)
-}
-
-// LogitsFrom runs blocks [from, Layers) and the final head on x, block
-// from's input of shape (batch·seq, dim), and returns the final-head
-// logits. from == Layers applies the head alone.
-func (m *Model) LogitsFrom(x *ag.Value, from, batch, seq int) *ag.Value {
-	if from < 0 || from > len(m.Blocks) {
-		panic(fmt.Sprintf("nn: LogitsFrom from %d out of range [0,%d]", from, len(m.Blocks)))
-	}
-	for _, blk := range m.Blocks[from:] {
-		x = blk.Forward(x, batch, seq)
+	x := m.Embed(batch)
+	for _, blk := range m.Blocks {
+		x = blk.Forward(x, b, t)
 	}
 	return m.LMHead.Forward(m.Norm.Forward(x))
 }
 
-// AllExitLogits runs the full stack once and returns the logits of every
-// exit head plus the final head (last element). Used by voting inference.
-func (m *Model) AllExitLogits(batch [][]int) []*ag.Value {
-	if len(m.Exits) == 0 {
-		panic("nn: model built without exit heads")
+// SetAllTrainable flips RequiresGrad on every parameter Params lists,
+// walking the model in place rather than building the named list, so the
+// per-step freeze of a tuning step allocates nothing.
+func (m *Model) SetAllTrainable(trainable bool) {
+	for _, v := range [...]*ag.Value{m.TokEmb.W, m.PosEmb.W, m.Norm.Gain, m.LMHead.W} {
+		v.RequiresGrad = trainable
 	}
-	_, _, b, t := flatten(batch)
-	x := m.Embed(batch)
-	out := make([]*ag.Value, 0, len(m.Blocks)+1)
-	for i, blk := range m.Blocks {
-		x = blk.Forward(x, b, t)
-		out = append(out, m.Exits[i].Forward(x))
+	for _, b := range m.Blocks {
+		b.Norm1.Gain.RequiresGrad, b.Norm2.Gain.RequiresGrad = trainable, trainable
+		for _, l := range b.linears() {
+			l.W.RequiresGrad = trainable
+		}
 	}
-	out = append(out, m.LMHead.Forward(m.Norm.Forward(x)))
-	return out
+	for _, e := range m.Exits {
+		e.Norm.Gain.RequiresGrad, e.Proj.W.RequiresGrad = trainable, trainable
+	}
 }
-
-// SetAllTrainable flips RequiresGrad on every parameter.
-func (m *Model) SetAllTrainable(trainable bool) { SetTrainable(m, trainable) }

@@ -71,7 +71,7 @@ func TestModelDeterminism(t *testing.T) {
 
 // exitLogits runs blocks [0, e] and applies exit head e.
 func exitLogits(m *Model, batch [][]int, e int) *ag.Value {
-	return m.Exits[e].Forward(m.HiddenAt(batch, e+1))
+	return m.Exits[e].Forward(m.hiddenAt(batch, e+1))
 }
 
 func TestExitLogits(t *testing.T) {
@@ -82,14 +82,14 @@ func TestExitLogits(t *testing.T) {
 			t.Fatalf("exit %d logits shape %v", layer, l.Data.Shape)
 		}
 	}
-	all := m.AllExitLogits(batch2x4())
+	all := m.allExitLogits(batch2x4())
 	if len(all) != 4 { // 3 exits + final head
-		t.Fatalf("AllExitLogits returned %d heads, want 4", len(all))
+		t.Fatalf("allExitLogits returned %d heads, want 4", len(all))
 	}
 	// The per-exit forward must agree with the full pass at the same depth.
 	single := exitLogits(m, batch2x4(), 1)
 	if !tensor.AllClose(single.Data, all[1].Data, 1e-5, 1e-6) {
-		t.Fatal("exit forward disagrees with AllExitLogits at same layer")
+		t.Fatal("exit forward disagrees with allExitLogits at same layer")
 	}
 }
 
@@ -102,10 +102,10 @@ func TestExitHeadsOptional(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("AllExitLogits without exits must panic")
+			t.Fatal("allExitLogits without exits must panic")
 		}
 	}()
-	m.AllExitLogits(batch2x4())
+	m.allExitLogits(batch2x4())
 }
 
 func TestParamsNamedAndUnique(t *testing.T) {
@@ -133,7 +133,7 @@ func TestSetTrainableBoundsTape(t *testing.T) {
 
 	// Fully frozen: no tape at all.
 	logits := m.Logits(batch2x4())
-	if ag.GraphSize(logits) != 0 {
+	if ag.TapeBytes(logits) != 0 {
 		t.Fatal("frozen model must record no tape")
 	}
 
@@ -141,10 +141,10 @@ func TestSetTrainableBoundsTape(t *testing.T) {
 	SetTrainable(m.Blocks[2], true)
 	SetTrainable(m.Norm, true)
 	SetTrainable(m.LMHead, true)
-	small := ag.GraphSize(m.Logits(batch2x4()))
+	small := ag.TapeBytes(m.Logits(batch2x4()))
 
 	m.SetAllTrainable(true)
-	full := ag.GraphSize(m.Logits(batch2x4()))
+	full := ag.TapeBytes(m.Logits(batch2x4()))
 	if small >= full {
 		t.Fatalf("partial tape %d not smaller than full %d", small, full)
 	}
@@ -274,4 +274,23 @@ func TestTooLongSequencePanics(t *testing.T) {
 		}
 	}()
 	m.Logits([][]int{long})
+}
+
+// TestSetAllTrainableCoversParams: the in-place walk of SetAllTrainable
+// reaches exactly the values Params lists, tied exits or not.
+func TestSetAllTrainableCoversParams(t *testing.T) {
+	for _, tied := range []bool{false, true} {
+		cfg := tinyConfig()
+		cfg.TieExitHeads = tied
+		m := NewModel(cfg, tensor.NewRNG(3))
+		for _, on := range []bool{true, false, true} {
+			SetTrainable(m, !on)
+			m.SetAllTrainable(on)
+			for _, p := range m.Params() {
+				if p.Value.RequiresGrad != on {
+					t.Fatalf("tied=%v: SetAllTrainable(%v) left %s at %v", tied, on, p.Name, p.Value.RequiresGrad)
+				}
+			}
+		}
+	}
 }

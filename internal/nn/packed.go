@@ -115,10 +115,6 @@ func AdoptWeights(m *Model, pool *tensor.Pool) int64 {
 	return n
 }
 
-// Mat returns the packed matrix of one block weight (nil when the layer
-// stayed float32). wi indexes Block.WeightMatrices order.
-func (pm *PackedModel) Mat(l, wi int) tensor.PackedMat { return pm.mats[l][wi] }
-
 // StorageBytes returns the total resident bytes of all packed matrices —
 // the quantity that replaces the released float32 footprint.
 func (pm *PackedModel) StorageBytes() int64 { return pm.packedBytes }

@@ -26,7 +26,7 @@ func packedRefModel(cfg Config, seed int64, pm *PackedModel) *Model {
 	ref := NewModel(cfg, tensor.NewRNG(seed))
 	for l, blk := range ref.Blocks {
 		for wi, w := range blk.WeightMatrices() {
-			if mat := pm.Mat(l, wi); mat != nil {
+			if mat := pm.mats[l][wi]; mat != nil {
 				w.CopyFrom(mat.(interface{ Unpack() *tensor.Tensor }).Unpack())
 			}
 		}

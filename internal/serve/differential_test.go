@@ -222,8 +222,8 @@ func runRandomServeSchedule(t *testing.T, m *nn.Model, pm *nn.PackedModel, adapt
 		tokensEqual(t, fmt.Sprintf("%s (prompt %d, %d slots)", res.ID, len(reqs[i].Prompt), slots),
 			res.Tokens, soloSteps(t, m, pm, reqs[i]))
 	}
-	if dec.ActiveSlots() != 0 || dec.ArenaActiveBytes() != 0 {
-		t.Fatalf("schedule over but %d slots / %d bytes active", dec.ActiveSlots(), dec.ArenaActiveBytes())
+	if activeSlots(dec) != 0 || dec.ArenaActiveBytes() != 0 {
+		t.Fatalf("schedule over but %d slots / %d bytes active", activeSlots(dec), dec.ArenaActiveBytes())
 	}
 	return midPrefill, mixed
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"edgellm/internal/nn"
-	"edgellm/internal/tensor"
+	"edgellm/internal/quant"
 )
 
 // TestPackedArtifactInRegistry422 pins what happens when an artifact of
@@ -58,9 +58,9 @@ func TestSchedulerPackedDecodeMatchesFakeQuant(t *testing.T) {
 			// decode targets.
 			ref := testModel(seed)
 			for l, blk := range ref.Blocks {
-				for wi, w := range blk.WeightMatrices() {
-					if mat := pm.Mat(l, wi); mat != nil {
-						w.CopyFrom(mat.(interface{ Unpack() *tensor.Tensor }).Unpack())
+				if bits := specs[l].Bits; bits > 0 {
+					for _, w := range blk.WeightMatrices() {
+						w.CopyFrom(quant.Pack(w, bits).Unpack())
 					}
 				}
 			}

@@ -276,8 +276,8 @@ func TestStreamPanicInSchedulerStep(t *testing.T) {
 	tokensEqual(t, "after", after.Result().Tokens, soloSteps(t, m, nil, after.req))
 	cancel()
 	<-served
-	if dec.ActiveSlots() != 0 || dec.ArenaActiveBytes() != 0 {
-		t.Fatalf("after a contained step panic: %d slots / %d bytes active", dec.ActiveSlots(), dec.ArenaActiveBytes())
+	if activeSlots(dec) != 0 || dec.ArenaActiveBytes() != 0 {
+		t.Fatalf("after a contained step panic: %d slots / %d bytes active", activeSlots(dec), dec.ArenaActiveBytes())
 	}
 }
 

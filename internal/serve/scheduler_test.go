@@ -96,8 +96,8 @@ func TestSchedulerMatchesSoloGenerate(t *testing.T) {
 		want := soloGenerate(t, m, reqs[i].Prompt, reqs[i].Cfg)
 		tokensEqual(t, res.ID, res.Tokens, want)
 	}
-	if dec.ActiveSlots() != 0 || dec.ArenaActiveBytes() != 0 {
-		t.Fatalf("slots/bytes leaked: %d active, %d bytes", dec.ActiveSlots(), dec.ArenaActiveBytes())
+	if activeSlots(dec) != 0 || dec.ArenaActiveBytes() != 0 {
+		t.Fatalf("slots/bytes leaked: %d active, %d bytes", activeSlots(dec), dec.ArenaActiveBytes())
 	}
 }
 
@@ -148,8 +148,8 @@ func TestSchedulerCancellationReleasesSlot(t *testing.T) {
 		}
 		tokensEqual(t, res.ID, res.Tokens, soloGenerate(t, m, reqs[i].Prompt, reqs[i].Cfg))
 	}
-	if dec.ActiveSlots() != 0 || dec.ArenaActiveBytes() != 0 {
-		t.Fatalf("cancelled slots not reclaimed: %d active, %d bytes", dec.ActiveSlots(), dec.ArenaActiveBytes())
+	if activeSlots(dec) != 0 || dec.ArenaActiveBytes() != 0 {
+		t.Fatalf("cancelled slots not reclaimed: %d active, %d bytes", activeSlots(dec), dec.ArenaActiveBytes())
 	}
 }
 
@@ -206,8 +206,8 @@ func TestSchedulerSubmitRejects(t *testing.T) {
 			t.Errorf("%s: error %v, ErrAdapterMismatch wanted: %v", tc.name, err, mismatch)
 		}
 	}
-	if dec.ActiveSlots() != 0 {
-		t.Fatalf("rejected submissions acquired %d slots", dec.ActiveSlots())
+	if activeSlots(dec) != 0 {
+		t.Fatalf("rejected submissions acquired %d slots", activeSlots(dec))
 	}
 
 	sched.Close()
@@ -252,7 +252,24 @@ func TestSchedulerContextCancel(t *testing.T) {
 			t.Fatalf("stream %s error = %v, want context.Canceled", st.ID(), err)
 		}
 	}
-	if dec.ActiveSlots() != 0 || dec.ArenaActiveBytes() != 0 {
-		t.Fatalf("slots leaked after context cancel: %d active, %d bytes", dec.ActiveSlots(), dec.ArenaActiveBytes())
+	if activeSlots(dec) != 0 || dec.ArenaActiveBytes() != 0 {
+		t.Fatalf("slots leaked after context cancel: %d active, %d bytes", activeSlots(dec), dec.ArenaActiveBytes())
 	}
+}
+
+// activeSlots counts dec's acquired slots: it acquires every free slot and
+// releases them again.
+func activeSlots(dec *nn.Decoder) int {
+	var free []int
+	for {
+		s, err := dec.Acquire()
+		if err != nil {
+			break
+		}
+		free = append(free, s)
+	}
+	for _, s := range free {
+		dec.Release(s)
+	}
+	return dec.Slots() - len(free)
 }

@@ -133,7 +133,7 @@ func TestDeterminismIntoKernelsPoolBuffers(t *testing.T) {
 	bitsEqual(t, "TMatMulInto into pooled buffer", fresh2, recycled2)
 }
 
-// naiveTranspose is the obviously-correct reference for the tiled kernel.
+// naiveTranspose is the obviously-correct reference for the blocked kernel.
 func naiveTranspose(t *Tensor) *Tensor {
 	r, c := t.Rows(), t.Cols()
 	out := New(c, r)
@@ -148,14 +148,18 @@ func naiveTranspose(t *Tensor) *Tensor {
 func TestTransposeEdgeShapes(t *testing.T) {
 	g := NewRNG(15)
 	shapes := [][2]int{
-		{1, 7},    // single row
-		{7, 1},    // single column
-		{1, 129},  // single row spanning multiple tiles
-		{130, 1},  // single column spanning multiple tiles
-		{3, 65},   // non-multiple-of-block columns
-		{65, 3},   // non-multiple-of-block rows
-		{64, 64},  // exactly one tile
-		{100, 67}, // both dimensions off-block
+		{1, 7},     // single row
+		{7, 1},     // single column
+		{1, 129},   // single row spanning multiple tiles
+		{130, 1},   // single column spanning multiple tiles
+		{3, 65},    // non-multiple-of-block columns
+		{65, 3},    // non-multiple-of-block rows
+		{64, 64},   // exactly one tile
+		{100, 67},  // both dimensions off-block
+		{8, 8},     // exactly one 8 × 8 block
+		{9, 17},    // one row and one column past whole blocks
+		{71, 130},  // 8 × 8 blocks across tile edges, both edges ragged
+		{128, 384}, // a training weight: whole tiles and blocks
 	}
 	for _, s := range shapes {
 		x := g.Normal(0, 1, s[0], s[1])

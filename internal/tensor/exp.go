@@ -160,11 +160,43 @@ func RMSNormRow(dst, x, gain []float32, eps float32) float32 {
 	if len(dst) != n || len(gain) != n {
 		panic(fmt.Sprintf("tensor: RMSNormRow lengths dst %d x %d gain %d", len(dst), n, len(gain)))
 	}
-	var ss float64
-	for _, v := range x {
-		ss += float64(v) * float64(v)
+	return rmsScale(dst, x, gain, sumSquaresFrom(0, x), eps)
+}
+
+// RMSNormRows is RMSNormRow over every row of x, rows of len(gain) floats,
+// into the same rows of dst, with row i's inv stored in inv[i]. Four rows'
+// sums of squares run side by side, each the sum RMSNormRow adds, so every
+// row is RMSNormRow's bits.
+func RMSNormRows(dst, x, gain []float32, eps float32, inv []float32) {
+	c := len(gain)
+	rows := len(inv)
+	if len(x) != rows*c || len(dst) != len(x) {
+		panic(fmt.Sprintf("tensor: RMSNormRows lengths dst %d x %d for %d rows of %d", len(dst), len(x), rows, c))
 	}
-	inv := float32(1 / math.Sqrt(ss/float64(n)+float64(eps)))
+	i := 0
+	for ; i+4 <= rows; i += 4 {
+		x0, x1, x2, x3 := x[i*c:(i+1)*c], x[(i+1)*c:(i+2)*c], x[(i+2)*c:(i+3)*c], x[(i+3)*c:(i+4)*c]
+		var s0, s1, s2, s3 float64
+		for j, v := range x0 {
+			s0 += float64(v) * float64(v)
+			s1 += float64(x1[j]) * float64(x1[j])
+			s2 += float64(x2[j]) * float64(x2[j])
+			s3 += float64(x3[j]) * float64(x3[j])
+		}
+		for k, ss := range [4]float64{s0, s1, s2, s3} {
+			r := i + k
+			inv[r] = rmsScale(dst[r*c:(r+1)*c], x[r*c:(r+1)*c], gain, ss, eps)
+		}
+	}
+	for ; i < rows; i++ {
+		inv[i] = rmsScale(dst[i*c:(i+1)*c], x[i*c:(i+1)*c], gain, sumSquaresFrom(0, x[i*c:(i+1)*c]), eps)
+	}
+}
+
+// rmsScale writes x[j]·inv·gain[j] to dst for the row whose sum of squares
+// is ss and returns inv = float32(1/√(ss/n + eps)).
+func rmsScale(dst, x, gain []float32, ss float64, eps float32) float32 {
+	inv := float32(1 / math.Sqrt(ss/float64(len(x))+float64(eps)))
 	for j, v := range x {
 		dst[j] = v * inv * gain[j]
 	}

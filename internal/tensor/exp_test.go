@@ -307,6 +307,38 @@ func TestAddInPlaceMatchesGo(t *testing.T) {
 	}
 }
 
+// TestMulKernelsMatchGo pins MulInto, MulInPlace and ScaleInPlace against
+// their Go loops at lengths below, at and around multiples of 8 and 32, at
+// unaligned bases, with special values, and aliased.
+func TestMulKernelsMatchGo(t *testing.T) {
+	for _, n := range []int{1, 7, 8, 9, 31, 32, 33, 40, 71, 264} {
+		for off := 0; off < 3; off++ {
+			g := NewRNG(int64(n*10 + off))
+			a := g.Normal(0, 1, 1, off+n).Data[off:]
+			b := g.Normal(0, 1, 1, n+off).Data[:n]
+			for i := off; i < n; i += 5 {
+				b[i] = specialValues[i%len(specialValues)]
+			}
+			name := fmt.Sprintf("n=%d off=%d", n, off)
+			want := make([]float32, n)
+			mulGo(want, a, b)
+			got := make([]float32, n)
+			MulInto(got, a, b)
+			sameFloats(t, "MulInto "+name, got, want)
+			inPlace := append([]float32(nil), a...)
+			FromSlice(inPlace, 1, n).MulInPlace(FromSlice(b, 1, n))
+			sameFloats(t, "MulInPlace "+name, inPlace, want)
+			for _, s := range []float32{0.37, -3, 0} {
+				want = append(want[:0], b...)
+				scaleGo(want, s)
+				got = append(got[:0], b...)
+				FromSlice(got, 1, n).ScaleInPlace(s)
+				sameFloats(t, fmt.Sprintf("ScaleInPlace(%v) %s", s, name), got, want)
+			}
+		}
+	}
+}
+
 // rowCases are the rows the row kernels are held to their float64
 // definitions on: both zeros, ±Inf among finite values, all −Inf, a NaN at
 // either end, and normals at lengths on and off a group of 4.

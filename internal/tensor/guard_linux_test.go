@@ -84,6 +84,12 @@ func TestKernelsStayInsideTheirOperands(t *testing.T) {
 		tensor.FromSlice(want, 1, n).AddInPlace(tensor.FromSlice(y, 1, n))
 		tensor.FromSlice(got, 1, n).AddInPlace(tensor.FromSlice(gy, 1, n))
 		check("AddInPlace")
+		tensor.MulInto(want, x, y)
+		tensor.MulInto(got, gx, gy)
+		check("MulInto")
+		tensor.FromSlice(want, 1, n).ScaleInPlace(-0.75)
+		tensor.FromSlice(got, 1, n).ScaleInPlace(-0.75)
+		check("ScaleInPlace")
 		tensor.SiLUMul(x, y)
 		tensor.SiLUMul(gx, gy)
 		copy(want, x)

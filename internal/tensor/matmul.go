@@ -144,24 +144,66 @@ func tmatmulRows(out, aT, b *Tensor, rowLo, rowHi int) {
 }
 
 // TransposeInto computes out = tᵀ, reusing out's storage. out must have
-// shape (t.Cols(), t.Rows()) and is fully overwritten. The copy is tiled so
-// both the row-contiguous reads and the column-strided writes stay within a
-// cache-resident blockSize×blockSize tile.
+// shape (t.Cols(), t.Rows()) and is fully overwritten. The copy walks
+// blockSize × blockSize tiles, so both the row-contiguous reads and the
+// column-strided writes stay cache-resident, and inside a tile moves 8 × 8
+// blocks: eight source rows are read eight floats at a time and each
+// destination row is written eight floats at a time, where an element-wise
+// walk would store one float per cache line it touches. On amd64 with AVX2
+// a band of blocks goes to transpose8AVX2, one register a row; elsewhere
+// each block to transpose8. What whole blocks leave at the right and bottom
+// edges goes element by element.
 func TransposeInto(out, t *Tensor) {
 	r, c := t.Rows(), t.Cols()
 	if out.Rows() != c || out.Cols() != r {
 		panic(fmt.Sprintf("tensor: TransposeInto shape mismatch out %v = %vᵀ", out.Shape, t.Shape))
 	}
-	for i0 := 0; i0 < r; i0 += blockSize {
-		iMax := min(i0+blockSize, r)
-		for j0 := 0; j0 < c; j0 += blockSize {
-			jMax := min(j0+blockSize, c)
-			for i := i0; i < iMax; i++ {
-				row := t.Data[i*c : (i+1)*c]
-				for j := j0; j < jMax; j++ {
-					out.Data[j*r+i] = row[j]
+	src, dst := t.Data, out.Data
+	r8, c8 := r&^7, c&^7
+	for i0 := 0; i0 < r8; i0 += blockSize {
+		iMax := min(i0+blockSize, r8)
+		for j0 := 0; j0 < c8; j0 += blockSize {
+			jMax := min(j0+blockSize, c8)
+			for i := i0; i < iMax; i += 8 {
+				if useAVX2 {
+					// the band's last block: its last row holds its last element
+					_, _ = src[(i+7)*c+jMax-1], dst[(jMax-1)*r+i+7]
+					transpose8AVX2(&dst[j0*r+i], r, &src[i*c+j0], c, (jMax-j0)/8)
+					continue
+				}
+				for j := j0; j < jMax; j += 8 {
+					transpose8(dst[j*r+i:], r, src[i*c+j:], c)
 				}
 			}
 		}
+	}
+	for i := 0; i < r; i++ {
+		jLo := c8
+		if i >= r8 {
+			jLo = 0
+		}
+		row := src[i*c : (i+1)*c]
+		for j := jLo; j < c; j++ {
+			dst[j*r+i] = row[j]
+		}
+	}
+}
+
+// transpose8 writes the 8 × 8 block of src (rows ls apart) transposed into
+// dst (rows ld apart).
+func transpose8(dst []float32, ld int, src []float32, ls int) {
+	_ = src[7*ls+7]
+	_ = dst[7*ld+7]
+	s0 := (*[8]float32)(src[0*ls:])
+	s1 := (*[8]float32)(src[1*ls:])
+	s2 := (*[8]float32)(src[2*ls:])
+	s3 := (*[8]float32)(src[3*ls:])
+	s4 := (*[8]float32)(src[4*ls:])
+	s5 := (*[8]float32)(src[5*ls:])
+	s6 := (*[8]float32)(src[6*ls:])
+	s7 := (*[8]float32)(src[7*ls:])
+	for j := 0; j < 8; j++ {
+		d := (*[8]float32)(dst[j*ld:])
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s0[j], s1[j], s2[j], s3[j], s4[j], s5[j], s6[j], s7[j]
 	}
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -10,13 +11,20 @@ import (
 // scratch), so recycling buffers through a pool removes almost all
 // steady-state allocator and GC pressure from the hot path.
 //
-// Get returns a zero-filled tensor — byte-for-byte equivalent to New — so
-// running with a pool cannot change numerical results. Put hands a buffer
-// back; the caller must not retain any alias of it. Buffers are keyed by
-// element count, so a (4,8) release can satisfy a later (8,4) request.
+// The contract, for every caller: Get returns a zero-filled tensor —
+// byte-for-byte what New returns — for a buffer that is read before it is
+// written (a gradient accumulator, a scatter target). GetUncleared returns
+// one whose contents are unspecified, for a buffer the caller's kernel
+// overwrites in full before anything reads it; skipping the clear is the
+// only difference, so neither can change a result. Built with the poison
+// tag, GetUncleared fills every buffer it hands out with NaN, so a reader
+// that leans on stale contents shows up as NaN in a test run. Put hands a
+// buffer back; the caller must not retain any alias of it. Buffers are keyed
+// by element count, so a (4,8) release can satisfy a later (8,4) request.
 //
-// A nil *Pool is valid and degrades to plain allocation: Get falls back to
-// New and Put is a no-op. All methods are safe for concurrent use.
+// A nil *Pool is valid and degrades to plain allocation: Get and
+// GetUncleared fall back to New and Put is a no-op. All methods are safe
+// for concurrent use.
 type Pool struct {
 	mu   sync.Mutex
 	free map[int][]*Tensor
@@ -46,13 +54,35 @@ func NewPool() *Pool {
 // Get returns a zero-filled tensor of the given shape, reusing a parked
 // buffer of the same element count when one is available.
 func (p *Pool) Get(shape ...int) *Tensor {
+	t, reused := p.take(shape)
+	if reused {
+		clear(t.Data)
+	}
+	return t
+}
+
+// GetUncleared returns a tensor of the given shape whose contents are
+// unspecified (see Pool): the caller writes every element before it reads
+// one.
+func (p *Pool) GetUncleared(shape ...int) *Tensor {
+	t, _ := p.take(shape)
+	if poison {
+		for i := range t.Data {
+			t.Data[i] = float32(math.NaN())
+		}
+	}
+	return t
+}
+
+// take pops a parked buffer of shape's element count, reshaped, or
+// allocates a fresh zero-filled one, and reports which.
+func (p *Pool) take(shape []int) (t *Tensor, reused bool) {
 	if p == nil {
-		return New(shape...)
+		return New(shape...), false
 	}
 	n := checkShape(shape)
 	p.mu.Lock()
 	list := p.free[n]
-	var t *Tensor
 	if len(list) > 0 {
 		t = list[len(list)-1]
 		list[len(list)-1] = nil
@@ -62,14 +92,11 @@ func (p *Pool) Get(shape ...int) *Tensor {
 	p.bytesInUse.Add(int64(n) * 4)
 	if t == nil {
 		p.misses.Add(1)
-		return New(shape...)
+		return New(shape...), false
 	}
 	p.hits.Add(1)
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
 	t.Shape = append(t.Shape[:0], shape...)
-	return t
+	return t, true
 }
 
 // Adopt registers an externally allocated tensor's bytes as handed out by

@@ -30,6 +30,15 @@ func adamWAVX2(w, grad, m, v *float32, n int, c AdamWStep)
 func addAVX2(dst, src *float32, n int)
 
 //go:noescape
+func transpose8AVX2(dst *float32, ld int, src *float32, ls int, blocks int)
+
+//go:noescape
+func mulAVX2(dst, a, b *float32, n int)
+
+//go:noescape
+func scaleAVX2(dst *float32, n int, s float32)
+
+//go:noescape
 func expAVX2(dst, x *float64, n int) int
 
 //go:noescape

@@ -472,6 +472,171 @@ adddone:
 	VZEROUPPER
 	RET
 
+// func mulAVX2(dst, a, b *float32, n int)
+//
+// dst[0:n] = a[0:n]·b[0:n], n a multiple of 8: one correctly rounded float32
+// product an element with a the first operand, as MulInto's Go loop, 32
+// elements an iteration and then 8.
+TEXT ·mulAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
+
+mul32:
+	CMPQ CX, $32
+	JLT  mul8
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMOVUPS 64(SI), Y2
+	VMOVUPS 96(SI), Y3
+	VMULPS  (DX), Y0, Y0
+	VMULPS  32(DX), Y1, Y1
+	VMULPS  64(DX), Y2, Y2
+	VMULPS  96(DX), Y3, Y3
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, SI
+	ADDQ $128, DX
+	SUBQ $32, CX
+	JMP  mul32
+
+mul8:
+	CMPQ CX, $8
+	JLT  muldone
+	VMOVUPS (SI), Y0
+	VMULPS  (DX), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	ADDQ $32, DX
+	SUBQ $8, CX
+	JMP  mul8
+
+muldone:
+	VZEROUPPER
+	RET
+
+// func scaleAVX2(dst *float32, n int, s float32)
+//
+// dst[0:n] ·= s, n a multiple of 8: one correctly rounded float32 product an
+// element with dst the first operand, as ScaleInPlace's Go loop, 32
+// elements an iteration and then 8.
+TEXT ·scaleAVX2(SB), NOSPLIT, $0-20
+	MOVQ         dst+0(FP), DI
+	MOVQ         n+8(FP), CX
+	VBROADCASTSS s+16(FP), Y4
+
+scale32:
+	CMPQ CX, $32
+	JLT  scale8
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	VMULPS  Y4, Y0, Y0
+	VMULPS  Y4, Y1, Y1
+	VMULPS  Y4, Y2, Y2
+	VMULPS  Y4, Y3, Y3
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ $128, DI
+	SUBQ $32, CX
+	JMP  scale32
+
+scale8:
+	CMPQ CX, $8
+	JLT  scaledone
+	VMOVUPS (DI), Y0
+	VMULPS  Y4, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JMP  scale8
+
+scaledone:
+	VZEROUPPER
+	RET
+
+// func transpose8AVX2(dst *float32, ld int, src *float32, ls int, blocks int)
+//
+// Transposes blocks 8 × 8 blocks side by side along eight rows of src (rows
+// ls floats apart; block b starts 8·b columns in) into dst (rows ld floats
+// apart; block b lands 8·b rows down): eight row loads, the unpack /
+// shuffle / lane-permute network, eight row stores. It moves bits, so it
+// equals transpose8 exactly.
+TEXT ·transpose8AVX2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ ld+8(FP), R8
+	MOVQ src+16(FP), SI
+	MOVQ ls+24(FP), R9
+	MOVQ blocks+32(FP), CX
+	SHLQ $2, R8
+	SHLQ $2, R9
+	LEAQ (R9)(R9*2), R10 // 3 source rows
+	LEAQ (R8)(R8*2), R11 // 3 destination rows
+
+tr8loop:
+	TESTQ CX, CX
+	JZ    tr8done
+	MOVQ  SI, AX
+	VMOVUPS (AX), Y0
+	VMOVUPS (AX)(R9*1), Y1
+	VMOVUPS (AX)(R9*2), Y2
+	VMOVUPS (AX)(R10*1), Y3
+	LEAQ    (AX)(R9*4), AX
+	VMOVUPS (AX), Y4
+	VMOVUPS (AX)(R9*1), Y5
+	VMOVUPS (AX)(R9*2), Y6
+	VMOVUPS (AX)(R10*1), Y7
+	VUNPCKLPS Y1, Y0, Y8
+	VUNPCKHPS Y1, Y0, Y9
+	VUNPCKLPS Y3, Y2, Y10
+	VUNPCKHPS Y3, Y2, Y11
+	VUNPCKLPS Y5, Y4, Y12
+	VUNPCKHPS Y5, Y4, Y13
+	VUNPCKLPS Y7, Y6, Y14
+	VUNPCKHPS Y7, Y6, Y15
+	VSHUFPS $0x44, Y10, Y8, Y0
+	VSHUFPS $0xEE, Y10, Y8, Y1
+	VSHUFPS $0x44, Y11, Y9, Y2
+	VSHUFPS $0xEE, Y11, Y9, Y3
+	VSHUFPS $0x44, Y14, Y12, Y4
+	VSHUFPS $0xEE, Y14, Y12, Y5
+	VSHUFPS $0x44, Y15, Y13, Y6
+	VSHUFPS $0xEE, Y15, Y13, Y7
+	VPERM2F128 $0x20, Y4, Y0, Y8
+	VPERM2F128 $0x20, Y5, Y1, Y9
+	VPERM2F128 $0x20, Y6, Y2, Y10
+	VPERM2F128 $0x20, Y7, Y3, Y11
+	VPERM2F128 $0x31, Y4, Y0, Y12
+	VPERM2F128 $0x31, Y5, Y1, Y13
+	VPERM2F128 $0x31, Y6, Y2, Y14
+	VPERM2F128 $0x31, Y7, Y3, Y15
+	MOVQ    DI, BX
+	VMOVUPS Y8, (BX)
+	VMOVUPS Y9, (BX)(R8*1)
+	VMOVUPS Y10, (BX)(R8*2)
+	VMOVUPS Y11, (BX)(R11*1)
+	LEAQ    (BX)(R8*4), BX
+	VMOVUPS Y12, (BX)
+	VMOVUPS Y13, (BX)(R8*1)
+	VMOVUPS Y14, (BX)(R8*2)
+	VMOVUPS Y15, (BX)(R11*1)
+	ADDQ $32, SI
+	LEAQ (DI)(R8*8), DI
+	DECQ CX
+	JMP  tr8loop
+
+tr8done:
+	VZEROUPPER
+	RET
+
 // The exact vector exp. math.Exp on amd64 (exp_amd64.s) is Shibata's
 // SIMD-suitable method run one lane at a time. Where math takes its FMA
 // path, EXP4 is that path's instruction sequence four float64 lanes wide,

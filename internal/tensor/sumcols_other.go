@@ -23,6 +23,12 @@ func adamWAVX2(w, grad, m, v *float32, n int, c AdamWStep) {}
 
 func addAVX2(dst, src *float32, n int) {}
 
+func transpose8AVX2(dst *float32, ld int, src *float32, ls int, blocks int) {}
+
+func mulAVX2(dst, a, b *float32, n int) {}
+
+func scaleAVX2(dst *float32, n int, s float32) {}
+
 func expAVX2(dst, x *float64, n int) int { return 0 }
 
 func sigmoidAVX2(dst, x, y *float32, n, op int) int { return 0 }

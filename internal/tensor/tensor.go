@@ -204,15 +204,48 @@ func (t *Tensor) SubInPlace(o *Tensor) {
 // MulInPlace multiplies t by o elementwise.
 func (t *Tensor) MulInPlace(o *Tensor) {
 	t.mustSameShape(o, "MulInPlace")
-	for i, v := range o.Data {
-		t.Data[i] *= v
+	MulInto(t.Data, t.Data, o.Data)
+}
+
+// MulInto writes a[i]·b[i] to dst[i] (equal lengths; dst may alias a or b):
+// one correctly rounded float32 product an element, a the first operand. On
+// amd64 with AVX2, whole groups of 8 go to mulAVX2, eight to a register, and
+// only what len%8 leaves over to mulGo.
+func MulInto(dst, a, b []float32) {
+	n := len(dst)
+	if len(a) != n || len(b) != n {
+		panic(fmt.Sprintf("tensor: MulInto lengths dst %d a %d b %d", n, len(a), len(b)))
+	}
+	n8 := 0
+	if useAVX2 {
+		if n8 = n &^ 7; n8 > 0 {
+			mulAVX2(&dst[0], &a[0], &b[0], n8)
+		}
+	}
+	mulGo(dst[n8:], a[n8:], b[n8:])
+}
+
+func mulGo(dst, a, b []float32) {
+	for i, v := range a {
+		dst[i] = v * b[i]
 	}
 }
 
-// ScaleInPlace multiplies every element of t by s.
+// ScaleInPlace multiplies every element of t by s, eight to a register on
+// amd64 with AVX2 (scaleAVX2), the rest through scaleGo.
 func (t *Tensor) ScaleInPlace(s float32) {
-	for i := range t.Data {
-		t.Data[i] *= s
+	n8 := 0
+	if useAVX2 {
+		if n8 = len(t.Data) &^ 7; n8 > 0 {
+			scaleAVX2(&t.Data[0], n8, s)
+		}
+	}
+	scaleGo(t.Data[n8:], s)
+}
+
+func scaleGo(x []float32, s float32) {
+	for i := range x {
+		x[i] *= s
 	}
 }
 
@@ -276,12 +309,83 @@ func (t *Tensor) Sum() float64 {
 func (t *Tensor) Mean() float64 { return t.Sum() / float64(len(t.Data)) }
 
 // Norm2 returns the Euclidean (Frobenius) norm of t.
-func (t *Tensor) Norm2() float64 {
-	var s float64
-	for _, v := range t.Data {
+func (t *Tensor) Norm2() float64 { return math.Sqrt(sumSquaresFrom(0, t.Data)) }
+
+// JointNorm returns the Euclidean norm of several tensors' data taken
+// together, as the root of Σ_i Norm2(xs[i])², summed in order — bit for bit
+// that loop over Norm2, with the per-slice sums computed by sumSquares.
+func JointNorm(xs [][]float32) float64 {
+	var buf [64]float64
+	sums := buf[:0]
+	if len(xs) > len(buf) {
+		sums = make([]float64, 0, len(xs))
+	}
+	sums = sums[:len(xs)]
+	sumSquares(sums, xs)
+	var ss float64
+	for _, s := range sums {
+		n := math.Sqrt(s)
+		ss += n * n
+	}
+	return math.Sqrt(ss)
+}
+
+// sumSquares sets sums[i] to xs[i]'s sum of squares, Σ float64(v)², added
+// from 0 in ascending order — the sum Norm2 takes the root of, bit for bit.
+// Each sum is one chain of float64 adds, each waiting on the last, so four
+// lanes run four chains side by side: each lane sums one slice, and when
+// it ends, stores the sum and takes the next slice not yet begun. The
+// fewer than four slices left when the queue runs dry finish one at a time.
+func sumSquares(sums []float64, xs [][]float32) {
+	if len(sums) != len(xs) {
+		panic(fmt.Sprintf("tensor: sumSquares %d sums for %d slices", len(sums), len(xs)))
+	}
+	at := [4]int{-1, -1, -1, -1} // the slice each lane sums, -1 when idle
+	var rest [4][]float32
+	var acc [4]float64
+	next, busy := 0, 0
+	take := func(l int) {
+		if next < len(xs) {
+			at[l], rest[l], acc[l] = next, xs[next], 0
+			next++
+			busy++
+		}
+	}
+	for l := range at {
+		take(l)
+	}
+	for busy == 4 {
+		n := min(len(rest[0]), len(rest[1]), len(rest[2]), len(rest[3]))
+		a, b, c, d := rest[0][:n], rest[1][:n], rest[2][:n], rest[3][:n]
+		s0, s1, s2, s3 := acc[0], acc[1], acc[2], acc[3]
+		for j, v := range a {
+			s0 += float64(v) * float64(v)
+			s1 += float64(b[j]) * float64(b[j])
+			s2 += float64(c[j]) * float64(c[j])
+			s3 += float64(d[j]) * float64(d[j])
+		}
+		acc = [4]float64{s0, s1, s2, s3}
+		for l := range rest {
+			if rest[l] = rest[l][n:]; len(rest[l]) == 0 {
+				sums[at[l]], at[l] = acc[l], -1
+				busy--
+				take(l)
+			}
+		}
+	}
+	for l, i := range at {
+		if i >= 0 {
+			sums[i] = sumSquaresFrom(acc[l], rest[l])
+		}
+	}
+}
+
+// sumSquaresFrom continues a sum of squares s over x in ascending order.
+func sumSquaresFrom(s float64, x []float32) float64 {
+	for _, v := range x {
 		s += float64(v) * float64(v)
 	}
-	return math.Sqrt(s)
+	return s
 }
 
 // Dot returns the inner product of t and o viewed as flat vectors.

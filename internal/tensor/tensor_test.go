@@ -425,3 +425,68 @@ func TestPropSerializationRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSumSquaresMatchesNorm2 holds every lane arrangement of sumSquares —
+// fewer slices than lanes, empty slices, slices that end together or one
+// at a time, and a queue longer than the lanes — to Norm2's sum, bit for
+// bit, with denormals, ±0, ±Inf and NaN among the values.
+func TestSumSquaresMatchesNorm2(t *testing.T) {
+	g := NewRNG(9)
+	for _, lens := range [][]int{{}, {5}, {0, 3}, {7, 7, 7, 7}, {128, 16384, 16384, 16384, 16384, 128, 49152, 49152, 49152},
+		{1, 0, 9, 64, 3, 3, 200, 17, 0, 1}, {40, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}} {
+		xs := make([][]float32, len(lens))
+		for i, n := range lens {
+			xs[i] = make([]float32, n)
+			for j := range xs[i] {
+				xs[i][j] = float32(g.NormFloat64())
+				if g.Intn(50) == 0 {
+					xs[i][j] = []float32{0, float32(math.Copysign(0, -1)), math.Float32frombits(1), float32(math.Inf(-1)), float32(math.NaN())}[g.Intn(5)]
+				}
+			}
+		}
+		sums := make([]float64, len(xs))
+		sumSquares(sums, xs)
+		var ss float64
+		for i, x := range xs {
+			want := (&Tensor{Data: x}).Norm2()
+			if got := math.Sqrt(sums[i]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("lengths %v: slice %d sum %v, Norm2 %v", lens, i, got, want)
+			}
+			ss += want * want
+		}
+		if got, want := JointNorm(xs), math.Sqrt(ss); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("lengths %v: JointNorm %v, the Norm2 loop %v", lens, got, want)
+		}
+	}
+}
+
+// TestRMSNormRowsMatchesRow holds RMSNormRows, whose rows' sums run four
+// side by side, to RMSNormRow row by row, bit for bit, for row counts that
+// leave 0-3 rows after the groups of four, in place and out of place.
+func TestRMSNormRowsMatchesRow(t *testing.T) {
+	g := NewRNG(10)
+	const c = 13
+	gain := g.Normal(1, 0.5, 1, c).Data
+	for rows := 1; rows <= 9; rows++ {
+		x := g.Normal(0, 2, rows, c).Data
+		x[g.Intn(len(x))] = float32(math.NaN())
+		want, wantInv := make([]float32, len(x)), make([]float32, rows)
+		for i := 0; i < rows; i++ {
+			wantInv[i] = RMSNormRow(want[i*c:(i+1)*c], x[i*c:(i+1)*c], gain, 1e-5)
+		}
+		got, inv := make([]float32, len(x)), make([]float32, rows)
+		RMSNormRows(got, x, gain, 1e-5, inv)
+		inPlace := append([]float32(nil), x...)
+		RMSNormRows(inPlace, inPlace, gain, 1e-5, make([]float32, rows))
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) || math.Float32bits(inPlace[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("rows %d element %d: %v (in place %v), RMSNormRow %v", rows, i, got[i], inPlace[i], want[i])
+			}
+		}
+		for i := range inv {
+			if math.Float32bits(inv[i]) != math.Float32bits(wantInv[i]) {
+				t.Fatalf("rows %d: inv[%d] %v, RMSNormRow %v", rows, i, inv[i], wantInv[i])
+			}
+		}
+	}
+}

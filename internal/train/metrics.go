@@ -12,19 +12,19 @@ import (
 // Perplexity converts a mean cross-entropy (nats/token) to perplexity.
 func Perplexity(meanCE float64) float64 { return math.Exp(meanCE) }
 
-// EvalPerplexity measures the model's perplexity over deterministic
-// sequential batches of the corpus. A forward records a tape only over
-// trainable parameters, and the tuning loops leave their models frozen
-// outside a step (DESIGN.md, "One training step"), so evaluation runs
-// tape-free.
+// EvalPerplexity measures the model's final-head perplexity over
+// deterministic sequential batches of the corpus, on one no-grad forward
+// (nn.Forward) for all of them.
 func EvalPerplexity(m *nn.Model, c *data.Corpus, batchSize, seqLen, maxBatches int) float64 {
 	batches, targets := c.SequentialBatches(batchSize, seqLen, maxBatches)
-	return EvalPerplexityWith(func(b [][]int) *ag.Value { return m.Logits(b) }, batches, targets)
+	f := nn.NewForward(m)
+	return EvalPerplexityWith(func(b [][]int) *ag.Value { return ag.Const(f.Logits(b)) }, batches, targets)
 }
 
 // EvalPerplexityWith measures perplexity with a caller-supplied forward
 // function — used to evaluate exit heads and voting ensembles with the same
-// protocol as the final head.
+// protocol as the final head. Each batch's logits are read before the next
+// call, so forward may return its own scratch.
 func EvalPerplexityWith(forward func([][]int) *ag.Value, batches [][][]int, targets [][]int) float64 {
 	var totalCE float64
 	var n int

@@ -19,8 +19,8 @@ import (
 // The span's W = hi-lo+1 blocks split into segments; segment s starts at
 // block lo + s·W/segments. The step
 //
-//  1. freezes m and runs tape-free to block lo and on to every segment
-//     start, keeping only those boundary activations;
+//  1. freezes f's model m and runs tape-free to block lo and on to every
+//     segment start, keeping only those boundary activations;
 //  2. makes exactly mod.Params() trainable;
 //  3. runs the top segment and head taped from its boundary and
 //     backpropagates the loss;
@@ -28,14 +28,16 @@ import (
 //     gradient the segment above left on its input;
 //  5. freezes mod again, so m leaves as frozen as it came in.
 //
-// A segment's input is a constant unless something below it trains: the
-// segment beneath, or at lo = 0 an embedding mod holds, which then re-runs
-// taped with the bottom segment. With an arena on, each segment's graph goes
+// Step 1 is f's no-grad forward: the top segment's input is f's residual,
+// the lower ones copies. A segment's input is a constant unless something
+// below it trains: the segment beneath, or at lo = 0 an embedding mod holds,
+// which then re-runs taped with the bottom segment. With an arena on, each segment's graph goes
 // back to the pool as soon as it is consumed, so the live tape never spans
 // more than one segment. Gradients and loss equal one full backward pass's
 // bit for bit: each boundary's gradient is accumulated in the order the full
 // graph would accumulate it, and the segments' parameter sets are disjoint.
-func SegmentedBackward(m *nn.Model, inputs [][]int, lo, hi, segments int, head func(*ag.Value) *ag.Value, mod nn.Module) float64 {
+func SegmentedBackward(f *nn.Forward, inputs [][]int, lo, hi, segments int, head func(*ag.Value) *ag.Value, mod nn.Module) float64 {
+	m := f.Model()
 	w := hi - lo + 1
 	if lo < 0 || hi >= len(m.Blocks) || w < 1 {
 		panic(fmt.Sprintf("train: block span [%d,%d] out of [0,%d)", lo, hi, len(m.Blocks)))
@@ -53,11 +55,12 @@ func SegmentedBackward(m *nn.Model, inputs [][]int, lo, hi, segments int, head f
 	}
 
 	m.SetAllTrainable(false)
-	x := m.HiddenAt(inputs, lo)
-	bounds := []*tensor.Tensor{x.Data}
-	for s := 1; s < segments; s++ {
-		x = forward(x, s-1)
-		bounds = append(bounds, x.Data)
+	f.Embed(inputs)
+	bounds := make([]*tensor.Tensor, segments)
+	for s := range bounds {
+		if bounds[s] = f.RunTo(start(s)); s < segments-1 {
+			bounds[s] = bounds[s].Clone()
+		}
 	}
 
 	nn.SetTrainable(mod, true)

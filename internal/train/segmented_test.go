@@ -21,7 +21,7 @@ func checkpointedStep(m *nn.Model, inputs [][]int, targets []int, segments int) 
 	head := func(h *ag.Value) *ag.Value {
 		return ag.CrossEntropy(m.LMHead.Forward(m.Norm.Forward(h)), targets, -1)
 	}
-	return SegmentedBackward(m, inputs, 0, len(m.Blocks)-1, segments, head, m)
+	return SegmentedBackward(nn.NewForward(m), inputs, 0, len(m.Blocks)-1, segments, head, m)
 }
 
 // TestCheckpointedStepMatchesFullBackprop is the differential reference for
@@ -100,7 +100,7 @@ func TestCheckpointedStepValidation(t *testing.T) {
 					t.Fatalf("span [%d,%d] in %d segments must panic", c.lo, c.hi, c.segments)
 				}
 			}()
-			SegmentedBackward(m, [][]int{{1}}, c.lo, c.hi, c.segments, func(h *ag.Value) *ag.Value { return h }, m)
+			SegmentedBackward(nn.NewForward(m), [][]int{{1}}, c.lo, c.hi, c.segments, func(h *ag.Value) *ag.Value { return h }, m)
 		}()
 	}
 }

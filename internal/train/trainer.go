@@ -9,6 +9,7 @@ import (
 	ag "edgellm/internal/autograd"
 	"edgellm/internal/nn"
 	"edgellm/internal/obsv"
+	"edgellm/internal/tensor"
 )
 
 // DefaultMaxBadSteps is the consecutive non-finite-step budget NewTrainer
@@ -230,15 +231,15 @@ func clipToNorm(params []nn.NamedParam, norm, maxNorm float64) bool {
 	return true
 }
 
-// globalNorm returns the joint L2 norm of all parameter gradients.
+// globalNorm returns the joint L2 norm of all parameter gradients
+// (tensor.JointNorm).
 func globalNorm(params []nn.NamedParam) float64 {
-	var ss float64
+	var buf [64][]float32
+	grads := buf[:0]
 	for _, p := range params {
-		if p.Value.Grad == nil {
-			continue
+		if p.Value.Grad != nil {
+			grads = append(grads, p.Value.Grad.Data)
 		}
-		n := p.Value.Grad.Norm2()
-		ss += n * n
 	}
-	return math.Sqrt(ss)
+	return tensor.JointNorm(grads)
 }

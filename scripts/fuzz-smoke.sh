@@ -17,7 +17,11 @@
 # tile kernel and the AVX2 sweep; the two kernels over the vector exp
 # (FuzzSigmoid: SiLU, SiLUMul, SiLUGrad; FuzzExpShift: dst and the in-order sum, in place too)
 # get lengths, alignments, input scales, m and special values, each held to
-# its math.Exp loop; and the one-pass
+# its math.Exp loop; the no-grad forward (FuzzForwardMatchesAutograd) gets
+# weights, batch sizes 1-4, sequence lengths 1, 7, 8, 31 and 32, a starting
+# block, tied or untied exits and block inputs holding ±0, denormals and NaN,
+# every hidden state and head held to the autograd forward bit for bit on
+# NaN-poisoned scratch; and the one-pass
 # sampler (FuzzSampleLogits) gets rows full of ties, NaN, ±Inf, extreme
 # temperatures and every K, held to the selection-sort reference on the token
 # and on the RNG state it leaves. A crasher is
