@@ -6,8 +6,8 @@
 //	train        adapt a model with the Edge-LLM pipeline, save a checkpoint
 //	generate     sample from a saved checkpoint with KV-cached decoding
 //	serve        multi-tenant HTTP inference server with admission control,
-//	             deadlines, graceful drain, request tracing, SLO burn-rate
-//	             tracking, a JSONL access log, and a chaos fault seam
+//	             deadlines, graceful drain, request tracing, SLO attainment
+//	             on /statusz, a JSONL access log, and a chaos fault seam
 //	telemetry    summarise or diff JSONL metric files from -metrics runs;
 //	             serve-report analyses a serving access log
 //
@@ -77,7 +77,7 @@ subcommands:
   train         adapt a model with the Edge-LLM pipeline and save a checkpoint
   generate      sample tokens from a saved checkpoint (KV-cached decoding)
   serve         multi-tenant HTTP inference server (admission control, deadlines, drain,
-                -fault chaos, -trace timelines, -slo burn rates, -access-log JSONL)
+                -fault chaos, -trace timelines, -slo attainment, -access-log JSONL)
   telemetry     summarise one JSONL metrics file, diff two (A-vs-B regression delta),
                 or analyse a serving access log (serve-report [-slo] [-strict])`)
 }

@@ -49,16 +49,34 @@ func cmdServe(args []string) (err error) {
 	bitsSpec := fs.String("bits", "", `pack block weights and decode through the fused kernels: "2".."8" (one width for every layer) or "luc@<avg-bits>" (per-layer LUC assignment under an average-bit budget, e.g. luc@3.5); empty runs float32`)
 	faultSpec := fs.String("fault", "", `chaos seam: comma-separated mode=ID pairs over request ids, modes fail|panic|cancel|stall (e.g. "panic=R3,cancel=R7")`)
 	accessLogPath := fs.String("access-log", "", "append one JSONL record per request to this file (analysable offline with `edgellm telemetry serve-report`)")
-	sloSpec := fs.String("slo", "", `SLO objectives, comma-separated (e.g. "p99_ttft_ms=500,availability=0.999"); burn rates surface on /statusz, /metrics, and serve.slo_* — reported, never enforced`)
-	sloInterval := fs.Duration("slo-interval", 5*time.Second, "SLO burn-rate sampling interval")
+	sloSpec := fs.String("slo", "", `SLO objectives, comma-separated (e.g. "p99_ttft_ms=500,availability=0.999"); their cumulative attainment is read on each /statusz request — reported, never enforced`)
 	sinks := obsvFlags(fs, "serve")
 	fs.Parse(args)
-	if *slots < 1 {
+	switch {
+	case *slots < 1:
 		return fmt.Errorf("serve: -slots must be at least 1, got %d", *slots)
+	case *maxAdapters < 1:
+		return fmt.Errorf("serve: -max-adapters must be at least 1, got %d", *maxAdapters)
+	case *queue < 0:
+		return fmt.Errorf("serve: -queue must not be negative, got %d", *queue)
+	case *tenantSlots < 0:
+		return fmt.Errorf("serve: -tenant-slots must not be negative, got %d", *tenantSlots)
+	case *deadline < 0:
+		return fmt.Errorf("serve: -deadline must not be negative, got %s", *deadline)
+	case *stallTimeout < 0:
+		return fmt.Errorf("serve: -stall-timeout must not be negative, got %s", *stallTimeout)
+	case *drainTimeout < 0:
+		return fmt.Errorf("serve: -drain-timeout must not be negative, got %s", *drainTimeout)
 	}
 	kvBudget, err := parseMemBudget(*memBudget, false)
 	if err != nil {
 		return err
+	}
+	var slo []obsv.SLOObjective
+	if *sloSpec != "" {
+		if slo, err = obsv.ParseSLOSpec(*sloSpec); err != nil {
+			return fmt.Errorf("serve: %w", err)
+		}
 	}
 
 	var m *nn.Model
@@ -109,6 +127,7 @@ func cmdServe(args []string) (err error) {
 		DefaultDeadline: *deadline,
 		StallTimeout:    *stallTimeout,
 		DrainTimeout:    *drainTimeout,
+		SLO:             slo,
 	}
 	if kvBudget > 0 {
 		cfg.Budget = govern.Budget{MemoryBytes: kvBudget}
@@ -143,18 +162,8 @@ func cmdServe(args []string) (err error) {
 		}, &err)
 		fmt.Fprintf(os.Stderr, "serve: access log %s\n", *accessLogPath)
 	}
-	var slo *obsv.SLOTracker
-	if *sloSpec != "" {
-		objs, err := obsv.ParseSLOSpec(*sloSpec)
-		if err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-		slo = obsv.NewSLOTracker(rec, objs, obsv.DefaultSLOWindows)
-		cfg.SLO = slo
-		slo.Start(*sloInterval)
-		for _, o := range objs {
-			fmt.Fprintf(os.Stderr, "serve: tracking SLO %s\n", o.Name)
-		}
+	for _, o := range cfg.SLO {
+		fmt.Fprintf(os.Stderr, "serve: reporting SLO %s on /statusz\n", o.Name)
 	}
 
 	pool := tensor.NewPool()
@@ -196,7 +205,6 @@ func cmdServe(args []string) (err error) {
 	shutCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout+5*time.Second)
 	defer cancel()
 	httpSrv.Shutdown(shutCtx)
-	slo.Stop() // final burn-rate sample; nil-safe
 	if drainErr != nil {
 		return fmt.Errorf("serve: drain: %w", drainErr)
 	}

@@ -13,15 +13,16 @@ import (
 
 // cmdServeReport analyses a serving access log (`serve -access-log`): it
 // replays the JSONL records into a fresh recorder and prints a per-tenant
-// latency report plus, with -slo, offline SLO attainment against the same
-// objective grammar the live tracker uses. -strict turns data-quality
-// problems (malformed lines, duplicate request IDs) into a non-zero exit,
-// which is how CI validates a chaos soak's log.
+// latency report plus, with -slo, offline SLO attainment through the same
+// grammar and the same obsv.SLOObjective.Status that serve -slo reports on
+// /statusz. -strict turns data-quality problems (malformed lines, duplicate
+// request IDs) and violated objectives into a non-zero exit, which is how
+// CI validates a chaos soak's log.
 func cmdServeReport(args []string) error {
 	fs := flag.NewFlagSet("telemetry serve-report", flag.ExitOnError)
 	markdown := fs.Bool("markdown", false, "emit markdown tables")
 	sloSpec := fs.String("slo", "", `offline SLO attainment, same grammar as serve -slo (e.g. "p99_ttft_ms=500,availability=0.999")`)
-	strict := fs.Bool("strict", false, "fail on malformed lines or duplicate request IDs instead of warning")
+	strict := fs.Bool("strict", false, "fail on malformed lines or duplicate request IDs instead of warning, and on a violated -slo objective")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: edgellm telemetry serve-report [-slo spec] [-strict] [-markdown] <access.jsonl>")
 		fs.PrintDefaults()
@@ -142,29 +143,18 @@ func cmdServeReport(args []string) error {
 			ID:     "SERVE-SLO",
 			Title:  "SLO attainment (whole log)",
 			Header: []string{"Objective", "Target", "Attained", "Bad", "Total", "Budget used", "Verdict"},
-			Notes:  "attainment over the full log; the live tracker reports windowed burn rates of the same objectives",
+			Notes:  "attainment over the full log; serve -slo reports the same objectives, cumulative, on /statusz",
 		}
 		violated := 0
 		for _, o := range objs {
-			bad, total := o.Counts(rec)
-			target := o.Target
-			if o.Kind == obsv.SLOLatency {
-				target = o.Quantile
-			}
-			attained, used := 1.0, 0.0
-			if total > 0 {
-				attained = 1 - float64(bad)/float64(total)
-				if o.Budget > 0 {
-					used = (float64(bad) / float64(total)) / o.Budget
-				}
-			}
+			st := o.Status(rec)
 			verdict := "ok"
-			if attained < target {
+			if !st.Met {
 				verdict = "VIOLATED"
 				violated++
 			}
-			srep.AddRow(o.Name, fmt.Sprintf("%.4g", target), fmt.Sprintf("%.4g", attained),
-				fmt.Sprintf("%d", bad), fmt.Sprintf("%d", total), fmt.Sprintf("%.0f%%", 100*used), verdict)
+			srep.AddRow(o.Name, fmt.Sprintf("%.4g", st.Target), fmt.Sprintf("%.4g", st.Attained),
+				fmt.Sprintf("%d", st.Bad), fmt.Sprintf("%d", st.Total), fmt.Sprintf("%.0f%%", 100*st.BudgetUsed), verdict)
 		}
 		printReport(srep, *markdown)
 		if violated > 0 && *strict {

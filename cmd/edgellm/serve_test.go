@@ -50,15 +50,25 @@ func TestServeRejectsBadMemBudget(t *testing.T) {
 	}
 }
 
-// TestServeRejectsNonPositiveSlots: -slots below 1 is a flag error before
-// a model, telemetry or the SLO tracker is built, not a panic in the batch
-// decoder. (The address cannot be listened on, so a wrongly accepted value
-// cannot leave the test serving.)
+// TestServeRejectsNonPositiveSlots: a -slots or -max-adapters below 1, and a
+// negative -queue, -tenant-slots, -deadline, -stall-timeout or
+// -drain-timeout, is a flag error that names the flag, returned before a
+// model or telemetry is built — not a panic in the batch decoder, nor a
+// value silently clamped or read as "off". (The address cannot be listened
+// on, so a wrongly accepted value cannot leave the test serving.)
 func TestServeRejectsNonPositiveSlots(t *testing.T) {
-	for _, v := range []string{"0", "-2"} {
-		err := cmdServe([]string{"-addr", "no-port", "-slots", v})
-		if err == nil || !strings.Contains(err.Error(), "-slots") {
-			t.Errorf("serve -slots %s: error %v, want a -slots flag error", v, err)
+	for _, tc := range []struct{ flag, v string }{
+		{"-slots", "0"}, {"-slots", "-2"},
+		{"-max-adapters", "0"}, {"-max-adapters", "-1"},
+		{"-queue", "-1"},
+		{"-tenant-slots", "-1"},
+		{"-deadline", "-1s"},
+		{"-stall-timeout", "-1ms"},
+		{"-drain-timeout", "-5s"},
+	} {
+		err := cmdServe([]string{"-addr", "no-port", tc.flag, tc.v})
+		if err == nil || !strings.Contains(err.Error(), "serve: "+tc.flag+" ") {
+			t.Errorf("serve %s %s: error %v, want a %s flag error", tc.flag, tc.v, err, tc.flag)
 		}
 	}
 }

@@ -32,7 +32,7 @@ func AblationProbeMetric(ctx context.Context, pretrainIters, evalBatches int) *R
 	const budget = 1.0 // harsh enough for the probes to disagree
 	evalPPL := func(m *nn.Model) float64 {
 		batches, targets := task.SourceEvalTail(cfg.Batch, cfg.Seq, evalBatches)
-		return train.EvalPerplexityWith(m.Logits, batches, targets)
+		return train.EvalModelPerplexity(m, batches, targets)
 	}
 
 	r := &Report{
@@ -148,7 +148,7 @@ func AblationVotingMode(ctx context.Context, iters, evalBatches int) *Report {
 		Header: []string{"Inference", "PPL↓"},
 		Notes:  "calibrated voting is the paper's adaptive combination; final-head-only discards the tuned exits",
 	}
-	final := train.EvalPerplexityWith(p.Model.Logits, batches, targets)
+	final := train.EvalModelPerplexity(p.Model, batches, targets)
 	r.AddRow("final head only", fmt.Sprintf("%.3f", final))
 	for _, mode := range []adapt.VotingMode{adapt.VoteUniform, adapt.VoteConfidence, adapt.VoteCalibrated} {
 		v := adapt.NewVoter(exits, mode)
@@ -210,7 +210,7 @@ func AblationRefine(ctx context.Context, pretrainIters, evalBatches int) *Report
 	cands := luc.DefaultCandidates()
 	evalSource := func(m *nn.Model) float64 {
 		batches, targets := task.SourceEvalTail(cfg.Batch, cfg.Seq, evalBatches)
-		return train.EvalPerplexityWith(m.Logits, batches, targets)
+		return train.EvalModelPerplexity(m, batches, targets)
 	}
 
 	r := &Report{

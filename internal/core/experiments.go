@@ -90,11 +90,11 @@ func ExperimentT2(ctx context.Context, tuneIters, evalBatches int) *Report {
 
 	evalPPL := func(m *nn.Model) float64 {
 		batches, targets := task.EvalTail(cfg.Batch, cfg.Seq, evalBatches)
-		return train.EvalPerplexityWith(m.Logits, batches, targets)
+		return train.EvalModelPerplexity(m, batches, targets)
 	}
 	evalSourcePPL := func(m *nn.Model) float64 {
 		batches, targets := task.SourceEvalTail(cfg.Batch, cfg.Seq, evalBatches)
-		return train.EvalPerplexityWith(m.Logits, batches, targets)
+		return train.EvalModelPerplexity(m, batches, targets)
 	}
 
 	type policyCase struct {
@@ -327,7 +327,7 @@ func ExperimentF2(ctx context.Context, iters, evalBatches int) *Report {
 			func(p *Pipeline) { p.Tune(task.Train, iters) })
 
 		batches, targets := task.EvalTail(c.Batch, c.Seq, evalBatches)
-		final := train.EvalPerplexityWith(p.Model.Logits, batches, targets)
+		final := train.EvalModelPerplexity(p.Model, batches, targets)
 		voted := train.EvalPerplexityWith(p.Forward, batches, targets)
 
 		rows[wi] = []string{fmt.Sprintf("%d/%d", w, c.Model.Layers),

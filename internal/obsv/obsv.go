@@ -476,7 +476,7 @@ func (s Span) endAt(dur time.Duration, fields map[string]float64) {
 }
 
 // CounterTotal sums the named counter across every label variant (the bare
-// series plus all name{k=v,...} series). The SLO tracker and CLI summaries
+// series plus all name{k=v,...} series). SLO objectives and CLI summaries
 // use it to treat per-tenant counters as one aggregate stream.
 func (r *Recorder) CounterTotal(name string) int64 {
 	if r == nil {
@@ -499,7 +499,7 @@ func (r *Recorder) CounterTotal(name string) int64 {
 // counts as "above" only when it landed in a bucket strictly above the
 // bucket containing threshold, so the answer is exact up to the histogram's
 // ±~33% bucket width (samples sharing the threshold's bucket count as
-// within-objective). This is the raw material for SLO burn rates.
+// within-objective). This is what a latency SLO objective counts.
 func (r *Recorder) DistCountsAbove(name string, threshold float64) (above, total int64) {
 	if r == nil {
 		return 0, 0

@@ -2,27 +2,24 @@ package obsv
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 )
 
-// SLO tracking: multi-window burn rates computed from the metric registry.
+// SLO objectives, read from the metric registry when asked.
 //
 // An objective is either a latency quantile bound ("p99_ttft_ms=200": the
 // 99th percentile of serve.ttft_ms must stay under 200ms) or an
 // availability target ("availability=0.999"). Each objective has an error
 // budget — the fraction of requests allowed to violate it (1−quantile for
-// latency, 1−target for availability). The tracker periodically snapshots
-// cumulative (bad, total) counts from the log-histogram dists / counters
-// and reports, per window, the burn rate: the fraction of requests that
-// violated the objective divided by the budget. Burn 1.0 means the budget
-// is being consumed exactly at the sustainable rate; >1 means it will be
-// exhausted early (Google SRE multi-window burn-rate alerting). Alerts are
-// *reported* — gauges, counters, /statusz — never enforced: the serving
-// path must not shed load because an SLO is burning.
+// latency, 1−target for availability). Status reads an objective's
+// cumulative (bad, total) counts from a recorder and judges them; nothing
+// samples in the background. Windows (burn over the last 5 minutes, say)
+// are a scraper's job: it differences these cumulative counts, or the
+// serve.errors / serve.requests counters, at its own interval. Objectives
+// are *reported* — on /statusz and by `edgellm telemetry serve-report` —
+// never enforced: the serving path must not shed load because an SLO is
+// burning.
 
 // SLOKind distinguishes latency-quantile objectives from availability
 // objectives.
@@ -56,8 +53,7 @@ type SLOObjective struct {
 
 // Counts reads o's cumulative (bad, total) from r: requests over the
 // latency bound out of the dist's count, or the bad counter out of the
-// total counter. The live tracker and the offline serve-report both count
-// through it.
+// total counter. Status counts through it.
 func (o SLOObjective) Counts(r *Recorder) (bad, total int64) {
 	switch o.Kind {
 	case SLOLatency:
@@ -147,232 +143,38 @@ func pow10(n int) float64 {
 	return p
 }
 
-// DefaultSLOWindows are the burn-rate windows sampled when none are given:
-// a fast window that reacts within minutes and a slow one that filters
-// blips (the classic multi-window pair).
-var DefaultSLOWindows = []time.Duration{5 * time.Minute, time.Hour}
-
-// SLOWindowBurn is one window's burn rate for an objective.
-type SLOWindowBurn struct {
-	Window  string  `json:"window"`
-	Burn    float64 `json:"burn"`
-	Bad     int64   `json:"bad"`
-	Total   int64   `json:"total"`
-	Clipped bool    `json:"clipped,omitempty"` // history shorter than window
-}
-
-// SLOStatus is the point-in-time state of one objective, rendered on
-// /statusz and by `edgellm telemetry serve-report`.
+// SLOStatus is the cumulative state of one objective, rendered on /statusz
+// and by `edgellm telemetry serve-report`.
 type SLOStatus struct {
-	Objective string          `json:"objective"`
-	Threshold float64         `json:"threshold,omitempty"` // latency bound (ms)
-	Target    float64         `json:"target,omitempty"`    // availability target
-	Budget    float64         `json:"budget"`
-	Bad       int64           `json:"bad"`   // cumulative violations
-	Total     int64           `json:"total"` // cumulative requests
-	Windows   []SLOWindowBurn `json:"windows"`
-	Burning   bool            `json:"burning"` // every window burning > 1
+	Objective  string  `json:"objective"`
+	Target     float64 `json:"target"`              // the quantile (latency) or the target (availability)
+	Threshold  float64 `json:"threshold,omitempty"` // latency bound (ms)
+	Budget     float64 `json:"budget"`
+	Bad        int64   `json:"bad"`   // cumulative violations
+	Total      int64   `json:"total"` // cumulative requests
+	Attained   float64 `json:"attained"`
+	BudgetUsed float64 `json:"budget_used"` // bad fraction over budget: 1 spends it exactly
+	Met        bool    `json:"met"`
 }
 
-// sloSample is one timestamped snapshot of per-objective cumulative counts.
-type sloSample struct {
-	t          time.Time
-	bad, total []int64 // indexed by objective
-}
-
-// SLOTracker samples cumulative violation counts for a set of objectives
-// and maintains per-window burn-rate gauges:
-//
-//	serve.slo_burn_rate{objective=..., window=...}   gauge
-//	serve.slo_burning{objective=...}                 gauge (0/1, all windows)
-//	serve.slo_alerts{objective=...}                  counter (transitions)
-//
-// Construct with NewSLOTracker, then either drive Sample() manually (tests)
-// or Start() a background sampler. Safe for concurrent use.
-type SLOTracker struct {
-	r       *Recorder
-	objs    []SLOObjective
-	windows []time.Duration
-	now     func() time.Time
-
-	mu      sync.Mutex
-	history []sloSample
-	burning []bool
-	status  []SLOStatus
-
-	stop chan struct{}
-	done chan struct{}
-}
-
-// NewSLOTracker builds a tracker reading from r. A nil windows slice uses
-// DefaultSLOWindows. The tracker holds history for the longest window.
-func NewSLOTracker(r *Recorder, objs []SLOObjective, windows []time.Duration) *SLOTracker {
-	if len(windows) == 0 {
-		windows = DefaultSLOWindows
+// Status reads o's cumulative counts from r and judges them. Zero traffic
+// has attained 1 with no budget used; attained below the target is a
+// violation, and attained exactly at it is met.
+func (o SLOObjective) Status(r *Recorder) SLOStatus {
+	bad, total := o.Counts(r)
+	st := SLOStatus{
+		Objective: o.Name, Target: o.Target, Threshold: o.Threshold,
+		Budget: o.Budget, Bad: bad, Total: total, Attained: 1,
 	}
-	windows = append([]time.Duration(nil), windows...)
-	sort.Slice(windows, func(i, j int) bool { return windows[i] < windows[j] })
-	return &SLOTracker{
-		r:       r,
-		objs:    append([]SLOObjective(nil), objs...),
-		windows: windows,
-		now:     time.Now,
-		burning: make([]bool, len(objs)),
+	if o.Kind == SLOLatency {
+		st.Target = o.Quantile
 	}
-}
-
-// Sample takes one snapshot and recomputes every burn-rate gauge. It is
-// deterministic given the registry state and the injected clock, which is
-// how the tests drive it.
-func (t *SLOTracker) Sample() {
-	if t == nil || t.r == nil {
-		return
-	}
-	now := t.now()
-	s := sloSample{t: now, bad: make([]int64, len(t.objs)), total: make([]int64, len(t.objs))}
-	for i, o := range t.objs {
-		s.bad[i], s.total[i] = o.Counts(t.r)
-	}
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.history = append(t.history, s)
-	t.pruneLocked(now)
-
-	status := make([]SLOStatus, len(t.objs))
-	for i, o := range t.objs {
-		st := SLOStatus{
-			Objective: o.Name,
-			Threshold: o.Threshold,
-			Target:    o.Target,
-			Budget:    o.Budget,
-			Bad:       s.bad[i],
-			Total:     s.total[i],
+	if total > 0 {
+		st.Attained = 1 - float64(bad)/float64(total)
+		if o.Budget > 0 {
+			st.BudgetUsed = (float64(bad) / float64(total)) / o.Budget
 		}
-		allBurning := true
-		for _, w := range t.windows {
-			wb := t.windowBurnLocked(i, o, s, w)
-			st.Windows = append(st.Windows, wb)
-			if !(wb.Burn > 1) {
-				allBurning = false
-			}
-			t.r.SetGauge("serve.slo_burn_rate", wb.Burn,
-				L("objective", o.Name), L("window", wb.Window))
-		}
-		st.Burning = allBurning
-		if allBurning && !t.burning[i] {
-			t.r.Add("serve.slo_alerts", 1, L("objective", o.Name))
-		}
-		t.burning[i] = allBurning
-		if allBurning {
-			t.r.SetGauge("serve.slo_burning", 1, L("objective", o.Name))
-		} else {
-			t.r.SetGauge("serve.slo_burning", 0, L("objective", o.Name))
-		}
-		status[i] = st
 	}
-	t.status = status
-}
-
-// windowBurnLocked computes the burn rate of objective i over window w,
-// ending at the newest sample s. When history is shorter than the window
-// the whole history is used and the result is marked Clipped — this keeps
-// gauges live from the first sample instead of staying blank for an hour.
-func (t *SLOTracker) windowBurnLocked(i int, o SLOObjective, s sloSample, w time.Duration) SLOWindowBurn {
-	cut := s.t.Add(-w)
-	// Base is the newest sample at or before the window edge; history is
-	// ascending in time. If every sample is inside the window, the history
-	// is shorter than the window — use the oldest and mark the burn clipped.
-	base := t.history[0]
-	clipped := base.t.After(cut)
-	for _, h := range t.history {
-		if h.t.After(cut) {
-			break
-		}
-		base = h
-	}
-	bad := s.bad[i] - base.bad[i]
-	total := s.total[i] - base.total[i]
-	wb := SLOWindowBurn{Window: windowLabel(w), Bad: bad, Total: total, Clipped: clipped}
-	if total > 0 && o.Budget > 0 {
-		wb.Burn = (float64(bad) / float64(total)) / o.Budget
-	}
-	return wb
-}
-
-// pruneLocked drops samples older than the longest window, always keeping
-// one sample beyond the edge as the subtraction base.
-func (t *SLOTracker) pruneLocked(now time.Time) {
-	cut := now.Add(-t.windows[len(t.windows)-1])
-	keep := 0
-	for keep < len(t.history)-1 && t.history[keep+1].t.Before(cut) {
-		keep++
-	}
-	if keep > 0 {
-		t.history = append(t.history[:0], t.history[keep:]...)
-	}
-}
-
-// Status returns the per-objective state computed by the latest Sample.
-func (t *SLOTracker) Status() []SLOStatus {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]SLOStatus, len(t.status))
-	copy(out, t.status)
-	return out
-}
-
-// Start launches a background goroutine sampling every interval (clamped
-// up to 1s). It samples once immediately so gauges exist before the first
-// tick. Stop halts it.
-func (t *SLOTracker) Start(interval time.Duration) {
-	if t == nil {
-		return
-	}
-	if interval < time.Second {
-		interval = time.Second
-	}
-	t.stop = make(chan struct{})
-	t.done = make(chan struct{})
-	t.Sample()
-	go func() {
-		defer close(t.done)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-t.stop:
-				return
-			case <-tick.C:
-				t.Sample()
-			}
-		}
-	}()
-}
-
-// Stop halts the background sampler started by Start and takes a final
-// sample so the last burn-rate state is current.
-func (t *SLOTracker) Stop() {
-	if t == nil || t.stop == nil {
-		return
-	}
-	close(t.stop)
-	<-t.done
-	t.stop = nil
-	t.Sample()
-}
-
-// windowLabel renders a window duration compactly ("5m", "1h", "90s").
-func windowLabel(w time.Duration) string {
-	switch {
-	case w%time.Hour == 0:
-		return strconv.Itoa(int(w/time.Hour)) + "h"
-	case w%time.Minute == 0:
-		return strconv.Itoa(int(w/time.Minute)) + "m"
-	default:
-		return strconv.Itoa(int(w/time.Second)) + "s"
-	}
+	st.Met = st.Attained >= st.Target
+	return st
 }

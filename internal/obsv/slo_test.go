@@ -1,6 +1,7 @@
 package obsv
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -92,157 +93,84 @@ func TestCounterTotalSumsLabelVariants(t *testing.T) {
 	}
 }
 
-// fakeClock drives an SLOTracker deterministically.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-
-// newTestTracker wires a tracker to a fake clock.
-func newTestTracker(r *Recorder, objs []SLOObjective, windows []time.Duration) (*SLOTracker, *fakeClock) {
-	clk := &fakeClock{t: time.Unix(5000, 0)}
-	tr := NewSLOTracker(r, objs, windows)
-	tr.now = clk.now
-	return tr, clk
-}
-
-func TestSLOTrackerBurnRates(t *testing.T) {
-	r := New()
-	objs, err := ParseSLOSpec("p99_ttft_ms=100,availability=0.99")
-	if err != nil {
-		t.Fatal(err)
+// TestSLOObjectiveStatus: Status reads an objective's cumulative counts
+// from a recorder and judges them as serve-report does: zero traffic is
+// attained 1 with no budget used, attained exactly at the target is met,
+// and a latency dist split by label is summed as DistCountsAbove sums it.
+func TestSLOObjectiveStatus(t *testing.T) {
+	for _, tc := range []struct {
+		name, spec string
+		record     func(r *Recorder)
+		want       SLOStatus
+	}{{
+		name: "latency",
+		spec: "p99_ttft_ms=100",
+		record: func(r *Recorder) {
+			for i := 0; i < 190; i++ {
+				r.Observe("serve.ttft_ms", 10)
+			}
+			for i := 0; i < 10; i++ {
+				r.Observe("serve.ttft_ms", 5000)
+			}
+		},
+		want: SLOStatus{Objective: "p99_ttft_ms", Target: 0.99, Threshold: 100, Budget: 0.01,
+			Bad: 10, Total: 200, Attained: 0.95, BudgetUsed: 5, Met: false},
+	}, {
+		name: "availability",
+		spec: "availability=0.99",
+		record: func(r *Recorder) {
+			r.Add("serve.requests", 200)
+			r.Add("serve.errors", 1)
+		},
+		want: SLOStatus{Objective: "availability", Target: 0.99, Budget: 0.01,
+			Bad: 1, Total: 200, Attained: 0.995, BudgetUsed: 0.5, Met: true},
+	}, {
+		name:   "zero traffic",
+		spec:   "p99_ttft_ms=100",
+		record: func(r *Recorder) { r.Observe("serve.other_ms", 5000) },
+		want: SLOStatus{Objective: "p99_ttft_ms", Target: 0.99, Threshold: 100, Budget: 0.01,
+			Attained: 1, Met: true},
+	}, {
+		name: "attained equals target",
+		spec: "p99_ttft_ms=100",
+		record: func(r *Recorder) {
+			for i := 0; i < 99; i++ {
+				r.Observe("serve.ttft_ms", 10)
+			}
+			r.Observe("serve.ttft_ms", 5000)
+		},
+		want: SLOStatus{Objective: "p99_ttft_ms", Target: 0.99, Threshold: 100, Budget: 0.01,
+			Bad: 1, Total: 100, Attained: 0.99, BudgetUsed: 1, Met: true},
+	}, {
+		name: "label-split dist",
+		spec: "p75_ttft_ms=200",
+		record: func(r *Recorder) {
+			r.Observe("serve.ttft_ms", 10, L("tenant", "a"))
+			r.Observe("serve.ttft_ms", 500, L("tenant", "a"))
+			r.Observe("serve.ttft_ms", 900, L("tenant", "b"))
+			r.Observe("serve.ttft_ms", 20)
+			r.Observe("serve.other_ms", 5000)
+		},
+		want: SLOStatus{Objective: "p75_ttft_ms", Target: 0.75, Threshold: 200, Budget: 0.25,
+			Bad: 2, Total: 4, Attained: 0.5, BudgetUsed: 2, Met: false},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			objs, err := ParseSLOSpec(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := New()
+			tc.record(r)
+			got := objs[0].Status(r)
+			near := func(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
+			w := tc.want
+			if got.Objective != w.Objective || got.Target != w.Target || got.Threshold != w.Threshold ||
+				!near(got.Budget, w.Budget) || got.Bad != w.Bad || got.Total != w.Total ||
+				got.Attained != w.Attained || !near(got.BudgetUsed, w.BudgetUsed) || got.Met != w.Met {
+				t.Fatalf("Status = %+v, want %+v", got, w)
+			}
+		})
 	}
-	tr, clk := newTestTracker(r, objs, []time.Duration{time.Minute, 10 * time.Minute})
-	tr.Sample() // zero baseline, as Start() would take
-
-	// Healthy minute: 100 requests, all fast, no errors.
-	for i := 0; i < 100; i++ {
-		r.Observe("serve.ttft_ms", 10, L("tenant", "a"))
-		r.Add("serve.requests", 1)
-	}
-	clk.advance(time.Minute)
-	tr.Sample()
-	st := tr.Status()
-	if len(st) != 2 {
-		t.Fatalf("status len = %d, want 2", len(st))
-	}
-	if st[0].Burning || st[1].Burning {
-		t.Fatalf("healthy system reports burning: %+v", st)
-	}
-	if b := st[0].Windows[0].Burn; b != 0 {
-		t.Fatalf("healthy ttft burn = %v, want 0", b)
-	}
-
-	// Bad minute: 100 more requests, 10% slow (10× the p99 budget of 1%),
-	// 5% erroring (5× the availability budget of 1%).
-	for i := 0; i < 90; i++ {
-		r.Observe("serve.ttft_ms", 10)
-		r.Add("serve.requests", 1)
-	}
-	for i := 0; i < 10; i++ {
-		r.Observe("serve.ttft_ms", 5000)
-		r.Add("serve.requests", 1)
-	}
-	r.Add("serve.errors", 10)
-	clk.advance(time.Minute)
-	tr.Sample()
-	st = tr.Status()
-
-	ttft := st[0]
-	fast := ttft.Windows[0] // 1m window: only the bad minute
-	if fast.Burn < 9 || fast.Burn > 11 {
-		t.Fatalf("1m ttft burn = %v, want ≈10", fast.Burn)
-	}
-	slow := ttft.Windows[1] // 10m window: clipped to both minutes → 5% bad
-	if !slow.Clipped {
-		t.Fatalf("10m window should be clipped with 2m of history: %+v", slow)
-	}
-	if slow.Burn < 4 || slow.Burn > 6 {
-		t.Fatalf("10m ttft burn = %v, want ≈5", slow.Burn)
-	}
-	if !ttft.Burning {
-		t.Fatalf("ttft should be burning in all windows: %+v", ttft)
-	}
-
-	// Gauges and the alert transition counter materialised.
-	snap := r.Snapshot()
-	if v, ok := snap.Gauges[`serve.slo_burn_rate{objective=p99_ttft_ms,window=1m}`]; !ok || v < 9 {
-		t.Fatalf("burn gauge missing/low: %v (gauges: %v)", v, snap.Gauges)
-	}
-	if got := snap.Counters[`serve.slo_alerts{objective=p99_ttft_ms}`]; got != 1 {
-		t.Fatalf("alerts = %d, want 1 transition", got)
-	}
-
-	// Recovery: a healthy minute clears the 1m window → not all-burning,
-	// and re-entering burn later increments the alert counter again.
-	for i := 0; i < 100; i++ {
-		r.Observe("serve.ttft_ms", 10)
-		r.Add("serve.requests", 1)
-	}
-	clk.advance(time.Minute)
-	tr.Sample()
-	st = tr.Status()
-	if st[0].Burning {
-		t.Fatalf("ttft still burning after healthy minute: %+v", st[0])
-	}
-	if got := r.Snapshot().Counters[`serve.slo_alerts{objective=p99_ttft_ms}`]; got != 1 {
-		t.Fatalf("alerts = %d, want still 1 (no new transition)", got)
-	}
-}
-
-func TestSLOTrackerZeroTraffic(t *testing.T) {
-	r := New()
-	objs, _ := ParseSLOSpec("p99_ttft_ms=100")
-	tr, clk := newTestTracker(r, objs, nil)
-	tr.Sample()
-	clk.advance(time.Minute)
-	tr.Sample()
-	st := tr.Status()
-	if len(st) != 1 || st[0].Burning {
-		t.Fatalf("zero-traffic status = %+v, want one non-burning objective", st)
-	}
-	for _, w := range st[0].Windows {
-		if w.Burn != 0 {
-			t.Fatalf("zero-traffic burn = %v, want 0", w.Burn)
-		}
-	}
-}
-
-func TestSLOTrackerHistoryPruned(t *testing.T) {
-	r := New()
-	objs, _ := ParseSLOSpec("availability=0.999")
-	tr, clk := newTestTracker(r, objs, []time.Duration{time.Minute})
-	for i := 0; i < 1000; i++ {
-		clk.advance(time.Second)
-		tr.Sample()
-	}
-	tr.mu.Lock()
-	n := len(tr.history)
-	tr.mu.Unlock()
-	// 1m window sampled at 1s ⇒ ~60 in-window samples plus the base.
-	if n > 70 {
-		t.Fatalf("history retained %d samples for a 1m window, want ≤ 70", n)
-	}
-}
-
-func TestSLOTrackerStartStop(t *testing.T) {
-	r := New()
-	objs, _ := ParseSLOSpec("availability=0.999")
-	tr := NewSLOTracker(r, objs, nil)
-	tr.Start(time.Second)
-	// Start samples immediately: gauges must exist before any tick.
-	snap := r.Snapshot()
-	found := false
-	for k := range snap.Gauges {
-		if strings.HasPrefix(k, "serve.slo_burn_rate{") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no burn-rate gauge after Start; gauges: %v", snap.Gauges)
-	}
-	tr.Stop()
-	tr.Stop() // idempotent
 }
 
 func TestSpanTagsStayOutOfRegistry(t *testing.T) {

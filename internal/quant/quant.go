@@ -58,16 +58,8 @@ func (s Scheme) String() string {
 	return out
 }
 
-// FakeQuant returns a new tensor equal to t passed through
-// quantize→dequantize under the scheme. t must be rank 2.
-func (s Scheme) FakeQuant(t *tensor.Tensor) *tensor.Tensor {
-	out := t.Clone()
-	s.fakeQuantInto(out, t, useAVX2)
-	return out
-}
-
-// FakeQuantInPlace overwrites t with its fake-quantized version, FakeQuant's
-// bits without a copy of t.
+// FakeQuantInPlace overwrites t with t passed through quantize→dequantize
+// under the scheme. t must be rank 2.
 func (s Scheme) FakeQuantInPlace(t *tensor.Tensor) { s.fakeQuantInto(t, t, useAVX2) }
 
 // fakeQuantInto writes t's fake-quantized values into out, which has t's

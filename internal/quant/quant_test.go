@@ -42,7 +42,7 @@ func TestFakeQuantNeedsRankTwo(t *testing.T) {
 			t.Fatal("fake-quant of a rank-1 tensor must panic")
 		}
 	}()
-	Scheme{Bits: 4, Symmetric: true, PerChannel: true}.FakeQuant(tensor.New(8))
+	Scheme{Bits: 4, Symmetric: true, PerChannel: true}.FakeQuantInPlace(tensor.New(8))
 }
 
 func TestSchemeString(t *testing.T) {
@@ -61,8 +61,8 @@ func TestFakeQuantIdempotent(t *testing.T) {
 		{Bits: 3, Symmetric: true, PerChannel: true},
 		{Bits: 4, Symmetric: true, PerChannel: true, GroupSize: 4},
 	} {
-		once := s.FakeQuant(w)
-		twice := s.FakeQuant(once)
+		once := fakeQuant(s, w)
+		twice := fakeQuant(s, once)
 		if !tensor.AllClose(once, twice, 1e-6, 1e-6) {
 			t.Fatalf("%v: fake-quant must be idempotent", s)
 		}
@@ -70,7 +70,7 @@ func TestFakeQuantIdempotent(t *testing.T) {
 }
 
 // TestFakeQuantInPlaceMatchesFakeQuant: quantizing a tensor over itself
-// gives FakeQuant's bits, at every width and granularity, on values with
+// gives the bits of quantizing it into a separate tensor, at every width and granularity, on values with
 // ±0, NaN and ±Inf, an all-zero group, a constant group and a partial
 // group at the bottom of each column.
 func TestFakeQuantInPlaceMatchesFakeQuant(t *testing.T) {
@@ -93,12 +93,13 @@ func TestFakeQuantInPlaceMatchesFakeQuant(t *testing.T) {
 			{Bits: bits, Symmetric: true, PerChannel: true, GroupSize: 4},
 		} {
 			for _, in := range []*tensor.Tensor{w, wide} {
-				want := s.FakeQuant(in)
+				want := tensor.New(in.Shape...)
+				s.fakeQuantInto(want, in, useAVX2)
 				got := in.Clone()
 				s.FakeQuantInPlace(got)
 				for i := range want.Data {
 					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-						t.Fatalf("%v shape %v: element %d (%v) in place %v, FakeQuant %v",
+						t.Fatalf("%v shape %v: element %d (%v) in place %v, out of place %v",
 							s, in.Shape, i, in.Data[i], got.Data[i], want.Data[i])
 					}
 				}
@@ -121,7 +122,7 @@ func TestFakeQuantPreservesZeros(t *testing.T) {
 		{Bits: 4, Symmetric: true, PerChannel: true, GroupSize: 5},
 		{Bits: 8, Symmetric: true, PerChannel: true, GroupSize: 4},
 	} {
-		q := s.FakeQuant(w)
+		q := fakeQuant(s, w)
 		for i := 0; i < len(w.Data); i += 3 {
 			if q.Data[i] != 0 {
 				t.Fatalf("%v: zero became %v", s, q.Data[i])
@@ -136,7 +137,7 @@ func TestFakeQuantBoundedError(t *testing.T) {
 	g := tensor.NewRNG(3)
 	w := g.Uniform(-2, 2, 20, 10)
 	s := Scheme{Bits: 8, Symmetric: true, PerChannel: true}
-	q := s.FakeQuant(w)
+	q := fakeQuant(s, w)
 	qmax := 127.0
 	for c := 0; c < w.Cols(); c++ {
 		var absMax float64
@@ -157,7 +158,7 @@ func TestMoreBitsLessError(t *testing.T) {
 	w := g.Normal(0, 1, 64, 64)
 	prev := math.Inf(1)
 	for _, bits := range []int{2, 3, 4, 6, 8} {
-		e := tensor.MSE(Scheme{Bits: bits, Symmetric: true, PerChannel: true}.FakeQuant(w), w)
+		e := tensor.MSE(fakeQuant(Scheme{Bits: bits, Symmetric: true, PerChannel: true}, w), w)
 		if e >= prev {
 			t.Fatalf("error must fall with bits: int%d %.6g ≥ %.6g", bits, e, prev)
 		}
@@ -172,8 +173,8 @@ func TestGroupedBeatsPerChannelOnOutliers(t *testing.T) {
 	for c := 0; c < 4; c++ {
 		w.Set(0, c, 50)
 	}
-	pc := tensor.MSE(Scheme{Bits: 4, Symmetric: true, PerChannel: true}.FakeQuant(w), w)
-	gr := tensor.MSE(Scheme{Bits: 4, Symmetric: true, PerChannel: true, GroupSize: 8}.FakeQuant(w), w)
+	pc := tensor.MSE(fakeQuant(Scheme{Bits: 4, Symmetric: true, PerChannel: true}, w), w)
+	gr := tensor.MSE(fakeQuant(Scheme{Bits: 4, Symmetric: true, PerChannel: true, GroupSize: 8}, w), w)
 	if gr >= pc {
 		t.Fatalf("grouped (%.4g) must beat per-channel (%.4g) with outliers", gr, pc)
 	}
@@ -183,11 +184,11 @@ func TestConstantTensorQuantizesExactly(t *testing.T) {
 	// A constant channel sits on its own grid's top level.
 	s := Scheme{Bits: 2, Symmetric: true, PerChannel: true}
 	w := tensor.Full(3.7, 5, 5)
-	if q := s.FakeQuant(w); !tensor.AllClose(q, w, 1e-6, 1e-6) {
+	if q := fakeQuant(s, w); !tensor.AllClose(q, w, 1e-6, 1e-6) {
 		t.Fatal("constant tensor must quantize exactly")
 	}
 	z := tensor.New(4, 4)
-	qz := s.FakeQuant(z)
+	qz := fakeQuant(s, z)
 	if !tensor.AllClose(qz, z, 0, 0) {
 		t.Fatal("all-zero tensor must stay zero")
 	}
@@ -201,7 +202,7 @@ func TestPackUnpackMatchesFakeQuant(t *testing.T) {
 		got := p.Unpack()
 		// Pack uses symmetric per-channel quantization; compare to the
 		// matching fake-quant (both use round-half-away and clamp).
-		want := Scheme{Bits: bits, Symmetric: true, PerChannel: true}.FakeQuant(w)
+		want := fakeQuant(Scheme{Bits: bits, Symmetric: true, PerChannel: true}, w)
 		if !tensor.AllClose(got, want, 1e-5, 1e-5) {
 			t.Fatalf("int%d pack/unpack disagrees with fake-quant", bits)
 		}
@@ -224,7 +225,7 @@ func TestPropQuantErrorNonNegativeAndBounded(t *testing.T) {
 		g := tensor.NewRNG(seed)
 		w := g.Normal(0, 1, 8, 8)
 		s := Scheme{Bits: bits, Symmetric: true, PerChannel: true}
-		e := tensor.MSE(s.FakeQuant(w), w)
+		e := tensor.MSE(fakeQuant(s, w), w)
 		// error is non-negative and below the tensor's mean square (weak
 		// but universal bound for ≥2-bit quantization of a full-range
 		// signal)
@@ -266,4 +267,11 @@ func TestPropPackRoundtripWithinStep(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fakeQuant is FakeQuantInPlace on a clone of w.
+func fakeQuant(s Scheme, w *tensor.Tensor) *tensor.Tensor {
+	out := w.Clone()
+	s.FakeQuantInPlace(out)
+	return out
 }

@@ -253,3 +253,56 @@ func asMalformed(err error, target **MalformedRecordError) bool {
 	}
 	return false
 }
+
+// TestStatuszSLOMatchesStatus: with SLO objectives set, /statusz's slo
+// block is each objective's Status over the global recorder, read when
+// /statusz is asked: after ok and failed requests it equals Status over
+// the same recorder, with the failures counted against availability.
+func TestStatuszSLOMatchesStatus(t *testing.T) {
+	rec := obsv.New()
+	obsv.SetGlobal(rec)
+	defer obsv.SetGlobal(nil)
+
+	objs, err := obsv.ParseSLOSpec("p99_ttft_ms=500,availability=0.9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := fault.ParseSpec("cancel=C1,cancel=C2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := testModel(433)
+	_, ts := newTestServer(t, m, 1, ServerConfig{MaxQueue: 4, Injector: inj, SLO: objs})
+
+	for _, id := range []string{"ok1", "C1", "ok2", "C2", "ok3"} {
+		resp, body := postGenerate(t, ts, generateRequest{ID: id, Prompt: []int{1, 2}, MaxTokens: 4}, nil)
+		if strings.HasPrefix(id, "C") {
+			wantError(t, resp, body, http.StatusInternalServerError, "cancelled")
+		} else if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", id, resp.StatusCode, body)
+		}
+	}
+
+	resp, err := ts.Client().Get(ts.URL + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var status struct {
+		SLO []obsv.SLOStatus `json:"slo"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
+		t.Fatal(err)
+	}
+	if len(status.SLO) != len(objs) {
+		t.Fatalf("statusz slo = %+v, want %d objectives", status.SLO, len(objs))
+	}
+	for i, o := range objs {
+		if want := o.Status(rec); status.SLO[i] != want {
+			t.Fatalf("statusz slo[%d] = %+v, want Status %+v", i, status.SLO[i], want)
+		}
+	}
+	if a := status.SLO[1]; a.Objective != "availability" || a.Bad != 2 || a.Total != 5 || a.Met {
+		t.Fatalf("availability = %+v, want 2 bad of 5, violated", a)
+	}
+}

@@ -57,10 +57,11 @@ type ServerConfig struct {
 	// AccessLog, when non-nil, receives exactly one JSONL record per
 	// /v1/generate request — including admission rejects.
 	AccessLog *AccessLog
-	// SLO, when non-nil, is the burn-rate tracker surfaced on /statusz.
-	// The server only reports SLO state; it never feeds admission — an
-	// objective burning its budget must not cause 503s of its own.
-	SLO *obsv.SLOTracker
+	// SLO lists the objectives /statusz reports, each read from the global
+	// recorder on every request. The server only reports SLO state; it
+	// never feeds admission — an objective burning its budget must not
+	// cause 503s of its own.
+	SLO []obsv.SLOObjective
 }
 
 // errInjectedCancel is the terminal cause of a stream cancelled by a
@@ -801,8 +802,12 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		"tenants":           tenants,
 		"kernel":            tensor.KernelPath(),
 	}
-	if s.cfg.SLO != nil {
-		status["slo"] = s.cfg.SLO.Status()
+	if len(s.cfg.SLO) > 0 {
+		slo := make([]obsv.SLOStatus, len(s.cfg.SLO))
+		for i, o := range s.cfg.SLO {
+			slo[i] = o.Status(obsv.Global())
+		}
+		status["slo"] = slo
 	}
 	json.NewEncoder(w).Encode(status)
 }

@@ -17,6 +17,13 @@ func Perplexity(meanCE float64) float64 { return math.Exp(meanCE) }
 // (nn.Forward) for all of them.
 func EvalPerplexity(m *nn.Model, c *data.Corpus, batchSize, seqLen, maxBatches int) float64 {
 	batches, targets := c.SequentialBatches(batchSize, seqLen, maxBatches)
+	return EvalModelPerplexity(m, batches, targets)
+}
+
+// EvalModelPerplexity measures m's final-head perplexity over the given
+// batches, on one no-grad forward (nn.Forward) for all of them. m must
+// carry no LoRA hook: nn.Forward panics on one.
+func EvalModelPerplexity(m *nn.Model, batches [][][]int, targets [][]int) float64 {
 	f := nn.NewForward(m)
 	return EvalPerplexityWith(func(b [][]int) *ag.Value { return ag.Const(f.Logits(b)) }, batches, targets)
 }
