@@ -33,6 +33,8 @@ type LST struct {
 	head *nn.Linear
 	// inProj maps the embedding into the side stream.
 	inProj *nn.Linear
+	// fwd runs the frozen backbone, made on the first Logits call.
+	fwd *nn.Forward
 
 	// params caches the Params slice — the parameter set is fixed at
 	// construction, and Step asks for it every iteration.
@@ -109,19 +111,19 @@ func (l *LST) Params() []nn.NamedParam {
 	return ps
 }
 
-// Logits runs the frozen backbone once, feeds each block output into the
-// ladder, and returns the side network's vocab logits. Backbone
-// activations are detached, so the recorded tape covers only side ops.
+// Logits runs the frozen backbone once, on the no-grad forward, feeds each
+// block output into the ladder, and returns the side network's vocab
+// logits. The ladder reads copies of the backbone's rows as constants, so
+// the recorded tape covers only side ops, and the backbone allocates
+// nothing but those copies.
 func (l *LST) Logits(batch [][]int) *ag.Value {
-	m := l.Backbone
-	b := len(batch)
-	t := len(batch[0])
-
-	x := m.Embed(batch)
-	s := l.inProj.Forward(x.Detach())
-	for i, blk := range m.Blocks {
-		x = blk.Forward(x, b, t)
-		rung := l.downs[i].Forward(x.Detach())
+	if l.fwd == nil {
+		l.fwd = nn.NewForward(l.Backbone)
+	}
+	l.fwd.Embed(batch)
+	s := l.inProj.Forward(ag.Const(l.fwd.RunTo(0).Clone()))
+	for i := range l.Backbone.Blocks {
+		rung := l.downs[i].Forward(ag.Const(l.fwd.RunTo(i + 1).Clone()))
 		// gated fusion: s = g·s + (1−g)·rung, then a learned mixer + SiLU.
 		g := l.gates[i]
 		oc := l.onesFor(s.Shape()[0])

@@ -105,6 +105,7 @@ type Pipeline struct {
 	Ctx context.Context
 
 	rng        *tensor.RNG
+	fwd        *nn.Forward // Forward's final head, without a voter
 	candidates []luc.Candidate
 	compressed bool
 	// gstate is non-nil when a resource governor admitted this pipeline;
@@ -299,12 +300,16 @@ func (p *Pipeline) FinishTuning(calibBatches [][][]int, calibTargets [][]int) {
 }
 
 // Forward returns the pipeline's inference logits (log-prob scores): the
-// calibrated vote when available, otherwise the final head.
+// calibrated vote when available, otherwise the final head, both on the
+// no-grad forward. The result is a fresh tensor the caller owns.
 func (p *Pipeline) Forward(batch [][]int) *ag.Value {
 	if p.Voter != nil {
 		return p.Voter.Logits(p.Model, batch)
 	}
-	return p.Model.Logits(batch)
+	if p.fwd == nil || p.fwd.Model() != p.Model {
+		p.fwd = nn.NewForward(p.Model)
+	}
+	return ag.Const(p.fwd.Logits(batch).Clone())
 }
 
 // EvalPerplexity measures perplexity of the pipeline's inference path.

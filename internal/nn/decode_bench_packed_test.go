@@ -89,6 +89,6 @@ func BenchmarkDecodePrefill64Packed4(b *testing.B) {
 	if err := d.SetPacked(pm); err != nil {
 		b.Fatal(err)
 	}
-	benchPrefill64(b, d)
+	benchPrefill(b, d, 64)
 	b.ReportMetric(float64(pm.StorageBytes()), "wbytes")
 }

@@ -153,11 +153,24 @@ func BenchmarkDecodeOneAtATime8(b *testing.B) {
 func BenchmarkDecodePrefill64(b *testing.B) {
 	d := NewBatchDecoder(decodeBenchModel(), 1, tensor.NewPool())
 	defer d.Close()
-	benchPrefill64(b, d)
+	benchPrefill(b, d, 64)
 }
 
-func benchPrefill64(b *testing.B, d *Decoder) {
-	const prompt = 64
+// BenchmarkDecodePrefill8 feeds an 8-token prompt into a fresh slot in one
+// StepBatch — the prompt step behind chat_f32's TTFT: one op = one prompt =
+// eight tokens, the op of DecodeOneAtATime8, so the ns/op ratio of the two
+// is what one eight-row step saves over eight one-row steps. Every weight
+// is streamed from memory once per step, so it times the four-row tile
+// kernel's cold-weight sweep. Gated on 0 allocs/op.
+func BenchmarkDecodePrefill8(b *testing.B) {
+	d := NewBatchDecoder(decodeBenchModel(), 1, tensor.NewPool())
+	defer d.Close()
+	benchPrefill(b, d, 8)
+}
+
+// benchPrefill feeds a prompt-token prompt into d's one slot, reset each
+// op, in runs of up to PrefillRows.
+func benchPrefill(b *testing.B, d *Decoder, prompt int) {
 	tokens := make([]int, prompt)
 	slots := make([]int, prompt) // slot 0: the only one, so always the one Acquire returns
 	feed := func(i int) {
@@ -169,7 +182,8 @@ func benchPrefill64(b *testing.B, d *Decoder) {
 			tokens[j] = (i*prompt + j*7) & 1023
 		}
 		for lo := 0; lo < prompt; lo += PrefillRows {
-			if _, err := d.StepBatch(tokens[lo:lo+PrefillRows], slots[lo:lo+PrefillRows]); err != nil {
+			hi := min(lo+PrefillRows, prompt)
+			if _, err := d.StepBatch(tokens[lo:hi], slots[lo:hi]); err != nil {
 				b.Fatal(err)
 			}
 		}

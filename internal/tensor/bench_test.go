@@ -45,7 +45,7 @@ func BenchmarkKernelMatMulT512(b *testing.B) {
 }
 
 // BenchmarkKernelMatMulTSerial512 is MatMulTInto's two calls with the
-// matmul run as one band: the transpose into a fresh temporary, then
+// matmul run as one band: the transpose into the recycled temporary, then
 // matmulRows over the whole row range.
 func BenchmarkKernelMatMulTSerial512(b *testing.B) {
 	x, y := benchOperands(b, benchSize, benchSize)
@@ -53,9 +53,10 @@ func BenchmarkKernelMatMulTSerial512(b *testing.B) {
 	b.SetBytes(4 * benchSize * benchSize * 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		yT := New(benchSize, benchSize)
+		yT := matmulTScratch.GetUncleared(benchSize, benchSize)
 		TransposeInto(yT, y)
 		matmulRows(out, x, yT, 0, benchSize)
+		matmulTScratch.Put(yT)
 	}
 }
 
@@ -86,18 +87,33 @@ func BenchmarkKernelTMatMulSerial512(b *testing.B) {
 // BenchmarkKernelMatMulRows times MatMulInto at three row counts the tile
 // kernel serves: a batch-8 decode step and a 16-row prefill chunk through a
 // 256 × 768 projection, and a 128-row training matmul through
-// tune_window's 128 × 384 MLP matrix.
-// Both stay below parallelThreshold, so this is one band's kernel speed,
+// tune_window's 128 × 384 MLP matrix. Those keep b cached from one op to
+// the next; the streamed case is the batch-8 step again over
+// streamedWeights distinct 256 × 768 weights in turn, 6 MiB, more than a
+// core's L2 holds, so each op reads its b from further out, as a decode
+// step of a model bigger than L2 does, and the tile's prefetch shows.
+// All stay below parallelThreshold, so this is one band's kernel speed,
 // reported as GMAC/s; the 0 allocs/op is gated, the speed is report-only.
 func BenchmarkKernelMatMulRows(b *testing.B) {
-	for _, sh := range [][3]int{{8, 256, 768}, {16, 256, 768}, {128, 128, 384}} {
-		m, k, n := sh[0], sh[1], sh[2]
-		b.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(b *testing.B) {
+	const streamedWeights = 8
+	for _, sh := range [][4]int{{8, 256, 768, 1}, {16, 256, 768, 1}, {128, 128, 384, 1}, {8, 256, 768, streamedWeights}} {
+		m, k, n, ws := sh[0], sh[1], sh[2], sh[3]
+		name := fmt.Sprintf("%dx%dx%d", m, k, n)
+		if ws > 1 {
+			name += "-streamed"
+		}
+		b.Run(name, func(b *testing.B) {
 			g := NewRNG(4)
-			x, y, out := g.Normal(0, 1, m, k), g.Normal(0, 1, k, n), New(m, n)
+			x, out := g.Normal(0, 1, m, k), New(m, n)
+			ys := make([]*Tensor, ws)
+			for i := range ys {
+				ys[i] = g.Normal(0, 1, k, n)
+			}
 			b.ReportAllocs()
+			i := 0
 			for b.Loop() {
-				MatMulInto(out, x, y)
+				MatMulInto(out, x, ys[i%ws])
+				i++
 			}
 			b.ReportMetric(float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 		})

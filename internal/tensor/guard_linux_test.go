@@ -59,7 +59,9 @@ func guardedFloats(t *testing.T, src []float32) []float32 {
 // groups of four rows where it is on, and m ∈ {2, 6} put the dense two-row
 // pass on the last two rows, so at n a multiple of 64 its last column is
 // flush against the guard page — each matmul under every kernel of this
-// host.
+// host. At m = 4 the tile kernel's last 64-column pass ends flush at n = 64,
+// its 32-column pass at n = 96; then the tile kernel itself, called over
+// 64 and 64 + 32 columns, ends each pass kind flush against the page.
 func TestKernelsStayInsideTheirOperands(t *testing.T) {
 	t.Logf("kernel path: %s", tensor.KernelPath())
 	dims := []int{8, 24, 40, 264}
@@ -129,7 +131,7 @@ func TestKernelsStayInsideTheirOperands(t *testing.T) {
 	}
 	tensor.EachTileMode(func(path string) {
 		for _, k := range dims {
-			for _, n := range append(dims, 32, 64, 128, 256) {
+			for _, n := range append(dims, 32, 64, 96, 128, 256) {
 				for _, m := range []int{1, 2, 3, 4, 5, 6, 8, 16, 17, 19} {
 					a, w := randTensor(m, k, int64(k+n)), randTensor(k, n, int64(k*n))
 					want := tensor.New(m, n)
@@ -161,4 +163,17 @@ func TestKernelsStayInsideTheirOperands(t *testing.T) {
 			}
 		}
 	})
+	if !tensor.HasAVX512() {
+		return
+	}
+	for _, k := range dims {
+		for _, n := range []int{64, 96} {
+			a, w := randTensor(4, k, int64(k+n)), randTensor(k, n, int64(k*n))
+			want := tensor.New(4, n)
+			tensor.MatMulInto(want, a, w)
+			got := guardedFloats(t, make([]float32, 4*n))
+			tensor.SumTile(got, n, n, guardedFloats(t, a.Data), k, 1, guardedFloats(t, w.Data), n, k)
+			bitwiseEqual(t, fmt.Sprintf("guarded sumTileAVX512 (4,%d,%d)", k, n), tensor.FromSlice(got, 4, n), want)
+		}
+	}
 }

@@ -102,10 +102,10 @@ func sweepCols(out *Tensor, a []float32, aRow, aStride int, b *Tensor, k, rowLo,
 // storage. This layout is the natural one for gradient computation
 // (dX = dY × Wᵀ) and for weight matrices stored output-major. out must have
 // shape (a.Rows(), bT.Rows()) and is fully overwritten (no need to zero it
-// first). It transposes bT into a temporary and runs MatMulInto over it — the
-// k·n moves of the transpose against m·k·n MACs — so each output element is
-// the one ascending-k sum from +0 every column-lane kernel computes, zero
-// activations skipped. Callers with an arena (autograd's MatMul backward)
+// first). It transposes bT into a recycled temporary and runs MatMulInto
+// over it — the k·n moves of the transpose against m·k·n MACs — so each
+// output element is the one ascending-k sum from +0 every column-lane
+// kernel computes, zero activations skipped. Callers with an arena (autograd's MatMul backward)
 // make the same two calls on pooled scratch.
 func MatMulTInto(out, a, bT *Tensor) {
 	m, k := a.Rows(), a.Cols()
@@ -113,10 +113,16 @@ func MatMulTInto(out, a, bT *Tensor) {
 	if k != k2 || out.Rows() != m || out.Cols() != n {
 		panic(fmt.Sprintf("tensor: MatMulTInto shape mismatch out %v = %v × %vᵀ", out.Shape, a.Shape, bT.Shape))
 	}
-	b := New(k, n)
+	b := matmulTScratch.GetUncleared(k, n)
 	TransposeInto(b, bT)
 	MatMulInto(out, a, b)
+	matmulTScratch.Put(b)
 }
+
+// matmulTScratch recycles MatMulTInto's transposed operand: the transpose
+// overwrites all of it, so a warm call neither allocates nor clears, and
+// no garbage collection takes a core from the matmul's bands.
+var matmulTScratch = NewPool()
 
 // TMatMulInto computes out = aᵀ × b, (k,m)×(k,n) → (m,n), reusing out's
 // storage: the natural layout for weight gradients (dW = Xᵀ × dY). out

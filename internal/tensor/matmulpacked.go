@@ -129,7 +129,9 @@ func MatMulPackedInto(out, a *Tensor, w PackedMat, scratch *PackedScratch) {
 // the full-height k × 32 tile is decoded once into buf and those activation
 // rows then sweep it with sumColsRows — the dense kernel's primitive, over a
 // contiguous tile instead of a strided block of b. A full tile is exactly as
-// wide as one sumTileAVX512 tile.
+// wide as sumTileAVX512's 32-column pass, which its calls here always take:
+// the tile was just decoded and is cached, so the 64-column pass's prefetch
+// would buy nothing.
 func matmulPackedCols(out, a *Tensor, w PackedMat, buf []float32, jLo, jHi int) {
 	m, k, n := a.Rows(), a.Cols(), out.Cols()
 	r := mulVecRows(out, a, w, buf, jLo, jHi)

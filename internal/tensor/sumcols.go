@@ -80,9 +80,10 @@ func sumColsGo(out, a []float32, aStride int, b []float32, bStride, k int) {
 }
 
 // useAVX512 sends every whole group of four rows of a matmul call to
-// sumTileAVX512 and a pair of rows left over to sumPairAVX512: amd64 with
-// AVX-512F, read once at init. There is no switch; only tests turn it off,
-// to run both kernels in one process.
+// sumTileAVX512 (64-column passes that prefetch b, then a 32-column pass
+// for what n % 64 leaves) and a pair of rows left over to sumPairAVX512:
+// amd64 with AVX-512F, read once at init. There is no switch; only tests
+// turn it off, to run both kernels in one process.
 var useAVX512 = useAVX2 && cpuHasAVX512F()
 
 // sumColsRows is SumCols over rows output rows of one matmul call:
@@ -91,12 +92,16 @@ var useAVX512 = useAVX2 && cpuHasAVX512F()
 //
 // for 0 ≤ i < rows, a blockSize-wide block of columns at a time, block-outer
 // so that the rows reuse the block while it is cached. With the AVX-512
-// kernels on, whole groups of four rows × 32 columns go to sumTileAVX512,
-// which computes the same sums four rows at a time, and two of the rows past
-// a multiple of 4 go to sumPairAVX512 when the block is a full 64 columns,
-// so that a two-row decode step streams each weight once; the columns a
-// block leaves past a multiple of 32 and the rows neither kernel took go
-// through SumCols, row by row.
+// kernels on, each whole group of four rows takes the block's columns down
+// to a multiple of 32 in one sumTileAVX512 call, which computes the same
+// sums four rows at a time: a full block in one 64-column pass that reads
+// each weight once for the four rows and prefetches the rows of b ahead, so
+// the first group streams a block that is not cached at memory rate and
+// the next groups find it cached; a narrower last block in a 32-column
+// pass. Two of the rows past a multiple of 4 go to sumPairAVX512 when the
+// block is a full 64 columns, so that a two-row decode step streams each
+// weight once; the columns a block leaves past a multiple of 32 and the
+// rows neither kernel took go through SumCols, row by row.
 func sumColsRows(out []float32, outStride, n int, a []float32, aRow, aStride int, b []float32, bStride, k, rows int) {
 	wide := useAVX512 && k > 0
 	rows4 := rows &^ 3

@@ -202,9 +202,40 @@ TEXT ·cpuHasAVX512F(SB), NOSPLIT, $0-1
 nozmm:
 	RET
 
+// PROW(row, c0, c1, c2, c3, skip): c0:c3 += a[k] of one row (at row) × the
+// 64 columns of b row k in Z16:Z19, unless a[k] is ±0 — the integer test of
+// SWEEP, taken per row, so each row skips exactly its own zeros. Z20 holds
+// the broadcast, Z21-Z23 the products.
+#define PROW(row, c0, c1, c2, c3, skip) \
+	MOVL row, AX; \
+	ADDL AX, AX; \
+	JZ   skip; \
+	VBROADCASTSS row, Z20; \
+	VMULPS Z16, Z20, Z21; \
+	VADDPS Z21, c0, c0; \
+	VMULPS Z17, Z20, Z22; \
+	VADDPS Z22, c1, c1; \
+	VMULPS Z18, Z20, Z23; \
+	VADDPS Z23, c2, c2; \
+	VMULPS Z19, Z20, Z21; \
+	VADDPS Z21, c3, c3; \
+skip:
+
+// BROW loads the 64 columns of b row k (at R12) into Z16:Z19 for PROW,
+// after asking for the four lines 8 rows of b ahead (R10 bytes on), as
+// sumColsAVX2's wide loop does: a hint, which never faults past the end of b.
+#define BROW \
+	PREFETCHT0 (R12)(R10*1); \
+	PREFETCHT0 64(R12)(R10*1); \
+	PREFETCHT0 128(R12)(R10*1); \
+	PREFETCHT0 192(R12)(R10*1); \
+	VMOVUPS (R12), Z16; \
+	VMOVUPS 64(R12), Z17; \
+	VMOVUPS 128(R12), Z18; \
+	VMOVUPS 192(R12), Z19
+
 // TROW(row, lo, hi, skip): lo:hi += a[k] of one row (at row) × the 32
-// columns of b row k in Z8:Z9, unless a[k] is ±0 — the integer test of
-// SWEEP, taken per row, so each row skips exactly its own zeros.
+// columns of b row k in Z8:Z9, unless a[k] is ±0 — PROW's per-row test.
 #define TROW(row, lo, hi, skip) \
 	MOVL row, AX; \
 	ADDL AX, AX; \
@@ -220,12 +251,16 @@ skip:
 //
 // Four rows of SumCols at once: out[r·outStride + 0:n] = Σ_k a[r·aRow +
 // k·aStride] · b[k·bStride + 0:n] for r in 0..3, n a positive multiple of
-// 32, k ≥ 1, strides in bytes. A tile is 4 rows × 32 columns in eight zmm
-// accumulators (Z0:Z1 row 0 … Z6:Z7 row 3) live across the whole k sweep;
-// per k the two zmm of b are loaded once and serve all four rows. Every
-// element is still one ascending-k sum from +0, VMULPS then VADDPS, with
-// its own row's zero skip: the same bits as sumColsGo. Only Z0-Z12 and no
-// BP are written.
+// 32, k ≥ 1, strides in bytes. While 64 or more columns remain, a pass is
+// 4 rows × 64 columns in sixteen zmm accumulators (Z0:Z3 row 0 … Z12:Z15
+// row 3) live across the whole k sweep; per k the four zmm of b are loaded
+// once into Z16:Z19 and serve all four rows, and the lines 8 rows of b
+// ahead are prefetched, so a weight that is not cached is read once per
+// four rows at memory rate. The 32 columns n % 64 leaves go last, as 4 rows
+// × 32 columns in eight accumulators (Z0:Z1 row 0 … Z6:Z7 row 3) with b in
+// Z8:Z9. Every element is still one ascending-k sum from +0, VMULPS then
+// VADDPS, with its own row's zero skip: the same bits as sumColsGo. Only
+// Z0-Z23 and no BP are written.
 TEXT ·sumTileAVX512(SB), NOSPLIT, $0-72
 	MOVQ out+0(FP), DI
 	MOVQ outStride+8(FP), DX
@@ -235,8 +270,67 @@ TEXT ·sumTileAVX512(SB), NOSPLIT, $0-72
 	MOVQ aStride+40(FP), R8
 	MOVQ b+48(FP), BX
 	MOVQ bStride+56(FP), R9
+	MOVQ R9, R10
+	SHLQ $3, R10 // prefetch distance: 8 rows of b
 
-tile:
+tile64:
+	CMPQ CX, $64
+	JLT  tile32
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+	VPXORD Z12, Z12, Z12
+	VPXORD Z13, Z13, Z13
+	VPXORD Z14, Z14, Z14
+	VPXORD Z15, Z15, Z15
+	MOVQ a+24(FP), R11
+	MOVQ BX, R12
+	MOVQ k+64(FP), R13
+
+tile64loop:
+	BROW
+	PROW((R11), Z0, Z1, Z2, Z3, t64row0)
+	PROW((R11)(R14*1), Z4, Z5, Z6, Z7, t64row1)
+	PROW((R11)(R14*2), Z8, Z9, Z10, Z11, t64row2)
+	PROW((R11)(SI*1), Z12, Z13, Z14, Z15, t64row3)
+	ADDQ R8, R11
+	ADDQ R9, R12
+	DECQ R13
+	JNZ  tile64loop
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	VMOVUPS Z4, (DI)(DX*1)
+	VMOVUPS Z5, 64(DI)(DX*1)
+	VMOVUPS Z6, 128(DI)(DX*1)
+	VMOVUPS Z7, 192(DI)(DX*1)
+	LEAQ    (DI)(DX*2), AX
+	VMOVUPS Z8, (AX)
+	VMOVUPS Z9, 64(AX)
+	VMOVUPS Z10, 128(AX)
+	VMOVUPS Z11, 192(AX)
+	VMOVUPS Z12, (AX)(DX*1)
+	VMOVUPS Z13, 64(AX)(DX*1)
+	VMOVUPS Z14, 128(AX)(DX*1)
+	VMOVUPS Z15, 192(AX)(DX*1)
+	ADDQ $256, DI
+	ADDQ $256, BX
+	SUBQ $64, CX
+	JMP  tile64
+
+tile32:
+	TESTQ CX, CX
+	JZ    tiledone
 	VPXORD Z0, Z0, Z0
 	VPXORD Z1, Z1, Z1
 	VPXORD Z2, Z2, Z2
@@ -249,17 +343,17 @@ tile:
 	MOVQ BX, R12
 	MOVQ k+64(FP), R13
 
-tileloop:
+tile32loop:
 	VMOVUPS (R12), Z8
 	VMOVUPS 64(R12), Z9
-	TROW((R11), Z0, Z1, row0)
-	TROW((R11)(R14*1), Z2, Z3, row1)
-	TROW((R11)(R14*2), Z4, Z5, row2)
-	TROW((R11)(SI*1), Z6, Z7, row3)
+	TROW((R11), Z0, Z1, t32row0)
+	TROW((R11)(R14*1), Z2, Z3, t32row1)
+	TROW((R11)(R14*2), Z4, Z5, t32row2)
+	TROW((R11)(SI*1), Z6, Z7, t32row3)
 	ADDQ R8, R11
 	ADDQ R9, R12
 	DECQ R13
-	JNZ  tileloop
+	JNZ  tile32loop
 	VMOVUPS Z0, (DI)
 	VMOVUPS Z1, 64(DI)
 	VMOVUPS Z2, (DI)(DX*1)
@@ -269,30 +363,10 @@ tileloop:
 	VMOVUPS Z5, 64(AX)
 	VMOVUPS Z6, (AX)(DX*1)
 	VMOVUPS Z7, 64(AX)(DX*1)
-	ADDQ $128, DI
-	ADDQ $128, BX
-	SUBQ $32, CX
-	JNZ  tile
+
+tiledone:
 	VZEROUPPER
 	RET
-
-// PROW(row, c0, c1, c2, c3, skip): c0:c3 += a[k] of one row (at row) × the
-// 64 columns of b row k in Z8:Z11, unless a[k] is ±0 — TROW's per-row zero
-// test, so each row skips exactly its own zeros.
-#define PROW(row, c0, c1, c2, c3, skip) \
-	MOVL row, AX; \
-	ADDL AX, AX; \
-	JZ   skip; \
-	VBROADCASTSS row, Z12; \
-	VMULPS Z8, Z12, Z13; \
-	VADDPS Z13, c0, c0; \
-	VMULPS Z9, Z12, Z14; \
-	VADDPS Z14, c1, c1; \
-	VMULPS Z10, Z12, Z15; \
-	VADDPS Z15, c2, c2; \
-	VMULPS Z11, Z12, Z13; \
-	VADDPS Z13, c3, c3; \
-skip:
 
 // func sumPairAVX512(out *float32, outStride, n int, a *float32, aRow, aStride int, b *float32, bStride, k int)
 //
@@ -300,10 +374,10 @@ skip:
 // k·aStride] · b[k·bStride + 0:n] for r in 0..1, n a positive multiple of
 // 64, k ≥ 1, strides in bytes. A pass is 2 rows × 64 columns in eight zmm
 // accumulators (Z0:Z3 row 0, Z4:Z7 row 1) live across the whole k sweep;
-// per k the four zmm of b are loaded once and serve both rows, and the lines
-// 8 rows of b ahead are prefetched as in sumColsAVX2's wide loop. Every
-// element is still one ascending-k sum from +0, VMULPS then VADDPS, with its
-// own row's zero skip: the same bits as sumColsGo. Only Z0-Z15 and no BP are
+// per k BROW prefetches and loads b row k into Z16:Z19 once for both rows,
+// as in sumTileAVX512's 64-column pass. Every element is still one
+// ascending-k sum from +0, VMULPS then VADDPS, with its own row's zero
+// skip: the same bits as sumColsGo. Only Z0-Z7, Z16-Z23 and no BP are
 // written.
 TEXT ·sumPairAVX512(SB), NOSPLIT, $0-72
 	MOVQ out+0(FP), DI
@@ -330,14 +404,7 @@ pair:
 	MOVQ k+64(FP), R13
 
 pairloop:
-	PREFETCHT0 (R12)(R10*1)
-	PREFETCHT0 64(R12)(R10*1)
-	PREFETCHT0 128(R12)(R10*1)
-	PREFETCHT0 192(R12)(R10*1)
-	VMOVUPS (R12), Z8
-	VMOVUPS 64(R12), Z9
-	VMOVUPS 128(R12), Z10
-	VMOVUPS 192(R12), Z11
+	BROW
 	PROW((R11), Z0, Z1, Z2, Z3, prow0)
 	PROW((R11)(R14*1), Z4, Z5, Z6, Z7, prow1)
 	ADDQ R8, R11

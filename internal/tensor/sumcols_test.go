@@ -158,8 +158,16 @@ func FuzzMatMulRows(f *testing.F) {
 	f.Add(int64(5), uint8(2), uint8(40), uint8(9), uint8(12), uint8(2), uint8(2), uint8(3), uint8(5))     // 3 rows: no whole group
 	f.Add(int64(6), uint8(3), uint8(95), uint8(63), uint8(64), uint8(0), uint8(0), uint8(0), uint8(0))    // 4 rows × 96, row-major: one group
 	f.Add(int64(7), uint8(7), uint8(75), uint8(40), uint8(3), uint8(3), uint8(5), uint8(2), uint8(33))    // 8 rows, 64+12 columns, strided, specials
+	// k = 1 at 4 and 8 rows, widths 64, 96 and 160: one 64-column pass, then
+	// a 32-column one after it, then two and a 32
+	f.Add(int64(8), uint8(3), uint8(63), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(9), uint8(3), uint8(95), uint8(1), uint8(1), uint8(0), uint8(3), uint8(1), uint8(13))
+	f.Add(int64(10), uint8(3), uint8(159), uint8(1), uint8(2), uint8(2), uint8(1), uint8(3), uint8(0))
+	f.Add(int64(11), uint8(7), uint8(63), uint8(1), uint8(0), uint8(1), uint8(2), uint8(5), uint8(41))
+	f.Add(int64(12), uint8(7), uint8(95), uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(13), uint8(7), uint8(159), uint8(1), uint8(0), uint8(4), uint8(8), uint8(6), uint8(22))
 	f.Fuzz(func(t *testing.T, seed int64, rowsRaw, nRaw, kRaw, aRowRaw, aStrideRaw, pad, off, special uint8) {
-		rows, n, k := 1+int(rowsRaw)%130, 1+int(nRaw)%140, int(kRaw)%80
+		rows, n, k := 1+int(rowsRaw)%130, 1+int(nRaw)%200, int(kRaw)%80
 		aRow, aStride := 1+int(aRowRaw)%200, 1+int(aStrideRaw)%5
 		eachTileMode(func(path string) {
 			matmulRowsCase(t, path, seed, rows, n, k, aRow, aStride, int(pad)%9, int(off)%8, special)
@@ -221,11 +229,13 @@ func TestSumPairMatchesGo(t *testing.T) {
 // 4, 8, 12, 16 and 128 rows all in the tile kernel's groups of four, at 5
 // and 19 with 1 and 3 rows left over: ±0, NaN and ±Inf activations; and ±Inf and NaN weights in one row of b under a zero
 // activation in every other row of a, the one case where the skip decides
-// the bits, and each row of a 4-row group must skip its own.
+// the bits, and each row of a 4-row group must skip its own. At 4 × 64 and
+// 8 × 64 the whole call is one 64-column pass per group, so the special row
+// also lies across columns 32-63, which the four rows share in that pass.
 func TestMatMulKernelsMatchNaive(t *testing.T) {
 	negZero, inf, nan := float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.NaN())
 	eachTileMode(func(path string) {
-		for _, sh := range [][3]int{{1, 5, 7}, {3, 17, 8}, {2, 64, 75}, {5, 33, 136}, {4, 9, 203}, {4, 128, 384}, {8, 256, 768}, {12, 33, 136}, {16, 40, 96}, {19, 33, 136}, {128, 17, 75}} {
+		for _, sh := range [][3]int{{1, 5, 7}, {3, 17, 8}, {2, 64, 75}, {5, 33, 136}, {4, 9, 203}, {4, 128, 384}, {8, 256, 768}, {12, 33, 136}, {16, 40, 96}, {19, 33, 136}, {128, 17, 75}, {4, 3, 64}, {8, 6, 64}} {
 			m, k, n := sh[0], sh[1], sh[2]
 			g := NewRNG(int64(m + k + n))
 			a, b := g.Normal(0, 1, m, k), g.Normal(0, 1, k, n)

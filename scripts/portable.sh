@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The kernels off their fast path. There are three kernel paths
 # (tensor.KernelPath): "avx512" (amd64 with AVX-512F: the AVX2 assembly plus
-# the 4 × 32 tile kernel under every whole group of four rows), "avx2" (amd64
+# the 4-row tile kernel under every whole group of four rows), "avx2" (amd64
 # with AVX2: the dense and packed matmuls through two assembly files) and
 # "go"; everywhere else — and here — the pure-Go kernels they sit beside are
 # the only path (DESIGN.md §6, "The repo takes assembly" and "The tile"). An amd64 box runs 386 binaries natively, so GOARCH=386 is
