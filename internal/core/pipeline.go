@@ -306,7 +306,7 @@ func (p *Pipeline) Forward(batch [][]int) *ag.Value {
 	if p.Voter != nil {
 		return p.Voter.Logits(p.Model, batch)
 	}
-	if p.fwd == nil || p.fwd.Model() != p.Model {
+	if p.fwd == nil {
 		p.fwd = nn.NewForward(p.Model)
 	}
 	return ag.Const(p.fwd.Logits(batch).Clone())

@@ -45,18 +45,18 @@ func BenchmarkKernelMatMulT512(b *testing.B) {
 }
 
 // BenchmarkKernelMatMulTSerial512 is MatMulTInto's two calls with the
-// matmul run as one band: the transpose into the recycled temporary, then
-// matmulRows over the whole row range.
+// matmul run as one band: the transpose into its pooled temporary, taken
+// as MatMulTInto takes it, then matmulRows over the whole row range.
 func BenchmarkKernelMatMulTSerial512(b *testing.B) {
 	x, y := benchOperands(b, benchSize, benchSize)
 	out := New(benchSize, benchSize)
 	b.SetBytes(4 * benchSize * benchSize * 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		yT := matmulTScratch.GetUncleared(benchSize, benchSize)
+		yT := transposeTemp(benchSize, benchSize)
 		TransposeInto(yT, y)
 		matmulRows(out, x, yT, 0, benchSize)
-		matmulTScratch.Put(yT)
+		transposeTemps.Put(yT)
 	}
 }
 

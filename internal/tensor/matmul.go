@@ -102,27 +102,40 @@ func sweepCols(out *Tensor, a []float32, aRow, aStride int, b *Tensor, k, rowLo,
 // storage. This layout is the natural one for gradient computation
 // (dX = dY × Wᵀ) and for weight matrices stored output-major. out must have
 // shape (a.Rows(), bT.Rows()) and is fully overwritten (no need to zero it
-// first). It transposes bT into a recycled temporary and runs MatMulInto
-// over it — the k·n moves of the transpose against m·k·n MACs — so each
-// output element is the one ascending-k sum from +0 every column-lane
-// kernel computes, zero activations skipped. Callers with an arena (autograd's MatMul backward)
-// make the same two calls on pooled scratch.
+// first). It transposes bT into a pooled temporary and runs MatMulInto over
+// it — the k·n moves of the transpose against m·k·n MACs — so each output
+// element is the one ascending-k sum from +0 every column-lane kernel
+// computes, zero activations skipped. Callers with an arena (autograd's
+// MatMul backward) make the same two calls on their own scratch.
 func MatMulTInto(out, a, bT *Tensor) {
 	m, k := a.Rows(), a.Cols()
 	n, k2 := bT.Rows(), bT.Cols()
 	if k != k2 || out.Rows() != m || out.Cols() != n {
 		panic(fmt.Sprintf("tensor: MatMulTInto shape mismatch out %v = %v × %vᵀ", out.Shape, a.Shape, bT.Shape))
 	}
-	b := matmulTScratch.GetUncleared(k, n)
+	b := transposeTemp(k, n)
 	TransposeInto(b, bT)
 	MatMulInto(out, a, b)
-	matmulTScratch.Put(b)
+	transposeTemps.Put(b)
 }
 
-// matmulTScratch recycles MatMulTInto's transposed operand: the transpose
-// overwrites all of it, so a warm call neither allocates nor clears, and
-// no garbage collection takes a core from the matmul's bands.
-var matmulTScratch = NewPool()
+// transposeTemps holds MatMulTInto's transposed operands between calls. The
+// transpose overwrites all of one, so a warm call neither allocates nor
+// clears its 4·k·n bytes: at 512 × 512 a fresh megabyte a call, and the
+// collections it set off, cost more than the transpose. The collector
+// frees a temporary left unused through two cycles.
+var transposeTemps sync.Pool
+
+// transposeTemp returns a (k, n) tensor of unspecified contents: a pooled
+// one whose buffer holds k·n elements, or else a new one.
+func transposeTemp(k, n int) *Tensor {
+	t, _ := transposeTemps.Get().(*Tensor)
+	if t == nil || cap(t.Data) < k*n {
+		return New(k, n)
+	}
+	t.Data, t.Shape = t.Data[:k*n], append(t.Shape[:0], k, n)
+	return t
+}
 
 // TMatMulInto computes out = aᵀ × b, (k,m)×(k,n) → (m,n), reusing out's
 // storage: the natural layout for weight gradients (dW = Xᵀ × dY). out

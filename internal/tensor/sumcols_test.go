@@ -158,16 +158,15 @@ func FuzzMatMulRows(f *testing.F) {
 	f.Add(int64(5), uint8(2), uint8(40), uint8(9), uint8(12), uint8(2), uint8(2), uint8(3), uint8(5))     // 3 rows: no whole group
 	f.Add(int64(6), uint8(3), uint8(95), uint8(63), uint8(64), uint8(0), uint8(0), uint8(0), uint8(0))    // 4 rows × 96, row-major: one group
 	f.Add(int64(7), uint8(7), uint8(75), uint8(40), uint8(3), uint8(3), uint8(5), uint8(2), uint8(33))    // 8 rows, 64+12 columns, strided, specials
-	// k = 1 at 4 and 8 rows, widths 64, 96 and 160: one 64-column pass, then
-	// a 32-column one after it, then two and a 32
+	// k = 1 at 4 and 8 rows, widths 64 and 96: one call of a 64-column pass,
+	// and a 64-column call then a 32-column one (sumColsRows hands the tile
+	// at most blockSize = 64 columns a call)
 	f.Add(int64(8), uint8(3), uint8(63), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(9), uint8(3), uint8(95), uint8(1), uint8(1), uint8(0), uint8(3), uint8(1), uint8(13))
-	f.Add(int64(10), uint8(3), uint8(159), uint8(1), uint8(2), uint8(2), uint8(1), uint8(3), uint8(0))
-	f.Add(int64(11), uint8(7), uint8(63), uint8(1), uint8(0), uint8(1), uint8(2), uint8(5), uint8(41))
-	f.Add(int64(12), uint8(7), uint8(95), uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0))
-	f.Add(int64(13), uint8(7), uint8(159), uint8(1), uint8(0), uint8(4), uint8(8), uint8(6), uint8(22))
+	f.Add(int64(10), uint8(7), uint8(63), uint8(1), uint8(0), uint8(1), uint8(2), uint8(5), uint8(41))
+	f.Add(int64(11), uint8(7), uint8(95), uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, rowsRaw, nRaw, kRaw, aRowRaw, aStrideRaw, pad, off, special uint8) {
-		rows, n, k := 1+int(rowsRaw)%130, 1+int(nRaw)%200, int(kRaw)%80
+		rows, n, k := 1+int(rowsRaw)%130, 1+int(nRaw)%140, int(kRaw)%80
 		aRow, aStride := 1+int(aRowRaw)%200, 1+int(aStrideRaw)%5
 		eachTileMode(func(path string) {
 			matmulRowsCase(t, path, seed, rows, n, k, aRow, aStride, int(pad)%9, int(off)%8, special)

@@ -11,9 +11,8 @@
 #     wbytes ceilings, fused ≥ dequantize-then-matmul, 2-bit level with
 #     4-bit, 4-bit within reach of 8-bit) and the decode benchmarks against
 #     BENCH_decode.json (0 allocs, tok/s floors, packed 4-bit ≥ float32 at
-#     one and two rows, batch-8 ≥ 1.7× one-at-a-time, an 8-token prompt
-#     step ≥ 3× eight one-row steps), whole, at GOMAXPROCS=1 and
-#     default, each benchmark the fastest of three passes (benchguard keeps
+#     one and two rows, batch-8 ≥ 1.7× one-at-a-time), whole, at
+#     GOMAXPROCS=1 and default, each benchmark the fastest of three passes (benchguard keeps
 #     the fastest repetition; this class of host moves its clock by a quarter
 #     between them). No step of the benchmark model reaches the fan-out
 #     thresholds, so the 0-alloc gates hold at any GOMAXPROCS.
