@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"edgellm/internal/tensor"
 )
@@ -31,15 +32,21 @@ var ErrBadBatch = errors.New("nn: invalid StepBatch arguments")
 // convenience wrapper (slot 0). Each slot decodes under its own adapter
 // (SetAdapterAt), and one step carries slots under any mix of adapters.
 //
+// A step runs on a lane team fixed at construction (team.go): the calling
+// goroutine and min(GOMAXPROCS, NumCPU)−1 helpers, which split each
+// projection and the LM head by 64-column blocks and attention by rows. At
+// one lane there is no helper and the step runs on the caller alone.
+//
 // Batched execution is bitwise-identical to single-sequence decoding: every
-// projection runs through the cache-blocked tensor.MatMulInto kernel, whose
-// per-row accumulation order (ascending k, zero-skip) does not depend on how
-// many rows the matrix has, and the attention/normalisation rows are
-// tensor's row kernels. A sequence therefore produces the same logit bits
-// whether it decodes alone, in a batch of any size, a token or a run of
-// tokens at a time, or at any GOMAXPROCS, and they are the bits of one
-// Model.Logits forward over the whole sequence — the reference
-// TestDecoderMatchesFullForward and the determinism tests pin.
+// projection runs through the cache-blocked column-lane kernels, whose
+// per-element accumulation order (ascending k, zero-skip) depends neither on
+// how many rows the matrix has nor on which columns one call covers, and the
+// attention/normalisation rows are tensor's row kernels. A sequence
+// therefore produces the same logit bits whether it decodes alone, in a
+// batch of any size, a token or a run of tokens at a time, at any lane count
+// or at any GOMAXPROCS, and they are the bits of one Model.Logits forward
+// over the whole sequence — the reference TestDecoderMatchesFullForward and
+// the determinism tests pin.
 //
 // Steady-state decoding allocates nothing: KV rows are written in place into
 // the arena, activations live in pooled scratch sized once at construction,
@@ -84,6 +91,12 @@ type Decoder struct {
 	// with this decoder's tile-decode scratch.
 	packed   *PackedModel
 	pscratch *tensor.PackedScratch
+
+	// The lane team (nil at one lane), the phase it runs, and the cleanup
+	// that stops an unclosed decoder's helpers once it is unreachable.
+	team     *team
+	ph       phase
+	teamStop runtime.Cleanup
 }
 
 // batchBuf pairs a pooled full-capacity backing tensor with a view header
@@ -169,6 +182,11 @@ func NewBatchDecoder(m *Model, slots int, pool *tensor.Pool) *Decoder {
 		headSides:   make([]sideRun, 0, slots),
 		sideX:       tensor.Tensor{Shape: []int{0, 0}},
 	}
+	if lanes := laneCount(); lanes > 1 {
+		d.ph.d = d
+		d.team = newTeam(lanes)
+		d.teamStop = runtime.AddCleanup(d, (*team).stop, d.team)
+	}
 	return d
 }
 
@@ -197,9 +215,14 @@ func (d *Decoder) ArenaActiveBytes() int64 { return d.arena.ActiveBytes() }
 // Step after Reset begins a new sequence in slot 0).
 func (d *Decoder) Reset() { d.arena.ReleaseAll() }
 
-// Close returns the arena and all scratch to the pool. The decoder must not
-// be used afterwards.
+// Close stops the lane team's helpers and returns the arena and all scratch
+// to the pool. The decoder must not be used afterwards.
 func (d *Decoder) Close() {
+	if d.team != nil {
+		d.teamStop.Stop()
+		d.team.stop()
+		d.team = nil
+	}
 	d.arena.Close()
 	for _, bb := range []*batchBuf{&d.h, &d.q, &d.k, &d.v, &d.ctx, &d.att, &d.gate, &d.up, &d.mlp, &d.logits, &d.sideXA, &d.sideOut} {
 		bb.release(d.pool)
@@ -248,6 +271,10 @@ func (d *Decoder) StepBatch(tokens, slots []int) ([][]float32, error) {
 	if err := d.planRuns(tokens, slots); err != nil {
 		return nil, err
 	}
+	if d.team != nil {
+		d.team.start()
+		defer d.team.park()
+	}
 	m := d.m
 	R := len(d.last)
 	d.rowSides, d.headSides = d.rowSides[:0], d.headSides[:0]
@@ -286,26 +313,23 @@ func (d *Decoder) StepBatch(tokens, slots []int) ([][]float32, error) {
 		for i := 0; i < B; i++ {
 			tensor.RMSNormRow(hV.Row(i), d.x[i*dim:(i+1)*dim], blk.Norm1.Gain.Data.Data, blk.Norm1.Eps)
 		}
-		d.mm(qV, hV, blk.Attn.Wq.W.Data, l, wmWq)
-		d.mm(kV, hV, blk.Attn.Wk.W.Data, l, wmWk)
-		d.mm(vV, hV, blk.Attn.Wv.W.Data, l, wmWv)
+		d.project(l, wmWq, wmWo, hV)
 		for i, s := range slots {
 			p := d.pos[i]
 			d.arena.putKey(l, s, p, kV.Data[i*dim:(i+1)*dim])
 			copy(d.arena.values(l, s)[p*dim:(p+1)*dim], vV.Data[i*dim:(i+1)*dim])
 		}
 		d.attendAll(l, B, slots, heads, hd, scale, qV.Data, ctxV.Data)
-		d.mm(attV, ctxV, blk.Attn.Wo.W.Data, l, wmWo)
+		d.project(l, wmWo, wmGate, ctxV)
 		addRows(d.x, attV.Data)
 
 		// MLP sub-block: x += down( SiLU(h2·gate) ⊙ (h2·up) ).
 		for i := 0; i < B; i++ {
 			tensor.RMSNormRow(hV.Row(i), d.x[i*dim:(i+1)*dim], blk.Norm2.Gain.Data.Data, blk.Norm2.Eps)
 		}
-		d.mm(gateV, hV, blk.MLP.Gate.W.Data, l, wmGate)
-		d.mm(upV, hV, blk.MLP.Up.W.Data, l, wmUp)
+		d.project(l, wmGate, wmDown, hV)
 		tensor.SiLUMul(gateV.Data, upV.Data)
-		d.mm(mlpV, gateV, blk.MLP.Down.W.Data, l, wmDown)
+		d.project(l, wmDown, numBlockWeights, gateV)
 		addRows(d.x, mlpV.Data)
 	}
 
@@ -315,7 +339,12 @@ func (d *Decoder) StepBatch(tokens, slots []int) ([][]float32, error) {
 	for r, i := range d.last {
 		tensor.RMSNormRow(hV.Row(r), d.x[i*dim:(i+1)*dim], m.Norm.Gain.Data.Data, m.Norm.Eps)
 	}
-	tensor.MatMulInto(logitsV, hV, m.LMHead.W.Data)
+	if d.team == nil {
+		tensor.MatMulInto(logitsV, hV, m.LMHead.W.Data)
+	} else {
+		d.ph.x, d.ph.mats[0] = hV, projection{out: logitsV, w: m.LMHead.W.Data}
+		d.fanOut(1)
+	}
 	d.addSide(logitsV, hV, d.headSides, headLayer, 0)
 
 	d.rows = d.rows[:0]
@@ -404,27 +433,20 @@ func (d *Decoder) attendSlot(l, i, s, heads, hd int, scale float32, q, ctx []flo
 	}
 }
 
-// attendAll runs attendSlot for every batch row of layer l, fanned out over
-// bands of rows by tensor.Bands when the attention work reaches its
-// threshold. Rows are independent (the arena is only read here — every row's
-// K/V was written before — and scratch rows are disjoint), so the fan-out
-// cannot change results at any GOMAXPROCS. The serial path allocates nothing.
+// attendAll runs attendSlot for every batch row of layer l, split by rows
+// across the lane team. Rows are independent (the arena is only read here —
+// every row's K/V was written before — and scratch rows are disjoint), so
+// the split cannot change results at any lane count. It allocates nothing.
 func (d *Decoder) attendAll(l, B int, slots []int, heads, hd int, scale float32, q, ctx []float32) {
-	var macs int
-	for _, p := range d.pos[:B] {
-		macs += 2 * (p + 1) * d.m.Cfg.Dim
-	}
-	if workers := tensor.BandWorkers(B, 1, macs); workers <= 1 {
-		for i, s := range slots {
+	if d.team == nil {
+		for i, s := range slots[:B] {
 			d.attendSlot(l, i, s, heads, hd, scale, q, ctx)
 		}
-	} else {
-		tensor.Bands(B, 1, workers, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				d.attendSlot(l, i, slots[i], heads, hd, scale, q, ctx)
-			}
-		})
+		return
 	}
+	ph := &d.ph
+	ph.x, ph.l, ph.slots, ph.heads, ph.hd, ph.scale, ph.q, ph.ctx = nil, l, slots, heads, hd, scale, q, ctx
+	d.team.run(ph, B)
 }
 
 // addRows adds src's first len(src) elements into x element-wise.

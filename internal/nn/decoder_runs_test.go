@@ -10,8 +10,9 @@ import (
 	"edgellm/internal/tensor"
 )
 
-// runsTestCfg reaches no fan-out (2^23 MACs a call); the fan-outs are pinned
-// in internal/tensor and in TestAttendAllFanOutMatchesSerial.
+// runsTestCfg's projections and LM head span two to eight 64-column blocks,
+// so a decoder of two or more lanes splits every one of them
+// (TestDecoderIdentityAtEveryLaneCount runs the harness at 1 to 4 lanes).
 func runsTestCfg() Config {
 	return Config{Vocab: 96, Dim: 128, Heads: 4, Layers: 2, Hidden: 512, MaxSeq: 40}
 }
@@ -253,31 +254,35 @@ func fullCacheDecoder(B int) (*Decoder, []int) {
 	return d, slots
 }
 
-// TestAttendAllFanOutMatchesSerial drives one attention call big enough to
-// cross the fan-out threshold — 32 rows at position 511 of
-// fullCacheDecoder's model — serially and fanned out over 4 procs: rows are
-// independent, so the context rows must agree bit for bit.
+// TestAttendAllFanOutMatchesSerial drives one big attention call — 32 rows
+// at position 511 of fullCacheDecoder's model — at one lane and split by
+// rows over 2 to 4 lanes: rows are independent, so the context rows must
+// agree bit for bit.
 func TestAttendAllFanOutMatchesSerial(t *testing.T) {
 	const B = 32
-	d, slots := fullCacheDecoder(B)
-	defer d.Close()
-	cfg := d.m.Cfg
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	if macs := B * 2 * cfg.MaxSeq * cfg.Dim; tensor.BandWorkers(B, 1, macs) < 2 {
-		t.Fatalf("attention work %d is below the fan-out threshold: nothing here would fan out", macs)
-	}
-	for i := range slots {
-		d.pos[i] = cfg.MaxSeq - 1 // every row attends over a full cache
-	}
-	g := tensor.NewRNG(6)
-	copy(d.arena.k.Data, g.Normal(0, 1, len(d.arena.k.Data)).Data)
-	copy(d.arena.v.Data, g.Normal(0, 1, len(d.arena.v.Data)).Data)
-	q := g.Normal(0, 1, B, cfg.Dim).Data
-	attend := func(procs int) []float32 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	attend := func(lanes int) []float32 {
+		defer func(old int) { forcedLanes = old }(forcedLanes)
+		forcedLanes = lanes
+		d, slots := fullCacheDecoder(B)
+		defer d.Close()
+		cfg := d.m.Cfg
+		for i := range slots {
+			d.pos[i] = cfg.MaxSeq - 1 // every row attends over a full cache
+		}
+		g := tensor.NewRNG(6)
+		copy(d.arena.k.Data, g.Normal(0, 1, len(d.arena.k.Data)).Data)
+		copy(d.arena.v.Data, g.Normal(0, 1, len(d.arena.v.Data)).Data)
+		q := g.Normal(0, 1, B, cfg.Dim).Data
 		ctx := make([]float32, B*cfg.Dim)
+		if d.team != nil {
+			d.team.start()
+			defer d.team.park()
+		}
 		d.attendAll(0, B, slots, cfg.Heads, cfg.Dim/cfg.Heads, 0.25, q, ctx)
 		return ctx
 	}
-	rowsBitsEqual(t, "fanned out vs serial context", attend(4), attend(1))
+	serial := attend(1)
+	for lanes := 2; lanes <= 4; lanes++ {
+		rowsBitsEqual(t, fmt.Sprintf("%d lanes vs one", lanes), attend(lanes), serial)
+	}
 }

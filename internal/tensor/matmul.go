@@ -14,22 +14,22 @@ import (
 // eight 8-lane accumulators SumCols keeps in registers.
 const blockSize = 64
 
-// parallelThreshold is the MAC count from which a kernel fans out bands to
-// worker goroutines: about half a millisecond of AVX2 kernel. Measured at
-// GOMAXPROCS 2 (EXPERIMENTS.md "Packed execution", fan-out thresholds): back
-// to back, two bands draw with one around 2^21 MACs and win from 3M; inside a
-// decode step, where the second P has parked by the time the next call
-// arrives, fanning out the 2^22-MAC LM head of a batch-8 step, the 3M-MAC
-// projections of a 16-row prefill step and 2^22-MAC attention calls still
-// cost more than it saved.
+// parallelThreshold is the MAC count from which a training or probe kernel
+// (MatMulInto, TMatMulInto and MatMulTInto on 128- to 512-row operands) fans
+// out bands to worker goroutines: about half a millisecond of AVX2 kernel.
+// Measured at GOMAXPROCS 2 (EXPERIMENTS.md "Packed execution", fan-out
+// thresholds): back to back, two bands draw with one around 2^21 MACs and
+// win from 3M. A decode step never comes here: nn.Decoder splits its
+// projections, LM head and attention over its own lane team (DESIGN.md §6,
+// "One step, N lanes"), whose helpers are already running when a phase is
+// posted, where a band here would wake a parked P for every call.
 const parallelThreshold = 1 << 23
 
 // BandWorkers returns how many workers Bands spreads an index range of n
 // over, for a call of macs multiply-adds split in grains of grain indices: 1
 // below parallelThreshold, else GOMAXPROCS capped at ceil(n/grain). Callers
 // check it for 1 before they build the band closure, which keeps the serial
-// path allocation-free — the decode hot loop's zero-allocs-per-token pin
-// relies on this.
+// path allocation-free.
 func BandWorkers(n, grain, macs int) int {
 	if macs < parallelThreshold {
 		return 1
@@ -61,6 +61,13 @@ func Bands(n, grain, workers int, fn func(w, lo, hi int)) {
 	wg.Wait()
 }
 
+// BlockCols is the column block of the matmul kernels (blockSize): a caller
+// that splits one product's output columns across goroutines
+// (MatMulColsInto, MatMulPackedColsInto) splits at multiples of it, so that
+// every band is swept by the same kernels, a block at a time, as the whole
+// call would be.
+const BlockCols = blockSize
+
 // MatMulInto computes out = a × b for rank-2 tensors, (m,k)×(k,n) → (m,n),
 // reusing out's storage. out must have shape (a.Rows(), b.Cols()) and is
 // overwritten.
@@ -80,6 +87,23 @@ func MatMulInto(out, a, b *Tensor) {
 	} else {
 		Bands(m, 1, workers, func(_, lo, hi int) { matmulRows(out, a, b, lo, hi) })
 	}
+}
+
+// MatMulColsInto computes columns [jLo, jHi) of out = a × b, all rows, on the
+// calling goroutine, and writes nothing else of out: each element the same
+// ascending-k sum MatMulInto stores there. Goroutines may run calls on one out
+// at once over disjoint column ranges; with jLo a multiple of BlockCols the
+// range is swept in the blocks MatMulInto uses.
+func MatMulColsInto(out, a, b *Tensor, jLo, jHi int) {
+	m, k := a.Rows(), a.Cols()
+	n := b.Cols()
+	if b.Rows() != k || out.Rows() != m || out.Cols() != n || jLo < 0 || jLo > jHi || jHi > n {
+		panic(fmt.Sprintf("tensor: MatMulColsInto shape mismatch out %v[:, %d:%d] = %v × %v", out.Shape, jLo, jHi, a.Shape, b.Shape))
+	}
+	if m == 0 || jLo == jHi {
+		return
+	}
+	sumColsRows(out.Data[jLo:], n, jHi-jLo, a.Data, k, 1, b.Data[jLo:], n, k, m)
 }
 
 // matmulRows computes out rows [rowLo, rowHi) of a × b, every element

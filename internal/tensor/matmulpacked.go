@@ -11,7 +11,7 @@ const PackedBlockCols = 8
 // packedTileCols is the width of the tile the multi-row packed kernel
 // decodes and sweeps where no fused kernel takes the rows: four blocks, so
 // SumCols runs four accumulators deep (one would wait out the add latency on
-// every k) and the tile a worker holds is k·32 floats — 96 KB at k = 768.
+// every k) and the tile a lane holds is k·32 floats — 96 KB at k = 768.
 const packedTileCols = 4 * PackedBlockCols
 
 // packedGroup is the row count of the widest fused packed kernel: on an
@@ -25,7 +25,7 @@ const packedGroup = 8
 // here without a cycle): the packed kernels below never materialize the
 // whole matrix, only one rows × packedTileCols tile at a time, so a packed
 // weight's float32 footprint during a matmul is rows·32·4 bytes of reusable
-// scratch per worker instead of rows·cols·4.
+// scratch per lane instead of rows·cols·4.
 type PackedMat interface {
 	// Dims returns the logical (rows, cols) of the matrix.
 	Dims() (rows, cols int)
@@ -53,13 +53,12 @@ type PackedMat interface {
 	MulVecInto(out []float32, outStride int, a []float32, rows, colLo, colHi int) bool
 }
 
-// PackedScratch holds the per-worker buffers of the packed matmul kernels:
-// the tile a worker decodes, or the zero-padded group of rows it hands the
-// eight-row kernel. One scratch may be reused across any number of
-// sequential kernel calls (buffers grow to the largest request and stay),
-// which is what keeps the decode hot loop at zero allocations per token.
-// A scratch must not be shared by two kernel calls running concurrently;
-// give each goroutine driving packed matmuls its own.
+// PackedScratch holds one buffer per lane for the packed matmul kernels: the
+// tile a lane decodes, or the zero-padded group of rows it hands the
+// eight-row kernel. One scratch may be reused across any number of kernel
+// calls (buffers grow to the largest request and stay), which is what keeps
+// the decode hot loop at zero allocations per token. Calls running at once
+// on one scratch must use distinct lanes, each reserved beforehand.
 type PackedScratch struct {
 	bufs [][]float32
 }
@@ -70,57 +69,68 @@ func NewPackedScratch() *PackedScratch {
 	return &PackedScratch{}
 }
 
-// ensure returns workers buffers of at least elems float32s each, growing
-// the scratch as needed. Called from the kernel prologue, before any
-// worker goroutines exist, so it needs no locking.
-func (s *PackedScratch) ensure(workers, elems int) [][]float32 {
-	for len(s.bufs) < workers {
+// Reserve grows lanes 0 to lanes-1 of the scratch to hold what one
+// MatMulPackedColsInto call over an (m,k)×(k,n) product needs. Call it from
+// one goroutine, before the lanes run.
+func (s *PackedScratch) Reserve(lanes, m, k, n int) {
+	elems := packedElems(m, k, n)
+	for len(s.bufs) < lanes {
 		s.bufs = append(s.bufs, nil)
 	}
-	for i := 0; i < workers; i++ {
+	for i := range lanes {
 		if len(s.bufs[i]) < elems {
 			s.bufs[i] = make([]float32, elems)
 		}
 	}
-	return s.bufs[:workers]
 }
 
-// MatMulPackedInto computes out = a × w for a packed weight w, reusing
-// out's storage: (m,k)×(k,n) → (m,n), every element overwritten. Results
-// are bitwise identical to MatMulInto(out, a, w.Unpack()) at any
-// GOMAXPROCS: each output element is one ascending-k float32 sum from +0
-// with the same zero skip as matmulRows, over the same decoded values, and
-// column bands own disjoint output columns. The loop is column-band-outer
-// (matmulPackedCols): each code word of the band is decoded once per group
-// of rows the format's fused kernel takes, or once into a tile that every
-// remaining activation row sweeps with SumCols. scratch may be nil (a
-// temporary is allocated); pass a reused scratch on hot paths.
-func MatMulPackedInto(out, a *Tensor, w PackedMat, scratch *PackedScratch) {
-	m, k := a.Rows(), a.Cols()
-	wr, n := w.Dims()
-	if wr != k || out.Rows() != m || out.Cols() != n {
-		panic(fmt.Sprintf("tensor: MatMulPackedInto shape mismatch out %v = %v × packed(%d,%d)", out.Shape, a.Shape, wr, n))
-	}
-	if scratch == nil {
-		scratch = NewPackedScratch()
-	}
-	// Bands are whole blockSize-column blocks (a multiple of packedTileCols),
-	// so a band boundary never splits a word-aligned block into two unaligned
-	// halves and only the last band has a narrow tile. Column bands, unlike
-	// the dense kernels' row bands, decode each column of w once at any
-	// worker count. A worker's buffer holds a tile or, where the last group
-	// of rows is padded (mulVecGroup), that group's rows and sums.
-	workers := BandWorkers(n, blockSize, m*n*k)
+// packedElems is the buffer one call over an (m,k)×(k,n) product needs: a
+// full-height tile, or, where the last group of rows is padded
+// (mulVecGroup), that group's rows and sums.
+func packedElems(m, k, n int) int {
 	elems := k * packedTileCols
 	if useAVX512 && m%packedGroup >= 3 {
 		elems = max(elems, packedGroup*(k+n))
 	}
-	bufs := scratch.ensure(workers, elems)
-	if workers <= 1 {
-		matmulPackedCols(out, a, w, bufs[0], 0, n)
-	} else {
-		Bands(n, blockSize, workers, func(wi, lo, hi int) { matmulPackedCols(out, a, w, bufs[wi], lo, hi) })
+	return elems
+}
+
+// MatMulPackedInto computes out = a × w for a packed weight w, reusing
+// out's storage: (m,k)×(k,n) → (m,n), every element overwritten, on the
+// calling goroutine and lane 0 of scratch. Results are bitwise identical to
+// MatMulInto(out, a, w.Unpack()): each output element is one ascending-k
+// float32 sum from +0 with the same zero skip as matmulRows, over the same
+// decoded values. The loop is column-outer (matmulPackedCols): each code
+// word is decoded once per group of rows the format's fused kernel takes, or
+// once into a tile that every remaining activation row sweeps with SumCols.
+// scratch may be nil (a temporary is allocated); pass a reused scratch on
+// hot paths.
+func MatMulPackedInto(out, a *Tensor, w PackedMat, scratch *PackedScratch) {
+	_, n := w.Dims()
+	if scratch == nil {
+		scratch = NewPackedScratch()
 	}
+	scratch.Reserve(1, a.Rows(), a.Cols(), n)
+	MatMulPackedColsInto(out, a, w, scratch, 0, 0, n)
+}
+
+// MatMulPackedColsInto computes columns [jLo, jHi) of out = a × w, all rows,
+// on lane of scratch, and writes nothing else of out; each element is the one
+// MatMulPackedInto stores there. Goroutines may run calls on one out and one
+// scratch at once over disjoint column ranges and distinct lanes, each lane
+// reserved for the product. jLo must be a multiple of BlockCols (a multiple
+// of packedTileCols), so a range never splits a word-aligned block into two
+// unaligned halves and only a range ending at n has a narrow tile.
+func MatMulPackedColsInto(out, a *Tensor, w PackedMat, scratch *PackedScratch, lane, jLo, jHi int) {
+	m, k := a.Rows(), a.Cols()
+	wr, n := w.Dims()
+	if wr != k || out.Rows() != m || out.Cols() != n || jLo%BlockCols != 0 || jLo < 0 || jLo > jHi || jHi > n {
+		panic(fmt.Sprintf("tensor: MatMulPackedColsInto shape mismatch out %v[:, %d:%d] = %v × packed(%d,%d)", out.Shape, jLo, jHi, a.Shape, wr, n))
+	}
+	if lane >= len(scratch.bufs) || len(scratch.bufs[lane]) < packedElems(m, k, n) {
+		panic(fmt.Sprintf("tensor: MatMulPackedColsInto lane %d of the scratch is not reserved for %d × %d × %d", lane, m, k, n))
+	}
+	matmulPackedCols(out, a, w, scratch.bufs[lane], jLo, jHi)
 }
 
 // matmulPackedCols computes out columns [jLo, jHi) of a × w (all rows).

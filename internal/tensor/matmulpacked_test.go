@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"edgellm/internal/quant"
@@ -168,34 +169,46 @@ func TestMatMulPackedSpecialActivations(t *testing.T) {
 	}
 }
 
-// TestMatMulPackedDeterministicAcrossProcs pins banding determinism: a
-// kernel big enough to fan out must produce byte-identical output at
-// GOMAXPROCS 1 and N, with shared scratch reuse across calls. Bands are
-// whole 64-column blocks: n = 250 is ragged, and n = 264 is a multiple of 8
-// whose even 2- and 4-way splits (132, 66) are not, so it fails if a band
-// boundary is not rounded to a block.
+// TestMatMulPackedDeterministicAcrossProcs pins the column split a decoder's
+// lane team makes: lanes goroutines, at GOMAXPROCS 1 and N, each run
+// MatMulPackedColsInto over every lanes-th 64-column block on its own lane
+// of one shared scratch, reused across calls, and the product must equal the
+// one-call MatMulPackedInto and the float32 reference over Unpack bit for
+// bit. n = 250 ends in a ragged block, and n = 264 is a multiple of 8 whose
+// last block is 8 columns wide.
 func TestMatMulPackedDeterministicAcrossProcs(t *testing.T) {
 	for _, n := range []int{250, 264} {
-		m, k := 512, 96 // m·k·n ≥ parallelThreshold; n spans 4 column bands
+		m, k := 19, 96 // 19 rows: two groups of eight and a tail of three
 		a := randTensor(m, k, 42)
 		w := randTensor(k, n, 43)
 		p := quant.Pack(w, 3)
-
-		run := func(procs int) *tensor.Tensor {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			u := tensor.New(m, n)
-			tensor.MatMulPackedInto(u, a, p, tensor.NewPackedScratch())
-			return u
-		}
-		u1 := run(1)
-		for _, procs := range []int{2, 4, 8} {
-			bitwiseEqual(t, fmt.Sprintf("n=%d uniform3 procs 1 vs %d", n, procs), run(procs), u1)
-		}
-
-		// And the parallel result must equal the serial float32 reference.
+		whole := tensor.New(m, n)
+		tensor.MatMulPackedInto(whole, a, p, nil)
 		want := tensor.New(m, n)
 		tensor.MatMulInto(want, a, p.Unpack())
-		bitwiseEqual(t, fmt.Sprintf("n=%d uniform3 vs unpacked reference", n), u1, want)
+		bitwiseEqual(t, fmt.Sprintf("n=%d uniform3 vs unpacked reference", n), whole, want)
+
+		scratch := tensor.NewPackedScratch()
+		for _, procs := range []int{1, max(4, runtime.NumCPU())} {
+			for lanes := 1; lanes <= 4; lanes++ {
+				old := runtime.GOMAXPROCS(procs)
+				scratch.Reserve(lanes, m, k, n)
+				u := tensor.New(m, n)
+				var wg sync.WaitGroup
+				for lane := range lanes {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for j := lane * tensor.BlockCols; j < n; j += lanes * tensor.BlockCols {
+							tensor.MatMulPackedColsInto(u, a, p, scratch, lane, j, min(j+tensor.BlockCols, n))
+						}
+					}()
+				}
+				wg.Wait()
+				runtime.GOMAXPROCS(old)
+				bitwiseEqual(t, fmt.Sprintf("n=%d uniform3 procs %d, %d lanes vs one call", n, procs, lanes), u, whole)
+			}
+		}
 	}
 }
 
@@ -203,8 +216,8 @@ func TestMatMulPackedDeterministicAcrossProcs(t *testing.T) {
 // test: 768 × 768 at every width, one row and two (the fused
 // MulVecInto), three (two rows and one), a decode batch, a prefill run and
 // one past it,
-// at GOMAXPROCS 1 and 2 (from 16 rows up the call is over the fan-out
-// threshold and bands its columns). The oracle is the obvious triple loop
+// at GOMAXPROCS 1 and 2 (a call runs on its caller's goroutine at any
+// GOMAXPROCS). The oracle is the obvious triple loop
 // over Unpack — one ascending-k sum per element from +0, zero activations
 // skipped — so it holds whichever kernel, Go or assembly, runs beneath.
 func TestMatMulPackedGridIdentity(t *testing.T) {

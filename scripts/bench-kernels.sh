@@ -18,11 +18,10 @@
 #     TMatMul, on the AdamW assembly falling below 1.5x its Go twin, or on
 #     the fake-quant assembly falling below 3x its Go definition (both at
 #     any core count);
-#  3. the serving fan-out pairs at 1 and 4 procs, report only: whether the
-#     decode step's matmuls and attention, through tensor.Bands, ever beat
-#     serial on real cores. AttendStep512 is a MaxSeq-512 step whose
-#     attention reaches the fan-out threshold. A failure here is printed,
-#     not fatal.
+#  3. the serving pairs at 1 and 4 procs, report only: what a decode step
+#     gains from its lane team (one lane at 1 proc, min(procs, cores) at 4)
+#     on real cores. AttendStep512 is a MaxSeq-512 step whose attention is
+#     most of the work. A failure here is printed, not fatal.
 #
 #   scripts/bench-kernels.sh [out-dir]    default ./bench-kernels-out
 set -euo pipefail

@@ -6,11 +6,13 @@
 # (on Model.Logits as LoRA hooks on its linears), and a packed backbone +
 # adapter == the Unpack'ed float32 weights + the same adapter. Runs every
 # Decoder/Scheduler/Adapter test of internal/nn and internal/serve (the
-# random-schedule differential harnesses included) once, at the machine's
-# default GOMAXPROCS. A result can depend on procs only where a kernel fans
-# out (2^23 MACs a call, tensor.Bands), which no model of these tests reaches;
-# the harnesses that compare procs switch to 1 and to 8 themselves. About a
-# minute on two cores.
+# random-schedule differential harnesses included) twice: at the machine's
+# default GOMAXPROCS, and at GOMAXPROCS=4, where a decoder's lane team
+# (min(GOMAXPROCS, NumCPU) lanes) has four lanes on a 4-core runner and holds
+# fewer lanes than Ps on a 2-core one; the lane-count test also runs the
+# identity tests at 1 to 4 lanes, four lanes on two cores being an
+# oversubscribed team. The harnesses that compare procs switch to 1 and to 8
+# themselves. A few minutes on two cores.
 #
 #   scripts/decode-identity.sh [log-file]    tee the test output to log-file
 set -euo pipefail
@@ -20,3 +22,5 @@ log=${1:-/dev/null}
 
 echo "== Decoder|Scheduler|Adapter tests, -race, GOMAXPROCS=${GOMAXPROCS:-default}" | tee -a "$log"
 go test -race -count=1 -run 'Decoder|Scheduler|Adapter' ./internal/nn ./internal/serve 2>&1 | tee -a "$log"
+echo "== Decoder|Scheduler|Adapter tests, -race, GOMAXPROCS=4" | tee -a "$log"
+GOMAXPROCS=4 go test -race -count=1 -run 'Decoder|Scheduler|Adapter' ./internal/nn ./internal/serve 2>&1 | tee -a "$log"

@@ -14,8 +14,8 @@
 #     one and two rows, batch-8 ≥ 1.7× one-at-a-time), whole, at
 #     GOMAXPROCS=1 and default, each benchmark the fastest of three passes (benchguard keeps
 #     the fastest repetition; this class of host moves its clock by a quarter
-#     between them). No step of the benchmark model reaches the fan-out
-#     thresholds, so the 0-alloc gates hold at any GOMAXPROCS.
+#     between them). A decode step's lane team allocates nothing at any lane
+#     count, so the 0-alloc gates hold at any GOMAXPROCS.
 #
 # Step 1 also runs TestServeBitsWithAdapters (cmd/edgellm): packing releases
 # exactly its float32 bytes from the weight pool, the resident ratio of
