@@ -112,11 +112,6 @@ func (b *Block) linears() [7]*Linear {
 	return [7]*Linear{b.Attn.Wq, b.Attn.Wk, b.Attn.Wv, b.Attn.Wo, b.MLP.Gate, b.MLP.Up, b.MLP.Down}
 }
 
-// weight returns WeightMatrices()[wi] without building the slice.
-func (b *Block) weight(wi int) *tensor.Tensor {
-	return [numBlockWeights]*Linear{b.Attn.Wq, b.Attn.Wk, b.Attn.Wv, b.Attn.Wo, b.MLP.Gate, b.MLP.Up, b.MLP.Down}[wi].W.Data
-}
-
 // WeightMatrices returns the block's seven 2-D weight tensors in a stable
 // order. These are the tensors the LUC pass prunes and quantises; norms and
 // biases are deliberately excluded (they are tiny and precision-critical).

@@ -32,10 +32,11 @@ var ErrBadBatch = errors.New("nn: invalid StepBatch arguments")
 // convenience wrapper (slot 0). Each slot decodes under its own adapter
 // (SetAdapterAt), and one step carries slots under any mix of adapters.
 //
-// A step runs on a lane team fixed at construction (team.go): the calling
-// goroutine and min(GOMAXPROCS, NumCPU)−1 helpers, which split each
-// projection and the LM head by 64-column blocks and attention by rows. At
-// one lane there is no helper and the step runs on the caller alone.
+// A step runs on a lane team of min(GOMAXPROCS, NumCPU) lanes fixed at
+// construction (team.go): the calling goroutine and a helper goroutine per
+// other lane, asleep between steps, split each projection and the LM head by
+// 64-column blocks and attention by rows. At one lane there is no helper and
+// the caller runs each product whole.
 //
 // Batched execution is bitwise-identical to single-sequence decoding: every
 // projection runs through the cache-blocked column-lane kernels, whose
@@ -92,8 +93,8 @@ type Decoder struct {
 	packed   *PackedModel
 	pscratch *tensor.PackedScratch
 
-	// The lane team (nil at one lane), the phase it runs, and the cleanup
-	// that stops an unclosed decoder's helpers once it is unreachable.
+	// The lane team, the phase it runs, and the cleanup that stops an
+	// unclosed decoder's helpers once it is unreachable.
 	team     *team
 	ph       phase
 	teamStop runtime.Cleanup
@@ -181,14 +182,19 @@ func NewBatchDecoder(m *Model, slots int, pool *tensor.Pool) *Decoder {
 		rowSides:    make([]sideRun, 0, rows),
 		headSides:   make([]sideRun, 0, slots),
 		sideX:       tensor.Tensor{Shape: []int{0, 0}},
+		team:        newTeam(laneCount()),
 	}
-	if lanes := laneCount(); lanes > 1 {
-		d.ph.d = d
-		d.team = newTeam(lanes)
-		d.teamStop = runtime.AddCleanup(d, (*team).stop, d.team)
+	d.ph.d, d.ph.width = d, tensor.BlockCols
+	if d.team.lanes() == 1 {
+		d.ph.width = max(cfg.Dim, cfg.Hidden, cfg.Vocab)
 	}
+	d.teamStop = runtime.AddCleanup(d, (*team).stop, d.team)
 	return d
 }
+
+// Lanes returns how many lanes the decoder's steps run on: the caller and
+// Lanes()−1 helper goroutines, which hold that many Ps during a step.
+func (d *Decoder) Lanes() int { return d.team.lanes() }
 
 // Config returns the model configuration the decoder serves.
 func (d *Decoder) Config() Config { return d.m.Cfg }
@@ -218,11 +224,8 @@ func (d *Decoder) Reset() { d.arena.ReleaseAll() }
 // Close stops the lane team's helpers and returns the arena and all scratch
 // to the pool. The decoder must not be used afterwards.
 func (d *Decoder) Close() {
-	if d.team != nil {
-		d.teamStop.Stop()
-		d.team.stop()
-		d.team = nil
-	}
+	d.teamStop.Stop()
+	d.team.stop()
 	d.arena.Close()
 	for _, bb := range []*batchBuf{&d.h, &d.q, &d.k, &d.v, &d.ctx, &d.att, &d.gate, &d.up, &d.mlp, &d.logits, &d.sideXA, &d.sideOut} {
 		bb.release(d.pool)
@@ -271,10 +274,8 @@ func (d *Decoder) StepBatch(tokens, slots []int) ([][]float32, error) {
 	if err := d.planRuns(tokens, slots); err != nil {
 		return nil, err
 	}
-	if d.team != nil {
-		d.team.start()
-		defer d.team.park()
-	}
+	d.team.start()
+	defer d.team.park()
 	m := d.m
 	R := len(d.last)
 	d.rowSides, d.headSides = d.rowSides[:0], d.headSides[:0]
@@ -339,12 +340,8 @@ func (d *Decoder) StepBatch(tokens, slots []int) ([][]float32, error) {
 	for r, i := range d.last {
 		tensor.RMSNormRow(hV.Row(r), d.x[i*dim:(i+1)*dim], m.Norm.Gain.Data.Data, m.Norm.Eps)
 	}
-	if d.team == nil {
-		tensor.MatMulInto(logitsV, hV, m.LMHead.W.Data)
-	} else {
-		d.ph.x, d.ph.mats[0] = hV, projection{out: logitsV, w: m.LMHead.W.Data}
-		d.fanOut(1)
-	}
+	d.ph.x, d.ph.mats[0] = hV, projection{out: logitsV, w: m.LMHead.W.Data}
+	d.fanOut(1)
 	d.addSide(logitsV, hV, d.headSides, headLayer, 0)
 
 	d.rows = d.rows[:0]
@@ -438,12 +435,6 @@ func (d *Decoder) attendSlot(l, i, s, heads, hd int, scale float32, q, ctx []flo
 // every row's K/V was written before — and scratch rows are disjoint), so
 // the split cannot change results at any lane count. It allocates nothing.
 func (d *Decoder) attendAll(l, B int, slots []int, heads, hd int, scale float32, q, ctx []float32) {
-	if d.team == nil {
-		for i, s := range slots[:B] {
-			d.attendSlot(l, i, s, heads, hd, scale, q, ctx)
-		}
-		return
-	}
 	ph := &d.ph
 	ph.x, ph.l, ph.slots, ph.heads, ph.hd, ph.scale, ph.q, ph.ctx = nil, l, slots, heads, hd, scale, q, ctx
 	d.team.run(ph, B)

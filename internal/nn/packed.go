@@ -154,17 +154,3 @@ func (d *Decoder) SetPacked(pm *PackedModel) error {
 	d.pscratch = tensor.NewPackedScratch()
 	return nil
 }
-
-// mm runs one block projection, dispatching to the fused packed kernel
-// when layer l's weight wi is packed and to the float32 kernel otherwise,
-// then adds the adapter's side path for that weight if it has one. Both
-// kernels share the same accumulation order, so the dispatch can never
-// change logits for a float32 layer.
-func (d *Decoder) mm(out, x, w *tensor.Tensor, l, wi int) {
-	if d.packed != nil && d.packed.mats[l][wi] != nil {
-		tensor.MatMulPackedInto(out, x, d.packed.mats[l][wi], d.pscratch)
-	} else {
-		tensor.MatMulInto(out, x, w)
-	}
-	d.addSide(out, x, d.rowSides, l, wi)
-}

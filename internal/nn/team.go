@@ -1,9 +1,11 @@
 package nn
 
 import (
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"edgellm/internal/tensor"
 )
@@ -33,32 +35,57 @@ type phaseWork interface {
 // unclaimed unit.
 const postParked = 1 << 63
 
-// leaderSpins, helperSpins and lingerSpins count empty polls of the post
-// word, about 0.8 ns each on a 2-vCPU Xeon guest.
+// A lane with nothing to claim polls the post word (or, the leader, the done
+// count), and times the wait by the clock: it reads the clock once every
+// pollsPerClock polls (under a microsecond: a poll is about 0.8 ns on a 2-vCPU
+// Xeon guest), first after the first pollsPerClock, so a short wait never
+// reads it. The bounds below are durations, whatever a poll costs on the
+// host.
 //
-// A lane that has polled leaderSpins or helperSpins times in a row starts
-// yielding its P on every poll, so that an oversubscribed team (more lanes
-// than Ps, or two decoders stepping at once) still makes progress. The
-// leader waits out a unit, at most some 20 µs of kernel, so its 2^16 polls
-// (about 50 µs) almost never reach a yield: a goroutine handed the leader's
-// P (an HTTP handler, say) would run until it blocks and stall the whole
-// step behind it. A helper yields after 2^12 polls (about 3 µs) of phase
-// gap, so a goroutine made runnable on its P mid-step waits little; the
-// leader takes the units the helper leaves meanwhile.
+// A lane yields its P once every leaderYield or helperYield it waits, so that
+// an oversubscribed team (more lanes than Ps, or two decoders stepping at
+// once) still makes progress. The leader waits out a unit, at most some 20 µs
+// of kernel, so it almost never yields: a goroutine handed the leader's P (an
+// HTTP handler, say) would run until it blocks and stall the whole step
+// behind it. A helper yields every 3 µs of a phase gap, so a goroutine made
+// runnable on its P mid-step waits little; the leader takes the units the
+// helper leaves meanwhile. A yield lets the scheduler wake an idle P's
+// thread, and a thread it must first start allocates, so a lane yields once
+// a bound, not on every poll past it.
 //
-// After its last unit of a step, a helper polls lingerSpins times (about
-// 25 µs) before it sleeps, so a step that follows at once (a prompt's
-// chunks, a benchmark loop, a server's next step when sampling and the
-// token writes are quick) finds it awake: no wake-up to wait for, and no
-// thread the runtime must start to carry it. Between steps further apart the
-// sleeping helper leaves its P to a server's handlers and to the network
-// poller that wakes their clients; at 2^16 polls (about 50 µs) it slept too
-// rarely, and token lines reached the client two at a time.
+// Once a step has parked, a helper waits linger for the next step before it
+// sleeps, so a step that follows at once (a prompt's chunks, a
+// benchmark loop, a server's next step when sampling and the token writes
+// are quick) finds it awake: no wake-up to wait for. Between steps further
+// apart the sleeping helper leaves its P to a server's handlers and to the
+// network poller that wakes their clients; a helper that lingered 50 µs slept
+// too rarely, and token lines reached the client two at a time.
 const (
-	leaderSpins = 1 << 16
-	helperSpins = 1 << 12
-	lingerSpins = 1 << 15
+	pollsPerClock = 1 << 10
+	leaderYield   = 50 * time.Microsecond
+	helperYield   = 3 * time.Microsecond
+	linger        = 25 * time.Microsecond
 )
+
+// wait is one lane's run of empty polls.
+type wait struct {
+	polls  int
+	since  time.Time
+	waited time.Duration
+}
+
+// poll counts an empty poll and returns how long the wait has lasted as of
+// the clock's last reading.
+func (w *wait) poll() time.Duration {
+	if w.polls++; w.polls%pollsPerClock == 0 {
+		if w.polls == pollsPerClock {
+			w.since = time.Now()
+		} else {
+			w.waited = time.Since(w.since)
+		}
+	}
+	return w.waited
+}
 
 // team is a decoder's lane team (DESIGN.md §6, "One step, N lanes"): the
 // goroutine calling StepBatch leads as lane 0, and lanes-1 helper goroutines,
@@ -66,10 +93,16 @@ const (
 // posts the work and its unit count, and every lane, the leader included,
 // claims units one at a time until none is left, so a lane that arrives late
 // (a helper still waking) or runs slow leaves its share to the others. The
-// leader returns from run once every unit is done. Helpers poll the post
-// word between start and park, the span of one StepBatch, and briefly after;
-// otherwise they sleep on their wake channel and leave their P to other
-// goroutines.
+// leader returns from run once every unit is done. At one lane there is no
+// helper: run loops the units on the caller.
+//
+// Helpers poll the post word between start and park, the span of one
+// StepBatch, and for linger after; otherwise they sleep on a read of their
+// wake pipe and leave their P to other goroutines. A goroutine parked on a
+// channel or a lock holds a sudog, taken from per-P caches whose central
+// reserve every collection empties, so sleeping and waking there allocates
+// now and then; one parked in the network poller holds only its file's
+// descriptor, so a step allocates nothing whenever its helpers slept.
 type team struct {
 	post atomic.Uint64
 	_    [56]byte // keep the claimed word and the done count on separate lines
@@ -78,17 +111,35 @@ type team struct {
 
 	// panics[lane] is the first panic recovered from a unit on lane in the
 	// current phase, re-raised by the leader once every unit is done.
-	panics []any
-	wake   []chan struct{} // wake[lane] for lanes ≥ 1
-	exited sync.WaitGroup
+	panics  []any
+	helpers []helper // helpers[lane] for lanes ≥ 1
+	exited  sync.WaitGroup
 }
 
-// newTeam starts the helpers of a lanes-lane team; lanes must be at least 2.
+// helper is a helper lane's sleeping state: asleep while it reads, or is
+// about to read, its wake pipe.
+type helper struct {
+	asleep atomic.Bool
+	r, w   *os.File
+	buf    [8]byte
+}
+
+// wakeByte is what start writes to a sleeping helper's pipe.
+var wakeByte = []byte{1}
+
+// newTeam starts the helpers of a lanes-lane team. A lane whose wake pipe
+// cannot be made (a platform without pipes, a process out of descriptors)
+// and the lanes after it are dropped: the team runs on fewer lanes.
 func newTeam(lanes int) *team {
-	t := &team{panics: make([]any, lanes), wake: make([]chan struct{}, lanes)}
+	t := &team{panics: make([]any, 1, lanes), helpers: make([]helper, lanes)}
 	t.post.Store(postParked)
 	for lane := 1; lane < lanes; lane++ {
-		t.wake[lane] = make(chan struct{}, 1)
+		r, w, err := os.Pipe()
+		if err != nil {
+			break
+		}
+		t.panics = append(t.panics, nil)
+		t.helpers[lane].r, t.helpers[lane].w = r, w
 		t.exited.Add(1)
 		go t.help(lane)
 	}
@@ -98,18 +149,21 @@ func newTeam(lanes int) *team {
 // lanes returns the team's lane count, the leader's included.
 func (t *team) lanes() int { return len(t.panics) }
 
-// start opens a step: helpers poll from now until park. A helper that has
-// not yet slept since the last park finds its token at its next sleep and
-// polls on. The leader first yields its P once, so that goroutines the last
-// step's results made runnable on it (a server's handlers writing the step's
-// tokens) run now, rather than contend with a waking helper for the other P.
+// start opens a step: it posts an empty phase and wakes the helpers that
+// sleep. It does not yield: a caller whose last step made goroutines
+// runnable on its P yields before the step (serve's scheduler does), and a
+// back-to-back caller, a benchmark loop, has nothing to yield to; a yield
+// with idle Ps lets the scheduler start a thread inside the caller's loop.
 func (t *team) start() {
-	runtime.Gosched()
+	if t.lanes() == 1 {
+		return
+	}
 	t.post.Store(0)
-	for _, c := range t.wake[1:] {
-		select {
-		case c <- struct{}{}:
-		default:
+	for lane := 1; lane < t.lanes(); lane++ {
+		if h := &t.helpers[lane]; h.asleep.Swap(false) {
+			// A failed write leaves the helper asleep; the other lanes
+			// claim its units.
+			_, _ = h.w.Write(wakeByte)
 		}
 	}
 }
@@ -126,17 +180,20 @@ func (t *team) park() {
 // last unit has finished, so no lane writes once run has returned or
 // panicked.
 func (t *team) run(w phaseWork, n int) {
-	if n == 1 {
-		w.runUnit(0, 0)
+	if t.lanes() == 1 || n == 1 {
+		for u := range n {
+			w.runUnit(0, u)
+		}
 		return
 	}
 	t.work = w
 	t.done.Store(0)
 	t.post.Store(uint64(n) << 32)
 	t.done.Add(t.claim(0))
-	for spins := 0; t.done.Load() < uint64(n); spins++ {
-		if spins >= leaderSpins {
+	for wt := (wait{}); t.done.Load() < uint64(n); {
+		if wt.poll() >= leaderYield {
 			runtime.Gosched()
+			wt = wait{}
 		}
 	}
 	var first any
@@ -179,36 +236,52 @@ func (t *team) unit(lane, u int) {
 	t.work.runUnit(lane, u)
 }
 
-// help is helper lane's goroutine: asleep on its wake channel between steps,
-// polling the post word and claiming units during one and for lingerSpins
-// polls after its last unit, gone once the channel is closed. A step that starts while
-// it lingers leaves a wake token, which only sends the helper round its
-// loop once more at its next sleep.
+// help is helper lane's goroutine: it serves steps, sleeps on its wake pipe
+// between them, and returns once the pipe's write end is closed. A helper
+// that finds a step posted as it falls asleep serves it at once; the wake
+// byte start may then write costs it one more linger later.
 func (t *team) help(lane int) {
 	defer t.exited.Done()
-	for range t.wake[lane] {
-	poll:
-		for spins := 0; ; spins++ {
-			p := t.post.Load()
-			switch {
-			case p&postParked != 0:
-				if spins >= lingerSpins {
-					break poll
-				}
-			case uint32(p) < uint32(p>>32):
-				t.done.Add(t.claim(lane))
-				spins = 0
-			case spins >= helperSpins:
-				runtime.Gosched()
+	h := &t.helpers[lane]
+	defer h.r.Close()
+	for {
+		t.serve(lane)
+		h.asleep.Store(true)
+		if t.post.Load()&postParked == 0 {
+			h.asleep.Store(false)
+			continue
+		}
+		if _, err := h.r.Read(h.buf[:]); err != nil {
+			return
+		}
+	}
+}
+
+// serve claims units on lane as phases are posted, and returns once the team
+// is parked and the lane has waited linger since its last unit or yield.
+func (t *team) serve(lane int) {
+	var wt wait
+	for {
+		p := t.post.Load()
+		switch {
+		case p&postParked != 0:
+			if wt.poll() >= linger {
+				return
 			}
+		case uint32(p) < uint32(p>>32):
+			t.done.Add(t.claim(lane))
+			wt = wait{}
+		case wt.poll() >= helperYield:
+			runtime.Gosched()
+			wt = wait{}
 		}
 	}
 }
 
 // stop ends the helpers and waits for them to exit. The team must be parked.
 func (t *team) stop() {
-	for _, c := range t.wake[1:] {
-		close(c)
+	for lane := 1; lane < t.lanes(); lane++ {
+		t.helpers[lane].w.Close()
 	}
 	t.exited.Wait()
 }
@@ -221,15 +294,21 @@ type projection struct {
 }
 
 // phase is the decoder's work for its team, one fan-out of a step at a
-// time: with x set, up to three projections of x, cut into
-// tensor.BlockCols-column units in mats order; with x nil, attention over
-// the step's rows, one row a unit. Every unit writes only its own output
-// columns or its own row's context and score scratch.
+// time: with x set, up to three projections of x, cut into units of width
+// columns in mats order; with x nil, attention over the step's rows, one row
+// a unit. Every unit writes only its own output columns or its own row's
+// context and score scratch.
 type phase struct {
 	d    *Decoder
 	x    *tensor.Tensor
 	mats [3]projection
 	ends [3]int // ends[i]: the units of mats[:i+1]
+
+	// width is a projection unit's columns: tensor.BlockCols, or at one
+	// lane the model's widest output, so that each product there is one
+	// kernel call. A call per 64-column block cost a one-lane packed step
+	// 5–17% (fastest of five interleaved runs each, 2-vCPU Xeon guest).
+	width int
 
 	// attention: attendSlot's arguments but the row
 	l, heads, hd int
@@ -251,8 +330,8 @@ func (ph *phase) runUnit(lane, u int) {
 		u -= ph.ends[i-1]
 	}
 	pr := &ph.mats[i]
-	jLo := u * tensor.BlockCols
-	jHi := min(jLo+tensor.BlockCols, pr.out.Cols())
+	jLo := u * ph.width
+	jHi := min(jLo+ph.width, pr.out.Cols())
 	if pr.p != nil {
 		tensor.MatMulPackedColsInto(pr.out, ph.x, pr.p, ph.d.pscratch, lane, jLo, jHi)
 	} else {
@@ -261,20 +340,14 @@ func (ph *phase) runUnit(lane, u int) {
 }
 
 // project computes layer l's block weights [lo, hi), which all read x, into
-// their step buffers (projOut), then adds each one's adapter side path: on
-// the caller alone at one lane (mm), else as one phase of the team.
+// their step buffers (projOut) as one phase of the team, through the packed
+// kernel where the weight is packed, then adds each one's adapter side path.
 func (d *Decoder) project(l, lo, hi int, x *tensor.Tensor) {
 	B := x.Rows()
-	blk := d.m.Blocks[l]
-	if d.team == nil {
-		for wi := lo; wi < hi; wi++ {
-			d.mm(d.projOut(wi, B), x, blk.weight(wi), l, wi)
-		}
-		return
-	}
+	ws := d.m.Blocks[l].linears()
 	d.ph.x = x
 	for wi := lo; wi < hi; wi++ {
-		pr := projection{out: d.projOut(wi, B), w: blk.weight(wi)}
+		pr := projection{out: d.projOut(wi, B), w: ws[wi].W.Data}
 		if d.packed != nil {
 			if pr.p = d.packed.mats[l][wi]; pr.p != nil {
 				d.pscratch.Reserve(d.team.lanes(), B, x.Cols(), pr.out.Cols())
@@ -292,7 +365,7 @@ func (d *Decoder) project(l, lo, hi int, x *tensor.Tensor) {
 func (d *Decoder) fanOut(n int) {
 	units := 0
 	for i, pr := range d.ph.mats[:n] {
-		units += (pr.out.Cols() + tensor.BlockCols - 1) / tensor.BlockCols
+		units += (pr.out.Cols() + d.ph.width - 1) / d.ph.width
 		d.ph.ends[i] = units
 	}
 	d.team.run(&d.ph, units)

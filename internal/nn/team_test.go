@@ -152,6 +152,12 @@ func laneDecoder(lanes int) *Decoder {
 	return d
 }
 
+// laneModel is a model whose projections and head span several 64-column
+// blocks, so that every phase of a step has units for the helpers.
+func laneModel(seed int64) *Model {
+	return NewModel(Config{Vocab: 200, Dim: 128, Heads: 4, Layers: 2, Hidden: 256, MaxSeq: 48}, tensor.NewRNG(seed))
+}
+
 // packTensor packs w the way PackModel packs a block weight at 4 bits.
 func packTensor(t *testing.T, w *tensor.Tensor) tensor.PackedMat {
 	t.Helper()
@@ -275,4 +281,90 @@ func TestDecoderCloseStopsHelpers(t *testing.T) {
 	if got := settledGoroutines(); got != base {
 		t.Fatalf("%d goroutines after an unclosed decoder became unreachable, want %d", got, base)
 	}
+}
+
+// TestDecoderHelpersAcrossLinger steps with gaps on both sides of linger, so
+// that steps find their helpers polling, falling asleep or asleep: every
+// step's logits equal a one-lane decoder's.
+func TestDecoderHelpersAcrossLinger(t *testing.T) {
+	m := laneModel(6)
+	ref := func() *Decoder {
+		defer func(old int) { forcedLanes = old }(forcedLanes)
+		forcedLanes = 1
+		return NewDecoder(m)
+	}()
+	defer ref.Close()
+	gaps := []time.Duration{0, linger / 2, linger, linger + linger/4, 2 * linger, 0, 200 * time.Microsecond}
+	for lanes := 2; lanes <= 4; lanes++ {
+		ref.Reset()
+		d := func() *Decoder {
+			defer func(old int) { forcedLanes = old }(forcedLanes)
+			forcedLanes = lanes
+			return NewDecoder(m)
+		}()
+		for i := range m.Cfg.MaxSeq {
+			if gap := gaps[i%len(gaps)]; gap > 0 {
+				for end := time.Now().Add(gap); time.Now().Before(end); {
+				}
+			}
+			tok := (i*7 + lanes) % m.Cfg.Vocab
+			rowsBitsEqual(t, fmt.Sprintf("lanes %d step %d", lanes, i), mustStep(t, d, tok), mustStep(t, ref, tok))
+		}
+		d.Close()
+	}
+}
+
+// TestDecoderStepAllocatesNothingAtEveryLaneCount runs steps at 1 to 4 lanes
+// under GOMAXPROCS 4, back to back (helpers polling) and spaced past linger
+// (helpers woken each step), after a collection has emptied the runtime's
+// central caches: no step allocates, as the decode benchmarks' 0 B/op gates
+// require on a 4-core host.
+func TestDecoderStepAllocatesNothingAtEveryLaneCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	m := laneModel(7)
+	eachLaneCount(t, func(t *testing.T, lanes int) {
+		d := NewBatchDecoder(m, 2, tensor.NewPool())
+		defer d.Close()
+		a, errA := d.Acquire()
+		b, errB := d.Acquire()
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		tokens, slots := []int{1, 2}, []int{a, b}
+		steps := func(n int, gap time.Duration) {
+			for i := range n {
+				if d.arena.Len(a) >= m.Cfg.MaxSeq {
+					d.Reset()
+					d.Acquire()
+					d.Acquire()
+				}
+				tokens[0], tokens[1] = i%m.Cfg.Vocab, (i+3)%m.Cfg.Vocab
+				if _, err := d.StepBatch(tokens, slots); err != nil {
+					t.Fatal(err)
+				}
+				for end := time.Now().Add(gap); time.Now().Before(end); {
+				}
+			}
+		}
+		gap := 4 * linger
+		steps(200, 0)
+		steps(50, gap)
+		// A window can catch the runtime's own background work (the
+		// scavenger growing a timer heap, a thread started for a woken P
+		// the first time the process needs one): pass on the first clean
+		// window of three. A step that allocates dirties all three.
+		var n, by uint64
+		for range 3 {
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			steps(400, 0)
+			steps(100, gap)
+			runtime.ReadMemStats(&after)
+			if n, by = after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; n == 0 {
+				return
+			}
+		}
+		t.Fatalf("500 steps at %d lanes allocated %d times, %d bytes, in each of three windows", lanes, n, by)
+	})
 }
