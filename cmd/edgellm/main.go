@@ -26,7 +26,6 @@ import (
 	"syscall"
 	"time"
 
-	ag "edgellm/internal/autograd"
 	"edgellm/internal/core"
 	"edgellm/internal/fault"
 	"edgellm/internal/govern"
@@ -95,18 +94,13 @@ func cmdExperiments(args []string) (err error) {
 	suiteTimeout := fs.Duration("timeout", 0, "whole-suite deadline: in-flight experiments drain, unrun rows are marked skipped, and the command exits non-zero")
 	fs.Parse(args)
 
-	// The training hot path allocates its tapes from one arena.
-	ag.SetPool(tensor.NewPool())
-	defer ag.SetPool(nil)
-
 	cfg := core.DefaultConfig()
 	man := obsv.NewManifest("edgellm experiments", cfg.Seed, struct {
 		Config   core.Config
 		Quick    bool
 		Parallel int
-		Pool     string
-	}{cfg, *quick, *parallel, "on"})
-	man.Parallel, man.Pool, man.Kernel = *parallel, "on", tensor.KernelPath()
+	}{cfg, *quick, *parallel})
+	man.Parallel, man.Kernel = *parallel, tensor.KernelPath()
 
 	budget, err := parseMemBudget(*memBudget, true)
 	if err != nil {

@@ -341,13 +341,24 @@ func TestLoRATuningReducesLossWithFrozenBase(t *testing.T) {
 // for n sliding window-3 iterations with each window split into the given
 // number of segments, and returns the model plus the per-step losses. The
 // schedule visits windows at lo = 0 ([0,0], [0,1], [0,2]) and at lo > 0
-// ([1,3], where the final head trains too).
-func runTunerSteps(t *testing.T, tied bool, segments int, pool bool, n int) (*nn.Model, []float64) {
+// ([1,3], where the final head trains too). It runs on a fresh arena, or on
+// a stale one: stocked first by window-2 steps of another model over batches
+// of other shapes, every buffer released with its last contents.
+func runTunerSteps(t *testing.T, tied bool, segments int, stale bool, n int) (*nn.Model, []float64) {
 	t.Helper()
-	if pool {
-		ag.SetPool(tensor.NewPool())
-	} else {
-		ag.SetPool(nil)
+	ag.SetPool(nil)
+	corpus := data.MarkovCorpus(8, 16, 500, 2)
+	if stale {
+		other, err := NewTuner(tinyModel(5, 3), TunerConfig{WindowSize: 2, Strategy: StrategySliding, Segments: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := tensor.NewRNG(6)
+		tr := train.NewTrainer(train.NewAdamW(0.01), 0.05, 1)
+		for _, shape := range [][2]int{{1, 5}, {3, 7}, {2, 8}} {
+			inputs, targets := corpus.Batch(g, shape[0], shape[1])
+			other.Step(tr, inputs, targets)
+		}
 	}
 	cfg := nn.Config{Vocab: 16, Dim: 16, Heads: 2, Layers: 4, Hidden: 32, MaxSeq: 16, ExitHeads: true, TieExitHeads: tied}
 	m := nn.NewModel(cfg, tensor.NewRNG(21))
@@ -355,7 +366,6 @@ func runTunerSteps(t *testing.T, tied bool, segments int, pool bool, n int) (*nn
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus := data.MarkovCorpus(8, 16, 500, 2)
 	g := tensor.NewRNG(22)
 	tr := train.NewTrainer(train.NewAdamW(0.01), 0.01, 1)
 	losses := make([]float64, 0, n)
@@ -370,19 +380,18 @@ func runTunerSteps(t *testing.T, tied bool, segments int, pool bool, n int) (*nn
 // TestRecomputeStepMatchesPlainBitwise asserts the governor's recompute
 // rung is numerically free: a window in any number of segments, 1 to its
 // width, produces the exact losses and final weights of the plain window
-// step, with tied or untied exit heads and the arena on or off.
+// step, with tied or untied exit heads, on a fresh arena and a stale one.
 func TestRecomputeStepMatchesPlainBitwise(t *testing.T) {
-	defer ag.SetPool(nil)
 	const steps = 8
 	for _, tied := range []bool{false, true} {
 		base, baseLosses := runTunerSteps(t, tied, 1, false, steps)
 		for segments := 1; segments <= 3; segments++ {
-			for _, pool := range []bool{false, true} {
-				got, gotLosses := runTunerSteps(t, tied, segments, pool, steps)
+			for _, stale := range []bool{false, true} {
+				got, gotLosses := runTunerSteps(t, tied, segments, stale, steps)
 				for i := range baseLosses {
 					if baseLosses[i] != gotLosses[i] {
-						t.Fatalf("tied=%v segments=%d pool=%v step %d: loss %v != plain %v",
-							tied, segments, pool, i, gotLosses[i], baseLosses[i])
+						t.Fatalf("tied=%v segments=%d stale=%v step %d: loss %v != plain %v",
+							tied, segments, stale, i, gotLosses[i], baseLosses[i])
 					}
 				}
 				bp, gp := base.Params(), got.Params()
@@ -391,7 +400,7 @@ func TestRecomputeStepMatchesPlainBitwise(t *testing.T) {
 				}
 				for i := range bp {
 					if !tensor.AllClose(bp[i].Value.Data, gp[i].Value.Data, 0, 0) {
-						t.Fatalf("tied=%v segments=%d pool=%v: param %s diverged", tied, segments, pool, bp[i].Name)
+						t.Fatalf("tied=%v segments=%d stale=%v: param %s diverged", tied, segments, stale, bp[i].Name)
 					}
 				}
 			}

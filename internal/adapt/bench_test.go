@@ -3,7 +3,6 @@ package adapt
 import (
 	"testing"
 
-	ag "edgellm/internal/autograd"
 	"edgellm/internal/data"
 	"edgellm/internal/nn"
 	"edgellm/internal/tensor"
@@ -12,13 +11,10 @@ import (
 
 // BenchmarkWindowStep times one windowed Tuner.Step at the tuning workload's
 // shape (bench/workloads.go: d128, 6 layers, 384 hidden, 256 vocab, a batch
-// of 4 × 32 tokens, window 2) with the arena on, after one pass over the
-// window cycle has allocated every window's optimizer state and warmed the
-// arena. BENCH_baseline.json gates its bytes and allocations: the frozen
+// of 4 × 32 tokens, window 2), after one pass over the window cycle has
+// allocated every window's optimizer state and warmed the arena. BENCH_baseline.json gates its bytes and allocations: the frozen
 // prefix on the autograd forward instead of nn.Forward costs ~2.7 MB a step.
 func BenchmarkWindowStep(b *testing.B) {
-	ag.SetPool(tensor.NewPool())
-	defer ag.SetPool(nil)
 	cfg := nn.Config{Vocab: 256, Dim: 128, Heads: 4, Layers: 6, Hidden: 384, MaxSeq: 32, ExitHeads: true}
 	m := nn.NewModel(cfg, tensor.NewRNG(1))
 	m.SetAllTrainable(false)

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"testing"
 
-	ag "edgellm/internal/autograd"
 	"edgellm/internal/data"
 	"edgellm/internal/nn"
 	"edgellm/internal/tensor"
@@ -29,8 +28,6 @@ const trajectorySHA = "f48a846d398e1e6832d345b8dedf77efc5d306134d68e3a2a101370c6
 // widths under every kernel.
 func tuneTrajectory(t *testing.T, segments int) string {
 	t.Helper()
-	ag.SetPool(tensor.NewPool())
-	defer ag.SetPool(nil)
 	cfg := nn.Config{Vocab: 37, Dim: 24, Heads: 2, Layers: 4, Hidden: 40, MaxSeq: 16, ExitHeads: true}
 	m := nn.NewModel(cfg, tensor.NewRNG(31))
 	tuner, err := NewTuner(m, TunerConfig{WindowSize: 2, Strategy: StrategySliding, Segments: segments})

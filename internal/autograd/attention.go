@@ -37,24 +37,20 @@ func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 	T := seqLen
 
 	tape := anyGrad(q, k, v)
-	out, owned := outFor(tape, rows, c)
+	out := outFor(tape, rows, c)
 	// probs[b*nHeads+h] is the (T, T) attention matrix for that batch/head,
-	// retained for the backward pass. Pooled ones are registered as the
-	// node's aux buffers so both the backward closure and ReleaseTape
-	// (tape-free teardown) return them to the arena.
+	// retained for the backward pass. On the tape they are the node's aux
+	// buffers, so both the backward closure and ReleaseTape (tape-free
+	// teardown) return them to the arena.
 	probs := make([]*tensor.Tensor, batch*nHeads)
-	var pooledProbs []*tensor.Tensor
 
 	Tp := (T + 7) &^ 7
 	kT := scratch(hd, Tp)
 	sc := scratch(Tp) // one query's scores, as wide as the keys it sweeps
 	for b := 0; b < batch; b++ {
 		for h := 0; h < nHeads; h++ {
-			p, pOwned := outFor(tape, T, T)
+			p := outFor(tape, T, T)
 			probs[b*nHeads+h] = p
-			if pOwned {
-				pooledProbs = append(pooledProbs, p)
-			}
 			base := b*T*c + h*hd // element (b·T, h·hd): the head's first row
 			tensor.AttendHead(out.Data[base:], q.Data.Data[base:], k.Data.Data[base:], v.Data.Data[base:],
 				c, T, hd, scale, kT.Data, sc.Data, p.Data)
@@ -63,7 +59,7 @@ func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 	putScratch(sc)
 	putScratch(kT)
 
-	node := newOp(out, func(o *Value) {
+	node := newArenaOp(out, func(o *Value) {
 		var dQ, dK, dV *tensor.Tensor
 		if q.RequiresGrad {
 			dQ = scratch(rows, c)
@@ -132,7 +128,8 @@ func CausalAttention(q, k, v *Value, batch, seqLen, nHeads int) *Value {
 		// The attention matrices are dead once the input gradients exist.
 		o.releaseAux()
 	}, q, k, v)
-	node.dataOwned = owned
-	node.aux = pooledProbs
+	if tape {
+		node.aux = probs
+	}
 	return node
 }

@@ -28,7 +28,7 @@ func causalAttentionScalarRef(q, k, v *Value, batch, seqLen, nHeads int) *Value 
 	scale := float32(1 / math.Sqrt(float64(hd)))
 
 	tape := anyGrad(q, k, v)
-	out, owned := outFor(tape, rows, c)
+	out := outFor(tape, rows, c)
 	clear(out.Data) // the context rows below accumulate into it
 	// probs[b*nHeads+h] is the (T, T) attention matrix for that batch/head,
 	// retained for the backward pass. Pooled ones are registered as the
@@ -39,9 +39,9 @@ func causalAttentionScalarRef(q, k, v *Value, batch, seqLen, nHeads int) *Value 
 
 	for b := 0; b < batch; b++ {
 		for h := 0; h < nHeads; h++ {
-			p, pOwned := outFor(tape, seqLen, seqLen)
+			p := outFor(tape, seqLen, seqLen)
 			probs[b*nHeads+h] = p
-			if pOwned {
+			if tape {
 				pooledProbs = append(pooledProbs, p)
 			}
 			for t := 0; t < seqLen; t++ {
@@ -81,7 +81,7 @@ func causalAttentionScalarRef(q, k, v *Value, batch, seqLen, nHeads int) *Value 
 		}
 	}
 
-	node := newOp(out, func(o *Value) {
+	node := newArenaOp(out, func(o *Value) {
 		var dQ, dK, dV *tensor.Tensor
 		if q.RequiresGrad {
 			dQ = zeroScratch(rows, c)
@@ -155,15 +155,14 @@ func causalAttentionScalarRef(q, k, v *Value, batch, seqLen, nHeads int) *Value 
 		// The attention matrices are dead once the input gradients exist.
 		o.releaseAux()
 	}, q, k, v)
-	node.dataOwned = owned
 	node.aux = pooledProbs
 	return node
 }
 
 // attentionRun is one forward and backward of an attention op over copies of
 // the same q, k, v and upstream gradient; grads says which of q, k, v take a
-// gradient. It returns the output and the three input gradients (nil where
-// none was asked for).
+// gradient. It returns copies of the output and the three input gradients
+// (nil where none was asked for) and hands every arena buffer back.
 func attentionRun(op func(q, k, v *Value, batch, seqLen, nHeads int) *Value, in [4]*tensor.Tensor, grads [3]bool, batch, seq, heads int) [4]*tensor.Tensor {
 	var vals [3]*Value
 	for i := range vals {
@@ -177,8 +176,12 @@ func attentionRun(op func(q, k, v *Value, batch, seqLen, nHeads int) *Value, in 
 	res := [4]*tensor.Tensor{out.Data.Clone()}
 	out.BackwardWithGrad(in[3])
 	for i, v := range vals {
-		res[i+1] = v.Grad
+		if v.Grad != nil {
+			res[i+1] = v.Grad.Clone()
+		}
+		v.ZeroGrad()
 	}
+	ReleaseTape(out)
 	return res
 }
 
@@ -186,25 +189,25 @@ func attentionRun(op func(q, k, v *Value, batch, seqLen, nHeads int) *Value, in 
 // scalar loop it replaced, bit for bit: the output and dQ, dK, dV, at head
 // dim 12 (a ragged width under SumCols) and T from one position to past a
 // 32-column block, with zeros and denormals among the inputs and the
-// upstream gradient, the arena on and off, and with k frozen.
+// upstream gradient, on a fresh arena and on one another run at the same
+// shape has left full of stale buffers, and with k frozen.
 func TestCausalAttentionMatchesScalarRef(t *testing.T) {
-	defer SetPool(nil)
 	const batch, heads, hd = 2, 2, 12
 	c := heads * hd
 	for _, seq := range []int{1, 7, 32, 33} {
 		g := tensor.NewRNG(int64(seq))
-		var in [4]*tensor.Tensor
+		var in, other [4]*tensor.Tensor
 		for i := range in {
 			in[i] = g.Normal(0, 1, batch*seq, c)
 			for j := g.Intn(7); j < len(in[i].Data); j += 7 {
 				in[i].Data[j] = []float32{0, float32(math.Copysign(0, -1)), math.Float32frombits(3), -math.Float32frombits(0x00500000)}[j%4]
 			}
+			other[i] = g.Normal(0, 3, batch*seq, c)
 		}
-		for _, pool := range []bool{false, true} {
-			if pool {
-				SetPool(tensor.NewPool())
-			} else {
-				SetPool(nil)
+		for _, stale := range []bool{false, true} {
+			SetPool(nil)
+			if stale {
+				attentionRun(CausalAttention, other, [3]bool{true, true, true}, batch, seq, heads)
 			}
 			for _, grads := range [][3]bool{{true, true, true}, {true, false, true}} {
 				want := attentionRun(causalAttentionScalarRef, in, grads, batch, seq, heads)
@@ -218,8 +221,8 @@ func TestCausalAttentionMatchesScalarRef(t *testing.T) {
 					}
 					for j := range want[i].Data {
 						if math.Float32bits(got[i].Data[j]) != math.Float32bits(want[i].Data[j]) {
-							t.Fatalf("T=%d pool=%v grads=%v %s[%d]: %v, scalar loop %v",
-								seq, pool, grads, name, j, got[i].Data[j], want[i].Data[j])
+							t.Fatalf("T=%d stale=%v grads=%v %s[%d]: %v, scalar loop %v",
+								seq, stale, grads, name, j, got[i].Data[j], want[i].Data[j])
 						}
 					}
 				}

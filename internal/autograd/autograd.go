@@ -13,6 +13,11 @@
 // lower layers of the model produces no tape, so their activations are
 // garbage-collected immediately and backpropagation depth is bounded by the
 // tuned layer window.
+//
+// Every taped buffer — op outputs, gradients, backward scratch — comes from
+// one process-wide tensor.Pool arena, installed from the start (SetPool swaps
+// it, ActivePool reads it); ReleaseTape and the backward loop hand buffers
+// back as the step stops needing them (pool.go).
 package autograd
 
 import (
@@ -76,17 +81,13 @@ func (v *Value) Detach() *Value { return Const(v.Data) }
 // Shape returns the shape of the underlying tensor.
 func (v *Value) Shape() []int { return v.Data.Shape }
 
-// InitGrad ensures v.Grad is allocated (zero-filled) and returns it. With
-// an arena installed the buffer comes from the pool and is returned by
-// ZeroGrad (leaves) or the backward loop (interior nodes).
+// InitGrad ensures v.Grad is allocated (zero-filled) and returns it. The
+// buffer comes from the arena and is returned by ZeroGrad (leaves) or the
+// backward loop (interior nodes).
 func (v *Value) InitGrad() *tensor.Tensor {
 	if v.Grad == nil {
-		if p := activePool.Load(); p != nil {
-			v.Grad = p.Get(v.Data.Shape...)
-			v.gradOwned = true
-		} else {
-			v.Grad = tensor.New(v.Data.Shape...)
-		}
+		v.Grad = activePool.Load().Get(v.Data.Shape...)
+		v.gradOwned = true
 	}
 	return v.Grad
 }
@@ -117,8 +118,7 @@ func (v *Value) accumulate(g *tensor.Tensor) {
 // and the add are skipped.
 func (v *Value) accumulateScratch(g *tensor.Tensor) {
 	if v.RequiresGrad && v.Grad == nil {
-		v.Grad = g
-		v.gradOwned = activePool.Load() != nil
+		v.Grad, v.gradOwned = g, true
 		return
 	}
 	v.accumulate(g)

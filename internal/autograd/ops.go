@@ -9,23 +9,21 @@ import (
 
 // Add returns a + b (elementwise, equal shapes).
 func Add(a, b *Value) *Value {
-	out, owned := outFor(anyGrad(a, b), a.Data.Shape...)
+	out := outFor(anyGrad(a, b), a.Data.Shape...)
 	out.CopyFrom(a.Data)
 	out.AddInPlace(b.Data)
-	v := newOp(out, func(o *Value) {
+	return newArenaOp(out, func(o *Value) {
 		a.accumulate(o.Grad)
 		b.accumulate(o.Grad)
 	}, a, b)
-	v.dataOwned = owned
-	return v
 }
 
 // Sub returns a - b (elementwise, equal shapes).
 func Sub(a, b *Value) *Value {
-	out, owned := outFor(anyGrad(a, b), a.Data.Shape...)
+	out := outFor(anyGrad(a, b), a.Data.Shape...)
 	out.CopyFrom(a.Data)
 	out.SubInPlace(b.Data)
-	v := newOp(out, func(o *Value) {
+	return newArenaOp(out, func(o *Value) {
 		a.accumulate(o.Grad)
 		if b.RequiresGrad {
 			g := scratch(o.Grad.Shape...)
@@ -36,16 +34,14 @@ func Sub(a, b *Value) *Value {
 			putScratch(g)
 		}
 	}, a, b)
-	v.dataOwned = owned
-	return v
 }
 
 // Mul returns a ⊙ b (Hadamard product, equal shapes).
 func Mul(a, b *Value) *Value {
-	out, owned := outFor(anyGrad(a, b), a.Data.Shape...)
+	out := outFor(anyGrad(a, b), a.Data.Shape...)
 	out.CopyFrom(a.Data)
 	out.MulInPlace(b.Data)
-	v := newOp(out, func(o *Value) {
+	return newArenaOp(out, func(o *Value) {
 		if a.RequiresGrad {
 			g := scratch(o.Grad.Shape...)
 			tensor.MulInto(g.Data, o.Grad.Data, b.Data.Data)
@@ -59,16 +55,14 @@ func Mul(a, b *Value) *Value {
 			putScratch(g)
 		}
 	}, a, b)
-	v.dataOwned = owned
-	return v
 }
 
 // Scale returns s·a.
 func Scale(a *Value, s float32) *Value {
-	out, owned := outFor(a.RequiresGrad, a.Data.Shape...)
+	out := outFor(a.RequiresGrad, a.Data.Shape...)
 	out.CopyFrom(a.Data)
 	out.ScaleInPlace(s)
-	v := newOp(out, func(o *Value) {
+	return newArenaOp(out, func(o *Value) {
 		g := scratch(o.Grad.Shape...)
 		for i, gv := range o.Grad.Data {
 			g.Data[i] = gv * s
@@ -76,8 +70,6 @@ func Scale(a *Value, s float32) *Value {
 		a.accumulate(g)
 		putScratch(g)
 	}, a)
-	v.dataOwned = owned
-	return v
 }
 
 // MatMul returns a × b for rank-2 values.
@@ -87,9 +79,9 @@ func MatMul(a, b *Value) *Value {
 	if k != k2 {
 		panic(fmt.Sprintf("autograd: MatMul inner dimension mismatch %v × %v", a.Data.Shape, b.Data.Shape))
 	}
-	out, owned := outFor(anyGrad(a, b), m, n)
+	out := outFor(anyGrad(a, b), m, n)
 	tensor.MatMulInto(out, a.Data, b.Data)
-	v := newOp(out, func(o *Value) {
+	return newArenaOp(out, func(o *Value) {
 		if a.RequiresGrad {
 			// dA = dY × Bᵀ: tensor.MatMulTInto's two calls, on arena
 			// scratch for the transposed operand.
@@ -107,8 +99,6 @@ func MatMul(a, b *Value) *Value {
 			b.accumulateScratch(g)
 		}
 	}, a, b)
-	v.dataOwned = owned
-	return v
 }
 
 // Reshape returns a view of x with a new shape; gradients pass through
@@ -125,16 +115,14 @@ func Reshape(x *Value, shape ...int) *Value {
 // forward and backward on tensor's sigmoid kernel: σ in float64 through
 // math.Exp's bits, the products in float32 (tensor.SiLU, tensor.SiLUGrad).
 func SiLU(x *Value) *Value {
-	out, owned := outFor(x.RequiresGrad, x.Data.Shape...)
+	out := outFor(x.RequiresGrad, x.Data.Shape...)
 	tensor.SiLU(out.Data, x.Data.Data)
-	v := newOp(out, func(o *Value) {
+	return newArenaOp(out, func(o *Value) {
 		g := scratch(x.Data.Shape...)
 		tensor.SiLUGrad(g.Data, x.Data.Data, o.Grad.Data)
 		x.accumulate(g)
 		putScratch(g)
 	}, x)
-	v.dataOwned = owned
-	return v
 }
 
 // RMSNorm applies row-wise root-mean-square normalisation with a learned
@@ -144,10 +132,10 @@ func RMSNorm(x, gain *Value, eps float32) *Value {
 	if gain.Data.Rank() != 1 || gain.Data.Shape[0] != c {
 		panic(fmt.Sprintf("autograd: RMSNorm gain %v incompatible with x %v", gain.Data.Shape, x.Data.Shape))
 	}
-	out, owned := outFor(anyGrad(x, gain), r, c)
+	out := outFor(anyGrad(x, gain), r, c)
 	invRMS := make([]float32, r)
 	tensor.RMSNormRows(out.Data, x.Data.Data, gain.Data.Data, eps, invRMS)
-	v := newOp(out, func(o *Value) {
+	return newArenaOp(out, func(o *Value) {
 		var dGain *tensor.Tensor
 		if gain.RequiresGrad {
 			dGain = zeroScratch(c)
@@ -189,8 +177,6 @@ func RMSNorm(x, gain *Value, eps float32) *Value {
 			putScratch(dGain)
 		}
 	}, x, gain)
-	v.dataOwned = owned
-	return v
 }
 
 // rmsDots sets dots[i] to Σ_k float64(g_ik)·float64(gain_k)·float64(x_ik)
@@ -228,14 +214,14 @@ func rmsDots(dots []float64, x, g, gain []float32) {
 // (len(ids), dim). The backward pass scatter-adds into the weight gradient.
 func Embedding(weight *Value, ids []int) *Value {
 	vocab, dim := weight.Data.Rows(), weight.Data.Cols()
-	out, owned := outFor(weight.RequiresGrad, len(ids), dim)
+	out := outFor(weight.RequiresGrad, len(ids), dim)
 	for i, id := range ids {
 		if id < 0 || id >= vocab {
 			panic(fmt.Sprintf("autograd: Embedding id %d out of range [0,%d)", id, vocab))
 		}
 		copy(out.Row(i), weight.Data.Row(id))
 	}
-	v := newOp(out, func(o *Value) {
+	return newArenaOp(out, func(o *Value) {
 		dW := zeroScratch(vocab, dim)
 		for i, id := range ids {
 			row := dW.Row(id)
@@ -247,8 +233,6 @@ func Embedding(weight *Value, ids []int) *Value {
 		weight.accumulate(dW)
 		putScratch(dW)
 	}, weight)
-	v.dataOwned = owned
-	return v
 }
 
 // CrossEntropy computes the mean token-level cross-entropy between logits
@@ -262,7 +246,7 @@ func CrossEntropy(logits *Value, targets []int, ignoreIndex int) *Value {
 	}
 	// probs is retained for the backward pass; pooled when tape-recorded
 	// (the closure releases it after producing the logit gradient).
-	probs, _ := outFor(logits.RequiresGrad, n, vocab)
+	probs := outFor(logits.RequiresGrad, n, vocab)
 	for i := 0; i < n; i++ {
 		tensor.SoftmaxRow(probs.Row(i), logits.Data.Row(i), 1)
 	}

@@ -1,13 +1,13 @@
-// Arena plumbing for the tape. With a pool installed (SetPool), every
-// tape-recorded op draws its forward output from the arena, gradients are
-// pooled by InitGrad, backward closures take their scratch from the arena
-// and return it as soon as accumulate has consumed it, and ReleaseTape
-// hands a fully-consumed graph's buffers back at the end of a training
-// step. Constant-folded computation — an op none of whose inputs is
-// trainable — allocates its output with tensor.New, since nothing would
-// ever release it; the passes that take no gradient at all (the frozen
-// prefix of a window, the LUC probe, evaluation, the vote) run on
-// nn.Forward's caller-owned scratch instead and build no Values.
+// Arena plumbing for the tape. Every tape-recorded op draws its forward
+// output from the active arena, gradients are pooled by InitGrad, backward
+// closures take their scratch from the arena and return it as soon as
+// accumulate has consumed it, and ReleaseTape hands a fully-consumed graph's
+// buffers back at the end of a training step. Constant-folded computation —
+// an op none of whose inputs is trainable — allocates its output with
+// tensor.New, since nothing would ever release it; the passes that take no
+// gradient at all (the frozen prefix of a window, the LUC probe, evaluation,
+// the vote) run on nn.Forward's caller-owned scratch instead and build no
+// Values.
 //
 // Buffers follow tensor.Pool's contract: an op output, and backward scratch,
 // that its kernel overwrites in full comes from GetUncleared; only the
@@ -16,7 +16,8 @@
 // come zero-filled from Get. A gradient that is a matmul or attention
 // result (a SumCols sum from +0, never −0, so 0 + g == g bit for bit)
 // becomes its node's Grad outright when it is the first to arrive. Results
-// are identical with the pool on or off.
+// do not depend on what the arena held before: a step on a fresh arena and
+// one on an arena full of other steps' stale buffers are bit-equal.
 
 package autograd
 
@@ -26,15 +27,22 @@ import (
 	"edgellm/internal/tensor"
 )
 
-// activePool is the process-wide arena; nil means plain allocation.
+// activePool is the process-wide arena. It is never nil.
 var activePool atomic.Pointer[tensor.Pool]
 
-// SetPool installs p as the arena behind all tape allocations. Passing nil
-// disables pooling. Safe to call concurrently with training, but intended
-// to be set once at startup.
-func SetPool(p *tensor.Pool) { activePool.Store(p) }
+func init() { SetPool(nil) }
 
-// ActivePool returns the installed arena, or nil when pooling is disabled.
+// SetPool installs p as the arena behind all tape allocations; nil installs
+// a fresh, empty one. A buffer goes back to whichever arena is installed
+// when it is released, so swap arenas between steps, not inside one.
+func SetPool(p *tensor.Pool) {
+	if p == nil {
+		p = tensor.NewPool()
+	}
+	activePool.Store(p)
+}
+
+// ActivePool returns the installed arena.
 func ActivePool() *tensor.Pool { return activePool.Load() }
 
 // anyGrad reports whether an op over these parents would be tape-recorded.
@@ -47,24 +55,28 @@ func anyGrad(vs ...*Value) bool {
 	return false
 }
 
-// outFor returns an output buffer for an op, plus whether the arena owns
-// it. Tape-recorded outputs draw from the pool uncleared (every op writes
-// its whole output; ReleaseTape returns them after the step);
-// constant-folded outputs use the plain allocator since nothing would ever
-// release them.
-func outFor(tape bool, shape ...int) (*tensor.Tensor, bool) {
+// outFor returns an output buffer for an op. Tape-recorded outputs draw
+// from the arena uncleared (every op writes its whole output; ReleaseTape
+// returns them after the step); constant-folded outputs use the plain
+// allocator since nothing would ever release them.
+func outFor(tape bool, shape ...int) *tensor.Tensor {
 	if tape {
-		if p := activePool.Load(); p != nil {
-			return p.GetUncleared(shape...), true
-		}
+		return activePool.Load().GetUncleared(shape...)
 	}
-	return tensor.New(shape...), false
+	return tensor.New(shape...)
+}
+
+// newArenaOp is newOp for an output from outFor: a tape-recorded node owns
+// its arena buffer, which ReleaseTape returns.
+func newArenaOp(data *tensor.Tensor, back func(out *Value), parents ...*Value) *Value {
+	v := newOp(data, back, parents...)
+	v.dataOwned = v.RequiresGrad
+	return v
 }
 
 // scratch returns a pooled temporary for backward closures (which only
 // exist on tape-recorded nodes) that the caller overwrites in full before
 // reading. Pair with putScratch once the contents have been consumed.
-// Falls back to plain allocation with no pool.
 func scratch(shape ...int) *tensor.Tensor { return activePool.Load().GetUncleared(shape...) }
 
 // zeroScratch is scratch for an accumulator: zero-filled.

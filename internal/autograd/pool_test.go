@@ -8,31 +8,31 @@ import (
 )
 
 // poolNet builds a small net touching most pooled ops (embedding, matmul,
-// SiLU, RMSNorm, attention, cross-entropy) and returns its loss and
-// parameters. Deterministic given the seed.
-func poolNet(seed int64) (loss *Value, params []*Value) {
+// SiLU, RMSNorm, attention, cross-entropy) over two sequences of seq tokens
+// and returns its loss and parameters. Deterministic given the seed.
+func poolNet(seed int64, seq int) (loss *Value, params []*Value) {
 	g := tensor.NewRNG(seed)
 	emb := Param(g.Normal(0, 0.5, 12, 8))
 	w1 := Param(g.Normal(0, 0.5, 8, 16))
 	gain := Param(tensor.Ones(16))
 	w2 := Param(g.Normal(0, 0.5, 16, 12))
 
-	ids := []int{1, 5, 9, 3}
+	ids := []int{1, 5, 9, 3, 11, 0, 7, 2}[:2*seq]
 	h := Embedding(emb, ids)
 	h = MatMul(h, w1)
 	h = SiLU(h)
 	h = RMSNorm(h, gain, 1e-5)
-	h = CausalAttention(h, h, h, 2, 2, 2)
+	h = CausalAttention(h, h, h, 2, seq, 2)
 	logits := MatMul(h, w2)
-	loss = CrossEntropy(logits, []int{2, 7, 0, 4}, -1)
+	loss = CrossEntropy(logits, []int{2, 7, 0, 4, 10, 6, 1, 8}[:2*seq], -1)
 	return loss, []*Value{emb, w1, gain, w2}
 }
 
-// runPoolNetStep runs one forward+backward (+release, trainer-style) and
-// returns bitwise copies of the leaf gradients.
-func runPoolNetStep(t *testing.T, seed int64) [][]uint32 {
+// runPoolNetStep runs one forward+backward (+release, trainer-style) of
+// poolNet and returns bitwise copies of the leaf gradients.
+func runPoolNetStep(t *testing.T, seed int64, seq int) [][]uint32 {
 	t.Helper()
-	loss, params := poolNet(seed)
+	loss, params := poolNet(seed, seq)
 	loss.Backward()
 	var grads [][]uint32
 	for _, p := range params {
@@ -52,22 +52,27 @@ func runPoolNetStep(t *testing.T, seed int64) [][]uint32 {
 	return grads
 }
 
-func TestDeterminismBackwardPoolOnVsOff(t *testing.T) {
-	off := runPoolNetStep(t, 77)
+// TestDeterminismBackwardFreshVsStaleArena: gradients on a fresh arena equal
+// those on an arena that steps at other lengths and seeds have left full of
+// stale buffers, on first use and on recycled buffers.
+func TestDeterminismBackwardFreshVsStaleArena(t *testing.T) {
+	SetPool(nil)
+	fresh := runPoolNetStep(t, 77, 2)
 
-	SetPool(tensor.NewPool())
-	defer SetPool(nil)
-	// Two pooled iterations: the second runs entirely on recycled buffers.
-	on1 := runPoolNetStep(t, 77)
-	on2 := runPoolNetStep(t, 77)
+	SetPool(nil)
+	for seq := 1; seq <= 4; seq++ {
+		runPoolNetStep(t, 100+int64(seq), seq)
+	}
+	stale1 := runPoolNetStep(t, 77, 2)
+	stale2 := runPoolNetStep(t, 77, 2)
 
-	for p := range off {
-		for i := range off[p] {
-			if off[p][i] != on1[p][i] {
-				t.Fatalf("param %d grad %d differs pool-off vs pool-on (first iter)", p, i)
+	for p := range fresh {
+		for i := range fresh[p] {
+			if fresh[p][i] != stale1[p][i] {
+				t.Fatalf("param %d grad %d differs fresh vs stale arena (first iter)", p, i)
 			}
-			if off[p][i] != on2[p][i] {
-				t.Fatalf("param %d grad %d differs pool-off vs pool-on (recycled iter)", p, i)
+			if fresh[p][i] != stale2[p][i] {
+				t.Fatalf("param %d grad %d differs fresh vs stale arena (recycled iter)", p, i)
 			}
 		}
 	}
@@ -81,7 +86,7 @@ func TestReleaseTapeReturnsEverything(t *testing.T) {
 	SetPool(p)
 	defer SetPool(nil)
 
-	_ = runPoolNetStep(t, 42)
+	_ = runPoolNetStep(t, 42, 2)
 	if got := p.Stats().BytesInUse; got != 0 {
 		t.Fatalf("bytes still outstanding after full release: %d", got)
 	}
@@ -94,10 +99,10 @@ func TestPoolSteadyStateNoNewMisses(t *testing.T) {
 	SetPool(p)
 	defer SetPool(nil)
 
-	_ = runPoolNetStep(t, 42) // cold: populate the arena
+	_ = runPoolNetStep(t, 42, 2) // cold: populate the arena
 	warm := p.Stats().Misses
-	_ = runPoolNetStep(t, 42)
-	_ = runPoolNetStep(t, 42)
+	_ = runPoolNetStep(t, 42, 2)
+	_ = runPoolNetStep(t, 42, 2)
 	if got := p.Stats().Misses; got != warm {
 		t.Fatalf("steady-state iterations missed the pool: %d new misses", got-warm)
 	}
@@ -106,10 +111,7 @@ func TestPoolSteadyStateNoNewMisses(t *testing.T) {
 // TestReleaseTapeKeepsLeaves asserts parameters survive a release with
 // their data and gradients intact.
 func TestReleaseTapeKeepsLeaves(t *testing.T) {
-	SetPool(tensor.NewPool())
-	defer SetPool(nil)
-
-	loss, params := poolNet(7)
+	loss, params := poolNet(7, 2)
 	loss.Backward()
 	ReleaseTape(loss)
 	for i, p := range params {

@@ -60,6 +60,10 @@ type Decoder struct {
 	cap    int // slots
 	rowCap int // rows one step may carry: cap + PrefillRows
 
+	// Attention's head width and score scale, fixed by the model.
+	hd    int
+	scale float32
+
 	// Residual stream and attention score scratch, sized for rowCap rows.
 	x      []float32 // (rowCap, dim) residual
 	scores []float32 // (rowCap, maxSeq) per-row attention scratch
@@ -88,8 +92,9 @@ type Decoder struct {
 	sideXA, sideOut     batchBuf // (rowCap, rank), (rowCap, widest target)
 
 	// Packed execution state (packed.go): when packed is non-nil, block
-	// matmuls whose layer is packed run through tensor.MatMulPackedInto
-	// with this decoder's tile-decode scratch.
+	// matmuls whose layer is packed run as tensor.MatMulPackedColsInto
+	// column units on the lane team, each lane on its own buffer of this
+	// decoder's tile-decode scratch.
 	packed   *PackedModel
 	pscratch *tensor.PackedScratch
 
@@ -161,6 +166,8 @@ func NewBatchDecoder(m *Model, slots int, pool *tensor.Pool) *Decoder {
 		arena:  NewKVArena(pool, cfg.Layers, slots, cfg.MaxSeq, cfg.Dim),
 		cap:    slots,
 		rowCap: rows,
+		hd:     cfg.Dim / cfg.Heads,
+		scale:  float32(1 / math.Sqrt(float64(cfg.Dim/cfg.Heads))),
 		x:      make([]float32, rows*cfg.Dim),
 		scores: make([]float32, rows*cfg.MaxSeq),
 		h:      newBatchBuf(pool, rows, cfg.Dim),
@@ -287,9 +294,6 @@ func (d *Decoder) StepBatch(tokens, slots []int) ([][]float32, error) {
 	}
 
 	dim := m.Cfg.Dim
-	heads := m.Cfg.Heads
-	hd := dim / heads
-	scale := float32(1 / math.Sqrt(float64(hd)))
 
 	// Embedding: x[i] = tokEmb[token] + posEmb[position of row i].
 	for i, tok := range tokens {
@@ -320,7 +324,7 @@ func (d *Decoder) StepBatch(tokens, slots []int) ([][]float32, error) {
 			d.arena.putKey(l, s, p, kV.Data[i*dim:(i+1)*dim])
 			copy(d.arena.values(l, s)[p*dim:(p+1)*dim], vV.Data[i*dim:(i+1)*dim])
 		}
-		d.attendAll(l, B, slots, heads, hd, scale, qV.Data, ctxV.Data)
+		d.attendAll(l, B, slots, qV.Data, ctxV.Data)
 		d.project(l, wmWo, wmGate, ctxV)
 		addRows(d.x, attV.Data)
 
@@ -406,8 +410,8 @@ func (d *Decoder) planRuns(tokens, slots []int) (err error) {
 // the value rows, with tensor.SoftmaxRow between them: the calls
 // ag.CausalAttention makes under Model.Logits, so each score and context
 // element is the same ascending sum from +0.
-func (d *Decoder) attendSlot(l, i, s, heads, hd int, scale float32, q, ctx []float32) {
-	dim := heads * hd
+func (d *Decoder) attendSlot(l, i, s int, q, ctx []float32) {
+	dim, hd := d.m.Cfg.Dim, d.hd
 	T := d.pos[i] + 1 // the slot's cache and its run, up to and including this row
 	maxSeq := d.m.Cfg.MaxSeq
 	scratch := d.scores[i*maxSeq : (i+1)*maxSeq]
@@ -425,7 +429,7 @@ func (d *Decoder) attendSlot(l, i, s, heads, hd int, scale float32, q, ctx []flo
 			tensor.SumCols(scratch[p0:p0+n], qRow[lo:lo+hd], 1, keys[lo*w:], w, hd)
 			p0 += w
 		}
-		tensor.SoftmaxRow(scores, scores, scale)
+		tensor.SoftmaxRow(scores, scores, d.scale)
 		tensor.SumCols(ctxRow[lo:lo+hd], scores, 1, values[lo:], dim, T)
 	}
 }
@@ -434,9 +438,9 @@ func (d *Decoder) attendSlot(l, i, s, heads, hd int, scale float32, q, ctx []flo
 // across the lane team. Rows are independent (the arena is only read here —
 // every row's K/V was written before — and scratch rows are disjoint), so
 // the split cannot change results at any lane count. It allocates nothing.
-func (d *Decoder) attendAll(l, B int, slots []int, heads, hd int, scale float32, q, ctx []float32) {
+func (d *Decoder) attendAll(l, B int, slots []int, q, ctx []float32) {
 	ph := &d.ph
-	ph.x, ph.l, ph.slots, ph.heads, ph.hd, ph.scale, ph.q, ph.ctx = nil, l, slots, heads, hd, scale, q, ctx
+	ph.x, ph.l, ph.slots, ph.q, ph.ctx = nil, l, slots, q, ctx
 	d.team.run(ph, B)
 }
 

@@ -278,7 +278,7 @@ func TestAttendAllFanOutMatchesSerial(t *testing.T) {
 			d.team.start()
 			defer d.team.park()
 		}
-		d.attendAll(0, B, slots, cfg.Heads, cfg.Dim/cfg.Heads, 0.25, q, ctx)
+		d.attendAll(0, B, slots, q, ctx)
 		return ctx
 	}
 	serial := attend(1)

@@ -35,9 +35,9 @@ type PackSpec struct {
 // PackedModel holds the bit-packed block weights of a model whose float32
 // block matrices have been released: after PackModel, the packed codes are
 // the only resident copy of each packed layer, and StepBatch executes them
-// through the fused tensor.MatMulPackedInto kernels. A PackedModel is
-// immutable after construction and safe to share across decoders (each
-// decoder owns its scratch).
+// as fused tensor.MatMulPackedColsInto column units on the decoder's lane
+// team. A PackedModel is immutable after construction and safe to share
+// across decoders (each decoder owns its scratch).
 type PackedModel struct {
 	mats [][]tensor.PackedMat
 

@@ -311,15 +311,14 @@ type phase struct {
 	width int
 
 	// attention: attendSlot's arguments but the row
-	l, heads, hd int
-	slots        []int
-	scale        float32
-	q, ctx       []float32
+	l      int
+	slots  []int
+	q, ctx []float32
 }
 
 func (ph *phase) runUnit(lane, u int) {
 	if ph.x == nil {
-		ph.d.attendSlot(ph.l, u, ph.slots[u], ph.heads, ph.hd, ph.scale, ph.q, ph.ctx)
+		ph.d.attendSlot(ph.l, u, ph.slots[u], ph.q, ph.ctx)
 		return
 	}
 	i := 0

@@ -25,9 +25,6 @@ type Manifest struct {
 	GOARCH      string    `json:"goarch"`
 	NumCPU      int       `json:"num_cpu"`
 	Parallel    int       `json:"parallel,omitempty"`
-	// Pool records whether the tensor arena was enabled ("on"/"off"),
-	// empty for tools that predate or don't expose the knob.
-	Pool string `json:"pool,omitempty"`
 	// Kernel records the code path under the matmul kernels
 	// (tensor.KernelPath: "avx512", "avx2" or "go"), so a timing in the
 	// stream is attributable to it. Set by the tool: tensor imports this

@@ -69,34 +69,34 @@ func TestDeterminismTMatMulIntoAcrossGOMAXPROCS(t *testing.T) {
 		func(out *Tensor) { tmatmulRows(out, aT, b, 0, detRows) })
 }
 
-// TestBandsPartition checks BandWorkers' two cases and Bands' split over a
+// TestBandsPartition checks bandWorkers' two cases and bands' split over a
 // grid of range lengths, grains and worker counts: the bands run, in worker
 // order, tile [0, n) exactly, every one but the last a whole number of
 // grains — so there are at most ceil(n/grain) of them, and a band index past
 // workers panics — and the same inputs give the same bands.
 func TestBandsPartition(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	if w, w1 := BandWorkers(250, 64, parallelThreshold), BandWorkers(250, 64, parallelThreshold-1); w != 4 || w1 != 1 {
-		t.Fatalf("BandWorkers at 8 procs: %d at the threshold (want ceil(250/64) = 4), %d below it (want 1)", w, w1)
+	if w, w1 := bandWorkers(250, 64, parallelThreshold), bandWorkers(250, 64, parallelThreshold-1); w != 4 || w1 != 1 {
+		t.Fatalf("bandWorkers at 8 procs: %d at the threshold (want ceil(250/64) = 4), %d below it (want 1)", w, w1)
 	}
 	split := func(n, grain, workers int) [][2]int {
-		bands := make([][2]int, workers) // a band never run stays [0,0)
-		Bands(n, grain, workers, func(w, lo, hi int) { bands[w] = [2]int{lo, hi} })
-		return bands
+		got := make([][2]int, workers) // a band never run stays [0,0)
+		bands(n, grain, workers, func(w, lo, hi int) { got[w] = [2]int{lo, hi} })
+		return got
 	}
 	for _, n := range []int{1, 2, 7, 8, 63, 64, 65, 250, 264, 513} {
 		for _, grain := range []int{1, 8, 32, 64} {
 			for _, workers := range []int{1, 2, 3, 4, 8, 64} {
-				bands, next := split(n, grain, workers), 0
-				for _, b := range bands {
+				got, next := split(n, grain, workers), 0
+				for _, b := range got {
 					if next < n && b[0] == next && b[1] > next && (b[1] == n || (b[1]-next)%grain == 0) {
 						next = b[1]
 					} else if b != [2]int{} {
 						next = -1 // a band out of place, overlapping or past n
 					}
 				}
-				if next != n || !slices.Equal(split(n, grain, workers), bands) {
-					t.Fatalf("n=%d grain=%d workers=%d: bands %v", n, grain, workers, bands)
+				if next != n || !slices.Equal(split(n, grain, workers), got) {
+					t.Fatalf("n=%d grain=%d workers=%d: bands %v", n, grain, workers, got)
 				}
 			}
 		}

@@ -121,7 +121,7 @@ func expSweep(stride uint64) (checked, failed int64, first string) {
 	chunks := int64((total + chunk - 1) / chunk)
 	workers := runtime.GOMAXPROCS(0)
 	done, fails, firsts := make([]int64, workers), make([]int64, workers), make([]string, workers)
-	Bands(workers, 1, workers, func(w, _, _ int) {
+	bands(workers, 1, workers, func(w, _, _ int) {
 		v := make([]float32, 0, chunk)
 		for c := int64(w); c < chunks; c += int64(workers) {
 			v = v[:0]

@@ -25,25 +25,25 @@ const blockSize = 64
 // posted, where a band here would wake a parked P for every call.
 const parallelThreshold = 1 << 23
 
-// BandWorkers returns how many workers Bands spreads an index range of n
+// bandWorkers returns how many workers bands spreads an index range of n
 // over, for a call of macs multiply-adds split in grains of grain indices: 1
 // below parallelThreshold, else GOMAXPROCS capped at ceil(n/grain). Callers
 // check it for 1 before they build the band closure, which keeps the serial
 // path allocation-free.
-func BandWorkers(n, grain, macs int) int {
+func bandWorkers(n, grain, macs int) int {
 	if macs < parallelThreshold {
 		return 1
 	}
 	return min(runtime.GOMAXPROCS(0), (n+grain-1)/grain)
 }
 
-// Bands splits the index range [0, n) into at most workers contiguous bands,
+// bands splits the index range [0, n) into at most workers contiguous bands,
 // each a whole number of grains but the last, and runs fn(w, lo, hi) for
 // band w, each on its own goroutine when there are two or more. The split is
 // a pure function of (n, grain, workers). Every caller's bands own disjoint
 // outputs and no element's accumulation order depends on the split, so
 // results are byte-identical at any GOMAXPROCS.
-func Bands(n, grain, workers int, fn func(w, lo, hi int)) {
+func bands(n, grain, workers int, fn func(w, lo, hi int)) {
 	if workers <= 1 {
 		fn(0, 0, n)
 		return
@@ -82,10 +82,10 @@ func MatMulInto(out, a, b *Tensor) {
 	if b.Rows() != k || out.Rows() != m || out.Cols() != n {
 		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch out %v = %v × %v", out.Shape, a.Shape, b.Shape))
 	}
-	if workers := BandWorkers(m, 1, m*n*k); workers <= 1 {
+	if workers := bandWorkers(m, 1, m*n*k); workers <= 1 {
 		matmulRows(out, a, b, 0, m)
 	} else {
-		Bands(m, 1, workers, func(_, lo, hi int) { matmulRows(out, a, b, lo, hi) })
+		bands(m, 1, workers, func(_, lo, hi int) { matmulRows(out, a, b, lo, hi) })
 	}
 }
 
@@ -172,10 +172,10 @@ func TMatMulInto(out, aT, b *Tensor) {
 	if k != k2 || out.Rows() != m || out.Cols() != n {
 		panic(fmt.Sprintf("tensor: TMatMulInto shape mismatch out %v = %vᵀ × %v", out.Shape, aT.Shape, b.Shape))
 	}
-	if workers := BandWorkers(m, 1, m*n*k); workers <= 1 {
+	if workers := bandWorkers(m, 1, m*n*k); workers <= 1 {
 		tmatmulRows(out, aT, b, 0, m)
 	} else {
-		Bands(m, 1, workers, func(_, lo, hi int) { tmatmulRows(out, aT, b, lo, hi) })
+		bands(m, 1, workers, func(_, lo, hi int) { tmatmulRows(out, aT, b, lo, hi) })
 	}
 }
 

@@ -74,7 +74,7 @@ func TestPoolPutNilIsNoOp(t *testing.T) {
 // -race it doubles as the pool's data-race check.
 func TestPoolConcurrent(t *testing.T) {
 	p := NewPool()
-	Bands(8, 1, 8, func(w, _, _ int) {
+	bands(8, 1, 8, func(w, _, _ int) {
 		for i := 0; i < 200; i++ {
 			a := p.Get(8, 8)
 			b := p.Get(4, 4)

@@ -4,15 +4,14 @@ import (
 	"testing"
 
 	ag "edgellm/internal/autograd"
-	"edgellm/internal/tensor"
 )
 
-// benchStep runs b.N full forward+backward+optimizer steps on the tiny test
-// model. Its matmuls all sit far below the tensor package's parallel
-// threshold, so the per-step allocation counts are independent of core
-// count — which is what lets benchguard gate allocs/op and B/op against a
-// checked-in baseline across machines.
-func benchStep(b *testing.B) {
+// BenchmarkStepPoolOn runs b.N full forward+backward+optimizer steps on the
+// tiny test model, its tape on the arena. Its matmuls all sit far below the
+// tensor package's parallel threshold, so the per-step allocation counts are
+// independent of core count — which is what lets benchguard gate allocs/op
+// and B/op against a checked-in baseline across machines.
+func BenchmarkStepPoolOn(b *testing.B) {
 	m := tinyModel(1)
 	tr := NewTrainer(NewAdamW(0.01), 0.01, 1.0)
 	step := func() {
@@ -26,14 +25,4 @@ func benchStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		step()
 	}
-}
-
-func BenchmarkStepPoolOn(b *testing.B) {
-	ag.SetPool(tensor.NewPool())
-	defer ag.SetPool(nil)
-	benchStep(b)
-}
-
-func BenchmarkStepPoolOff(b *testing.B) {
-	benchStep(b)
 }

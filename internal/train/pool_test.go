@@ -34,26 +34,47 @@ func runTrainingSteps(seed int64, n int) (losses []uint64, params [][]uint32) {
 	return losses, params
 }
 
-// TestDeterminismStepPoolOnVsOff is the end-to-end arena guarantee: a
-// multi-step training run is byte-identical with the pool on and off, in
-// both the loss series and every final parameter.
-func TestDeterminismStepPoolOnVsOff(t *testing.T) {
+// staleArena installs a fresh arena and leaves it full of stale buffers:
+// full and checkpointed steps of another model over batches of other shapes
+// (the tests' own shape last), every graph released with its last contents
+// in place. A run after it must equal the same run on a fresh arena bit for
+// bit: no op may read a buffer it did not write.
+func staleArena() {
+	ag.SetPool(nil)
+	m := recomputeModel(99)
+	tr := NewTrainer(NewAdamW(0.01), 0.05, 1.0)
+	for _, inputs := range [][][]int{{{3, 1, 4, 1, 5}}, {{9, 2, 6}, {5, 3, 5}, {8, 9, 7}}, poolInputs} {
+		var targets []int
+		for _, seq := range inputs {
+			for _, tok := range seq {
+				targets = append(targets, (tok*7+3)%16)
+			}
+		}
+		m.SetAllTrainable(true)
+		tr.Step(m, ag.CrossEntropy(m.Logits(inputs), targets, -1))
+		tr.ApplyGrads(m, checkpointedStep(m, inputs, targets, 2))
+	}
+}
+
+// TestDeterminismStepFreshVsStaleArena is the end-to-end arena guarantee: a
+// multi-step training run is byte-identical on a fresh arena and on a stale
+// one, in both the loss series and every final parameter.
+func TestDeterminismStepFreshVsStaleArena(t *testing.T) {
 	const steps = 5
-	offLoss, offParams := runTrainingSteps(21, steps)
+	ag.SetPool(nil)
+	freshLoss, freshParams := runTrainingSteps(21, steps)
+	staleArena()
+	staleLoss, staleParams := runTrainingSteps(21, steps)
 
-	ag.SetPool(tensor.NewPool())
-	defer ag.SetPool(nil)
-	onLoss, onParams := runTrainingSteps(21, steps)
-
-	for i := range offLoss {
-		if offLoss[i] != onLoss[i] {
-			t.Fatalf("loss at step %d differs: %x vs %x", i, offLoss[i], onLoss[i])
+	for i := range freshLoss {
+		if freshLoss[i] != staleLoss[i] {
+			t.Fatalf("loss at step %d differs: %x vs %x", i, freshLoss[i], staleLoss[i])
 		}
 	}
-	for p := range offParams {
-		for i := range offParams[p] {
-			if offParams[p][i] != onParams[p][i] {
-				t.Fatalf("param %d element %d differs pool-on vs pool-off", p, i)
+	for p := range freshParams {
+		for i := range freshParams[p] {
+			if freshParams[p][i] != staleParams[p][i] {
+				t.Fatalf("param %d element %d differs fresh vs stale arena", p, i)
 			}
 		}
 	}
@@ -61,7 +82,7 @@ func TestDeterminismStepPoolOnVsOff(t *testing.T) {
 
 // TestDeterminismCheckpointedStepPool covers the recompute path's arena
 // integration: segment tapes are pooled and released mid-step, and the
-// accumulated gradients must still match the pool-off run bitwise.
+// accumulated gradients on a stale arena must match a fresh one's bitwise.
 func TestDeterminismCheckpointedStepPool(t *testing.T) {
 	gradBits := func(m *nn.Model) [][]uint32 {
 		var out [][]uint32
@@ -79,77 +100,64 @@ func TestDeterminismCheckpointedStepPool(t *testing.T) {
 		return out
 	}
 
+	ag.SetPool(nil)
 	m1 := tinyModel(9)
-	lossOff := checkpointedStep(m1, poolInputs, poolTargets, 2)
-	off := gradBits(m1)
+	lossFresh := checkpointedStep(m1, poolInputs, poolTargets, 2)
+	fresh := gradBits(m1)
 
-	ag.SetPool(tensor.NewPool())
-	defer ag.SetPool(nil)
+	staleArena()
 	m2 := tinyModel(9)
-	lossOn := checkpointedStep(m2, poolInputs, poolTargets, 2)
-	on := gradBits(m2)
+	lossStale := checkpointedStep(m2, poolInputs, poolTargets, 2)
+	stale := gradBits(m2)
 
-	if math.Float64bits(lossOff) != math.Float64bits(lossOn) {
-		t.Fatalf("checkpointed loss differs: %v vs %v", lossOff, lossOn)
+	if math.Float64bits(lossFresh) != math.Float64bits(lossStale) {
+		t.Fatalf("checkpointed loss differs: %v vs %v", lossFresh, lossStale)
 	}
-	for p := range off {
-		if (off[p] == nil) != (on[p] == nil) {
+	for p := range fresh {
+		if (fresh[p] == nil) != (stale[p] == nil) {
 			t.Fatalf("param %d grad presence differs", p)
 		}
-		for i := range off[p] {
-			if off[p][i] != on[p][i] {
-				t.Fatalf("param %d grad element %d differs pool-on vs pool-off", p, i)
+		for i := range fresh[p] {
+			if fresh[p][i] != stale[p][i] {
+				t.Fatalf("param %d grad element %d differs fresh vs stale arena", p, i)
 			}
 		}
 	}
 }
 
 // stepAllocPin is the steady-state allocation budget for one full-backprop
-// training step on the tiny test model with the arena on. The remaining
-// allocations are graph bookkeeping (Value structs, closures, topo-sort
-// state) — tensor buffers all come from the arena. Headroom over the
-// measured value (~570 on go1.24) keeps the pin stable across Go releases;
-// the guarded quantity is the ~8× drop in allocated bytes per step, which
-// the test asserts separately.
+// training step on the tiny test model. The remaining allocations are graph
+// bookkeeping (Value structs, closures, topo-sort state) — tensor buffers
+// all come from the arena. Headroom over the measured value (~570 on
+// go1.24) keeps the pin stable across Go releases.
 const stepAllocPin = 850
 
 // TestStepAllocsWithArena pins steady-state allocations per training step
-// with the arena enabled, and asserts the arena cuts allocated bytes per
-// step by at least 5×.
+// and asserts that a warm step draws every tensor buffer from the arena: once
+// one step has stocked a fresh arena, further steps miss it zero times.
 func TestStepAllocsWithArena(t *testing.T) {
-	step := func(m *nn.Model, tr *Trainer) {
+	m := tinyModel(3)
+	tr := NewTrainer(NewAdamW(0.01), 0.01, 1.0)
+	step := func() {
 		loss := ag.CrossEntropy(m.Logits(poolInputs), poolTargets, -1)
 		tr.Step(m, loss)
 	}
-
-	// Bytes per step without the arena.
-	mOff := tinyModel(3)
-	trOff := NewTrainer(NewAdamW(0.01), 0.01, 1.0)
-	step(mOff, trOff) // allocate optimizer state outside the window
-	offBytes := allocBytes(func() {
+	step() // allocate optimizer state
+	pool := tensor.NewPool()
+	ag.SetPool(pool)
+	coldBytes := allocBytes(step)
+	misses := pool.Stats().Misses
+	warmBytes := allocBytes(func() {
 		for i := 0; i < 10; i++ {
-			step(mOff, trOff)
+			step()
 		}
 	})
-
-	ag.SetPool(tensor.NewPool())
-	defer ag.SetPool(nil)
-	mOn := tinyModel(3)
-	trOn := NewTrainer(NewAdamW(0.01), 0.01, 1.0)
-	step(mOn, trOn)
-	step(mOn, trOn) // warm: second step runs fully on recycled buffers
-	onBytes := allocBytes(func() {
-		for i := 0; i < 10; i++ {
-			step(mOn, trOn)
-		}
-	})
-
-	if onBytes*5 > offBytes {
-		t.Fatalf("arena saves less than 5× bytes per step: %d on vs %d off", onBytes, offBytes)
+	if got := pool.Stats().Misses - misses; got != 0 {
+		t.Fatalf("warm steps missed the arena %d times", got)
 	}
 
-	allocs := testing.AllocsPerRun(10, func() { step(mOn, trOn) })
-	t.Logf("steady-state: %.0f allocs/step, %d bytes/10 steps (vs %d without arena)", allocs, onBytes, offBytes)
+	allocs := testing.AllocsPerRun(10, step)
+	t.Logf("steady-state: %.0f allocs/step, %d bytes/step (%d on the fresh arena's first)", allocs, warmBytes/10, coldBytes)
 	if allocs > stepAllocPin {
 		t.Fatalf("steady-state allocations per step %.0f exceed pin %d", allocs, stepAllocPin)
 	}

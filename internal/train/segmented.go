@@ -31,8 +31,8 @@ import (
 // Step 1 is f's no-grad forward: the top segment's input is f's residual,
 // the lower ones copies. A segment's input is a constant unless something
 // below it trains: the segment beneath, or at lo = 0 an embedding mod holds,
-// which then re-runs taped with the bottom segment. With an arena on, each segment's graph goes
-// back to the pool as soon as it is consumed, so the live tape never spans
+// which then re-runs taped with the bottom segment. Each segment's graph goes
+// back to the arena as soon as it is consumed, so the live tape never spans
 // more than one segment. Gradients and loss equal one full backward pass's
 // bit for bit: each boundary's gradient is accumulated in the order the full
 // graph would accumulate it, and the segments' parameter sets are disjoint.
@@ -87,7 +87,7 @@ func SegmentedBackward(f *nn.Forward, inputs [][]int, lo, hi, segments int, head
 			y.BackwardWithGrad(above.Grad)
 			above.ZeroGrad()
 		}
-		releaseLoss(y)
+		ag.ReleaseTape(y)
 		above = in
 	}
 	return loss

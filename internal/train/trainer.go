@@ -104,7 +104,7 @@ func (t *Trainer) Step(m nn.Module, loss *ag.Value) float64 {
 	// recovery.
 	defer func() {
 		if r := recover(); r != nil {
-			releaseLoss(loss)
+			ag.ReleaseTape(loss)
 			nn.ZeroGrads(m)
 			panic(r)
 		}
@@ -113,18 +113,9 @@ func (t *Trainer) Step(m nn.Module, loss *ag.Value) float64 {
 	if finite(lossVal) {
 		loss.Backward()
 	}
-	releaseLoss(loss)
+	ag.ReleaseTape(loss)
 	t.ApplyGrads(m, lossVal)
 	return lossVal
-}
-
-// releaseLoss hands the consumed loss graph's buffers back to the arena.
-// Without a pool it is a no-op, preserving the historical behaviour that a
-// caller may keep reading the graph after Step.
-func releaseLoss(loss *ag.Value) {
-	if ag.ActivePool() != nil {
-		ag.ReleaseTape(loss)
-	}
 }
 
 // heapAllocObjects reads the cumulative heap allocation count.
@@ -202,14 +193,12 @@ func (t *Trainer) record(obs *obsv.Recorder, start time.Time, gradNorm float64, 
 		obs.Add("train.clip_events", 1)
 	}
 	obs.Observe("train.allocs_per_step", float64(t.heapAllocObjects()-allocs0))
-	if p := ag.ActivePool(); p != nil {
-		// Cumulative process-wide totals: the pool is shared, so gauges
-		// (not per-trainer deltas) stay correct under parallel experiments.
-		s := p.Stats()
-		obs.SetGauge("tensor.pool_hit", float64(s.Hits))
-		obs.SetGauge("tensor.pool_miss", float64(s.Misses))
-		obs.SetGauge("tensor.pool_bytes_in_use", float64(s.BytesInUse))
-	}
+	// Cumulative process-wide totals: the arena is shared, so gauges (not
+	// per-trainer deltas) stay correct under parallel experiments.
+	s := ag.ActivePool().Stats()
+	obs.SetGauge("tensor.pool_hit", float64(s.Hits))
+	obs.SetGauge("tensor.pool_miss", float64(s.Misses))
+	obs.SetGauge("tensor.pool_bytes_in_use", float64(s.BytesInUse))
 }
 
 // StepCount returns how many updates have been applied.

@@ -2,12 +2,13 @@
 # The kernel gates, as CI's bench-kernels job runs them:
 #
 #  1. the parallel kernels' determinism under the race detector:
-#     byte-identical results at any GOMAXPROCS and with the arena on or off;
+#     byte-identical results at any GOMAXPROCS and on a fresh or stale arena;
 #  1b. the arena poisoned: built with the poison tag, Pool.GetUncleared
 #     fills every buffer it hands out with NaN, and the gradient checks,
 #     the pinned tuning trajectory, the segmented backward, the no-grad
-#     forward identity and the decoder identity suite must still pass — no
-#     reader leans on a buffer's old contents;
+#     forward identity, the decoder identity suite and the pipelines and
+#     baselines of core must still pass — no reader leans on a buffer's old
+#     contents;
 #  2. the kernel and training-step benchmarks against BENCH_baseline.json.
 #     benchguard fails on a >20% regression in allocs/op or B/op of a gated
 #     benchmark (ProbeOutputKL, WindowStep and Forward among them: a probe
@@ -33,7 +34,8 @@ echo "== 1. determinism under -race"
 go test -race -run 'Determinism' -count=1 ./internal/tensor ./internal/autograd ./internal/train
 
 echo "== 1b. the arena poisoned with NaN"
-go test -tags poison -count=1 ./internal/tensor ./internal/autograd ./internal/train ./internal/adapt ./internal/nn ./internal/serve
+go test -tags poison -count=1 ./internal/tensor ./internal/autograd ./internal/train ./internal/adapt ./internal/nn ./internal/serve \
+  ./internal/core
 
 echo "== 2. kernel benchmarks against BENCH_baseline.json"
 go test -bench 'BenchmarkKernel|BenchmarkStep|BenchmarkAdamW|BenchmarkFakeQuant|BenchmarkProbeOutputKL|BenchmarkWindowStep$|BenchmarkForward$' \
