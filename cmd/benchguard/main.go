@@ -4,14 +4,14 @@
 //
 //   - allocs/op and B/op for the baseline's gated benchmarks must stay
 //     within the baseline's tolerance (these are machine-independent for
-//     benchmarks whose kernels stay below the tensor parallel threshold);
+//     benchmarks whose kernel calls run on their caller);
 //   - benchmarks reporting the custom tok/s metric (the decode and serve
 //     suites) must stay above the baseline's tok_s floor minus the
 //     tolerance;
 //   - every speedup pair the baseline declares must reach its min ratio
 //     from the pair's min_procs up: 4 by default (a pair that measures
-//     fan-out, such as the parallel backward kernels against their
-//     single-band serial variants, needs the cores), 1 for pairs that
+//     fan-out, such as the backward kernels split on a lane team against
+//     their one-call kernels, needs the cores), 1 for pairs that
 //     compare two serial loops and hold on any machine, such as packed
 //     vs float32 decode and batch-8 vs one-at-a-time;
 //   - benchmarks reporting the custom p99ms metric (the serve suite's

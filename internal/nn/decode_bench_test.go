@@ -199,8 +199,8 @@ func benchPrefill(b *testing.B, d *Decoder, prompt int) {
 }
 
 // BenchmarkAttendStep512 is one decode step of 32 rows at position 511 of
-// fullCacheDecoder's model: attention at the fan-out threshold, small
-// weights. CI's bench-kernels job reports it at 1 and 4 procs, report-only.
+// fullCacheDecoder's model: attention is most of the work, the weights are
+// small. CI's bench-kernels job reports it at 1 and 4 procs, report-only.
 func BenchmarkAttendStep512(b *testing.B) {
 	d, slots := fullCacheDecoder(32)
 	defer d.Close()

@@ -32,8 +32,8 @@ var ErrBadBatch = errors.New("nn: invalid StepBatch arguments")
 // convenience wrapper (slot 0). Each slot decodes under its own adapter
 // (SetAdapterAt), and one step carries slots under any mix of adapters.
 //
-// A step runs on a lane team of min(GOMAXPROCS, NumCPU) lanes fixed at
-// construction (team.go): the calling goroutine and a helper goroutine per
+// A step runs on a tensor.Team of min(GOMAXPROCS, NumCPU) lanes fixed at
+// construction (phase.go): the calling goroutine and a helper goroutine per
 // other lane, asleep between steps, split each projection and the LM head by
 // 64-column blocks and attention by rows. At one lane there is no helper and
 // the caller runs each product whole.
@@ -100,7 +100,7 @@ type Decoder struct {
 
 	// The lane team, the phase it runs, and the cleanup that stops an
 	// unclosed decoder's helpers once it is unreachable.
-	team     *team
+	team     *tensor.Team
 	ph       phase
 	teamStop runtime.Cleanup
 }
@@ -189,19 +189,19 @@ func NewBatchDecoder(m *Model, slots int, pool *tensor.Pool) *Decoder {
 		rowSides:    make([]sideRun, 0, rows),
 		headSides:   make([]sideRun, 0, slots),
 		sideX:       tensor.Tensor{Shape: []int{0, 0}},
-		team:        newTeam(laneCount()),
+		team:        tensor.NewTeam(laneCount()),
 	}
 	d.ph.d, d.ph.width = d, tensor.BlockCols
-	if d.team.lanes() == 1 {
+	if d.team.Lanes() == 1 {
 		d.ph.width = max(cfg.Dim, cfg.Hidden, cfg.Vocab)
 	}
-	d.teamStop = runtime.AddCleanup(d, (*team).stop, d.team)
+	d.teamStop = runtime.AddCleanup(d, (*tensor.Team).Stop, d.team)
 	return d
 }
 
 // Lanes returns how many lanes the decoder's steps run on: the caller and
 // Lanes()−1 helper goroutines, which hold that many Ps during a step.
-func (d *Decoder) Lanes() int { return d.team.lanes() }
+func (d *Decoder) Lanes() int { return d.team.Lanes() }
 
 // Config returns the model configuration the decoder serves.
 func (d *Decoder) Config() Config { return d.m.Cfg }
@@ -232,7 +232,7 @@ func (d *Decoder) Reset() { d.arena.ReleaseAll() }
 // to the pool. The decoder must not be used afterwards.
 func (d *Decoder) Close() {
 	d.teamStop.Stop()
-	d.team.stop()
+	d.team.Stop()
 	d.arena.Close()
 	for _, bb := range []*batchBuf{&d.h, &d.q, &d.k, &d.v, &d.ctx, &d.att, &d.gate, &d.up, &d.mlp, &d.logits, &d.sideXA, &d.sideOut} {
 		bb.release(d.pool)
@@ -281,8 +281,8 @@ func (d *Decoder) StepBatch(tokens, slots []int) ([][]float32, error) {
 	if err := d.planRuns(tokens, slots); err != nil {
 		return nil, err
 	}
-	d.team.start()
-	defer d.team.park()
+	d.team.Start()
+	defer d.team.Park()
 	m := d.m
 	R := len(d.last)
 	d.rowSides, d.headSides = d.rowSides[:0], d.headSides[:0]
@@ -441,7 +441,7 @@ func (d *Decoder) attendSlot(l, i, s int, q, ctx []float32) {
 func (d *Decoder) attendAll(l, B int, slots []int, q, ctx []float32) {
 	ph := &d.ph
 	ph.x, ph.l, ph.slots, ph.q, ph.ctx = nil, l, slots, q, ctx
-	d.team.run(ph, B)
+	d.team.Run(ph, B)
 }
 
 // addRows adds src's first len(src) elements into x element-wise.

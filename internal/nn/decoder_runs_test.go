@@ -275,8 +275,8 @@ func TestAttendAllFanOutMatchesSerial(t *testing.T) {
 		q := g.Normal(0, 1, B, cfg.Dim).Data
 		ctx := make([]float32, B*cfg.Dim)
 		if d.team != nil {
-			d.team.start()
-			defer d.team.park()
+			d.team.Start()
+			defer d.team.Park()
 		}
 		d.attendAll(0, B, slots, q, ctx)
 		return ctx

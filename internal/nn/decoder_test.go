@@ -416,9 +416,7 @@ func TestDecoderMixedAdapterSlotsMatchSolo(t *testing.T) {
 }
 
 // TestDecoderDeterminismAcrossGOMAXPROCS runs a batched decode serially and
-// at high parallelism and requires bitwise-identical logits. The model is
-// sized so both the slot fan-out and the banded matmul kernels cross their
-// parallel thresholds.
+// at high parallelism and requires bitwise-identical logits.
 func TestDecoderDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	cfg := Config{Vocab: 128, Dim: 64, Heads: 4, Layers: 2, Hidden: 96, MaxSeq: 64}
 	m := NewModel(cfg, tensor.NewRNG(82))

@@ -8,11 +8,9 @@ import (
 	"edgellm/internal/tensor"
 )
 
-// packedTestCfg has blocks wide enough for several column bands. Since the
-// fan-out threshold went to 2^23 MACs (8·384·512 here is 2^20.6) a batch-8
-// step of a model a test can afford fans out nothing, so the GOMAXPROCS
-// sweep below checks the decoder, not banding: banded packed kernels are
-// pinned in internal/tensor (TestMatMulPackedDeterministicAcrossProcs,
+// packedTestCfg has blocks wide enough for several 64-column units. The
+// GOMAXPROCS sweep below checks the decoder; the packed kernels split on a
+// team are pinned in internal/tensor (TestMatMulPackedDeterministicAcrossProcs,
 // TestMatMulPackedGridIdentity).
 func packedTestCfg() Config {
 	return Config{Vocab: 96, Dim: 384, Heads: 8, Layers: 4, Hidden: 512, MaxSeq: 12}

@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"edgellm/internal/tensor"
 )
+
+// linger is how long the decoder's helpers poll after a step.
+const linger = tensor.TeamLinger
 
 // eachLaneCount runs fn in one subtest per lane count from 1 to 4: every
 // decoder built inside gets that many lanes, whatever GOMAXPROCS and NumCPU
@@ -49,9 +51,9 @@ type unitRecorder struct {
 	runs []int32
 }
 
-func (r *unitRecorder) runUnit(lane, u int) {
+func (r *unitRecorder) RunUnit(lane, u int) {
 	atomic.AddInt32(&r.runs[u], 1)
-	r.ph.runUnit(lane, u)
+	r.ph.RunUnit(lane, u)
 }
 
 // laneProduct runs out = x·w (or x·p) as one phase of d's team and returns
@@ -61,12 +63,12 @@ func laneProduct(d *Decoder, out, x, w *tensor.Tensor, p tensor.PackedMat) []int
 	units := (out.Cols() + tensor.BlockCols - 1) / tensor.BlockCols
 	d.ph.ends[0] = units
 	if p != nil {
-		d.pscratch.Reserve(d.team.lanes(), x.Rows(), x.Cols(), out.Cols())
+		d.pscratch.Reserve(d.team.Lanes(), x.Rows(), x.Cols(), out.Cols())
 	}
 	rec := &unitRecorder{ph: &d.ph, runs: make([]int32, units)}
-	d.team.start()
-	defer d.team.park()
-	d.team.run(rec, units)
+	d.team.Start()
+	defer d.team.Park()
+	d.team.Run(rec, units)
 	return rec.runs
 }
 
@@ -165,69 +167,6 @@ func packTensor(t *testing.T, w *tensor.Tensor) tensor.PackedMat {
 	m := NewModel(cfg, tensor.NewRNG(1))
 	copy(m.Blocks[0].MLP.Up.W.Data.Data, w.Data)
 	return pack4(t, m).mats[0][wmUp]
-}
-
-// panicWork is a phase whose units on helper lanes panic, and whose first
-// unit on the leader waits until a helper has begun one, so that a helper
-// lane surely panics while the leader is still inside the phase.
-type panicWork struct {
-	helperIn atomic.Bool
-	finished atomic.Int32
-	timedOut atomic.Bool
-}
-
-func (w *panicWork) runUnit(lane, u int) {
-	defer w.finished.Add(1)
-	if lane != 0 {
-		w.helperIn.Store(true)
-		panic(fmt.Sprintf("unit %d on helper lane %d", u, lane))
-	}
-	for deadline := time.Now().Add(10 * time.Second); !w.helperIn.Load(); runtime.Gosched() {
-		if time.Now().After(deadline) {
-			w.timedOut.Store(true)
-			return
-		}
-	}
-}
-
-// countWork counts its units.
-type countWork struct{ n atomic.Int32 }
-
-func (w *countWork) runUnit(int, int) { w.n.Add(1) }
-
-// TestTeamHelperPanicReraisedAfterLastUnit: a panic in a helper's unit is
-// recovered there and re-raised by the leader only once every unit of the
-// phase has finished, and the team runs its next phase whole.
-func TestTeamHelperPanicReraisedAfterLastUnit(t *testing.T) {
-	for lanes := 2; lanes <= 4; lanes++ {
-		tm := newTeam(lanes)
-		const n = 16
-		w := &panicWork{}
-		var got any
-		func() {
-			defer func() { got = recover() }()
-			tm.start()
-			defer tm.park()
-			tm.run(w, n)
-		}()
-		if w.timedOut.Load() {
-			t.Fatalf("lanes %d: no helper claimed a unit in 10 s", lanes)
-		}
-		if s, ok := got.(string); !ok || !strings.HasPrefix(s, "unit ") {
-			t.Fatalf("lanes %d: run re-raised %v, want a helper unit's panic", lanes, got)
-		}
-		if f := w.finished.Load(); f != n {
-			t.Fatalf("lanes %d: panic re-raised with %d of %d units finished", lanes, f, n)
-		}
-		c := &countWork{}
-		tm.start()
-		tm.run(c, n)
-		tm.park()
-		if c.n.Load() != n {
-			t.Fatalf("lanes %d: the phase after a panic ran %d of %d units", lanes, c.n.Load(), n)
-		}
-		tm.stop()
-	}
 }
 
 // settledGoroutines returns the goroutine count once the cleanups of

@@ -2,13 +2,13 @@ package tensor
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
-// benchSize is the square matmul edge used by the kernel benchmarks. 512³
-// MACs (128M) is far above parallelThreshold, so the banded parallel path
-// is exercised; the *Serial* variants call the band functions directly over
-// the full row range, giving an in-run parallel-vs-serial comparison that
+// benchSize is the square matmul edge used by the kernel benchmarks. The
+// one-call kernels run on their caller; the *Team* variants split the same
+// product on a team, giving an in-run parallel-vs-serial comparison that
 // benchguard turns into a speedup figure.
 const benchSize = 512
 
@@ -30,8 +30,8 @@ func BenchmarkKernelMatMul512(b *testing.B) {
 }
 
 // MatMulTInto and TMatMulInto are the two backward-pass kernels (dX = dY × Wᵀ and
-// dW = Xᵀ × dY), so their parallel-vs-serial ratio is the training hot
-// path's speedup.
+// dW = Xᵀ × dY), so their team-vs-one-call ratio is what the training hot
+// path gains from a team.
 
 func BenchmarkKernelMatMulT512(b *testing.B) {
 	x, y := benchOperands(b, benchSize, benchSize)
@@ -44,20 +44,23 @@ func BenchmarkKernelMatMulT512(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelMatMulTSerial512 is MatMulTInto's two calls with the
-// matmul run as one band: the transpose into its pooled temporary, taken
-// as MatMulTInto takes it, then matmulRows over the whole row range.
-func BenchmarkKernelMatMulTSerial512(b *testing.B) {
+// BenchmarkKernelMatMulTTeam512 is MatMulTInto's two calls split as a caller
+// with a team splits them: the transpose into the pooled temporary on the
+// leader, then the product in BlockCols-column MatMulColsInto units.
+func BenchmarkKernelMatMulTTeam512(b *testing.B) {
 	x, y := benchOperands(b, benchSize, benchSize)
 	out := New(benchSize, benchSize)
-	b.SetBytes(4 * benchSize * benchSize * 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		yT := transposeTemp(benchSize, benchSize)
+	var yT *Tensor
+	cols := unitFunc(func(_, u int) {
+		jLo, jHi := colUnit(u, benchSize)
+		MatMulColsInto(out, x, yT, jLo, jHi)
+	})
+	benchTeam(b, func(tm *Team) {
+		yT = transposeTemp(benchSize, benchSize)
 		TransposeInto(yT, y)
-		matmulRows(out, x, yT, 0, benchSize)
+		tm.Run(cols, colUnits(benchSize))
 		transposeTemps.Put(yT)
-	}
+	})
 }
 
 func BenchmarkKernelTMatMul512(b *testing.B) {
@@ -71,16 +74,30 @@ func BenchmarkKernelTMatMul512(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelTMatMulSerial512(b *testing.B) {
+// BenchmarkKernelTMatMulTeam512 is TMatMulInto split into BlockCols-row
+// tmatmulRows units on a team.
+func BenchmarkKernelTMatMulTeam512(b *testing.B) {
 	x, y := benchOperands(b, benchSize, benchSize)
 	out := New(benchSize, benchSize)
+	rows := unitFunc(func(_, u int) { tmatmulRows(out, x, y, u*BlockCols, (u+1)*BlockCols) })
+	benchTeam(b, func(tm *Team) { tm.Run(rows, benchSize/BlockCols) })
+}
+
+// benchTeam times step, one op each, on a team of min(GOMAXPROCS, NumCPU)
+// lanes, the lane count a decoder picks: a step between Start and Park, back
+// to back, as a caller that owns the team runs them. It loops b.N, not
+// b.Loop: go1.24 runs a b.Loop benchmark's first -count whole before it sets
+// -cpu's GOMAXPROCS, so the team would take the default's lanes.
+func benchTeam(b *testing.B, step func(tm *Team)) {
+	tm := NewTeam(min(runtime.GOMAXPROCS(0), runtime.NumCPU()))
+	defer tm.Stop()
 	b.SetBytes(4 * benchSize * benchSize * 3)
+	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range out.Data {
-			out.Data[j] = 0
-		}
-		tmatmulRows(out, x, y, 0, benchSize)
+	for range b.N {
+		tm.Start()
+		step(tm)
+		tm.Park()
 	}
 }
 
@@ -92,8 +109,7 @@ func BenchmarkKernelTMatMulSerial512(b *testing.B) {
 // streamedWeights distinct 256 × 768 weights in turn, 6 MiB, more than a
 // core's L2 holds, so each op reads its b from further out, as a decode
 // step of a model bigger than L2 does, and the tile's prefetch shows.
-// All stay below parallelThreshold, so this is one band's kernel speed,
-// reported as GMAC/s; the 0 allocs/op is gated, the speed is report-only.
+// Each is one call's kernel speed on its caller, reported as GMAC/s; the 0 allocs/op is gated, the speed is report-only.
 func BenchmarkKernelMatMulRows(b *testing.B) {
 	const streamedWeights = 8
 	for _, sh := range [][4]int{{8, 256, 768, 1}, {16, 256, 768, 1}, {128, 128, 384, 1}, {8, 256, 768, streamedWeights}} {
@@ -168,14 +184,5 @@ func BenchmarkKernelPoolGetPut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := p.Get(64, 64)
 		p.Put(t)
-	}
-}
-
-// TestBenchSizeAboveThreshold guards the premise of the kernel benchmarks:
-// if parallelThreshold ever grows past 512³, the "parallel" benchmarks
-// would silently measure the serial path.
-func TestBenchSizeAboveThreshold(t *testing.T) {
-	if macs := benchSize * benchSize * benchSize; macs < parallelThreshold {
-		t.Fatalf("benchSize³ = %d below parallelThreshold %d", macs, parallelThreshold)
 	}
 }

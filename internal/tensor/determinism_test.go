@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"testing"
 )
 
@@ -20,87 +19,87 @@ func bitsEqual(t *testing.T, name string, a, b *Tensor) {
 	}
 }
 
-// detRows·detCols·detInner is exactly parallelThreshold, so the kernels
-// below band even on the smallest matrices the tests can afford.
-const detRows, detCols, detInner = 128, 128, 512
+// unitFunc is a Work of a function.
+type unitFunc func(lane, u int)
 
-// checkAcrossGOMAXPROCS runs kernel at GOMAXPROCS 1 and at ≥ 8 (so it bands
-// even on a small machine) and requires both bitwise equal to ref, the
-// kernel's single-band reference, under every kernel of this host.
-func checkAcrossGOMAXPROCS(t *testing.T, name string, kernel, ref func(out *Tensor)) {
+func (f unitFunc) RunUnit(lane, u int) { f(lane, u) }
+
+// checkLaneSplit computes a product as n units on a real Team at 1 to 4
+// lanes, under GOMAXPROCS 1 and max(4, NumCPU): unit(out, lane, u) writes
+// unit u of the product into out on lane. Every result must equal want, the
+// one-call kernel's, bit for bit, whichever lane computed which unit; out
+// starts as NaN, so a unit that wrote too little shows too.
+func checkLaneSplit(t *testing.T, name string, want *Tensor, n int, unit func(out *Tensor, lane, u int)) {
 	t.Helper()
-	if detRows*detCols*detInner < parallelThreshold {
-		t.Fatalf("%d·%d·%d is below parallelThreshold %d: nothing here would fan out", detRows, detCols, detInner, parallelThreshold)
-	}
-	eachTileMode(func(path string) {
-		want := New(detRows, detCols)
-		ref(want)
-		for _, procs := range []int{1, max(8, runtime.NumCPU())} {
-			old := runtime.GOMAXPROCS(procs)
-			got := New(detRows, detCols)
-			kernel(got)
-			runtime.GOMAXPROCS(old)
-			bitsEqual(t, fmt.Sprintf("%s %s procs=%d vs single band", path, name, procs), got, want)
+	for _, procs := range []int{1, max(4, runtime.NumCPU())} {
+		for lanes := 1; lanes <= 4; lanes++ {
+			got := Full(float32(math.NaN()), want.Shape...)
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				tm := NewTeam(lanes)
+				defer tm.Stop()
+				tm.Start()
+				defer tm.Park()
+				tm.Run(unitFunc(func(lane, u int) { unit(got, lane, u) }), n)
+			}()
+			bitsEqual(t, fmt.Sprintf("%s procs %d, %d lanes vs one call", name, procs, lanes), got, want)
 		}
-	})
+	}
 }
+
+// colUnits is the number of BlockCols-column units of an n-column product,
+// and colUnit unit u's columns.
+func colUnits(n int) int { return (n + BlockCols - 1) / BlockCols }
+
+func colUnit(u, n int) (jLo, jHi int) { return u * BlockCols, min((u+1)*BlockCols, n) }
+
+// The dense determinism products: 200 columns end in an 8-column unit, and
+// 72 rows in detRowUnit-row units end in an 8-row one.
+const detRows, detCols, detInner, detRowUnit = 72, 200, 160, 16
 
 func TestDeterminismMatMulIntoAcrossGOMAXPROCS(t *testing.T) {
 	g := NewRNG(11)
 	a, b := g.Normal(0, 1, detRows, detInner), g.Normal(0, 1, detInner, detCols)
-	checkAcrossGOMAXPROCS(t, "MatMulInto",
-		func(out *Tensor) { MatMulInto(out, a, b) },
-		func(out *Tensor) { matmulRows(out, a, b, 0, detRows) })
+	eachTileMode(func(path string) {
+		want := New(detRows, detCols)
+		MatMulInto(want, a, b)
+		checkLaneSplit(t, path+" MatMulInto", want, colUnits(detCols), func(out *Tensor, _, u int) {
+			jLo, jHi := colUnit(u, detCols)
+			MatMulColsInto(out, a, b, jLo, jHi)
+		})
+	})
 }
 
+// TestDeterminismMatMulTIntoAcrossGOMAXPROCS splits MatMulTInto's two calls
+// as a caller with a team does: the transpose on the leader, the product by
+// column units. The one call also equals the scalar reference.
 func TestDeterminismMatMulTIntoAcrossGOMAXPROCS(t *testing.T) {
 	g := NewRNG(12)
 	a, bT := g.Normal(0, 1, detRows, detInner), g.Normal(0, 1, detCols, detInner)
-	checkAcrossGOMAXPROCS(t, "MatMulTInto",
-		func(out *Tensor) { MatMulTInto(out, a, bT) },
-		func(out *Tensor) { matmulTScalarRef(out, a, bT) })
+	b := transposed(bT)
+	eachTileMode(func(path string) {
+		want, ref := New(detRows, detCols), New(detRows, detCols)
+		MatMulTInto(want, a, bT)
+		matmulTScalarRef(ref, a, bT)
+		bitsEqual(t, path+" MatMulTInto vs scalar reference", want, ref)
+		checkLaneSplit(t, path+" MatMulTInto", want, colUnits(detCols), func(out *Tensor, _, u int) {
+			jLo, jHi := colUnit(u, detCols)
+			MatMulColsInto(out, a, b, jLo, jHi)
+		})
+	})
 }
 
 func TestDeterminismTMatMulIntoAcrossGOMAXPROCS(t *testing.T) {
 	g := NewRNG(13)
 	aT, b := g.Normal(0, 1, detInner, detRows), g.Normal(0, 1, detInner, detCols)
-	checkAcrossGOMAXPROCS(t, "TMatMulInto",
-		func(out *Tensor) { TMatMulInto(out, aT, b) },
-		func(out *Tensor) { tmatmulRows(out, aT, b, 0, detRows) })
-}
-
-// TestBandsPartition checks bandWorkers' two cases and bands' split over a
-// grid of range lengths, grains and worker counts: the bands run, in worker
-// order, tile [0, n) exactly, every one but the last a whole number of
-// grains — so there are at most ceil(n/grain) of them, and a band index past
-// workers panics — and the same inputs give the same bands.
-func TestBandsPartition(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	if w, w1 := bandWorkers(250, 64, parallelThreshold), bandWorkers(250, 64, parallelThreshold-1); w != 4 || w1 != 1 {
-		t.Fatalf("bandWorkers at 8 procs: %d at the threshold (want ceil(250/64) = 4), %d below it (want 1)", w, w1)
-	}
-	split := func(n, grain, workers int) [][2]int {
-		got := make([][2]int, workers) // a band never run stays [0,0)
-		bands(n, grain, workers, func(w, lo, hi int) { got[w] = [2]int{lo, hi} })
-		return got
-	}
-	for _, n := range []int{1, 2, 7, 8, 63, 64, 65, 250, 264, 513} {
-		for _, grain := range []int{1, 8, 32, 64} {
-			for _, workers := range []int{1, 2, 3, 4, 8, 64} {
-				got, next := split(n, grain, workers), 0
-				for _, b := range got {
-					if next < n && b[0] == next && b[1] > next && (b[1] == n || (b[1]-next)%grain == 0) {
-						next = b[1]
-					} else if b != [2]int{} {
-						next = -1 // a band out of place, overlapping or past n
-					}
-				}
-				if next != n || !slices.Equal(split(n, grain, workers), got) {
-					t.Fatalf("n=%d grain=%d workers=%d: bands %v", n, grain, workers, got)
-				}
-			}
-		}
-	}
+	eachTileMode(func(path string) {
+		want := New(detRows, detCols)
+		TMatMulInto(want, aT, b)
+		units := (detRows + detRowUnit - 1) / detRowUnit
+		checkLaneSplit(t, path+" TMatMulInto", want, units, func(out *Tensor, _, u int) {
+			tmatmulRows(out, aT, b, u*detRowUnit, min((u+1)*detRowUnit, detRows))
+		})
+	})
 }
 
 // TestDeterminismIntoKernelsPoolBuffers asserts the Into kernels produce

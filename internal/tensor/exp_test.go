@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -121,21 +122,27 @@ func expSweep(stride uint64) (checked, failed int64, first string) {
 	chunks := int64((total + chunk - 1) / chunk)
 	workers := runtime.GOMAXPROCS(0)
 	done, fails, firsts := make([]int64, workers), make([]int64, workers), make([]string, workers)
-	bands(workers, 1, workers, func(w, _, _ int) {
-		v := make([]float32, 0, chunk)
-		for c := int64(w); c < chunks; c += int64(workers) {
-			v = v[:0]
-			for i := uint64(c) * chunk; i < min(uint64(c+1)*chunk, total); i++ {
-				v = append(v, math.Float32frombits(uint32(i*stride)))
-			}
-			done[w] += int64(len(v))
-			if msg := expCheck(v, c%16 == 0); msg != "" {
-				if fails[w]++; firsts[w] == "" {
-					firsts[w] = msg
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v := make([]float32, 0, chunk)
+			for c := int64(w); c < chunks; c += int64(workers) {
+				v = v[:0]
+				for i := uint64(c) * chunk; i < min(uint64(c+1)*chunk, total); i++ {
+					v = append(v, math.Float32frombits(uint32(i*stride)))
+				}
+				done[w] += int64(len(v))
+				if msg := expCheck(v, c%16 == 0); msg != "" {
+					if fails[w]++; firsts[w] == "" {
+						firsts[w] = msg
+					}
 				}
 			}
-		}
-	})
+		}()
+	}
+	wg.Wait()
 	for w := range done {
 		checked, failed = checked+done[w], failed+fails[w]
 		if first == "" {

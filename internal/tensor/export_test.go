@@ -3,6 +3,9 @@ package tensor
 // EachTileMode is eachTileMode for the external test package.
 var EachTileMode = eachTileMode
 
+// CheckLaneSplit is checkLaneSplit for the external test package.
+var CheckLaneSplit = checkLaneSplit
+
 // SumTile is sumTileAVX512 over slices, for the external guard-page test:
 // four rows of out, n columns (a positive multiple of 32), strides in
 // elements. It runs only where HasAVX512 is true and checks no bounds.

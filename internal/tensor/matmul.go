@@ -2,69 +2,21 @@ package tensor
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 )
 
 // blockSize is the tile edge of the matmul family: TransposeInto walks
 // blockSize × blockSize tiles of its output, and the column-lane kernels
-// (matmulRows, tmatmulRows) take b a blockSize-column block at a time, so
-// the k × 64 floats every row of a band sweeps stay cache-resident from one
-// row to the next. 64 columns are also exactly the
+// (MatMulInto, tmatmulRows) take b a blockSize-column block at a time, so
+// the k × 64 floats every row sweeps stay cache-resident from one row to the
+// next. 64 columns are also exactly the
 // eight 8-lane accumulators SumCols keeps in registers.
 const blockSize = 64
 
-// parallelThreshold is the MAC count from which a training or probe kernel
-// (MatMulInto, TMatMulInto and MatMulTInto on 128- to 512-row operands) fans
-// out bands to worker goroutines: about half a millisecond of AVX2 kernel.
-// Measured at GOMAXPROCS 2 (EXPERIMENTS.md "Packed execution", fan-out
-// thresholds): back to back, two bands draw with one around 2^21 MACs and
-// win from 3M. A decode step never comes here: nn.Decoder splits its
-// projections, LM head and attention over its own lane team (DESIGN.md §6,
-// "One step, N lanes"), whose helpers are already running when a phase is
-// posted, where a band here would wake a parked P for every call.
-const parallelThreshold = 1 << 23
-
-// bandWorkers returns how many workers bands spreads an index range of n
-// over, for a call of macs multiply-adds split in grains of grain indices: 1
-// below parallelThreshold, else GOMAXPROCS capped at ceil(n/grain). Callers
-// check it for 1 before they build the band closure, which keeps the serial
-// path allocation-free.
-func bandWorkers(n, grain, macs int) int {
-	if macs < parallelThreshold {
-		return 1
-	}
-	return min(runtime.GOMAXPROCS(0), (n+grain-1)/grain)
-}
-
-// bands splits the index range [0, n) into at most workers contiguous bands,
-// each a whole number of grains but the last, and runs fn(w, lo, hi) for
-// band w, each on its own goroutine when there are two or more. The split is
-// a pure function of (n, grain, workers). Every caller's bands own disjoint
-// outputs and no element's accumulation order depends on the split, so
-// results are byte-identical at any GOMAXPROCS.
-func bands(n, grain, workers int, fn func(w, lo, hi int)) {
-	if workers <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	grains := (n + grain - 1) / grain
-	band := (grains + workers - 1) / workers * grain
-	var wg sync.WaitGroup
-	for w, lo := 0, 0; lo < n; w, lo = w+1, lo+band {
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, min(lo+band, n))
-	}
-	wg.Wait()
-}
-
 // BlockCols is the column block of the matmul kernels (blockSize): a caller
-// that splits one product's output columns across goroutines
+// that splits one product's output columns across a Team's lanes
 // (MatMulColsInto, MatMulPackedColsInto) splits at multiples of it, so that
-// every band is swept by the same kernels, a block at a time, as the whole
+// every unit is swept by the same kernels, a block at a time, as the whole
 // call would be.
 const BlockCols = blockSize
 
@@ -72,21 +24,19 @@ const BlockCols = blockSize
 // reusing out's storage. out must have shape (a.Rows(), b.Cols()) and is
 // overwritten.
 //
-// The kernel is column-block-outer (matmulRows): each output element is one
-// ascending-k sum held in a register and stored once. The Go compiler does
-// not vectorise; on amd64 the sweep is the AVX2 SumCols kernel, eight
-// columns to a register.
+// The kernel is column-block-outer (sumColsRows): each output element is one
+// ascending-k sum from +0, skipping a == 0, held in a register and stored
+// once. The Go compiler does not vectorise; on amd64 the sweep is the AVX2
+// SumCols kernel, eight columns to a register. The call runs on its caller
+// at any GOMAXPROCS: a caller that owns cores splits the product into
+// MatMulColsInto units on its Team.
 func MatMulInto(out, a, b *Tensor) {
 	m, k := a.Rows(), a.Cols()
 	n := b.Cols()
 	if b.Rows() != k || out.Rows() != m || out.Cols() != n {
 		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch out %v = %v × %v", out.Shape, a.Shape, b.Shape))
 	}
-	if workers := bandWorkers(m, 1, m*n*k); workers <= 1 {
-		matmulRows(out, a, b, 0, m)
-	} else {
-		bands(m, 1, workers, func(_, lo, hi int) { matmulRows(out, a, b, lo, hi) })
-	}
+	sumColsRows(out.Data, n, n, a.Data, k, 1, b.Data, n, k, m)
 }
 
 // MatMulColsInto computes columns [jLo, jHi) of out = a × b, all rows, on the
@@ -104,22 +54,6 @@ func MatMulColsInto(out, a, b *Tensor, jLo, jHi int) {
 		return
 	}
 	sumColsRows(out.Data[jLo:], n, jHi-jLo, a.Data, k, 1, b.Data[jLo:], n, k, m)
-}
-
-// matmulRows computes out rows [rowLo, rowHi) of a × b, every element
-// overwritten: out[i][j] = Σ_k a[i][k]·b[k][j], ascending k from +0,
-// skipping a == 0.
-func matmulRows(out, a, b *Tensor, rowLo, rowHi int) {
-	k := a.Cols()
-	sweepCols(out, a.Data, k, 1, b, k, rowLo, rowHi)
-}
-
-// sweepCols is the loop both column-lane kernels share: out row i is the
-// sum over kk of a[i·aRow + kk·aStride] times b's row kk, for the band's
-// rows [rowLo, rowHi), through sumColsRows.
-func sweepCols(out *Tensor, a []float32, aRow, aStride int, b *Tensor, k, rowLo, rowHi int) {
-	n := b.Cols()
-	sumColsRows(out.Data[rowLo*n:], n, n, a[rowLo*aRow:], aRow, aStride, b.Data, n, k, rowHi-rowLo)
 }
 
 // MatMulTInto computes out = a × bᵀ, (m,k)×(n,k) → (m,n), reusing out's
@@ -164,26 +98,24 @@ func transposeTemp(k, n int) *Tensor {
 // TMatMulInto computes out = aᵀ × b, (k,m)×(k,n) → (m,n), reusing out's
 // storage: the natural layout for weight gradients (dW = Xᵀ × dY). out
 // must have shape (aT.Cols(), b.Cols()) and is overwritten. Every output
-// element accumulates its k terms in ascending-k order regardless of
-// blocking or banding, so results are byte-identical at any GOMAXPROCS.
+// element accumulates its k terms in ascending-k order whichever rows a call
+// covers (tmatmulRows), so a product split by rows across a Team's lanes
+// gives the one call's bits.
 func TMatMulInto(out, aT, b *Tensor) {
 	k, m := aT.Rows(), aT.Cols()
 	k2, n := b.Rows(), b.Cols()
 	if k != k2 || out.Rows() != m || out.Cols() != n {
 		panic(fmt.Sprintf("tensor: TMatMulInto shape mismatch out %v = %vᵀ × %v", out.Shape, aT.Shape, b.Shape))
 	}
-	if workers := bandWorkers(m, 1, m*n*k); workers <= 1 {
-		tmatmulRows(out, aT, b, 0, m)
-	} else {
-		bands(m, 1, workers, func(_, lo, hi int) { tmatmulRows(out, aT, b, lo, hi) })
-	}
+	tmatmulRows(out, aT, b, 0, m)
 }
 
 // tmatmulRows computes out rows [rowLo, rowHi) of aᵀ × b, every element
-// overwritten: matmulRows with a read down a column of aT (stride m)
+// overwritten: MatMulInto's sums with a read down a column of aT (stride m)
 // instead of along a row.
 func tmatmulRows(out, aT, b *Tensor, rowLo, rowHi int) {
-	sweepCols(out, aT.Data, 1, aT.Cols(), b, aT.Rows(), rowLo, rowHi)
+	n := b.Cols()
+	sumColsRows(out.Data[rowLo*n:], n, n, aT.Data[rowLo:], 1, aT.Cols(), b.Data, n, aT.Rows(), rowHi-rowLo)
 }
 
 // TransposeInto computes out = tᵀ, reusing out's storage. out must have

@@ -44,7 +44,7 @@ type PackedMat interface {
 	// colLo ≤ j < colHi, with K the matrix's row count — each output one
 	// ascending-k float32 sum from +0 over exactly the values
 	// DecodeRowsInto produces, skipping every a == 0 of its own row. That
-	// is what decoding the band and running matmulRows over it gives, bit
+	// is what decoding the band and running MatMulInto over it gives, bit
 	// for bit, without the float32 round trip through scratch; the rows
 	// share each decoded code word. It reports false, having written
 	// nothing, when the band is not word-aligned in the format's bit
@@ -99,7 +99,7 @@ func packedElems(m, k, n int) int {
 // out's storage: (m,k)×(k,n) → (m,n), every element overwritten, on the
 // calling goroutine and lane 0 of scratch. Results are bitwise identical to
 // MatMulInto(out, a, w.Unpack()): each output element is one ascending-k
-// float32 sum from +0 with the same zero skip as matmulRows, over the same
+// float32 sum from +0 with the same zero skip as MatMulInto, over the same
 // decoded values. The loop is column-outer (matmulPackedCols): each code
 // word is decoded once per group of rows the format's fused kernel takes, or
 // once into a tile that every remaining activation row sweeps with SumCols.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"testing"
 
 	"edgellm/internal/quant"
@@ -170,12 +169,12 @@ func TestMatMulPackedSpecialActivations(t *testing.T) {
 }
 
 // TestMatMulPackedDeterministicAcrossProcs pins the column split a decoder's
-// lane team makes: lanes goroutines, at GOMAXPROCS 1 and N, each run
-// MatMulPackedColsInto over every lanes-th 64-column block on its own lane
-// of one shared scratch, reused across calls, and the product must equal the
-// one-call MatMulPackedInto and the float32 reference over Unpack bit for
-// bit. n = 250 ends in a ragged block, and n = 264 is a multiple of 8 whose
-// last block is 8 columns wide.
+// lane team makes: 64-column MatMulPackedColsInto units on a team at 1 to 4
+// lanes, under GOMAXPROCS 1 and N, each on its lane of one shared scratch,
+// reused across calls, and the product must equal the one-call
+// MatMulPackedInto and the float32 reference over Unpack bit for bit.
+// n = 250 ends in a ragged block, and n = 264 is a multiple of 8 whose last
+// block is 8 columns wide.
 func TestMatMulPackedDeterministicAcrossProcs(t *testing.T) {
 	for _, n := range []int{250, 264} {
 		m, k := 19, 96 // 19 rows: two groups of eight and a tail of three
@@ -189,26 +188,12 @@ func TestMatMulPackedDeterministicAcrossProcs(t *testing.T) {
 		bitwiseEqual(t, fmt.Sprintf("n=%d uniform3 vs unpacked reference", n), whole, want)
 
 		scratch := tensor.NewPackedScratch()
-		for _, procs := range []int{1, max(4, runtime.NumCPU())} {
-			for lanes := 1; lanes <= 4; lanes++ {
-				old := runtime.GOMAXPROCS(procs)
-				scratch.Reserve(lanes, m, k, n)
-				u := tensor.New(m, n)
-				var wg sync.WaitGroup
-				for lane := range lanes {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for j := lane * tensor.BlockCols; j < n; j += lanes * tensor.BlockCols {
-							tensor.MatMulPackedColsInto(u, a, p, scratch, lane, j, min(j+tensor.BlockCols, n))
-						}
-					}()
-				}
-				wg.Wait()
-				runtime.GOMAXPROCS(old)
-				bitwiseEqual(t, fmt.Sprintf("n=%d uniform3 procs %d, %d lanes vs one call", n, procs, lanes), u, whole)
-			}
-		}
+		scratch.Reserve(4, m, k, n)
+		units := (n + tensor.BlockCols - 1) / tensor.BlockCols
+		tensor.CheckLaneSplit(t, fmt.Sprintf("n=%d uniform3", n), whole, units, func(out *tensor.Tensor, lane, u int) {
+			j := u * tensor.BlockCols
+			tensor.MatMulPackedColsInto(out, a, p, scratch, lane, j, min(j+tensor.BlockCols, n))
+		})
 	}
 }
 
@@ -255,8 +240,8 @@ func TestMatMulPackedGridIdentity(t *testing.T) {
 
 // FuzzMatMulPackedMatchesUnpack lets the engine pick the shape, the width
 // and the data: whatever it finds, the packed kernel equals the dense
-// kernel over Unpack bit for bit. Shapes stay below the fan-out threshold
-// (TestMatMulPackedDeterministicAcrossProcs owns banding). The seeds are
+// kernel over Unpack bit for bit. Each shape is one call
+// (TestMatMulPackedDeterministicAcrossProcs owns the lane split). The seeds are
 // one per path: fused and tiled word path, ragged width, 8-bit bytes, a
 // width with no word path, 2-bit fused over an odd number of blocks, the
 // AVX-512 tile kernel with rows left over, and the fused two-row kernel

@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestPoolGetReturnsZeroedReusedBuffer(t *testing.T) {
 	p := NewPool()
@@ -74,16 +77,22 @@ func TestPoolPutNilIsNoOp(t *testing.T) {
 // -race it doubles as the pool's data-race check.
 func TestPoolConcurrent(t *testing.T) {
 	p := NewPool()
-	bands(8, 1, 8, func(w, _, _ int) {
-		for i := 0; i < 200; i++ {
-			a := p.Get(8, 8)
-			b := p.Get(4, 4)
-			a.Data[0] = float32(w)
-			b.Data[0] = float32(i)
-			p.Put(a)
-			p.Put(b)
-		}
-	})
+	var wg sync.WaitGroup
+	for w := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				a := p.Get(8, 8)
+				b := p.Get(4, 4)
+				a.Data[0] = float32(w)
+				b.Data[0] = float32(i)
+				p.Put(a)
+				p.Put(b)
+			}
+		}()
+	}
+	wg.Wait()
 	if got := p.Stats().BytesInUse; got != 0 {
 		t.Fatalf("bytes in use after balanced Get/Put %d, want 0", got)
 	}

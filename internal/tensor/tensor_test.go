@@ -199,20 +199,21 @@ func TestMatMulAgainstNaive(t *testing.T) {
 	}
 }
 
+// TestMatMulParallelMatchesSerial splits a product whose last column unit is
+// 3 wide on a team: the same bits as the one call, which is close to the
+// naive reference.
 func TestMatMulParallelMatchesSerial(t *testing.T) {
-	// Large enough to cross the parallel threshold; result must be
-	// bit-identical to the naive reference since bands own disjoint rows.
 	g := NewRNG(12)
 	a := g.Normal(0, 1, 513, 257)
 	b := g.Normal(0, 1, 257, 67)
-	if 513*257*67 < parallelThreshold {
-		t.Fatal("shape is below parallelThreshold: nothing here would fan out")
+	want := matMul(a, b)
+	if !AllClose(want, matmulNaive(a, b), 1e-3, 1e-3) {
+		t.Fatal("MatMul deviates from reference")
 	}
-	got := matMul(a, b)
-	want := matmulNaive(a, b)
-	if !AllClose(got, want, 1e-3, 1e-3) {
-		t.Fatal("parallel MatMul deviates from reference")
-	}
+	checkLaneSplit(t, "MatMulInto", want, colUnits(67), func(out *Tensor, _, u int) {
+		jLo, jHi := colUnit(u, 67)
+		MatMulColsInto(out, a, b, jLo, jHi)
+	})
 }
 
 func TestMatMulTAndTMatMulConsistency(t *testing.T) {

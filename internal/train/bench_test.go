@@ -7,9 +7,9 @@ import (
 )
 
 // BenchmarkStepPoolOn runs b.N full forward+backward+optimizer steps on the
-// tiny test model, its tape on the arena. Its matmuls all sit far below the
-// tensor package's parallel threshold, so the per-step allocation counts are
-// independent of core count — which is what lets benchguard gate allocs/op
+// tiny test model, its tape on the arena. Its matmuls all run on the calling
+// goroutine, so the per-step allocation counts are independent of core
+// count — which is what lets benchguard gate allocs/op
 // and B/op against a checked-in baseline across machines.
 func BenchmarkStepPoolOn(b *testing.B) {
 	m := tinyModel(1)

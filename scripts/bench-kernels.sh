@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # The kernel gates, as CI's bench-kernels job runs them:
 #
-#  1. the parallel kernels' determinism under the race detector:
-#     byte-identical results at any GOMAXPROCS and on a fresh or stale arena;
+#  1. determinism under the race detector: each dense matmul product
+#     split into units on a real tensor.Team at 1-4 lanes equals the
+#     one-call kernel bit for bit at any GOMAXPROCS, and a training step
+#     gives the same bits on a fresh or stale arena;
 #  1b. the arena poisoned: built with the poison tag, Pool.GetUncleared
 #     fills every buffer it hands out with NaN, and the gradient checks,
 #     the pinned tuning trajectory, the segmented backward, the no-grad
@@ -14,8 +16,10 @@
 #     benchmark (ProbeOutputKL, WindowStep and Forward among them: a probe
 #     or a window's frozen prefix back on the autograd forward allocates
 #     ~20x and ~150x their bytes, and the no-grad forward must allocate
-#     nothing), on the parallel backward kernels falling below 2x their
-#     serial variants (with >= 4 cores), on MatMulT taking more than 1.5x
+#     nothing), on the backward kernels split on a team of min(procs,
+#     cores) lanes falling below 2x their one-call kernels (with >= 4
+#     procs: every call of the matmul family runs on its caller, and only a
+#     caller that owns a team splits it), on MatMulT taking more than 1.5x
 #     TMatMul, on the AdamW assembly falling below 1.5x its Go twin, or on
 #     the fake-quant assembly falling below 3x its Go definition (both at
 #     any core count);
