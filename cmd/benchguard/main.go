@@ -13,7 +13,10 @@
 //     fan-out, such as the backward kernels split on a lane team against
 //     their one-call kernels, needs the cores), 1 for pairs that
 //     compare two serial loops and hold on any machine, such as packed
-//     vs float32 decode and batch-8 vs one-at-a-time;
+//     vs float32 decode and batch-8 vs one-at-a-time. A pair that names a
+//     kernel path ("path": "avx512", tensor.KernelPath's names) is judged
+//     only on that path and reported skipped on any other, for a gain that
+//     lives in one path's kernels;
 //   - benchmarks reporting the custom p99ms metric (the serve suite's
 //     queue-wait tail) must stay below the baseline's p99_ms ceiling plus
 //     the tolerance — a generous bound that catches queueing collapse (a
@@ -47,8 +50,11 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
+
+	"edgellm/internal/tensor"
 )
 
 type benchResult struct {
@@ -67,6 +73,7 @@ type benchResult struct {
 type report struct {
 	GoVersion  string                 `json:"go_version"`
 	NumCPU     int                    `json:"num_cpu"`
+	KernelPath string                 `json:"kernel_path"`
 	Benchmarks map[string]benchResult `json:"benchmarks"`
 	Speedups   map[string]float64     `json:"speedups,omitempty"`
 }
@@ -99,12 +106,14 @@ type gate struct {
 // speedupSpec names a (parallel, serial) benchmark pair whose ns/op ratio
 // serial÷parallel must reach Min. A pair is gated only when the run used
 // at least MinProcs procs: 4 when 0, for pairs that measure fan-out; 1 for
-// pairs that compare two kernels.
+// pairs that compare two kernels. A pair with a Path is gated only where
+// the run's kernel path is that one.
 type speedupSpec struct {
 	Parallel string  `json:"parallel"`
 	Serial   string  `json:"serial"`
 	Min      float64 `json:"min,omitempty"`
 	MinProcs int     `json:"min_procs,omitempty"`
+	Path     string  `json:"path,omitempty"`
 }
 
 type baseline struct {
@@ -144,6 +153,7 @@ func main() {
 	rep := report{
 		GoVersion:  runtime.Version(),
 		NumCPU:     runtime.NumCPU(),
+		KernelPath: tensor.KernelPath(),
 		Benchmarks: map[string]benchResult{},
 	}
 	if err := parseBench(r, rep.Benchmarks); err != nil {
@@ -166,7 +176,11 @@ func main() {
 	if *basePath == "" {
 		return
 	}
-	if errs := check(rep, base); len(errs) > 0 {
+	errs, skipped := check(rep, base)
+	for _, name := range skipped {
+		fmt.Printf("benchguard: skipped %s: judged on kernel path %s, this run's is %s\n", name, base.Speedups[name].Path, rep.KernelPath)
+	}
+	if len(errs) > 0 {
 		for _, e := range errs {
 			fmt.Fprintf(os.Stderr, "benchguard: FAIL: %v\n", e)
 		}
@@ -268,8 +282,9 @@ func loadBaseline(path string) (baseline, error) {
 	return b, nil
 }
 
-func check(rep report, base baseline) []error {
-	var errs []error
+// check returns every gate the run fails, and the speedup pairs it skipped
+// because they are judged on another kernel path.
+func check(rep report, base baseline) (errs []error, skipped []string) {
 	for name, g := range base.Gates {
 		got, ok := rep.Benchmarks[name]
 		if !ok {
@@ -319,12 +334,17 @@ func check(rep report, base baseline) []error {
 		if !ok || par.Procs < minProcs {
 			continue
 		}
+		if spec.Path != "" && spec.Path != rep.KernelPath {
+			skipped = append(skipped, name)
+			continue
+		}
 		if s, ok := rep.Speedups[name]; ok && s < spec.Min {
 			errs = append(errs, fmt.Errorf("%s: speedup %.2f× below required %.2f× at %d procs",
 				name, s, spec.Min, par.Procs))
 		}
 	}
-	return errs
+	sort.Strings(skipped)
+	return errs, skipped
 }
 
 // withTolerance returns the largest value that still passes the gate,

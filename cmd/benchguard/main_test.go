@@ -2,6 +2,7 @@ package main
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -37,9 +38,35 @@ func TestSpeedupMinProcs(t *testing.T) {
 		"kernel": {Parallel: "Packed", Serial: "Dense", Min: 0.6, MinProcs: 1},
 	}
 	rep.Speedups = deriveSpeedups(rep.Benchmarks, pairs)
-	errs := check(rep, baseline{Tolerance: 0.2, Speedups: pairs})
+	errs, _ := check(rep, baseline{Tolerance: 0.2, Speedups: pairs})
 	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "kernel: speedup 0.33×") {
 		t.Fatalf("errors %v, want exactly the min_procs-1 pair to fail at 0.33×", errs)
+	}
+}
+
+// TestSpeedupPath: a pair that names a kernel path is judged on a run of
+// that path and reported skipped on any other; a pair without one is judged
+// on every path.
+func TestSpeedupPath(t *testing.T) {
+	rep := report{Benchmarks: map[string]benchResult{
+		"Packed": {Procs: 1, NsOp: 6e6},
+		"Dense":  {Procs: 1, NsOp: 2e6},
+	}}
+	pairs := map[string]speedupSpec{
+		"any":    {Parallel: "Packed", Serial: "Dense", Min: 0.6, MinProcs: 1},
+		"avx512": {Parallel: "Packed", Serial: "Dense", Min: 0.6, MinProcs: 1, Path: "avx512"},
+	}
+	rep.Speedups = deriveSpeedups(rep.Benchmarks, pairs)
+	for _, c := range []struct {
+		path    string
+		fails   int
+		skipped []string
+	}{{"avx512", 2, nil}, {"avx2", 1, []string{"avx512"}}, {"go", 1, []string{"avx512"}}} {
+		rep.KernelPath = c.path
+		errs, skipped := check(rep, baseline{Tolerance: 0.2, Speedups: pairs})
+		if len(errs) != c.fails || !slices.Equal(skipped, c.skipped) {
+			t.Errorf("path %s: errors %v, skipped %v; want %d errors, skipped %v", c.path, errs, skipped, c.fails, c.skipped)
+		}
 	}
 }
 

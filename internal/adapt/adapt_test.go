@@ -349,6 +349,9 @@ func runTunerSteps(t *testing.T, tied bool, segments int, stale bool, n int) (*n
 	ag.SetPool(nil)
 	corpus := data.MarkovCorpus(8, 16, 500, 2)
 	if stale {
+		// Shuffled, a stale arena hands a reader of a buffer it did not
+		// write other contents than a fresh one does.
+		ag.ActivePool().ShuffleFree(1)
 		other, err := NewTuner(tinyModel(5, 3), TunerConfig{WindowSize: 2, Strategy: StrategySliding, Segments: 2})
 		if err != nil {
 			t.Fatal(err)

@@ -54,12 +54,14 @@ func runPoolNetStep(t *testing.T, seed int64, seq int) [][]uint32 {
 
 // TestDeterminismBackwardFreshVsStaleArena: gradients on a fresh arena equal
 // those on an arena that steps at other lengths and seeds have left full of
-// stale buffers, on first use and on recycled buffers.
+// stale buffers, handed out in a shuffled order, on first use and on
+// recycled buffers.
 func TestDeterminismBackwardFreshVsStaleArena(t *testing.T) {
 	SetPool(nil)
 	fresh := runPoolNetStep(t, 77, 2)
 
 	SetPool(nil)
+	ActivePool().ShuffleFree(1)
 	for seq := 1; seq <= 4; seq++ {
 		runPoolNetStep(t, 100+int64(seq), seq)
 	}

@@ -305,7 +305,7 @@ func (d *Decoder) SetAdapterAt(slot int, a *Adapter) error {
 }
 
 // bindScratch checks that a fits and grows the side path's scratch to hold
-// its widest target over a full step's rows.
+// its widest target over a full step's rows, for each projection of a phase.
 func (d *Decoder) bindScratch(a *Adapter) error {
 	if a == nil {
 		return nil
@@ -313,8 +313,8 @@ func (d *Decoder) bindScratch(a *Adapter) error {
 	if err := d.CheckAdapter(a); err != nil {
 		return err
 	}
-	d.sideXA.grow(d.pool, d.rowCap, a.rank)
-	d.sideOut.grow(d.pool, d.rowCap, a.out)
+	d.sideXA.grow(d.pool, len(d.terms)*d.rowCap, a.rank)
+	d.sideOut.grow(d.pool, len(d.terms)*d.rowCap, a.out)
 	return nil
 }
 
@@ -339,30 +339,62 @@ func extendSide(runs []sideRun, i int, a *Adapter) []sideRun {
 	return append(runs, sideRun{lo: i, hi: i + 1, a: a})
 }
 
-// addSide adds, for each stretch of runs, its adapter's term for layer l's
-// weight wi (the LM head is layer headLayer) to out = x·W:
-// out += (alpha/rank)·((x·A)·B) over the stretch's rows, two MatMulInto
-// calls into decoder scratch. MatMulInto's per-row sums do not depend on how
-// many rows share the call, so a row's bits do not depend on which rows, or
-// which adapters, share the step.
-func (d *Decoder) addSide(out, x *tensor.Tensor, runs []sideRun, l, wi int) {
-	in, width := x.Cols(), out.Cols()
+// sideTerm is one stretch's adapter term for a projection of a phase:
+// out += scale·((x·A)·B) over rows [lo, hi). xa holds x·A, computed before
+// the phase; each unit writes (x·A)·B over its columns into delta and adds
+// them, scaled, into out (phase.product). Both are views of the decoder's
+// side scratch.
+type sideTerm struct {
+	xa, delta tensor.Tensor
+	b         *tensor.Tensor
+	scale     float32
+	lo, hi    int
+}
+
+// newSideTerms returns a decoder's side term table: for each of a phase's
+// projections, room for one term a row, their view headers made once.
+func newSideTerms(rows int) (terms [3][]sideTerm) {
+	shapes := make([]int, len(terms)*rows*4)
+	for i := range terms {
+		terms[i] = make([]sideTerm, rows)
+		for k := range terms[i] {
+			sh := shapes[(i*rows+k)*4:]
+			terms[i][k].xa.Shape, terms[i][k].delta.Shape = sh[0:2:2], sh[2:4:4]
+		}
+	}
+	return terms
+}
+
+// sideTerms fills projection i's side terms for layer l's weight wi (the LM
+// head is layer headLayer), whose output is width wide, from the stretches
+// of runs over x's rows: for each stretch whose adapter targets the weight,
+// its x·A through MatMulInto, whose per-row sums do not depend on how many
+// rows share the call, so a row's bits do not depend on which rows, or which
+// adapters, share the step.
+func (d *Decoder) sideTerms(i int, x *tensor.Tensor, runs []sideRun, l, wi, width int) []sideTerm {
+	in, terms := x.Cols(), d.terms[i][:0]
 	for _, r := range runs {
 		p := r.a.sites[siteKey(l, wi)]
 		if p == nil {
 			continue
 		}
+		// Row j of projection i's scratch starts (i·rowCap + j) strides
+		// in, a stride the widest rank or target bound so far, so that
+		// stretches of adapters of different ranks never share a float.
+		rows := len(d.terms) * d.rowCap
+		xaStride, outStride := len(d.sideXA.back.Data)/rows, len(d.sideOut.back.Data)/rows
 		n := r.hi - r.lo
+		terms = terms[:len(terms)+1]
+		s := &terms[len(terms)-1]
+		base := i*d.rowCap + r.lo
+		s.xa.Data = d.sideXA.back.Data[base*xaStride:][:n*r.a.rank]
+		s.xa.Shape[0], s.xa.Shape[1] = n, r.a.rank
+		s.delta.Data = d.sideOut.back.Data[base*outStride:][:n*width]
+		s.delta.Shape[0], s.delta.Shape[1] = n, width
+		s.b, s.scale, s.lo, s.hi = p.B, r.a.alpha/float32(r.a.rank), r.lo, r.hi
 		d.sideX.Data = x.Data[r.lo*in : r.hi*in]
 		d.sideX.Shape[0], d.sideX.Shape[1] = n, in
-		xa := d.sideXA.shaped(n, p.A.Cols())
-		tensor.MatMulInto(xa, &d.sideX, p.A)
-		delta := d.sideOut.shaped(n, width)
-		tensor.MatMulInto(delta, xa, p.B)
-		scale := r.a.alpha / float32(r.a.rank)
-		o := out.Data[r.lo*width : r.hi*width]
-		for j, v := range delta.Data {
-			o[j] += float32(scale * v)
-		}
+		tensor.MatMulInto(&s.xa, &d.sideX, p.A)
 	}
+	return terms
 }

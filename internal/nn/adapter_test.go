@@ -275,7 +275,8 @@ func TestAdapterChangesGeneration(t *testing.T) {
 }
 
 // TestAdapterExitHeadTargets covers exit-head targeting: valid on untied
-// exits, rejected on tied ones and out-of-range indices.
+// exits, where a decoder bound to it steps as the base model does (an exit
+// pair decodes nothing), rejected on tied ones and out-of-range indices.
 func TestAdapterExitHeadTargets(t *testing.T) {
 	g := tensor.NewRNG(3)
 	cfg := Config{Vocab: 29, Dim: 12, Heads: 3, Layers: 2, Hidden: 20, MaxSeq: 24, ExitHeads: true}
@@ -286,11 +287,15 @@ func TestAdapterExitHeadTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := NewDecoder(m)
+	dec, base := NewDecoder(m), NewDecoder(m)
 	if err := dec.SetAdapter(a); err != nil {
 		t.Fatalf("exit-head adapter rejected: %v", err)
 	}
+	for _, tok := range []int{3, 1, 4} {
+		rowsBitsEqual(t, fmt.Sprintf("exit-adapted step of token %d", tok), mustStep(t, dec, tok), mustStep(t, base, tok))
+	}
 	dec.Close()
+	base.Close()
 
 	tied := NewModel(Config{Vocab: 29, Dim: 12, Heads: 3, Layers: 2, Hidden: 20, MaxSeq: 24,
 		ExitHeads: true, TieExitHeads: true}, tensor.NewRNG(27))

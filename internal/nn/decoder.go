@@ -85,11 +85,13 @@ type Decoder struct {
 	// decodes under, nil for the base model. rowSides and headSides are a
 	// step's stretches of rows under one adapter, over the block rows and
 	// over the LM head's run rows. sideX views one stretch's input rows;
-	// sideXA and sideOut hold its x·A and (x·A)·B.
+	// terms[i] are projection i's side terms in a phase, whose x·A and
+	// (x·A)·B live in sideXA and sideOut, rowCap rows a projection.
 	slotAdapter         []*Adapter
 	rowSides, headSides []sideRun
 	sideX               tensor.Tensor
-	sideXA, sideOut     batchBuf // (rowCap, rank), (rowCap, widest target)
+	terms               [3][]sideTerm
+	sideXA, sideOut     batchBuf // (3·rowCap, rank), (3·rowCap, widest target)
 
 	// Packed execution state (packed.go): when packed is non-nil, block
 	// matmuls whose layer is packed run as tensor.MatMulPackedColsInto
@@ -189,6 +191,7 @@ func NewBatchDecoder(m *Model, slots int, pool *tensor.Pool) *Decoder {
 		rowSides:    make([]sideRun, 0, rows),
 		headSides:   make([]sideRun, 0, slots),
 		sideX:       tensor.Tensor{Shape: []int{0, 0}},
+		terms:       newSideTerms(rows),
 		team:        tensor.NewTeam(laneCount()),
 	}
 	d.ph.d, d.ph.width = d, tensor.BlockCols
@@ -202,6 +205,11 @@ func NewBatchDecoder(m *Model, slots int, pool *tensor.Pool) *Decoder {
 // Lanes returns how many lanes the decoder's steps run on: the caller and
 // Lanes()−1 helper goroutines, which hold that many Ps during a step.
 func (d *Decoder) Lanes() int { return d.team.Lanes() }
+
+// TeamStats copies the lane team's counters into s (tensor.Team.Stats): the
+// steps, the units posted, and per lane the units run and taken from another
+// lane's share. Any goroutine may call it.
+func (d *Decoder) TeamStats(s *tensor.TeamStats) { d.team.Stats(s) }
 
 // Config returns the model configuration the decoder serves.
 func (d *Decoder) Config() Config { return d.m.Cfg }
@@ -292,6 +300,7 @@ func (d *Decoder) StepBatch(tokens, slots []int) ([][]float32, error) {
 	for r, i := range d.last {
 		d.headSides = extendSide(d.headSides, r, d.slotAdapter[slots[i]])
 	}
+	d.ph.slots = slots
 
 	dim := m.Cfg.Dim
 
@@ -305,37 +314,27 @@ func (d *Decoder) StepBatch(tokens, slots []int) ([][]float32, error) {
 		}
 	}
 
-	hV := d.h.rows(B)
-	qV, kV, vV := d.q.rows(B), d.k.rows(B), d.v.rows(B)
-	ctxV, attV := d.ctx.rows(B), d.att.rows(B)
-	gateV, upV := d.gate.rows(B), d.up.rows(B)
-	mlpV := d.mlp.rows(B)
+	hV, qV, ctxV, gateV := d.h.rows(B), d.q.rows(B), d.ctx.rows(B), d.gate.rows(B)
 
 	for l, blk := range m.Blocks {
-		// Attention sub-block: h = norm1(x); q,k,v = h·W; cache k,v for
-		// every row, then per-row causal attention over the slot's arena
-		// region up to the row's own position.
+		// Attention sub-block: h = norm1(x); q,k,v = h·W, each unit writing
+		// its k and v columns of every row into the arena; then per-row
+		// causal attention over the slot's arena region up to the row's own
+		// position, and x += ctx·Wo, a unit's columns at a time.
 		for i := 0; i < B; i++ {
 			tensor.RMSNormRow(hV.Row(i), d.x[i*dim:(i+1)*dim], blk.Norm1.Gain.Data.Data, blk.Norm1.Eps)
 		}
 		d.project(l, wmWq, wmWo, hV)
-		for i, s := range slots {
-			p := d.pos[i]
-			d.arena.putKey(l, s, p, kV.Data[i*dim:(i+1)*dim])
-			copy(d.arena.values(l, s)[p*dim:(p+1)*dim], vV.Data[i*dim:(i+1)*dim])
-		}
 		d.attendAll(l, B, slots, qV.Data, ctxV.Data)
 		d.project(l, wmWo, wmGate, ctxV)
-		addRows(d.x, attV.Data)
 
-		// MLP sub-block: x += down( SiLU(h2·gate) ⊙ (h2·up) ).
+		// MLP sub-block: x += down( SiLU(h2·gate) ⊙ (h2·up) ), the gate
+		// and up bands of a unit paired.
 		for i := 0; i < B; i++ {
 			tensor.RMSNormRow(hV.Row(i), d.x[i*dim:(i+1)*dim], blk.Norm2.Gain.Data.Data, blk.Norm2.Eps)
 		}
 		d.project(l, wmGate, wmDown, hV)
-		tensor.SiLUMul(gateV.Data, upV.Data)
 		d.project(l, wmDown, numBlockWeights, gateV)
-		addRows(d.x, mlpV.Data)
 	}
 
 	// Final norm and LM head over each run's last row only, gathered into
@@ -344,9 +343,9 @@ func (d *Decoder) StepBatch(tokens, slots []int) ([][]float32, error) {
 	for r, i := range d.last {
 		tensor.RMSNormRow(hV.Row(r), d.x[i*dim:(i+1)*dim], m.Norm.Gain.Data.Data, m.Norm.Eps)
 	}
-	d.ph.x, d.ph.mats[0] = hV, projection{out: logitsV, w: m.LMHead.W.Data}
+	d.ph.x = hV
+	d.ph.mats[0] = projection{out: logitsV, w: m.LMHead.W.Data, sides: d.sideTerms(0, hV, d.headSides, headLayer, 0, m.Cfg.Vocab)}
 	d.fanOut(1)
-	d.addSide(logitsV, hV, d.headSides, headLayer, 0)
 
 	d.rows = d.rows[:0]
 	vocab := m.Cfg.Vocab
@@ -442,13 +441,6 @@ func (d *Decoder) attendAll(l, B int, slots []int, q, ctx []float32) {
 	ph := &d.ph
 	ph.x, ph.l, ph.slots, ph.q, ph.ctx = nil, l, slots, q, ctx
 	d.team.Run(ph, B)
-}
-
-// addRows adds src's first len(src) elements into x element-wise.
-func addRows(x, src []float32) {
-	for j, v := range src {
-		x[j] += v
-	}
 }
 
 // Generate feeds the prompt through the cache, PrefillRows tokens a step, and

@@ -127,12 +127,12 @@ func (a *KVArena) keyTile(l, s, p int) (tile []float32, p0, w int) {
 	return a.k.Data[base : base+a.dim*w], p0, w
 }
 
-// putKey writes the key row of (layer l, slot s, position p) into its
-// tile's column.
-func (a *KVArena) putKey(l, s, p int, row []float32) {
+// putKey writes elements [lo, lo+len(keys)) of the key row of (layer l,
+// slot s, position p) into its tile's column.
+func (a *KVArena) putKey(l, s, p, lo int, keys []float32) {
 	tile, p0, w := a.keyTile(l, s, p)
-	for j, v := range row {
-		tile[j*w+p-p0] = v
+	for j, v := range keys {
+		tile[(lo+j)*w+p-p0] = v
 	}
 }
 

@@ -1,8 +1,10 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"edgellm/internal/tensor"
@@ -256,4 +258,78 @@ func TestPackedAdapterInteraction(t *testing.T) {
 	for _, tok := range []int{3, 1, 4} {
 		rowsBitsEqual(t, "SetPacked→SetAdapter vs SetAdapter→SetPacked", mustStep(t, packedFirst, tok), mustStep(t, adapterFirst, tok))
 	}
+}
+
+// TestPackedPrefillBesideDecodeAtEveryLaneCount: at 1 to 4 lanes, a packed
+// 4-bit step of one slot's decode row beside another slot's 16-row prompt
+// run, both under a LoRA adapter on every weight, gives the bits of the same
+// step on the unpacked decoder over the Unpack'ed codes and of the same
+// tokens fed one a step. The prompt's sixteen rows take the eight-row
+// kernel and the decode row the one-row kernel, and each unit adds its
+// columns' adapter term.
+func TestPackedPrefillBesideDecodeAtEveryLaneCount(t *testing.T) {
+	cfg := packedTestCfg()
+	cfg.MaxSeq = 2 * PrefillRows
+	const seed = 41
+	m := NewModel(cfg, tensor.NewRNG(seed))
+	pm := pack4(t, m)
+	ref := packedRefModel(cfg, seed, pm)
+	a := fullAdapter(t, "prefill", 43, cfg, 4)
+	history := []int{5, 17, 2}
+	prompt := make([]int, PrefillRows)
+	for i := range prompt {
+		prompt[i] = (5*i + 3) % cfg.Vocab
+	}
+	const next = 29
+	decode := func(t *testing.T, model *Model, packed *PackedModel, oneAStep bool) (decodeRow, promptRow []float32) {
+		t.Helper()
+		d := NewBatchDecoder(model, 2, nil)
+		defer d.Close()
+		if packed != nil {
+			if err := d.SetPacked(packed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.SetAdapter(a); err != nil {
+			t.Fatal(err)
+		}
+		s0, _ := d.Acquire()
+		s1, _ := d.Acquire()
+		step := func(tokens, slots []int) [][]float32 {
+			rows, err := d.StepBatch(tokens, slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rows
+		}
+		for _, tok := range history {
+			step([]int{tok}, []int{s0})
+		}
+		if oneAStep {
+			decodeRow = slices.Clone(step([]int{next}, []int{s0})[0])
+			for _, tok := range prompt {
+				promptRow = slices.Clone(step([]int{tok}, []int{s1})[0])
+			}
+			return decodeRow, promptRow
+		}
+		slots := []int{s0}
+		for range prompt {
+			slots = append(slots, s1)
+		}
+		rows := step(append([]int{next}, prompt...), slots)
+		return slices.Clone(rows[0]), slices.Clone(rows[1])
+	}
+	eachLaneCount(t, func(t *testing.T, lanes int) {
+		gotD, gotP := decode(t, m, pm, false)
+		for _, c := range []struct {
+			name     string
+			model    *Model
+			packed   *PackedModel
+			oneAStep bool
+		}{{"unpacked", ref, nil, false}, {"packed one a step", m, pm, true}} {
+			wantD, wantP := decode(t, c.model, c.packed, c.oneAStep)
+			rowsBitsEqual(t, fmt.Sprintf("lanes %d decode row vs %s", lanes, c.name), gotD, wantD)
+			rowsBitsEqual(t, fmt.Sprintf("lanes %d prompt run vs %s", lanes, c.name), gotP, wantP)
+		}
+	})
 }

@@ -244,9 +244,11 @@ func (p *Packed) mulVecBytes(out, a []float32, colLo, colHi int) {
 }
 
 // MulVecInto implements tensor.PackedMat. One and two rows take the AVX2
-// kernel, which decodes each code word once for both rows, and eight rows
-// of 2- to 4-bit codes the AVX-512 one, which decodes it once for all eight
-// (DESIGN.md §6, "Eight rows, one decode"). Where only the Go kernels could
+// kernel, which decodes each code word once for both rows, or on an AVX-512
+// host, for 2- to 4-bit codes, its 16-lane one- and two-row twins; eight
+// rows of 2- to 4-bit codes take the AVX-512 kernel that decodes each word
+// once for all eight (DESIGN.md §6, "Eight rows, one decode"). Where only
+// the Go kernels could
 // serve them, one row at a time, decoding a tile once and sweeping it is
 // faster (DESIGN.md §6, "Two rows, one decode"), so two rows report false
 // there and go through tiles, as eight do wherever the AVX-512 kernel is

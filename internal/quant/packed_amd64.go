@@ -8,8 +8,9 @@ var useAVX2 = tensor.HasAVX2()
 
 // useAVX512 follows tensor's AVX-512 kernels: eight activation rows of 2-
 // to 4-bit codes take mulVec8AVX512 for whole groups of four blocks, and
-// two rows mulVec2AVX512 for whole groups of eight. There is no switch; only
-// tests turn it off, to run both kernels in one process.
+// one or two rows mulVec1AVX512 or mulVec2AVX512 for whole groups of eight.
+// There is no switch; only tests turn it off, to run both kernels in one
+// process.
 var useAVX512 = tensor.HasAVX512()
 
 // zLevels[b] and zShifts[b] are the AVX-512 kernels' level table and lane
@@ -26,6 +27,9 @@ var zLevels, zShifts = func() (levels [5][16]float32, shifts [5][16]uint32) {
 	}
 	return levels, shifts
 }()
+
+//go:noescape
+func mulVec1AVX512(out *float32, nBlocks int, a *float32, k int, codes *byte, rowBytes int, scale *float32, bits int, levels *float32, shifts *uint32)
 
 //go:noescape
 func mulVec2AVX512(out *float32, outStride, nBlocks int, a *float32, aRow, k int, codes *byte, rowBytes int, scale *float32, bits int, levels *float32, shifts *uint32)
@@ -109,9 +113,10 @@ func (p *Packed) mulVecSIMD(out []float32, outStride int, a []float32, rows, col
 
 // mulVecAsm adds k code rows of nb blocks into out. Of 2- to 4-bit codes,
 // eight activation rows take whole groups of four blocks through
-// mulVec8AVX512 and two rows whole groups of eight through mulVec2AVX512;
-// everything else goes through mulVecAVX2, two rows at a time. Columns are
-// independent sums, so where the blocks split changes no bit.
+// mulVec8AVX512, and one or two rows whole groups of eight through
+// mulVec1AVX512 or mulVec2AVX512: one decoded code word feeds 16 lanes
+// there, 8 in mulVecAVX2, which takes everything else, two rows at a time.
+// Columns are independent sums, so where the blocks split changes no bit.
 func (p *Packed) mulVecAsm(out []float32, outStride, nb int, a []float32, k, rows int, codes []byte, rowBytes int, scale []float32) {
 	if useAVX512 && p.Bits <= 4 {
 		var done int
@@ -119,6 +124,9 @@ func (p *Packed) mulVecAsm(out []float32, outStride, nb int, a []float32, k, row
 		case rows == 8 && nb >= 4:
 			done = nb &^ 3
 			mulVec8AVX512(&out[0], outStride*4, done, &a[0], p.Rows*4, k, &codes[0], rowBytes, &scale[0], p.Bits, &zLevels[p.Bits][0], &zShifts[p.Bits][0])
+		case rows == 1 && nb >= 8:
+			done = nb &^ 7
+			mulVec1AVX512(&out[0], done, &a[0], k, &codes[0], rowBytes, &scale[0], p.Bits, &zLevels[p.Bits][0], &zShifts[p.Bits][0])
 		case rows == 2 && nb >= 8:
 			done = nb &^ 7
 			mulVec2AVX512(&out[0], outStride*4, done, &a[0], p.Rows*4, k, &codes[0], rowBytes, &scale[0], p.Bits, &zLevels[p.Bits][0], &zShifts[p.Bits][0])

@@ -1,8 +1,8 @@
 #include "textflag.h"
 
 // The AVX2 twins of the uniform word-path kernels in packed.go (DESIGN.md
-// §6, "The repo takes assembly"), and AVX-512 two- and eight-row mat-vecs
-// beside them. A block row is eight b-bit codes in b
+// §6, "The repo takes assembly"), and AVX-512 one-, two- and eight-row
+// mat-vecs beside them. A block row is eight b-bit codes in b
 // bytes. Lanes are the block's eight columns: code j is moved to the top of
 // lane j by a per-lane left shift, sign-extended by an arithmetic right
 // shift, converted, and multiplied by the column's scale — float32(q)·scale,
@@ -510,6 +510,81 @@ z8loop:
 	LEAQ (BX)(R14*8), BX
 	SUBQ $8, CX
 	JNZ  z8
+	VZEROUPPER
+	RET
+
+// ZMAC1(w, acc): acc += a[k] (in Z14) × w; w is clobbered.
+#define ZMAC1(w, acc) \
+	VMULPS w, Z14, w; \
+	VADDPS w, acc, acc
+
+// func mulVec1AVX512(out *float32, nBlocks int, a *float32, k int, codes *byte, rowBytes int, scale *float32, bits int, levels *float32, shifts *uint32)
+//
+// mulVec2AVX512 at one activation row: out[8b+j] += Σ_k a[k] · w[k][8b+j],
+// ascending k, nBlocks a positive multiple of 8. Blocks go eight at a time,
+// 64 columns in four zmm accumulators (Z0-Z3) with their scales in Z16-Z19;
+// each pair of code words is decoded 16 lanes wide and multiplied into the
+// sums, VMULPS then VADDPS. A code row whose a[k] is ±0 is not decoded at
+// all: the integer test of ROWS, as a branch. levels and shifts are
+// mulVec2AVX512's. No BP is written.
+TEXT ·mulVec1AVX512(SB), NOSPLIT, $0-80
+	MOVQ out+0(FP), DI
+	MOVQ nBlocks+8(FP), CX
+	MOVQ codes+32(FP), BX
+	MOVQ rowBytes+40(FP), R9
+	MOVQ scale+48(FP), DX
+	MOVQ bits+56(FP), R14
+	MOVQ levels+64(FP), AX
+	VMOVUPS (AX), Z9
+	MOVQ shifts+72(FP), AX
+	VMOVDQU32 (AX), Z8
+	LEAQ (R14)(R14*2), R15
+	MOVQ R9, R8
+	SHLQ $6, R8 // prefetch distance: 64 rows
+
+z1:
+	VMOVUPS (DI), Z0
+	VMOVUPS 64(DI), Z1
+	VMOVUPS 128(DI), Z2
+	VMOVUPS 192(DI), Z3
+	VMOVUPS (DX), Z16
+	VMOVUPS 64(DX), Z17
+	VMOVUPS 128(DX), Z18
+	VMOVUPS 192(DX), Z19
+	MOVQ    a+16(FP), R11
+	MOVQ    BX, R12
+	MOVQ    k+24(FP), R13
+
+z1loop:
+	PREFETCHT0 (R12)(R8*1)
+	MOVL       (R11), AX
+	ADDL       AX, AX
+	JZ         z1skip
+	VBROADCASTSS (R11), Z14
+	LEAQ         (R12)(R14*4), R10
+	ZDEC(Y10, Z10, (R12), (R12)(R14*1), Z16, Y11)
+	ZDEC(Y12, Z12, (R12)(R14*2), (R12)(R15*1), Z17, Y13)
+	ZDEC(Y20, Z20, (R10), (R10)(R14*1), Z18, Y21)
+	ZDEC(Y22, Z22, (R10)(R14*2), (R10)(R15*1), Z19, Y23)
+	ZMAC1(Z10, Z0)
+	ZMAC1(Z12, Z1)
+	ZMAC1(Z20, Z2)
+	ZMAC1(Z22, Z3)
+
+z1skip:
+	ADDQ $4, R11
+	ADDQ R9, R12
+	DECQ R13
+	JNZ  z1loop
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	ADDQ $256, DI
+	ADDQ $256, DX
+	LEAQ (BX)(R14*8), BX
+	SUBQ $8, CX
+	JNZ  z1
 	VZEROUPPER
 	RET
 

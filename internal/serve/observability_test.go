@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -304,5 +305,67 @@ func TestStatuszSLOMatchesStatus(t *testing.T) {
 	}
 	if a := status.SLO[1]; a.Objective != "availability" || a.Bad != 2 || a.Total != 5 || a.Met {
 		t.Fatalf("availability = %+v, want 2 bad of 5, violated", a)
+	}
+}
+
+// TestStatuszTeamMatchesCounters: after requests long enough to take
+// prompt steps, /statusz's team block and the decode.team.* counters agree:
+// the units every lane ran sum to the units posted, and each lane's ran and
+// stolen counts are the ones /statusz reports.
+func TestStatuszTeamMatchesCounters(t *testing.T) {
+	rec := obsv.New()
+	obsv.SetGlobal(rec)
+	defer obsv.SetGlobal(nil)
+	m := testModel(434)
+	_, ts := newTestServer(t, m, 2, ServerConfig{MaxQueue: 4})
+	prompt := make([]int, 20)
+	for i := range prompt {
+		prompt[i] = i + 1
+	}
+	for _, id := range []string{"t1", "t2", "t3"} {
+		resp, body := postGenerate(t, ts, generateRequest{ID: id, Prompt: prompt, MaxTokens: 4}, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", id, resp.StatusCode, body)
+		}
+	}
+	resp, err := ts.Client().Get(ts.URL + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var status struct {
+		Team struct {
+			Lanes       int
+			Steps       uint64
+			Units       uint64
+			Ran, Stolen []uint64
+		} `json:"team"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
+		t.Fatal(err)
+	}
+	team := status.Team
+	var ran uint64
+	for _, r := range team.Ran {
+		ran += r
+	}
+	// Three requests of 20 prompt tokens and 4 outputs take at least 2 + 3
+	// steps each.
+	if team.Lanes < 1 || len(team.Ran) != team.Lanes || team.Steps < 3*5 || team.Units == 0 || ran != team.Units {
+		t.Fatalf("statusz team = %+v, want the lanes' ran counts to sum to the units posted over ≥ 15 steps", team)
+	}
+	if got := rec.CounterTotal("decode.team.units"); uint64(got) != team.Units {
+		t.Errorf("decode.team.units = %d, statusz units %d", got, team.Units)
+	}
+	if got := rec.CounterTotal("decode.team.steps"); uint64(got) != team.Steps {
+		t.Errorf("decode.team.steps = %d, statusz steps %d", got, team.Steps)
+	}
+	for i := range team.Lanes {
+		if got := rec.CounterTotal(fmt.Sprintf("decode.team.lane%d.ran", i)); uint64(got) != team.Ran[i] {
+			t.Errorf("decode.team.lane%d.ran = %d, statusz %d", i, got, team.Ran[i])
+		}
+		if got := rec.CounterTotal(fmt.Sprintf("decode.team.lane%d.stolen", i)); uint64(got) != team.Stolen[i] {
+			t.Errorf("decode.team.lane%d.stolen = %d, statusz %d", i, got, team.Stolen[i])
+		}
 	}
 }

@@ -287,6 +287,40 @@ func (s *Scheduler) QueueDepth() int {
 	return len(s.queue)
 }
 
+// teamCounters publishes a decoder's lane team counters (tensor.TeamStats)
+// through obsv as the counters decode.team.steps, decode.team.units and, per
+// lane i, decode.team.lane<i>.ran and decode.team.lane<i>.stolen: each
+// publish adds what the team did since the last one. Names and both
+// snapshots are made once, so a publish allocates nothing.
+type teamCounters struct {
+	ran, stolen []string
+	last, cur   tensor.TeamStats
+}
+
+func newTeamCounters(lanes int) *teamCounters {
+	c := &teamCounters{}
+	for i := range lanes {
+		c.ran = append(c.ran, fmt.Sprintf("decode.team.lane%d.ran", i))
+		c.stolen = append(c.stolen, fmt.Sprintf("decode.team.lane%d.stolen", i))
+	}
+	return c
+}
+
+func (c *teamCounters) publish(dec *nn.Decoder) {
+	dec.TeamStats(&c.cur)
+	obsv.Add("decode.team.steps", int64(c.cur.Steps-c.last.Steps))
+	obsv.Add("decode.team.units", int64(c.cur.Units-c.last.Units))
+	for i := range c.cur.Ran {
+		var ran, stolen uint64
+		if i < len(c.last.Ran) {
+			ran, stolen = c.last.Ran[i], c.last.Stolen[i]
+		}
+		obsv.Add(c.ran[i], int64(c.cur.Ran[i]-ran))
+		obsv.Add(c.stolen[i], int64(c.cur.Stolen[i]-stolen))
+	}
+	c.last, c.cur = c.cur, c.last
+}
+
 // stepSpanSample is the batched-step span sampling stride: one decode.step
 // span is recorded per this many StepBatch calls.
 const stepSpanSample = 64
@@ -304,6 +338,7 @@ func (s *Scheduler) Serve(ctx context.Context) error {
 	span := obsv.StartSpan("decode.run")
 	defer span.End()
 	var stepCount uint64
+	team := newTeamCounters(s.dec.Lanes())
 
 	// active is indexed by slot; nil entries are free slots.
 	active := make([]*Stream, s.dec.Slots())
@@ -541,6 +576,7 @@ func (s *Scheduler) Serve(ctx context.Context) error {
 		obsv.Add("decode.tokens", int64(len(tokens)))
 		obsv.Add("decode.prefill_rows", int64(nn.PrefillRows-budget))
 		obsv.Observe("decode.step_rows", float64(len(tokens)))
+		team.publish(s.dec)
 
 		// Advance each stream exactly as Decoder.Generate would: prompt
 		// tokens are fed without sampling, the continuation samples from

@@ -135,7 +135,7 @@ func NewServer(dec *nn.Decoder, cfg ServerConfig) *Server {
 //	POST /v1/generate  — submit a generation request (JSON; ?stream for NDJSON)
 //	GET  /v1/adapters  — resident and on-disk adapter names
 //	GET  /healthz      — 200 serving / 503 draining
-//	GET  /statusz      — live queue/slot/arena/tenant stats and the kernel path (JSON)
+//	GET  /statusz      — live queue/slot/arena/tenant stats, the kernel path and the lane team's counters (JSON)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/generate", s.handleGenerate)
@@ -792,6 +792,8 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	active := s.active
 	tenants := maps.Clone(s.tenants)
 	s.mu.Unlock()
+	var team tensor.TeamStats
+	s.dec.TeamStats(&team)
 	w.Header().Set("Content-Type", "application/json")
 	status := map[string]any{
 		"draining":          s.draining.Load(),
@@ -801,6 +803,10 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		"reserved_kv_bytes": s.adm.ReservedBytes(),
 		"tenants":           tenants,
 		"kernel":            tensor.KernelPath(),
+		"team": map[string]any{
+			"lanes": len(team.Ran), "steps": team.Steps, "units": team.Units,
+			"ran": team.Ran, "stolen": team.Stolen,
+		},
 	}
 	if len(s.cfg.SLO) > 0 {
 		slo := make([]obsv.SLOStatus, len(s.cfg.SLO))

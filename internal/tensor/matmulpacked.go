@@ -39,7 +39,9 @@ type PackedMat interface {
 	// is word-aligned in its bit stream.
 	DecodeRowsInto(dst []float32, rowLo, rowHi, colLo, colHi int)
 	// MulVecInto is the kernel for one, two or eight activation rows,
-	// fused with the decode: for each r < rows,
+	// fused with the decode (quant.Packed's AVX-512 kernels decode each
+	// code word 16 lanes wide at every one of those row counts): for each
+	// r < rows,
 	// out[r·outStride + j-colLo] = Σ_k a[r·K + k]·w[k][j] for
 	// colLo ≤ j < colHi, with K the matrix's row count — each output one
 	// ascending-k float32 sum from +0 over exactly the values

@@ -123,11 +123,14 @@ func BenchmarkPackedMatMulDequant4(b *testing.B) {
 	}
 }
 
-// BenchmarkPackedMatMulFloat32 is the ungated reference: the dense kernel
-// over already-resident float32 weights. With the AVX2 kernels it streams
-// its 2.25 MB at memory speed, and the fused ones, bound by the vector µops
-// of their code extraction, are still 1.2–1.5× faster at one row on an
-// eighth of the bytes; from eight rows up one tile decode serves every row
+// BenchmarkPackedMatMulFloat32 is the dense kernel over already-resident
+// float32 weights, the serial side of BENCH_packed.json's
+// packed_fused4_vs_float32 pair, judged on the avx512 path only. It streams
+// its 2.25 MB at memory speed. The fused one-row kernel is bound by the
+// vector µops of its code extraction: on an AVX-512 host, decoding 16 lanes
+// at a time, it is 1.15–1.3× faster on an eighth of the bytes; the AVX2
+// loop, 8 lanes at a time, reads 0.8–0.95× (GOMAXPROCS 1, 2-vCPU AVX-512
+// Xeon guest). From eight rows up each decoded code word serves every row
 // and the two are level — EXPERIMENTS.md "Packed execution".
 func BenchmarkPackedMatMulFloat32(b *testing.B) {
 	a, w := packedBenchOperands(b)

@@ -26,8 +26,9 @@ import (
 // GetUncleared fall back to New and Put is a no-op. All methods are safe
 // for concurrent use.
 type Pool struct {
-	mu   sync.Mutex
-	free map[int][]*Tensor
+	mu    sync.Mutex
+	free  map[int][]*Tensor
+	order *RNG // ShuffleFree's; nil: last in, first out
 
 	hits       atomic.Int64
 	misses     atomic.Int64
@@ -83,10 +84,13 @@ func (p *Pool) take(shape []int) (t *Tensor, reused bool) {
 	n := checkShape(shape)
 	p.mu.Lock()
 	list := p.free[n]
-	if len(list) > 0 {
-		t = list[len(list)-1]
-		list[len(list)-1] = nil
-		p.free[n] = list[:len(list)-1]
+	if last := len(list) - 1; last >= 0 {
+		i := last
+		if p.order != nil {
+			i = p.order.Intn(len(list))
+		}
+		t, list[i], list[last] = list[i], list[last], nil
+		p.free[n] = list[:last]
 	}
 	p.mu.Unlock()
 	p.bytesInUse.Add(int64(n) * 4)
@@ -97,6 +101,18 @@ func (p *Pool) take(shape []int) (t *Tensor, reused bool) {
 	p.hits.Add(1)
 	t.Shape = append(t.Shape[:0], shape...)
 	return t, true
+}
+
+// ShuffleFree makes p hand out its parked buffers of each size in an order
+// drawn from seed instead of last in, first out. It exists for tests: no
+// result may depend on which parked buffer a Get returns, and a test that
+// runs twice, on a fresh arena and on a shuffled stale one, sees a stale
+// read as a changed bit, because the reader is not handed back the buffer it
+// put away moments earlier on both sides.
+func (p *Pool) ShuffleFree(seed int64) {
+	p.mu.Lock()
+	p.order = NewRNG(seed)
+	p.mu.Unlock()
 }
 
 // Adopt registers an externally allocated tensor's bytes as handed out by

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -95,5 +96,37 @@ func TestPoolConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := p.Stats().BytesInUse; got != 0 {
 		t.Fatalf("bytes in use after balanced Get/Put %d, want 0", got)
+	}
+}
+
+// TestPoolShuffleFree: a shuffled pool still hands out every parked buffer
+// of a size exactly once before it allocates, in an order other than last
+// in, first out.
+func TestPoolShuffleFree(t *testing.T) {
+	const n = 8
+	p := NewPool()
+	p.ShuffleFree(3)
+	parked := make([]*Tensor, n)
+	for i := range parked {
+		parked[i] = New(2, 3)
+	}
+	for _, b := range parked {
+		p.Put(b)
+	}
+	seen := map[*Tensor]bool{}
+	lifo := true
+	for i := range n {
+		got := p.GetUncleared(3, 2)
+		if seen[got] || !slices.Contains(parked, got) {
+			t.Fatalf("get %d returned a buffer that was not parked, or one twice", i)
+		}
+		seen[got] = true
+		lifo = lifo && got == parked[n-1-i]
+	}
+	if lifo {
+		t.Fatal("a shuffled pool handed its buffers out last in, first out")
+	}
+	if s := p.Stats(); s.Hits != n || s.Misses != 0 {
+		t.Fatalf("stats %+v, want %d hits and no miss", s, n)
 	}
 }

@@ -17,9 +17,10 @@ type Work interface {
 	RunUnit(lane, u int)
 }
 
-// The post word of a team: postParked while no step runs, else
-// n<<32 | next, with n the posted phase's unit count and next its first
-// unclaimed unit.
+// The post word of a team: postParked while no step runs, else the number
+// of phases the team has posted, the last of which is the one to claim from.
+// A lane's share of the posted phase is its cursor word, end<<32 | next, with
+// next its first unclaimed unit.
 const postParked = 1 << 63
 
 // A lane with nothing to claim polls the post word (or, the leader, the done
@@ -77,12 +78,15 @@ func (w *wait) poll() time.Duration {
 
 // Team is a lane team (DESIGN.md §6, "One team, N lanes"): the goroutine
 // that calls Start and Run leads as lane 0, and lanes-1 helper goroutines,
-// started by NewTeam, run the other lanes. For each phase the leader posts
-// the work and its unit count, and every lane, the leader included, claims
-// units one at a time until none is left, so a lane that arrives late (a
-// helper still waking) or runs slow leaves its share to the others. The
-// leader returns from Run once every unit is done. At one lane there is no
-// helper: Run loops the units on the caller.
+// started by NewTeam, run the other lanes. For each phase the leader cuts the
+// units into one contiguous share per lane, lane i's the i-th of L, and posts
+// the work. Every lane, the leader included, claims units one at a time from
+// its own share and then from what is left of the others', so a unit runs on
+// the same lane step after step (its weights stay in that core's cache)
+// while a lane that arrives late (a helper still waking) or runs slow leaves
+// the rest of its share to the others. The leader returns from Run once
+// every unit is done. At one lane there is no helper: Run loops the units on
+// the caller.
 //
 // Helpers poll the post word between Start and Park, the span of one step,
 // and for TeamLinger after; otherwise they sleep on a read of their wake
@@ -93,18 +97,53 @@ func (w *wait) poll() time.Duration {
 // descriptor, so a step allocates nothing whenever its helpers slept.
 //
 // One goroutine at a time leads a team; a team is not safe for concurrent
-// steps.
+// steps. Stats may be read from any goroutine.
 type Team struct {
 	post atomic.Uint64
-	_    [56]byte // keep the claimed word and the done count on separate lines
+	_    [56]byte // keep the post word and the done count on separate lines
 	done atomic.Uint64
-	work Work // the posted phase; nil between steps
+	work Work   // the posted phase; nil between steps
+	gen  uint64 // phases posted, the leader's copy of the post word
+
+	steps, posted atomic.Uint64 // Stats' Steps and Units
 
 	// panics[lane] is the first panic recovered from a unit on lane in the
 	// current phase, re-raised by the leader once every unit is done.
 	panics  []any
-	helpers []helper // helpers[lane] for lanes ≥ 1
+	lanes   []laneState // lanes[i] for every lane, the leader's included
+	helpers []helper    // helpers[lane] for lanes ≥ 1
 	exited  sync.WaitGroup
+}
+
+// laneState is one lane's share of the posted phase, written by every lane
+// that claims from it, and its counters, written by the lane alone once a
+// claim.
+type laneState struct {
+	share       atomic.Uint64 // end<<32 | next
+	ran, stolen atomic.Uint64
+	_           [40]byte // one cache line a lane
+}
+
+// TeamStats is what a team has done since NewTeam: the steps started, the
+// units posted, and per lane the units it ran and, of those, how many it
+// took from another lane's share. Every posted unit runs once, so the Ran
+// counts sum to Units once the team is parked.
+type TeamStats struct {
+	Steps, Units uint64
+	Ran, Stolen  []uint64
+}
+
+// Stats copies the team's counters into s, reusing its slices: a caller that
+// keeps one TeamStats reads them without allocating. The counters are
+// atomics, added to once a phase a lane, so any goroutine may read them; a
+// read during a step may see a phase half counted.
+func (t *Team) Stats(s *TeamStats) {
+	s.Steps, s.Units = t.steps.Load(), t.posted.Load()
+	s.Ran, s.Stolen = s.Ran[:0], s.Stolen[:0]
+	for i := range t.lanes {
+		s.Ran = append(s.Ran, t.lanes[i].ran.Load())
+		s.Stolen = append(s.Stolen, t.lanes[i].stolen.Load())
+	}
 }
 
 // helper is a helper lane's sleeping state: asleep while it reads, or is
@@ -132,6 +171,11 @@ func NewTeam(lanes int) *Team {
 		}
 		t.panics = append(t.panics, nil)
 		t.helpers[lane].r, t.helpers[lane].w = r, w
+	}
+	// The lanes exist before the first helper runs: a helper claims from
+	// every lane's share.
+	t.lanes = make([]laneState, len(t.panics))
+	for lane := 1; lane < t.Lanes(); lane++ {
 		t.exited.Add(1)
 		go t.help(lane)
 	}
@@ -147,10 +191,11 @@ func (t *Team) Lanes() int { return len(t.panics) }
 // back-to-back caller, a benchmark loop, has nothing to yield to; a yield
 // with idle Ps lets the scheduler start a thread inside the caller's loop.
 func (t *Team) Start() {
+	t.steps.Add(1)
 	if t.Lanes() == 1 {
 		return
 	}
-	t.post.Store(0)
+	t.post.Store(t.gen)
 	for lane := 1; lane < t.Lanes(); lane++ {
 		if h := &t.helpers[lane]; h.asleep.Swap(false) {
 			// A failed write leaves the helper asleep; the other lanes
@@ -172,7 +217,9 @@ func (t *Team) Park() {
 // lane and re-raised here after the last unit has finished, so no lane writes
 // once Run has returned or panicked.
 func (t *Team) Run(w Work, n int) {
+	t.posted.Add(uint64(n))
 	if t.Lanes() == 1 || n == 1 {
+		t.lanes[0].ran.Add(uint64(n))
 		for u := range n {
 			w.RunUnit(0, u)
 		}
@@ -180,7 +227,12 @@ func (t *Team) Run(w Work, n int) {
 	}
 	t.work = w
 	t.done.Store(0)
-	t.post.Store(uint64(n) << 32)
+	for i := range t.lanes {
+		lo, hi := i*n/t.Lanes(), (i+1)*n/t.Lanes()
+		t.lanes[i].share.Store(uint64(hi)<<32 | uint64(lo))
+	}
+	t.gen++
+	t.post.Store(t.gen)
 	t.done.Add(t.claim(0))
 	for wt := (wait{}); t.done.Load() < uint64(n); {
 		if wt.poll() >= leaderYield {
@@ -200,20 +252,42 @@ func (t *Team) Run(w Work, n int) {
 	}
 }
 
-// claim runs units of the posted phase on lane until none is left unclaimed.
-// A claim is an Add on the post word, read back: it takes unit next of
-// whichever phase is posted at that moment, or nothing when next has reached
-// n (the surplus Adds are bounded by the lane count and overwritten by the
-// next post).
-func (t *Team) claim(lane int) (units uint64) {
-	for {
-		p := t.post.Add(1) - 1
-		if p&postParked != 0 || uint32(p) >= uint32(p>>32) {
-			return units
+// claim runs units of the posted phase on lane until none is left
+// unclaimed: first its own share, then each other lane's from the next lane
+// on. It returns how many units it ran.
+//
+// A claim is an Add on a share's cursor, read back. A lane may still be
+// claiming, having run nothing, when the leader posts the next phase; it
+// then takes units of that phase, whose work was stored before its shares.
+// A lane that has run a unit is counted in the done count only once its
+// claim returns, so no phase is posted while it holds one. The surplus Adds
+// past a share's end are bounded by the lane count and overwritten by the
+// next post.
+func (t *Team) claim(lane int) uint64 {
+	var ran, stolen uint64
+	for i := range t.Lanes() {
+		from := (lane + i) % t.Lanes()
+		c := &t.lanes[from].share
+		if v := c.Load(); uint32(v) >= uint32(v>>32) {
+			continue
 		}
-		t.unit(lane, int(uint32(p)))
-		units++
+		for {
+			v := c.Add(1) - 1
+			if uint32(v) >= uint32(v>>32) {
+				break
+			}
+			t.unit(lane, int(uint32(v)))
+			if ran++; from != lane {
+				stolen++
+			}
+		}
 	}
+	if ran > 0 {
+		l := &t.lanes[lane]
+		l.ran.Add(ran)
+		l.stolen.Add(stolen)
+	}
+	return ran
 }
 
 // unit runs one unit of the posted phase on lane, recovering a panic into
@@ -236,8 +310,9 @@ func (t *Team) help(lane int) {
 	defer t.exited.Done()
 	h := &t.helpers[lane]
 	defer h.r.Close()
+	var seen uint64 // the last phase the lane claimed from
 	for {
-		t.serve(lane)
+		t.serve(lane, &seen)
 		h.asleep.Store(true)
 		if t.post.Load()&postParked == 0 {
 			h.asleep.Store(false)
@@ -249,9 +324,10 @@ func (t *Team) help(lane int) {
 	}
 }
 
-// serve claims units on lane as phases are posted, and returns once the team
-// is parked and the lane has waited TeamLinger since its last unit or yield.
-func (t *Team) serve(lane int) {
+// serve claims units on lane as phases are posted, once a phase, and returns
+// once the team is parked and the lane has waited TeamLinger since its last
+// claim or yield. *seen is the last phase the lane claimed from.
+func (t *Team) serve(lane int, seen *uint64) {
 	var wt wait
 	for {
 		p := t.post.Load()
@@ -260,7 +336,8 @@ func (t *Team) serve(lane int) {
 			if wt.poll() >= TeamLinger {
 				return
 			}
-		case uint32(p) < uint32(p>>32):
+		case p != *seen:
+			*seen = p
 			t.done.Add(t.claim(lane))
 			wt = wait{}
 		case wt.poll() >= helperYield:

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -141,6 +142,132 @@ func TestTeamStepsAcrossLinger(t *testing.T) {
 			if err := step(tm, 1+i%12); err != nil {
 				t.Fatalf("lanes %d step %d: %v", lanes, i, err)
 			}
+		}
+		tm.Stop()
+	}
+}
+
+// shareWork records which lane ran each unit. Every lane's first unit waits
+// until all lanes have begun one, so each lane has claimed its first unit
+// before any lane can take from another's share; lane 1 then stays inside
+// its first unit until every other unit has run.
+type shareWork struct {
+	lanes    int32
+	lane     []atomic.Int32 // lane[u]+1 once unit u ran; 0 before
+	runs     []atomic.Int32
+	first    []atomic.Int32 // first[lane]+1: the first unit lane ran
+	begun    atomic.Int32
+	finished atomic.Int32
+	timedOut atomic.Bool
+}
+
+func (w *shareWork) RunUnit(lane, u int) {
+	w.runs[u].Add(1)
+	w.lane[u].Store(int32(lane) + 1)
+	defer w.finished.Add(1)
+	if !w.first[lane].CompareAndSwap(0, int32(u)+1) {
+		return
+	}
+	w.begun.Add(1)
+	w.await(func() bool { return w.begun.Load() == w.lanes })
+	if lane == 1 {
+		w.await(func() bool { return int(w.finished.Load()) == len(w.runs)-1 })
+	}
+}
+
+// await polls done for up to 10 s, yielding, so that an oversubscribed team
+// still reaches it.
+func (w *shareWork) await(done func() bool) {
+	for deadline := time.Now().Add(10 * time.Second); !done(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			w.timedOut.Store(true)
+			return
+		}
+	}
+}
+
+// TestTeamClaimsOwnShareFirst: at 2 to 4 lanes, each lane's first unit is the
+// first of its own share, i·n/L; a lane held inside that unit has the rest of
+// its share run by the others; every unit runs exactly once; and the
+// counters agree with what ran where: the units run sum to the units posted,
+// and each lane's stolen count is the units it ran of other lanes' shares.
+func TestTeamClaimsOwnShareFirst(t *testing.T) {
+	for lanes := 2; lanes <= 4; lanes++ {
+		tm := NewTeam(lanes)
+		n := 4*lanes + 1
+		w := &shareWork{
+			lanes: int32(lanes),
+			lane:  make([]atomic.Int32, n),
+			runs:  make([]atomic.Int32, n),
+			first: make([]atomic.Int32, lanes),
+		}
+		tm.Start()
+		tm.Run(w, n)
+		tm.Park()
+		if w.timedOut.Load() {
+			t.Fatalf("lanes %d: a lane waited 10 s for the others", lanes)
+		}
+		for u := range n {
+			if r := w.runs[u].Load(); r != 1 {
+				t.Fatalf("lanes %d: unit %d ran %d times", lanes, u, r)
+			}
+		}
+		for l := range lanes {
+			if got, want := int(w.first[l].Load())-1, l*n/lanes; got != want {
+				t.Errorf("lanes %d: lane %d began with unit %d, want %d, the first of its share", lanes, l, got, want)
+			}
+		}
+		lo1, hi1 := n/lanes, 2*n/lanes
+		for u := lo1 + 1; u < hi1; u++ {
+			if l := w.lane[u].Load() - 1; l == 1 {
+				t.Errorf("lanes %d: unit %d of held lane 1's share ran on lane 1", lanes, u)
+			}
+		}
+		ran, stolen := make([]uint64, lanes), make([]uint64, lanes)
+		for u := range n {
+			l := int(w.lane[u].Load() - 1)
+			ran[l]++
+			owner := 0
+			for u >= (owner+1)*n/lanes {
+				owner++
+			}
+			if l != owner {
+				stolen[l]++
+			}
+		}
+		var s TeamStats
+		tm.Stats(&s)
+		if s.Steps != 1 || s.Units != uint64(n) || !slices.Equal(s.Ran, ran) || !slices.Equal(s.Stolen, stolen) {
+			t.Errorf("lanes %d: stats %+v: want 1 step, %d units, ran %v, stolen %v", lanes, s, n, ran, stolen)
+		}
+		tm.Stop()
+	}
+}
+
+// TestTeamStatsCountEveryUnit: over steps of one to twelve units, one-unit
+// phases and a one-lane team included, the units the lanes ran sum to the
+// units posted, and reading the counters allocates nothing.
+func TestTeamStatsCountEveryUnit(t *testing.T) {
+	for lanes := 1; lanes <= 4; lanes++ {
+		tm := NewTeam(lanes)
+		var posted uint64
+		for i := range 40 {
+			if err := step(tm, 1+i%12); err != nil {
+				t.Fatalf("lanes %d step %d: %v", lanes, i, err)
+			}
+			posted += uint64(1 + i%12)
+		}
+		var s TeamStats
+		tm.Stats(&s)
+		if allocs := testing.AllocsPerRun(10, func() { tm.Stats(&s) }); allocs != 0 {
+			t.Errorf("lanes %d: Stats allocates %v a call", lanes, allocs)
+		}
+		var ran uint64
+		for _, r := range s.Ran {
+			ran += r
+		}
+		if s.Steps != 40 || s.Units != posted || ran != posted || len(s.Ran) != lanes {
+			t.Errorf("lanes %d: stats %+v: want 40 steps and %d units posted and run over %d lanes", lanes, s, posted, lanes)
 		}
 		tm.Stop()
 	}

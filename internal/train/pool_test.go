@@ -37,10 +37,14 @@ func runTrainingSteps(seed int64, n int) (losses []uint64, params [][]uint32) {
 // staleArena installs a fresh arena and leaves it full of stale buffers:
 // full and checkpointed steps of another model over batches of other shapes
 // (the tests' own shape last), every graph released with its last contents
-// in place. A run after it must equal the same run on a fresh arena bit for
-// bit: no op may read a buffer it did not write.
+// in place. The arena hands its buffers out in a shuffled order
+// (tensor.Pool.ShuffleFree), so an op that reads a buffer it did not write
+// reads other contents than on a fresh arena, whose last-in, first-out
+// order returns the buffer the step itself put back. A run after it must
+// equal the same run on a fresh arena bit for bit.
 func staleArena() {
 	ag.SetPool(nil)
+	ag.ActivePool().ShuffleFree(1)
 	m := recomputeModel(99)
 	tr := NewTrainer(NewAdamW(0.01), 0.05, 1.0)
 	for _, inputs := range [][][]int{{{3, 1, 4, 1, 5}}, {{9, 2, 6}, {5, 3, 5}, {8, 9, 7}}, poolInputs} {
